@@ -451,6 +451,64 @@ func BenchmarkFindObjectMiss(b *testing.B) {
 	b.SetBytes(int64(len(roots) * 4))
 }
 
+// hitHeap builds a heap of 4-, 8- and 16-word objects and returns it
+// with 65536 candidates that all resolve, half of them interior.
+func hitHeap(b *testing.B) (*alloc.Allocator, []mem.Addr) {
+	heap, err := alloc.New(mem.NewAddressSpace(), alloc.Config{
+		HeapBase: 0x400000, InitialBytes: 1 << 20, ReserveBytes: 16 << 20,
+		InteriorPointers: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sizes := [3]int{4, 8, 16}
+	objs := make([]mem.Addr, 16384)
+	for i := range objs {
+		if objs[i], err = heap.Alloc(sizes[i%len(sizes)], false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := simrand.New(5)
+	cands := make([]mem.Addr, 65536)
+	for i := range cands {
+		cands[i] = objs[rng.Intn(len(objs))] + mem.Addr(i&1)*mem.WordBytes
+	}
+	return heap, cands
+}
+
+// BenchmarkFindObjectHit measures the validity check on candidates that
+// do resolve — the case a heap scan meets, where BenchmarkFindObjectMiss
+// covers the root scan's.
+func BenchmarkFindObjectHit(b *testing.B) {
+	heap, cands := hitHeap(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range cands {
+			if _, ok := heap.FindObject(p, true); !ok {
+				b.Fatalf("candidate %#x did not resolve", uint32(p))
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
+}
+
+// BenchmarkMarkCandidate measures the fused per-candidate step of the
+// mark loop (validity check, mark bit, object span) on the same
+// candidates; most calls find the object already marked, as most heap
+// edges do.
+func BenchmarkMarkCandidate(b *testing.B) {
+	heap, cands := hitHeap(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range cands {
+			if _, _, out := heap.MarkCandidate(p, true, false); out == alloc.NotObject {
+				b.Fatalf("candidate %#x did not resolve", uint32(p))
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
+}
+
 // --- E12 / section 3.1 end: generational ceiling ---
 
 func benchGenerational(b *testing.B, clear ClearPolicy) {

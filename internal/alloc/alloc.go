@@ -497,19 +497,6 @@ func (a *Allocator) blockWords(bi int) []mem.Word {
 	return e.seg.Words()[off : off+mem.PageWords]
 }
 
-// ObjectWords returns the word slice of the object at base (which must
-// be a valid object base of the given size). Objects never span
-// extents, so the slice is contiguous; the marker scans through it.
-func (a *Allocator) ObjectWords(base mem.Addr, words int) []mem.Word {
-	if len(a.extents) == 1 {
-		off := int(base-a.extents[0].seg.Base()) / mem.WordBytes
-		return a.extents[0].seg.Words()[off : off+words]
-	}
-	e := a.extentOfAddr(base)
-	off := int(base-e.seg.Base()) / mem.WordBytes
-	return e.seg.Words()[off : off+words]
-}
-
 // loadWord and storeWord access heap memory by address.
 func (a *Allocator) loadWord(p mem.Addr) (mem.Word, error) {
 	if e := a.extentOfAddr(p); e != nil {
@@ -550,9 +537,6 @@ func (a *Allocator) blockIndex(p mem.Addr) int {
 func bitGet(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitSet(bits []uint64, i int)      { bits[i>>6] |= 1 << (uint(i) & 63) }
 func bitClear(bits []uint64, i int)    { bits[i>>6] &^= 1 << (uint(i) & 63) }
-
-// slotsPerBlock returns how many objects of w words fit in one block.
-func slotsPerBlock(w int) int { return mem.PageWords / w }
 
 // firstSlot returns the first usable slot index of a small block of the
 // given class under the SkipPageBoundarySlot option.
@@ -635,8 +619,7 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 	if err := a.storeWord(p, 0); err != nil {
 		return 0, err
 	}
-	b := &a.blocks[a.blockIndex(p)]
-	slot := int(p-a.blockBase(a.blockIndex(p))) / (words * mem.WordBytes)
+	b, slot := a.slotAt(p)
 	bitSet(b.allocBits, slot)
 	b.liveSlots++
 	a.stats.ObjectsAllocated++
@@ -695,9 +678,8 @@ func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) erro
 	}
 	head := a.freeList[idx]
 	for slot := nslots - 1; slot >= a.firstSlot(words); slot-- {
-		p := base + mem.Addr(slot*words*mem.WordBytes)
 		hw[slot*words] = mem.Word(head)
-		head = p
+		head = slotAddr(base, slot, words)
 	}
 	a.freeList[idx] = head
 	return nil
@@ -951,189 +933,6 @@ func (a *Allocator) CanExpand() bool {
 	}
 	_, ok := a.nextExtentBase()
 	return ok
-}
-
-// FindObject resolves a candidate pointer value to an object base
-// address. interior selects the pointer-validity policy: when true, any
-// address strictly inside an allocated object (any byte offset) is
-// valid; when false only the exact base address is. ok is false for
-// free slots, block-interior waste, unmapped candidates, and (in
-// base-only mode) interior addresses.
-//
-// This is the paper's "pointer validity check"; the caller is
-// responsible for the companion "heap proximity check" (InVicinity) and
-// for blacklisting failures.
-func (a *Allocator) FindObject(p mem.Addr, interior bool) (mem.Addr, bool) {
-	var bi int
-	if len(a.extents) == 1 {
-		// Fast path: the candidate test runs for every root word, so
-		// the common single-extent heap avoids the extent search.
-		seg := a.extents[0].seg
-		if !seg.Contains(p) {
-			return 0, false
-		}
-		bi = int(p-seg.Base()) / mem.PageBytes
-	} else {
-		e := a.extentOfAddr(p)
-		if e == nil {
-			return 0, false
-		}
-		bi = e.startBlock + int(p-e.seg.Base())/mem.PageBytes
-	}
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockFree:
-		return 0, false
-	case blockLargeCont:
-		if !interior {
-			return 0, false
-		}
-		bi -= int(b.spanLen)
-		b = &a.blocks[bi]
-		if b.ignoreOffPage {
-			// The client promised to keep a first-page pointer; deep
-			// interior candidates are invalid (observation 7).
-			return 0, false
-		}
-		fallthrough
-	case blockLargeHead:
-		base := a.blockBase(bi)
-		if p == base {
-			return base, true
-		}
-		if !interior {
-			return 0, false
-		}
-		if p < base+mem.Addr(int(b.objWords)*mem.WordBytes) {
-			return base, true
-		}
-		return 0, false
-	case blockSmall:
-		words := int(b.objWords)
-		bb := a.blockBase(bi)
-		slot := int(p-bb) / (words * mem.WordBytes)
-		if slot >= slotsPerBlock(words) {
-			return 0, false // block-tail waste
-		}
-		if !bitGet(b.allocBits, slot) {
-			return 0, false
-		}
-		base := bb + mem.Addr(slot*words*mem.WordBytes)
-		if p != base && !interior {
-			return 0, false
-		}
-		return base, true
-	}
-	return 0, false
-}
-
-// IsAllocated reports whether base is the base address of a currently
-// allocated object. Experiments use it to measure retention after a
-// collection. An object in a sweep-pending block whose mark bit is
-// clear was classified dead by the last collection — only its
-// reclamation is deferred — so it reports as not allocated, keeping
-// retention measurements identical between lazy and eager sweeping.
-func (a *Allocator) IsAllocated(base mem.Addr) bool {
-	b, ok := a.FindObject(base, false)
-	if !ok || b != base {
-		return false
-	}
-	if a.blocks[a.blockIndex(base)].pendingSweep && !a.Marked(base) {
-		return false
-	}
-	return true
-}
-
-// Mark sets the mark bit for the object with the given base address,
-// returning true if it was not previously marked. The base must come
-// from FindObject.
-func (a *Allocator) Mark(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if b.markBits[0]&1 != 0 {
-			return false
-		}
-		b.markBits[0] |= 1
-		b.markedCount++
-		return true
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		if bitGet(b.markBits, slot) {
-			return false
-		}
-		bitSet(b.markBits, slot)
-		b.markedCount++
-		return true
-	}
-	panic(fmt.Sprintf("alloc: Mark(%#x) on non-object block", uint32(base)))
-}
-
-// atomicSetBit sets bit i of bits with a CAS loop, returning true if
-// this call changed it from 0 to 1 (exactly one of any set of
-// concurrent callers wins).
-func atomicSetBit(bits []uint64, i int) bool {
-	w := &bits[i>>6]
-	m := uint64(1) << (uint(i) & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&m != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|m) {
-			return true
-		}
-	}
-}
-
-// MarkAtomic is Mark with the bit set by compare-and-swap, safe for
-// concurrent use by parallel mark workers: for any object exactly one
-// concurrent caller observes true. The serial Mark path is kept
-// non-atomic so MarkWorkers=1 pays nothing for the capability.
-func (a *Allocator) MarkAtomic(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if atomicSetBit(b.markBits, 0) {
-			atomic.AddInt32(&b.markedCount, 1)
-			return true
-		}
-		return false
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		if atomicSetBit(b.markBits, slot) {
-			// The CAS admits exactly one marker per object, so the add
-			// runs once per mark transition and the summary equals the
-			// bitmap's population count at the barrier.
-			atomic.AddInt32(&b.markedCount, 1)
-			return true
-		}
-		return false
-	}
-	panic(fmt.Sprintf("alloc: MarkAtomic(%#x) on non-object block", uint32(base)))
-}
-
-// Marked reports whether the object at base is marked.
-func (a *Allocator) Marked(base mem.Addr) bool {
-	bi := a.blockIndex(base)
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		return b.markBits[0]&1 != 0
-	case blockSmall:
-		slot := int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-		return bitGet(b.markBits, slot)
-	}
-	return false
-}
-
-// ObjectSpan returns the size in words and atomicity of the object at
-// base (which must be an object base address).
-func (a *Allocator) ObjectSpan(base mem.Addr) (words int, atomic bool) {
-	b := &a.blocks[a.blockIndex(base)]
-	return int(b.objWords), b.atomic
 }
 
 // Stats returns a copy of the allocator statistics.

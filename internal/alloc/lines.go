@@ -75,7 +75,7 @@ func (s Span) slots(words int) int {
 	if s.Cursor >= s.Limit {
 		return 0
 	}
-	return int(s.Limit-s.Cursor) / (words * mem.WordBytes)
+	return slotOfWord(int(s.Limit-s.Cursor)/mem.WordBytes, words)
 }
 
 // isLineBlock reports whether b is managed at line granularity: small
@@ -108,6 +108,22 @@ func nextFreeRun(free uint32) (l0, l1 int) {
 // runMask returns the mask of lines [l0, l1).
 func runMask(l0, l1 int) uint32 {
 	return (1<<uint(l1) - 1) &^ (1<<uint(l0) - 1)
+}
+
+// runSlots returns the slots [sLo, sHi) of a block of the given class
+// size that lie wholly inside the line run [l0, l1), clipped to the
+// block's usable slots [first, nslots). The range is empty (sHi ≤ sLo)
+// when the run is too fragmented to hold a whole slot.
+func runSlots(l0, l1, words, first, nslots int) (sLo, sHi int) {
+	sLo = slotOfWord(l0*LineWords+words-1, words)
+	if sLo < first {
+		sLo = first
+	}
+	sHi = slotOfWord(l1*LineWords, words)
+	if sHi > nslots {
+		sHi = nslots
+	}
+	return sLo, sHi
 }
 
 // slotLines returns the mask of lines overlapped by slots [sLo, sHi)
@@ -160,14 +176,7 @@ func (a *Allocator) carveRun(bi, idx, words int) (Span, bool) {
 	for free != 0 {
 		l0, l1 := nextFreeRun(free)
 		free &^= runMask(l0, l1)
-		sLo := (l0*LineWords + words - 1) / words
-		if sLo < first {
-			sLo = first
-		}
-		sHi := l1 * LineWords / words
-		if sHi > nslots {
-			sHi = nslots
-		}
+		sLo, sHi := runSlots(l0, l1, words, first, nslots)
 		if sHi <= sLo {
 			continue
 		}
@@ -178,8 +187,8 @@ func (a *Allocator) carveRun(bi, idx, words int) (Span, bool) {
 		b.lineLive |= slotLines(sLo, sHi, words)
 		a.requeueLineBlock(bi, b)
 		sp := Span{
-			Cursor: base + mem.Addr(sLo*words*mem.WordBytes),
-			Limit:  base + mem.Addr(sHi*words*mem.WordBytes),
+			Cursor: slotAddr(base, sLo, words),
+			Limit:  slotAddr(base, sHi, words),
 			Words:  words,
 		}
 		a.tracer.Emit(trace.EvSpanRefill, int64(sp.Cursor), int64(sHi-sLo), int64(words))
@@ -369,9 +378,8 @@ func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 	bi := a.blockIndex(cursor)
 	b := &a.blocks[bi]
 	words := int(b.objWords)
-	slotBytes := words * mem.WordBytes
-	n := int(limit-cursor) / slotBytes
-	s0 := int(cursor-a.blockBase(bi)) / slotBytes
+	n := slotOfWord(int(limit-cursor)/mem.WordBytes, words)
+	s0 := slotOfWord(pageWordOff(cursor), words)
 	for i := 0; i < n; i++ {
 		bitClear(b.allocBits, s0+i)
 		// Drop any mark bit too (born-grey carves and conservative
@@ -411,8 +419,7 @@ func (a *Allocator) FlushSpans() int {
 		for _, p := range a.lineFreed[idx] {
 			bi := a.blockIndex(p)
 			b := &a.blocks[bi]
-			words := int(b.objWords)
-			bitClear(b.allocBits, int(p-a.blockBase(bi))/(words*mem.WordBytes))
+			bitClear(b.allocBits, slotOfWord(pageWordOff(p), int(b.objWords)))
 			b.liveSlots--
 			b.lineLive = a.lineLiveOf(bi)
 			a.requeueLineBlock(bi, b)
@@ -479,15 +486,7 @@ func (a *Allocator) LineStats() LineStats {
 		for free != 0 {
 			l0, l1 := nextFreeRun(free)
 			free &^= runMask(l0, l1)
-			sLo := (l0*LineWords + words - 1) / words
-			if sLo < first {
-				sLo = first
-			}
-			sHi := l1 * LineWords / words
-			if sHi > nslots {
-				sHi = nslots
-			}
-			if sHi > sLo {
+			if sLo, sHi := runSlots(l0, l1, words, first, nslots); sHi > sLo {
 				carvable += sHi - sLo
 			}
 		}

@@ -63,7 +63,7 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 	if max < 1 {
 		max = 1
 	}
-	class, words := ClassFor(nwords)
+	class, _ := ClassFor(nwords)
 	idx := class
 	if atomic {
 		idx += NumClasses
@@ -83,9 +83,8 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 		if err := a.storeWord(p, 0); err != nil {
 			return out, err
 		}
-		bi := a.blockIndex(p)
-		b := &a.blocks[bi]
-		bitSet(b.allocBits, int(p-a.blockBase(bi))/(words*mem.WordBytes))
+		b, slot := a.slotAt(p)
+		bitSet(b.allocBits, slot)
 		b.liveSlots++
 		out = append(out, p)
 	}
@@ -101,16 +100,14 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	if len(run) == 0 {
 		return
 	}
-	class, words := ClassFor(nwords)
+	class, _ := ClassFor(nwords)
 	idx := class
 	if atomic {
 		idx += NumClasses
 	}
 	for i := len(run) - 1; i >= 0; i-- {
 		p := run[i]
-		bi := a.blockIndex(p)
-		b := &a.blocks[bi]
-		slot := int(p-a.blockBase(bi)) / (words * mem.WordBytes)
+		b, slot := a.slotAt(p)
 		bitClear(b.allocBits, slot)
 		// A returned slot may carry a mark bit: born-grey allocation
 		// marks whole carved runs during a concurrent cycle, and a
@@ -173,12 +170,11 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 		if b.state != blockSmall {
 			return slotRef{}, nil, fmt.Errorf("alloc: integrity: %s slot %#x in non-small block %d (state %d)", from, uint32(p), bi, b.state)
 		}
-		span := int(b.objWords) * mem.WordBytes
-		off := int(p - a.blockBase(bi))
-		if off%span != 0 {
+		slot := slotOfWord(pageWordOff(p), int(b.objWords))
+		if p != slotAddr(mem.AlignPageDown(p), slot, int(b.objWords)) {
 			return slotRef{}, nil, fmt.Errorf("alloc: integrity: %s slot %#x misaligned for class %d", from, uint32(p), b.class)
 		}
-		return slotRef{bi: bi, slot: off / span}, b, nil
+		return slotRef{bi: bi, slot: slot}, b, nil
 	}
 
 	for _, p := range cached {

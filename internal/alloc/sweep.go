@@ -103,7 +103,7 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 			m &^= 1 << uint(top)
 			slot := slot0 + top
 			hw[slot*words] = mem.Word(head)
-			head = base + mem.Addr(slot*words*mem.WordBytes)
+			head = slotAddr(base, slot, words)
 		}
 	}
 	if typed {
@@ -507,11 +507,10 @@ func (a *Allocator) Free(base mem.Addr) error {
 		return nil
 	case blockSmall:
 		words := int(b.objWords)
-		off := int(base - a.blockBase(bi))
-		if off%(words*mem.WordBytes) != 0 {
+		slot := slotOfWord(pageWordOff(base), words)
+		if base != slotAddr(mem.AlignPageDown(base), slot, words) {
 			return fmt.Errorf("alloc: Free(%#x): not an object base", uint32(base))
 		}
-		slot := off / (words * mem.WordBytes)
 		if slot >= slotsPerBlock(words) {
 			return fmt.Errorf("alloc: Free(%#x): not allocated", uint32(base))
 		}

@@ -94,9 +94,7 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 	if err := a.storeWord(p, 0); err != nil {
 		return 0, err
 	}
-	bi := a.blockIndex(p)
-	b := &a.blocks[bi]
-	slot := int(p-a.blockBase(bi)) / (words * mem.WordBytes)
+	b, slot := a.slotAt(p)
 	bitSet(b.allocBits, slot)
 	b.liveSlots++
 	a.stats.ObjectsAllocated++
@@ -143,9 +141,8 @@ func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error
 	}
 	head := a.typedFree[key]
 	for slot := nslots - 1; slot >= a.firstSlot(words); slot-- {
-		p := base + mem.Addr(slot*words*mem.WordBytes)
 		hw[slot*words] = mem.Word(head)
-		head = p
+		head = slotAddr(base, slot, words)
 	}
 	a.typedFree[key] = head
 	return nil
@@ -164,19 +161,24 @@ const (
 	ScanTyped
 )
 
-// ScanInfo returns how to scan the object at base: its size, scan kind,
-// and (for ScanTyped) the layout descriptor.
-func (a *Allocator) ScanInfo(base mem.Addr) (words int, kind ScanKind, desc Descriptor) {
-	b := &a.blocks[a.blockIndex(base)]
-	words = int(b.objWords)
-	switch {
-	case b.atomic:
-		kind = ScanAtomic
-	case b.state == blockSmall && b.desc >= 0:
-		kind = ScanTyped
-		desc = a.descriptors[b.desc]
-	default:
-		kind = ScanConservative
+// ScanView returns what the marker needs to scan the object at base
+// (which must be an object base address) from one block lookup: the
+// object's words, how to scan them, and — for ScanTyped — the layout
+// descriptor. Objects never span extents, so the slice is contiguous.
+// Atomic objects scan as nothing and report no words.
+func (a *Allocator) ScanView(base mem.Addr) (ws []mem.Word, kind ScanKind, desc *Descriptor) {
+	e := &a.extents[0]
+	if len(a.extents) > 1 {
+		e = a.extentOfAddr(base)
 	}
-	return words, kind, desc
+	rel := base - e.seg.Base()
+	b := &a.blocks[e.startBlock+int(rel/mem.PageBytes)]
+	if b.atomic {
+		return nil, ScanAtomic, nil
+	}
+	if b.state == blockSmall && b.desc >= 0 {
+		kind, desc = ScanTyped, &a.descriptors[b.desc]
+	}
+	off := int(rel / mem.WordBytes)
+	return e.seg.Words()[off : off+int(b.objWords)], kind, desc
 }

@@ -50,9 +50,9 @@ func TestAllocTypedBasics(t *testing.T) {
 			t.Fatalf("word %d = %#x", i, uint32(v))
 		}
 	}
-	words, kind, d := a.ScanInfo(p)
-	if words != 2 || kind != ScanTyped || !d.PointerAt(0) || d.PointerAt(1) {
-		t.Fatalf("ScanInfo = %d %v %+v", words, kind, d)
+	ws, kind, d := a.ScanView(p)
+	if len(ws) != 2 || kind != ScanTyped || !d.PointerAt(0) || d.PointerAt(1) {
+		t.Fatalf("ScanView = %d %v %+v", len(ws), kind, d)
 	}
 	if _, err := a.AllocTyped(DescID(77)); err == nil {
 		t.Error("alloc with unknown descriptor accepted")
@@ -74,7 +74,7 @@ func TestTypedBlocksAreSeparate(t *testing.T) {
 	}
 }
 
-func TestScanInfoKinds(t *testing.T) {
+func TestScanViewKinds(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	cons := mustAlloc(t, a, 2, false)
 	atom := mustAlloc(t, a, 2, true)
@@ -83,8 +83,8 @@ func TestScanInfoKinds(t *testing.T) {
 	typed, _ := a.AllocTyped(id)
 	check := func(p mem.Addr, want ScanKind) {
 		t.Helper()
-		if _, kind, _ := a.ScanInfo(p); kind != want {
-			t.Fatalf("ScanInfo(%#x) kind = %v, want %v", uint32(p), kind, want)
+		if _, kind, _ := a.ScanView(p); kind != want {
+			t.Fatalf("ScanView(%#x) kind = %v, want %v", uint32(p), kind, want)
 		}
 	}
 	check(cons, ScanConservative)
@@ -202,7 +202,7 @@ func TestAllocIgnoreOffPageSmallFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, kind, _ := a.ScanInfo(p); kind != ScanConservative {
+	if _, kind, _ := a.ScanView(p); kind != ScanConservative {
 		t.Fatal("small ignore-off-page object should be ordinary")
 	}
 }

@@ -174,8 +174,10 @@ func (m *Marker) MarkValue(v mem.Word) {
 	if lo, hi := m.heap.Hull(); p < lo || p >= hi {
 		return
 	}
-	base, ok := m.heap.FindObject(p, m.cfg.Policy == PointerInterior)
-	if !ok {
+	// One block lookup does the validity check, the mark-bit transition
+	// (a CAS when several markers share the heap) and the size fetch.
+	base, words, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior, m.atomicMark)
+	if out == alloc.NotObject {
 		// "if p is in the vicinity of the heap: add p to blacklist"
 		if m.heap.InVicinity(p) {
 			m.stats.FalseNearHeap++
@@ -187,14 +189,9 @@ func (m *Marker) MarkValue(v mem.Word) {
 	if p != base {
 		m.stats.InteriorResolved++
 	}
-	if m.atomicMark {
-		if !m.heap.MarkAtomic(base) {
-			return // already marked (possibly by another worker)
-		}
-	} else if !m.heap.Mark(base) {
-		return // already marked
+	if out == alloc.Already {
+		return // already marked (possibly by another worker)
 	}
-	words, atomic := m.heap.ObjectSpan(base)
 	m.stats.ObjectsMarked++
 	m.stats.BytesMarked += uint64(words * mem.WordBytes)
 	if m.rec {
@@ -202,7 +199,7 @@ func (m *Marker) MarkValue(v mem.Word) {
 		// CAS), so it alone records the object's first-marking parent.
 		m.recordWin(base, p, v)
 	}
-	if atomic {
+	if out == alloc.WonAtomic {
 		m.stats.AtomicSkipped++
 		return
 	}
@@ -291,11 +288,10 @@ func (m *Marker) MarkRootSegments(space *mem.AddressSpace) {
 // collections use it to rescan old (marked) objects on dirty pages for
 // old-to-young pointers; atomic objects scan as nothing.
 func (m *Marker) ScanObject(base mem.Addr) {
-	words, kind, desc := m.heap.ScanInfo(base)
+	ws, kind, desc := m.heap.ScanView(base)
 	if kind == alloc.ScanAtomic {
 		return
 	}
-	ws := m.heap.ObjectWords(base, words)
 	if kind == alloc.ScanTyped {
 		if m.rec {
 			m.org = provOrigin{kind: RootNone, area: base, declared: true}
@@ -319,7 +315,7 @@ func (m *Marker) ScanObject(base mem.Addr) {
 	if m.rec {
 		m.org = provOrigin{kind: RootNone, area: base}
 	}
-	m.stats.FieldsScanned += uint64(words)
+	m.stats.FieldsScanned += uint64(len(ws))
 	if m.atomicLoad {
 		for i := range ws {
 			if w := mem.LoadWordAtomic(&ws[i]); w != 0 {

@@ -2,6 +2,7 @@ package mark
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
@@ -436,6 +437,55 @@ func benchMarkList(b *testing.B, blacklisting bool) {
 		m.Reset()
 		b.StartTimer()
 	}
+}
+
+// BenchmarkMarkLiveGraph times one mark phase over the live graph of
+// perfbench's live_graph_stw workload — 16384 nodes of 4, 8 and 16
+// words, node i pointing at node i-1 and at a random earlier node, the
+// last node rooted — so the per-object cost of the mark loop can be
+// read without the ten-second harness. Only MarkValue+Drain is on the
+// clock; the mark-bit reset between iterations is not.
+func BenchmarkMarkLiveGraph(b *testing.B) {
+	const nodes = 16384
+	space := mem.NewAddressSpace()
+	heap, err := alloc.New(space, alloc.Config{
+		HeapBase:     heapBase,
+		InitialBytes: 1 << 20,
+		ReserveBytes: 16 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := New(heap, Config{Policy: PointerBase})
+	rng := simrand.New(1)
+	sizes := [3]int{4, 8, 16}
+	addrs := make([]mem.Addr, nodes)
+	for i := range addrs {
+		p, err := heap.Alloc(sizes[i%len(sizes)], false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			heap.Seg().Store(p, mem.Word(addrs[i-1]))
+			heap.Seg().Store(p+mem.WordBytes, mem.Word(addrs[rng.Intn(i)]))
+		}
+		addrs[i] = p
+	}
+	head := mem.Word(addrs[nodes-1])
+	var onClock time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		m.MarkValue(head)
+		m.Drain()
+		onClock += time.Since(start)
+		if got := m.Stats().ObjectsMarked; got != nodes {
+			b.Fatalf("marked %d objects, want %d", got, nodes)
+		}
+		heap.ClearMarks()
+		m.Reset()
+	}
+	b.ReportMetric(float64(onClock.Nanoseconds())/float64(b.N*nodes), "ns/obj")
 }
 
 func TestTypedObjectScanning(t *testing.T) {

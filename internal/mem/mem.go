@@ -18,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -64,17 +65,7 @@ func AlignPageUp(a Addr) Addr { return (a + PageBytes - 1) &^ (PageBytes - 1) }
 // (section 2) observes that objects should not be allocated at addresses
 // with a large number of trailing zeros, because such addresses collide
 // with common integer data.
-func TrailingZeros(a Addr) int {
-	if a == 0 {
-		return 32
-	}
-	n := 0
-	for a&1 == 0 {
-		n++
-		a >>= 1
-	}
-	return n
-}
+func TrailingZeros(a Addr) int { return bits.TrailingZeros32(uint32(a)) }
 
 // Kind classifies a segment. The marker treats all segments with the
 // Root flag as conservative root areas; Kind exists so that tools and
@@ -313,6 +304,11 @@ type AddressSpace struct {
 	// once or more per collection, and rebuilding into a retained
 	// backing array keeps the steady-state collection allocation-free.
 	rootScratch []*Segment
+	// lastFound is the segment Find returned last. Accesses cluster — a
+	// mutator's loads and stores mostly stay in the heap — so Find tries
+	// it before searching. A plain field: Find is not safe for
+	// concurrent use (core calls it under the world lock).
+	lastFound *Segment
 }
 
 // NewAddressSpace returns an empty address space.
@@ -352,6 +348,9 @@ func (as *AddressSpace) Unmap(name string) bool {
 	for i, s := range as.segs {
 		if s.name == name {
 			as.segs = append(as.segs[:i], as.segs[i+1:]...)
+			if as.lastFound == s {
+				as.lastFound = nil
+			}
 			return true
 		}
 	}
@@ -360,11 +359,15 @@ func (as *AddressSpace) Unmap(name string) bool {
 
 // Find returns the segment whose reserved region contains a, or nil.
 func (as *AddressSpace) Find(a Addr) *Segment {
+	if s := as.lastFound; s != nil && s.InReserved(a) {
+		return s
+	}
 	i := sort.Search(len(as.segs), func(i int) bool { return as.segs[i].base > a })
 	if i == 0 {
 		return nil
 	}
 	if s := as.segs[i-1]; s.InReserved(a) {
+		as.lastFound = s
 		return s
 	}
 	return nil

@@ -376,6 +376,66 @@ func TestFindIsConsistentWithInReserved(t *testing.T) {
 	}
 }
 
+// TestFindLastHitCache walks Find through the orders in which the
+// last-hit segment can mislead it: a repeat hit, a hit elsewhere, a miss
+// in the gap between two segments right after a hit on either side,
+// misses below and above everything, the reserved-but-uncommitted tail,
+// and the cached segment being unmapped. Every answer must equal a
+// linear search's.
+func TestFindLastHitCache(t *testing.T) {
+	as := NewAddressSpace()
+	as.MapNew("a", KindData, 0x10000, PageBytes, 2*PageBytes)
+	as.MapNew("b", KindHeap, 0x40000, PageBytes, 8*PageBytes)
+	as.MapNew("c", KindStack, 0x80000, PageBytes, PageBytes)
+	linear := func(a Addr) *Segment {
+		for _, s := range as.Segments() {
+			if s.InReserved(a) {
+				return s
+			}
+		}
+		return nil
+	}
+	for _, q := range []struct {
+		name string
+		a    Addr
+		want string // segment name, "" for nil
+	}{
+		{"first hit", 0x40010, "b"},
+		{"repeat hit", 0x40020, "b"},
+		{"reserved tail of the cached segment", 0x40000 + 7*PageBytes, "b"},
+		{"gap above the cached segment", 0x40000 + 8*PageBytes, ""},
+		{"gap below the cached segment", 0x3FFFC, ""},
+		{"hit elsewhere", 0x10004, "a"},
+		{"gap between a and b after hitting a", 0x10000 + 2*PageBytes, ""},
+		{"back to b", 0x40000, "b"},
+		{"below every segment", 0x100, ""},
+		{"above every segment", 0x90000, ""},
+		{"last segment", 0x80FFC, "c"},
+	} {
+		got := as.Find(q.a)
+		if got != linear(q.a) {
+			t.Fatalf("%s: Find(%#x) = %v, linear search says %v", q.name, uint32(q.a), got, linear(q.a))
+		}
+		gotName := ""
+		if got != nil {
+			gotName = got.Name()
+		}
+		if gotName != q.want {
+			t.Fatalf("%s: Find(%#x) = %q, want %q", q.name, uint32(q.a), gotName, q.want)
+		}
+	}
+	// Unmapping the cached segment must drop it from the cache too.
+	if as.Find(0x80000) == nil || !as.Unmap("c") {
+		t.Fatal("setup: c not found or not unmapped")
+	}
+	if got := as.Find(0x80000); got != nil {
+		t.Fatalf("Find after Unmap = %v, want nil", got)
+	}
+	if got := as.Find(0x40000); got == nil || got.Name() != "b" {
+		t.Fatalf("Find(b) after Unmap = %v", got)
+	}
+}
+
 func TestReadOnlySegment(t *testing.T) {
 	s, _ := NewSegment("rodata", KindData, 0x2000, 64, 64)
 	s.Store(0x2000, 0x1234)
