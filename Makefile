@@ -174,6 +174,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzAllocatorOps$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentMark$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzMarkCandidate$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run XXX -fuzz '^FuzzOwnerTable$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentAlloc$$' -fuzztime $(FUZZTIME) ./internal/core

@@ -6,6 +6,7 @@ package repro
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
@@ -507,6 +508,88 @@ func BenchmarkMarkCandidate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
+}
+
+// ownerHeap builds the heap the two ownership benchmarks share: free
+// lists, 8-word objects, room for 16384 of them.
+func ownerHeap(b *testing.B) *alloc.Allocator {
+	heap, err := alloc.New(mem.NewAddressSpace(), alloc.Config{
+		HeapBase: 0x400000, InitialBytes: 1 << 20, ReserveBytes: 1 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap.SetOwnerCredit(func(int32, uint64, uint64) {})
+	return heap
+}
+
+// carveRuns carves n slots in cache-sized runs of 32.
+func carveRuns(b *testing.B, heap *alloc.Allocator, n int) [][]mem.Addr {
+	var runs [][]mem.Addr
+	for got := 0; got < n; {
+		run, err := heap.AllocRun(8, false, 32, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs = append(runs, run)
+		got += len(run)
+	}
+	return runs
+}
+
+// BenchmarkOwnerTagRun measures tenant ownership tagging at the carve's
+// granularity: per slot, one tag when a cache refill carves it and one
+// untag when a safepoint flushes it unconsumed. Each run's first slot
+// stays tagged, as the slot a refill hands out does.
+func BenchmarkOwnerTagRun(b *testing.B) {
+	heap := ownerHeap(b)
+	runs := carveRuns(b, heap, 16384)
+	slots := 0
+	for _, run := range runs {
+		heap.TagOwner(run[0], 1)
+		slots += len(run) - 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, run := range runs {
+			heap.TagOwnerRun(run[1:], int32(1+j%16))
+		}
+		for _, run := range runs {
+			heap.UntagOwnerRun(run[1:])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
+}
+
+// BenchmarkReconcileOwners measures the collection barrier's ownership
+// reconcile over 16384 records of which every other one just died. Only
+// the reconcile is in ns/record; ns/op also covers each round's set-up
+// (mark, sweep, reallocate the dead half).
+func BenchmarkReconcileOwners(b *testing.B) {
+	heap := ownerHeap(b)
+	var objs []mem.Addr
+	for j, run := range carveRuns(b, heap, 16384) {
+		heap.TagOwnerRun(run, int32(1+j%16))
+		objs = append(objs, run...)
+	}
+	var reconcile time.Duration
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < len(objs); k += 2 {
+			heap.Mark(objs[k])
+		}
+		heap.Sweep()
+		start := time.Now()
+		dead, _ := heap.ReconcileOwners()
+		reconcile += time.Since(start)
+		if dead != uint64(len(objs)/2) {
+			b.Fatalf("reconcile credited %d objects, want %d", dead, len(objs)/2)
+		}
+		// Reallocate the dead half in place for the next round.
+		for j, run := range carveRuns(b, heap, len(objs)/2) {
+			heap.TagOwnerRun(run, int32(1+j%16))
+		}
+	}
+	b.ReportMetric(float64(reconcile.Nanoseconds())/float64(b.N*len(objs)), "ns/record")
 }
 
 // --- E12 / section 3.1 end: generational ceiling ---

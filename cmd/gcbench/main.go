@@ -7,6 +7,7 @@
 //	gcbench -experiment all
 //	gcbench -experiment table1 -seeds 5 -parallel 8
 //	gcbench -experiment stackclear
+//	gcbench -experiment servebench -cpuprofile cpu.prof   (then: go tool pprof -top cpu.prof)
 //
 // Experiments (see DESIGN.md for the paper mapping):
 //
@@ -44,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,6 +69,7 @@ var (
 	requests   = flag.Int("requests", 0, "servebench collect-first requests per session (default: 12)")
 	soakSecs   = flag.Int("soak-seconds", 60, "tenantsoak wall-clock budget in seconds")
 	traceOut   = flag.String("trace", "", "write a JSON event trace of markbench/sweepbench collections to this file")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (read it with go tool pprof)")
 )
 
 // benchTracer returns the shared trace recorder for the bench
@@ -158,14 +161,33 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	stopProfile := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "gcbench: -cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "gcbench: -cpuprofile: %v\n", err)
+			}
+		}
+	}
 	for _, name := range todo {
 		start := time.Now()
 		if err := runners[name](); err != nil {
+			stopProfile()
 			fmt.Fprintf(os.Stderr, "gcbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
+	stopProfile()
 }
 
 func runTable1() error {

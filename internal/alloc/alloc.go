@@ -353,13 +353,17 @@ type Allocator struct {
 	lineSpans   [64]Span
 	linePartial [64][]int
 	lineFreed   [64][]mem.Addr
-	// Per-tenant ownership attribution (owners.go): owned maps object
-	// base addresses to the tenant that allocated them, ownerCredit
-	// returns a dead object's bytes to its tenant. nil/unused until the
-	// first budgeted tenant tags an object — untenanted worlds pay
-	// nothing.
-	owned       map[mem.Addr]ownerRec
-	ownerCredit func(id int32, objects, bytes uint64)
+	// Per-tenant ownership attribution (owners.go): owners runs parallel
+	// to blocks and holds, per block with records, the owning tenant of
+	// each slot; ownerRecords counts the records across all blocks;
+	// ownerSpare recycles the id arrays of blocks that lost their last
+	// record, one list per array length; ownerCredit returns dead
+	// objects' bytes to their tenant. All nil/zero until the first
+	// budgeted tenant tags an object — untenanted worlds pay nothing.
+	owners       []ownerBlock
+	ownerRecords int
+	ownerSpare   [][][]int32
+	ownerCredit  func(id int32, objects, bytes uint64)
 	// hullLo/hullHi cache the reserved-range hull over all extents:
 	// every address any extent could ever commit lies in [hullLo,
 	// hullHi). The marker's candidate fast path rejects the common

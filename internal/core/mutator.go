@@ -325,9 +325,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 					// first is consumed now (charged above), the rest as
 					// the fast path hands them out. Safepoint flushes
 					// untag whatever returns unconsumed.
-					for p := s.Cursor; p < s.Limit; p += slotBytes {
-						w.Heap.TagOwner(p, m.ten.id, uint64(words)*mem.WordBytes)
-					}
+					w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
 					tagged = true
 				}
 				m.recordSpanRefillLocked(idx, int((s.Limit-s.Cursor)/slotBytes), words)
@@ -353,9 +351,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				}
 				if m.ten != nil && m.ten.budgeted() {
 					// Tag every carved slot (see the span carve above).
-					for _, s := range run {
-						w.Heap.TagOwner(s, m.ten.id, uint64(words)*mem.WordBytes)
-					}
+					w.Heap.TagOwnerRun(run, m.ten.id)
 					tagged = true
 				}
 				m.recordRefillLocked(idx, len(run), words)
@@ -395,7 +391,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		if t.budgeted() && !tagged {
 			// Large, incremental-mode and desperate allocations come
 			// from no carve; tag the object itself.
-			w.Heap.TagOwner(p, t.id, tenCharge)
+			w.Heap.TagOwner(p, t.id)
 		}
 	}
 	if dst != nil {
@@ -482,7 +478,7 @@ func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64) {
 	}
 	t.noteAlloc(tenCharge)
 	if t.budgeted() {
-		m.w.Heap.TagOwner(p, t.id, tenCharge)
+		m.w.Heap.TagOwner(p, t.id)
 	}
 }
 
@@ -607,9 +603,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 			// Unconsumed slots were tagged at carve but never charged;
 			// drop the tags without credit before the slots rejoin the
 			// free lists.
-			for _, s := range c.run[c.next:] {
-				m.w.Heap.UntagOwner(s)
-			}
+			m.w.Heap.UntagOwnerRun(c.run[c.next:])
 		}
 		// Free-list threading is a heap-structure mutation: exclude any
 		// detached mark workers (bare call outside a detached phase).
@@ -621,9 +615,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 	c.next = 0
 	if c.cursor < c.limit {
 		if m.ten != nil && m.ten.budgeted() {
-			for p, step := c.cursor, mem.Addr(c.words*mem.WordBytes); p < c.limit; p += step {
-				m.w.Heap.UntagOwner(p)
-			}
+			m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
 		}
 		// Line profile: clear the span tail's alloc bits and requeue its
 		// block, so the very next carve re-issues the same cursor.

@@ -102,6 +102,7 @@ func normalizeTimes(a, b *CollectionStats) {
 	a.PauseMarkNs, b.PauseMarkNs = 0, 0
 	a.PauseSweepNs, b.PauseSweepNs = 0, 0
 	a.PauseStopNs, b.PauseStopNs = 0, 0
+	a.PauseReconcileNs, b.PauseReconcileNs = 0, 0
 	a.PauseSnapshotNs, b.PauseSnapshotNs = 0, 0
 	a.PauseFinalNs, b.PauseFinalNs = 0, 0
 }

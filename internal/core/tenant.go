@@ -286,9 +286,10 @@ func (t *Tenant) noteAlloc(bytes uint64) {
 
 // creditTenant returns reclaimed bytes to a tenant's budget and
 // reclamation counters; it is the allocator's owner-credit callback
-// (fired per dead object by ReconcileOwners and tag displacement) and
-// the explicit-free/eviction credit path. Credited bytes were always
-// charged first, so the subtraction cannot underflow.
+// (fired per run of a tenant's dead objects by ReconcileOwners, per
+// object by tag displacement) and the explicit-free/eviction credit
+// path. Credited bytes were always charged first, so the subtraction
+// cannot underflow.
 func (w *World) creditTenant(id int32, objects, bytes uint64) {
 	if id < 1 || int(id) > len(w.tenants) {
 		return

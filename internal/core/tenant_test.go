@@ -535,3 +535,44 @@ func TestTenantServeSLO(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectZeroAllocsTenanted holds a tenanted world to the budget
+// TestCollectZeroAllocsUntraced pins for untenanted ones: with ownership
+// records live and dying every cycle, the safepoint's untag, the sweep
+// and the barrier reconcile allocate nothing.
+func TestCollectZeroAllocsTenanted(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"freelist":  {GCDivisor: -1},
+		"line-lazy": {GCDivisor: -1, LineAlloc: true, LazySweep: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, cfg)
+			data := addData(t, w, "roots", 0x2000, 64*4)
+			m := w.NewTenant(TenantConfig{BudgetBytes: 1 << 20}).NewMutator()
+			for i := 0; i < 64; i++ {
+				if _, err := m.AllocateRooted(data, 0x2000+mem.Addr(4*i), 8, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.Collect() // warm up: size the mark stack and sweep structures
+			w.Collect()
+			w.FinishSweep()
+			round := 0
+			avg := testing.AllocsPerRun(10, func() {
+				// Drop two roots a cycle: the barrier reconcile has records
+				// to credit, in blocks that keep other records.
+				w.Store(0x2000+mem.Addr(8*round), 0)
+				w.Store(0x2000+mem.Addr(8*round+4), 0)
+				round++
+				w.Collect()
+				w.FinishSweep()
+			})
+			if avg != 0 {
+				t.Fatalf("tenanted Collect allocates %v times per cycle, want 0", avg)
+			}
+			if got := m.ten.Stats().ReclaimedObjects; got < 20 {
+				t.Fatalf("ReclaimedObjects = %d: the measured cycles reconciled nothing", got)
+			}
+		})
+	}
+}

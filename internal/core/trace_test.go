@@ -312,14 +312,21 @@ func TestTraceBlacklistAndAllocTrigger(t *testing.T) {
 // TestMetricsMatchCollectionStats asserts the registry's counters are
 // exactly the running sums of the per-cycle CollectionStats, and the
 // gauges mirror the allocator — CollectionStats is a per-cycle view of
-// the same accounting the registry accumulates.
+// the same accounting the registry accumulates. A budgeted tenant
+// allocates garbage every round so the barrier's owner reconcile — the
+// one stopped-world phase Duration does not cover — runs and is
+// reported, in the stats, the gctrace line and the counter alike.
 func TestMetricsMatchCollectionStats(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	data := addData(t, w, "data", 0x2000, 4096)
+	var gctrace bytes.Buffer
+	w.SetGCTrace(&gctrace)
+	tm := w.NewTenant(TenantConfig{BudgetBytes: 1 << 20}).NewMutator()
 	var sum struct {
 		cycles, objectsMarked, bytesMarked uint64
 		objectsSwept, bytesSwept           uint64
 		pauseNs, markPauseNs, sweepNs      uint64
+		reconNs, reconCycles               uint64
 	}
 	w.SetCollectionHook(func(st CollectionStats) {
 		sum.cycles++
@@ -330,9 +337,18 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 		sum.pauseNs += uint64(st.Duration.Nanoseconds())
 		sum.markPauseNs += uint64(st.PauseMarkNs)
 		sum.sweepNs += uint64(st.PauseSweepNs)
+		sum.reconNs += uint64(st.PauseReconcileNs)
+		if st.PauseReconcileNs > 0 {
+			sum.reconCycles++
+		}
 	})
 	for round := 0; round < 4; round++ {
 		churn(t, w, data, 0x2000, 40)
+		for i := 0; i < 40; i++ {
+			if _, err := tm.Allocate(8, false); err != nil {
+				t.Fatal(err)
+			}
+		}
 		w.Collect()
 	}
 	reg := w.Metrics()
@@ -354,6 +370,13 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 	check("pause_ns", sum.pauseNs)
 	check("mark_pause_ns", sum.markPauseNs)
 	check("sweep_pause_ns", sum.sweepNs)
+	check("owner_reconcile_ns", sum.reconNs)
+	if sum.reconCycles != sum.cycles {
+		t.Fatalf("%d of %d tenanted cycles reported PauseReconcileNs", sum.reconCycles, sum.cycles)
+	}
+	if got := uint64(bytes.Count(gctrace.Bytes(), []byte(", recon "))); got != sum.cycles {
+		t.Fatalf("gctrace has %d recon terms, want %d:\n%s", got, sum.cycles, gctrace.String())
+	}
 
 	hs := w.Heap.Stats()
 	check("heap_bytes", uint64(hs.HeapBytes))

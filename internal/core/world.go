@@ -367,6 +367,13 @@ type CollectionStats struct {
 	// no Mutator handles exist (Duration covers the pause from the
 	// point the world is stopped).
 	PauseStopNs int64
+	// PauseReconcileNs is the time the collection barrier spent
+	// crediting tenants for the owned objects the cycle reclaimed
+	// (alloc.ReconcileOwners). It runs after the sweep with mutators
+	// still stopped and after Duration is sampled, so it is stopped-world
+	// time Duration does not include. Zero when no ownership records
+	// exist.
+	PauseReconcileNs int64
 	// SweepDeferredBlocks is how many blocks this cycle's sweep left
 	// pending for lazy sweeping (always 0 with LazySweep off).
 	SweepDeferredBlocks int
@@ -559,9 +566,11 @@ type worldMetrics struct {
 
 	// Multi-tenant serving (tenant.go): registered tenants, the bytes
 	// currently charged against their budgets, allocations denied over
-	// budget, and wholesale evictions.
+	// budget, wholesale evictions, and the barrier time spent crediting
+	// tenants (the running sum of CollectionStats.PauseReconcileNs).
 	tenants, tenantLiveBytes       *metrics.Gauge
 	budgetDenials, tenantEvictions *metrics.Counter
+	ownerReconcileNs               *metrics.Counter
 
 	// Pause-time histograms (log₂ buckets, nanoseconds): the
 	// distribution complement to the *_pause_ns running sums. Not part
@@ -628,6 +637,7 @@ func newWorldMetrics() worldMetrics {
 		tenantLiveBytes:    reg.Gauge("tenant_live_bytes"),
 		budgetDenials:      reg.Counter("budget_denials"),
 		tenantEvictions:    reg.Counter("tenant_evictions"),
+		ownerReconcileNs:   reg.Counter("owner_reconcile_ns"),
 		markHist:           reg.Histogram("mark_pause_ns_hist"),
 		sweepHist:          reg.Histogram("sweep_pause_ns_hist"),
 		stopHist:           reg.Histogram("stop_pause_ns_hist"),
@@ -780,6 +790,7 @@ func (w *World) recordCycle(st CollectionStats) {
 	m.pauseNs.Add(uint64(st.Duration.Nanoseconds()))
 	m.markPauseNs.Add(uint64(st.PauseMarkNs))
 	m.sweepNs.Add(uint64(st.PauseSweepNs))
+	m.ownerReconcileNs.Add(uint64(st.PauseReconcileNs))
 	m.markHist.Record(uint64(st.PauseMarkNs))
 	m.sweepHist.Record(uint64(st.PauseSweepNs))
 	if st.Provenance {
@@ -827,6 +838,9 @@ func (w *World) writeGCTrace(st CollectionStats) {
 	if st.PauseStopNs > 0 {
 		fmt.Fprintf(w.gctrace, ", stop %.2fms", float64(st.PauseStopNs)/1e6)
 	}
+	if st.PauseReconcileNs > 0 {
+		fmt.Fprintf(w.gctrace, ", recon %.2fms", float64(st.PauseReconcileNs)/1e6)
+	}
 	fmt.Fprintln(w.gctrace)
 }
 
@@ -869,8 +883,12 @@ func (w *World) fireHook() {
 		// tenant for the owned objects this cycle reclaimed (a lazy
 		// barrier's pending blocks reconcile from their mark bits), so
 		// budgets free up without waiting for the owner's next
-		// over-budget slow path. No-op for untenanted worlds.
+		// over-budget slow path. No-op for untenanted worlds. Mutators
+		// are still stopped and Duration is already sampled, so the time
+		// is reported on its own.
+		start := time.Now()
 		w.lockHeapLocked(func() { w.Heap.ReconcileOwners() })
+		w.last.PauseReconcileNs = time.Since(start).Nanoseconds()
 	}
 	if w.watch != nil {
 		// Online retention watcher (watch.go): snapshot-diff this cycle's
