@@ -55,14 +55,19 @@ bench-smoke: perfbench-smoke
 # cmd/perfbench — the benchmark BENCHMARK.json declares, and the only
 # source for performance claims — is a module of its own, so `./...`
 # skips it. perfbench-test runs its unit tests; perfbench-smoke builds
-# it the way the driver does and runs one workload at a tenth of the
-# tape, failing on a non-zero exit (an output check that did not hold).
-# Neither measures anything: see cmd/perfbench/README.md for that.
+# it the way the driver does and runs two workloads at a tenth of the
+# tape, failing on a non-zero exit (an output check that did not hold):
+# live_graph_stw drives the mark loop's plain path from the serial
+# marker, live_graph_conc its compare-and-swap path from detached
+# workers plus the gray hand-off between the two (TakePending into
+# AddGrays). Neither measures anything: see cmd/perfbench/README.md for
+# that.
 perfbench-test:
 	$(GO) test -C cmd/perfbench .
 
 perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_stw -seconds 1 > /dev/null
+	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
 
 # Regenerates BENCH_1.json (parallel mark scaling, machine-readable).
 # Worker counts above GOMAXPROCS are measured but flagged

@@ -502,7 +502,7 @@ func BenchmarkMarkCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range cands {
-			if _, _, out := heap.MarkCandidate(p, true, false); out == alloc.NotObject {
+			if _, out := heap.MarkCandidate(p, true, false); out == alloc.NotObject {
 				b.Fatalf("candidate %#x did not resolve", uint32(p))
 			}
 		}

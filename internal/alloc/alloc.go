@@ -224,15 +224,43 @@ const (
 )
 
 // blockDesc is the per-block metadata ("block header" in the paper's
-// collector, kept off to the side here).
+// collector, kept off to the side here). The fields the candidate step
+// reads (resolve: state, the cached geometry, objWords, the mark
+// summary, both bitmap headers) start inside the descriptor's first 64
+// bytes; TestBlockDescLayout pins the offsets and the size.
 type blockDesc struct {
-	state     blockState
-	atomic    bool
-	class     uint8  // small: size-class index
-	desc      DescID // small: layout descriptor, or descConservative/descAtomic
-	objWords  int32  // small: words per object; large head: object words
-	spanLen   int32  // large head: blocks in span; cont: offset to head
-	liveSlots int32  // small: allocated slot count
+	state  blockState
+	atomic bool
+	class  uint8 // small: size-class index
+	// pendingSweep marks a block whose sweep was deferred past the
+	// collection barrier (Config.LazySweep): its alloc/mark bits still
+	// describe the last cycle's liveness, and its free slots are on no
+	// free list until sweepBlock runs.
+	pendingSweep bool
+	desc         DescID // small: layout descriptor, or descConservative/descAtomic
+	objWords     int32  // small: words per object; large head: object words
+	// slotRecip and slots cache the block's geometry (small blocks only,
+	// set by newSmallBlock): slotRecip[objWords] and slotCount[objWords],
+	// so the candidate step divides and bounds a slot index from the
+	// descriptor's own cache line instead of two table loads.
+	slotRecip uint32
+	slots     uint16
+	// lineLive caches which lines hold an allocated slot (LineAlloc
+	// small untyped blocks only): bit l set iff some allocated slot
+	// overlaps words [l*LineWords, (l+1)*LineWords). Derived from
+	// allocBits — recomputed by the line sweep and ReturnSpan, extended
+	// by carveRun — never maintained on the mark path.
+	lineLive  uint16
+	liveSlots int16 // small: allocated slot count (at most PageWords)
+	// bumpQueued marks a block currently on its class's linePartial
+	// queue, so requeues after frees cannot create duplicate entries.
+	bumpQueued bool
+	// ignoreOffPage marks a large object whose client promises to keep
+	// a pointer to its first page: interior pointers past that page are
+	// treated as invalid (GC_malloc_ignore_off_page in the original
+	// collector; the paper's observation 7).
+	ignoreOffPage bool
+	spanLen       int32 // large head: blocks in span; cont: offset to head
 	// markedCount is the block's mark summary: how many of its objects
 	// are marked (small: marked slots; large head: 0 or 1). Maintained
 	// at every mark-bit transition — plainly by Mark, with an atomic add
@@ -242,27 +270,29 @@ type blockDesc struct {
 	// blocks hold a single size class, so marked bytes are always
 	// markedCount × objWords × WordBytes (see markedBytes).
 	markedCount int32
-	// pendingSweep marks a block whose sweep was deferred past the
-	// collection barrier (Config.LazySweep): its alloc/mark bits still
-	// describe the last cycle's liveness, and its free slots are on no
-	// free list until sweepBlock runs.
-	pendingSweep bool
-	// lineLive caches which lines hold an allocated slot (LineAlloc
-	// small untyped blocks only): bit l set iff some allocated slot
-	// overlaps words [l*LineWords, (l+1)*LineWords). Derived from
-	// allocBits — recomputed by the line sweep and ReturnSpan, extended
-	// by carveRun — never maintained on the mark path.
-	lineLive uint16
-	// bumpQueued marks a block currently on its class's linePartial
-	// queue, so requeues after frees cannot create duplicate entries.
-	bumpQueued bool
-	// ignoreOffPage marks a large object whose client promises to keep
-	// a pointer to its first page: interior pointers past that page are
-	// treated as invalid (GC_malloc_ignore_off_page in the original
-	// collector; the paper's observation 7).
-	ignoreOffPage bool
-	allocBits     []uint64
-	markBits      []uint64
+	// markBits ⊆ allocBits at every audit point (CheckIntegrity). Large
+	// heads have a one-word markBits and no allocBits.
+	markBits  []uint64
+	allocBits []uint64
+}
+
+// newSmallBlock dedicates block bi to objects of words words in size
+// class class, scanned as desc says, with empty bitmaps. It is the one
+// place a small block's descriptor is built, and so the one place its
+// cached geometry is set.
+func (a *Allocator) newSmallBlock(bi, class, words int, desc DescID) {
+	n := (slotsPerBlock(words) + 63) / 64
+	a.blocks[bi] = blockDesc{
+		state:     blockSmall,
+		atomic:    desc == descAtomic,
+		class:     uint8(class),
+		desc:      desc,
+		objWords:  int32(words),
+		slotRecip: slotRecip[words],
+		slots:     slotCount[words],
+		markBits:  make([]uint64, n),
+		allocBits: make([]uint64, n),
+	}
 }
 
 // span is a run of free blocks [start, start+n).
@@ -370,6 +400,11 @@ type Allocator struct {
 	// non-pointer root word with these two compares before paying for
 	// an extent search. Maintained by New and addExtent.
 	hullLo, hullHi mem.Addr
+	// words0 caches extents[0].seg.Words() — the whole heap while there
+	// is one extent (FlatWords) — so the mark loop slices a popped
+	// object's words without chasing extent and segment pointers.
+	// Refreshed by Expand, the only place a heap segment grows.
+	words0 []mem.Word
 	// lastExtent caches the extent index of the most recent successful
 	// extentOfAddr lookup. Pointer candidates cluster, so the cache
 	// turns the multi-extent search into one bounds check in the common
@@ -409,6 +444,7 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 		sweepPendingTyped: map[typedKey][]int{},
 		hullLo:            seg.Base(),
 		hullHi:            seg.ReservedLimit(),
+		words0:            seg.Words(),
 	}
 	n := c.InitialBytes / mem.PageBytes
 	a.blocks = make([]blockDesc, n)
@@ -658,21 +694,7 @@ func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) erro
 		a.tracer.Emit(trace.EvDesperateAlloc, int64(a.blockBase(bi)), 0, 0)
 	}
 	nslots := slotsPerBlock(words)
-	b := &a.blocks[bi]
-	nbitWords := (nslots + 63) / 64
-	desc := descConservative
-	if atomic {
-		desc = descAtomic
-	}
-	*b = blockDesc{
-		state:     blockSmall,
-		atomic:    atomic,
-		class:     uint8(class),
-		desc:      desc,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
-	}
+	a.newSmallBlock(bi, class, words, untypedDesc(atomic))
 	// Zero the block so objects are delivered clean, then thread the
 	// slots in address order.
 	base := a.blockBase(bi)
@@ -880,6 +902,7 @@ func (a *Allocator) Expand(bytes int) error {
 	if err := last.seg.Grow(bytes); err != nil {
 		return err
 	}
+	a.words0 = a.extents[0].seg.Words()
 	start := len(a.blocks)
 	n := bytes / mem.PageBytes
 	a.blocks = append(a.blocks, make([]blockDesc, n)...)

@@ -70,19 +70,36 @@ func slotAddr(base mem.Addr, slot, w int) mem.Addr {
 	return base + mem.Addr(slot*w*mem.WordBytes)
 }
 
+// markMode says what resolve does with a valid object's mark bit.
+type markMode uint8
+
+const (
+	markNone  markMode = iota // validity only: the bit is left alone
+	markPlain                 // set it plainly: one marker owns the heap
+	markCAS                   // set it by compare-and-swap: markers share the heap
+)
+
 // resolve is the pointer validity check: it maps a candidate value to
-// the block, slot and base address of the allocated object it refers
-// to. interior selects the policy — any address inside an object, or
-// exact bases only. ok is false for values outside the committed heap,
-// free blocks, free slots, block-tail waste, interior addresses under
-// the base-only policy, and addresses past the first page of an
-// ignore-off-page object. Large objects resolve to slot 0 of their head
-// block, whose one-word bitmap holds their mark.
+// the block and slot of the allocated object it refers to, and to the
+// object's span (g: base, size, scan kind). interior selects the policy
+// — any address inside an object, or exact bases only. out is NotObject
+// for values outside the committed heap, free blocks, free slots,
+// block-tail waste, interior addresses under the base-only policy, and
+// addresses past the first page of an ignore-off-page object. Large
+// objects resolve to slot 0 of their head block, whose one-word bitmap
+// holds their mark.
+//
+// mode folds the mark-bit transition into the same lookup, so that the
+// mark loop's per-candidate step is this one call: out is WonScan or
+// WonAtomic when this call set the bit (under markCAS exactly one of
+// any set of concurrent callers), Already when the object is valid and
+// the bit was not set by this call — it was set before, or mode is
+// markNone.
 //
 // Everything that asks "is this an object?" — FindObject, the mark
 // entry points, IsAllocated — goes through here, so the rules exist
 // once.
-func (a *Allocator) resolve(p mem.Addr, interior bool) (b *blockDesc, slot int, base mem.Addr, ok bool) {
+func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockDesc, slot int, g Gray, out MarkOutcome) {
 	var bi int
 	if len(a.extents) == 1 {
 		// The test runs for every candidate, so the common single-extent
@@ -91,35 +108,35 @@ func (a *Allocator) resolve(p mem.Addr, interior bool) (b *blockDesc, slot int, 
 		// wraps to an index past any table.
 		bi = int((p - a.hullLo) / mem.PageBytes)
 		if bi >= len(a.blocks) {
-			return nil, 0, 0, false
+			return nil, 0, 0, NotObject
 		}
 	} else {
 		e := a.extentOfAddr(p)
 		if e == nil {
-			return nil, 0, 0, false
+			return nil, 0, 0, NotObject
 		}
 		bi = e.startBlock + int((p-e.seg.Base())/mem.PageBytes)
 	}
 	b = &a.blocks[bi]
-	base = mem.AlignPageDown(p)
+	base := mem.AlignPageDown(p)
 	switch b.state {
 	case blockSmall:
-		w := int(b.objWords)
-		slot = slotOfWord(pageWordOff(p), w)
-		if slot >= slotsPerBlock(w) {
-			return nil, 0, 0, false // block-tail waste
+		// The slot index and its bound come from the descriptor's cached
+		// geometry: no table load on the way to the bitmaps.
+		slot = int(uint32(pageWordOff(p)) * b.slotRecip >> recipShift)
+		if slot >= int(b.slots) {
+			return nil, 0, 0, NotObject // block-tail waste
+		}
+		base = slotAddr(base, slot, int(b.objWords))
+		if p != base && !interior {
+			return nil, 0, 0, NotObject
 		}
 		if !bitGet(b.allocBits, slot) {
-			return nil, 0, 0, false
+			return nil, 0, 0, NotObject
 		}
-		base = slotAddr(base, slot, w)
-		if p != base && !interior {
-			return nil, 0, 0, false
-		}
-		return b, slot, base, true
 	case blockLargeCont:
 		if !interior {
-			return nil, 0, 0, false
+			return nil, 0, 0, NotObject
 		}
 		// A span never crosses extents, so the head is spanLen whole
 		// pages below in both index and address.
@@ -128,54 +145,64 @@ func (a *Allocator) resolve(p mem.Addr, interior bool) (b *blockDesc, slot int, 
 		if b.ignoreOffPage {
 			// The client promised to keep a first-page pointer; deep
 			// interior candidates are invalid (observation 7).
-			return nil, 0, 0, false
+			return nil, 0, 0, NotObject
 		}
 		fallthrough
 	case blockLargeHead:
-		if p == base || interior && p < base+mem.Addr(b.objWords)*mem.WordBytes {
-			return b, 0, base, true
+		if p != base && !(interior && p < base+mem.Addr(b.objWords)*mem.WordBytes) {
+			return nil, 0, 0, NotObject
 		}
+	default:
+		return nil, 0, 0, NotObject
 	}
-	return nil, 0, 0, false
+	// The outcome is arithmetic on what the transition reports (see
+	// setMark): Already, plus one if this call set the bit, plus one
+	// more if the object is pointer-free.
+	var won MarkOutcome
+	switch mode {
+	case markPlain:
+		won = b.setMark(slot)
+	case markCAS:
+		won = b.setMarkAtomic(slot)
+	}
+	out = Already + won
+	if b.atomic {
+		out += won
+	}
+	return b, slot, b.gray(base), out
 }
 
-// atomicSetBit sets bit i of bits with a CAS loop, returning true if
-// this call changed it from 0 to 1 (exactly one of any set of
-// concurrent callers wins).
-func atomicSetBit(bits []uint64, i int) bool {
-	w := &bits[i>>6]
-	m := uint64(1) << (uint(i) & 63)
+// setMark sets the mark bit of slot and maintains the block's mark
+// summary, for a marker that owns the heap. It returns 1 if the bit was
+// clear and 0 if it was set already — as a number, because on a live
+// graph that is a coin toss the branch predictor loses on about every
+// other edge: the word is stored either way and nothing here or in the
+// mark loop branches on the answer.
+func (b *blockDesc) setMark(slot int) MarkOutcome {
+	word, sh := &b.markBits[slot>>6], uint(slot)&63
+	old := *word
+	fresh := ^old >> sh & 1
+	*word = old | 1<<sh
+	b.markedCount += int32(fresh)
+	return MarkOutcome(fresh)
+}
+
+// setMarkAtomic is setMark by compare-and-swap, for markers that share
+// the heap: exactly one of any set of concurrent callers gets 1, so the
+// summary add runs once per object and equals the bitmap's population
+// count at the barrier.
+func (b *blockDesc) setMarkAtomic(slot int) MarkOutcome {
+	word, bit := &b.markBits[slot>>6], uint64(1)<<(uint(slot)&63)
 	for {
-		old := atomic.LoadUint64(w)
-		if old&m != 0 {
-			return false
+		old := atomic.LoadUint64(word)
+		if old&bit != 0 {
+			return 0
 		}
-		if atomic.CompareAndSwapUint64(w, old, old|m) {
-			return true
+		if atomic.CompareAndSwapUint64(word, old, old|bit) {
+			atomic.AddInt32(&b.markedCount, 1)
+			return 1
 		}
 	}
-}
-
-// setMark sets the mark bit of slot, by compare-and-swap when cas is
-// set, and maintains the block's mark summary. It reports whether this
-// call made the transition: under cas exactly one of any set of
-// concurrent callers wins, so the summary add runs once per object and
-// equals the bitmap's population count at the barrier. The plain path
-// stays non-atomic so serial marking pays nothing for the capability.
-func (b *blockDesc) setMark(slot int, cas bool) bool {
-	if cas {
-		if !atomicSetBit(b.markBits, slot) {
-			return false
-		}
-		atomic.AddInt32(&b.markedCount, 1)
-		return true
-	}
-	if bitGet(b.markBits, slot) {
-		return false
-	}
-	bitSet(b.markBits, slot)
-	b.markedCount++
-	return true
 }
 
 // FindObject resolves a candidate pointer value to an object base
@@ -189,8 +216,8 @@ func (b *blockDesc) setMark(slot int, cas bool) bool {
 // responsible for the companion "heap proximity check" (InVicinity) and
 // for blacklisting failures.
 func (a *Allocator) FindObject(p mem.Addr, interior bool) (mem.Addr, bool) {
-	_, _, base, ok := a.resolve(p, interior)
-	return base, ok
+	_, _, g, out := a.resolve(p, interior, markNone)
+	return g.Base(), out != NotObject
 }
 
 // IsAllocated reports whether base is the base address of a currently
@@ -200,45 +227,45 @@ func (a *Allocator) FindObject(p mem.Addr, interior bool) (mem.Addr, bool) {
 // reclamation is deferred — so it reports as not allocated, keeping
 // retention measurements identical between lazy and eager sweeping.
 func (a *Allocator) IsAllocated(base mem.Addr) bool {
-	b, slot, _, ok := a.resolve(base, false)
-	return ok && (!b.pendingSweep || bitGet(b.markBits, slot))
+	b, slot, _, out := a.resolve(base, false, markNone)
+	return out != NotObject && (!b.pendingSweep || bitGet(b.markBits, slot))
 }
 
 // Mark sets the mark bit for the object with the given base address,
 // returning true if it was not previously marked. It panics if base is
 // not the base of an allocated object.
-func (a *Allocator) Mark(base mem.Addr) bool { return a.markBase(base, false) }
+func (a *Allocator) Mark(base mem.Addr) bool { return a.markBase(base, markPlain) }
 
 // MarkAtomic is Mark with the bit set by compare-and-swap, safe for
 // concurrent use by parallel mark workers: for any object exactly one
 // concurrent caller observes true.
-func (a *Allocator) MarkAtomic(base mem.Addr) bool { return a.markBase(base, true) }
+func (a *Allocator) MarkAtomic(base mem.Addr) bool { return a.markBase(base, markCAS) }
 
-func (a *Allocator) markBase(base mem.Addr, cas bool) bool {
-	b, slot, _, ok := a.resolve(base, false)
-	if !ok {
+func (a *Allocator) markBase(base mem.Addr, mode markMode) bool {
+	_, _, _, out := a.resolve(base, false, mode)
+	if out == NotObject {
 		panic(fmt.Sprintf("alloc: Mark(%#x) on a non-object", uint32(base)))
 	}
-	return b.setMark(slot, cas)
+	return out != Already
 }
 
 // Marked reports whether the object at base is marked; false when base
 // is not an object base.
 func (a *Allocator) Marked(base mem.Addr) bool {
-	b, slot, _, ok := a.resolve(base, false)
-	return ok && bitGet(b.markBits, slot)
+	b, slot, _, out := a.resolve(base, false, markNone)
+	return out != NotObject && bitGet(b.markBits, slot)
 }
 
 // MarkOutcome is what MarkCandidate did with a candidate value.
 type MarkOutcome uint8
 
-// Mark outcomes.
+// Mark outcomes. The values are laid out so that Won is a shift.
 const (
 	// NotObject: the value is not a valid object address under the
 	// policy; nothing was marked.
 	NotObject MarkOutcome = iota
-	// Already: a valid reference to an object marked before this call
-	// (possibly by a concurrent worker).
+	// Already: a valid reference to an object whose mark this call did
+	// not set: it was marked before (possibly by a concurrent worker).
 	Already
 	// WonScan: this call marked the object, and its contents must be
 	// scanned.
@@ -247,26 +274,95 @@ const (
 	WonAtomic
 )
 
+// Won is 1 if the call set the object's mark bit and 0 otherwise, as a
+// number so that callers can count and push without branching on it.
+func (o MarkOutcome) Won() int { return int(o >> 1) }
+
+// Gray is a mark-stack entry: a marked object whose contents are still
+// to be scanned, carried as its span so that popping it needs no block
+// lookup — base address in the low 32 bits, size in words in the next
+// 31 (a 32-bit address space holds at most 2^30 words), and the top bit
+// set when the object's block has a layout descriptor. Entries are
+// valid for the mark phase that produced them: nothing the collector
+// does between a push and the pop moves or resizes an object.
+type Gray uint64
+
+const grayTyped Gray = 1 << 63
+
+// Base returns the object's base address.
+func (g Gray) Base() mem.Addr { return mem.Addr(uint32(g)) }
+
+// Words returns the object's size in words.
+func (g Gray) Words() int { return int(g &^ grayTyped >> 32) }
+
+// Typed reports whether only the words a descriptor names are scanned
+// (PointerMask returns it).
+func (g Gray) Typed() bool { return g&grayTyped != 0 }
+
+// gray builds the entry for the object at base in block b (a small
+// block, or a large object's head).
+func (b *blockDesc) gray(base mem.Addr) Gray {
+	g := Gray(base) | Gray(b.objWords)<<32
+	if b.desc >= 0 {
+		g |= grayTyped
+	}
+	return g
+}
+
 // MarkCandidate is the mark loop's whole per-candidate step in one
 // block lookup: the validity check of FindObject, the mark-bit
-// transition of Mark (MarkAtomic when cas is set), and the size and
-// atomicity ObjectSpan would report. base and words are valid for every
-// outcome but NotObject.
-func (a *Allocator) MarkCandidate(p mem.Addr, interior, cas bool) (base mem.Addr, words int, out MarkOutcome) {
-	b, slot, base, ok := a.resolve(p, interior)
-	if !ok {
-		return 0, 0, NotObject
+// transition of Mark (MarkAtomic when cas is set), and the span and
+// scan kind the loop needs to account for the object and queue it. g is
+// valid for every outcome but NotObject. The wrapper is kept small
+// enough to inline — just: `go build -gcflags=-m` prices it at 78 of
+// the compiler's 80 — so that the loop's one call per candidate is
+// resolve itself.
+func (a *Allocator) MarkCandidate(p mem.Addr, interior, cas bool) (g Gray, out MarkOutcome) {
+	mode := markPlain
+	if cas {
+		mode = markCAS
 	}
-	words = int(b.objWords)
-	switch {
-	case !b.setMark(slot, cas):
-		out = Already
-	case b.atomic:
-		out = WonAtomic
-	default:
-		out = WonScan
+	_, _, g, out = a.resolve(p, interior, mode)
+	return
+}
+
+// ScanView is the by-base way to a gray entry, for callers that hold an
+// object's address rather than a popped entry (dirty-block rescans):
+// one block lookup from base, which must be an object base address.
+// scanned is false for a pointer-free object, which is never queued.
+func (a *Allocator) ScanView(base mem.Addr) (g Gray, scanned bool) {
+	b := &a.blocks[a.blockIndex(base)]
+	return b.gray(base), !b.atomic
+}
+
+// FlatWords returns the whole heap as one word slice starting at the
+// hull's low bound, or nil when the heap has several extents. The mark
+// loop cuts a popped object's words out of it without a call or a
+// lookup; the slice is valid until the heap next grows.
+func (a *Allocator) FlatWords() []mem.Word {
+	if len(a.extents) > 1 {
+		return nil
 	}
-	return base, words, out
+	return a.words0
+}
+
+// GrayWords returns the heap words of g's object, on any heap. Objects
+// never span extents, so the slice is contiguous.
+func (a *Allocator) GrayWords(g Gray) []mem.Word {
+	ws, lo := a.words0, a.hullLo
+	if len(a.extents) > 1 {
+		seg := a.extentOfAddr(g.Base()).seg
+		ws, lo = seg.Words(), seg.Base()
+	}
+	off := int(g.Base()-lo) / mem.WordBytes
+	return ws[off : off+g.Words()]
+}
+
+// PointerMask returns the pointer bitmap of a typed entry's layout
+// descriptor: bit i (LSB-first across the slice) is set when word i of
+// the object may hold a pointer.
+func (a *Allocator) PointerMask(g Gray) []uint64 {
+	return a.descriptors[a.blocks[a.blockIndex(g.Base())].desc].Pointers
 }
 
 // ObjectSpan returns the size in words and atomicity of the object at

@@ -2,8 +2,10 @@ package alloc
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/blacklist"
 	"repro/internal/mem"
@@ -128,6 +130,21 @@ func refFindObject(a *Allocator, p mem.Addr, interior bool) (mem.Addr, bool) {
 	return 0, false
 }
 
+// refAtomicSetBit sets bit i of bits with a CAS loop, reporting whether
+// this call changed it.
+func refAtomicSetBit(bits []uint64, i int) bool {
+	w, m := &bits[i>>6], uint64(1)<<(uint(i)&63)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&m != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(w, old, old|m) {
+			return true
+		}
+	}
+}
+
 // refMark is the old Mark / MarkAtomic body.
 func refMark(a *Allocator, base mem.Addr, cas bool) bool {
 	bi := a.blockIndex(base)
@@ -137,7 +154,7 @@ func refMark(a *Allocator, base mem.Addr, cas bool) bool {
 		slot = int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
 	}
 	if cas {
-		if !atomicSetBit(b.markBits, slot) {
+		if !refAtomicSetBit(b.markBits, slot) {
 			return false
 		}
 		atomic.AddInt32(&b.markedCount, 1)
@@ -152,34 +169,37 @@ func refMark(a *Allocator, base mem.Addr, cas bool) bool {
 }
 
 // refMarkCandidate is the unfused sequence the marker used to run:
-// FindObject, then Mark or MarkAtomic, then ObjectSpan.
-func refMarkCandidate(a *Allocator, p mem.Addr, interior, cas bool) (mem.Addr, int, MarkOutcome) {
+// FindObject, then Mark or MarkAtomic, then ObjectSpan and the block's
+// descriptor for the scan kind.
+func refMarkCandidate(a *Allocator, p mem.Addr, interior, cas bool) (base mem.Addr, words int, typed bool, out MarkOutcome) {
 	base, ok := refFindObject(a, p, interior)
 	if !ok {
-		return 0, 0, NotObject
+		return 0, 0, false, NotObject
 	}
 	words, atomicObj := a.ObjectSpan(base)
+	typed = a.blocks[a.blockIndex(base)].desc >= 0
 	switch {
 	case !refMark(a, base, cas):
-		return base, words, Already
+		return base, words, typed, Already
 	case atomicObj:
-		return base, words, WonAtomic
+		return base, words, typed, WonAtomic
 	}
-	return base, words, WonScan
+	return base, words, typed, WonScan
 }
 
 // requireSameCandidate runs one candidate through MarkCandidate on fused
 // and through the unfused reference on ref, and fails unless both report
-// the same base, size and outcome.
+// the same outcome and, in the gray entry, the same base, size and scan
+// kind.
 func requireSameCandidate(t *testing.T, fused, ref *Allocator, p mem.Addr, interior, cas bool) (mem.Addr, MarkOutcome) {
 	t.Helper()
-	gb, gw, gout := fused.MarkCandidate(p, interior, cas)
-	wb, ww, wout := refMarkCandidate(ref, p, interior, cas)
-	if gb != wb || gw != ww || gout != wout {
-		t.Fatalf("candidate %#x: fused (%#x, %d, %d), unfused (%#x, %d, %d)",
-			uint32(p), uint32(gb), gw, gout, uint32(wb), ww, wout)
+	g, gout := fused.MarkCandidate(p, interior, cas)
+	wb, ww, wtyped, wout := refMarkCandidate(ref, p, interior, cas)
+	if g.Base() != wb || g.Words() != ww || g.Typed() != wtyped || gout != wout {
+		t.Fatalf("candidate %#x: fused (%#x, %d, typed %v, %d), unfused (%#x, %d, typed %v, %d)",
+			uint32(p), uint32(g.Base()), g.Words(), g.Typed(), gout, uint32(wb), ww, wtyped, wout)
 	}
-	return gb, gout
+	return g.Base(), gout
 }
 
 // requireSameMarks fails unless the two heaps, built by the same
@@ -476,4 +496,118 @@ func FuzzMarkCandidate(f *testing.F) {
 		}
 		requireSameMarks(t, fused, ref)
 	})
+}
+
+// TestBlockDescLayout pins the descriptor's size and the offsets of the
+// fields the candidate step reads: everything resolve touches on the way
+// to the bitmaps stays inside the first 64 bytes, and the descriptor
+// stays the 80 bytes it was before it cached its geometry (the block
+// table is walked by every sweep and reconcile).
+func TestBlockDescLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit slice headers")
+	}
+	var b blockDesc
+	if got := unsafe.Sizeof(b); got != 80 {
+		t.Errorf("blockDesc is %d bytes, want 80", got)
+	}
+	for _, f := range []struct {
+		name string
+		off  uintptr
+	}{
+		{"state", unsafe.Offsetof(b.state)},
+		{"atomic", unsafe.Offsetof(b.atomic)},
+		{"desc", unsafe.Offsetof(b.desc)},
+		{"objWords", unsafe.Offsetof(b.objWords)},
+		{"slotRecip", unsafe.Offsetof(b.slotRecip)},
+		{"slots", unsafe.Offsetof(b.slots)},
+		{"markedCount", unsafe.Offsetof(b.markedCount)},
+		{"markBits", unsafe.Offsetof(b.markBits)},
+		{"allocBits", unsafe.Offsetof(b.allocBits)},
+	} {
+		if f.off >= 64 {
+			t.Errorf("blockDesc.%s at offset %d, want it in the first 64 bytes", f.name, f.off)
+		}
+	}
+}
+
+// TestNewSmallBlockGeometry checks the one constructor: every size class
+// caches its table geometry and gets bitmaps of one bit per slot.
+func TestNewSmallBlockGeometry(t *testing.T) {
+	for _, cfg := range []Config{{}, {LineAlloc: true}} {
+		_, a := newTestAllocator(t, cfg)
+		id, err := a.RegisterDescriptor([]bool{true, false, true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range classWords {
+			mustAlloc(t, a, w, false)
+			mustAlloc(t, a, w, true)
+		}
+		if _, err := a.AllocTyped(id); err != nil {
+			t.Fatal(err)
+		}
+		small := 0
+		for bi := range a.blocks {
+			b := &a.blocks[bi]
+			if b.state != blockSmall {
+				continue
+			}
+			small++
+			w := int(b.objWords)
+			if b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
+				t.Errorf("block %d (%d words): cached (%d, %d), tables (%d, %d)", bi, w, b.slotRecip, b.slots, slotRecip[w], slotCount[w])
+			}
+			n := (slotsPerBlock(w) + 63) / 64
+			if len(b.markBits) != n || len(b.allocBits) != n {
+				t.Errorf("block %d: %d mark words and %d alloc words, want %d each", bi, len(b.markBits), len(b.allocBits), n)
+			}
+		}
+		if want := 2*len(classWords) + 1; small != want {
+			t.Fatalf("%d small blocks, want %d", small, want)
+		}
+	}
+}
+
+// TestCheckIntegrityMarkSide injects one corruption per mark-side check
+// into an otherwise consistent heap.
+func TestCheckIntegrityMarkSide(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(small, large *blockDesc)
+		want    string
+	}{
+		{"marked-free-slot", func(small, _ *blockDesc) {
+			bitSet(small.markBits, 5) // slots 0..2 are allocated
+			small.markedCount++
+		}, "marked but not allocated"},
+		{"stale-summary", func(small, _ *blockDesc) { small.markedCount++ }, "!= markedCount"},
+		{"unmarked-summary", func(small, _ *blockDesc) { bitClear(small.markBits, 0) }, "!= markedCount"},
+		{"cached-reciprocal", func(small, _ *blockDesc) { small.slotRecip++ }, "caches geometry"},
+		{"cached-slot-count", func(small, _ *blockDesc) { small.slots-- }, "caches geometry"},
+		{"large-mark-word", func(_, large *blockDesc) { large.markBits[0] = 2 }, "large block"},
+		{"large-summary", func(_, large *blockDesc) { large.markedCount = 0 }, "large block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, a := newTestAllocator(t, Config{})
+			var first mem.Addr
+			for i := 0; i < 3; i++ {
+				p := mustAlloc(t, a, 4, false)
+				if i == 0 {
+					first = p
+				}
+			}
+			big := mustAlloc(t, a, 2*mem.PageWords, false)
+			a.Mark(first)
+			a.Mark(big)
+			if err := a.CheckIntegrity(nil); err != nil {
+				t.Fatalf("consistent heap: %v", err)
+			}
+			tc.corrupt(&a.blocks[a.blockIndex(first)], &a.blocks[a.blockIndex(big)])
+			err := a.CheckIntegrity(nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckIntegrity = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
 }

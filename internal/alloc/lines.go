@@ -183,7 +183,7 @@ func (a *Allocator) carveRun(bi, idx, words int) (Span, bool) {
 		for s := sLo; s < sHi; s++ {
 			bitSet(b.allocBits, s)
 		}
-		b.liveSlots += int32(sHi - sLo)
+		b.liveSlots += int16(sHi - sLo)
 		b.lineLive |= slotLines(sLo, sHi, words)
 		a.requeueLineBlock(bi, b)
 		sp := Span{
@@ -233,21 +233,7 @@ func (a *Allocator) nextSpan(class int, atomicObj bool, idx int, desperate bool)
 		a.stats.DesperateAllocs++
 		a.tracer.Emit(trace.EvDesperateAlloc, int64(a.blockBase(bi)), 0, 0)
 	}
-	nslots := slotsPerBlock(words)
-	nbitWords := (nslots + 63) / 64
-	desc := descConservative
-	if atomicObj {
-		desc = descAtomic
-	}
-	a.blocks[bi] = blockDesc{
-		state:     blockSmall,
-		atomic:    atomicObj,
-		class:     uint8(class),
-		desc:      desc,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
-	}
+	a.newSmallBlock(bi, class, words, untypedDesc(atomicObj))
 	hw := a.blockWords(bi)
 	for i := range hw {
 		hw[i] = 0
@@ -390,7 +376,7 @@ func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 			b.markedCount--
 		}
 	}
-	b.liveSlots -= int32(n)
+	b.liveSlots -= int16(n)
 	b.lineLive = a.lineLiveOf(bi)
 	a.requeueLineBlock(bi, b)
 	return n
@@ -531,7 +517,7 @@ func (a *Allocator) lineSweepSmall(bi int, clearMarks bool) {
 			b.markBits[wi] = 0
 		}
 	}
-	b.liveSlots = b.markedCount
+	b.liveSlots = int16(b.markedCount)
 	if clearMarks {
 		b.markedCount = 0
 	}

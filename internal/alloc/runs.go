@@ -147,7 +147,10 @@ func (a *Allocator) CommitAllocs(objects, bytes uint64) {
 //     alloc-bit population == liveSlots and live + free == usable, so
 //     live (including cached) + free + unusable = total;
 //   - conservation of blocks: free spans hold exactly the blockFree
-//     blocks and the dedicated/free counts match Stats.
+//     blocks and the dedicated/free counts match Stats;
+//   - the mark side (checkMarkSide): no slot is marked without being
+//     allocated, every mark summary equals its bitmap's population, and
+//     the geometry cached in a small block's descriptor is its class's.
 //
 // It returns nil when consistent and a descriptive error otherwise.
 // It is read-only and single-threaded: callers stop the world (or own
@@ -268,6 +271,9 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 			continue
 		}
 		dedicated++
+		if err := checkMarkSide(bi, b); err != nil {
+			return err
+		}
 		if b.state != blockSmall {
 			continue
 		}
@@ -316,6 +322,37 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 	if freeBlocks != a.stats.BlocksFree || dedicated != a.stats.BlocksDedicated {
 		return fmt.Errorf("alloc: integrity: stats say %d free/%d dedicated, heap has %d/%d",
 			a.stats.BlocksFree, a.stats.BlocksDedicated, freeBlocks, dedicated)
+	}
+	return nil
+}
+
+// checkMarkSide audits what the mark loop's candidate step leans on in
+// block bi. markBits ⊆ allocBits is what makes a marked slot a live
+// object to the sweep (liveSlots becomes markedCount) and to resolve's
+// callers; the cached reciprocal and slot count are what resolve divides
+// and bounds a slot index by instead of the tables.
+func checkMarkSide(bi int, b *blockDesc) error {
+	switch b.state {
+	case blockSmall:
+		marked := 0
+		for wi, mv := range b.markBits {
+			if stray := mv &^ b.allocBits[wi]; stray != 0 {
+				return fmt.Errorf("alloc: integrity: block %d slot %d is marked but not allocated",
+					bi, wi<<6+bits.TrailingZeros64(stray))
+			}
+			marked += bits.OnesCount64(mv)
+		}
+		if marked != int(b.markedCount) {
+			return fmt.Errorf("alloc: integrity: block %d mark bits %d != markedCount %d", bi, marked, b.markedCount)
+		}
+		if w := b.objWords; b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
+			return fmt.Errorf("alloc: integrity: block %d caches geometry (%d, %d) for %d-word objects, tables say (%d, %d)",
+				bi, b.slotRecip, b.slots, w, slotRecip[w], slotCount[w])
+		}
+	case blockLargeHead:
+		if mv := b.markBits[0]; mv > 1 || int32(mv) != b.markedCount {
+			return fmt.Errorf("alloc: integrity: large block %d mark word %#x, markedCount %d", bi, mv, b.markedCount)
+		}
 	}
 	return nil
 }

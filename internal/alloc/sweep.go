@@ -111,7 +111,7 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 	} else {
 		a.freeList[idx] = head
 	}
-	b.liveSlots = b.markedCount
+	b.liveSlots = int16(b.markedCount)
 	if clearMarks {
 		b.markedCount = 0
 	}

@@ -28,6 +28,14 @@ const (
 	descAtomic       DescID = -2 // no word is a pointer
 )
 
+// untypedDesc returns the pseudo-descriptor of an untyped block.
+func untypedDesc(atomic bool) DescID {
+	if atomic {
+		return descAtomic
+	}
+	return descConservative
+}
+
 // Descriptor is a registered object layout: Words is the object size,
 // and bit i of Pointers (LSB-first across the slice) is set when word i
 // may hold a pointer.
@@ -125,15 +133,7 @@ func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error
 		return ErrNeedMemory
 	}
 	nslots := slotsPerBlock(words)
-	nbitWords := (nslots + 63) / 64
-	a.blocks[bi] = blockDesc{
-		state:     blockSmall,
-		class:     uint8(class),
-		desc:      id,
-		objWords:  int32(words),
-		allocBits: make([]uint64, nbitWords),
-		markBits:  make([]uint64, nbitWords),
-	}
+	a.newSmallBlock(bi, class, words, id)
 	base := a.blockBase(bi)
 	hw := a.blockWords(bi)
 	for i := range hw {
@@ -146,39 +146,4 @@ func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error
 	}
 	a.typedFree[key] = head
 	return nil
-}
-
-// ScanKind tells the marker how to scan an object's contents.
-type ScanKind int
-
-// Scan kinds.
-const (
-	// ScanConservative treats every word as a candidate pointer.
-	ScanConservative ScanKind = iota
-	// ScanAtomic scans nothing.
-	ScanAtomic
-	// ScanTyped scans only the descriptor's pointer words.
-	ScanTyped
-)
-
-// ScanView returns what the marker needs to scan the object at base
-// (which must be an object base address) from one block lookup: the
-// object's words, how to scan them, and — for ScanTyped — the layout
-// descriptor. Objects never span extents, so the slice is contiguous.
-// Atomic objects scan as nothing and report no words.
-func (a *Allocator) ScanView(base mem.Addr) (ws []mem.Word, kind ScanKind, desc *Descriptor) {
-	e := &a.extents[0]
-	if len(a.extents) > 1 {
-		e = a.extentOfAddr(base)
-	}
-	rel := base - e.seg.Base()
-	b := &a.blocks[e.startBlock+int(rel/mem.PageBytes)]
-	if b.atomic {
-		return nil, ScanAtomic, nil
-	}
-	if b.state == blockSmall && b.desc >= 0 {
-		kind, desc = ScanTyped, &a.descriptors[b.desc]
-	}
-	off := int(rel / mem.WordBytes)
-	return e.seg.Words()[off : off+int(b.objWords)], kind, desc
 }

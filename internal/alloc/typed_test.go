@@ -50,9 +50,12 @@ func TestAllocTypedBasics(t *testing.T) {
 			t.Fatalf("word %d = %#x", i, uint32(v))
 		}
 	}
-	ws, kind, d := a.ScanView(p)
-	if len(ws) != 2 || kind != ScanTyped || !d.PointerAt(0) || d.PointerAt(1) {
-		t.Fatalf("ScanView = %d %v %+v", len(ws), kind, d)
+	g, scanned := a.ScanView(p)
+	if !scanned || !g.Typed() || g.Base() != p || len(a.GrayWords(g)) != 2 {
+		t.Fatalf("ScanView = %#x scanned %v, %d words", uint64(g), scanned, len(a.GrayWords(g)))
+	}
+	if ptrs := a.PointerMask(g); len(ptrs) != 1 || ptrs[0] != 1 {
+		t.Fatalf("PointerMask = %#x, want word 0 only", ptrs)
 	}
 	if _, err := a.AllocTyped(DescID(77)); err == nil {
 		t.Error("alloc with unknown descriptor accepted")
@@ -81,16 +84,18 @@ func TestScanViewKinds(t *testing.T) {
 	big := mustAlloc(t, a, 2*mem.PageWords, false)
 	id, _ := a.RegisterDescriptor([]bool{true})
 	typed, _ := a.AllocTyped(id)
-	check := func(p mem.Addr, want ScanKind) {
+	check := func(p mem.Addr, words int, wantScanned, wantTyped bool) {
 		t.Helper()
-		if _, kind, _ := a.ScanView(p); kind != want {
-			t.Fatalf("ScanView(%#x) kind = %v, want %v", uint32(p), kind, want)
+		g, scanned := a.ScanView(p)
+		if g.Base() != p || g.Words() != words || scanned != wantScanned || g.Typed() != wantTyped {
+			t.Fatalf("ScanView(%#x) = base %#x, %d words, scanned %v, typed %v; want %d words, scanned %v, typed %v",
+				uint32(p), uint32(g.Base()), g.Words(), scanned, g.Typed(), words, wantScanned, wantTyped)
 		}
 	}
-	check(cons, ScanConservative)
-	check(atom, ScanAtomic)
-	check(big, ScanConservative)
-	check(typed, ScanTyped)
+	check(cons, 2, true, false)
+	check(atom, 2, false, false)
+	check(big, 2*mem.PageWords, true, false)
+	check(typed, 1, true, true)
 }
 
 func TestTypedSweepAndFreeRecycle(t *testing.T) {
@@ -202,7 +207,7 @@ func TestAllocIgnoreOffPageSmallFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, kind, _ := a.ScanView(p); kind != ScanConservative {
+	if g, scanned := a.ScanView(p); !scanned || g.Typed() || g.Words() != 4 {
 		t.Fatal("small ignore-off-page object should be ordinary")
 	}
 }

@@ -215,15 +215,14 @@ func (w *World) startConcurrentLocked(minor bool) {
 	w.concPasses = 0
 	w.concGen++
 	if detached {
-		// Open the detached phase before the mutators resume: heap-word
-		// reads go atomic, the snapshot's staged gray set is published to
+		// Open the detached phase before the mutators resume: the
+		// snapshot's staged gray set is published to
 		// the shared queue (detached workers pop it directly, never
 		// entering through RunBounded), and one goroutine per worker
 		// index starts pulling chunks. The workers capture this cycle's
 		// marker and generation, so a later rebuild or cycle never
 		// aliases them; they exit when concGenA stops matching.
 		w.concDetached = true
-		w.par.SetAtomicLoad(true)
 		w.par.FlushStaged()
 		w.concGenA.Store(w.concGen)
 		for i := 0; i < cw; i++ {

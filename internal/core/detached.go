@@ -18,9 +18,9 @@ import (
 // goroutines that hold no world lock while scanning:
 //
 //   - Mark bits are CAS transitions and heap words are read/written
-//     atomically (alloc.Config.AtomicWords pairs the mutator's store
-//     path with mark.Parallel.SetAtomicLoad), so racing a store
-//     against a scan is data-race-free; a scan that reads the
+//     atomically (alloc.Config.AtomicWords makes the mutator's store
+//     path atomic; the mark loop always loads that way), so racing a
+//     store against a scan is data-race-free; a scan that reads the
 //     pre-store value is sound because the store dirtied its block's
 //     card under w.mu and dirty blocks are rescanned before the cycle
 //     can finish (the usual insertion-barrier argument).
@@ -89,7 +89,6 @@ func (w *World) retireDetachedLocked() {
 	// re-checks the generation under its read-hold and exits.
 	w.heapMu.Unlock()
 	w.concDetached = false
-	w.par.SetAtomicLoad(false)
 }
 
 // markWorker is one detached background marking goroutine: pull

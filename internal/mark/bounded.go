@@ -25,9 +25,7 @@
 // never a correctness issue — the fixpoint is monotone.
 package mark
 
-import (
-	"repro/internal/mem"
-)
+import "repro/internal/alloc"
 
 // boundedClaim is how many scan credits a worker claims at a time:
 // large enough that the shared counter is off the hot path, small
@@ -51,17 +49,10 @@ func (p *Parallel) ResetCycle() {
 
 // AddGrays stages already-marked objects for scanning by the next
 // bounded run — the snapshot pause hands the root-reachable gray set to
-// the background workers this way.
-func (p *Parallel) AddGrays(addrs []mem.Addr) {
-	for lo := 0; lo < len(addrs); lo += grayChunk {
-		hi := lo + grayChunk
-		if hi > len(addrs) {
-			hi = len(addrs)
-		}
-		chunk := make([]mem.Addr, hi-lo)
-		copy(chunk, addrs[lo:hi])
-		p.staged = append(p.staged, task{kind: taskGray, addrs: chunk})
-	}
+// the background workers this way (Marker.TakePending's slice, copied
+// here and nowhere else).
+func (p *Parallel) AddGrays(grays []alloc.Gray) {
+	grayTasks(grays, func(t task) { p.staged = append(p.staged, t) })
 }
 
 // RunBounded drains staged and queued work, scanning at most budget
@@ -130,15 +121,8 @@ func (p *Parallel) drainBounded(w *worker) bool {
 		if n == 0 {
 			return false
 		}
-		used := int64(0)
-		for used < n && len(m.stack) > 0 {
-			obj := m.stack[len(m.stack)-1]
-			m.stack = m.stack[:len(m.stack)-1]
-			m.ScanObject(obj)
-			used++
-		}
-		if used < n {
-			p.credits.Add(n - used)
+		if left := m.drain(int(n)); left > 0 {
+			p.credits.Add(int64(left))
 		}
 	}
 	return true
@@ -166,15 +150,6 @@ func (p *Parallel) claim(want int64) int64 {
 // in grayChunk pieces, so a budget-exhausted worker leaves no hidden
 // gray objects behind.
 func (p *Parallel) spillAll(w *worker) {
-	m := w.m
-	for lo := 0; lo < len(m.stack); lo += grayChunk {
-		hi := lo + grayChunk
-		if hi > len(m.stack) {
-			hi = len(m.stack)
-		}
-		chunk := make([]mem.Addr, hi-lo)
-		copy(chunk, m.stack[lo:hi])
-		p.queue.push(task{kind: taskGray, addrs: chunk})
-	}
-	m.stack = m.stack[:0]
+	grayTasks(w.m.stack, p.queue.push)
+	w.m.stack = w.m.stack[:0]
 }

@@ -10,8 +10,9 @@
 //   - mark-bit transitions are CAS (atomicMark), so racing workers
 //     admit exactly one winner per object — the fixpoint is the same
 //     monotone closure as always;
-//   - heap *words* are read atomically (atomicLoad) and the mutator
-//     store path writes them atomically, so a torn or stale read is
+//   - heap *words* are read atomically (the scan loop always loads
+//     that way) and the mutator store path writes them atomically
+//     (alloc.Config.AtomicWords), so a torn or stale read is
 //     impossible; a stale-but-consistent read is sound because the
 //     insertion barrier dirties the stored-to block, and dirty blocks
 //     are rescanned before the cycle can finish;
@@ -48,16 +49,6 @@ func (p *Parallel) FlushStaged() {
 // hint; exact only under external quiescence).
 func (p *Parallel) QueueSize() int { return int(p.queue.size.Load()) }
 
-// SetAtomicLoad switches every shard's heap-word reads between plain
-// and atomic loads; core enables it for detached cycles and disables
-// it again at the finale (stop-the-world runs don't need it).
-func (p *Parallel) SetAtomicLoad(on bool) {
-	for _, w := range p.workers {
-		w.m.atomicLoad = on
-	}
-	p.assist.m.atomicLoad = on
-}
-
 // DetachedChunk runs worker i for one bounded chunk: pop tasks from the
 // shared queue and scan up to budget objects, then spill any remainder
 // back. It returns the objects and bytes this chunk marked (first-marks
@@ -85,12 +76,7 @@ func (p *Parallel) chunkWorker(w *worker, budget int) (objects int, bytes uint64
 	before := m.stats
 	remaining := budget
 	for remaining > 0 {
-		for remaining > 0 && len(m.stack) > 0 {
-			obj := m.stack[len(m.stack)-1]
-			m.stack = m.stack[:len(m.stack)-1]
-			m.ScanObject(obj)
-			remaining--
-		}
+		remaining = m.drain(remaining)
 		if len(m.stack) > 0 {
 			break // budget exhausted with grays left
 		}

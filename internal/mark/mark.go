@@ -27,6 +27,9 @@
 package mark
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
 	"repro/internal/mem"
@@ -100,20 +103,17 @@ type Stats struct {
 
 // Marker performs conservative marking over one heap.
 type Marker struct {
-	heap  *alloc.Allocator
-	cfg   Config
-	bl    blacklist.List
-	stack []mem.Addr
+	heap *alloc.Allocator
+	cfg  Config
+	bl   blacklist.List
+	// stack holds the gray set: marked objects awaiting their scan, each
+	// entry carrying the object's span (alloc.Gray), so a pop goes
+	// straight to the object's words.
+	stack []alloc.Gray
 	stats Stats
 	// atomicMark switches Mark to the CAS-based MarkAtomic, required
 	// when several markers share the heap (see parallel.go).
 	atomicMark bool
-	// atomicLoad switches ScanObject's heap-word reads to atomic loads,
-	// required for detached background workers that scan while mutators
-	// store concurrently (the stores are atomic too, via the heap
-	// segment's atomic-store mode). Off for stop-the-world marking,
-	// where exclusion already orders every access.
-	atomicLoad bool
 	// overflow, when set, is invoked after a push that grows the stack
 	// to spillThreshold or beyond; parallel workers use it to shed work
 	// onto the shared queue. nil for the serial marker.
@@ -141,7 +141,7 @@ func New(heap *alloc.Allocator, cfg Config) *Marker {
 	if bl == nil {
 		bl = blacklist.Disabled{}
 	}
-	return &Marker{heap: heap, cfg: cfg, bl: bl, stack: make([]mem.Addr, 0, 1024)}
+	return &Marker{heap: heap, cfg: cfg, bl: bl, stack: make([]alloc.Gray, 0, 1024)}
 }
 
 // Config returns the marker's configuration.
@@ -165,47 +165,173 @@ func (m *Marker) Stats() Stats { return m.stats }
 // MarkValue processes one candidate value: figure 2 of the paper,
 // without the recursion (the object is pushed for Drain to scan).
 func (m *Marker) MarkValue(v mem.Word) {
-	m.stats.Candidates++
-	p := mem.Addr(v)
-	// Candidate fast path: a value outside the heap's reserved hull can
-	// be neither a valid object address nor "in the vicinity of the
-	// heap", so the overwhelmingly common non-pointer root word costs
-	// two compares instead of an object lookup plus a vicinity test.
-	if lo, hi := m.heap.Hull(); p < lo || p >= hi {
-		return
-	}
-	// One block lookup does the validity check, the mark-bit transition
-	// (a CAS when several markers share the heap) and the size fetch.
-	base, words, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior, m.atomicMark)
-	if out == alloc.NotObject {
-		// "if p is in the vicinity of the heap: add p to blacklist"
-		if m.heap.InVicinity(p) {
-			m.stats.FalseNearHeap++
-			m.bl.Add(p)
-			m.tracer.Emit(trace.EvBlacklistPage, int64(p), 0, 0)
+	c := [1]mem.Word{v}
+	m.scan(c[:], true, 0)
+}
+
+// scan is the mark loop: figure 2's classification of every word in ws,
+// stated once — root areas, register files, single values and the
+// fields of gray objects all come through here. Each nonzero word is a
+// valid object address (the object is marked and, unless pointer-free,
+// pushed), or an invalid value in the heap's vicinity (blacklisted), or
+// neither (ignored). dense says ws is a root area, where zero words
+// count as Candidates too; object fields and register files skip them
+// uncounted (zero is never a heap address).
+//
+// Having classified ws, the loop goes on to pop up to budget gray
+// objects and classify their words in turn (open), so a drain is one
+// call, not one per object; it returns what is left of the budget. A
+// popped entry carries its object's span: its words are sliced straight
+// out of the heap, with no block lookup.
+//
+// The loop costs a small constant per word and per edge. A word outside
+// the heap's reserved hull never leaves the inner loop; one inside it
+// pays exactly one call, resolve's, through the allocator's
+// MarkCandidate. What stays live across that call is kept to a handful
+// of values — the Go compiler spills every one of them around it — so
+// the hull's bounds and the nonzero count are locals and the rarer
+// counters are not.
+//
+// Words are loaded atomically because detached workers scan objects
+// that mutators store to concurrently (the stores are atomic too, via
+// the heap segment's atomic-store mode); on amd64 the atomic load is
+// the same instruction as a plain one, and BenchmarkMarkLiveGraph
+// prices it at nothing.
+func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
+	lo, hi := m.heap.Hull()
+	span := hi - lo
+	for {
+		nonzero := 0
+		for i := 0; ; i++ {
+			// Advance to the next word inside the hull. A value outside
+			// it can be neither a valid object address nor "in the
+			// vicinity of the heap": one compare (values below lo wrap
+			// past span) settles the overwhelmingly common non-pointer
+			// word.
+			var v mem.Word
+			for ; i < len(ws); i++ {
+				if v = mem.LoadWordAtomic(&ws[i]); v != 0 {
+					nonzero++
+					if mem.Addr(v)-lo < span {
+						break
+					}
+				}
+			}
+			if i >= len(ws) {
+				break
+			}
+			// One block lookup does the validity check, the mark-bit
+			// transition (a CAS when several markers share the heap) and
+			// the fetch of the object's span.
+			p := mem.Addr(v)
+			g, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior, m.atomicMark)
+			if out == alloc.NotObject {
+				m.falseReference(p)
+				continue
+			}
+			if p != g.Base() {
+				m.stats.InteriorResolved++
+			}
+			// Already marked or newly marked is the loop's one
+			// unpredictable question, so nothing below branches on it: the
+			// counters take won as a number and the push stores the entry
+			// regardless, keeping it only if won. (When markers share the
+			// heap the compare-and-swap has branched on it already, and
+			// another worker's mark is simply skipped.)
+			if m.atomicMark && out == alloc.Already {
+				continue
+			}
+			won := out.Won()
+			m.stats.ObjectsMarked += uint64(won)
+			m.stats.BytesMarked += uint64(won * g.Words() * mem.WordBytes)
+			if m.rec && won != 0 {
+				// This call set the mark bit (under parallel marking: won
+				// the CAS), so it alone records the object's first-marking
+				// parent.
+				m.org.index = m.org.base + int32(i)
+				m.recordWin(g.Base(), p, v)
+			}
+			if out == alloc.WonAtomic {
+				m.stats.AtomicSkipped++
+				continue
+			}
+			n := len(m.stack)
+			m.stack = append(m.stack, g)[:n+won]
+			if m.overflow != nil && n+won >= spillThreshold {
+				m.overflow(m)
+			}
 		}
-		return
+		if dense {
+			nonzero, dense = len(ws), false
+		}
+		m.stats.Candidates += uint64(nonzero)
+		// The next slice is the newest gray object's words.
+		if budget <= 0 || len(m.stack) == 0 {
+			return budget
+		}
+		budget--
+		g := m.pop()
+		if flat := m.heap.FlatWords(); flat == nil || g.Typed() || m.rec {
+			ws = m.open(g)
+		} else {
+			// The usual object — conservative, on a one-extent heap, no
+			// provenance wanted — is opened here, without a call: on a
+			// heap of leaves that call is most of what a pop costs.
+			ws = flat[(g.Base()-lo)/mem.WordBytes:][:g.Words()]
+			m.stats.FieldsScanned += uint64(len(ws))
+		}
 	}
-	if p != base {
-		m.stats.InteriorResolved++
-	}
-	if out == alloc.Already {
-		return // already marked (possibly by another worker)
-	}
-	m.stats.ObjectsMarked++
-	m.stats.BytesMarked += uint64(words * mem.WordBytes)
+}
+
+// open begins the scan of one gray object, any object on any heap, and
+// returns the words the loop is to classify: all of a conservative
+// object's, none of a typed one's, whose declared pointer words open
+// feeds through the loop itself. Heap objects are scanned word-aligned regardless of the root
+// alignment policy: the collector allocates objects word-aligned, so
+// "newer compilers almost always guarantee adequate alignment" applies
+// to the heap unconditionally.
+func (m *Marker) open(g alloc.Gray) []mem.Word {
+	ws := m.heap.GrayWords(g)
 	if m.rec {
-		// This call set the mark bit (under parallel marking: won the
-		// CAS), so it alone records the object's first-marking parent.
-		m.recordWin(base, p, v)
+		m.org = provOrigin{kind: RootNone, area: g.Base(), declared: g.Typed()}
 	}
-	if out == alloc.WonAtomic {
-		m.stats.AtomicSkipped++
-		return
+	if g.Typed() {
+		m.scanTyped(g, ws)
+		return nil
 	}
-	m.stack = append(m.stack, base)
-	if m.overflow != nil && len(m.stack) >= spillThreshold {
-		m.overflow(m)
+	m.stats.FieldsScanned += uint64(len(ws))
+	return ws
+}
+
+// scanTyped scans a typed object, whose words are ws. Exact layout
+// information: only the descriptor's pointer words are candidates
+// ("complete information on the location of pointers in the heap"). The
+// bitmap is walked a run of set bits at a time, each run one slice
+// through the loop.
+func (m *Marker) scanTyped(g alloc.Gray, ws []mem.Word) {
+	for wi, mask := range m.heap.PointerMask(g) {
+		for mask != 0 {
+			lo := bits.TrailingZeros64(mask)
+			n := bits.TrailingZeros64(^(mask >> uint(lo)))
+			mask &^= (1<<uint(n) - 1) << uint(lo)
+			lo += wi << 6
+			if m.rec {
+				m.org.base = int32(lo)
+			}
+			m.stats.FieldsScanned += uint64(n)
+			m.scan(ws[lo:lo+n], false, 0)
+		}
+	}
+}
+
+// falseReference is figure 2's bold-face line: "if p is in the vicinity
+// of the heap: add p to blacklist", for a candidate that is not a valid
+// object address.
+func (m *Marker) falseReference(p mem.Addr) {
+	if m.heap.InVicinity(p) {
+		m.stats.FalseNearHeap++
+		m.bl.Add(p)
+		m.tracer.Emit(trace.EvBlacklistPage, int64(p), 0, 0)
 	}
 }
 
@@ -230,46 +356,30 @@ func (m *Marker) MarkWords(words []mem.Word) {
 func (m *Marker) markWordsChunk(words []mem.Word, tail int) {
 	n := len(words) - tail
 	m.stats.WordsScanned += uint64(n)
-	if m.rec {
-		m.markWordsChunkRecorded(words, n)
+	m.scan(words[:n], true, 0)
+	if m.cfg.Alignment != AnyByteOffset {
 		return
 	}
-	for _, w := range words[:n] {
-		m.MarkValue(w)
-	}
-	if m.cfg.Alignment == AnyByteOffset {
-		// Candidates straddling word boundaries: big-endian
-		// concatenations of adjacent words at byte offsets 1..3.
-		for i := 0; i+1 < len(words); i++ {
-			hi, lo := uint32(words[i]), uint32(words[i+1])
-			m.MarkValue(mem.Word(hi<<8 | lo>>24))
-			m.MarkValue(mem.Word(hi<<16 | lo>>16))
-			m.MarkValue(mem.Word(hi<<24 | lo>>8))
+	// Candidates straddling word boundaries: big-endian concatenations
+	// of adjacent words at byte offsets 1..3. While recording, the origin
+	// (index and byte offset) is maintained per candidate so a first-mark
+	// names the exact root word responsible.
+	area := m.org.base
+	for i := 0; i+1 < len(words); i++ {
+		hi, lo := uint32(words[i]), uint32(words[i+1])
+		c := [3]mem.Word{mem.Word(hi<<8 | lo>>24), mem.Word(hi<<16 | lo>>16), mem.Word(hi<<24 | lo>>8)}
+		if !m.rec {
+			m.scan(c[:], true, 0)
+			continue
+		}
+		m.org.base = area + int32(i)
+		for k := range c {
+			m.org.off = uint8(k + 1)
+			m.scan(c[k:k+1], true, 0)
 		}
 	}
-}
-
-// markWordsChunkRecorded is markWordsChunk's provenance-recording body:
-// the same candidates in the same order, with the origin index (and,
-// for straddles, byte offset) maintained so a first-mark records the
-// exact root word responsible.
-func (m *Marker) markWordsChunkRecorded(words []mem.Word, n int) {
-	for i, w := range words[:n] {
-		m.org.index = m.org.base + int32(i)
-		m.MarkValue(w)
-	}
-	if m.cfg.Alignment == AnyByteOffset {
-		for i := 0; i+1 < len(words); i++ {
-			hi, lo := uint32(words[i]), uint32(words[i+1])
-			m.org.index = m.org.base + int32(i)
-			m.org.off = 1
-			m.MarkValue(mem.Word(hi<<8 | lo>>24))
-			m.org.off = 2
-			m.MarkValue(mem.Word(hi<<16 | lo>>16))
-			m.org.off = 3
-			m.MarkValue(mem.Word(hi<<24 | lo>>8))
-			m.org.off = 0
-		}
+	if m.rec {
+		m.org.base, m.org.off = area, 0
 	}
 }
 
@@ -286,88 +396,36 @@ func (m *Marker) MarkRootSegments(space *mem.AddressSpace) {
 // ScanObject scans the fields of the object at base as pointer
 // candidates, regardless of the object's own mark state. Minor
 // collections use it to rescan old (marked) objects on dirty pages for
-// old-to-young pointers; atomic objects scan as nothing.
+// old-to-young pointers; atomic objects scan as nothing. It is the
+// by-base way into the loop: the entry is built from a block lookup
+// instead of popped.
 func (m *Marker) ScanObject(base mem.Addr) {
-	ws, kind, desc := m.heap.ScanView(base)
-	if kind == alloc.ScanAtomic {
-		return
-	}
-	if kind == alloc.ScanTyped {
-		if m.rec {
-			m.org = provOrigin{kind: RootNone, area: base, declared: true}
-		}
-		// Exact layout information: only the descriptor's pointer
-		// words are candidates ("complete information on the location
-		// of pointers in the heap").
-		for i := 0; i < desc.Words; i++ {
-			if desc.PointerAt(i) {
-				m.stats.FieldsScanned++
-				if w := m.fieldWord(ws, i); w != 0 {
-					if m.rec {
-						m.org.index = int32(i)
-					}
-					m.MarkValue(w)
-				}
-			}
-		}
-		return
-	}
-	if m.rec {
-		m.org = provOrigin{kind: RootNone, area: base}
-	}
-	m.stats.FieldsScanned += uint64(len(ws))
-	if m.atomicLoad {
-		for i := range ws {
-			if w := mem.LoadWordAtomic(&ws[i]); w != 0 {
-				if m.rec {
-					m.org.index = int32(i)
-				}
-				m.MarkValue(w)
-			}
-		}
-		return
-	}
-	for i, w := range ws {
-		if w != 0 { // zero is never a heap address
-			if m.rec {
-				m.org.index = int32(i)
-			}
-			m.MarkValue(w)
-		}
+	if g, scanned := m.heap.ScanView(base); scanned {
+		m.scan(m.open(g), false, 0)
 	}
 }
 
-// fieldWord reads one heap object word, atomically when the marker runs
-// detached from the store path's lock.
-func (m *Marker) fieldWord(ws []mem.Word, i int) mem.Word {
-	if m.atomicLoad {
-		return mem.LoadWordAtomic(&ws[i])
-	}
-	return ws[i]
+// pop removes and returns the newest gray entry; the stack must not be
+// empty.
+func (m *Marker) pop() alloc.Gray {
+	g := m.stack[len(m.stack)-1]
+	m.stack = m.stack[:len(m.stack)-1]
+	return g
 }
+
+// drain pops and scans up to budget gray objects, returning what is
+// left of the budget (nonzero only if the stack emptied first).
+func (m *Marker) drain(budget int) int { return m.scan(nil, false, budget) }
 
 // Drain transitively scans queued objects until the mark stack is
-// empty. Heap objects are scanned word-aligned regardless of the root
-// alignment policy: the collector allocates objects word-aligned, so
-// "newer compilers almost always guarantee adequate alignment" applies
-// to the heap unconditionally.
-func (m *Marker) Drain() {
-	for len(m.stack) > 0 {
-		obj := m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		m.ScanObject(obj)
-	}
-}
+// empty.
+func (m *Marker) Drain() { m.drain(math.MaxInt) }
 
 // DrainN scans up to n queued objects and reports whether the mark
 // stack is now empty. Incremental collection uses it to bound the
 // marking work done per allocation.
 func (m *Marker) DrainN(n int) bool {
-	for i := 0; i < n && len(m.stack) > 0; i++ {
-		obj := m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		m.ScanObject(obj)
-	}
+	m.drain(n)
 	return len(m.stack) == 0
 }
 
@@ -377,12 +435,10 @@ func (m *Marker) Pending() int { return len(m.stack) }
 // TakePending removes and returns the queued (marked but unscanned)
 // objects. A concurrent cycle's snapshot pause scans roots with the
 // serial marker, then hands the resulting gray set to the parallel
-// workers through this.
-func (m *Marker) TakePending() []mem.Addr {
-	if len(m.stack) == 0 {
-		return nil
-	}
-	out := append([]mem.Addr(nil), m.stack...)
+// workers through this. The slice is the marker's own stack, emptied:
+// it is valid until the marker next pushes (AddGrays copies out of it).
+func (m *Marker) TakePending() []alloc.Gray {
+	out := m.stack
 	m.stack = m.stack[:0]
 	return out
 }

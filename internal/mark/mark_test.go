@@ -444,24 +444,99 @@ func benchMarkList(b *testing.B, blacklisting bool) {
 // words, node i pointing at node i-1 and at a random earlier node, the
 // last node rooted — so the per-object cost of the mark loop can be
 // read without the ten-second harness. Only MarkValue+Drain is on the
-// clock; the mark-bit reset between iterations is not.
+// clock; the mark-bit reset between iterations is not, and neither is
+// the perturbation: word 1 of 660 random nodes is repointed at another
+// random node before every iteration, as graphRequest does between two
+// collections (one store per 8 allocations). Without it every iteration
+// marks an identical graph in identical order, the branch predictor
+// learns the traversal, and the benchmark flatters any change to the
+// loop ("unperturbed" keeps that reading for comparison: 32 against 53
+// ns/obj on the same code).
+//
+// The variants price the loop's other paths against "conservative":
+// typed nodes (descriptor bitmaps walked by set bit), "cas" (the mark
+// bit set by compare-and-swap: every parallel, bounded and detached
+// worker's loop), PointerInterior, "rescan" (the by-base entry: every
+// marked object of every block through ScanObject with all its targets
+// marked already, which is what a concurrent cycle does to its dirty
+// blocks), and a push/pop-only rung — the mark stack's share of the
+// per-object cost.
 func BenchmarkMarkLiveGraph(b *testing.B) {
-	const nodes = 16384
+	for _, v := range []liveGraphVariant{
+		{name: "conservative"},
+		{name: "unperturbed", still: true},
+		{name: "typed", typed: true},
+		{name: "cas", cas: true},
+		{name: "interior", policy: PointerInterior},
+		{name: "rescan", still: true, cas: true, rescan: true},
+	} {
+		b.Run(v.name, func(b *testing.B) { benchLiveGraph(b, v) })
+	}
+	b.Run("pushpop", func(b *testing.B) {
+		// Four pushes, four pops: the stack depth the graph's traversal
+		// hovers at, with no scan in between.
+		m := &Marker{stack: make([]alloc.Gray, 0, 1024)}
+		var sink alloc.Gray
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < liveGraphNodes; j++ {
+				m.stack = append(m.stack, alloc.Gray(j))
+				if j&3 == 3 {
+					for k := 0; k < 4; k++ {
+						sink += m.pop()
+					}
+				}
+			}
+		}
+		if sink == 0 {
+			b.Fatal("nothing popped")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*liveGraphNodes), "ns/obj")
+	})
+}
+
+const liveGraphNodes = 16384
+
+type liveGraphVariant struct {
+	name   string
+	still  bool // no perturbation between iterations
+	typed  bool // nodes allocated against a descriptor naming words 0 and 1
+	cas    bool // mark bits set by compare-and-swap
+	rescan bool // time ScanObject over the marked graph, not the mark
+	policy PointerPolicy
+}
+
+func benchLiveGraph(b *testing.B, v liveGraphVariant) {
+	const nodes = liveGraphNodes
 	space := mem.NewAddressSpace()
 	heap, err := alloc.New(space, alloc.Config{
-		HeapBase:     heapBase,
-		InitialBytes: 1 << 20,
-		ReserveBytes: 16 << 20,
+		HeapBase:         heapBase,
+		InitialBytes:     1 << 20,
+		ReserveBytes:     16 << 20,
+		InteriorPointers: v.policy == PointerInterior,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := New(heap, Config{Policy: PointerBase})
+	m := New(heap, Config{Policy: v.policy})
+	m.atomicMark = v.cas
 	rng := simrand.New(1)
 	sizes := [3]int{4, 8, 16}
+	var ids [3]alloc.DescID
+	for i, w := range sizes {
+		mask := make([]bool, w)
+		mask[0], mask[1] = true, true
+		if ids[i], err = heap.RegisterDescriptor(mask); err != nil {
+			b.Fatal(err)
+		}
+	}
 	addrs := make([]mem.Addr, nodes)
 	for i := range addrs {
-		p, err := heap.Alloc(sizes[i%len(sizes)], false)
+		var p mem.Addr
+		if v.typed {
+			p, err = heap.AllocTyped(ids[i%len(sizes)])
+		} else {
+			p, err = heap.Alloc(sizes[i%len(sizes)], false)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -478,12 +553,23 @@ func BenchmarkMarkLiveGraph(b *testing.B) {
 		start := time.Now()
 		m.MarkValue(head)
 		m.Drain()
+		if v.rescan {
+			start = time.Now()
+			for bi := 0; bi < heap.NumBlocks(); bi++ {
+				heap.ForEachMarkedObjectAtomic(bi, m.ScanObject)
+			}
+		}
 		onClock += time.Since(start)
 		if got := m.Stats().ObjectsMarked; got != nodes {
 			b.Fatalf("marked %d objects, want %d", got, nodes)
 		}
 		heap.ClearMarks()
 		m.Reset()
+		if !v.still {
+			for k := 0; k < 660; k++ {
+				heap.Seg().Store(addrs[rng.Intn(nodes)]+mem.WordBytes, mem.Word(addrs[rng.Intn(nodes)]))
+			}
+		}
 	}
 	b.ReportMetric(float64(onClock.Nanoseconds())/float64(b.N*nodes), "ns/obj")
 }

@@ -77,7 +77,7 @@ type task struct {
 	kind  taskKind
 	words []mem.Word
 	tail  int // taskRoots: trailing straddle-context words
-	addrs []mem.Addr
+	grays []alloc.Gray
 	block int // taskDirty: block index
 	// org and off attribute the chunk for provenance recording:
 	// the root area's identity and the index of words[0] within it.
@@ -320,21 +320,25 @@ func (p *Parallel) AddDirtyBlock(bi int) {
 	p.staged = append(p.staged, task{kind: taskDirty, block: bi})
 }
 
+// grayTasks cuts grays into taskGray tasks of at most grayChunk entries
+// — each a private copy, so the caller may reuse grays at once — and
+// hands them to emit. It is how every gray set changes hands: a worker's
+// spill, a bounded run's leftovers, the snapshot pause's hand-off.
+func grayTasks(grays []alloc.Gray, emit func(task)) {
+	for len(grays) > 0 {
+		n := min(len(grays), grayChunk)
+		emit(task{kind: taskGray, grays: append([]alloc.Gray(nil), grays[:n]...)})
+		grays = grays[n:]
+	}
+}
+
 // spill sheds the older half of a worker's mark stack onto the shared
 // queue in grayChunk pieces, keeping the newest (hottest) entries
 // local.
 func (p *Parallel) spill(m *Marker) {
 	half := len(m.stack) / 2
 	p.tracer.Emit(trace.EvMarkSpill, int64(half), 0, 0)
-	for lo := 0; lo < half; lo += grayChunk {
-		hi := lo + grayChunk
-		if hi > half {
-			hi = half
-		}
-		chunk := make([]mem.Addr, hi-lo)
-		copy(chunk, m.stack[lo:hi])
-		p.queue.push(task{kind: taskGray, addrs: chunk})
-	}
+	grayTasks(m.stack[:half], p.queue.push)
 	n := copy(m.stack, m.stack[half:])
 	m.stack = m.stack[:n]
 }
@@ -431,7 +435,7 @@ func (p *Parallel) process(w *worker, t task) {
 	case taskSparse:
 		w.m.MarkSparseRoots(t.org, t.words)
 	case taskGray:
-		w.m.stack = append(w.m.stack, t.addrs...)
+		w.m.stack = append(w.m.stack, t.grays...)
 	case taskDirty:
 		p.heap.ForEachMarkedObjectAtomic(t.block, w.m.ScanObject)
 	}

@@ -190,14 +190,7 @@ func (m *Marker) MarkSparseRoots(org RootOrigin, words []mem.Word) {
 	if m.rec {
 		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src}
 	}
-	for i, v := range words {
-		if v != 0 {
-			if m.rec {
-				m.org.index = int32(i)
-			}
-			m.MarkValue(v)
-		}
-	}
+	m.scan(words, false, 0)
 }
 
 // MarkRootArea scans words as a provenance-attributed root area under
