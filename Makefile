@@ -36,9 +36,22 @@ test:
 
 # The parallel mark phase must be clean under the race detector. The
 # internal packages hold most of its tests (differential, fuzz seeds);
-# the root package adds the bench drivers and trace plumbing.
+# the root package adds the bench drivers and trace plumbing. The
+# concurrent cycle's soundness batteries — the lost-object battery, the
+# differentials, the mutator and watch batteries and the soak, every
+# finale of which the closure oracle checks for "marked ⊇ reachable" —
+# then run again at one, two and four processors, because what a
+# detached worker interleaves with depends on how many there are; and
+# the battery that audits the heap in mid-cycle, where a mark summary
+# read before its recount shows first, runs twenty times over.
+CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier
 race:
 	$(GO) test -race . ./internal/...
+	@set -e; for p in 1 2 4; do \
+		echo "race: concurrent batteries at GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -race -run '$(CONC_BATTERIES)' ./internal/core; \
+	done
+	$(GO) test -count=20 -race -run 'TestWatchBattery/conc-workers' ./internal/core
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .

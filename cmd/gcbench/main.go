@@ -517,8 +517,8 @@ func runPauseBench() error {
 	printTable(tab)
 	fmt.Println("Both rows replay the same deterministic no-free workload: the live graph")
 	fmt.Println("grows all run, so stop-the-world pauses grow with it while concurrent")
-	fmt.Println("cycles pause only for the root snapshot and the bounded dirty-block")
-	fmt.Println("finale. Object and live counts are exact and gated by cmd/benchgate;")
+	fmt.Println("cycles pause only for the root snapshot and the root-rescan finale.")
+	fmt.Println("Object and live counts are exact and gated by cmd/benchgate;")
 	fmt.Printf("pause percentiles are advisory timing (p99 reduction here: %.1fx).\n", res.P99ReductionX)
 	if *benchJSON != "" {
 		data, err := json.MarshalIndent(res, "", "  ")

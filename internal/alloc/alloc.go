@@ -262,13 +262,17 @@ type blockDesc struct {
 	ignoreOffPage bool
 	spanLen       int32 // large head: blocks in span; cont: offset to head
 	// markedCount is the block's mark summary: how many of its objects
-	// are marked (small: marked slots; large head: 0 or 1). Maintained
-	// at every mark-bit transition — plainly by Mark, with an atomic add
-	// by MarkAtomic — so after a mark phase the sweeper classifies the
-	// block as empty / mixed / fully live in O(1) without reading the
-	// bitmap. The byte half of the summary is derived, not stored:
-	// blocks hold a single size class, so marked bytes are always
-	// markedCount × objWords × WordBytes (see markedBytes).
+	// are marked (small: marked slots; large head: 0 or 1), so that after
+	// a mark phase the sweeper classifies the block as empty / mixed /
+	// fully live in O(1) without reading the bitmap. A marker that owns
+	// the heap maintains it at every mark-bit transition (setMark).
+	// Markers that share the heap do not — it would be a second shared
+	// write per mark, on the line every resolve reads — so after
+	// compare-and-swap marking it is stale (Allocator.summaryStale) until
+	// settleMarkSummaries recounts it from the bitmap. The byte half of
+	// the summary is derived, not stored: blocks hold a single size
+	// class, so marked bytes are always markedCount × objWords ×
+	// WordBytes (see markedBytes).
 	markedCount int32
 	// markBits ⊆ allocBits at every audit point (CheckIntegrity). Large
 	// heads have a one-word markBits and no allocBits.
@@ -405,6 +409,15 @@ type Allocator struct {
 	// object's words without chasing extent and segment pointers.
 	// Refreshed by Expand, the only place a heap segment grows.
 	words0 []mem.Word
+	// summaryStale says the blocks' mark summaries (blockDesc.markedCount)
+	// may lag their bitmaps: set by the first compare-and-swap mark after
+	// they were last exact, cleared by settleMarkSummaries. While it is
+	// set the summaries mean nothing — updates to them are harmless and
+	// lost — and their readers either settle first (the sweeps) or go to
+	// the bitmaps (ForEachMarkedObject, CheckIntegrity). Atomic because
+	// the markers that set it run concurrently; it is written once per
+	// mark phase.
+	summaryStale atomic.Bool
 	// lastExtent caches the extent index of the most recent successful
 	// extentOfAddr lookup. Pointer candidates cluster, so the cache
 	// turns the multi-extent search into one bounds check in the common

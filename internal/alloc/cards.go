@@ -22,18 +22,13 @@ import (
 // mark bits.
 
 // MarkDirty records a mutation of the block containing a (which must be
-// a committed heap address; other addresses are ignored). It reports
-// whether the block was newly dirtied — the concurrent-mark barrier
-// counts those transitions without a separate lookup.
-func (a *Allocator) MarkDirty(addr mem.Addr) bool {
+// a committed heap address; other addresses are ignored).
+func (a *Allocator) MarkDirty(addr mem.Addr) {
 	if !a.InCommitted(addr) {
-		return false
+		return
 	}
 	bi := a.blockIndex(addr)
-	bit := uint64(1) << (uint(bi) & 63)
-	was := a.dirty[bi>>6]
-	a.dirty[bi>>6] = was | bit
-	return was&bit == 0
+	a.dirty[bi>>6] |= 1 << (uint(bi) & 63)
 }
 
 // DirtyBlocks calls fn with each dirty block index.
@@ -57,19 +52,13 @@ func (a *Allocator) ClearDirty() {
 	}
 }
 
-// CountDirty returns the number of dirty blocks.
-func (a *Allocator) CountDirty() int {
-	n := 0
-	a.DirtyBlocks(func(int) { n++ })
-	return n
-}
-
 // ForEachMarkedObject calls fn with the base address of every marked
 // allocated object in block bi. The minor collection uses it to rescan
 // old objects on dirty blocks. The bitmaps are walked a word at a time:
-// the mark summary rejects fully-unmarked blocks outright, words with
-// no marked allocated slot are skipped whole, and set bits are resolved
-// with trailing-zero scans instead of per-slot bitGet.
+// the mark summary, when it is current, rejects fully-unmarked blocks
+// outright, words with no marked allocated slot are skipped whole, and
+// set bits are resolved with trailing-zero scans instead of per-slot
+// bitGet.
 func (a *Allocator) ForEachMarkedObject(bi int, fn func(base mem.Addr)) {
 	b := &a.blocks[bi]
 	switch b.state {
@@ -85,7 +74,7 @@ func (a *Allocator) ForEachMarkedObject(bi int, fn func(base mem.Addr)) {
 			fn(a.blockBase(head))
 		}
 	case blockSmall:
-		if b.markedCount == 0 {
+		if b.markedCount == 0 && !a.summaryStale.Load() {
 			return
 		}
 		objBytes := int(b.objWords) * mem.WordBytes

@@ -163,6 +163,9 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 	case markPlain:
 		won = b.setMark(slot)
 	case markCAS:
+		if !a.summaryStale.Load() {
+			a.summaryStale.Store(true)
+		}
 		won = b.setMarkAtomic(slot)
 	}
 	out = Already + won
@@ -188,9 +191,12 @@ func (b *blockDesc) setMark(slot int) MarkOutcome {
 }
 
 // setMarkAtomic is setMark by compare-and-swap, for markers that share
-// the heap: exactly one of any set of concurrent callers gets 1, so the
-// summary add runs once per object and equals the bitmap's population
-// count at the barrier.
+// the heap: exactly one of any set of concurrent callers gets 1. The
+// mark bit is the only shared word it writes. The block's mark summary
+// sits on the descriptor's line, which every resolve on every other
+// processor reads, so it is left alone here and rebuilt from the
+// bitmaps before its next reader (resolve flags it stale; see
+// settleMarkSummaries).
 func (b *blockDesc) setMarkAtomic(slot int) MarkOutcome {
 	word, bit := &b.markBits[slot>>6], uint64(1)<<(uint(slot)&63)
 	for {
@@ -199,7 +205,6 @@ func (b *blockDesc) setMarkAtomic(slot int) MarkOutcome {
 			return 0
 		}
 		if atomic.CompareAndSwapUint64(word, old, old|bit) {
-			atomic.AddInt32(&b.markedCount, 1)
 			return 1
 		}
 	}

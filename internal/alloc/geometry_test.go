@@ -3,12 +3,14 @@ package alloc
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"repro/internal/blacklist"
 	"repro/internal/mem"
+	"repro/internal/simrand"
 )
 
 // TestSlotGeometryExhaustive checks the reciprocal against the division
@@ -203,9 +205,16 @@ func requireSameCandidate(t *testing.T, fused, ref *Allocator, p mem.Addr, inter
 }
 
 // requireSameMarks fails unless the two heaps, built by the same
-// allocation sequence, carry identical mark summaries and bitmaps.
+// allocation sequence, carry identical mark summaries and bitmaps. The
+// summaries are compared as their readers see them: recounted first if
+// the marks were made by compare-and-swap, which does not maintain them
+// (the reference, which does, must not be flagged stale at all).
 func requireSameMarks(t *testing.T, fused, ref *Allocator) {
 	t.Helper()
+	if ref.summaryStale.Load() {
+		t.Fatal("the reference marks maintain the summaries, yet it is flagged stale")
+	}
+	fused.settleMarkSummaries()
 	if len(fused.blocks) != len(ref.blocks) {
 		t.Fatalf("heaps diverged: %d vs %d blocks", len(fused.blocks), len(ref.blocks))
 	}
@@ -570,23 +579,49 @@ func TestNewSmallBlockGeometry(t *testing.T) {
 }
 
 // TestCheckIntegrityMarkSide injects one corruption per mark-side check
-// into an otherwise consistent heap.
+// into an otherwise consistent heap. The summary rule has two halves:
+// outside a compare-and-swap mark phase markedCount must equal the
+// bitmap's population count (the first block of cases, marked plainly);
+// inside one — the marks made by MarkAtomic, which leaves the summaries
+// alone and flags them stale — a lagging summary is what a correct heap
+// looks like and is not compared, while everything else still is (the
+// "cas-" cases). The sweep's recount ends the phase, and the strict
+// rule applies again ("settled-").
 func TestCheckIntegrityMarkSide(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		cas     bool // the marks are made by compare-and-swap
+		settle  bool // a sticky sweep recounts the summaries before the corruption
 		corrupt func(small, large *blockDesc)
-		want    string
+		want    string // "" = the audit must pass
 	}{
-		{"marked-free-slot", func(small, _ *blockDesc) {
+		{name: "marked-free-slot", corrupt: func(small, _ *blockDesc) {
 			bitSet(small.markBits, 5) // slots 0..2 are allocated
 			small.markedCount++
-		}, "marked but not allocated"},
-		{"stale-summary", func(small, _ *blockDesc) { small.markedCount++ }, "!= markedCount"},
-		{"unmarked-summary", func(small, _ *blockDesc) { bitClear(small.markBits, 0) }, "!= markedCount"},
-		{"cached-reciprocal", func(small, _ *blockDesc) { small.slotRecip++ }, "caches geometry"},
-		{"cached-slot-count", func(small, _ *blockDesc) { small.slots-- }, "caches geometry"},
-		{"large-mark-word", func(_, large *blockDesc) { large.markBits[0] = 2 }, "large block"},
-		{"large-summary", func(_, large *blockDesc) { large.markedCount = 0 }, "large block"},
+		}, want: "marked but not allocated"},
+		{name: "stale-summary", corrupt: func(small, _ *blockDesc) { small.markedCount++ }, want: "!= markedCount"},
+		{name: "unmarked-summary", corrupt: func(small, _ *blockDesc) { bitClear(small.markBits, 0) }, want: "!= markedCount"},
+		{name: "cached-reciprocal", corrupt: func(small, _ *blockDesc) { small.slotRecip++ }, want: "caches geometry"},
+		{name: "cached-slot-count", corrupt: func(small, _ *blockDesc) { small.slots-- }, want: "caches geometry"},
+		{name: "large-mark-word", corrupt: func(_, large *blockDesc) { large.markBits[0] = 2 }, want: "large block"},
+		{name: "large-summary", corrupt: func(_, large *blockDesc) { large.markedCount = 0 }, want: "large block"},
+
+		{name: "cas-lagging-summary", cas: true, corrupt: func(small, large *blockDesc) {
+			if small.markedCount != 0 || large.markedCount != 0 {
+				panic("MarkAtomic maintained a summary")
+			}
+		}},
+		{name: "cas-marked-free-slot", cas: true, corrupt: func(small, _ *blockDesc) { bitSet(small.markBits, 5) }, want: "marked but not allocated"},
+		{name: "cas-large-mark-word", cas: true, corrupt: func(_, large *blockDesc) { large.markBits[0] = 3 }, want: "large block"},
+		{name: "cas-cached-reciprocal", cas: true, corrupt: func(small, _ *blockDesc) { small.slotRecip++ }, want: "caches geometry"},
+
+		{name: "settled-exact", cas: true, settle: true, corrupt: func(small, large *blockDesc) {
+			if small.markedCount != 1 || large.markedCount != 1 {
+				panic("the sweep did not recount the summaries")
+			}
+		}},
+		{name: "settled-stale-summary", cas: true, settle: true, corrupt: func(small, _ *blockDesc) { small.markedCount-- }, want: "!= markedCount"},
+		{name: "settled-large-summary", cas: true, settle: true, corrupt: func(_, large *blockDesc) { large.markedCount = 0 }, want: "large block"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, a := newTestAllocator(t, Config{})
@@ -598,16 +633,109 @@ func TestCheckIntegrityMarkSide(t *testing.T) {
 				}
 			}
 			big := mustAlloc(t, a, 2*mem.PageWords, false)
-			a.Mark(first)
-			a.Mark(big)
+			mark := a.Mark
+			if tc.cas {
+				mark = a.MarkAtomic
+			}
+			mark(first)
+			mark(big)
 			if err := a.CheckIntegrity(nil); err != nil {
 				t.Fatalf("consistent heap: %v", err)
 			}
+			if tc.settle {
+				a.SweepSticky()
+				if err := a.CheckIntegrity(nil); err != nil {
+					t.Fatalf("consistent heap after the sweep: %v", err)
+				}
+			}
 			tc.corrupt(&a.blocks[a.blockIndex(first)], &a.blocks[a.blockIndex(big)])
 			err := a.CheckIntegrity(nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("CheckIntegrity = %v, want the audit to pass", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("CheckIntegrity = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSweepRecountsSummariesAfterAtomicMarks pins the other half of "no
+// shared write per mark but the mark bit": marks made by concurrent
+// compare-and-swap leave every summary behind, and each kind of sweep —
+// eager and lazy, clearing and sticky — recounts them before it reads
+// them, so it reclaims exactly what the same marks made plainly would
+// have it reclaim, and leaves a heap that passes the strict audit.
+func TestSweepRecountsSummariesAfterAtomicMarks(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		for _, sticky := range []bool{false, true} {
+			t.Run(fmt.Sprintf("lazy=%v/sticky=%v", lazy, sticky), func(t *testing.T) {
+				run := func(cas bool) (SweepResult, *Allocator) {
+					_, a := newTestAllocator(t, Config{LazySweep: lazy})
+					rng := simrand.New(9)
+					var keep []mem.Addr
+					for i := 0; i < 900; i++ {
+						p := mustAlloc(t, a, 1+rng.Intn(40), false)
+						if rng.Bool(0.5) {
+							keep = append(keep, p)
+						}
+					}
+					keep = append(keep, mustAlloc(t, a, 3*mem.PageWords, false))
+					mustAlloc(t, a, 2*mem.PageWords, false) // a dead large object
+					if !cas {
+						for _, p := range keep {
+							a.Mark(p)
+						}
+					} else {
+						// Two markers race over the same objects, as shards do.
+						var wg sync.WaitGroup
+						for g := 0; g < 2; g++ {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for _, p := range keep {
+									a.MarkAtomic(p)
+								}
+							}()
+						}
+						wg.Wait()
+						if !a.summaryStale.Load() {
+							t.Fatal("compare-and-swap marking did not flag the summaries stale")
+						}
+						// An audit inside the phase passes on the lagging summaries.
+						if err := a.CheckIntegrity(nil); err != nil {
+							t.Fatalf("audit inside the compare-and-swap phase: %v", err)
+						}
+					}
+					var r SweepResult
+					if sticky {
+						r = a.SweepSticky()
+					} else {
+						r = a.Sweep()
+					}
+					if a.summaryStale.Load() {
+						t.Fatal("the sweep left the summaries flagged stale")
+					}
+					if err := a.CheckIntegrity(nil); err != nil {
+						t.Fatalf("audit after the sweep: %v", err)
+					}
+					a.FinishSweep()
+					if err := a.CheckIntegrity(nil); err != nil {
+						t.Fatalf("audit after the deferred sweeps: %v", err)
+					}
+					return r, a
+				}
+				plain, pa := run(false)
+				cas, ca := run(true)
+				if plain != cas {
+					t.Fatalf("sweep after compare-and-swap marks %+v, after plain marks %+v", cas, plain)
+				}
+				po, pb := pa.CountMarked()
+				co, cb := ca.CountMarked()
+				if po != co || pb != cb {
+					t.Fatalf("marks left: %d objects %d bytes, plain %d objects %d bytes", co, cb, po, pb)
+				}
+			})
+		}
 	}
 }

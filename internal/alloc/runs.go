@@ -271,7 +271,7 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 			continue
 		}
 		dedicated++
-		if err := checkMarkSide(bi, b); err != nil {
+		if err := checkMarkSide(bi, b, a.summaryStale.Load()); err != nil {
 			return err
 		}
 		if b.state != blockSmall {
@@ -283,10 +283,7 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 			// sweepBlock runs.
 			continue
 		}
-		live := 0
-		for _, w := range b.allocBits {
-			live += bits.OnesCount64(w)
-		}
+		live := popcount(b.allocBits)
 		if live != int(b.liveSlots) {
 			return fmt.Errorf("alloc: integrity: block %d alloc bits %d != liveSlots %d", bi, live, b.liveSlots)
 		}
@@ -329,20 +326,22 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 // checkMarkSide audits what the mark loop's candidate step leans on in
 // block bi. markBits ⊆ allocBits is what makes a marked slot a live
 // object to the sweep (liveSlots becomes markedCount) and to resolve's
-// callers; the cached reciprocal and slot count are what resolve divides
-// and bounds a slot index by instead of the tables.
-func checkMarkSide(bi int, b *blockDesc) error {
+// callers, and holds at every audit point. The summary equals the
+// bitmap's population count at every audit point outside a
+// compare-and-swap mark phase; inside one (stale: the flag such marking
+// raises and the sweep's recount lowers) it means nothing and is not
+// compared. The cached reciprocal and slot count are what resolve
+// divides and bounds a slot index by instead of the tables.
+func checkMarkSide(bi int, b *blockDesc, stale bool) error {
 	switch b.state {
 	case blockSmall:
-		marked := 0
 		for wi, mv := range b.markBits {
 			if stray := mv &^ b.allocBits[wi]; stray != 0 {
 				return fmt.Errorf("alloc: integrity: block %d slot %d is marked but not allocated",
 					bi, wi<<6+bits.TrailingZeros64(stray))
 			}
-			marked += bits.OnesCount64(mv)
 		}
-		if marked != int(b.markedCount) {
+		if marked := popcount(b.markBits); !stale && marked != int(b.markedCount) {
 			return fmt.Errorf("alloc: integrity: block %d mark bits %d != markedCount %d", bi, marked, b.markedCount)
 		}
 		if w := b.objWords; b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
@@ -350,7 +349,7 @@ func checkMarkSide(bi int, b *blockDesc) error {
 				bi, b.slotRecip, b.slots, w, slotRecip[w], slotCount[w])
 		}
 	case blockLargeHead:
-		if mv := b.markBits[0]; mv > 1 || int32(mv) != b.markedCount {
+		if mv := b.markBits[0]; mv > 1 || !stale && int32(mv) != b.markedCount {
 			return fmt.Errorf("alloc: integrity: large block %d mark word %#x, markedCount %d", bi, mv, b.markedCount)
 		}
 	}

@@ -130,6 +130,9 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 // argument for sorted free lists.
 func (a *Allocator) sweep(clearMarks bool) SweepResult {
 	a.FinishSweep() // no-op unless a lazy cycle left blocks pending
+	// The summaries classify the blocks below; after compare-and-swap
+	// marking they must be recounted first.
+	a.settleMarkSummaries()
 	// Outstanding bump spans hold allocated-but-unissued slots; return
 	// them before the accounting below reads liveSlots. The collector
 	// flushes before marking, so this is a no-op there — it covers
@@ -213,8 +216,9 @@ func (a *Allocator) sweep(clearMarks bool) SweepResult {
 // at the start of the next cycle, and ClearMarks refuses to run over
 // pending blocks by finishing them first.
 func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
-	a.FinishSweep() // complete the previous cycle's leftovers first
-	a.FlushSpans()  // see sweep: return bump spans before accounting
+	a.FinishSweep()         // complete the previous cycle's leftovers first
+	a.settleMarkSummaries() // see sweep: the summaries classify the blocks
+	a.FlushSpans()          // see sweep: return bump spans before accounting
 	var r SweepResult
 	for i := range a.freeList {
 		a.freeList[i] = 0
@@ -473,10 +477,7 @@ func (a *Allocator) CountMarked() (objects uint64, bytes uint64) {
 				bytes += uint64(int(b.objWords) * mem.WordBytes)
 			}
 		case blockSmall:
-			n := 0
-			for _, w := range b.markBits {
-				n += bits.OnesCount64(w)
-			}
+			n := popcount(b.markBits)
 			objects += uint64(n)
 			bytes += uint64(n) * uint64(int(b.objWords)*mem.WordBytes)
 		}
@@ -568,4 +569,32 @@ func (a *Allocator) Free(base mem.Addr) error {
 		return nil
 	}
 	return fmt.Errorf("alloc: Free(%#x): not an object", uint32(base))
+}
+
+// settleMarkSummaries makes every block's mark summary equal its
+// bitmap's population count again after compare-and-swap marking, which
+// does not maintain it. It is O(blocks) — a block's bitmap is at most
+// 16 words — and a single load when nothing was marked that way.
+// Callers exclude every marker: the sweeps, which are the summary's
+// readers, run it first.
+func (a *Allocator) settleMarkSummaries() {
+	if !a.summaryStale.Load() {
+		return
+	}
+	for bi := range a.blocks {
+		b := &a.blocks[bi]
+		if b.state == blockSmall || b.state == blockLargeHead {
+			b.markedCount = int32(popcount(b.markBits))
+		}
+	}
+	a.summaryStale.Store(false)
+}
+
+// popcount returns the number of set bits in a bitmap.
+func popcount(bitmap []uint64) int {
+	n := 0
+	for _, w := range bitmap {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

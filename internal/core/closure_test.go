@@ -1,0 +1,191 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+	"testing"
+
+	"repro/internal/mark"
+	"repro/internal/mem"
+)
+
+// The closure oracle: an in-system soundness check for the concurrent
+// batteries. At every concurrent finale — marking at its fixpoint, the
+// world stopped, the sweep not yet run — it walks the heap from the same
+// roots the collector scans with a reachability pass of its own (no
+// mark.Marker, no mark bits, a Go map for "seen") and requires every
+// object it reaches to be marked: no black→white edge survived the
+// cycle. After the sweep it audits the allocator. A differential against
+// a sibling mode cannot see a lost object that both modes lose, and a
+// battery that only checks "my rooted objects are still there" cannot
+// see one the workload happens not to look at; this does.
+//
+// The check has to sit between the end of marking and the sweep, which
+// consumes the mark bits (and zeroes what it frees, so a lost object can
+// no longer even be recognised from the pointers to it). The collection
+// hook fires after the sweep; the marked ⊇ reachable half therefore
+// hangs on World.finaleAudit, the integrity half on the hook.
+
+// closureOracle is one world's installed oracle.
+type closureOracle struct {
+	w  *World
+	mu sync.Mutex
+	// finales counts the concurrent finales checked; failure is the
+	// first violation found (finales run on whichever goroutine forced
+	// them, so violations are kept here and reported by the test's own
+	// goroutine through check).
+	finales int
+	failure string
+}
+
+// installClosureOracle arms the oracle on w for the rest of the test and
+// fails the test at cleanup if any finale broke the closure. next, if
+// non-nil, still receives every collection's statistics.
+func installClosureOracle(t testing.TB, w *World, next func(CollectionStats)) *closureOracle {
+	t.Helper()
+	o := &closureOracle{w: w}
+	w.mu.Lock()
+	w.finaleAudit = o.audit
+	w.hook = func(st CollectionStats) {
+		if st.Concurrent {
+			// Every cache was flushed by the stop and the detached phase
+			// is retired: the bare audit is exact here.
+			if err := w.Heap.CheckIntegrity(nil); err != nil {
+				o.fail(fmt.Sprintf("after concurrent cycle %d: %v", w.collections, err))
+			}
+		}
+		if next != nil {
+			next(st)
+		}
+	}
+	w.mu.Unlock()
+	t.Cleanup(func() { o.check(t) })
+	return o
+}
+
+// check reports the first violation, if any, on the calling goroutine.
+func (o *closureOracle) check(t testing.TB) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.failure != "" {
+		t.Fatalf("closure oracle: %s", o.failure)
+	}
+}
+
+// checked returns how many concurrent finales the oracle has audited.
+func (o *closureOracle) checked() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.finales
+}
+
+func (o *closureOracle) fail(msg string) {
+	o.mu.Lock()
+	if o.failure == "" {
+		o.failure = msg
+	}
+	o.mu.Unlock()
+}
+
+// audit is the finaleAudit body: w.mu held, every mutator stopped and
+// flushed, the detached phase retired, marking at its fixpoint.
+func (o *closureOracle) audit() {
+	w := o.w
+	lost := 0
+	var first mem.Addr
+	for base := range reachableFromRoots(w) {
+		if !w.Heap.Marked(base) {
+			if lost == 0 || base < first {
+				first = base
+			}
+			lost++
+		}
+	}
+	o.mu.Lock()
+	o.finales++
+	o.mu.Unlock()
+	if lost > 0 {
+		o.fail(fmt.Sprintf("finale of cycle %d: %d reachable objects unmarked, lowest %#x",
+			w.collections+1, lost, uint32(first)))
+	}
+}
+
+// reachableFromRoots is the oracle's own transitive closure: every
+// object reachable from the world's roots under its pointer and
+// alignment policies, found by resolving candidate words with
+// FindObject and following conservative objects' every word, typed
+// objects' declared pointer words and pointer-free objects' none.
+// Callers hold w.mu with the world stopped.
+func reachableFromRoots(w *World) map[mem.Addr]bool {
+	interior := w.cfg.Pointer == mark.PointerInterior
+	seen := map[mem.Addr]bool{}
+	var gray []mem.Addr
+	visit := func(v mem.Word) {
+		if base, ok := w.Heap.FindObject(mem.Addr(v), interior); ok && !seen[base] {
+			seen[base] = true
+			gray = append(gray, base)
+		}
+	}
+	area := func(words []mem.Word) {
+		for i, v := range words {
+			visit(v)
+			if w.cfg.Alignment == mark.AnyByteOffset && i+1 < len(words) {
+				hi, lo := uint32(v), uint32(words[i+1])
+				visit(mem.Word(hi<<8 | lo>>24))
+				visit(mem.Word(hi<<16 | lo>>16))
+				visit(mem.Word(hi<<24 | lo>>8))
+			}
+		}
+	}
+	machineRoots := func(src RootSource) {
+		if src == nil {
+			return
+		}
+		for _, v := range src.Registers() {
+			visit(v)
+		}
+		stack, _ := src.LiveStack()
+		area(stack)
+	}
+	machineRoots(w.mut)
+	for _, m := range w.muts {
+		machineRoots(m.src)
+	}
+	for _, s := range w.Space.Roots() {
+		area(s.Words())
+	}
+	for len(gray) > 0 {
+		base := gray[len(gray)-1]
+		gray = gray[:len(gray)-1]
+		g, scanned := w.Heap.ScanView(base)
+		if !scanned {
+			continue
+		}
+		words := w.Heap.GrayWords(g)
+		if !g.Typed() {
+			for _, v := range words {
+				visit(v)
+			}
+			continue
+		}
+		for wi, mask := range w.Heap.PointerMask(g) {
+			for ; mask != 0; mask &= mask - 1 {
+				visit(words[wi<<6+bits.TrailingZeros64(mask)])
+			}
+		}
+	}
+	return seen
+}
+
+// markedNow reports whether the object at base is marked, read the way
+// a world-lock holder may read a bitmap mid-cycle: with detached
+// workers shut out.
+func markedNow(w *World, base mem.Addr) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var marked bool
+	w.lockHeapLocked(func() { marked = w.Heap.Marked(base) })
+	return marked
+}

@@ -8,12 +8,15 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/mark"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
 // Mostly-concurrent collection (Config.ConcurrentMark), after the
 // design the paper cites as its pause-time companion (Boehm, Demers &
-// Shenker, PLDI 1991 — reference [8]).
+// Shenker, PLDI 1991 — reference [8]). That design rescans dirty pages
+// because virtual-memory hardware is all it can see of the mutator's
+// writes; this machine sees every Store, so the barrier here is exact.
 //
 // A cycle has three phases:
 //
@@ -21,7 +24,9 @@ import (
 //     are scanned (serially, through w.Marker), and the resulting gray
 //     set is handed to the marking machinery: the serial marker's own
 //     stack at width 1, the parallel workers' shared queue otherwise.
-//     The mutators then resume.
+//     A minor cycle also stages its remembered set — the blocks whose
+//     cards were dirtied since the last collection — and clears the
+//     cards. The mutators then resume.
 //  2. Background marking, in one of two shapes. Lock-chunked (width
 //     1, the default on small heaps and single-core schedulers): a
 //     driver goroutine repeatedly takes the world lock, drains a
@@ -34,54 +39,47 @@ import (
 //     and heap structure is guarded by a reader-writer lock. In both
 //     shapes mutators run concurrently: their allocation fast path
 //     touches no collector structure, their slow paths and heap stores
-//     interleave under the locks above. Stores dirty their block's
-//     card (storeLocked); fresh objects are born black at the
-//     cache-refill commit point (they are zero-filled, so there is
-//     nothing to scan at birth). Slow-path allocations repay marking
-//     debt through the rate-based pacer (pacerAssistLocked) instead
-//     of a fixed per-allocation chunk.
-//  3. Bounded finale. When the gray set drains, the driver decides:
-//     if the mutators have dirtied more blocks than the finale budget
-//     and rescan passes remain, it stages a concurrent rescan of the
-//     dirty set (clearing the cards) and keeps marking without
-//     stopping anyone; otherwise it stops the world, rescans every
-//     block dirtied since its last rescan, re-scans the (possibly
-//     changed) roots, drains to the fixpoint, and sweeps. The pass cap
-//     makes the finale provably bounded: the final pause rescans at
-//     most the blocks dirtied during one drain interval (≤
-//     concFinaleDirtyBudget after a converging pass, and never more
-//     than the heap's block count), not the whole cycle's write set.
+//     interleave under the locks above. A store shades the value it
+//     writes (storeLocked → shadeLocked): if that is the address of an
+//     unmarked object, the object is marked on the spot and left gray
+//     for the markers. Fresh objects are born black at the cache-refill
+//     commit point (they are zero-filled, so there is nothing to scan
+//     at birth). Slow-path allocations repay marking debt through the
+//     rate-based pacer (pacerAssistLocked) instead of a fixed
+//     per-allocation chunk.
+//  3. Final pause. When the gray set drains — or an allocation runs out
+//     of memory, or an explicit collection wants the cycle over — the
+//     world stops, the (possibly changed) roots are scanned again, the
+//     marking drains to the fixpoint, and the heap is swept. What the
+//     pause marks is what became reachable only from roots since the
+//     snapshot, plus whatever gray objects a forced finale found left.
 //
-// Tricolor soundness under the lock-chunked model: every heap store
-// and every mark chunk runs under w.mu, so stores and scans are
-// totally ordered. A store into an already-scanned (black) object
-// dirties its block, and a block dirtied after its last rescan is
-// always rescanned with the world stopped; a store into an unscanned
-// object is seen by that object's later scan; objects allocated during
-// the cycle are born black and zero-filled. Hence no reachable-at-
-// finale object can be missed — the adversarial lost-object test pins
-// exactly the hiding pattern (store the only pointer into a black
-// object, erase the gray path).
+// Tricolor soundness (Dijkstra's insertion barrier). The invariant is
+// that no black object — scanned, or allocated during the cycle — holds
+// the only pointer to a white one when the finale's drain ends. A
+// pointer reaches a black object's field in one way only: a store, and
+// the store shaded its value, so the target is gray or black from that
+// moment on, whichever of its old paths the mutator then erases. A
+// pointer held only in a root (a register, a stack word, a root
+// segment) needs no barrier: roots are scanned again with the world
+// stopped. An object allocated during the cycle is born marked and
+// zero-filled, so it holds nothing until a store — shaded — puts it
+// there. A store into a white or gray object is shaded too; the later
+// scan of that object finds the value marked already. Under the
+// lock-chunked shapes every store and every mark chunk runs under w.mu
+// and the argument is about a total order. Under the detached shape
+// scans race stores, data-race-free because both sides are atomic, and
+// the argument does not care which value a racing scan reads: the new
+// value is marked before it is written, the old value's object is
+// either reachable some other way or garbage. DESIGN.md §5g/§5h have
+// the full argument; the lost-object battery runs every case against
+// all three shapes, and a closure oracle re-derives "marked ⊇
+// reachable" at every finale of the concurrent batteries.
 //
-// Under the detached model stores and scans are no longer ordered by
-// w.mu, but the argument survives with "totally ordered" weakened to
-// "data-race-free and card-visible": a scan racing a store reads
-// either value atomically, and the store's card (dirtied under w.mu)
-// is rescanned before the cycle can finish, so the published pointer
-// is found either by the racing scan or by the rescan. DESIGN.md §5h
-// has the full soundness argument; the lost-object battery runs
-// against both shapes.
-
-const (
-	// concMaxPasses caps the concurrent dirty-rescan passes before the
-	// finale runs regardless; with the world stopped one final rescan
-	// always suffices, so the cap bounds pause work, not correctness.
-	concMaxPasses = 4
-	// concFinaleDirtyBudget is the dirty-block count below which the
-	// driver stops rescanning concurrently and runs the finale: few
-	// enough blocks that their in-pause rescan is cheap.
-	concFinaleDirtyBudget = 16
-)
+// Cards are not part of a cycle. They stay what the paper's §3.1
+// citation [13] uses them for: the remembered set *between*
+// generational collections, consumed at the snapshot (above), and the
+// barrier of the incremental ancestor (incremental.go).
 
 // StartConcurrentCycle begins a mostly-concurrent collection and
 // returns with the mutators resumed and marking pending: advance it
@@ -109,12 +107,19 @@ func (w *World) ConcurrentActive() bool {
 // ConcurrentStep advances an active cycle by one bounded chunk of up
 // to quantum objects (MarkQuantum if quantum <= 0) and returns true
 // when the cycle completed — the step that finds the gray set drained
-// and the dirty backlog small runs the finale itself. Returns true
-// immediately if no cycle is active.
+// runs the finale itself. Returns true immediately if no cycle is
+// active.
 func (w *World) ConcurrentStep(quantum int) bool {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.concChunkLocked(quantum)
+	done := w.concChunkLocked(quantum)
+	detached := w.concDetached
+	w.mu.Unlock()
+	if !done && detached {
+		// What is left of the gray set may sit on a worker's stack, out
+		// of this caller's reach: let the workers run.
+		runtime.Gosched()
+	}
+	return done
 }
 
 // FinishConcurrentCycle forces an active cycle's finale now and
@@ -212,7 +217,7 @@ func (w *World) startConcurrentLocked(minor bool) {
 	w.concSnapMarked = w.concMarkStatsLocked().ObjectsMarked
 	w.concActive = true
 	w.concMinor = minor
-	w.concPasses = 0
+	w.concHeapWaitNs = 0
 	w.concGen++
 	if detached {
 		// Open the detached phase before the mutators resume: the
@@ -232,9 +237,14 @@ func (w *World) startConcurrentLocked(minor bool) {
 	w.concSnapNs = time.Since(w.concStart).Nanoseconds()
 }
 
-// driveConcurrent is the background marking driver: while its cycle is
-// the active one, alternately drain a bounded chunk under the world
-// lock and yield the processor to the mutators. A cycle finished by
+// driveConcurrent is the background driver: while its cycle is the
+// active one, alternately advance it under the world lock and yield the
+// processor to the mutators. A lock-chunked cycle is advanced by
+// marking a bounded chunk. A detached cycle's marking belongs to its
+// workers, and a chunk marked here would hold w.mu — and with it every
+// Store and slow-path allocation that arrives meanwhile — for its whole
+// length, so there the driver only hands the barrier's grays to the
+// workers and asks whether the cycle is over. A cycle finished by
 // anyone else (explicit Collect, allocation-pressure finale) bumps
 // concGen, and the stale driver exits on its next look.
 func (w *World) driveConcurrent(gen uint64) {
@@ -244,7 +254,12 @@ func (w *World) driveConcurrent(gen uint64) {
 			w.mu.Unlock()
 			return
 		}
-		done := w.concChunkLocked(w.cfg.MarkQuantum)
+		var done bool
+		if w.concDetached {
+			done = w.concCertifyLocked()
+		} else {
+			done = w.concChunkLocked(w.cfg.MarkQuantum)
+		}
 		w.mu.Unlock()
 		if done {
 			return
@@ -253,11 +268,9 @@ func (w *World) driveConcurrent(gen uint64) {
 	}
 }
 
-// concChunkLocked advances the cycle by one bounded chunk and returns
-// whether the cycle is now complete. When the chunk drains the gray
-// set it either stages another concurrent rescan pass (dirty backlog
-// above the finale budget, passes remaining) or runs the finale.
-// Callers hold w.mu.
+// concChunkLocked advances the cycle by one bounded chunk of marking
+// and returns whether the cycle is now complete: the chunk that finds
+// the gray set drained runs the finale. Callers hold w.mu.
 func (w *World) concChunkLocked(quantum int) bool {
 	if !w.concActive {
 		return true
@@ -266,10 +279,12 @@ func (w *World) concChunkLocked(quantum int) bool {
 		quantum = w.cfg.MarkQuantum
 	}
 	if w.concDetached {
-		// Detached cycles advance through the quiescence-certificate
-		// path: the background workers do the marking, this caller
-		// contributes an assist chunk and checks for the fixpoint.
-		return w.concDetachedAdvanceLocked(quantum)
+		// The background workers do the marking; this caller contributes
+		// an assist chunk and asks for the quiescence certificate.
+		if _, bytes := w.par.AssistChunk(quantum); bytes > 0 {
+			w.pacerCredit.Add(int64(bytes))
+		}
+		return w.concCertifyLocked()
 	}
 	before := w.concMarkStatsLocked().BytesMarked
 	drained := w.concDrainLocked(quantum)
@@ -282,25 +297,21 @@ func (w *World) concChunkLocked(quantum int) bool {
 	if !drained {
 		return false
 	}
-	// Gray set drained. Rescan concurrently while the backlog is large
-	// and passes remain; otherwise stop the world for the finale.
-	if w.concPasses < concMaxPasses && w.Heap.CountDirty() > concFinaleDirtyBudget {
-		w.concPasses++
-		w.stageDirtyRescanLocked()
-		return false
-	}
 	w.stwFinishConcurrent()
 	return true
 }
 
 // concDrainLocked drains up to quantum objects of gray work and
-// reports whether the gray set is now empty. Callers hold w.mu.
+// reports whether the gray set is now empty. Grays the barrier shaded
+// since the last chunk are on the marker that shaded them: the serial
+// marker's own stack, drained here, or the assist shard's, which
+// RunBounded collects. Callers hold w.mu.
 func (w *World) concDrainLocked(quantum int) bool {
 	if w.concPar {
 		return w.par.RunBounded(quantum)
 	}
-	// Serial width: staged dirty-block rescans first (a whole block per
-	// unit of work — coarse, but dirty rescans are rare), then the
+	// Serial width: a minor cycle's staged remembered set first (a whole
+	// block per unit of work — coarse, but it is staged once), then the
 	// marker's own stack.
 	blocks := quantum/64 + 1
 	for len(w.concDirty) > 0 && blocks > 0 {
@@ -315,21 +326,48 @@ func (w *World) concDrainLocked(quantum int) bool {
 	return w.Marker.DrainN(quantum)
 }
 
-// stageDirtyRescanLocked moves the current dirty set into the cycle's
-// gray work and clears the cards, so blocks dirtied after this point
-// are caught by the next pass or the finale. Callers hold w.mu.
-func (w *World) stageDirtyRescanLocked() int {
-	n := 0
-	w.Heap.DirtyBlocks(func(bi int) {
-		n++
-		if w.concPar {
-			w.par.AddDirtyBlock(bi)
-		} else {
-			w.concDirty = append(w.concDirty, bi)
+// shadeLocked is the insertion barrier: v is about to be stored at a.
+// If v is the address of an unmarked object (under the world's pointer
+// policy, as a scan of the stored-into word would judge it), the object
+// is marked now and left gray on the marker that is legal under w.mu —
+// the serial marker at width 1, the sharded marker's assist shard, by
+// compare-and-swap, otherwise — for the paths that drain it anyway:
+// the next chunk, assist or certificate step, and the finale however it
+// is forced. A near-heap non-pointer is blacklisted, as a scan would.
+// Callers hold w.mu with a concurrent cycle active.
+func (w *World) shadeLocked(a mem.Addr, v mem.Word) {
+	var org mark.RootOrigin
+	var index int32
+	if w.prov.enabled {
+		org, index = w.storeOriginLocked(a)
+	}
+	var won bool
+	if w.concPar {
+		won = w.par.Shade(org, index, v)
+	} else {
+		won = w.Marker.Shade(org, index, v)
+	}
+	if won {
+		w.met.barrierShades.Inc()
+		if w.tracer.Enabled() {
+			w.tracer.Emit(trace.EvBarrierShade, int64(a), int64(v), 0)
 		}
-	})
-	w.Heap.ClearDirty()
-	return n
+	}
+}
+
+// storeOriginLocked names the word at a for a provenance record: the
+// heap object it lies in and its index there, or the root segment.
+// Only a recording cycle's barrier asks.
+func (w *World) storeOriginLocked(a mem.Addr) (mark.RootOrigin, int32) {
+	if base, ok := w.Heap.FindObject(a, true); ok {
+		return mark.RootOrigin{Kind: mark.RootNone, Base: base}, int32((a - base) / mem.WordBytes)
+	}
+	for i, s := range w.Space.Roots() {
+		if s.Contains(a) {
+			return mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()}, int32((a - s.Base()) / mem.WordBytes)
+		}
+	}
+	return mark.RootOrigin{}, 0
 }
 
 // stwFinishConcurrent stops the mutators and runs the finale. Callers
@@ -360,10 +398,11 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	if w.concMinor {
 		kind = 4
 	}
-	// Rescan every block dirtied since its last rescan, re-scan the
-	// (possibly changed) roots, and drain to the fixpoint — with the
-	// world stopped, one pass reaches it.
-	finalDirty := w.stageDirtyRescanLocked()
+	// Scan the (possibly changed) roots again and drain to the fixpoint.
+	// However the finale was reached — certificate, exhausted memory, an
+	// explicit collection — whatever gray objects are left come with it:
+	// the serial marker's stack holds its own, RunBounded starts from the
+	// workers' kept stacks and collects the assist shard's.
 	w.markRoots()
 	if w.concPar {
 		w.par.AddGrays(w.Marker.TakePending())
@@ -379,6 +418,9 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	pauseMark := time.Since(finaleStart)
 	mstats := w.concMarkStatsLocked()
 	w.traceMarkEnd(mstats)
+	if w.finaleAudit != nil {
+		w.finaleAudit()
+	}
 	for a := range w.finalizable {
 		if !w.Heap.Marked(a) {
 			w.reclaimed = append(w.reclaimed, a)
@@ -416,7 +458,7 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 		w.met.concMarkSteals.Add(w.par.Steals() - w.concStealsStart)
 	}
 	pauseFinal := time.Since(finaleStart)
-	w.tracer.Emit(trace.EvFinalPause, pauseFinal.Nanoseconds(), int64(finalDirty), int64(w.concPasses))
+	w.tracer.Emit(trace.EvFinalPause, pauseFinal.Nanoseconds(), int64(mstats.ObjectsMarked-beforeFinale), 0)
 	concPhase := finaleStart.Sub(w.concStart).Nanoseconds() - w.concSnapNs
 	if concPhase < 0 {
 		concPhase = 0
@@ -431,8 +473,7 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 		DirtyBlocks:         w.concDirtyBlocks,
 		Promoted:            mstats.ObjectsMarked,
 		Concurrent:          true,
-		RescanPasses:        w.concPasses,
-		FinalDirtyBlocks:    finalDirty,
+		HeapLockWaitNs:      w.concHeapWaitNs,
 		MarkedConcurrent:    beforeFinale - w.concSnapMarked,
 		ConcWorkers:         w.concWorkers,
 		ConcPhaseNs:         concPhase,
@@ -447,6 +488,8 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	}
 	if !w.concMinor {
 		w.last.Promoted = 0
+	} else if w.concDirtyBlocks > 0 {
+		w.last.RescanPasses = 1 // the remembered set, staged at the snapshot
 	}
 	w.traceCycleEnd(w.last)
 	w.fireHook()

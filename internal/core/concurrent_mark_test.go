@@ -9,8 +9,10 @@ import (
 // Tests for Config.ConcurrentMark: the mostly-concurrent cycle must
 // reclaim exactly what a stop-the-world collection reclaims on a
 // quiesced heap, must never lose an object to the classic
-// hide-behind-black race (the insertion barrier's whole job), and must
-// do almost all of its marking outside the pauses.
+// hide-behind-black race (the insertion barrier's whole job; the battery
+// is in lostobject_test.go), and must do almost all of its marking
+// outside the pauses. Every cycle these tests run is also checked by
+// the closure oracle (closure_test.go).
 
 // concBuildGraph runs a deterministic quiesced workload: allocations
 // rooted in a data segment, links between live objects, explicit frees
@@ -111,6 +113,7 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 				allocs := concBuildGraph(t, directDriver{w})
 				var st CollectionStats
 				if concurrent {
+					installClosureOracle(t, w, nil)
 					if err := w.StartConcurrentCycle(); err != nil {
 						t.Fatal(err)
 					}
@@ -202,6 +205,7 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 		}
 		var st CollectionStats
 		if concurrent {
+			installClosureOracle(t, w, nil)
 			w.mu.Lock()
 			w.startConcurrentLocked(true) // minor; no background driver
 			w.mu.Unlock()
@@ -238,78 +242,6 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 	}
 }
 
-// TestConcurrentMarkLostObject is the adversarial barrier test: hide
-// the only pointer to an object inside an already-scanned (black)
-// object and erase the gray path to it, mid-cycle. Without the
-// insertion barrier the finale would sweep the object; the dirty card
-// forces its holder's block to be rescanned in the final pause.
-func TestConcurrentMarkLostObject(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, MarkWorkers: 1, GCDivisor: -1})
-	data := addData(t, w, "data", 0x2000, 4096)
-
-	alloc2 := func() mem.Addr {
-		p, err := w.Allocate(2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	c1 := alloc2()      // rooted chain head, holds the gray path to x
-	black := alloc2()   // rooted; will be scanned first (black)
-	x := alloc2()       // the object to hide
-	garbage := alloc2() // never referenced; proves the sweep still works
-	_ = garbage
-	if err := data.Store(0x2000, mem.Word(c1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := data.Store(0x2004, mem.Word(black)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Store(c1, mem.Word(x)); err != nil { // pre-cycle: no barrier needed
-		t.Fatal(err)
-	}
-
-	if err := w.StartConcurrentCycle(); err != nil {
-		t.Fatal(err)
-	}
-	// The serial marker pops LIFO, and the root scan pushed c1 then
-	// black: one one-object step scans exactly `black` (empty), turning
-	// it black while c1 — and through it x — is still gray.
-	if w.ConcurrentStep(1) {
-		t.Fatal("cycle completed in one step; the race window never opened")
-	}
-	// The hide: x's only pointer moves into the black object, and the
-	// gray path to it is erased. Both stores go through the barrier.
-	if err := w.Store(black, mem.Word(x)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Store(c1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if w.Heap.Marked(x) {
-		t.Fatal("x already marked; the adversarial window did not open as constructed")
-	}
-	var steps int
-	for !w.ConcurrentStep(1) {
-		if steps++; steps > 10000 {
-			t.Fatal("cycle did not terminate")
-		}
-	}
-	// The sweep consumed the cycle's mark bits, so liveness is asserted
-	// through its counts: x survived iff exactly the one garbage object
-	// was freed and three objects (c1, black, x) remain.
-	st := w.LastCollection()
-	if st.Sweep.ObjectsFreed != 1 {
-		t.Fatalf("sweep freed %d objects, want exactly the 1 garbage object", st.Sweep.ObjectsFreed)
-	}
-	if st.Sweep.ObjectsLive != 3 {
-		t.Fatalf("sweep saw %d live objects, want 3 (c1, black, x)", st.Sweep.ObjectsLive)
-	}
-	if st.FinalDirtyBlocks == 0 {
-		t.Fatal("finale rescanned no dirty blocks; the barrier never fired")
-	}
-}
-
 // TestConcurrentMarkMostlyOutsideSTW pins the design's load-shifting
 // claim: on a deep structure (a 2000-node list, reachable only
 // link-by-link) the snapshot pause marks just the root-referenced
@@ -317,6 +249,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 // everything in between — more than 90% of the cycle's marking.
 func TestConcurrentMarkMostlyOutsideSTW(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
+	installClosureOracle(t, w, nil)
 	data := addData(t, w, "data", 0x2000, 4096)
 	const nodes = 2000
 	var head, prev mem.Addr
@@ -362,6 +295,7 @@ func TestConcurrentMarkMostlyOutsideSTW(t *testing.T) {
 // collection reclaims the unrooted ones.
 func TestConcurrentMarkBornBlack(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
+	installClosureOracle(t, w, nil)
 	data := addData(t, w, "data", 0x2000, 4096)
 	m := w.NewMutator()
 	if err := w.StartConcurrentCycle(); err != nil {
@@ -442,25 +376,30 @@ func TestConcurrentMarkFastPathZeroAlloc(t *testing.T) {
 // concurrent cycle's own control points: stores, explicit frees,
 // rooted and garbage allocations, cycle starts, bounded steps, and
 // forced finales, on one deterministic goroutine. Invariants: no
-// operation errors, every cycle terminates, rooted objects are never
-// lost (their roots still resolve to allocated objects at the end),
-// the final audit balances, and the object count is conserved.
+// operation errors, every cycle terminates, every finale's marked set
+// holds the closure of its roots (the closure oracle), rooted objects
+// are never lost (their roots still resolve to allocated objects at the
+// end), the final audit balances, and the object count is conserved.
 func FuzzConcurrentMark(f *testing.F) {
 	f.Add(uint8(0), []byte{0x00, 0x41, 0x9a, 0xe3, 0x07, 0xff, 0x22, 0x6d})
 	f.Add(uint8(1), []byte{0x05, 0x25, 0x45, 0x65, 0x85, 0xa5, 0xc5, 0xe5, 0x06, 0x06})
 	f.Add(uint8(2), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})
 	f.Add(uint8(3), []byte{0x07, 0x07, 0x07, 0x07, 0x0f, 0x0f, 0x0f, 0x0f, 0xc3, 0xc7})
+	f.Add(uint8(4), []byte{0x00, 0x08, 0x03, 0x05, 0x0b, 0x43, 0x06, 0x13, 0x02, 0x07, 0x05, 0x1b, 0x06})
 	cfgs := []Config{
 		{ConcurrentMark: true, GCDivisor: -1},
 		{ConcurrentMark: true, GCDivisor: -1, MarkWorkers: 4},
 		{ConcurrentMark: true, GCDivisor: -1, LineAlloc: true, LazySweep: true},
 		{ConcurrentMark: true, GCDivisor: -1, Generational: true, LazySweep: true},
+		// Detached: the same tape with two workers marking behind it.
+		{ConcurrentMark: true, GCDivisor: -1, ConcMarkWorkers: 2},
 	}
 	f.Fuzz(func(t *testing.T, mode uint8, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
 		w := newWorld(t, cfgs[int(mode)%len(cfgs)])
+		oracle := installClosureOracle(t, w, nil)
 		const slots = 8
 		data := addData(t, w, "roots", 0x2000, 4*slots)
 		m := w.NewMutator()
@@ -519,6 +458,7 @@ func FuzzConcurrentMark(f *testing.F) {
 			}
 		}
 		w.FinishConcurrentCycle()
+		oracle.check(t)
 		w.Collect()
 		w.FinishSweep()
 		if err := w.VerifyIntegrity(); err != nil {

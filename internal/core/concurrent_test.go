@@ -147,6 +147,9 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, cfg)
+			if cfg.ConcurrentMark {
+				installClosureOracle(t, w, nil)
+			}
 			const slotBytes = 16 * 4
 			data := addData(t, w, "roots", 0x2000, nMut*slotBytes)
 			muts := make([]*Mutator, nMut)

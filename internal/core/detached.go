@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
@@ -21,24 +22,38 @@ import (
 //     atomically (alloc.Config.AtomicWords makes the mutator's store
 //     path atomic; the mark loop always loads that way), so racing a
 //     store against a scan is data-race-free; a scan that reads the
-//     pre-store value is sound because the store dirtied its block's
-//     card under w.mu and dirty blocks are rescanned before the cycle
-//     can finish (the usual insertion-barrier argument).
+//     pre-store value is sound because the store shaded the new value
+//     under w.mu before writing it (the insertion barrier, shadeLocked).
 //   - Heap *structure* — block table, free lists, extents, bitmaps —
 //     is guarded by w.heapMu: each DetachedChunk runs inside one
 //     read-hold, and every allocator mutation that can run during a
 //     detached phase takes the write side through lockHeapLocked.
 //     Lock order is w.mu strictly before heapMu, never the reverse.
+//   - A read-hold yields to a waiting writer. The writer raises
+//     heapWant before it asks for the lock and lowers it once it holds
+//     it (lockHeapWrite); a worker looks at the flag between steps of at
+//     most 64 objects of its chunk and ends the hold early when it is
+//     up. sync.RWMutex turns new readers away while a writer waits, so
+//     a slow-path allocation waits for one such step, not for a
+//     MarkQuantum chunk, and the workers are back the moment it is
+//     done. The look is in mark.chunkWorker, outside the scan loop.
+//   - A worker's mark stack survives the end of its hold (nothing is
+//     copied back to the shared queue just because a writer came by);
+//     it tells the coordinator through a flag whether it holds grays.
 //   - Retirement never waits for goroutine exit: concGenA is the
 //     atomic mirror of the active cycle generation, workers re-check
 //     it after acquiring the read-hold, and storing 0 (never an active
 //     generation) followed by one write-lock acquisition certifies
 //     that no chunk is in flight and none can start. A straggler that
 //     acquires its read-hold later sees the stale generation and exits
-//     without touching the heap.
-//   - The fixpoint certificate is "write-lock held and the shared
-//     queue empty": every chunk ends with spillAll, so between chunks
-//     no worker hides gray objects in a local stack.
+//     without touching the heap. What the workers' stacks still hold
+//     then is drained by the finale's RunBounded, which runs the same
+//     marker shards.
+//   - The fixpoint certificate is "write lock held, shared queue empty,
+//     every worker's stack and the assist shard's stack empty"
+//     (mark.Parallel.Quiescent): with the write lock held no chunk is
+//     in flight, so the stacks can be read. Nobody takes the write lock
+//     to ask while work is visibly left (WorkOutstanding).
 const (
 	// pacerMaxRounds bounds how many assist chunks one slow-path
 	// allocation runs repaying its debt, so a mutator that fell far
@@ -53,9 +68,10 @@ const (
 	// classifies per world-lock hold.
 	concSweepChunk = 8
 	// workerIdleSleep and workerIdleAfter pace a detached worker that
-	// keeps finding the queue empty (the cycle is waiting on dirty
-	// rescans or the finale): back off to a sleep after this many
-	// consecutive empty chunks instead of burning a processor.
+	// keeps finding nothing to do (the gray set is on other markers'
+	// stacks, or the cycle is waiting for its finale): back off to a
+	// sleep after this many consecutive empty chunks instead of burning
+	// a processor.
 	workerIdleAfter = 8
 	workerIdleSleep = 100 * time.Microsecond
 )
@@ -67,12 +83,24 @@ const (
 // not run a finale (retireDetachedLocked takes the same write lock).
 func (w *World) lockHeapLocked(fn func()) {
 	if w.concDetached {
-		w.heapMu.Lock()
+		w.lockHeapWrite()
 		fn()
 		w.heapMu.Unlock()
 		return
 	}
 	fn()
+}
+
+// lockHeapWrite takes the heap-structure write lock of a detached
+// phase, asking the workers' read-holds to yield while it waits, and
+// adds the wait to the cycle's HeapLockWaitNs. Callers hold w.mu and
+// release with w.heapMu.Unlock.
+func (w *World) lockHeapWrite() {
+	start := time.Now()
+	w.heapWant.Store(true)
+	w.heapMu.Lock()
+	w.heapWant.Store(false)
+	w.concHeapWaitNs += time.Since(start).Nanoseconds()
 }
 
 // retireDetachedLocked ends the detached phase: workers observe the
@@ -84,9 +112,9 @@ func (w *World) retireDetachedLocked() {
 		return
 	}
 	w.concGenA.Store(0)
-	w.heapMu.Lock()
-	// All in-flight chunks have completed and spilled; any straggler
-	// re-checks the generation under its read-hold and exits.
+	w.lockHeapWrite()
+	// All in-flight chunks have ended; any straggler re-checks the
+	// generation under its read-hold and exits.
 	w.heapMu.Unlock()
 	w.concDetached = false
 }
@@ -107,64 +135,58 @@ func (w *World) markWorker(par parChunker, gen uint64, i int) {
 			w.heapMu.RUnlock()
 			return
 		}
-		objects, bytes := par.DetachedChunk(i, w.cfg.MarkQuantum)
+		work, bytes := par.DetachedChunk(i, w.cfg.MarkQuantum, &w.heapWant)
 		w.heapMu.RUnlock()
 		if bytes > 0 {
 			w.pacerCredit.Add(int64(bytes))
 		}
-		if objects == 0 {
-			idle++
-			if idle > workerIdleAfter {
-				time.Sleep(workerIdleSleep)
-			} else {
-				runtime.Gosched()
-			}
-			continue
+		if workerIdle(&idle, work) {
+			time.Sleep(workerIdleSleep)
+		} else {
+			runtime.Gosched()
 		}
-		idle = 0
-		runtime.Gosched()
 	}
+}
+
+// workerIdle keeps a detached worker's count of consecutive chunks that
+// found nothing to do and says when to sleep on it. Idleness is judged
+// on work done — objects scanned or tasks taken — not on first-marks
+// won: a chunk that scanned a budget of objects whose children were all
+// marked already, or that a writer cut short after a few, was not idle.
+func workerIdle(idle *int, work int) (sleep bool) {
+	if work > 0 {
+		*idle = 0
+		return false
+	}
+	*idle++
+	return *idle > workerIdleAfter
 }
 
 // parChunker is the slice of mark.Parallel a detached worker uses;
 // an interface so the worker provably touches nothing else.
 type parChunker interface {
-	DetachedChunk(i, budget int) (objects int, bytes uint64)
+	DetachedChunk(i, budget int, yield *atomic.Bool) (work int, bytes uint64)
 }
 
-// concDetachedAdvanceLocked is concChunkLocked's detached-mode body:
-// contribute one assist chunk, then decide whether the cycle can
-// advance — the queue must be empty both before and after a write-lock
-// acquisition (the quiescence certificate) for the gray set to be
-// provably drained. Callers hold w.mu (and no heap read/write hold).
-func (w *World) concDetachedAdvanceLocked(quantum int) bool {
+// concCertifyLocked asks whether a detached cycle's gray set is
+// provably empty and, if so, runs the finale. It first hands the assist
+// shard's grays — what the barrier shaded since that shard last ran —
+// to the workers. It takes the write lock only when no work is visibly
+// left (the queue is empty and no worker said it holds grays), and
+// believes only what it then reads under the lock. Callers hold w.mu
+// (and no heap read/write hold).
+func (w *World) concCertifyLocked() bool {
 	if !w.concActive {
 		return true
 	}
-	if quantum <= 0 {
-		quantum = w.cfg.MarkQuantum
-	}
-	if _, bytes := w.par.AssistChunk(quantum); bytes > 0 {
-		w.pacerCredit.Add(int64(bytes))
-	}
-	if w.par.QueueSize() != 0 {
+	w.par.PublishAssist()
+	if w.par.WorkOutstanding() {
 		return false
 	}
-	// The queue looks empty. Certify: with the write lock held no chunk
-	// is in flight, and chunks end with spillAll, so an empty queue
-	// under the lock means the gray set is empty.
-	w.heapMu.Lock()
-	empty := w.par.QueueSize() == 0
+	w.lockHeapWrite()
+	done := w.par.Quiescent()
 	w.heapMu.Unlock()
-	if !empty {
-		return false
-	}
-	if w.concPasses < concMaxPasses && w.Heap.CountDirty() > concFinaleDirtyBudget {
-		w.concPasses++
-		w.stageDirtyRescanLocked()
-		// Staged tasks are invisible to detached workers (they pop the
-		// queue directly); publish them.
-		w.par.FlushStaged()
+	if !done {
 		return false
 	}
 	w.stwFinishConcurrent()
@@ -224,13 +246,13 @@ func (w *World) pacerAssistLocked() {
 	start := time.Now()
 	for round := 0; round < pacerMaxRounds && w.pacerCredit.Load() < 0; round++ {
 		if w.concDetached {
-			_, bytes := w.par.AssistChunk(w.cfg.MarkQuantum)
-			if bytes == 0 {
-				// Nothing to pull: the gray set may be drained. Advance
-				// the cycle state (rescan staging or the finale) once and
-				// stop repaying — the debt is against work that no longer
-				// exists.
-				w.concDetachedAdvanceLocked(w.cfg.MarkQuantum)
+			work, bytes := w.par.AssistChunk(w.cfg.MarkQuantum)
+			if work == 0 {
+				// Nothing to pull: the gray set may be drained. Ask for the
+				// certificate (and with it the finale) once and stop
+				// repaying — the debt is against work this caller cannot
+				// reach.
+				w.concCertifyLocked()
 				break
 			}
 			w.pacerCredit.Add(int64(bytes))

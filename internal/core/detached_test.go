@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"repro/internal/alloc"
+	"repro/internal/mark"
 	"repro/internal/mem"
 )
 
@@ -11,7 +13,7 @@ import (
 // single-driver lock-chunked cycle (and hence a stop-the-world
 // collection) does, and the insertion barrier must still defeat the
 // hide-behind-black race when the hiding store races real background
-// workers.
+// workers. Every cycle here runs under the closure oracle.
 
 // TestDetachedMarkingDifferential compares a detached cycle (4
 // background workers pulling without the world lock) against the
@@ -36,6 +38,7 @@ func TestDetachedMarkingDifferential(t *testing.T) {
 				c.ConcurrentMark = true
 				c.ConcMarkWorkers = workers
 				w := newWorld(t, c)
+				installClosureOracle(t, w, nil)
 				addData(t, w, "data", 0x2000, 4096)
 				allocs := concBuildGraph(t, directDriver{w})
 				if err := w.StartConcurrentCycle(); err != nil {
@@ -85,16 +88,19 @@ func TestDetachedMarkingDifferential(t *testing.T) {
 }
 
 // TestDetachedLostObject is the adversarial barrier test against real
-// background workers: hide the only pointer to an object inside a
-// possibly-already-scanned object and erase the other path, while 4
-// detached workers race the stores. Unlike the lock-chunked variant
-// the race window cannot be opened deterministically (a worker may
-// mark x before the hide lands), so the assertion is the soundness
-// outcome only: x must survive and exactly the one garbage object
-// must be reclaimed, every time.
+// background workers, repeated: hide the only pointer to an object
+// inside a possibly-already-scanned object and erase the other path,
+// while 4 detached workers race the stores. Unlike the lock-chunked
+// shapes the race window cannot be opened deterministically (a worker
+// may mark x before the hide lands), so the assertions are the
+// barrier's — x is marked when the hiding store returns, whoever marked
+// it — and the soundness outcome: x survives and exactly the one
+// garbage object is reclaimed, every time. (The case-by-case battery,
+// lostobject_test.go, runs against this shape too.)
 func TestDetachedLostObject(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
+		installClosureOracle(t, w, nil)
 		data := addData(t, w, "data", 0x2000, 4096)
 		alloc2 := func() mem.Addr {
 			p, err := w.Allocate(2, false)
@@ -120,10 +126,13 @@ func TestDetachedLostObject(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The hide, racing the workers: x's only pointer moves into
-		// `black`, the path through c1 is erased. Both stores dirty
-		// their cards under w.mu.
+		// `black`, the path through c1 is erased. The first store shades
+		// x under w.mu.
 		if err := w.Store(black, mem.Word(x)); err != nil {
 			t.Fatal(err)
+		}
+		if !markedNow(w, x) {
+			t.Fatalf("iter %d: x unmarked after the store that hid it", iter)
 		}
 		if err := w.Store(c1, 0); err != nil {
 			t.Fatal(err)
@@ -155,5 +164,64 @@ func TestDetachedConfigValidation(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentSweep: true})
 	if !w.Config().LazySweep {
 		t.Fatal("ConcurrentSweep did not imply LazySweep")
+	}
+}
+
+// TestWorkerIdleJudgedOnWork pins what a detached worker's back-off is
+// decided on. The worker is fed gray objects whose children are all
+// marked already — every chunk scans its full budget and wins no
+// first-mark, so the bytes it reports for the pacer are zero — through
+// the real chunk driver, with its stack kept between chunks as a
+// detached worker's is. Judged on first-marks such a worker looks idle
+// from its first chunk and is asleep by its ninth; judged on work done
+// it must never be told to sleep while gray objects are left anywhere.
+func TestWorkerIdleJudgedOnWork(t *testing.T) {
+	w := newWorld(t, Config{GCDivisor: -1})
+	const n = 2000
+	grays := make([]alloc.Gray, 0, n)
+	var prev mem.Addr
+	for i := 0; i < n; i++ {
+		p, err := w.Allocate(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store(p, mem.Word(prev)); err != nil {
+			t.Fatal(err)
+		}
+		// Marked here, queued below: nothing is left to win.
+		g, out := w.Heap.MarkCandidate(p, false, true)
+		if out != alloc.WonScan {
+			t.Fatalf("object %d: mark outcome %d", i, out)
+		}
+		grays = append(grays, g)
+		prev = p
+	}
+	par := mark.NewParallel(w.Heap, w.mcfg, 2)
+	par.ResetCycle()
+	par.AddGrays(grays)
+	par.FlushStaged()
+	idle, chunks := 0, 0
+	for !par.Quiescent() {
+		work, bytes := par.DetachedChunk(0, 16, nil)
+		chunks++
+		if bytes != 0 {
+			t.Fatalf("chunk %d won %d bytes of first-marks; the feed was to be all marked", chunks, bytes)
+		}
+		if work == 0 {
+			t.Fatalf("chunk %d reports no work with gray objects left", chunks)
+		}
+		if workerIdle(&idle, work) {
+			t.Fatalf("worker told to sleep after chunk %d with gray objects left", chunks)
+		}
+	}
+	if chunks < n/16 {
+		t.Fatalf("%d objects drained in %d chunks of 16", n, chunks)
+	}
+	// With nothing left the count runs up and the worker sleeps.
+	for i := 0; i <= workerIdleAfter; i++ {
+		work, _ := par.DetachedChunk(0, 16, nil)
+		if sleep := workerIdle(&idle, work); sleep != (i == workerIdleAfter) {
+			t.Fatalf("empty chunk %d: sleep = %v", i+1, sleep)
+		}
 	}
 }

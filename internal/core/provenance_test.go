@@ -506,3 +506,54 @@ func TestRetentionLabelMayCallWorld(t *testing.T) {
 		t.Fatalf("by-label = %d cons + %d tail, want %d + 1", cons, tail, n-1)
 	}
 }
+
+// TestProvenanceBarrierParent pins who a concurrent cycle says retained
+// an object the write barrier marked: the word the mutator stored it
+// into — a field of a heap object, or a root slot — which is where the
+// reference is, not whichever object a marker would have found it
+// through had the store not come first. Under the world lock's two
+// shapes nothing else can mark the targets before the stores do (no
+// chunk runs in between), so the records are exact; against detached
+// workers a worker may win the race, and the record may name the old
+// path instead.
+func TestProvenanceBarrierParent(t *testing.T) {
+	for _, shape := range concShapes {
+		shape := shape
+		t.Run(shape.name, func(t *testing.T) {
+			lw := newLostWorld(t, shape.cfg, Config{})
+			lw.w.EnableProvenance(true)
+			c1, holder, x, y := lw.alloc(2), lw.alloc(4), lw.alloc(2), lw.alloc(2)
+			lw.root(0, c1)
+			lw.root(1, holder)
+			lw.store(c1, mem.Word(x))
+			lw.store(c1+4, mem.Word(y))
+			lw.start()
+			lw.store(holder+8, mem.Word(x))      // into word 2 of a heap object
+			lw.store(lostRoots+5*4, mem.Word(y)) // into root slot 5
+			st := lw.finish()
+			if !st.Provenance || st.ProvenanceRecords != st.Mark.ObjectsMarked {
+				t.Fatalf("cycle recorded %d parents for %d marked objects (provenance %v)",
+					st.ProvenanceRecords, st.Mark.ObjectsMarked, st.Provenance)
+			}
+			rx, okx := lw.w.ProvenanceFor(x)
+			ry, oky := lw.w.ProvenanceFor(y)
+			if !okx || !oky {
+				t.Fatalf("no provenance record for x (%v) or y (%v)", okx, oky)
+			}
+			viaC1 := func(r mark.ParentRecord) bool { return r.Kind == mark.RootNone && r.Parent == c1 }
+			wantX := mark.ParentRecord{Obj: x, Parent: holder, Value: mem.Word(x), Kind: mark.RootNone, Ref: mark.RefExact, Index: 2}
+			wantY := mark.ParentRecord{Obj: y, Parent: lostRoots + 5*4, Value: mem.Word(y), Kind: mark.RootSegment, Ref: mark.RefExact, Index: 5}
+			raced := shape.name == "detached"
+			if rx != wantX && !(raced && viaC1(rx)) {
+				t.Fatalf("x's parent record %+v, want the stored-into field %+v", rx, wantX)
+			}
+			if ry != wantY && !(raced && viaC1(ry)) {
+				t.Fatalf("y's parent record %+v, want the stored-into root slot %+v", ry, wantY)
+			}
+			path, err := lw.w.WhyLive(x)
+			if err != nil || len(path) == 0 || path[len(path)-1].Kind != mark.RootSegment {
+				t.Fatalf("WhyLive(x) = %+v, %v; want a path ending at a root segment slot", path, err)
+			}
+		})
+	}
+}

@@ -398,6 +398,91 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 		t.Fatalf("sweep hist count=%d sum=%d, cycles=%d sweepNs=%d",
 			sweepHist.Count(), sweepHist.Sum(), sum.cycles, sum.sweepNs)
 	}
+	check("heap_lock_wait_ns", 0) // no detached cycle ran: the lock was never taken
+	if bytes.Contains(gctrace.Bytes(), []byte("heapwait")) {
+		t.Fatalf("gctrace reports a heap-lock wait on stop-the-world cycles:\n%s", gctrace.String())
+	}
+}
+
+// TestMetricsMatchDetachedCycleStats extends the running-sums invariant
+// to what only a detached concurrent cycle produces: the time its
+// world-lock holders waited for the heap-structure write lock
+// (CollectionStats.HeapLockWaitNs → heap_lock_wait_ns, gctrace
+// "heapwait"), and the stores whose target the insertion barrier marked
+// (barrier_shades, one EvBarrierShade each).
+func TestMetricsMatchDetachedCycleStats(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
+	rec := w.EnableTracing(0)
+	data := addData(t, w, "data", 0x2000, 4096)
+	var gctrace bytes.Buffer
+	w.SetGCTrace(&gctrace)
+	m := w.NewMutator()
+	var cycles, waitNs, waited uint64
+	w.SetCollectionHook(func(st CollectionStats) {
+		if !st.Concurrent || st.ConcWorkers != 2 {
+			t.Errorf("want detached concurrent cycles, got %+v", st)
+		}
+		cycles++
+		waitNs += uint64(st.HeapLockWaitNs)
+		if st.HeapLockWaitNs > 0 {
+			waited++
+		}
+	})
+	var shades uint64
+	for round := 0; round < 3; round++ {
+		addrs := churn(t, w, data, 0x2000, 64)
+		if err := w.StartConcurrentCycle(); err != nil {
+			t.Fatal(err)
+		}
+		// churn roots the even objects and leaves the odd ones white:
+		// storing an odd one into a rooted one is a shade that marks.
+		// (Stores first: an assist below may well finish so small a cycle.)
+		for i := 1; i < len(addrs); i += 2 {
+			if err := m.Store(addrs[i-1], mem.Word(addrs[i])); err != nil {
+				t.Fatal(err)
+			}
+			shades++
+		}
+		// Slow-path refills take the write lock against the workers.
+		for i := 0; i < 200; i++ {
+			if _, err := m.Allocate(8, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for steps := 0; !w.ConcurrentStep(0); steps++ {
+			if steps > 1_000_000 {
+				t.Fatal("cycle did not terminate")
+			}
+		}
+	}
+	if cycles != 3 {
+		t.Fatalf("%d cycles reported, want 3", cycles)
+	}
+	reg := w.Metrics()
+	for name, want := range map[string]uint64{
+		"gc_concurrent_cycles": cycles,
+		"heap_lock_wait_ns":    waitNs,
+		"barrier_shades":       shades,
+	} {
+		if got, ok := reg.Value(name); !ok || uint64(got) != want {
+			t.Fatalf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
+	}
+	if waitNs == 0 {
+		t.Fatal("three detached cycles with slow-path refills waited 0 ns for the heap lock; the wait is not being timed")
+	}
+	if got := uint64(bytes.Count(gctrace.Bytes(), []byte(", heapwait "))); got != waited {
+		t.Fatalf("gctrace has %d heapwait terms, %d cycles waited:\n%s", got, waited, gctrace.String())
+	}
+	var events uint64
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.EvBarrierShade {
+			events++
+		}
+	}
+	if events != shades {
+		t.Fatalf("%d barrier_shade events, %d shading stores", events, shades)
+	}
 }
 
 // TestMetricsMatchMutatorStats extends the running-sums invariant to

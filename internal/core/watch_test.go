@@ -279,6 +279,9 @@ func TestWatchBattery(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const nMut, slots = 4, 16
 			w := newWorld(t, cfg)
+			if cfg.ConcurrentMark {
+				installClosureOracle(t, w, nil)
+			}
 			data := addData(t, w, "roots", 0x2000, (nMut*slots+1)*4)
 			leakSlot := mem.Addr(0x2000 + nMut*slots*4)
 			alerts, err := w.StartRetentionWatch(WatchConfig{

@@ -335,11 +335,14 @@ type CollectionStats struct {
 	Incremental bool
 	Steps       int
 	// Concurrent is true when the cycle ran mostly-concurrently:
-	// a snapshot pause, background marking, a bounded final pause.
-	// RescanPasses is how many concurrent dirty-block rescan passes ran
-	// before the finale; FinalDirtyBlocks how many dirty blocks the
-	// final pause itself rescanned; MarkedConcurrent how many objects
-	// were marked outside the two pauses (the >90% acceptance metric).
+	// a snapshot pause, background marking, a final pause.
+	// MarkedConcurrent is how many objects were marked outside the two
+	// pauses (the >90% acceptance metric). RescanPasses and
+	// FinalDirtyBlocks count card rescans: a concurrent minor cycle's
+	// one pass over its remembered set (DirtyBlocks of them, staged at
+	// the snapshot) and nothing else — a cycle's own stores are shaded,
+	// not carded, so the final pause rescans no block and
+	// FinalDirtyBlocks stays 0.
 	Concurrent       bool
 	RescanPasses     int
 	FinalDirtyBlocks int
@@ -374,6 +377,13 @@ type CollectionStats struct {
 	// time Duration does not include. Zero when no ownership records
 	// exist.
 	PauseReconcileNs int64
+	// HeapLockWaitNs is how long the world-lock holders of a detached
+	// concurrent cycle — slow-path allocations refilling a cache, frees,
+	// audits, the certificate and the retirement — waited for the
+	// heap-structure write lock behind the mark workers' read-holds,
+	// summed over the cycle. Zero for every other kind of cycle, which
+	// takes no such lock.
+	HeapLockWaitNs int64
 	// SweepDeferredBlocks is how many blocks this cycle's sweep left
 	// pending for lazy sweeping (always 0 with LazySweep off).
 	SweepDeferredBlocks int
@@ -429,10 +439,9 @@ type World struct {
 	// in flight; concMinor its generational kind; concPar whether it
 	// marks through w.par (width was > 1 at the snapshot); concGen is a
 	// staleness counter so a background driver from a finished cycle
-	// exits instead of driving the next one; concPasses counts the
-	// concurrent rescan passes run so far; concDirty is the serial
-	// width's staged dirty-block rescan queue; concDirtyBlocks the
-	// minor snapshot's remembered-set size; concSnapMarked the objects
+	// exits instead of driving the next one; concDirty is the serial
+	// width's queue of a minor snapshot's remembered set, concDirtyBlocks
+	// that set's size; concSnapMarked the objects
 	// marked inside the snapshot pause; concStart/concSnapNs anchor the
 	// cycle's pause accounting; concStealsStart snapshots the parallel
 	// marker's cumulative steal count at the cycle start.
@@ -440,7 +449,6 @@ type World struct {
 	concMinor       bool
 	concPar         bool
 	concGen         uint64
-	concPasses      int
 	concDirty       []int
 	concDirtyBlocks int
 	concSnapMarked  uint64
@@ -450,7 +458,10 @@ type World struct {
 	// Detached-marking state (detached.go). heapMu guards heap
 	// *structure* against the detached workers: workers hold the read
 	// side per chunk, allocator mutations take the write side through
-	// lockHeapLocked; lock order is mu strictly before heapMu.
+	// lockHeapLocked; lock order is mu strictly before heapMu. heapWant
+	// is the writer's announcement — raised before it asks for the lock,
+	// lowered once it holds it — that makes the workers' holds yield;
+	// concHeapWaitNs sums the cycle's write-side waits.
 	// concDetached marks a detached phase in flight (mutated under mu);
 	// concGenA atomically mirrors concGen for the workers' staleness
 	// checks (0 = retired); concWorkers is the cycle's detached worker
@@ -459,6 +470,8 @@ type World struct {
 	// converts allocated bytes to owed mark bytes, pacerLastAlloc is
 	// the allocation cursor of the pacer's last look.
 	heapMu         sync.RWMutex
+	heapWant       atomic.Bool
+	concHeapWaitNs int64
 	concDetached   bool
 	concGenA       atomic.Uint64
 	concWorkers    int
@@ -469,6 +482,12 @@ type World struct {
 	finalizable    map[mem.Addr]struct{}
 	reclaimed      []mem.Addr
 	hook           func(CollectionStats)
+	// finaleAudit, when set, runs in every concurrent finale once marking
+	// has reached its fixpoint and before the sweep consumes the mark
+	// bits — the one point where "marked ⊇ reachable" can be checked.
+	// The test batteries hang their closure oracle on it; nil otherwise,
+	// one compare per finale.
+	finaleAudit func()
 	// Multi-tenant serving state (tenant.go): tenants in creation order
 	// (a Tenant's id is its 1-based index here); ownerCreditSet records
 	// that the allocator's owner-credit callback was installed (done
@@ -526,10 +545,13 @@ type worldMetrics struct {
 	markSteals                     *metrics.Counter
 
 	// Concurrent-mark counters: cycles run concurrently, the summed
-	// bounded final pauses, blocks newly dirtied by the write barrier,
-	// and queue steals by the background bounded runs.
-	concCycles, finalPauseNs     *metrics.Counter
-	barrierDirty, concMarkSteals *metrics.Counter
+	// final pauses, stores whose target the write barrier marked, queue
+	// steals by the background bounded runs, and the time world-lock
+	// holders waited for the heap-structure write lock of detached
+	// cycles (the running sum of CollectionStats.HeapLockWaitNs).
+	concCycles, finalPauseNs      *metrics.Counter
+	barrierShades, concMarkSteals *metrics.Counter
+	heapLockWaitNs                *metrics.Counter
 
 	// Pacer and background-sweep observability: time mutators spent in
 	// slow-path assists, the pacer's current credit (negative = debt),
@@ -614,8 +636,9 @@ func newWorldMetrics() worldMetrics {
 		markSteals:         reg.Counter("mark_steals"),
 		concCycles:         reg.Counter("gc_concurrent_cycles"),
 		finalPauseNs:       reg.Counter("stw_final_pause_ns"),
-		barrierDirty:       reg.Counter("barrier_dirty_blocks"),
+		barrierShades:      reg.Counter("barrier_shades"),
 		concMarkSteals:     reg.Counter("conc_mark_steals"),
+		heapLockWaitNs:     reg.Counter("heap_lock_wait_ns"),
 		pacerAssistNs:      reg.Counter("pacer_assist_ns"),
 		pacerCreditB:       reg.Gauge("pacer_credit_bytes"),
 		concSweepBlocks:    reg.Counter("conc_sweep_blocks"),
@@ -775,6 +798,7 @@ func (w *World) recordCycle(st CollectionStats) {
 		m.concCycles.Inc()
 		m.finalPauseNs.Add(uint64(st.PauseFinalNs))
 		m.finalHist.Record(uint64(st.PauseFinalNs))
+		m.heapLockWaitNs.Add(uint64(st.HeapLockWaitNs))
 	case st.Minor:
 		m.minorCycles.Inc()
 	case st.Incremental:
@@ -809,9 +833,9 @@ func (w *World) writeGCTrace(st CollectionStats) {
 	kind := "full"
 	switch {
 	case st.Concurrent && st.Minor:
-		kind = fmt.Sprintf("concurrent-minor(%d passes)", st.RescanPasses)
+		kind = "concurrent-minor"
 	case st.Concurrent:
-		kind = fmt.Sprintf("concurrent(%d passes)", st.RescanPasses)
+		kind = "concurrent"
 	case st.Minor:
 		kind = "minor"
 	case st.Incremental:
@@ -831,15 +855,17 @@ func (w *World) writeGCTrace(st CollectionStats) {
 		fmt.Fprintf(w.gctrace, ", %d deferred", st.SweepDeferredBlocks)
 	}
 	if st.Concurrent {
-		fmt.Fprintf(w.gctrace, ", snap %.2fms final %.2fms (%d dirty rescanned)",
-			float64(st.PauseSnapshotNs)/1e6, float64(st.PauseFinalNs)/1e6,
-			st.FinalDirtyBlocks)
+		fmt.Fprintf(w.gctrace, ", snap %.2fms final %.2fms",
+			float64(st.PauseSnapshotNs)/1e6, float64(st.PauseFinalNs)/1e6)
 	}
 	if st.PauseStopNs > 0 {
 		fmt.Fprintf(w.gctrace, ", stop %.2fms", float64(st.PauseStopNs)/1e6)
 	}
 	if st.PauseReconcileNs > 0 {
 		fmt.Fprintf(w.gctrace, ", recon %.2fms", float64(st.PauseReconcileNs)/1e6)
+	}
+	if st.HeapLockWaitNs > 0 {
+		fmt.Fprintf(w.gctrace, ", heapwait %.2fms", float64(st.HeapLockWaitNs)/1e6)
 	}
 	fmt.Fprintln(w.gctrace)
 }
@@ -1622,9 +1648,10 @@ func (w *World) Load(a mem.Addr) (mem.Word, error) {
 	return w.Space.Load(a)
 }
 
-// Store writes a heap or segment word (convenience for workloads). In
-// generational mode it doubles as the write barrier: heap stores dirty
-// their page, like the VM-dirty-bit barrier of the PCR collector.
+// Store writes a heap or segment word (convenience for workloads). It
+// is also the write barrier (storeLocked): in generational mode heap
+// stores dirty their page, like the VM-dirty-bit barrier of the PCR
+// collector; during a concurrent cycle the stored value is shaded.
 func (w *World) Store(a mem.Addr, v mem.Word) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1632,18 +1659,17 @@ func (w *World) Store(a mem.Addr, v mem.Word) error {
 }
 
 // storeLocked is the write barrier + store body; callers hold w.mu.
-// During a concurrent cycle it is the Dijkstra-style insertion barrier
-// at dirty-card granularity: the written-to block is re-greyed, so the
-// finale (or an earlier rescan pass) re-scans its marked objects and
-// finds whatever pointer this store published.
+// There is one barrier per kind of cycle. While a concurrent cycle is
+// marking it is Dijkstra's insertion barrier, exact: the stored value
+// is shaded (shadeLocked) — cards play no part in such a cycle. Between
+// generational collections, and inside an incremental cycle, the
+// written-to block's card is dirtied for the next collection (or the
+// cycle's finale) to rescan.
 func (w *World) storeLocked(a mem.Addr, v mem.Word) error {
-	if w.cfg.Generational || w.incActive || w.concActive {
-		if w.Heap.MarkDirty(a) && w.concActive {
-			w.met.barrierDirty.Inc()
-			if w.tracer.Enabled() {
-				w.tracer.Emit(trace.EvBarrierDirty, int64(a), int64(w.Heap.CountDirty()), 0)
-			}
-		}
+	if w.concActive {
+		w.shadeLocked(a, v)
+	} else if w.cfg.Generational || w.incActive {
+		w.Heap.MarkDirty(a)
 	}
 	return w.Space.Store(a, v)
 }

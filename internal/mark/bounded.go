@@ -8,8 +8,13 @@
 // onto the shared queue and retire. Because the queue persists between
 // bounded runs (AddGrays and leftover spills accumulate rather than
 // overwrite), the cycle's gray set lives in exactly two places at a
-// chunk boundary: the shared queue and nowhere else — every worker's
-// local stack is empty when RunBounded returns.
+// chunk boundary of a lock-chunked cycle: the shared queue, and the
+// assist shard's stack, where the insertion barrier leaves what it
+// shades between chunks (Shade) and from where the next run collects it.
+// Every worker's local stack is empty when a run that exhausted its
+// budget returns. A run also starts from whatever the workers' stacks
+// hold: that is how the finale of a detached cycle, whose workers keep
+// their stacks between chunks (detached.go), drains them.
 //
 // Termination of one bounded run reuses the idle-count fixpoint from
 // Run, with one extension: a worker that exhausts the budget counts
@@ -43,6 +48,7 @@ func (p *Parallel) ResetCycle() {
 	p.staged = p.staged[:0]
 	for _, w := range p.workers {
 		w.m.Reset()
+		w.holds.Store(false)
 	}
 	p.assist.m.Reset()
 }
@@ -55,13 +61,15 @@ func (p *Parallel) AddGrays(grays []alloc.Gray) {
 	grayTasks(grays, func(t task) { p.staged = append(p.staged, t) })
 }
 
-// RunBounded drains staged and queued work, scanning at most budget
-// objects across all workers, and reports whether the gray set is
-// exhausted. Unlike Run it appends staged tasks to the persistent
-// queue, does not reset worker statistics, and may return with work
-// remaining (done == false). Call with an effectively infinite budget
-// to force completion (the finale does).
+// RunBounded drains staged and queued work — and what the assist shard
+// and the workers' own stacks hold — scanning at most budget objects
+// across all workers, and reports whether the gray set is exhausted.
+// Unlike Run it appends staged tasks to the persistent queue, does not
+// reset worker statistics, and may return with work remaining (done ==
+// false). Call with an effectively infinite budget to force completion
+// (the finale does).
 func (p *Parallel) RunBounded(budget int) (done bool) {
+	p.PublishAssist()
 	p.queue.mu.Lock()
 	p.queue.tasks = append(p.queue.tasks, p.staged...)
 	p.queue.size.Store(int32(len(p.queue.tasks)))

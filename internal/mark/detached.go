@@ -9,26 +9,61 @@
 //
 //   - mark-bit transitions are CAS (atomicMark), so racing workers
 //     admit exactly one winner per object — the fixpoint is the same
-//     monotone closure as always;
+//     monotone closure as always — and the mark bit is the only shared
+//     word a mark writes (the allocator recounts its per-block
+//     summaries from the bitmaps afterwards);
 //   - heap *words* are read atomically (the scan loop always loads
 //     that way) and the mutator store path writes them atomically
-//     (alloc.Config.AtomicWords), so a torn or stale read is
-//     impossible; a stale-but-consistent read is sound because the
-//     insertion barrier dirties the stored-to block, and dirty blocks
-//     are rescanned before the cycle can finish;
+//     (alloc.Config.AtomicWords), so a torn read is impossible; a
+//     stale-but-consistent read is sound because the insertion barrier
+//     shades the stored value at the store (Shade): whichever value a
+//     racing scan reads, the new one is already marked and gray;
 //   - heap *structure* (block table, free lists, extents, bitmaps) is
 //     protected by a reader-writer lock in core: each DetachedChunk
 //     call runs entirely inside one read-hold, and every allocator
-//     mutation takes the write side. The coordinator's quiescence
-//     certificate is "write-lock acquired (no chunk in flight) and the
-//     shared queue is empty": a chunk ends with spillAll, so between
-//     chunks no worker hides gray objects in a local stack.
+//     mutation takes the write side. A hold yields to a waiting writer:
+//     the chunk looks at core's writer flag between steps of at most
+//     yieldStep objects and returns early when it is raised. The look
+//     lives here, in the chunk driver, not in the scan loop's pop path,
+//     where it was priced at 5–10 % of a stop-the-world pause.
+//   - a worker's local mark stack survives the end of its chunk — the
+//     whole stack copied into queue tasks every few microseconds was
+//     priced too, and lost — so the gray set lives in the shared queue,
+//     the workers' stacks and the assist shard's stack. A worker sheds
+//     the older half of its stack to the queue only when the queue is
+//     empty and it holds shedMin grays or more, which is when another
+//     marker could be idle for want of them. The coordinator's
+//     quiescence certificate (Quiescent) is therefore "write lock held
+//     — no chunk in flight, so the stacks are readable — and the queue,
+//     every worker's stack and the assist shard's stack are empty";
+//     WorkOutstanding is the lock-free hint that keeps anyone from
+//     taking the write lock while work is visibly left. Stacks left
+//     over at a forced finale are drained by RunBounded, which runs the
+//     same shards.
 //
 // AssistChunk is the same bounded pull through a dedicated marker
-// shard, used by mutator slow-path assists that already hold the world
-// lock (the pacer's debt repayment); it needs no read-hold because
-// every allocator mutation also holds the world lock.
+// shard, used by callers that already hold the world lock (the pacer's
+// debt repayment, the insertion barrier through Shade); it needs no
+// read-hold because every allocator mutation also holds the world lock,
+// and it hands its leftovers to the queue, where the workers — who are
+// not on a request's critical path — can take them.
 package mark
+
+import (
+	"sync/atomic"
+
+	"repro/internal/mem"
+)
+
+const (
+	// yieldStep is how many objects a chunk scans between looks at the
+	// writer flag: the longest a slow-path allocation waits for a
+	// read-hold to end, a few microseconds.
+	yieldStep = 64
+	// shedMin is the local stack depth from which a worker shares its
+	// older half when the shared queue has run dry.
+	shedMin = 64
+)
 
 // FlushStaged moves staged tasks onto the shared queue immediately, so
 // detached workers (which pop the queue directly rather than entering
@@ -45,49 +80,115 @@ func (p *Parallel) FlushStaged() {
 	p.staged = p.staged[:0]
 }
 
-// QueueSize returns the shared queue's current task count (a lock-free
-// hint; exact only under external quiescence).
-func (p *Parallel) QueueSize() int { return int(p.queue.size.Load()) }
+// Shade runs the insertion barrier's step (Marker.Shade) through the
+// assist shard, for a caller holding the world lock. A won gray stays on
+// that shard's stack until PublishAssist, the next AssistChunk or the
+// next RunBounded hands it on.
+func (p *Parallel) Shade(org RootOrigin, index int32, v mem.Word) bool {
+	return p.assist.m.Shade(org, index, v)
+}
 
-// DetachedChunk runs worker i for one bounded chunk: pop tasks from the
-// shared queue and scan up to budget objects, then spill any remainder
-// back. It returns the objects and bytes this chunk marked (first-marks
-// won by this shard only). The caller owns the read-hold for the whole
-// call and must not run the same worker index concurrently (core spawns
-// one goroutine per index).
-func (p *Parallel) DetachedChunk(i, budget int) (objects int, bytes uint64) {
-	return p.chunkWorker(p.workers[i], budget)
+// PublishAssist moves the assist shard's grays — what the barrier
+// shaded since the shard last ran — onto the shared queue, where
+// detached workers find them. Callers hold the world lock.
+func (p *Parallel) PublishAssist() {
+	if len(p.assist.m.stack) > 0 {
+		p.spillAll(p.assist)
+	}
+}
+
+// grayOffWorkers reports whether gray objects sit anywhere but on the
+// workers' stacks: in the shared queue, staged for it, or on the assist
+// shard. Callers hold the world lock, which guards the last two.
+func (p *Parallel) grayOffWorkers() bool {
+	return p.queue.size.Load() > 0 || len(p.staged) > 0 || len(p.assist.m.stack) > 0
+}
+
+// WorkOutstanding is the lock-free hint that gray objects are visibly
+// left: the shared queue is non-empty, or a worker said at the end of
+// its last hold (or on taking a task) that its stack holds some, or the
+// assist shard holds some. False means only that it is worth taking the
+// write lock to ask Quiescent. Callers hold the world lock (the assist
+// shard's stack is read).
+func (p *Parallel) WorkOutstanding() bool {
+	if p.grayOffWorkers() {
+		return true
+	}
+	for _, w := range p.workers {
+		if w.holds.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// Quiescent is the fixpoint certificate of a detached phase: no gray
+// object anywhere. Callers hold the world lock and the heap-structure
+// write lock, so no chunk is in flight and every worker's stack can be
+// read.
+func (p *Parallel) Quiescent() bool {
+	if p.grayOffWorkers() {
+		return false
+	}
+	for _, w := range p.workers {
+		if len(w.m.stack) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// DetachedChunk runs worker i for one bounded chunk: drain its own
+// stack, refilling from the shared queue, for up to budget objects or
+// until yield reads true, whichever is first. It returns how much it
+// did — objects scanned plus tasks taken, zero only if there was nothing
+// to do — and the bytes this shard marked (the pacer's credit). The
+// worker's stack is left as it stands. The caller owns the read-hold
+// for the whole call and must not run the same worker index
+// concurrently (core spawns one goroutine per index).
+func (p *Parallel) DetachedChunk(i, budget int, yield *atomic.Bool) (work int, bytes uint64) {
+	return p.chunkWorker(p.workers[i], budget, yield)
 }
 
 // AssistChunk is DetachedChunk through the dedicated assist shard, for
-// callers holding the world lock. Safe to run concurrently with
-// detached workers: they share only the CAS bits, the task queue and
-// the locked blacklist.
-func (p *Parallel) AssistChunk(budget int) (objects int, bytes uint64) {
-	return p.chunkWorker(p.assist, budget)
+// callers holding the world lock: it never yields (its caller is the
+// writer) and it ends by moving what it did not scan to the shared
+// queue. Safe to run concurrently with detached workers: they share
+// only the CAS bits, the task queue and the locked blacklist.
+func (p *Parallel) AssistChunk(budget int) (work int, bytes uint64) {
+	work, bytes = p.chunkWorker(p.assist, budget, nil)
+	p.PublishAssist()
+	return work, bytes
 }
 
 // chunkWorker is the shared bounded pull: local budget, no shared
 // credit pool (unlike RunBounded, concurrent callers must not starve
-// each other's pacing), spillAll before returning so the worker holds
-// no grays between chunks.
-func (p *Parallel) chunkWorker(w *worker, budget int) (objects int, bytes uint64) {
+// each other's pacing).
+func (p *Parallel) chunkWorker(w *worker, budget int, yield *atomic.Bool) (work int, bytes uint64) {
 	m := w.m
-	before := m.stats
-	remaining := budget
-	for remaining > 0 {
-		remaining = m.drain(remaining)
-		if len(m.stack) > 0 {
-			break // budget exhausted with grays left
+	before := m.stats.BytesMarked
+	for budget > 0 {
+		if len(m.stack) == 0 {
+			t, ok := p.queue.pop()
+			if !ok {
+				break
+			}
+			w.holds.Store(true)
+			p.steals.Add(1)
+			p.process(w, t)
+			work++
 		}
-		t, ok := p.queue.pop()
-		if !ok {
+		step := min(budget, yieldStep)
+		scanned := step - m.drain(step)
+		budget -= scanned
+		work += scanned
+		if len(m.stack) >= shedMin && p.queue.size.Load() == 0 {
+			p.spill(m)
+		}
+		if yield != nil && yield.Load() {
 			break
 		}
-		p.steals.Add(1)
-		p.process(w, t)
 	}
-	p.spillAll(w)
-	return int(m.stats.ObjectsMarked - before.ObjectsMarked),
-		m.stats.BytesMarked - before.BytesMarked
+	w.holds.Store(len(m.stack) > 0)
+	return work, m.stats.BytesMarked - before
 }

@@ -417,11 +417,13 @@ func TestDriversShareTheLoop(t *testing.T) {
 		{"detached", func(h *mixedHeap, cfg Config) Stats {
 			p, agg := handOff(h, cfg)
 			p.FlushStaged()
-			for i := 0; p.QueueSize() > 0; i++ {
+			// Workers keep their stacks between chunks, so "done" is the
+			// certificate, not an empty queue.
+			for i := 0; !p.Quiescent(); i++ {
 				if i%3 == 2 {
 					p.AssistChunk(5)
 				} else {
-					p.DetachedChunk(i%2, 23)
+					p.DetachedChunk(i%2, 23, nil)
 				}
 			}
 			agg.add(p.AggStats())

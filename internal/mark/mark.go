@@ -169,6 +169,24 @@ func (m *Marker) MarkValue(v mem.Word) {
 	m.scan(c[:], true, 0)
 }
 
+// Shade is the insertion barrier's step: v, which a mutator is about to
+// store at word index of the heap object or root area org names (Kind
+// RootNone and Base the object's base for a heap object), is classified
+// like any scanned word — a valid object address is marked and left gray
+// on this marker's stack for whoever drains it next, a near-heap
+// non-pointer is blacklisted. It reports whether the store's target was
+// unmarked until now. While recording, a first-mark made here names the
+// stored-into word as the object's parent.
+func (m *Marker) Shade(org RootOrigin, index int32, v mem.Word) bool {
+	if m.rec {
+		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src, base: index}
+	}
+	before := m.stats.ObjectsMarked
+	c := [1]mem.Word{v}
+	m.scan(c[:], false, 0)
+	return m.stats.ObjectsMarked != before
+}
+
 // scan is the mark loop: figure 2's classification of every word in ws,
 // stated once — root areas, register files, single values and the
 // fields of gray objects all come through here. Each nonzero word is a

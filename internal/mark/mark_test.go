@@ -1,6 +1,7 @@
 package mark
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -456,17 +457,22 @@ func benchMarkList(b *testing.B, blacklisting bool) {
 // The variants price the loop's other paths against "conservative":
 // typed nodes (descriptor bitmaps walked by set bit), "cas" (the mark
 // bit set by compare-and-swap: every parallel, bounded and detached
-// worker's loop), PointerInterior, "rescan" (the by-base entry: every
-// marked object of every block through ScanObject with all its targets
-// marked already, which is what a concurrent cycle does to its dirty
-// blocks), and a push/pop-only rung — the mark stack's share of the
-// per-object cost.
+// worker's loop), "cas2" (two goroutines doing that at once, from the
+// head and from the middle of the chain, so each marks about half the
+// graph and the wall time per object shows what they cost each other:
+// whatever a mark writes besides its own bit is paid for here and
+// nowhere on the one-goroutine rungs), PointerInterior, "rescan" (the
+// by-base entry: every marked object of every block through ScanObject
+// with all its targets marked already, which is what a minor cycle does
+// to its remembered set), and a push/pop-only rung — the mark stack's
+// share of the per-object cost.
 func BenchmarkMarkLiveGraph(b *testing.B) {
 	for _, v := range []liveGraphVariant{
 		{name: "conservative"},
 		{name: "unperturbed", still: true},
 		{name: "typed", typed: true},
 		{name: "cas", cas: true},
+		{name: "cas2", cas: true, second: true},
 		{name: "interior", policy: PointerInterior},
 		{name: "rescan", still: true, cas: true, rescan: true},
 	} {
@@ -501,6 +507,7 @@ type liveGraphVariant struct {
 	still  bool // no perturbation between iterations
 	typed  bool // nodes allocated against a descriptor naming words 0 and 1
 	cas    bool // mark bits set by compare-and-swap
+	second bool // a second marker runs concurrently, from the chain's middle
 	rescan bool // time ScanObject over the marked graph, not the mark
 	policy PointerPolicy
 }
@@ -519,6 +526,8 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 	}
 	m := New(heap, Config{Policy: v.policy})
 	m.atomicMark = v.cas
+	m2 := New(heap, Config{Policy: v.policy})
+	m2.atomicMark = v.cas
 	rng := simrand.New(1)
 	sizes := [3]int{4, 8, 16}
 	var ids [3]alloc.DescID
@@ -546,13 +555,23 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 		}
 		addrs[i] = p
 	}
-	head := mem.Word(addrs[nodes-1])
+	head, middle := mem.Word(addrs[nodes-1]), mem.Word(addrs[nodes/2-1])
 	var onClock time.Duration
+	var wg sync.WaitGroup
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
+		if v.second {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m2.MarkValue(middle)
+				m2.Drain()
+			}()
+		}
 		m.MarkValue(head)
 		m.Drain()
+		wg.Wait()
 		if v.rescan {
 			start = time.Now()
 			for bi := 0; bi < heap.NumBlocks(); bi++ {
@@ -560,11 +579,12 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 			}
 		}
 		onClock += time.Since(start)
-		if got := m.Stats().ObjectsMarked; got != nodes {
+		if got := m.Stats().ObjectsMarked + m2.Stats().ObjectsMarked; got != nodes {
 			b.Fatalf("marked %d objects, want %d", got, nodes)
 		}
 		heap.ClearMarks()
 		m.Reset()
+		m2.Reset()
 		if !v.still {
 			for k := 0; k < 660; k++ {
 				heap.Seg().Store(addrs[rng.Intn(nodes)]+mem.WordBytes, mem.Word(addrs[rng.Intn(nodes)]))

@@ -155,6 +155,9 @@ type worker struct {
 	m       *Marker
 	pending *addrBuffer
 	p       *Parallel
+	// holds is a detached worker's word to the coordinator that its stack
+	// held gray objects when its last hold ended (detached.go).
+	holds atomic.Bool
 }
 
 // run is one worker goroutine's cycle entry point.
@@ -171,11 +174,12 @@ type Parallel struct {
 	cfg     Config
 	shared  *blacklist.Locked
 	workers []*worker
-	// assist is a dedicated marker shard for mutator slow-path assists
-	// during detached concurrent cycles (detached.go). It shares the
-	// queue and blacklist like a worker but is never spawned by Run or
-	// RunBounded, so an assist under the world lock can run while the
-	// detached worker goroutines own the regular shards.
+	// assist is a dedicated marker shard for whoever holds the world
+	// lock during a sharded concurrent cycle (detached.go): the insertion
+	// barrier shades through it (Shade), and mutator slow-path assists
+	// drain through it while detached workers own the regular shards. It
+	// shares the queue and blacklist like a worker but is never spawned by
+	// Run or RunBounded; RunBounded collects its stack before it starts.
 	assist  *worker
 	queue   taskQueue
 	idle    atomic.Int32

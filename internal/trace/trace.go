@@ -111,13 +111,13 @@ const (
 	// lines (Config.LineAlloc). A0 span base address, A1 slots in the
 	// span, A2 object words per slot.
 	EvSpanRefill
-	// EvBarrierDirty records the concurrent-mark write barrier newly
-	// dirtying a block (first store into it since its last rescan). A0
-	// the stored-to address, A1 blocks currently dirty.
-	EvBarrierDirty
-	// EvFinalPause records a concurrent cycle's bounded final pause. A0
-	// pause duration in nanoseconds, A1 dirty blocks rescanned in the
-	// pause, A2 concurrent rescan passes run before it.
+	// EvBarrierShade records the concurrent-mark write barrier marking
+	// the target of a store: the stored value was the address of an
+	// object no marker had reached yet. A0 the stored-to address, A1 the
+	// stored value.
+	EvBarrierShade
+	// EvFinalPause records a concurrent cycle's final pause. A0 pause
+	// duration in nanoseconds, A1 objects marked inside the pause.
 	EvFinalPause
 	// EvPacerAssist records one mutator slow-path assist repaying mark
 	// debt to the pacer. A0 assist duration in nanoseconds, A1 bytes of
@@ -160,7 +160,7 @@ var kindNames = [numKinds]string{
 	EvProvenance:     "provenance",
 	EvRetention:      "retention",
 	EvSpanRefill:     "span_refill",
-	EvBarrierDirty:   "barrier_dirty",
+	EvBarrierShade:   "barrier_shade",
 	EvFinalPause:     "final_pause",
 	EvPacerAssist:    "pacer_assist",
 	EvBudgetExceeded: "budget_exceeded",

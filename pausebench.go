@@ -22,7 +22,7 @@ type PauseBenchOptions struct {
 	// runtime.GOMAXPROCS for its rows and restored afterwards.
 	Widths []int
 	// Trace, when non-nil, records collector events (snapshot pauses,
-	// barrier dirtying, final pauses) from every measured world.
+	// barrier shades, final pauses) from every measured world.
 	Trace *TraceRecorder
 }
 
@@ -52,7 +52,7 @@ type PauseBenchRow struct {
 	// The mutator-visible stop-the-world pause distribution, in
 	// nanoseconds. For stw rows each sample is a full collection's
 	// Duration; for concurrent rows each sample is one cycle's final
-	// pause (the bounded rescan-drain-sweep stop). Timing columns —
+	// pause (the root-rescan, drain and sweep stop). Timing columns —
 	// advisory in the gate.
 	PauseP50Ns float64 `json:"pause_p50_ns"`
 	PauseP99Ns float64 `json:"pause_p99_ns"`
@@ -112,9 +112,8 @@ func pausePercentile(ns []float64, p float64) float64 {
 // against the same collector run fully stop-the-world. The workload
 // keeps a growing linked structure live (rooted allocations plus links
 // between rooted objects, no frees), so full collections mark an
-// ever-larger graph while the concurrent finale only rescans dirty
-// blocks and roots — the gap between the two p99 columns is the
-// tentpole's payoff.
+// ever-larger graph while the concurrent finale only rescans the roots
+// — the gap between the two p99 columns is the tentpole's payoff.
 func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error) {
 	if opts.Mutators == 0 {
 		opts.Mutators = 8
@@ -273,8 +272,8 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 			// chains from the 8 final roots cover every residue class,
 			// so the whole allocation history stays reachable: the live
 			// graph grows throughout the run, full stop-the-world marks
-			// get steadily more expensive, and the concurrent finale's
-			// rescan stays bounded. Liveness is a property of the tape
+			// get steadily more expensive, and the concurrent finale
+			// stays a root rescan. Liveness is a property of the tape
 			// alone and replays identically in either mode.
 			var roots [slots]Addr
 			for i := 0; i < opts.Ops; i++ {
