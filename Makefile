@@ -37,14 +37,18 @@ test:
 # The parallel mark phase must be clean under the race detector. The
 # internal packages hold most of its tests (differential, fuzz seeds);
 # the root package adds the bench drivers and trace plumbing. The
-# concurrent cycle's soundness batteries — the lost-object battery, the
-# differentials, the mutator and watch batteries and the soak, every
-# finale of which the closure oracle checks for "marked ⊇ reachable" —
-# then run again at one, two and four processors, because what a
-# detached worker interleaves with depends on how many there are; and
-# the battery that audits the heap in mid-cycle, where a mark summary
-# read before its recount shows first, runs twenty times over.
-CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier
+# concurrent cycle's soundness batteries — the lost-object battery (its
+# forced-finale table is every entry point that lands a cycle in
+# flight), the differentials, the mutator and watch batteries and the soak, in both
+# shapes a concurrent cycle has (serial lock-chunked, detached workers),
+# every close of which the closure oracle checks for "marked ⊇
+# reachable"; the table test of the one close every cycle kind shares;
+# and the finalization accessors polled against a driver's finale — then run
+# again at one, two and four processors, because what a detached worker
+# or a background driver interleaves with depends on how many there
+# are; and the battery that audits the heap in mid-cycle, where a mark
+# summary read before its recount shows first, runs twenty times over.
+CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors
 race:
 	$(GO) test -race . ./internal/...
 	@set -e; for p in 1 2 4; do \
@@ -115,8 +119,8 @@ allocbench:
 
 # Regenerates BENCH_6.json (stop-the-world vs concurrent marking pause
 # percentiles under 8 mutators; three modes per width — stw, the pinned
-# single-driver concurrent cycle, and detached concurrent-workers with
-# the background sweeper). Object and live counts are exact invariants;
+# serial lock-chunked concurrent cycle, and detached concurrent-workers
+# with the background sweeper). Object and live counts are exact invariants;
 # pause percentiles, the p99 reduction, and the conc_phase mark
 # throughput are advisory timing (rows record gomaxprocs/conc_workers
 # and the oversubscribed flag so the gate knows when timing is

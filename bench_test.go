@@ -517,87 +517,79 @@ func BenchmarkMarkCandidate(b *testing.B) {
 // barrier's validity check finds the bit set — what most stores of a
 // long cycle see), and the stored value the address of an object no
 // marker has reached ("unmarked": the barrier marks it and pushes it).
-// Each is read at the serial width, where the bit is set plainly on the
-// world's own marker, and at the sharded width, where it is a
-// compare-and-swap through the assist shard. Cycles are opened
-// explicitly, so no background goroutine marks while the stores run:
-// the targets of "unmarked" are a chain hanging off one root, of which
-// the snapshot marks only the head.
+// It is read in the serial shape, where the bit is set plainly on the
+// world's own marker and a cycle opened explicitly has no background
+// goroutine marking while the stores run (a detached cycle's barrier is
+// the same step through the assist shard by compare-and-swap, with
+// workers racing it: BenchmarkMarkLiveGraph/cas2 prices that). The
+// targets of "unmarked" are a chain hanging off one root, of which the
+// snapshot marks only the head.
 func BenchmarkStoreBarrier(b *testing.B) {
 	const chain = 1 << 14
-	for _, width := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"serial", Config{MarkWorkers: 1, ConcMarkWorkers: 1}},
-		{"sharded", Config{MarkWorkers: 2, ConcMarkWorkers: 1}},
-	} {
-		for _, state := range []string{"idle", "marked", "unmarked"} {
-			b.Run(width.name+"/"+state, func(b *testing.B) {
-				cfg := width.cfg
-				cfg.ConcurrentMark = true
-				cfg.GCDivisor = -1
-				cfg.InitialHeapBytes = 1 << 20
-				w, err := NewWorld(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				data, err := w.Space.MapNew("data", KindData, 0x2000, 4096, 4096)
-				if err != nil {
-					b.Fatal(err)
-				}
-				alloc2 := func() Addr {
-					p, err := w.Allocate(2, false)
-					if err != nil {
-						b.Fatal(err)
-					}
-					return p
-				}
-				holder := alloc2()
-				data.Store(0x2000, Word(holder))
-				targets := make([]Addr, chain)
-				for i := range targets {
-					targets[i] = alloc2()
-					if i > 0 {
-						w.Store(targets[i-1], Word(targets[i]))
-					}
-				}
-				data.Store(0x2004, Word(targets[0]))
-				open := func() {
-					if state == "idle" {
-						return
-					}
-					if err := w.StartConcurrentCycle(); err != nil {
-						b.Fatal(err)
-					}
-					if state == "marked" {
-						// One pass of stores marks every target; the timed
-						// passes then find them all marked.
-						for _, p := range targets {
-							w.Store(holder, Word(p))
-						}
-					}
-				}
-				open()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := w.Store(holder, Word(targets[i%chain])); err != nil {
-						b.Fatal(err)
-					}
-					if state == "unmarked" && i%chain == chain-1 {
-						// Every target is marked now: start over on a fresh
-						// cycle, off the clock.
-						b.StopTimer()
-						w.FinishConcurrentCycle()
-						open()
-						b.StartTimer()
-					}
-				}
-				b.StopTimer()
-				w.FinishConcurrentCycle()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/store")
+	for _, state := range []string{"idle", "marked", "unmarked"} {
+		b.Run("serial/"+state, func(b *testing.B) {
+			w, err := NewWorld(Config{
+				ConcurrentMark: true, ConcMarkWorkers: 1,
+				GCDivisor: -1, InitialHeapBytes: 1 << 20,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			data, err := w.Space.MapNew("data", KindData, 0x2000, 4096, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			alloc2 := func() Addr {
+				p, err := w.Allocate(2, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return p
+			}
+			holder := alloc2()
+			data.Store(0x2000, Word(holder))
+			targets := make([]Addr, chain)
+			for i := range targets {
+				targets[i] = alloc2()
+				if i > 0 {
+					w.Store(targets[i-1], Word(targets[i]))
+				}
+			}
+			data.Store(0x2004, Word(targets[0]))
+			open := func() {
+				if state == "idle" {
+					return
+				}
+				if err := w.StartConcurrentCycle(); err != nil {
+					b.Fatal(err)
+				}
+				if state == "marked" {
+					// One pass of stores marks every target; the timed
+					// passes then find them all marked.
+					for _, p := range targets {
+						w.Store(holder, Word(p))
+					}
+				}
+			}
+			open()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.Store(holder, Word(targets[i%chain])); err != nil {
+					b.Fatal(err)
+				}
+				if state == "unmarked" && i%chain == chain-1 {
+					// Every target is marked now: start over on a fresh
+					// cycle, off the clock.
+					b.StopTimer()
+					w.FinishConcurrentCycle()
+					open()
+					b.StartTimer()
+				}
+			}
+			b.StopTimer()
+			w.FinishConcurrentCycle()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/store")
+		})
 	}
 }
 

@@ -25,7 +25,7 @@
 //	placement   E13: heap placement in the address space (§2)
 //	atomic      E14: pointer-free allocation for compressed data (§2)
 //	typed       E15: conservative vs exact heap layouts (introduction)
-//	pauses      E16: stop-the-world vs incremental vs generational pauses
+//	pauses      E16: stop-the-world vs mostly-concurrent vs generational pauses
 //	obs5        E17: residual references die under continued execution
 //	markbench   parallel mark-phase scaling by worker count
 //	sweepbench  collection pauses, eager vs lazy sweeping (plus markbench)

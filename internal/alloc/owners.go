@@ -143,7 +143,7 @@ func (a *Allocator) tagSlot(ob *ownerBlock, slot int, id int32) {
 
 // TagOwner records that the object at base is owned by tenant id: the
 // single-object form, for allocations that come from no carve (large,
-// typed, desperate and incremental-mode objects).
+// typed and desperate objects).
 func (a *Allocator) TagOwner(base mem.Addr, id int32) {
 	ob := a.ownerBlockFor(a.blockIndex(base))
 	a.tagSlot(ob, ob.slotOf(base), id)

@@ -207,7 +207,7 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 		if concurrent {
 			installClosureOracle(t, w, nil)
 			w.mu.Lock()
-			w.startConcurrentLocked(true) // minor; no background driver
+			w.startConcurrentLocked(kindConcurrentMinor) // no background driver
 			w.mu.Unlock()
 			for steps := 0; !w.ConcurrentStep(8); steps++ {
 				if steps > 1_000_000 {

@@ -109,7 +109,6 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		"full":          {GCDivisor: 6},
 		"gen-lazy":      {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 		"par-lazy":      {GCDivisor: 6, MarkWorkers: 4, LazySweep: true},
-		"incremental":   {Incremental: true, GCDivisor: 6, MarkQuantum: 64},
 		"line":          {GCDivisor: 6, LineAlloc: true},
 		"line-gen-lazy": {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true, LineAlloc: true},
 		"line-par-lazy": {GCDivisor: 6, MarkWorkers: 4, LazySweep: true, LineAlloc: true},
@@ -301,7 +300,7 @@ func FuzzConcurrentAlloc(f *testing.F) {
 		{GCDivisor: 4},
 		{GCDivisor: 4, LazySweep: true},
 		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true},
-		{Incremental: true, GCDivisor: 4, MarkQuantum: 32},
+		{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: 4, MarkQuantum: 32},
 		{GCDivisor: 4, MarkWorkers: 2, LazySweep: true},
 	})
 }

@@ -1,0 +1,461 @@
+package core
+
+import (
+	"sync/atomic"
+	"time"
+
+	"repro/internal/alloc"
+	"repro/internal/mark"
+	"repro/internal/mem"
+	"repro/internal/trace"
+)
+
+// One collection cycle. Every collection — whatever triggers it and
+// however it marks — goes through the same three steps:
+//
+//	open   land the previous cycle's deferred sweeps, return central
+//	       bump spans, stamp the blacklist's new cycle, clear the sticky
+//	       mark bits of a full generational cycle, emit the begin event
+//	       (openCycleLocked);
+//	mark   to the fixpoint. A stop-the-world kind does it in the pause
+//	       that opened the cycle (markPhase). A concurrent kind scans the
+//	       roots in that pause (the snapshot), resumes the mutators,
+//	       marks in chunks behind them, and reaches the fixpoint in a
+//	       second pause that scans the roots again (concurrent.go);
+//	close  queue unreachable finalizables, sweep, reset the allocation
+//	       and card counters, age the blacklist, count the collection,
+//	       harvest provenance, assemble CollectionStats, emit the end
+//	       events, fire the hook (closeCycleLocked).
+//
+// All three run under w.mu with every mutator stopped and flushed: the
+// sweep classifies blocks from their bitmaps, so a cached slot that was
+// not flushed back would be reclaimed and then carved a second time.
+// The only part of a cycle that runs with mutators running is a
+// concurrent kind's chunks, between its two pauses; cycle.active is
+// true exactly then. DESIGN.md has the table of which kind does what in
+// each step.
+
+// cycleKind says how a cycle marks and what it may reclaim. The values
+// are the "cycle kind" argument of the trace events (trace.EvCycleBegin
+// and friends) and do not change: 2 was the incremental cycle's and is
+// retired, not reused.
+type cycleKind int64
+
+const (
+	kindFull            cycleKind = 0
+	kindMinor           cycleKind = 1
+	kindConcurrent      cycleKind = 3
+	kindConcurrentMinor cycleKind = 4
+)
+
+// minor reports a generational minor cycle: sticky mark bits are the
+// old generation, the remembered set is rescanned, survivors promote.
+func (k cycleKind) minor() bool { return k == kindMinor || k == kindConcurrentMinor }
+
+// concurrent reports a mostly-concurrent cycle: two pauses with chunked
+// marking between them, instead of one pause.
+func (k cycleKind) concurrent() bool { return k >= kindConcurrent }
+
+// kindOf composes a kind from its two properties.
+func kindOf(concurrent, minor bool) cycleKind {
+	switch {
+	case concurrent && minor:
+		return kindConcurrentMinor
+	case concurrent:
+		return kindConcurrent
+	case minor:
+		return kindMinor
+	}
+	return kindFull
+}
+
+// Kind names the cycle the statistics describe: "full", "minor",
+// "concurrent" or "concurrent-minor".
+func (st CollectionStats) Kind() string {
+	switch kindOf(st.Concurrent, st.Minor) {
+	case kindConcurrentMinor:
+		return "concurrent-minor"
+	case kindConcurrent:
+		return "concurrent"
+	case kindMinor:
+		return "minor"
+	}
+	return "full"
+}
+
+// cycle is the state of the collection in progress (World.cyc; guarded
+// by w.mu except where noted). Stop-the-world kinds fill it and consume
+// it inside one pause; a concurrent kind keeps it from its snapshot to
+// its finale.
+type cycle struct {
+	kind cycleKind
+	// active: a concurrent cycle is between its two pauses — mutators
+	// run, stores shade, fresh objects are born black. False inside every
+	// pause, the finale's included.
+	active bool
+	// detached: the cycle marks through w.par — background worker
+	// goroutines that hold no world lock (detached.go). False: it marks
+	// on w.Marker, under w.mu, in chunks (the serial lock-chunked form).
+	// workers is the detached goroutine count, 0 for a serial cycle.
+	detached bool
+	workers  int
+	// gen is bumped when a concurrent cycle starts and when it ends, so a
+	// background driver left over from a finished cycle exits instead of
+	// driving the next one; genA mirrors it atomically for the detached
+	// workers, who hold no lock (0 = retired).
+	gen  uint64
+	genA atomic.Uint64
+	// dirty is the serial form's queue of a minor cycle's remembered set
+	// (block indices, staged at the snapshot); dirtyBlocks is that set's
+	// size whichever marker rescans it.
+	dirty       []int
+	dirtyBlocks int
+	// start is when the cycle opened, pauseStart when the pause that
+	// closes it began (the same instant for a stop-the-world kind);
+	// snapNs is the length of a concurrent kind's snapshot pause.
+	start      time.Time
+	pauseStart time.Time
+	snapNs     int64
+	// marks is the mark phase's statistics at the fixpoint and markNs the
+	// part of the closing pause it took; snapMarked and preFinaleMarked
+	// are the objects a concurrent kind had marked by the end of its
+	// snapshot and by the start of its finale.
+	marks           mark.Stats
+	markNs          int64
+	snapMarked      uint64
+	preFinaleMarked uint64
+	// stealsStart snapshots w.par's cumulative steal count at the start
+	// of a detached cycle; heapWaitNs sums the cycle's waits for the
+	// heap-structure write lock.
+	stealsStart uint64
+	heapWaitNs  int64
+	// The assist pacer (detached.go): pacerCredit is marked bytes banked
+	// (negative = debt; the detached workers add to it without a lock),
+	// pacerRatio converts allocated bytes to owed mark bytes,
+	// pacerLastAlloc is the allocation cursor of the pacer's last look.
+	pacerCredit    atomic.Int64
+	pacerRatio     float64
+	pacerLastAlloc uint64
+}
+
+// openCycleLocked is the first step of every collection. Callers hold
+// w.mu with every mutator stopped and no cycle in flight.
+func (w *World) openCycleLocked(kind cycleKind) *cycle {
+	c := &w.cyc
+	c.kind = kind
+	c.start = time.Now()
+	c.pauseStart = c.start
+	c.detached, c.workers = false, 0
+	c.dirty, c.dirtyBlocks = c.dirty[:0], 0
+	c.snapNs, c.heapWaitNs = 0, 0
+	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), int64(kind))
+	// Deferred lazy sweeps hold the previous cycle's liveness in their
+	// mark bits, and central bump spans hold carved-but-unissued slots
+	// whose alloc bits would read as live objects; both must land before
+	// this cycle changes or observes any bit. No-ops with LazySweep and
+	// LineAlloc off.
+	w.Heap.FinishSweep()
+	w.Heap.FlushSpans()
+	w.Blacklist.BeginCycle()
+	if w.cfg.Generational && !kind.minor() {
+		// Mark bits are sticky between minor cycles — they are the old
+		// generation; a full collection starts from a clean slate.
+		w.Heap.ClearMarks()
+	}
+	return c
+}
+
+// collectLocked runs a collection of the given kind now and returns its
+// statistics: stop the mutators, open, mark to the fixpoint, close,
+// resume. A concurrent cycle in flight is landed instead — its finale
+// is the collection the caller gets. Callers hold w.mu with the
+// mutators running.
+func (w *World) collectLocked(kind cycleKind) CollectionStats {
+	if w.landCycleLocked() {
+		return w.last
+	}
+	w.stopMutatorsLocked()
+	defer w.resumeMutatorsLocked()
+	c := w.openCycleLocked(kind)
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kind))
+	markStart := time.Now()
+	c.marks, c.dirtyBlocks = w.markPhase(kind.minor())
+	c.markNs = time.Since(markStart).Nanoseconds()
+	return w.closeCycleLocked()
+}
+
+// landCycleLocked completes the concurrent cycle in flight, if there is
+// one, and reports whether there was: whoever is about to collect, take
+// a measurement that clobbers mark bits, free objects behind the
+// markers' backs or give up on memory calls it first. Callers hold w.mu
+// with the mutators running.
+func (w *World) landCycleLocked() bool {
+	if !w.cyc.active {
+		return false
+	}
+	w.stopMutatorsLocked()
+	defer w.resumeMutatorsLocked()
+	w.finishConcurrentLocked()
+	return true
+}
+
+// closeCycleLocked is the last step of every collection: marking has
+// reached its fixpoint and c.marks/c.markNs describe it. Callers hold
+// w.mu with every mutator stopped and flushed, and no detached worker
+// left.
+func (w *World) closeCycleLocked() CollectionStats {
+	c := &w.cyc
+	kind := c.kind
+	w.traceMarkEnd(c.marks)
+	if w.finaleAudit != nil {
+		w.finaleAudit()
+	}
+	// Finalisation, as used by the paper's PCR experiment: "selected
+	// otherwise unreachable heap cells to be enqueued for further
+	// action". Unmarked registered objects are queued before the sweep
+	// frees them.
+	for a := range w.finalizable {
+		if !w.Heap.Marked(a) {
+			w.reclaimed = append(w.reclaimed, a)
+			delete(w.finalizable, a)
+		}
+	}
+	w.traceSweepBegin(kind)
+	sweepStart := time.Now()
+	// Spans carved while a concurrent cycle marked hold unissued
+	// (born-black) slots; returning them also drops their mark bits, so
+	// the sweep's survey counts only real objects. A stop-the-world kind
+	// has carved none since it opened.
+	w.Heap.FlushSpans()
+	var sweep alloc.SweepResult
+	if w.cfg.Generational {
+		// Survivors keep their mark bits: they are the old generation. A
+		// full cycle cleared the bits when it opened, so they reflect
+		// exactly this cycle's liveness.
+		sweep = w.Heap.SweepSticky()
+	} else {
+		sweep = w.Heap.Sweep()
+	}
+	pauseSweep := time.Since(sweepStart)
+	w.Heap.ResetSinceGC()
+	w.Heap.ClearDirty()
+	if w.cfg.ExpireAge > 0 {
+		w.Blacklist.Expire(w.cfg.ExpireAge)
+	}
+	w.collections++
+	if kind.minor() {
+		w.minorsSinceFull++
+	} else {
+		w.minorsSinceFull = 0
+	}
+	provRecs := w.harvestProvenance(kind)
+	if c.detached {
+		w.met.concMarkSteals.Add(w.par.Steals() - c.stealsStart)
+	}
+	pause := time.Since(c.pauseStart)
+	st := CollectionStats{
+		Mark:                c.marks,
+		Sweep:               sweep,
+		Blacklist:           w.Blacklist.Stats(),
+		Duration:            time.Duration(c.snapNs) + pause,
+		HeapBytes:           w.Heap.Stats().HeapBytes,
+		Minor:               kind.minor(),
+		DirtyBlocks:         c.dirtyBlocks,
+		Concurrent:          kind.concurrent(),
+		PauseMarkNs:         c.markNs,
+		PauseSweepNs:        pauseSweep.Nanoseconds(),
+		PauseStopNs:         w.lastStopNs,
+		SweepDeferredBlocks: w.Heap.SweepPending(),
+		Provenance:          w.prov.enabled,
+		ProvenanceRecords:   provRecs,
+	}
+	if kind.minor() {
+		st.Promoted = c.marks.ObjectsMarked
+	}
+	if kind.concurrent() {
+		c.gen++ // retire any background driver still scheduled
+		w.tracer.Emit(trace.EvFinalPause, pause.Nanoseconds(), int64(c.marks.ObjectsMarked-c.preFinaleMarked), 0)
+		st.MarkedConcurrent = c.preFinaleMarked - c.snapMarked
+		st.ConcWorkers = c.workers
+		st.ConcPhaseNs = max(c.pauseStart.Sub(c.start).Nanoseconds()-c.snapNs, 0)
+		st.PauseSnapshotNs = c.snapNs
+		st.PauseFinalNs = pause.Nanoseconds()
+		st.HeapLockWaitNs = c.heapWaitNs
+		if kind.minor() && c.dirtyBlocks > 0 {
+			st.RescanPasses = 1 // the remembered set, staged at the snapshot
+		}
+	}
+	w.last = st
+	w.traceCycleEnd(st)
+	w.fireHook()
+	return w.last
+}
+
+// eachRootArea calls fn with every root area a mark phase scans, in scan
+// order: the attached root source's register file (sparse: nonzero words
+// only, as single candidates) and live stack, the same for each mutator
+// handle that has a source, then the root segments. Callers hold w.mu
+// with every mutator stopped, so the sources are quiescent.
+func (w *World) eachRootArea(fn func(org mark.RootOrigin, words []mem.Word, sparse bool)) {
+	source := func(src RootSource, idx int32) {
+		fn(mark.RootOrigin{Kind: mark.RootRegister, Src: idx}, src.Registers(), true)
+		stackWords, stackBase := src.LiveStack()
+		fn(mark.RootOrigin{Kind: mark.RootStack, Src: idx, Base: stackBase}, stackWords, false)
+	}
+	if w.mut != nil {
+		source(w.mut, -1)
+	}
+	for i, m := range w.muts {
+		if m.src != nil {
+			source(m.src, int32(i))
+		}
+	}
+	for i, s := range w.Space.Roots() {
+		fn(mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()}, s.Words(), false)
+	}
+}
+
+// markRoots performs the root-scanning half of a mark phase on the
+// serial marker.
+func (w *World) markRoots() {
+	w.eachRootArea(func(org mark.RootOrigin, words []mem.Word, sparse bool) {
+		if sparse {
+			w.Marker.MarkSparseRoots(org, words)
+		} else {
+			w.Marker.MarkRootArea(org, words)
+		}
+	})
+}
+
+// markPhase is the mark step of a stop-the-world kind (and the whole of
+// a MarkOnly measurement): mark from the roots to the fixpoint inside
+// the pause — serially through w.Marker, or sharded across w.par's
+// workers when the resolved width is above 1 — and return the phase's
+// statistics plus the size of the remembered set it rescanned (minor
+// cycles only). Parallel phases mark exactly the serial object set: the
+// CAS on each mark bit admits one winner, so ObjectsMarked, BytesMarked
+// and the blacklisted pages match the serial run bit for bit.
+func (w *World) markPhase(minor bool) (mark.Stats, int) {
+	dirty := 0
+	workers := w.effectiveMarkWorkers()
+	w.lastMarkWorkers = workers
+	if workers <= 1 {
+		w.Marker.Reset()
+		if w.prov.enabled {
+			w.Marker.StartRecording()
+		}
+		if minor {
+			// Rescan old objects on dirty pages first: at this point
+			// every marked object is old, so the scan is exactly the
+			// remembered set.
+			w.Heap.DirtyBlocks(func(bi int) {
+				dirty++
+				w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
+			})
+		}
+		w.markRoots()
+		w.Marker.Drain()
+		return w.Marker.Stats(), dirty
+	}
+	w.ensureParLocked(workers)
+	if w.prov.enabled {
+		w.par.StartRecording()
+	}
+	if minor {
+		w.Heap.DirtyBlocks(func(bi int) {
+			dirty++
+			w.par.AddDirtyBlock(bi)
+		})
+	}
+	w.eachRootArea(func(org mark.RootOrigin, words []mem.Word, sparse bool) {
+		if sparse {
+			w.par.AddSparseRootsOrigin(org, words)
+		} else {
+			w.par.AddRootsOrigin(org, words)
+		}
+	})
+	return w.par.Run(), dirty
+}
+
+// ensureParLocked (re)builds the sharded marker at the given width.
+// Rebuilding happens when the adaptive selection changed its mind (the
+// live heap crossed a band, or GOMAXPROCS moved); steal counters start
+// over with the new marker.
+func (w *World) ensureParLocked(workers int) {
+	if w.par == nil || w.parWorkers != workers {
+		w.par = mark.NewParallel(w.Heap, w.mcfg, workers)
+		w.parWorkers = workers
+		w.prevSteals = 0
+		w.par.SetTracer(w.tracer)
+	}
+}
+
+// dueCycleLocked is the regular-interval trigger: whether allocation
+// since the last collection has crossed the configured share of the
+// heap, and which kind of cycle that calls for. Generational worlds
+// prefer the cheaper minor cycle at the minor interval, with every
+// FullEvery-th a full one; a generational world that marks concurrently
+// triggers on the minor interval alone. Callers hold w.mu with no cycle
+// in flight.
+func (w *World) dueCycleLocked() (kind cycleKind, due bool) {
+	cfg := &w.cfg
+	st := w.Heap.Stats()
+	if cfg.Generational && cfg.MinorDivisor > 0 && st.BytesSinceGC > uint64(st.HeapBytes/cfg.MinorDivisor) {
+		return kindOf(cfg.ConcurrentMark, w.minorsSinceFull < cfg.FullEvery-1), true
+	}
+	if cfg.Generational && cfg.ConcurrentMark {
+		return kindFull, false
+	}
+	if cfg.GCDivisor > 0 && st.BytesSinceGC > uint64(st.HeapBytes/cfg.GCDivisor) {
+		return kindOf(cfg.ConcurrentMark, false), true
+	}
+	return kindFull, false
+}
+
+// allocTrigger records an allocation crossing the collection threshold,
+// immediately before the cycle it triggers.
+func (w *World) allocTrigger(kind cycleKind) {
+	w.met.allocTriggered.Inc()
+	if w.tracer.Enabled() {
+		st := w.Heap.Stats()
+		w.tracer.Emit(trace.EvAllocTrigger, int64(st.BytesSinceGC), int64(st.HeapBytes), int64(kind))
+	}
+}
+
+// traceMarkEnd emits the mark-phase closing events: the phase totals
+// plus, under parallel marking, each worker's share.
+func (w *World) traceMarkEnd(mstats mark.Stats) {
+	if !w.tracer.Enabled() {
+		return
+	}
+	w.tracer.Emit(trace.EvMarkEnd,
+		int64(mstats.ObjectsMarked), int64(mstats.BytesMarked), int64(mstats.WordsScanned))
+	if w.par != nil {
+		w.par.EachWorkerStats(func(i int, s mark.Stats) {
+			w.tracer.Emit(trace.EvWorkerMark, int64(i), int64(s.ObjectsMarked), int64(s.BytesMarked))
+		})
+	}
+}
+
+// traceSweepBegin emits the sweep-phase opening event.
+func (w *World) traceSweepBegin(kind cycleKind) {
+	if !w.tracer.Enabled() {
+		return
+	}
+	lazy := int64(0)
+	if w.cfg.LazySweep {
+		lazy = 1
+	}
+	w.tracer.Emit(trace.EvSweepBegin, int64(w.collections+1), lazy, int64(kind))
+}
+
+// traceCycleEnd emits the sweep-phase and cycle closing events.
+func (w *World) traceCycleEnd(st CollectionStats) {
+	if !w.tracer.Enabled() {
+		return
+	}
+	w.tracer.Emit(trace.EvSweepEnd,
+		int64(st.Sweep.ObjectsFreed), int64(st.Sweep.BytesFreed), int64(st.SweepDeferredBlocks))
+	w.tracer.Emit(trace.EvCycleEnd,
+		int64(w.collections), int64(st.Sweep.ObjectsLive), int64(st.Sweep.BytesLive))
+}

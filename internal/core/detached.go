@@ -12,10 +12,10 @@ import (
 // Detached background marking, the rate-based assist pacer, and the
 // concurrent sweeper (Config.ConcMarkWorkers, Config.ConcurrentSweep).
 //
-// The lock-chunked concurrent cycle (concurrent.go) interleaves every
-// mark chunk with mutator execution under w.mu, so marking throughput
-// is bounded by one driver goroutine's share of the lock. Detached
-// marking shards the background phase across ConcMarkWorkers
+// The serial lock-chunked concurrent cycle (concurrent.go) interleaves
+// every mark chunk with mutator execution under w.mu, so marking
+// throughput is bounded by one driver goroutine's share of the lock.
+// Detached marking shards the background phase across ConcMarkWorkers
 // goroutines that hold no world lock while scanning:
 //
 //   - Mark bits are CAS transitions and heap words are read/written
@@ -40,14 +40,14 @@ import (
 //   - A worker's mark stack survives the end of its hold (nothing is
 //     copied back to the shared queue just because a writer came by);
 //     it tells the coordinator through a flag whether it holds grays.
-//   - Retirement never waits for goroutine exit: concGenA is the
+//   - Retirement never waits for goroutine exit: cycle.genA is the
 //     atomic mirror of the active cycle generation, workers re-check
 //     it after acquiring the read-hold, and storing 0 (never an active
 //     generation) followed by one write-lock acquisition certifies
 //     that no chunk is in flight and none can start. A straggler that
 //     acquires its read-hold later sees the stale generation and exits
 //     without touching the heap. What the workers' stacks still hold
-//     then is drained by the finale's RunBounded, which runs the same
+//     then is drained by the finale's DrainKept, which runs the same
 //     marker shards.
 //   - The fixpoint certificate is "write lock held, shared queue empty,
 //     every worker's stack and the assist shard's stack empty"
@@ -77,12 +77,12 @@ const (
 )
 
 // lockHeapLocked runs fn, holding the heap-structure write lock around
-// it when a detached phase is active (otherwise fn runs bare: no
+// it while a detached cycle's workers run (otherwise fn runs bare: no
 // detached reader exists, and w.mu already excludes everything else).
 // Callers hold w.mu; fn must not nest another lockHeapLocked and must
 // not run a finale (retireDetachedLocked takes the same write lock).
 func (w *World) lockHeapLocked(fn func()) {
-	if w.concDetached {
+	if w.cyc.active && w.cyc.detached {
 		w.lockHeapWrite()
 		fn()
 		w.heapMu.Unlock()
@@ -100,23 +100,22 @@ func (w *World) lockHeapWrite() {
 	w.heapWant.Store(true)
 	w.heapMu.Lock()
 	w.heapWant.Store(false)
-	w.concHeapWaitNs += time.Since(start).Nanoseconds()
+	w.cyc.heapWaitNs += time.Since(start).Nanoseconds()
 }
 
 // retireDetachedLocked ends the detached phase: workers observe the
 // cleared generation and exit, and one write-lock acquisition waits
 // out any chunk still in flight — after it, no worker touches the
-// heap again. Callers hold w.mu. No-op outside a detached phase.
+// heap again. Callers hold w.mu. No-op for a serial cycle.
 func (w *World) retireDetachedLocked() {
-	if !w.concDetached {
+	if !w.cyc.detached {
 		return
 	}
-	w.concGenA.Store(0)
+	w.cyc.genA.Store(0)
 	w.lockHeapWrite()
 	// All in-flight chunks have ended; any straggler re-checks the
 	// generation under its read-hold and exits.
 	w.heapMu.Unlock()
-	w.concDetached = false
 }
 
 // markWorker is one detached background marking goroutine: pull
@@ -127,18 +126,18 @@ func (w *World) retireDetachedLocked() {
 func (w *World) markWorker(par parChunker, gen uint64, i int) {
 	idle := 0
 	for {
-		if w.concGenA.Load() != gen {
+		if w.cyc.genA.Load() != gen {
 			return
 		}
 		w.heapMu.RLock()
-		if w.concGenA.Load() != gen {
+		if w.cyc.genA.Load() != gen {
 			w.heapMu.RUnlock()
 			return
 		}
 		work, bytes := par.DetachedChunk(i, w.cfg.MarkQuantum, &w.heapWant)
 		w.heapMu.RUnlock()
 		if bytes > 0 {
-			w.pacerCredit.Add(int64(bytes))
+			w.cyc.pacerCredit.Add(int64(bytes))
 		}
 		if workerIdle(&idle, work) {
 			time.Sleep(workerIdleSleep)
@@ -176,7 +175,7 @@ type parChunker interface {
 // believes only what it then reads under the lock. Callers hold w.mu
 // (and no heap read/write hold).
 func (w *World) concCertifyLocked() bool {
-	if !w.concActive {
+	if !w.cyc.active {
 		return true
 	}
 	w.par.PublishAssist()
@@ -189,7 +188,7 @@ func (w *World) concCertifyLocked() bool {
 	if !done {
 		return false
 	}
-	w.stwFinishConcurrent()
+	w.landCycleLocked()
 	return true
 }
 
@@ -199,9 +198,10 @@ func (w *World) concCertifyLocked() bool {
 // triggers cycles (heap/GCDivisor, or heap/MinorDivisor for minor
 // cycles), scaled by pacerSafety. Callers hold w.mu.
 func (w *World) pacerInitLocked(minor bool) {
+	c := &w.cyc
 	st := w.Heap.Stats()
-	w.pacerLastAlloc = st.BytesAllocated
-	w.pacerCredit.Store(0)
+	c.pacerLastAlloc = st.BytesAllocated
+	c.pacerCredit.Store(0)
 	div := w.cfg.GCDivisor
 	if minor && w.cfg.MinorDivisor > 0 {
 		div = w.cfg.MinorDivisor
@@ -219,7 +219,7 @@ func (w *World) pacerInitLocked(minor bool) {
 	if live < 64<<10 {
 		live = 64 << 10
 	}
-	w.pacerRatio = pacerSafety * float64(live) / float64(budget)
+	c.pacerRatio = pacerSafety * float64(live) / float64(budget)
 	w.met.pacerCreditB.Set(0)
 }
 
@@ -232,20 +232,21 @@ func (w *World) pacerInitLocked(minor bool) {
 // outruns the workers assists proportionally. Callers hold w.mu with
 // a concurrent cycle active.
 func (w *World) pacerAssistLocked() {
+	c := &w.cyc
 	alloced := w.Heap.Stats().BytesAllocated
-	if alloced > w.pacerLastAlloc {
-		debt := float64(alloced-w.pacerLastAlloc) * w.pacerRatio
-		w.pacerLastAlloc = alloced
-		w.pacerCredit.Add(-int64(debt))
+	if alloced > c.pacerLastAlloc {
+		debt := float64(alloced-c.pacerLastAlloc) * c.pacerRatio
+		c.pacerLastAlloc = alloced
+		c.pacerCredit.Add(-int64(debt))
 	}
-	owed := -w.pacerCredit.Load()
+	owed := -c.pacerCredit.Load()
 	if owed <= 0 {
-		w.met.pacerCreditB.Set(w.pacerCredit.Load())
+		w.met.pacerCreditB.Set(c.pacerCredit.Load())
 		return
 	}
 	start := time.Now()
-	for round := 0; round < pacerMaxRounds && w.pacerCredit.Load() < 0; round++ {
-		if w.concDetached {
+	for round := 0; round < pacerMaxRounds && c.pacerCredit.Load() < 0; round++ {
+		if c.detached {
 			work, bytes := w.par.AssistChunk(w.cfg.MarkQuantum)
 			if work == 0 {
 				// Nothing to pull: the gray set may be drained. Ask for the
@@ -255,9 +256,9 @@ func (w *World) pacerAssistLocked() {
 				w.concCertifyLocked()
 				break
 			}
-			w.pacerCredit.Add(int64(bytes))
+			c.pacerCredit.Add(int64(bytes))
 		} else {
-			// Lock-chunked cycles credit marked bytes inside
+			// Serial cycles credit marked bytes inside
 			// concChunkLocked itself (the background driver shares the
 			// same accounting path).
 			if w.concChunkLocked(w.cfg.MarkQuantum) {
@@ -267,9 +268,9 @@ func (w *World) pacerAssistLocked() {
 	}
 	ns := time.Since(start).Nanoseconds()
 	w.met.pacerAssistNs.Add(uint64(ns))
-	w.met.pacerCreditB.Set(w.pacerCredit.Load())
+	w.met.pacerCreditB.Set(c.pacerCredit.Load())
 	if w.tracer.Enabled() {
-		w.tracer.Emit(trace.EvPacerAssist, ns, int64(owed), w.pacerCredit.Load())
+		w.tracer.Emit(trace.EvPacerAssist, ns, int64(owed), c.pacerCredit.Load())
 	}
 }
 

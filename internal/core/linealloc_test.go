@@ -83,8 +83,8 @@ func lineScript(t *testing.T, d gcDriver) []mem.Addr {
 	return addrs
 }
 
-// lineConfigs are the collector modes the line profile composes with
-// (incremental mode disables it; see Config.LineAlloc).
+// lineConfigs are the stop-the-world collector modes the line profile
+// composes with (the concurrent batteries have line rows of their own).
 var lineConfigs = map[string]Config{
 	"full":         {GCDivisor: 4},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
@@ -228,63 +228,5 @@ func TestLineAllocGeneralWorkload(t *testing.T) {
 		if got := w.Heap.Stats().ObjectsAllocated; got != uint64(len(addrs)) {
 			t.Fatalf("handle=%v: ObjectsAllocated = %d, script allocated %d", useHandle, got, len(addrs))
 		}
-	}
-}
-
-// TestLineAllocIncrementalComposes replaces the old mode-exclusivity
-// pin (incremental worlds used to clear LineAlloc silently): the bump
-// profile now survives incremental cycles, because span flushes at the
-// cycle boundaries unmark the returned tails — a flushed
-// carved-but-unissued slot can no longer masquerade as a live object
-// across the finale's sweep. On line-aligned classes the incremental
-// line world must replay the incremental free-list world exactly.
-func TestLineAllocIncrementalComposes(t *testing.T) {
-	type outcome struct {
-		addrs []mem.Addr
-		stats []CollectionStats
-		w     *World
-	}
-	run := func(line bool) outcome {
-		w := newWorld(t, Config{Incremental: true, GCDivisor: 4, LineAlloc: line})
-		if !w.Config().LineAlloc && line {
-			t.Fatal("incremental world cleared LineAlloc")
-		}
-		addData(t, w, "data", 0x2000, 4096)
-		var stats []CollectionStats
-		w.SetCollectionHook(func(st CollectionStats) { stats = append(stats, st) })
-		addrs := lineScript(t, directDriver{w})
-		return outcome{addrs, stats, w}
-	}
-	freelist := run(false)
-	line := run(true)
-	if len(freelist.addrs) != len(line.addrs) {
-		t.Fatalf("allocation counts diverge: %d vs %d", len(freelist.addrs), len(line.addrs))
-	}
-	for i := range freelist.addrs {
-		if freelist.addrs[i] != line.addrs[i] {
-			t.Fatalf("allocation %d diverges: %#x vs %#x",
-				i, uint32(freelist.addrs[i]), uint32(line.addrs[i]))
-		}
-	}
-	if len(freelist.stats) != len(line.stats) {
-		t.Fatalf("collection counts diverge: %d vs %d", len(freelist.stats), len(line.stats))
-	}
-	incremental := false
-	for i := range freelist.stats {
-		x, y := freelist.stats[i], line.stats[i]
-		normalizeTimes(&x, &y)
-		if x != y {
-			t.Fatalf("cycle %d stats diverge:\nA %+v\nB %+v", i, x, y)
-		}
-		incremental = incremental || x.Incremental
-	}
-	if !incremental {
-		t.Fatal("no incremental cycle ran; the composition was not exercised")
-	}
-	if as, bs := freelist.w.Heap.Stats(), line.w.Heap.Stats(); as != bs {
-		t.Fatalf("final heap stats diverge:\nA %+v\nB %+v", as, bs)
-	}
-	if err := line.w.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
 	}
 }

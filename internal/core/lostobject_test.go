@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mark"
@@ -15,15 +16,14 @@ import (
 // have found it — and again at the end, by the sweep's counts and the
 // closure oracle.
 
-// concShapes are the three widths of a concurrent cycle: the serial
-// marker under the world lock, the sharded marker under the world lock,
-// and detached workers under the reader-writer lock.
+// concShapes are the two shapes of a concurrent cycle: the serial
+// marker under the world lock, and detached workers under the
+// reader-writer lock.
 var concShapes = []struct {
 	name string
 	cfg  Config
 }{
 	{"serial", Config{MarkWorkers: 1, ConcMarkWorkers: 1}},
-	{"sharded", Config{MarkWorkers: 4, ConcMarkWorkers: 1}},
 	{"detached", Config{ConcMarkWorkers: 4}},
 }
 
@@ -263,16 +263,40 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 
 			// The barrier's gray is still where the store left it — the
 			// serial marker's stack, the assist shard's — when something
-			// other than the certificate ends the cycle. x is marked by the
-			// store; y hangs off x and is found only if that gray is
-			// drained by the forced finale.
+			// other than the certificate ends the cycle: every entry point
+			// that needs the heap to itself lands the cycle in flight first
+			// (landCycleLocked). x is marked by the store; y hangs off x and
+			// is found only if that gray is drained by the forced finale.
 			for _, force := range []struct {
-				name string
-				run  func(lw *lostWorld)
+				name  string
+				extra Config
+				// policy, if set, gives run a tenant's mutator whose budget
+				// was spent on garbage before the cycle opened.
+				policy TenantPolicy
+				// own counts the collections the entry point runs itself once
+				// the cycle has landed.
+				own int
+				run func(lw *lostWorld, m *Mutator)
 			}{
-				{"finish", func(lw *lostWorld) { lw.w.FinishConcurrentCycle() }},
-				{"collect", func(lw *lostWorld) { lw.w.Collect() }},
-				{"need-memory", func(lw *lostWorld) {
+				{name: "finish", run: func(lw *lostWorld, _ *Mutator) { lw.w.FinishConcurrentCycle() }},
+				{name: "collect", run: func(lw *lostWorld, _ *Mutator) { lw.w.Collect() }},
+				{name: "collect-minor", extra: Config{Generational: true},
+					run: func(lw *lostWorld, _ *Mutator) { lw.w.CollectMinor() }},
+				{name: "mark-only", run: func(lw *lostWorld, _ *Mutator) { lw.w.MarkOnly() }},
+				{name: "retention-report", run: func(lw *lostWorld, _ *Mutator) {
+					lw.w.GetRetentionReport(RetentionOptions{TopRoots: -1})
+				}},
+				{name: "tenant-collect-first", policy: TenantCollectFirst, own: 1, run: func(lw *lostWorld, m *Mutator) {
+					if _, err := m.Allocate(8, false); err != nil {
+						lw.t.Errorf("over-budget allocation with reclaimable garbage: %v", err)
+					}
+				}},
+				{name: "tenant-evict", policy: TenantEvict, run: func(lw *lostWorld, m *Mutator) {
+					if _, err := m.Allocate(8, false); !errors.Is(err, ErrTenantEvicted) {
+						lw.t.Errorf("over-budget allocation: err = %v, want ErrTenantEvicted", err)
+					}
+				}},
+				{name: "need-memory", run: func(lw *lostWorld, _ *Mutator) {
 					// More than the heap can ever hold: the first failed
 					// attempt finishes the open cycle before anything else.
 					if _, err := lw.w.Allocate(1<<20, false); err == nil {
@@ -282,7 +306,19 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			} {
 				force := force
 				t.Run("forced-finale/"+force.name, func(t *testing.T) {
-					lw := newLostWorld(t, shape.cfg, Config{InitialHeapBytes: 256 << 10, ReserveHeapBytes: 256 << 10})
+					cfg := force.extra
+					cfg.InitialHeapBytes, cfg.ReserveHeapBytes = 256<<10, 256<<10
+					lw := newLostWorld(t, shape.cfg, cfg)
+					var m *Mutator
+					if force.policy != 0 {
+						const k = 40
+						m = lw.w.NewTenant(TenantConfig{BudgetBytes: k * tenantChargeBytes(8), Policy: force.policy}).NewMutator()
+						for i := 0; i < k; i++ {
+							if _, err := m.Allocate(8, false); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
 					c1, black, x, y := lw.alloc(2), lw.alloc(2), lw.alloc(2), lw.alloc(2)
 					lw.root(0, c1)
 					lw.root(1, black)
@@ -292,16 +328,19 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 					lw.start()
 					lw.store(black, mem.Word(x))
 					lw.store(c1, 0)
-					force.run(lw)
-					if lw.w.ConcurrentActive() || lw.w.Collections() != before+1 {
+					force.run(lw, m)
+					if lw.w.ConcurrentActive() || lw.w.Collections() != before+1+force.own {
 						t.Fatalf("%s did not end the open cycle (active %v, %d collections since)",
 							force.name, lw.w.ConcurrentActive(), lw.w.Collections()-before)
 					}
-					if st := lw.w.LastCollection(); !st.Concurrent {
+					if st := lw.w.LastCollection(); !st.Concurrent && force.own == 0 {
 						t.Fatalf("%s ran a collection of its own instead of the open cycle's finale: %+v", force.name, st)
 					}
 					lw.requireLive("x", x)
 					lw.requireLive("y, behind the barrier's undrained gray", y)
+					if err := lw.w.VerifyIntegrity(); err != nil {
+						t.Error(err)
+					}
 				})
 			}
 
@@ -318,7 +357,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 				young1, young2, garbage := lw.alloc(2), lw.alloc(2), lw.alloc(2)
 				lw.store(old1, mem.Word(young1)) // carded: the remembered set
 				lw.w.mu.Lock()
-				lw.w.startConcurrentLocked(true)
+				lw.w.startConcurrentLocked(kindConcurrentMinor)
 				lw.w.mu.Unlock()
 				lw.store(old2, mem.Word(young2)) // shaded: old2 is not rescanned
 				lw.requireMarked("young2", young2)

@@ -31,7 +31,7 @@ import (
 //     slot — allocated bits set, reachable from nothing — would be
 //     reclaimed and later carved a second time; flushing first is what
 //     makes the caches invisible to every collector mode (full,
-//     generational, incremental, parallel, lazy).
+//     generational, concurrent, parallel, lazy).
 //
 // Single-mutator equivalence. With one handle, every address and every
 // CollectionStats is bit-for-bit what the direct World entry points
@@ -70,8 +70,7 @@ type MutatorStats struct {
 	// without taking the central lock.
 	FastAllocs uint64
 	// SlowAllocs is how many allocations took the central lock: cache
-	// refills, large/typed objects, incremental-mode allocations, and
-	// collection-trigger diversions.
+	// refills, large/typed objects, and collection-trigger diversions.
 	SlowAllocs uint64
 	// Refills counts batched cache refills; RunSlots the slots they
 	// carved.
@@ -120,8 +119,7 @@ type Mutator struct {
 	// sinceGC mirrors the central BytesSinceGC as of the last slow
 	// path, advanced locally by fast-path consumption; trigger is the
 	// byte threshold at which the world would start a collection
-	// (hasTrigger false: none — incremental mode diverts every
-	// allocation instead). When sinceGC crosses trigger the fast path
+	// (hasTrigger false: none). When sinceGC crosses trigger the fast path
 	// diverts to the slow path, which re-evaluates the trigger
 	// centrally — with one mutator this reproduces the direct path's
 	// collection points exactly; with several it is a slightly stale
@@ -196,7 +194,7 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 	if m.src != nil {
 		m.src.OnAllocate()
 	}
-	if nwords >= 1 && !alloc.IsLarge(nwords) && !m.w.cfg.Incremental {
+	if nwords >= 1 && !alloc.IsLarge(nwords) {
 		class, words := alloc.ClassFor(nwords)
 		idx := class
 		if atomic {
@@ -283,7 +281,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 	// tagged records that p already carries its owner tag (the carve
 	// paths tag every carved slot, including the one handed out now).
 	tagged := false
-	if nwords >= 1 && !alloc.IsLarge(nwords) && !w.cfg.Incremental {
+	if nwords >= 1 && !alloc.IsLarge(nwords) {
 		class, words := alloc.ClassFor(nwords)
 		idx := class
 		if atomic {
@@ -309,7 +307,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				c.cursor = s.Cursor + slotBytes
 				c.limit = s.Limit
 				carved = true
-				if w.concActive {
+				if w.cyc.active {
 					// Born black: a concurrent cycle is marking while this
 					// span sits in the cache, and the finale must not sweep
 					// slots the fast path hands out after the snapshot.
@@ -340,7 +338,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				c.run = run
 				c.next = 1
 				carved = true
-				if w.concActive {
+				if w.cyc.active {
 					// Born black (see the span carve above): carved slots
 					// are zeroed, so the finale's sweep must not reclaim
 					// what the fast path hands out mid-cycle; ReturnRun
@@ -373,9 +371,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
 		}
 	} else {
-		// Large objects, and every allocation in incremental mode
-		// (whose bounded marking steps piggyback on each allocation):
-		// the original per-object path, uncached.
+		// Large objects: the original per-object path, uncached.
 		p, err = w.allocateLocked(nwords, m.src,
 			func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 			func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
@@ -389,15 +385,14 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 	if t := m.ten; t != nil {
 		t.noteAlloc(tenCharge)
 		if t.budgeted() && !tagged {
-			// Large, incremental-mode and desperate allocations come
-			// from no carve; tag the object itself.
+			// Large and desperate allocations come from no carve; tag
+			// the object itself.
 			w.Heap.TagOwner(p, t.id)
 		}
 	}
 	if dst != nil {
 		// Root while still holding w.mu: no collection can run before
-		// the store lands. storeLocked keeps the write barrier exact for
-		// in-flight incremental cycles.
+		// the store lands.
 		if serr := w.storeLocked(at, mem.Word(p)); serr != nil {
 			return 0, serr
 		}
@@ -565,11 +560,7 @@ func (m *Mutator) resyncLocked() {
 	m.hasTrigger = false
 	m.trigger = 0
 	cfg := &m.w.cfg
-	if cfg.Incremental {
-		// Incremental mode never uses the fast path; no trigger needed.
-		return
-	}
-	if m.w.concActive {
+	if m.w.cyc.active {
 		// A concurrent cycle is in flight: BytesSinceGC keeps growing
 		// until the finale resets it, so any trigger armed now would fire
 		// on the very next fast-path allocation and divert every

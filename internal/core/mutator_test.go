@@ -105,6 +105,7 @@ func normalizeTimes(a, b *CollectionStats) {
 	a.PauseReconcileNs, b.PauseReconcileNs = 0, 0
 	a.PauseSnapshotNs, b.PauseSnapshotNs = 0, 0
 	a.PauseFinalNs, b.PauseFinalNs = 0, 0
+	a.ConcPhaseNs, b.ConcPhaseNs = 0, 0
 }
 
 // TestMutatorDifferential proves the tentpole's compatibility claim: a
@@ -122,7 +123,6 @@ func TestMutatorDifferential(t *testing.T) {
 		"lazy":         {GCDivisor: 4, LazySweep: true},
 		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 		"par-lazy":     {GCDivisor: 4, MarkWorkers: 4, LazySweep: true},
-		"incremental":  {Incremental: true, GCDivisor: 4, MarkQuantum: 32},
 	}
 	for name, cfg := range configs {
 		cfg := cfg

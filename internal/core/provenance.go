@@ -37,8 +37,8 @@ func (w *World) ProvenanceEnabled() bool {
 }
 
 // ProvenanceValid reports whether a harvested provenance map exists,
-// and if so which collection cycle it describes. Full and incremental
-// cycles rebuild the map; generational minors merge their newly
+// and if so which collection cycle it describes. Full cycles rebuild
+// the map; generational minors merge their newly
 // promoted objects into it (sticky mark bits mean an old object never
 // re-wins a first-mark) and prune entries for objects since freed. For
 // a complete map, enable recording before a full cycle.
@@ -70,33 +70,22 @@ func (w *World) ProvenanceFor(addr mem.Addr) (mark.ParentRecord, bool) {
 
 // harvestProvenance collects the just-finished cycle's records from
 // whichever recorders marked it into the per-object map. STW sharded
-// phases record on the parallel workers, serial phases (including
-// incremental cycles) on the serial marker; concurrent cycles record on
-// both — the snapshot and finale root scans mark serially, the
-// background chunks in parallel — and the mark-bit first-win rule keeps
-// the merged set duplicate-free. kind is the trace cycle kind (0 full,
-// 1 generational minor, 2 incremental, 3 concurrent full, 4 concurrent
-// minor); minors merge, the rest rebuild. Returns the record count for
+// phases record on the parallel workers, serial phases on the serial
+// marker; detached concurrent cycles record on both — the snapshot and
+// finale root scans mark serially, the background chunks in parallel —
+// and the mark-bit first-win rule keeps the merged set duplicate-free.
+// Minor kinds merge, the rest rebuild. Returns the record count for
 // CollectionStats. Callers hold w.mu.
-func (w *World) harvestProvenance(kind int64) uint64 {
+func (w *World) harvestProvenance(kind cycleKind) uint64 {
 	if !w.prov.enabled {
 		return 0
 	}
-	recording := false
-	var recs []mark.ParentRecord
-	if w.par != nil && w.par.Recording() {
-		recording = true
-		recs = append(recs, w.par.StopRecording()...)
-	}
-	if w.Marker.Recording() {
-		recording = true
-		recs = append(recs, w.Marker.StopRecording()...)
-	}
+	recs, recording := w.stopRecording()
 	if !recording {
 		// Enabled after this cycle's mark phase started: nothing recorded.
 		return 0
 	}
-	minor := kind == 1 || kind == 4
+	minor := kind.minor()
 	if !minor || w.prov.records == nil {
 		w.prov.records = make(map[mem.Addr]mark.ParentRecord, len(recs))
 	}
@@ -114,20 +103,25 @@ func (w *World) harvestProvenance(kind int64) uint64 {
 	}
 	w.prov.valid = true
 	w.prov.cycle = w.collections
-	w.tracer.Emit(trace.EvProvenance, int64(len(recs)), int64(len(w.prov.records)), kind)
+	w.tracer.Emit(trace.EvProvenance, int64(len(recs)), int64(len(w.prov.records)), int64(kind))
 	return uint64(len(recs))
 }
 
-// discardRecording drops any in-flight recording without harvesting
-// (mark-only measurements clear the very marks the records describe).
-// Callers hold w.mu.
-func (w *World) discardRecording() {
+// stopRecording ends whichever recorders are running — the sharded
+// marker's, the serial marker's, or both — and returns what they
+// captured and whether any was running. MarkOnly discards the result: a
+// measurement clears the very marks the records describe. Callers hold
+// w.mu.
+func (w *World) stopRecording() (recs []mark.ParentRecord, recording bool) {
 	if w.par != nil && w.par.Recording() {
-		w.par.StopRecording()
+		recording = true
+		recs = w.par.StopRecording()
 	}
 	if w.Marker.Recording() {
-		w.Marker.StopRecording()
+		recording = true
+		recs = append(recs, w.Marker.StopRecording()...)
 	}
+	return recs, recording
 }
 
 // WhyLive returns the chain of first-marking records from the object
@@ -295,33 +289,9 @@ func (w *World) buildRootImageLocked() *rootImage {
 		copy(out, ws)
 		return out
 	}
-	addSource := func(src RootSource, idx int32) {
-		img.areas = append(img.areas, rootArea{
-			org:    mark.RootOrigin{Kind: mark.RootRegister, Src: idx},
-			words:  copyWords(src.Registers()),
-			sparse: true,
-		})
-		stackWords, stackBase := src.LiveStack()
-		img.areas = append(img.areas, rootArea{
-			org:   mark.RootOrigin{Kind: mark.RootStack, Src: idx, Base: stackBase},
-			words: copyWords(stackWords),
-		})
-	}
-	if w.mut != nil {
-		addSource(w.mut, -1)
-	}
-	for i, m := range w.muts {
-		if m.src == nil {
-			continue
-		}
-		addSource(m.src, int32(i))
-	}
-	for i, s := range w.Space.Roots() {
-		img.areas = append(img.areas, rootArea{
-			org:   mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()},
-			words: copyWords(s.Words()),
-		})
-	}
+	w.eachRootArea(func(org mark.RootOrigin, words []mem.Word, sparse bool) {
+		img.areas = append(img.areas, rootArea{org: org, words: copyWords(words), sparse: sparse})
+	})
 	return img
 }
 
@@ -366,8 +336,8 @@ func (img *rootImage) mark(m *mark.Marker) {
 }
 
 // GetRetentionReport measures genuine versus spuriously-retained
-// bytes. It stops the world, completes any in-flight incremental cycle
-// and deferred sweeps, snapshots every root area, and re-marks the
+// bytes. It completes any in-flight concurrent cycle, stops the world,
+// lands deferred sweeps, snapshots every root area, and re-marks the
 // heap from censored copies of that snapshot:
 //
 //	live    = marked from the snapshot as-is
@@ -427,14 +397,9 @@ type retainedObj struct {
 func (w *World) retentionPasses(opts RetentionOptions) (RetentionReport, []retainedObj, map[mem.Addr]bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.landCycleLocked()
 	w.stopMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	if w.incActive {
-		w.finishIncrementalLocked()
-	}
-	if w.concActive {
-		w.finishConcurrentLocked()
-	}
 	w.Heap.FinishSweep()
 	// Bump spans (LineAlloc) hold carved-but-unissued slots; return them
 	// so the report's passes see only real objects.

@@ -10,8 +10,9 @@ import (
 )
 
 // provConfigs are the collector configurations the provenance
-// subsystem must compose with — the same seven modes the mutator
-// differential covers.
+// subsystem must compose with — the modes the mutator differential
+// covers, plus a concurrent cycle stepped by hand (serial shape, so no
+// goroutine is involved and the run is deterministic).
 var provConfigs = map[string]Config{
 	"full":         {GCDivisor: -1},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1},
@@ -19,22 +20,22 @@ var provConfigs = map[string]Config{
 	"lazy":         {GCDivisor: -1, LazySweep: true},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1, LazySweep: true},
 	"par-lazy":     {GCDivisor: -1, MarkWorkers: 4, LazySweep: true},
-	"incremental":  {Incremental: true, GCDivisor: -1, MarkQuantum: 32},
+	"conc-stepped": {ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 32},
 }
 
 // provCollect runs one collection appropriate to the configuration:
-// incremental worlds run a full step-driven cycle, generational worlds
+// concurrent worlds run a full step-driven cycle, generational worlds
 // alternate minors and fulls, everything else collects normally.
 func provCollect(t *testing.T, w *World, cfg Config, round int) CollectionStats {
 	t.Helper()
 	switch {
-	case cfg.Incremental:
-		if err := w.StartIncrementalCycle(); err != nil {
+	case cfg.ConcurrentMark:
+		if err := w.StartConcurrentCycle(); err != nil {
 			t.Fatal(err)
 		}
-		for !w.IncrementalStep(16) {
+		for !w.ConcurrentStep(16) {
 		}
-		return w.FinishIncrementalCycle()
+		return w.LastCollection()
 	case cfg.Generational && round%2 == 1:
 		return w.CollectMinor()
 	default:

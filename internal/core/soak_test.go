@@ -8,13 +8,14 @@ import (
 )
 
 // TestSoakConcurrentClosure is the root package's bounded-live-set soak
-// (TestSoakHeapBounded) for the concurrent cycle, run where the closure
-// oracle can reach: a program whose live set is a rotating window of
-// lists allocates a few hundred times its heap while allocation-
-// triggered cycles — background driver, detached workers, pacer
-// assists, forced finales, the lot — collect behind it. Every finale
-// must hold the closure of the roots (the oracle), the window must
-// survive, and the heap must stay bounded. All root writes go through
+// (TestSoakHeapBounded) run where the closure oracle can reach: a
+// program whose live set is a rotating window of lists allocates a few
+// hundred times its heap while allocation-triggered cycles — in the
+// concurrent shapes: background driver, detached workers, pacer
+// assists, forced finales, the lot; and stop-the-world, whose close is
+// the same close — collect behind it. Every cycle must hold the closure
+// of the roots when it closes (the oracle), the window must survive,
+// and the heap must stay bounded. All root writes go through
 // World.Store: the driver's finale scans the roots on another
 // goroutine, and the world lock is what orders the two.
 func TestSoakConcurrentClosure(t *testing.T) {
@@ -29,13 +30,18 @@ func TestSoakConcurrentClosure(t *testing.T) {
 		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, FullEvery: 4, LazySweep: true}},
 		{"line-bgsweep", Config{LineAlloc: true, ConcurrentSweep: true}},
 	}
+	shapes := map[string]Config{"stop-the-world": {MarkWorkers: 1}}
 	for _, shape := range concShapes {
+		shape.cfg.ConcurrentMark = true
+		shapes[shape.name] = shape.cfg
+	}
+	for shapeName, shape := range shapes {
 		for _, mode := range modes {
 			shape, mode := shape, mode
-			t.Run(shape.name+"/"+mode.name, func(t *testing.T) {
+			t.Run(shapeName+"/"+mode.name, func(t *testing.T) {
 				cfg := mode.cfg
-				cfg.ConcurrentMark = true
-				cfg.MarkWorkers, cfg.ConcMarkWorkers = shape.cfg.MarkWorkers, shape.cfg.ConcMarkWorkers
+				cfg.ConcurrentMark = shape.ConcurrentMark
+				cfg.MarkWorkers, cfg.ConcMarkWorkers = shape.MarkWorkers, shape.ConcMarkWorkers
 				cfg.GCDivisor = 4
 				cfg.InitialHeapBytes = 256 << 10
 				cfg.ReserveHeapBytes = 32 << 20
@@ -80,7 +86,7 @@ func TestSoakConcurrentClosure(t *testing.T) {
 				w.FinishConcurrentCycle()
 				oracle.check(t)
 				if oracle.checked() < 10 {
-					t.Fatalf("only %d concurrent finales in the soak", oracle.checked())
+					t.Fatalf("only %d cycles closed in the soak", oracle.checked())
 				}
 				if peakHeap > 8<<20 {
 					t.Fatalf("heap grew to %d MiB under a bounded live set", peakHeap>>20)
@@ -93,7 +99,7 @@ func TestSoakConcurrentClosure(t *testing.T) {
 						t.Fatalf("window slot %d lost", slot)
 					}
 				}
-				t.Logf("peak heap %d KiB, %d collections, %d concurrent finales audited",
+				t.Logf("peak heap %d KiB, %d collections, %d closes audited",
 					peakHeap/1024, w.Collections(), oracle.checked())
 			})
 		}

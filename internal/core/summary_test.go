@@ -14,8 +14,8 @@ import (
 // a summary — above all the sweep's classification, eager or lazy,
 // clearing or sticky — must see it recounted. Each driver that marks
 // that way (the stop-the-world parallel phase: Parallel.Run; the
-// sharded lock-chunked cycle: RunBounded; the detached cycle, whose
-// finale is a RunBounded over the workers' kept stacks) is run against
+// detached cycle, whose finale is a DrainKept over the workers' kept
+// stacks) is run against
 // the serial stop-the-world collector on an identical heap, with an
 // audit inside the phase where there is an inside, and must reclaim
 // exactly the same objects and leave a heap the strict audit accepts.
@@ -25,7 +25,6 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 		cfg  Config
 	}{
 		{"parallel-run", Config{MarkWorkers: 4}},
-		{"run-bounded", Config{ConcurrentMark: true, MarkWorkers: 4, ConcMarkWorkers: 1}},
 		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}},
 	}
 	for _, d := range drivers {

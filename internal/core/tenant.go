@@ -350,13 +350,8 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 		// Land any in-flight cycle first: its snapshot may predate the
 		// tenant's garbage, so completing it proves nothing. The
 		// collection the contract promises is a fresh full cycle.
-		if w.concActive {
-			w.stwFinishConcurrent()
-		}
-		if w.incActive {
-			w.stwFinishIncremental()
-		}
-		w.stwCollect()
+		w.landCycleLocked()
+		w.collectLocked(kindFull)
 		// The barrier reconciled eagerly-swept objects; under lazy or
 		// concurrent sweep some blocks are still pending, so land them
 		// and reconcile once more for an exact verdict.
@@ -393,12 +388,7 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 func (w *World) evictTenantLocked(t *Tenant) {
 	t.cancelled.Store(true)
 	t.evicted.Store(true)
-	if w.concActive {
-		w.stwFinishConcurrent()
-	}
-	if w.incActive {
-		w.stwFinishIncremental()
-	}
+	w.landCycleLocked()
 	for _, tm := range t.muts {
 		tm.mu.Lock()
 		tm.flushLocked()

@@ -15,15 +15,14 @@ import (
 // exhausted, and Evict reclaims exactly the tenant's objects and
 // nothing else.
 
-// tenantBatteryConfigs is the seven-config matrix the ISSUE pins: the
+// tenantBatteryConfigs is the config matrix the battery pins: the
 // plain collector, the generational/parallel/lazy combinations, the
-// incremental and line-heap profiles, and both concurrent shapes
-// (lock-chunked driver and detached workers with background sweep).
+// line-heap profile, and both concurrent shapes (serial lock-chunked
+// driver and detached workers with background sweep).
 var tenantBatteryConfigs = map[string]Config{
 	"full":         {GCDivisor: 6},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 	"par-lazy":     {GCDivisor: 6, MarkWorkers: 4, LazySweep: true},
-	"incremental":  {Incremental: true, GCDivisor: 6, MarkQuantum: 64},
 	"line":         {GCDivisor: 6, LineAlloc: true},
 	"conc":         {ConcurrentMark: true, GCDivisor: 6},
 	"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},

@@ -228,10 +228,10 @@ func TestTraceWorkerEvents(t *testing.T) {
 	}
 }
 
-// TestTraceMinorAndIncrementalCycles checks the cycle-kind argument
-// convention (0 full, 1 minor, 2 incremental) and the incremental step
-// events.
-func TestTraceMinorAndIncrementalCycles(t *testing.T) {
+// TestTraceMinorAndConcurrentCycles checks the cycle-kind argument
+// convention (0 full, 1 minor, 3 concurrent; 2 is retired) on a cycle's
+// begin event.
+func TestTraceMinorAndConcurrentCycles(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1, Generational: true})
 	r := w.EnableTracing(0)
 	data := addData(t, w, "data", 0x2000, 4096)
@@ -250,25 +250,21 @@ func TestTraceMinorAndIncrementalCycles(t *testing.T) {
 		t.Fatalf("cycle_begin events = %d, want 1", begins)
 	}
 
-	wi := newWorld(t, Config{GCDivisor: -1, Incremental: true})
-	ri := wi.EnableTracing(0)
-	datai := addData(t, wi, "data", 0x2000, 4096)
-	churn(t, wi, datai, 0x2000, 32)
-	if err := wi.StartIncrementalCycle(); err != nil {
+	wc := newWorld(t, Config{GCDivisor: -1, ConcurrentMark: true, ConcMarkWorkers: 1})
+	rc := wc.EnableTracing(0)
+	datac := addData(t, wc, "data", 0x2000, 4096)
+	churn(t, wc, datac, 0x2000, 32)
+	if err := wc.StartConcurrentCycle(); err != nil {
 		t.Fatal(err)
 	}
-	for !wi.IncrementalStep(8) {
+	for !wc.ConcurrentStep(8) {
 	}
-	st := wi.FinishIncrementalCycle()
-	if !st.Incremental || st.Steps == 0 {
-		t.Fatalf("incremental stats = %+v", st)
+	if st := wc.LastCollection(); !st.Concurrent || st.Minor {
+		t.Fatalf("concurrent stats = %+v", st)
 	}
-	if got := countKind(ri, trace.EvIncStep); got != st.Steps {
-		t.Fatalf("inc_step events = %d, stats.Steps = %d", got, st.Steps)
-	}
-	for _, ev := range ri.Events() {
-		if ev.Kind == trace.EvCycleBegin && ev.A2 != 2 {
-			t.Fatalf("incremental cycle_begin kind = %d, want 2", ev.A2)
+	for _, ev := range rc.Events() {
+		if ev.Kind == trace.EvCycleBegin && ev.A2 != 3 {
+			t.Fatalf("concurrent cycle_begin kind = %d, want 3", ev.A2)
 		}
 	}
 }

@@ -136,31 +136,26 @@ type Config struct {
 	// mode (default 8).
 	FullEvery int
 
-	// Incremental enables incremental cycles (see incremental.go):
-	// marking proceeds in bounded steps piggybacked on allocations and
-	// only a short finale stops the world. Mutually exclusive with
-	// Generational.
-	Incremental bool
-	// MarkQuantum bounds the marking work per allocation during an
-	// active incremental cycle, in objects (default 64). Concurrent
-	// cycles use it twice over: as the background driver's per-chunk
-	// scan budget, and as the allocation-proportional assist each
-	// slow-path allocation contributes to an in-flight cycle, which
-	// keeps marking paced with allocation even when the driver
-	// goroutine is starved of processor time. The cached fast path
-	// never assists.
+	// MarkQuantum is the marking work one chunk of a concurrent cycle
+	// does, in objects (default 64). It is used twice over: as the scan
+	// budget of a background chunk (the serial driver's under the world
+	// lock, a detached worker's under its read-hold), and as the size of
+	// the assist chunks a slow-path allocation runs when the pacer finds
+	// marking behind allocation, which keeps marking paced with
+	// allocation even when the background goroutines are starved of
+	// processor time. The cached fast path never assists. Only
+	// meaningful with ConcurrentMark.
 	MarkQuantum int
 
 	// ConcurrentMark enables mostly-concurrent cycles (see
-	// concurrent.go): a cycle opens with a short snapshot pause that
-	// scans the roots and resumes the mutators, marking then runs on a
-	// background goroutine (parallel across MarkWorkers when the width
-	// allows) while mutators keep allocating, and a bounded final pause
-	// rescans write-barrier-dirtied blocks, re-scans the roots, drains,
-	// and sweeps. Composes with Generational (minor cycles run
-	// concurrently too), LazySweep and LineAlloc. Mutually exclusive
-	// with Incremental, which is the single-threaded ancestor of the
-	// same state machine.
+	// concurrent.go), the design of the paper's reference [8]: a cycle
+	// opens with a short snapshot pause that scans the roots and resumes
+	// the mutators; marking then runs behind them — in chunks under the
+	// world lock, or on detached worker goroutines (ConcMarkWorkers) —
+	// with every Store shading the value it writes and fresh objects born
+	// marked; and a bounded final pause scans the roots again, drains to
+	// the fixpoint, and sweeps. Composes with Generational (minor cycles
+	// run concurrently too), LazySweep and LineAlloc.
 	ConcurrentMark bool
 
 	// ConcMarkWorkers sets how many detached background goroutines mark
@@ -168,11 +163,12 @@ type Config struct {
 	// from the shared gray queue without holding the world lock: heap
 	// words are then accessed atomically, mark bits are CAS, and heap
 	// structure is guarded by a reader-writer lock only the allocator's
-	// mutations take exclusively. 1 pins the lock-chunked single-driver
-	// cycle (the pre-detached code path, unchanged). 0 — the default —
-	// is adaptive via AutoMarkWorkers, so small heaps and single-core
-	// schedulers keep the cheaper lock-chunked form. Only meaningful
-	// with ConcurrentMark.
+	// mutations take exclusively. 1 pins the serial lock-chunked cycle:
+	// one marker, every chunk under the world lock, no goroutine unless
+	// allocation triggers the cycle — the single-processor form and the
+	// reference of the differential tests. 0 — the default — is adaptive
+	// via AutoMarkWorkers, so small heaps and single-core schedulers keep
+	// the serial form. Only meaningful with ConcurrentMark.
 	ConcMarkWorkers int
 
 	// ConcurrentSweep moves deferred sweep work onto a background
@@ -192,8 +188,8 @@ type Config struct {
 	// adaptive: each mark phase picks a count from runtime.GOMAXPROCS
 	// and the live heap size via AutoMarkWorkers, so small heaps mark
 	// serially (coordination would dominate) and large heaps on big
-	// machines parallelise without configuration. Incremental cycles
-	// always mark serially: their bounded steps run inside the mutator.
+	// machines parallelise without configuration. A concurrent cycle's
+	// background marking has its own count, ConcMarkWorkers.
 	MarkWorkers int
 
 	// LazySweep moves sweep work out of the stop-the-world pause: after
@@ -215,11 +211,10 @@ type Config struct {
 	// classifies blocks by line occupancy instead of threading free
 	// lists. Reclamation totals are identical to the free-list profile;
 	// on line-aligned size classes allocation addresses are too (the
-	// differential tests assert both). Composes with every cycle shape,
-	// including incremental and concurrent cycles: outstanding central
-	// spans are flushed at each cycle's start and finale, and returned
-	// span slots drop any conservative mark they picked up mid-cycle.
-	// Default off.
+	// differential tests assert both). Composes with every cycle kind,
+	// concurrent ones included: outstanding central spans are flushed
+	// when a cycle opens and again when it closes, and returned span
+	// slots drop any mark they picked up mid-cycle. Default off.
 	LineAlloc bool
 }
 
@@ -330,10 +325,6 @@ type CollectionStats struct {
 	// Promoted counts objects newly marked by a minor collection: young
 	// survivors promoted to the old generation.
 	Promoted uint64
-	// Incremental is true when the cycle ran incrementally; Steps is
-	// how many bounded marking steps preceded the finale.
-	Incremental bool
-	Steps       int
 	// Concurrent is true when the cycle ran mostly-concurrently:
 	// a snapshot pause, background marking, a final pause.
 	// MarkedConcurrent is how many objects were marked outside the two
@@ -342,13 +333,14 @@ type CollectionStats struct {
 	// one pass over its remembered set (DirtyBlocks of them, staged at
 	// the snapshot) and nothing else — a cycle's own stores are shaded,
 	// not carded, so the final pause rescans no block and
-	// FinalDirtyBlocks stays 0.
+	// FinalDirtyBlocks stays 0. Both fields stay because cmd/perfbench
+	// reads them.
 	Concurrent       bool
 	RescanPasses     int
 	FinalDirtyBlocks int
 	MarkedConcurrent uint64
 	// ConcWorkers is how many detached background mark workers the
-	// cycle ran (0 for a lock-chunked cycle); ConcPhaseNs is the
+	// cycle ran (0 for a serial lock-chunked cycle); ConcPhaseNs is the
 	// wall-clock length of the concurrent marking phase between the
 	// snapshot and final pauses.
 	ConcWorkers int
@@ -357,8 +349,8 @@ type CollectionStats struct {
 	// stop-the-world windows; Duration is their sum for such cycles.
 	PauseSnapshotNs int64
 	PauseFinalNs    int64
-	// PauseMarkNs is the part of the pause spent in the mark phase
-	// (for incremental cycles: the finale's rescan and drain only).
+	// PauseMarkNs is the part of the pause spent in the mark phase (for
+	// concurrent cycles: the final pause's root rescan and drain only).
 	PauseMarkNs int64
 	// PauseSweepNs is the part of the pause spent in the sweep phase:
 	// the O(blocks) classification barrier under LazySweep, the full
@@ -433,60 +425,27 @@ type World struct {
 	mcfg            mark.Config
 	collections     int
 	minorsSinceFull int
-	incActive       bool
-	incSteps        int
-	// Concurrent-cycle state (concurrent.go). concActive marks a cycle
-	// in flight; concMinor its generational kind; concPar whether it
-	// marks through w.par (width was > 1 at the snapshot); concGen is a
-	// staleness counter so a background driver from a finished cycle
-	// exits instead of driving the next one; concDirty is the serial
-	// width's queue of a minor snapshot's remembered set, concDirtyBlocks
-	// that set's size; concSnapMarked the objects
-	// marked inside the snapshot pause; concStart/concSnapNs anchor the
-	// cycle's pause accounting; concStealsStart snapshots the parallel
-	// marker's cumulative steal count at the cycle start.
-	concActive      bool
-	concMinor       bool
-	concPar         bool
-	concGen         uint64
-	concDirty       []int
-	concDirtyBlocks int
-	concSnapMarked  uint64
-	concStart       time.Time
-	concSnapNs      int64
-	concStealsStart uint64
-	// Detached-marking state (detached.go). heapMu guards heap
-	// *structure* against the detached workers: workers hold the read
-	// side per chunk, allocator mutations take the write side through
-	// lockHeapLocked; lock order is mu strictly before heapMu. heapWant
-	// is the writer's announcement — raised before it asks for the lock,
-	// lowered once it holds it — that makes the workers' holds yield;
-	// concHeapWaitNs sums the cycle's write-side waits.
-	// concDetached marks a detached phase in flight (mutated under mu);
-	// concGenA atomically mirrors concGen for the workers' staleness
-	// checks (0 = retired); concWorkers is the cycle's detached worker
-	// count. The pacer fields implement the rate-based assist:
-	// pacerCredit is marked bytes banked (negative = debt), pacerRatio
-	// converts allocated bytes to owed mark bytes, pacerLastAlloc is
-	// the allocation cursor of the pacer's last look.
-	heapMu         sync.RWMutex
-	heapWant       atomic.Bool
-	concHeapWaitNs int64
-	concDetached   bool
-	concGenA       atomic.Uint64
-	concWorkers    int
-	pacerCredit    atomic.Int64
-	pacerRatio     float64
-	pacerLastAlloc uint64
-	last           CollectionStats
-	finalizable    map[mem.Addr]struct{}
-	reclaimed      []mem.Addr
-	hook           func(CollectionStats)
-	// finaleAudit, when set, runs in every concurrent finale once marking
-	// has reached its fixpoint and before the sweep consumes the mark
-	// bits — the one point where "marked ⊇ reachable" can be checked.
-	// The test batteries hang their closure oracle on it; nil otherwise,
-	// one compare per finale.
+	// cyc is the collection in progress (cycle.go): what a
+	// stop-the-world kind fills and consumes inside one pause, and what a
+	// concurrent kind keeps between its two.
+	cyc cycle
+	// heapMu guards heap *structure* against a detached cycle's workers
+	// (detached.go): they hold the read side per chunk, allocator
+	// mutations take the write side through lockHeapLocked; lock order is
+	// mu strictly before heapMu. heapWant is the writer's announcement —
+	// raised before it asks for the lock, lowered once it holds it — that
+	// makes the workers' holds yield.
+	heapMu      sync.RWMutex
+	heapWant    atomic.Bool
+	last        CollectionStats
+	finalizable map[mem.Addr]struct{}
+	reclaimed   []mem.Addr
+	hook        func(CollectionStats)
+	// finaleAudit, when set, runs at every cycle's close once marking has
+	// reached its fixpoint and before the sweep consumes the mark bits —
+	// the one point where "marked ⊇ reachable" can be checked. The test
+	// batteries hang their closure oracle on it; nil otherwise, one
+	// compare per collection.
 	finaleAudit func()
 	// Multi-tenant serving state (tenant.go): tenants in creation order
 	// (a Tenant's id is its 1-based index here); ownerCreditSet records
@@ -537,12 +496,11 @@ type worldMetrics struct {
 	// Cycle counters, accumulated from each CollectionStats as it is
 	// produced: the registry is a running sum of the per-cycle view
 	// (asserted by TestMetricsMatchCollectionStats).
-	cycles, minorCycles, incCycles *metrics.Counter
-	allocTriggered, incSteps       *metrics.Counter
-	objectsMarked, bytesMarked     *metrics.Counter
-	objectsSwept, bytesSwept       *metrics.Counter
-	pauseNs, markPauseNs, sweepNs  *metrics.Counter
-	markSteals                     *metrics.Counter
+	cycles, minorCycles, allocTriggered *metrics.Counter
+	objectsMarked, bytesMarked          *metrics.Counter
+	objectsSwept, bytesSwept            *metrics.Counter
+	pauseNs, markPauseNs, sweepNs       *metrics.Counter
+	markSteals                          *metrics.Counter
 
 	// Concurrent-mark counters: cycles run concurrently, the summed
 	// final pauses, stores whose target the write barrier marked, queue
@@ -623,9 +581,7 @@ func newWorldMetrics() worldMetrics {
 		reg:                reg,
 		cycles:             reg.Counter("gc_cycles"),
 		minorCycles:        reg.Counter("gc_minor_cycles"),
-		incCycles:          reg.Counter("gc_incremental_cycles"),
 		allocTriggered:     reg.Counter("gc_alloc_triggered"),
-		incSteps:           reg.Counter("gc_incremental_steps"),
 		objectsMarked:      reg.Counter("objects_marked"),
 		bytesMarked:        reg.Counter("bytes_marked"),
 		objectsSwept:       reg.Counter("objects_swept"),
@@ -687,7 +643,7 @@ func newWorldMetrics() worldMetrics {
 }
 
 // SetCollectionHook registers fn to be invoked after every collection
-// (full, minor, or incremental finale) with its statistics; nil
+// (full or minor, stop-the-world or concurrent) with its statistics; nil
 // unregisters. The inspect package provides a gctrace-style formatter
 // for the common logging case.
 func (w *World) SetCollectionHook(fn func(CollectionStats)) { w.hook = fn }
@@ -772,7 +728,7 @@ func (w *World) syncGaugesExcluded() {
 	m.heapExpansions.Set(int64(st.Expansions))
 	m.desperateAllocs.Set(int64(st.DesperateAllocs))
 	m.markWorkers.Set(int64(w.lastMarkWorkers))
-	m.pacerCreditB.Set(w.pacerCredit.Load())
+	m.pacerCreditB.Set(w.cyc.pacerCredit.Load())
 	if w.cfg.LineAlloc {
 		ls := w.Heap.LineStats()
 		m.lineLiveLines.Set(int64(ls.LiveLines))
@@ -801,9 +757,6 @@ func (w *World) recordCycle(st CollectionStats) {
 		m.heapLockWaitNs.Add(uint64(st.HeapLockWaitNs))
 	case st.Minor:
 		m.minorCycles.Inc()
-	case st.Incremental:
-		m.incCycles.Inc()
-		m.incSteps.Add(uint64(st.Steps))
 	default:
 		m.cycles.Inc()
 	}
@@ -830,20 +783,9 @@ func (w *World) recordCycle(st CollectionStats) {
 
 // writeGCTrace renders the one-line cycle summary to w.gctrace.
 func (w *World) writeGCTrace(st CollectionStats) {
-	kind := "full"
-	switch {
-	case st.Concurrent && st.Minor:
-		kind = "concurrent-minor"
-	case st.Concurrent:
-		kind = "concurrent"
-	case st.Minor:
-		kind = "minor"
-	case st.Incremental:
-		kind = fmt.Sprintf("incremental(%d steps)", st.Steps)
-	}
 	fmt.Fprintf(w.gctrace,
 		"gc %d @%.3fs %s: %.2fms pause (mark %.2fms, sweep %.2fms): %d live (%d KiB), %d freed, heap %d KiB, %d blacklisted",
-		w.collections, time.Since(w.epoch).Seconds(), kind,
+		w.collections, time.Since(w.epoch).Seconds(), st.Kind(),
 		float64(st.Duration.Nanoseconds())/1e6,
 		float64(st.PauseMarkNs)/1e6, float64(st.PauseSweepNs)/1e6,
 		st.Sweep.ObjectsLive, st.Sweep.BytesLive/1024,
@@ -957,12 +899,6 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Generational && c.Incremental {
-		return nil, fmt.Errorf("core: generational and incremental modes are mutually exclusive")
-	}
-	if c.ConcurrentMark && c.Incremental {
-		return nil, fmt.Errorf("core: concurrent and incremental modes are mutually exclusive (concurrent marking subsumes the incremental state machine)")
-	}
 	if c.DiscontiguousGrowth && c.Blacklisting == BlacklistDense {
 		return nil, fmt.Errorf("core: a discontinuous heap needs the hashed blacklist (paper, section 3)")
 	}
@@ -985,7 +921,7 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		LineAlloc:                c.LineAlloc,
 		// Heap-word stores go atomic whenever a cycle *could* detach
 		// (adaptive selection can pick any width at any cycle); explicit
-		// width 1 pins the plain-store lock-chunked path.
+		// width 1 pins the plain-store serial path.
 		AtomicWords: c.ConcurrentMark && c.ConcMarkWorkers != 1,
 	})
 	if err != nil {
@@ -1103,7 +1039,7 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 		// threading, block claims, extent mapping); during a detached
 		// phase they must exclude the background workers' read-holds.
 		// lockHeapLocked is a bare call outside one, so the wrap costs
-		// lock-chunked and stop-the-world cycles nothing but a closure.
+		// serial and stop-the-world cycles nothing but a closure.
 		tryRaw, desperateRaw := try, desperate
 		try = func() (p mem.Addr, err error) {
 			w.lockHeapLocked(func() { p, err = tryRaw() })
@@ -1116,79 +1052,34 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 			}
 		}
 	}
-	// Regular-interval trigger. Incremental mode starts a cycle and
-	// advances it in bounded steps; concurrent mode starts a cycle and
-	// hands it to a background driver goroutine; generational mode
-	// prefers the cheaper minor cycle with a periodic full cycle.
-	if w.cfg.ConcurrentMark {
-		if !w.concActive {
-			st := w.Heap.Stats()
-			if w.cfg.Generational && w.cfg.MinorDivisor > 0 &&
-				st.BytesSinceGC > uint64(st.HeapBytes/w.cfg.MinorDivisor) {
-				minor := w.minorsSinceFull < w.cfg.FullEvery-1
-				kind := int64(3)
-				if minor {
-					kind = 4
-				}
-				w.allocTrigger(kind)
-				w.startConcurrentLocked(minor)
-				go w.driveConcurrent(w.concGen)
-			} else if !w.cfg.Generational && w.cfg.GCDivisor > 0 &&
-				st.BytesSinceGC > uint64(st.HeapBytes/w.cfg.GCDivisor) {
-				w.allocTrigger(3)
-				w.startConcurrentLocked(false)
-				go w.driveConcurrent(w.concGen)
+	if w.cyc.active {
+		// Rate-based assist (detached.go): the pacer debits this
+		// allocation's share of the cycle's marking and repays it with
+		// bounded chunks only when the background marking has fallen
+		// behind, so marking keeps pace with allocation without taxing
+		// every slow path. A repayment chunk that drains the gray set runs
+		// the finale right here — completing a cycle from an allocation
+		// slow path is already the ErrNeedMemory path's behaviour.
+		w.pacerAssistLocked()
+	} else if kind, due := w.dueCycleLocked(); due {
+		// Regular-interval trigger. A concurrent kind opens with its
+		// snapshot pause and is handed to a background driver; a
+		// stop-the-world kind runs to completion here.
+		w.allocTrigger(kind)
+		if kind.concurrent() {
+			w.startConcurrentLocked(kind)
+			go w.driveConcurrent(w.cyc.gen)
+		} else {
+			w.collectLocked(kind)
+			if !kind.minor() {
+				w.expandIfTight()
 			}
-		} else {
-			// Rate-based assist (detached.go): the pacer debits this
-			// allocation's share of the cycle's marking and repays it with
-			// bounded chunks only when the background workers (or the
-			// lock-chunked driver) have fallen behind, so marking keeps
-			// pace with allocation without taxing every slow path the way
-			// the old fixed per-allocation chunk did. A repayment chunk
-			// that drains the gray set runs the finale right here —
-			// completing a cycle from an allocation slow path is already
-			// the ErrNeedMemory path's behaviour.
-			w.pacerAssistLocked()
 		}
-	} else if w.cfg.Incremental {
-		st := w.Heap.Stats()
-		if !w.incActive && w.cfg.GCDivisor > 0 &&
-			st.BytesSinceGC > uint64(st.HeapBytes/w.cfg.GCDivisor) {
-			w.allocTrigger(2)
-			w.stwStartIncremental()
-		}
-		if w.incActive && w.incrementalStepLocked(w.cfg.MarkQuantum) {
-			w.stwFinishIncremental()
-			w.expandIfTight()
-		}
-	} else if w.cfg.Generational && w.cfg.MinorDivisor > 0 &&
-		w.Heap.Stats().BytesSinceGC > uint64(w.Heap.Stats().HeapBytes/w.cfg.MinorDivisor) {
-		if w.minorsSinceFull >= w.cfg.FullEvery-1 {
-			w.allocTrigger(0)
-			w.stwCollect()
-			w.expandIfTight()
-		} else {
-			w.allocTrigger(1)
-			w.stwCollectMinor()
-		}
-	} else if w.cfg.GCDivisor > 0 &&
-		w.Heap.Stats().BytesSinceGC > uint64(w.Heap.Stats().HeapBytes/w.cfg.GCDivisor) {
-		w.allocTrigger(0)
-		w.stwCollect()
-		w.expandIfTight()
 	}
 	p, err := try()
-	if err == alloc.ErrNeedMemory {
-		if w.concActive {
-			// Complete the in-flight concurrent cycle: its finale sweeps.
-			w.stwFinishConcurrent()
-			p, err = try()
-		} else if w.incActive {
-			// Complete the in-flight incremental cycle: it will sweep.
-			w.stwFinishIncremental()
-			p, err = try()
-		}
+	if err == alloc.ErrNeedMemory && w.landCycleLocked() {
+		// The in-flight concurrent cycle is complete: its close swept.
+		p, err = try()
 	}
 	if err == alloc.ErrNeedMemory {
 		// Collect only if enough allocation has happened since the last
@@ -1197,7 +1088,7 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 		// GC_collect_or_expand makes the same distinction).
 		st := w.Heap.Stats()
 		if st.BytesSinceGC > uint64(st.HeapBytes/8) {
-			w.stwCollect()
+			w.collectLocked(kindFull)
 			p, err = try()
 		}
 	}
@@ -1221,14 +1112,14 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 	if err != nil {
 		return 0, err
 	}
-	if w.concActive {
+	if w.cyc.active {
 		// Born black: the fresh object is zero-filled, so there is
 		// nothing to scan at birth, and the mark bit keeps this cycle's
 		// sweep off it. Later stores into it are caught by the write
 		// barrier like stores into any other black object. Against
 		// detached workers the bit must be set with the same CAS they
 		// race on.
-		if w.concDetached {
+		if w.cyc.detached {
 			w.Heap.MarkAtomic(p)
 		} else {
 			w.Heap.Mark(p)
@@ -1242,18 +1133,6 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 	return p, nil
 }
 
-// allocTrigger records an allocation crossing the collection
-// threshold, immediately before the cycle it triggers; kind is the
-// cycle-kind argument (0 full, 1 minor, 2 incremental start, 3
-// concurrent full, 4 concurrent minor).
-func (w *World) allocTrigger(kind int64) {
-	w.met.allocTriggered.Inc()
-	if w.tracer.Enabled() {
-		st := w.Heap.Stats()
-		w.tracer.Emit(trace.EvAllocTrigger, int64(st.BytesSinceGC), int64(st.HeapBytes), kind)
-	}
-}
-
 // expandIfTight grows the heap when a collection left too little free
 // space, per the FreeSpaceDivisor policy.
 func (w *World) expandIfTight() {
@@ -1264,235 +1143,15 @@ func (w *World) expandIfTight() {
 	}
 }
 
-// markRoots performs the root-scanning half of a collection: the
-// attached root source, each stopped mutator's registers and simulated
-// stack, then the root segments. Callers hold w.mu with every mutator
-// stopped, so the sources are quiescent.
-func (w *World) markRoots() {
-	if w.mut != nil {
-		w.Marker.MarkSparseRoots(mark.RootOrigin{Kind: mark.RootRegister, Src: -1}, w.mut.Registers())
-		stackWords, stackBase := w.mut.LiveStack()
-		w.Marker.MarkRootArea(mark.RootOrigin{Kind: mark.RootStack, Src: -1, Base: stackBase}, stackWords)
-	}
-	for i, m := range w.muts {
-		if m.src == nil {
-			continue
-		}
-		w.Marker.MarkSparseRoots(mark.RootOrigin{Kind: mark.RootRegister, Src: int32(i)}, m.src.Registers())
-		stackWords, stackBase := m.src.LiveStack()
-		w.Marker.MarkRootArea(mark.RootOrigin{Kind: mark.RootStack, Src: int32(i), Base: stackBase}, stackWords)
-	}
-	for i, s := range w.Space.Roots() {
-		w.Marker.MarkRootArea(mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()}, s.Words())
-	}
-}
-
-// markPhase runs one stop-the-world mark phase — serial through
-// w.Marker, or sharded across w.par's workers when MarkWorkers > 1 —
-// and returns its statistics plus the dirty-block count (minor cycles
-// only). Parallel cycles mark exactly the serial object set: the CAS
-// on each mark bit admits one winner, so ObjectsMarked, BytesMarked
-// and the blacklisted pages match the serial run bit for bit.
-func (w *World) markPhase(minor bool) (mark.Stats, int) {
-	dirty := 0
-	workers := w.effectiveMarkWorkers()
-	w.lastMarkWorkers = workers
-	if workers <= 1 {
-		w.Marker.Reset()
-		if w.prov.enabled {
-			w.Marker.StartRecording()
-		}
-		if minor {
-			// Rescan old objects on dirty pages first: at this point
-			// every marked object is old, so the scan is exactly the
-			// remembered set.
-			w.Heap.DirtyBlocks(func(bi int) {
-				dirty++
-				w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-			})
-		}
-		w.markRoots()
-		w.Marker.Drain()
-		return w.Marker.Stats(), dirty
-	}
-	w.ensureParLocked(workers)
-	if w.prov.enabled {
-		w.par.StartRecording()
-	}
-	if minor {
-		w.Heap.DirtyBlocks(func(bi int) {
-			dirty++
-			w.par.AddDirtyBlock(bi)
-		})
-	}
-	if w.mut != nil {
-		w.par.AddSparseRootsOrigin(mark.RootOrigin{Kind: mark.RootRegister, Src: -1}, w.mut.Registers())
-		stackWords, stackBase := w.mut.LiveStack()
-		w.par.AddRootsOrigin(mark.RootOrigin{Kind: mark.RootStack, Src: -1, Base: stackBase}, stackWords)
-	}
-	for i, m := range w.muts {
-		if m.src == nil {
-			continue
-		}
-		w.par.AddSparseRootsOrigin(mark.RootOrigin{Kind: mark.RootRegister, Src: int32(i)}, m.src.Registers())
-		stackWords, stackBase := m.src.LiveStack()
-		w.par.AddRootsOrigin(mark.RootOrigin{Kind: mark.RootStack, Src: int32(i), Base: stackBase}, stackWords)
-	}
-	for i, s := range w.Space.Roots() {
-		w.par.AddRootsOrigin(mark.RootOrigin{Kind: mark.RootSegment, Src: int32(i), Base: s.Base()}, s.Words())
-	}
-	return w.par.Run(), dirty
-}
-
-// ensureParLocked (re)builds the sharded marker at the given width.
-// Rebuilding happens when the adaptive selection changed its mind (the
-// live heap crossed a band, or GOMAXPROCS moved); steal counters start
-// over with the new marker.
-func (w *World) ensureParLocked(workers int) {
-	if w.par == nil || w.parWorkers != workers {
-		w.par = mark.NewParallel(w.Heap, w.mcfg, workers)
-		w.parWorkers = workers
-		w.prevSteals = 0
-		w.par.SetTracer(w.tracer)
-	}
-}
-
 // Collect runs a full stop-the-world collection: park every mutator
 // handle at its next allocation point and flush its caches, then mark
 // from registers, live stacks and root segments; drain; handle
-// finalisable objects; sweep; age the blacklist.
+// finalisable objects; sweep; age the blacklist. A concurrent cycle in
+// flight is completed instead, and its statistics returned.
 func (w *World) Collect() CollectionStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.stwCollect()
-}
-
-// stwCollect stops the mutators and runs a full collection. Callers
-// hold w.mu.
-func (w *World) stwCollect() CollectionStats {
-	w.stopMutatorsLocked()
-	defer w.resumeMutatorsLocked()
-	return w.collectLocked()
-}
-
-// collectLocked is the full collection body. Callers hold w.mu with
-// every mutator stopped and flushed: the sweep classifies blocks from
-// their bitmaps, so a cached (allocated-but-unreachable) slot that was
-// not flushed back to its free list would be reclaimed and then carved
-// a second time.
-func (w *World) collectLocked() CollectionStats {
-	if w.incActive {
-		// A full collection supersedes the in-flight incremental cycle.
-		return w.finishIncrementalLocked()
-	}
-	if w.concActive {
-		// Likewise for an in-flight concurrent cycle: run its finale now.
-		return w.finishConcurrentLocked()
-	}
-	start := time.Now()
-	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), 0)
-	// Any sweep work the previous lazy cycle deferred must complete
-	// before mark bits change: a pending block's bits still encode that
-	// cycle's liveness. No-op with LazySweep off.
-	w.Heap.FinishSweep()
-	// Central bump spans hold carved-but-unissued slots whose alloc bits
-	// would read as live objects; return them before any bit changes.
-	w.Heap.FlushSpans()
-	w.Blacklist.BeginCycle()
-	if w.cfg.Generational {
-		// Mark bits are sticky between minor cycles; a full collection
-		// starts from a clean slate.
-		w.Heap.ClearMarks()
-	}
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 0)
-	markStart := time.Now()
-	mstats, _ := w.markPhase(false)
-	pauseMark := time.Since(markStart)
-	w.traceMarkEnd(mstats)
-	// Finalisation, as used by the paper's PCR experiment: "selected
-	// otherwise unreachable heap cells to be enqueued for further
-	// action". Unmarked registered objects are queued before the sweep
-	// frees them.
-	for a := range w.finalizable {
-		if !w.Heap.Marked(a) {
-			w.reclaimed = append(w.reclaimed, a)
-			delete(w.finalizable, a)
-		}
-	}
-	w.traceSweepBegin(0)
-	sweepStart := time.Now()
-	var sweep alloc.SweepResult
-	if w.cfg.Generational {
-		// Survivors of a full cycle keep their mark bits: they are the
-		// old generation. The bits were cleared at the top of this
-		// collection, so they reflect exactly this cycle's liveness.
-		sweep = w.Heap.SweepSticky()
-	} else {
-		sweep = w.Heap.Sweep()
-	}
-	pauseSweep := time.Since(sweepStart)
-	w.Heap.ResetSinceGC()
-	if w.cfg.ExpireAge > 0 {
-		w.Blacklist.Expire(w.cfg.ExpireAge)
-	}
-	w.collections++
-	w.minorsSinceFull = 0
-	w.Heap.ClearDirty()
-	provRecs := w.harvestProvenance(0)
-	w.last = CollectionStats{
-		Mark:                mstats,
-		Sweep:               sweep,
-		Blacklist:           w.Blacklist.Stats(),
-		Duration:            time.Since(start),
-		HeapBytes:           w.Heap.Stats().HeapBytes,
-		PauseMarkNs:         pauseMark.Nanoseconds(),
-		PauseSweepNs:        pauseSweep.Nanoseconds(),
-		PauseStopNs:         w.lastStopNs,
-		SweepDeferredBlocks: w.Heap.SweepPending(),
-		Provenance:          w.prov.enabled,
-		ProvenanceRecords:   provRecs,
-	}
-	w.traceCycleEnd(w.last)
-	w.fireHook()
-	return w.last
-}
-
-// traceMarkEnd emits the mark-phase closing events: the phase totals
-// plus, under parallel marking, each worker's share.
-func (w *World) traceMarkEnd(mstats mark.Stats) {
-	if !w.tracer.Enabled() {
-		return
-	}
-	w.tracer.Emit(trace.EvMarkEnd,
-		int64(mstats.ObjectsMarked), int64(mstats.BytesMarked), int64(mstats.WordsScanned))
-	if w.par != nil {
-		w.par.EachWorkerStats(func(i int, s mark.Stats) {
-			w.tracer.Emit(trace.EvWorkerMark, int64(i), int64(s.ObjectsMarked), int64(s.BytesMarked))
-		})
-	}
-}
-
-// traceSweepBegin emits the sweep-phase opening event.
-func (w *World) traceSweepBegin(kind int64) {
-	if !w.tracer.Enabled() {
-		return
-	}
-	lazy := int64(0)
-	if w.cfg.LazySweep {
-		lazy = 1
-	}
-	w.tracer.Emit(trace.EvSweepBegin, int64(w.collections+1), lazy, kind)
-}
-
-// traceCycleEnd emits the sweep-phase and cycle closing events.
-func (w *World) traceCycleEnd(st CollectionStats) {
-	if !w.tracer.Enabled() {
-		return
-	}
-	w.tracer.Emit(trace.EvSweepEnd,
-		int64(st.Sweep.ObjectsFreed), int64(st.Sweep.BytesFreed), int64(st.SweepDeferredBlocks))
-	w.tracer.Emit(trace.EvCycleEnd,
-		int64(w.collections), int64(st.Sweep.ObjectsLive), int64(st.Sweep.BytesLive))
+	return w.collectLocked(kindFull)
 }
 
 // CollectMinor runs a generational minor collection: old (marked)
@@ -1504,76 +1163,7 @@ func (w *World) traceCycleEnd(st CollectionStats) {
 func (w *World) CollectMinor() CollectionStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.stwCollectMinor()
-}
-
-// stwCollectMinor stops the mutators and runs a minor collection.
-// Callers hold w.mu.
-func (w *World) stwCollectMinor() CollectionStats {
-	w.stopMutatorsLocked()
-	defer w.resumeMutatorsLocked()
-	return w.collectMinorLocked()
-}
-
-// collectMinorLocked is the minor collection body. Callers hold w.mu
-// with every mutator stopped and flushed (see collectLocked).
-func (w *World) collectMinorLocked() CollectionStats {
-	if !w.cfg.Generational {
-		return w.collectLocked()
-	}
-	if w.concActive {
-		// An explicit collection completes the in-flight concurrent cycle.
-		return w.finishConcurrentLocked()
-	}
-	start := time.Now()
-	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), 1)
-	// See Collect: the previous cycle's deferred sweeps must land before
-	// this cycle's marks, and central bump spans must be returned.
-	w.Heap.FinishSweep()
-	w.Heap.FlushSpans()
-	w.Blacklist.BeginCycle()
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 1)
-	markStart := time.Now()
-	mstats, dirty := w.markPhase(true)
-	pauseMark := time.Since(markStart)
-	w.traceMarkEnd(mstats)
-	for a := range w.finalizable {
-		if !w.Heap.Marked(a) {
-			w.reclaimed = append(w.reclaimed, a)
-			delete(w.finalizable, a)
-		}
-	}
-	w.traceSweepBegin(1)
-	sweepStart := time.Now()
-	sweep := w.Heap.SweepSticky()
-	pauseSweep := time.Since(sweepStart)
-	w.Heap.ResetSinceGC()
-	w.Heap.ClearDirty()
-	if w.cfg.ExpireAge > 0 {
-		w.Blacklist.Expire(w.cfg.ExpireAge)
-	}
-	w.collections++
-	w.minorsSinceFull++
-	provRecs := w.harvestProvenance(1)
-	w.last = CollectionStats{
-		Mark:                mstats,
-		Sweep:               sweep,
-		Blacklist:           w.Blacklist.Stats(),
-		Duration:            time.Since(start),
-		HeapBytes:           w.Heap.Stats().HeapBytes,
-		Minor:               true,
-		DirtyBlocks:         dirty,
-		Promoted:            mstats.ObjectsMarked,
-		PauseMarkNs:         pauseMark.Nanoseconds(),
-		PauseSweepNs:        pauseSweep.Nanoseconds(),
-		PauseStopNs:         w.lastStopNs,
-		SweepDeferredBlocks: w.Heap.SweepPending(),
-		Provenance:          w.prov.enabled,
-		ProvenanceRecords:   provRecs,
-	}
-	w.traceCycleEnd(w.last)
-	w.fireHook()
-	return w.last
+	return w.collectLocked(kindOf(false, w.cfg.Generational))
 }
 
 // MarkOnly marks from the roots and returns the apparently-accessible
@@ -1583,39 +1173,52 @@ func (w *World) collectMinorLocked() CollectionStats {
 func (w *World) MarkOnly() (objects, bytes uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// The measurement would clobber an in-flight cycle's mark bits;
+	// complete the cycle first.
+	w.landCycleLocked()
 	w.stopMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	if w.incActive {
-		// Mark-only measurement would clobber the in-flight cycle's
-		// mark bits; complete the cycle first.
-		w.finishIncrementalLocked()
-	}
-	if w.concActive {
-		w.finishConcurrentLocked()
-	}
 	w.Heap.FinishSweep() // pending bits are the previous cycle's, not this one's
 	w.Heap.FlushSpans()  // carved-but-unissued span slots are not accessible objects
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), 0)
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kindFull))
 	mstats, _ := w.markPhase(false)
 	w.traceMarkEnd(mstats)
 	objects, bytes = w.Heap.CountMarked()
 	w.Heap.ClearMarks()
 	// The measurement's marks are gone, so any provenance it recorded
 	// describes nothing; drop it rather than harvesting.
-	w.discardRecording()
+	w.stopRecording()
 	return objects, bytes
 }
 
-// Collections returns how many collections have run.
-func (w *World) Collections() int { return w.collections }
+// Collections returns how many collections have run. Like
+// LastCollection, RegisterFinalizable and DrainReclaimed it takes the
+// world lock — an allocation-triggered concurrent cycle closes on its
+// driver goroutine — so none of the four may be called from a
+// collection hook, which runs with the lock held.
+func (w *World) Collections() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.collections
+}
 
-// LastCollection returns statistics for the most recent collection.
-func (w *World) LastCollection() CollectionStats { return w.last }
+// LastCollection returns statistics for the most recent collection
+// (not from a collection hook; see Collections).
+func (w *World) LastCollection() CollectionStats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.last
+}
 
 // RegisterFinalizable registers an object base address for reclamation
 // tracking: when a collection finds it unreachable, it is queued and
-// reported by DrainReclaimed.
-func (w *World) RegisterFinalizable(a mem.Addr) { w.finalizable[a] = struct{}{} }
+// reported by DrainReclaimed (not from a collection hook; see
+// Collections).
+func (w *World) RegisterFinalizable(a mem.Addr) {
+	w.mu.Lock()
+	w.finalizable[a] = struct{}{}
+	w.mu.Unlock()
+}
 
 // FinishSweep completes any deferred (lazy) sweep work immediately and
 // returns the number of blocks swept; a no-op with LazySweep off.
@@ -1634,8 +1237,10 @@ func (w *World) FinishSweep() int {
 }
 
 // DrainReclaimed returns and clears the queue of reclaimed registered
-// objects.
+// objects (not from a collection hook; see Collections).
 func (w *World) DrainReclaimed() []mem.Addr {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	out := w.reclaimed
 	w.reclaimed = nil
 	return out
@@ -1662,13 +1267,12 @@ func (w *World) Store(a mem.Addr, v mem.Word) error {
 // There is one barrier per kind of cycle. While a concurrent cycle is
 // marking it is Dijkstra's insertion barrier, exact: the stored value
 // is shaded (shadeLocked) — cards play no part in such a cycle. Between
-// generational collections, and inside an incremental cycle, the
-// written-to block's card is dirtied for the next collection (or the
-// cycle's finale) to rescan.
+// generational collections the written-to block's card is dirtied: the
+// cards are the remembered set the next minor cycle rescans.
 func (w *World) storeLocked(a mem.Addr, v mem.Word) error {
-	if w.concActive {
+	if w.cyc.active {
 		w.shadeLocked(a, v)
-	} else if w.cfg.Generational || w.incActive {
+	} else if w.cfg.Generational {
 		w.Heap.MarkDirty(a)
 	}
 	return w.Space.Store(a, v)

@@ -615,132 +615,28 @@ func TestCollectMinorWithoutGenerationalFallsBack(t *testing.T) {
 	}
 }
 
-func TestIncrementalExclusiveWithGenerational(t *testing.T) {
-	if _, err := NewWorld(nil, Config{Generational: true, Incremental: true}); err == nil {
-		t.Fatal("generational+incremental accepted")
-	}
-}
-
-func TestIncrementalCycleSoundUnderMutation(t *testing.T) {
-	w := newWorld(t, Config{Incremental: true, GCDivisor: -1})
-	data := addData(t, w, "data", 0x2000, 4096)
-	// A chain a->b->c rooted at a; plus d rooted directly.
-	mkObj := func() mem.Addr {
-		p, err := w.Allocate(2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	a, b, c, d := mkObj(), mkObj(), mkObj(), mkObj()
-	w.Store(a, mem.Word(b))
-	w.Store(b, mem.Word(c))
-	data.Store(0x2000, mem.Word(a))
-	data.Store(0x2004, mem.Word(d))
-
-	if err := w.StartIncrementalCycle(); err != nil {
-		t.Fatal(err)
-	}
-	// Mutate mid-cycle: move c so it is reachable only through d, and
-	// allocate a new object e linked from c.
-	w.Store(b, 0)
-	w.Store(d, mem.Word(c)) // write barrier dirties d's page
-	e := mkObj()
-	w.Store(c, mem.Word(e))
-
-	for !w.IncrementalStep(1) {
-	}
-	st := w.FinishIncrementalCycle()
-	if !st.Incremental {
-		t.Fatal("stats not marked incremental")
-	}
-	for _, obj := range []mem.Addr{a, b, c, d, e} {
-		if !w.Heap.IsAllocated(obj) {
-			t.Fatalf("live object %#x lost by incremental cycle", uint32(obj))
-		}
-	}
-	// Drop everything; a following cycle reclaims it all.
-	data.Store(0x2000, 0)
-	data.Store(0x2004, 0)
-	w.StartIncrementalCycle()
-	w.FinishIncrementalCycle()
-	for _, obj := range []mem.Addr{a, b, c, d, e} {
-		if w.Heap.IsAllocated(obj) {
-			t.Fatalf("dead object %#x survived", uint32(obj))
-		}
-	}
-}
-
-func TestIncrementalAutoTrigger(t *testing.T) {
-	w := newWorld(t, Config{
-		Incremental:      true,
-		InitialHeapBytes: 128 * 1024,
-		ReserveHeapBytes: 8 << 20,
-		GCDivisor:        2,
-		MarkQuantum:      16,
-	})
-	data := addData(t, w, "data", 0x2000, 64*1024)
-	// Keep a rotating window of live objects so cycles have real work.
-	window := make([]mem.Addr, 512)
-	for i := 0; i < 50000; i++ {
-		p, err := w.Allocate(4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window[i%len(window)] = p
-		data.Store(0x2000+mem.Addr(4*(i%len(window))), mem.Word(p))
-	}
-	if w.Collections() == 0 {
-		t.Fatal("no incremental collections completed")
-	}
-	if !w.LastCollection().Incremental {
-		t.Fatal("collections were not incremental")
-	}
-	if w.LastCollection().Steps == 0 {
-		t.Fatal("no bounded steps recorded")
-	}
-	// The window must have survived every cycle.
-	for i, p := range window {
-		if p != 0 && !w.Heap.IsAllocated(p) {
-			t.Fatalf("window object %d lost", i)
-		}
-	}
-}
-
-func TestFullCollectSupersedesIncremental(t *testing.T) {
-	w := newWorld(t, Config{Incremental: true, GCDivisor: -1})
-	p, _ := w.Allocate(2, false)
-	w.StartIncrementalCycle()
-	st := w.Collect() // must finish the in-flight cycle, not restart
-	if !st.Incremental {
-		t.Fatal("superseding collect did not complete the incremental cycle")
-	}
-	if w.IncrementalActive() {
-		t.Fatal("cycle still active")
-	}
-	if w.Heap.IsAllocated(p) {
-		t.Fatal("garbage survived")
-	}
-}
-
-func TestIncrementalStepOutsideCycle(t *testing.T) {
-	w := newWorld(t, Config{Incremental: true, GCDivisor: -1})
-	if !w.IncrementalStep(8) {
+// TestConcurrentStepOutsideCycle pins the edges of the stepping API: a
+// step with no cycle active reports done, starting an active cycle again
+// is a no-op, and starting one outside ConcurrentMark mode is an error.
+func TestConcurrentStepOutsideCycle(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1})
+	if !w.ConcurrentStep(8) {
 		t.Fatal("step outside a cycle should report done")
 	}
-	if err := w.StartIncrementalCycle(); err != nil {
+	if err := w.StartConcurrentCycle(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.StartIncrementalCycle(); err != nil {
+	if err := w.StartConcurrentCycle(); err != nil {
 		t.Fatal("restarting an active cycle should be a no-op, not an error")
 	}
-	w.FinishIncrementalCycle()
-}
-
-func TestStartIncrementalOutsideMode(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1})
-	if err := w.StartIncrementalCycle(); err == nil {
-		t.Fatal("incremental cycle started outside incremental mode")
+	if !w.ConcurrentActive() {
+		t.Fatal("no cycle active after StartConcurrentCycle")
+	}
+	if st := w.FinishConcurrentCycle(); !st.Concurrent || w.Collections() != 1 {
+		t.Fatalf("finish: %d collections, stats %+v", w.Collections(), st)
+	}
+	if err := newWorld(t, Config{GCDivisor: -1}).StartConcurrentCycle(); err == nil {
+		t.Fatal("concurrent cycle started outside concurrent-mark mode")
 	}
 }
 

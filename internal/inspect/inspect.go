@@ -123,15 +123,8 @@ func BlacklistedPages(bl blacklist.List) []mem.Addr {
 //	gc 3: full 1.2ms: 5000 live (40 KiB), 120 freed, heap 1024 KiB
 //	gc 4: minor 0.1ms: 5100 live, 80 freed, 3 dirty blocks, 12 promoted
 func TraceLine(n int, st core.CollectionStats) string {
-	kind := "full"
-	switch {
-	case st.Minor:
-		kind = "minor"
-	case st.Incremental:
-		kind = fmt.Sprintf("incremental(%d steps)", st.Steps)
-	}
 	line := fmt.Sprintf("gc %d: %s %.2fms: %d live (%d KiB), %d freed, heap %d KiB",
-		n, kind, float64(st.Duration.Microseconds())/1000,
+		n, st.Kind(), float64(st.Duration.Microseconds())/1000,
 		st.Sweep.ObjectsLive, st.Sweep.BytesLive/1024,
 		st.Sweep.ObjectsFreed, st.HeapBytes/1024)
 	if st.Minor {

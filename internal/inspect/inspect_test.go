@@ -125,7 +125,7 @@ func TestTraceLine(t *testing.T) {
 	}
 }
 
-func TestTraceLineMinorAndIncremental(t *testing.T) {
+func TestTraceLineMinorAndConcurrent(t *testing.T) {
 	gw, err := core.NewWorld(nil, core.Config{
 		Generational: true, GCDivisor: -1, MinorDivisor: -1,
 		InitialHeapBytes: 64 * 1024, ReserveHeapBytes: 1 << 20,
@@ -138,17 +138,17 @@ func TestTraceLineMinorAndIncremental(t *testing.T) {
 	if line := TraceLine(2, st); !strings.Contains(line, "minor") || !strings.Contains(line, "promoted") {
 		t.Fatalf("minor trace line = %q", line)
 	}
-	iw, err := core.NewWorld(nil, core.Config{
-		Incremental: true, GCDivisor: -1,
+	cw, err := core.NewWorld(nil, core.Config{
+		ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1,
 		InitialHeapBytes: 64 * 1024, ReserveHeapBytes: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iw.StartIncrementalCycle()
-	ist := iw.FinishIncrementalCycle()
-	if line := TraceLine(1, ist); !strings.Contains(line, "incremental") {
-		t.Fatalf("incremental trace line = %q", line)
+	cw.StartConcurrentCycle()
+	cst := cw.FinishConcurrentCycle()
+	if line := TraceLine(1, cst); !strings.Contains(line, "gc 1: concurrent ") {
+		t.Fatalf("concurrent trace line = %q", line)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Detached marking: background workers pulling from the persistent
 // gray set without holding the central lock.
 //
-// The lock-chunked concurrent cycle (bounded.go) interleaves marking
-// with mutator execution but never overlaps a mark chunk with a store:
-// every chunk runs under the world lock. Detached marking shards the
-// background work across goroutines that hold no world lock at all.
+// The serial lock-chunked concurrent cycle (one Marker, driven by core)
+// interleaves marking with mutator execution but never overlaps a mark
+// chunk with a store: every chunk runs under the world lock. Detached
+// marking shards the background work across goroutines that hold no
+// world lock at all.
 // The synchronisation contract, owned by core:
 //
 //   - mark-bit transitions are CAS (atomicMark), so racing workers
@@ -38,8 +39,15 @@
 //     every worker's stack and the assist shard's stack are empty";
 //     WorkOutstanding is the lock-free hint that keeps anyone from
 //     taking the write lock while work is visibly left. Stacks left
-//     over at a forced finale are drained by RunBounded, which runs the
+//     over at a forced finale are drained by DrainKept, which runs the
 //     same shards.
+//
+// A stop-the-world phase hands Run the whole closure at once; a
+// detached cycle's gray set persists across its chunks. ResetCycle
+// clears it when the cycle starts, AddGrays and FlushStaged feed it,
+// statistics accumulate across the cycle, and when the world stops for
+// the finale DrainKept runs the same shards to the fixpoint from
+// wherever the gray set then is.
 //
 // AssistChunk is the same bounded pull through a dedicated marker
 // shard, used by callers that already hold the world lock (the pacer's
@@ -52,6 +60,7 @@ package mark
 import (
 	"sync/atomic"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
 )
 
@@ -65,9 +74,46 @@ const (
 	shedMin = 64
 )
 
+// ResetCycle prepares the phase for a new concurrent cycle: worker
+// stats and stacks reset, shared queue and staged tasks cleared.
+// Statistics then accumulate across every chunk of the cycle.
+func (p *Parallel) ResetCycle() {
+	p.queue.mu.Lock()
+	p.queue.tasks = p.queue.tasks[:0]
+	p.queue.size.Store(0)
+	p.queue.mu.Unlock()
+	p.staged = p.staged[:0]
+	for _, w := range p.workers {
+		w.m.Reset()
+		w.holds.Store(false)
+	}
+	p.assist.m.Reset()
+}
+
+// AddGrays stages already-marked objects for scanning — the snapshot
+// pause hands the root-reachable gray set to the detached workers this
+// way, and the final pause what its root rescan found
+// (Marker.TakePending's slice, copied here and nowhere else).
+func (p *Parallel) AddGrays(grays []alloc.Gray) {
+	grayTasks(grays, func(t task) { p.staged = append(p.staged, t) })
+}
+
+// DrainKept is the finale of a detached cycle: with the world stopped
+// and the detached workers retired, drain staged and queued work — and
+// what the assist shard and the workers' own stacks still hold — to the
+// fixpoint, every shard running as in Run. Unlike Run it starts from
+// the cycle's persistent gray set and leaves the statistics
+// accumulating.
+func (p *Parallel) DrainKept() {
+	p.PublishAssist()
+	p.queue.tasks = append(p.queue.tasks, p.staged...)
+	p.staged = p.staged[:0]
+	p.runToFixpoint()
+}
+
 // FlushStaged moves staged tasks onto the shared queue immediately, so
 // detached workers (which pop the queue directly rather than entering
-// through Run/RunBounded) can see work staged by AddGrays or
+// through Run) can see work staged by AddGrays or
 // AddDirtyBlock. Call under the same exclusion as the staging itself.
 func (p *Parallel) FlushStaged() {
 	if len(p.staged) == 0 {
@@ -83,7 +129,7 @@ func (p *Parallel) FlushStaged() {
 // Shade runs the insertion barrier's step (Marker.Shade) through the
 // assist shard, for a caller holding the world lock. A won gray stays on
 // that shard's stack until PublishAssist, the next AssistChunk or the
-// next RunBounded hands it on.
+// finale's DrainKept hands it on.
 func (p *Parallel) Shade(org RootOrigin, index int32, v mem.Word) bool {
 	return p.assist.m.Shade(org, index, v)
 }
@@ -92,9 +138,9 @@ func (p *Parallel) Shade(org RootOrigin, index int32, v mem.Word) bool {
 // shaded since the shard last ran — onto the shared queue, where
 // detached workers find them. Callers hold the world lock.
 func (p *Parallel) PublishAssist() {
-	if len(p.assist.m.stack) > 0 {
-		p.spillAll(p.assist)
-	}
+	m := p.assist.m
+	grayTasks(m.stack, p.queue.push)
+	m.stack = m.stack[:0]
 }
 
 // grayOffWorkers reports whether gray objects sit anywhere but on the
@@ -161,9 +207,8 @@ func (p *Parallel) AssistChunk(budget int) (work int, bytes uint64) {
 	return work, bytes
 }
 
-// chunkWorker is the shared bounded pull: local budget, no shared
-// credit pool (unlike RunBounded, concurrent callers must not starve
-// each other's pacing).
+// chunkWorker is the shared bounded pull: each caller has a budget of
+// its own, so concurrent callers never starve each other's pacing.
 func (p *Parallel) chunkWorker(w *worker, budget int, yield *atomic.Bool) (work int, bytes uint64) {
 	m := w.m
 	before := m.stats.BytesMarked

@@ -372,7 +372,7 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 }
 
 // TestDriversShareTheLoop marks twin heaps serially and through each
-// driver — Parallel.Run, RunBounded on small budgets, DetachedChunk and
+// driver — Parallel.Run, a forced finale's DrainKept, DetachedChunk and
 // AssistChunk — the last three fed by the snapshot hand-off (serial root
 // scan, TakePending into AddGrays). Which worker wins an object varies,
 // so what must be equal is what does not depend on order: the marked
@@ -388,8 +388,8 @@ func TestDriversShareTheLoop(t *testing.T) {
 		p.ResetCycle()
 		grays := m.TakePending()
 		p.AddGrays(grays)
-		if m.Pending() != 0 || len(grays) == 0 {
-			t.Fatalf("TakePending handed over %d entries and left %d", len(grays), m.Pending())
+		if len(m.stack) != 0 || len(grays) == 0 {
+			t.Fatalf("TakePending handed over %d entries and left %d", len(grays), len(m.stack))
 		}
 		// The marker reuses the slice it handed over: AddGrays must have
 		// copied out of it.
@@ -407,11 +407,19 @@ func TestDriversShareTheLoop(t *testing.T) {
 			p.AddRoots(h.roots)
 			return p.Run()
 		}},
-		{"bounded", func(h *mixedHeap, cfg Config) Stats {
+		{"finale", func(h *mixedHeap, cfg Config) Stats {
+			// A forced finale: a few chunks leave grays on a worker's kept
+			// stack, on the assist shard and in the queue; DrainKept must
+			// start from all three.
 			p, agg := handOff(h, cfg)
-			for !p.RunBounded(17) {
+			p.FlushStaged()
+			p.DetachedChunk(0, 23, nil)
+			p.chunkWorker(p.assist, 5, nil)
+			p.DrainKept()
+			if !p.Quiescent() {
+				t.Error("DrainKept left gray objects behind")
 			}
-			agg.add(p.AggStats())
+			agg.Add(p.AggStats())
 			return agg
 		}},
 		{"detached", func(h *mixedHeap, cfg Config) Stats {
@@ -426,7 +434,7 @@ func TestDriversShareTheLoop(t *testing.T) {
 					p.DetachedChunk(i%2, 23, nil)
 				}
 			}
-			agg.add(p.AggStats())
+			agg.Add(p.AggStats())
 			return agg
 		}},
 	}

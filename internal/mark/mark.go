@@ -440,15 +440,12 @@ func (m *Marker) drain(budget int) int { return m.scan(nil, false, budget) }
 func (m *Marker) Drain() { m.drain(math.MaxInt) }
 
 // DrainN scans up to n queued objects and reports whether the mark
-// stack is now empty. Incremental collection uses it to bound the
+// stack is now empty. The serial concurrent cycle uses it to bound the
 // marking work done per allocation.
 func (m *Marker) DrainN(n int) bool {
 	m.drain(n)
 	return len(m.stack) == 0
 }
-
-// Pending returns the number of objects awaiting scanning.
-func (m *Marker) Pending() int { return len(m.stack) }
 
 // TakePending removes and returns the queued (marked but unscanned)
 // objects. A concurrent cycle's snapshot pause scans roots with the

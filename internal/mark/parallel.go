@@ -175,16 +175,15 @@ type Parallel struct {
 	shared  *blacklist.Locked
 	workers []*worker
 	// assist is a dedicated marker shard for whoever holds the world
-	// lock during a sharded concurrent cycle (detached.go): the insertion
+	// lock during a detached concurrent cycle (detached.go): the insertion
 	// barrier shades through it (Shade), and mutator slow-path assists
 	// drain through it while detached workers own the regular shards. It
 	// shares the queue and blacklist like a worker but is never spawned by
-	// Run or RunBounded; RunBounded collects its stack before it starts.
-	assist  *worker
-	queue   taskQueue
-	idle    atomic.Int32
-	credits atomic.Int64 // bounded-run scan budget (see bounded.go)
-	staged  []task       // tasks accumulated between cycles, moved to queue by Run
+	// Run or DrainKept; DrainKept collects its stack before it starts.
+	assist *worker
+	queue  taskQueue
+	idle   atomic.Int32
+	staged []task // tasks accumulated between cycles, moved to queue by Run
 	// steals counts tasks fetched from the shared queue, cumulatively
 	// across cycles: root chunks claimed, gray chunks stolen, dirty
 	// blocks taken. It is the registry's mark-steal metric.
@@ -327,7 +326,7 @@ func (p *Parallel) AddDirtyBlock(bi int) {
 // grayTasks cuts grays into taskGray tasks of at most grayChunk entries
 // — each a private copy, so the caller may reuse grays at once — and
 // hands them to emit. It is how every gray set changes hands: a worker's
-// spill, a bounded run's leftovers, the snapshot pause's hand-off.
+// spill, an assist chunk's leftovers, the snapshot pause's hand-off.
 func grayTasks(grays []alloc.Gray, emit func(task)) {
 	for len(grays) > 0 {
 		n := min(len(grays), grayChunk)
@@ -353,13 +352,24 @@ func (p *Parallel) spill(m *Marker) {
 // next cycle.
 func (p *Parallel) Run() Stats {
 	p.queue.tasks = append(p.queue.tasks[:0], p.staged...)
-	p.queue.size.Store(int32(len(p.queue.tasks)))
 	p.staged = p.staged[:0]
-	p.idle.Store(0)
 	p.assist.m.Reset()
-	p.wg.Add(len(p.workers))
 	for _, w := range p.workers {
 		w.m.Reset()
+	}
+	p.runToFixpoint()
+	return p.AggStats()
+}
+
+// runToFixpoint runs every worker over the queue and its own stack
+// until no gray object is left anywhere, then flushes the blacklist
+// buffers. No worker is running when it is called, so the queue is the
+// caller's to have filled bare.
+func (p *Parallel) runToFixpoint() {
+	p.queue.size.Store(int32(len(p.queue.tasks)))
+	p.idle.Store(0)
+	p.wg.Add(len(p.workers))
+	for _, w := range p.workers {
 		go w.run()
 	}
 	p.wg.Wait()
@@ -367,23 +377,22 @@ func (p *Parallel) Run() Stats {
 		w.pending.flush()
 	}
 	p.assist.pending.flush()
-	return p.AggStats()
 }
 
 // AggStats sums every worker's statistics. After Run it equals the
-// cycle's totals; during a concurrent cycle it is the running total
-// across the bounded runs executed so far (ResetCycle zeroes it).
+// cycle's totals; during a detached concurrent cycle it is the running
+// total across the chunks executed so far (ResetCycle zeroes it).
 func (p *Parallel) AggStats() Stats {
 	var agg Stats
 	for _, w := range p.workers {
-		agg.add(w.m.Stats())
+		agg.Add(w.m.Stats())
 	}
-	agg.add(p.assist.m.Stats())
+	agg.Add(p.assist.m.Stats())
 	return agg
 }
 
-// add accumulates o into s field by field.
-func (s *Stats) add(o Stats) {
+// Add accumulates o into s field by field.
+func (s *Stats) Add(o Stats) {
 	s.WordsScanned += o.WordsScanned
 	s.Candidates += o.Candidates
 	s.ObjectsMarked += o.ObjectsMarked

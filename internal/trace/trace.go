@@ -38,8 +38,8 @@ import (
 type Kind uint8
 
 // Event kinds. Cycle kinds (the "cycle kind" argument below) are
-// 0 = full, 1 = generational minor, 2 = incremental, 3 = concurrent
-// full, 4 = concurrent minor.
+// 0 = full, 1 = generational minor, 3 = concurrent full, 4 = concurrent
+// minor; 2 was the incremental cycle's and is retired, not reused.
 const (
 	// EvNone is the zero Kind; it is never emitted.
 	EvNone Kind = iota
@@ -86,9 +86,6 @@ const (
 	// pages (the real collector's "needed to allocate blacklisted
 	// block" warning). A0 the span's base address.
 	EvDesperateAlloc
-	// EvIncStep records one bounded incremental marking step. A0 step
-	// number within the cycle, A1 mark-stack entries remaining.
-	EvIncStep
 	// EvSafepoint records a stop-the-world safepoint: every registered
 	// mutator parked and its allocation caches flushed. A0 mutators
 	// stopped, A1 cached slots flushed back to the free lists, A2 stop
@@ -154,7 +151,6 @@ var kindNames = [numKinds]string{
 	EvAllocTrigger:   "alloc_trigger",
 	EvHeapExpand:     "heap_expand",
 	EvDesperateAlloc: "desperate_alloc",
-	EvIncStep:        "inc_step",
 	EvSafepoint:      "safepoint",
 	EvCacheRefill:    "cache_refill",
 	EvProvenance:     "provenance",

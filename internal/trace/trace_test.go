@@ -69,14 +69,14 @@ func TestWraparoundAtExactCapacity(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 9; i++ {
-		r.Emit(EvIncStep, int64(i), 0, 0)
+		r.Emit(EvSafepoint, int64(i), 0, 0)
 	}
 	r.Reset()
 	if len(r.Events()) != 0 || r.Emitted() != 0 || r.Dropped() != 0 {
 		t.Fatalf("Reset left state: %d events, %d emitted, %d dropped",
 			len(r.Events()), r.Emitted(), r.Dropped())
 	}
-	r.Emit(EvIncStep, 42, 0, 0)
+	r.Emit(EvSafepoint, 42, 0, 0)
 	if evs := r.Events(); len(evs) != 1 || evs[0].A0 != 42 {
 		t.Fatalf("post-Reset events: %+v", evs)
 	}

@@ -36,8 +36,8 @@ type PauseBenchOptions struct {
 type PauseBenchRow struct {
 	// PauseMode is "stw" (every cycle a full stop-the-world
 	// collection), "concurrent" (Config.ConcurrentMark pinned to the
-	// single lock-chunked driver: mutators paused only for the snapshot
-	// and the bounded finale), or "concurrent-workers" (detached
+	// serial lock-chunked cycle: one marker, mutators paused only for the
+	// snapshot and the bounded finale), or "concurrent-workers" (detached
 	// marking on ConcMarkWorkers goroutines plus the background
 	// sweeper).
 	PauseMode        string `json:"pause_mode"`
@@ -66,7 +66,7 @@ type PauseBenchRow struct {
 	GoMaxProcs     int  `json:"gomaxprocs"`
 	Oversubscribed bool `json:"oversubscribed"`
 	// ConcWorkers is the detached background-marking width the row's
-	// cycles ran with (0: lock-chunked single driver). ConcPhaseNs
+	// cycles ran with (0: the serial lock-chunked cycle). ConcPhaseNs
 	// totals the cycles' concurrent-phase wall time and ConcMarkObjsPerMs
 	// is MarkedConcurrent over that time — the background mark
 	// throughput the CI matrix compares across rows. Timing-derived,
@@ -142,9 +142,11 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 		// slow-path assist budget: 4096 keeps each lock hold short
 		// (~0.1ms) while letting the cycle keep pace with allocation
 		// even when the driver goroutine is scheduled rarely.
-		// ConcMarkWorkers is pinned to 1 so this row stays the
-		// lock-chunked single-driver cycle regardless of the machine —
-		// the baseline the detached row is compared against.
+		// ConcMarkWorkers is pinned to 1 so this row stays the serial
+		// lock-chunked cycle regardless of the machine: one driver, and
+		// now one marker at every width (the chunks were sharded across
+		// the stop-the-world width before that shape was deleted) — the
+		// baseline the detached row is compared against.
 		{"concurrent", Config{
 			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 			GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,

@@ -22,7 +22,6 @@ func TestSoakHeapBounded(t *testing.T) {
 	}{
 		{"stop-the-world", Config{Blacklisting: BlacklistDense}},
 		{"generational", Config{Generational: true, MinorDivisor: 4, FullEvery: 8}},
-		{"incremental", Config{Incremental: true, MarkQuantum: 32}},
 		{"lazy", Config{Blacklisting: BlacklistDense, LazySweep: true}},
 		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, FullEvery: 8,
 			LazySweep: true}},

@@ -199,11 +199,13 @@ func (h *soundnessHarness) step() {
 		h.w.Collect()
 	case op < 11 && h.w.Config().Generational:
 		h.w.CollectMinor()
-	case op < 11 && h.w.Config().Incremental:
-		if !h.w.IncrementalActive() {
-			h.w.StartIncrementalCycle()
-		} else if h.w.IncrementalStep(8) {
-			h.w.FinishIncrementalCycle()
+	case op < 11 && h.w.Config().ConcurrentMark:
+		// A concurrent cycle stepped by hand between the harness's own
+		// operations (serial shape: no goroutine, so the run replays).
+		if !h.w.ConcurrentActive() {
+			h.w.StartConcurrentCycle()
+		} else {
+			h.w.ConcurrentStep(8) // the step that drains runs the finale
 		}
 	}
 	// Prune after EVERY step: any allocation may trigger a collection
@@ -231,12 +233,11 @@ func (h *soundnessHarness) prune() {
 }
 
 func (h *soundnessHarness) finalCheck() {
-	// An in-flight incremental cycle retains its snapshot's liveness
-	// (floating garbage) — finish it, then run a genuinely fresh full
-	// collection so the exactness assertion below is fair.
-	if h.w.IncrementalActive() {
-		h.w.FinishIncrementalCycle()
-	}
+	// An in-flight concurrent cycle retains its snapshot's liveness
+	// (floating garbage), and Collect would merely land it — finish it,
+	// then run a genuinely fresh full collection so the exactness
+	// assertion below is fair.
+	h.w.FinishConcurrentCycle()
 	h.w.Collect()
 	reach := h.reachable()
 	for p := range reach {
@@ -267,7 +268,7 @@ func TestSoundnessAcrossModes(t *testing.T) {
 		{"blacklist", Config{Blacklisting: BlacklistDense}},
 		{"interior", Config{Pointer: PointerInterior, Blacklisting: BlacklistDense}},
 		{"generational", Config{Generational: true, MinorDivisor: 4}},
-		{"incremental", Config{Incremental: true, MarkQuantum: 8}},
+		{"conc-stepped", Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 8}},
 		{"lifo-frag", Config{FreeBlocks: LIFO}},
 		{"skip-boundary", Config{SkipPageBoundarySlot: true}},
 		{"discontiguous", Config{DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
@@ -275,7 +276,8 @@ func TestSoundnessAcrossModes(t *testing.T) {
 			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
 		{"lazy", Config{LazySweep: true}},
 		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, LazySweep: true}},
-		{"inc-lazy", Config{Incremental: true, MarkQuantum: 8, LazySweep: true}},
+		{"conc-stepped-lazy", Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 8,
+			LazySweep: true}},
 	}
 	for _, mode := range modes {
 		mode := mode
