@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench bench-smoke perfbench-test perfbench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test allocs race bench bench-smoke perfbench-test perfbench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
 ci: fmt vet lint build test perfbench-test race
 
@@ -31,8 +31,17 @@ lint:
 build:
 	$(GO) build ./...
 
-test:
+test: allocs
 	$(GO) test ./...
+
+# The allocation guards alone, three times over: every test that pins a
+# path at zero Go-heap allocations (testing.AllocsPerRun == 0) carries
+# ZeroAlloc in its name — the direct and handle allocation paths with a
+# machine attached, frames and the residue step, untraced collections,
+# the trace and metrics fast paths — so an escape that comes back fails
+# here by name, before the full suite runs.
+allocs:
+	$(GO) test -count=3 -run ZeroAlloc ./internal/...
 
 # The parallel mark phase must be clean under the race detector. The
 # internal packages hold most of its tests (differential, fuzz seeds);
@@ -48,9 +57,14 @@ test:
 # or a background driver interleaves with depends on how many there
 # are; and the battery that audits the heap in mid-cycle, where a mark
 # summary read before its recount shows first, runs twenty times over.
+# The root package alone takes five and a half minutes under -race on
+# a quiet two-processor box, so beside a busy neighbour it outlives go
+# test's default ten-minute budget with every test passing; the budget
+# is widened, nothing is retried. -count=1 because a cached "ok" has
+# looked for no race.
 CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors
 race:
-	$(GO) test -race . ./internal/...
+	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \
 		echo "race: concurrent batteries at GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -race -run '$(CONC_BATTERIES)' ./internal/core; \
@@ -61,8 +75,11 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
 # One-iteration pass over every benchmark in the repo: catches bit-rot
-# in benchmark code without waiting for real measurements. The tiny
-# allocbench run smokes the free-list-vs-line-heap driver the same way.
+# in benchmark code without waiting for real measurements (among them
+# the rungs read without the perfbench harness: BenchmarkProgramTDirect
+# in the root package, BenchmarkMarkLiveGraph and its par2 variant in
+# internal/mark). The tiny allocbench run smokes the
+# free-list-vs-line-heap driver the same way.
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/gcbench -experiment allocbench -mutators 1,2 > /dev/null

@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,6 +64,40 @@ func BenchmarkTable1OS2Blacklist(b *testing.B) {
 
 func BenchmarkTable1PCRBlacklist(b *testing.B) {
 	benchProgramT(b, platform.PCR(1<<20), true)
+}
+
+// BenchmarkProgramTDirect is the rung under perfbench's program_t row:
+// the same SPARC-static environment (8 lists of 100 KB in a 1 MiB heap,
+// blacklisting on, machine attached, allocator residue modelled), one
+// RunProgramT per iteration on the clock and the image build off it,
+// reported per simulated allocation — the direct World.Allocate path's
+// cost, and how many Go-heap allocations each one makes (0: what is
+// left per run is the per-run set-up, a few dozen objects).
+func BenchmarkProgramTDirect(b *testing.B) {
+	p := platform.SPARCStatic(false)
+	p.NLists, p.InitialHeap, p.HeapReserve = 8, 1<<20, 4<<20
+	simAllocs := float64(p.NLists * (p.NodesPerList + 2))
+	var before, after runtime.MemStats
+	var mallocs uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, err := p.Build(uint64(i)+1, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		_, err = env.RunProgramT()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*simAllocs), "ns/alloc")
+	b.ReportMetric(float64(mallocs)/(float64(b.N)*simAllocs), "mallocs/alloc")
 }
 
 // --- E2 / Figure 1: candidate extraction alignment ---

@@ -1070,3 +1070,11 @@ func (a *Allocator) BlockInfo(i int) BlockInfo {
 	}
 	return info
 }
+
+// SinceGC returns the two numbers the collection trigger compares —
+// bytes allocated since the last ResetSinceGC and the committed heap
+// size — without copying the rest of Stats: it is read on every
+// allocation that takes the world lock.
+func (a *Allocator) SinceGC() (bytesSinceGC uint64, heapBytes int) {
+	return a.stats.BytesSinceGC, a.stats.HeapBytes
+}

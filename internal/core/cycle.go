@@ -399,14 +399,14 @@ func (w *World) ensureParLocked(workers int) {
 // in flight.
 func (w *World) dueCycleLocked() (kind cycleKind, due bool) {
 	cfg := &w.cfg
-	st := w.Heap.Stats()
-	if cfg.Generational && cfg.MinorDivisor > 0 && st.BytesSinceGC > uint64(st.HeapBytes/cfg.MinorDivisor) {
+	sinceGC, heapBytes := w.Heap.SinceGC()
+	if cfg.Generational && cfg.MinorDivisor > 0 && sinceGC > uint64(heapBytes/cfg.MinorDivisor) {
 		return kindOf(cfg.ConcurrentMark, w.minorsSinceFull < cfg.FullEvery-1), true
 	}
 	if cfg.Generational && cfg.ConcurrentMark {
 		return kindFull, false
 	}
-	if cfg.GCDivisor > 0 && st.BytesSinceGC > uint64(st.HeapBytes/cfg.GCDivisor) {
+	if cfg.GCDivisor > 0 && sinceGC > uint64(heapBytes/cfg.GCDivisor) {
 		return kindOf(cfg.ConcurrentMark, false), true
 	}
 	return kindFull, false

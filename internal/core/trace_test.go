@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -56,16 +58,25 @@ func churn(t *testing.T, w *World, data *mem.Segment, base mem.Addr, count int) 
 // tracer attached, a steady-state collection must not allocate — the
 // nil-recorder fast path, the metrics' pre-registered atomics, and the
 // root-scan scratch slice together keep the whole cycle allocation
-// free, so observability costs nothing when off.
+// free, so observability costs nothing when off. The RootSource row
+// attaches a machine: its register file is read into a buffer the
+// machine owns, so scanning it allocates nothing either.
 func TestCollectZeroAllocsUntraced(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1})
-	data := addData(t, w, "data", 0x2000, 4096)
-	churn(t, w, data, 0x2000, 64)
-	w.Collect() // warm up: size the mark stack and sweep structures
-	w.Collect()
-	avg := testing.AllocsPerRun(10, func() { w.Collect() })
-	if avg != 0 {
-		t.Fatalf("untraced Collect allocates %v times per cycle, want 0", avg)
+	for _, withSource := range []bool{false, true} {
+		t.Run(fmt.Sprintf("RootSource=%v", withSource), func(t *testing.T) {
+			w := newWorld(t, Config{GCDivisor: -1})
+			if withSource {
+				withMachine(t, w, machine.Config{RegisterWindows: true})
+			}
+			data := addData(t, w, "data", 0x2000, 4096)
+			churn(t, w, data, 0x2000, 64)
+			w.Collect() // warm up: size the mark stack and sweep structures
+			w.Collect()
+			avg := testing.AllocsPerRun(10, func() { w.Collect() })
+			if avg != 0 {
+				t.Fatalf("untraced Collect allocates %v times per cycle, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -307,7 +307,7 @@ type RootSource interface {
 // residueSimulator is implemented by mutators that can simulate the
 // allocator's own transient stack frames.
 type residueSimulator interface {
-	SimulateCallResidue(clean bool, vals ...mem.Word)
+	SimulateCallResidue(clean bool, ptr, size mem.Word)
 }
 
 // CollectionStats describes one collection.

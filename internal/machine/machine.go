@@ -112,6 +112,8 @@ type Machine struct {
 	lowWater mem.Addr // lowest sp ever observed
 	clearCur mem.Addr // ClearCheap progress cursor
 	frames   []frameRec
+	handles  []*Frame                 // handles[i] is the pooled handle for frames[i]
+	regs     [TotalRegisters]mem.Word // Registers' buffer
 	globals  [NumGlobals]mem.Word
 	windows  [NumWindows][WindowSize]mem.Word
 	cwp      int // current window pointer
@@ -171,7 +173,11 @@ func (m *Machine) LowWater() mem.Addr { return m.lowWater }
 // Depth returns the current call depth.
 func (m *Machine) Depth() int { return len(m.frames) }
 
-// A Frame is a live activation record. Slot 0 is the lowest word.
+// A Frame is a live activation record. Slot 0 is the lowest word. The
+// handle names a position in the frame stack, not an activation: the
+// machine keeps one per depth and hands it out again on the next push
+// to that depth, so pushing allocates nothing once a depth has been
+// reached.
 type Frame struct {
 	m     *Machine
 	index int // position in m.frames
@@ -201,7 +207,11 @@ func (m *Machine) PushFrame(words int) (*Frame, error) {
 		m.depth++
 		m.cwp = m.depth % NumWindows
 	}
-	return &Frame{m: m, index: len(m.frames) - 1}, nil
+	i := len(m.frames) - 1
+	if i == len(m.handles) {
+		m.handles = append(m.handles, &Frame{m: m, index: i})
+	}
+	return m.handles[i], nil
 }
 
 // PopFrame releases the top frame. Its contents are left in place.
@@ -281,10 +291,10 @@ func (m *Machine) Local(i int) mem.Word { return m.windows[m.cwp][i] }
 
 // Registers returns the complete register state the collector must
 // scan: all globals and every window, since on a real SPARC the whole
-// register file may be flushed to memory at any point.
+// register file may be flushed to memory at any point. The slice is a
+// copy in a buffer the machine owns, valid until the next call.
 func (m *Machine) Registers() []mem.Word {
-	out := make([]mem.Word, 0, TotalRegisters)
-	out = append(out, m.globals[:]...)
+	out := append(m.regs[:0], m.globals[:]...)
 	for w := range m.windows {
 		out = append(out, m.windows[w][:]...)
 	}
@@ -373,27 +383,41 @@ func (m *Machine) clearDead(lo, hi mem.Addr) {
 	}
 }
 
+// residueWords is the allocator's transient frame: the two values it
+// holds plus two words of linkage, before slop.
+const residueWords = 4
+
 // SimulateCallResidue models the allocator's (or collector's) own
-// transient call frame: a short-lived frame holding the given values —
-// typically the freshly allocated pointer — is pushed and immediately
-// popped, leaving the values as dead-stack residue. "Often the initial
+// transient call frame: a short-lived frame holding the freshly
+// allocated pointer and its size is pushed and immediately popped,
+// leaving the two values as dead-stack residue. "Often the initial
 // pointer value that is then accidentally preserved is stored by the
 // allocator or collector itself... it may pay to have the allocator
 // and collector carefully clean up after themselves, clearing local
 // variables before function exit" (section 3.1): clean simulates that
 // discipline.
-func (m *Machine) SimulateCallResidue(clean bool, vals ...mem.Word) {
-	f, err := m.PushFrame(len(vals) + 2)
-	if err != nil {
+//
+// The step is PushFrame(residueWords), a store to slots 0 and 1, Clear
+// when clean, PopFrame — written as its net effect, because it runs on
+// every allocation: the frame's words (or, clean, the whole frame with
+// its slop zeroed) and the low-water mark change; the stack pointer,
+// depth and window pointer end where they began. A frame that would
+// overflow the stack is skipped.
+func (m *Machine) SimulateCallResidue(clean bool, ptr, size mem.Word) {
+	total := residueWords + m.cfg.FrameSlopWords
+	base := m.sp - mem.Addr(total*mem.WordBytes)
+	if base < m.seg.Base() || base > m.sp {
 		return
 	}
-	for i, v := range vals {
-		f.Store(i, v)
+	if base < m.lowWater {
+		m.lowWater = base
 	}
 	if clean {
-		f.Clear()
+		m.clearDead(base, m.sp)
+		return
 	}
-	m.PopFrame()
+	frame := m.seg.Words()[int(base-m.seg.Base())/mem.WordBytes:]
+	frame[0], frame[1] = ptr, size
 }
 
 // ClearDeadStack forces a full clear of the dead region regardless of

@@ -1,6 +1,7 @@
 package mark
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -461,7 +462,12 @@ func benchMarkList(b *testing.B, blacklisting bool) {
 // head and from the middle of the chain, so each marks about half the
 // graph and the wall time per object shows what they cost each other:
 // whatever a mark writes besides its own bit is paid for here and
-// nowhere on the one-goroutine rungs), PointerInterior, "rescan" (the
+// nowhere on the one-goroutine rungs), "par2" (Parallel.Run at two
+// workers from the head alone — the stop-the-world parallel phase as
+// core drives it — reporting each worker's share of the objects marked
+// beside the wall time: workers share gray objects only through spills,
+// and a graph whose mark stack stays under spillThreshold is marked by
+// whichever worker took the root), PointerInterior, "rescan" (the
 // by-base entry: every marked object of every block through ScanObject
 // with all its targets marked already, which is what a minor cycle does
 // to its remembered set), and a push/pop-only rung — the mark stack's
@@ -473,6 +479,7 @@ func BenchmarkMarkLiveGraph(b *testing.B) {
 		{name: "typed", typed: true},
 		{name: "cas", cas: true},
 		{name: "cas2", cas: true, second: true},
+		{name: "par2", par: 2},
 		{name: "interior", policy: PointerInterior},
 		{name: "rescan", still: true, cas: true, rescan: true},
 	} {
@@ -509,6 +516,7 @@ type liveGraphVariant struct {
 	cas    bool // mark bits set by compare-and-swap
 	second bool // a second marker runs concurrently, from the chain's middle
 	rescan bool // time ScanObject over the marked graph, not the mark
+	par    int  // mark with Parallel.Run at this many workers, not m
 	policy PointerPolicy
 }
 
@@ -556,22 +564,37 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 		addrs[i] = p
 	}
 	head, middle := mem.Word(addrs[nodes-1]), mem.Word(addrs[nodes/2-1])
+	headRoot := []mem.Word{head}
+	var par *Parallel
+	var shares []uint64 // objects marked by each of par's workers
+	if v.par > 0 {
+		par = NewParallel(heap, Config{Policy: v.policy}, v.par)
+		shares = make([]uint64, par.Workers())
+	}
 	var onClock time.Duration
 	var wg sync.WaitGroup
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		if v.second {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m2.MarkValue(middle)
-				m2.Drain()
-			}()
+		var marked uint64
+		if par != nil {
+			par.AddSparseRoots(headRoot)
+			marked = par.Run().ObjectsMarked
+			par.EachWorkerStats(func(i int, s Stats) { shares[i] += s.ObjectsMarked })
+		} else {
+			if v.second {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					m2.MarkValue(middle)
+					m2.Drain()
+				}()
+			}
+			m.MarkValue(head)
+			m.Drain()
+			wg.Wait()
+			marked = m.Stats().ObjectsMarked + m2.Stats().ObjectsMarked
 		}
-		m.MarkValue(head)
-		m.Drain()
-		wg.Wait()
 		if v.rescan {
 			start = time.Now()
 			for bi := 0; bi < heap.NumBlocks(); bi++ {
@@ -579,8 +602,8 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 			}
 		}
 		onClock += time.Since(start)
-		if got := m.Stats().ObjectsMarked + m2.Stats().ObjectsMarked; got != nodes {
-			b.Fatalf("marked %d objects, want %d", got, nodes)
+		if marked != nodes {
+			b.Fatalf("marked %d objects, want %d", marked, nodes)
 		}
 		heap.ClearMarks()
 		m.Reset()
@@ -592,6 +615,9 @@ func benchLiveGraph(b *testing.B, v liveGraphVariant) {
 		}
 	}
 	b.ReportMetric(float64(onClock.Nanoseconds())/float64(b.N*nodes), "ns/obj")
+	for i, n := range shares {
+		b.ReportMetric(float64(n)/float64(b.N*nodes), fmt.Sprintf("w%d-share", i))
+	}
 }
 
 func TestTypedObjectScanning(t *testing.T) {

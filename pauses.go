@@ -16,6 +16,24 @@ type PauseRow struct {
 	MeanPause    time.Duration // mean over calls that exceeded the median
 	TotalGCWork  time.Duration
 	FinalLiveObj uint64
+	// ChurnCycles counts the cycles the churn itself triggered, and
+	// MaxReported is the longest the collector's own phase timers say
+	// one of them kept the mutator stopped (see reportedPause). Unlike
+	// MaxPause it includes no wait for a lock or a processor.
+	ChurnCycles int
+	MaxReported time.Duration
+}
+
+// reportedPause is how long one cycle stopped the mutator by the
+// collector's account: the safepoint stop plus, for a stop-the-world
+// cycle, its mark and sweep; for a concurrent one, the longer of its
+// snapshot and final pauses.
+func reportedPause(st CollectionStats) time.Duration {
+	ns := st.PauseMarkNs + st.PauseSweepNs
+	if st.Concurrent {
+		ns = max(st.PauseSnapshotNs, st.PauseFinalNs)
+	}
+	return time.Duration(st.PauseStopNs + ns)
 }
 
 // PausesOptions configures the experiment.
@@ -90,6 +108,14 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 	}
 	w.Collect() // settle (and, if generational, tenure) the structure
 
+	// Every cycle from here on is one the churn triggered. The hook runs
+	// under the world lock, which FinishConcurrentCycle takes below.
+	var cycles int
+	var maxReported time.Duration
+	w.SetCollectionHook(func(st CollectionStats) {
+		cycles++
+		maxReported = max(maxReported, reportedPause(st))
+	})
 	var maxPause, total time.Duration
 	for i := 0; i < opt.Churn; i++ {
 		start := time.Now()
@@ -112,5 +138,7 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 		MaxPause:     maxPause,
 		TotalGCWork:  total,
 		FinalLiveObj: st.ObjectsLive,
+		ChurnCycles:  cycles,
+		MaxReported:  maxReported,
 	}, nil
 }

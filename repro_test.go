@@ -3,7 +3,6 @@ package repro
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -336,28 +335,32 @@ func TestDegreesOfConservatismExperiment(t *testing.T) {
 	}
 }
 
+// TestPausesExperiment checks E16's claim on what the collector reports,
+// not on the wall clock around an Allocate call (which also measures
+// whoever else wanted the processor or the world lock): the longest stop
+// a mostly-concurrent cycle imposes is well below a stop-the-world
+// cycle's mark and sweep over the same live structure. Both sides are
+// phase timers of one process over the same heap, so load stretches them
+// alike. The churn is sized so that every row collects: 4.8 MB allocated
+// against a trigger of half a 4 MiB heap.
 func TestPausesExperiment(t *testing.T) {
-	rows, tab, err := Pauses(PausesOptions{LiveObjects: 150000, Churn: 200000, Seed: 1})
+	const live = 150000
+	rows, tab, err := Pauses(PausesOptions{LiveObjects: live, Churn: 600000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stw, conc := rows[0], rows[1]
-	// Every mode must retain the long-lived structure and actually
-	// collect; these are the correctness claims. The pause *ordering*
-	// is asserted only when the stop-the-world pause is large enough to
-	// stand clear of scheduler noise (wall-clock tests are otherwise
-	// flaky); the full-scale numbers live in EXPERIMENTS.md.
 	for _, r := range rows {
-		if r.FinalLiveObj < 150000 {
+		if r.FinalLiveObj < live {
 			t.Errorf("%s lost live data: %d", r.Mode, r.FinalLiveObj)
 		}
-		if r.Collections == 0 {
-			t.Errorf("%s never collected", r.Mode)
+		if r.ChurnCycles == 0 {
+			t.Errorf("%s: the churn triggered no collection", r.Mode)
 		}
 	}
-	if stw.MaxPause > 4*time.Millisecond && conc.MaxPause*2 >= stw.MaxPause {
-		t.Errorf("mostly-concurrent worst pause %v not well below stop-the-world %v",
-			conc.MaxPause, stw.MaxPause)
+	if conc.MaxReported*2 >= stw.MaxReported {
+		t.Errorf("mostly-concurrent worst reported stop %v not well below stop-the-world's %v",
+			conc.MaxReported, stw.MaxReported)
 	}
 	if !strings.Contains(tab.String(), "stop-the-world") {
 		t.Error("table content missing")
