@@ -37,9 +37,10 @@ test: allocs
 # The allocation guards alone, three times over: every test that pins a
 # path at zero Go-heap allocations (testing.AllocsPerRun == 0) carries
 # ZeroAlloc in its name — the direct and handle allocation paths with a
-# machine attached, frames and the residue step, untraced collections,
-# the trace and metrics fast paths — so an escape that comes back fails
-# here by name, before the full suite runs.
+# machine attached, the refill carve into a buffer with room
+# (TestAllocRunZeroAlloc), frames and the residue step, untraced
+# collections, the trace and metrics fast paths — so an escape that
+# comes back fails here by name, before the full suite runs.
 allocs:
 	$(GO) test -count=3 -run ZeroAlloc ./internal/...
 
@@ -77,9 +78,11 @@ bench:
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without waiting for real measurements (among them
 # the rungs read without the perfbench harness: BenchmarkProgramTDirect
-# in the root package, BenchmarkMarkLiveGraph and its par2 variant in
-# internal/mark). The tiny allocbench run smokes the
-# free-list-vs-line-heap driver the same way.
+# and BenchmarkMutatorAllocateChurn in the root package,
+# BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
+# BenchmarkMarkLiveGraph and its par2 variant in internal/mark). The
+# tiny allocbench run smokes the free-list-vs-line-heap driver the same
+# way.
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/gcbench -experiment allocbench -mutators 1,2 > /dev/null

@@ -100,6 +100,42 @@ func BenchmarkProgramTDirect(b *testing.B) {
 	b.ReportMetric(float64(mallocs)/(float64(b.N)*simAllocs), "mallocs/alloc")
 }
 
+// BenchmarkMutatorAllocateChurn is the rung under perfbench's
+// serve_churn row, without the harness: one handle in a 1 MiB world,
+// every allocation rooted into a ring of 4096 slots (so about an eighth
+// of the heap is live), sizes cycling {2,4,8,16} words, every fourth
+// object linked to the one before it — and the collections the
+// allocation triggers, which is what keeps the free lists the carve
+// reads swept rather than fresh.
+func BenchmarkMutatorAllocateChurn(b *testing.B) {
+	const slots, rootsBase = 4096, Addr(0x2000)
+	w, err := NewWorld(Config{InitialHeapBytes: 1 << 20, MarkWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	roots, err := w.Space.MapNew("roots", KindData, rootsBase, slots*mem.WordBytes, slots*mem.WordBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := w.NewMutator()
+	sizes := [4]int{2, 4, 8, 16}
+	var prev Addr
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := m.AllocateRooted(roots, rootsBase+Addr(i%slots*mem.WordBytes), sizes[i&3], false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i&3 == 3 {
+			if err := m.Store(p, Word(prev)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		prev = p
+	}
+}
+
 // --- E2 / Figure 1: candidate extraction alignment ---
 
 func benchFigure1(b *testing.B, align AlignPolicy) {

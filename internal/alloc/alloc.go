@@ -550,19 +550,12 @@ func (a *Allocator) blockWords(bi int) []mem.Word {
 	return e.seg.Words()[off : off+mem.PageWords]
 }
 
-// loadWord and storeWord access heap memory by address.
+// loadWord reads heap memory by address.
 func (a *Allocator) loadWord(p mem.Addr) (mem.Word, error) {
 	if e := a.extentOfAddr(p); e != nil {
 		return e.seg.Load(p)
 	}
 	return 0, fmt.Errorf("alloc: load outside heap at %#x", uint32(p))
-}
-
-func (a *Allocator) storeWord(p mem.Addr, v mem.Word) error {
-	if e := a.extentOfAddr(p); e != nil {
-		return e.seg.Store(p, v)
-	}
-	return fmt.Errorf("alloc: store outside heap at %#x", uint32(p))
 }
 
 // NumBlocks returns the number of committed blocks.
@@ -664,17 +657,11 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 		}
 	}
 	p := a.freeList[idx]
-	next, err := a.loadWord(p)
+	s, err := a.locateSlots(p, class)
 	if err != nil {
-		return 0, fmt.Errorf("alloc: corrupt free list for class %d: %v", class, err)
-	}
-	a.freeList[idx] = mem.Addr(next)
-	if err := a.storeWord(p, 0); err != nil {
 		return 0, err
 	}
-	b, slot := a.slotAt(p)
-	bitSet(b.allocBits, slot)
-	b.liveSlots++
+	a.freeList[idx] = s.pop(p)
 	a.stats.ObjectsAllocated++
 	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
 	a.stats.BytesSinceGC += uint64(words * mem.WordBytes)
@@ -1078,3 +1065,7 @@ func (a *Allocator) BlockInfo(i int) BlockInfo {
 func (a *Allocator) SinceGC() (bytesSinceGC uint64, heapBytes int) {
 	return a.stats.BytesSinceGC, a.stats.HeapBytes
 }
+
+// BytesAllocated returns the cumulative allocation total alone, for the
+// assist pacer, which reads it on every slow path of a concurrent cycle.
+func (a *Allocator) BytesAllocated() uint64 { return a.stats.BytesAllocated }

@@ -57,14 +57,6 @@ func slotsPerBlock(w int) int { return int(slotCount[w]) }
 // page-aligned, so the offset is the address's low bits.
 func pageWordOff(p mem.Addr) int { return int(p&(mem.PageBytes-1)) / mem.WordBytes }
 
-// slotAt returns the block holding p and the index of the slot p falls
-// in. p must lie in a committed small block; the allocation side uses it
-// for addresses it threaded or carved itself.
-func (a *Allocator) slotAt(p mem.Addr) (*blockDesc, int) {
-	b := &a.blocks[a.blockIndex(p)]
-	return b, slotOfWord(pageWordOff(p), int(b.objWords))
-}
-
 // slotAddr returns the address of a slot in the w-word block at base.
 func slotAddr(base mem.Addr, slot, w int) mem.Addr {
 	return base + mem.Addr(slot*w*mem.WordBytes)

@@ -73,29 +73,35 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 			return out, err
 		}
 	}
-	for n := 0; n < max && a.freeList[idx] != 0; n++ {
-		p := a.freeList[idx]
-		next, err := a.loadWord(p)
-		if err != nil {
-			return out, fmt.Errorf("alloc: corrupt free list for class %d: %v", class, err)
+	// One block lookup per stretch of the list that stays in a block
+	// (freelist.go); the head is written back once, at the faulting link
+	// if a link is bad.
+	head := a.freeList[idx]
+	var err error
+	for n := 0; n < max && head != 0; {
+		var s slotBlock
+		if s, err = a.locateSlots(head, class); err != nil {
+			break
 		}
-		a.freeList[idx] = mem.Addr(next)
-		if err := a.storeWord(p, 0); err != nil {
-			return out, err
+		for {
+			out = append(out, head)
+			head = s.pop(head)
+			if n++; n == max || !s.holds(head) {
+				break
+			}
 		}
-		b, slot := a.slotAt(p)
-		bitSet(b.allocBits, slot)
-		b.liveSlots++
-		out = append(out, p)
 	}
-	return out, nil
+	a.freeList[idx] = head
+	return out, err
 }
 
 // ReturnRun gives the unconsumed tail of a carved run back to its free
 // list, restoring exactly the list a sequence of per-object Allocs
 // would have left: slots are pushed in reverse so run[0] becomes the
 // head again with its original links rebuilt. Stats are untouched —
-// AllocRun never counted the slots (see CommitAllocs).
+// AllocRun never counted the slots (see CommitAllocs). run must be
+// slots AllocRun carved, on a heap that still takes stores: anything
+// else is a bug in the caller, and panics.
 func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	if len(run) == 0 {
 		return
@@ -105,23 +111,19 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	if atomic {
 		idx += NumClasses
 	}
-	for i := len(run) - 1; i >= 0; i-- {
-		p := run[i]
-		b, slot := a.slotAt(p)
-		bitClear(b.allocBits, slot)
-		// A returned slot may carry a mark bit: born-grey allocation
-		// marks whole carved runs during a concurrent cycle, and a
-		// conservative root can mark an outstanding slot mid-cycle.
-		// Clear it, or markedCount would overstate the live survey the
-		// next sweep bases its accounting on.
-		if bitGet(b.markBits, slot) {
-			bitClear(b.markBits, slot)
-			b.markedCount--
+	head := a.freeList[idx]
+	for i := len(run) - 1; i >= 0; {
+		s, err := a.locateSlots(run[i], class)
+		if err != nil {
+			// run is what AllocRun carved: only a bug gets here.
+			panic(fmt.Sprintf("alloc: ReturnRun: %v", err))
 		}
-		b.liveSlots--
-		a.storeWord(p, mem.Word(a.freeList[idx]))
-		a.freeList[idx] = p
+		for ; i >= 0 && s.holds(run[i]); i-- {
+			s.push(run[i], head)
+			head = run[i]
+		}
 	}
+	a.freeList[idx] = head
 }
 
 // CommitAllocs folds a mutator's locally-counted consumed-slot totals

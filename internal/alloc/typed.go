@@ -94,17 +94,11 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 		}
 	}
 	p := a.typedFree[key]
-	next, err := a.loadWord(p)
+	s, err := a.locateSlots(p, class)
 	if err != nil {
-		return 0, fmt.Errorf("alloc: corrupt typed free list: %v", err)
-	}
-	a.typedFree[key] = mem.Addr(next)
-	if err := a.storeWord(p, 0); err != nil {
 		return 0, err
 	}
-	b, slot := a.slotAt(p)
-	bitSet(b.allocBits, slot)
-	b.liveSlots++
+	a.typedFree[key] = s.pop(p)
 	a.stats.ObjectsAllocated++
 	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
 	a.stats.BytesSinceGC += uint64(words * mem.WordBytes)

@@ -233,7 +233,7 @@ func (w *World) pacerInitLocked(minor bool) {
 // a concurrent cycle active.
 func (w *World) pacerAssistLocked() {
 	c := &w.cyc
-	alloced := w.Heap.Stats().BytesAllocated
+	alloced := w.Heap.BytesAllocated()
 	if alloced > c.pacerLastAlloc {
 		debt := float64(alloced-c.pacerLastAlloc) * c.pacerRatio
 		c.pacerLastAlloc = alloced

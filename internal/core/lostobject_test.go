@@ -296,9 +296,13 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 						lw.t.Errorf("over-budget allocation: err = %v, want ErrTenantEvicted", err)
 					}
 				}},
-				{name: "need-memory", run: func(lw *lostWorld, _ *Mutator) {
+				{name: "need-memory", own: 1, run: func(lw *lostWorld, _ *Mutator) {
 					// More than the heap can ever hold: the first failed
 					// attempt finishes the open cycle before anything else.
+					// The landed cycle freed only what its snapshot saw
+					// dead, so with the heap at its reservation the call
+					// then runs one full collection of its own before it
+					// gives up (allocateLocked's exhaustion rule).
 					if _, err := lw.w.Allocate(1<<20, false); err == nil {
 						lw.t.Fatal("an allocation larger than the reserve succeeded")
 					}

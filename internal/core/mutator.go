@@ -555,8 +555,8 @@ func (m *Mutator) publishLocked() {
 // trigger becomes the smallest threshold at which allocateLocked would
 // start any collection. Callers hold w.mu.
 func (m *Mutator) resyncLocked() {
-	st := m.w.Heap.Stats()
-	m.sinceGC = st.BytesSinceGC
+	sinceGC, heapBytes := m.w.Heap.SinceGC()
+	m.sinceGC = sinceGC
 	m.hasTrigger = false
 	m.trigger = 0
 	cfg := &m.w.cfg
@@ -571,15 +571,15 @@ func (m *Mutator) resyncLocked() {
 	}
 	if cfg.Generational && cfg.MinorDivisor > 0 {
 		m.hasTrigger = true
-		m.trigger = uint64(st.HeapBytes / cfg.MinorDivisor)
+		m.trigger = uint64(heapBytes / cfg.MinorDivisor)
 		if cfg.GCDivisor > 0 {
-			if t := uint64(st.HeapBytes / cfg.GCDivisor); t < m.trigger {
+			if t := uint64(heapBytes / cfg.GCDivisor); t < m.trigger {
 				m.trigger = t
 			}
 		}
 	} else if cfg.GCDivisor > 0 {
 		m.hasTrigger = true
-		m.trigger = uint64(st.HeapBytes / cfg.GCDivisor)
+		m.trigger = uint64(heapBytes / cfg.GCDivisor)
 	}
 }
 

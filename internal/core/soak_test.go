@@ -78,7 +78,12 @@ func TestSoakConcurrentClosure(t *testing.T) {
 					}
 					if i%512 == 0 {
 						oracle.check(t)
-						if hb := w.Heap.Stats().HeapBytes; hb > peakHeap {
+						// Under the world lock: a background driver may be
+						// closing a cycle, and the close writes these stats.
+						w.mu.Lock()
+						_, hb := w.Heap.SinceGC()
+						w.mu.Unlock()
+						if hb > peakHeap {
 							peakHeap = hb
 						}
 					}

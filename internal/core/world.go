@@ -1028,6 +1028,12 @@ func (w *World) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error)
 		nil)
 }
 
+// errHeapExhausted is what an allocation returns when the heap is at its
+// reservation and a collection freed too little: alloc's sentinel,
+// wrapped once — a world pinned there fails every request, and should
+// not format a string for each.
+var errHeapExhausted = fmt.Errorf("allocating: %w", alloc.ErrHeapExhausted)
+
 // allocateLocked runs the collection/expansion retry policy around one
 // allocation primitive. Callers hold w.mu and have already invoked the
 // OnAllocate hook; src is the root source of the allocating mutator
@@ -1052,6 +1058,9 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 			}
 		}
 	}
+	// collected records that a full collection ran inside this call: the
+	// exhaustion arm below runs one before giving up unless one has.
+	collected := false
 	if w.cyc.active {
 		// Rate-based assist (detached.go): the pacer debits this
 		// allocation's share of the cycle's marking and repays it with
@@ -1073,6 +1082,7 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 			w.collectLocked(kind)
 			if !kind.minor() {
 				w.expandIfTight()
+				collected = true
 			}
 		}
 	}
@@ -1086,24 +1096,44 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 		// cycle to make one worthwhile; otherwise the heap is simply too
 		// small for the live data and must grow (the real collector's
 		// GC_collect_or_expand makes the same distinction).
-		st := w.Heap.Stats()
-		if st.BytesSinceGC > uint64(st.HeapBytes/8) {
+		if since, heap := w.Heap.SinceGC(); since > uint64(heap/8) {
 			w.collectLocked(kindFull)
+			collected = true
 			p, err = try()
 		}
 	}
 	for err == alloc.ErrNeedMemory {
+		_, heap := w.Heap.SinceGC()
 		grow := nwords * mem.WordBytes
-		if amortized := w.Heap.Stats().HeapBytes / 8; grow < amortized {
+		if amortized := heap / 8; grow < amortized {
 			grow = amortized
 		}
 		var eerr error
 		w.lockHeapLocked(func() { eerr = w.Heap.Expand(grow) })
 		if eerr != nil {
+			if !collected {
+				// The heap cannot grow and this call has not looked for
+				// garbage (too little was allocated since the last cycle to
+				// make that worthwhile while growing was an option). Collect
+				// before giving up, as GC_collect_or_expand does: a failed
+				// allocation adds nothing to the trigger, so without this a
+				// full heap of garbage would refuse every request from here
+				// on. A cycle in flight is landed first — collectLocked
+				// would take its finale, which frees only what its snapshot
+				// saw dead, for the collection.
+				w.landCycleLocked()
+				w.collectLocked(kindFull)
+				collected = true
+				p, err = try()
+				continue
+			}
 			if w.cfg.DesperateFallback && desperate != nil {
 				if p, derr := desperate(); derr == nil {
 					return p, nil
 				}
+			}
+			if eerr == alloc.ErrHeapExhausted {
+				return 0, errHeapExhausted
 			}
 			return 0, fmt.Errorf("allocating %d words: %w", nwords, eerr)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/alloc"
@@ -731,5 +732,70 @@ func TestDiscontiguousWorldEndToEnd(t *testing.T) {
 	w.Collect()
 	if live := w.Heap.Stats().ObjectsLive; live != 0 {
 		t.Fatalf("%d objects survived after dropping all roots", live)
+	}
+}
+
+// TestPinnedHeapOfGarbageAllocates is the exhaustion rule's regression:
+// a heap at its reservation, filled with rooted objects, then all of it
+// garbage. A failed allocation adds nothing to the collection trigger,
+// so unless the call that finds the heap unable to grow collects before
+// giving up, every later request is refused — on a heap that is all
+// garbage. In the concurrent forms the heap is filled inside an open
+// cycle (born-black objects: the cycle's own finale frees none of them),
+// and the close is checked by the allocator's audit and the closure
+// oracle.
+func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
+	const heapBytes, objWords = 256 << 10, 8
+	const objects = heapBytes / (objWords * mem.WordBytes)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		inCycle bool
+	}{
+		{name: "stw"},
+		{name: "concurrent-serial", cfg: Config{ConcurrentMark: true, GCDivisor: -1, MarkWorkers: 1, ConcMarkWorkers: 1}, inCycle: true},
+		{name: "concurrent-detached", cfg: Config{ConcurrentMark: true, GCDivisor: -1, ConcMarkWorkers: 4}, inCycle: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.InitialHeapBytes, cfg.ReserveHeapBytes = heapBytes, heapBytes
+			w := newWorld(t, cfg)
+			roots := addData(t, w, "roots", 0x2000, objects*mem.WordBytes)
+			if tc.inCycle {
+				// (No automatic cycles in these forms — GCDivisor -1 — so no
+				// driver goroutine scans the roots this test writes directly.)
+				installClosureOracle(t, w, nil)
+				if err := w.StartConcurrentCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < objects; i++ {
+				p, err := w.Allocate(objWords, false)
+				if err != nil {
+					t.Fatalf("filling: object %d of %d: %v", i, objects, err)
+				}
+				roots.Store(0x2000+mem.Addr(i*mem.WordBytes), mem.Word(p))
+			}
+			if _, err := w.Allocate(objWords, false); !errors.Is(err, alloc.ErrHeapExhausted) {
+				t.Fatalf("allocating into a full heap of live objects: err = %v, want ErrHeapExhausted", err)
+			}
+			if w.ConcurrentActive() {
+				t.Fatal("the refused allocation left the cycle open")
+			}
+			if !tc.inCycle {
+				// The cycle the refused allocation landed reset the trigger
+				// the same way.
+				w.Collect()
+			}
+			roots.Fill(0)
+			for i := 0; i < 1000; i++ {
+				if _, err := w.Allocate(objWords, false); err != nil {
+					t.Fatalf("allocation %d on a heap that is all garbage: %v", i, err)
+				}
+			}
+			if err := w.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -186,6 +186,11 @@ func (s *Segment) SetWritable(w bool) { s.writable = w }
 // segment is possible (at segment creation).
 func (s *Segment) SetAtomicStore(on bool) { s.atomicStore = on }
 
+// AtomicStore reports whether Store writes words atomically. Code that
+// writes through Words() — the allocator's free-list links — reads it
+// to keep the segment's store discipline (StoreWordAtomic when set).
+func (s *Segment) AtomicStore() bool { return s.atomicStore }
+
 // Contains reports whether a lies in the committed region.
 func (s *Segment) Contains(a Addr) bool { return a >= s.base && a < s.Limit() }
 

@@ -458,3 +458,22 @@ func TestReadOnlySegment(t *testing.T) {
 		t.Fatal("store after unprotect failed")
 	}
 }
+
+// A segment in atomic-store mode says so (code that writes through
+// Words() must keep the discipline) and stores the same values.
+func TestAtomicStoreSegment(t *testing.T) {
+	s, _ := NewSegment("heap", KindHeap, 0x2000, 64, 64)
+	if s.AtomicStore() {
+		t.Fatal("a new segment is in atomic-store mode")
+	}
+	s.SetAtomicStore(true)
+	if !s.AtomicStore() {
+		t.Fatal("SetAtomicStore(true) had no effect")
+	}
+	if err := s.Store(0x2008, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	if v := LoadWordAtomic(&s.Words()[2]); v != 0xbeef {
+		t.Fatalf("atomic store wrote %#x", v)
+	}
+}
