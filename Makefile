@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test allocs race bench bench-smoke perfbench-test perfbench-smoke markbench sweepbench mutbench allocbench retentionbench pausebench servebench leakbench soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test allocs race bench bench-smoke perfbench-test perfbench-smoke benchjson soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
-ci: fmt vet lint build test perfbench-test race
+ci: fmt vet lint build test perfbench-test benchgate race
 
 # gofmt is a gate, not a fixer: fail listing the offending files.
 fmt:
@@ -106,63 +106,18 @@ perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_stw -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
 
-# Regenerates BENCH_1.json (parallel mark scaling, machine-readable).
-# Worker counts above GOMAXPROCS are measured but flagged
-# "oversubscribed" and report no speedup: they exist to show the
-# coordination overhead, not to claim scaling a 1-CPU box cannot show.
-markbench:
-	$(GO) run ./cmd/gcbench -experiment markbench -workers 1,2,4,8 -benchjson BENCH_1.json
-
-# Regenerates BENCH_2.json (collection pauses, eager vs lazy sweeping,
-# plus the parallel-mark measurement in the same artifact).
-sweepbench:
-	$(GO) run ./cmd/gcbench -experiment sweepbench -benchjson BENCH_2.json
-
-# Regenerates BENCH_3.json (concurrent-mutator allocation throughput).
-# Mutator counts above GOMAXPROCS are measured but flagged
-# "oversubscribed": their timing is scheduler contention, so only the
-# deterministic object counts are gated for those rows.
-mutbench:
-	$(GO) run ./cmd/gcbench -experiment mutbench -mutators 1,2,4,8 -benchjson BENCH_3.json
-
-# Regenerates BENCH_4.json (retention attribution on the section-4 lazy
-# stream with a planted false stack reference). Single-threaded and
-# fully deterministic: every count column is gated exactly.
-retentionbench:
-	$(GO) run ./cmd/gcbench -experiment retention -benchjson BENCH_4.json
-
-# Regenerates BENCH_5.json (free-list vs line-heap allocation profiles,
-# single and 8-mutator). Object counts are exact invariants in both
-# profiles; the line rows also carry the line-waste space accounting.
-allocbench:
-	$(GO) run ./cmd/gcbench -experiment allocbench -mutators 1,8 -benchjson BENCH_5.json
-
-# Regenerates BENCH_6.json (stop-the-world vs concurrent marking pause
-# percentiles under 8 mutators; three modes per width — stw, the pinned
-# serial lock-chunked concurrent cycle, and detached concurrent-workers
-# with the background sweeper). Object and live counts are exact invariants;
-# pause percentiles, the p99 reduction, and the conc_phase mark
-# throughput are advisory timing (rows record gomaxprocs/conc_workers
-# and the oversubscribed flag so the gate knows when timing is
-# meaningless — on a 1-CPU box the worker rows measure contention).
-pausebench:
-	$(GO) run ./cmd/gcbench -experiment pausebench -mutators 8 -benchjson BENCH_6.json
-
-# Regenerates BENCH_7.json (multi-tenant serving under the three
-# over-budget policies, 1000 concurrent tenants per row). Admissions,
-# denials, evictions, reclamation, liveness and the fairness spread are
-# exact per-tenant invariants gated bit-for-bit; allocation-latency and
-# pause percentiles are advisory timing.
-servebench:
-	$(GO) run ./cmd/gcbench -experiment servebench -benchjson BENCH_7.json
-
-# Regenerates BENCH_8.json (online leak detection: planted slow leak
-# vs churn-only control under the retention watcher). Single-threaded
-# and fully deterministic: detection counts, first-alert cycle,
-# attributed growth and false-positive counts are gated bit-for-bit;
-# only elapsed time is advisory.
-leakbench:
-	$(GO) run ./cmd/gcbench -experiment leakbench -benchjson BENCH_8.json
+# Regenerates BENCH.json: one section per gated experiment of the
+# registry (markbench, sweepbench, mutbench, allocbench, pausebench,
+# servebench, retention, leakbench), each holding the options it ran
+# with and its rows' key and exact columns — counts that repeat on any
+# machine at any GOMAXPROCS, so the diff of a regeneration is empty
+# unless behaviour changed. Timing columns are printed and not recorded
+# (cmd/perfbench measures time). GOMAXPROCS=8 only selects options:
+# markbench and mutbench default to the powers of two up to it, which
+# are the checked-in file's worker and mutator counts; the box need not
+# have eight processors. `all` runs E1–E17 on the way (a minute or two).
+benchjson:
+	GOMAXPROCS=8 $(GO) run ./cmd/gcbench -experiment all -benchjson BENCH.json > /dev/null
 
 # Multi-mutator soak: many allocation/collection rounds against one
 # generational + lazy-sweep world, with a full allocator integrity
@@ -189,18 +144,13 @@ LEAK_SOAK_SECONDS ?= 60
 leaksoak:
 	$(GO) run ./cmd/gcbench -experiment leaksoak -mutators 4 -soak-seconds $(LEAK_SOAK_SECONDS)
 
-# Benchmark regression gate: rerun each benchmark in-process and diff
-# it against the checked-in baseline. Deterministic invariants (objects
-# marked, objects/bytes freed, deferred blocks) must match exactly;
-# timing may drift up to BENCHGATE_TOLERANCE x (generous because CI
-# hardware differs from the baseline machine — the gate catches
-# order-of-magnitude regressions and broken invariants, not jitter).
-BENCHGATE_TOLERANCE ?= 2
+# Benchmark regression gate: rerun every section of BENCH.json
+# in-process, from the options the section records, and compare the
+# exact columns (objects marked, objects/bytes freed, admissions and
+# denials, attribution and detection counts) for equality. No timing is
+# compared and nothing is tolerated: these are invariants.
 benchgate:
-	@set -e; for b in BENCH_*.json; do \
-		echo "benchgate: $$b"; \
-		$(GO) run ./cmd/benchgate -baseline $$b -tolerance $(BENCHGATE_TOLERANCE); \
-	done
+	$(GO) run ./cmd/benchgate -baseline BENCH.json > /dev/null
 
 # Self-checking retention demo: plant a false stack reference retaining
 # a lazy stream (paper, section 4) and assert that the retention report

@@ -3,8 +3,6 @@ package repro
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -13,61 +11,41 @@ import (
 // the free-list profile against the Immix-style line heap
 // (Config.LineAlloc), at each requested mutator count.
 type AllocBenchOptions struct {
-	Mutators []int // mutator counts to measure (default {1, 8})
-	Allocs   int   // allocations per mutator (default 40000)
+	Mutators []int `json:"mutators"` // mutator counts to measure (default {1, 8})
+	Allocs   int   `json:"allocs"`   // allocations per mutator (default 40000)
 	// Trace, when non-nil, records collector events (span refills,
 	// safepoints, cycles) from every measured world (cmd/gcbench -trace).
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // AllocBenchRow is one (profile, mutator count) measurement.
 type AllocBenchRow struct {
-	Profile      string  `json:"profile"` // "freelist" | "line"
-	Mutators     int     `json:"mutators"`
-	NsPerAlloc   float64 `json:"ns_per_alloc"`
-	AllocsPerSec float64 `json:"allocs_per_sec"`
+	Profile  string `json:"profile" gate:"key"` // "freelist" | "line"
+	Mutators int    `json:"mutators" gate:"key"`
 	// ObjectsAllocated is deterministic — every goroutine performs
 	// exactly Allocs allocations — so the regression gate checks it
 	// exactly, in both profiles: a span double-carved or a slot lost
 	// through a safepoint flush breaks conservation here.
-	ObjectsAllocated uint64 `json:"objects_allocated"`
+	ObjectsAllocated uint64  `json:"objects_allocated" gate:"exact"`
+	NsPerAlloc       float64 `json:"-" gate:"info"`
+	AllocsPerSec     float64 `json:"-" gate:"info"`
 	// FastFraction is the share of allocations served from the
 	// per-mutator cache (free-list runs or bump spans) without the
 	// central lock.
-	FastFraction float64 `json:"fast_fraction"`
-	Collections  int     `json:"collections"`
+	FastFraction float64 `json:"-" gate:"info"`
+	Collections  int     `json:"-" gate:"info"`
 	// Line-heap space accounting after the final collection; zero for
 	// the free-list profile. WasteBytes is the paper-style overhead
 	// figure: free slots stranded inside live lines, unreachable by any
 	// bump span until the rest of the line dies. Informational (cycle
 	// timing decides which objects die together), not gated.
-	LineLiveLines  int    `json:"line_live_lines"`
-	LineFreeLines  int    `json:"line_free_lines"`
-	LineWasteBytes uint64 `json:"line_waste_bytes"`
-	// Speedup is the free-list profile's ns/alloc over this row's at
-	// the same mutator count (>1 means the line heap is faster); only
-	// meaningful with real cores, so oversubscribed rows report 0.
-	Speedup        float64 `json:"speedup_vs_freelist"`
-	Oversubscribed bool    `json:"oversubscribed"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	LineLiveLines  int    `json:"-" gate:"info"`
+	LineFreeLines  int    `json:"-" gate:"info"`
+	LineWasteBytes uint64 `json:"-" gate:"info"`
 }
 
-// AllocBenchResult is the full measurement with the environment it ran
-// in.
-type AllocBenchResult struct {
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	Allocs     int             `json:"allocs_per_mutator"`
-	Rows       []AllocBenchRow `json:"rows"`
-}
-
-// allocBenchProfiles orders the comparison; "freelist" must come first
-// so each line row can report its speedup against the matching
-// free-list row.
-var allocBenchProfiles = []string{"freelist", "line"}
+// AllocBenchResult is the measurement with the options it ran under.
+type AllocBenchResult = BenchResult[AllocBenchOptions, AllocBenchRow]
 
 // AllocBench measures allocation throughput of the free-list profile
 // against the line heap under the MutBench churn script (mostly
@@ -82,13 +60,8 @@ func AllocBench(opts AllocBenchOptions) (*AllocBenchResult, *stats.Table, error)
 	if opts.Allocs == 0 {
 		opts.Allocs = 40000
 	}
-	res := &AllocBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Allocs:     opts.Allocs,
-	}
-	freelistNs := make(map[int]float64) // mutator count -> freelist ns/alloc
-	for _, profile := range allocBenchProfiles {
+	res := &AllocBenchResult{Options: opts}
+	for _, profile := range []string{"freelist", "line"} {
 		for _, n := range opts.Mutators {
 			w, err := NewWorld(Config{
 				InitialHeapBytes: 16 << 20, ReserveHeapBytes: 64 << 20,
@@ -98,46 +71,9 @@ func AllocBench(opts AllocBenchOptions) (*AllocBenchResult, *stats.Table, error)
 				return nil, nil, err
 			}
 			w.SetTracer(opts.Trace)
-			const slots = 8
-			data, err := w.Space.MapNew("roots", KindData, 0x2000, n*slots*4, n*slots*4)
+			muts, elapsed, err := churnMutators(w, n, opts.Allocs)
 			if err != nil {
-				return nil, nil, err
-			}
-			muts := make([]*Mutator, n)
-			for g := range muts {
-				muts[g] = w.NewMutator()
-			}
-			sizes := []int{2, 4, 8, 16}
-			var wg sync.WaitGroup
-			errs := make([]error, n)
-			start := time.Now()
-			for g := 0; g < n; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					m := muts[g]
-					base := Addr(0x2000 + g*slots*4)
-					for i := 0; i < opts.Allocs; i++ {
-						size := sizes[i&3]
-						if i&7 == 0 {
-							slot := Addr(4 * ((i >> 3) % slots))
-							if _, err := m.AllocateRooted(data, base+slot, size, false); err != nil {
-								errs[g] = err
-								return
-							}
-						} else if _, err := m.Allocate(size, false); err != nil {
-							errs[g] = err
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			for g, err := range errs {
-				if err != nil {
-					return nil, nil, fmt.Errorf("allocbench %s: mutator %d: %w", profile, g, err)
-				}
+				return nil, nil, fmt.Errorf("allocbench %s: %w", profile, err)
 			}
 			// The final collection publishes every handle's counters and
 			// flushes outstanding bump spans; the integrity audit would
@@ -157,49 +93,31 @@ func AllocBench(opts AllocBenchOptions) (*AllocBenchResult, *stats.Table, error)
 				fast += m.Stats().FastAllocs
 			}
 			ns := float64(elapsed.Nanoseconds()) / float64(total)
-			over := n > res.GoMaxProcs
-			speedup := 0.0
-			if profile == "freelist" {
-				freelistNs[n] = ns
-			} else if base := freelistNs[n]; base > 0 && !over {
-				speedup = base / ns
-			}
 			ls := w.Heap.LineStats()
 			res.Rows = append(res.Rows, AllocBenchRow{
 				Profile:          profile,
 				Mutators:         n,
+				ObjectsAllocated: total,
 				NsPerAlloc:       ns,
 				AllocsPerSec:     1e9 / ns,
-				ObjectsAllocated: total,
 				FastFraction:     float64(fast) / float64(total),
 				Collections:      w.Collections(),
 				LineLiveLines:    ls.LiveLines,
 				LineFreeLines:    ls.FreeLines,
 				LineWasteBytes:   ls.WasteBytes,
-				Speedup:          speedup,
-				Oversubscribed:   over,
-				GoMaxProcs:       runtime.GOMAXPROCS(0),
 			})
 		}
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Allocation profiles: free list vs line heap (%d allocs each, GOMAXPROCS=%d, NumCPU=%d)",
-			opts.Allocs, res.GoMaxProcs, res.NumCPU),
-		"profile", "mutators", "ns/alloc", "Mallocs/s", "fast%", "waste KB", "vs freelist")
+			opts.Allocs, runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		"profile", "mutators", "ns/alloc", "Mallocs/s", "fast%", "waste KB")
 	for _, r := range res.Rows {
-		speedup := "-"
-		if r.Profile == "line" {
-			speedup = fmt.Sprintf("%.2fx", r.Speedup)
-			if r.Oversubscribed {
-				speedup = "n/a (oversubscribed)"
-			}
-		}
 		tab.AddF(r.Profile, r.Mutators,
 			fmt.Sprintf("%.1f", r.NsPerAlloc),
 			fmt.Sprintf("%.2f", r.AllocsPerSec/1e6),
 			fmt.Sprintf("%.1f", r.FastFraction*100),
-			fmt.Sprintf("%.1f", float64(r.LineWasteBytes)/1024),
-			speedup)
+			fmt.Sprintf("%.1f", float64(r.LineWasteBytes)/1024))
 	}
 	return res, tab, nil
 }

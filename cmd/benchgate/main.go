@@ -1,31 +1,22 @@
-// Command benchgate is the CI benchmark regression gate: it compares a
-// candidate markbench/sweepbench result (a fresh in-process run by
-// default, or a -candidate JSON file) against a checked-in baseline and
-// fails when a timing metric regresses beyond the tolerance or a
-// deterministic invariant (objects marked, objects/bytes freed,
-// deferred blocks) diverges at all.
+// Command benchgate is the CI benchmark regression gate. BENCH.json
+// holds one section per gated experiment of the registry
+// (repro.Experiments): the options the section was recorded with and,
+// per row, its key and exact columns. The gate reruns each section
+// in-process from its recorded options (or takes the sections of a
+// -candidate file) and fails on any divergence in an exact column or on
+// a baseline row the candidate lacks.
 //
-// Usage:
-//
-//	benchgate -baseline BENCH_1.json                  # run candidate in-process
-//	benchgate -baseline BENCH_2.json -tolerance 2
+//	benchgate -baseline BENCH.json                    # rerun every section in-process
 //	benchgate -baseline old.json -candidate new.json  # compare two files
 //
-// The baseline schema is detected from its rows: rows keyed by
-// "workers" are a markbench result, rows keyed by "mode" are a
-// sweepbench result, rows keyed by "mutators" are a mutbench result,
-// rows keyed by "pause_mode" are a pausebench result, rows keyed by
-// "policy" are a servebench result, rows keyed by "round" are a
-// retention result, rows keyed by "leak_key_alerts" are a leakwatch
-// result. The detected schema of every input file is named on stderr
-// before the comparison runs.
+// Which columns are compared is declared on the row types (struct tag
+// gate:"key|exact|info", see repro.BenchResult), not here: one
+// reflective comparator serves every section. Checks are named
+// section/key=value[,key=value]/column. Info columns are neither
+// recorded nor compared; for timing see cmd/perfbench.
+//
 // A machine-readable JSON report goes to stdout.
 // Exit status: 0 pass, 1 regression, 2 usage or I/O error.
-//
-// Timing checks are gated as candidate <= baseline * tolerance, so the
-// default tolerance of 2 tolerates a 2x slowdown: CI machines differ
-// from the baseline machine, and the gate exists to catch order-of-
-// magnitude regressions and broken invariants, not jitter.
 package main
 
 import (
@@ -33,746 +24,209 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"reflect"
+	"strings"
 
 	"repro"
 )
 
-var (
-	baselinePath  = flag.String("baseline", "", "baseline benchmark JSON (required)")
-	candidatePath = flag.String("candidate", "", "candidate benchmark JSON; empty runs the matching benchmark in-process")
-	tolerance     = flag.Float64("tolerance", 2.0, "allowed candidate/baseline ratio for timing metrics")
-)
-
-// Check is one metric comparison in the report. Kind "time-advisory"
-// marks a timing comparison whose two sides ran under different
-// GOMAXPROCS: the numbers are reported for the record but never gated,
-// because wall-clock comparisons across scheduler widths measure the
-// machine, not the collector.
+// Check is one exact-column comparison in the report ("…/present" for a
+// baseline row the candidate lacks: baseline 1, candidate 0).
 type Check struct {
-	Name      string  `json:"name"`
-	Kind      string  `json:"kind"` // "time" | "time-advisory" | "invariant"
-	Baseline  float64 `json:"baseline"`
-	Candidate float64 `json:"candidate"`
-	// Limit is the largest candidate value that passes (baseline *
-	// tolerance for time checks, baseline exactly for invariants).
-	Limit float64 `json:"limit"`
-	Pass  bool    `json:"pass"`
+	Name      string `json:"name"`
+	Baseline  any    `json:"baseline"`
+	Candidate any    `json:"candidate"`
+	Pass      bool   `json:"pass"`
 }
 
 // Report is the gate's machine-readable verdict.
 type Report struct {
-	Schema    string  `json:"schema"` // "markbench" | "sweepbench"
-	Tolerance float64 `json:"tolerance"`
-	Checks    []Check `json:"checks"`
-	Pass      bool    `json:"pass"`
+	Checks []Check `json:"checks"`
+	Pass   bool    `json:"pass"`
 }
 
-func (r *Report) timeCheck(name string, base, cand float64) {
-	limit := base * r.Tolerance
-	r.Checks = append(r.Checks, Check{
-		Name: name, Kind: "time",
-		Baseline: base, Candidate: cand, Limit: limit,
-		Pass: cand <= limit,
-	})
+// column is one gated field of a row type.
+type column struct {
+	name  string // the json name for key and exact columns, the field name for info
+	role  string // "key" | "exact" | "info"
+	index int
 }
 
-// timeCheckGMP gates a timing metric like timeCheck unless the
-// baseline and candidate rows ran under different GOMAXPROCS, in which
-// case the comparison is downgraded to advisory (always passing).
-func (r *Report) timeCheckGMP(name string, base, cand float64, baseGMP, candGMP int) {
-	if baseGMP != candGMP {
-		r.Checks = append(r.Checks, Check{
-			Name: name, Kind: "time-advisory",
-			Baseline: base, Candidate: cand, Limit: 0, Pass: true,
-		})
-		return
-	}
-	r.timeCheck(name, base, cand)
-}
-
-// effGMP resolves a row's effective GOMAXPROCS: the per-row value when
-// recorded, else the result-level one (baselines predating per-row
-// recording carry 0 in every row).
-func effGMP(row, result int) int {
-	if row > 0 {
-		return row
-	}
-	return result
-}
-
-func (r *Report) invariantCheck(name string, base, cand float64) {
-	r.Checks = append(r.Checks, Check{
-		Name: name, Kind: "invariant",
-		Baseline: base, Candidate: cand, Limit: base,
-		Pass: cand == base,
-	})
-}
-
-func (r *Report) finish() *Report {
-	r.Pass = true
-	for _, c := range r.Checks {
-		if !c.Pass {
-			r.Pass = false
-		}
-	}
-	return r
-}
-
-// CompareMark gates a candidate markbench result against a baseline.
-// Rows are matched by worker count; a baseline row missing from the
-// candidate fails. Timing rows are only gated when neither side is
-// oversubscribed — an oversubscribed row measures scheduler contention,
-// not the collector.
-func CompareMark(base, cand *repro.MarkBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "markbench", Tolerance: tol}
-	byWorkers := make(map[int]repro.MarkBenchRow)
-	for _, row := range cand.Rows {
-		byWorkers[row.Workers] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byWorkers[b.Workers]
-		name := fmt.Sprintf("workers=%d", b.Workers)
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
+// columnsOf reads a row type's gate tags. Every exported field must
+// declare its role, and only info columns may be hidden from JSON.
+func columnsOf(row reflect.Type) ([]column, error) {
+	var cols []column
+	for i := 0; i < row.NumField(); i++ {
+		f := row.Field(i)
+		if !f.IsExported() {
 			continue
 		}
-		rep.invariantCheck(name+"/objects_marked",
-			float64(b.ObjectsMarked), float64(c.ObjectsMarked))
-		if !b.Oversubscribed && !c.Oversubscribed {
-			rep.timeCheckGMP(name+"/ns_per_mark", b.NsPerMark, c.NsPerMark,
-				effGMP(b.GoMaxProcs, base.GoMaxProcs), effGMP(c.GoMaxProcs, cand.GoMaxProcs))
-		}
-	}
-	return rep.finish()
-}
-
-// CompareSweep gates a candidate sweepbench result against a baseline.
-// Rows are matched by mode ("eager"/"lazy"); reclamation totals and
-// deferred-block counts are deterministic and must match exactly. The
-// nested markbench result is gated too when both sides carry one.
-func CompareSweep(base, cand *repro.SweepBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "sweepbench", Tolerance: tol}
-	byMode := make(map[string]repro.SweepBenchRow)
-	for _, row := range cand.Rows {
-		byMode[row.Mode] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byMode[b.Mode]
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: b.Mode + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(b.Mode+"/objects_freed",
-			float64(b.ObjectsFreed), float64(c.ObjectsFreed))
-		rep.invariantCheck(b.Mode+"/bytes_freed",
-			float64(b.BytesFreed), float64(c.BytesFreed))
-		rep.invariantCheck(b.Mode+"/deferred_blocks",
-			float64(b.DeferredBlocks), float64(c.DeferredBlocks))
-		bg := effGMP(b.GoMaxProcs, base.GoMaxProcs)
-		cg := effGMP(c.GoMaxProcs, cand.GoMaxProcs)
-		rep.timeCheckGMP(b.Mode+"/avg_pause_ns", b.AvgPauseNs, c.AvgPauseNs, bg, cg)
-		rep.timeCheckGMP(b.Mode+"/max_pause_ns",
-			float64(b.MaxPauseNs), float64(c.MaxPauseNs), bg, cg)
-		rep.timeCheckGMP(b.Mode+"/avg_sweep_pause_ns", b.AvgSweepPauseNs, c.AvgSweepPauseNs, bg, cg)
-		rep.timeCheckGMP(b.Mode+"/max_sweep_pause_ns",
-			float64(b.MaxSweepPauseNs), float64(c.MaxSweepPauseNs), bg, cg)
-	}
-	if base.Mark != nil && cand.Mark != nil {
-		sub := CompareMark(base.Mark, cand.Mark, tol)
-		for _, c := range sub.Checks {
-			c.Name = "mark/" + c.Name
-			rep.Checks = append(rep.Checks, c)
-		}
-	}
-	return rep.finish()
-}
-
-// CompareMut gates a candidate mutbench result against a baseline.
-// Rows are matched by mutator count. The per-row object count is
-// deterministic (mutators x allocs) and must match exactly; timing is
-// gated only when neither side is oversubscribed. Collection and
-// safepoint counts depend on goroutine interleaving, so they are
-// reported in the JSON but never gated.
-func CompareMut(base, cand *repro.MutBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "mutbench", Tolerance: tol}
-	byMutators := make(map[int]repro.MutBenchRow)
-	for _, row := range cand.Rows {
-		byMutators[row.Mutators] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byMutators[b.Mutators]
-		name := fmt.Sprintf("mutators=%d", b.Mutators)
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(name+"/objects_allocated",
-			float64(b.ObjectsAllocated), float64(c.ObjectsAllocated))
-		if !b.Oversubscribed && !c.Oversubscribed {
-			rep.timeCheckGMP(name+"/ns_per_alloc", b.NsPerAlloc, c.NsPerAlloc,
-				effGMP(b.GoMaxProcs, base.GoMaxProcs), effGMP(c.GoMaxProcs, cand.GoMaxProcs))
-		}
-	}
-	return rep.finish()
-}
-
-// CompareAlloc gates a candidate allocbench result against a baseline.
-// Rows are matched by (profile, mutator count). The per-row object
-// count is deterministic in both profiles and must match exactly;
-// timing is gated only when neither side is oversubscribed. Line-waste
-// figures depend on which objects happen to die in the same cycle, so
-// they are reported in the JSON but never gated.
-func CompareAlloc(base, cand *repro.AllocBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "allocbench", Tolerance: tol}
-	type key struct {
-		profile  string
-		mutators int
-	}
-	byKey := make(map[key]repro.AllocBenchRow)
-	for _, row := range cand.Rows {
-		byKey[key{row.Profile, row.Mutators}] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byKey[key{b.Profile, b.Mutators}]
-		name := fmt.Sprintf("%s/mutators=%d", b.Profile, b.Mutators)
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(name+"/objects_allocated",
-			float64(b.ObjectsAllocated), float64(c.ObjectsAllocated))
-		if !b.Oversubscribed && !c.Oversubscribed {
-			rep.timeCheckGMP(name+"/ns_per_alloc", b.NsPerAlloc, c.NsPerAlloc,
-				effGMP(b.GoMaxProcs, base.GoMaxProcs), effGMP(c.GoMaxProcs, cand.GoMaxProcs))
-		}
-	}
-	return rep.finish()
-}
-
-// CompareRetention gates a candidate retention result against a
-// baseline. Rows are matched by round. The workload is single-threaded
-// and fully deterministic, so every count column is an exact invariant
-// — live/genuine/spurious attribution, censored roots, root slots, the
-// top sole-retention count, and the provenance record count. Only the
-// report wall time is gated as a timing metric.
-func CompareRetention(base, cand *repro.RetentionBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "retention", Tolerance: tol}
-	byRound := make(map[int]repro.RetentionBenchRow)
-	for _, row := range cand.Rows {
-		byRound[row.Round] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byRound[b.Round]
-		name := fmt.Sprintf("round=%d", b.Round)
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(name+"/steps", float64(b.Steps), float64(c.Steps))
-		rep.invariantCheck(name+"/live_objects",
-			float64(b.LiveObjects), float64(c.LiveObjects))
-		rep.invariantCheck(name+"/live_bytes",
-			float64(b.LiveBytes), float64(c.LiveBytes))
-		rep.invariantCheck(name+"/genuine_objects",
-			float64(b.GenuineObjects), float64(c.GenuineObjects))
-		rep.invariantCheck(name+"/spurious_objects",
-			float64(b.SpuriousObjects), float64(c.SpuriousObjects))
-		rep.invariantCheck(name+"/spurious_bytes",
-			float64(b.SpuriousBytes), float64(c.SpuriousBytes))
-		rep.invariantCheck(name+"/censored_roots",
-			float64(b.CensoredRoots), float64(c.CensoredRoots))
-		rep.invariantCheck(name+"/root_slots",
-			float64(b.RootSlots), float64(c.RootSlots))
-		rep.invariantCheck(name+"/top_sole_objects",
-			float64(b.TopSoleObjects), float64(c.TopSoleObjects))
-		rep.invariantCheck(name+"/provenance_records",
-			float64(b.ProvenanceRecords), float64(c.ProvenanceRecords))
-		rep.timeCheckGMP(name+"/report_ms", b.ReportMs, c.ReportMs,
-			effGMP(b.GoMaxProcs, base.GoMaxProcs), effGMP(c.GoMaxProcs, cand.GoMaxProcs))
-	}
-	return rep.finish()
-}
-
-// ComparePause gates a candidate pausebench result against a
-// baseline. Rows are matched by pause mode ("stw"/"concurrent"). The
-// workload is a deterministic no-free tape, so the per-row object and
-// live counts are exact invariants; pause percentiles are timing,
-// gated only when neither side is oversubscribed. The concurrent p99
-// reduction over stop-the-world — the tentpole's headline — is
-// reported as an always-advisory check (candidate ratio against the
-// 5x design target): pause ratios measure the machine's scheduler as
-// much as the collector, so they never hard-fail CI.
-func ComparePause(base, cand *repro.PauseBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "pausebench", Tolerance: tol}
-	type key struct {
-		mode  string
-		width int
-	}
-	byKey := make(map[key]repro.PauseBenchRow)
-	var widths []int
-	for _, row := range cand.Rows {
-		if _, seen := byKey[key{"stw", row.GoMaxProcs}]; !seen {
-			if _, seen := byKey[key{"concurrent", row.GoMaxProcs}]; !seen {
-				widths = append(widths, row.GoMaxProcs)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		c := column{name: name, role: f.Tag.Get("gate"), index: i}
+		switch c.role {
+		case "key", "exact":
+			if name == "" || name == "-" {
+				return nil, fmt.Errorf("%s.%s: a %s column needs a json name", row, f.Name, c.role)
 			}
+		case "info":
+			if name != "-" {
+				return nil, fmt.Errorf("%s.%s: an info column is never recorded (json:\"-\")", row, f.Name)
+			}
+			c.name = f.Name
+		default:
+			return nil, fmt.Errorf("%s.%s: gate tag %q, want key, exact or info", row, f.Name, c.role)
 		}
-		byKey[key{row.PauseMode, row.GoMaxProcs}] = row
+		cols = append(cols, c)
 	}
-	sort.Ints(widths)
-	for _, b := range base.Rows {
-		c, ok := byKey[key{b.PauseMode, b.GoMaxProcs}]
-		name := fmt.Sprintf("%s/gomaxprocs=%d", b.PauseMode, b.GoMaxProcs)
+	return cols, nil
+}
+
+// rowKey renders a row's identity: its key columns as name=value.
+func rowKey(row reflect.Value, cols []column) string {
+	var parts []string
+	for _, c := range cols {
+		if c.role == "key" {
+			parts = append(parts, fmt.Sprintf("%s=%v", c.name, row.Field(c.index).Interface()))
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// compare appends one section's checks to the report. base and cand are
+// slices of the same row struct type; rows are matched on their key
+// columns and every exact column must be equal.
+func (r *Report) compare(section string, base, cand any) error {
+	bv, cv := reflect.ValueOf(base), reflect.ValueOf(cand)
+	cols, err := columnsOf(bv.Type().Elem())
+	if err != nil {
+		return err
+	}
+	byKey := make(map[string]reflect.Value)
+	for i := 0; i < cv.Len(); i++ {
+		byKey[rowKey(cv.Index(i), cols)] = cv.Index(i)
+	}
+	for i := 0; i < bv.Len(); i++ {
+		b := bv.Index(i)
+		key := rowKey(b, cols)
+		name := section + "/" + key
+		c, ok := byKey[key]
 		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
+			r.Checks = append(r.Checks, Check{Name: name + "/present", Baseline: 1, Candidate: 0})
 			continue
 		}
-		rep.invariantCheck(name+"/objects_allocated",
-			float64(b.ObjectsAllocated), float64(c.ObjectsAllocated))
-		rep.invariantCheck(name+"/objects_live",
-			float64(b.ObjectsLive), float64(c.ObjectsLive))
-		if !b.Oversubscribed && !c.Oversubscribed {
-			rep.timeCheckGMP(name+"/pause_p50_ns", b.PauseP50Ns, c.PauseP50Ns, b.GoMaxProcs, c.GoMaxProcs)
-			rep.timeCheckGMP(name+"/pause_p99_ns", b.PauseP99Ns, c.PauseP99Ns, b.GoMaxProcs, c.GoMaxProcs)
-			rep.timeCheckGMP(name+"/pause_max_ns", b.PauseMaxNs, c.PauseMaxNs, b.GoMaxProcs, c.GoMaxProcs)
-		}
-	}
-	for _, w := range widths {
-		stw, conc := byKey[key{"stw", w}], byKey[key{"concurrent", w}]
-		if stw.PauseP99Ns > 0 && conc.PauseP99Ns > 0 {
-			rep.Checks = append(rep.Checks, Check{
-				Name:     fmt.Sprintf("concurrent/gomaxprocs=%d/p99_reduction_x", w),
-				Kind:     "time-advisory",
-				Baseline: 5, Candidate: stw.PauseP99Ns / conc.PauseP99Ns,
-				Limit: 0, Pass: true,
+		for _, col := range cols {
+			if col.role != "exact" {
+				continue
+			}
+			want, got := b.Field(col.index).Interface(), c.Field(col.index).Interface()
+			r.Checks = append(r.Checks, Check{
+				Name: name + "/" + col.name, Baseline: want, Candidate: got, Pass: want == got,
 			})
 		}
 	}
-	return rep.finish()
+	return nil
 }
 
-// CompareServe gates a candidate servebench result against a baseline.
-// Rows are matched by policy ("fail"/"collect-first"/"evict"). Every
-// tenant replays a deterministic session tape against a deterministic
-// budget, so the admission, denial, eviction, reclamation, liveness
-// and fairness columns are exact invariants; allocation-latency and
-// pause percentiles are timing, gated only when neither side is
-// oversubscribed. Forced-collection and cycle counts depend on which
-// tenant's charge happens to trip the collector first, so they are
-// reported in the JSON but never gated.
-func CompareServe(base, cand *repro.ServeBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "servebench", Tolerance: tol}
-	byPolicy := make(map[string]repro.ServeBenchRow)
-	for _, row := range cand.Rows {
-		byPolicy[row.Policy] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byPolicy[b.Policy]
-		name := b.Policy
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(name+"/tenants", float64(b.Tenants), float64(c.Tenants))
-		rep.invariantCheck(name+"/requests", float64(b.Requests), float64(c.Requests))
-		rep.invariantCheck(name+"/objects_allocated",
-			float64(b.ObjectsAllocated), float64(c.ObjectsAllocated))
-		rep.invariantCheck(name+"/objects_live",
-			float64(b.ObjectsLive), float64(c.ObjectsLive))
-		rep.invariantCheck(name+"/denials", float64(b.Denials), float64(c.Denials))
-		rep.invariantCheck(name+"/evictions", float64(b.Evictions), float64(c.Evictions))
-		rep.invariantCheck(name+"/reclaimed_objects",
-			float64(b.ReclaimedObjects), float64(c.ReclaimedObjects))
-		rep.invariantCheck(name+"/fairness_spread",
-			float64(b.FairnessSpread), float64(c.FairnessSpread))
-		if !b.Oversubscribed && !c.Oversubscribed {
-			bg := effGMP(b.GoMaxProcs, base.GoMaxProcs)
-			cg := effGMP(c.GoMaxProcs, cand.GoMaxProcs)
-			rep.timeCheckGMP(name+"/alloc_p50_ns", b.AllocP50Ns, c.AllocP50Ns, bg, cg)
-			rep.timeCheckGMP(name+"/alloc_p99_ns", b.AllocP99Ns, c.AllocP99Ns, bg, cg)
-			rep.timeCheckGMP(name+"/pause_p99_ns", b.PauseP99Ns, c.PauseP99Ns, bg, cg)
-		}
-	}
-	return rep.finish()
+// recorded is a BENCH.json file as read: section name to its raw parts.
+type recorded map[string]struct {
+	Options json.RawMessage `json:"options"`
+	Rows    json.RawMessage `json:"rows"`
 }
 
-// CompareLeak gates a candidate leakwatch result against a baseline.
-// Rows are matched by workload ("leak"/"churn"). The workloads are
-// single-threaded with automatic collection off and the watcher's
-// decision is pure arithmetic over retained totals, so every detection
-// column is an exact invariant — alert counts, the attribution split,
-// the first-alert cycle, the alerted growth, and the final retention
-// levels. Only the elapsed wall time is gated as a timing metric.
-func CompareLeak(base, cand *repro.LeakBenchResult, tol float64) *Report {
-	rep := &Report{Schema: "leakwatch", Tolerance: tol}
-	byWorkload := make(map[string]repro.LeakBenchRow)
-	for _, row := range cand.Rows {
-		byWorkload[row.Workload] = row
-	}
-	for _, b := range base.Rows {
-		c, ok := byWorkload[b.Workload]
-		name := b.Workload
-		if !ok {
-			rep.Checks = append(rep.Checks, Check{
-				Name: name + "/present", Kind: "invariant",
-				Baseline: 1, Candidate: 0, Limit: 1, Pass: false,
-			})
-			continue
-		}
-		rep.invariantCheck(name+"/rounds", float64(b.Rounds), float64(c.Rounds))
-		rep.invariantCheck(name+"/collections",
-			float64(b.Collections), float64(c.Collections))
-		rep.invariantCheck(name+"/watched_samples",
-			float64(b.WatchedSamples), float64(c.WatchedSamples))
-		rep.invariantCheck(name+"/alerts_total",
-			float64(b.AlertsTotal), float64(c.AlertsTotal))
-		rep.invariantCheck(name+"/leak_key_alerts",
-			float64(b.LeakKeyAlerts), float64(c.LeakKeyAlerts))
-		rep.invariantCheck(name+"/false_positives",
-			float64(b.FalsePositives), float64(c.FalsePositives))
-		rep.invariantCheck(name+"/first_alert_cycle",
-			float64(b.FirstAlertCycle), float64(c.FirstAlertCycle))
-		rep.invariantCheck(name+"/leak_growth_bytes",
-			float64(b.LeakGrowthBytes), float64(c.LeakGrowthBytes))
-		rep.invariantCheck(name+"/leak_last_bytes",
-			float64(b.LeakLastBytes), float64(c.LeakLastBytes))
-		rep.invariantCheck(name+"/trend_keys",
-			float64(b.TrendKeys), float64(c.TrendKeys))
-		rep.invariantCheck(name+"/live_objects",
-			float64(b.LiveObjects), float64(c.LiveObjects))
-		rep.timeCheckGMP(name+"/elapsed_ms", b.ElapsedMs, c.ElapsedMs,
-			effGMP(b.GoMaxProcs, base.GoMaxProcs), effGMP(c.GoMaxProcs, cand.GoMaxProcs))
-	}
-	return rep.finish()
-}
-
-// detectSchema classifies a benchmark JSON by its first row's keys.
-func detectSchema(data []byte) (string, error) {
-	var probe struct {
-		Rows []map[string]any `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", err
-	}
-	if len(probe.Rows) == 0 {
-		return "", fmt.Errorf("no rows")
-	}
-	if _, ok := probe.Rows[0]["policy"]; ok {
-		// Before the generic "tenants"/"requests" keys could confuse
-		// anything: only servebench rows name an over-budget policy.
-		return "servebench", nil
-	}
-	if _, ok := probe.Rows[0]["pause_mode"]; ok {
-		// Before the generic "mutators" probe: pause rows carry both.
-		return "pausebench", nil
-	}
-	if _, ok := probe.Rows[0]["mode"]; ok {
-		return "sweepbench", nil
-	}
-	if _, ok := probe.Rows[0]["workers"]; ok {
-		return "markbench", nil
-	}
-	if _, ok := probe.Rows[0]["profile"]; ok {
-		return "allocbench", nil
-	}
-	if _, ok := probe.Rows[0]["mutators"]; ok {
-		return "mutbench", nil
-	}
-	if _, ok := probe.Rows[0]["leak_key_alerts"]; ok {
-		return "leakwatch", nil
-	}
-	if _, ok := probe.Rows[0]["round"]; ok {
-		return "retention", nil
-	}
-	return "", fmt.Errorf("rows have no \"policy\", \"pause_mode\", \"mode\", \"workers\", \"profile\", \"mutators\", \"leak_key_alerts\" or \"round\" keys")
-}
-
-// Gate loads the baseline, obtains a candidate (from candidatePath or a
-// fresh in-process run matched to the baseline's parameters), and
-// returns the comparison report.
-func Gate(baselinePath, candidatePath string, tol float64) (*Report, error) {
-	baseData, err := os.ReadFile(baselinePath)
+// load reads a sections file, rejecting any section the registry does
+// not know.
+func load(path string) (recorded, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := detectSchema(baseData)
+	var secs recorded
+	if err := json.Unmarshal(data, &secs); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	for name := range secs {
+		known := false
+		for _, e := range repro.Experiments {
+			known = known || (e.Name == name && e.NewRows != nil)
+		}
+		if !known {
+			return nil, fmt.Errorf("%s: section %q is not a gated experiment of the registry", path, name)
+		}
+	}
+	return secs, nil
+}
+
+// rowsOf decodes a section's recorded rows into a slice of the
+// experiment's row type; a recorded column the type does not have is an
+// error. A section the file lacks has no rows, so every baseline row of
+// it is missing.
+func rowsOf(e repro.Experiment, path string, secs recorded) (any, error) {
+	rows := e.NewRows()
+	if raw := secs[e.Name].Rows; raw != nil {
+		if err := repro.DecodeRecorded(raw, rows); err != nil {
+			return nil, fmt.Errorf("%s: %s rows: %w", path, e.Name, err)
+		}
+	}
+	return reflect.ValueOf(rows).Elem().Interface(), nil
+}
+
+// Gate compares every section of the baseline file against a candidate:
+// the same section of the candidate file, or, when candidatePath is
+// empty, a fresh in-process run from the section's recorded options.
+func Gate(baselinePath, candidatePath string) (*Report, error) {
+	base, err := load(baselinePath)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", baselinePath, err)
+		return nil, err
 	}
-	var candData []byte
+	var candFile recorded
 	if candidatePath != "" {
-		candData, err = os.ReadFile(candidatePath)
+		if candFile, err = load(candidatePath); err != nil {
+			return nil, err
+		}
+	}
+	rep := &Report{}
+	for _, e := range repro.Experiments {
+		sec, ok := base[e.Name]
+		if !ok {
+			continue
+		}
+		baseRows, err := rowsOf(e, baselinePath, base)
 		if err != nil {
 			return nil, err
 		}
-		candSchema, err := detectSchema(candData)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", candidatePath, err)
+		var candRows any
+		if candFile != nil {
+			if candRows, err = rowsOf(e, candidatePath, candFile); err != nil {
+				return nil, err
+			}
+		} else {
+			out, err := e.Run(repro.RunArgs{Recorded: sec.Options})
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", e.Name, err)
+			}
+			candRows = out.Gated.Rows
 		}
-		if candSchema != schema {
-			return nil, fmt.Errorf("schema mismatch: baseline %s, candidate %s", schema, candSchema)
+		if err := rep.compare(e.Name, baseRows, candRows); err != nil {
+			return nil, err
 		}
 	}
-	switch schema {
-	case "markbench":
-		var base repro.MarkBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.MarkBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			var workers []int
-			for _, r := range base.Rows {
-				workers = append(workers, r.Workers)
-			}
-			res, _, err := repro.MarkBench(repro.MarkBenchOptions{
-				Workers: workers, Lists: base.Lists, Nodes: base.Nodes,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareMark(&base, &cand, tol), nil
-	case "sweepbench":
-		var base repro.SweepBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.SweepBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			cycles := 0
-			if len(base.Rows) > 0 {
-				cycles = base.Rows[0].Cycles
-			}
-			res, _, err := repro.SweepBench(repro.SweepBenchOptions{
-				Lists: base.Lists, Nodes: base.Nodes, Cycles: cycles,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if base.Mark != nil {
-				var workers []int
-				for _, r := range base.Mark.Rows {
-					workers = append(workers, r.Workers)
-				}
-				mark, _, err := repro.MarkBench(repro.MarkBenchOptions{
-					Workers: workers, Lists: base.Mark.Lists, Nodes: base.Mark.Nodes,
-				})
-				if err != nil {
-					return nil, err
-				}
-				res.Mark = mark
-			}
-			cand = *res
-		}
-		return CompareSweep(&base, &cand, tol), nil
-	case "mutbench":
-		var base repro.MutBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.MutBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			var counts []int
-			for _, r := range base.Rows {
-				counts = append(counts, r.Mutators)
-			}
-			res, _, err := repro.MutBench(repro.MutBenchOptions{
-				Mutators: counts, Allocs: base.Allocs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareMut(&base, &cand, tol), nil
-	case "allocbench":
-		var base repro.AllocBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.AllocBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			var counts []int
-			seen := map[int]bool{}
-			for _, r := range base.Rows {
-				if !seen[r.Mutators] {
-					seen[r.Mutators] = true
-					counts = append(counts, r.Mutators)
-				}
-			}
-			res, _, err := repro.AllocBench(repro.AllocBenchOptions{
-				Mutators: counts, Allocs: base.Allocs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareAlloc(&base, &cand, tol), nil
-	case "pausebench":
-		var base repro.PauseBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.PauseBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			var widths []int
-			seen := map[int]bool{}
-			for _, r := range base.Rows {
-				if !seen[r.GoMaxProcs] {
-					seen[r.GoMaxProcs] = true
-					widths = append(widths, r.GoMaxProcs)
-				}
-			}
-			res, _, err := repro.PauseBench(repro.PauseBenchOptions{
-				Mutators: base.Mutators, Ops: base.Ops, Widths: widths,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return ComparePause(&base, &cand, tol), nil
-	case "servebench":
-		var base repro.ServeBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.ServeBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			// The collect-first row's attempt count is opts.Requests
-			// requests of 4 allocations each; the other tapes are fixed.
-			reqs := 0
-			for _, r := range base.Rows {
-				if r.Policy == "collect-first" {
-					reqs = r.Requests / 4
-				}
-			}
-			res, _, err := repro.ServeBench(repro.ServeBenchOptions{
-				Tenants: base.Tenants, Requests: reqs,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareServe(&base, &cand, tol), nil
-	case "retention":
-		var base repro.RetentionBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.RetentionBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			res, _, err := repro.RetentionBench(repro.RetentionBenchOptions{
-				Rounds: base.Rounds, Steps: base.StepsPerRound,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareRetention(&base, &cand, tol), nil
-	case "leakwatch":
-		var base repro.LeakBenchResult
-		if err := json.Unmarshal(baseData, &base); err != nil {
-			return nil, err
-		}
-		var cand repro.LeakBenchResult
-		if candData != nil {
-			if err := json.Unmarshal(candData, &cand); err != nil {
-				return nil, err
-			}
-		} else {
-			res, _, err := repro.LeakBench(repro.LeakBenchOptions{
-				Rounds: base.Rounds, SampleEvery: base.SampleEvery,
-				Window: base.Window, MinGrowthBytes: base.MinGrowthBytes,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cand = *res
-		}
-		return CompareLeak(&base, &cand, tol), nil
+	rep.Pass = true
+	for _, c := range rep.Checks {
+		rep.Pass = rep.Pass && c.Pass
 	}
-	return nil, fmt.Errorf("unreachable schema %q", schema)
+	return rep, nil
 }
 
 func main() {
+	baselinePath := flag.String("baseline", "", "baseline sections file, e.g. BENCH.json (required)")
+	candidatePath := flag.String("candidate", "", "candidate sections file; empty reruns every baseline section in-process")
 	flag.Parse()
 	if *baselinePath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline is required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	// Name the schema detected for each input file up front: with eight
-	// BENCH_*.json schemas in the tree, a gate failure that silently
-	// compared the wrong benchmark family is much harder to diagnose
-	// than one that announced what it detected.
-	for _, path := range []string{*baselinePath, *candidatePath} {
-		if path == "" {
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue // Gate reports read errors with proper exit status.
-		}
-		if schema, err := detectSchema(data); err == nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: detected schema %s\n", path, schema)
-		}
-	}
-	rep, err := Gate(*baselinePath, *candidatePath, *tolerance)
+	rep, err := Gate(*baselinePath, *candidatePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
@@ -786,8 +240,8 @@ func main() {
 	if !rep.Pass {
 		for _, c := range rep.Checks {
 			if !c.Pass {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: %g > limit %g (baseline %g)\n",
-					c.Name, c.Candidate, c.Limit, c.Baseline)
+				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: candidate %v, baseline %v\n",
+					c.Name, c.Candidate, c.Baseline)
 			}
 		}
 		os.Exit(1)

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/stats"
@@ -10,16 +9,16 @@ import (
 
 // LeakBenchOptions parameterises the leak-detection measurement.
 type LeakBenchOptions struct {
-	Rounds      int // collection rounds per workload (default 24)
-	LeakCells   int // cons cells the leak appends per round (default 64)
-	ChurnSlots  int // root slots holding churning lists (default 8)
-	SampleEvery int // watcher sampling divisor (default 2)
-	Window      int // watcher trend window in samples (default 6)
+	Rounds      int `json:"rounds"`       // collection rounds per workload (default 24)
+	LeakCells   int `json:"leak_cells"`   // cons cells the leak appends per round (default 64)
+	ChurnSlots  int `json:"churn_slots"`  // root slots holding churning lists (default 8)
+	SampleEvery int `json:"sample_every"` // watcher sampling divisor (default 2)
+	Window      int `json:"window"`       // watcher trend window in samples (default 6)
 	// MinGrowthBytes is the watcher alert floor (default 2048).
-	MinGrowthBytes uint64
+	MinGrowthBytes uint64 `json:"min_growth_bytes"`
 	// Trace, when non-nil, records collector events (cycles, provenance
 	// harvests, leak alerts) from the measured world.
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // LeakBenchRow is one workload's outcome. Every count is deterministic
@@ -30,39 +29,27 @@ type LeakBenchOptions struct {
 // change that fires one alert late, or attributes growth to the wrong
 // slot, diverges here.
 type LeakBenchRow struct {
-	Workload       string `json:"workload"` // "leak" or "churn"
-	Rounds         int    `json:"rounds"`
-	Collections    int    `json:"collections"`
-	WatchedSamples uint64 `json:"watched_samples"`
-	AlertsTotal    int    `json:"alerts_total"`
+	Workload       string `json:"workload" gate:"key"` // "leak" or "churn"
+	Rounds         int    `json:"rounds" gate:"exact"`
+	Collections    int    `json:"collections" gate:"exact"`
+	WatchedSamples uint64 `json:"watched_samples" gate:"exact"`
+	AlertsTotal    int    `json:"alerts_total" gate:"exact"`
 	// LeakKeyAlerts counts alerts attributed to the planted leak slot;
 	// FalsePositives counts alerts on any other key.
-	LeakKeyAlerts   int `json:"leak_key_alerts"`
-	FalsePositives  int `json:"false_positives"`
-	FirstAlertCycle int `json:"first_alert_cycle"` // 0: never alerted
+	LeakKeyAlerts   int `json:"leak_key_alerts" gate:"exact"`
+	FalsePositives  int `json:"false_positives" gate:"exact"`
+	FirstAlertCycle int `json:"first_alert_cycle" gate:"exact"` // 0: never alerted
 	// LeakGrowthBytes sums the windowed growth the leak key's alerts
 	// reported; LeakLastBytes is its final trend level.
-	LeakGrowthBytes int64   `json:"leak_growth_bytes"`
-	LeakLastBytes   uint64  `json:"leak_last_bytes"`
-	TrendKeys       int     `json:"trend_keys"` // series live at stop
-	LiveObjects     uint64  `json:"live_objects"`
-	ElapsedMs       float64 `json:"elapsed_ms"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	LeakGrowthBytes int64   `json:"leak_growth_bytes" gate:"exact"`
+	LeakLastBytes   uint64  `json:"leak_last_bytes" gate:"exact"`
+	TrendKeys       int     `json:"trend_keys" gate:"exact"` // series live at stop
+	LiveObjects     uint64  `json:"live_objects" gate:"exact"`
+	ElapsedMs       float64 `json:"-" gate:"info"`
 }
 
-// LeakBenchResult is the full measurement.
-type LeakBenchResult struct {
-	GoMaxProcs     int            `json:"gomaxprocs"`
-	NumCPU         int            `json:"numcpu"`
-	Rounds         int            `json:"rounds"`
-	SampleEvery    int            `json:"sample_every"`
-	Window         int            `json:"window"`
-	MinGrowthBytes uint64         `json:"min_growth_bytes"`
-	Rows           []LeakBenchRow `json:"rows"`
-}
+// LeakBenchResult is the measurement with the options it ran under.
+type LeakBenchResult = BenchResult[LeakBenchOptions, LeakBenchRow]
 
 // leakBenchWorld runs one leak-detection workload: a root segment with
 // a leak slot (slot 0) and ChurnSlots churning slots; each round
@@ -71,7 +58,7 @@ type LeakBenchResult struct {
 // sample far above MinGrowthBytes, and collects manually. The watcher
 // samples at the collection barrier; its alert stream decides the row.
 func leakBenchWorld(opts LeakBenchOptions, leaking bool, tr *TraceRecorder) (LeakBenchRow, error) {
-	row := LeakBenchRow{Workload: "churn", Rounds: opts.Rounds, GoMaxProcs: runtime.GOMAXPROCS(0)}
+	row := LeakBenchRow{Workload: "churn", Rounds: opts.Rounds}
 	if leaking {
 		row.Workload = "leak"
 	}
@@ -226,11 +213,7 @@ func LeakBench(opts LeakBenchOptions) (*LeakBenchResult, *stats.Table, error) {
 	if opts.MinGrowthBytes == 0 {
 		opts.MinGrowthBytes = 2048
 	}
-	res := &LeakBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Rounds: opts.Rounds, SampleEvery: opts.SampleEvery,
-		Window: opts.Window, MinGrowthBytes: opts.MinGrowthBytes,
-	}
+	res := &LeakBenchResult{Options: opts}
 	for _, leaking := range []bool{true, false} {
 		row, err := leakBenchWorld(opts, leaking, opts.Trace)
 		if err != nil {

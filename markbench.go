@@ -11,44 +11,28 @@ import (
 
 // MarkBenchOptions parameterises the parallel-mark scaling measurement.
 type MarkBenchOptions struct {
-	Workers []int // worker counts to measure; default {1, 2, 4, 8}
-	Lists   int   // rooted lists (default 64)
-	Nodes   int   // nodes per list (default 4000)
-	Iters   int   // mark phases per measurement (default 10)
+	Workers []int `json:"workers"` // worker counts to measure; default powers of two up to GOMAXPROCS
+	Lists   int   `json:"lists"`   // rooted lists (default 64)
+	Nodes   int   `json:"nodes"`   // nodes per list (default 4000)
+	Iters   int   `json:"iters"`   // mark phases per measurement (default 10)
 	// Trace, when non-nil, records collector events from every measured
 	// world into the given ring buffer (cmd/gcbench -trace).
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
-// MarkBenchRow is one worker count's measurement.
+// MarkBenchRow is one worker count's measurement. The marked set is the
+// same at every worker count; the timing columns are a reading on the
+// machine the run happened on (on one CPU the workers serialise and
+// the multi-worker rows measure coordination overhead).
 type MarkBenchRow struct {
-	Workers       int     `json:"workers"`
-	NsPerMark     float64 `json:"ns_per_mark"`
-	MBPerSec      float64 `json:"mb_per_sec"`
-	ObjectsMarked uint64  `json:"objects_marked"`
-	// Speedup is serial time over this row's time — but only when the
-	// workers had real cores to run on. An oversubscribed row (more
-	// workers than GOMAXPROCS) reports 0: its workers serialise, so a
-	// "speedup" there is scheduler noise presented as a result.
-	Speedup        float64 `json:"speedup_vs_serial"`
-	Oversubscribed bool    `json:"oversubscribed"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	Workers       int     `json:"workers" gate:"key"`
+	ObjectsMarked uint64  `json:"objects_marked" gate:"exact"`
+	NsPerMark     float64 `json:"-" gate:"info"`
+	MBPerSec      float64 `json:"-" gate:"info"`
 }
 
-// MarkBenchResult is the full measurement with the environment it ran
-// in. GoMaxProcs and NumCPU matter for interpretation: on a single-CPU
-// machine the workers serialise and the multi-worker rows measure pure
-// coordination overhead, not speedup.
-type MarkBenchResult struct {
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"numcpu"`
-	Lists      int            `json:"lists"`
-	Nodes      int            `json:"nodes"`
-	Rows       []MarkBenchRow `json:"rows"`
-}
+// MarkBenchResult is the measurement with the options it ran under.
+type MarkBenchResult = BenchResult[MarkBenchOptions, MarkBenchRow]
 
 // MarkBench measures mark-phase wall-clock time against the worker
 // count over a heap of rooted lists: the same marked object set every
@@ -57,8 +41,7 @@ type MarkBenchResult struct {
 func MarkBench(opts MarkBenchOptions) (*MarkBenchResult, *stats.Table, error) {
 	if len(opts.Workers) == 0 {
 		// Default to worker counts the machine can actually run in
-		// parallel. Explicit oversubscribed counts are still honoured,
-		// but their rows are flagged and report no speedup.
+		// parallel; explicit larger counts are honoured.
 		for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
 			opts.Workers = append(opts.Workers, w)
 		}
@@ -72,14 +55,8 @@ func MarkBench(opts MarkBenchOptions) (*MarkBenchResult, *stats.Table, error) {
 	if opts.Iters == 0 {
 		opts.Iters = 10
 	}
-	res := &MarkBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Lists:      opts.Lists,
-		Nodes:      opts.Nodes,
-	}
+	res := &MarkBenchResult{Options: opts}
 	bytesPerMark := float64(opts.Lists * opts.Nodes * 8)
-	var serialNs float64
 	for _, workers := range opts.Workers {
 		w, err := NewWorld(Config{
 			InitialHeapBytes: 16 << 20, ReserveHeapBytes: 32 << 20,
@@ -111,37 +88,21 @@ func MarkBench(opts MarkBenchOptions) (*MarkBenchResult, *stats.Table, error) {
 			return nil, nil, fmt.Errorf("markbench: marked %d objects, want %d", objs, want)
 		}
 		ns := float64(elapsed.Nanoseconds()) / float64(opts.Iters)
-		if workers == 1 {
-			serialNs = ns
-		}
-		over := workers > res.GoMaxProcs
-		speedup := 0.0
-		if serialNs > 0 && !over {
-			speedup = serialNs / ns
-		}
 		res.Rows = append(res.Rows, MarkBenchRow{
-			Workers:        workers,
-			NsPerMark:      ns,
-			MBPerSec:       bytesPerMark / ns * 1e3, // ns → MB/s
-			ObjectsMarked:  objs,
-			Speedup:        speedup,
-			Oversubscribed: over,
-			GoMaxProcs:     runtime.GOMAXPROCS(0),
+			Workers:       workers,
+			ObjectsMarked: objs,
+			NsPerMark:     ns,
+			MBPerSec:      bytesPerMark / ns * 1e3, // ns → MB/s
 		})
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Parallel mark scaling (%d lists x %d nodes, GOMAXPROCS=%d, NumCPU=%d)",
-			opts.Lists, opts.Nodes, res.GoMaxProcs, res.NumCPU),
-		"workers", "ms/mark", "MB/s", "speedup")
+			opts.Lists, opts.Nodes, runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		"workers", "ms/mark", "MB/s")
 	for _, r := range res.Rows {
-		speedup := fmt.Sprintf("%.2fx", r.Speedup)
-		if r.Oversubscribed {
-			speedup = "n/a (oversubscribed)"
-		}
 		tab.AddF(r.Workers,
 			fmt.Sprintf("%.2f", r.NsPerMark/1e6),
-			fmt.Sprintf("%.1f", r.MBPerSec),
-			speedup)
+			fmt.Sprintf("%.1f", r.MBPerSec))
 	}
 	return res, tab, nil
 }

@@ -12,47 +12,82 @@ import (
 // MutBenchOptions parameterises the concurrent-mutator throughput
 // measurement.
 type MutBenchOptions struct {
-	Mutators []int // mutator counts to measure; default powers of two up to GOMAXPROCS
-	Allocs   int   // allocations per mutator (default 40000)
+	Mutators []int `json:"mutators"` // mutator counts to measure; default powers of two up to GOMAXPROCS
+	Allocs   int   `json:"allocs"`   // allocations per mutator (default 40000)
 	// Trace, when non-nil, records collector events (safepoints, cache
 	// refills, cycles) from every measured world (cmd/gcbench -trace).
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // MutBenchRow is one mutator count's measurement.
 type MutBenchRow struct {
-	Mutators     int     `json:"mutators"`
-	NsPerAlloc   float64 `json:"ns_per_alloc"`
-	AllocsPerSec float64 `json:"allocs_per_sec"`
+	Mutators int `json:"mutators" gate:"key"`
 	// ObjectsAllocated is deterministic — every goroutine performs
 	// exactly Allocs allocations — so the regression gate checks it
 	// exactly: a missed cache flush or double-carve breaks conservation
 	// and shows up here or in the world's integrity audit.
-	ObjectsAllocated uint64 `json:"objects_allocated"`
+	ObjectsAllocated uint64  `json:"objects_allocated" gate:"exact"`
+	NsPerAlloc       float64 `json:"-" gate:"info"`
+	AllocsPerSec     float64 `json:"-" gate:"info"`
 	// FastFraction is the share of allocations served from per-mutator
-	// caches without the central lock. Collections and StwStops are
-	// informational: automatic triggers depend on goroutine
-	// interleaving, so the gate does not compare them.
-	FastFraction float64 `json:"fast_fraction"`
-	Collections  int     `json:"collections"`
-	// Speedup is serial throughput over this row's — only meaningful
-	// with real cores, so oversubscribed rows (more mutators than
-	// GOMAXPROCS) report 0, as in MarkBench.
-	Speedup        float64 `json:"speedup_vs_serial"`
-	Oversubscribed bool    `json:"oversubscribed"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	// caches without the central lock. It and Collections depend on
+	// goroutine interleaving (automatic triggers), so the gate does not
+	// compare them.
+	FastFraction float64 `json:"-" gate:"info"`
+	Collections  int     `json:"-" gate:"info"`
 }
 
-// MutBenchResult is the full measurement with the environment it ran
-// in.
-type MutBenchResult struct {
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"numcpu"`
-	Allocs     int           `json:"allocs_per_mutator"`
-	Rows       []MutBenchRow `json:"rows"`
+// MutBenchResult is the measurement with the options it ran under.
+type MutBenchResult = BenchResult[MutBenchOptions, MutBenchRow]
+
+// churnMutators is the allocation script MutBench and AllocBench share:
+// n goroutines, each with its own handle on w, perform allocs
+// allocations apiece — mostly garbage, every eighth object rooted in
+// the goroutine's private data slots. It returns the handles and the
+// wall time of the allocating phase.
+func churnMutators(w *World, n, allocs int) ([]*Mutator, time.Duration, error) {
+	const slots = 8
+	data, err := w.Space.MapNew("roots", KindData, 0x2000, n*slots*4, n*slots*4)
+	if err != nil {
+		return nil, 0, err
+	}
+	muts := make([]*Mutator, n)
+	for g := range muts {
+		muts[g] = w.NewMutator()
+	}
+	sizes := []int{2, 4, 8, 16}
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	start := time.Now()
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := muts[g]
+			base := Addr(0x2000 + g*slots*4)
+			for i := 0; i < allocs; i++ {
+				size := sizes[i&3]
+				if i&7 == 0 {
+					slot := Addr(4 * ((i >> 3) % slots))
+					if _, err := m.AllocateRooted(data, base+slot, size, false); err != nil {
+						errs[g] = err
+						return
+					}
+				} else if _, err := m.Allocate(size, false); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for g, err := range errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("mutator %d: %w", g, err)
+		}
+	}
+	return muts, elapsed, nil
 }
 
 // MutBench measures allocation throughput against the mutator count:
@@ -69,12 +104,7 @@ func MutBench(opts MutBenchOptions) (*MutBenchResult, *stats.Table, error) {
 	if opts.Allocs == 0 {
 		opts.Allocs = 40000
 	}
-	res := &MutBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Allocs:     opts.Allocs,
-	}
-	var serialNs float64
+	res := &MutBenchResult{Options: opts}
 	for _, n := range opts.Mutators {
 		w, err := NewWorld(Config{
 			InitialHeapBytes: 16 << 20, ReserveHeapBytes: 64 << 20,
@@ -84,46 +114,9 @@ func MutBench(opts MutBenchOptions) (*MutBenchResult, *stats.Table, error) {
 			return nil, nil, err
 		}
 		w.SetTracer(opts.Trace)
-		const slots = 8
-		data, err := w.Space.MapNew("roots", KindData, 0x2000, n*slots*4, n*slots*4)
+		muts, elapsed, err := churnMutators(w, n, opts.Allocs)
 		if err != nil {
-			return nil, nil, err
-		}
-		muts := make([]*Mutator, n)
-		for g := range muts {
-			muts[g] = w.NewMutator()
-		}
-		sizes := []int{2, 4, 8, 16}
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		start := time.Now()
-		for g := 0; g < n; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				m := muts[g]
-				base := Addr(0x2000 + g*slots*4)
-				for i := 0; i < opts.Allocs; i++ {
-					size := sizes[i&3]
-					if i&7 == 0 {
-						slot := Addr(4 * ((i >> 3) % slots))
-						if _, err := m.AllocateRooted(data, base+slot, size, false); err != nil {
-							errs[g] = err
-							return
-						}
-					} else if _, err := m.Allocate(size, false); err != nil {
-						errs[g] = err
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for g, err := range errs {
-			if err != nil {
-				return nil, nil, fmt.Errorf("mutbench: mutator %d: %w", g, err)
-			}
+			return nil, nil, fmt.Errorf("mutbench: %w", err)
 		}
 		// The final collection publishes every handle's counters; the
 		// integrity audit would catch a double-carved or leaked slot.
@@ -140,41 +133,25 @@ func MutBench(opts MutBenchOptions) (*MutBenchResult, *stats.Table, error) {
 			fast += m.Stats().FastAllocs
 		}
 		ns := float64(elapsed.Nanoseconds()) / float64(total)
-		if n == 1 {
-			serialNs = ns
-		}
-		over := n > res.GoMaxProcs
-		speedup := 0.0
-		if serialNs > 0 && !over {
-			speedup = serialNs / ns
-		}
 		res.Rows = append(res.Rows, MutBenchRow{
 			Mutators:         n,
+			ObjectsAllocated: total,
 			NsPerAlloc:       ns,
 			AllocsPerSec:     1e9 / ns,
-			ObjectsAllocated: total,
 			FastFraction:     float64(fast) / float64(total),
 			Collections:      w.Collections(),
-			Speedup:          speedup,
-			Oversubscribed:   over,
-			GoMaxProcs:       runtime.GOMAXPROCS(0),
 		})
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Concurrent mutator throughput (%d allocs each, GOMAXPROCS=%d, NumCPU=%d)",
-			opts.Allocs, res.GoMaxProcs, res.NumCPU),
-		"mutators", "ns/alloc", "Mallocs/s", "fast%", "collections", "speedup")
+			opts.Allocs, runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		"mutators", "ns/alloc", "Mallocs/s", "fast%", "collections")
 	for _, r := range res.Rows {
-		speedup := fmt.Sprintf("%.2fx", r.Speedup)
-		if r.Oversubscribed {
-			speedup = "n/a (oversubscribed)"
-		}
 		tab.AddF(r.Mutators,
 			fmt.Sprintf("%.1f", r.NsPerAlloc),
 			fmt.Sprintf("%.2f", r.AllocsPerSec/1e6),
 			fmt.Sprintf("%.1f", r.FastFraction*100),
-			r.Collections,
-			speedup)
+			r.Collections)
 	}
 	return res, tab, nil
 }

@@ -13,17 +13,17 @@ import (
 // PauseBenchOptions parameterises the concurrent-marking pause
 // measurement.
 type PauseBenchOptions struct {
-	Mutators int // allocating goroutines (default 8)
-	Ops      int // allocations per mutator (default 40000)
+	Mutators int `json:"mutators"` // allocating goroutines (default 8)
+	Ops      int `json:"ops"`      // allocations per mutator (default 40000)
 	// Widths are the GOMAXPROCS values to measure both modes under
 	// (default 1 and 4): width 1 shows the allocation-proportional
 	// assists carrying a starved background driver, wider runs show
 	// the driver overlapping the mutators. Each width is set with
 	// runtime.GOMAXPROCS for its rows and restored afterwards.
-	Widths []int
+	Widths []int `json:"widths"`
 	// Trace, when non-nil, records collector events (snapshot pauses,
 	// barrier shades, final pauses) from every measured world.
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // PauseBenchRow is one collector mode's pause profile. The workload is
@@ -31,8 +31,9 @@ type PauseBenchOptions struct {
 // allocations into its private data slots and links between its own
 // rooted objects, and never frees — so objects_allocated and
 // objects_live are exact invariants the regression gate compares
-// bit-for-bit, while the pause percentiles are timing and stay
-// advisory.
+// bit-for-bit, while the pause percentiles are timing: printed, never
+// recorded or compared (cmd/perfbench's live_graph_conc and
+// live_graph_stw rows are where pauses are measured).
 type PauseBenchRow struct {
 	// PauseMode is "stw" (every cycle a full stop-the-world
 	// collection), "concurrent" (Config.ConcurrentMark pinned to the
@@ -40,56 +41,41 @@ type PauseBenchRow struct {
 	// snapshot and the bounded finale), or "concurrent-workers" (detached
 	// marking on ConcMarkWorkers goroutines plus the background
 	// sweeper).
-	PauseMode        string `json:"pause_mode"`
-	Mutators         int    `json:"mutators"`
-	ObjectsAllocated uint64 `json:"objects_allocated"`
-	ObjectsLive      uint64 `json:"objects_live"`
+	PauseMode string `json:"pause_mode" gate:"key"`
+	// GoMaxProcs is the scheduler width the row ran under (one of
+	// Options.Widths): the live set must not depend on it.
+	GoMaxProcs       int    `json:"gomaxprocs" gate:"key"`
+	ObjectsAllocated uint64 `json:"objects_allocated" gate:"exact"`
+	ObjectsLive      uint64 `json:"objects_live" gate:"exact"`
 	// Collections (cycles sampled during the measurement window, before
 	// teardown) and MarkedConcurrent are informational: automatic
 	// triggers and barrier traffic depend on goroutine interleaving.
-	Collections      int    `json:"collections"`
-	MarkedConcurrent uint64 `json:"marked_concurrent"`
+	Collections      int    `json:"-" gate:"info"`
+	MarkedConcurrent uint64 `json:"-" gate:"info"`
 	// The mutator-visible stop-the-world pause distribution, in
 	// nanoseconds. For stw rows each sample is a full collection's
 	// Duration; for concurrent rows each sample is one cycle's final
-	// pause (the root-rescan, drain and sweep stop). Timing columns —
-	// advisory in the gate.
-	PauseP50Ns float64 `json:"pause_p50_ns"`
-	PauseP99Ns float64 `json:"pause_p99_ns"`
-	PauseMaxNs float64 `json:"pause_max_ns"`
+	// pause (the root-rescan, drain and sweep stop).
+	PauseP50Ns float64 `json:"-" gate:"info"`
+	PauseP99Ns float64 `json:"-" gate:"info"`
+	PauseMaxNs float64 `json:"-" gate:"info"`
 	// SnapshotP99Ns is the concurrent rows' other, shorter pause (root
 	// scan at cycle start); 0 for stw rows.
-	SnapshotP99Ns float64 `json:"snapshot_p99_ns"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs     int  `json:"gomaxprocs"`
-	Oversubscribed bool `json:"oversubscribed"`
+	SnapshotP99Ns float64 `json:"-" gate:"info"`
 	// ConcWorkers is the detached background-marking width the row's
 	// cycles ran with (0: the serial lock-chunked cycle). ConcPhaseNs
 	// totals the cycles' concurrent-phase wall time and ConcMarkObjsPerMs
 	// is MarkedConcurrent over that time — the background mark
-	// throughput the CI matrix compares across rows. Timing-derived,
-	// hence advisory in the gate like the pause columns.
-	ConcWorkers       int     `json:"conc_workers"`
-	ConcPhaseNs       int64   `json:"conc_phase_ns"`
-	ConcMarkObjsPerMs float64 `json:"conc_mark_objs_per_ms"`
+	// throughput.
+	ConcWorkers       int     `json:"-" gate:"info"`
+	ConcPhaseNs       int64   `json:"-" gate:"info"`
+	ConcMarkObjsPerMs float64 `json:"-" gate:"info"`
 }
 
-// PauseBenchResult is the full measurement with the environment it
-// ran in.
-type PauseBenchResult struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"numcpu"`
-	Mutators   int `json:"mutators"`
-	Ops        int `json:"ops_per_mutator"`
-	// P99ReductionX is the headline: the stw row's p99 full-collection
-	// pause over the concurrent row's p99 final pause at the widest
-	// measured width (0 when either is unmeasured). Advisory, like all
-	// timing.
-	P99ReductionX float64         `json:"p99_reduction_x"`
-	Rows          []PauseBenchRow `json:"rows"`
-}
+// PauseBenchResult is the measurement with the options it ran under;
+// its Info is the stw row's p99 full-collection pause over the
+// concurrent row's p99 final pause at the widest measured width.
+type PauseBenchResult = BenchResult[PauseBenchOptions, PauseBenchRow]
 
 // pausePercentile returns the p-th percentile (nearest-rank) of ns.
 func pausePercentile(ns []float64, p float64) float64 {
@@ -124,12 +110,7 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 	if len(opts.Widths) == 0 {
 		opts.Widths = []int{1, 4}
 	}
-	res := &PauseBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Mutators:   opts.Mutators,
-		Ops:        opts.Ops,
-	}
+	res := &PauseBenchResult{Options: opts}
 	modes := []struct {
 		label string
 		cfg   Config
@@ -156,9 +137,7 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 		// without the world lock, the pacer sizes assists from the
 		// allocation rate, and the sweep backlog drains on a background
 		// goroutine. On fewer than 4 processors the workers oversubscribe
-		// the scheduler and the timing columns are advisory (the
-		// Oversubscribed flag marks such rows); the CI matrix runs the
-		// widths that measure it for real.
+		// the scheduler and the timing columns measure contention.
 		{"concurrent-workers", Config{
 			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 			GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
@@ -198,11 +177,12 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 	stw := byKey[fmt.Sprintf("stw@%d", widest)]
 	conc := byKey[fmt.Sprintf("concurrent@%d", widest)]
 	if stw.PauseP99Ns > 0 && conc.PauseP99Ns > 0 {
-		res.P99ReductionX = stw.PauseP99Ns / conc.PauseP99Ns
+		res.Info = fmt.Sprintf("p99 pause, stw over concurrent at GOMAXPROCS=%d on this machine: %.1fx",
+			widest, stw.PauseP99Ns/conc.PauseP99Ns)
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Mutator-visible pauses: stop-the-world vs concurrent marking (%d mutators x %d allocs, NumCPU=%d)",
-			opts.Mutators, opts.Ops, res.NumCPU),
+			opts.Mutators, opts.Ops, runtime.NumCPU()),
 		"mode", "gomaxprocs", "workers", "cycles", "pause p50", "pause p99", "pause max", "snapshot p99", "mark obj/ms", "live at end")
 	ms := func(ns float64) string { return fmt.Sprintf("%.3fms", ns/1e6) }
 	for _, r := range res.Rows {
@@ -326,7 +306,7 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 	}
 	return &PauseBenchRow{
 		PauseMode:        label,
-		Mutators:         n,
+		GoMaxProcs:       runtime.GOMAXPROCS(0),
 		ObjectsAllocated: total,
 		ObjectsLive:      hs.ObjectsLive,
 		Collections:      cycles,
@@ -335,8 +315,6 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 		PauseP99Ns:       pausePercentile(finals, 99),
 		PauseMaxNs:       pausePercentile(finals, 100),
 		SnapshotP99Ns:    pausePercentile(snaps, 99),
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		Oversubscribed:   n > runtime.GOMAXPROCS(0),
 		ConcWorkers:      concWorkers,
 		ConcPhaseNs:      concPhaseNs,
 		ConcMarkObjsPerMs: func() float64 {

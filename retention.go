@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/stats"
@@ -11,11 +10,11 @@ import (
 // RetentionBenchOptions parameterises the retention-attribution
 // measurement.
 type RetentionBenchOptions struct {
-	Rounds int // report rounds (default 4)
-	Steps  int // lazy-stream steps per round (default 1500)
+	Rounds int `json:"rounds"` // report rounds (default 4)
+	Steps  int `json:"steps"`  // lazy-stream steps per round (default 1500)
 	// Trace, when non-nil, records collector events (cycles, provenance
 	// harvests, retention reports) from the measured world.
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // RetentionBenchRow is one round's report. Every count is deterministic
@@ -24,33 +23,23 @@ type RetentionBenchOptions struct {
 // exactly: a marker change that retains one extra object, or a
 // provenance change that loses one record, diverges here.
 type RetentionBenchRow struct {
-	Round             int     `json:"round"`
-	Steps             int     `json:"steps"` // cumulative stream steps
-	LiveObjects       uint64  `json:"live_objects"`
-	LiveBytes         uint64  `json:"live_bytes"`
-	GenuineObjects    uint64  `json:"genuine_objects"`
-	SpuriousObjects   uint64  `json:"spurious_objects"`
-	SpuriousBytes     uint64  `json:"spurious_bytes"`
-	CensoredRoots     int     `json:"censored_roots"`
-	RootSlots         int     `json:"root_slots"`
-	TopSoleObjects    uint64  `json:"top_sole_objects"`
-	ProvenanceRecords uint64  `json:"provenance_records"`
-	ReportMs          float64 `json:"report_ms"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	Round             int     `json:"round" gate:"key"`
+	Steps             int     `json:"steps" gate:"exact"` // cumulative stream steps
+	LiveObjects       uint64  `json:"live_objects" gate:"exact"`
+	LiveBytes         uint64  `json:"live_bytes" gate:"exact"`
+	GenuineObjects    uint64  `json:"genuine_objects" gate:"exact"`
+	SpuriousObjects   uint64  `json:"spurious_objects" gate:"exact"`
+	SpuriousBytes     uint64  `json:"spurious_bytes" gate:"exact"`
+	CensoredRoots     int     `json:"censored_roots" gate:"exact"`
+	RootSlots         int     `json:"root_slots" gate:"exact"`
+	TopSoleObjects    uint64  `json:"top_sole_objects" gate:"exact"`
+	ProvenanceRecords uint64  `json:"provenance_records" gate:"exact"`
+	ReportMs          float64 `json:"-" gate:"info"`
 }
 
-// RetentionBenchResult is the full measurement.
-type RetentionBenchResult struct {
-	GoMaxProcs    int                 `json:"gomaxprocs"`
-	NumCPU        int                 `json:"numcpu"`
-	Rounds        int                 `json:"rounds"`
-	StepsPerRound int                 `json:"steps_per_round"`
-	GCTrace       string              `json:"gctrace_summary"`
-	Rows          []RetentionBenchRow `json:"rows"`
-}
+// RetentionBenchResult is the measurement with the options it ran
+// under; its Info is the world's gctrace summary.
+type RetentionBenchResult = BenchResult[RetentionBenchOptions, RetentionBenchRow]
 
 // RetentionBench measures the retention-provenance subsystem on the
 // paper's section-4 lazy-stream scenario: a stale stack slot holds the
@@ -97,10 +86,7 @@ func RetentionBench(opts RetentionBenchOptions) (*RetentionBenchResult, *stats.T
 	slotAddr := frame.Addr(0)
 	w.EnableProvenance(true)
 
-	res := &RetentionBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Rounds: opts.Rounds, StepsPerRound: opts.Steps,
-	}
+	res := &RetentionBenchResult{Options: opts}
 	cur := first
 	for round := 1; round <= opts.Rounds; round++ {
 		for i := 0; i < opts.Steps; i++ {
@@ -132,10 +118,9 @@ func RetentionBench(opts RetentionBenchOptions) (*RetentionBenchResult, *stats.T
 			TopSoleObjects:    topSole,
 			ProvenanceRecords: st.ProvenanceRecords,
 			ReportMs:          reportMs,
-			GoMaxProcs:        runtime.GOMAXPROCS(0),
 		})
 	}
-	res.GCTrace = w.GCTraceSummary()
+	res.Info = w.GCTraceSummary()
 
 	tab := stats.NewTable(
 		fmt.Sprintf("Retention attribution: lazy stream + planted false stack ref (%d steps/round)",

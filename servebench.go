@@ -15,14 +15,14 @@ type ServeBenchOptions struct {
 	// Tenants is how many concurrent tenant sessions each policy row
 	// runs (default 1000). Every tenant gets its own goroutine, Mutator
 	// handle, and private root slots.
-	Tenants int
+	Tenants int `json:"tenants"`
 	// Requests is the collect-first row's request count per session
 	// (default 12; the fail and evict rows' tapes are fixed by their
 	// budget arithmetic instead).
-	Requests int
+	Requests int `json:"requests"`
 	// Trace, when non-nil, records collector events (budget denials,
 	// evictions, cycle phases) from every measured world.
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // ServeBenchRow is one over-budget policy's serving profile. Each
@@ -31,56 +31,49 @@ type ServeBenchOptions struct {
 // and fairness columns are exact invariants the regression gate
 // compares bit-for-bit — concurrency changes when collections fire,
 // never what each tenant's budget admits. The latency and pause
-// percentiles are timing and stay advisory.
+// percentiles are timing: printed, never recorded or compared
+// (cmd/perfbench's serve_tenants row is where they are measured).
 type ServeBenchRow struct {
 	// Policy is "fail", "collect-first" or "evict".
-	Policy  string `json:"policy"`
-	Tenants int    `json:"tenants"`
+	Policy  string `json:"policy" gate:"key"`
+	Tenants int    `json:"tenants" gate:"exact"`
 	// Requests is the allocation attempts each tenant's tape makes.
-	Requests int `json:"requests"`
+	Requests int `json:"requests" gate:"exact"`
 	// ObjectsAllocated sums successful allocations over all tenants;
 	// the same count is cross-checked against the central allocator
 	// (exact conservation) before the row is returned.
-	ObjectsAllocated uint64 `json:"objects_allocated"`
+	ObjectsAllocated uint64 `json:"objects_allocated" gate:"exact"`
 	// ObjectsLive is the heap's live-object count after teardown
 	// collections: tenants*budget for fail (everything rooted), the
 	// tape-determined survivor count for collect-first, 0 for evict.
-	ObjectsLive uint64 `json:"objects_live"`
+	ObjectsLive uint64 `json:"objects_live" gate:"exact"`
 	// Denials/Evictions/ReclaimedObjects sum the tenants' counters.
-	Denials          uint64 `json:"denials"`
-	Evictions        uint64 `json:"evictions"`
-	ReclaimedObjects uint64 `json:"reclaimed_objects"`
+	Denials          uint64 `json:"denials" gate:"exact"`
+	Evictions        uint64 `json:"evictions" gate:"exact"`
+	ReclaimedObjects uint64 `json:"reclaimed_objects" gate:"exact"`
 	// FairnessSpread is max-min of per-tenant successful allocations:
 	// identical tapes against identical budgets must admit identical
 	// counts, so any nonzero spread means budget enforcement leaked
 	// between tenants.
-	FairnessSpread uint64 `json:"fairness_spread"`
+	FairnessSpread uint64 `json:"fairness_spread" gate:"exact"`
 	// ForcedCollections counts collect-first collections run on the
-	// tenants' behalf. Advisory: a collection one tenant forces credits
-	// every tenant's garbage at the barrier, so the count depends on
-	// goroutine interleaving.
-	ForcedCollections uint64 `json:"forced_collections"`
-	// Collections is the world's cycle count at teardown (advisory).
-	Collections int `json:"collections"`
+	// tenants' behalf. Not compared: a collection one tenant forces
+	// credits every tenant's garbage at the barrier, so the count
+	// depends on goroutine interleaving.
+	ForcedCollections uint64 `json:"-" gate:"info"`
+	// Collections is the world's cycle count at teardown.
+	Collections int `json:"-" gate:"info"`
 	// Allocation latency distribution over every attempt (successes
-	// and denials), in nanoseconds. Timing columns — advisory.
-	AllocP50Ns float64 `json:"alloc_p50_ns"`
-	AllocP99Ns float64 `json:"alloc_p99_ns"`
+	// and denials), in nanoseconds.
+	AllocP50Ns float64 `json:"-" gate:"info"`
+	AllocP99Ns float64 `json:"-" gate:"info"`
 	// PauseP99Ns is the p99 mutator-visible pause (final pauses for
 	// concurrent cycles, full duration for stop-the-world ones).
-	PauseP99Ns     float64 `json:"pause_p99_ns"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-	Oversubscribed bool    `json:"oversubscribed"`
+	PauseP99Ns float64 `json:"-" gate:"info"`
 }
 
-// ServeBenchResult is the full measurement with the environment it ran
-// in.
-type ServeBenchResult struct {
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	Tenants    int             `json:"tenants"`
-	Rows       []ServeBenchRow `json:"rows"`
-}
+// ServeBenchResult is the measurement with the options it ran under.
+type ServeBenchResult = BenchResult[ServeBenchOptions, ServeBenchRow]
 
 // serveTape is one policy row's deterministic per-tenant script.
 type serveTape struct {
@@ -109,11 +102,7 @@ func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error)
 	if opts.Requests == 0 {
 		opts.Requests = 12
 	}
-	res := &ServeBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Tenants:    opts.Tenants,
-	}
+	res := &ServeBenchResult{Options: opts}
 	const objWords = 8 // charges one 32-byte size class
 	tapes := []serveTape{
 		// Fail: a leak-style session (nothing ever unrooted) against a
@@ -169,7 +158,7 @@ func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error)
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Multi-tenant serving: %d concurrent tenants per policy (NumCPU=%d)",
-			opts.Tenants, res.NumCPU),
+			opts.Tenants, runtime.NumCPU()),
 		"policy", "tenants", "allocated", "denied", "evicted", "reclaimed", "live", "alloc p50", "alloc p99", "pause p99")
 	us := func(ns float64) string { return fmt.Sprintf("%.1fus", ns/1e3) }
 	for _, r := range res.Rows {
@@ -248,12 +237,10 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 		return nil, fmt.Errorf("servebench: %w", err)
 	}
 	row := &ServeBenchRow{
-		Policy:         tape.policy.String(),
-		Tenants:        n,
-		Requests:       sess.Requests * sess.AllocsPerRequest,
-		Collections:    cycles,
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Oversubscribed: n > runtime.GOMAXPROCS(0),
+		Policy:      tape.policy.String(),
+		Tenants:     n,
+		Requests:    sess.Requests * sess.AllocsPerRequest,
+		Collections: cycles,
 	}
 	var allocNs []float64
 	minAlloc, maxAlloc := ^uint64(0), uint64(0)

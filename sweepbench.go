@@ -12,57 +12,40 @@ import (
 // SweepBenchOptions parameterises the lazy-vs-eager sweep pause
 // measurement.
 type SweepBenchOptions struct {
-	Lists  int    // rooted lists kept live (default 48)
-	Nodes  int    // nodes per list (default 1500)
-	Cycles int    // churn/collect cycles per mode (default 20)
-	Churn  int    // lists replaced per cycle (default 12)
-	Seed   uint64 // churn schedule seed (default 1)
+	Lists  int    `json:"lists"`  // rooted lists kept live (default 48)
+	Nodes  int    `json:"nodes"`  // nodes per list (default 1500)
+	Cycles int    `json:"cycles"` // churn/collect cycles per mode (default 20)
+	Churn  int    `json:"churn"`  // lists replaced per cycle (default 12)
+	Seed   uint64 `json:"seed"`   // churn schedule seed (default 1)
 	// Trace, when non-nil, records collector events from every measured
 	// world into the given ring buffer (cmd/gcbench -trace).
-	Trace *TraceRecorder
+	Trace *TraceRecorder `json:"-"`
 }
 
 // SweepBenchRow is one sweep strategy's aggregate over the churn run.
 type SweepBenchRow struct {
-	Mode            string  `json:"mode"` // "eager" | "lazy"
-	Cycles          int     `json:"cycles"`
-	AvgPauseNs      float64 `json:"avg_pause_ns"`
-	MaxPauseNs      int64   `json:"max_pause_ns"`
-	AvgSweepPauseNs float64 `json:"avg_sweep_pause_ns"`
-	MaxSweepPauseNs int64   `json:"max_sweep_pause_ns"`
+	Mode string `json:"mode" gate:"key"` // "eager" | "lazy"
 	// DeferredBlocks is the total number of blocks whose per-slot sweep
 	// was pushed out of the pause (always 0 for eager).
-	DeferredBlocks int `json:"deferred_blocks"`
+	DeferredBlocks int `json:"deferred_blocks" gate:"exact"`
 	// ObjectsFreed/BytesFreed are the run totals; the lazy row must
 	// equal the eager row exactly (checked) — lazy sweeping moves work,
 	// it never changes what is reclaimed.
-	ObjectsFreed uint64 `json:"objects_freed"`
-	BytesFreed   uint64 `json:"bytes_freed"`
-	// GoMaxProcs records the scheduler width the row ran under; the
-	// regression gate treats timing columns as advisory when baseline
-	// and candidate rows disagree here.
-	GoMaxProcs int `json:"gomaxprocs"`
+	ObjectsFreed    uint64  `json:"objects_freed" gate:"exact"`
+	BytesFreed      uint64  `json:"bytes_freed" gate:"exact"`
+	AvgPauseNs      float64 `json:"-" gate:"info"`
+	MaxPauseNs      int64   `json:"-" gate:"info"`
+	AvgSweepPauseNs float64 `json:"-" gate:"info"`
+	MaxSweepPauseNs int64   `json:"-" gate:"info"`
 }
 
-// SweepBenchResult is the full measurement with the environment it ran
-// in. Unlike parallel-mark speedups, the sweep-pause reduction does not
-// need multiple cores: it moves per-slot work out of the pause on any
-// machine, so GOMAXPROCS=1 numbers are honest here.
-type SweepBenchResult struct {
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"numcpu"`
-	Lists      int             `json:"lists"`
-	Nodes      int             `json:"nodes"`
-	Rows       []SweepBenchRow `json:"rows"`
-	// Mark carries the parallel-mark scaling measurement taken in the
-	// same run, so one artifact covers both pause mechanisms.
-	Mark *MarkBenchResult `json:"mark"`
-}
+// SweepBenchResult is the measurement with the options it ran under.
+type SweepBenchResult = BenchResult[SweepBenchOptions, SweepBenchRow]
 
 // sweepBenchRun drives one world through the churn schedule and
 // aggregates its collection pauses.
 func sweepBenchRun(mode string, lazy bool, opts SweepBenchOptions) (SweepBenchRow, error) {
-	row := SweepBenchRow{Mode: mode, Cycles: opts.Cycles, GoMaxProcs: runtime.GOMAXPROCS(0)}
+	row := SweepBenchRow{Mode: mode}
 	w, err := NewWorld(Config{
 		InitialHeapBytes: 16 << 20, ReserveHeapBytes: 32 << 20,
 		GCDivisor: -1, LazySweep: lazy,
@@ -143,12 +126,7 @@ func SweepBench(opts SweepBenchOptions) (*SweepBenchResult, *stats.Table, error)
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	res := &SweepBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Lists:      opts.Lists,
-		Nodes:      opts.Nodes,
-	}
+	res := &SweepBenchResult{Options: opts}
 	for _, m := range []struct {
 		name string
 		lazy bool
@@ -167,7 +145,7 @@ func SweepBench(opts SweepBenchOptions) (*SweepBenchResult, *stats.Table, error)
 	}
 	tab := stats.NewTable(
 		fmt.Sprintf("Sweep pause, eager vs lazy (%d lists x %d nodes, %d cycles, GOMAXPROCS=%d)",
-			opts.Lists, opts.Nodes, opts.Cycles, res.GoMaxProcs),
+			opts.Lists, opts.Nodes, opts.Cycles, runtime.GOMAXPROCS(0)),
 		"mode", "avg pause ms", "max pause ms", "avg sweep ms", "max sweep ms",
 		"deferred blocks", "objects freed")
 	for _, r := range res.Rows {
