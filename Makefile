@@ -77,8 +77,9 @@ bench:
 
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without waiting for real measurements (among them
-# the rungs read without the perfbench harness: BenchmarkProgramTDirect
-# and BenchmarkMutatorAllocateChurn in the root package,
+# the rungs read without the perfbench harness: BenchmarkProgramTDirect,
+# BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
+# the root package,
 # BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
 # BenchmarkMarkLiveGraph and its par2 variant in internal/mark). The
 # tiny allocbench run smokes the free-list-vs-line-heap driver the same
@@ -92,19 +93,21 @@ bench-smoke: perfbench-smoke
 # cmd/perfbench — the benchmark BENCHMARK.json declares, and the only
 # source for performance claims — is a module of its own, so `./...`
 # skips it. perfbench-test runs its unit tests; perfbench-smoke builds
-# it the way the driver does and runs two workloads at a tenth of the
-# tape, failing on a non-zero exit (an output check that did not hold):
+# it as run.sh does and runs three workloads at a tenth of the tape,
+# failing on a non-zero exit (an output check that did not hold):
 # live_graph_stw drives the mark loop's plain path from the serial
 # marker, live_graph_conc its compare-and-swap path from detached
 # workers plus the gray hand-off between the two (TakePending into
-# AddGrays). Neither measures anything: see cmd/perfbench/README.md for
-# that.
+# AddGrays), and serve_tenants is the one workload where two handles
+# store concurrently, each under its own lock. None measures anything:
+# see cmd/perfbench/README.md for that.
 perfbench-test:
 	$(GO) test -C cmd/perfbench .
 
 perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_stw -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
+	bash cmd/perfbench/run.sh -workload serve_tenants -seconds 1 > /dev/null
 
 # Regenerates BENCH.json: one section per gated experiment of the
 # registry (markbench, sweepbench, mutbench, allocbench, pausebench,

@@ -6,6 +6,7 @@ package repro
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,6 +134,67 @@ func BenchmarkMutatorAllocateChurn(b *testing.B) {
 			}
 		}
 		prev = p
+	}
+}
+
+// BenchmarkMutatorStore is the store rung under perfbench's
+// core.store_mean_ns: handles storing pointers between their own 64
+// rooted objects, with no barrier to run (no cycle, not generational).
+// "one" is one handle; "two" is two handles on two goroutines, each
+// issuing b.N stores. ns/store is wall time per handle's store, so two
+// handles that do not serialise on a common lock read what one does.
+func BenchmarkMutatorStore(b *testing.B) {
+	const objs, rootsBase = 64, Addr(0x2000)
+	for _, n := range []struct {
+		name    string
+		handles int
+	}{{"one", 1}, {"two", 2}} {
+		b.Run(n.name, func(b *testing.B) {
+			w, err := NewWorld(Config{GCDivisor: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			roots, err := w.Space.MapNew("roots", KindData, rootsBase, n.handles*objs*mem.WordBytes, n.handles*objs*mem.WordBytes)
+			if err != nil {
+				b.Fatal(err)
+			}
+			muts := make([]*Mutator, n.handles)
+			obj := make([][objs]Addr, n.handles)
+			for h := range muts {
+				muts[h] = w.NewMutator()
+				for j := range obj[h] {
+					slot := rootsBase + Addr((h*objs+j)*mem.WordBytes)
+					if obj[h][j], err = muts[h].AllocateRooted(roots, slot, 4, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			errs := make([]error, n.handles)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for h := range muts {
+				wg.Add(1)
+				go func(h int) {
+					defer wg.Done()
+					m, obj := muts[h], &obj[h]
+					for i := 0; i < b.N; i++ {
+						word := Addr((i/objs)&3) * mem.WordBytes
+						if err := m.Store(obj[i%objs]+word, Word(obj[(i+1)%objs])); err != nil {
+							errs[h] = err
+							return
+						}
+					}
+				}(h)
+			}
+			wg.Wait()
+			b.StopTimer()
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/store")
+		})
 	}
 }
 

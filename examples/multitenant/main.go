@@ -65,6 +65,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// A handle publishes its allocation count to the tenant at its slow
+	// paths and at safepoints; collect once so the count is exact.
+	w.Collect()
 	st := tens[1].Stats()
 	fmt.Printf("collect-first tenant allocated %d objects on a %d-object budget (%d forced collections, %d denials)\n",
 		st.AllocatedObjects, budget/(objWords*4), st.ForcedCollections, st.BudgetDenials)

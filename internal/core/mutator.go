@@ -19,6 +19,19 @@ import (
 //     bump along the run under the handle's own mutex: no central
 //     lock, no heap-memory access at all (carve time already zeroed
 //     the link word), so concurrent mutators never contend.
+//   - Stores and loads take the handle's mutex too, not the central
+//     lock. A load has no barrier, so it always does; a store does
+//     whenever it has no barrier to run — no concurrent cycle is
+//     marking and the world is not generational. A cycle becomes
+//     active or inactive only inside stopMutatorsLocked, which holds
+//     every handle's mutex, so the condition cannot change under a
+//     store. A barrier store takes the central lock and runs
+//     storeLocked, as World.Store does.
+//   - Heap memory moves in one place only: Allocator.Expand grows a
+//     segment's backing array or maps a new extent. It runs with every
+//     handle parked (expandLocked: each handle's mutex taken, nothing
+//     flushed), so a handle may read and write heap words under its
+//     own mutex alone.
 //   - The slow path — an empty cache, a large or typed object, heap
 //     expansion, any collection — takes the world's central lock and
 //     runs the original single-threaded code, with the cache refilled
@@ -31,7 +44,9 @@ import (
 //     slot — allocated bits set, reachable from nothing — would be
 //     reclaimed and later carved a second time; flushing first is what
 //     makes the caches invisible to every collector mode (full,
-//     generational, concurrent, parallel, lazy).
+//     generational, concurrent, parallel, lazy). A tenant handle's
+//     allocation counts are published to its tenant at the same
+//     points, not per object.
 //
 // Single-mutator equivalence. With one handle, every address and every
 // CollectionStats is bit-for-bit what the direct World entry points
@@ -105,15 +120,21 @@ type Mutator struct {
 	// mu makes the owner goroutine's fast path visible to the
 	// safepoint protocol: stopMutatorsLocked acquires it (after w.mu —
 	// always that order) to park the mutator at an allocation
-	// boundary. The fast path holds it alone; the slow path holds only
-	// w.mu, which is safe because every other-goroutine access to this
-	// struct holds w.mu too.
+	// boundary. The fast path, and every store without a barrier and
+	// every load, holds it alone; the slow path holds only w.mu, which
+	// is safe because every other-goroutine access to this struct holds
+	// w.mu too.
 	mu     sync.Mutex
 	caches []allocCache
+	// seg is the segment the handle's last store or load found (nil
+	// before the first); stores and loads try it before searching the
+	// address space. Guarded by mu. A segment must not be unmapped
+	// while a handle may still address it.
+	seg *mem.Segment
 	// unpubObjects/unpubBytes count fast-path allocations not yet
-	// folded into the central allocator stats; published (under w.mu)
-	// at every slow path and safepoint, so the stats are exact at
-	// every point the collector reads them.
+	// folded into the central allocator stats and the tenant's counts;
+	// published (under w.mu) at every slow path and safepoint, so the
+	// stats are exact at every point the collector reads them.
 	unpubObjects uint64
 	unpubBytes   uint64
 	// sinceGC mirrors the central BytesSinceGC as of the last slow
@@ -236,9 +257,6 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 			m.sinceGC += bytes
 			m.unpubObjects++
 			m.unpubBytes += bytes
-			if m.ten != nil {
-				m.ten.noteAlloc(bytes)
-			}
 			m.stats.FastAllocs++
 			if m.w.cfg.AllocatorResidue {
 				if rs, ok := m.src.(residueSimulator); ok {
@@ -383,7 +401,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		return 0, err
 	}
 	if t := m.ten; t != nil {
-		t.noteAlloc(tenCharge)
+		t.noteAllocs(1, tenCharge)
 		if t.budgeted() && !tagged {
 			// Large and desperate allocations come from no carve; tag
 			// the object itself.
@@ -471,7 +489,7 @@ func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64) {
 		}
 		return
 	}
-	t.noteAlloc(tenCharge)
+	t.noteAllocs(1, tenCharge)
 	if t.budgeted() {
 		m.w.Heap.TagOwner(p, t.id)
 	}
@@ -505,18 +523,52 @@ func (m *Mutator) Free(base mem.Addr) error {
 }
 
 // Store writes a heap or segment word through the write barrier, like
-// World.Store.
+// World.Store. With no barrier to run it holds only the handle's own
+// lock, so it is ordered against another goroutine's access to the
+// same word only by a safepoint or by the program's own
+// synchronisation — as AllocateRooted's root store already was.
 func (m *Mutator) Store(a mem.Addr, v mem.Word) error {
-	m.w.mu.Lock()
-	defer m.w.mu.Unlock()
-	return m.w.storeLocked(a, v)
+	w := m.w
+	if !w.cfg.Generational {
+		m.mu.Lock()
+		if !w.cyc.active {
+			if s := m.segment(a); s != nil {
+				err := s.Store(a, v)
+				m.mu.Unlock()
+				return err
+			}
+		}
+		m.mu.Unlock()
+	}
+	// The barrier path (and an unmapped address, which it reports).
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.storeLocked(a, v)
 }
 
-// Load reads a heap or segment word, like World.Load.
+// Load reads a heap or segment word, like World.Load, under the
+// handle's own lock (there is no read barrier).
 func (m *Mutator) Load(a mem.Addr) (mem.Word, error) {
-	m.w.mu.Lock()
-	defer m.w.mu.Unlock()
-	return m.w.Space.Load(a)
+	m.mu.Lock()
+	if s := m.segment(a); s != nil {
+		v, err := s.Load(a)
+		m.mu.Unlock()
+		return v, err
+	}
+	m.mu.Unlock()
+	return m.w.Load(a) // unmapped: the world's lookup reports it
+}
+
+// segment returns the segment whose reserved region holds a, or nil,
+// trying the handle's last one first. Callers hold m.mu: the lookup
+// reads the address space's segment table, which the collector changes
+// only in Allocator.Expand, with every handle parked.
+func (m *Mutator) segment(a mem.Addr) *mem.Segment {
+	s := m.w.Space.Lookup(m.seg, a)
+	if s != nil {
+		m.seg = s
+	}
+	return s
 }
 
 // Collect runs a full collection, like World.Collect (which is equally
@@ -541,11 +593,15 @@ func (m *Mutator) Stats() MutatorStats {
 }
 
 // publishLocked folds the fast path's locally-counted allocations into
-// the central allocator stats. Callers hold w.mu (the owner goroutine
+// the central allocator stats and the tenant's counts (the bytes are
+// the padded sizes both count). Callers hold w.mu (the owner goroutine
 // additionally guarantees its own fast path is not running).
 func (m *Mutator) publishLocked() {
 	if m.unpubObjects != 0 || m.unpubBytes != 0 {
 		m.w.Heap.CommitAllocs(m.unpubObjects, m.unpubBytes)
+		if m.ten != nil {
+			m.ten.noteAllocs(m.unpubObjects, m.unpubBytes)
+		}
 		m.unpubObjects, m.unpubBytes = 0, 0
 	}
 }
@@ -674,9 +730,9 @@ func (w *World) stopMutatorsLocked() {
 		return
 	}
 	start := time.Now()
+	w.parkMutatorsLocked()
 	flushed := 0
 	for _, m := range w.muts {
-		m.mu.Lock()
 		flushed += m.flushLocked()
 	}
 	w.lastStopNs = time.Since(start).Nanoseconds()
@@ -689,28 +745,43 @@ func (w *World) stopMutatorsLocked() {
 	}
 }
 
+// parkMutatorsLocked takes every handle's lock and flushes nothing:
+// each owner goroutine waits at its next allocation, store or load
+// boundary, its caches and counters as they were. It is the stop
+// without the safepoint's flush — for heap growth (expandLocked),
+// which moves heap memory under the handles' stores and loads, and for
+// the integrity audit. Callers hold w.mu; resumeMutatorsLocked must
+// follow.
+func (w *World) parkMutatorsLocked() {
+	for _, m := range w.muts {
+		m.mu.Lock()
+	}
+}
+
 // resumeMutatorsLocked releases the mutators parked by
-// stopMutatorsLocked, in reverse order.
+// stopMutatorsLocked or parkMutatorsLocked, in reverse order.
 func (w *World) resumeMutatorsLocked() {
 	for i := len(w.muts) - 1; i >= 0; i-- {
 		w.muts[i].mu.Unlock()
 	}
 }
 
-// VerifyIntegrity stops every mutator WITHOUT flushing its caches and
+// VerifyIntegrity parks every mutator WITHOUT flushing its caches and
 // audits the allocator's slot accounting against them (no double-carve
 // of any slot; conservation: live + cached + free slots account for
 // every block — see alloc.CheckIntegrity). Not flushing is the point:
 // the check must see the mid-flight cached state the concurrency
-// battery wants validated.
+// battery wants validated. Each handle's allocation counts are
+// published on the way, so the heap's and the tenants' allocation
+// totals are exact when it returns.
 func (w *World) VerifyIntegrity() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, m := range w.muts {
-		m.mu.Lock()
-	}
+	w.parkMutatorsLocked()
+	defer w.resumeMutatorsLocked()
 	var cached []mem.Addr
 	for _, m := range w.muts {
+		m.publishLocked()
 		for idx := range m.caches {
 			c := &m.caches[idx]
 			cached = append(cached, c.run[c.next:]...)
@@ -727,8 +798,5 @@ func (w *World) VerifyIntegrity() error {
 	// the read (bare call outside a detached phase).
 	var err error
 	w.lockHeapLocked(func() { err = w.Heap.CheckIntegrity(cached) })
-	for i := len(w.muts) - 1; i >= 0; i-- {
-		w.muts[i].mu.Unlock()
-	}
 	return err
 }

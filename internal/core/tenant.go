@@ -23,7 +23,9 @@ import (
 // by convention.
 //
 // Charging points. The cached fast path charges with one CAS before
-// consuming a slot (a failed charge diverts to the slow path); the
+// consuming a slot (a failed charge diverts to the slow path) and
+// counts the allocation in the handle, which publishes its count to the
+// tenant with its heap statistics (Tenant.Stats has the contract); the
 // slow path charges under the central lock before allocating, after
 // first crediting any owned objects that already died (the allocator's
 // ownership table, alloc/owners.go, maps each consumed object back to
@@ -119,7 +121,8 @@ type TenantStats struct {
 	// an explicit free, or eviction. Always 0 for unbudgeted tenants.
 	LiveBytes uint64
 	// AllocatedObjects/AllocatedBytes count every successful
-	// allocation (cumulative; bytes are the padded charge sizes).
+	// allocation (cumulative; bytes are the padded charge sizes), as
+	// published by the tenant's handles (see Tenant.Stats).
 	AllocatedObjects uint64
 	AllocatedBytes   uint64
 	// ReclaimedObjects/ReclaimedBytes count owned objects credited
@@ -213,7 +216,15 @@ func (t *Tenant) Cancelled() bool { return t.cancelled.Load() }
 // Evicted reports whether the tenant was evicted.
 func (t *Tenant) Evicted() bool { return t.evicted.Load() }
 
-// Stats returns a snapshot of the tenant's accounting.
+// Stats returns a snapshot of the tenant's accounting. It takes no
+// lock, so a collection hook may call it. AllocatedObjects and
+// AllocatedBytes are published by the tenant's handles, not bumped per
+// object: they are exact after each handle's latest slow path,
+// safepoint (any collection) or VerifyIntegrity, and in between they
+// lag by at most the fast-path allocations each handle made since —
+// the contract the heap's own ObjectsAllocated has. LiveBytes, the
+// budget's charge, is not deferred: every allocation charges it before
+// returning.
 func (t *Tenant) Stats() TenantStats {
 	return TenantStats{
 		LiveBytes:         t.live.Load(),
@@ -278,9 +289,10 @@ func (t *Tenant) uncharge(bytes uint64) {
 	t.live.Add(^(bytes - 1))
 }
 
-// noteAlloc records one successful allocation of the given charge.
-func (t *Tenant) noteAlloc(bytes uint64) {
-	t.allocObjects.Add(1)
+// noteAllocs records successful allocations: one from a slow path, or
+// a handle's fast-path run when the handle publishes (publishLocked).
+func (t *Tenant) noteAllocs(objects, bytes uint64) {
+	t.allocObjects.Add(objects)
 	t.allocBytes.Add(bytes)
 }
 

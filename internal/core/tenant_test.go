@@ -335,6 +335,85 @@ func TestTenantExplicitFreeCredits(t *testing.T) {
 	}
 }
 
+// TestTenantAllocCountsPublished pins when a tenant's allocation counts
+// are exact. Two handles share one tenant. Fast-path allocations are
+// counted in the handle and published with its heap statistics, so in
+// between Stats lags by at most the handles' unpublished runs; a
+// handle's slow path publishes its own run, and Collect and
+// VerifyIntegrity publish every handle's. At each exact point the
+// tenant's totals equal the allocations made and the heap's own count.
+func TestTenantAllocCountsPublished(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"freelist": {GCDivisor: -1},
+		"line":     {GCDivisor: -1, LineAlloc: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, cfg)
+			ten := w.NewTenant(TenantConfig{BudgetBytes: 1 << 20, Policy: TenantFail})
+			a, b := ten.NewMutator(), ten.NewMutator()
+			var objects, bytes uint64
+			alloc := func(m *Mutator, nwords int) {
+				t.Helper()
+				if _, err := m.Allocate(nwords, false); err != nil {
+					t.Fatal(err)
+				}
+				objects++
+				bytes += tenantChargeBytes(nwords)
+			}
+			exact := func(when string) {
+				t.Helper()
+				st := ten.Stats()
+				if st.AllocatedObjects != objects || st.AllocatedBytes != bytes {
+					t.Fatalf("after %s: tenant counts %d objects / %d bytes, allocated %d / %d",
+						when, st.AllocatedObjects, st.AllocatedBytes, objects, bytes)
+				}
+				if got := w.Heap.Stats().ObjectsAllocated; got != objects {
+					t.Fatalf("after %s: heap counts %d objects, allocated %d", when, got, objects)
+				}
+			}
+			lags := func(when string, maxObjects uint64) {
+				t.Helper()
+				st := ten.Stats()
+				if st.AllocatedObjects > objects || objects-st.AllocatedObjects > maxObjects {
+					t.Fatalf("after %s: tenant counts %d objects of %d allocated, may lag by at most %d",
+						when, st.AllocatedObjects, objects, maxObjects)
+				}
+			}
+			// A handle's first small allocation refills its cache: a slow path.
+			alloc(a, 4)
+			alloc(b, 4)
+			exact("two refills")
+
+			const n = 10
+			fastA, fastB := a.Stats().FastAllocs, b.Stats().FastAllocs
+			for i := 0; i < n; i++ {
+				alloc(a, 4)
+				alloc(b, 4)
+			}
+			if a.Stats().FastAllocs-fastA != n || b.Stats().FastAllocs-fastB != n {
+				t.Fatal("the run did not stay on the fast path")
+			}
+			lags("fast-path runs on both handles", 2*n)
+
+			// A large object is always a slow path: it publishes a's run, not b's.
+			alloc(a, 600)
+			lags("a's slow path", n)
+			if err := w.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			exact("VerifyIntegrity")
+
+			for i := 0; i < n; i++ {
+				alloc(a, 8)
+				alloc(b, 2)
+			}
+			lags("more fast-path runs", 2*n)
+			w.Collect()
+			exact("Collect")
+		})
+	}
+}
+
 // TestTenantUnbudgetedDifferential pins the zero-cost claim: a world
 // whose allocations run through an unbudgeted Tenant behaves
 // bit-identically to a world using a bare Mutator — same addresses,

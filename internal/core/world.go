@@ -1108,9 +1108,7 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 		if amortized := heap / 8; grow < amortized {
 			grow = amortized
 		}
-		var eerr error
-		w.lockHeapLocked(func() { eerr = w.Heap.Expand(grow) })
-		if eerr != nil {
+		if eerr := w.expandLocked(grow); eerr != nil {
 			if !collected {
 				// The heap cannot grow and this call has not looked for
 				// garbage (too little was allocated since the last cycle to
@@ -1169,8 +1167,23 @@ func (w *World) expandIfTight() {
 	st := w.Heap.Stats()
 	free := uint64(st.HeapBytes) - st.BytesLive
 	if free < uint64(st.HeapBytes/w.cfg.FreeSpaceDivisor) && w.Heap.CanExpand() {
-		w.Heap.Expand(st.HeapBytes / 2)
+		w.expandLocked(st.HeapBytes / 2)
 	}
+}
+
+// expandLocked is the one way the world grows the heap: Allocator.Expand
+// with every handle parked. Growth reallocates a heap segment's backing
+// array or maps a new extent into the address space, and handles read
+// and write heap words under their own locks alone (Mutator.Store,
+// Mutator.Load); parking flushes nothing, so no address, free list or
+// statistic differs from an unparked growth. Callers hold w.mu and no
+// handle's lock.
+func (w *World) expandLocked(bytes int) error {
+	w.parkMutatorsLocked()
+	defer w.resumeMutatorsLocked()
+	var err error
+	w.lockHeapLocked(func() { err = w.Heap.Expand(bytes) })
+	return err
 }
 
 // Collect runs a full stop-the-world collection: park every mutator

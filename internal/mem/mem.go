@@ -312,7 +312,8 @@ type AddressSpace struct {
 	// lastFound is the segment Find returned last. Accesses cluster — a
 	// mutator's loads and stores mostly stay in the heap — so Find tries
 	// it before searching. A plain field: Find is not safe for
-	// concurrent use (core calls it under the world lock).
+	// concurrent use (core calls it under the world lock; code that
+	// holds no common lock calls Lookup with a cache of its own).
 	lastFound *Segment
 }
 
@@ -367,12 +368,26 @@ func (as *AddressSpace) Find(a Addr) *Segment {
 	if s := as.lastFound; s != nil && s.InReserved(a) {
 		return s
 	}
+	s := as.Lookup(nil, a)
+	if s != nil {
+		as.lastFound = s
+	}
+	return s
+}
+
+// Lookup is Find with the caller's own cache: hint (the caller's last
+// result, or nil) is tried before the search, and nothing is written.
+// Goroutines that share no lock may therefore look up concurrently, so
+// long as no Map or Unmap runs beside them.
+func (as *AddressSpace) Lookup(hint *Segment, a Addr) *Segment {
+	if hint != nil && hint.InReserved(a) {
+		return hint
+	}
 	i := sort.Search(len(as.segs), func(i int) bool { return as.segs[i].base > a })
 	if i == 0 {
 		return nil
 	}
 	if s := as.segs[i-1]; s.InReserved(a) {
-		as.lastFound = s
 		return s
 	}
 	return nil
