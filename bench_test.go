@@ -137,6 +137,56 @@ func BenchmarkMutatorAllocateChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectHeldCaches is the safepoint's rung on perfbench's
+// serve_tenants shape, without the harness: sixteen budgeted tenant
+// handles in a 512 KiB line-allocating, lazily swept world, each
+// holding warm bump spans of the four request sizes with a few objects
+// handed out of each, and a Collect that parks them, marks the slots
+// their caches hold and takes them out of the survey at the close —
+// flushing nothing, so every Collect finds the same caches. ns/op is
+// per Collect; ns/held-slot spreads it over the slots the caches hold
+// (what a flush used to return and the handles to carve again).
+func BenchmarkCollectHeldCaches(b *testing.B) {
+	const tenants, perSize, rootsBase = 16, 3, Addr(0x2000)
+	sizes := [4]int{2, 4, 8, 16}
+	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LineAlloc: true, LazySweep: true, GCDivisor: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	slots := tenants * len(sizes) * perSize
+	roots, err := w.Space.MapNew("roots", KindData, rootsBase, slots*mem.WordBytes, slots*mem.WordBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	muts := make([]*Mutator, tenants)
+	for i := range muts {
+		muts[i] = w.NewTenant(TenantConfig{BudgetBytes: 1 << 20, Policy: TenantCollectFirst}).NewMutator()
+		for j := 0; j < len(sizes)*perSize; j++ {
+			slot := rootsBase + Addr((i*len(sizes)*perSize+j)*mem.WordBytes)
+			if _, err := muts[i].AllocateRooted(roots, slot, sizes[j%len(sizes)], false); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	w.Collect()
+	held := 0
+	for _, m := range muts {
+		st := m.Stats()
+		held += int(st.RunSlots - st.FastAllocs - st.SlowAllocs - st.FlushedSlots)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Collect()
+	}
+	b.StopTimer()
+	if flushed := muts[0].Stats().FlushedSlots; flushed != 0 {
+		b.Fatalf("collections flushed %d slots", flushed)
+	}
+	b.ReportMetric(float64(held), "held-slots")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*held), "ns/held-slot")
+}
+
 // BenchmarkMutatorStore is the store rung under perfbench's
 // core.store_mean_ns: handles storing pointers between their own 64
 // rooted objects, with no barrier to run (no cycle, not generational).

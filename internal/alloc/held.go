@@ -1,0 +1,83 @@
+package alloc
+
+import (
+	"math/bits"
+
+	"repro/internal/mem"
+)
+
+// Held slots. A mutator cache (core.Mutator) keeps the carved slots it
+// has not handed out yet across a collection, instead of returning them
+// at the stop. The collector marks them as the first act of the mark
+// step, so the sweep keeps them, and takes them back out of the live
+// survey at the close (ExcludeHeld). These are the markers it uses: one
+// for a bump span, which lies in one block and is marked a bitmap word
+// at a time, and one for a run, whose slots follow a free list and are
+// marked block by block. Both keep the mark summary exact, and both run
+// with no other marker active.
+//
+// The inverse (on false) is for a generational world, whose sticky
+// sweep would otherwise leave every held slot old: an object later
+// handed out of one must be young, or no minor cycle reclaims it. A
+// sweep-pending block is swept first, because its deferred sweep frees
+// every allocated slot it finds unmarked.
+
+// MarkHeldSpan sets (on) or clears (!on) the mark bits of the slots of
+// the held bump span [cursor, limit).
+func (a *Allocator) MarkHeldSpan(cursor, limit mem.Addr, on bool) {
+	if cursor >= limit {
+		return
+	}
+	bi := a.blockIndex(cursor)
+	b := &a.blocks[bi]
+	if !on && b.pendingSweep {
+		a.sweepBlock(bi)
+	}
+	words := int(b.objWords)
+	lo := slotOfWord(pageWordOff(cursor), words)
+	hi := lo + slotOfWord(int(limit-cursor)/mem.WordBytes, words)
+	for lo < hi {
+		end := min(hi, lo&^63+64)
+		m := ^uint64(0) >> uint(64-(end-lo)) << uint(lo&63)
+		word := &b.markBits[lo>>6]
+		if on {
+			b.markedCount += int32(bits.OnesCount64(m &^ *word))
+			*word |= m
+		} else {
+			b.markedCount -= int32(bits.OnesCount64(m & *word))
+			*word &^= m
+		}
+		lo = end
+	}
+}
+
+// MarkHeldRun sets (on) or clears (!on) the mark bits of a held run's
+// slots, finding each block the run enters once.
+func (a *Allocator) MarkHeldRun(run []mem.Addr, on bool) {
+	for i := 0; i < len(run); {
+		bi := a.blockIndex(run[i])
+		b := &a.blocks[bi]
+		if !on && b.pendingSweep {
+			a.sweepBlock(bi)
+		}
+		base := a.blockBase(bi)
+		for ; i < len(run) && run[i]-base < mem.PageBytes; i++ {
+			slot := int(uint32(run[i]-base) / mem.WordBytes * b.slotRecip >> recipShift)
+			if on {
+				b.setMark(slot)
+			} else if bitGet(b.markBits, slot) {
+				bitClear(b.markBits, slot)
+				b.markedCount--
+			}
+		}
+	}
+}
+
+// ExcludeHeld takes objects and bytes the last sweep kept only because
+// mutator caches hold them out of the live survey (Stats' ObjectsLive
+// and BytesLive): the survey counts what it counted when caches were
+// emptied before every sweep.
+func (a *Allocator) ExcludeHeld(objects, bytes uint64) {
+	a.stats.ObjectsLive -= objects
+	a.stats.BytesLive -= bytes
+}

@@ -46,11 +46,12 @@ import (
 //     re-issues the same cursor — the analogue of ReturnRun pushing a
 //     cached run back onto the list head.
 //
-// Every outstanding span must be returned (mutator caches via the
-// safepoint flush, the central spans via FlushSpans) before a mark
+// Every outstanding span must be returned or marked before a mark
 // phase: span slots are allocated-but-unreachable, so marking would
 // see phantom objects and the sweep after it would reclaim memory a
-// mutator still holds a cursor into.
+// mutator still holds a cursor into. The central spans are returned
+// (FlushSpans); mutator caches keep theirs, which the collector marks
+// as its mark step begins (MarkHeldSpan, held.go).
 
 // LineWords is the line size in words (256 bytes): big enough that a
 // line span amortises carving over many small objects, small enough
@@ -135,18 +136,44 @@ func slotLines(sLo, sHi, words int) uint16 {
 }
 
 // lineLiveOf recomputes a block's live-line mask from its alloc
-// bitmap: a line is live when any allocated slot overlaps it.
+// bitmap: a line is live when any allocated slot overlaps it. The slots
+// overlapping a line are one contiguous range — from the slot holding
+// its first word to the slot holding its last — so each line costs one
+// range test on the bitmap, however many slots are allocated. A line
+// past the last slot (block-tail waste) is never live.
 func (a *Allocator) lineLiveOf(bi int) uint16 {
 	b := &a.blocks[bi]
 	words := int(b.objWords)
+	last := int(b.slots) - 1
 	var lm uint16
-	for wi, bw := range b.allocBits {
-		for ; bw != 0; bw &= bw - 1 {
-			s := wi<<6 + bits.TrailingZeros64(bw)
-			lm |= slotLines(s, s+1, words)
+	for l := 0; l < LinesPerBlock; l++ {
+		lo := slotOfWord(l*LineWords, words)
+		if lo > last {
+			break
+		}
+		hi := min(slotOfWord(l*LineWords+LineWords-1, words), last)
+		if anyBitIn(b.allocBits, lo, hi) {
+			lm |= 1 << uint(l)
 		}
 	}
 	return lm
+}
+
+// anyBitIn reports whether bitmap has a bit set in [lo, hi].
+func anyBitIn(bitmap []uint64, lo, hi int) bool {
+	for wi := lo >> 6; wi <= hi>>6; wi++ {
+		m := ^uint64(0)
+		if wi == lo>>6 {
+			m <<= uint(lo & 63)
+		}
+		if wi == hi>>6 {
+			m &= ^uint64(0) >> uint(63-(hi&63))
+		}
+		if bitmap[wi]&m != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // requeueLineBlock puts a block back on its class's partial queue if
@@ -356,13 +383,18 @@ func (a *Allocator) AllocSpan(nwords int, atomicObj bool) (Span, error) {
 // recomputed, and the block requeued at the back of its class queue —
 // so the next carve re-issues exactly this cursor, as ReturnRun's
 // push-to-head does for cached runs. It returns the slot count
-// returned. Stats are untouched (the slots were never counted).
+// returned. Stats are untouched (the slots were never counted). A span
+// held across a collection may lie in a sweep-pending block; that block
+// is swept first, as in ReturnRun.
 func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 	if cursor >= limit {
 		return 0
 	}
 	bi := a.blockIndex(cursor)
 	b := &a.blocks[bi]
+	if b.pendingSweep {
+		a.sweepBlock(bi)
+	}
 	words := int(b.objWords)
 	n := slotOfWord(int(limit-cursor)/mem.WordBytes, words)
 	s0 := slotOfWord(pageWordOff(cursor), words)

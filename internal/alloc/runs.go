@@ -34,8 +34,8 @@ import (
 //   - ReturnRun restores the unconsumed tail of a run exactly: pushed
 //     back in reverse, the rebuilt list has the same head, the same
 //     link words, and the same bits as if the tail had never been
-//     carved. A flush at a safepoint is therefore invisible to the
-//     sweep that follows it.
+//     carved. A flush is therefore invisible to the allocations after
+//     it. A collection does not flush: it marks the tail (held.go).
 //
 // A carved slot's link word is zeroed at carve time (under the
 // caller's lock); the consumer never writes heap memory, which keeps
@@ -102,6 +102,11 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 // AllocRun never counted the slots (see CommitAllocs). run must be
 // slots AllocRun carved, on a heap that still takes stores: anything
 // else is a bug in the caller, and panics.
+//
+// A run held across a collection may lie in a block whose sweep is
+// deferred (its slots marked, so that sweep would keep them). That
+// block is swept before any slot goes back into it, as Free does:
+// swept later, it would thread the returned slots a second time.
 func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	if len(run) == 0 {
 		return
@@ -117,6 +122,11 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 		if err != nil {
 			// run is what AllocRun carved: only a bug gets here.
 			panic(fmt.Sprintf("alloc: ReturnRun: %v", err))
+		}
+		if s.b.pendingSweep {
+			a.freeList[idx] = head
+			a.sweepBlock(a.blockIndex(run[i]))
+			head = a.freeList[idx]
 		}
 		for ; i >= 0 && s.holds(run[i]); i-- {
 			s.push(run[i], head)
@@ -143,8 +153,9 @@ func (a *Allocator) CommitAllocs(objects, bytes uint64) {
 //   - no double-carve: no slot appears twice across the free lists and
 //     the caches, and no free-list slot has its alloc bit set;
 //   - cached slots are live: every cached slot is a small-block slot
-//     with its alloc bit set (so a sweep that ran now without flushing
-//     would misclassify it — which is why safepoints flush first);
+//     with its alloc bit set, and one in a sweep-pending block is
+//     marked too (the deferred sweep keeps it only then — which is why
+//     the collector marks every cached slot at the mark step);
 //   - conservation of slots: for every swept small block,
 //     alloc-bit population == liveSlots and live + free == usable, so
 //     live (including cached) + free + unusable = total;
@@ -192,8 +203,8 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 		if err != nil {
 			return err
 		}
-		if b.pendingSweep {
-			return fmt.Errorf("alloc: integrity: cached slot %#x in sweep-pending block %d", uint32(p), ref.bi)
+		if b.pendingSweep && !bitGet(b.markBits, ref.slot) {
+			return fmt.Errorf("alloc: integrity: unmarked cached slot %#x in sweep-pending block %d", uint32(p), ref.bi)
 		}
 		if !bitGet(b.allocBits, ref.slot) {
 			return fmt.Errorf("alloc: integrity: cached slot %#x has a clear alloc bit", uint32(p))

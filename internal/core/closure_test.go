@@ -67,9 +67,9 @@ func installClosureOracle(t testing.TB, w *World, next func(CollectionStats)) *c
 	w.finaleAudit = o.audit
 	w.hook = func(st CollectionStats) {
 		if st.Concurrent {
-			// Every cache was flushed by the stop and the detached phase
-			// is retired: the bare audit is exact here.
-			if err := w.Heap.CheckIntegrity(nil); err != nil {
+			// The handles are still parked and the detached phase is
+			// retired: the audit is exact here.
+			if err := w.verifyIntegrityLocked(); err != nil {
 				o.fail(fmt.Sprintf("after concurrent cycle %d: %v", w.collections, err))
 			}
 		}
@@ -117,10 +117,14 @@ func (o *closureOracle) fail(msg string) {
 	o.mu.Unlock()
 }
 
-// audit is the finaleAudit body: w.mu held, every mutator stopped and
-// flushed, the detached phase retired, marking at its fixpoint.
+// audit is the finaleAudit body: w.mu held, every mutator parked, the
+// detached phase retired, marking at its fixpoint.
 func (o *closureOracle) audit() {
 	w := o.w
+	if p := heldUnmarked(w); p != 0 {
+		o.fail(fmt.Sprintf("close of cycle %d (kind %d): cached slot %#x is unmarked before the sweep",
+			w.collections+1, w.cyc.kind, uint32(p)))
+	}
 	lost := 0
 	var first mem.Addr
 	var old map[mem.Addr][]mem.Word
@@ -142,6 +146,23 @@ func (o *closureOracle) audit() {
 		o.fail(fmt.Sprintf("close of cycle %d (kind %d): %d reachable objects unmarked, lowest %#x",
 			w.collections+1, w.cyc.kind, lost, uint32(first)))
 	}
+}
+
+// heldUnmarked returns a slot some handle's cache holds, not yet handed
+// out, that is not marked, or 0. At a close every one must be marked:
+// the sweep would free it under the cache, to be carved a second time.
+// Callers hold w.mu with every handle parked and no marker running.
+func heldUnmarked(w *World) mem.Addr {
+	var held []mem.Addr
+	for _, m := range w.muts {
+		m.eachHeld(func(c *allocCache) { held = c.appendHeld(held) })
+	}
+	for _, p := range held {
+		if !w.Heap.Marked(p) {
+			return p
+		}
+	}
+	return 0
 }
 
 // reachableFromRoots is the oracle's own transitive closure: every

@@ -18,9 +18,12 @@ import (
 //
 // A cycle has three phases:
 //
-//  1. Snapshot pause. The mutators stop, their caches flush, the cycle
-//     opens (openCycleLocked), the roots are scanned (serially, through
-//     w.Marker), and the resulting gray set is handed to the marking
+//  1. Snapshot pause. The mutators park, the cycle opens
+//     (openCycleLocked), the slots their caches hold are marked
+//     (markHeldLocked: the sweep at the finale must keep them, and
+//     whatever the caches carve after this is born black), the roots
+//     are scanned (serially, through w.Marker), and the resulting gray
+//     set is handed to the marking
 //     machinery: the serial marker's own stack in the serial shape, the
 //     detached workers' shared queue otherwise. A minor cycle also
 //     stages its remembered set — the blocks whose cards were dirtied
@@ -143,9 +146,10 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 	if !w.cfg.Generational {
 		kind = kindConcurrent
 	}
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
 	c := w.openCycleLocked(kind)
+	w.markHeldLocked()
 	// Shape resolution: an explicit ConcMarkWorkers wins, 0 defers to
 	// the adaptive table the stop-the-world mark width uses. A count of 1
 	// — small heaps, single-core schedulers, or an explicit pin — is the
@@ -339,7 +343,9 @@ func (w *World) storeOriginLocked(a mem.Addr) (mark.RootOrigin, int32) {
 
 // finishConcurrentLocked is the bounded final pause: the rest of the
 // mark step, then the close. Callers hold w.mu with a cycle active and
-// every mutator stopped and flushed (landCycleLocked is the way in).
+// every mutator parked (landCycleLocked is the way in). What their
+// caches hold needs no marking here: it was marked at the snapshot or
+// born black since.
 func (w *World) finishConcurrentLocked() CollectionStats {
 	c := &w.cyc
 	c.pauseStart = time.Now()

@@ -356,8 +356,9 @@ func TestConcurrentMarkFastPathZeroAlloc(t *testing.T) {
 	if !w.ConcurrentActive() {
 		t.Fatal("cycle not active")
 	}
-	// The snapshot flushed the cache; refill mid-cycle (born-black
-	// carve), then measure the in-cycle fast path.
+	// The snapshot marked the cache's held slots; allocate once more
+	// (from them, or a born-black refill), then measure the in-cycle
+	// fast path.
 	if _, err := m.Allocate(2, false); err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,8 @@ func churnMutator(w *World, m *Mutator, data *mem.Segment, base mem.Addr, seed u
 }
 
 // TestConcurrentMutatorBattery runs the battery across collector
-// configurations: every mode's safepoint protocol must flush caches
-// and park mutators such that no slot is ever carved twice and the
+// configurations: every mode's safepoint protocol must park mutators
+// and keep their caches such that no slot is ever carved twice and the
 // central allocation stats stay exact.
 func TestConcurrentMutatorBattery(t *testing.T) {
 	configs := map[string]Config{
@@ -307,8 +307,9 @@ func FuzzConcurrentAlloc(f *testing.F) {
 
 // FuzzLineAlloc is the bump-profile variant: the same interleaving
 // fuzz across 2–4 concurrent mutators, with every configuration under
-// Config.LineAlloc. Span carves, safepoint span flushes, and the freed
-// LIFO replace run carves and free-list threading on these paths.
+// Config.LineAlloc. Span carves, spans held across collections, and
+// the freed LIFO replace run carves and free-list threading on these
+// paths.
 func FuzzLineAlloc(f *testing.F) {
 	f.Add(uint8(2), uint8(0), []byte{0x00, 0x41, 0x9a, 0xe3, 0x07, 0xff, 0x22, 0x6d})
 	f.Add(uint8(3), uint8(1), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})

@@ -17,20 +17,24 @@ import (
 //	       bump spans, stamp the blacklist's new cycle, clear the sticky
 //	       mark bits of a full generational cycle, emit the begin event
 //	       (openCycleLocked);
-//	mark   to the fixpoint. A stop-the-world kind does it in the pause
-//	       that opened the cycle (markPhase). A concurrent kind scans the
-//	       roots in that pause (the snapshot), resumes the mutators,
-//	       marks in chunks behind them, and reaches the fixpoint in a
-//	       second pause that scans the roots again (concurrent.go);
-//	close  queue unreachable finalizables, sweep, reset the allocation
-//	       and card counters, age the blacklist, count the collection,
-//	       harvest provenance, assemble CollectionStats, emit the end
-//	       events, fire the hook (closeCycleLocked).
+//	mark   mark the slots the mutators' caches hold (markHeldLocked),
+//	       then mark to the fixpoint. A stop-the-world kind does it in
+//	       the pause that opened the cycle (markPhase). A concurrent kind
+//	       scans the roots in that pause (the snapshot), resumes the
+//	       mutators, marks in chunks behind them, and reaches the
+//	       fixpoint in a second pause that scans the roots again
+//	       (concurrent.go);
+//	close  queue unreachable finalizables, sweep, take the caches' held
+//	       slots out of the survey (settleHeldLocked), reset the
+//	       allocation and card counters, age the blacklist, count the
+//	       collection, harvest provenance, assemble CollectionStats, emit
+//	       the end events, fire the hook (closeCycleLocked).
 //
-// All three run under w.mu with every mutator stopped and flushed: the
-// sweep classifies blocks from their bitmaps, so a cached slot that was
-// not flushed back would be reclaimed and then carved a second time.
-// The only part of a cycle that runs with mutators running is a
+// All three run under w.mu with every mutator parked. Their caches are
+// not flushed: the sweep classifies blocks from their bitmaps, and
+// every cached slot is marked from the mark step to the sweep, so the
+// sweep keeps it for the cache that holds it (mutator.go has the
+// rule). The only part of a cycle that runs with mutators running is a
 // concurrent kind's chunks, between its two pauses; cycle.active is
 // true exactly then. DESIGN.md has the table of which kind does what in
 // each step.
@@ -139,7 +143,7 @@ type cycle struct {
 }
 
 // openCycleLocked is the first step of every collection. Callers hold
-// w.mu with every mutator stopped and no cycle in flight.
+// w.mu with every mutator parked and no cycle in flight.
 func (w *World) openCycleLocked(kind cycleKind) *cycle {
 	c := &w.cyc
 	c.kind = kind
@@ -166,7 +170,7 @@ func (w *World) openCycleLocked(kind cycleKind) *cycle {
 }
 
 // collectLocked runs a collection of the given kind now and returns its
-// statistics: stop the mutators, open, mark to the fixpoint, close,
+// statistics: park the mutators, open, mark to the fixpoint, close,
 // resume. A concurrent cycle in flight is landed instead — its finale
 // is the collection the caller gets. Callers hold w.mu with the
 // mutators running.
@@ -174,7 +178,7 @@ func (w *World) collectLocked(kind cycleKind) CollectionStats {
 	if w.landCycleLocked() {
 		return w.last
 	}
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
 	c := w.openCycleLocked(kind)
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kind))
@@ -193,7 +197,7 @@ func (w *World) landCycleLocked() bool {
 	if !w.cyc.active {
 		return false
 	}
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
 	w.finishConcurrentLocked()
 	return true
@@ -201,8 +205,8 @@ func (w *World) landCycleLocked() bool {
 
 // closeCycleLocked is the last step of every collection: marking has
 // reached its fixpoint and c.marks/c.markNs describe it. Callers hold
-// w.mu with every mutator stopped and flushed, and no detached worker
-// left.
+// w.mu with every mutator parked, every slot their caches hold marked,
+// and no detached worker left.
 func (w *World) closeCycleLocked() CollectionStats {
 	c := &w.cyc
 	kind := c.kind
@@ -222,10 +226,11 @@ func (w *World) closeCycleLocked() CollectionStats {
 	}
 	w.traceSweepBegin(kind)
 	sweepStart := time.Now()
-	// Spans carved while a concurrent cycle marked hold unissued
-	// (born-black) slots; returning them also drops their mark bits, so
-	// the sweep's survey counts only real objects. A stop-the-world kind
-	// has carved none since it opened.
+	// Central spans carved while a concurrent cycle marked hold
+	// born-black slots not yet handed out; returning them also drops
+	// their mark bits, so the sweep's survey counts only real objects. A
+	// stop-the-world kind has carved none since it opened. (The caches'
+	// spans stay where they are; settleHeldLocked accounts for them.)
 	w.Heap.FlushSpans()
 	var sweep alloc.SweepResult
 	if w.cfg.Generational {
@@ -236,6 +241,7 @@ func (w *World) closeCycleLocked() CollectionStats {
 	} else {
 		sweep = w.Heap.Sweep()
 	}
+	w.settleHeldLocked(&sweep)
 	pauseSweep := time.Since(sweepStart)
 	w.Heap.ResetSinceGC()
 	w.Heap.ClearDirty()
@@ -328,14 +334,16 @@ func (w *World) markRoots() {
 }
 
 // markPhase is the mark step of a stop-the-world kind (and the whole of
-// a MarkOnly measurement): mark from the roots to the fixpoint inside
-// the pause — serially through w.Marker, or sharded across w.par's
+// a MarkOnly measurement, whose caches are flushed): mark the caches'
+// held slots, then from the roots to the fixpoint inside the pause —
+// serially through w.Marker, or sharded across w.par's
 // workers when the resolved width is above 1 — and return the phase's
 // statistics plus the size of the remembered set it rescanned (minor
 // cycles only). Parallel phases mark exactly the serial object set: the
 // CAS on each mark bit admits one winner, so ObjectsMarked, BytesMarked
 // and the blacklisted pages match the serial run bit for bit.
 func (w *World) markPhase(minor bool) (mark.Stats, int) {
+	w.markHeldLocked()
 	dirty := 0
 	workers := w.effectiveMarkWorkers()
 	w.lastMarkWorkers = workers

@@ -94,37 +94,28 @@ var lineConfigs = map[string]Config{
 	"par-lazy":     {GCDivisor: 4, MarkWorkers: 4, LazySweep: true},
 }
 
-// TestLineAllocDifferential is the tentpole's compatibility claim: on
-// line-aligned classes the bump profile replays the free-list
+// TestLineAllocDifferential is the line profile's compatibility claim:
+// on line-aligned classes the bump profile replays the free-list
 // profile's exact history — same addresses, same collection stats up
-// to timing, same final heap state — in every collector mode, through
-// both the direct World path and a Mutator handle.
+// to timing, same final heap state — in every collector mode through
+// the direct World path, and a Mutator handle keeps sameCollections'
+// contract with that path.
 func TestLineAllocDifferential(t *testing.T) {
 	for name, cfg := range lineConfigs {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			type outcome struct {
-				addrs []mem.Addr
-				stats []CollectionStats
-				w     *World
-			}
-			run := func(line, useHandle bool) outcome {
+			run := func(line, useHandle bool) scriptRun {
 				c := cfg
 				c.LineAlloc = line
 				w := newWorld(t, c)
 				addData(t, w, "data", 0x2000, 4096)
-				var stats []CollectionStats
-				w.SetCollectionHook(func(st CollectionStats) { stats = append(stats, st) })
-				var d gcDriver
+				var d gcDriver = directDriver{w}
 				if useHandle {
 					d = w.NewMutator()
-				} else {
-					d = directDriver{w}
 				}
-				addrs := lineScript(t, d)
-				return outcome{addrs, stats, w}
+				return replay(t, w, d, lineScript)
 			}
-			compare := func(label string, a, b outcome) {
+			compare := func(label string, a, b scriptRun) {
 				t.Helper()
 				if len(a.addrs) != len(b.addrs) {
 					t.Fatalf("%s: allocation counts diverge: %d vs %d", label, len(a.addrs), len(b.addrs))
@@ -154,9 +145,9 @@ func TestLineAllocDifferential(t *testing.T) {
 			line := run(true, false)
 			compare("freelist-vs-line (direct)", freelist, line)
 			lineHandle := run(true, true)
-			compare("direct-vs-handle (line)", line, lineHandle)
+			sameCollections(t, "direct-vs-handle (line)", line, lineHandle)
 
-			for _, o := range []outcome{line, lineHandle} {
+			for _, o := range []scriptRun{line, lineHandle} {
 				if err := o.w.VerifyIntegrity(); err != nil {
 					t.Fatal(err)
 				}
@@ -188,14 +179,14 @@ func TestLineAllocIntegrityWithOutstandingSpans(t *testing.T) {
 	if err := w.VerifyIntegrity(); err != nil {
 		t.Fatalf("integrity with outstanding spans: %v", err)
 	}
-	// A collection parks the handles and flushes their spans; the next
-	// audit sees a clean heap.
+	// A collection parks the handles and keeps their spans; the next
+	// audit accounts them as before.
 	w.Collect()
 	if err := w.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	// The handles' spans were invalidated by the safepoint; fresh
-	// allocations re-carve and the audit still balances.
+	// The handles allocate on from the spans they kept, and the audit
+	// still balances.
 	if _, err := m1.Allocate(64, false); err != nil {
 		t.Fatal(err)
 	}

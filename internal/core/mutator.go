@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -23,47 +24,64 @@ import (
 //     lock. A load has no barrier, so it always does; a store does
 //     whenever it has no barrier to run — no concurrent cycle is
 //     marking and the world is not generational. A cycle becomes
-//     active or inactive only inside stopMutatorsLocked, which holds
-//     every handle's mutex, so the condition cannot change under a
-//     store. A barrier store takes the central lock and runs
-//     storeLocked, as World.Store does.
+//     active or inactive only with every handle parked
+//     (parkMutatorsLocked holds every handle's mutex), so the
+//     condition cannot change under a store. A barrier store takes the
+//     central lock and runs storeLocked, as World.Store does.
 //   - Heap memory moves in one place only: Allocator.Expand grows a
 //     segment's backing array or maps a new extent. It runs with every
-//     handle parked (expandLocked: each handle's mutex taken, nothing
-//     flushed), so a handle may read and write heap words under its
-//     own mutex alone.
+//     handle parked (expandLocked), so a handle may read and write heap
+//     words under its own mutex alone.
 //   - The slow path — an empty cache, a large or typed object, heap
 //     expansion, any collection — takes the world's central lock and
 //     runs the original single-threaded code, with the cache refilled
 //     by one batched alloc.AllocRun carve.
-//   - Collections stop the world: stopMutatorsLocked parks every
-//     handle at its next allocation point (by acquiring its mutex),
-//     flushes its caches back to the free lists, and publishes its
-//     locally-counted allocation stats. The sweep that follows
-//     classifies blocks from their bitmaps, so an unflushed cached
-//     slot — allocated bits set, reachable from nothing — would be
-//     reclaimed and later carved a second time; flushing first is what
-//     makes the caches invisible to every collector mode (full,
-//     generational, concurrent, parallel, lazy). A tenant handle's
-//     allocation counts are published to its tenant at the same
-//     points, not per object.
+//   - There is one safepoint, parkMutatorsLocked: it parks every
+//     handle at its next allocation, store or load boundary (by
+//     acquiring its mutex) and publishes its locally-counted
+//     allocation stats — to the heap, and a tenant handle's to its
+//     tenant. It flushes nothing. Collections, heap growth, the
+//     integrity audit and the measurement passes all stop the world
+//     this way.
+//   - Caches survive a collection. The sweep classifies blocks from
+//     their bitmaps, and a cached slot — allocated, reachable from
+//     nothing — would be reclaimed and later carved a second time, so
+//     every cached slot is marked as the first act of each mark step
+//     (markHeldLocked), after the open has landed deferred sweeps and
+//     cleared a full generational cycle's marks. A concurrent cycle
+//     marks them in its snapshot pause; what its handles carve after
+//     that is born black. From a cycle's mark step to its sweep every
+//     cached slot is therefore marked, and the sweep keeps it. The
+//     close takes the held slots back out of the survey, so sweep
+//     results and live statistics read what they would with empty
+//     caches, and a generational close unmarks them, so that what the
+//     cache hands out later is young (settleHeldLocked).
+//   - A cache is flushed back to the free lists only where an empty
+//     cache is needed: an explicit Free (the freed slot must land on
+//     top of the list per-object allocation would have left), tenant
+//     eviction, and the measurement passes (MarkOnly, the retention
+//     report, the heap snapshot), which must not see carved slots as
+//     objects. A slow path also returns the one class it refills.
 //
-// Single-mutator equivalence. With one handle, every address and every
-// CollectionStats is bit-for-bit what the direct World entry points
-// produce (asserted by TestMutatorDifferential): AllocRun pops the
-// same slots in the same order per-object allocation would, ReturnRun
-// restores the untouched tail exactly, stats are published before any
-// point that reads them, and the fast path diverts to the slow path at
-// precisely the allocation where the direct path would trigger a
-// collection — the handle mirrors the central BytesSinceGC trigger in
-// sinceGC/trigger, resynchronised after every slow path.
+// Single-mutator equivalence. With one handle, every address up to the
+// first collection is bit-for-bit what the direct World entry points
+// produce, and every collection marks, frees and keeps the same
+// objects and bytes (asserted by TestMutatorDifferential): AllocRun
+// pops the same slots in the same order per-object allocation would,
+// ReturnRun restores the untouched tail exactly, stats are published
+// before any point that reads them, and the fast path diverts to the
+// slow path at precisely the allocation where the direct path would
+// trigger a collection — the handle mirrors the central BytesSinceGC
+// trigger in sinceGC/trigger, resynchronised after every slow path and
+// whenever a stop resumes it. After a collection the addresses part
+// ways: the handle's held slots are not on the rebuilt free lists.
 
 // runSlots is how many free slots one batched refill carves. Refills
 // happen under the central lock, so the value trades contention (small
-// runs lock often) against flush latency and cache-held memory (large
-// runs strand more slots at a safepoint). It never affects allocation
-// addresses: carved runs hand out exactly the slots the central list
-// would have.
+// runs lock often) against cache-held memory (large runs hold more
+// slots across collections, each marked at every mark step). It never
+// affects allocation addresses: carved runs hand out exactly the slots
+// the central list would have.
 const runSlots = 32
 
 // allocCache is one size class's cached run: run[next:] are the carved
@@ -92,7 +110,8 @@ type MutatorStats struct {
 	Refills  uint64
 	RunSlots uint64
 	// FlushedSlots counts unconsumed cached slots returned to the
-	// central free lists by safepoint flushes.
+	// central free lists by explicit flushes (Free, tenant eviction,
+	// the measurement passes). A collection flushes nothing.
 	FlushedSlots uint64
 }
 
@@ -118,7 +137,7 @@ type Mutator struct {
 	ten *Tenant
 
 	// mu makes the owner goroutine's fast path visible to the
-	// safepoint protocol: stopMutatorsLocked acquires it (after w.mu —
+	// safepoint protocol: parkMutatorsLocked acquires it (after w.mu —
 	// always that order) to park the mutator at an allocation
 	// boundary. The fast path, and every store without a barrier and
 	// every load, holds it alone; the slow path holds only w.mu, which
@@ -126,6 +145,10 @@ type Mutator struct {
 	// w.mu too.
 	mu     sync.Mutex
 	caches []allocCache
+	// warm has bit idx set while caches[idx] may hold slots: set by a
+	// refill, cleared when the cache is returned. The collector's passes
+	// over held slots (eachHeld) visit only these. Guarded like caches.
+	warm uint64
 	// seg is the segment the handle's last store or load found (nil
 	// before the first); stores and loads try it before searching the
 	// address space. Guarded by mu. A segment must not be unmapped
@@ -339,8 +362,9 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				if m.ten != nil && m.ten.budgeted() {
 					// Tag every carved slot with the owning tenant: the
 					// first is consumed now (charged above), the rest as
-					// the fast path hands them out. Safepoint flushes
-					// untag whatever returns unconsumed.
+					// the fast path hands them out. A flush untags whatever
+					// returns unconsumed; until then the slots are owned
+					// but uncharged (Tenant.OwnedBytes leaves them out).
 					w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
 					tagged = true
 				}
@@ -671,21 +695,41 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 		})
 	}
 	c.cursor, c.limit = 0, 0
+	m.warm &^= 1 << uint(idx)
 	return rest
 }
 
 // flushLocked publishes the handle's pending stats and returns every
-// cached slot to the central free lists. Called under w.mu — by the
-// safepoint protocol with m.mu also held, or by the owner goroutine's
-// own slow path.
-func (m *Mutator) flushLocked() int {
+// cached slot to the central free lists: the explicit flush, for the
+// callers that need an empty cache (see the header). Called under w.mu
+// — with the handle parked, or by the owner goroutine's own slow path.
+func (m *Mutator) flushLocked() {
 	m.publishLocked()
 	flushed := 0
 	for idx := range m.caches {
 		flushed += m.returnCacheLocked(idx)
 	}
 	m.stats.FlushedSlots += uint64(flushed)
-	return flushed
+	m.w.met.cacheFlushSlots.Add(uint64(flushed))
+}
+
+// held returns how many carved slots the cache holds, not yet handed
+// out.
+func (c *allocCache) held() int {
+	if c.cursor < c.limit {
+		return int(c.limit-c.cursor) / (c.words * mem.WordBytes)
+	}
+	return len(c.run) - c.next
+}
+
+// appendHeld appends the addresses of the slots the cache holds, not
+// yet handed out, to out.
+func (c *allocCache) appendHeld(out []mem.Addr) []mem.Addr {
+	out = append(out, c.run[c.next:]...)
+	for p := c.cursor; p < c.limit; p += mem.Addr(c.words * mem.WordBytes) {
+		out = append(out, p)
+	}
+	return out
 }
 
 // recordRefillLocked notes one batched cache refill in the handle and
@@ -693,6 +737,7 @@ func (m *Mutator) flushLocked() int {
 func (m *Mutator) recordRefillLocked(idx, n, words int) {
 	c := &m.caches[idx]
 	c.words = words
+	m.warm |= 1 << uint(idx)
 	m.stats.Refills++
 	m.stats.RunSlots += uint64(n)
 	w := m.w
@@ -711,87 +756,142 @@ func (m *Mutator) recordRefillLocked(idx, n, words int) {
 func (m *Mutator) recordSpanRefillLocked(idx, n, words int) {
 	c := &m.caches[idx]
 	c.words = words
+	m.warm |= 1 << uint(idx)
 	m.stats.Refills++
 	m.stats.RunSlots += uint64(n)
 	m.w.met.spanRefills.Inc()
 	m.w.met.spanRefillSlots.Add(uint64(n))
 }
 
-// stopMutatorsLocked is the stop-the-world safepoint: acquire every
-// mutator's lock — parking each owner goroutine at its next allocation
-// point — then flush every cache and publish every handle's stats, so
-// the collector sees exact central state and bitmaps that classify
-// every slot correctly. Callers hold w.mu; resumeMutatorsLocked must
-// follow. With no handles registered this is free (single-threaded
-// worlds pay nothing).
-func (w *World) stopMutatorsLocked() {
+// parkMutatorsLocked is the one safepoint: acquire every handle's lock
+// — parking each owner goroutine at its next allocation, store or load
+// boundary, its caches as they are — and publish every handle's
+// counts, so the heap's and the tenants' allocation totals are exact
+// while the world is stopped. It flushes nothing. Every stop is this
+// one: a collection's pauses, heap growth (expandLocked), the
+// integrity audit and the measurement passes. The stop's length is
+// lastStopNs (the next close's PauseStopNs) and feeds the stop
+// counters. Callers hold w.mu; resumeMutatorsLocked must follow. With
+// no handles registered this is free (single-threaded worlds pay
+// nothing).
+func (w *World) parkMutatorsLocked() {
 	w.lastStopNs = 0
 	if len(w.muts) == 0 {
 		return
 	}
 	start := time.Now()
-	w.parkMutatorsLocked()
-	flushed := 0
 	for _, m := range w.muts {
-		flushed += m.flushLocked()
+		m.mu.Lock()
+		m.publishLocked()
 	}
 	w.lastStopNs = time.Since(start).Nanoseconds()
 	w.met.stwStops.Inc()
 	w.met.stwPauseNs.Add(uint64(w.lastStopNs))
 	w.met.stopHist.Record(uint64(w.lastStopNs))
-	w.met.cacheFlushSlots.Add(uint64(flushed))
 	if w.tracer.Enabled() {
-		w.tracer.Emit(trace.EvSafepoint, int64(len(w.muts)), int64(flushed), w.lastStopNs)
+		var held int
+		for _, m := range w.muts {
+			m.eachHeld(func(c *allocCache) { held += c.held() })
+		}
+		w.tracer.Emit(trace.EvSafepoint, int64(len(w.muts)), int64(held), w.lastStopNs)
 	}
 }
 
-// parkMutatorsLocked takes every handle's lock and flushes nothing:
-// each owner goroutine waits at its next allocation, store or load
-// boundary, its caches and counters as they were. It is the stop
-// without the safepoint's flush — for heap growth (expandLocked),
-// which moves heap memory under the handles' stores and loads, and for
-// the integrity audit. Callers hold w.mu; resumeMutatorsLocked must
-// follow.
-func (w *World) parkMutatorsLocked() {
-	for _, m := range w.muts {
-		m.mu.Lock()
-	}
-}
-
-// resumeMutatorsLocked releases the mutators parked by
-// stopMutatorsLocked or parkMutatorsLocked, in reverse order.
+// resumeMutatorsLocked releases the handles parkMutatorsLocked parked,
+// in reverse order, re-mirroring each one's collection trigger first:
+// its cache may have survived a collection, and a stale sinceGC would
+// divert its next allocation to the slow path, which returns the
+// cache.
 func (w *World) resumeMutatorsLocked() {
 	for i := len(w.muts) - 1; i >= 0; i-- {
-		w.muts[i].mu.Unlock()
+		m := w.muts[i]
+		m.resyncLocked()
+		m.mu.Unlock()
 	}
 }
 
-// VerifyIntegrity parks every mutator WITHOUT flushing its caches and
-// audits the allocator's slot accounting against them (no double-carve
-// of any slot; conservation: live + cached + free slots account for
-// every block — see alloc.CheckIntegrity). Not flushing is the point:
-// the check must see the mid-flight cached state the concurrency
-// battery wants validated. Each handle's allocation counts are
-// published on the way, so the heap's and the tenants' allocation
-// totals are exact when it returns.
+// eachHeld calls fn with every cache of the handle that holds carved
+// slots not yet handed out. Callers hold w.mu with the handle parked, or
+// m.mu.
+func (m *Mutator) eachHeld(fn func(c *allocCache)) {
+	for warm := m.warm; warm != 0; warm &= warm - 1 {
+		if c := &m.caches[bits.TrailingZeros64(warm)]; c.held() > 0 {
+			fn(c)
+		}
+	}
+}
+
+// markHeldLocked is the first act of every mark step: it marks every
+// slot the handles' caches hold, not yet handed out, so the sweep keeps
+// it for them (see the header). Callers hold w.mu with every handle parked,
+// after the open — whose FinishSweep would clear the marks of the
+// blocks it sweeps, and whose ClearMarks a full generational cycle
+// runs — and before any marker starts.
+func (w *World) markHeldLocked() {
+	for _, m := range w.muts {
+		m.eachHeld(func(c *allocCache) {
+			w.Heap.MarkHeldRun(c.run[c.next:], true)
+			w.Heap.MarkHeldSpan(c.cursor, c.limit, true)
+		})
+	}
+}
+
+// settleHeldLocked is the held slots' part of the close, right after
+// the sweep that kept them: it takes them out of the survey r and out
+// of the heap's live statistics, which then read what they would had
+// every cache been empty. A generational world's sweep leaves what it
+// keeps marked — old — so there it also clears their marks: an object
+// the cache hands out later is young, and a minor cycle may reclaim it.
+// Callers hold w.mu with every handle parked and no marker running.
+func (w *World) settleHeldLocked(r *alloc.SweepResult) {
+	var objects, bytes uint64
+	for _, m := range w.muts {
+		m.eachHeld(func(c *allocCache) {
+			n := uint64(c.held())
+			objects += n
+			bytes += n * uint64(c.words*mem.WordBytes)
+			if w.cfg.Generational {
+				w.Heap.MarkHeldRun(c.run[c.next:], false)
+				w.Heap.MarkHeldSpan(c.cursor, c.limit, false)
+			}
+		})
+	}
+	r.ObjectsLive -= objects
+	r.BytesLive -= bytes
+	w.Heap.ExcludeHeld(objects, bytes)
+}
+
+// flushMutatorsLocked flushes every handle's caches, for a measurement
+// pass that must not see carved slots as objects. Callers hold w.mu
+// with every handle parked.
+func (w *World) flushMutatorsLocked() {
+	for _, m := range w.muts {
+		m.flushLocked()
+	}
+}
+
+// VerifyIntegrity parks every mutator and audits the allocator's slot
+// accounting against their caches as they are (no double-carve of any
+// slot; conservation: live + cached + free slots account for every
+// block — see alloc.CheckIntegrity). Not flushing is the point: the
+// check must see the mid-flight cached state the concurrency battery
+// wants validated. The park publishes each handle's allocation counts,
+// so the heap's and the tenants' allocation totals are exact when it
+// returns.
 func (w *World) VerifyIntegrity() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
+	return w.verifyIntegrityLocked()
+}
+
+// verifyIntegrityLocked is VerifyIntegrity's audit. Callers hold w.mu
+// with every handle parked.
+func (w *World) verifyIntegrityLocked() error {
 	var cached []mem.Addr
 	for _, m := range w.muts {
-		m.publishLocked()
-		for idx := range m.caches {
-			c := &m.caches[idx]
-			cached = append(cached, c.run[c.next:]...)
-			if c.cursor < c.limit {
-				// Line profile: the cached span's unconsumed slots.
-				for p, step := c.cursor, mem.Addr(c.words*mem.WordBytes); p < c.limit; p += step {
-					cached = append(cached, p)
-				}
-			}
-		}
+		m.eachHeld(func(c *allocCache) { cached = c.appendHeld(cached) })
 	}
 	// The audit walks every block's bitmaps; detached mark workers
 	// flip mark bits and summaries concurrently, so exclude them for

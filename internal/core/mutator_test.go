@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/machine"
 	"repro/internal/mem"
 )
@@ -95,6 +96,95 @@ func mutatorScript(t *testing.T, d gcDriver) []mem.Addr {
 	return addrs
 }
 
+// countingDriver counts the allocations a script has started, so that
+// a collection hook can tell where in the script each collection ran.
+type countingDriver struct {
+	gcDriver
+	n *int
+}
+
+func (d countingDriver) Allocate(nwords int, atomic bool) (mem.Addr, error) {
+	*d.n++
+	return d.gcDriver.Allocate(nwords, atomic)
+}
+
+// scriptRun is one replay of a script through one driver: the
+// addresses it was handed, each collection's statistics with the
+// number of allocations the script had started when it ran, and the
+// world.
+type scriptRun struct {
+	addrs []mem.Addr
+	stats []CollectionStats
+	at    []int
+	w     *World
+}
+
+// replay runs script on w through d.
+func replay(t *testing.T, w *World, d gcDriver, script func(*testing.T, gcDriver) []mem.Addr) scriptRun {
+	t.Helper()
+	r := &scriptRun{w: w}
+	n := 0
+	w.SetCollectionHook(func(st CollectionStats) {
+		r.stats = append(r.stats, st)
+		r.at = append(r.at, n)
+	})
+	r.addrs = script(t, countingDriver{d, &n})
+	return *r
+}
+
+// findings is what a collection found: the objects it marked, and the
+// objects and bytes its sweep kept and freed.
+type findings struct {
+	Marked, Live, LiveBytes, Freed, FreedBytes uint64
+}
+
+func findingsOf(st CollectionStats) findings {
+	return findings{st.Mark.ObjectsMarked, st.Sweep.ObjectsLive, st.Sweep.BytesLive, st.Sweep.ObjectsFreed, st.Sweep.BytesFreed}
+}
+
+// sameCollections is the contract a Mutator handle keeps with the
+// direct World path. Up to the first collection the two hand out the
+// same addresses. From it on the handle's caches keep the slots they
+// hold — marked at every mark step, where the direct path's sweep
+// threads the same slots back onto its free lists — so addresses part
+// ways, and with them whatever placement decides: the blocks a sweep
+// keeps and releases (BlocksKept, BlocksReleased), the blocks a lazy
+// sweep defers, and the words a minor cycle rescans on its dirty
+// blocks. What does not move is what the collections found: the same
+// collections, at the same allocations, marking the same number of
+// objects and keeping and freeing the same objects and bytes; and the
+// heap's allocation and live totals at the end.
+func sameCollections(t *testing.T, label string, direct, handle scriptRun) {
+	t.Helper()
+	if len(direct.addrs) != len(handle.addrs) {
+		t.Fatalf("%s: allocation counts diverge: %d direct, %d handle", label, len(direct.addrs), len(handle.addrs))
+	}
+	if len(direct.stats) == 0 || len(direct.stats) != len(handle.stats) {
+		t.Fatalf("%s: collection counts diverge: %d direct, %d handle", label, len(direct.stats), len(handle.stats))
+	}
+	// The allocation that triggered the first collection, if one did, is
+	// the first that may be placed differently.
+	for i := 0; i < direct.at[0]-1; i++ {
+		if direct.addrs[i] != handle.addrs[i] {
+			t.Fatalf("%s: allocation %d, before the first collection, diverges: %#x direct, %#x handle",
+				label, i, uint32(direct.addrs[i]), uint32(handle.addrs[i]))
+		}
+	}
+	for i := range direct.stats {
+		if direct.at[i] != handle.at[i] {
+			t.Fatalf("%s: collection %d ran at allocation %d direct, %d handle", label, i, direct.at[i], handle.at[i])
+		}
+		if a, b := findingsOf(direct.stats[i]), findingsOf(handle.stats[i]); a != b {
+			t.Fatalf("%s: collection %d found\ndirect %+v\nhandle %+v", label, i, a, b)
+		}
+	}
+	ds, hs := direct.w.Heap.Stats(), handle.w.Heap.Stats()
+	if ds.ObjectsAllocated != hs.ObjectsAllocated || ds.BytesAllocated != hs.BytesAllocated ||
+		ds.ObjectsLive != hs.ObjectsLive || ds.BytesLive != hs.BytesLive {
+		t.Fatalf("%s: final heap totals diverge:\ndirect %+v\nhandle %+v", label, ds, hs)
+	}
+}
+
 // normalizeTimes zeroes a CollectionStats pair's wall-clock fields so
 // the remaining fields compare exactly.
 func normalizeTimes(a, b *CollectionStats) {
@@ -108,13 +198,13 @@ func normalizeTimes(a, b *CollectionStats) {
 	a.ConcPhaseNs, b.ConcPhaseNs = 0, 0
 }
 
-// TestMutatorDifferential proves the tentpole's compatibility claim: a
-// single Mutator handle produces allocation addresses, collection
-// statistics, and final heap state bit-identical to the direct
-// World.Allocate path, in every collector mode. Batched carves hand
-// out the same slots in the same order, safepoint flushes restore free
-// lists exactly, and the handle's trigger mirror diverts to the slow
-// path at precisely the allocations where the direct path collects.
+// TestMutatorDifferential proves the handle's compatibility claim: a
+// single Mutator handle keeps sameCollections' contract with the direct
+// World.Allocate path in every collector mode. Batched carves hand out
+// the same slots in the same order, the handle's trigger mirror diverts
+// to the slow path at precisely the allocations where the direct path
+// collects, and the slots its caches hold across a collection are kept
+// by the sweep and left out of what it reports.
 func TestMutatorDifferential(t *testing.T) {
 	configs := map[string]Config{
 		"full":         {GCDivisor: 4},
@@ -127,49 +217,18 @@ func TestMutatorDifferential(t *testing.T) {
 	for name, cfg := range configs {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			run := func(useHandle bool) ([]mem.Addr, []CollectionStats, *World) {
+			run := func(useHandle bool) scriptRun {
 				w := newWorld(t, cfg)
 				addData(t, w, "data", 0x2000, 4096)
-				var stats []CollectionStats
-				w.SetCollectionHook(func(st CollectionStats) { stats = append(stats, st) })
-				var d gcDriver
+				var d gcDriver = directDriver{w}
 				if useHandle {
 					d = w.NewMutator()
-				} else {
-					d = directDriver{w}
 				}
-				addrs := mutatorScript(t, d)
-				return addrs, stats, w
+				return replay(t, w, d, mutatorScript)
 			}
-			directAddrs, directStats, dw := run(false)
-			handleAddrs, handleStats, hw := run(true)
-
-			if len(directAddrs) != len(handleAddrs) {
-				t.Fatalf("allocation counts diverge: %d direct, %d handle", len(directAddrs), len(handleAddrs))
-			}
-			for i := range directAddrs {
-				if directAddrs[i] != handleAddrs[i] {
-					t.Fatalf("allocation %d diverges: %#x direct, %#x handle",
-						i, uint32(directAddrs[i]), uint32(handleAddrs[i]))
-				}
-			}
-			if len(directStats) != len(handleStats) {
-				t.Fatalf("collection counts diverge: %d direct, %d handle", len(directStats), len(handleStats))
-			}
-			for i := range directStats {
-				a, b := directStats[i], handleStats[i]
-				normalizeTimes(&a, &b)
-				if a != b {
-					t.Fatalf("cycle %d stats diverge:\ndirect %+v\nhandle %+v", i, a, b)
-				}
-			}
-			if got, want := hw.Collections(), dw.Collections(); got != want {
-				t.Fatalf("collections diverge: %d direct, %d handle", want, got)
-			}
-			if ds, hs := dw.Heap.Stats(), hw.Heap.Stats(); ds != hs {
-				t.Fatalf("final heap stats diverge:\ndirect %+v\nhandle %+v", ds, hs)
-			}
-			if err := hw.VerifyIntegrity(); err != nil {
+			direct, handle := run(false), run(true)
+			sameCollections(t, "direct-vs-handle", direct, handle)
+			if err := handle.w.VerifyIntegrity(); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -183,12 +242,10 @@ func TestMutatorDifferential(t *testing.T) {
 func TestMutatorDifferentialMachine(t *testing.T) {
 	cfg := Config{GCDivisor: 4, AllocatorResidue: true}
 	mcfg := machine.Config{StackTop: 0x80000000, StackBytes: 256 * 1024}
-	run := func(useHandle bool) ([]mem.Addr, []CollectionStats) {
+	run := func(useHandle bool) scriptRun {
 		w := newWorld(t, cfg)
 		addData(t, w, "data", 0x2000, 4096)
-		var stats []CollectionStats
-		w.SetCollectionHook(func(st CollectionStats) { stats = append(stats, st) })
-		var d gcDriver
+		var d gcDriver = directDriver{w}
 		if useHandle {
 			mach, err := machine.New(w.Space, mcfg)
 			if err != nil {
@@ -199,37 +256,16 @@ func TestMutatorDifferentialMachine(t *testing.T) {
 			d = m
 		} else {
 			withMachine(t, w, mcfg)
-			d = directDriver{w}
 		}
-		return mutatorScript(t, d), stats
+		return replay(t, w, d, mutatorScript)
 	}
-	directAddrs, directStats := run(false)
-	handleAddrs, handleStats := run(true)
-	if len(directAddrs) != len(handleAddrs) {
-		t.Fatalf("allocation counts diverge: %d direct, %d handle", len(directAddrs), len(handleAddrs))
-	}
-	for i := range directAddrs {
-		if directAddrs[i] != handleAddrs[i] {
-			t.Fatalf("allocation %d diverges: %#x direct, %#x handle",
-				i, uint32(directAddrs[i]), uint32(handleAddrs[i]))
-		}
-	}
-	if len(directStats) != len(handleStats) {
-		t.Fatalf("collection counts diverge: %d direct, %d handle", len(directStats), len(handleStats))
-	}
-	for i := range directStats {
-		a, b := directStats[i], handleStats[i]
-		normalizeTimes(&a, &b)
-		if a != b {
-			t.Fatalf("cycle %d stats diverge:\ndirect %+v\nhandle %+v", i, a, b)
-		}
-	}
+	sameCollections(t, "direct-vs-handle", run(false), run(true))
 }
 
 // TestMutatorCollectZeroAllocsUntraced extends the zero-allocation
 // guarantee to the safepoint protocol: an untraced collection through
-// a Mutator handle — stop, cache flush, publish, mark, sweep, resume —
-// performs no Go heap allocations.
+// a Mutator handle — park, publish, mark the held cache, mark, sweep,
+// settle the held cache, resume — performs no Go heap allocations.
 func TestMutatorCollectZeroAllocsUntraced(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	m := w.NewMutator()
@@ -248,8 +284,7 @@ func TestMutatorCollectZeroAllocsUntraced(t *testing.T) {
 	m.Collect()
 	m.Collect()
 	w.FinishSweep()
-	// Warm the cache so the warm-up run's safepoint flushes a live run;
-	// later runs flush empty caches but walk the same protocol.
+	// Warm the cache: every run then marks and settles the run it holds.
 	if _, err := m.Allocate(3, false); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +312,9 @@ func TestMutatorCollectZeroAllocsUntraced(t *testing.T) {
 }
 
 // TestMutatorStatsCounters sanity-checks the handle's own accounting:
-// cached allocations dominate, refills batch, and safepoints flush.
+// cached allocations dominate, refills batch, a collection keeps the
+// cache (flushes nothing, and the next allocation is a fast path), and
+// an explicit flush — Free — counts what it returns.
 func TestMutatorStatsCounters(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	m := w.NewMutator()
@@ -296,9 +333,18 @@ func TestMutatorStatsCounters(t *testing.T) {
 	if st.Refills == 0 || st.RunSlots < st.Refills {
 		t.Fatalf("refills %d / run slots %d look wrong", st.Refills, st.RunSlots)
 	}
+	class, _ := alloc.ClassFor(4)
+	held := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return m.caches[class].held()
+	}
+	if held() == 0 {
+		t.Fatal("the workload left the cache empty")
+	}
 	m.Collect()
-	if st = m.Stats(); st.FlushedSlots == 0 {
-		t.Fatalf("safepoint flushed no slots despite a warm cache")
+	if st = m.Stats(); st.FlushedSlots != 0 {
+		t.Fatalf("a collection flushed %d slots", st.FlushedSlots)
 	}
 	if err := w.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
@@ -306,5 +352,19 @@ func TestMutatorStatsCounters(t *testing.T) {
 	// The central stats see exactly the objects handed out.
 	if got := w.Heap.Stats().ObjectsAllocated; got != 100 {
 		t.Fatalf("central ObjectsAllocated = %d, want 100", got)
+	}
+	p, err := m.Allocate(4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := m.Stats(); after.FastAllocs != st.FastAllocs+1 || after.SlowAllocs != st.SlowAllocs {
+		t.Fatalf("the allocation after a collection took the slow path: %+v then %+v", st, after)
+	}
+	rest := held()
+	if err := m.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if st = m.Stats(); st.FlushedSlots != uint64(rest) {
+		t.Fatalf("Free flushed %d slots, the cache held %d", st.FlushedSlots, rest)
 	}
 }

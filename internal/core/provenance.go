@@ -398,11 +398,13 @@ func (w *World) retentionPasses(opts RetentionOptions) (RetentionReport, []retai
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.landCycleLocked()
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
+	// The caches and the central bump spans hold carved slots not yet
+	// handed out; return them so the report's passes see only real
+	// objects.
+	w.flushMutatorsLocked()
 	w.Heap.FinishSweep()
-	// Bump spans (LineAlloc) hold carved-but-unissued slots; return them
-	// so the report's passes see only real objects.
 	w.Heap.FlushSpans()
 
 	img := w.buildRootImageLocked()

@@ -60,8 +60,11 @@ type HeapSnapshot struct {
 func (w *World) BuildHeapSnapshot(label func(base mem.Addr) string) HeapSnapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
+	// Cached slots are allocated but not yet handed out: not objects to
+	// export.
+	w.flushMutatorsLocked()
 
 	bl := w.Blacklist.Stats()
 	snap := HeapSnapshot{

@@ -157,7 +157,8 @@ type Tenant struct {
 	evicted      atomic.Bool
 
 	// muts holds the tenant's handles, guarded by w.mu (eviction
-	// flushes them; the safepoint protocol already covers stopping).
+	// flushes them, OwnedBytes reads their caches; the safepoint
+	// protocol already covers stopping).
 	muts []*Mutator
 }
 
@@ -219,12 +220,12 @@ func (t *Tenant) Evicted() bool { return t.evicted.Load() }
 // Stats returns a snapshot of the tenant's accounting. It takes no
 // lock, so a collection hook may call it. AllocatedObjects and
 // AllocatedBytes are published by the tenant's handles, not bumped per
-// object: they are exact after each handle's latest slow path,
-// safepoint (any collection) or VerifyIntegrity, and in between they
-// lag by at most the fast-path allocations each handle made since —
-// the contract the heap's own ObjectsAllocated has. LiveBytes, the
-// budget's charge, is not deferred: every allocation charges it before
-// returning.
+// object: they are exact after each handle's latest slow path or
+// safepoint (any collection, heap growth, VerifyIntegrity), and in
+// between they lag by at most the fast-path allocations each handle
+// made since — the contract the heap's own ObjectsAllocated has.
+// LiveBytes, the budget's charge, is not deferred: every allocation
+// charges it before returning.
 func (t *Tenant) Stats() TenantStats {
 	return TenantStats{
 		LiveBytes:         t.live.Load(),
@@ -243,12 +244,22 @@ func (t *Tenant) Stats() TenantStats {
 // table still attributes to the tenant. After a full collection,
 // FinishSweep and barrier reconcile this equals Stats().LiveBytes
 // exactly — the zero-attribution-drift invariant the SLO test gates.
+// The tenant's handles' caches are left out: their slots are tagged
+// when carved but charged only when handed out, and a collection keeps
+// them in the caches.
 func (t *Tenant) OwnedBytes() uint64 {
 	w := t.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var b uint64
 	w.lockHeapLocked(func() { b = w.Heap.OwnedBytes(t.id) })
+	if t.budgeted() {
+		for _, m := range t.muts {
+			m.mu.Lock()
+			m.eachHeld(func(c *allocCache) { b -= uint64(c.held() * c.words * mem.WordBytes) })
+			m.mu.Unlock()
+		}
+	}
 	return b
 }
 

@@ -616,8 +616,8 @@ func TestTenantServeSLO(t *testing.T) {
 
 // TestCollectZeroAllocsTenanted holds a tenanted world to the budget
 // TestCollectZeroAllocsUntraced pins for untenanted ones: with ownership
-// records live and dying every cycle, the safepoint's untag, the sweep
-// and the barrier reconcile allocate nothing.
+// records live and dying every cycle, the held cache's marking and
+// settling, the sweep and the barrier reconcile allocate nothing.
 func TestCollectZeroAllocsTenanted(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"freelist":  {GCDivisor: -1},

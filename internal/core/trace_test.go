@@ -496,7 +496,7 @@ func TestMetricsMatchDetachedCycleStats(t *testing.T) {
 // the concurrent-mutator counters: stw_stops/stw_pause_ns accumulate
 // exactly one safepoint stop per collection of a world with handles
 // attached, and the cache_refill*/cache_flush_slots counters are the
-// sums of every handle's MutatorStats.
+// sums of every handle's MutatorStats (the flush an explicit Free's).
 func TestMetricsMatchMutatorStats(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
@@ -512,13 +512,18 @@ func TestMetricsMatchMutatorStats(t *testing.T) {
 	}
 	// Single-goroutine driving keeps this deterministic; handles are
 	// per-goroutine, not thread-safe, and that is all this test needs.
+	var rooted mem.Addr
 	for round := 0; round < 3; round++ {
 		for g, m := range muts {
 			for i := 0; i < 40; i++ {
 				slot := mem.Addr(0x2000 + 4*g)
 				if i == 0 {
-					if _, err := m.AllocateRooted(data, slot, 2, false); err != nil {
+					p, err := m.AllocateRooted(data, slot, 2, false)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if g == 0 {
+						rooted = p
 					}
 				} else if _, err := m.Allocate(2, false); err != nil {
 					t.Fatal(err)
@@ -526,6 +531,13 @@ func TestMetricsMatchMutatorStats(t *testing.T) {
 			}
 		}
 		w.Collect()
+	}
+	// Collections flush nothing; an explicit Free flushes its handle.
+	if err := data.Store(0x2000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := muts[0].Free(rooted); err != nil {
+		t.Fatal(err)
 	}
 	var refills, refillSlots, flushSlots uint64
 	for _, m := range muts {
@@ -545,8 +557,8 @@ func TestMetricsMatchMutatorStats(t *testing.T) {
 			t.Fatalf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if stops == 0 || refills == 0 {
-		t.Fatalf("workload exercised nothing: %d stops, %d refills", stops, refills)
+	if stops == 0 || refills == 0 || flushSlots == 0 {
+		t.Fatalf("workload exercised nothing: %d stops, %d refills, %d slots flushed", stops, refills, flushSlots)
 	}
 	check("stw_stops", stops)
 	check("stw_pause_ns", stopNs)

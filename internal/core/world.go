@@ -358,9 +358,9 @@ type CollectionStats struct {
 	PauseSweepNs int64
 	// PauseStopNs is the time spent stopping registered Mutator
 	// handles before the cycle: parking each at its next allocation
-	// point and flushing its caches back to the free lists. Zero when
-	// no Mutator handles exist (Duration covers the pause from the
-	// point the world is stopped).
+	// point and publishing its allocation counts (caches are kept, not
+	// flushed). Zero when no Mutator handles exist (Duration covers the
+	// pause from the point the world is stopped).
 	PauseStopNs int64
 	// PauseReconcileNs is the time the collection barrier spent
 	// crediting tenants for the owned objects the cycle reclaimed
@@ -401,9 +401,9 @@ type World struct {
 	// Lock order: mu strictly before any Mutator.mu.
 	mu sync.Mutex
 	// muts holds every Mutator handle ever created on this world, in
-	// creation order. stopMutatorsLocked parks them all (locking each
-	// handle in order) before any phase that marks, sweeps, or
-	// reclassifies blocks.
+	// creation order. parkMutatorsLocked parks them all (locking each
+	// handle in order) before any phase that marks, sweeps, reclassifies
+	// blocks or moves heap memory.
 	muts []*Mutator
 	// lastStopNs is the duration of the most recent safepoint stop,
 	// recorded into the next cycle's CollectionStats.
@@ -518,9 +518,11 @@ type worldMetrics struct {
 	pacerCreditB    *metrics.Gauge
 	concSweepBlocks *metrics.Counter
 
-	// Safepoint and mutator-cache counters, maintained at the stop and
-	// refill sites rather than per cycle (a safepoint can also close a
-	// MarkOnly measurement, and refills happen between cycles).
+	// Safepoint and mutator-cache counters, maintained at the stop,
+	// refill and flush sites rather than per cycle (a safepoint also
+	// parks the handles for heap growth, the integrity audit and the
+	// measurement passes; refills and explicit flushes happen between
+	// cycles).
 	stwStops, stwPauseNs           *metrics.Counter
 	cacheRefills, cacheRefillSlots *metrics.Counter
 	cacheFlushSlots                *metrics.Counter
@@ -1175,9 +1177,9 @@ func (w *World) expandIfTight() {
 // with every handle parked. Growth reallocates a heap segment's backing
 // array or maps a new extent into the address space, and handles read
 // and write heap words under their own locks alone (Mutator.Store,
-// Mutator.Load); parking flushes nothing, so no address, free list or
-// statistic differs from an unparked growth. Callers hold w.mu and no
-// handle's lock.
+// Mutator.Load); parking flushes nothing, so no address or free list
+// differs from an unparked growth. Callers hold w.mu and no handle's
+// lock.
 func (w *World) expandLocked(bytes int) error {
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
@@ -1187,10 +1189,10 @@ func (w *World) expandLocked(bytes int) error {
 }
 
 // Collect runs a full stop-the-world collection: park every mutator
-// handle at its next allocation point and flush its caches, then mark
-// from registers, live stacks and root segments; drain; handle
-// finalisable objects; sweep; age the blacklist. A concurrent cycle in
-// flight is completed instead, and its statistics returned.
+// handle at its next allocation point (its caches kept and marked),
+// then mark from registers, live stacks and root segments; drain;
+// handle finalisable objects; sweep; age the blacklist. A concurrent
+// cycle in flight is completed instead, and its statistics returned.
 func (w *World) Collect() CollectionStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -1219,10 +1221,14 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 	// The measurement would clobber an in-flight cycle's mark bits;
 	// complete the cycle first.
 	w.landCycleLocked()
-	w.stopMutatorsLocked()
+	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	w.Heap.FinishSweep() // pending bits are the previous cycle's, not this one's
-	w.Heap.FlushSpans()  // carved-but-unissued span slots are not accessible objects
+	// Carved slots not yet handed out — the caches' and the central
+	// spans' — are not accessible objects, and pending bits are the
+	// previous cycle's, not this one's.
+	w.flushMutatorsLocked()
+	w.Heap.FinishSweep()
+	w.Heap.FlushSpans()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kindFull))
 	mstats, _ := w.markPhase(false)
 	w.traceMarkEnd(mstats)
@@ -1268,9 +1274,10 @@ func (w *World) RegisterFinalizable(a mem.Addr) {
 // Collections finish the remainder automatically before marking, so
 // explicit calls are only needed by tests and measurements that must
 // observe final reclamation state without running another cycle.
-// Deferred sweeps rebuild free lists but never touch carved runs (a
-// cached slot is never in a sweep-pending block), so mutators need not
-// stop.
+// Deferred sweeps rebuild free lists but touch nothing the allocation
+// fast path reads: a cached slot may sit in a sweep-pending block, but
+// it is marked there (alloc.CheckIntegrity checks it), so the sweep
+// keeps it and writes none of its words. Mutators need not stop.
 func (w *World) FinishSweep() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

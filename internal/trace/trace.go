@@ -87,9 +87,9 @@ const (
 	// block" warning). A0 the span's base address.
 	EvDesperateAlloc
 	// EvSafepoint records a stop-the-world safepoint: every registered
-	// mutator parked and its allocation caches flushed. A0 mutators
-	// stopped, A1 cached slots flushed back to the free lists, A2 stop
-	// duration in nanoseconds.
+	// mutator parked and its counts published. A0 mutators stopped, A1
+	// carved slots their caches hold across the stop (none is flushed),
+	// A2 stop duration in nanoseconds.
 	EvSafepoint
 	// EvCacheRefill records a mutator allocation cache refilling from
 	// the central free lists in one batched carve. A0 free-list index
