@@ -53,7 +53,9 @@ allocs:
 # shapes a concurrent cycle has (serial lock-chunked, detached workers),
 # every close of which the closure oracle checks for "marked ⊇
 # reachable"; the table test of the one close every cycle kind shares;
-# and the finalization accessors polled against a driver's finale — then run
+# the finalization accessors polled against a driver's finale; and the
+# pacer's tests, beside the detached batteries whose idle workers park
+# on a channel (TestDetachedWorkersParkAndRetire) — then run
 # again at one, two and four processors, because what a detached worker
 # or a background driver interleaves with depends on how many there
 # are; and the battery that audits the heap in mid-cycle, where a mark
@@ -63,7 +65,7 @@ allocs:
 # test's default ten-minute budget with every test passing; the budget
 # is widened, nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors
+CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \

@@ -168,7 +168,7 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 		c.stealsStart = w.par.Steals()
 	}
 	w.lastMarkWorkers = workers
-	w.pacerInitLocked(kind.minor())
+	w.pacerInitLocked()
 	w.Marker.Reset()
 	if w.prov.enabled {
 		w.Marker.StartRecording()
@@ -206,12 +206,12 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 		// snapshot's staged gray set is published to the shared queue
 		// (detached workers pop it directly), and one goroutine per worker
 		// index starts pulling chunks. The workers capture this cycle's
-		// marker and generation, so a later rebuild or cycle never aliases
-		// them; they exit when genA stops matching.
+		// marker, generation and retire channel, so a later rebuild or
+		// cycle never aliases them; they exit when genA stops matching.
 		w.par.FlushStaged()
 		c.genA.Store(c.gen)
 		for i := 0; i < cw; i++ {
-			go w.markWorker(w.par, c.gen, i)
+			go w.markWorker(w.par, c.gen, i, c.retire)
 		}
 	}
 	c.snapNs = time.Since(c.start).Nanoseconds()
@@ -358,8 +358,9 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	// Scan the (possibly changed) roots again and drain to the fixpoint.
 	// However the finale was reached — certificate, exhausted memory, an
 	// explicit collection — whatever gray objects are left come with it:
-	// the serial marker's stack holds its own, DrainKept starts from the
-	// workers' kept stacks and collects the assist shard's.
+	// the serial marker's stack holds its own, DrainKept gathers the
+	// workers' kept stacks, the queue and the assist shard's and drains
+	// them here, on the goroutine that holds the pause.
 	w.markRoots()
 	if c.detached {
 		w.par.AddGrays(w.Marker.TakePending())

@@ -109,6 +109,10 @@ type cycle struct {
 	// workers, who hold no lock (0 = retired).
 	gen  uint64
 	genA atomic.Uint64
+	// retire is closed when the detached phase retires and replaced by a
+	// fresh channel; each worker captures the one open at its spawn and
+	// parks on it beside the shared queue's wake channel.
+	retire chan struct{}
 	// dirty is the serial form's queue of a minor cycle's remembered set
 	// (block indices, staged at the snapshot); dirtyBlocks is that set's
 	// size whichever marker rescans it.

@@ -40,40 +40,52 @@ import (
 //   - A worker's mark stack survives the end of its hold (nothing is
 //     copied back to the shared queue just because a writer came by);
 //     it tells the coordinator through a flag whether it holds grays.
+//   - A worker that keeps finding nothing parks on the shared queue's
+//     wake channel (a token per push, one per worker per FlushStaged)
+//     or on its cycle's retire channel, whichever comes first.
 //   - Retirement never waits for goroutine exit: cycle.genA is the
 //     atomic mirror of the active cycle generation, workers re-check
 //     it after acquiring the read-hold, and storing 0 (never an active
-//     generation) followed by one write-lock acquisition certifies
-//     that no chunk is in flight and none can start. A straggler that
-//     acquires its read-hold later sees the stale generation and exits
-//     without touching the heap. What the workers' stacks still hold
-//     then is drained by the finale's DrainKept, which runs the same
-//     marker shards.
+//     generation), closing the retire channel that parked workers wait
+//     on, and one write-lock acquisition certify that no chunk is in
+//     flight and none can start. A straggler that acquires its
+//     read-hold later sees the stale generation and exits without
+//     touching the heap. What the workers' stacks still hold then is
+//     drained by the finale's DrainKept on the goroutine holding the
+//     pause, through the assist shard: no goroutine starts in a pause.
 //   - The fixpoint certificate is "write lock held, shared queue empty,
 //     every worker's stack and the assist shard's stack empty"
 //     (mark.Parallel.Quiescent): with the write lock held no chunk is
 //     in flight, so the stacks can be read. Nobody takes the write lock
 //     to ask while work is visibly left (WorkOutstanding).
+//
+// The pacer (either shape) schedules the snapshot's marking across a
+// share of the heap's free space at the snapshot (pacerInitLocked), not
+// across the allocation that triggered the cycle: the cycle's own
+// allocation can spend the free space, and the trigger is only where
+// that spending starts.
 const (
 	// pacerMaxRounds bounds how many assist chunks one slow-path
 	// allocation runs repaying its debt, so a mutator that fell far
 	// behind amortises the repayment over its next few allocations
 	// instead of stalling once for all of it.
 	pacerMaxRounds = 4
-	// pacerSafety scales the assist ratio: marking is provisioned to
-	// finish after safety× less allocation than the budget that
-	// triggered the cycle, absorbing rate estimation error.
-	pacerSafety = 2.0
+	// pacerShare is the share of the heap's free space at the snapshot
+	// over which the pacer schedules the snapshot's marking. Chosen on
+	// the curve (DESIGN.md §5h): up to about a half the pause holds
+	// level; from 0.6 the cycle's own allocation runs out of memory
+	// before marking ends ever more often, and each such cycle ends in a
+	// long forced finale.
+	pacerShare = 0.5
 	// concSweepChunk is how many deferred blocks the background sweeper
 	// classifies per world-lock hold.
 	concSweepChunk = 8
-	// workerIdleSleep and workerIdleAfter pace a detached worker that
-	// keeps finding nothing to do (the gray set is on other markers'
-	// stacks, or the cycle is waiting for its finale): back off to a
-	// sleep after this many consecutive empty chunks instead of burning
-	// a processor.
+	// workerIdleAfter paces a detached worker that keeps finding nothing
+	// to do (the gray set is on other markers' stacks, or the cycle is
+	// waiting for its finale): after this many consecutive empty chunks
+	// it parks until work is published or its cycle retires, instead of
+	// burning a processor.
 	workerIdleAfter = 8
-	workerIdleSleep = 100 * time.Microsecond
 )
 
 // lockHeapLocked runs fn, holding the heap-structure write lock around
@@ -104,14 +116,18 @@ func (w *World) lockHeapWrite() {
 }
 
 // retireDetachedLocked ends the detached phase: workers observe the
-// cleared generation and exit, and one write-lock acquisition waits
-// out any chunk still in flight — after it, no worker touches the
-// heap again. Callers hold w.mu. No-op for a serial cycle.
+// cleared generation and exit — a parked one is woken by the close of
+// its cycle's retire channel — and one write-lock acquisition waits
+// out any chunk still in flight; after it, no worker touches the heap
+// again. Callers hold w.mu. No-op for a serial cycle.
 func (w *World) retireDetachedLocked() {
-	if !w.cyc.detached {
+	c := &w.cyc
+	if !c.detached {
 		return
 	}
-	w.cyc.genA.Store(0)
+	c.genA.Store(0)
+	close(c.retire)
+	c.retire = make(chan struct{})
 	w.lockHeapWrite()
 	// All in-flight chunks have ended; any straggler re-checks the
 	// generation under its read-hold and exits.
@@ -121,9 +137,11 @@ func (w *World) retireDetachedLocked() {
 // markWorker is one detached background marking goroutine: pull
 // bounded chunks from the shared gray queue under the heap-structure
 // read lock until the cycle's generation retires. The marked bytes
-// feed the pacer as credit. par and gen are captured at spawn so a
-// rebuilt parallel marker or a later cycle never aliases this worker.
-func (w *World) markWorker(par parChunker, gen uint64, i int) {
+// feed the pacer as credit. par, gen and retire are captured at spawn
+// so a rebuilt parallel marker or a later cycle never aliases this
+// worker: an idle worker parks on par's wake channel or on its own
+// cycle's retire channel, never on a field the world rewrites.
+func (w *World) markWorker(par parChunker, gen uint64, i int, retire <-chan struct{}) {
 	idle := 0
 	for {
 		if w.cyc.genA.Load() != gen {
@@ -140,7 +158,10 @@ func (w *World) markWorker(par parChunker, gen uint64, i int) {
 			w.cyc.pacerCredit.Add(int64(bytes))
 		}
 		if workerIdle(&idle, work) {
-			time.Sleep(workerIdleSleep)
+			select {
+			case <-par.Wake():
+			case <-retire:
+			}
 		} else {
 			runtime.Gosched()
 		}
@@ -148,11 +169,11 @@ func (w *World) markWorker(par parChunker, gen uint64, i int) {
 }
 
 // workerIdle keeps a detached worker's count of consecutive chunks that
-// found nothing to do and says when to sleep on it. Idleness is judged
+// found nothing to do and says when to park on it. Idleness is judged
 // on work done — objects scanned or tasks taken — not on first-marks
 // won: a chunk that scanned a budget of objects whose children were all
 // marked already, or that a writer cut short after a few, was not idle.
-func workerIdle(idle *int, work int) (sleep bool) {
+func workerIdle(idle *int, work int) (park bool) {
 	if work > 0 {
 		*idle = 0
 		return false
@@ -165,6 +186,7 @@ func workerIdle(idle *int, work int) (sleep bool) {
 // an interface so the worker provably touches nothing else.
 type parChunker interface {
 	DetachedChunk(i, budget int, yield *atomic.Bool) (work int, bytes uint64)
+	Wake() <-chan struct{}
 }
 
 // concCertifyLocked asks whether a detached cycle's gray set is
@@ -194,32 +216,26 @@ func (w *World) concCertifyLocked() bool {
 
 // pacerInitLocked arms the pacer at a cycle's snapshot: zero credit,
 // the allocation cursor at the current total, and a ratio provisioning
-// the live heap's worth of marking across the allocation budget that
-// triggers cycles (heap/GCDivisor, or heap/MinorDivisor for minor
-// cycles), scaled by pacerSafety. Callers hold w.mu.
-func (w *World) pacerInitLocked(minor bool) {
+// the snapshot's marking across pacerShare of the heap's free space —
+// committed bytes less the last close's live bytes, at least a page.
+// The free space, not the trigger budget, is what the cycle's own
+// allocation can spend before it runs out of memory, so it is what the
+// schedule is measured against. The marking is at most the last
+// close's live bytes plus everything allocated since (at least 64 KiB):
+// on a heap that only grows, all of it is live, and counting only the
+// last close's survivors left a cycle its marking after the free space
+// was gone. Callers hold w.mu.
+func (w *World) pacerInitLocked() {
 	c := &w.cyc
 	st := w.Heap.Stats()
 	c.pacerLastAlloc = st.BytesAllocated
 	c.pacerCredit.Store(0)
-	div := w.cfg.GCDivisor
-	if minor && w.cfg.MinorDivisor > 0 {
-		div = w.cfg.MinorDivisor
+	free := uint64(mem.PageBytes)
+	if heap := uint64(st.HeapBytes); heap > st.BytesLive+free {
+		free = heap - st.BytesLive
 	}
-	if div <= 0 {
-		// Explicitly driven cycles (tests, benchmarks) have no trigger
-		// budget; fall back to the expansion headroom policy.
-		div = w.cfg.FreeSpaceDivisor
-	}
-	budget := st.HeapBytes / div
-	if budget < mem.PageBytes {
-		budget = mem.PageBytes
-	}
-	live := st.BytesLive
-	if live < 64<<10 {
-		live = 64 << 10
-	}
-	c.pacerRatio = pacerSafety * float64(live) / float64(budget)
+	work := max(st.BytesLive+st.BytesSinceGC, 64<<10)
+	c.pacerRatio = float64(work) / (pacerShare * float64(free))
 	w.met.pacerCreditB.Set(0)
 }
 

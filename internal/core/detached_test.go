@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/mark"
@@ -154,6 +156,92 @@ func TestDetachedLostObject(t *testing.T) {
 	}
 }
 
+// TestDetachedWorkersParkAndRetire runs 200 detached cycles over a
+// mark-heavy graph — a root, 64 hubs of 64 words, 4096 leaves — whose
+// hubs overflow a worker's stack, so the workers shed grays to each
+// other through the queue and wake each other on the way. Even cycles
+// are left to the workers: nothing is allocated, the driver only asks
+// for the certificate between waits long enough for idle workers to
+// park, and the cycle must certify with every object past the root
+// marked concurrently and no pacer assist. Odd cycles are forced at
+// once with FinishConcurrentCycle, from wherever the workers are. After
+// every finale the goroutine count must return to its baseline: no
+// worker may stay parked on a retired cycle. Every close runs under the
+// closure oracle.
+func TestDetachedWorkersParkAndRetire(t *testing.T) {
+	const hubs, fanout = 64, 64
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
+	installClosureOracle(t, w, nil)
+	data := addData(t, w, "data", 0x2000, 4096)
+	alloc := func(words int) mem.Addr {
+		p, err := w.Allocate(words, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	store := func(a mem.Addr, v mem.Addr) {
+		if err := w.Store(a, mem.Word(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := alloc(hubs)
+	var prev mem.Addr
+	for h := 0; h < hubs; h++ {
+		hub := alloc(fanout)
+		store(root+mem.Addr(4*h), hub)
+		for i := 0; i < fanout; i++ {
+			leaf := alloc(2)
+			store(hub+mem.Addr(4*i), leaf)
+			store(leaf, prev) // a cross edge: markers race on the CAS
+			prev = leaf
+		}
+	}
+	if err := data.Store(0x2000, mem.Word(root)); err != nil {
+		t.Fatal(err)
+	}
+	const objects = 1 + hubs + hubs*fanout
+	assistNs := func() int64 { return findMetric(t, w.MetricsSnapshot(), "pacer_assist_ns").Value }
+	certified := func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.concCertifyLocked()
+	}
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 200; cycle++ {
+		assist := assistNs()
+		if err := w.StartConcurrentCycle(); err != nil {
+			t.Fatal(err)
+		}
+		var st CollectionStats
+		if cycle%2 == 0 {
+			for !certified() {
+				time.Sleep(50 * time.Microsecond)
+			}
+			st = w.LastCollection()
+			if st.Mark.ObjectsMarked != objects || st.MarkedConcurrent != objects-1 {
+				t.Fatalf("cycle %d: %d objects marked, %d of them concurrently; want %d and %d",
+					cycle, st.Mark.ObjectsMarked, st.MarkedConcurrent, objects, objects-1)
+			}
+			if d := assistNs() - assist; d != 0 {
+				t.Fatalf("cycle %d: no allocation ran, yet the pacer assisted for %d ns", cycle, d)
+			}
+		} else {
+			st = w.FinishConcurrentCycle()
+			if st.Mark.ObjectsMarked != objects {
+				t.Fatalf("cycle %d: forced finale marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, objects)
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: %d goroutines 5 s after the finale, %d before the first cycle: a worker is still parked on a retired cycle",
+					cycle, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
 // TestDetachedConfigValidation pins the knob's edges: negative worker
 // counts are rejected at construction, and ConcurrentSweep implies
 // LazySweep in the resolved configuration.
@@ -173,8 +261,8 @@ func TestDetachedConfigValidation(t *testing.T) {
 // first-mark, so the bytes it reports for the pacer are zero — through
 // the real chunk driver, with its stack kept between chunks as a
 // detached worker's is. Judged on first-marks such a worker looks idle
-// from its first chunk and is asleep by its ninth; judged on work done
-// it must never be told to sleep while gray objects are left anywhere.
+// from its first chunk and is parked by its ninth; judged on work done
+// it must never be told to park while gray objects are left anywhere.
 func TestWorkerIdleJudgedOnWork(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	const n = 2000
@@ -211,17 +299,17 @@ func TestWorkerIdleJudgedOnWork(t *testing.T) {
 			t.Fatalf("chunk %d reports no work with gray objects left", chunks)
 		}
 		if workerIdle(&idle, work) {
-			t.Fatalf("worker told to sleep after chunk %d with gray objects left", chunks)
+			t.Fatalf("worker told to park after chunk %d with gray objects left", chunks)
 		}
 	}
 	if chunks < n/16 {
 		t.Fatalf("%d objects drained in %d chunks of 16", n, chunks)
 	}
-	// With nothing left the count runs up and the worker sleeps.
+	// With nothing left the count runs up and the worker parks.
 	for i := 0; i <= workerIdleAfter; i++ {
 		work, _ := par.DetachedChunk(0, 16, nil)
-		if sleep := workerIdle(&idle, work); sleep != (i == workerIdleAfter) {
-			t.Fatalf("empty chunk %d: sleep = %v", i+1, sleep)
+		if park := workerIdle(&idle, work); park != (i == workerIdleAfter) {
+			t.Fatalf("empty chunk %d: park = %v", i+1, park)
 		}
 	}
 }

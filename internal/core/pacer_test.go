@@ -102,6 +102,89 @@ func TestPacerAssistAccounting(t *testing.T) {
 	}
 }
 
+// TestPacerScheduleFromHeadroom pins what the pacer schedules against:
+// the heap's free space at the snapshot, not the allocation that
+// triggers cycles. The same rooted live set sits in two heap sizes, a
+// cycle is opened by hand (ConcMarkWorkers 1: no goroutine), and one
+// slow-path allocation after a first one of known size reads its debt
+// off pacer_credit_bytes. Every object is rooted directly and holds
+// only zeros, so the snapshot grays them all and scanning one marks
+// nothing: the assist that slow path runs credits nothing, and the
+// gauge reads the debt alone. A few of the objects are allocated after
+// the last collection, as on a heap that grows. The debt per allocated
+// byte must be (live + allocated since) / (pacerShare × free), the
+// larger heap must owe less, and the trigger divisor must not enter it
+// at all.
+func TestPacerScheduleFromHeadroom(t *testing.T) {
+	// 100 KiB live (above the pacer's 64 KiB floor), the last 2 KiB of it
+	// allocated after the last collection: under every trigger tested.
+	const objs, since, words = 200, 4, 128
+	debt := func(heapBytes, div int) (perByte float64) {
+		w := newWorld(t, Config{
+			ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: div, MarkQuantum: 16,
+			InitialHeapBytes: heapBytes, ReserveHeapBytes: heapBytes,
+		})
+		data := addData(t, w, "data", 0x2000, 4096)
+		for i := 0; i < objs; i++ {
+			p, err := w.Allocate(words, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := data.Store(0x2000+mem.Addr(4*i), mem.Word(p)); err != nil {
+				t.Fatal(err)
+			}
+			// A collection after each object but the last few keeps a
+			// positive divisor's trigger from opening a cycle of its own
+			// during the build.
+			if i < objs-since {
+				w.Collect()
+			}
+		}
+		st := w.Heap.Stats()
+		if st.BytesLive < 64<<10 || st.BytesSinceGC == 0 {
+			t.Fatalf("live set is %d bytes with %d allocated since the last collection", st.BytesLive, st.BytesSinceGC)
+		}
+		free := uint64(st.HeapBytes) - st.BytesLive
+		want := float64(st.BytesLive+st.BytesSinceGC) / (pacerShare * float64(free))
+		if err := w.StartConcurrentCycle(); err != nil {
+			t.Fatal(err)
+		}
+		// The first allocation carries no debt (the pacer's cursor starts
+		// at the snapshot); the second owes for it.
+		before := w.Heap.Stats().BytesAllocated
+		if _, err := w.Allocate(600, false); err != nil {
+			t.Fatal(err)
+		}
+		allocated := w.Heap.Stats().BytesAllocated - before
+		if _, err := w.Allocate(2, false); err != nil {
+			t.Fatal(err)
+		}
+		owed := -findMetric(t, w.MetricsSnapshot(), "pacer_credit_bytes").Value
+		if exact := int64(float64(allocated) * want); owed != exact {
+			t.Fatalf("heap %d, GCDivisor %d: %d bytes allocated owe %d, want %d (%.3f per byte = (live %d + since %d) / (%.2f × free %d))",
+				heapBytes, div, allocated, owed, exact, want, st.BytesLive, st.BytesSinceGC, pacerShare, free)
+		}
+		if !w.ConcurrentActive() {
+			t.Fatal("the assist ended the cycle: the debt was repaid by marking, not read")
+		}
+		w.FinishConcurrentCycle()
+		return float64(owed) / float64(allocated)
+	}
+	small, large := 256<<10, 1<<20
+	for _, heap := range []int{small, large} {
+		ref := debt(heap, -1)
+		for _, div := range []int{16, 64} {
+			if got := debt(heap, div); got != ref {
+				t.Errorf("heap %d: debt per byte %.4f at GCDivisor %d, %.4f with no trigger", heap, got, div, ref)
+			}
+		}
+	}
+	if s, l := debt(small, -1), debt(large, -1); l >= s {
+		t.Errorf("the %d-byte heap owes %.4f per byte, the %d-byte heap %.4f: more free space must owe less",
+			large, l, small, s)
+	}
+}
+
 // TestPacerCreditSuppressesAssist pins the other direction: when marking
 // is already ahead of allocation (the whole gray set drained before the
 // mutator allocates), the accrued credit covers the allocation debt and

@@ -941,6 +941,7 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		met:         newWorldMetrics(),
 		epoch:       time.Now(),
 	}
+	w.cyc.retire = make(chan struct{})
 	if c.MarkWorkers > 1 {
 		w.par = mark.NewParallel(heap, mcfg, c.MarkWorkers)
 		w.parWorkers = c.MarkWorkers

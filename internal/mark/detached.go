@@ -38,16 +38,19 @@
 //     — no chunk in flight, so the stacks are readable — and the queue,
 //     every worker's stack and the assist shard's stack are empty";
 //     WorkOutstanding is the lock-free hint that keeps anyone from
-//     taking the write lock while work is visibly left. Stacks left
-//     over at a forced finale are drained by DrainKept, which runs the
-//     same shards.
+//     taking the write lock while work is visibly left.
+//   - an idle worker parks: the shared queue has a wake channel with
+//     one slot per worker (Wake), a push posts a token without blocking
+//     and FlushStaged one per worker, so a worker that found nothing
+//     wakes when work is published, or when core retires its cycle.
 //
 // A stop-the-world phase hands Run the whole closure at once; a
 // detached cycle's gray set persists across its chunks. ResetCycle
 // clears it when the cycle starts, AddGrays and FlushStaged feed it,
 // statistics accumulate across the cycle, and when the world stops for
-// the finale DrainKept runs the same shards to the fixpoint from
-// wherever the gray set then is.
+// the finale DrainKept gathers whatever is left — staged, queued, on
+// the workers' stacks, on the assist shard's — onto the assist shard
+// and drains it to the fixpoint on the goroutine that holds the pause.
 //
 // AssistChunk is the same bounded pull through a dedicated marker
 // shard, used by callers that already hold the world lock (the pacer's
@@ -99,22 +102,41 @@ func (p *Parallel) AddGrays(grays []alloc.Gray) {
 }
 
 // DrainKept is the finale of a detached cycle: with the world stopped
-// and the detached workers retired, drain staged and queued work — and
-// what the assist shard and the workers' own stacks still hold — to the
-// fixpoint, every shard running as in Run. Unlike Run it starts from
-// the cycle's persistent gray set and leaves the statistics
-// accumulating.
+// and the detached workers retired, drain the cycle's persistent gray
+// set to the fixpoint on the calling goroutine, then flush every
+// blacklist buffer. The workers' kept stacks move onto the assist
+// shard's, the staged tasks onto the queue, and the assist shard takes
+// tasks from the queue until both are empty — what a forced finale
+// typically finds is a few dozen grays, not worth a goroutine. The
+// marked set is Run's: the same monotone closure, one CAS winner per
+// object. Unlike Run it leaves the statistics accumulating.
 func (p *Parallel) DrainKept() {
-	p.PublishAssist()
+	a := p.assist
+	for _, w := range p.workers {
+		a.m.stack = append(a.m.stack, w.m.stack...)
+		w.m.stack = w.m.stack[:0]
+		w.holds.Store(false)
+	}
 	p.queue.tasks = append(p.queue.tasks, p.staged...)
 	p.staged = p.staged[:0]
-	p.runToFixpoint()
+	p.queue.size.Store(int32(len(p.queue.tasks)))
+	for {
+		a.m.Drain()
+		t, ok := p.queue.pop()
+		if !ok {
+			break
+		}
+		p.steals.Add(1)
+		p.process(a, t)
+	}
+	p.flushPending()
 }
 
 // FlushStaged moves staged tasks onto the shared queue immediately, so
 // detached workers (which pop the queue directly rather than entering
-// through Run) can see work staged by AddGrays or
-// AddDirtyBlock. Call under the same exclusion as the staging itself.
+// through Run) can see work staged by AddGrays or AddDirtyBlock, and
+// wakes every parked worker. Call under the same exclusion as the
+// staging itself.
 func (p *Parallel) FlushStaged() {
 	if len(p.staged) == 0 {
 		return
@@ -124,7 +146,14 @@ func (p *Parallel) FlushStaged() {
 	p.queue.size.Store(int32(len(p.queue.tasks)))
 	p.queue.mu.Unlock()
 	p.staged = p.staged[:0]
+	for range p.workers {
+		p.queue.signal()
+	}
 }
+
+// Wake is the channel an idle detached worker parks on: every push onto
+// the shared queue posts a token, FlushStaged one per worker.
+func (p *Parallel) Wake() <-chan struct{} { return p.queue.wake }
 
 // Shade runs the insertion barrier's step (Marker.Shade) through the
 // assist shard, for a caller holding the world lock. A won gray stays on

@@ -3,6 +3,7 @@ package mark
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -461,6 +462,77 @@ func TestDriversShareTheLoop(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDrainKeptDifferential plants a detached cycle's gray set — the
+// snapshot hand-off of a serial root scan — in all four places it
+// lives: staged, the shared queue, each worker's kept stack and the
+// assist shard's stack. DrainKept, which drains them on the caller,
+// must mark exactly the set a serial Marker.Drain marks on a twin heap,
+// with the same counters, leave no gray anywhere and no blacklist
+// addition buffered.
+func TestDrainKeptDifferential(t *testing.T) {
+	for _, sh := range loopShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			interior := sh.policy == PointerInterior
+			serial, driven := newMixedHeap(t, 13, sh.extents, interior), newMixedHeap(t, 13, sh.extents, interior)
+			sm := New(serial.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: serial.bl})
+			sm.MarkWords(serial.roots)
+			sm.Drain()
+			want := sm.Stats()
+
+			cfg := Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: driven.bl}
+			rm := New(driven.heap, cfg)
+			rm.atomicMark = true
+			rm.MarkWords(driven.roots)
+			p := NewParallel(driven.heap, cfg, 3)
+			p.ResetCycle()
+			places := make([][]alloc.Gray, 3+len(p.workers))
+			for i, g := range rm.TakePending() {
+				places[i%len(places)] = append(places[i%len(places)], g)
+			}
+			for i, gs := range places {
+				if len(gs) == 0 {
+					t.Fatalf("place %d got no gray object to plant", i)
+				}
+			}
+			p.AddGrays(places[0])
+			grayTasks(places[1], p.queue.push)
+			p.assist.m.stack = append(p.assist.m.stack, places[2]...)
+			for i, w := range p.workers {
+				w.m.stack = append(w.m.stack, places[3+i]...)
+				w.holds.Store(true)
+			}
+
+			p.DrainKept()
+			got := rm.Stats()
+			got.Add(p.AggStats())
+			if got != want {
+				t.Errorf("stats\n serial    %+v\n DrainKept %+v", want, got)
+			}
+			if !reflect.DeepEqual(serial.markedSet(), driven.markedSet()) {
+				t.Errorf("marked sets differ: serial %d, DrainKept %d", len(serial.markedSet()), len(driven.markedSet()))
+			}
+			if !p.Quiescent() || p.WorkOutstanding() {
+				t.Error("DrainKept left gray objects behind")
+			}
+			for i, w := range append(p.workers, p.assist) {
+				if len(w.pending.addrs) != 0 {
+					t.Errorf("shard %d still buffers %d blacklist additions", i, len(w.pending.addrs))
+				}
+			}
+			sa, da := slices.Clone(serial.bl.adds), slices.Clone(driven.bl.adds)
+			slices.Sort(sa)
+			slices.Sort(da)
+			if !slices.Equal(sa, da) {
+				t.Errorf("blacklist additions differ: serial %d, DrainKept %d", len(sa), len(da))
+			}
+			requireZoo(t, driven, got, interior)
+			if err := driven.heap.CheckIntegrity(nil); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -93,6 +93,11 @@ type taskQueue struct {
 	mu    sync.Mutex
 	tasks []task
 	size  atomic.Int32 // mirrored length, readable without the lock
+	// wake has one slot per worker. A push signals it without blocking,
+	// so an idle detached worker parked on it (Parallel.Wake) sees the
+	// work: a token sent while nobody waits is kept for the next to park,
+	// and one dropped on a full channel is not needed by anyone.
+	wake chan struct{}
 }
 
 func (q *taskQueue) push(t task) {
@@ -100,6 +105,15 @@ func (q *taskQueue) push(t task) {
 	q.tasks = append(q.tasks, t)
 	q.size.Store(int32(len(q.tasks)))
 	q.mu.Unlock()
+	q.signal()
+}
+
+// signal posts one wake token unless every slot already holds one.
+func (q *taskQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
 }
 
 func (q *taskQueue) pop() (task, bool) {
@@ -177,9 +191,10 @@ type Parallel struct {
 	// assist is a dedicated marker shard for whoever holds the world
 	// lock during a detached concurrent cycle (detached.go): the insertion
 	// barrier shades through it (Shade), and mutator slow-path assists
-	// drain through it while detached workers own the regular shards. It
-	// shares the queue and blacklist like a worker but is never spawned by
-	// Run or DrainKept; DrainKept collects its stack before it starts.
+	// drain through it while detached workers own the regular shards, and
+	// a detached cycle's finale (DrainKept) drains the whole gray set
+	// through it on the caller. It shares the queue and blacklist like a
+	// worker but is never spawned by Run.
 	assist *worker
 	queue  taskQueue
 	idle   atomic.Int32
@@ -203,6 +218,7 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 		bl = blacklist.Disabled{}
 	}
 	p := &Parallel{heap: heap, cfg: cfg, shared: blacklist.NewLocked(bl)}
+	p.queue.wake = make(chan struct{}, workers)
 	for i := 0; i <= workers; i++ {
 		buf := &addrBuffer{shared: p.shared}
 		wcfg := cfg
@@ -373,6 +389,12 @@ func (p *Parallel) runToFixpoint() {
 		go w.run()
 	}
 	p.wg.Wait()
+	p.flushPending()
+}
+
+// flushPending drains every shard's blacklist buffer, the assist
+// shard's included, into the shared list.
+func (p *Parallel) flushPending() {
 	for _, w := range p.workers {
 		w.pending.flush()
 	}
