@@ -44,9 +44,10 @@ test: allocs
 allocs:
 	$(GO) test -count=3 -run ZeroAlloc ./internal/...
 
-# The parallel mark phase must be clean under the race detector. The
-# internal packages hold most of its tests (differential, fuzz seeds);
-# the root package adds the bench drivers and trace plumbing. The
+# The detached cycle's sharded marking must be clean under the race
+# detector. The internal packages hold most of its tests (differential,
+# fuzz seeds); the root package adds the bench drivers and trace
+# plumbing. The
 # concurrent cycle's soundness batteries — the lost-object battery (its
 # forced-finale table is every entry point that lands a cycle in
 # flight), the differentials, the mutator and watch batteries and the soak, in both
@@ -83,7 +84,7 @@ bench:
 # BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
 # BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
-# BenchmarkMarkLiveGraph and its par2 variant in internal/mark). The
+# BenchmarkMarkLiveGraph and its cas2 variant in internal/mark). The
 # tiny allocbench run smokes the free-list-vs-line-heap driver the same
 # way.
 bench-smoke: perfbench-smoke
@@ -112,15 +113,15 @@ perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload serve_tenants -seconds 1 > /dev/null
 
 # Regenerates BENCH.json: one section per gated experiment of the
-# registry (markbench, sweepbench, mutbench, allocbench, pausebench,
-# servebench, retention, leakbench), each holding the options it ran
-# with and its rows' key and exact columns — counts that repeat on any
-# machine at any GOMAXPROCS, so the diff of a regeneration is empty
-# unless behaviour changed. Timing columns are printed and not recorded
+# registry (sweepbench, mutbench, allocbench, pausebench, servebench,
+# retention, leakbench), each holding the options it ran with and its
+# rows' key and exact columns — counts that repeat on any machine at
+# any GOMAXPROCS, so the diff of a regeneration is empty unless
+# behaviour changed. Timing columns are printed and not recorded
 # (cmd/perfbench measures time). GOMAXPROCS=8 only selects options:
-# markbench and mutbench default to the powers of two up to it, which
-# are the checked-in file's worker and mutator counts; the box need not
-# have eight processors. `all` runs E1–E17 on the way (a minute or two).
+# mutbench defaults to the powers of two up to it, which are the
+# checked-in file's mutator counts; the box need not have eight
+# processors. `all` runs E1–E17 on the way (a minute or two).
 benchjson:
 	GOMAXPROCS=8 $(GO) run ./cmd/gcbench -experiment all -benchjson BENCH.json > /dev/null
 

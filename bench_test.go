@@ -563,49 +563,6 @@ func BenchmarkCollectLiveList(b *testing.B) {
 	b.SetBytes(200000 * 8)
 }
 
-// --- Parallel marking: mark-phase throughput by worker count ---
-
-// benchParallelMark measures one mark phase (MarkOnly: mark from roots,
-// count, clear) over a heap of 64 rooted lists, with the mark phase
-// sharded across the given worker count. Single-CPU containers will
-// show no speedup — the point of the 1-worker row is the serial
-// baseline, and the multi-worker rows additionally carry the CAS and
-// queue overhead; run on a multi-core host for the scaling curve.
-func benchParallelMark(b *testing.B, workers int) {
-	w, err := NewWorld(Config{
-		InitialHeapBytes: 16 << 20, ReserveHeapBytes: 32 << 20,
-		GCDivisor: -1, MarkWorkers: workers,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := w.Space.MapNew("data", KindData, 0x2000, 4096, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const lists, nodes = 64, 4000
-	for i := 0; i < lists; i++ {
-		head, err := MakeList(w, nodes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		data.Store(0x2000+Addr(i*8), Word(head))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		objs, _ := w.MarkOnly()
-		if objs != lists*nodes {
-			b.Fatalf("marked %d, want %d", objs, lists*nodes)
-		}
-	}
-	b.SetBytes(lists * nodes * 8)
-}
-
-func BenchmarkParallelMark1(b *testing.B) { benchParallelMark(b, 1) }
-func BenchmarkParallelMark2(b *testing.B) { benchParallelMark(b, 2) }
-func BenchmarkParallelMark4(b *testing.B) { benchParallelMark(b, 4) }
-func BenchmarkParallelMark8(b *testing.B) { benchParallelMark(b, 8) }
-
 // BenchmarkFindObjectMiss measures the candidate-rejection fast path:
 // root words that are NOT heap pointers, the overwhelmingly common case
 // in real root scans. Half the words fall outside the reserved hull

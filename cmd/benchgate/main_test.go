@@ -253,10 +253,10 @@ func writeSections(t *testing.T, secs map[string]*repro.Section) string {
 	return path
 }
 
-func markSection(marked uint64) *repro.Section {
+func mutSection(allocated uint64) *repro.Section {
 	return &repro.Section{
-		Options: repro.MarkBenchOptions{Workers: []int{1}, Lists: 4, Nodes: 50, Iters: 1},
-		Rows:    []repro.MarkBenchRow{{Workers: 1, ObjectsMarked: marked}},
+		Options: repro.MutBenchOptions{Mutators: []int{1}, Allocs: 200},
+		Rows:    []repro.MutBenchRow{{Mutators: 1, ObjectsAllocated: allocated}},
 	}
 }
 
@@ -271,10 +271,10 @@ func sweepSection() *repro.Section {
 // as the row type registered under its name and compared against the
 // same-named section of the candidate file.
 func TestGateDetectsSchemaAndCompares(t *testing.T) {
-	base := writeSections(t, map[string]*repro.Section{"markbench": markSection(200), "sweepbench": sweepSection()})
+	base := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), "sweepbench": sweepSection()})
 	regressed := sweepSection()
 	regressed.Rows.([]repro.SweepBenchRow)[1].BytesFreed = 3999
-	cand := writeSections(t, map[string]*repro.Section{"markbench": markSection(200), "sweepbench": regressed})
+	cand := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), "sweepbench": regressed})
 	rep, err := Gate(base, cand)
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +293,9 @@ func TestGateDetectsSchemaAndCompares(t *testing.T) {
 // TestGateSchemaMismatch: a section the registry does not know is an
 // error on either side, not a silent pass.
 func TestGateSchemaMismatch(t *testing.T) {
-	good := writeSections(t, map[string]*repro.Section{"markbench": markSection(200)})
+	good := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200)})
 	for _, name := range []string{"nosuchbench", "table1"} { // unknown; registered but not gated
-		bad := writeSections(t, map[string]*repro.Section{"markbench": markSection(200), name: sweepSection()})
+		bad := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), name: sweepSection()})
 		if _, err := Gate(bad, good); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("baseline with section %q: err = %v", name, err)
 		}
@@ -303,9 +303,9 @@ func TestGateSchemaMismatch(t *testing.T) {
 			t.Errorf("candidate with section %q: err = %v", name, err)
 		}
 	}
-	wrongRows := writeSections(t, map[string]*repro.Section{"markbench": sweepSection()})
+	wrongRows := writeSections(t, map[string]*repro.Section{"mutbench": sweepSection()})
 	if _, err := Gate(good, wrongRows); err == nil || !strings.Contains(err.Error(), "mode") {
-		t.Errorf("sweep rows filed under markbench: err = %v, want the unknown column named", err)
+		t.Errorf("sweep rows filed under mutbench: err = %v, want the unknown column named", err)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestGateSchemaMismatch(t *testing.T) {
 func TestGateServeSchemaMismatch(t *testing.T) {
 	serve := &repro.Section{Rows: []repro.ServeBenchRow{{Policy: "fail", Tenants: 64}, {Policy: "evict", Tenants: 64}}}
 	base := writeSections(t, map[string]*repro.Section{"servebench": serve})
-	rep, err := Gate(base, writeSections(t, map[string]*repro.Section{"markbench": markSection(200)}))
+	rep, err := Gate(base, writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,15 +330,15 @@ func TestGateServeSchemaMismatch(t *testing.T) {
 // from the options the section records: the default CI path.
 func TestGateInProcessCandidate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a real markbench")
+		t.Skip("runs a real mutbench")
 	}
-	for marked, pass := range map[uint64]bool{200: true, 201: false} {
-		rep, err := Gate(writeSections(t, map[string]*repro.Section{"markbench": markSection(marked)}), "")
+	for allocated, pass := range map[uint64]bool{200: true, 201: false} {
+		rep, err := Gate(writeSections(t, map[string]*repro.Section{"mutbench": mutSection(allocated)}), "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Pass != pass || len(rep.Checks) != 1 {
-			t.Errorf("baseline objects_marked %d: pass=%v over %+v", marked, rep.Pass, rep.Checks)
+			t.Errorf("baseline objects_allocated %d: pass=%v over %+v", allocated, rep.Pass, rep.Checks)
 		}
 	}
 }

@@ -88,7 +88,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&c.args.Seed, "seed", 1, "base seed for single-run experiments")
 	fs.StringVar(&c.format, "format", "text", "table output format: text|markdown")
 	benchJSON := fs.String("benchjson", "", "write the gated experiments' sections (options, key and exact columns) as JSON to this file")
-	workers := fs.String("workers", "", "comma-separated markbench worker counts (default: powers of two up to GOMAXPROCS)")
 	mutators := fs.String("mutators", "", "comma-separated mutbench mutator counts, or the soak mutator count (default: powers of two up to GOMAXPROCS; soak: 8)")
 	fs.IntVar(&c.soakCycles, "soak-cycles", 20, "soak rounds (each ends in a collection and an integrity audit)")
 	fs.IntVar(&c.args.Tenants, "tenants", 0, "servebench/tenantsoak tenant count (servebench default: 1000; tenantsoak: 64)")
@@ -113,9 +112,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	var err error
-	if c.args.Workers, err = parseCounts("-workers", *workers); err != nil {
-		return usage("%v", err)
-	}
 	if c.args.Mutators, err = parseCounts("-mutators", *mutators); err != nil {
 		return usage("%v", err)
 	}

@@ -150,24 +150,25 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 	defer w.resumeMutatorsLocked()
 	c := w.openCycleLocked(kind)
 	w.markHeldLocked()
-	// Shape resolution: an explicit ConcMarkWorkers wins, 0 defers to
-	// the adaptive table the stop-the-world mark width uses. A count of 1
-	// — small heaps, single-core schedulers, or an explicit pin — is the
-	// serial lock-chunked cycle on w.Marker; above 1 the cycle is
-	// detached, on a sharded marker of at least that many shards.
+	// Shape resolution: an explicit ConcMarkWorkers wins, 0 defers to the
+	// adaptive table (AutoMarkWorkers). A count of 1 — small heaps,
+	// single-core schedulers, or an explicit pin — is the serial
+	// lock-chunked cycle on w.Marker; above 1 the cycle is detached, on a
+	// sharded marker of exactly that many shards, rebuilt when the count
+	// moved since the last detached cycle.
 	cw := w.cfg.ConcMarkWorkers
 	if cw == 0 {
 		cw = AutoMarkWorkers(runtime.GOMAXPROCS(0), w.Heap.Stats().BytesLive)
 	}
-	workers := 1
 	if cw > 1 {
 		c.detached, c.workers = true, cw
-		workers = max(cw, w.effectiveMarkWorkers())
-		w.ensureParLocked(workers)
+		if w.par == nil || w.par.Workers() != cw {
+			w.par = mark.NewParallel(w.Heap, w.mcfg, cw)
+			w.par.SetTracer(w.tracer)
+		}
 		w.par.ResetCycle()
 		c.stealsStart = w.par.Steals()
 	}
-	w.lastMarkWorkers = workers
 	w.pacerInitLocked()
 	w.Marker.Reset()
 	if w.prov.enabled {
@@ -190,7 +191,7 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 		})
 	}
 	w.Heap.ClearDirty()
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(workers), int64(kind))
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(cw), int64(kind))
 	// Snapshot root scan: serial, under the pause. The gray set it
 	// builds is handed to the detached workers (or left on the serial
 	// marker's own stack).

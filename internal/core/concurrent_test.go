@@ -108,17 +108,21 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 	configs := map[string]Config{
 		"full":          {GCDivisor: 6},
 		"gen-lazy":      {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"par-lazy":      {GCDivisor: 6, MarkWorkers: 4, LazySweep: true},
 		"line":          {GCDivisor: 6, LineAlloc: true},
 		"line-gen-lazy": {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true, LineAlloc: true},
-		"line-par-lazy": {GCDivisor: 6, MarkWorkers: 4, LazySweep: true, LineAlloc: true},
 		// Concurrent marking: cycles trigger on allocation pressure and
 		// mark on a background driver goroutine while the battery's
 		// mutators keep storing through the insertion barrier.
 		"conc":          {ConcurrentMark: true, GCDivisor: 6},
-		"conc-par":      {ConcurrentMark: true, GCDivisor: 6, MarkWorkers: 4, LazySweep: true},
 		"conc-gen-lazy": {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 		"conc-line":     {ConcurrentMark: true, GCDivisor: 6, LineAlloc: true},
+		// Detached workers under each heap shape the serial rows cover:
+		// two workers with the lazy sweep, with the line heap, and four
+		// on generational cycles, whose minors hand the workers the
+		// remembered set.
+		"par-lazy":      {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true},
+		"line-par-lazy": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true, LineAlloc: true},
+		"conc-par":      {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, ConcMarkWorkers: 4, LazySweep: true},
 		// Detached background marking plus the background sweeper: four
 		// worker goroutines pull the gray set without the world lock
 		// while the mutators allocate, store, and free. The race battery
@@ -247,7 +251,7 @@ func TestConcurrentMutatorStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress battery skipped in -short")
 	}
-	cfg := Config{Generational: true, MinorDivisor: 5, FullEvery: 4, MarkWorkers: 4, LazySweep: true}
+	cfg := Config{Generational: true, MinorDivisor: 5, FullEvery: 4, LazySweep: true}
 	w := newWorld(t, cfg)
 	const nMut = 16
 	const slotBytes = 16 * 4
@@ -301,7 +305,7 @@ func FuzzConcurrentAlloc(f *testing.F) {
 		{GCDivisor: 4, LazySweep: true},
 		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true},
 		{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: 4, MarkQuantum: 32},
-		{GCDivisor: 4, MarkWorkers: 2, LazySweep: true},
+		{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: 4, LazySweep: true},
 	})
 }
 
@@ -318,7 +322,7 @@ func FuzzLineAlloc(f *testing.F) {
 		{GCDivisor: 4, LineAlloc: true},
 		{GCDivisor: 4, LazySweep: true, LineAlloc: true},
 		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true, LineAlloc: true},
-		{GCDivisor: 4, MarkWorkers: 2, LazySweep: true, LineAlloc: true},
+		{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: 4, LazySweep: true, LineAlloc: true},
 	})
 }
 

@@ -185,7 +185,7 @@ func (w *World) collectLocked(kind cycleKind) CollectionStats {
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
 	c := w.openCycleLocked(kind)
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kind))
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kind))
 	markStart := time.Now()
 	c.marks, c.dirtyBlocks = w.markPhase(kind.minor())
 	c.markNs = time.Since(markStart).Nanoseconds()
@@ -214,7 +214,7 @@ func (w *World) landCycleLocked() bool {
 func (w *World) closeCycleLocked() CollectionStats {
 	c := &w.cyc
 	kind := c.kind
-	w.traceMarkEnd(c.marks)
+	w.traceMarkEnd(c.marks, c.detached)
 	if w.finaleAudit != nil {
 		w.finaleAudit()
 	}
@@ -339,67 +339,28 @@ func (w *World) markRoots() {
 
 // markPhase is the mark step of a stop-the-world kind (and the whole of
 // a MarkOnly measurement, whose caches are flushed): mark the caches'
-// held slots, then from the roots to the fixpoint inside the pause —
-// serially through w.Marker, or sharded across w.par's
-// workers when the resolved width is above 1 — and return the phase's
-// statistics plus the size of the remembered set it rescanned (minor
-// cycles only). Parallel phases mark exactly the serial object set: the
-// CAS on each mark bit admits one winner, so ObjectsMarked, BytesMarked
-// and the blacklisted pages match the serial run bit for bit.
+// held slots, then from the roots to the fixpoint inside the pause,
+// serially through w.Marker, as the paper's collector marks — and
+// return the phase's statistics plus the size of the remembered set it
+// rescanned (minor cycles only).
 func (w *World) markPhase(minor bool) (mark.Stats, int) {
 	w.markHeldLocked()
-	dirty := 0
-	workers := w.effectiveMarkWorkers()
-	w.lastMarkWorkers = workers
-	if workers <= 1 {
-		w.Marker.Reset()
-		if w.prov.enabled {
-			w.Marker.StartRecording()
-		}
-		if minor {
-			// Rescan old objects on dirty pages first: at this point
-			// every marked object is old, so the scan is exactly the
-			// remembered set.
-			w.Heap.DirtyBlocks(func(bi int) {
-				dirty++
-				w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
-			})
-		}
-		w.markRoots()
-		w.Marker.Drain()
-		return w.Marker.Stats(), dirty
-	}
-	w.ensureParLocked(workers)
+	w.Marker.Reset()
 	if w.prov.enabled {
-		w.par.StartRecording()
+		w.Marker.StartRecording()
 	}
+	dirty := 0
 	if minor {
+		// Rescan old objects on dirty pages first: at this point every
+		// marked object is old, so the scan is exactly the remembered set.
 		w.Heap.DirtyBlocks(func(bi int) {
 			dirty++
-			w.par.AddDirtyBlock(bi)
+			w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
 		})
 	}
-	w.eachRootArea(func(org mark.RootOrigin, words []mem.Word, sparse bool) {
-		if sparse {
-			w.par.AddSparseRootsOrigin(org, words)
-		} else {
-			w.par.AddRootsOrigin(org, words)
-		}
-	})
-	return w.par.Run(), dirty
-}
-
-// ensureParLocked (re)builds the sharded marker at the given width.
-// Rebuilding happens when the adaptive selection changed its mind (the
-// live heap crossed a band, or GOMAXPROCS moved); steal counters start
-// over with the new marker.
-func (w *World) ensureParLocked(workers int) {
-	if w.par == nil || w.parWorkers != workers {
-		w.par = mark.NewParallel(w.Heap, w.mcfg, workers)
-		w.parWorkers = workers
-		w.prevSteals = 0
-		w.par.SetTracer(w.tracer)
-	}
+	w.markRoots()
+	w.Marker.Drain()
+	return w.Marker.Stats(), dirty
 }
 
 // dueCycleLocked is the regular-interval trigger: whether allocation
@@ -435,14 +396,16 @@ func (w *World) allocTrigger(kind cycleKind) {
 }
 
 // traceMarkEnd emits the mark-phase closing events: the phase totals
-// plus, under parallel marking, each worker's share.
-func (w *World) traceMarkEnd(mstats mark.Stats) {
+// plus, when the phase was a detached cycle's, each worker's share.
+// Every other phase marked on w.Marker alone: w.par, if a detached
+// cycle ever built it, still holds that cycle's shard totals.
+func (w *World) traceMarkEnd(mstats mark.Stats, detached bool) {
 	if !w.tracer.Enabled() {
 		return
 	}
 	w.tracer.Emit(trace.EvMarkEnd,
 		int64(mstats.ObjectsMarked), int64(mstats.BytesMarked), int64(mstats.WordsScanned))
-	if w.par != nil {
+	if detached {
 		w.par.EachWorkerStats(func(i int, s mark.Stats) {
 			w.tracer.Emit(trace.EvWorkerMark, int64(i), int64(s.ObjectsMarked), int64(s.BytesMarked))
 		})

@@ -52,8 +52,12 @@ func TestSingleClose(t *testing.T) {
 	for _, k := range kinds {
 		for _, wide := range []bool{false, true} {
 			for _, lazy := range []bool{false, true} {
-				// The mark step's two shapes: one marker, or several — the
-				// sharded stop-the-world phase, or detached workers.
+				// The mark step's two shapes: one marker, or several —
+				// detached workers. A stop-the-world kind always marks on
+				// one; its wide row runs on a world whose sharded marker an
+				// earlier detached cycle built ("parallel"), and the close
+				// must not report that marker's stale shard totals as its
+				// own.
 				shape := "serial"
 				cfg := Config{
 					GCDivisor: -1, MinorDivisor: -1, Generational: k.gen, LazySweep: lazy,
@@ -63,7 +67,7 @@ func TestSingleClose(t *testing.T) {
 				case wide && k.kind.concurrent():
 					shape, cfg.ConcMarkWorkers = "detached", 4
 				case wide:
-					shape, cfg.MarkWorkers = "parallel", 4
+					shape, cfg.ConcurrentMark, cfg.ConcMarkWorkers = "parallel", true, 4
 				}
 				k, kind := k, k.kind
 				t.Run(fmt.Sprintf("%s/%s/lazy=%v", k.name, shape, lazy), func(t *testing.T) {
@@ -77,7 +81,14 @@ func TestSingleClose(t *testing.T) {
 					// full cycle stands at 1 when the cycle under test opens.
 					holder := lw.alloc(2)
 					lw.root(0, holder)
-					w.Collect()
+					if shape == "parallel" {
+						w.mu.Lock()
+						w.startConcurrentLocked(kindConcurrent)
+						w.mu.Unlock()
+						lw.finish()
+					} else {
+						w.Collect()
+					}
 					minorsBefore := 0
 					if cfg.Generational {
 						w.CollectMinor()
@@ -157,6 +168,13 @@ func TestSingleClose(t *testing.T) {
 						if n := countKind(rec, ev); n != 1 {
 							t.Errorf("%d %v events for one cycle", n, ev)
 						}
+					}
+					wantWorkers := 0
+					if shape == "detached" {
+						wantWorkers = cfg.ConcMarkWorkers
+					}
+					if n := countKind(rec, trace.EvWorkerMark); n != wantWorkers {
+						t.Errorf("%d worker_mark events for one %s cycle, want %d", n, shape, wantWorkers)
 					}
 					for _, ev := range rec.Events() {
 						switch ev.Kind {

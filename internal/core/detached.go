@@ -138,7 +138,7 @@ func (w *World) retireDetachedLocked() {
 // bounded chunks from the shared gray queue under the heap-structure
 // read lock until the cycle's generation retires. The marked bytes
 // feed the pacer as credit. par, gen and retire are captured at spawn
-// so a rebuilt parallel marker or a later cycle never aliases this
+// so a rebuilt sharded marker or a later cycle never aliases this
 // worker: an idle worker parks on par's wake channel or on its own
 // cycle's retire channel, never on a field the world rewrites.
 func (w *World) markWorker(par parChunker, gen uint64, i int, retire <-chan struct{}) {

@@ -13,9 +13,18 @@ import (
 // collection's sweep result (automatic collections included, via the
 // collection hook). The schedule depends only on the seed, never on
 // addresses or timing, so two worlds differing only in sweep strategy
-// see the identical mutator.
+// see the identical mutator. A world that marks concurrently (with its
+// trigger off) runs each explicit full collection as a detached cycle
+// marked by its workers alone.
 func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors bool) ([]mem.Addr, []alloc.SweepResult) {
 	t.Helper()
+	collect := func() {
+		if w.cfg.ConcurrentMark {
+			cycleOnWorkers(t, w, kindConcurrent)
+		} else {
+			w.Collect()
+		}
+	}
 	const nslots = 64
 	data, err := w.Space.MapNew("roots", mem.KindData, 0x2000, nslots*mem.WordBytes, nslots*mem.WordBytes)
 	if err != nil {
@@ -51,10 +60,10 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 		case minors && rng.Bool(0.6):
 			w.CollectMinor()
 		default:
-			w.Collect()
+			collect()
 		}
 	}
-	w.Collect()
+	collect()
 	w.FinishSweep()
 	return addrs, sweeps
 }
@@ -64,8 +73,9 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 // world produce equal allocation addresses, equal per-collection sweep
 // results (freed/live/released totals), and equal final heap
 // statistics — across full cycles, generational minor cycles, and
-// parallel marking (the latter exercises the atomic mark-summary path
-// under -race).
+// detached cycles on four workers (the last exercises, under -race, the
+// mark summaries that compare-and-swap markers leave for the sweep to
+// recount).
 func TestCoreLazySweepDifferential(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -74,7 +84,7 @@ func TestCoreLazySweepDifferential(t *testing.T) {
 	}{
 		{"full", Config{}, false},
 		{"generational", Config{Generational: true}, true},
-		{"parallel", Config{MarkWorkers: 4}, false},
+		{"parallel", Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1}, false},
 	}
 	mask := []bool{true, false, false, true, false}
 	for _, v := range variants {

@@ -83,15 +83,17 @@ func lineScript(t *testing.T, d gcDriver) []mem.Addr {
 	return addrs
 }
 
-// lineConfigs are the stop-the-world collector modes the line profile
-// composes with (the concurrent batteries have line rows of their own).
+// lineConfigs are the collector modes the line profile composes with:
+// stop-the-world ones, and explicit collections as detached cycles on
+// four workers ("parallel", "par-lazy"; the concurrent batteries have
+// line rows of their own).
 var lineConfigs = map[string]Config{
 	"full":         {GCDivisor: 4},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
 	"lazy":         {GCDivisor: 4, LazySweep: true},
-	"parallel":     {GCDivisor: 4, MarkWorkers: 4},
+	"parallel":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-	"par-lazy":     {GCDivisor: 4, MarkWorkers: 4, LazySweep: true},
+	"par-lazy":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, LazySweep: true},
 }
 
 // TestLineAllocDifferential is the line profile's compatibility claim:
@@ -113,7 +115,7 @@ func TestLineAllocDifferential(t *testing.T) {
 				if useHandle {
 					d = w.NewMutator()
 				}
-				return replay(t, w, d, lineScript)
+				return replay(t, w, collectingDetached(t, w, d), lineScript)
 			}
 			compare := func(label string, a, b scriptRun) {
 				t.Helper()

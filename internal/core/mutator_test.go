@@ -27,6 +27,29 @@ func (d directDriver) Store(a mem.Addr, v mem.Word) error { return d.w.Store(a, 
 func (d directDriver) Free(base mem.Addr) error           { return d.w.Heap.Free(base) }
 func (d directDriver) Collect() CollectionStats           { return d.w.Collect() }
 
+// detachedDriver is d with every explicit collection a detached
+// concurrent cycle marked by the world's workers alone (cycleOnWorkers).
+// Nothing runs beside the cycle, so what it finds is as fixed as a
+// stop-the-world collection's; the world's trigger must be off
+// (GCDivisor -1), or cycles would start on a driver goroutine at
+// moments no replay can repeat.
+type detachedDriver struct {
+	gcDriver
+	t *testing.T
+	w *World
+}
+
+func (d detachedDriver) Collect() CollectionStats { return cycleOnWorkers(d.t, d.w, kindConcurrent) }
+
+// collectingDetached wraps d in a detachedDriver when w marks
+// concurrently.
+func collectingDetached(t *testing.T, w *World, d gcDriver) gcDriver {
+	if w.cfg.ConcurrentMark {
+		return detachedDriver{d, t, w}
+	}
+	return d
+}
+
 // mutatorScript drives one deterministic allocation history: mixed
 // small/large sizes, atomic objects, data-segment roots, heap links
 // into rooted (live) objects, explicit frees of rooted objects, and
@@ -196,6 +219,7 @@ func normalizeTimes(a, b *CollectionStats) {
 	a.PauseSnapshotNs, b.PauseSnapshotNs = 0, 0
 	a.PauseFinalNs, b.PauseFinalNs = 0, 0
 	a.ConcPhaseNs, b.ConcPhaseNs = 0, 0
+	a.HeapLockWaitNs, b.HeapLockWaitNs = 0, 0
 }
 
 // TestMutatorDifferential proves the handle's compatibility claim: a
@@ -209,10 +233,13 @@ func TestMutatorDifferential(t *testing.T) {
 	configs := map[string]Config{
 		"full":         {GCDivisor: 4},
 		"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
-		"parallel":     {GCDivisor: 4, MarkWorkers: 4},
 		"lazy":         {GCDivisor: 4, LazySweep: true},
 		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"par-lazy":     {GCDivisor: 4, MarkWorkers: 4, LazySweep: true},
+		// Explicit collections as detached cycles on four workers, the
+		// handle's caches marked at each snapshot; exhausted allocations
+		// still collect stop-the-world.
+		"parallel": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
+		"par-lazy": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, LazySweep: true},
 	}
 	for name, cfg := range configs {
 		cfg := cfg
@@ -224,7 +251,7 @@ func TestMutatorDifferential(t *testing.T) {
 				if useHandle {
 					d = w.NewMutator()
 				}
-				return replay(t, w, d, mutatorScript)
+				return replay(t, w, collectingDetached(t, w, d), mutatorScript)
 			}
 			direct, handle := run(false), run(true)
 			sameCollections(t, "direct-vs-handle", direct, handle)

@@ -69,11 +69,12 @@ func (w *World) ProvenanceFor(addr mem.Addr) (mark.ParentRecord, bool) {
 }
 
 // harvestProvenance collects the just-finished cycle's records from
-// whichever recorders marked it into the per-object map. STW sharded
-// phases record on the parallel workers, serial phases on the serial
-// marker; detached concurrent cycles record on both — the snapshot and
-// finale root scans mark serially, the background chunks in parallel —
-// and the mark-bit first-win rule keeps the merged set duplicate-free.
+// whichever recorders marked it into the per-object map. Stop-the-world
+// and serial concurrent cycles record on the serial marker; detached
+// concurrent cycles record on it and on the sharded marker — the
+// snapshot and finale root scans mark serially, the background chunks
+// on the shards — and the mark-bit first-win rule keeps the merged set
+// duplicate-free.
 // Minor kinds merge, the rest rebuild. Returns the record count for
 // CollectionStats. Callers hold w.mu.
 func (w *World) harvestProvenance(kind cycleKind) uint64 {

@@ -11,15 +11,19 @@ import (
 
 // provConfigs are the collector configurations the provenance
 // subsystem must compose with — the modes the mutator differential
-// covers, plus a concurrent cycle stepped by hand (serial shape, so no
-// goroutine is involved and the run is deterministic).
+// covers, a concurrent cycle stepped by hand in the serial shape (no
+// goroutine is involved and the run is deterministic), and the same
+// stepped cycle detached, where shards on four goroutines race to
+// record each first mark ("parallel", and "par-lazy" under the lazy
+// sweep). A quiesced detached cycle still marks, counts and records one
+// fixed set, so the differentials hold for it too.
 var provConfigs = map[string]Config{
 	"full":         {GCDivisor: -1},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1},
-	"parallel":     {GCDivisor: -1, MarkWorkers: 4},
+	"parallel":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 32},
 	"lazy":         {GCDivisor: -1, LazySweep: true},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1, LazySweep: true},
-	"par-lazy":     {GCDivisor: -1, MarkWorkers: 4, LazySweep: true},
+	"par-lazy":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 32, LazySweep: true},
 	"conc-stepped": {ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 32},
 }
 
@@ -111,18 +115,19 @@ func TestProvenanceOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProvenanceParallelUnique checks the first-CAS-winner rule: with
-// sharded marking, the merged record set holds exactly one record per
-// marked object — no duplicates from lost races, no missing winners.
-// `make race` runs this under the race detector.
+// TestProvenanceParallelUnique checks the first-CAS-winner rule: with a
+// detached cycle's workers marking, the merged record set holds exactly
+// one record per marked object — no duplicates from lost races, no
+// missing winners. `make race` runs this under the race detector.
 func TestProvenanceParallelUnique(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1, MarkWorkers: 4})
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
 	data := addData(t, w, "data", 0x2000, 8192)
 	w.EnableProvenance(true)
 	var totalRecs uint64
 	for round := 0; round < 3; round++ {
 		churn(t, w, data, 0x2000, 256)
-		st := w.Collect()
+		provChain(t, w, data, 0x3000, 300) // deep enough that the workers mark most of it
+		st := cycleOnWorkers(t, w, kindConcurrent)
 		if st.ProvenanceRecords != st.Mark.ObjectsMarked {
 			t.Fatalf("round %d: %d records for %d marked objects",
 				round, st.ProvenanceRecords, st.Mark.ObjectsMarked)

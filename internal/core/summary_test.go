@@ -12,20 +12,22 @@ import (
 // bits by compare-and-swap and write nothing else, so the allocator's
 // per-block mark summaries lag for as long as they run; every reader of
 // a summary — above all the sweep's classification, eager or lazy,
-// clearing or sticky — must see it recounted. Each driver that marks
-// that way (the stop-the-world parallel phase: Parallel.Run; the
-// detached cycle, whose finale is a DrainKept over the workers' kept
-// stacks) is run against
-// the serial stop-the-world collector on an identical heap, with an
-// audit inside the phase where there is an inside, and must reclaim
-// exactly the same objects and leave a heap the strict audit accepts.
+// clearing or sticky — must see it recounted. The detached cycle marks
+// that way, driven two ways: "parallel-run" leaves the marking to its
+// workers and only asks for the certificate, as a background driver
+// does; "detached-finale" steps it with assist chunks, and its finale is
+// a DrainKept over the workers' kept stacks. Each is run against the
+// serial stop-the-world collector on an identical heap, with an audit
+// inside the phase, and must reclaim exactly the same objects and leave
+// a heap the strict audit accepts.
 func TestMarkSummaryExactAtSweep(t *testing.T) {
 	drivers := []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		workers bool // the workers alone mark (cycleOnWorkers)
 	}{
-		{"parallel-run", Config{MarkWorkers: 4}},
-		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}},
+		{"parallel-run", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, true},
+		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, false},
 	}
 	for _, d := range drivers {
 		for _, lazy := range []bool{false, true} {
@@ -39,7 +41,21 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 						addData(t, w, "data", 0x2000, 4096)
 						concBuildGraph(t, directDriver{w})
 						var st CollectionStats
-						if cfg.ConcurrentMark {
+						switch {
+						case d.workers && cfg.ConcurrentMark:
+							installClosureOracle(t, w, nil)
+							w.mu.Lock()
+							w.startConcurrentLocked(kindConcurrent)
+							gen := w.cyc.gen
+							w.mu.Unlock()
+							// Inside the compare-and-swap phase, the workers
+							// running: the summaries lag the bitmaps.
+							if err := w.VerifyIntegrity(); err != nil {
+								t.Fatalf("audit inside the cycle: %v", err)
+							}
+							w.driveConcurrent(gen)
+							st = w.LastCollection()
+						case cfg.ConcurrentMark:
 							installClosureOracle(t, w, nil)
 							if err := w.StartConcurrentCycle(); err != nil {
 								t.Fatal(err)
@@ -59,7 +75,7 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 								}
 							}
 							st = w.LastCollection()
-						} else {
+						default:
 							st = w.Collect()
 						}
 						if err := w.VerifyIntegrity(); err != nil {

@@ -16,13 +16,14 @@ import (
 // nothing else.
 
 // tenantBatteryConfigs is the config matrix the battery pins: the
-// plain collector, the generational/parallel/lazy combinations, the
-// line-heap profile, and both concurrent shapes (serial lock-chunked
-// driver and detached workers with background sweep).
+// plain collector, generational and lazy combinations, the line-heap
+// profile, and both concurrent shapes (serial lock-chunked driver, and
+// detached workers — "par-lazy" with the lazy sweep, "conc-workers"
+// with the background sweep).
 var tenantBatteryConfigs = map[string]Config{
 	"full":         {GCDivisor: 6},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-	"par-lazy":     {GCDivisor: 6, MarkWorkers: 4, LazySweep: true},
+	"par-lazy":     {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true},
 	"line":         {GCDivisor: 6, LineAlloc: true},
 	"conc":         {ConcurrentMark: true, GCDivisor: 6},
 	"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},

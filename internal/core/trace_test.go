@@ -98,16 +98,20 @@ func TestCollectZeroAllocsUntracedLazy(t *testing.T) {
 	}
 }
 
-// TestCollectAllocBoundUntracedParallel pins the parallel mark phase's
-// per-cycle allocation budget at exactly one per worker: the `go`
-// statement spawning it (a persistent pool would save that alloc but
-// leak blocked goroutines from every dropped World). Anything above the
-// spawn cost — closures, WaitGroups, tracing residue — fails.
+// TestCollectAllocBoundUntracedParallel pins the stop-the-world
+// collection of a world that also marks detached at zero allocations,
+// as on any world: the sharded marker an earlier detached cycle built
+// is there, and the stop-the-world mark still spawns no worker, takes
+// no task from its queue, and marks on the one serial marker.
 func TestCollectAllocBoundUntracedParallel(t *testing.T) {
-	const workers = 2
-	w := newWorld(t, Config{GCDivisor: -1, MarkWorkers: workers, LazySweep: true})
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
+	cycleOnWorkers(t, w, kindConcurrent)
+	if w.par == nil {
+		t.Fatal("the detached cycle built no sharded marker")
+	}
+	steals := w.par.Steals()
 	w.Collect()
 	w.Collect()
 	w.FinishSweep()
@@ -115,8 +119,11 @@ func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 		w.Collect()
 		w.FinishSweep()
 	})
-	if avg > workers {
-		t.Fatalf("untraced parallel Collect allocates %v times per cycle, want <= %d (one spawn per worker)", avg, workers)
+	if avg != 0 {
+		t.Fatalf("untraced Collect beside a sharded marker allocates %v times per cycle, want 0", avg)
+	}
+	if w.par.Steals() != steals {
+		t.Fatalf("stop-the-world cycles took %d tasks from the sharded marker's queue", w.par.Steals()-steals)
 	}
 }
 
@@ -216,26 +223,61 @@ func TestTraceEventOrdering(t *testing.T) {
 	}
 }
 
-// TestTraceWorkerEvents checks parallel cycles report per-worker totals
-// that sum to the cycle's.
+// TestTraceWorkerEvents checks that a detached cycle reports each
+// worker's share — one event per worker, summing to what the workers
+// marked between the snapshot and the finale — and that a mark that ran
+// on the serial marker alone (a stop-the-world collection, a MarkOnly)
+// reports none, though the world's sharded marker still holds the last
+// detached cycle's shard totals. The mark_workers gauge follows the
+// cycle that ran.
 func TestTraceWorkerEvents(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1, MarkWorkers: 4})
+	const workers = 4
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: workers, GCDivisor: -1})
 	r := w.EnableTracing(0)
-	data := addData(t, w, "data", 0x2000, 4096)
-	churn(t, w, data, 0x2000, 64)
-	st := w.Collect()
-	var workers, objects uint64
-	for _, ev := range r.Events() {
-		if ev.Kind == trace.EvWorkerMark {
-			workers++
-			objects += uint64(ev.A1)
+	addData(t, w, "data", 0x2000, 4096)
+	concBuildGraph(t, directDriver{w})
+	workerEvents := func() (n int, objects uint64) {
+		for _, ev := range r.Events() {
+			if ev.Kind == trace.EvWorkerMark {
+				n++
+				objects += uint64(ev.A1)
+			}
+		}
+		return n, objects
+	}
+	gauge := func() int64 { return findMetric(t, w.MetricsSnapshot(), "mark_workers").Value }
+
+	// The workers do all the marking after the snapshot: the driver only
+	// asks for the certificate, and the finale finds nothing left.
+	st := cycleOnWorkers(t, w, kindConcurrent)
+	n, objects := workerEvents()
+	if n != workers || st.ConcWorkers != workers {
+		t.Fatalf("worker_mark events = %d for a cycle of %d workers, want %d", n, st.ConcWorkers, workers)
+	}
+	if objects == 0 || objects != st.MarkedConcurrent {
+		t.Fatalf("worker totals sum to %d objects, the workers marked %d", objects, st.MarkedConcurrent)
+	}
+	if g := gauge(); g != workers {
+		t.Fatalf("mark_workers = %d after a %d-worker cycle", g, workers)
+	}
+	for _, serial := range []struct {
+		name string
+		run  func()
+	}{
+		{"collect", func() { w.Collect() }},
+		{"mark-only", func() { w.MarkOnly() }},
+	} {
+		r.Reset()
+		serial.run()
+		if n, _ := workerEvents(); n != 0 {
+			t.Errorf("%s after a detached cycle emitted %d worker_mark events, want none", serial.name, n)
+		}
+		if countKind(r, trace.EvMarkEnd) != 1 {
+			t.Errorf("%s emitted %d mark_end events, want 1", serial.name, countKind(r, trace.EvMarkEnd))
 		}
 	}
-	if workers != 4 {
-		t.Fatalf("worker_mark events = %d, want 4", workers)
-	}
-	if objects != st.Mark.ObjectsMarked {
-		t.Fatalf("worker totals sum to %d objects, cycle marked %d", objects, st.Mark.ObjectsMarked)
+	if g := gauge(); g != 1 {
+		t.Fatalf("mark_workers = %d after a stop-the-world cycle, want 1", g)
 	}
 }
 

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,17 +178,13 @@ type Config struct {
 	// reclamation totals stay bit-identical to the eager sweep's.
 	ConcurrentSweep bool
 
-	// MarkWorkers sets the number of mark-phase workers. Values above 1
-	// shard the stop-the-world mark phase across that many goroutines
-	// with CAS-set mark bits and work stealing (see internal/mark,
-	// parallel.go); the marked object set, byte counts and blacklisted
-	// pages are identical to a serial cycle's. 1 forces serial marking
-	// (the original code path, unchanged). 0 — the default — is
-	// adaptive: each mark phase picks a count from runtime.GOMAXPROCS
-	// and the live heap size via AutoMarkWorkers, so small heaps mark
-	// serially (coordination would dominate) and large heaps on big
-	// machines parallelise without configuration. A concurrent cycle's
-	// background marking has its own count, ConcMarkWorkers.
+	// MarkWorkers is the stop-the-world mark phase's worker count, and
+	// that phase is serial, as the paper's collector is: 0 and 1 mean the
+	// same and NewWorld rejects anything else. A second stop-the-world
+	// worker measured slower on every reading (DESIGN.md §5a). The field
+	// remains only because cmd/perfbench's workloads set it to 1, and
+	// goes once they no longer do. A concurrent cycle's background
+	// marking has its own count, ConcMarkWorkers.
 	MarkWorkers int
 
 	// LazySweep moves sweep work out of the stop-the-world pause: after
@@ -255,18 +250,18 @@ func (c Config) withDefaults() Config {
 		// the pause.
 		c.LazySweep = true
 	}
-	// MarkWorkers 0 stays 0: the adaptive per-phase selection.
 	return c
 }
 
-// AutoMarkWorkers is the adaptive mark-worker selection used when
-// Config.MarkWorkers is 0: given the scheduler's processor count and
-// the live heap size (bytes live after the previous sweep), it returns
-// how many workers the next mark phase should use. Small heaps mark
-// serially — sharding a sub-8 MiB mark loses more to worker startup
-// and stealing than it gains — and larger heaps scale in powers of two
-// up to 8 workers, never beyond the processor count. The selection
-// table is pinned by TestAutoMarkWorkersTable.
+// AutoMarkWorkers is the adaptive worker count of a concurrent cycle
+// when Config.ConcMarkWorkers is 0: given the scheduler's processor
+// count and the live heap size (bytes live after the previous sweep),
+// it returns how many detached workers the cycle marks on. Small heaps
+// get 1, the serial lock-chunked cycle — sharding a sub-8 MiB mark
+// loses more to worker startup and stealing than it gains — and larger
+// heaps scale in powers of two up to 8 workers, never beyond the
+// processor count. The selection table is pinned by
+// TestAutoMarkWorkersTable.
 func AutoMarkWorkers(procs int, liveBytes uint64) int {
 	if procs <= 1 {
 		return 1
@@ -411,17 +406,12 @@ type World struct {
 
 	cfg Config
 	mut RootSource
-	// par is the cached parallel marker: non-nil once any mark phase
-	// has run with more than one worker. parWorkers is its worker
-	// count; with cfg.MarkWorkers == 0 (adaptive) the marker is
-	// rebuilt whenever AutoMarkWorkers picks a different count.
-	// lastMarkWorkers is what the most recent mark phase actually used
-	// (the mark_workers gauge).
-	par             *mark.Parallel
-	parWorkers      int
-	lastMarkWorkers int
-	// mcfg is the mark configuration NewWorld resolved; kept so the
-	// adaptive path can build parallel markers after construction.
+	// par is the sharded marker detached concurrent cycles run on: nil
+	// until the first one, built at that cycle's worker count and rebuilt
+	// when a later cycle resolves a different count (concurrent.go).
+	par *mark.Parallel
+	// mcfg is the mark configuration NewWorld resolved; kept so par can
+	// be built after construction.
 	mcfg            mark.Config
 	collections     int
 	minorsSinceFull int
@@ -460,13 +450,11 @@ type World struct {
 	// so un-traced collections pay one compare per site and allocate
 	// nothing. gctrace, when set, receives one text line per cycle.
 	// met is the always-on metrics view; epoch anchors gctrace
-	// timestamps; prevSteals turns the parallel marker's cumulative
-	// steal count into per-cycle deltas.
-	tracer     *trace.Recorder
-	gctrace    io.Writer
-	met        worldMetrics
-	epoch      time.Time
-	prevSteals uint64
+	// timestamps.
+	tracer  *trace.Recorder
+	gctrace io.Writer
+	met     worldMetrics
+	epoch   time.Time
 
 	// prov is the retention-provenance state (provenance.go): enabled
 	// turns recording on for subsequent collections, records maps each
@@ -500,11 +488,11 @@ type worldMetrics struct {
 	objectsMarked, bytesMarked          *metrics.Counter
 	objectsSwept, bytesSwept            *metrics.Counter
 	pauseNs, markPauseNs, sweepNs       *metrics.Counter
-	markSteals                          *metrics.Counter
 
 	// Concurrent-mark counters: cycles run concurrently, the summed
-	// final pauses, stores whose target the write barrier marked, queue
-	// steals by the background bounded runs, and the time world-lock
+	// final pauses, stores whose target the write barrier marked, tasks
+	// taken from a detached cycle's shared queue (its markers' only
+	// steals: the stop-the-world mark is serial), and the time world-lock
 	// holders waited for the heap-structure write lock of detached
 	// cycles (the running sum of CollectionStats.HeapLockWaitNs).
 	concCycles, finalPauseNs      *metrics.Counter
@@ -591,7 +579,6 @@ func newWorldMetrics() worldMetrics {
 		pauseNs:            reg.Counter("pause_ns"),
 		markPauseNs:        reg.Counter("mark_pause_ns"),
 		sweepNs:            reg.Counter("sweep_pause_ns"),
-		markSteals:         reg.Counter("mark_steals"),
 		concCycles:         reg.Counter("gc_concurrent_cycles"),
 		finalPauseNs:       reg.Counter("stw_final_pause_ns"),
 		barrierShades:      reg.Counter("barrier_shades"),
@@ -729,7 +716,9 @@ func (w *World) syncGaugesExcluded() {
 	m.objectsAllocated.Set(int64(st.ObjectsAllocated))
 	m.heapExpansions.Set(int64(st.Expansions))
 	m.desperateAllocs.Set(int64(st.DesperateAllocs))
-	m.markWorkers.Set(int64(w.lastMarkWorkers))
+	// The markers of the cycle in flight or the last one: a detached
+	// cycle's workers, or the one serial marker.
+	m.markWorkers.Set(int64(max(w.cyc.workers, 1)))
 	m.pacerCreditB.Set(w.cyc.pacerCredit.Load())
 	if w.cfg.LineAlloc {
 		ls := w.Heap.LineStats()
@@ -775,11 +764,6 @@ func (w *World) recordCycle(st CollectionStats) {
 	if st.Provenance {
 		m.provCycles.Inc()
 		m.provRecords.Add(st.ProvenanceRecords)
-	}
-	if w.par != nil {
-		s := w.par.Steals()
-		m.markSteals.Add(s - w.prevSteals)
-		w.prevSteals = s
 	}
 }
 
@@ -907,6 +891,9 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 	if c.ConcMarkWorkers < 0 {
 		return nil, fmt.Errorf("core: ConcMarkWorkers must be >= 0, got %d", c.ConcMarkWorkers)
 	}
+	if c.MarkWorkers < 0 || c.MarkWorkers > 1 {
+		return nil, fmt.Errorf("core: MarkWorkers must be 0 or 1 (the stop-the-world mark is serial), got %d", c.MarkWorkers)
+	}
 	heap, err := alloc.New(space, alloc.Config{
 		HeapBase:                 c.HeapBase,
 		InitialBytes:             c.InitialHeapBytes,
@@ -942,23 +929,7 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		epoch:       time.Now(),
 	}
 	w.cyc.retire = make(chan struct{})
-	if c.MarkWorkers > 1 {
-		w.par = mark.NewParallel(heap, mcfg, c.MarkWorkers)
-		w.parWorkers = c.MarkWorkers
-	}
-	w.lastMarkWorkers = w.effectiveMarkWorkers()
 	return w, nil
-}
-
-// effectiveMarkWorkers resolves the worker count the next mark phase
-// will use: the configured count when pinned, otherwise the adaptive
-// pick from the scheduler's processor count and the live bytes the
-// previous sweep measured (so a world's first cycle marks serially).
-func (w *World) effectiveMarkWorkers() int {
-	if w.cfg.MarkWorkers > 0 {
-		return w.cfg.MarkWorkers
-	}
-	return AutoMarkWorkers(runtime.GOMAXPROCS(0), w.Heap.Stats().BytesLive)
 }
 
 // Config returns the world's effective configuration.
@@ -1230,9 +1201,9 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 	w.flushMutatorsLocked()
 	w.Heap.FinishSweep()
 	w.Heap.FlushSpans()
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), int64(w.effectiveMarkWorkers()), int64(kindFull))
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kindFull))
 	mstats, _ := w.markPhase(false)
-	w.traceMarkEnd(mstats)
+	w.traceMarkEnd(mstats, false)
 	objects, bytes = w.Heap.CountMarked()
 	w.Heap.ClearMarks()
 	// The measurement's marks are gone, so any provenance it recorded

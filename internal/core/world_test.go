@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -797,5 +798,43 @@ func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestNewWorldRejectsParallelSTWMark pins what is left of MarkWorkers:
+// the stop-the-world mark is serial, so a world asking for two workers
+// (or a negative count) is refused, and 0 and 1 build the same world —
+// the same addresses, the same collections, and no sharded marker.
+func TestNewWorldRejectsParallelSTWMark(t *testing.T) {
+	for _, n := range []int{2, 8, -1} {
+		if _, err := NewWorld(nil, Config{MarkWorkers: n}); err == nil {
+			t.Errorf("NewWorld accepted MarkWorkers: %d", n)
+		}
+	}
+	run := func(workers int) ([]mem.Addr, []CollectionStats) {
+		w := newWorld(t, Config{GCDivisor: -1, MarkWorkers: workers})
+		data := addData(t, w, "data", 0x2000, 4096)
+		var addrs []mem.Addr
+		var stats []CollectionStats
+		for round := 0; round < 3; round++ {
+			addrs = append(addrs, churn(t, w, data, 0x2000, 48)...)
+			stats = append(stats, w.Collect())
+		}
+		if w.par != nil {
+			t.Errorf("MarkWorkers %d: a stop-the-world world built a sharded marker", workers)
+		}
+		return addrs, stats
+	}
+	addrs0, stats0 := run(0)
+	addrs1, stats1 := run(1)
+	if !slices.Equal(addrs0, addrs1) {
+		t.Fatal("MarkWorkers 0 and 1 allocate differently")
+	}
+	for i := range stats0 {
+		a, b := stats0[i], stats1[i]
+		normalizeTimes(&a, &b)
+		if a != b {
+			t.Fatalf("cycle %d diverges:\n0 %+v\n1 %+v", i, a, b)
+		}
 	}
 }

@@ -44,8 +44,7 @@
 //     and FlushStaged one per worker, so a worker that found nothing
 //     wakes when work is published, or when core retires its cycle.
 //
-// A stop-the-world phase hands Run the whole closure at once; a
-// detached cycle's gray set persists across its chunks. ResetCycle
+// A detached cycle's gray set persists across its chunks. ResetCycle
 // clears it when the cycle starts, AddGrays and FlushStaged feed it,
 // statistics accumulate across the cycle, and when the world stops for
 // the finale DrainKept gathers whatever is left — staged, queued, on
@@ -108,8 +107,8 @@ func (p *Parallel) AddGrays(grays []alloc.Gray) {
 // shard's, the staged tasks onto the queue, and the assist shard takes
 // tasks from the queue until both are empty — what a forced finale
 // typically finds is a few dozen grays, not worth a goroutine. The
-// marked set is Run's: the same monotone closure, one CAS winner per
-// object. Unlike Run it leaves the statistics accumulating.
+// marked set is a serial drain's: the same monotone closure, one CAS
+// winner per object. The statistics go on accumulating.
 func (p *Parallel) DrainKept() {
 	a := p.assist
 	for _, w := range p.workers {
@@ -132,11 +131,10 @@ func (p *Parallel) DrainKept() {
 	p.flushPending()
 }
 
-// FlushStaged moves staged tasks onto the shared queue immediately, so
-// detached workers (which pop the queue directly rather than entering
-// through Run) can see work staged by AddGrays or AddDirtyBlock, and
-// wakes every parked worker. Call under the same exclusion as the
-// staging itself.
+// FlushStaged moves staged tasks onto the shared queue, where detached
+// workers (which pop the queue directly) see work staged by AddGrays or
+// AddDirtyBlock, and wakes every parked worker. Call under the same
+// exclusion as the staging itself.
 func (p *Parallel) FlushStaged() {
 	if len(p.staged) == 0 {
 		return

@@ -373,11 +373,12 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 }
 
 // TestDriversShareTheLoop marks twin heaps serially and through each
-// driver — Parallel.Run, a forced finale's DrainKept, DetachedChunk and
-// AssistChunk — the last three fed by the snapshot hand-off (serial root
-// scan, TakePending into AddGrays). Which worker wins an object varies,
-// so what must be equal is what does not depend on order: the marked
-// set and the counters of first-marks.
+// driver of the detached engine — the workers racing on goroutines of
+// their own, a forced finale's DrainKept, DetachedChunk and AssistChunk
+// stepped in turn — each fed by the snapshot hand-off (serial root scan,
+// TakePending into AddGrays). Which worker wins an object varies, so
+// what must be equal is what does not depend on order: the marked set
+// and the counters of first-marks.
 func TestDriversShareTheLoop(t *testing.T) {
 	// handOff scans the roots serially and stages the gray set it built
 	// for p's workers; roots are the counters the serial scan ran up.
@@ -404,9 +405,11 @@ func TestDriversShareTheLoop(t *testing.T) {
 		run  func(h *mixedHeap, cfg Config) Stats
 	}{
 		{"run", func(h *mixedHeap, cfg Config) Stats {
-			p := NewParallel(h.heap, cfg, 2)
-			p.AddRoots(h.roots)
-			return p.Run()
+			p, agg := handOff(h, cfg)
+			p.FlushStaged()
+			runWorkers(p)
+			agg.Add(p.AggStats())
+			return agg
 		}},
 		{"finale", func(h *mixedHeap, cfg Config) Stats {
 			// A forced finale: a few chunks leave grays on a worker's kept

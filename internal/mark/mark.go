@@ -112,11 +112,12 @@ type Marker struct {
 	stack []alloc.Gray
 	stats Stats
 	// atomicMark switches Mark to the CAS-based MarkAtomic, required
-	// when several markers share the heap (see parallel.go).
+	// when several markers share the heap (a detached cycle's shards, see
+	// parallel.go).
 	atomicMark bool
 	// overflow, when set, is invoked after a push that grows the stack
-	// to spillThreshold or beyond; parallel workers use it to shed work
-	// onto the shared queue. nil for the serial marker.
+	// to spillThreshold or beyond; a detached cycle's shards use it to
+	// shed work onto the shared queue. nil for the serial marker.
 	overflow func(*Marker)
 	// tracer receives blacklist-addition events; nil (the default)
 	// disables them at the cost of one compare per false reference.
@@ -131,8 +132,8 @@ type Marker struct {
 	org  provOrigin
 }
 
-// spillThreshold is the local mark-stack depth beyond which a parallel
-// worker sheds chunks to the shared overflow queue.
+// spillThreshold is the local mark-stack depth beyond which a detached
+// cycle's shard sheds chunks to the shared queue.
 const spillThreshold = 8192
 
 // New creates a marker for the given heap.
@@ -148,7 +149,7 @@ func New(heap *alloc.Allocator, cfg Config) *Marker {
 func (m *Marker) Config() Config { return m.cfg }
 
 // SetTracer attaches r to receive EvBlacklistPage events (nil
-// detaches). Parallel workers may share one recorder: Emit is
+// detaches). A detached cycle's shards share one recorder: Emit is
 // concurrency-safe.
 func (m *Marker) SetTracer(r *trace.Recorder) { m.tracer = r }
 
@@ -263,9 +264,9 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 			m.stats.ObjectsMarked += uint64(won)
 			m.stats.BytesMarked += uint64(won * g.Words() * mem.WordBytes)
 			if m.rec && won != 0 {
-				// This call set the mark bit (under parallel marking: won
-				// the CAS), so it alone records the object's first-marking
-				// parent.
+				// This call set the mark bit (when markers share the heap:
+				// won the CAS), so it alone records the object's
+				// first-marking parent.
 				m.org.index = m.org.base + int32(i)
 				m.recordWin(g.Base(), p, v)
 			}
@@ -362,19 +363,14 @@ func (m *Marker) MarkWords(words []mem.Word) {
 	if m.rec {
 		m.org = provOrigin{}
 	}
-	m.markWordsChunk(words, 0)
+	m.markRootWords(words)
 }
 
-// markWordsChunk scans words[:len(words)-tail] as root candidates; the
-// trailing tail words are straddle context only — scanned by the
-// unaligned pass but not as aligned candidates. Parallel root chunking
-// uses tail=1 so that a candidate straddling two chunks is still seen
-// by exactly one worker, keeping chunked scans candidate-for-candidate
-// identical to a serial scan of the whole area.
-func (m *Marker) markWordsChunk(words []mem.Word, tail int) {
-	n := len(words) - tail
-	m.stats.WordsScanned += uint64(n)
-	m.scan(words[:n], true, 0)
+// markRootWords scans words as root candidates under the alignment policy:
+// MarkWords and MarkRootArea once their origin is set.
+func (m *Marker) markRootWords(words []mem.Word) {
+	m.stats.WordsScanned += uint64(len(words))
+	m.scan(words, true, 0)
 	if m.cfg.Alignment != AnyByteOffset {
 		return
 	}
@@ -449,7 +445,7 @@ func (m *Marker) DrainN(n int) bool {
 
 // TakePending removes and returns the queued (marked but unscanned)
 // objects. A concurrent cycle's snapshot pause scans roots with the
-// serial marker, then hands the resulting gray set to the parallel
+// serial marker, then hands the resulting gray set to the detached
 // workers through this. The slice is the marker's own stack, emptied:
 // it is valid until the marker next pushes (AddGrays copies out of it).
 func (m *Marker) TakePending() []alloc.Gray {

@@ -1,45 +1,41 @@
-// Parallel marking: the mark phase sharded across several workers.
+// The shard engine of the detached concurrent cycle (detached.go).
 //
-// Boehm's figure-2 algorithm is embarrassingly parallel once the mark
-// bits are set with compare-and-swap: every candidate can be classified
+// Boehm's figure-2 algorithm parallelises once the mark bits are set
+// with compare-and-swap: every candidate can be classified
 // independently, and the transitive closure is a monotone fixpoint, so
-// any interleaving of workers marks exactly the serial object set. The
-// shape here follows the standard parallel tracer design (as in the
-// real collector's parallel mark and Nofl-style block tracers):
+// any interleaving of markers marks exactly the serial object set. A
+// detached cycle's background marking is sharded that way:
 //
 //   - each worker owns a Marker shard with a private mark stack, so the
-//     hot push/pop path is uncontended;
-//   - a worker whose stack grows past spillThreshold sheds chunks of
-//     gray objects onto a shared, mutex-guarded overflow queue, from
-//     which idle workers steal;
-//   - root areas and dirty-page rescans are enqueued as chunk tasks, so
-//     initial work is balanced dynamically rather than statically. The
-//     root areas include every stopped mutator handle's registers and
-//     simulated stack (core's safepoint protocol parks and flushes the
-//     handles before any worker starts, so the sources are quiescent);
-//   - termination is detected with an idle-worker count: when every
-//     worker is idle and the shared queue is empty, no gray objects can
-//     exist anywhere, so the fixpoint is reached;
-//   - per-worker statistics and blacklist additions are aggregated at
-//     the barrier. Near-heap misses buffer locally and flush to the
-//     shared (mutex-wrapped) blacklist either when the buffer fills or
-//     at the barrier; the blacklist is cycle-stamped and therefore
-//     order-independent, so the final pages equal the serial run's.
+//     hot push/pop path is uncontended, and one more shard (the assist
+//     shard) belongs to whoever holds the world lock;
+//   - a shard whose stack grows past spillThreshold sheds chunks of
+//     gray objects onto a shared, mutex-guarded queue, from which the
+//     other markers take them;
+//   - the gray set arrives as queue tasks: the snapshot's root scan
+//     (serial, in core) hands over its gray objects, a minor cycle its
+//     remembered set one dirty block per task;
+//   - near-heap misses buffer per shard and flush to the shared
+//     (mutex-wrapped) blacklist when the buffer fills or at the finale;
+//     the blacklist is cycle-stamped and therefore order-independent, so
+//     the final pages equal the serial run's.
 //
-// Equivalence with serial marking (asserted by the differential tests):
-// ObjectsMarked, BytesMarked, AtomicSkipped and the marked object set
-// are bit-for-bit identical — the CAS admits exactly one winner per
-// object. Root-scan counters (WordsScanned, Candidates) are identical
-// too, because chunking preserves the candidate sequence (including
-// unaligned straddles, via one word of chunk overlap). Only dirty-page
-// rescans in minor cycles may scan an object that a racing worker
-// marked moments earlier — the same double scan a serial minor cycle
-// performs for large objects spanning several dirty pages — which can
-// shift FieldsScanned but never the marked set.
+// The CAS admits exactly one winner per object, so ObjectsMarked,
+// BytesMarked, AtomicSkipped and the marked object set equal a serial
+// drain's from the same gray set (the differential tests assert it).
+// Only dirty-block rescans of a minor cycle may scan an object a racing
+// marker marked moments earlier — the same double scan a serial minor
+// cycle performs for a large object spanning several dirty blocks —
+// which can shift FieldsScanned but never the marked set.
+//
+// The stop-the-world mark phase does not use any of this: it is serial,
+// as the paper's collector is. On the benchmark's live graph a second
+// stop-the-world worker was slower on every reading and got no work,
+// because the graph's mark stack never reaches spillThreshold (DESIGN.md
+// §5a has the readings).
 package mark
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -50,10 +46,6 @@ import (
 )
 
 const (
-	// rootChunkWords is the root-area task granularity: small enough
-	// that a handful of root segments spread across all workers, large
-	// enough that queue traffic is negligible against scan cost.
-	rootChunkWords = 2048
 	// grayChunk is the number of gray objects a spilling worker sheds
 	// per queue task.
 	grayChunk = 512
@@ -66,24 +58,15 @@ const (
 type taskKind uint8
 
 const (
-	taskRoots  taskKind = iota // scan words as a root chunk
-	taskSparse                 // registers: nonzero words only, no straddles
-	taskGray                   // already-marked objects awaiting scanning
-	taskDirty                  // minor cycle: rescan marked objects of one block
+	taskGray  taskKind = iota // already-marked objects awaiting scanning
+	taskDirty                 // minor cycle: rescan marked objects of one block
 )
 
 // task is one unit of stealable work.
 type task struct {
 	kind  taskKind
-	words []mem.Word
-	tail  int // taskRoots: trailing straddle-context words
 	grays []alloc.Gray
 	block int // taskDirty: block index
-	// org and off attribute the chunk for provenance recording:
-	// the root area's identity and the index of words[0] within it.
-	// Ignored (zero) when the cycle does not record.
-	org RootOrigin
-	off int32
 }
 
 // taskQueue is the shared overflow/work queue. A mutex-guarded LIFO is
@@ -130,8 +113,8 @@ func (q *taskQueue) pop() (task, bool) {
 }
 
 // addrBuffer is a worker-local blacklist that batches Add calls,
-// flushing to the shared locked list when full; Parallel.Run drains the
-// remainder at the barrier. Queries pass through (the marker never
+// flushing to the shared locked list when full; DrainKept drains the
+// remainder at the finale. Queries pass through (the marker never
 // issues them during a cycle).
 type addrBuffer struct {
 	addrs  []mem.Addr
@@ -162,30 +145,20 @@ func (b *addrBuffer) BeginCycle()                        { b.shared.BeginCycle()
 func (b *addrBuffer) Expire(maxAge uint32) int           { return b.shared.Expire(maxAge) }
 func (b *addrBuffer) Stats() blacklist.Stats             { return b.shared.Stats() }
 
-// worker couples a Marker shard with its blacklist buffer. The back
-// pointer lets Run spawn `go w.run()` — a closure-free go statement —
-// so a cycle's only per-worker allocation is the spawn itself.
+// worker couples a Marker shard with its blacklist buffer.
 type worker struct {
 	m       *Marker
 	pending *addrBuffer
-	p       *Parallel
 	// holds is a detached worker's word to the coordinator that its stack
 	// held gray objects when its last hold ended (detached.go).
 	holds atomic.Bool
 }
 
-// run is one worker goroutine's cycle entry point.
-func (w *worker) run() {
-	defer w.p.wg.Done()
-	w.p.runWorker(w)
-}
-
-// Parallel is a reusable parallel mark phase over one heap. Build it
-// once, then per collection cycle: AddRoots / AddSparseRoots /
-// AddDirtyBlock, then Run.
+// Parallel is the sharded marker of detached concurrent cycles over one
+// heap: built once per worker count, reset by ResetCycle at each
+// cycle's snapshot, driven by DetachedChunk, AssistChunk and DrainKept.
 type Parallel struct {
 	heap    *alloc.Allocator
-	cfg     Config
 	shared  *blacklist.Locked
 	workers []*worker
 	// assist is a dedicated marker shard for whoever holds the world
@@ -194,21 +167,19 @@ type Parallel struct {
 	// drain through it while detached workers own the regular shards, and
 	// a detached cycle's finale (DrainKept) drains the whole gray set
 	// through it on the caller. It shares the queue and blacklist like a
-	// worker but is never spawned by Run.
+	// worker but never runs on a goroutine of its own.
 	assist *worker
 	queue  taskQueue
-	idle   atomic.Int32
-	staged []task // tasks accumulated between cycles, moved to queue by Run
+	staged []task // tasks accumulated under the world lock, moved to queue by FlushStaged
 	// steals counts tasks fetched from the shared queue, cumulatively
-	// across cycles: root chunks claimed, gray chunks stolen, dirty
-	// blocks taken. It is the registry's mark-steal metric.
+	// across cycles: gray chunks taken and dirty blocks rescanned. It is
+	// the registry's mark-steal metric.
 	steals atomic.Uint64
 	tracer *trace.Recorder
-	wg     sync.WaitGroup // reused across cycles so Run does not allocate it
 }
 
-// NewParallel creates a parallel marker with the given worker count
-// (minimum 2; use a plain Marker for serial marking).
+// NewParallel creates a sharded marker with the given worker count
+// (minimum 2; a serial cycle marks on a plain Marker).
 func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 	if workers < 2 {
 		workers = 2
@@ -217,7 +188,7 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 	if bl == nil {
 		bl = blacklist.Disabled{}
 	}
-	p := &Parallel{heap: heap, cfg: cfg, shared: blacklist.NewLocked(bl)}
+	p := &Parallel{heap: heap, shared: blacklist.NewLocked(bl)}
 	p.queue.wake = make(chan struct{}, workers)
 	for i := 0; i <= workers; i++ {
 		buf := &addrBuffer{shared: p.shared}
@@ -226,7 +197,7 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 		m := New(heap, wcfg)
 		m.atomicMark = true
 		m.overflow = p.spill
-		w := &worker{m: m, pending: buf, p: p}
+		w := &worker{m: m, pending: buf}
 		if i == workers {
 			p.assist = w
 		} else {
@@ -239,13 +210,13 @@ func NewParallel(heap *alloc.Allocator, cfg Config, workers int) *Parallel {
 // Workers returns the worker count.
 func (p *Parallel) Workers() int { return len(p.workers) }
 
-// Steals returns the cumulative number of tasks workers fetched from
-// the shared queue (root chunks, stolen gray chunks, dirty blocks).
+// Steals returns the cumulative number of tasks markers fetched from
+// the shared queue (gray chunks, dirty blocks).
 func (p *Parallel) Steals() uint64 { return p.steals.Load() }
 
-// SetTracer attaches r to the phase and every worker's marker (nil
-// detaches): workers emit blacklist additions and spill events, the
-// phase itself nothing — core emits the span events around Run.
+// SetTracer attaches r to every shard's marker (nil detaches): shards
+// emit blacklist additions and spill events, core the span events
+// around the cycle.
 func (p *Parallel) SetTracer(r *trace.Recorder) {
 	p.tracer = r
 	for _, w := range p.workers {
@@ -254,63 +225,19 @@ func (p *Parallel) SetTracer(r *trace.Recorder) {
 	p.assist.m.SetTracer(r)
 }
 
-// EachWorkerStats calls fn with every worker's statistics from the
-// last Run, in worker order. A callback rather than a slice so the
-// trace path stays allocation-free.
+// EachWorkerStats calls fn with every worker's statistics of the
+// current cycle, in worker order (the assist shard is not a worker). A
+// callback rather than a slice so the trace path stays allocation-free.
 func (p *Parallel) EachWorkerStats(fn func(i int, s Stats)) {
 	for i, w := range p.workers {
 		fn(i, w.m.Stats())
 	}
 }
 
-// AddRoots stages a root area for the next Run, chunked for dynamic
-// balancing. Under the unaligned regime each chunk carries one word of
-// straddle context so chunk boundaries hide no candidates.
-func (p *Parallel) AddRoots(words []mem.Word) {
-	p.AddRootsOrigin(RootOrigin{}, words)
-}
-
-// AddRootsOrigin is AddRoots with the area's provenance identity, so a
-// recording cycle can attribute first-marks to the exact root word even
-// when the area is split across workers.
-func (p *Parallel) AddRootsOrigin(org RootOrigin, words []mem.Word) {
-	overlap := 0
-	if p.cfg.Alignment == AnyByteOffset {
-		overlap = 1
-	}
-	for lo := 0; lo < len(words); lo += rootChunkWords {
-		hi := lo + rootChunkWords
-		tail := overlap
-		if hi >= len(words) {
-			hi = len(words)
-			tail = 0
-		}
-		p.staged = append(p.staged, task{
-			kind: taskRoots, words: words[lo : hi+tail], tail: tail,
-			org: org, off: int32(lo),
-		})
-	}
-}
-
-// AddSparseRoots stages a register file: nonzero words are marked as
-// individual candidates, with no word-count or straddle accounting,
-// mirroring the serial collector's register scan.
-func (p *Parallel) AddSparseRoots(words []mem.Word) {
-	p.AddSparseRootsOrigin(RootOrigin{}, words)
-}
-
-// AddSparseRootsOrigin is AddSparseRoots with the register file's
-// provenance identity.
-func (p *Parallel) AddSparseRootsOrigin(org RootOrigin, words []mem.Word) {
-	if len(words) > 0 {
-		p.staged = append(p.staged, task{kind: taskSparse, words: words, org: org})
-	}
-}
-
-// StartRecording begins provenance recording on every worker for the
-// next Run. The mark-bit CAS admits exactly one winner per object, and
-// only the winner appends a record, so the merged set is duplicate-free
-// without further synchronisation.
+// StartRecording begins provenance recording on every shard for the
+// current cycle. The mark-bit CAS admits exactly one winner per object,
+// and only the winner appends a record, so the merged set is
+// duplicate-free without further synchronisation.
 func (p *Parallel) StartRecording() {
 	for _, w := range p.workers {
 		w.m.StartRecording()
@@ -318,10 +245,10 @@ func (p *Parallel) StartRecording() {
 	p.assist.m.StartRecording()
 }
 
-// Recording reports whether the workers are recording provenance.
+// Recording reports whether the shards are recording provenance.
 func (p *Parallel) Recording() bool { return p.workers[0].m.Recording() }
 
-// StopRecording ends recording and returns every worker's records,
+// StopRecording ends recording and returns every shard's records,
 // merged (order is worker-major and otherwise unspecified; each marked
 // object appears exactly once).
 func (p *Parallel) StopRecording() []ParentRecord {
@@ -351,7 +278,7 @@ func grayTasks(grays []alloc.Gray, emit func(task)) {
 	}
 }
 
-// spill sheds the older half of a worker's mark stack onto the shared
+// spill sheds the older half of a shard's mark stack onto the shared
 // queue in grayChunk pieces, keeping the newest (hottest) entries
 // local.
 func (p *Parallel) spill(m *Marker) {
@@ -360,36 +287,6 @@ func (p *Parallel) spill(m *Marker) {
 	grayTasks(m.stack[:half], p.queue.push)
 	n := copy(m.stack, m.stack[half:])
 	m.stack = m.stack[:n]
-}
-
-// Run executes the mark phase over the staged tasks and returns the
-// aggregated statistics. At return every reachable object is marked,
-// all blacklist buffers are flushed, and the Parallel is ready for the
-// next cycle.
-func (p *Parallel) Run() Stats {
-	p.queue.tasks = append(p.queue.tasks[:0], p.staged...)
-	p.staged = p.staged[:0]
-	p.assist.m.Reset()
-	for _, w := range p.workers {
-		w.m.Reset()
-	}
-	p.runToFixpoint()
-	return p.AggStats()
-}
-
-// runToFixpoint runs every worker over the queue and its own stack
-// until no gray object is left anywhere, then flushes the blacklist
-// buffers. No worker is running when it is called, so the queue is the
-// caller's to have filled bare.
-func (p *Parallel) runToFixpoint() {
-	p.queue.size.Store(int32(len(p.queue.tasks)))
-	p.idle.Store(0)
-	p.wg.Add(len(p.workers))
-	for _, w := range p.workers {
-		go w.run()
-	}
-	p.wg.Wait()
-	p.flushPending()
 }
 
 // flushPending drains every shard's blacklist buffer, the assist
@@ -401,9 +298,8 @@ func (p *Parallel) flushPending() {
 	p.assist.pending.flush()
 }
 
-// AggStats sums every worker's statistics. After Run it equals the
-// cycle's totals; during a detached concurrent cycle it is the running
-// total across the chunks executed so far (ResetCycle zeroes it).
+// AggStats sums every shard's statistics: the running total across the
+// chunks of the current detached cycle (ResetCycle zeroes it).
 func (p *Parallel) AggStats() Stats {
 	var agg Stats
 	for _, w := range p.workers {
@@ -425,50 +321,10 @@ func (s *Stats) Add(o Stats) {
 	s.InteriorResolved += o.InteriorResolved
 }
 
-// runWorker is one worker's loop: drain the local stack, then steal
-// from the shared queue, then negotiate termination.
-func (p *Parallel) runWorker(w *worker) {
-	for {
-		w.m.Drain()
-		t, ok := p.queue.pop()
-		if !ok {
-			if p.goIdle() {
-				return
-			}
-			continue
-		}
-		p.steals.Add(1)
-		p.process(w, t)
-	}
-}
-
-// goIdle registers this worker as out of work and waits until either
-// the shared queue has work again (return false: retry) or every
-// worker is idle with an empty queue (return true: the fixpoint is
-// reached). Tasks are pushed only by non-idle workers, so "all idle and
-// queue empty" is stable once observed.
-func (p *Parallel) goIdle() (done bool) {
-	p.idle.Add(1)
-	for {
-		if p.queue.size.Load() > 0 {
-			p.idle.Add(-1)
-			return false
-		}
-		if p.idle.Load() == int32(len(p.workers)) {
-			return true
-		}
-		runtime.Gosched()
-	}
-}
-
-// process executes one stolen task; any gray objects it produces land
-// on the worker's local stack, drained by the caller.
+// process executes one task taken from the queue; any gray objects it
+// produces land on the shard's local stack, drained by the caller.
 func (p *Parallel) process(w *worker, t task) {
 	switch t.kind {
-	case taskRoots:
-		w.m.markRootChunk(t.org, t.off, t.words, t.tail)
-	case taskSparse:
-		w.m.MarkSparseRoots(t.org, t.words)
 	case taskGray:
 		w.m.stack = append(w.m.stack, t.grays...)
 	case taskDirty:

@@ -2,16 +2,18 @@ package mark
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
 	"repro/internal/mem"
 	"repro/internal/simrand"
+	"repro/internal/trace"
 )
 
 // parallelFixture builds a heap with a deterministic object graph plus
-// a root word area, so serial and parallel marks can be compared. The
+// a root word area, so serial and sharded marks can be compared. The
 // graph mixes: linked chains, a wide fan-out object big enough to
 // trigger stack spilling, atomic objects, dead objects, interior
 // references, and near-heap junk that must be blacklisted.
@@ -86,8 +88,8 @@ func newParallelFixture(t *testing.T, interior bool) *parallelFixture {
 	// Near-heap junk: committed-but-free and reserved-but-uncommitted
 	// addresses, which blacklist their pages.
 	f.roots = append(f.roots, mem.Word(heap.Limit()-2), mem.Word(heap.Limit()+0x100))
-	// Plenty of non-pointer noise so roots span several chunks.
-	for len(f.roots) < 3*rootChunkWords+17 {
+	// Non-pointer noise, as root areas mostly hold.
+	for len(f.roots) < 4096 {
 		f.roots = append(f.roots, mem.Word(rng.Uint32()))
 	}
 	return f
@@ -113,16 +115,68 @@ func (f *parallelFixture) runSerial(cfg Config) Stats {
 	return m.Stats()
 }
 
-// runParallel marks the fixture's roots with n workers.
-func (f *parallelFixture) runParallel(cfg Config, n int) Stats {
+// runParallel marks the fixture's roots as a detached cycle does (see
+// detachedMark) on n workers, and reports the shards' spills.
+func (f *parallelFixture) runParallel(cfg Config, n int) (Stats, int) {
 	cfg.Blacklist = f.bl
 	p := NewParallel(f.heap, cfg, n)
-	p.AddRoots(f.roots)
-	return p.Run()
+	rec := trace.New(0)
+	p.SetTracer(rec)
+	got := detachedMark(f.heap, cfg, p, f.roots)
+	spills := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.EvMarkSpill {
+			spills++
+		}
+	}
+	return got, spills
+}
+
+// detachedMark is one detached cycle's marking without core around it:
+// the snapshot's serial root scan, its gray set handed to p, the workers
+// racing for it on goroutines of their own (runWorkers), and the finale.
+// It returns the cycle's counters, the root scan's included.
+func detachedMark(heap *alloc.Allocator, cfg Config, p *Parallel, roots []mem.Word) Stats {
+	m := New(heap, cfg)
+	m.MarkWords(roots)
+	p.ResetCycle()
+	p.AddGrays(m.TakePending())
+	p.FlushStaged()
+	runWorkers(p)
+	s := m.Stats()
+	s.Add(p.AggStats())
+	return s
+}
+
+// runWorkers drives p's workers as core's detached workers run: every
+// worker index on a goroutine of its own, pulling bounded chunks until
+// one finds nothing to do, then the finale's DrainKept on the caller
+// for whatever a late spill left on the queue or a stack.
+func runWorkers(p *Parallel) {
+	var wg sync.WaitGroup
+	for i := range p.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if work, _ := p.DetachedChunk(i, 64, nil); work == 0 {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.DrainKept()
 }
 
 func granules(d *blacklist.Dense) []mem.Addr { return d.Granules() }
 
+// TestParallelMatchesSerial is the shard engine's differential: the
+// fixture marked as a detached cycle marks it — a serial root scan
+// handed to 2, 4 or 8 workers racing on goroutines, whose fan-out
+// crosses spillThreshold so gray chunks change hands through the queue —
+// yields the serial Marker's statistics, marked set and blacklist
+// exactly.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -145,7 +199,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, n := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 					f := newParallelFixture(t, tc.interior)
-					got := f.runParallel(tc.cfg, n)
+					got, spills := f.runParallel(tc.cfg, n)
+					if spills == 0 {
+						t.Error("the fan-out never spilled: no gray chunk changed hands")
+					}
 					if got != want {
 						t.Errorf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
 					}
@@ -175,71 +232,30 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelChunkStraddle(t *testing.T) {
-	// A candidate that straddles the boundary between two root chunks
-	// must still be extracted exactly once under AnyByteOffset: the
-	// first chunk carries one word of context, and the context word is
-	// excluded from the second chunk's aligned scan. Both the marked
-	// object and the Candidates count must match a serial scan.
-	space := mem.NewAddressSpace()
-	heap, err := alloc.New(space, alloc.Config{
-		HeapBase:     heapBase,
-		InitialBytes: 64 * mem.PageBytes,
-		ReserveBytes: 64 * mem.PageBytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := heap.Alloc(2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Split the pointer across words rootChunkWords-1 and rootChunkWords
-	// at byte offset 2: big-endian, candidate = hi<<16 | lo>>16.
-	roots := make([]mem.Word, rootChunkWords+8)
-	roots[rootChunkWords-1] = mem.Word(uint32(p) >> 16)
-	roots[rootChunkWords] = mem.Word(uint32(p) << 16)
-	cfg := Config{Policy: PointerBase, Alignment: AnyByteOffset}
-
-	serial := New(heap, cfg)
-	serial.MarkWords(roots)
-	serial.Drain()
-	want := serial.Stats()
-	if want.ObjectsMarked != 1 {
-		t.Fatalf("serial straddle missed: %+v", want)
-	}
-	heap.ClearMarks()
-
-	par := NewParallel(heap, cfg, 2)
-	par.AddRoots(roots)
-	got := par.Run()
-	if got != want {
-		t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
-	}
-	if !heap.Marked(p) {
-		t.Fatal("straddling candidate lost at chunk boundary")
-	}
-}
-
+// TestParallelReusableAcrossCycles: ResetCycle readies the same shards
+// for the next detached cycle, so two cycles over the same heap count
+// the same.
 func TestParallelReusableAcrossCycles(t *testing.T) {
 	f := newParallelFixture(t, false)
 	cfg := Config{Policy: PointerBase, Alignment: AlignedWords, Blacklist: f.bl}
 	p := NewParallel(f.heap, cfg, 4)
-	p.AddRoots(f.roots)
-	first := p.Run()
+	first := detachedMark(f.heap, cfg, p, f.roots)
 	f.heap.ClearMarks()
-	p.AddRoots(f.roots)
-	second := p.Run()
+	second := detachedMark(f.heap, cfg, p, f.roots)
 	if first != second {
 		t.Fatalf("cycles diverge:\nfirst  %+v\nsecond %+v", first, second)
 	}
 }
 
+// TestParallelSparseRoots feeds a register file's worth of single
+// values through the insertion barrier's step on the assist shard
+// (Shade), publishes what it shaded and lets the workers drain it: the
+// same counters as a serial Marker given the nonzero values one by one.
 func TestParallelSparseRoots(t *testing.T) {
 	f := newParallelFixture(t, false)
-	cfg := Config{Policy: PointerBase, Alignment: AlignedWords}
+	cfg := Config{Policy: PointerBase, Alignment: AlignedWords, Blacklist: f.bl}
 
-	serial := New(f.heap, Config{Policy: PointerBase, Alignment: AlignedWords, Blacklist: f.bl})
+	serial := New(f.heap, cfg)
 	for _, v := range f.roots {
 		if v != 0 {
 			serial.MarkValue(v)
@@ -249,11 +265,14 @@ func TestParallelSparseRoots(t *testing.T) {
 	want := serial.Stats()
 	f.heap.ClearMarks()
 
-	cfg.Blacklist = f.bl
 	p := NewParallel(f.heap, cfg, 4)
-	p.AddSparseRoots(f.roots)
-	got := p.Run()
-	if got != want {
+	p.ResetCycle()
+	for i, v := range f.roots {
+		p.Shade(RootOrigin{Kind: RootRegister}, int32(i), v)
+	}
+	p.PublishAssist()
+	runWorkers(p)
+	if got := p.AggStats(); got != want {
 		t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
 	}
 }

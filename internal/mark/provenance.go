@@ -19,11 +19,11 @@
 // the marker appends one fixed-size record per first-mark to a
 // worker-private slice.
 //
-// Parallel marking: the mark-bit CAS admits exactly one winner per
-// object, and only the winning worker appends a record, so the merged
-// record set has one entry per marked object with no synchronisation
-// beyond the CAS itself (the "first-CAS-winner records the parent"
-// rule).
+// Sharded marking (a detached cycle): the mark-bit CAS admits exactly
+// one winner per object, and only the winning shard appends a record,
+// so the merged record set has one entry per marked object with no
+// synchronisation beyond the CAS itself (the "first-CAS-winner records
+// the parent" rule).
 package mark
 
 import "repro/internal/mem"
@@ -127,7 +127,7 @@ type provOrigin struct {
 	kind     RootKind
 	area     mem.Addr // root-area base address, or heap parent base (RootNone)
 	src      int32
-	base     int32 // index of words[0] within the original area (chunked scans)
+	base     int32 // index of the scanned slice's first word within the area or object
 	index    int32 // current absolute word / field / register index
 	off      uint8 // unaligned byte offset of the current candidate (0 = aligned)
 	declared bool  // current candidate is a declared typed pointer field
@@ -197,15 +197,8 @@ func (m *Marker) MarkSparseRoots(org RootOrigin, words []mem.Word) {
 // the configured alignment policy. Identical to MarkWords when not
 // recording.
 func (m *Marker) MarkRootArea(org RootOrigin, words []mem.Word) {
-	m.markRootChunk(org, 0, words, 0)
-}
-
-// markRootChunk scans one chunk of a root area; off is the index of
-// words[0] within the full area (parallel root chunking), tail the
-// trailing straddle-context word count (see markWordsChunk).
-func (m *Marker) markRootChunk(org RootOrigin, off int32, words []mem.Word, tail int) {
 	if m.rec {
-		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src, base: off}
+		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src}
 	}
-	m.markWordsChunk(words, tail)
+	m.markRootWords(words)
 }

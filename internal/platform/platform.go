@@ -86,12 +86,6 @@ type Profile struct {
 	NodesPerList int
 	NodeWords    int
 
-	// MarkWorkers shards the mark phase across this many workers
-	// (0 or 1 = serial). The paper's measurements are serial; parallel
-	// runs mark the identical object set (see core.Config.MarkWorkers)
-	// and exist for wall-clock speedups, not for different numbers.
-	MarkWorkers int
-
 	// LazySweep defers sweep work out of the collection pause (see
 	// core.Config.LazySweep). Reclamation totals are unchanged, so
 	// table-1 retention numbers are identical either way; the knob
@@ -151,7 +145,6 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 		Pointer:          mark.PointerInterior, // program T forces interior pointers
 		Blacklisting:     mode,
 		GCDivisor:        p.GCDivisor,
-		MarkWorkers:      p.MarkWorkers,
 		LazySweep:        p.LazySweep,
 		AllocatorResidue: true,
 		// "In the PCedar environment, there are enough allocations of

@@ -12,7 +12,7 @@
 //     *Recorder; every method nil-checks its receiver, so the disabled
 //     fast path is a single compare and emits from un-traced worlds
 //     cost (and allocate) nothing. The allocation tests assert this.
-//   - Parallel marking. Several mark workers share one recorder, so
+//   - Detached marking. Several mark workers share one recorder, so
 //     Emit is guarded by a mutex. A lock per event is cheap against the
 //     per-object marking work it annotates, and keeps the buffer free
 //     of torn events under the race detector.
@@ -61,8 +61,9 @@ const (
 	// EvSweepEnd closes the sweep phase. A0 objects freed, A1 bytes
 	// freed, A2 blocks deferred to the lazy sweep (0 when eager).
 	EvSweepEnd
-	// EvWorkerMark reports one parallel mark worker's cycle totals at
-	// the barrier. A0 worker index, A1 objects marked, A2 bytes marked.
+	// EvWorkerMark reports one detached mark worker's totals when its
+	// cycle closes; a cycle that marked serially emits none. A0 worker
+	// index, A1 objects marked, A2 bytes marked.
 	EvWorkerMark
 	// EvMarkSpill records a worker shedding mark-stack entries onto the
 	// shared overflow queue. A0 objects shed.

@@ -15,7 +15,6 @@ type RunArgs struct {
 	Seed     uint64 // base seed of single-run experiments
 	Seeds    int    // seeds per cell of the table-1 style sweeps
 	Parallel int    // concurrent runs in those sweeps
-	Workers  []int  // markbench worker counts
 	Mutators []int  // mutator counts (pausebench takes the first)
 	Tenants  int    // servebench tenant count
 	Requests int    // servebench collect-first requests per session
@@ -246,13 +245,6 @@ this reproduces their pause profiles on the same substrate.`,
 stack/register residue and are "eventually overwritten in a longer running
 program with more varied stack frames".`,
 	},
-	gated("markbench", "parallel mark-phase scaling by worker count",
-		`Parallel marking is not in the paper; it shards the figure-2 mark phase
-with CAS mark bits and work stealing, marking the identical object set:
-the objects-marked count per row is exact and gated by cmd/benchgate.
-Worker counts above GOMAXPROCS serialise and measure overhead only.`,
-		func(a RunArgs) MarkBenchOptions { return MarkBenchOptions{Workers: a.Workers, Trace: a.Trace} },
-		MarkBench),
 	gated("sweepbench", "collection pauses, eager vs lazy sweeping",
 		`Lazy sweeping replaces the pause's per-slot heap walk with an O(blocks)
 mark-summary scan; the per-slot work is paid during allocation instead.
