@@ -44,36 +44,35 @@ test: allocs
 allocs:
 	$(GO) test -count=3 -run ZeroAlloc ./internal/...
 
-# The detached cycle's sharded marking must be clean under the race
-# detector. The internal packages hold most of its tests (differential,
-# fuzz seeds); the root package adds the bench drivers and trace
-# plumbing. The
+# Everything that runs beside the mutators — the concurrent cycle's
+# background driver, the background sweeper, mutator handles storing
+# under their own locks — must be clean under the race detector. The
+# internal packages hold most of its tests (differentials, fuzz seeds);
+# the root package adds the bench drivers and trace plumbing. The
 # concurrent cycle's soundness batteries — the lost-object battery (its
 # forced-finale table is every entry point that lands a cycle in
-# flight), the differentials, the mutator and watch batteries and the soak, in both
-# shapes a concurrent cycle has (serial lock-chunked, detached workers),
-# every close of which the closure oracle checks for "marked ⊇
+# flight), the differentials, the mutator and watch batteries and the
+# soak, every close of which the closure oracle checks for "marked ⊇
 # reachable"; the table test of the one close every cycle kind shares;
 # the finalization accessors polled against a driver's finale; and the
-# pacer's tests, beside the detached batteries whose idle workers park
-# on a channel (TestDetachedWorkersParkAndRetire) — then run
-# again at one, two and four processors, because what a detached worker
-# or a background driver interleaves with depends on how many there
-# are; and the battery that audits the heap in mid-cycle, where a mark
-# summary read before its recount shows first, runs twenty times over.
+# pacer's tests — then run again at one, two and four processors,
+# because what a background driver interleaves with depends on how many
+# there are; and the watch battery on the plain concurrent cycle, where
+# the watcher's barrier-time walk meets the driver's chunks, runs
+# twenty times over.
 # The root package alone takes five and a half minutes under -race on
 # a quiet two-processor box, so beside a busy neighbour it outlives go
 # test's default ten-minute budget with every test passing; the budget
 # is widened, nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|Detached|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer
+CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \
 		echo "race: concurrent batteries at GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -race -run '$(CONC_BATTERIES)' ./internal/core; \
 	done
-	$(GO) test -count=20 -race -run 'TestWatchBattery/conc-workers' ./internal/core
+	$(GO) test -count=20 -race -run 'TestWatchBattery/conc$$' ./internal/core
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
@@ -84,7 +83,7 @@ bench:
 # BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
 # BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
-# BenchmarkMarkLiveGraph and its cas2 variant in internal/mark). The
+# BenchmarkMarkLiveGraph and its halves2 variant in internal/mark). The
 # tiny allocbench run smokes the free-list-vs-line-heap driver the same
 # way.
 bench-smoke: perfbench-smoke
@@ -98,12 +97,12 @@ bench-smoke: perfbench-smoke
 # skips it. perfbench-test runs its unit tests; perfbench-smoke builds
 # it as run.sh does and runs three workloads at a tenth of the tape,
 # failing on a non-zero exit (an output check that did not hold):
-# live_graph_stw drives the mark loop's plain path from the serial
-# marker, live_graph_conc its compare-and-swap path from detached
-# workers plus the gray hand-off between the two (TakePending into
-# AddGrays), and serve_tenants is the one workload where two handles
-# store concurrently, each under its own lock. None measures anything:
-# see cmd/perfbench/README.md for that.
+# live_graph_stw drives the mark loop from a stop-the-world pause,
+# live_graph_conc from the concurrent cycle's driver, assists and
+# finale with the barrier and the background sweeper beside them, and
+# serve_tenants is the one workload where two handles store
+# concurrently, each under its own lock. None measures anything: see
+# cmd/perfbench/README.md for that.
 perfbench-test:
 	$(GO) test -C cmd/perfbench .
 

@@ -642,7 +642,7 @@ func BenchmarkMarkCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range cands {
-			if _, out := heap.MarkCandidate(p, true, false); out == alloc.NotObject {
+			if _, out := heap.MarkCandidate(p, true); out == alloc.NotObject {
 				b.Fatalf("candidate %#x did not resolve", uint32(p))
 			}
 		}
@@ -657,20 +657,15 @@ func BenchmarkMarkCandidate(b *testing.B) {
 // barrier's validity check finds the bit set — what most stores of a
 // long cycle see), and the stored value the address of an object no
 // marker has reached ("unmarked": the barrier marks it and pushes it).
-// It is read in the serial shape, where the bit is set plainly on the
-// world's own marker and a cycle opened explicitly has no background
-// goroutine marking while the stores run (a detached cycle's barrier is
-// the same step through the assist shard by compare-and-swap, with
-// workers racing it: BenchmarkMarkLiveGraph/cas2 prices that). The
-// targets of "unmarked" are a chain hanging off one root, of which the
-// snapshot marks only the head.
+// A cycle opened explicitly has no background goroutine marking while
+// the stores run. The targets of "unmarked" are a chain hanging off one
+// root, of which the snapshot marks only the head.
 func BenchmarkStoreBarrier(b *testing.B) {
 	const chain = 1 << 14
 	for _, state := range []string{"idle", "marked", "unmarked"} {
-		b.Run("serial/"+state, func(b *testing.B) {
+		b.Run(state, func(b *testing.B) {
 			w, err := NewWorld(Config{
-				ConcurrentMark: true, ConcMarkWorkers: 1,
-				GCDivisor: -1, InitialHeapBytes: 1 << 20,
+				ConcurrentMark: true, GCDivisor: -1, InitialHeapBytes: 1 << 20,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -395,7 +395,7 @@ func (c *cli) tenantSoak() error {
 	w, err := repro.NewWorld(repro.Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcMarkWorkers: 4, ConcurrentSweep: true,
+		ConcurrentSweep: true,
 	})
 	if err != nil {
 		return err
@@ -525,7 +525,7 @@ func (c *cli) leakSoak() error {
 	w, err := repro.NewWorld(repro.Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcMarkWorkers: 4, ConcurrentSweep: true,
+		ConcurrentSweep: true,
 	})
 	if err != nil {
 		return err

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/blacklist"
 	"repro/internal/mem"
@@ -180,13 +179,6 @@ type Config struct {
 	// tests assert both. Typed and large objects are unaffected. Default
 	// off: the threaded free lists, unchanged.
 	LineAlloc bool
-	// AtomicWords puts every heap segment (the initial one and any
-	// discontiguous extents) in atomic-store mode: mutator stores to
-	// heap words become atomic writes, pairing with the atomic reads of
-	// detached mark workers that scan while holding no allocation lock.
-	// Structure-level synchronisation is still the caller's affair; this
-	// only removes the word-level data race. Default off.
-	AtomicWords bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -264,15 +256,11 @@ type blockDesc struct {
 	// markedCount is the block's mark summary: how many of its objects
 	// are marked (small: marked slots; large head: 0 or 1), so that after
 	// a mark phase the sweeper classifies the block as empty / mixed /
-	// fully live in O(1) without reading the bitmap. A marker that owns
-	// the heap maintains it at every mark-bit transition (setMark).
-	// Markers that share the heap do not — it would be a second shared
-	// write per mark, on the line every resolve reads — so after
-	// compare-and-swap marking it is stale (Allocator.summaryStale) until
-	// settleMarkSummaries recounts it from the bitmap. The byte half of
-	// the summary is derived, not stored: blocks hold a single size
-	// class, so marked bytes are always markedCount × objWords ×
-	// WordBytes (see markedBytes).
+	// fully live in O(1) without reading the bitmap. Every mark-bit
+	// transition maintains it (setMark). The byte half of the summary is
+	// derived, not stored: blocks hold a single size class, so marked
+	// bytes are always markedCount × objWords × WordBytes (see
+	// markedBytes).
 	markedCount int32
 	// markBits ⊆ allocBits at every audit point (CheckIntegrity). Large
 	// heads have a one-word markBits and no allocBits.
@@ -409,21 +397,11 @@ type Allocator struct {
 	// object's words without chasing extent and segment pointers.
 	// Refreshed by Expand, the only place a heap segment grows.
 	words0 []mem.Word
-	// summaryStale says the blocks' mark summaries (blockDesc.markedCount)
-	// may lag their bitmaps: set by the first compare-and-swap mark after
-	// they were last exact, cleared by settleMarkSummaries. While it is
-	// set the summaries mean nothing — updates to them are harmless and
-	// lost — and their readers either settle first (the sweeps) or go to
-	// the bitmaps (ForEachMarkedObject, CheckIntegrity). Atomic because
-	// the markers that set it run concurrently; it is written once per
-	// mark phase.
-	summaryStale atomic.Bool
 	// lastExtent caches the extent index of the most recent successful
 	// extentOfAddr lookup. Pointer candidates cluster, so the cache
 	// turns the multi-extent search into one bounds check in the common
-	// case. Atomic because parallel mark workers share the allocator
-	// read-only except for this hint.
-	lastExtent atomic.Int32
+	// case.
+	lastExtent int
 	// tracer receives heap-expansion, desperate-allocation and lazy
 	// sweep-drain events; nil (the default) disables them.
 	tracer *trace.Recorder
@@ -448,7 +426,6 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg.SetAtomicStore(c.AtomicWords)
 	a := &Allocator{
 		cfg:               c,
 		space:             space,
@@ -522,12 +499,12 @@ func (a *Allocator) extentOfAddr(p mem.Addr) *extent {
 		}
 		return nil
 	}
-	if i := int(a.lastExtent.Load()); i < len(a.extents) && a.extents[i].seg.Contains(p) {
+	if i := a.lastExtent; i < len(a.extents) && a.extents[i].seg.Contains(p) {
 		return &a.extents[i]
 	}
 	i := sort.Search(len(a.extents), func(i int) bool { return a.extents[i].seg.Base() > p }) - 1
 	if i >= 0 && a.extents[i].seg.Contains(p) {
-		a.lastExtent.Store(int32(i))
+		a.lastExtent = i
 		return &a.extents[i]
 	}
 	return nil
@@ -943,7 +920,6 @@ func (a *Allocator) addExtent() error {
 	if err != nil {
 		return fmt.Errorf("alloc: mapping extent %s: %w", name, err)
 	}
-	seg.SetAtomicStore(a.cfg.AtomicWords)
 	a.extents = append(a.extents, extent{seg: seg, startBlock: len(a.blocks)})
 	a.hullHi = seg.ReservedLimit()
 	return nil

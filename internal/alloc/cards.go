@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/mem"
 )
@@ -55,8 +54,8 @@ func (a *Allocator) ClearDirty() {
 // ForEachMarkedObject calls fn with the base address of every marked
 // allocated object in block bi. The minor collection uses it to rescan
 // old objects on dirty blocks. The bitmaps are walked a word at a time:
-// the mark summary, when it is current, rejects fully-unmarked blocks
-// outright, words with no marked allocated slot are skipped whole, and
+// the mark summary rejects fully-unmarked blocks outright, words with
+// no marked allocated slot are skipped whole, and
 // set bits are resolved with trailing-zero scans instead of per-slot
 // bitGet.
 func (a *Allocator) ForEachMarkedObject(bi int, fn func(base mem.Addr)) {
@@ -74,47 +73,12 @@ func (a *Allocator) ForEachMarkedObject(bi int, fn func(base mem.Addr)) {
 			fn(a.blockBase(head))
 		}
 	case blockSmall:
-		if b.markedCount == 0 && !a.summaryStale.Load() {
+		if b.markedCount == 0 {
 			return
 		}
 		objBytes := int(b.objWords) * mem.WordBytes
 		base := a.blockBase(bi)
 		for wi, mv := range b.markBits {
-			for w := mv & b.allocBits[wi]; w != 0; w &= w - 1 {
-				slot := wi<<6 + bits.TrailingZeros64(w)
-				fn(base + mem.Addr(slot*objBytes))
-			}
-		}
-	}
-}
-
-// ForEachMarkedObjectAtomic is ForEachMarkedObject with the mark bits
-// read atomically, for use while parallel mark workers may be CASing
-// them concurrently. A rescan task racing a concurrent first-mark of
-// the same object may or may not see it — exactly as a serial minor
-// collection may process the dirty block before or after the root scan
-// marks the object — so either outcome is sound.
-func (a *Allocator) ForEachMarkedObjectAtomic(bi int, fn func(base mem.Addr)) {
-	b := &a.blocks[bi]
-	switch b.state {
-	case blockLargeHead:
-		if atomic.LoadUint64(&b.markBits[0])&1 != 0 {
-			fn(a.blockBase(bi))
-		}
-	case blockLargeCont:
-		head := bi - int(b.spanLen)
-		if atomic.LoadUint64(&a.blocks[head].markBits[0])&1 != 0 {
-			fn(a.blockBase(head))
-		}
-	case blockSmall:
-		// One atomic load per bitmap word instead of one per slot; a
-		// racing first-mark that lands after the word is read is missed,
-		// which the contract above already permits. Alloc bits are
-		// stable during a mark phase, so they are read plainly.
-		objBytes := int(b.objWords) * mem.WordBytes
-		base := a.blockBase(bi)
-		for wi := range b.markBits {
-			mv := atomic.LoadUint64(&b.markBits[wi])
 			for w := mv & b.allocBits[wi]; w != 0; w &= w - 1 {
 				slot := wi<<6 + bits.TrailingZeros64(w)
 				fn(base + mem.Addr(slot*objBytes))

@@ -27,10 +27,6 @@ type slotBlock struct {
 	b    *blockDesc
 	hw   *[mem.PageWords]mem.Word
 	base mem.Addr // the block's first address
-	// atomic is the segment's store discipline (mem.Segment.AtomicStore):
-	// link words are written with StoreWordAtomic when detached mark
-	// workers may be reading them.
-	atomic bool
 }
 
 // locateSlots resolves free-list link p, of the given size class, to its
@@ -54,10 +50,9 @@ func (a *Allocator) locateSlots(p mem.Addr, class int) (slotBlock, error) {
 			class, uint32(p), e.startBlock+bo)
 	}
 	return slotBlock{
-		b:      b,
-		hw:     (*[mem.PageWords]mem.Word)(e.seg.Words()[bo*mem.PageWords:]),
-		base:   e.seg.Base() + mem.Addr(bo*mem.PageBytes),
-		atomic: e.seg.AtomicStore(),
+		b:    b,
+		hw:   (*[mem.PageWords]mem.Word)(e.seg.Words()[bo*mem.PageWords:]),
+		base: e.seg.Base() + mem.Addr(bo*mem.PageBytes),
 	}, nil
 }
 
@@ -69,14 +64,6 @@ func (s slotBlock) holds(p mem.Addr) bool {
 	return off < mem.PageBytes && off%mem.WordBytes == 0
 }
 
-func (s slotBlock) storeLink(off mem.Addr, v mem.Word) {
-	if s.atomic {
-		mem.StoreWordAtomic(&s.hw[off], v)
-		return
-	}
-	s.hw[off] = v
-}
-
 // pop takes the free slot at p, which s holds, off its list: the link
 // word is zeroed (a carved slot is delivered clean), the alloc bit set
 // and the block's live count bumped. It returns the link — the list's
@@ -84,7 +71,7 @@ func (s slotBlock) storeLink(off mem.Addr, v mem.Word) {
 func (s slotBlock) pop(p mem.Addr) mem.Addr {
 	off := (p - s.base) / mem.WordBytes
 	next := mem.Addr(s.hw[off])
-	s.storeLink(off, 0)
+	s.hw[off] = 0
 	bitSet(s.b.allocBits, int(uint32(off)*s.b.slotRecip>>recipShift))
 	s.b.liveSlots++
 	return next
@@ -106,5 +93,5 @@ func (s slotBlock) push(p, head mem.Addr) {
 		b.markedCount--
 	}
 	b.liveSlots--
-	s.storeLink(off, mem.Word(head))
+	s.hw[off] = mem.Word(head)
 }

@@ -294,8 +294,9 @@ var carveCases = []carveCase{
 	{name: "swept-extents", cfg: smallExtents, nwords: 5, shape: "swept"},
 	{name: "skip-boundary-1", cfg: Config{SkipPageBoundarySlot: true}, nwords: 1, shape: "swept"},
 	{name: "skip-boundary-2", cfg: Config{SkipPageBoundarySlot: true}, nwords: 2, shape: "hopping"},
-	{name: "atomic-words", cfg: Config{AtomicWords: true}, nwords: 4, shape: "swept"},
-	{name: "atomic-words-hopping", cfg: Config{AtomicWords: true}, nwords: 4, shape: "hopping"},
+	// Pointer-free ("atomic") objects have lists of their own.
+	{name: "atomic-words", nwords: 4, atomic: true, shape: "swept"},
+	{name: "atomic-words-hopping", nwords: 4, atomic: true, shape: "hopping"},
 	{name: "typed-fresh", typed: []bool{true, false, true}, shape: "fresh"},
 	{name: "typed-swept", typed: []bool{true, false, true, false, false, true}, shape: "swept"},
 	{name: "typed-hopping", cfg: smallExtents, typed: []bool{false, true}, shape: "hopping"},
@@ -333,7 +334,7 @@ func (tc carveCase) newPair(t *testing.T) (*heapPair, DescID) {
 // TestCarveDifferential drives the reference model's per-slot pop and
 // the kernel over the same heaps — fresh, swept, hopping between
 // blocks and between extents, with the page-boundary slot skipped,
-// typed lists, atomic word stores — and compares addresses, links,
+// typed lists, pointer-free lists — and compares addresses, links,
 // bitmaps, counts and list heads after every step. Untyped lists are
 // carved in runs of each max, every tail length of a run is returned
 // and carved again, then single pops; typed lists, which have no run

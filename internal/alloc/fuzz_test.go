@@ -1,8 +1,6 @@
 package alloc
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/mem"
@@ -110,9 +108,12 @@ func FuzzAllocatorOps(f *testing.F) {
 }
 
 // FuzzConcurrentMark interprets the fuzz input as an allocation recipe,
-// then races several goroutines MarkAtomic-ing every object (run under
-// `go test -race` to exercise the CAS): exactly one goroutine must win
-// each mark bit, and afterwards every object must be Marked.
+// then lets several marking streams take turns over every object, as
+// the parties that mark during a concurrent cycle do (its driver's
+// chunks, an allocation's assist, the store barrier — one at a time,
+// under the world lock): exactly one stream must win each mark bit, the
+// block summaries must stay exact, and afterwards every object must be
+// Marked.
 func FuzzConcurrentMark(f *testing.F) {
 	f.Add([]byte{4, 1, 200, 30, 7})
 	f.Add([]byte{255, 255, 0, 3, 3, 3, 64})
@@ -143,27 +144,25 @@ func FuzzConcurrentMark(f *testing.F) {
 		if len(objs) == 0 {
 			t.Skip("no allocations")
 		}
-		const goroutines = 4
-		wins := make([]atomic.Int32, len(objs))
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				// Each goroutine walks the objects from a different start
-				// so the CAS collisions land mid-stream.
-				for i := range objs {
-					j := (i + g*len(objs)/goroutines) % len(objs)
-					if a.MarkAtomic(objs[j]) {
-						wins[j].Add(1)
-					}
+		const streams = 4
+		wins := make([]int, len(objs))
+		// Each stream walks the objects from a different start, and the
+		// streams alternate one mark at a time, so the losing marks land
+		// mid-stream.
+		for i := range objs {
+			for g := 0; g < streams; g++ {
+				j := (i + g*len(objs)/streams) % len(objs)
+				if a.Mark(objs[j]) {
+					wins[j]++
 				}
-			}(g)
+			}
 		}
-		wg.Wait()
+		if err := a.CheckIntegrity(nil); err != nil {
+			t.Fatal(err)
+		}
 		for i, p := range objs {
-			if n := wins[i].Load(); n != 1 {
-				t.Fatalf("object %d (%#x): %d goroutines won the mark CAS", i, uint32(p), n)
+			if wins[i] != 1 {
+				t.Fatalf("object %d (%#x): %d streams won the mark", i, uint32(p), wins[i])
 			}
 			if !a.Marked(p) {
 				t.Fatalf("object %d (%#x) not marked", i, uint32(p))

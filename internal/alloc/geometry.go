@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mem"
 )
@@ -66,9 +65,8 @@ func slotAddr(base mem.Addr, slot, w int) mem.Addr {
 type markMode uint8
 
 const (
-	markNone  markMode = iota // validity only: the bit is left alone
-	markPlain                 // set it plainly: one marker owns the heap
-	markCAS                   // set it by compare-and-swap: markers share the heap
+	markNone markMode = iota // validity only: the bit is left alone
+	markSet                  // set it
 )
 
 // resolve is the pointer validity check: it maps a candidate value to
@@ -83,10 +81,9 @@ const (
 //
 // mode folds the mark-bit transition into the same lookup, so that the
 // mark loop's per-candidate step is this one call: out is WonScan or
-// WonAtomic when this call set the bit (under markCAS exactly one of
-// any set of concurrent callers), Already when the object is valid and
-// the bit was not set by this call — it was set before, or mode is
-// markNone.
+// WonAtomic when this call set the bit, Already when the object is
+// valid and the bit was not set by this call — it was set before, or
+// mode is markNone.
 //
 // Everything that asks "is this an object?" — FindObject, the mark
 // entry points, IsAllocated — goes through here, so the rules exist
@@ -151,14 +148,8 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 	// setMark): Already, plus one if this call set the bit, plus one
 	// more if the object is pointer-free.
 	var won MarkOutcome
-	switch mode {
-	case markPlain:
+	if mode == markSet {
 		won = b.setMark(slot)
-	case markCAS:
-		if !a.summaryStale.Load() {
-			a.summaryStale.Store(true)
-		}
-		won = b.setMarkAtomic(slot)
 	}
 	out = Already + won
 	if b.atomic {
@@ -168,11 +159,11 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 }
 
 // setMark sets the mark bit of slot and maintains the block's mark
-// summary, for a marker that owns the heap. It returns 1 if the bit was
-// clear and 0 if it was set already — as a number, because on a live
-// graph that is a coin toss the branch predictor loses on about every
-// other edge: the word is stored either way and nothing here or in the
-// mark loop branches on the answer.
+// summary. It returns 1 if the bit was clear and 0 if it was set
+// already — as a number, because on a live graph that is a coin toss
+// the branch predictor loses on about every other edge: the word is
+// stored either way and nothing here or in the mark loop branches on
+// the answer.
 func (b *blockDesc) setMark(slot int) MarkOutcome {
 	word, sh := &b.markBits[slot>>6], uint(slot)&63
 	old := *word
@@ -180,26 +171,6 @@ func (b *blockDesc) setMark(slot int) MarkOutcome {
 	*word = old | 1<<sh
 	b.markedCount += int32(fresh)
 	return MarkOutcome(fresh)
-}
-
-// setMarkAtomic is setMark by compare-and-swap, for markers that share
-// the heap: exactly one of any set of concurrent callers gets 1. The
-// mark bit is the only shared word it writes. The block's mark summary
-// sits on the descriptor's line, which every resolve on every other
-// processor reads, so it is left alone here and rebuilt from the
-// bitmaps before its next reader (resolve flags it stale; see
-// settleMarkSummaries).
-func (b *blockDesc) setMarkAtomic(slot int) MarkOutcome {
-	word, bit := &b.markBits[slot>>6], uint64(1)<<(uint(slot)&63)
-	for {
-		old := atomic.LoadUint64(word)
-		if old&bit != 0 {
-			return 0
-		}
-		if atomic.CompareAndSwapUint64(word, old, old|bit) {
-			return 1
-		}
-	}
 }
 
 // FindObject resolves a candidate pointer value to an object base
@@ -231,15 +202,8 @@ func (a *Allocator) IsAllocated(base mem.Addr) bool {
 // Mark sets the mark bit for the object with the given base address,
 // returning true if it was not previously marked. It panics if base is
 // not the base of an allocated object.
-func (a *Allocator) Mark(base mem.Addr) bool { return a.markBase(base, markPlain) }
-
-// MarkAtomic is Mark with the bit set by compare-and-swap, safe for
-// concurrent use by parallel mark workers: for any object exactly one
-// concurrent caller observes true.
-func (a *Allocator) MarkAtomic(base mem.Addr) bool { return a.markBase(base, markCAS) }
-
-func (a *Allocator) markBase(base mem.Addr, mode markMode) bool {
-	_, _, _, out := a.resolve(base, false, mode)
+func (a *Allocator) Mark(base mem.Addr) bool {
+	_, _, _, out := a.resolve(base, false, markSet)
 	if out == NotObject {
 		panic(fmt.Sprintf("alloc: Mark(%#x) on a non-object", uint32(base)))
 	}
@@ -262,7 +226,7 @@ const (
 	// policy; nothing was marked.
 	NotObject MarkOutcome = iota
 	// Already: a valid reference to an object whose mark this call did
-	// not set: it was marked before (possibly by a concurrent worker).
+	// not set: it was marked before.
 	Already
 	// WonScan: this call marked the object, and its contents must be
 	// scanned.
@@ -308,18 +272,12 @@ func (b *blockDesc) gray(base mem.Addr) Gray {
 
 // MarkCandidate is the mark loop's whole per-candidate step in one
 // block lookup: the validity check of FindObject, the mark-bit
-// transition of Mark (MarkAtomic when cas is set), and the span and
-// scan kind the loop needs to account for the object and queue it. g is
-// valid for every outcome but NotObject. The wrapper is kept small
-// enough to inline — just: `go build -gcflags=-m` prices it at 78 of
-// the compiler's 80 — so that the loop's one call per candidate is
-// resolve itself.
-func (a *Allocator) MarkCandidate(p mem.Addr, interior, cas bool) (g Gray, out MarkOutcome) {
-	mode := markPlain
-	if cas {
-		mode = markCAS
-	}
-	_, _, g, out = a.resolve(p, interior, mode)
+// transition of Mark, and the span and scan kind the loop needs to
+// account for the object and queue it. g is valid for every outcome but
+// NotObject. The wrapper inlines, so that the loop's one call per
+// candidate is resolve itself.
+func (a *Allocator) MarkCandidate(p mem.Addr, interior bool) (g Gray, out MarkOutcome) {
+	_, _, g, out = a.resolve(p, interior, markSet)
 	return
 }
 

@@ -3,8 +3,6 @@ package alloc
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -132,35 +130,13 @@ func refFindObject(a *Allocator, p mem.Addr, interior bool) (mem.Addr, bool) {
 	return 0, false
 }
 
-// refAtomicSetBit sets bit i of bits with a CAS loop, reporting whether
-// this call changed it.
-func refAtomicSetBit(bits []uint64, i int) bool {
-	w, m := &bits[i>>6], uint64(1)<<(uint(i)&63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&m != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|m) {
-			return true
-		}
-	}
-}
-
-// refMark is the old Mark / MarkAtomic body.
-func refMark(a *Allocator, base mem.Addr, cas bool) bool {
+// refMark is the old Mark body.
+func refMark(a *Allocator, base mem.Addr) bool {
 	bi := a.blockIndex(base)
 	b := &a.blocks[bi]
 	slot := 0
 	if b.state == blockSmall {
 		slot = int(base-a.blockBase(bi)) / (int(b.objWords) * mem.WordBytes)
-	}
-	if cas {
-		if !refAtomicSetBit(b.markBits, slot) {
-			return false
-		}
-		atomic.AddInt32(&b.markedCount, 1)
-		return true
 	}
 	if bitGet(b.markBits, slot) {
 		return false
@@ -171,9 +147,9 @@ func refMark(a *Allocator, base mem.Addr, cas bool) bool {
 }
 
 // refMarkCandidate is the unfused sequence the marker used to run:
-// FindObject, then Mark or MarkAtomic, then ObjectSpan and the block's
-// descriptor for the scan kind.
-func refMarkCandidate(a *Allocator, p mem.Addr, interior, cas bool) (base mem.Addr, words int, typed bool, out MarkOutcome) {
+// FindObject, then Mark, then ObjectSpan and the block's descriptor for
+// the scan kind.
+func refMarkCandidate(a *Allocator, p mem.Addr, interior bool) (base mem.Addr, words int, typed bool, out MarkOutcome) {
 	base, ok := refFindObject(a, p, interior)
 	if !ok {
 		return 0, 0, false, NotObject
@@ -181,7 +157,7 @@ func refMarkCandidate(a *Allocator, p mem.Addr, interior, cas bool) (base mem.Ad
 	words, atomicObj := a.ObjectSpan(base)
 	typed = a.blocks[a.blockIndex(base)].desc >= 0
 	switch {
-	case !refMark(a, base, cas):
+	case !refMark(a, base):
 		return base, words, typed, Already
 	case atomicObj:
 		return base, words, typed, WonAtomic
@@ -193,10 +169,10 @@ func refMarkCandidate(a *Allocator, p mem.Addr, interior, cas bool) (base mem.Ad
 // and through the unfused reference on ref, and fails unless both report
 // the same outcome and, in the gray entry, the same base, size and scan
 // kind.
-func requireSameCandidate(t *testing.T, fused, ref *Allocator, p mem.Addr, interior, cas bool) (mem.Addr, MarkOutcome) {
+func requireSameCandidate(t *testing.T, fused, ref *Allocator, p mem.Addr, interior bool) (mem.Addr, MarkOutcome) {
 	t.Helper()
-	g, gout := fused.MarkCandidate(p, interior, cas)
-	wb, ww, wtyped, wout := refMarkCandidate(ref, p, interior, cas)
+	g, gout := fused.MarkCandidate(p, interior)
+	wb, ww, wtyped, wout := refMarkCandidate(ref, p, interior)
 	if g.Base() != wb || g.Words() != ww || g.Typed() != wtyped || gout != wout {
 		t.Fatalf("candidate %#x: fused (%#x, %d, typed %v, %d), unfused (%#x, %d, typed %v, %d)",
 			uint32(p), uint32(g.Base()), g.Words(), g.Typed(), gout, uint32(wb), ww, wtyped, wout)
@@ -205,16 +181,9 @@ func requireSameCandidate(t *testing.T, fused, ref *Allocator, p mem.Addr, inter
 }
 
 // requireSameMarks fails unless the two heaps, built by the same
-// allocation sequence, carry identical mark summaries and bitmaps. The
-// summaries are compared as their readers see them: recounted first if
-// the marks were made by compare-and-swap, which does not maintain them
-// (the reference, which does, must not be flagged stale at all).
+// allocation sequence, carry identical mark summaries and bitmaps.
 func requireSameMarks(t *testing.T, fused, ref *Allocator) {
 	t.Helper()
-	if ref.summaryStale.Load() {
-		t.Fatal("the reference marks maintain the summaries, yet it is flagged stale")
-	}
-	fused.settleMarkSummaries()
 	if len(fused.blocks) != len(ref.blocks) {
 		t.Fatalf("heaps diverged: %d vs %d blocks", len(fused.blocks), len(ref.blocks))
 	}
@@ -349,15 +318,25 @@ func zooCandidates(a *Allocator) []mem.Addr {
 	return out
 }
 
+// TestMarkCandidateMatchesUnfused holds the fused candidate step to
+// the unfused sequence on every byte address of every block of each
+// zoo, twice over (the second pass meets every object marked). The
+// "cas=true" rows — named for the compare-and-swap marking they once
+// ran — start from a heap on which some other party has marked every
+// third object already, as a concurrent cycle's chunks find the objects
+// born black or shaded by the barrier: those are Already from the start.
 func TestMarkCandidateMatchesUnfused(t *testing.T) {
 	for _, zc := range zooConfigs {
 		for _, interior := range []bool{false, true} {
-			for _, cas := range []bool{false, true} {
-				name := fmt.Sprintf("%s/interior=%v/cas=%v", zc.name, interior, cas)
+			for _, premarked := range []bool{false, true} {
+				name := fmt.Sprintf("%s/interior=%v/cas=%v", zc.name, interior, premarked)
 				t.Run(name, func(t *testing.T) {
 					cfg := zc.cfg
 					cfg.InteriorPointers = interior
 					fused, ref := buildZoo(t, cfg), buildZoo(t, cfg)
+					if premarked {
+						premark(fused, ref)
+					}
 					states := map[blockState]bool{}
 					for bi := range fused.blocks {
 						states[fused.blocks[bi].state] = true
@@ -372,7 +351,7 @@ func TestMarkCandidateMatchesUnfused(t *testing.T) {
 					// Twice over: the second pass meets every object marked.
 					for pass := 0; pass < 2; pass++ {
 						for _, p := range zooCandidates(fused) {
-							gb, gout := requireSameCandidate(t, fused, ref, p, interior, cas)
+							gb, gout := requireSameCandidate(t, fused, ref, p, interior)
 							if fb, fok := fused.FindObject(p, interior); fok != (gout != NotObject) || fb != gb {
 								t.Fatalf("candidate %#x: FindObject (%#x, %v) disagrees with MarkCandidate (%#x, %d)",
 									uint32(p), uint32(fb), fok, uint32(gb), gout)
@@ -392,10 +371,25 @@ func TestMarkCandidateMatchesUnfused(t *testing.T) {
 	}
 }
 
+// premark marks every third object of two address-identical heaps
+// through Mark, as parties other than the scan loop do.
+func premark(fused, ref *Allocator) {
+	i := 0
+	fused.ForEachObject(func(base mem.Addr) {
+		if i%3 == 0 {
+			fused.Mark(base)
+			ref.Mark(base)
+		}
+		i++
+	})
+}
+
 // FuzzMarkCandidate builds two identical heaps from a byte tape —
 // configuration, then a mix of allocations, frees and expansions — and
 // feeds both the same tape-chosen candidates, one through MarkCandidate
-// and one through the unfused reference.
+// and one through the unfused reference. Bit 1 of the first byte has
+// some candidates' objects marked through Mark first, as parties other
+// than the scan loop mark them.
 func FuzzMarkCandidate(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 1, 3, 2, 0, 7, 0, 7, 4, 7, 255, 7, 17})
 	f.Add([]byte{7, 1, 2, 1, 9, 0, 200, 3, 0, 5, 0, 7, 1, 7, 2, 6, 0, 7, 3})
@@ -406,7 +400,7 @@ func FuzzMarkCandidate(f *testing.F) {
 			t.Skip("empty tape")
 		}
 		mode := tape[0]
-		interior, cas := mode&1 != 0, mode&2 != 0
+		interior, premarked := mode&1 != 0, mode&2 != 0
 		cfg := Config{
 			HeapBase:             testHeapBase,
 			InitialBytes:         8 * mem.PageBytes,
@@ -496,12 +490,16 @@ func FuzzMarkCandidate(f *testing.F) {
 					lo, _ := fused.Hull()
 					p = lo - mem.PageBytes + mem.Addr(arg)*977
 				}
-				requireSameCandidate(t, fused, ref, p, interior, cas)
+				if base, ok := fused.FindObject(p, interior); premarked && ok && arg%3 == 0 {
+					fused.Mark(base)
+					ref.Mark(base)
+				}
+				requireSameCandidate(t, fused, ref, p, interior)
 			}
 		}
 		// Every address of every block, both heaps, then the bitmaps.
 		for _, p := range zooCandidates(fused) {
-			requireSameCandidate(t, fused, ref, p, interior, cas)
+			requireSameCandidate(t, fused, ref, p, interior)
 		}
 		requireSameMarks(t, fused, ref)
 	})
@@ -579,19 +577,18 @@ func TestNewSmallBlockGeometry(t *testing.T) {
 }
 
 // TestCheckIntegrityMarkSide injects one corruption per mark-side check
-// into an otherwise consistent heap. The summary rule has two halves:
-// outside a compare-and-swap mark phase markedCount must equal the
-// bitmap's population count (the first block of cases, marked plainly);
-// inside one — the marks made by MarkAtomic, which leaves the summaries
-// alone and flags them stale — a lagging summary is what a correct heap
-// looks like and is not compared, while everything else still is (the
-// "cas-" cases). The sweep's recount ends the phase, and the strict
-// rule applies again ("settled-").
+// into an otherwise consistent heap: markedCount must equal the bitmap's
+// population count at every audit point. The first block of cases marks
+// through Mark. The "cas-" cases — named for the compare-and-swap
+// marking they once covered — mark through the scan loop's candidate
+// step (MarkCandidate) instead, which must leave the summaries exact
+// too; the "settled-" cases audit again after a sticky sweep kept the
+// marks.
 func TestCheckIntegrityMarkSide(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		cas     bool // the marks are made by compare-and-swap
-		settle  bool // a sticky sweep recounts the summaries before the corruption
+		cas     bool // the marks are made by MarkCandidate, not Mark
+		settle  bool // a sticky sweep runs before the corruption
 		corrupt func(small, large *blockDesc)
 		want    string // "" = the audit must pass
 	}{
@@ -607,8 +604,8 @@ func TestCheckIntegrityMarkSide(t *testing.T) {
 		{name: "large-summary", corrupt: func(_, large *blockDesc) { large.markedCount = 0 }, want: "large block"},
 
 		{name: "cas-lagging-summary", cas: true, corrupt: func(small, large *blockDesc) {
-			if small.markedCount != 0 || large.markedCount != 0 {
-				panic("MarkAtomic maintained a summary")
+			if small.markedCount != 1 || large.markedCount != 1 {
+				panic("the candidate step left a summary lagging")
 			}
 		}},
 		{name: "cas-marked-free-slot", cas: true, corrupt: func(small, _ *blockDesc) { bitSet(small.markBits, 5) }, want: "marked but not allocated"},
@@ -617,7 +614,7 @@ func TestCheckIntegrityMarkSide(t *testing.T) {
 
 		{name: "settled-exact", cas: true, settle: true, corrupt: func(small, large *blockDesc) {
 			if small.markedCount != 1 || large.markedCount != 1 {
-				panic("the sweep did not recount the summaries")
+				panic("the sticky sweep lost a summary")
 			}
 		}},
 		{name: "settled-stale-summary", cas: true, settle: true, corrupt: func(small, _ *blockDesc) { small.markedCount-- }, want: "!= markedCount"},
@@ -635,7 +632,7 @@ func TestCheckIntegrityMarkSide(t *testing.T) {
 			big := mustAlloc(t, a, 2*mem.PageWords, false)
 			mark := a.Mark
 			if tc.cas {
-				mark = a.MarkAtomic
+				mark = func(p mem.Addr) bool { _, out := a.MarkCandidate(p, false); return out.Won() == 1 }
 			}
 			mark(first)
 			mark(big)
@@ -660,17 +657,18 @@ func TestCheckIntegrityMarkSide(t *testing.T) {
 	}
 }
 
-// TestSweepRecountsSummariesAfterAtomicMarks pins the other half of "no
-// shared write per mark but the mark bit": marks made by concurrent
-// compare-and-swap leave every summary behind, and each kind of sweep —
-// eager and lazy, clearing and sticky — recounts them before it reads
-// them, so it reclaims exactly what the same marks made plainly would
-// have it reclaim, and leaves a heap that passes the strict audit.
+// TestSweepRecountsSummariesAfterAtomicMarks — named for the recount
+// that compare-and-swap marks once needed — pins that no sweep needs
+// one: the same objects marked once through Mark, or by two markers
+// taking turns through the scan loop's candidate step (each object won
+// by one of them), leave exact summaries at every point, and each kind
+// of sweep — eager and lazy, clearing and sticky — reclaims the same
+// and leaves a heap that passes the audit.
 func TestSweepRecountsSummariesAfterAtomicMarks(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for _, sticky := range []bool{false, true} {
 			t.Run(fmt.Sprintf("lazy=%v/sticky=%v", lazy, sticky), func(t *testing.T) {
-				run := func(cas bool) (SweepResult, *Allocator) {
+				run := func(turns bool) (SweepResult, *Allocator) {
 					_, a := newTestAllocator(t, Config{LazySweep: lazy})
 					rng := simrand.New(9)
 					var keep []mem.Addr
@@ -682,29 +680,25 @@ func TestSweepRecountsSummariesAfterAtomicMarks(t *testing.T) {
 					}
 					keep = append(keep, mustAlloc(t, a, 3*mem.PageWords, false))
 					mustAlloc(t, a, 2*mem.PageWords, false) // a dead large object
-					if !cas {
+					if !turns {
 						for _, p := range keep {
 							a.Mark(p)
 						}
 					} else {
-						// Two markers race over the same objects, as shards do.
-						var wg sync.WaitGroup
-						for g := 0; g < 2; g++ {
-							wg.Add(1)
-							go func() {
-								defer wg.Done()
-								for _, p := range keep {
-									a.MarkAtomic(p)
-								}
-							}()
+						// Two markers take turns over the same objects, from
+						// opposite ends.
+						won := 0
+						for i := range keep {
+							for _, p := range []mem.Addr{keep[i], keep[len(keep)-1-i]} {
+								_, out := a.MarkCandidate(p, false)
+								won += out.Won()
+							}
 						}
-						wg.Wait()
-						if !a.summaryStale.Load() {
-							t.Fatal("compare-and-swap marking did not flag the summaries stale")
+						if won != len(keep) {
+							t.Fatalf("%d first-marks for %d objects", won, len(keep))
 						}
-						// An audit inside the phase passes on the lagging summaries.
 						if err := a.CheckIntegrity(nil); err != nil {
-							t.Fatalf("audit inside the compare-and-swap phase: %v", err)
+							t.Fatalf("audit between the marks and the sweep: %v", err)
 						}
 					}
 					var r SweepResult
@@ -712,9 +706,6 @@ func TestSweepRecountsSummariesAfterAtomicMarks(t *testing.T) {
 						r = a.SweepSticky()
 					} else {
 						r = a.Sweep()
-					}
-					if a.summaryStale.Load() {
-						t.Fatal("the sweep left the summaries flagged stale")
 					}
 					if err := a.CheckIntegrity(nil); err != nil {
 						t.Fatalf("audit after the sweep: %v", err)
@@ -726,9 +717,9 @@ func TestSweepRecountsSummariesAfterAtomicMarks(t *testing.T) {
 					return r, a
 				}
 				plain, pa := run(false)
-				cas, ca := run(true)
-				if plain != cas {
-					t.Fatalf("sweep after compare-and-swap marks %+v, after plain marks %+v", cas, plain)
+				turns, ca := run(true)
+				if plain != turns {
+					t.Fatalf("sweep after marks taken in turns %+v, after plain marks %+v", turns, plain)
 				}
 				po, pb := pa.CountMarked()
 				co, cb := ca.CountMarked()

@@ -27,9 +27,8 @@ import (
 // The table is nil until the first tag: worlds that never create a
 // budgeted tenant pay nothing — no table, no lookups, no change to any
 // allocation path (the unbudgeted-tenant differential test pins this
-// bit-for-bit). All methods are called under the world's central lock
-// (and, where they read block bitmaps, inside lockHeapLocked), like
-// every other allocator mutation.
+// bit-for-bit). All methods are called under the world's central lock,
+// like every other allocator mutation.
 
 // ownerBlock is one block's ownership records.
 type ownerBlock struct {

@@ -284,7 +284,7 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 			continue
 		}
 		dedicated++
-		if err := checkMarkSide(bi, b, a.summaryStale.Load()); err != nil {
+		if err := checkMarkSide(bi, b); err != nil {
 			return err
 		}
 		if b.state != blockSmall {
@@ -339,13 +339,11 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 // checkMarkSide audits what the mark loop's candidate step leans on in
 // block bi. markBits ⊆ allocBits is what makes a marked slot a live
 // object to the sweep (liveSlots becomes markedCount) and to resolve's
-// callers, and holds at every audit point. The summary equals the
-// bitmap's population count at every audit point outside a
-// compare-and-swap mark phase; inside one (stale: the flag such marking
-// raises and the sweep's recount lowers) it means nothing and is not
-// compared. The cached reciprocal and slot count are what resolve
-// divides and bounds a slot index by instead of the tables.
-func checkMarkSide(bi int, b *blockDesc, stale bool) error {
+// callers, and the summary equals the bitmap's population count; both
+// hold at every audit point. The cached reciprocal and slot count are
+// what resolve divides and bounds a slot index by instead of the
+// tables.
+func checkMarkSide(bi int, b *blockDesc) error {
 	switch b.state {
 	case blockSmall:
 		for wi, mv := range b.markBits {
@@ -354,7 +352,7 @@ func checkMarkSide(bi int, b *blockDesc, stale bool) error {
 					bi, wi<<6+bits.TrailingZeros64(stray))
 			}
 		}
-		if marked := popcount(b.markBits); !stale && marked != int(b.markedCount) {
+		if marked := popcount(b.markBits); marked != int(b.markedCount) {
 			return fmt.Errorf("alloc: integrity: block %d mark bits %d != markedCount %d", bi, marked, b.markedCount)
 		}
 		if w := b.objWords; b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
@@ -362,7 +360,7 @@ func checkMarkSide(bi int, b *blockDesc, stale bool) error {
 				bi, b.slotRecip, b.slots, w, slotRecip[w], slotCount[w])
 		}
 	case blockLargeHead:
-		if mv := b.markBits[0]; mv > 1 || !stale && int32(mv) != b.markedCount {
+		if mv := b.markBits[0]; mv > 1 || int32(mv) != b.markedCount {
 			return fmt.Errorf("alloc: integrity: large block %d mark word %#x, markedCount %d", bi, mv, b.markedCount)
 		}
 	}

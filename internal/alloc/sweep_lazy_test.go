@@ -330,7 +330,7 @@ func TestSweepStickyNeverReleasesOldLargeSpans(t *testing.T) {
 
 // TestForEachMarkedObjectWordAtATime checks the word-at-a-time iteration
 // against a straightforward per-slot reference over random mark
-// patterns, in both variants.
+// patterns.
 func TestForEachMarkedObjectWordAtATime(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	rng := simrand.New(11)
@@ -356,14 +356,13 @@ func TestForEachMarkedObjectWordAtATime(t *testing.T) {
 				want = append(want, base+mem.Addr(slot*words*mem.WordBytes))
 			}
 		}
-		var got, gotAtomic []mem.Addr
+		var got []mem.Addr
 		a.ForEachMarkedObject(bi, func(p mem.Addr) { got = append(got, p) })
-		a.ForEachMarkedObjectAtomic(bi, func(p mem.Addr) { gotAtomic = append(gotAtomic, p) })
-		if len(got) != len(want) || len(gotAtomic) != len(want) {
-			t.Fatalf("block %d: got %d / atomic %d marked objects, want %d", bi, len(got), len(gotAtomic), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("block %d: got %d marked objects, want %d", bi, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] || gotAtomic[i] != want[i] {
+			if got[i] != want[i] {
 				t.Fatalf("block %d: iteration order diverges at %d", bi, i)
 			}
 		}
@@ -398,16 +397,8 @@ func BenchmarkForEachMarkedObject(b *testing.B) {
 		}
 	}
 	bi := a.blockIndex(objs[0])
-	b.Run("plain", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			a.ForEachMarkedObject(bi, func(mem.Addr) { n++ })
-		}
-	})
-	b.Run("atomic", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			a.ForEachMarkedObjectAtomic(bi, func(mem.Addr) { n++ })
-		}
-	})
+	n := 0
+	for i := 0; i < b.N; i++ {
+		a.ForEachMarkedObject(bi, func(mem.Addr) { n++ })
+	}
 }

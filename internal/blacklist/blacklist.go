@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"repro/internal/mem"
 )
@@ -374,68 +373,6 @@ func (Disabled) Expire(uint32) int { return 0 }
 
 // Stats returns zero counters.
 func (Disabled) Stats() Stats { return Stats{} }
-
-// Locked wraps a List with a mutex, making every operation — in
-// particular Add, which parallel mark workers issue concurrently when
-// their local buffers spill — safe for concurrent use. The dense and
-// hashed forms are order-independent within a cycle (Add stamps the
-// granule with the current generation), so serialising concurrent adds
-// in arbitrary order yields the same final blacklist as a serial mark.
-type Locked struct {
-	mu sync.Mutex
-	l  List
-}
-
-var _ List = (*Locked)(nil)
-
-// NewLocked wraps l; wrapping an already-Locked list returns it
-// unchanged.
-func NewLocked(l List) *Locked {
-	if k, ok := l.(*Locked); ok {
-		return k
-	}
-	return &Locked{l: l}
-}
-
-// Unwrap returns the underlying list.
-func (k *Locked) Unwrap() List { k.mu.Lock(); defer k.mu.Unlock(); return k.l }
-
-// Add blacklists the granule containing a.
-func (k *Locked) Add(a mem.Addr) { k.mu.Lock(); k.l.Add(a); k.mu.Unlock() }
-
-// Contains reports whether the granule containing a is blacklisted.
-func (k *Locked) Contains(a mem.Addr) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.l.Contains(a)
-}
-
-// ContainsRange reports whether any granule intersecting [lo, hi) is
-// blacklisted.
-func (k *Locked) ContainsRange(lo, hi mem.Addr) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.l.ContainsRange(lo, hi)
-}
-
-// Len returns the number of blacklisted granules.
-func (k *Locked) Len() int { k.mu.Lock(); defer k.mu.Unlock(); return k.l.Len() }
-
-// Clear removes all entries.
-func (k *Locked) Clear() { k.mu.Lock(); k.l.Clear(); k.mu.Unlock() }
-
-// BeginCycle advances the collection-cycle stamp.
-func (k *Locked) BeginCycle() { k.mu.Lock(); k.l.BeginCycle(); k.mu.Unlock() }
-
-// Expire removes entries not re-added within maxAge cycles.
-func (k *Locked) Expire(maxAge uint32) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.l.Expire(maxAge)
-}
-
-// Stats returns accumulated counters.
-func (k *Locked) Stats() Stats { k.mu.Lock(); defer k.mu.Unlock(); return k.l.Stats() }
 
 // SortedAddrs is a helper for tests and diagnostics: it sorts a copy of
 // the given addresses.

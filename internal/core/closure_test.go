@@ -67,8 +67,7 @@ func installClosureOracle(t testing.TB, w *World, next func(CollectionStats)) *c
 	w.finaleAudit = o.audit
 	w.hook = func(st CollectionStats) {
 		if st.Concurrent {
-			// The handles are still parked and the detached phase is
-			// retired: the audit is exact here.
+			// The handles are still parked: the audit is exact here.
 			if err := w.verifyIntegrityLocked(); err != nil {
 				o.fail(fmt.Sprintf("after concurrent cycle %d: %v", w.collections, err))
 			}
@@ -117,8 +116,8 @@ func (o *closureOracle) fail(msg string) {
 	o.mu.Unlock()
 }
 
-// audit is the finaleAudit body: w.mu held, every mutator parked, the
-// detached phase retired, marking at its fixpoint.
+// audit is the finaleAudit body: w.mu held, every mutator parked,
+// marking at its fixpoint.
 func (o *closureOracle) audit() {
 	w := o.w
 	if p := heldUnmarked(w); p != 0 {
@@ -239,15 +238,13 @@ func reachableFromRoots(w *World, old map[mem.Addr][]mem.Word) map[mem.Addr]bool
 	return seen
 }
 
-// markedNow reports whether the object at base is marked, read the way
-// a world-lock holder may read a bitmap mid-cycle: with detached
-// workers shut out.
+// markedNow reports whether the object at base is marked, read under
+// the world lock, as a bitmap must be read mid-cycle: a background
+// driver's chunk may be marking.
 func markedNow(w *World, base mem.Addr) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var marked bool
-	w.lockHeapLocked(func() { marked = w.Heap.Marked(base) })
-	return marked
+	return w.Heap.Marked(base)
 }
 
 // TestClosureOracleMinorEdges pins the one edge the oracle leaves alone

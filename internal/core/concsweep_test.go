@@ -22,7 +22,7 @@ func TestConcurrentSweepDifferential(t *testing.T) {
 	}{
 		{"full", Config{}, false},
 		{"generational", Config{Generational: true}, true},
-		{"parallel", Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1}, false},
+		{"parallel", Config{ConcurrentMark: true, GCDivisor: -1}, false},
 		{"line", Config{LineAlloc: true}, false},
 	}
 	mask := []bool{true, false, false, true, false}

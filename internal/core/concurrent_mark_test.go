@@ -100,8 +100,8 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 		"gen-lazy":  {Generational: true, GCDivisor: -1, MinorDivisor: -1, LazySweep: true},
 		"line":      {GCDivisor: -1, LineAlloc: true},
 		"line-lazy": {GCDivisor: -1, LineAlloc: true, LazySweep: true},
-		// The concurrent side detached on four workers; the
-		// stop-the-world side is the serial mark all the others compare to.
+		// The concurrent side configured with ConcMarkWorkers 4, which
+		// once detached it onto four workers and must now select nothing.
 		"par": {GCDivisor: -1, ConcMarkWorkers: 4},
 	}
 	for name, cfg := range configs {
@@ -126,10 +126,8 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 							t.Fatal("concurrent cycle did not terminate")
 						}
 					}
-					// Detached workers may finish the whole gray set before
-					// the first explicit step; a serial cycle marks only in
-					// steps.
-					if steps == 0 && c.ConcMarkWorkers < 2 {
+					// The cycle marks only in steps.
+					if steps == 0 {
 						t.Fatal("cycle finished without any background chunk")
 					}
 					st = w.LastCollection()
@@ -174,9 +172,11 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 // and reclaims exactly what a stop-the-world minor does on a quiesced
 // world. Both worlds first run an identical STW full collection (the
 // old generation), then the same mutation epoch, then the minor under
-// comparison.
+// comparison. The concurrent minor runs twice: stepped to its end, and
+// forced to its finale straight after the snapshot, with its whole
+// remembered set still staged — the finale must rescan it itself.
 func TestConcurrentMarkMinorDifferential(t *testing.T) {
-	run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool) {
+	run := func(concurrent, forced bool) (CollectionStats, map[mem.Addr]bool) {
 		w := newWorld(t, Config{
 			Generational: true, GCDivisor: -1, MinorDivisor: -1,
 			ConcurrentMark: concurrent,
@@ -208,12 +208,42 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 				}
 			}
 		}
+		// Young objects reachable only through old ones, which a minor's
+		// root scan finds marked and does not scan: only the remembered
+		// set leads to them.
+		for i := 8; i < 48; i++ {
+			v, err := data.Load(0x2000 + mem.Addr(4*i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := mem.Addr(v)
+			if old == 0 || !w.Heap.IsAllocated(old) {
+				continue
+			}
+			if _, atomic := w.Heap.ObjectSpan(old); atomic {
+				continue
+			}
+			p, err := w.Allocate(2, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Store(old, mem.Word(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var st CollectionStats
 		if concurrent {
 			installClosureOracle(t, w, nil)
 			w.mu.Lock()
 			w.startConcurrentLocked(kindConcurrentMinor) // no background driver
+			staged := len(w.cyc.dirty)
 			w.mu.Unlock()
+			if staged == 0 {
+				t.Fatal("the snapshot staged no remembered set")
+			}
+			if forced {
+				w.FinishConcurrentCycle()
+			}
 			for steps := 0; !w.ConcurrentStep(8); steps++ {
 				if steps > 1_000_000 {
 					t.Fatal("concurrent minor did not terminate")
@@ -229,20 +259,22 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 		w.FinishSweep()
 		return st, liveSet(w)
 	}
-	stw, stwLive := run(false)
-	conc, concLive := run(true)
-	if conc.Promoted != stw.Promoted {
-		t.Fatalf("promotion diverges: concurrent %d, stw %d", conc.Promoted, stw.Promoted)
-	}
-	if conc.Sweep != stw.Sweep {
-		t.Fatalf("minor sweep diverges:\nconcurrent %+v\nstw        %+v", conc.Sweep, stw.Sweep)
-	}
-	if len(concLive) != len(stwLive) {
-		t.Fatalf("live sets diverge: %d vs %d objects", len(concLive), len(stwLive))
-	}
-	for a := range stwLive {
-		if !concLive[a] {
-			t.Fatalf("object %#x live after STW minor, missing after concurrent minor", uint32(a))
+	stw, stwLive := run(false, false)
+	for _, forced := range []bool{false, true} {
+		conc, concLive := run(true, forced)
+		if conc.Promoted != stw.Promoted {
+			t.Fatalf("forced=%v: promotion diverges: concurrent %d, stw %d", forced, conc.Promoted, stw.Promoted)
+		}
+		if conc.Sweep != stw.Sweep {
+			t.Fatalf("forced=%v: minor sweep diverges:\nconcurrent %+v\nstw        %+v", forced, conc.Sweep, stw.Sweep)
+		}
+		if len(concLive) != len(stwLive) {
+			t.Fatalf("forced=%v: live sets diverge: %d vs %d objects", forced, len(concLive), len(stwLive))
+		}
+		for a := range stwLive {
+			if !concLive[a] {
+				t.Fatalf("forced=%v: object %#x live after STW minor, missing after concurrent minor", forced, uint32(a))
+			}
 		}
 	}
 }
@@ -394,11 +426,10 @@ func FuzzConcurrentMark(f *testing.F) {
 	f.Add(uint8(4), []byte{0x00, 0x08, 0x03, 0x05, 0x0b, 0x43, 0x06, 0x13, 0x02, 0x07, 0x05, 0x1b, 0x06})
 	cfgs := []Config{
 		{ConcurrentMark: true, GCDivisor: -1},
-		{ConcurrentMark: true, GCDivisor: -1, ConcMarkWorkers: 4, LazySweep: true},
+		{ConcurrentMark: true, GCDivisor: -1, LazySweep: true},
 		{ConcurrentMark: true, GCDivisor: -1, LineAlloc: true, LazySweep: true},
 		{ConcurrentMark: true, GCDivisor: -1, Generational: true, LazySweep: true},
-		// Detached: the same tape with two workers marking behind it.
-		{ConcurrentMark: true, GCDivisor: -1, ConcMarkWorkers: 2},
+		{ConcurrentMark: true, GCDivisor: -1, ConcurrentSweep: true},
 	}
 	f.Fuzz(func(t *testing.T, mode uint8, prog []byte) {
 		if len(prog) > 512 {

@@ -116,26 +116,24 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		"conc":          {ConcurrentMark: true, GCDivisor: 6},
 		"conc-gen-lazy": {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 		"conc-line":     {ConcurrentMark: true, GCDivisor: 6, LineAlloc: true},
-		// Detached workers under each heap shape the serial rows cover:
-		// two workers with the lazy sweep, with the line heap, and four
-		// on generational cycles, whose minors hand the workers the
-		// remembered set.
-		"par-lazy":      {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true},
-		"line-par-lazy": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true, LineAlloc: true},
+		// The rows named for the detached workers they once ran on:
+		// concurrent cycles with the lazy sweep, with the lazy sweep and
+		// the line heap, and generational ones on a world configured with
+		// ConcMarkWorkers 4, which must select nothing.
+		"par-lazy":      {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
+		"line-par-lazy": {ConcurrentMark: true, GCDivisor: 6, LazySweep: true, LineAlloc: true},
 		"conc-par":      {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, ConcMarkWorkers: 4, LazySweep: true},
-		// Detached background marking plus the background sweeper: four
-		// worker goroutines pull the gray set without the world lock
-		// while the mutators allocate, store, and free. The race battery
-		// entry for the full no-lock machinery (CAS mark bits, atomic
-		// heap words, heapMu exclusion, pacer assists).
-		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},
-		// Sixteen budgeted tenants under the full no-lock machinery: the
-		// race entry for the ownership table, the fast-path budget CAS,
-		// the barrier reconcile, and collect-first's forced collections
-		// racing the detached workers. Budgets are generous enough that
+		// Concurrent marking plus the background sweeper: the driver and
+		// the sweeper each take the world lock between the mutators'
+		// allocations, stores and frees, and the pacer assists.
+		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
+		// Sixteen budgeted tenants under the same: the race entry for the
+		// ownership table, the fast-path budget CAS, the barrier
+		// reconcile, and collect-first's forced collections racing the
+		// background driver. Budgets are generous enough that
 		// collect-first always finds headroom, so the battery's
 		// no-operation-errors invariant still holds.
-		"tenants": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},
+		"tenants": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 	}
 	ops := 400
 	if testing.Short() {

@@ -2,34 +2,115 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/blacklist"
 	"repro/internal/machine"
-	"repro/internal/mark"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
-// Tests for detached background marking (Config.ConcMarkWorkers > 1):
-// the sharded no-world-lock cycle must mark and sweep exactly what the
-// single-driver lock-chunked cycle (and hence a stop-the-world
-// collection) does, and the insertion barrier must still defeat the
-// hide-behind-black race when the hiding store races real background
-// workers. Every cycle here runs under the closure oracle.
+// Config.ConcMarkWorkers once sized a pool of detached mark workers; it
+// now selects nothing, and every concurrent cycle marks on the one
+// marker, in chunks under the world lock, driven by a background
+// goroutine when allocation triggers it. The tests here hold the knob
+// inert and the one shape to what a stop-the-world collection finds.
+// Several keep the names they had when they compared the two shapes.
+// Every cycle runs under the closure oracle unless it says otherwise.
 
-// TestDetachedMarkingDifferential compares a detached cycle (4
-// background workers pulling without the world lock) against the
-// lock-chunked oracle (ConcMarkWorkers: 1, the pre-detached path) on
-// identical quiesced heaps, across the collector modes detachment
-// composes with. The CAS mark bits admit one winner per object, so
-// the marked object set, byte totals and reclamation must be
-// identical even though which shard marks each object is scheduling-
-// dependent.
+// TestConcMarkWorkersInert runs one stepped tape — ConcurrentStep,
+// Store and Allocate between the steps, FinishConcurrentCycle — on
+// worlds configured with ConcMarkWorkers 0, 1, 2 and 4: allocation
+// addresses, the marked set and every CollectionStats field but the
+// timings must be identical, and NewWorld must still reject a negative
+// count.
+func TestConcMarkWorkersInert(t *testing.T) {
+	type run struct {
+		addrs  []mem.Addr
+		marked map[mem.Addr]bool
+		stats  []CollectionStats
+	}
+	tape := func(workers int) run {
+		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: workers, GCDivisor: -1, MarkQuantum: 8})
+		installClosureOracle(t, w, nil)
+		addData(t, w, "data", 0x2000, 4096)
+		var r run
+		d := addrDriver{directDriver{w}, &r.addrs}
+		for round := 0; round < 3; round++ {
+			concBuildGraph(t, d)
+			if err := w.StartConcurrentCycle(); err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 4 && !w.ConcurrentStep(0); step++ {
+				// A fresh object, born black, stored into a root slot, and
+				// an older one — perhaps garbage, now live — stored into
+				// it: the barrier shades the second.
+				p, err := d.Allocate(2+step, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Store(0x2000+mem.Addr(4*(60+step)), mem.Word(p)); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Store(p, mem.Word(r.addrs[100*round+7*step])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if round == 1 {
+				// The marked set mid-cycle, the finale still to come.
+				r.marked = map[mem.Addr]bool{}
+				w.mu.Lock()
+				w.Heap.ForEachObject(func(base mem.Addr) {
+					if w.Heap.Marked(base) {
+						r.marked[base] = true
+					}
+				})
+				w.mu.Unlock()
+			}
+			r.stats = append(r.stats, w.FinishConcurrentCycle())
+		}
+		for i := range r.stats {
+			r.stats[i].Duration, r.stats[i].ConcPhaseNs = 0, 0
+			r.stats[i].PauseSnapshotNs, r.stats[i].PauseFinalNs = 0, 0
+			r.stats[i].PauseMarkNs, r.stats[i].PauseSweepNs = 0, 0
+			r.stats[i].PauseStopNs, r.stats[i].PauseReconcileNs = 0, 0
+		}
+		return r
+	}
+	want := tape(1)
+	for i, st := range want.stats {
+		if st.MarkedConcurrent == 0 || st.Sweep.ObjectsFreed == 0 {
+			t.Fatalf("cycle %d of the tape marked nothing concurrently or freed nothing: %+v", i, st)
+		}
+	}
+	for _, workers := range []int{0, 2, 4} {
+		got := tape(workers)
+		if !slices.Equal(got.addrs, want.addrs) {
+			t.Errorf("ConcMarkWorkers %d: allocation addresses differ from ConcMarkWorkers 1", workers)
+		}
+		if !reflect.DeepEqual(got.marked, want.marked) {
+			t.Errorf("ConcMarkWorkers %d: %d objects marked mid-cycle, %d at ConcMarkWorkers 1", workers, len(got.marked), len(want.marked))
+		}
+		for i := range want.stats {
+			if got.stats[i] != want.stats[i] {
+				t.Errorf("ConcMarkWorkers %d, cycle %d:\n got %+v\nwant %+v", workers, i, got.stats[i], want.stats[i])
+			}
+		}
+	}
+	if _, err := NewWorld(nil, Config{ConcurrentMark: true, ConcMarkWorkers: -1}); err == nil {
+		t.Error("NewWorld accepted ConcMarkWorkers: -1")
+	}
+}
+
+// TestDetachedMarkingDifferential compares a cycle on a world configured
+// with ConcMarkWorkers 4 against one configured with 1, on identical
+// quiesced heaps, across the collector modes a concurrent cycle
+// composes with: the marked object set, byte totals and reclamation
+// must be identical.
 func TestDetachedMarkingDifferential(t *testing.T) {
 	configs := map[string]Config{
 		"full": {GCDivisor: -1},
@@ -51,8 +132,6 @@ func TestDetachedMarkingDifferential(t *testing.T) {
 				if err := w.StartConcurrentCycle(); err != nil {
 					t.Fatal(err)
 				}
-				// No steps-taken floor here: detached workers may finish
-				// the whole gray set before the first explicit step.
 				for steps := 0; !w.ConcurrentStep(16); steps++ {
 					if steps > 1_000_000 {
 						t.Fatal("cycle did not terminate")
@@ -67,46 +146,54 @@ func TestDetachedMarkingDifferential(t *testing.T) {
 			if oracleAllocs != detAllocs {
 				t.Fatalf("setup diverged: %d vs %d allocations", oracleAllocs, detAllocs)
 			}
-			if oracle.ConcWorkers != 0 {
-				t.Fatalf("lock-chunked cycle reports ConcWorkers=%d, want 0", oracle.ConcWorkers)
-			}
-			if det.ConcWorkers != 4 {
-				t.Fatalf("detached cycle reports ConcWorkers=%d, want 4", det.ConcWorkers)
-			}
-			if det.Mark.ObjectsMarked != oracle.Mark.ObjectsMarked ||
-				det.Mark.BytesMarked != oracle.Mark.BytesMarked {
-				t.Fatalf("mark outcome diverges: detached %d objects/%d bytes, oracle %d/%d",
-					det.Mark.ObjectsMarked, det.Mark.BytesMarked,
-					oracle.Mark.ObjectsMarked, oracle.Mark.BytesMarked)
+			if det.Mark != oracle.Mark {
+				t.Fatalf("mark outcome diverges:\nworkers 4 %+v\nworkers 1 %+v", det.Mark, oracle.Mark)
 			}
 			if det.Sweep != oracle.Sweep {
-				t.Fatalf("sweep diverges:\ndetached %+v\noracle   %+v", det.Sweep, oracle.Sweep)
+				t.Fatalf("sweep diverges:\nworkers 4 %+v\nworkers 1 %+v", det.Sweep, oracle.Sweep)
 			}
-			if len(detLive) != len(oracleLive) {
+			if !reflect.DeepEqual(detLive, oracleLive) {
 				t.Fatalf("live sets diverge: %d vs %d objects", len(detLive), len(oracleLive))
-			}
-			for a := range oracleLive {
-				if !detLive[a] {
-					t.Fatalf("object %#x live under oracle, missing under detached cycle", uint32(a))
-				}
 			}
 		})
 	}
 }
 
-// TestDetachedLostObject is the adversarial barrier test against real
-// background workers, repeated: hide the only pointer to an object
-// inside a possibly-already-scanned object and erase the other path,
-// while 4 detached workers race the stores. Unlike the lock-chunked
-// shapes the race window cannot be opened deterministically (a worker
-// may mark x before the hide lands), so the assertions are the
-// barrier's — x is marked when the hiding store returns, whoever marked
-// it — and the soundness outcome: x survives and exactly the one
-// garbage object is reclaimed, every time. (The case-by-case battery,
-// lostobject_test.go, runs against this shape too.)
+// addrDriver records the address of every allocation it passes on.
+type addrDriver struct {
+	gcDriver
+	addrs *[]mem.Addr
+}
+
+func (d addrDriver) Allocate(nwords int, atomic bool) (mem.Addr, error) {
+	p, err := d.gcDriver.Allocate(nwords, atomic)
+	*d.addrs = append(*d.addrs, p)
+	return p, err
+}
+
+// startDriven opens a concurrent cycle as an allocation trigger does:
+// the snapshot pause, then a background driver goroutine marking it.
+func startDriven(w *World, kind cycleKind) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.startConcurrentLocked(kind)
+	go w.driveConcurrent(w.cyc.gen)
+}
+
+// TestDetachedLostObject is the adversarial barrier test against a
+// background driver that really runs, repeated: hide the only pointer
+// to an object inside a possibly-already-scanned object and erase the
+// other path, while the driver marks on a goroutine of its own. The
+// race window cannot be opened deterministically (the driver may mark x
+// before the hide lands, or finish the cycle before it starts), so the
+// assertions are the barrier's — x is marked when the hiding store
+// returns, if a cycle is still in flight — and the soundness outcome: x
+// survives and exactly the one garbage object is reclaimed, every time.
+// (The case-by-case battery, lostobject_test.go, opens every window
+// deterministically.)
 func TestDetachedLostObject(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
-		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
+		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 1})
 		installClosureOracle(t, w, nil)
 		data := addData(t, w, "data", 0x2000, 4096)
 		alloc2 := func() mem.Addr {
@@ -129,25 +216,23 @@ func TestDetachedLostObject(t *testing.T) {
 		if err := w.Store(c1, mem.Word(x)); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.StartConcurrentCycle(); err != nil {
-			t.Fatal(err)
-		}
-		// The hide, racing the workers: x's only pointer moves into
-		// `black`, the path through c1 is erased. The first store shades
-		// x under w.mu.
+		startDriven(w, kindConcurrent)
+		// The hide, racing the driver: x's only pointer moves into `black`,
+		// the path through c1 is erased. The first store shades x.
 		if err := w.Store(black, mem.Word(x)); err != nil {
 			t.Fatal(err)
 		}
-		if !markedNow(w, x) {
+		w.mu.Lock()
+		hidden := w.cyc.active && !w.Heap.Marked(x)
+		w.mu.Unlock()
+		if hidden {
 			t.Fatalf("iter %d: x unmarked after the store that hid it", iter)
 		}
 		if err := w.Store(c1, 0); err != nil {
 			t.Fatal(err)
 		}
-		for steps := 0; !w.ConcurrentStep(1); steps++ {
-			if steps > 100_000 {
-				t.Fatal("cycle did not terminate")
-			}
+		for w.ConcurrentActive() {
+			runtime.Gosched()
 		}
 		st := w.LastCollection()
 		if st.Sweep.ObjectsFreed != 1 {
@@ -161,18 +246,15 @@ func TestDetachedLostObject(t *testing.T) {
 	}
 }
 
-// TestDetachedWorkersParkAndRetire runs 200 detached cycles over a
-// mark-heavy graph — a root, 64 hubs of 64 words, 4096 leaves — whose
-// hubs overflow a worker's stack, so the workers shed grays to each
-// other through the queue and wake each other on the way. Even cycles
-// are left to the workers: nothing is allocated, the driver only asks
-// for the certificate between waits long enough for idle workers to
-// park, and the cycle must certify with every object past the root
-// marked concurrently and no pacer assist. Odd cycles are forced at
-// once with FinishConcurrentCycle, from wherever the workers are. After
-// every finale the goroutine count must return to its baseline: no
-// worker may stay parked on a retired cycle. Every close runs under the
-// closure oracle.
+// TestDetachedWorkersParkAndRetire runs 200 cycles over a mark-heavy
+// graph — a root, 64 hubs of 64 words, 4096 leaves — each opened the way
+// an allocation trigger opens one, with its background driver. Even
+// cycles are left to the driver: nothing is allocated, so the cycle
+// must end with every object past the root marked concurrently and no
+// pacer assist. Odd cycles are forced at once with
+// FinishConcurrentCycle, from wherever the driver is. After every
+// finale the goroutine count must return to its baseline: no driver
+// outlives its cycle.
 func TestDetachedWorkersParkAndRetire(t *testing.T) {
 	const hubs, fanout = 64, 64
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
@@ -198,7 +280,7 @@ func TestDetachedWorkersParkAndRetire(t *testing.T) {
 		for i := 0; i < fanout; i++ {
 			leaf := alloc(2)
 			store(hub+mem.Addr(4*i), leaf)
-			store(leaf, prev) // a cross edge: markers race on the CAS
+			store(leaf, prev) // a cross edge: reached twice
 			prev = leaf
 		}
 	}
@@ -207,20 +289,13 @@ func TestDetachedWorkersParkAndRetire(t *testing.T) {
 	}
 	const objects = 1 + hubs + hubs*fanout
 	assistNs := func() int64 { return findMetric(t, w.MetricsSnapshot(), "pacer_assist_ns").Value }
-	certified := func() bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.concCertifyLocked()
-	}
 	base := runtime.NumGoroutine()
 	for cycle := 0; cycle < 200; cycle++ {
 		assist := assistNs()
-		if err := w.StartConcurrentCycle(); err != nil {
-			t.Fatal(err)
-		}
+		startDriven(w, kindConcurrent)
 		var st CollectionStats
 		if cycle%2 == 0 {
-			for !certified() {
+			for w.ConcurrentActive() {
 				time.Sleep(50 * time.Microsecond)
 			}
 			st = w.LastCollection()
@@ -239,7 +314,7 @@ func TestDetachedWorkersParkAndRetire(t *testing.T) {
 		}
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
 			if time.Now().After(deadline) {
-				t.Fatalf("cycle %d: %d goroutines 5 s after the finale, %d before the first cycle: a worker is still parked on a retired cycle",
+				t.Fatalf("cycle %d: %d goroutines 5 s after the finale, %d before the first cycle: a driver outlived its cycle",
 					cycle, runtime.NumGoroutine(), base)
 			}
 			time.Sleep(100 * time.Microsecond)
@@ -260,70 +335,72 @@ func TestDetachedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestWorkerIdleJudgedOnWork pins what a detached worker's back-off is
-// decided on. The worker is fed gray objects whose children are all
-// marked already — every chunk scans its full budget and wins no
-// first-mark, so the bytes it reports for the pacer are zero — through
-// the real chunk driver, with its stack kept between chunks as a
-// detached worker's is. Judged on first-marks such a worker looks idle
-// from its first chunk and is parked by its ninth; judged on work done
-// it must never be told to park while gray objects are left anywhere.
+// TestWorkerIdleJudgedOnWork pins what a chunk's "done" is decided on:
+// whether gray work is left, not whether the chunk won any first-mark.
+// A concurrent minor cycle is given a remembered set of many dirty
+// blocks of old objects whose targets are all old too, so every chunk
+// rescans a block and marks nothing — the pacer's credit never moves —
+// and yet no chunk may end the cycle while a staged block is left.
 func TestWorkerIdleJudgedOnWork(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1})
-	const n = 2000
-	grays := make([]alloc.Gray, 0, n)
+	w := newWorld(t, Config{ConcurrentMark: true, Generational: true, GCDivisor: -1, MinorDivisor: -1})
+	installClosureOracle(t, w, nil)
+	data := addData(t, w, "data", 0x2000, 4096)
+	const n = 512 // four to a block
 	var prev mem.Addr
-	for i := 0; i < n; i++ {
-		p, err := w.Allocate(2, false)
+	objs := make([]mem.Addr, n)
+	for i := range objs {
+		p, err := w.Allocate(256, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Store(p, mem.Word(prev)); err != nil {
 			t.Fatal(err)
 		}
-		// Marked here, queued below: nothing is left to win.
-		g, out := w.Heap.MarkCandidate(p, false, true)
-		if out != alloc.WonScan {
-			t.Fatalf("object %d: mark outcome %d", i, out)
-		}
-		grays = append(grays, g)
-		prev = p
+		objs[i], prev = p, p
 	}
-	par := mark.NewParallel(w.Heap, w.mcfg, 2)
-	par.ResetCycle()
-	par.AddGrays(grays)
-	par.FlushStaged()
-	idle, chunks := 0, 0
-	for !par.Quiescent() {
-		work, bytes := par.DetachedChunk(0, 16, nil)
+	if err := data.Store(0x2000, mem.Word(prev)); err != nil {
+		t.Fatal(err)
+	}
+	w.Collect() // every object is old now
+	// Card every block again with stores of what the words already hold.
+	for i := 1; i < n; i++ {
+		if err := w.Store(objs[i], mem.Word(objs[i-1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.mu.Lock()
+	w.startConcurrentLocked(kindConcurrentMinor)
+	staged := len(w.cyc.dirty)
+	w.mu.Unlock()
+	if staged < 100 {
+		t.Fatalf("%d dirty blocks staged, want the chain's hundreds", staged)
+	}
+	chunks := 0
+	for !w.ConcurrentStep(16) {
 		chunks++
-		if bytes != 0 {
-			t.Fatalf("chunk %d won %d bytes of first-marks; the feed was to be all marked", chunks, bytes)
+		w.mu.Lock()
+		credit, left := w.cyc.pacerCredit, len(w.cyc.dirty)
+		w.mu.Unlock()
+		if credit != 0 {
+			t.Fatalf("chunk %d credited %d bytes; every target was old", chunks, credit)
 		}
-		if work == 0 {
-			t.Fatalf("chunk %d reports no work with gray objects left", chunks)
-		}
-		if workerIdle(&idle, work) {
-			t.Fatalf("worker told to park after chunk %d with gray objects left", chunks)
+		if left == 0 && chunks < staged {
+			t.Fatalf("the staged set emptied after %d chunks of one block each, %d staged", chunks, staged)
 		}
 	}
-	if chunks < n/16 {
-		t.Fatalf("%d objects drained in %d chunks of 16", n, chunks)
+	if chunks < staged-1 {
+		t.Fatalf("the cycle ended after %d chunks with %d blocks staged", chunks, staged)
 	}
-	// With nothing left the count runs up and the worker parks.
-	for i := 0; i <= workerIdleAfter; i++ {
-		work, _ := par.DetachedChunk(0, 16, nil)
-		if park := workerIdle(&idle, work); park != (i == workerIdleAfter) {
-			t.Fatalf("empty chunk %d: park = %v", i+1, park)
-		}
+	if st := w.LastCollection(); st.Mark.ObjectsMarked != 0 || st.DirtyBlocks != staged {
+		t.Fatalf("minor cycle marked %d objects over %d dirty blocks, want 0 over %d", st.Mark.ObjectsMarked, st.DirtyBlocks, staged)
 	}
 }
 
-// cycleOnWorkers opens a concurrent cycle of the given kind and leaves
-// its marking to the detached workers, as an allocation-triggered
-// cycle's background driver does: the caller only asks for the
-// certificate, which runs the finale once the workers are done.
-func cycleOnWorkers(t *testing.T, w *World, kind cycleKind) CollectionStats {
+// cycleOnDriver opens a concurrent cycle of the given kind and leaves
+// its marking to the background driver, run to its end on the calling
+// goroutine: nothing runs beside it, so what it finds is as fixed as a
+// stop-the-world collection's.
+func cycleOnDriver(t *testing.T, w *World, kind cycleKind) CollectionStats {
 	t.Helper()
 	w.mu.Lock()
 	w.startConcurrentLocked(kind)
@@ -338,9 +415,9 @@ func cycleOnWorkers(t *testing.T, w *World, kind cycleKind) CollectionStats {
 }
 
 // buildParallelWorld constructs a world and a deterministic mixed
-// workload: rooted chains, dead garbage, a fan-out wide enough to spill
-// a marker's stack, atomic objects, register roots, and near-heap junk
-// in the static segment. Returns the world and every allocated address.
+// workload: rooted chains, dead garbage, a wide fan-out, atomic objects,
+// register roots, and near-heap junk in the static segment. Returns the
+// world and every allocated address.
 func buildParallelWorld(t *testing.T, cfg Config) (*World, []mem.Addr) {
 	t.Helper()
 	cfg.GCDivisor = -1
@@ -398,7 +475,7 @@ func buildParallelWorld(t *testing.T, cfg Config) (*World, []mem.Addr) {
 }
 
 // denseGranules extracts the blacklisted granules, which must match
-// across marker counts.
+// across the two ways of collecting.
 func denseGranules(t *testing.T, w *World) []mem.Addr {
 	t.Helper()
 	d, ok := w.Blacklist.(*blacklist.Dense)
@@ -416,11 +493,12 @@ func survivors(w *World, objs []mem.Addr) []bool {
 	return out
 }
 
-// TestParallelCollectMatchesSerial is the sharded marker's whole-world
-// differential: a detached cycle whose 2, 4 or 8 workers do all the
-// marking — registers, a live stack and a spilling fan-out among the
-// roots — marks, sweeps and blacklists exactly what the serial
-// stop-the-world collection does. Only first-mark counters are
+// TestParallelCollectMatchesSerial is the concurrent cycle's whole-world
+// differential against the stop-the-world collection: a cycle whose
+// background driver does all the marking — registers, a live stack and
+// a wide fan-out among the roots — on worlds configured with
+// ConcMarkWorkers 2, 4 and 8 marks, sweeps and blacklists exactly what
+// the stop-the-world collection does. Only first-mark counters are
 // compared: the finale scans the roots a second time.
 func TestParallelCollectMatchesSerial(t *testing.T) {
 	type outcome struct {
@@ -438,10 +516,7 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 		var st CollectionStats
 		if workers > 1 {
 			installClosureOracle(t, w, nil)
-			st = cycleOnWorkers(t, w, kindConcurrent)
-			if st.ConcWorkers != workers {
-				t.Fatalf("cycle ran %d workers, want %d", st.ConcWorkers, workers)
-			}
+			st = cycleOnDriver(t, w, kindConcurrent)
 		} else {
 			st = w.Collect()
 		}
@@ -459,7 +534,7 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			got := run(n)
 			if got.objects != want.objects || got.bytes != want.bytes || got.atomic != want.atomic {
-				t.Errorf("first-marks diverge: workers %d/%d/%d, serial %d/%d/%d",
+				t.Errorf("first-marks diverge: concurrent %d/%d/%d, stop-the-world %d/%d/%d",
 					got.objects, got.bytes, got.atomic, want.objects, want.bytes, want.atomic)
 			}
 			if got.live != want.live || got.freed != want.freed {
@@ -468,11 +543,11 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 			}
 			for i := range want.surv {
 				if got.surv[i] != want.surv[i] {
-					t.Fatalf("object %d survival = %v, serial %v", i, got.surv[i], want.surv[i])
+					t.Fatalf("object %d survival = %v, stop-the-world %v", i, got.surv[i], want.surv[i])
 				}
 			}
 			if !slices.Equal(got.bl, want.bl) {
-				t.Fatalf("blacklist granules diverge: %d, serial %d", len(got.bl), len(want.bl))
+				t.Fatalf("blacklist granules diverge: %d, stop-the-world %d", len(got.bl), len(want.bl))
 			}
 		})
 	}
@@ -480,11 +555,10 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 
 // TestParallelMinorCollectMatchesSerial is the generational variant: a
 // full collection establishes the old generation, stores through the
-// card barrier create old-to-young edges, and a concurrent minor cycle
-// has its workers rescan the remembered set — one queue task per dirty
-// block — concurrently. Promotions, byte totals, survivors and the
-// blacklist must match the serial stop-the-world minor's; scan-effort
-// counters may not, since racing rescans can scan an object twice.
+// card barrier create old-to-young edges, and a concurrent minor cycle's
+// driver rescans the remembered set, a staged block at a time.
+// Promotions, byte totals, survivors and the blacklist must match the
+// stop-the-world minor's.
 func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 	type outcome struct {
 		promoted, bytes uint64
@@ -521,7 +595,7 @@ func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 		}
 		var st CollectionStats
 		if workers > 1 {
-			st = cycleOnWorkers(t, w, kindConcurrentMinor)
+			st = cycleOnDriver(t, w, kindConcurrentMinor)
 		} else {
 			st = w.CollectMinor()
 		}
@@ -537,7 +611,7 @@ func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 	}
 	want := run(1)
 	if want.promoted == 0 {
-		t.Fatal("no promotions in the serial run")
+		t.Fatal("no promotions in the stop-the-world run")
 	}
 	for _, n := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
@@ -548,20 +622,19 @@ func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 			}
 			for i := range want.surv {
 				if got.surv[i] != want.surv[i] {
-					t.Fatalf("object %d survival = %v, serial %v", i, got.surv[i], want.surv[i])
+					t.Fatalf("object %d survival = %v, stop-the-world %v", i, got.surv[i], want.surv[i])
 				}
 			}
-			if len(got.bl) != len(want.bl) {
-				t.Fatalf("blacklist granules %d, serial %d", len(got.bl), len(want.bl))
+			if !slices.Equal(got.bl, want.bl) {
+				t.Fatalf("blacklist granules diverge: %d, stop-the-world %d", len(got.bl), len(want.bl))
 			}
 		})
 	}
 }
 
-// TestParallelMarkOnlyMatchesSerial: MarkOnly on a world whose detached
-// cycle is in flight lands the cycle first, then measures — serially,
-// as every stop-the-world mark does — what a world that never detached
-// measures.
+// TestParallelMarkOnlyMatchesSerial: MarkOnly on a world whose
+// concurrent cycle is in flight lands the cycle first, then measures
+// what a world that never marked concurrently measures.
 func TestParallelMarkOnlyMatchesSerial(t *testing.T) {
 	w1, _ := buildParallelWorld(t, Config{})
 	wantObjs, wantBytes := w1.MarkOnly()
@@ -572,7 +645,7 @@ func TestParallelMarkOnlyMatchesSerial(t *testing.T) {
 		}
 		objs, bytes := wn.MarkOnly()
 		if objs != wantObjs || bytes != wantBytes {
-			t.Fatalf("workers=%d MarkOnly = %d, %d; serial %d, %d",
+			t.Fatalf("workers=%d MarkOnly = %d, %d; stop-the-world %d, %d",
 				n, objs, bytes, wantObjs, wantBytes)
 		}
 		if wn.ConcurrentActive() || wn.Collections() != 1 {
@@ -581,79 +654,45 @@ func TestParallelMarkOnlyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMarkWorkersDefaultIsAdaptive pins the defaults: MarkWorkers 0 is
-// the serial stop-the-world mark, and ConcMarkWorkers 0 is the adaptive
-// width, which on a heap with under 8 MiB live is the serial
-// lock-chunked cycle. Neither builds a sharded marker, eagerly or on
-// the first cycle, and the mark_workers gauge reads one marker.
+// TestMarkWorkersDefaultIsAdaptive pins the defaults: MarkWorkers and
+// ConcMarkWorkers are 0 (the latter once meant an adaptive width), a
+// Collect is a stop-the-world cycle, and a concurrent cycle at the
+// defaults marks on the one marker (the trace's mark_begin says so)
+// and leaves no goroutine behind.
 func TestMarkWorkersDefaultIsAdaptive(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	if w.cfg.MarkWorkers != 0 || w.cfg.ConcMarkWorkers != 0 {
 		t.Fatalf("default MarkWorkers = %d, ConcMarkWorkers = %d, want 0 and 0", w.cfg.MarkWorkers, w.cfg.ConcMarkWorkers)
 	}
-	if w.par != nil {
-		t.Fatal("fresh world built a sharded marker eagerly")
-	}
+	rec := w.EnableTracing(0)
 	addData(t, w, "data", 0x2000, 4096)
 	concBuildGraph(t, directDriver{w})
 	if st := w.Collect(); st.Concurrent {
 		t.Fatal("Collect ran a concurrent cycle")
 	}
-	if st := cycleOnWorkers(t, w, kindConcurrent); st.ConcWorkers != 0 {
-		t.Fatalf("first adaptive cycle ran %d detached workers, want the serial cycle", st.ConcWorkers)
+	base := runtime.NumGoroutine()
+	if st := cycleOnDriver(t, w, kindConcurrent); st.MarkedConcurrent == 0 {
+		t.Fatalf("the default concurrent cycle marked nothing between its pauses: %+v", st)
 	}
-	if w.par != nil {
-		t.Fatal("serial cycles built a sharded marker")
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the cycle, %d before", n, base)
 	}
-	if g := findMetric(t, w.MetricsSnapshot(), "mark_workers").Value; g != 1 {
-		t.Fatalf("mark_workers = %d, want 1", g)
-	}
-}
-
-func TestAutoMarkWorkersTable(t *testing.T) {
-	const mib = 1 << 20
-	cases := []struct {
-		procs int
-		live  uint64
-		want  int
-	}{
-		// Uniprocessor: always serial.
-		{1, 1 << 30, 1},
-		{0, 1 << 30, 1},
-		// Tiny live heaps mark serially on any machine.
-		{16, 0, 1},
-		{16, 8*mib - 1, 1},
-		// Bands: <32MiB -> 2, <128MiB -> 4, else 8 — each capped by procs.
-		{16, 8 * mib, 2},
-		{16, 32*mib - 1, 2},
-		{2, 16 * mib, 2},
-		{16, 32 * mib, 4},
-		{16, 128*mib - 1, 4},
-		{3, 64 * mib, 3},
-		{16, 128 * mib, 8},
-		{16, 1 << 30, 8},
-		{6, 1 << 30, 6},
-		{64, 1 << 32, 8},
-	}
-	for _, c := range cases {
-		if got := AutoMarkWorkers(c.procs, c.live); got != c.want {
-			t.Errorf("AutoMarkWorkers(%d, %d) = %d, want %d", c.procs, c.live, got, c.want)
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.EvMarkBegin && ev.A1 != 1 {
+			t.Fatalf("mark_begin reports %d markers, want 1", ev.A1)
 		}
 	}
 }
 
-// TestAdaptiveMarkWorkersRebuild grows the live heap across
-// AutoMarkWorkers' bands under ConcMarkWorkers 0: a cycle over a heap
-// with nothing measured live yet is the serial lock-chunked one and
-// builds no sharded marker; once a close has measured ~12 MiB live, the
-// next cycle detaches on 2 workers, on a sharded marker built at exactly
-// that width, and the mark_workers gauge says so.
+// TestAdaptiveMarkWorkersRebuild grows the live heap to ~12 MiB at
+// GOMAXPROCS 4 — where ConcMarkWorkers 0 once chose two detached
+// workers — and runs two cycles: both mark everything on the one marker
+// and leave no goroutine behind.
 func TestAdaptiveMarkWorkersRebuild(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // the selection reads GOMAXPROCS, not nproc
+	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	w := newWorld(t, Config{ConcurrentMark: true, InitialHeapBytes: 64 << 20, ReserveHeapBytes: 128 << 20, GCDivisor: -1})
 	var keep []mem.Addr
-	// ~12 MiB live: inside the [8MiB, 32MiB) band -> 2 workers.
 	for i := 0; i < 3*1024; i++ {
 		p, err := w.Allocate(1024, false)
 		if err != nil {
@@ -663,20 +702,15 @@ func TestAdaptiveMarkWorkersRebuild(t *testing.T) {
 	}
 	root := rootHolder{addrs: keep}
 	w.SetMutator(&root)
-	st := cycleOnWorkers(t, w, kindConcurrent)
-	if st.ConcWorkers != 0 || w.par != nil {
-		t.Fatalf("first cycle ran %d workers (sharded marker built: %v), want the serial cycle", st.ConcWorkers, w.par != nil)
-	}
-	st = cycleOnWorkers(t, w, kindConcurrent)
-	if st.ConcWorkers != 2 || w.par == nil || w.par.Workers() != 2 {
-		t.Fatalf("second cycle ran %d workers (sharded marker built: %v), want 2 on a marker of 2",
-			st.ConcWorkers, w.par != nil)
-	}
-	if st.Mark.ObjectsMarked != uint64(len(keep)) {
-		t.Fatalf("adaptive cycle marked %d objects, want %d", st.Mark.ObjectsMarked, len(keep))
-	}
-	if g := findMetric(t, w.MetricsSnapshot(), "mark_workers").Value; g != 2 {
-		t.Fatalf("mark_workers = %d after a 2-worker cycle", g)
+	base := runtime.NumGoroutine()
+	for cycle := 0; cycle < 2; cycle++ {
+		st := cycleOnDriver(t, w, kindConcurrent)
+		if st.Mark.ObjectsMarked != uint64(len(keep)) {
+			t.Fatalf("cycle %d marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, len(keep))
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("cycle %d: %d goroutines after the cycle, %d before", cycle, n, base)
+		}
 	}
 }
 
@@ -692,27 +726,3 @@ func (r *rootHolder) Registers() []mem.Word {
 }
 func (r *rootHolder) LiveStack() ([]mem.Word, mem.Addr) { return nil, 0 }
 func (r *rootHolder) OnAllocate()                       {}
-
-// TestMarkStealsCountedOnce: only a detached cycle's markers take tasks
-// from a shared queue, and each take is counted once in the registry —
-// however many counters carry "steal" in their name, after several
-// detached cycles they sum to the sharded marker's own count.
-func TestMarkStealsCountedOnce(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
-	installClosureOracle(t, w, nil)
-	addData(t, w, "data", 0x2000, 4096)
-	concBuildGraph(t, directDriver{w})
-	for k := 0; k < 3; k++ {
-		cycleOnWorkers(t, w, kindConcurrent)
-		w.Collect() // a stop-the-world cycle between them steals nothing
-	}
-	var sum int64
-	for _, s := range w.MetricsSnapshot() {
-		if strings.Contains(s.Name, "steal") {
-			sum += s.Value
-		}
-	}
-	if steals := w.par.Steals(); steals == 0 || uint64(sum) != steals {
-		t.Fatalf("the registry's steal counters sum to %d; the sharded marker took %d tasks", sum, steals)
-	}
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
@@ -88,34 +87,22 @@ func (st CollectionStats) Kind() string {
 }
 
 // cycle is the state of the collection in progress (World.cyc; guarded
-// by w.mu except where noted). Stop-the-world kinds fill it and consume
-// it inside one pause; a concurrent kind keeps it from its snapshot to
-// its finale.
+// by w.mu). Stop-the-world kinds fill it and consume it inside one
+// pause; a concurrent kind keeps it from its snapshot to its finale.
 type cycle struct {
 	kind cycleKind
 	// active: a concurrent cycle is between its two pauses — mutators
 	// run, stores shade, fresh objects are born black. False inside every
 	// pause, the finale's included.
 	active bool
-	// detached: the cycle marks through w.par — background worker
-	// goroutines that hold no world lock (detached.go). False: it marks
-	// on w.Marker, under w.mu, in chunks (the serial lock-chunked form).
-	// workers is the detached goroutine count, 0 for a serial cycle.
-	detached bool
-	workers  int
 	// gen is bumped when a concurrent cycle starts and when it ends, so a
 	// background driver left over from a finished cycle exits instead of
-	// driving the next one; genA mirrors it atomically for the detached
-	// workers, who hold no lock (0 = retired).
-	gen  uint64
-	genA atomic.Uint64
-	// retire is closed when the detached phase retires and replaced by a
-	// fresh channel; each worker captures the one open at its spawn and
-	// parks on it beside the shared queue's wake channel.
-	retire chan struct{}
-	// dirty is the serial form's queue of a minor cycle's remembered set
-	// (block indices, staged at the snapshot); dirtyBlocks is that set's
-	// size whichever marker rescans it.
+	// driving the next one.
+	gen uint64
+	// dirty is a concurrent minor cycle's queue of its remembered set
+	// (block indices, staged at the snapshot, drained by the chunks);
+	// dirtyBlocks is the size of the remembered set any minor cycle
+	// rescanned.
 	dirty       []int
 	dirtyBlocks int
 	// start is when the cycle opened, pauseStart when the pause that
@@ -132,16 +119,11 @@ type cycle struct {
 	markNs          int64
 	snapMarked      uint64
 	preFinaleMarked uint64
-	// stealsStart snapshots w.par's cumulative steal count at the start
-	// of a detached cycle; heapWaitNs sums the cycle's waits for the
-	// heap-structure write lock.
-	stealsStart uint64
-	heapWaitNs  int64
-	// The assist pacer (detached.go): pacerCredit is marked bytes banked
-	// (negative = debt; the detached workers add to it without a lock),
-	// pacerRatio converts allocated bytes to owed mark bytes,
-	// pacerLastAlloc is the allocation cursor of the pacer's last look.
-	pacerCredit    atomic.Int64
+	// The assist pacer (concurrent.go): pacerCredit is marked bytes
+	// banked (negative = debt), pacerRatio converts allocated bytes to
+	// owed mark bytes, pacerLastAlloc is the allocation cursor of the
+	// pacer's last look.
+	pacerCredit    int64
 	pacerRatio     float64
 	pacerLastAlloc uint64
 }
@@ -153,9 +135,8 @@ func (w *World) openCycleLocked(kind cycleKind) *cycle {
 	c.kind = kind
 	c.start = time.Now()
 	c.pauseStart = c.start
-	c.detached, c.workers = false, 0
 	c.dirty, c.dirtyBlocks = c.dirty[:0], 0
-	c.snapNs, c.heapWaitNs = 0, 0
+	c.snapNs = 0
 	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), int64(kind))
 	// Deferred lazy sweeps hold the previous cycle's liveness in their
 	// mark bits, and central bump spans hold carved-but-unissued slots
@@ -209,12 +190,12 @@ func (w *World) landCycleLocked() bool {
 
 // closeCycleLocked is the last step of every collection: marking has
 // reached its fixpoint and c.marks/c.markNs describe it. Callers hold
-// w.mu with every mutator parked, every slot their caches hold marked,
-// and no detached worker left.
+// w.mu with every mutator parked and every slot their caches hold
+// marked.
 func (w *World) closeCycleLocked() CollectionStats {
 	c := &w.cyc
 	kind := c.kind
-	w.traceMarkEnd(c.marks, c.detached)
+	w.traceMarkEnd(c.marks)
 	if w.finaleAudit != nil {
 		w.finaleAudit()
 	}
@@ -259,9 +240,6 @@ func (w *World) closeCycleLocked() CollectionStats {
 		w.minorsSinceFull = 0
 	}
 	provRecs := w.harvestProvenance(kind)
-	if c.detached {
-		w.met.concMarkSteals.Add(w.par.Steals() - c.stealsStart)
-	}
 	pause := time.Since(c.pauseStart)
 	st := CollectionStats{
 		Mark:                c.marks,
@@ -286,11 +264,9 @@ func (w *World) closeCycleLocked() CollectionStats {
 		c.gen++ // retire any background driver still scheduled
 		w.tracer.Emit(trace.EvFinalPause, pause.Nanoseconds(), int64(c.marks.ObjectsMarked-c.preFinaleMarked), 0)
 		st.MarkedConcurrent = c.preFinaleMarked - c.snapMarked
-		st.ConcWorkers = c.workers
 		st.ConcPhaseNs = max(c.pauseStart.Sub(c.start).Nanoseconds()-c.snapNs, 0)
 		st.PauseSnapshotNs = c.snapNs
 		st.PauseFinalNs = pause.Nanoseconds()
-		st.HeapLockWaitNs = c.heapWaitNs
 		if kind.minor() && c.dirtyBlocks > 0 {
 			st.RescanPasses = 1 // the remembered set, staged at the snapshot
 		}
@@ -325,8 +301,8 @@ func (w *World) eachRootArea(fn func(org mark.RootOrigin, words []mem.Word, spar
 	}
 }
 
-// markRoots performs the root-scanning half of a mark phase on the
-// serial marker.
+// markRoots performs the root-scanning half of a mark phase on
+// w.Marker.
 func (w *World) markRoots() {
 	w.eachRootArea(func(org mark.RootOrigin, words []mem.Word, sparse bool) {
 		if sparse {
@@ -395,21 +371,11 @@ func (w *World) allocTrigger(kind cycleKind) {
 	}
 }
 
-// traceMarkEnd emits the mark-phase closing events: the phase totals
-// plus, when the phase was a detached cycle's, each worker's share.
-// Every other phase marked on w.Marker alone: w.par, if a detached
-// cycle ever built it, still holds that cycle's shard totals.
-func (w *World) traceMarkEnd(mstats mark.Stats, detached bool) {
-	if !w.tracer.Enabled() {
-		return
-	}
+// traceMarkEnd emits the mark-phase closing event with the phase's
+// totals.
+func (w *World) traceMarkEnd(mstats mark.Stats) {
 	w.tracer.Emit(trace.EvMarkEnd,
 		int64(mstats.ObjectsMarked), int64(mstats.BytesMarked), int64(mstats.WordsScanned))
-	if detached {
-		w.par.EachWorkerStats(func(i int, s mark.Stats) {
-			w.tracer.Emit(trace.EvWorkerMark, int64(i), int64(s.ObjectsMarked), int64(s.BytesMarked))
-		})
-	}
 }
 
 // traceSweepBegin emits the sweep-phase opening event.

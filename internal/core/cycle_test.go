@@ -27,15 +27,15 @@ func TestConfigKnobCount(t *testing.T) {
 	}
 }
 
-// TestSingleClose runs one cycle of every kind, in both shapes of its
-// mark step and under both sweeps, and checks what the close — written
+// TestSingleClose runs one cycle of every kind, on two worlds each and
+// under both sweeps, and checks what the close — written
 // once, in closeCycleLocked — must leave behind whichever way the cycle
 // got there: the collection counted once, the minor count kept, the
 // hook fired once with the kind's flags, allocation and card counters
 // reset, an unreachable finalizable queued once and a reachable one not
 // at all, one begin/mark/sweep/end quadruple in the trace carrying the
-// kind, the closure of the roots marked at the audit seam, and a heap
-// the strict audit accepts.
+// kind and one marker, the closure of the roots marked at the audit
+// seam, and a heap the strict audit accepts.
 func TestSingleClose(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -52,12 +52,12 @@ func TestSingleClose(t *testing.T) {
 	for _, k := range kinds {
 		for _, wide := range []bool{false, true} {
 			for _, lazy := range []bool{false, true} {
-				// The mark step's two shapes: one marker, or several —
-				// detached workers. A stop-the-world kind always marks on
-				// one; its wide row runs on a world whose sharded marker an
-				// earlier detached cycle built ("parallel"), and the close
-				// must not report that marker's stale shard totals as its
-				// own.
+				// The wide rows keep the names of the mark step's retired
+				// second shape. A concurrent kind's ("detached") runs on a
+				// world configured with ConcMarkWorkers 4, which must select
+				// nothing; a stop-the-world kind's ("parallel") runs on a
+				// world whose first cycle was a concurrent one, whose close
+				// must leave nothing behind for the next.
 				shape := "serial"
 				cfg := Config{
 					GCDivisor: -1, MinorDivisor: -1, Generational: k.gen, LazySweep: lazy,
@@ -169,19 +169,15 @@ func TestSingleClose(t *testing.T) {
 							t.Errorf("%d %v events for one cycle", n, ev)
 						}
 					}
-					wantWorkers := 0
-					if shape == "detached" {
-						wantWorkers = cfg.ConcMarkWorkers
-					}
-					if n := countKind(rec, trace.EvWorkerMark); n != wantWorkers {
-						t.Errorf("%d worker_mark events for one %s cycle, want %d", n, shape, wantWorkers)
-					}
 					for _, ev := range rec.Events() {
 						switch ev.Kind {
 						case trace.EvCycleBegin, trace.EvMarkBegin, trace.EvSweepBegin:
 							if ev.A2 != int64(kind) {
 								t.Errorf("%v carries kind %d, want %d", ev.Kind, ev.A2, kind)
 							}
+						}
+						if ev.Kind == trace.EvMarkBegin && ev.A1 != 1 {
+							t.Errorf("mark_begin reports %d markers for one %s cycle, want 1", ev.A1, shape)
 						}
 					}
 					if got := oracle.checked(); got != audits+1 {

@@ -234,7 +234,7 @@ func TestTenantBooksWithHeldCaches(t *testing.T) {
 // allocation-triggered ones, the forced ones of collect-first tenants —
 // allocate, link, free (flushing their caches into blocks a lazy sweep
 // left pending) and collect, concurrently, in lazy, line, generational
-// and detached-concurrent worlds, auditing the heap every round; the
+// and concurrent worlds, auditing the heap every round; the
 // closure oracle checks at every close that each cached slot is
 // marked. At the end the allocation count is conserved, every tenant's
 // books balance, and with every root dropped nothing survives two
@@ -245,7 +245,7 @@ func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
 		"line":         {GCDivisor: 6, LineAlloc: true},
 		"line-lazy":    {GCDivisor: 6, LineAlloc: true, LazySweep: true},
 		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},
+		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 	}
 	ops := 300
 	if testing.Short() {

@@ -14,13 +14,13 @@ import (
 // collection hook). The schedule depends only on the seed, never on
 // addresses or timing, so two worlds differing only in sweep strategy
 // see the identical mutator. A world that marks concurrently (with its
-// trigger off) runs each explicit full collection as a detached cycle
-// marked by its workers alone.
+// trigger off) runs each explicit full collection as a concurrent cycle
+// marked by its background driver alone.
 func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors bool) ([]mem.Addr, []alloc.SweepResult) {
 	t.Helper()
 	collect := func() {
 		if w.cfg.ConcurrentMark {
-			cycleOnWorkers(t, w, kindConcurrent)
+			cycleOnDriver(t, w, kindConcurrent)
 		} else {
 			w.Collect()
 		}
@@ -73,9 +73,8 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 // world produce equal allocation addresses, equal per-collection sweep
 // results (freed/live/released totals), and equal final heap
 // statistics — across full cycles, generational minor cycles, and
-// detached cycles on four workers (the last exercises, under -race, the
-// mark summaries that compare-and-swap markers leave for the sweep to
-// recount).
+// concurrent cycles ("parallel", named for the detached workers it once
+// ran on; ConcMarkWorkers 4 now selects nothing).
 func TestCoreLazySweepDifferential(t *testing.T) {
 	variants := []struct {
 		name   string

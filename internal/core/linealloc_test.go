@@ -84,16 +84,16 @@ func lineScript(t *testing.T, d gcDriver) []mem.Addr {
 }
 
 // lineConfigs are the collector modes the line profile composes with:
-// stop-the-world ones, and explicit collections as detached cycles on
-// four workers ("parallel", "par-lazy"; the concurrent batteries have
-// line rows of their own).
+// stop-the-world ones, and explicit collections as concurrent cycles
+// ("parallel", "par-lazy", named for the detached workers they once ran
+// on; the concurrent batteries have line rows of their own).
 var lineConfigs = map[string]Config{
 	"full":         {GCDivisor: 4},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
 	"lazy":         {GCDivisor: 4, LazySweep: true},
-	"parallel":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
+	"parallel":     {ConcurrentMark: true, GCDivisor: -1},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-	"par-lazy":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, LazySweep: true},
+	"par-lazy":     {ConcurrentMark: true, GCDivisor: -1, LazySweep: true},
 }
 
 // TestLineAllocDifferential is the line profile's compatibility claim:
@@ -115,7 +115,7 @@ func TestLineAllocDifferential(t *testing.T) {
 				if useHandle {
 					d = w.NewMutator()
 				}
-				return replay(t, w, collectingDetached(t, w, d), lineScript)
+				return replay(t, w, collectingConcurrently(t, w, d), lineScript)
 			}
 			compare := func(label string, a, b scriptRun) {
 				t.Helper()

@@ -9,22 +9,41 @@ import (
 )
 
 // The lost-object battery: every way a mutator can try to hide a white
-// object from a concurrent cycle, against every shape the cycle runs in.
+// object from a concurrent cycle, on each world in lostShapes.
 // The barrier is Dijkstra's: a store shades the value it writes, so in
 // each case the assertion is made *at the store* — the hidden object is
 // marked when Store returns, before any chunk, rescan or finale could
 // have found it — and again at the end, by the sweep's counts and the
 // closure oracle.
 
-// concShapes are the two shapes of a concurrent cycle: the serial
-// marker under the world lock, and detached workers under the
-// reader-writer lock.
-var concShapes = []struct {
-	name string
-	cfg  Config
-}{
-	{"serial", Config{MarkWorkers: 1, ConcMarkWorkers: 1}},
-	{"detached", Config{ConcMarkWorkers: 4}},
+// concShapes are the worlds the concurrent batteries run on. There is
+// one shape of concurrent cycle, one marker under the world lock;
+// "detached" is a world configured with ConcMarkWorkers 4, the value
+// that once selected a pool of detached mark workers and must now
+// select nothing.
+var concShapes = []concShape{
+	{name: "serial", cfg: Config{MarkWorkers: 1, ConcMarkWorkers: 1}},
+	{name: "detached", cfg: Config{ConcMarkWorkers: 4}},
+}
+
+// concShape is one world of the concurrent batteries.
+type concShape struct {
+	name   string
+	cfg    Config
+	record bool // provenance recording on
+}
+
+// lostShapes adds to concShapes a world that records provenance, whose
+// barrier also names the stored-into word of every object it shades.
+var lostShapes = append(concShapes[:len(concShapes):len(concShapes)],
+	concShape{name: "recording", record: true})
+
+// world is newLostWorld on the shape's world.
+func (sh concShape) world(t *testing.T, extra Config) *lostWorld {
+	t.Helper()
+	lw := newLostWorld(t, sh.cfg, extra)
+	lw.w.EnableProvenance(sh.record)
+	return lw
 }
 
 // lostWorld is one battery case's world: a concurrent-mark world of the
@@ -127,28 +146,26 @@ func (lw *lostWorld) requireSwept(what string, p mem.Addr) {
 
 // TestConcurrentMarkLostObject runs the battery.
 func TestConcurrentMarkLostObject(t *testing.T) {
-	for _, shape := range concShapes {
+	for _, shape := range lostShapes {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			// The classic: the only pointer to x moves into an object that
 			// has been scanned already, and the gray path to it is erased.
 			t.Run("black-holder", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{})
+				lw := shape.world(t, Config{})
 				c1, black, x, garbage := lw.alloc(2), lw.alloc(2), lw.alloc(2), lw.alloc(2)
 				lw.root(0, c1)
 				lw.root(1, black)
 				lw.store(c1, mem.Word(x)) // before the cycle: no barrier needed
 				lw.start()
-				if shape.name == "serial" {
-					// The serial marker pops newest first and the root scan
-					// pushed c1 then black: a one-object step scans exactly
-					// black (empty) while c1, and through it x, is still gray.
-					if lw.w.ConcurrentStep(1) {
-						t.Fatal("cycle completed in one step; the window never opened")
-					}
-					if markedNow(lw.w, x) {
-						t.Fatal("x is marked before the hide; the window did not open as constructed")
-					}
+				// The marker pops newest first and the root scan pushed c1
+				// then black: a one-object step scans exactly black (empty)
+				// while c1, and through it x, is still gray.
+				if lw.w.ConcurrentStep(1) {
+					t.Fatal("cycle completed in one step; the window never opened")
+				}
+				if markedNow(lw.w, x) {
+					t.Fatal("x is marked before the hide; the window did not open as constructed")
 				}
 				lw.store(black, mem.Word(x))
 				lw.requireMarked("x", x)
@@ -169,7 +186,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// The holder is white: reachable, not yet scanned. Its later scan
 			// finds x marked already; x's own child must still be traced.
 			t.Run("white-holder", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{})
+				lw := shape.world(t, Config{})
 				c1, mid, white, x, y := lw.alloc(2), lw.alloc(2), lw.alloc(2), lw.alloc(2), lw.alloc(2)
 				lw.root(0, c1)
 				lw.store(c1, mem.Word(mid))
@@ -190,7 +207,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// is no reference at all and retains nothing.
 			t.Run("interior", func(t *testing.T) {
 				for _, pol := range []mark.PointerPolicy{mark.PointerInterior, mark.PointerBase} {
-					lw := newLostWorld(t, shape.cfg, Config{Pointer: pol})
+					lw := shape.world(t, Config{Pointer: pol})
 					black, x := lw.alloc(2), lw.alloc(4)
 					lw.root(0, black)
 					lw.start()
@@ -208,10 +225,10 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// A value in the heap's vicinity that is no object address is
 			// what a scan of the stored-into word would blacklist, and so
 			// does the barrier; nothing is marked for it. The value is
-			// overwritten at once, so (under the world lock's shapes) no scan
-			// ever reads it: the blacklisting is the barrier's.
+			// overwritten at once, so no scan ever reads it: the
+			// blacklisting is the barrier's.
 			t.Run("near-heap", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{Blacklisting: BlacklistDense})
+				lw := shape.world(t, Config{Blacklisting: BlacklistDense})
 				black := lw.alloc(2)
 				lw.root(0, black)
 				_, hi := lw.w.Heap.Hull()
@@ -231,7 +248,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// The holder was allocated during the cycle: born black, never
 			// scanned, so only the barrier can see what is put into it.
 			t.Run("born-black-holder", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{})
+				lw := shape.world(t, Config{})
 				c1, x := lw.alloc(2), lw.alloc(2)
 				lw.root(0, c1)
 				lw.store(c1, mem.Word(x))
@@ -248,7 +265,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// Stores that land after the snapshot pause and before any mark
 			// chunk has run.
 			t.Run("before-first-chunk", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{})
+				lw := shape.world(t, Config{})
 				c1, holder, x := lw.alloc(2), lw.alloc(2), lw.alloc(2)
 				lw.root(0, c1)
 				lw.root(1, holder)
@@ -261,9 +278,9 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 				lw.requireLive("x", x)
 			})
 
-			// The barrier's gray is still where the store left it — the
-			// serial marker's stack, the assist shard's — when something
-			// other than the certificate ends the cycle: every entry point
+			// The barrier's gray is still where the store left it — on the
+			// marker's stack — when something other than the chunk that
+			// drains the gray set ends the cycle: every entry point
 			// that needs the heap to itself lands the cycle in flight first
 			// (landCycleLocked). x is marked by the store; y hangs off x and
 			// is found only if that gray is drained by the forced finale.
@@ -312,7 +329,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 				t.Run("forced-finale/"+force.name, func(t *testing.T) {
 					cfg := force.extra
 					cfg.InitialHeapBytes, cfg.ReserveHeapBytes = 256<<10, 256<<10
-					lw := newLostWorld(t, shape.cfg, cfg)
+					lw := shape.world(t, cfg)
 					var m *Mutator
 					if force.policy != 0 {
 						const k = 40
@@ -353,7 +370,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// carded then, staged at the snapshot — and the shade for what
 			// is written during the cycle into old objects it never scans.
 			t.Run("generational-minor", func(t *testing.T) {
-				lw := newLostWorld(t, shape.cfg, Config{Generational: true})
+				lw := shape.world(t, Config{Generational: true})
 				old1, old2 := lw.alloc(2), lw.alloc(8) // different blocks: old2's card stays clean
 				lw.root(0, old1)
 				lw.root(1, old2)

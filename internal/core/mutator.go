@@ -533,11 +533,9 @@ func (m *Mutator) Free(base mem.Addr) error {
 	var ownerID int32
 	var ownerBytes uint64
 	var owned bool
-	w.lockHeapLocked(func() {
-		if err = w.Heap.Free(base); err == nil {
-			ownerID, ownerBytes, owned = w.Heap.TakeOwner(base)
-		}
-	})
+	if err = w.Heap.Free(base); err == nil {
+		ownerID, ownerBytes, owned = w.Heap.TakeOwner(base)
+	}
 	if owned {
 		// An explicit free credits the owning tenant immediately — no
 		// need to wait for a collection barrier to reconcile it.
@@ -676,11 +674,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 			// free lists.
 			m.w.Heap.UntagOwnerRun(c.run[c.next:])
 		}
-		// Free-list threading is a heap-structure mutation: exclude any
-		// detached mark workers (bare call outside a detached phase).
-		m.w.lockHeapLocked(func() {
-			m.w.Heap.ReturnRun(c.words, idx >= alloc.NumClasses, c.run[c.next:])
-		})
+		m.w.Heap.ReturnRun(c.words, idx >= alloc.NumClasses, c.run[c.next:])
 	}
 	c.run = c.run[:0]
 	c.next = 0
@@ -690,9 +684,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 		}
 		// Line profile: clear the span tail's alloc bits and requeue its
 		// block, so the very next carve re-issues the same cursor.
-		m.w.lockHeapLocked(func() {
-			rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
-		})
+		rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
 	}
 	c.cursor, c.limit = 0, 0
 	m.warm &^= 1 << uint(idx)
@@ -893,10 +885,5 @@ func (w *World) verifyIntegrityLocked() error {
 	for _, m := range w.muts {
 		m.eachHeld(func(c *allocCache) { cached = c.appendHeld(cached) })
 	}
-	// The audit walks every block's bitmaps; detached mark workers
-	// flip mark bits and summaries concurrently, so exclude them for
-	// the read (bare call outside a detached phase).
-	var err error
-	w.lockHeapLocked(func() { err = w.Heap.CheckIntegrity(cached) })
-	return err
+	return w.Heap.CheckIntegrity(cached)
 }

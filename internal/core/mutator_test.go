@@ -27,25 +27,25 @@ func (d directDriver) Store(a mem.Addr, v mem.Word) error { return d.w.Store(a, 
 func (d directDriver) Free(base mem.Addr) error           { return d.w.Heap.Free(base) }
 func (d directDriver) Collect() CollectionStats           { return d.w.Collect() }
 
-// detachedDriver is d with every explicit collection a detached
-// concurrent cycle marked by the world's workers alone (cycleOnWorkers).
+// concurrentDriver is d with every explicit collection a concurrent
+// cycle marked by its background driver alone (cycleOnDriver).
 // Nothing runs beside the cycle, so what it finds is as fixed as a
 // stop-the-world collection's; the world's trigger must be off
 // (GCDivisor -1), or cycles would start on a driver goroutine at
 // moments no replay can repeat.
-type detachedDriver struct {
+type concurrentDriver struct {
 	gcDriver
 	t *testing.T
 	w *World
 }
 
-func (d detachedDriver) Collect() CollectionStats { return cycleOnWorkers(d.t, d.w, kindConcurrent) }
+func (d concurrentDriver) Collect() CollectionStats { return cycleOnDriver(d.t, d.w, kindConcurrent) }
 
-// collectingDetached wraps d in a detachedDriver when w marks
+// collectingConcurrently wraps d in a concurrentDriver when w marks
 // concurrently.
-func collectingDetached(t *testing.T, w *World, d gcDriver) gcDriver {
+func collectingConcurrently(t *testing.T, w *World, d gcDriver) gcDriver {
 	if w.cfg.ConcurrentMark {
-		return detachedDriver{d, t, w}
+		return concurrentDriver{d, t, w}
 	}
 	return d
 }
@@ -219,7 +219,6 @@ func normalizeTimes(a, b *CollectionStats) {
 	a.PauseSnapshotNs, b.PauseSnapshotNs = 0, 0
 	a.PauseFinalNs, b.PauseFinalNs = 0, 0
 	a.ConcPhaseNs, b.ConcPhaseNs = 0, 0
-	a.HeapLockWaitNs, b.HeapLockWaitNs = 0, 0
 }
 
 // TestMutatorDifferential proves the handle's compatibility claim: a
@@ -235,9 +234,10 @@ func TestMutatorDifferential(t *testing.T) {
 		"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
 		"lazy":         {GCDivisor: 4, LazySweep: true},
 		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		// Explicit collections as detached cycles on four workers, the
-		// handle's caches marked at each snapshot; exhausted allocations
-		// still collect stop-the-world.
+		// Explicit collections as concurrent cycles, the handle's caches
+		// marked at each snapshot; exhausted allocations still collect
+		// stop-the-world. (The names are those of the detached workers
+		// these rows once ran on; ConcMarkWorkers 4 now selects nothing.)
 		"parallel": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
 		"par-lazy": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, LazySweep: true},
 	}
@@ -251,7 +251,7 @@ func TestMutatorDifferential(t *testing.T) {
 				if useHandle {
 					d = w.NewMutator()
 				}
-				return replay(t, w, collectingDetached(t, w, d), mutatorScript)
+				return replay(t, w, collectingConcurrently(t, w, d), mutatorScript)
 			}
 			direct, handle := run(false), run(true)
 			sameCollections(t, "direct-vs-handle", direct, handle)

@@ -30,14 +30,14 @@ func countPacerEvents(rec *trace.Recorder) int {
 }
 
 // TestPacerAssistAccounting pins the rate-based assist deterministically:
-// ConcMarkWorkers is 1 (lock-chunked, no detached workers) and the cycle
-// is started explicitly (no background driver goroutine), so the only
-// thing crediting or debiting the pacer is this test's own allocations.
+// the cycle is started explicitly (no background driver goroutine), so
+// the only thing crediting or debiting the pacer is this test's own
+// allocations.
 // An allocation burst against the open cycle must run proportional
 // assists (trace events + pacer_assist_ns), and allocations outside a
 // cycle must run none.
 func TestPacerAssistAccounting(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	rec := w.EnableTracing(0)
 	data := addData(t, w, "data", 0x2000, 4096)
 
@@ -105,7 +105,7 @@ func TestPacerAssistAccounting(t *testing.T) {
 // TestPacerScheduleFromHeadroom pins what the pacer schedules against:
 // the heap's free space at the snapshot, not the allocation that
 // triggers cycles. The same rooted live set sits in two heap sizes, a
-// cycle is opened by hand (ConcMarkWorkers 1: no goroutine), and one
+// cycle is opened by hand (no goroutine), and one
 // slow-path allocation after a first one of known size reads its debt
 // off pacer_credit_bytes. Every object is rooted directly and holds
 // only zeros, so the snapshot grays them all and scanning one marks
@@ -121,7 +121,7 @@ func TestPacerScheduleFromHeadroom(t *testing.T) {
 	const objs, since, words = 200, 4, 128
 	debt := func(heapBytes, div int) (perByte float64) {
 		w := newWorld(t, Config{
-			ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: div, MarkQuantum: 16,
+			ConcurrentMark: true, GCDivisor: div, MarkQuantum: 16,
 			InitialHeapBytes: heapBytes, ReserveHeapBytes: heapBytes,
 		})
 		data := addData(t, w, "data", 0x2000, 4096)
@@ -190,7 +190,7 @@ func TestPacerScheduleFromHeadroom(t *testing.T) {
 // mutator allocates), the accrued credit covers the allocation debt and
 // the slow path never assists.
 func TestPacerCreditSuppressesAssist(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	rec := w.EnableTracing(0)
 	data := addData(t, w, "data", 0x2000, 4096)
 	p, err := w.Allocate(600, false)

@@ -69,14 +69,9 @@ func (w *World) ProvenanceFor(addr mem.Addr) (mark.ParentRecord, bool) {
 }
 
 // harvestProvenance collects the just-finished cycle's records from
-// whichever recorders marked it into the per-object map. Stop-the-world
-// and serial concurrent cycles record on the serial marker; detached
-// concurrent cycles record on it and on the sharded marker — the
-// snapshot and finale root scans mark serially, the background chunks
-// on the shards — and the mark-bit first-win rule keeps the merged set
-// duplicate-free.
-// Minor kinds merge, the rest rebuild. Returns the record count for
-// CollectionStats. Callers hold w.mu.
+// the marker into the per-object map: every cycle, stop-the-world or
+// concurrent, records on w.Marker. Minor kinds merge, the rest rebuild.
+// Returns the record count for CollectionStats. Callers hold w.mu.
 func (w *World) harvestProvenance(kind cycleKind) uint64 {
 	if !w.prov.enabled {
 		return 0
@@ -108,21 +103,15 @@ func (w *World) harvestProvenance(kind cycleKind) uint64 {
 	return uint64(len(recs))
 }
 
-// stopRecording ends whichever recorders are running — the sharded
-// marker's, the serial marker's, or both — and returns what they
-// captured and whether any was running. MarkOnly discards the result: a
-// measurement clears the very marks the records describe. Callers hold
-// w.mu.
+// stopRecording ends the marker's recording, if it is running, and
+// returns what it captured and whether it was. MarkOnly discards the
+// result: a measurement clears the very marks the records describe.
+// Callers hold w.mu.
 func (w *World) stopRecording() (recs []mark.ParentRecord, recording bool) {
-	if w.par != nil && w.par.Recording() {
-		recording = true
-		recs = w.par.StopRecording()
+	if !w.Marker.Recording() {
+		return nil, false
 	}
-	if w.Marker.Recording() {
-		recording = true
-		recs = append(recs, w.Marker.StopRecording()...)
-	}
-	return recs, recording
+	return w.Marker.StopRecording(), true
 }
 
 // WhyLive returns the chain of first-marking records from the object

@@ -11,12 +11,11 @@ import (
 
 // provConfigs are the collector configurations the provenance
 // subsystem must compose with — the modes the mutator differential
-// covers, a concurrent cycle stepped by hand in the serial shape (no
-// goroutine is involved and the run is deterministic), and the same
-// stepped cycle detached, where shards on four goroutines race to
-// record each first mark ("parallel", and "par-lazy" under the lazy
-// sweep). A quiesced detached cycle still marks, counts and records one
-// fixed set, so the differentials hold for it too.
+// covers, and a concurrent cycle stepped by hand (no goroutine is
+// involved and the run is deterministic): "conc-stepped", and
+// "parallel" and "par-lazy" (under the lazy sweep), named for the
+// detached workers they once ran on and configured with
+// ConcMarkWorkers 4, which must select nothing.
 var provConfigs = map[string]Config{
 	"full":         {GCDivisor: -1},
 	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1},
@@ -115,10 +114,11 @@ func TestProvenanceOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProvenanceParallelUnique checks the first-CAS-winner rule: with a
-// detached cycle's workers marking, the merged record set holds exactly
-// one record per marked object — no duplicates from lost races, no
-// missing winners. `make race` runs this under the race detector.
+// TestProvenanceParallelUnique checks the first-mark rule across a
+// concurrent cycle's marking: the snapshot's root scan, the background
+// driver's chunks and the finale all record on the one marker, and
+// together hold exactly one record per marked object — no duplicates,
+// no missing first marks.
 func TestProvenanceParallelUnique(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
 	data := addData(t, w, "data", 0x2000, 8192)
@@ -126,8 +126,8 @@ func TestProvenanceParallelUnique(t *testing.T) {
 	var totalRecs uint64
 	for round := 0; round < 3; round++ {
 		churn(t, w, data, 0x2000, 256)
-		provChain(t, w, data, 0x3000, 300) // deep enough that the workers mark most of it
-		st := cycleOnWorkers(t, w, kindConcurrent)
+		provChain(t, w, data, 0x3000, 300) // deep enough that the driver marks most of it
+		st := cycleOnDriver(t, w, kindConcurrent)
 		if st.ProvenanceRecords != st.Mark.ObjectsMarked {
 			t.Fatalf("round %d: %d records for %d marked objects",
 				round, st.ProvenanceRecords, st.Mark.ObjectsMarked)
@@ -517,11 +517,9 @@ func TestRetentionLabelMayCallWorld(t *testing.T) {
 // an object the write barrier marked: the word the mutator stored it
 // into — a field of a heap object, or a root slot — which is where the
 // reference is, not whichever object a marker would have found it
-// through had the store not come first. Under the world lock's two
-// shapes nothing else can mark the targets before the stores do (no
-// chunk runs in between), so the records are exact; against detached
-// workers a worker may win the race, and the record may name the old
-// path instead.
+// through had the store not come first. Nothing else can mark the
+// targets before the stores do (no chunk runs in between), so the
+// records are exact.
 func TestProvenanceBarrierParent(t *testing.T) {
 	for _, shape := range concShapes {
 		shape := shape
@@ -546,14 +544,12 @@ func TestProvenanceBarrierParent(t *testing.T) {
 			if !okx || !oky {
 				t.Fatalf("no provenance record for x (%v) or y (%v)", okx, oky)
 			}
-			viaC1 := func(r mark.ParentRecord) bool { return r.Kind == mark.RootNone && r.Parent == c1 }
 			wantX := mark.ParentRecord{Obj: x, Parent: holder, Value: mem.Word(x), Kind: mark.RootNone, Ref: mark.RefExact, Index: 2}
 			wantY := mark.ParentRecord{Obj: y, Parent: lostRoots + 5*4, Value: mem.Word(y), Kind: mark.RootSegment, Ref: mark.RefExact, Index: 5}
-			raced := shape.name == "detached"
-			if rx != wantX && !(raced && viaC1(rx)) {
+			if rx != wantX {
 				t.Fatalf("x's parent record %+v, want the stored-into field %+v", rx, wantX)
 			}
-			if ry != wantY && !(raced && viaC1(ry)) {
+			if ry != wantY {
 				t.Fatalf("y's parent record %+v, want the stored-into root slot %+v", ry, wantY)
 			}
 			path, err := lw.w.WhyLive(x)

@@ -10,10 +10,10 @@ import (
 // TestSoakConcurrentClosure is the root package's bounded-live-set soak
 // (TestSoakHeapBounded) run where the closure oracle can reach: a
 // program whose live set is a rotating window of lists allocates a few
-// hundred times its heap while allocation-triggered cycles — in the
-// concurrent shapes: background driver, detached workers, pacer
-// assists, forced finales, the lot; and stop-the-world, whose close is
-// the same close — collect behind it. Every cycle must hold the closure
+// hundred times its heap while allocation-triggered cycles — concurrent
+// ones, on each world of concShapes: background driver, pacer assists,
+// forced finales, the lot; and stop-the-world, whose close is the same
+// close — collect behind it. Every cycle must hold the closure
 // of the roots when it closes (the oracle), the window must survive,
 // and the heap must stay bounded. All root writes go through
 // World.Store: the driver's finale scans the roots on another

@@ -7,24 +7,22 @@ import (
 	"repro/internal/mem"
 )
 
-// TestMarkSummaryExactAtSweep pins the contract between markers that
-// share the heap and the sweep that follows them. Such markers set mark
-// bits by compare-and-swap and write nothing else, so the allocator's
-// per-block mark summaries lag for as long as they run; every reader of
-// a summary — above all the sweep's classification, eager or lazy,
-// clearing or sticky — must see it recounted. The detached cycle marks
-// that way, driven two ways: "parallel-run" leaves the marking to its
-// workers and only asks for the certificate, as a background driver
-// does; "detached-finale" steps it with assist chunks, and its finale is
-// a DrainKept over the workers' kept stacks. Each is run against the
-// serial stop-the-world collector on an identical heap, with an audit
-// inside the phase, and must reclaim exactly the same objects and leave
-// a heap the strict audit accepts.
+// TestMarkSummaryExactAtSweep pins the contract between a concurrent
+// cycle's marking and the sweep that follows it: the allocator's
+// per-block mark summaries, which the sweep's classification reads —
+// eager or lazy, clearing or sticky — are exact at every point, the
+// middle of a cycle included (the strict audit checks each against its
+// bitmap). The cycle is driven two ways (the rows keep the names of the
+// detached engine they once drove): "parallel-run" leaves the marking
+// to the background driver; "detached-finale" steps it in chunks
+// between which the audit runs. Each is run against the stop-the-world
+// collector on an identical heap, and must reclaim exactly the same
+// objects and leave a heap the strict audit accepts.
 func TestMarkSummaryExactAtSweep(t *testing.T) {
 	drivers := []struct {
-		name    string
-		cfg     Config
-		workers bool // the workers alone mark (cycleOnWorkers)
+		name   string
+		cfg    Config
+		driven bool // the background driver alone marks (cycleOnDriver)
 	}{
 		{"parallel-run", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, true},
 		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, false},
@@ -42,14 +40,13 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 						concBuildGraph(t, directDriver{w})
 						var st CollectionStats
 						switch {
-						case d.workers && cfg.ConcurrentMark:
+						case d.driven && cfg.ConcurrentMark:
 							installClosureOracle(t, w, nil)
 							w.mu.Lock()
 							w.startConcurrentLocked(kindConcurrent)
 							gen := w.cyc.gen
 							w.mu.Unlock()
-							// Inside the compare-and-swap phase, the workers
-							// running: the summaries lag the bitmaps.
+							// Inside the cycle, before the driver runs.
 							if err := w.VerifyIntegrity(); err != nil {
 								t.Fatalf("audit inside the cycle: %v", err)
 							}
@@ -66,8 +63,7 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 									t.Fatal("cycle did not terminate")
 								}
 								if !audited {
-									// Inside the compare-and-swap phase: the summaries
-									// lag the bitmaps and the audit knows it.
+									// Inside the cycle, between two chunks.
 									if err := w.VerifyIntegrity(); err != nil {
 										t.Fatalf("audit inside the cycle: %v", err)
 									}

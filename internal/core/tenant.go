@@ -251,8 +251,7 @@ func (t *Tenant) OwnedBytes() uint64 {
 	w := t.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var b uint64
-	w.lockHeapLocked(func() { b = w.Heap.OwnedBytes(t.id) })
+	b := w.Heap.OwnedBytes(t.id)
 	if t.budgeted() {
 		for _, m := range t.muts {
 			m.mu.Lock()
@@ -363,7 +362,7 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 	}
 	// Objects swept since the last barrier reconcile (or classified
 	// dead by a lazy barrier) may already cover the charge.
-	w.lockHeapLocked(func() { w.Heap.ReconcileOwners() })
+	w.Heap.ReconcileOwners()
 	if t.tryCharge(bytes) {
 		return nil
 	}
@@ -378,10 +377,8 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 		// The barrier reconciled eagerly-swept objects; under lazy or
 		// concurrent sweep some blocks are still pending, so land them
 		// and reconcile once more for an exact verdict.
-		w.lockHeapLocked(func() {
-			w.Heap.FinishSweep()
-			w.Heap.ReconcileOwners()
-		})
+		w.Heap.FinishSweep()
+		w.Heap.ReconcileOwners()
 		if t.tryCharge(bytes) {
 			return nil
 		}
@@ -419,27 +416,25 @@ func (w *World) evictTenantLocked(t *Tenant) {
 		tm.mu.Unlock()
 	}
 	var objects, bytes uint64
-	w.lockHeapLocked(func() {
-		// Land deferred sweeps first: a pending block's bits still
-		// encode the previous cycle's liveness, and crediting dead
-		// objects now shrinks the explicit free list walk below.
-		w.Heap.FinishSweep()
-		w.Heap.ReconcileOwners()
-		for _, base := range w.Heap.OwnedOf(t.id) {
-			if err := w.Heap.Free(base); err != nil {
-				continue
-			}
-			_, b, _ := w.Heap.TakeOwner(base)
-			objects++
-			bytes += b
+	// Land deferred sweeps first: a pending block's bits still encode
+	// the previous cycle's liveness, and crediting dead objects now
+	// shrinks the explicit free list walk below.
+	w.Heap.FinishSweep()
+	w.Heap.ReconcileOwners()
+	for _, base := range w.Heap.OwnedOf(t.id) {
+		if err := w.Heap.Free(base); err != nil {
+			continue
 		}
-		// Line profile: Free parks slots on the freed LIFO with their
-		// alloc bits still set (so a reallocation reuses them first).
-		// Eviction must be exact — and the victim's roots may still
-		// dangle into these slots, which would re-mark them at the next
-		// cycle — so land the flush barrier that drops the bits now.
-		w.Heap.FlushSpans()
-	})
+		_, b, _ := w.Heap.TakeOwner(base)
+		objects++
+		bytes += b
+	}
+	// Line profile: Free parks slots on the freed LIFO with their alloc
+	// bits still set (so a reallocation reuses them first). Eviction
+	// must be exact — and the victim's roots may still dangle into these
+	// slots, which would re-mark them at the next cycle — so land the
+	// flush barrier that drops the bits now.
+	w.Heap.FlushSpans()
 	w.creditTenant(t.id, objects, bytes)
 	w.met.tenantEvictions.Inc()
 	if w.tracer.Enabled() {

@@ -17,16 +17,16 @@ import (
 
 // tenantBatteryConfigs is the config matrix the battery pins: the
 // plain collector, generational and lazy combinations, the line-heap
-// profile, and both concurrent shapes (serial lock-chunked driver, and
-// detached workers — "par-lazy" with the lazy sweep, "conc-workers"
-// with the background sweep).
+// profile, and concurrent marking alone, with the lazy sweep
+// ("par-lazy") and with the background sweep ("conc-workers"; both
+// named for the detached workers they once ran on).
 var tenantBatteryConfigs = map[string]Config{
 	"full":         {GCDivisor: 6},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-	"par-lazy":     {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, LazySweep: true},
+	"par-lazy":     {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
 	"line":         {GCDivisor: 6, LineAlloc: true},
 	"conc":         {ConcurrentMark: true, GCDivisor: 6},
-	"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 4, ConcurrentSweep: true},
+	"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 }
 
 // settleHeap drives the world to a fully-reconciled state: a fresh
@@ -527,7 +527,7 @@ func TestTenantServeSLO(t *testing.T) {
 	if testing.Short() {
 		requests = 10
 	}
-	cfg := Config{ConcurrentMark: true, GCDivisor: 6, ConcMarkWorkers: 2, ConcurrentSweep: true}
+	cfg := Config{ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true}
 	w := newWorld(t, cfg)
 	data := addData(t, w, "roots", 0x2000, nTenants*slots*4)
 

@@ -99,19 +99,14 @@ func TestCollectZeroAllocsUntracedLazy(t *testing.T) {
 }
 
 // TestCollectAllocBoundUntracedParallel pins the stop-the-world
-// collection of a world that also marks detached at zero allocations,
-// as on any world: the sharded marker an earlier detached cycle built
-// is there, and the stop-the-world mark still spawns no worker, takes
-// no task from its queue, and marks on the one serial marker.
+// collection of a world that also marks concurrently — configured with
+// ConcMarkWorkers 2, which once gave it a pool of detached workers — at
+// zero allocations, as on any world, after a concurrent cycle has run.
 func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
-	cycleOnWorkers(t, w, kindConcurrent)
-	if w.par == nil {
-		t.Fatal("the detached cycle built no sharded marker")
-	}
-	steals := w.par.Steals()
+	cycleOnDriver(t, w, kindConcurrent)
 	w.Collect()
 	w.Collect()
 	w.FinishSweep()
@@ -120,10 +115,7 @@ func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 		w.FinishSweep()
 	})
 	if avg != 0 {
-		t.Fatalf("untraced Collect beside a sharded marker allocates %v times per cycle, want 0", avg)
-	}
-	if w.par.Steals() != steals {
-		t.Fatalf("stop-the-world cycles took %d tasks from the sharded marker's queue", w.par.Steals()-steals)
+		t.Fatalf("untraced Collect after a concurrent cycle allocates %v times per cycle, want 0", avg)
 	}
 }
 
@@ -223,61 +215,53 @@ func TestTraceEventOrdering(t *testing.T) {
 	}
 }
 
-// TestTraceWorkerEvents checks that a detached cycle reports each
-// worker's share — one event per worker, summing to what the workers
-// marked between the snapshot and the finale — and that a mark that ran
-// on the serial marker alone (a stop-the-world collection, a MarkOnly)
-// reports none, though the world's sharded marker still holds the last
-// detached cycle's shard totals. The mark_workers gauge follows the
-// cycle that ran.
+// TestTraceWorkerEvents checks what the trace says about who marked a
+// concurrent cycle: its one marker, on which the snapshot, the driver's
+// chunks and the finale all mark. The cycle's mark_begin reports one
+// marker and its one mark_end the whole cycle's totals — the snapshot's
+// and the chunks' first-marks included, not the finale's alone — and a
+// mark that follows it (a stop-the-world collection, a MarkOnly)
+// reports its own totals, not the concurrent cycle's.
 func TestTraceWorkerEvents(t *testing.T) {
-	const workers = 4
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: workers, GCDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
 	r := w.EnableTracing(0)
 	addData(t, w, "data", 0x2000, 4096)
 	concBuildGraph(t, directDriver{w})
-	workerEvents := func() (n int, objects uint64) {
+	markEnds := func() (ends []trace.Event) {
 		for _, ev := range r.Events() {
-			if ev.Kind == trace.EvWorkerMark {
-				n++
-				objects += uint64(ev.A1)
+			switch ev.Kind {
+			case trace.EvMarkBegin:
+				if ev.A1 != 1 {
+					t.Errorf("mark_begin reports %d markers, want 1", ev.A1)
+				}
+			case trace.EvMarkEnd:
+				ends = append(ends, ev)
 			}
 		}
-		return n, objects
+		return ends
 	}
-	gauge := func() int64 { return findMetric(t, w.MetricsSnapshot(), "mark_workers").Value }
 
-	// The workers do all the marking after the snapshot: the driver only
-	// asks for the certificate, and the finale finds nothing left.
-	st := cycleOnWorkers(t, w, kindConcurrent)
-	n, objects := workerEvents()
-	if n != workers || st.ConcWorkers != workers {
-		t.Fatalf("worker_mark events = %d for a cycle of %d workers, want %d", n, st.ConcWorkers, workers)
+	st := cycleOnDriver(t, w, kindConcurrent)
+	ends := markEnds()
+	if len(ends) != 1 || uint64(ends[0].A0) != st.Mark.ObjectsMarked || uint64(ends[0].A1) != st.Mark.BytesMarked {
+		t.Fatalf("mark_end events %+v for a cycle that marked %+v", ends, st.Mark)
 	}
-	if objects == 0 || objects != st.MarkedConcurrent {
-		t.Fatalf("worker totals sum to %d objects, the workers marked %d", objects, st.MarkedConcurrent)
-	}
-	if g := gauge(); g != workers {
-		t.Fatalf("mark_workers = %d after a %d-worker cycle", g, workers)
+	if st.MarkedConcurrent == 0 || st.Mark.ObjectsMarked <= st.MarkedConcurrent {
+		t.Fatalf("cycle marked %d objects, %d of them between the pauses: want both the snapshot's and the chunks'",
+			st.Mark.ObjectsMarked, st.MarkedConcurrent)
 	}
 	for _, serial := range []struct {
 		name string
-		run  func()
+		run  func() uint64
 	}{
-		{"collect", func() { w.Collect() }},
-		{"mark-only", func() { w.MarkOnly() }},
+		{"collect", func() uint64 { return w.Collect().Mark.ObjectsMarked }},
+		{"mark-only", func() uint64 { objects, _ := w.MarkOnly(); return objects }},
 	} {
 		r.Reset()
-		serial.run()
-		if n, _ := workerEvents(); n != 0 {
-			t.Errorf("%s after a detached cycle emitted %d worker_mark events, want none", serial.name, n)
+		marked := serial.run()
+		if ends := markEnds(); len(ends) != 1 || uint64(ends[0].A0) != marked {
+			t.Errorf("%s after a concurrent cycle: mark_end events %+v, want one for its %d objects", serial.name, ends, marked)
 		}
-		if countKind(r, trace.EvMarkEnd) != 1 {
-			t.Errorf("%s emitted %d mark_end events, want 1", serial.name, countKind(r, trace.EvMarkEnd))
-		}
-	}
-	if g := gauge(); g != 1 {
-		t.Fatalf("mark_workers = %d after a stop-the-world cycle, want 1", g)
 	}
 }
 
@@ -433,7 +417,6 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 	check("live_objects", hs.ObjectsLive)
 	check("bytes_allocated", hs.BytesAllocated)
 	check("objects_allocated", hs.ObjectsAllocated)
-	check("mark_workers", 1)
 
 	// The pause histograms see every cycle: their counts and sums are
 	// the same accounting as the pause counters.
@@ -447,18 +430,15 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 		t.Fatalf("sweep hist count=%d sum=%d, cycles=%d sweepNs=%d",
 			sweepHist.Count(), sweepHist.Sum(), sum.cycles, sum.sweepNs)
 	}
-	check("heap_lock_wait_ns", 0) // no detached cycle ran: the lock was never taken
-	if bytes.Contains(gctrace.Bytes(), []byte("heapwait")) {
-		t.Fatalf("gctrace reports a heap-lock wait on stop-the-world cycles:\n%s", gctrace.String())
-	}
 }
 
 // TestMetricsMatchDetachedCycleStats extends the running-sums invariant
-// to what only a detached concurrent cycle produces: the time its
-// world-lock holders waited for the heap-structure write lock
-// (CollectionStats.HeapLockWaitNs → heap_lock_wait_ns, gctrace
-// "heapwait"), and the stores whose target the insertion barrier marked
-// (barrier_shades, one EvBarrierShade each).
+// to what only a concurrent cycle produces — on a world configured with
+// ConcMarkWorkers 2, the detached cycles this test was written for: the
+// concurrent cycles and their final pauses (gc_concurrent_cycles,
+// stw_final_pause_ns, and the gctrace line's "snap … final" term), and
+// the stores whose target the insertion barrier marked (barrier_shades,
+// one EvBarrierShade each).
 func TestMetricsMatchDetachedCycleStats(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
 	rec := w.EnableTracing(0)
@@ -466,16 +446,13 @@ func TestMetricsMatchDetachedCycleStats(t *testing.T) {
 	var gctrace bytes.Buffer
 	w.SetGCTrace(&gctrace)
 	m := w.NewMutator()
-	var cycles, waitNs, waited uint64
+	var cycles, finalNs uint64
 	w.SetCollectionHook(func(st CollectionStats) {
-		if !st.Concurrent || st.ConcWorkers != 2 {
-			t.Errorf("want detached concurrent cycles, got %+v", st)
+		if !st.Concurrent {
+			t.Errorf("want concurrent cycles, got %+v", st)
 		}
 		cycles++
-		waitNs += uint64(st.HeapLockWaitNs)
-		if st.HeapLockWaitNs > 0 {
-			waited++
-		}
+		finalNs += uint64(st.PauseFinalNs)
 	})
 	var shades uint64
 	for round := 0; round < 3; round++ {
@@ -492,7 +469,7 @@ func TestMetricsMatchDetachedCycleStats(t *testing.T) {
 			}
 			shades++
 		}
-		// Slow-path refills take the write lock against the workers.
+		// Slow-path refills mid-cycle: born black, and paced.
 		for i := 0; i < 200; i++ {
 			if _, err := m.Allocate(8, false); err != nil {
 				t.Fatal(err)
@@ -510,18 +487,15 @@ func TestMetricsMatchDetachedCycleStats(t *testing.T) {
 	reg := w.Metrics()
 	for name, want := range map[string]uint64{
 		"gc_concurrent_cycles": cycles,
-		"heap_lock_wait_ns":    waitNs,
+		"stw_final_pause_ns":   finalNs,
 		"barrier_shades":       shades,
 	} {
 		if got, ok := reg.Value(name); !ok || uint64(got) != want {
 			t.Fatalf("%s = %d (registered %v), want %d", name, got, ok, want)
 		}
 	}
-	if waitNs == 0 {
-		t.Fatal("three detached cycles with slow-path refills waited 0 ns for the heap lock; the wait is not being timed")
-	}
-	if got := uint64(bytes.Count(gctrace.Bytes(), []byte(", heapwait "))); got != waited {
-		t.Fatalf("gctrace has %d heapwait terms, %d cycles waited:\n%s", got, waited, gctrace.String())
+	if got := uint64(bytes.Count(gctrace.Bytes(), []byte(", snap "))); got != cycles {
+		t.Fatalf("gctrace has %d snap/final terms for %d concurrent cycles:\n%s", got, cycles, gctrace.String())
 	}
 	var events uint64
 	for _, ev := range rec.Events() {

@@ -255,23 +255,19 @@ func (w *World) watchTotalsLocked(rw *retWatch) (map[string]watch.Totals, map[st
 		}
 	}
 	hasOwners := w.Heap.HasOwners()
-	// Block-state reads (ObjectSpan) are excluded against detached
-	// sweepers, like every other barrier-time heap read.
-	w.lockHeapLocked(func() {
-		for base := range w.prov.records {
-			words, _ := w.Heap.ObjectSpan(base)
-			bytes := uint64(words * mem.WordBytes)
-			add(w.watchRootKey(base, memo), bytes, base)
-			if rw.cfg.Label != nil {
-				add("label:"+rw.cfg.Label(base), bytes, base)
-			}
-			if hasOwners {
-				if id, ok := w.Heap.OwnerOf(base); ok && id >= 1 && int(id) <= len(w.tenants) {
-					add("tenant:"+w.tenants[id-1].Name(), bytes, base)
-				}
+	for base := range w.prov.records {
+		words, _ := w.Heap.ObjectSpan(base)
+		bytes := uint64(words * mem.WordBytes)
+		add(w.watchRootKey(base, memo), bytes, base)
+		if rw.cfg.Label != nil {
+			add("label:"+rw.cfg.Label(base), bytes, base)
+		}
+		if hasOwners {
+			if id, ok := w.Heap.OwnerOf(base); ok && id >= 1 && int(id) <= len(w.tenants) {
+				add("tenant:"+w.tenants[id-1].Name(), bytes, base)
 			}
 		}
-	})
+	}
 	return totals, reps
 }
 

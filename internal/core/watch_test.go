@@ -15,10 +15,13 @@ import (
 // watchConfigs are the collector configurations the retention watcher
 // must compose with: the battery churns goroutines against each under
 // -race via `make race`, and the differential pins bit-identical-off.
+//
+// "conc-workers", named for the detached workers it once ran on, is
+// the concurrent cycle with the background sweeper.
 var watchConfigs = map[string]Config{
 	"full":         {GCDivisor: -1},
 	"conc":         {ConcurrentMark: true, GCDivisor: -1},
-	"conc-workers": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
+	"conc-workers": {ConcurrentMark: true, ConcurrentSweep: true, GCDivisor: -1},
 	"line":         {LineAlloc: true, GCDivisor: -1},
 	"tenant":       {GCDivisor: -1},
 }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
@@ -137,11 +136,10 @@ type Config struct {
 
 	// MarkQuantum is the marking work one chunk of a concurrent cycle
 	// does, in objects (default 64). It is used twice over: as the scan
-	// budget of a background chunk (the serial driver's under the world
-	// lock, a detached worker's under its read-hold), and as the size of
-	// the assist chunks a slow-path allocation runs when the pacer finds
-	// marking behind allocation, which keeps marking paced with
-	// allocation even when the background goroutines are starved of
+	// budget of the background driver's chunk under the world lock, and
+	// as the size of the assist chunks a slow-path allocation runs when
+	// the pacer finds marking behind allocation, which keeps marking
+	// paced with allocation even when the driver goroutine is starved of
 	// processor time. The cached fast path never assists. Only
 	// meaningful with ConcurrentMark.
 	MarkQuantum int
@@ -149,25 +147,19 @@ type Config struct {
 	// ConcurrentMark enables mostly-concurrent cycles (see
 	// concurrent.go), the design of the paper's reference [8]: a cycle
 	// opens with a short snapshot pause that scans the roots and resumes
-	// the mutators; marking then runs behind them — in chunks under the
-	// world lock, or on detached worker goroutines (ConcMarkWorkers) —
-	// with every Store shading the value it writes and fresh objects born
-	// marked; and a bounded final pause scans the roots again, drains to
-	// the fixpoint, and sweeps. Composes with Generational (minor cycles
-	// run concurrently too), LazySweep and LineAlloc.
+	// the mutators; one marker then marks behind them in chunks under the
+	// world lock, with every Store shading the value it writes and fresh
+	// objects born marked; and a bounded final pause scans the roots
+	// again, drains to the fixpoint, and sweeps. Composes with
+	// Generational (minor cycles run concurrently too), LazySweep and
+	// LineAlloc.
 	ConcurrentMark bool
 
-	// ConcMarkWorkers sets how many detached background goroutines mark
-	// during a concurrent cycle (see detached.go). Values above 1 pull
-	// from the shared gray queue without holding the world lock: heap
-	// words are then accessed atomically, mark bits are CAS, and heap
-	// structure is guarded by a reader-writer lock only the allocator's
-	// mutations take exclusively. 1 pins the serial lock-chunked cycle:
-	// one marker, every chunk under the world lock, no goroutine unless
-	// allocation triggers the cycle — the single-processor form and the
-	// reference of the differential tests. 0 — the default — is adaptive
-	// via AutoMarkWorkers, so small heaps and single-core schedulers keep
-	// the serial form. Only meaningful with ConcurrentMark.
+	// ConcMarkWorkers selects nothing: every value NewWorld accepts (any
+	// count >= 0; negative counts are rejected) runs the one concurrent
+	// cycle, on one marker (DESIGN.md §5a). The field remains only
+	// because cmd/perfbench's workloads set it, and goes with MarkWorkers
+	// once they no longer do.
 	ConcMarkWorkers int
 
 	// ConcurrentSweep moves deferred sweep work onto a background
@@ -183,8 +175,7 @@ type Config struct {
 	// same and NewWorld rejects anything else. A second stop-the-world
 	// worker measured slower on every reading (DESIGN.md §5a). The field
 	// remains only because cmd/perfbench's workloads set it to 1, and
-	// goes once they no longer do. A concurrent cycle's background
-	// marking has its own count, ConcMarkWorkers.
+	// goes once they no longer do.
 	MarkWorkers int
 
 	// LazySweep moves sweep work out of the stop-the-world pause: after
@@ -253,37 +244,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// AutoMarkWorkers is the adaptive worker count of a concurrent cycle
-// when Config.ConcMarkWorkers is 0: given the scheduler's processor
-// count and the live heap size (bytes live after the previous sweep),
-// it returns how many detached workers the cycle marks on. Small heaps
-// get 1, the serial lock-chunked cycle — sharding a sub-8 MiB mark
-// loses more to worker startup and stealing than it gains — and larger
-// heaps scale in powers of two up to 8 workers, never beyond the
-// processor count. The selection table is pinned by
-// TestAutoMarkWorkersTable.
-func AutoMarkWorkers(procs int, liveBytes uint64) int {
-	if procs <= 1 {
-		return 1
-	}
-	atMost := func(n int) int {
-		if n > procs {
-			return procs
-		}
-		return n
-	}
-	switch {
-	case liveBytes < 8<<20:
-		return 1
-	case liveBytes < 32<<20:
-		return atMost(2)
-	case liveBytes < 128<<20:
-		return atMost(4)
-	default:
-		return atMost(8)
-	}
-}
-
 // RootSource is the machine state the collector scans in addition to
 // the root segments: a register file and a live stack.
 // internal/machine.Machine implements it. A world scans the source
@@ -334,11 +294,8 @@ type CollectionStats struct {
 	RescanPasses     int
 	FinalDirtyBlocks int
 	MarkedConcurrent uint64
-	// ConcWorkers is how many detached background mark workers the
-	// cycle ran (0 for a serial lock-chunked cycle); ConcPhaseNs is the
-	// wall-clock length of the concurrent marking phase between the
-	// snapshot and final pauses.
-	ConcWorkers int
+	// ConcPhaseNs is the wall-clock length of the concurrent marking
+	// phase between the snapshot and final pauses.
 	ConcPhaseNs int64
 	// PauseSnapshotNs and PauseFinalNs are the concurrent cycle's two
 	// stop-the-world windows; Duration is their sum for such cycles.
@@ -364,13 +321,6 @@ type CollectionStats struct {
 	// time Duration does not include. Zero when no ownership records
 	// exist.
 	PauseReconcileNs int64
-	// HeapLockWaitNs is how long the world-lock holders of a detached
-	// concurrent cycle — slow-path allocations refilling a cache, frees,
-	// audits, the certificate and the retirement — waited for the
-	// heap-structure write lock behind the mark workers' read-holds,
-	// summed over the cycle. Zero for every other kind of cycle, which
-	// takes no such lock.
-	HeapLockWaitNs int64
 	// SweepDeferredBlocks is how many blocks this cycle's sweep left
 	// pending for lazy sweeping (always 0 with LazySweep off).
 	SweepDeferredBlocks int
@@ -404,29 +354,14 @@ type World struct {
 	// recorded into the next cycle's CollectionStats.
 	lastStopNs int64
 
-	cfg Config
-	mut RootSource
-	// par is the sharded marker detached concurrent cycles run on: nil
-	// until the first one, built at that cycle's worker count and rebuilt
-	// when a later cycle resolves a different count (concurrent.go).
-	par *mark.Parallel
-	// mcfg is the mark configuration NewWorld resolved; kept so par can
-	// be built after construction.
-	mcfg            mark.Config
+	cfg             Config
+	mut             RootSource
 	collections     int
 	minorsSinceFull int
 	// cyc is the collection in progress (cycle.go): what a
 	// stop-the-world kind fills and consumes inside one pause, and what a
 	// concurrent kind keeps between its two.
-	cyc cycle
-	// heapMu guards heap *structure* against a detached cycle's workers
-	// (detached.go): they hold the read side per chunk, allocator
-	// mutations take the write side through lockHeapLocked; lock order is
-	// mu strictly before heapMu. heapWant is the writer's announcement —
-	// raised before it asks for the lock, lowered once it holds it — that
-	// makes the workers' holds yield.
-	heapMu      sync.RWMutex
-	heapWant    atomic.Bool
+	cyc         cycle
 	last        CollectionStats
 	finalizable map[mem.Addr]struct{}
 	reclaimed   []mem.Addr
@@ -490,14 +425,9 @@ type worldMetrics struct {
 	pauseNs, markPauseNs, sweepNs       *metrics.Counter
 
 	// Concurrent-mark counters: cycles run concurrently, the summed
-	// final pauses, stores whose target the write barrier marked, tasks
-	// taken from a detached cycle's shared queue (its markers' only
-	// steals: the stop-the-world mark is serial), and the time world-lock
-	// holders waited for the heap-structure write lock of detached
-	// cycles (the running sum of CollectionStats.HeapLockWaitNs).
-	concCycles, finalPauseNs      *metrics.Counter
-	barrierShades, concMarkSteals *metrics.Counter
-	heapLockWaitNs                *metrics.Counter
+	// final pauses, and stores whose target the write barrier marked.
+	concCycles, finalPauseNs *metrics.Counter
+	barrierShades            *metrics.Counter
 
 	// Pacer and background-sweep observability: time mutators spent in
 	// slow-path assists, the pacer's current credit (negative = debt),
@@ -556,7 +486,7 @@ type worldMetrics struct {
 	blacklistPages, blAdds, blHits    *metrics.Gauge
 	bytesAllocated, objectsAllocated  *metrics.Gauge
 	heapExpansions, desperateAllocs   *metrics.Gauge
-	markWorkers, mutators             *metrics.Gauge
+	mutators                          *metrics.Gauge
 	// Line-heap utilization gauges (zero unless Config.LineAlloc):
 	// wholly-free (carvable) lines, lines holding an allocated slot,
 	// and the bytes stranded in partially-occupied lines — the
@@ -582,8 +512,6 @@ func newWorldMetrics() worldMetrics {
 		concCycles:         reg.Counter("gc_concurrent_cycles"),
 		finalPauseNs:       reg.Counter("stw_final_pause_ns"),
 		barrierShades:      reg.Counter("barrier_shades"),
-		concMarkSteals:     reg.Counter("conc_mark_steals"),
-		heapLockWaitNs:     reg.Counter("heap_lock_wait_ns"),
 		pacerAssistNs:      reg.Counter("pacer_assist_ns"),
 		pacerCreditB:       reg.Gauge("pacer_credit_bytes"),
 		concSweepBlocks:    reg.Counter("conc_sweep_blocks"),
@@ -623,7 +551,6 @@ func newWorldMetrics() worldMetrics {
 		objectsAllocated:   reg.Gauge("objects_allocated"),
 		heapExpansions:     reg.Gauge("heap_expansions"),
 		desperateAllocs:    reg.Gauge("desperate_allocs"),
-		markWorkers:        reg.Gauge("mark_workers"),
 		mutators:           reg.Gauge("mutators"),
 		lineLiveLines:      reg.Gauge("line_live_lines"),
 		lineFreeLines:      reg.Gauge("line_free_lines"),
@@ -638,15 +565,12 @@ func newWorldMetrics() worldMetrics {
 func (w *World) SetCollectionHook(fn func(CollectionStats)) { w.hook = fn }
 
 // SetTracer attaches a structured event trace to the whole collection
-// pipeline: the world's phase spans, the marker's blacklist additions
-// and spills, the allocator's expansions and lazy sweep drains. nil
-// detaches. Set it outside an active cycle.
+// pipeline: the world's phase spans, the marker's blacklist additions,
+// the allocator's expansions and lazy sweep drains. nil detaches. Set
+// it outside an active cycle.
 func (w *World) SetTracer(r *trace.Recorder) {
 	w.tracer = r
 	w.Marker.SetTracer(r)
-	if w.par != nil {
-		w.par.SetTracer(r)
-	}
 	w.Heap.SetTracer(r)
 	// The recorder's JSON dump carries this world's histogram
 	// distributions (pause times, snapshot-diff costs) alongside the
@@ -693,14 +617,8 @@ func (w *World) MetricsSnapshot() []metrics.Sample {
 }
 
 // syncGauges refreshes the level gauges from their owning subsystems.
-// The allocator and blacklist reads are excluded against detached mark
-// workers (whose chunks flush blacklist batches and bump mark
-// summaries), hence the write-side hold.
+// Callers hold w.mu.
 func (w *World) syncGauges() {
-	w.lockHeapLocked(func() { w.syncGaugesExcluded() })
-}
-
-func (w *World) syncGaugesExcluded() {
 	st := w.Heap.Stats()
 	bl := w.Blacklist.Stats()
 	m := &w.met
@@ -716,10 +634,7 @@ func (w *World) syncGaugesExcluded() {
 	m.objectsAllocated.Set(int64(st.ObjectsAllocated))
 	m.heapExpansions.Set(int64(st.Expansions))
 	m.desperateAllocs.Set(int64(st.DesperateAllocs))
-	// The markers of the cycle in flight or the last one: a detached
-	// cycle's workers, or the one serial marker.
-	m.markWorkers.Set(int64(max(w.cyc.workers, 1)))
-	m.pacerCreditB.Set(w.cyc.pacerCredit.Load())
+	m.pacerCreditB.Set(w.cyc.pacerCredit)
 	if w.cfg.LineAlloc {
 		ls := w.Heap.LineStats()
 		m.lineLiveLines.Set(int64(ls.LiveLines))
@@ -745,7 +660,6 @@ func (w *World) recordCycle(st CollectionStats) {
 		m.concCycles.Inc()
 		m.finalPauseNs.Add(uint64(st.PauseFinalNs))
 		m.finalHist.Record(uint64(st.PauseFinalNs))
-		m.heapLockWaitNs.Add(uint64(st.HeapLockWaitNs))
 	case st.Minor:
 		m.minorCycles.Inc()
 	default:
@@ -791,9 +705,6 @@ func (w *World) writeGCTrace(st CollectionStats) {
 	}
 	if st.PauseReconcileNs > 0 {
 		fmt.Fprintf(w.gctrace, ", recon %.2fms", float64(st.PauseReconcileNs)/1e6)
-	}
-	if st.HeapLockWaitNs > 0 {
-		fmt.Fprintf(w.gctrace, ", heapwait %.2fms", float64(st.HeapLockWaitNs)/1e6)
 	}
 	fmt.Fprintln(w.gctrace)
 }
@@ -841,7 +752,7 @@ func (w *World) fireHook() {
 		// are still stopped and Duration is already sampled, so the time
 		// is reported on its own.
 		start := time.Now()
-		w.lockHeapLocked(func() { w.Heap.ReconcileOwners() })
+		w.Heap.ReconcileOwners()
 		w.last.PauseReconcileNs = time.Since(start).Nanoseconds()
 	}
 	if w.watch != nil {
@@ -908,28 +819,20 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		DiscontiguousGrowth:      c.DiscontiguousGrowth,
 		LazySweep:                c.LazySweep,
 		LineAlloc:                c.LineAlloc,
-		// Heap-word stores go atomic whenever a cycle *could* detach
-		// (adaptive selection can pick any width at any cycle); explicit
-		// width 1 pins the plain-store serial path.
-		AtomicWords: c.ConcurrentMark && c.ConcMarkWorkers != 1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	mcfg := mark.Config{Policy: c.Pointer, Alignment: c.Alignment, Blacklist: bl}
-	w := &World{
+	return &World{
 		Space:       space,
 		Heap:        heap,
-		Marker:      mark.New(heap, mcfg),
+		Marker:      mark.New(heap, mark.Config{Policy: c.Pointer, Alignment: c.Alignment, Blacklist: bl}),
 		Blacklist:   bl,
 		cfg:         c,
-		mcfg:        mcfg,
 		finalizable: map[mem.Addr]struct{}{},
 		met:         newWorldMetrics(),
 		epoch:       time.Now(),
-	}
-	w.cyc.retire = make(chan struct{})
-	return w, nil
+	}, nil
 }
 
 // Config returns the world's effective configuration.
@@ -1014,29 +917,11 @@ var errHeapExhausted = fmt.Errorf("allocating: %w", alloc.ErrHeapExhausted)
 // (for allocator-residue simulation) — the attached RootSource for the
 // direct World entry points, the handle's source for Mutator ones.
 func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func() (mem.Addr, error)) (mem.Addr, error) {
-	if w.cfg.ConcurrentMark {
-		// The allocation primitives mutate heap structure (free-list
-		// threading, block claims, extent mapping); during a detached
-		// phase they must exclude the background workers' read-holds.
-		// lockHeapLocked is a bare call outside one, so the wrap costs
-		// serial and stop-the-world cycles nothing but a closure.
-		tryRaw, desperateRaw := try, desperate
-		try = func() (p mem.Addr, err error) {
-			w.lockHeapLocked(func() { p, err = tryRaw() })
-			return p, err
-		}
-		if desperateRaw != nil {
-			desperate = func() (p mem.Addr, err error) {
-				w.lockHeapLocked(func() { p, err = desperateRaw() })
-				return p, err
-			}
-		}
-	}
 	// collected records that a full collection ran inside this call: the
 	// exhaustion arm below runs one before giving up unless one has.
 	collected := false
 	if w.cyc.active {
-		// Rate-based assist (detached.go): the pacer debits this
+		// Rate-based assist (concurrent.go): the pacer debits this
 		// allocation's share of the cycle's marking and repays it with
 		// bounded chunks only when the background marking has fallen
 		// behind, so marking keeps pace with allocation without taxing
@@ -1118,14 +1003,8 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 		// Born black: the fresh object is zero-filled, so there is
 		// nothing to scan at birth, and the mark bit keeps this cycle's
 		// sweep off it. Later stores into it are caught by the write
-		// barrier like stores into any other black object. Against
-		// detached workers the bit must be set with the same CAS they
-		// race on.
-		if w.cyc.detached {
-			w.Heap.MarkAtomic(p)
-		} else {
-			w.Heap.Mark(p)
-		}
+		// barrier like stores into any other black object.
+		w.Heap.Mark(p)
 	}
 	if w.cfg.AllocatorResidue {
 		if rs, ok := src.(residueSimulator); ok {
@@ -1155,9 +1034,7 @@ func (w *World) expandIfTight() {
 func (w *World) expandLocked(bytes int) error {
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	var err error
-	w.lockHeapLocked(func() { err = w.Heap.Expand(bytes) })
-	return err
+	return w.Heap.Expand(bytes)
 }
 
 // Collect runs a full stop-the-world collection: park every mutator
@@ -1203,7 +1080,7 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 	w.Heap.FlushSpans()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kindFull))
 	mstats, _ := w.markPhase(false)
-	w.traceMarkEnd(mstats, false)
+	w.traceMarkEnd(mstats)
 	objects, bytes = w.Heap.CountMarked()
 	w.Heap.ClearMarks()
 	// The measurement's marks are gone, so any provenance it recorded
@@ -1253,9 +1130,7 @@ func (w *World) RegisterFinalizable(a mem.Addr) {
 func (w *World) FinishSweep() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := 0
-	w.lockHeapLocked(func() { n = w.Heap.FinishSweep() })
-	return n
+	return w.Heap.FinishSweep()
 }
 
 // DrainReclaimed returns and clears the queue of reclaimed registered

@@ -139,7 +139,7 @@ func TestTraceLineMinorAndConcurrent(t *testing.T) {
 		t.Fatalf("minor trace line = %q", line)
 	}
 	cw, err := core.NewWorld(nil, core.Config{
-		ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1,
+		ConcurrentMark: true, GCDivisor: -1,
 		InitialHeapBytes: 64 * 1024, ReserveHeapBytes: 1 << 20,
 	})
 	if err != nil {

@@ -279,20 +279,25 @@ func requireZoo(t *testing.T, h *mixedHeap, s Stats, interior bool) {
 
 // TestScanLoopMatchesUnfusedReference marks twin heaps with the loop and
 // with the reference: all eight counters, the marked set and the
-// blacklist's add sequence must be equal, whether the loop sets mark
-// bits plainly or by compare-and-swap.
+// blacklist's add sequence must be equal. The "cas=true" rows — named
+// for the compare-and-swap marking they once ran — start with every
+// fifth object marked on both heaps, as a concurrent cycle's chunks meet
+// objects born black: marked, and never scanned.
 func TestScanLoopMatchesUnfusedReference(t *testing.T) {
 	for _, sh := range loopShapes {
-		for _, cas := range []bool{false, true} {
+		for _, premarked := range []bool{false, true} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%s/cas=%v/seed=%d", sh.name, cas, seed), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/cas=%v/seed=%d", sh.name, premarked, seed), func(t *testing.T) {
 					interior := sh.policy == PointerInterior
 					got, want := newMixedHeap(t, seed, sh.extents, interior), newMixedHeap(t, seed, sh.extents, interior)
 					if got.heap.Extents() < sh.extents {
 						t.Fatalf("%d extents, want %d", got.heap.Extents(), sh.extents)
 					}
+					for i := 0; premarked && i < len(got.objs); i += 5 {
+						got.heap.Mark(got.objs[i])
+						want.heap.Mark(want.objs[i])
+					}
 					m := New(got.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: got.bl})
-					m.atomicMark = cas
 					m.MarkWords(got.roots)
 					m.Drain()
 
@@ -341,9 +346,10 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 			bm.MarkRootArea(org, byBase.roots)
 			var stack []mem.Addr
 			take := func() {
-				for _, g := range bm.TakePending() {
+				for _, g := range bm.stack {
 					stack = append(stack, g.Base())
 				}
+				bm.stack = bm.stack[:0]
 			}
 			for take(); len(stack) > 0; take() {
 				base := stack[len(stack)-1]
@@ -372,74 +378,51 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 	}
 }
 
-// TestDriversShareTheLoop marks twin heaps serially and through each
-// driver of the detached engine — the workers racing on goroutines of
-// their own, a forced finale's DrainKept, DetachedChunk and AssistChunk
-// stepped in turn — each fed by the snapshot hand-off (serial root scan,
-// TakePending into AddGrays). Which worker wins an object varies, so
-// what must be equal is what does not depend on order: the marked set
-// and the counters of first-marks.
+// TestDriversShareTheLoop marks twin heaps with one uninterrupted
+// Drain and through each way a concurrent cycle drives the one marker:
+// "run", bounded chunks until the stack is empty (the background
+// driver, ConcurrentStep, an allocation's assist); "finale", a few
+// chunks, then a forced finale's root rescan and Drain; and "detached",
+// the root scan's gray set detached from the marker that built it and
+// drained by another in chunks. The order objects are reached in
+// differs, so what must be equal is what does not depend on order: the
+// marked set and the counters of first-marks and fields.
 func TestDriversShareTheLoop(t *testing.T) {
-	// handOff scans the roots serially and stages the gray set it built
-	// for p's workers; roots are the counters the serial scan ran up.
-	handOff := func(h *mixedHeap, cfg Config) (p *Parallel, roots Stats) {
-		m := New(h.heap, cfg)
-		m.atomicMark = true
-		m.MarkWords(h.roots)
-		p = NewParallel(h.heap, cfg, 2)
-		p.ResetCycle()
-		grays := m.TakePending()
-		p.AddGrays(grays)
-		if len(m.stack) != 0 || len(grays) == 0 {
-			t.Fatalf("TakePending handed over %d entries and left %d", len(grays), len(m.stack))
-		}
-		// The marker reuses the slice it handed over: AddGrays must have
-		// copied out of it.
-		for i := range grays {
-			grays[i] = 0
-		}
-		return p, m.Stats()
-	}
 	drivers := []struct {
 		name string
 		run  func(h *mixedHeap, cfg Config) Stats
 	}{
 		{"run", func(h *mixedHeap, cfg Config) Stats {
-			p, agg := handOff(h, cfg)
-			p.FlushStaged()
-			runWorkers(p)
-			agg.Add(p.AggStats())
-			return agg
+			m := New(h.heap, cfg)
+			m.MarkWords(h.roots)
+			for !m.DrainN(64) {
+			}
+			return m.Stats()
 		}},
 		{"finale", func(h *mixedHeap, cfg Config) Stats {
-			// A forced finale: a few chunks leave grays on a worker's kept
-			// stack, on the assist shard and in the queue; DrainKept must
-			// start from all three.
-			p, agg := handOff(h, cfg)
-			p.FlushStaged()
-			p.DetachedChunk(0, 23, nil)
-			p.chunkWorker(p.assist, 5, nil)
-			p.DrainKept()
-			if !p.Quiescent() {
-				t.Error("DrainKept left gray objects behind")
+			m := New(h.heap, cfg)
+			m.MarkWords(h.roots)
+			for i := 0; i < 5; i++ {
+				m.DrainN(23)
 			}
-			agg.Add(p.AggStats())
-			return agg
+			if len(m.stack) == 0 {
+				t.Fatal("five chunks drained the whole gray set: the finale finds nothing")
+			}
+			m.MarkWords(h.roots)
+			m.Drain()
+			return m.Stats()
 		}},
 		{"detached", func(h *mixedHeap, cfg Config) Stats {
-			p, agg := handOff(h, cfg)
-			p.FlushStaged()
-			// Workers keep their stacks between chunks, so "done" is the
-			// certificate, not an empty queue.
-			for i := 0; !p.Quiescent(); i++ {
-				if i%3 == 2 {
-					p.AssistChunk(5)
-				} else {
-					p.DetachedChunk(i%2, 23, nil)
-				}
+			scan, drain := New(h.heap, cfg), New(h.heap, cfg)
+			scan.MarkWords(h.roots)
+			if len(scan.stack) == 0 {
+				t.Fatal("the root scan left no gray object to hand over")
 			}
-			agg.Add(p.AggStats())
-			return agg
+			drain.stack = append(drain.stack, scan.stack...)
+			scan.stack = scan.stack[:0]
+			for !drain.DrainN(23) {
+			}
+			return addStats(scan.Stats(), drain.Stats())
 		}},
 	}
 	for _, sh := range loopShapes {
@@ -468,13 +451,12 @@ func TestDriversShareTheLoop(t *testing.T) {
 	}
 }
 
-// TestDrainKeptDifferential plants a detached cycle's gray set — the
-// snapshot hand-off of a serial root scan — in all four places it
-// lives: staged, the shared queue, each worker's kept stack and the
-// assist shard's stack. DrainKept, which drains them on the caller,
-// must mark exactly the set a serial Marker.Drain marks on a twin heap,
-// with the same counters, leave no gray anywhere and no blacklist
-// addition buffered.
+// TestDrainKeptDifferential is the forced finale's drain of a gray set
+// the chunks kept: the root scan's gray set, reordered (every third
+// entry first) and drained part-way in chunks, then drained to the
+// fixpoint. The finale must mark exactly the set one uninterrupted
+// Drain marks on a twin heap, with the same counters and the same
+// blacklist additions, and leave no gray behind.
 func TestDrainKeptDifferential(t *testing.T) {
 	for _, sh := range loopShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -485,51 +467,34 @@ func TestDrainKeptDifferential(t *testing.T) {
 			sm.Drain()
 			want := sm.Stats()
 
-			cfg := Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: driven.bl}
-			rm := New(driven.heap, cfg)
-			rm.atomicMark = true
-			rm.MarkWords(driven.roots)
-			p := NewParallel(driven.heap, cfg, 3)
-			p.ResetCycle()
-			places := make([][]alloc.Gray, 3+len(p.workers))
-			for i, g := range rm.TakePending() {
-				places[i%len(places)] = append(places[i%len(places)], g)
-			}
-			for i, gs := range places {
-				if len(gs) == 0 {
-					t.Fatalf("place %d got no gray object to plant", i)
+			m := New(driven.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: driven.bl})
+			m.MarkWords(driven.roots)
+			var kept []alloc.Gray
+			for r := 0; r < 3; r++ {
+				for i := r; i < len(m.stack); i += 3 {
+					kept = append(kept, m.stack[i])
 				}
 			}
-			p.AddGrays(places[0])
-			grayTasks(places[1], p.queue.push)
-			p.assist.m.stack = append(p.assist.m.stack, places[2]...)
-			for i, w := range p.workers {
-				w.m.stack = append(w.m.stack, places[3+i]...)
-				w.holds.Store(true)
+			m.stack = append(m.stack[:0], kept...)
+			for i := 0; i < 4; i++ {
+				m.DrainN(17)
 			}
-
-			p.DrainKept()
-			got := rm.Stats()
-			got.Add(p.AggStats())
+			m.Drain()
+			got := m.Stats()
 			if got != want {
-				t.Errorf("stats\n serial    %+v\n DrainKept %+v", want, got)
+				t.Errorf("stats\n serial %+v\n finale %+v", want, got)
 			}
 			if !reflect.DeepEqual(serial.markedSet(), driven.markedSet()) {
-				t.Errorf("marked sets differ: serial %d, DrainKept %d", len(serial.markedSet()), len(driven.markedSet()))
+				t.Errorf("marked sets differ: serial %d, finale %d", len(serial.markedSet()), len(driven.markedSet()))
 			}
-			if !p.Quiescent() || p.WorkOutstanding() {
-				t.Error("DrainKept left gray objects behind")
-			}
-			for i, w := range append(p.workers, p.assist) {
-				if len(w.pending.addrs) != 0 {
-					t.Errorf("shard %d still buffers %d blacklist additions", i, len(w.pending.addrs))
-				}
+			if len(m.stack) != 0 {
+				t.Errorf("the finale left %d gray objects behind", len(m.stack))
 			}
 			sa, da := slices.Clone(serial.bl.adds), slices.Clone(driven.bl.adds)
 			slices.Sort(sa)
 			slices.Sort(da)
 			if !slices.Equal(sa, da) {
-				t.Errorf("blacklist additions differ: serial %d, DrainKept %d", len(sa), len(da))
+				t.Errorf("blacklist additions differ: serial %d, finale %d", len(sa), len(da))
 			}
 			requireZoo(t, driven, got, interior)
 			if err := driven.heap.CheckIntegrity(nil); err != nil {

@@ -111,14 +111,6 @@ type Marker struct {
 	// straight to the object's words.
 	stack []alloc.Gray
 	stats Stats
-	// atomicMark switches Mark to the CAS-based MarkAtomic, required
-	// when several markers share the heap (a detached cycle's shards, see
-	// parallel.go).
-	atomicMark bool
-	// overflow, when set, is invoked after a push that grows the stack
-	// to spillThreshold or beyond; a detached cycle's shards use it to
-	// shed work onto the shared queue. nil for the serial marker.
-	overflow func(*Marker)
 	// tracer receives blacklist-addition events; nil (the default)
 	// disables them at the cost of one compare per false reference.
 	tracer *trace.Recorder
@@ -131,10 +123,6 @@ type Marker struct {
 	recs []ParentRecord
 	org  provOrigin
 }
-
-// spillThreshold is the local mark-stack depth beyond which a detached
-// cycle's shard sheds chunks to the shared queue.
-const spillThreshold = 8192
 
 // New creates a marker for the given heap.
 func New(heap *alloc.Allocator, cfg Config) *Marker {
@@ -149,8 +137,7 @@ func New(heap *alloc.Allocator, cfg Config) *Marker {
 func (m *Marker) Config() Config { return m.cfg }
 
 // SetTracer attaches r to receive EvBlacklistPage events (nil
-// detaches). A detached cycle's shards share one recorder: Emit is
-// concurrency-safe.
+// detaches).
 func (m *Marker) SetTracer(r *trace.Recorder) { m.tracer = r }
 
 // Reset clears per-cycle statistics. Mark bits are owned by the
@@ -210,12 +197,6 @@ func (m *Marker) Shade(org RootOrigin, index int32, v mem.Word) bool {
 // of values — the Go compiler spills every one of them around it — so
 // the hull's bounds and the nonzero count are locals and the rarer
 // counters are not.
-//
-// Words are loaded atomically because detached workers scan objects
-// that mutators store to concurrently (the stores are atomic too, via
-// the heap segment's atomic-store mode); on amd64 the atomic load is
-// the same instruction as a plain one, and BenchmarkMarkLiveGraph
-// prices it at nothing.
 func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 	lo, hi := m.heap.Hull()
 	span := hi - lo
@@ -229,7 +210,7 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 			// word.
 			var v mem.Word
 			for ; i < len(ws); i++ {
-				if v = mem.LoadWordAtomic(&ws[i]); v != 0 {
+				if v = ws[i]; v != 0 {
 					nonzero++
 					if mem.Addr(v)-lo < span {
 						break
@@ -240,10 +221,9 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 				break
 			}
 			// One block lookup does the validity check, the mark-bit
-			// transition (a CAS when several markers share the heap) and
-			// the fetch of the object's span.
+			// transition and the fetch of the object's span.
 			p := mem.Addr(v)
-			g, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior, m.atomicMark)
+			g, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior)
 			if out == alloc.NotObject {
 				m.falseReference(p)
 				continue
@@ -254,19 +234,13 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 			// Already marked or newly marked is the loop's one
 			// unpredictable question, so nothing below branches on it: the
 			// counters take won as a number and the push stores the entry
-			// regardless, keeping it only if won. (When markers share the
-			// heap the compare-and-swap has branched on it already, and
-			// another worker's mark is simply skipped.)
-			if m.atomicMark && out == alloc.Already {
-				continue
-			}
+			// regardless, keeping it only if won.
 			won := out.Won()
 			m.stats.ObjectsMarked += uint64(won)
 			m.stats.BytesMarked += uint64(won * g.Words() * mem.WordBytes)
 			if m.rec && won != 0 {
-				// This call set the mark bit (when markers share the heap:
-				// won the CAS), so it alone records the object's
-				// first-marking parent.
+				// This call set the mark bit, so it alone records the
+				// object's first-marking parent.
 				m.org.index = m.org.base + int32(i)
 				m.recordWin(g.Base(), p, v)
 			}
@@ -276,9 +250,6 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 			}
 			n := len(m.stack)
 			m.stack = append(m.stack, g)[:n+won]
-			if m.overflow != nil && n+won >= spillThreshold {
-				m.overflow(m)
-			}
 		}
 		if dense {
 			nonzero, dense = len(ws), false
@@ -436,20 +407,9 @@ func (m *Marker) drain(budget int) int { return m.scan(nil, false, budget) }
 func (m *Marker) Drain() { m.drain(math.MaxInt) }
 
 // DrainN scans up to n queued objects and reports whether the mark
-// stack is now empty. The serial concurrent cycle uses it to bound the
-// marking work done per allocation.
+// stack is now empty. The concurrent cycle uses it to bound the marking
+// work done per chunk.
 func (m *Marker) DrainN(n int) bool {
 	m.drain(n)
 	return len(m.stack) == 0
-}
-
-// TakePending removes and returns the queued (marked but unscanned)
-// objects. A concurrent cycle's snapshot pause scans roots with the
-// serial marker, then hands the resulting gray set to the detached
-// workers through this. The slice is the marker's own stack, emptied:
-// it is valid until the marker next pushes (AddGrays copies out of it).
-func (m *Marker) TakePending() []alloc.Gray {
-	out := m.stack
-	m.stack = m.stack[:0]
-	return out
 }

@@ -2,21 +2,19 @@ package mark
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
 	"repro/internal/mem"
 	"repro/internal/simrand"
-	"repro/internal/trace"
 )
 
 // parallelFixture builds a heap with a deterministic object graph plus
-// a root word area, so serial and sharded marks can be compared. The
-// graph mixes: linked chains, a wide fan-out object big enough to
-// trigger stack spilling, atomic objects, dead objects, interior
-// references, and near-heap junk that must be blacklisted.
+// a root word area, so one marker's mark and several markers' can be
+// compared. The graph mixes: linked chains, a wide fan-out object,
+// atomic objects, dead objects, interior references, and near-heap
+// junk that must be blacklisted.
 type parallelFixture struct {
 	heap  *alloc.Allocator
 	bl    *blacklist.Dense
@@ -70,8 +68,8 @@ func newParallelFixture(t *testing.T, interior bool) *parallelFixture {
 		}
 		f.roots = append(f.roots, mem.Word(head))
 	}
-	// A wide fan-out: one large object pointing at 10000 leaves, so a
-	// single worker's stack exceeds spillThreshold and sheds work.
+	// A wide fan-out: one large object pointing at 10000 leaves, so the
+	// gray set outgrows many chunks.
 	fan := allocObj(10000, false)
 	for i := 0; i < 10000; i++ {
 		leaf := allocObj(2, false)
@@ -115,68 +113,75 @@ func (f *parallelFixture) runSerial(cfg Config) Stats {
 	return m.Stats()
 }
 
-// runParallel marks the fixture's roots as a detached cycle does (see
-// detachedMark) on n workers, and reports the shards' spills.
+// runParallel marks the fixture's roots with n markers over the one
+// heap (see markInTurns) and returns their summed counters and how
+// many of them scanned anything.
 func (f *parallelFixture) runParallel(cfg Config, n int) (Stats, int) {
 	cfg.Blacklist = f.bl
-	p := NewParallel(f.heap, cfg, n)
-	rec := trace.New(0)
-	p.SetTracer(rec)
-	got := detachedMark(f.heap, cfg, p, f.roots)
-	spills := 0
-	for _, ev := range rec.Events() {
-		if ev.Kind == trace.EvMarkSpill {
-			spills++
+	markers := make([]*Marker, n)
+	for i := range markers {
+		markers[i] = New(f.heap, cfg)
+	}
+	return markInTurns(markers, f.roots)
+}
+
+// markInTurns is marking by several markers that share nothing but the
+// heap's mark bits: the first scans the roots, its gray set is dealt
+// out among all of them, and they take turns draining a chunk of 64
+// objects each until every stack is empty. It returns the markers'
+// summed counters, the root scan's included, and how many of them
+// scanned any field.
+func markInTurns(markers []*Marker, roots []mem.Word) (Stats, int) {
+	for _, m := range markers {
+		m.Reset()
+	}
+	markers[0].MarkWords(roots)
+	grays := append([]alloc.Gray(nil), markers[0].stack...)
+	markers[0].stack = markers[0].stack[:0]
+	for i, g := range grays {
+		m := markers[i%len(markers)]
+		m.stack = append(m.stack, g)
+	}
+	for busy := true; busy; {
+		busy = false
+		for _, m := range markers {
+			if !m.DrainN(64) {
+				busy = true
+			}
 		}
 	}
-	return got, spills
-}
-
-// detachedMark is one detached cycle's marking without core around it:
-// the snapshot's serial root scan, its gray set handed to p, the workers
-// racing for it on goroutines of their own (runWorkers), and the finale.
-// It returns the cycle's counters, the root scan's included.
-func detachedMark(heap *alloc.Allocator, cfg Config, p *Parallel, roots []mem.Word) Stats {
-	m := New(heap, cfg)
-	m.MarkWords(roots)
-	p.ResetCycle()
-	p.AddGrays(m.TakePending())
-	p.FlushStaged()
-	runWorkers(p)
-	s := m.Stats()
-	s.Add(p.AggStats())
-	return s
-}
-
-// runWorkers drives p's workers as core's detached workers run: every
-// worker index on a goroutine of its own, pulling bounded chunks until
-// one finds nothing to do, then the finale's DrainKept on the caller
-// for whatever a late spill left on the queue or a stack.
-func runWorkers(p *Parallel) {
-	var wg sync.WaitGroup
-	for i := range p.workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if work, _ := p.DetachedChunk(i, 64, nil); work == 0 {
-					return
-				}
-			}
-		}()
+	var sum Stats
+	scanned := 0
+	for _, m := range markers {
+		sum = addStats(sum, m.Stats())
+		if m.Stats().FieldsScanned > 0 {
+			scanned++
+		}
 	}
-	wg.Wait()
-	p.DrainKept()
+	return sum, scanned
+}
+
+// addStats sums two markers' counters field by field.
+func addStats(a, b Stats) Stats {
+	a.WordsScanned += b.WordsScanned
+	a.Candidates += b.Candidates
+	a.ObjectsMarked += b.ObjectsMarked
+	a.BytesMarked += b.BytesMarked
+	a.FieldsScanned += b.FieldsScanned
+	a.FalseNearHeap += b.FalseNearHeap
+	a.AtomicSkipped += b.AtomicSkipped
+	a.InteriorResolved += b.InteriorResolved
+	return a
 }
 
 func granules(d *blacklist.Dense) []mem.Addr { return d.Granules() }
 
-// TestParallelMatchesSerial is the shard engine's differential: the
-// fixture marked as a detached cycle marks it — a serial root scan
-// handed to 2, 4 or 8 workers racing on goroutines, whose fan-out
-// crosses spillThreshold so gray chunks change hands through the queue —
-// yields the serial Marker's statistics, marked set and blacklist
-// exactly.
+// TestParallelMatchesSerial: marking is a monotone closure, so markers
+// that share the heap's mark bits and nothing else — a root scan's gray
+// set dealt out to 2, 4 or 8 plain markers that drain it in turns —
+// yield the one Marker's statistics, marked set and blacklist exactly.
+// The marks being the only shared state is what the mark loop's
+// "halves2" benchmark rung leans on.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -199,9 +204,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, n := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 					f := newParallelFixture(t, tc.interior)
-					got, spills := f.runParallel(tc.cfg, n)
-					if spills == 0 {
-						t.Error("the fan-out never spilled: no gray chunk changed hands")
+					got, scanned := f.runParallel(tc.cfg, n)
+					if scanned != n {
+						t.Errorf("%d of %d markers scanned anything", scanned, n)
 					}
 					if got != want {
 						t.Errorf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
@@ -232,25 +237,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelReusableAcrossCycles: ResetCycle readies the same shards
-// for the next detached cycle, so two cycles over the same heap count
-// the same.
+// TestParallelReusableAcrossCycles: Reset readies the same markers for
+// the next cycle, so two cycles over the same heap count the same.
 func TestParallelReusableAcrossCycles(t *testing.T) {
 	f := newParallelFixture(t, false)
 	cfg := Config{Policy: PointerBase, Alignment: AlignedWords, Blacklist: f.bl}
-	p := NewParallel(f.heap, cfg, 4)
-	first := detachedMark(f.heap, cfg, p, f.roots)
+	markers := []*Marker{New(f.heap, cfg), New(f.heap, cfg), New(f.heap, cfg), New(f.heap, cfg)}
+	first, _ := markInTurns(markers, f.roots)
 	f.heap.ClearMarks()
-	second := detachedMark(f.heap, cfg, p, f.roots)
+	second, _ := markInTurns(markers, f.roots)
 	if first != second {
 		t.Fatalf("cycles diverge:\nfirst  %+v\nsecond %+v", first, second)
 	}
 }
 
 // TestParallelSparseRoots feeds a register file's worth of single
-// values through the insertion barrier's step on the assist shard
-// (Shade), publishes what it shaded and lets the workers drain it: the
-// same counters as a serial Marker given the nonzero values one by one.
+// values through the insertion barrier's step (Shade) and drains what
+// it shaded: the same counters as a Marker given the nonzero values one
+// by one.
 func TestParallelSparseRoots(t *testing.T) {
 	f := newParallelFixture(t, false)
 	cfg := Config{Policy: PointerBase, Alignment: AlignedWords, Blacklist: f.bl}
@@ -265,14 +269,12 @@ func TestParallelSparseRoots(t *testing.T) {
 	want := serial.Stats()
 	f.heap.ClearMarks()
 
-	p := NewParallel(f.heap, cfg, 4)
-	p.ResetCycle()
+	m := New(f.heap, cfg)
 	for i, v := range f.roots {
-		p.Shade(RootOrigin{Kind: RootRegister}, int32(i), v)
+		m.Shade(RootOrigin{Kind: RootRegister}, int32(i), v)
 	}
-	p.PublishAssist()
-	runWorkers(p)
-	if got := p.AggStats(); got != want {
-		t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
+	m.Drain()
+	if got := m.Stats(); got != want {
+		t.Fatalf("stats diverge:\nMarkValue %+v\nShade     %+v", want, got)
 	}
 }

@@ -16,14 +16,8 @@
 // to the mark hot path are predictable `if m.rec` branches — no stores,
 // no allocation, and a candidate order identical to the unrecorded
 // marker's (asserted by the provenance differential tests). When on,
-// the marker appends one fixed-size record per first-mark to a
-// worker-private slice.
-//
-// Sharded marking (a detached cycle): the mark-bit CAS admits exactly
-// one winner per object, and only the winning shard appends a record,
-// so the merged record set has one entry per marked object with no
-// synchronisation beyond the CAS itself (the "first-CAS-winner records
-// the parent" rule).
+// the marker appends one fixed-size record per first-mark to a slice of
+// its own.
 package mark
 
 import "repro/internal/mem"

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 )
 
 // Addr is a byte address in the simulated 32-bit address space.
@@ -105,13 +104,6 @@ type Segment struct {
 	words    []Word
 	root     bool
 	writable bool
-	// atomicStore makes Store use an atomic word write. The collector
-	// sets it on heap segments when detached mark workers may read heap
-	// words without holding the lock the storer holds (the only pairing
-	// that is otherwise a data race: every other heap access is ordered
-	// by the world lock or the heap-structure lock). Loads stay plain;
-	// racing readers use LoadWordAtomic on the Words() slice instead.
-	atomicStore bool
 }
 
 // NewSegment creates a segment. base must be word-aligned and nonzero
@@ -181,16 +173,6 @@ func (s *Segment) Writable() bool { return s.writable }
 // read-only segment fail; loads and root scanning are unaffected.
 func (s *Segment) SetWritable(w bool) { s.writable = w }
 
-// SetAtomicStore switches Store between plain and atomic word writes;
-// see the field comment. Flip it only while no concurrent access to the
-// segment is possible (at segment creation).
-func (s *Segment) SetAtomicStore(on bool) { s.atomicStore = on }
-
-// AtomicStore reports whether Store writes words atomically. Code that
-// writes through Words() — the allocator's free-list links — reads it
-// to keep the segment's store discipline (StoreWordAtomic when set).
-func (s *Segment) AtomicStore() bool { return s.atomicStore }
-
 // Contains reports whether a lies in the committed region.
 func (s *Segment) Contains(a Addr) bool { return a >= s.base && a < s.Limit() }
 
@@ -241,26 +223,8 @@ func (s *Segment) Store(a Addr, w Word) error {
 	if !s.writable {
 		return fmt.Errorf("mem: segment %q: store to read-only segment at %#x", s.name, uint32(a))
 	}
-	if s.atomicStore {
-		StoreWordAtomic(&s.words[i], w)
-		return nil
-	}
 	s.words[i] = w
 	return nil
-}
-
-// LoadWordAtomic atomically reads the word at p. Word's underlying type
-// is uint32, so the pointer conversion is plain Go — no unsafe needed.
-// Detached mark workers use this on Words() slices to read heap words
-// that a mutator may be storing to concurrently.
-func LoadWordAtomic(p *Word) Word {
-	return Word(atomic.LoadUint32((*uint32)(p)))
-}
-
-// StoreWordAtomic atomically writes w to p; the pairing of
-// LoadWordAtomic.
-func StoreWordAtomic(p *Word, w Word) {
-	atomic.StoreUint32((*uint32)(p), uint32(w))
 }
 
 // LoadByte returns the byte at address a. The simulated machine is

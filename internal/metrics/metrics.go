@@ -3,7 +3,7 @@
 // (internal/trace). A production collector must explain itself in the
 // field without a postmortem heap dump, so the registry keeps cheap
 // atomic aggregates — bytes allocated, objects swept, blacklist hits,
-// steal counts, pending-block depth — that a scraper can snapshot at
+// barrier shades, pending-block depth — that a scraper can snapshot at
 // any time, while CollectionStats remains the per-cycle view of the
 // same accounting (the core tests assert the two agree).
 //
@@ -11,7 +11,7 @@
 // track current levels (heap bytes, live objects, pending blocks) and
 // mirrors of cumulative figures owned elsewhere (allocator and
 // blacklist stats, refreshed by core on snapshot). All operations are
-// lock-free atomics, safe for parallel mark workers, and nil receivers
+// lock-free atomics, safe from any goroutine, and nil receivers
 // no-op so optional metrics cost one compare when absent.
 package metrics
 

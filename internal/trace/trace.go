@@ -12,10 +12,11 @@
 //     *Recorder; every method nil-checks its receiver, so the disabled
 //     fast path is a single compare and emits from un-traced worlds
 //     cost (and allocate) nothing. The allocation tests assert this.
-//   - Detached marking. Several mark workers share one recorder, so
-//     Emit is guarded by a mutex. A lock per event is cheap against the
-//     per-object marking work it annotates, and keeps the buffer free
-//     of torn events under the race detector.
+//   - Shared recorders. Worlds traced together, their background
+//     drivers and sweepers emit into one recorder from several
+//     goroutines, so Emit is guarded by a mutex. A lock per event is
+//     cheap against the work it annotates, and keeps the buffer free of
+//     torn events under the race detector.
 //
 // The buffer wraps: once Emitted exceeds the capacity, the oldest
 // events are overwritten and counted as dropped. Events returns the
@@ -49,8 +50,8 @@ const (
 	// EvCycleEnd closes a collection. A0 cycle number, A1 objects
 	// live after the sweep, A2 bytes live after the sweep.
 	EvCycleEnd
-	// EvMarkBegin opens the mark phase. A0 cycle number, A1 mark
-	// workers, A2 cycle kind.
+	// EvMarkBegin opens the mark phase. A0 cycle number, A1 markers
+	// (always 1: every mark phase is serial), A2 cycle kind.
 	EvMarkBegin
 	// EvMarkEnd closes the mark phase. A0 objects marked, A1 bytes
 	// marked, A2 root words scanned.
@@ -61,13 +62,6 @@ const (
 	// EvSweepEnd closes the sweep phase. A0 objects freed, A1 bytes
 	// freed, A2 blocks deferred to the lazy sweep (0 when eager).
 	EvSweepEnd
-	// EvWorkerMark reports one detached mark worker's totals when its
-	// cycle closes; a cycle that marked serially emits none. A0 worker
-	// index, A1 objects marked, A2 bytes marked.
-	EvWorkerMark
-	// EvMarkSpill records a worker shedding mark-stack entries onto the
-	// shared overflow queue. A0 objects shed.
-	EvMarkSpill
 	// EvBlacklistPage records a near-heap false reference being
 	// blacklisted (figure 2's bold lines). A0 the candidate address.
 	EvBlacklistPage
@@ -145,8 +139,6 @@ var kindNames = [numKinds]string{
 	EvMarkEnd:        "mark_end",
 	EvSweepBegin:     "sweep_begin",
 	EvSweepEnd:       "sweep_end",
-	EvWorkerMark:     "worker_mark",
-	EvMarkSpill:      "mark_spill",
 	EvBlacklistPage:  "blacklist_page",
 	EvSweepDrain:     "sweep_drain",
 	EvAllocTrigger:   "alloc_trigger",

@@ -122,7 +122,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Emit(EvWorkerMark, int64(g), int64(i), 0)
+				r.Emit(EvCacheRefill, int64(g), int64(i), 0)
 			}
 		}(g)
 	}

@@ -36,11 +36,8 @@ type PauseBenchOptions struct {
 // live_graph_stw rows are where pauses are measured).
 type PauseBenchRow struct {
 	// PauseMode is "stw" (every cycle a full stop-the-world
-	// collection), "concurrent" (Config.ConcurrentMark pinned to the
-	// serial lock-chunked cycle: one marker, mutators paused only for the
-	// snapshot and the bounded finale), or "concurrent-workers" (detached
-	// marking on ConcMarkWorkers goroutines plus the background
-	// sweeper).
+	// collection) or "concurrent" (Config.ConcurrentMark: one marker,
+	// mutators paused only for the snapshot and the bounded finale).
 	PauseMode string `json:"pause_mode" gate:"key"`
 	// GoMaxProcs is the scheduler width the row ran under (one of
 	// Options.Widths): the live set must not depend on it.
@@ -62,14 +59,6 @@ type PauseBenchRow struct {
 	// SnapshotP99Ns is the concurrent rows' other, shorter pause (root
 	// scan at cycle start); 0 for stw rows.
 	SnapshotP99Ns float64 `json:"-" gate:"info"`
-	// ConcWorkers is the detached background-marking width the row's
-	// cycles ran with (0: the serial lock-chunked cycle). ConcPhaseNs
-	// totals the cycles' concurrent-phase wall time and ConcMarkObjsPerMs
-	// is MarkedConcurrent over that time — the background mark
-	// throughput.
-	ConcWorkers       int     `json:"-" gate:"info"`
-	ConcPhaseNs       int64   `json:"-" gate:"info"`
-	ConcMarkObjsPerMs float64 `json:"-" gate:"info"`
 }
 
 // PauseBenchResult is the measurement with the options it ran under;
@@ -123,25 +112,9 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 		// slow-path assist budget: 4096 keeps each lock hold short
 		// (~0.1ms) while letting the cycle keep pace with allocation
 		// even when the driver goroutine is scheduled rarely.
-		// ConcMarkWorkers is pinned to 1 so this row stays the serial
-		// lock-chunked cycle regardless of the machine: one driver, and
-		// now one marker at every width (the chunks were sharded across
-		// the stop-the-world width before that shape was deleted) — the
-		// baseline the detached row is compared against.
 		{"concurrent", Config{
 			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 			GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-			ConcMarkWorkers: 1,
-		}},
-		// Detached marking: four background workers pull the gray set
-		// without the world lock, the pacer sizes assists from the
-		// allocation rate, and the sweep backlog drains on a background
-		// goroutine. On fewer than 4 processors the workers oversubscribe
-		// the scheduler and the timing columns measure contention.
-		{"concurrent-workers", Config{
-			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
-			GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-			ConcMarkWorkers: 4, ConcurrentSweep: true,
 		}},
 	}
 	for _, width := range opts.Widths {
@@ -183,19 +156,16 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 	tab := stats.NewTable(
 		fmt.Sprintf("Mutator-visible pauses: stop-the-world vs concurrent marking (%d mutators x %d allocs, NumCPU=%d)",
 			opts.Mutators, opts.Ops, runtime.NumCPU()),
-		"mode", "gomaxprocs", "workers", "cycles", "pause p50", "pause p99", "pause max", "snapshot p99", "mark obj/ms", "live at end")
+		"mode", "gomaxprocs", "cycles", "pause p50", "pause p99", "pause max", "snapshot p99", "live at end")
 	ms := func(ns float64) string { return fmt.Sprintf("%.3fms", ns/1e6) }
 	for _, r := range res.Rows {
-		snap, tput := "-", "-"
+		snap := "-"
 		if r.PauseMode != "stw" {
 			snap = ms(r.SnapshotP99Ns)
 		}
-		if r.ConcMarkObjsPerMs > 0 {
-			tput = fmt.Sprintf("%.0f", r.ConcMarkObjsPerMs)
-		}
-		tab.AddF(r.PauseMode, r.GoMaxProcs, r.ConcWorkers, r.Collections,
+		tab.AddF(r.PauseMode, r.GoMaxProcs, r.Collections,
 			ms(r.PauseP50Ns), ms(r.PauseP99Ns), ms(r.PauseMaxNs),
-			snap, tput, r.ObjectsLive)
+			snap, r.ObjectsLive)
 	}
 	return res, tab, nil
 }
@@ -218,17 +188,11 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 	// the whole stop.
 	var finals, snaps []float64
 	var markedConc uint64
-	var concPhaseNs int64
-	concWorkers := 0
 	w.SetCollectionHook(func(st CollectionStats) {
 		if st.Concurrent {
 			finals = append(finals, float64(st.PauseFinalNs))
 			snaps = append(snaps, float64(st.PauseSnapshotNs))
 			markedConc += st.MarkedConcurrent
-			concPhaseNs += st.ConcPhaseNs
-			if st.ConcWorkers > concWorkers {
-				concWorkers = st.ConcWorkers
-			}
 		} else {
 			finals = append(finals, float64(st.Duration.Nanoseconds()))
 		}
@@ -291,10 +255,6 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 	w.SetCollectionHook(nil)
 	w.Collect()
 	w.Collect()
-	// Deferred-sweep modes (ConcurrentSweep implies LazySweep) may still
-	// hold a backlog; land it so the integrity walk and the live counts
-	// see a fully swept heap. No-op for eager rows.
-	w.FinishSweep()
 	if err := w.VerifyIntegrity(); err != nil {
 		return nil, fmt.Errorf("pausebench: %w", err)
 	}
@@ -315,13 +275,5 @@ func pauseBenchRun(opts PauseBenchOptions, label string, cfg Config) (*PauseBenc
 		PauseP99Ns:       pausePercentile(finals, 99),
 		PauseMaxNs:       pausePercentile(finals, 100),
 		SnapshotP99Ns:    pausePercentile(snaps, 99),
-		ConcWorkers:      concWorkers,
-		ConcPhaseNs:      concPhaseNs,
-		ConcMarkObjsPerMs: func() float64 {
-			if concPhaseNs <= 0 {
-				return 0
-			}
-			return float64(markedConc) / (float64(concPhaseNs) / 1e6)
-		}(),
 	}, nil
 }

@@ -46,8 +46,8 @@ type PausesOptions struct {
 // Pauses compares mutator-visible pause times across the collector
 // modes: stop-the-world (the paper's collector), mostly-concurrent (its
 // reference [8], "concurrent collectors that greatly reduce client
-// pause times" — here in the serial lock-chunked shape, marking in
-// 64-object chunks behind the mutator), and generational (reference
+// pause times" — one marker, marking in 64-object chunks behind the
+// mutator), and generational (reference
 // [13], cheap minor cycles). The mutator churns short-lived objects
 // over a large long-lived structure; the pause is the latency of the
 // worst single allocation call.
@@ -63,7 +63,7 @@ func Pauses(opt PausesOptions) ([]PauseRow, *stats.Table, error) {
 		cfg   Config
 	}{
 		{"stop-the-world", Config{GCDivisor: 2}},
-		{"mostly-concurrent (ref. [8])", Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: 2, MarkQuantum: 64}},
+		{"mostly-concurrent (ref. [8])", Config{ConcurrentMark: true, GCDivisor: 2, MarkQuantum: 64}},
 		{"generational", Config{Generational: true, MinorDivisor: 4, FullEvery: 16}},
 	}
 	var rows []PauseRow

@@ -169,12 +169,12 @@ func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error)
 }
 
 func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, error) {
-	// The serving heap runs the repo's most concurrent collector: four
-	// detached mark workers, rate-paced assists, background sweep.
+	// The serving heap runs the repo's most concurrent collector:
+	// concurrent marking, rate-paced assists, background sweep.
 	w, err := NewWorld(Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcMarkWorkers: 4, ConcurrentSweep: true,
+		ConcurrentSweep: true,
 	})
 	if err != nil {
 		return nil, err

@@ -201,7 +201,7 @@ func (h *soundnessHarness) step() {
 		h.w.CollectMinor()
 	case op < 11 && h.w.Config().ConcurrentMark:
 		// A concurrent cycle stepped by hand between the harness's own
-		// operations (serial shape: no goroutine, so the run replays).
+		// operations (no goroutine, so the run replays).
 		if !h.w.ConcurrentActive() {
 			h.w.StartConcurrentCycle()
 		} else {
@@ -268,7 +268,7 @@ func TestSoundnessAcrossModes(t *testing.T) {
 		{"blacklist", Config{Blacklisting: BlacklistDense}},
 		{"interior", Config{Pointer: PointerInterior, Blacklisting: BlacklistDense}},
 		{"generational", Config{Generational: true, MinorDivisor: 4}},
-		{"conc-stepped", Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 8}},
+		{"conc-stepped", Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 8}},
 		{"lifo-frag", Config{FreeBlocks: LIFO}},
 		{"skip-boundary", Config{SkipPageBoundarySlot: true}},
 		{"discontiguous", Config{DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
@@ -276,7 +276,7 @@ func TestSoundnessAcrossModes(t *testing.T) {
 			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
 		{"lazy", Config{LazySweep: true}},
 		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, LazySweep: true}},
-		{"conc-stepped-lazy", Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 8,
+		{"conc-stepped-lazy", Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 8,
 			LazySweep: true}},
 	}
 	for _, mode := range modes {
