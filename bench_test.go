@@ -248,6 +248,85 @@ func BenchmarkMutatorStore(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentLiveGraph is the rung under perfbench's
+// live_graph_conc row, without the harness: the same concurrent world
+// (768 KiB fixed heap, about 1.28× live; ConcurrentSweep, MarkQuantum
+// 4096, GCDivisor 16), preloaded with the same 16 384-node graph — node
+// i points at node i-1 and at a random earlier node, sizes cycling
+// {4,8,16} words — and one op is the same request: 32 rooted
+// allocations of {2,4,8,16} words into scratch slots, every eighth
+// followed by a store repointing a random node's second word at another.
+// allocs/s is what perfbench's alloc_per_sec reads, and cycles/MB how
+// often the live graph is marked again per megabyte allocated — the
+// number the concurrent trigger moves.
+func BenchmarkConcurrentLiveGraph(b *testing.B) {
+	const nodes, perRequest, rootsBase = 16_384, 32, Addr(0x2000)
+	w, err := NewWorld(Config{
+		InitialHeapBytes: 768 << 10, ReserveHeapBytes: 768 << 10,
+		ConcurrentMark: true, ConcurrentSweep: true, MarkQuantum: 4096, GCDivisor: 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rootBytes := int(mem.AlignPageUp(Addr((2 + perRequest) * mem.WordBytes)))
+	roots, err := w.Space.MapNew("roots", KindData, rootsBase, rootBytes, rootBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := w.NewMutator()
+	rng := simrand.New(1)
+	graph := make([]Addr, nodes)
+	nodeSizes := [3]int{4, 8, 16}
+	for i := range graph {
+		// Slots 0 and 1 alternate as the head, so the newest node is
+		// rooted before the previous head is dropped.
+		p, err := m.AllocateRooted(roots, rootsBase+Addr(i&1*mem.WordBytes), nodeSizes[i%3], false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			if err := m.Store(p, Word(graph[i-1])); err != nil {
+				b.Fatal(err)
+			}
+			if err := m.Store(p+mem.WordBytes, Word(graph[rng.Intn(i)])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		graph[i] = p
+	}
+	if err := m.Store(rootsBase+Addr(nodes&1*mem.WordBytes), 0); err != nil {
+		b.Fatal(err)
+	}
+	sizes := [4]int{2, 4, 8, 16}
+	scratch := rootsBase + 2*mem.WordBytes
+	requestBytes := 0
+	for j := 0; j < perRequest; j++ {
+		_, words := alloc.ClassFor(sizes[j&3])
+		requestBytes += words * mem.WordBytes
+	}
+	cycles := w.Collections()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < perRequest; j++ {
+			if _, err := m.AllocateRooted(roots, scratch+Addr(j*mem.WordBytes), sizes[j&3], false); err != nil {
+				b.Fatal(err)
+			}
+			if j&7 == 7 {
+				from, to := graph[rng.Intn(nodes)], graph[rng.Intn(nodes)]
+				if err := m.Store(from+mem.WordBytes, Word(to)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	cycles = w.Collections() - cycles
+	w.FinishConcurrentCycle()
+	b.ReportMetric(float64(b.N*perRequest)/b.Elapsed().Seconds(), "allocs/s")
+	b.ReportMetric(float64(cycles)/(float64(b.N*requestBytes)/(1<<20)), "cycles/MB")
+}
+
 // --- E2 / Figure 1: candidate extraction alignment ---
 
 func benchFigure1(b *testing.B, align AlignPolicy) {

@@ -1045,3 +1045,8 @@ func (a *Allocator) SinceGC() (bytesSinceGC uint64, heapBytes int) {
 // BytesAllocated returns the cumulative allocation total alone, for the
 // assist pacer, which reads it on every slow path of a concurrent cycle.
 func (a *Allocator) BytesAllocated() uint64 { return a.stats.BytesAllocated }
+
+// LiveBytes returns the last sweep's live bytes alone, for the
+// concurrent trigger's runway, which the handles' trigger mirror reads
+// on every slow path.
+func (a *Allocator) LiveBytes() uint64 { return a.stats.BytesLive }

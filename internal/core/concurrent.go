@@ -75,11 +75,16 @@ import (
 // citation [13] uses them for: the remembered set *between*
 // generational collections, consumed at the snapshot (above).
 //
-// The pacer schedules the snapshot's marking across a share of the
-// heap's free space at the snapshot (pacerInitLocked), not across the
-// allocation that triggered the cycle: the cycle's own allocation can
-// spend the free space, and the trigger is only where that spending
-// starts.
+// When a cycle starts is a headroom rule (triggerLocked): a
+// non-generational concurrent world opens it once the free space the
+// last close left has fallen to a runway of runwayShare of it — not
+// after a fixed allocation interval, which re-marked the live graph
+// while most of the free space still stood unused — and never earlier
+// than the GCDivisor interval. The pacer then schedules the snapshot's
+// marking across a share of the free space actually left at the
+// snapshot (pacerInitLocked), not across the allocation that triggered
+// the cycle: the cycle's own allocation can spend that space, and the
+// trigger is only where that spending starts.
 const (
 	// pacerMaxRounds bounds how many assist chunks one slow-path
 	// allocation runs repaying its debt, so a mutator that fell far
@@ -301,23 +306,25 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 
 // pacerInitLocked arms the pacer at a cycle's snapshot: zero credit,
 // the allocation cursor at the current total, and a ratio provisioning
-// the snapshot's marking across pacerShare of the heap's free space —
-// committed bytes less the last close's live bytes, at least a page.
-// The free space, not the trigger budget, is what the cycle's own
-// allocation can spend before it runs out of memory, so it is what the
-// schedule is measured against. The marking is at most the last
-// close's live bytes plus everything allocated since (at least 64 KiB):
-// on a heap that only grows, all of it is live, and counting only the
-// last close's survivors left a cycle its marking after the free space
-// was gone. Callers hold w.mu.
+// the snapshot's marking across pacerShare of the heap's free space
+// left at the snapshot — committed bytes less the last close's live
+// bytes and everything allocated since, at least a page. That, not the
+// trigger budget, is what the cycle's own allocation can spend before
+// it runs out of memory, so it is what the schedule is measured
+// against; a cycle that starts at the runway point (triggerLocked) has
+// spent the rest already. The marking is at most the last close's live
+// bytes plus everything allocated since (at least 64 KiB): on a heap
+// that only grows, all of it is live, and counting only the last
+// close's survivors left a cycle its marking after the free space was
+// gone. Callers hold w.mu.
 func (w *World) pacerInitLocked() {
 	c := &w.cyc
 	st := w.Heap.Stats()
 	c.pacerLastAlloc = st.BytesAllocated
 	c.pacerCredit = 0
 	free := uint64(mem.PageBytes)
-	if heap := uint64(st.HeapBytes); heap > st.BytesLive+free {
-		free = heap - st.BytesLive
+	if heap, used := uint64(st.HeapBytes), st.BytesLive+st.BytesSinceGC; heap > used+free {
+		free = heap - used
 	}
 	work := max(st.BytesLive+st.BytesSinceGC, 64<<10)
 	c.pacerRatio = float64(work) / (pacerShare * float64(free))

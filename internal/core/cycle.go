@@ -339,26 +339,67 @@ func (w *World) markPhase(minor bool) (mark.Stats, int) {
 	return w.Marker.Stats(), dirty
 }
 
-// dueCycleLocked is the regular-interval trigger: whether allocation
-// since the last collection has crossed the configured share of the
-// heap, and which kind of cycle that calls for. Generational worlds
-// prefer the cheaper minor cycle at the minor interval, with every
-// FullEvery-th a full one; a generational world that marks concurrently
-// triggers on the minor interval alone. Callers hold w.mu with no cycle
-// in flight.
-func (w *World) dueCycleLocked() (kind cycleKind, due bool) {
+// runwayShare is the share of the free space the last close left (the
+// committed heap less its live bytes) that a non-generational
+// concurrent world keeps in hand when its next cycle starts: the
+// cycle opens once allocation since the close has spent the rest, and
+// the pacer schedules its marking across what is left. Chosen on the
+// curve (DESIGN.md §5h): a later start marks the live graph less often,
+// but from about an eighth down the request tail rises, each cycle
+// running behind a heap nearly out of room; a quarter keeps a margin
+// above that knee.
+const runwayShare = 0.25
+
+// triggerLocked is the one collection trigger: the bytes allocated
+// since the last close past which the next allocation opens a cycle,
+// the kind of that cycle, and whether any cycle is armed at all. The
+// world's slow path (dueCycleLocked) and every handle's fast-path
+// mirror (Mutator.resyncLocked) read it, so the two cannot disagree.
+//
+//   - Generational worlds prefer the cheaper minor cycle at the minor
+//     interval, every FullEvery-th a full one; a stop-the-world one
+//     also runs a full cycle at the GCDivisor interval, should that
+//     come first. A generational world that marks concurrently
+//     triggers on the minor interval alone.
+//   - Otherwise a cycle opens at the GCDivisor interval, and a
+//     concurrent one no earlier than the runway point: when the free
+//     space left falls to runwayShare of what the last close left.
+//     Taking the later of the two never starts a cycle earlier than
+//     the interval alone would.
+//
+// GCDivisor (and MinorDivisor) ≤ 0 disarm their interval. Callers hold
+// w.mu.
+func (w *World) triggerLocked() (at uint64, kind cycleKind, armed bool) {
 	cfg := &w.cfg
-	sinceGC, heapBytes := w.Heap.SinceGC()
-	if cfg.Generational && cfg.MinorDivisor > 0 && sinceGC > uint64(heapBytes/cfg.MinorDivisor) {
-		return kindOf(cfg.ConcurrentMark, w.minorsSinceFull < cfg.FullEvery-1), true
+	_, heapBytes := w.Heap.SinceGC()
+	if cfg.Generational && cfg.MinorDivisor > 0 {
+		at, kind = uint64(heapBytes/cfg.MinorDivisor), kindOf(cfg.ConcurrentMark, w.minorsSinceFull < cfg.FullEvery-1)
+		if !cfg.ConcurrentMark && cfg.GCDivisor > 0 && uint64(heapBytes/cfg.GCDivisor) < at {
+			at, kind = uint64(heapBytes/cfg.GCDivisor), kindFull
+		}
+		return at, kind, true
 	}
-	if cfg.Generational && cfg.ConcurrentMark {
-		return kindFull, false
+	if cfg.GCDivisor <= 0 || cfg.Generational && cfg.ConcurrentMark {
+		return 0, kindFull, false
 	}
-	if cfg.GCDivisor > 0 && sinceGC > uint64(heapBytes/cfg.GCDivisor) {
-		return kindOf(cfg.ConcurrentMark, false), true
+	at = uint64(heapBytes / cfg.GCDivisor)
+	if !cfg.ConcurrentMark {
+		return at, kindFull, true
 	}
-	return kindFull, false
+	var free uint64
+	if live := w.Heap.LiveBytes(); uint64(heapBytes) > live {
+		free = uint64(heapBytes) - live
+	}
+	return max(at, free-uint64(runwayShare*float64(free))), kindConcurrent, true
+}
+
+// dueCycleLocked is the allocation slow path's reading of the trigger:
+// whether allocation since the last close has passed it, and which kind
+// of cycle that calls for. Callers hold w.mu with no cycle in flight.
+func (w *World) dueCycleLocked() (kind cycleKind, due bool) {
+	at, kind, armed := w.triggerLocked()
+	sinceGC, _ := w.Heap.SinceGC()
+	return kind, armed && sinceGC > at
 }
 
 // allocTrigger records an allocation crossing the collection threshold,

@@ -630,14 +630,13 @@ func (m *Mutator) publishLocked() {
 
 // resyncLocked re-mirrors the central trigger state after a slow path
 // or safepoint: sinceGC restarts from the true central count, and
-// trigger becomes the smallest threshold at which allocateLocked would
-// start any collection. Callers hold w.mu.
+// trigger becomes the threshold at which allocateLocked would start a
+// collection (World.triggerLocked, the one both read). Callers hold
+// w.mu.
 func (m *Mutator) resyncLocked() {
-	sinceGC, heapBytes := m.w.Heap.SinceGC()
-	m.sinceGC = sinceGC
+	m.sinceGC, _ = m.w.Heap.SinceGC()
 	m.hasTrigger = false
 	m.trigger = 0
-	cfg := &m.w.cfg
 	if m.w.cyc.active {
 		// A concurrent cycle is in flight: BytesSinceGC keeps growing
 		// until the finale resets it, so any trigger armed now would fire
@@ -647,18 +646,7 @@ func (m *Mutator) resyncLocked() {
 		// a trigger; the first slow path after the finale re-arms it.
 		return
 	}
-	if cfg.Generational && cfg.MinorDivisor > 0 {
-		m.hasTrigger = true
-		m.trigger = uint64(heapBytes / cfg.MinorDivisor)
-		if cfg.GCDivisor > 0 {
-			if t := uint64(heapBytes / cfg.GCDivisor); t < m.trigger {
-				m.trigger = t
-			}
-		}
-	} else if cfg.GCDivisor > 0 {
-		m.hasTrigger = true
-		m.trigger = uint64(heapBytes / cfg.GCDivisor)
-	}
+	m.trigger, _, m.hasTrigger = m.w.triggerLocked()
 }
 
 // returnCacheLocked flushes one class's cached remainder back to its

@@ -95,8 +95,13 @@ type Config struct {
 	DiscontiguousGrowth bool
 
 	// GCDivisor triggers a collection when allocation since the last
-	// one exceeds heapSize/GCDivisor (default 2; 0 disables automatic
-	// collection).
+	// one exceeds heapSize/GCDivisor (default 2; a negative value
+	// disables automatic collection). In a non-generational
+	// ConcurrentMark world a cycle starts at the later of that interval
+	// and the runway point — the free space left falling to a quarter of
+	// what the last collection left — so that a cycle marks once the
+	// free space is mostly spent, not while most of it stands unused
+	// (triggerLocked, DESIGN.md §5h).
 	GCDivisor int
 	// FreeSpaceDivisor expands the heap after a collection that leaves
 	// less than heapSize/FreeSpaceDivisor free (default 4), so that a
@@ -431,9 +436,12 @@ type worldMetrics struct {
 
 	// Pacer and background-sweep observability: time mutators spent in
 	// slow-path assists, the pacer's current credit (negative = debt),
-	// and blocks the background sweeper classified outside any pause.
+	// concurrent cycles whose finale an allocation's ErrNeedMemory
+	// forced, and blocks the background sweeper classified outside any
+	// pause.
 	pacerAssistNs   *metrics.Counter
 	pacerCreditB    *metrics.Gauge
+	forcedFinales   *metrics.Counter
 	concSweepBlocks *metrics.Counter
 
 	// Safepoint and mutator-cache counters, maintained at the stop,
@@ -514,6 +522,7 @@ func newWorldMetrics() worldMetrics {
 		barrierShades:      reg.Counter("barrier_shades"),
 		pacerAssistNs:      reg.Counter("pacer_assist_ns"),
 		pacerCreditB:       reg.Gauge("pacer_credit_bytes"),
+		forcedFinales:      reg.Counter("gc_forced_finales"),
 		concSweepBlocks:    reg.Counter("conc_sweep_blocks"),
 		stwStops:           reg.Counter("stw_stops"),
 		stwPauseNs:         reg.Counter("stw_pause_ns"),
@@ -729,8 +738,8 @@ func (w *World) GCTraceSummary() string {
 	if n := m.tenants.Load(); n > 0 {
 		s += fmt.Sprintf("; tenants %d (%d KiB live)", n, m.tenantLiveBytes.Load()/1024)
 	}
-	if c := m.pacerCreditB.Load(); c != 0 {
-		s += fmt.Sprintf("; pacer credit %d KiB", c/1024)
+	if c, f := m.pacerCreditB.Load(), m.forcedFinales.Load(); c != 0 || f != 0 {
+		s += fmt.Sprintf("; pacer credit %d KiB, forced finales %d", c/1024, f)
 	}
 	if n := m.leakDiffHist.Count(); n > 0 {
 		s += fmt.Sprintf("; leakwatch %d samples diff %s", n, dist(m.leakDiffHist))
@@ -947,7 +956,10 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 	}
 	p, err := try()
 	if err == alloc.ErrNeedMemory && w.landCycleLocked() {
-		// The in-flight concurrent cycle is complete: its close swept.
+		// The in-flight concurrent cycle is complete: its close swept. Its
+		// finale was forced — the cycle's own allocation outran its
+		// marking, which is what the pacer is there to prevent.
+		w.met.forcedFinales.Inc()
 		p, err = try()
 	}
 	if err == alloc.ErrNeedMemory {
