@@ -54,8 +54,10 @@ allocs:
 # flight), the differentials, the mutator and watch batteries and the
 # soak, every close of which the closure oracle checks for "marked ⊇
 # reachable"; the table test of the one close every cycle kind shares;
-# the finalization accessors polled against a driver's finale; and the
-# pacer's tests — then run again at one, two and four processors,
+# the finalization accessors polled against a driver's finale; the
+# pacer's tests; and the sweep differentials, whose background sweeper
+# drains the sweep barrier's queue beside the mutators — then run again
+# at one, two and four processors,
 # because what a background driver interleaves with depends on how many
 # there are; and the watch battery on the plain concurrent cycle, where
 # the watcher's barrier-time walk meets the driver's chunks, runs
@@ -65,7 +67,7 @@ allocs:
 # test's default ten-minute budget with every test passing; the budget
 # is widened, nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer
+CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|ConcurrentSweep
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \

@@ -94,6 +94,16 @@ func ClassFor(nwords int) (class int, words int) {
 // large (block-span) object.
 func IsLarge(nwords int) bool { return nwords > MaxSmallWords }
 
+// listIdx returns the free-list index of a size class. The paper's
+// collector keeps separate free lists for atomic and composite objects;
+// atomicity is folded into the index.
+func listIdx(class int, atomic bool) int {
+	if atomic {
+		return class + NumClasses
+	}
+	return class
+}
+
 // FreeBlockPolicy selects how free blocks are kept.
 type FreeBlockPolicy int
 
@@ -160,13 +170,14 @@ type Config struct {
 	// ExtentReserveBytes is each additional extent's reservation
 	// (default: ReserveBytes).
 	ExtentReserveBytes int
-	// LazySweep defers per-slot sweep work out of the collection barrier.
-	// Sweep/SweepSticky then only classify blocks from their mark
-	// summaries — releasing empty blocks, skipping fully-live ones, and
-	// queueing mixed blocks — and refill sweeps queued blocks on demand;
-	// FinishSweep completes any remainder. Reclamation totals (the
-	// SweepResult) are identical to the eager sweep's, computed from the
-	// summaries at the barrier. Default off: the eager path, unchanged.
+	// LazySweep chooses when the collection barrier's per-slot work on
+	// mixed blocks is done. Sweep/SweepSticky classify every block from
+	// its mark summary either way — releasing empty blocks, skipping
+	// fully-live ones — and compute the SweepResult there. Off (the
+	// default, the paper's collector), each mixed block is swept on the
+	// spot; on, it is queued, refill sweeps queued blocks on demand, and
+	// FinishSweep completes any remainder. Reclamation totals and
+	// allocation addresses are the same under both settings.
 	LazySweep bool
 	// LineAlloc switches small untyped allocation to the line-structured
 	// bump profile (see lines.go): blocks are partitioned into
@@ -604,11 +615,7 @@ func (a *Allocator) AllocIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error
 		// Small objects never span pages; the promise is vacuous.
 		return a.alloc(nwords, atomic, false)
 	}
-	p, err := a.allocLargeCommon(nwords, atomic, false, true)
-	if err != nil {
-		return 0, err
-	}
-	return p, nil
+	return a.allocLarge(nwords, atomic, false, true)
 }
 
 func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) {
@@ -616,15 +623,10 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 		return 0, fmt.Errorf("alloc: bad size %d", nwords)
 	}
 	if IsLarge(nwords) {
-		return a.allocLarge(nwords, atomic, desperate)
+		return a.allocLarge(nwords, atomic, desperate, false)
 	}
 	class, words := ClassFor(nwords)
-	// The paper's collector keeps separate free lists for atomic and
-	// composite objects; we fold atomicity into the class index.
-	idx := class
-	if atomic {
-		idx += NumClasses
-	}
+	idx := listIdx(class, atomic)
 	if a.cfg.LineAlloc {
 		return a.allocLine(class, words, atomic, idx, desperate)
 	}
@@ -639,9 +641,7 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 		return 0, err
 	}
 	a.freeList[idx] = s.pop(p)
-	a.stats.ObjectsAllocated++
-	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
-	a.stats.BytesSinceGC += uint64(words * mem.WordBytes)
+	a.CommitAllocs(1, uint64(words*mem.WordBytes))
 	return p, nil
 }
 
@@ -659,41 +659,49 @@ func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) erro
 	if a.freeList[idx] != 0 {
 		return nil
 	}
-	words := classWords[class]
-	anyPageOK := desperate || (atomic && a.cfg.AllowAtomicOnBlacklisted &&
-		words <= a.cfg.AtomicBlacklistMaxWords)
-	bi, ok := a.acquireSpan(1, anyPageOK)
+	bi, ok := a.freshBlock(class, untypedDesc(atomic), desperate)
 	if !ok {
 		return ErrNeedMemory
+	}
+	a.freeList[idx] = a.threadFresh(bi, a.freeList[idx])
+	return nil
+}
+
+// freshBlock dedicates a free block to size class class, scanned as desc
+// says, and zeroes it: the one fresh-block step of the free-list, typed
+// and line refills. The blacklist decides which block may be used
+// (spanOK, AllowAtomicOnBlacklisted, desperate). ok is false when none.
+func (a *Allocator) freshBlock(class int, desc DescID, desperate bool) (bi int, ok bool) {
+	words := classWords[class]
+	anyPageOK := desperate || (desc == descAtomic && a.cfg.AllowAtomicOnBlacklisted &&
+		words <= a.cfg.AtomicBlacklistMaxWords)
+	if bi, ok = a.acquireSpan(1, anyPageOK); !ok {
+		return 0, false
 	}
 	if desperate && a.cfg.Blacklist.Contains(a.blockBase(bi)) {
 		a.stats.DesperateAllocs++
 		a.tracer.Emit(trace.EvDesperateAlloc, int64(a.blockBase(bi)), 0, 0)
 	}
-	nslots := slotsPerBlock(words)
-	a.newSmallBlock(bi, class, words, untypedDesc(atomic))
-	// Zero the block so objects are delivered clean, then thread the
-	// slots in address order.
+	a.newSmallBlock(bi, class, words, desc)
+	clear(a.blockWords(bi))
+	return bi, true
+}
+
+// threadFresh threads every usable slot of the fresh block bi onto the
+// free list headed by head, in address order, and returns the new head.
+func (a *Allocator) threadFresh(bi int, head mem.Addr) mem.Addr {
+	words := int(a.blocks[bi].objWords)
 	base := a.blockBase(bi)
 	hw := a.blockWords(bi)
-	for i := range hw {
-		hw[i] = 0
-	}
-	head := a.freeList[idx]
-	for slot := nslots - 1; slot >= a.firstSlot(words); slot-- {
+	for slot := slotsPerBlock(words) - 1; slot >= a.firstSlot(words); slot-- {
 		hw[slot*words] = mem.Word(head)
 		head = slotAddr(base, slot, words)
 	}
-	a.freeList[idx] = head
-	return nil
+	return head
 }
 
 // allocLarge allocates an object spanning one or more whole blocks.
-func (a *Allocator) allocLarge(nwords int, atomic, desperate bool) (mem.Addr, error) {
-	return a.allocLargeCommon(nwords, atomic, desperate, false)
-}
-
-func (a *Allocator) allocLargeCommon(nwords int, atomic, desperate, ignoreOffPage bool) (mem.Addr, error) {
+func (a *Allocator) allocLarge(nwords int, atomic, desperate, ignoreOffPage bool) (mem.Addr, error) {
 	nblocks := mem.PageCount(nwords * mem.WordBytes)
 	bi, ok := a.acquireSpanLarge(nblocks, desperate, ignoreOffPage)
 	if !ok {
@@ -731,9 +739,7 @@ func (a *Allocator) allocLargeCommon(nwords int, atomic, desperate, ignoreOffPag
 		}
 		remaining -= n
 	}
-	a.stats.ObjectsAllocated++
-	a.stats.BytesAllocated += uint64(nwords * mem.WordBytes)
-	a.stats.BytesSinceGC += uint64(nwords * mem.WordBytes)
+	a.CommitAllocs(1, uint64(nwords*mem.WordBytes))
 	return base, nil
 }
 

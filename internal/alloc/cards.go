@@ -125,18 +125,8 @@ func (a *Allocator) ForEachObject(fn func(base mem.Addr)) {
 // block sweeps preserve marks the same way, so a block holding any
 // old-marked object (markedCount > 0) is never released by a minor
 // collection, pending or not.
-func (a *Allocator) SweepSticky() SweepResult {
-	if a.cfg.LazySweep {
-		return a.sweepLazy(false)
-	}
-	return a.sweep(false)
-}
+func (a *Allocator) SweepSticky() SweepResult { return a.sweepBarrier(false) }
 
 // Sweep reclaims every unmarked object, rebuilds the free lists, and
 // clears mark bits for the next full cycle. See also SweepSticky.
-func (a *Allocator) Sweep() SweepResult {
-	if a.cfg.LazySweep {
-		return a.sweepLazy(true)
-	}
-	return a.sweep(true)
-}
+func (a *Allocator) Sweep() SweepResult { return a.sweepBarrier(true) }

@@ -114,7 +114,7 @@ func (a *Allocator) refAllocTyped(id DescID) (mem.Addr, error) {
 	class, words := ClassFor(d.Words)
 	key := typedKey{class: class, desc: id}
 	if a.typedFree[key] == 0 {
-		if err := a.refillTyped(class, words, id, key); err != nil {
+		if err := a.refillTyped(class, id, key); err != nil {
 			return 0, err
 		}
 	}

@@ -87,16 +87,9 @@ func (a *Allocator) isLineBlock(b *blockDesc) bool {
 	return a.cfg.LineAlloc && b.state == blockSmall && b.desc < 0
 }
 
-// lineIdx returns the free-list index space slot of a line block's
-// class: the same (class, +NumClasses if atomic) indexing the free
-// lists use, reused for the line span and partial-block queues.
-func lineIdx(b *blockDesc) int {
-	idx := int(b.class)
-	if b.atomic {
-		idx += NumClasses
-	}
-	return idx
-}
+// lineIdx returns the free-list index of a line block's class (listIdx),
+// reused for the line span and partial-block queues.
+func lineIdx(b *blockDesc) int { return listIdx(int(b.class), b.atomic) }
 
 // nextFreeRun returns the lowest maximal run [l0, l1) of set bits in
 // free, which must be nonzero.
@@ -250,20 +243,9 @@ func (a *Allocator) nextSpan(class int, atomicObj bool, idx int, desperate bool)
 			return sp, nil
 		}
 	}
-	anyPageOK := desperate || (atomicObj && a.cfg.AllowAtomicOnBlacklisted &&
-		words <= a.cfg.AtomicBlacklistMaxWords)
-	bi, ok := a.acquireSpan(1, anyPageOK)
+	bi, ok := a.freshBlock(class, untypedDesc(atomicObj), desperate)
 	if !ok {
 		return Span{}, ErrNeedMemory
-	}
-	if desperate && a.cfg.Blacklist.Contains(a.blockBase(bi)) {
-		a.stats.DesperateAllocs++
-		a.tracer.Emit(trace.EvDesperateAlloc, int64(a.blockBase(bi)), 0, 0)
-	}
-	a.newSmallBlock(bi, class, words, untypedDesc(atomicObj))
-	hw := a.blockWords(bi)
-	for i := range hw {
-		hw[i] = 0
 	}
 	sp, ok := a.carveRun(bi, idx, words)
 	if !ok {
@@ -324,26 +306,20 @@ func (a *Allocator) popFreed(idx int) (mem.Addr, bool) {
 // zeroed whole by the line sweep and fresh blocks at dedication — so
 // the hand-out touches no heap words.
 func (a *Allocator) allocLine(class, words int, atomicObj bool, idx int, desperate bool) (mem.Addr, error) {
-	objBytes := uint64(words * mem.WordBytes)
-	if p, ok := a.popFreed(idx); ok {
-		a.stats.ObjectsAllocated++
-		a.stats.BytesAllocated += objBytes
-		a.stats.BytesSinceGC += objBytes
-		return p, nil
-	}
-	s := &a.lineSpans[idx]
-	if s.Cursor >= s.Limit {
-		ns, err := a.nextSpan(class, atomicObj, idx, desperate)
-		if err != nil {
-			return 0, err
+	p, ok := a.popFreed(idx)
+	if !ok {
+		s := &a.lineSpans[idx]
+		if s.Cursor >= s.Limit {
+			ns, err := a.nextSpan(class, atomicObj, idx, desperate)
+			if err != nil {
+				return 0, err
+			}
+			*s = ns
 		}
-		*s = ns
+		p = s.Cursor
+		s.Cursor += mem.Addr(words * mem.WordBytes)
 	}
-	p := s.Cursor
-	s.Cursor += mem.Addr(words * mem.WordBytes)
-	a.stats.ObjectsAllocated++
-	a.stats.BytesAllocated += objBytes
-	a.stats.BytesSinceGC += objBytes
+	a.CommitAllocs(1, uint64(words*mem.WordBytes))
 	return p, nil
 }
 
@@ -362,10 +338,7 @@ func (a *Allocator) AllocSpan(nwords int, atomicObj bool) (Span, error) {
 		return Span{}, fmt.Errorf("alloc: AllocSpan of %d words", nwords)
 	}
 	class, words := ClassFor(nwords)
-	idx := class
-	if atomicObj {
-		idx += NumClasses
-	}
+	idx := listIdx(class, atomicObj)
 	// Freed slots are served before spans, one-slot spans in LIFO order,
 	// exactly as AllocRun would pop them off the rebuilt list head.
 	if p, ok := a.popFreed(idx); ok {

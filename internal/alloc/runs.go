@@ -64,10 +64,7 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 		max = 1
 	}
 	class, _ := ClassFor(nwords)
-	idx := class
-	if atomic {
-		idx += NumClasses
-	}
+	idx := listIdx(class, atomic)
 	if a.freeList[idx] == 0 {
 		if err := a.refill(class, atomic, idx, false); err != nil {
 			return out, err
@@ -112,10 +109,7 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 		return
 	}
 	class, _ := ClassFor(nwords)
-	idx := class
-	if atomic {
-		idx += NumClasses
-	}
+	idx := listIdx(class, atomic)
 	head := a.freeList[idx]
 	for i := len(run) - 1; i >= 0; {
 		s, err := a.locateSlots(run[i], class)

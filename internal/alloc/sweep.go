@@ -65,10 +65,7 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 	base := a.blockBase(bi)
 	hw := a.blockWords(bi)
 	typed := b.desc >= 0
-	idx := int(b.class)
-	if b.atomic {
-		idx += NumClasses
-	}
+	idx := listIdx(int(b.class), b.atomic)
 	tkey := typedKey{class: int(b.class), desc: b.desc}
 	var head mem.Addr
 	if typed {
@@ -117,19 +114,27 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 	}
 }
 
-// sweep is the eager sweep: it reclaims every unmarked object and
-// rebuilds the size-class free lists inside the collection barrier, as
-// the paper's collector does after each mark phase. When clearMarks is
-// true (full collections) survivors' mark bits are cleared for the next
-// cycle; when false (SweepSticky, minor collections) they are preserved
-// as the "old" flag.
+// sweepBarrier is the collection barrier's sweep, behind Sweep and
+// SweepSticky under both LazySweep settings. The per-block mark
+// summaries classify each block in O(1) and give the exact SweepResult
+// before any slot is touched: empty blocks (markedCount 0) go back to
+// the free block structure (address ordered with coalescing by
+// default, the paper's fragmentation argument), fully-live blocks need
+// no threading, and only mixed blocks have per-slot work left. That
+// work is all the two settings do differently. With LazySweep off it is
+// done on the spot, as the paper's collector sweeps right after
+// marking; with it on, the block is queued as sweep-pending for refill
+// to process on demand. Either way the blocks go in ascending order and
+// refills hand the highest one out first. clearMarks clears survivors'
+// marks (full collections) or keeps them as the "old" flag (SweepSticky).
 //
-// Wholly empty blocks are returned to the free block structure (address
-// ordered with coalescing by default), which both lets the blacklist
-// steer future placement and implements the paper's fragmentation
-// argument for sorted free lists.
-func (a *Allocator) sweep(clearMarks bool) SweepResult {
-	a.FinishSweep() // no-op unless a lazy cycle left blocks pending
+// Soundness of the deferred arm: a pending block's alloc and mark bits
+// encode the cycle's liveness verdict, so all pending blocks must be
+// swept (FinishSweep) before mark bits are touched again — the
+// collector finishes the sweep at the start of the next cycle, and
+// ClearMarks finishes them first.
+func (a *Allocator) sweepBarrier(clearMarks bool) SweepResult {
+	a.FinishSweep() // complete the previous cycle's leftovers first
 	// Outstanding bump spans hold allocated-but-unissued slots; return
 	// them before the accounting below reads liveSlots. The collector
 	// flushes before marking, so this is a no-op there — it covers
@@ -138,84 +143,6 @@ func (a *Allocator) sweep(clearMarks bool) SweepResult {
 	var r SweepResult
 	// Free lists and partial-block queues are rebuilt from scratch: the
 	// threaded slots and queued blocks may be released below.
-	for i := range a.freeList {
-		a.freeList[i] = 0
-	}
-	for k := range a.typedFree {
-		a.typedFree[k] = 0
-	}
-	a.resetLineQueues()
-	for bi := 0; bi < len(a.blocks); bi++ {
-		b := &a.blocks[bi]
-		switch b.state {
-		case blockFree, blockLargeCont:
-			continue
-		case blockLargeHead:
-			n := int(b.spanLen)
-			if b.markBits[0]&1 != 0 {
-				if clearMarks {
-					b.markBits[0] = 0
-					b.markedCount = 0
-				}
-				r.ObjectsLive++
-				r.BytesLive += uint64(int(b.objWords) * mem.WordBytes)
-				r.BlocksKept += n
-			} else {
-				r.ObjectsFreed++
-				r.BytesFreed += uint64(int(b.objWords) * mem.WordBytes)
-				a.releaseSpan(bi, n)
-				r.BlocksReleased += n
-				a.stats.BlocksDedicated -= n
-				a.stats.BlocksFree += n
-			}
-			bi += n - 1
-		case blockSmall:
-			objBytes := uint64(int(b.objWords) * mem.WordBytes)
-			live := int(b.markedCount)
-			freed := int(b.liveSlots) - live
-			r.ObjectsFreed += uint64(freed)
-			r.BytesFreed += uint64(freed) * objBytes
-			if live == 0 {
-				a.releaseSpan(bi, 1)
-				r.BlocksReleased++
-				a.stats.BlocksDedicated--
-				a.stats.BlocksFree++
-				continue
-			}
-			if a.isLineBlock(b) {
-				a.lineSweepSmall(bi, clearMarks)
-				a.requeueLineBlock(bi, b)
-			} else {
-				a.sweepSmall(bi, clearMarks)
-			}
-			r.ObjectsLive += uint64(live)
-			r.BytesLive += uint64(live) * objBytes
-			r.BlocksKept++
-		}
-	}
-	a.stats.BytesLive = r.BytesLive
-	a.stats.ObjectsLive = r.ObjectsLive
-	return r
-}
-
-// sweepLazy is the lazy sweep's collection barrier. The per-block mark
-// summaries let it compute the exact SweepResult the eager sweep would
-// report while doing only O(blocks) work: empty blocks (markedCount 0)
-// are released to the free structure immediately, fully-live blocks
-// need no threading at all, and only mixed blocks are queued as
-// sweep-pending for refill to process on demand. The deferred work per
-// block is pure threading and bit maintenance; every reclamation total
-// is already accounted here.
-//
-// Soundness: a pending block's alloc and mark bits encode the cycle's
-// liveness verdict, so all pending blocks must be swept (FinishSweep)
-// before mark bits are touched again — the collector finishes the sweep
-// at the start of the next cycle, and ClearMarks refuses to run over
-// pending blocks by finishing them first.
-func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
-	a.FinishSweep() // complete the previous cycle's leftovers first
-	a.FlushSpans()  // see sweep: return bump spans before accounting
-	var r SweepResult
 	for i := range a.freeList {
 		a.freeList[i] = 0
 	}
@@ -278,6 +205,15 @@ func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
 				}
 				continue
 			}
+			if !a.cfg.LazySweep { // sweep now, inside the barrier
+				if a.isLineBlock(b) {
+					a.lineSweepSmall(bi, clearMarks)
+					a.requeueLineBlock(bi, b)
+				} else {
+					a.sweepSmall(bi, clearMarks)
+				}
+				continue
+			}
 			b.pendingSweep = true
 			a.pendingBlocks++
 			if a.isLineBlock(b) {
@@ -293,10 +229,7 @@ func (a *Allocator) sweepLazy(clearMarks bool) SweepResult {
 				k := typedKey{class: int(b.class), desc: b.desc}
 				a.sweepPendingTyped[k] = append(a.sweepPendingTyped[k], bi)
 			} else {
-				idx := int(b.class)
-				if b.atomic {
-					idx += NumClasses
-				}
+				idx := listIdx(int(b.class), b.atomic)
 				a.sweepPending[idx] = append(a.sweepPending[idx], bi)
 			}
 		}
@@ -556,10 +489,7 @@ func (a *Allocator) Free(base mem.Addr) error {
 			a.typedFree[tkey] = base
 			return nil
 		}
-		idx := int(b.class)
-		if b.atomic {
-			idx += NumClasses
-		}
+		idx := listIdx(int(b.class), b.atomic)
 		hw[slot*words] = mem.Word(a.freeList[idx])
 		a.freeList[idx] = base
 		return nil

@@ -91,10 +91,25 @@ func runSweepChurn(t *testing.T, a *Allocator, seed uint64, typed DescID) []chur
 // allocations) and requires identical behaviour at every step: the same
 // allocation addresses — lazy refills must consume pending blocks in
 // exactly the order the eager sweep threads them — and the same
-// reclamation totals at every collection barrier.
+// reclamation totals at every collection barrier. The line rows run the
+// same schedule on the line heap, whose mixed blocks the barrier line-
+// sweeps and requeues on the spot or queues as deferred carve targets.
 func TestLazySweepDifferential(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"freelist", Config{}},
+		{"line", Config{LineAlloc: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) { lazySweepDifferential(t, row.cfg) })
+	}
+}
+
+func lazySweepDifferential(t *testing.T, base Config) {
 	for _, seed := range []uint64{1, 42, 777} {
-		cfg := Config{InitialBytes: 32 * mem.PageBytes}
+		cfg := base
+		cfg.InitialBytes = 32 * mem.PageBytes
 		_, eager := newTestAllocator(t, cfg)
 		cfg.LazySweep = true
 		_, lazy := newTestAllocator(t, cfg)

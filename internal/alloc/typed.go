@@ -89,7 +89,7 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 	class, words := ClassFor(d.Words)
 	key := typedKey{class: class, desc: id}
 	if a.typedFree[key] == 0 {
-		if err := a.refillTyped(class, words, id, key); err != nil {
+		if err := a.refillTyped(class, id, key); err != nil {
 			return 0, err
 		}
 	}
@@ -99,16 +99,14 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 		return 0, err
 	}
 	a.typedFree[key] = s.pop(p)
-	a.stats.ObjectsAllocated++
-	a.stats.BytesAllocated += uint64(words * mem.WordBytes)
-	a.stats.BytesSinceGC += uint64(words * mem.WordBytes)
+	a.CommitAllocs(1, uint64(words*mem.WordBytes))
 	return p, nil
 }
 
 // refillTyped replenishes the (class, descriptor) free list, first by
 // sweeping pending blocks of the same layout, then by dedicating and
 // threading a fresh block.
-func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error {
+func (a *Allocator) refillTyped(class int, id DescID, key typedKey) error {
 	if q, ok := a.sweepPendingTyped[key]; ok && len(q) > 0 {
 		for a.typedFree[key] == 0 {
 			bi, ok := a.popPending(&q)
@@ -122,22 +120,10 @@ func (a *Allocator) refillTyped(class, words int, id DescID, key typedKey) error
 			return nil
 		}
 	}
-	bi, ok := a.acquireSpan(1, false)
+	bi, ok := a.freshBlock(class, id, false)
 	if !ok {
 		return ErrNeedMemory
 	}
-	nslots := slotsPerBlock(words)
-	a.newSmallBlock(bi, class, words, id)
-	base := a.blockBase(bi)
-	hw := a.blockWords(bi)
-	for i := range hw {
-		hw[i] = 0
-	}
-	head := a.typedFree[key]
-	for slot := nslots - 1; slot >= a.firstSlot(words); slot-- {
-		hw[slot*words] = mem.Word(head)
-		head = slotAddr(base, slot, words)
-	}
-	a.typedFree[key] = head
+	a.typedFree[key] = a.threadFresh(bi, a.typedFree[key])
 	return nil
 }

@@ -133,30 +133,46 @@ func TestCoreLazySweepDifferential(t *testing.T) {
 	}
 }
 
-// TestLazySweepDeferredBlocksReported checks the new pause-phase
+// TestLazySweepDeferredBlocksReported checks the pause-phase sweep
 // statistics: a lazy collection over a mixed heap reports deferred
-// blocks, an eager one never does.
+// blocks, an eager one never does — it sweeps every mixed block inside
+// the barrier, so none is left pending and none is swept later.
 func TestLazySweepDeferredBlocksReported(t *testing.T) {
-	w := newWorld(t, Config{LazySweep: true})
-	data := addData(t, w, "roots", 0x2000, 4096)
-	for i := 0; i < 200; i++ {
-		p, err := w.Allocate(4, false)
-		if err != nil {
-			t.Fatal(err)
+	for _, lazy := range []bool{true, false} {
+		name := "eager"
+		if lazy {
+			name = "lazy"
 		}
-		if i%7 == 0 { // keep a scattering live so blocks are mixed
-			data.Store(0x2000+mem.Addr(4*(i%64)), mem.Word(p))
-		}
-	}
-	st := w.Collect()
-	if st.SweepDeferredBlocks == 0 {
-		t.Fatal("lazy collection deferred no blocks over a mixed heap")
-	}
-	if n := w.FinishSweep(); n != st.SweepDeferredBlocks {
-		t.Fatalf("FinishSweep swept %d blocks, stats said %d deferred", n, st.SweepDeferredBlocks)
-	}
-	st = w.Collect()
-	if got := w.Heap.SweepPending(); got != st.SweepDeferredBlocks {
-		t.Fatalf("SweepPending %d != reported %d", got, st.SweepDeferredBlocks)
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, Config{LazySweep: lazy})
+			data := addData(t, w, "roots", 0x2000, 4096)
+			for i := 0; i < 200; i++ {
+				p, err := w.Allocate(4, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%7 == 0 { // keep a scattering live so blocks are mixed
+					data.Store(0x2000+mem.Addr(4*(i%64)), mem.Word(p))
+				}
+			}
+			st := w.Collect()
+			if !lazy {
+				if st.SweepDeferredBlocks != 0 || w.Heap.SweepPending() != 0 || w.Heap.Stats().LazySweptBlocks != 0 {
+					t.Fatalf("eager collection deferred %d blocks (pending %d, lazily swept %d)",
+						st.SweepDeferredBlocks, w.Heap.SweepPending(), w.Heap.Stats().LazySweptBlocks)
+				}
+				return
+			}
+			if st.SweepDeferredBlocks == 0 {
+				t.Fatal("lazy collection deferred no blocks over a mixed heap")
+			}
+			if n := w.FinishSweep(); n != st.SweepDeferredBlocks {
+				t.Fatalf("FinishSweep swept %d blocks, stats said %d deferred", n, st.SweepDeferredBlocks)
+			}
+			st = w.Collect()
+			if got := w.Heap.SweepPending(); got != st.SweepDeferredBlocks {
+				t.Fatalf("SweepPending %d != reported %d", got, st.SweepDeferredBlocks)
+			}
+		})
 	}
 }

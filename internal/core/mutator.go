@@ -306,19 +306,14 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 	m.stats.SlowAllocs++
 
 	// Tenant accounting: resolve cancellation and the budget before
-	// touching the heap — an over-budget allocation runs the tenant's
-	// policy (tenant.go) and may collect, evict, or deny right here.
-	// The charge is undone if the allocation below fails.
-	var tenCharge uint64
-	if t := m.ten; t != nil {
-		tenCharge = tenantChargeBytes(nwords)
-		if terr := w.tenantChargeLocked(t, tenCharge); terr != nil {
-			return 0, terr
-		}
+	// touching the heap. The charge is undone if the allocation below
+	// fails.
+	tenCharge, err := m.chargeTenantLocked(nwords)
+	if err != nil {
+		return 0, err
 	}
 
 	var p mem.Addr
-	var err error
 	// tagged records that p already carries its owner tag (the carve
 	// paths tag every carved slot, including the one handed out now).
 	tagged := false
@@ -418,19 +413,9 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 			func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 	}
+	m.settleTenantLocked(p, err, tenCharge, tagged)
 	if err != nil {
-		if t := m.ten; t != nil && t.budgeted() && tenCharge > 0 {
-			t.uncharge(tenCharge)
-		}
 		return 0, err
-	}
-	if t := m.ten; t != nil {
-		t.noteAllocs(1, tenCharge)
-		if t.budgeted() && !tagged {
-			// Large and desperate allocations come from no carve; tag
-			// the object itself.
-			w.Heap.TagOwner(p, t.id)
-		}
 	}
 	if dst != nil {
 		// Root while still holding w.mu: no collection can run before
@@ -453,24 +438,7 @@ func (m *Mutator) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	if m.src != nil {
-		m.src.OnAllocate()
-	}
-	m.publishLocked()
-	defer m.resyncLocked()
-	m.stats.SlowAllocs++
-	var tenCharge uint64
-	if t := m.ten; t != nil {
-		tenCharge = tenantChargeBytes(d.Words)
-		if terr := w.tenantChargeLocked(t, tenCharge); terr != nil {
-			return 0, terr
-		}
-	}
-	p, err := w.allocateLocked(d.Words, m.src,
-		func() (mem.Addr, error) { return w.Heap.AllocTyped(id) },
-		nil)
-	m.settleTenantLocked(p, err, tenCharge)
-	return p, err
+	return m.allocateUncachedLocked(d.Words, func() (mem.Addr, error) { return w.Heap.AllocTyped(id) })
 }
 
 // AllocateIgnoreOffPage allocates a large object under the first-page
@@ -479,30 +447,48 @@ func (m *Mutator) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, erro
 	w := m.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return m.allocateUncachedLocked(nwords, func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) })
+}
+
+// allocateUncachedLocked is the shared body of the handle's uncached
+// entry points: one object of nwords words from try, under the
+// world's retry policy, with no cache, no desperate fallback and the
+// tenant charged and settled around it. Callers hold w.mu.
+func (m *Mutator) allocateUncachedLocked(nwords int, try func() (mem.Addr, error)) (mem.Addr, error) {
 	if m.src != nil {
 		m.src.OnAllocate()
 	}
 	m.publishLocked()
 	defer m.resyncLocked()
 	m.stats.SlowAllocs++
-	var tenCharge uint64
-	if t := m.ten; t != nil {
-		tenCharge = tenantChargeBytes(nwords)
-		if terr := w.tenantChargeLocked(t, tenCharge); terr != nil {
-			return 0, terr
-		}
+	tenCharge, err := m.chargeTenantLocked(nwords)
+	if err != nil {
+		return 0, err
 	}
-	p, err := w.allocateLocked(nwords, m.src,
-		func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) },
-		nil)
-	m.settleTenantLocked(p, err, tenCharge)
+	p, err := m.w.allocateLocked(nwords, m.src, try, nil)
+	m.settleTenantLocked(p, err, tenCharge, false)
 	return p, err
 }
 
-// settleTenantLocked finishes an uncached tenant allocation: uncharge
-// on failure, count and tag on success. Callers hold w.mu and have
-// charged tenCharge via tenantChargeLocked.
-func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64) {
+// chargeTenantLocked charges a tenant handle's budget for one slow-path
+// allocation of nwords words before the heap is touched, returning the
+// bytes charged. An over-budget charge runs the tenant's policy
+// (tenant.go), which may collect, evict, or deny right here. Callers
+// hold w.mu and settle the charge with settleTenantLocked.
+func (m *Mutator) chargeTenantLocked(nwords int) (uint64, error) {
+	if m.ten == nil {
+		return 0, nil
+	}
+	charge := tenantChargeBytes(nwords)
+	return charge, m.w.tenantChargeLocked(m.ten, charge)
+}
+
+// settleTenantLocked finishes a slow-path tenant allocation: uncharge
+// on failure, count and tag on success. tagged says p already carries
+// its owner tag — the carve paths tag every slot they carve — so only
+// an object from no carve (large, typed, desperate) is tagged here.
+// Callers hold w.mu and have charged tenCharge via chargeTenantLocked.
+func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64, tagged bool) {
 	t := m.ten
 	if t == nil {
 		return
@@ -514,7 +500,7 @@ func (m *Mutator) settleTenantLocked(p mem.Addr, err error, tenCharge uint64) {
 		return
 	}
 	t.noteAllocs(1, tenCharge)
-	if t.budgeted() {
+	if t.budgeted() && !tagged {
 		m.w.Heap.TagOwner(p, t.id)
 	}
 }

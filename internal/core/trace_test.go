@@ -641,18 +641,34 @@ func TestGCTraceSummary(t *testing.T) {
 	}
 }
 
-// TestTraceLazySweepDrain checks deferred sweeps report their drains.
+// TestTraceLazySweepDrain checks deferred sweeps report their drains,
+// and that an eager world, which defers nothing, reports none.
 func TestTraceLazySweepDrain(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1, LazySweep: true})
-	r := w.EnableTracing(0)
-	data := addData(t, w, "data", 0x2000, 4096)
-	churn(t, w, data, 0x2000, 64)
-	st := w.Collect()
-	if st.SweepDeferredBlocks == 0 {
-		t.Skip("workload produced no mixed blocks to defer")
-	}
-	w.FinishSweep()
-	if got := countKind(r, trace.EvSweepDrain); got != st.SweepDeferredBlocks {
-		t.Fatalf("sweep_drain events = %d, deferred blocks = %d", got, st.SweepDeferredBlocks)
+	for _, lazy := range []bool{true, false} {
+		name := "eager"
+		if lazy {
+			name = "lazy"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, Config{GCDivisor: -1, LazySweep: lazy})
+			r := w.EnableTracing(0)
+			data := addData(t, w, "data", 0x2000, 4096)
+			churn(t, w, data, 0x2000, 64)
+			st := w.Collect()
+			w.FinishSweep()
+			got := countKind(r, trace.EvSweepDrain)
+			if !lazy {
+				if got != 0 {
+					t.Fatalf("eager world traced %d sweep_drain events", got)
+				}
+				return
+			}
+			if st.SweepDeferredBlocks == 0 {
+				t.Skip("workload produced no mixed blocks to defer")
+			}
+			if got != st.SweepDeferredBlocks {
+				t.Fatalf("sweep_drain events = %d, deferred blocks = %d", got, st.SweepDeferredBlocks)
+			}
+		})
 	}
 }

@@ -183,15 +183,17 @@ type Config struct {
 	// goes once they no longer do.
 	MarkWorkers int
 
-	// LazySweep moves sweep work out of the stop-the-world pause: after
-	// marking, blocks are classified in O(1) each from their mark
-	// summaries — empty blocks released at the barrier, fully-live
-	// blocks left untouched, mixed blocks queued — and the allocator
-	// sweeps queued blocks on demand as it refills free lists, finishing
-	// any remainder before the next cycle's mark phase. Reclamation
-	// totals (CollectionStats.Sweep) are identical to the eager sweep's;
-	// only the timing of the per-slot work moves. Default off: the
-	// original eager sweep, unchanged.
+	// LazySweep moves the per-slot sweep work out of the stop-the-world
+	// pause. After marking, every sweep classifies blocks in O(1) each
+	// from their mark summaries — empty blocks released at the barrier,
+	// fully-live blocks left untouched — and the setting decides only
+	// what happens to mixed blocks: off (the default, as in the paper's
+	// collector), they are swept in the pause; on, they are queued, and
+	// the allocator sweeps them on demand as it refills free lists,
+	// finishing any remainder before the next cycle's mark phase.
+	// Reclamation totals (CollectionStats.Sweep) and allocation
+	// addresses are the same either way; only the timing of the per-slot
+	// work moves.
 	LazySweep bool
 
 	// LineAlloc switches small untyped allocation to the line-structured
@@ -570,8 +572,14 @@ func newWorldMetrics() worldMetrics {
 // SetCollectionHook registers fn to be invoked after every collection
 // (full or minor, stop-the-world or concurrent) with its statistics; nil
 // unregisters. The inspect package provides a gctrace-style formatter
-// for the common logging case.
-func (w *World) SetCollectionHook(fn func(CollectionStats)) { w.hook = fn }
+// for the common logging case. It takes the world lock — the hook runs
+// with that lock held, on whichever goroutine closes the cycle — so,
+// like Collections, it may not be called from a collection hook.
+func (w *World) SetCollectionHook(fn func(CollectionStats)) {
+	w.mu.Lock()
+	w.hook = fn
+	w.mu.Unlock()
+}
 
 // SetTracer attaches a structured event trace to the whole collection
 // pipeline: the world's phase spans, the marker's blacklist additions,
@@ -874,8 +882,12 @@ func (w *World) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 }
 
 // RegisterLayout registers an object layout (one pointer flag per
-// word) for typed allocation; see AllocateTyped.
+// word) for typed allocation; see AllocateTyped. It takes the world
+// lock, under which the marker reads the descriptor table, so it is
+// safe while a concurrent cycle marks.
 func (w *World) RegisterLayout(ptrMask []bool) (alloc.DescID, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.Heap.RegisterDescriptor(ptrMask)
 }
 

@@ -670,6 +670,96 @@ func TestAllocateTypedThroughWorld(t *testing.T) {
 	}
 }
 
+// TestRegisterLayoutDuringConcurrentMark registers layouts on one
+// goroutine while this one steps concurrent cycles through a typed
+// list. The marker reads the descriptor table under the world lock, so
+// registration must take it too; under -race a registration that does
+// not is reported against the marker's read.
+func TestRegisterLayoutDuringConcurrentMark(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
+	data := addData(t, w, "data", 0x2000, 4096)
+	id, err := w.RegisterLayout([]bool{true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head mem.Addr
+	for i := 0; i < 2000; i++ {
+		node, err := w.AllocateTyped(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store(node, mem.Word(head)); err != nil {
+			t.Fatal(err)
+		}
+		head = node
+	}
+	data.Store(0x2000, mem.Word(head))
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := w.RegisterLayout([]bool{true, false, true}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 4; round++ {
+		if err := w.StartConcurrentCycle(); err != nil {
+			t.Fatal(err)
+		}
+		for !w.ConcurrentStep(16) {
+		}
+		w.FinishConcurrentCycle()
+	}
+	close(stop)
+	<-done
+	for p, n := head, 0; p != 0; n++ {
+		if !w.Heap.IsAllocated(p) {
+			t.Fatalf("typed list node %d (%#x) lost", n, uint32(p))
+		}
+		next, err := w.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = mem.Addr(next)
+	}
+}
+
+// TestSetCollectionHookDuringCollect swaps the collection hook on one
+// goroutine while this one collects. The close reads the hook under the
+// world lock, so the setter takes it too; under -race a setter that
+// does not is reported against the close's read.
+func TestSetCollectionHookDuringCollect(t *testing.T) {
+	w := newWorld(t, Config{GCDivisor: -1})
+	fired := 0 // written by the hook, which runs on this goroutine
+	hook := func(CollectionStats) { fired++ }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			w.SetCollectionHook(hook)
+			w.SetCollectionHook(nil)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		w.Collect()
+	}
+	<-done
+	w.SetCollectionHook(hook)
+	before := fired
+	w.Collect()
+	if fired != before+1 {
+		t.Fatalf("hook fired %d times for one collection", fired-before)
+	}
+}
+
 func TestDiscontiguousWorldRequiresHashedBlacklist(t *testing.T) {
 	if _, err := NewWorld(nil, Config{DiscontiguousGrowth: true, Blacklisting: BlacklistDense}); err == nil {
 		t.Fatal("discontinuous heap with dense blacklist accepted")
