@@ -85,12 +85,9 @@ bench:
 # BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
 # BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
-# BenchmarkMarkLiveGraph and its halves2 variant in internal/mark). The
-# tiny allocbench run smokes the free-list-vs-line-heap driver the same
-# way.
+# BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/gcbench -experiment allocbench -mutators 1,2 > /dev/null
 	$(GO) run ./cmd/gcbench -experiment servebench -tenants 32 -requests 6 > /dev/null
 	$(GO) run ./cmd/gcbench -experiment leakbench > /dev/null
 
@@ -113,18 +110,20 @@ perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload serve_tenants -seconds 1 > /dev/null
 
-# Regenerates BENCH.json: one section per gated experiment of the
-# registry (sweepbench, mutbench, allocbench, pausebench, servebench,
-# retention, leakbench), each holding the options it ran with and its
-# rows' key and exact columns — counts that repeat on any machine at
-# any GOMAXPROCS, so the diff of a regeneration is empty unless
-# behaviour changed. Timing columns are printed and not recorded
-# (cmd/perfbench measures time). GOMAXPROCS=8 only selects options:
-# mutbench defaults to the powers of two up to it, which are the
-# checked-in file's mutator counts; the box need not have eight
-# processors. `all` runs E1–E17 on the way (a minute or two).
+# Regenerates BENCH.json: one section per experiment of the registry —
+# the paper's E1–E17 (table1, figure1, stackclear, grids, structures,
+# overhead, largeobj, pcrsweep, frag, dualrun, genceiling, placement,
+# atomic, typed, pauses, obs5), then sweepbench, pausebench,
+# servebench, retention and leakbench — each holding the options it ran
+# with and its rows' key and exact columns: counts, retained fractions
+# and capacities that repeat on any machine at any GOMAXPROCS, so the
+# diff of a regeneration is empty unless behaviour changed. Timing and
+# interleaving-dependent columns are printed and not recorded
+# (cmd/perfbench measures time). -seeds 1 records table1 and pcrsweep
+# at one seed per cell, so the gate reruns them in seconds; gcbench's
+# default sweeps three.
 benchjson:
-	GOMAXPROCS=8 $(GO) run ./cmd/gcbench -experiment all -benchjson BENCH.json > /dev/null
+	$(GO) run ./cmd/gcbench -experiment all -seeds 1 -benchjson BENCH.json > /dev/null
 
 # Multi-mutator soak: many allocation/collection rounds against one
 # generational + lazy-sweep world, with a full allocator integrity
@@ -153,9 +152,11 @@ leaksoak:
 
 # Benchmark regression gate: rerun every section of BENCH.json
 # in-process, from the options the section records, and compare the
-# exact columns (objects marked, objects/bytes freed, admissions and
-# denials, attribution and detection counts) for equality. No timing is
-# compared and nothing is tolerated: these are invariants.
+# exact columns (the paper's retained fractions, apparently-live cells,
+# blacklisted pages and large-object capacities; objects marked,
+# objects/bytes freed, admissions and denials, attribution and detection
+# counts) for equality. No timing is compared and nothing is tolerated:
+# these are invariants.
 benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH.json > /dev/null
 

@@ -9,17 +9,17 @@ import (
 
 // PlacementRow is one heap position's misidentification result (E13).
 type PlacementRow struct {
-	Label         string
-	HeapBase      Addr
-	Misidentified uint64 // garbage objects retained by the polluted roots
-	BytesRetained uint64
+	Label         string `json:"label" gate:"key"`
+	HeapBase      Addr   `json:"heap_base" gate:"exact"`
+	Misidentified uint64 `json:"misidentified" gate:"exact"` // garbage objects retained by the polluted roots
+	BytesRetained uint64 `json:"bytes_retained" gate:"exact"`
 }
 
 // HeapPlacementOptions configures the experiment.
 type HeapPlacementOptions struct {
-	RootWords     int // polluted root words per category (default 16384)
-	HeapFillBytes int // garbage objects exposed to the roots (default 4 MiB)
-	Seed          uint64
+	RootWords     int    `json:"root_words"`      // polluted root words per category (default 16384)
+	HeapFillBytes int    `json:"heap_fill_bytes"` // garbage objects exposed to the roots (default 4 MiB)
+	Seed          uint64 `json:"seed"`
 }
 
 // HeapPlacement reproduces section 2's ad-hoc advice: "an adequate
@@ -34,7 +34,7 @@ type HeapPlacementOptions struct {
 // placed at four different bases. Each base collides with exactly one
 // category, except the recommended high placement, which collides with
 // none.
-func HeapPlacement(opt HeapPlacementOptions) ([]PlacementRow, *stats.Table, error) {
+func HeapPlacement(opt HeapPlacementOptions) (*BenchResult[HeapPlacementOptions, PlacementRow], *stats.Table, error) {
 	if opt.RootWords == 0 {
 		opt.RootWords = 8192
 	}
@@ -50,20 +50,20 @@ func HeapPlacement(opt HeapPlacementOptions) ([]PlacementRow, *stats.Table, erro
 		{"ASCII text range", 0x61000000},
 		{"high, mixed bits (recommended)", 0xA0000000},
 	}
-	var rows []PlacementRow
+	res := &BenchResult[HeapPlacementOptions, PlacementRow]{Options: opt}
 	for _, pl := range placements {
 		row, err := placementRun(opt, pl.label, pl.base)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Section 2: heap placement vs misidentification from typical data",
 		"Heap base", "Address", "Objects retained", "KB retained")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Label, fmt.Sprintf("%#08x", uint32(r.HeapBase)), r.Misidentified, r.BytesRetained/1024)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func placementRun(opt HeapPlacementOptions, label string, base Addr) (*PlacementRow, error) {
@@ -129,18 +129,18 @@ func placementRun(opt HeapPlacementOptions, label string, base Addr) (*Placement
 // AtomicRow is one configuration of the pointer-free allocation
 // experiment (E14).
 type AtomicRow struct {
-	Atomic        bool
-	DeadRetained  uint64 // dead list cells pinned by bitmap contents
-	FieldsScanned uint64 // heap words the marker had to examine
-	BytesRetained uint64
+	Atomic        bool   `json:"atomic" gate:"key"`
+	DeadRetained  uint64 `json:"dead_retained" gate:"exact"`  // dead list cells pinned by bitmap contents
+	FieldsScanned uint64 `json:"fields_scanned" gate:"exact"` // heap words the marker had to examine
+	BytesRetained uint64 `json:"bytes_retained" gate:"exact"`
 }
 
 // AtomicDataOptions configures the experiment.
 type AtomicDataOptions struct {
-	Bitmaps     int // number of "compressed bitmaps" (default 16)
-	BitmapBytes int // size of each (default 128 KiB)
-	DeadCells   int // dead cons cells exposed (default 50000)
-	Seed        uint64
+	Bitmaps     int    `json:"bitmaps"`      // number of "compressed bitmaps" (default 16)
+	BitmapBytes int    `json:"bitmap_bytes"` // size of each (default 128 KiB)
+	DeadCells   int    `json:"dead_cells"`   // dead cons cells exposed (default 50000)
+	Seed        uint64 `json:"seed"`
 }
 
 // AtomicData reproduces section 2's requirement that "it is essential
@@ -154,7 +154,7 @@ type AtomicDataOptions struct {
 // large dead structure. Allocated as ordinary objects their contents
 // are scanned and pin much of the dead structure; allocated atomically
 // they pin nothing and the marker does far less work.
-func AtomicData(opt AtomicDataOptions) ([]AtomicRow, *stats.Table, error) {
+func AtomicData(opt AtomicDataOptions) (*BenchResult[AtomicDataOptions, AtomicRow], *stats.Table, error) {
 	if opt.Bitmaps == 0 {
 		opt.Bitmaps = 16
 	}
@@ -164,24 +164,24 @@ func AtomicData(opt AtomicDataOptions) ([]AtomicRow, *stats.Table, error) {
 	if opt.DeadCells == 0 {
 		opt.DeadCells = 50000
 	}
-	var rows []AtomicRow
+	res := &BenchResult[AtomicDataOptions, AtomicRow]{Options: opt}
 	for _, atomic := range []bool{false, true} {
 		row, err := atomicRun(opt, atomic)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Section 2: compressed data as ordinary vs pointer-free objects",
 		"Allocation", "Dead cells retained", "Heap words scanned", "KB retained")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		label := "ordinary (scanned)"
 		if r.Atomic {
 			label = "atomic (pointer-free)"
 		}
 		tab.AddF(label, r.DeadRetained, r.FieldsScanned, r.BytesRetained/1024)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func atomicRun(opt AtomicDataOptions, atomic bool) (*AtomicRow, error) {

@@ -331,7 +331,7 @@ func BenchmarkConcurrentLiveGraph(b *testing.B) {
 
 func benchFigure1(b *testing.B, align AlignPolicy) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := Figure1(Figure1Options{
+		res, _, err := Figure1(Figure1Options{
 			StaticWords:   8192,
 			HeapFillBytes: 1 << 20,
 			Seed:          uint64(i),
@@ -339,7 +339,7 @@ func benchFigure1(b *testing.B, align AlignPolicy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
+		for _, r := range res.Rows {
 			if r.Alignment == align && !r.SkipBoundarySlot {
 				b.ReportMetric(float64(r.Misidentified), "misidentified")
 			}
@@ -543,7 +543,7 @@ func BenchmarkBlacklistOverheadOn(b *testing.B)  { benchMarkRoots(b, true) }
 
 func BenchmarkLargeObjects(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := LargeObjects(LargeObjectsOptions{
+		res, _, err := LargeObjects(LargeObjectsOptions{
 			HeapBytes: 4 << 20,
 			SizesKB:   []int{100},
 			Seed:      uint64(i),
@@ -551,8 +551,8 @@ func BenchmarkLargeObjects(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(rows[0].CapacityInterior), "interior-cap")
-		b.ReportMetric(float64(rows[0].CapacityBase), "base-cap")
+		b.ReportMetric(float64(res.Rows[0].CapacityInterior), "interior-cap")
+		b.ReportMetric(float64(res.Rows[0].CapacityBase), "base-cap")
 	}
 }
 
@@ -609,8 +609,8 @@ func BenchmarkDualRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.SingleRunRetained), "single-retained")
-		b.ReportMetric(float64(res.DualRunRetained), "dual-retained")
+		b.ReportMetric(float64(res.Rows[0].ListsRetained), "single-retained")
+		b.ReportMetric(float64(res.Rows[1].ListsRetained), "dual-retained")
 	}
 }
 
@@ -893,13 +893,13 @@ func BenchmarkReconcileOwners(b *testing.B) {
 
 func benchGenerational(b *testing.B, clear ClearPolicy) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := GenerationalCeiling(GenerationalOptions{
+		res, _, err := GenerationalCeiling(GenerationalOptions{
 			Iterations: 100, BatchCells: 100, Seed: uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
+		for _, r := range res.Rows {
 			if r.Clear == clear {
 				b.ReportMetric(float64(r.GarbageTenured), "garbage-tenured")
 			}

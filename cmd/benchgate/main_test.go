@@ -14,25 +14,14 @@ import (
 // checkedIn is the baseline CI gates against.
 const checkedIn = "../../BENCH.json"
 
-// gatedExperiments is the registry's gated half.
-func gatedExperiments() []repro.Experiment {
-	var out []repro.Experiment
-	for _, e := range repro.Experiments {
-		if e.NewRows != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func experiment(t *testing.T, name string) repro.Experiment {
 	t.Helper()
-	for _, e := range gatedExperiments() {
+	for _, e := range repro.Experiments {
 		if e.Name == name {
 			return e
 		}
 	}
-	t.Fatalf("no gated experiment %q in the registry", name)
+	t.Fatalf("no experiment %q in the registry", name)
 	return repro.Experiment{}
 }
 
@@ -45,9 +34,9 @@ func sectionRows(t *testing.T) map[string]any {
 		t.Fatal(err)
 	}
 	out := make(map[string]any)
-	for _, e := range gatedExperiments() {
+	for _, e := range repro.Experiments {
 		if _, ok := secs[e.Name]; !ok {
-			t.Errorf("%s has no section for the gated experiment %s", checkedIn, e.Name)
+			t.Errorf("%s has no section for the experiment %s", checkedIn, e.Name)
 			continue
 		}
 		rows, err := rowsOf(e, checkedIn, secs)
@@ -67,17 +56,23 @@ func cloneRows(rows any) reflect.Value {
 	return c
 }
 
-// bump changes a field's value: +1 for numbers, a suffix for strings.
+// bump changes a field's value: +1 for numbers (named ones too), a
+// suffix for strings, the other value for a bool, and the first field
+// for a struct such as stats.Range.
 func bump(f reflect.Value) {
 	switch f.Kind() {
 	case reflect.Int, reflect.Int64:
 		f.SetInt(f.Int() + 1)
-	case reflect.Uint64:
+	case reflect.Uint32, reflect.Uint64:
 		f.SetUint(f.Uint() + 1)
 	case reflect.Float64:
 		f.SetFloat(f.Float()*1e6 + 1)
 	case reflect.String:
 		f.SetString(f.String() + "'")
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.Struct:
+		bump(f.Field(0))
 	default:
 		panic("bump: unhandled kind " + f.Kind().String())
 	}
@@ -106,7 +101,7 @@ func gate(t *testing.T, section string, base, cand any) (failed []string) {
 // checked-in rows are unique under their keys.
 func TestRowContract(t *testing.T) {
 	rows := sectionRows(t)
-	for _, e := range gatedExperiments() {
+	for _, e := range repro.Experiments {
 		row := reflect.TypeOf(e.NewRows()).Elem().Elem()
 		cols, err := columnsOf(row)
 		if err != nil {
@@ -174,7 +169,8 @@ func TestInvariantDivergenceFails(t *testing.T) {
 }
 
 // TestMissingRowFails drops the candidate's last row in every section
-// (for a key column, changing the key is the same thing).
+// (for a key column, changing the key is the same thing, even when the
+// changed key is another row's: that row is answered once).
 func TestMissingRowFails(t *testing.T) {
 	for section, base := range sectionRows(t) {
 		cols, _ := columnsOf(reflect.TypeOf(base).Elem())
@@ -196,23 +192,23 @@ func TestMissingRowFails(t *testing.T) {
 	}
 }
 
-// TestCompareAllocGates pins the composite key: allocbench rows match
-// on (profile, mutators) whatever order they arrive in, and a check is
-// named section/key=value,key=value/column.
-func TestCompareAllocGates(t *testing.T) {
-	base := []repro.AllocBenchRow{
-		{Profile: "freelist", Mutators: 1, ObjectsAllocated: 1000, NsPerAlloc: 80},
-		{Profile: "line", Mutators: 1, ObjectsAllocated: 1000, NsPerAlloc: 40},
-		{Profile: "line", Mutators: 8, ObjectsAllocated: 8000, NsPerAlloc: 35},
+// TestComparePauseGates pins the composite key: pausebench rows match
+// on (pause_mode, gomaxprocs) whatever order they arrive in, and a
+// check is named section/key=value,key=value/column.
+func TestComparePauseGates(t *testing.T) {
+	base := []repro.PauseBenchRow{
+		{PauseMode: "stw", GoMaxProcs: 1, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 8e6},
+		{PauseMode: "concurrent", GoMaxProcs: 1, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 9e4},
+		{PauseMode: "concurrent", GoMaxProcs: 4, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 1e5},
 	}
-	cand := []repro.AllocBenchRow{base[2], base[0], base[1]}
-	cand[0].NsPerAlloc = 1e9 // timing is not this gate's business
-	if failed := gate(t, "allocbench", base, cand); len(failed) != 0 {
+	cand := []repro.PauseBenchRow{base[2], base[0], base[1]}
+	cand[0].PauseP99Ns = 1e9 // timing is not this gate's business
+	if failed := gate(t, "pausebench", base, cand); len(failed) != 0 {
 		t.Fatalf("reordered rows with a slower clock failed: %v", failed)
 	}
-	cand[2].ObjectsAllocated = 999
-	want := "allocbench/profile=line,mutators=1/objects_allocated"
-	if failed := gate(t, "allocbench", base, cand); len(failed) != 1 || failed[0] != want {
+	cand[2].ObjectsLive = 999
+	want := "pausebench/pause_mode=concurrent,gomaxprocs=1/objects_live"
+	if failed := gate(t, "pausebench", base, cand); len(failed) != 1 || failed[0] != want {
 		t.Fatalf("failing checks %v, want [%s]", failed, want)
 	}
 }
@@ -253,10 +249,15 @@ func writeSections(t *testing.T, secs map[string]*repro.Section) string {
 	return path
 }
 
-func mutSection(allocated uint64) *repro.Section {
+// typedSection is E15's typed-heap row at 200 live nodes beside 200
+// dead cells: exact layouts retain no dead cell and scan one word per
+// node, so every column is known without a run.
+func typedSection(live uint64) *repro.Section {
 	return &repro.Section{
-		Options: repro.MutBenchOptions{Mutators: []int{1}, Allocs: 200},
-		Rows:    []repro.MutBenchRow{{Mutators: 1, ObjectsAllocated: allocated}},
+		Options: repro.ConservatismOptions{Nodes: 200, DeadCells: 200, Seed: 1},
+		Rows: []repro.ConservatismRow{
+			{Regime: "typed heap (exact layouts)", DeadRetained: 0, FieldsScanned: 200, LiveObjects: live},
+		},
 	}
 }
 
@@ -271,10 +272,10 @@ func sweepSection() *repro.Section {
 // as the row type registered under its name and compared against the
 // same-named section of the candidate file.
 func TestGateDetectsSchemaAndCompares(t *testing.T) {
-	base := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), "sweepbench": sweepSection()})
+	base := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "sweepbench": sweepSection()})
 	regressed := sweepSection()
 	regressed.Rows.([]repro.SweepBenchRow)[1].BytesFreed = 3999
-	cand := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), "sweepbench": regressed})
+	cand := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "sweepbench": regressed})
 	rep, err := Gate(base, cand)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +286,7 @@ func TestGateDetectsSchemaAndCompares(t *testing.T) {
 			failed = append(failed, c.Name)
 		}
 	}
-	if rep.Pass || len(rep.Checks) != 7 || len(failed) != 1 || failed[0] != "sweepbench/mode=lazy/bytes_freed" {
+	if rep.Pass || len(rep.Checks) != 9 || len(failed) != 1 || failed[0] != "sweepbench/mode=lazy/bytes_freed" {
 		t.Fatalf("pass=%v, %d checks, failing %v", rep.Pass, len(rep.Checks), failed)
 	}
 }
@@ -293,9 +294,9 @@ func TestGateDetectsSchemaAndCompares(t *testing.T) {
 // TestGateSchemaMismatch: a section the registry does not know is an
 // error on either side, not a silent pass.
 func TestGateSchemaMismatch(t *testing.T) {
-	good := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200)})
-	for _, name := range []string{"nosuchbench", "table1"} { // unknown; registered but not gated
-		bad := writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200), name: sweepSection()})
+	good := writeSections(t, map[string]*repro.Section{"typed": typedSection(200)})
+	for _, name := range []string{"nosuchbench", "soak"} { // unknown; a gcbench soak, not in the registry
+		bad := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), name: sweepSection()})
 		if _, err := Gate(bad, good); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("baseline with section %q: err = %v", name, err)
 		}
@@ -303,9 +304,9 @@ func TestGateSchemaMismatch(t *testing.T) {
 			t.Errorf("candidate with section %q: err = %v", name, err)
 		}
 	}
-	wrongRows := writeSections(t, map[string]*repro.Section{"mutbench": sweepSection()})
+	wrongRows := writeSections(t, map[string]*repro.Section{"typed": sweepSection()})
 	if _, err := Gate(good, wrongRows); err == nil || !strings.Contains(err.Error(), "mode") {
-		t.Errorf("sweep rows filed under mutbench: err = %v, want the unknown column named", err)
+		t.Errorf("sweep rows filed under typed: err = %v, want the unknown column named", err)
 	}
 }
 
@@ -314,7 +315,7 @@ func TestGateSchemaMismatch(t *testing.T) {
 func TestGateServeSchemaMismatch(t *testing.T) {
 	serve := &repro.Section{Rows: []repro.ServeBenchRow{{Policy: "fail", Tenants: 64}, {Policy: "evict", Tenants: 64}}}
 	base := writeSections(t, map[string]*repro.Section{"servebench": serve})
-	rep, err := Gate(base, writeSections(t, map[string]*repro.Section{"mutbench": mutSection(200)}))
+	rep, err := Gate(base, writeSections(t, map[string]*repro.Section{"typed": typedSection(200)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,19 +327,16 @@ func TestGateServeSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestGateInProcessCandidate runs the real benchmark as the candidate,
-// from the options the section records: the default CI path.
+// TestGateInProcessCandidate runs the real experiment as the
+// candidate, from the options the section records: the default CI path.
 func TestGateInProcessCandidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real mutbench")
-	}
-	for allocated, pass := range map[uint64]bool{200: true, 201: false} {
-		rep, err := Gate(writeSections(t, map[string]*repro.Section{"mutbench": mutSection(allocated)}), "")
+	for live, pass := range map[uint64]bool{200: true, 201: false} {
+		rep, err := Gate(writeSections(t, map[string]*repro.Section{"typed": typedSection(live)}), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Pass != pass || len(rep.Checks) != 1 {
-			t.Errorf("baseline objects_allocated %d: pass=%v over %+v", allocated, rep.Pass, rep.Checks)
+		if rep.Pass != pass || len(rep.Checks) != 3 {
+			t.Errorf("baseline live_objects %d: pass=%v over %+v", live, rep.Pass, rep.Checks)
 		}
 	}
 }

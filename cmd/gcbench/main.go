@@ -9,11 +9,11 @@
 //	gcbench -experiment table1 -seeds 5 -parallel 8
 //	gcbench -experiment stackclear
 //	gcbench -experiment servebench -cpuprofile cpu.prof   (then: go tool pprof -top cpu.prof)
-//	gcbench -experiment all -benchjson BENCH.json         (one section per gated experiment that ran)
+//	gcbench -experiment all -benchjson BENCH.json         (one section per experiment that ran)
 //
 // The experiments are the registry repro.Experiments (E1–E17, see
-// DESIGN.md for the paper mapping, then the gated benchmark drivers)
-// plus the three soaks below; `gcbench -h` lists them all.
+// DESIGN.md for the paper mapping, then the benchmark drivers) plus the
+// three soaks below; `gcbench -h` lists them all.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,7 +40,7 @@ type cli struct {
 	format     string
 	soakCycles int
 	soakSecs   int
-	// sections collects what the gated experiments that ran leave for
+	// sections collects what the registry experiments that ran leave for
 	// -benchjson.
 	sections map[string]*repro.Section
 }
@@ -87,8 +86,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.args.Parallel, "parallel", 8, "concurrent runs for table-1 style sweeps")
 	fs.Uint64Var(&c.args.Seed, "seed", 1, "base seed for single-run experiments")
 	fs.StringVar(&c.format, "format", "text", "table output format: text|markdown")
-	benchJSON := fs.String("benchjson", "", "write the gated experiments' sections (options, key and exact columns) as JSON to this file")
-	mutators := fs.String("mutators", "", "comma-separated mutbench mutator counts, or the soak mutator count (default: powers of two up to GOMAXPROCS; soak: 8)")
+	benchJSON := fs.String("benchjson", "", "write the experiments' sections (options, key and exact columns) as JSON to this file")
+	fs.IntVar(&c.args.Mutators, "mutators", 0, "pausebench/soak/leaksoak mutator count (default: 8; leaksoak: 4)")
 	fs.IntVar(&c.soakCycles, "soak-cycles", 20, "soak rounds (each ends in a collection and an integrity audit)")
 	fs.IntVar(&c.args.Tenants, "tenants", 0, "servebench/tenantsoak tenant count (servebench default: 1000; tenantsoak: 64)")
 	fs.IntVar(&c.args.Requests, "requests", 0, "servebench collect-first requests per session (default: 12)")
@@ -111,9 +110,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	var err error
-	if c.args.Mutators, err = parseCounts("-mutators", *mutators); err != nil {
-		return usage("%v", err)
+	if c.args.Mutators < 0 {
+		return usage("bad -mutators %d", c.args.Mutators)
 	}
 
 	type job struct {
@@ -121,23 +119,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		run  func() error
 	}
 	var todo []job
-	gated := false
 	for _, e := range repro.Experiments {
 		if *experiment == "all" || *experiment == e.Name {
 			todo = append(todo, job{e.Name, func() error { return c.runExperiment(e) }})
-			gated = gated || e.NewRows != nil
 		}
 	}
 	for _, s := range soaks {
 		if *experiment == s.name {
+			if *benchJSON != "" {
+				return usage("-benchjson: %s is a soak, it has no rows to write", s.name)
+			}
 			todo = append(todo, job{s.name, func() error { return s.run(c) }})
 		}
 	}
 	if len(todo) == 0 {
 		return usage("unknown experiment %q", *experiment)
-	}
-	if *benchJSON != "" && !gated {
-		return usage("-benchjson: %s has no gated rows to write", *experiment)
 	}
 	if *traceOut != "" {
 		c.args.Trace = repro.NewTraceRecorder(0)
@@ -190,8 +186,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 // runExperiment is the one runner of the registry's experiments: the
-// banner, the run, its tables, the run's own line, the paper note; a
-// gated experiment also leaves its section.
+// banner, the run, its tables, the run's own line, the paper note; the
+// run also leaves its section for -benchjson.
 func (c *cli) runExperiment(e repro.Experiment) error {
 	if e.Banner != nil {
 		fmt.Fprintln(c.out, e.Banner(c.args))
@@ -207,9 +203,7 @@ func (c *cli) runExperiment(e repro.Experiment) error {
 		fmt.Fprintln(c.out, out.Info)
 	}
 	fmt.Fprintln(c.out, e.Note)
-	if out.Gated != nil {
-		c.sections[e.Name] = out.Gated
-	}
+	c.sections[e.Name] = out.Gated
 	return nil
 }
 
@@ -235,26 +229,10 @@ func writeTrace(path string, tr *repro.TraceRecorder) error {
 	return f.Close()
 }
 
-// parseCounts turns a comma-separated count flag into a list.
-func parseCounts(flagName, val string) ([]int, error) {
-	if val == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(val, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad %s entry %q", flagName, part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// mutatorCount is the soaks' reading of -mutators: its first entry.
+// mutatorCount is the soaks' reading of -mutators.
 func (c *cli) mutatorCount(def int) int {
-	if len(c.args.Mutators) > 0 {
-		return c.args.Mutators[0]
+	if c.args.Mutators > 0 {
+		return c.args.Mutators
 	}
 	return def
 }

@@ -11,17 +11,17 @@ type DescID = alloc.DescID
 
 // ConservatismRow is one heap-scanning regime's result (E15).
 type ConservatismRow struct {
-	Regime        string
-	DeadRetained  uint64 // garbage pinned by the live structure's data words
-	FieldsScanned uint64 // heap words examined during the mark
-	LiveObjects   uint64
+	Regime        string `json:"regime" gate:"key"`
+	DeadRetained  uint64 `json:"dead_retained" gate:"exact"`  // garbage pinned by the live structure's data words
+	FieldsScanned uint64 `json:"fields_scanned" gate:"exact"` // heap words examined during the mark
+	LiveObjects   uint64 `json:"live_objects" gate:"exact"`
 }
 
 // ConservatismOptions configures the experiment.
 type ConservatismOptions struct {
-	Nodes     int // live list nodes (default 30000)
-	DeadCells int // dead objects exposed (default 30000)
-	Seed      uint64
+	Nodes     int    `json:"nodes"`      // live list nodes (default 30000)
+	DeadCells int    `json:"dead_cells"` // dead objects exposed (default 30000)
+	Seed      uint64 `json:"seed"`
 }
 
 // DegreesOfConservatism measures the spectrum the paper's introduction
@@ -36,27 +36,27 @@ type ConservatismOptions struct {
 // fully conservative heap scanning the payloads act as false
 // references into the dead structure; with registered layout
 // descriptors (typed allocation) the payload words are never examined.
-func DegreesOfConservatism(opt ConservatismOptions) ([]ConservatismRow, *stats.Table, error) {
+func DegreesOfConservatism(opt ConservatismOptions) (*BenchResult[ConservatismOptions, ConservatismRow], *stats.Table, error) {
 	if opt.Nodes == 0 {
 		opt.Nodes = 30000
 	}
 	if opt.DeadCells == 0 {
 		opt.DeadCells = 30000
 	}
-	var rows []ConservatismRow
+	res := &BenchResult[ConservatismOptions, ConservatismRow]{Options: opt}
 	for _, typed := range []bool{false, true} {
 		row, err := conservatismRun(opt, typed)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Introduction: degrees of conservativism (heap scanning)",
 		"Heap regime", "Dead objects retained", "Heap words scanned")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Regime, r.DeadRetained, r.FieldsScanned)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func conservatismRun(opt ConservatismOptions, typed bool) (*ConservatismRow, error) {

@@ -8,21 +8,22 @@ import (
 	"repro/internal/stats"
 )
 
-// DualRunResult reports the footnote-4 experiment (E11).
-type DualRunResult struct {
-	Lists              int
-	SingleRunRetained  int // lists retained by a plain conservative mark
-	DualRunRetained    int // lists retained with offset certification
-	CandidatesRejected uint64
+// DualRunRow is one marking of the footnote-4 experiment (E11): a
+// plain conservative mark ("single") or one with offset certification
+// ("dual").
+type DualRunRow struct {
+	Run                string `json:"run" gate:"key"`
+	ListsRetained      int    `json:"lists_retained" gate:"exact"`
+	CandidatesRejected uint64 `json:"candidates_rejected" gate:"exact"` // 0 for the single run
 }
 
 // DualRunOptions configures the experiment.
 type DualRunOptions struct {
-	Lists        int // default 100
-	NodesPerList int // default 2000
-	FalseRoots   int // static false references (default 400)
-	DeltaBytes   int // heap-base offset between the twin worlds (default 16 MiB)
-	Seed         uint64
+	Lists        int    `json:"lists"`          // default 100
+	NodesPerList int    `json:"nodes_per_list"` // default 2000
+	FalseRoots   int    `json:"false_roots"`    // static false references (default 400)
+	DeltaBytes   int    `json:"delta_bytes"`    // heap-base offset between the twin worlds (default 16 MiB)
+	Seed         uint64 `json:"seed"`
 }
 
 // DualRun implements the paper's footnote 4: "under suitable conditions,
@@ -36,7 +37,7 @@ type DualRunOptions struct {
 // — which accepts a root word only when the twin world's corresponding
 // word differs by exactly DeltaBytes — rejects every static false
 // reference and retains none.
-func DualRun(opt DualRunOptions) (*DualRunResult, *stats.Table, error) {
+func DualRun(opt DualRunOptions) (*BenchResult[DualRunOptions, DualRunRow], *stats.Table, error) {
 	if opt.Lists == 0 {
 		opt.Lists = 100
 	}
@@ -154,15 +155,12 @@ func DualRun(opt DualRunOptions) (*DualRunResult, *stats.Table, error) {
 	dual := countRetained()
 	w1.Heap.ClearMarks()
 
-	res := &DualRunResult{
-		Lists:              opt.Lists,
-		SingleRunRetained:  single,
-		DualRunRetained:    dual,
-		CandidatesRejected: rejected,
-	}
 	tab := stats.NewTable("Footnote 4: dual-run offset certification",
 		"Configuration", "Lists retained", "Candidates rejected")
-	tab.AddF("single run, conservative", res.SingleRunRetained, "-")
-	tab.AddF(fmt.Sprintf("dual run, delta=%d MB", opt.DeltaBytes>>20), res.DualRunRetained, res.CandidatesRejected)
-	return res, tab, nil
+	tab.AddF("single run, conservative", single, "-")
+	tab.AddF(fmt.Sprintf("dual run, delta=%d MB", opt.DeltaBytes>>20), dual, rejected)
+	return &BenchResult[DualRunOptions, DualRunRow]{Options: opt, Rows: []DualRunRow{
+		{Run: "single", ListsRetained: single},
+		{Run: "dual", ListsRetained: dual, CandidatesRejected: rejected},
+	}}, tab, nil
 }

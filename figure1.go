@@ -9,22 +9,22 @@ import (
 
 // Figure1Row is one configuration of the figure-1 experiment (E2).
 type Figure1Row struct {
-	Alignment        AlignPolicy
-	SkipBoundarySlot bool
-	Candidates       uint64 // candidate values tested during the root scan
-	Misidentified    uint64 // garbage objects retained by false references
-	BytesRetained    uint64
-	Blacklisted      int // pages blacklisted by near-heap misses
+	Alignment        AlignPolicy `json:"alignment" gate:"key"`
+	SkipBoundarySlot bool        `json:"skip_boundary_slot" gate:"key"`
+	Candidates       uint64      `json:"candidates" gate:"exact"`    // candidate values tested during the root scan
+	Misidentified    uint64      `json:"misidentified" gate:"exact"` // garbage objects retained by false references
+	BytesRetained    uint64      `json:"bytes_retained" gate:"exact"`
+	Blacklisted      int         `json:"blacklisted" gate:"exact"` // pages blacklisted by near-heap misses
 }
 
 // Figure1Options configures the experiment.
 type Figure1Options struct {
 	// StaticWords of small integers (< 4096) scanned as roots
 	// (default 16384 = 64 KiB of counters and table entries).
-	StaticWords int
+	StaticWords int `json:"static_words"`
 	// HeapFillBytes of garbage 1-word objects to expose (default 3 MiB).
-	HeapFillBytes int
-	Seed          uint64
+	HeapFillBytes int    `json:"heap_fill_bytes"`
+	Seed          uint64 `json:"seed"`
 }
 
 // Figure1 reproduces the paper's figure 1: "two small integers turn
@@ -41,7 +41,7 @@ type Figure1Options struct {
 // "impact of this problem can be greatly reduced if objects are not
 // allocated at addresses containing a large number of trailing zeroes"
 // (all the concatenated addresses here end in 16 zero bits).
-func Figure1(opt Figure1Options) ([]Figure1Row, *stats.Table, error) {
+func Figure1(opt Figure1Options) (*BenchResult[Figure1Options, Figure1Row], *stats.Table, error) {
 	if opt.StaticWords == 0 {
 		opt.StaticWords = 16384
 	}
@@ -57,21 +57,21 @@ func Figure1(opt Figure1Options) ([]Figure1Row, *stats.Table, error) {
 		{AnyByteOffset, false},
 		{AnyByteOffset, true},
 	}
-	var rows []Figure1Row
+	res := &BenchResult[Figure1Options, Figure1Row]{Options: opt}
 	for _, cfg := range configs {
 		row, err := figure1Run(opt, cfg.align, cfg.skip)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 
 	tab := stats.NewTable("Figure 1: small-integer concatenation misidentification",
 		"Candidate alignment", "Skip boundary slots", "Candidates", "Objects retained", "Pages blacklisted")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Alignment, r.SkipBoundarySlot, r.Candidates, r.Misidentified, r.Blacklisted)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func figure1Run(opt Figure1Options, align AlignPolicy, skip bool) (*Figure1Row, error) {

@@ -13,33 +13,33 @@ import (
 // FragmentationRow summarises one free-block policy's state after churn
 // (E10).
 type FragmentationRow struct {
-	Policy           FreeBlockPolicy
-	FreeSpans        int
-	LargestFreeSpan  int // blocks
-	MaxAllocatableKB int // largest single object placeable afterwards
+	Policy           FreeBlockPolicy `json:"policy" gate:"key"`
+	FreeSpans        int             `json:"free_spans" gate:"exact"`
+	LargestFreeSpan  int             `json:"largest_free_span" gate:"exact"`  // blocks
+	MaxAllocatableKB int             `json:"max_allocatable_kb" gate:"exact"` // largest single object placeable afterwards
 	// Space buckets every committed byte (live, free slots, free
 	// blocks, headers, large-object slack); Space.Sum() equals
 	// Space.HeapBytes identically in both allocation profiles.
-	Space alloc.SpaceBreakdown
+	Space alloc.SpaceBreakdown `json:"space" gate:"exact"`
 	// Lines is the line-heap accounting (zero under free lists); its
 	// WasteBytes — free slots stranded in partly-live lines — is a
 	// subdivision of Space.FreeSlotBytes.
-	Lines alloc.LineStats
+	Lines alloc.LineStats `json:"lines" gate:"exact"`
 }
 
 // FragmentationOptions configures the churn.
 type FragmentationOptions struct {
-	HeapBytes int // default 16 MiB
-	Rounds    int // default 8
-	Seed      uint64
+	HeapBytes int    `json:"heap_bytes"` // default 16 MiB
+	Rounds    int    `json:"rounds"`     // default 8
+	Seed      uint64 `json:"seed"`
 	// LineAlloc runs the churn under the line-heap profile
 	// (Config.LineAlloc) instead of free lists.
-	LineAlloc bool
+	LineAlloc bool `json:"line_alloc"`
 	// SmallWords, when non-empty, interleaves small objects of these
 	// word sizes with the block-span churn, so dedicated small blocks
 	// (and, under LineAlloc, partly-live lines) appear in the space
 	// accounting. Empty keeps the paper's pure block-span churn.
-	SmallWords []int
+	SmallWords []int `json:"small_words"`
 }
 
 // Fragmentation operationalises the paper's concluding argument: "even
@@ -54,7 +54,7 @@ type FragmentationOptions struct {
 // Both allocators run the same random allocate/free churn of block-
 // sized objects; afterwards we compare the shape of the free store and
 // the largest object each can still place.
-func Fragmentation(opt FragmentationOptions) ([]FragmentationRow, *stats.Table, error) {
+func Fragmentation(opt FragmentationOptions) (*BenchResult[FragmentationOptions, FragmentationRow], *stats.Table, error) {
 	if opt.HeapBytes == 0 {
 		opt.HeapBytes = 16 << 20
 	}
@@ -142,22 +142,22 @@ func Fragmentation(opt FragmentationOptions) ([]FragmentationRow, *stats.Table, 
 		}, nil
 	}
 
-	var rows []FragmentationRow
+	res := &BenchResult[FragmentationOptions, FragmentationRow]{Options: opt}
 	for _, policy := range []FreeBlockPolicy{AddressOrdered, LIFO} {
 		r, err := run(policy)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *r)
+		res.Rows = append(res.Rows, *r)
 	}
 	tab := stats.NewTable("Conclusions: free-block policy vs fragmentation after churn",
 		"Policy", "Free spans", "Largest span (blocks)", "Max allocatable")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		name := "address-ordered"
 		if r.Policy == LIFO {
 			name = "LIFO (malloc-like)"
 		}
 		tab.AddF(name, r.FreeSpans, r.LargestFreeSpan, fmt.Sprintf("%d KB", r.MaxAllocatableKB))
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }

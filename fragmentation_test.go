@@ -16,7 +16,7 @@ func TestFragmentationSpaceAccounting(t *testing.T) {
 			name = "line"
 		}
 		t.Run(name, func(t *testing.T) {
-			rows, _, err := Fragmentation(FragmentationOptions{
+			res, _, err := Fragmentation(FragmentationOptions{
 				HeapBytes: heapBytes, Rounds: 6, Seed: 7,
 				LineAlloc:  lineAlloc,
 				SmallWords: []int{4, 8, 16, 64},
@@ -24,7 +24,7 @@ func TestFragmentationSpaceAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range rows {
+			for _, r := range res.Rows {
 				sb := r.Space
 				if sb.HeapBytes != heapBytes {
 					t.Errorf("%v: breakdown covers %d bytes, heap is %d",
@@ -71,11 +71,11 @@ func TestFragmentationSpaceAccounting(t *testing.T) {
 // the paper's pure block-span churn: no small blocks are dedicated, so
 // the accounting is blocks plus large objects only.
 func TestFragmentationDefaultUnchanged(t *testing.T) {
-	rows, _, err := Fragmentation(FragmentationOptions{HeapBytes: 4 << 20, Rounds: 4, Seed: 3})
+	res, _, err := Fragmentation(FragmentationOptions{HeapBytes: 4 << 20, Rounds: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		if r.Space.FreeSlotBytes != 0 || r.Space.OverheadBytes != 0 {
 			t.Errorf("%v: pure block churn dedicated small blocks: %+v", r.Policy, r.Space)
 		}

@@ -8,19 +8,19 @@ import (
 // GenerationalRow is one stack-hygiene configuration of the
 // generational-ceiling experiment (E12).
 type GenerationalRow struct {
-	Clear          ClearPolicy
-	MinorCycles    int
-	TotalPromoted  uint64 // objects promoted to the old generation by minors
-	TrueLive       uint64 // objects actually reachable at the end
-	GarbageTenured uint64 // promoted objects the final full collection freed
+	Clear          ClearPolicy `json:"clear" gate:"key"`
+	MinorCycles    int         `json:"minor_cycles" gate:"exact"`
+	TotalPromoted  uint64      `json:"total_promoted" gate:"exact"`  // objects promoted to the old generation by minors
+	TrueLive       uint64      `json:"true_live" gate:"exact"`       // objects actually reachable at the end
+	GarbageTenured uint64      `json:"garbage_tenured" gate:"exact"` // promoted objects the final full collection freed
 }
 
 // GenerationalOptions configures the experiment.
 type GenerationalOptions struct {
-	Iterations int // default 400
-	BatchCells int // temporary cells per iteration (default 200)
-	KeepEvery  int // one cell per this many iterations is really kept (default 10)
-	Seed       uint64
+	Iterations int    `json:"iterations"`  // default 400
+	BatchCells int    `json:"batch_cells"` // temporary cells per iteration (default 200)
+	KeepEvery  int    `json:"keep_every"`  // one cell per this many iterations is really kept (default 10)
+	Seed       uint64 `json:"seed"`
 }
 
 // GenerationalCeiling measures the paper's closing section-3.1
@@ -34,7 +34,7 @@ type GenerationalOptions struct {
 // and the minor cycle promotes it; the promoted garbage then survives
 // every later minor, inflating the old generation until a full
 // collection pays to remove it. Stack clearing attacks exactly this.
-func GenerationalCeiling(opt GenerationalOptions) ([]GenerationalRow, *stats.Table, error) {
+func GenerationalCeiling(opt GenerationalOptions) (*BenchResult[GenerationalOptions, GenerationalRow], *stats.Table, error) {
 	if opt.Iterations == 0 {
 		opt.Iterations = 400
 	}
@@ -45,20 +45,20 @@ func GenerationalCeiling(opt GenerationalOptions) ([]GenerationalRow, *stats.Tab
 		opt.KeepEvery = 10
 	}
 
-	var rows []GenerationalRow
+	res := &BenchResult[GenerationalOptions, GenerationalRow]{Options: opt}
 	for _, clear := range []ClearPolicy{ClearNone, ClearCheap, ClearEager} {
 		row, err := generationalRun(opt, clear)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Section 3.1 (end): stray stack pointers vs generational collection",
 		"Stack clearing", "Minor cycles", "Objects promoted", "Truly live at end", "Garbage tenured")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Clear, r.MinorCycles, r.TotalPromoted, r.TrueLive, r.GarbageTenured)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func generationalRun(opt GenerationalOptions, clear ClearPolicy) (*GenerationalRow, error) {

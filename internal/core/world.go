@@ -611,7 +611,15 @@ func (w *World) EnableTracing(capacity int) *trace.Recorder {
 // disables), in the spirit of the Go runtime's GODEBUG=gctrace=1:
 //
 //	gc 3 @0.412s full: 1.84ms pause (mark 1.72ms, sweep 0.06ms): 5000 live (40 KiB), 120 freed, heap 1024 KiB, 14 blacklisted
-func (w *World) SetGCTrace(out io.Writer) { w.gctrace = out }
+//
+// The line is written with the world lock held, on whichever goroutine
+// closes the cycle, and SetGCTrace takes that lock: like
+// SetCollectionHook, it may not be called from a collection hook.
+func (w *World) SetGCTrace(out io.Writer) {
+	w.mu.Lock()
+	w.gctrace = out
+	w.mu.Unlock()
+}
 
 // Metrics returns the world's counter/gauge registry, with the level
 // gauges freshly synchronised. The counters are running sums of every

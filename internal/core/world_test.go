@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -757,6 +758,33 @@ func TestSetCollectionHookDuringCollect(t *testing.T) {
 	w.Collect()
 	if fired != before+1 {
 		t.Fatalf("hook fired %d times for one collection", fired-before)
+	}
+}
+
+// TestSetGCTraceDuringCollect sets and clears the gctrace writer on one
+// goroutine while this one collects: the close writes the line under
+// the world lock, so the setter takes it too (under -race a setter that
+// does not is reported against the close's read).
+func TestSetGCTraceDuringCollect(t *testing.T) {
+	w := newWorld(t, Config{GCDivisor: -1})
+	var buf bytes.Buffer // written only by the close, on this goroutine
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			w.SetGCTrace(&buf)
+			w.SetGCTrace(nil)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		w.Collect()
+	}
+	<-done
+	w.SetGCTrace(&buf)
+	before := bytes.Count(buf.Bytes(), []byte("\n"))
+	w.Collect()
+	if got := bytes.Count(buf.Bytes(), []byte("\n")) - before; got != 1 {
+		t.Fatalf("gctrace wrote %d lines for one collection", got)
 	}
 }
 

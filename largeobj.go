@@ -12,19 +12,19 @@ import (
 // LargeObjectRow is one size's allocatability under a polluted
 // blacklist (E8, the paper's observation 7).
 type LargeObjectRow struct {
-	ObjectKB         int
-	CapacityInterior int // objects placed before the heap refused
-	CapacityOffPage  int // interior policy + AllocIgnoreOffPage promise
-	CapacityBase     int // with base-pointers-only validity
-	CapacityIdeal    int // with an empty blacklist
+	ObjectKB         int `json:"object_kb" gate:"key"`
+	CapacityInterior int `json:"capacity_interior" gate:"exact"` // objects placed before the heap refused
+	CapacityOffPage  int `json:"capacity_off_page" gate:"exact"` // interior policy + AllocIgnoreOffPage promise
+	CapacityBase     int `json:"capacity_base" gate:"exact"`     // with base-pointers-only validity
+	CapacityIdeal    int `json:"capacity_ideal" gate:"exact"`    // with an empty blacklist
 }
 
 // LargeObjectsOptions configures the experiment.
 type LargeObjectsOptions struct {
-	HeapBytes int   // fixed heap size (default 8 MiB)
-	FalseRefs int   // static false references into the heap (default 100)
-	SizesKB   []int // object sizes to probe (default 50..800 KB)
-	Seed      uint64
+	HeapBytes int    `json:"heap_bytes"` // fixed heap size (default 8 MiB)
+	FalseRefs int    `json:"false_refs"` // static false references into the heap (default 100)
+	SizesKB   []int  `json:"sizes_kb"`   // object sizes to probe (default 50..800 KB)
+	Seed      uint64 `json:"seed"`
 }
 
 // LargeObjects reproduces observation 7: "a quick examination of the
@@ -39,7 +39,7 @@ type LargeObjectsOptions struct {
 // packed with objects of one size until allocation fails. Interior
 // mode must avoid whole spans; base mode only first pages; the ideal
 // column uses no blacklist at all.
-func LargeObjects(opt LargeObjectsOptions) ([]LargeObjectRow, *stats.Table, error) {
+func LargeObjects(opt LargeObjectsOptions) (*BenchResult[LargeObjectsOptions, LargeObjectRow], *stats.Table, error) {
 	if opt.HeapBytes == 0 {
 		opt.HeapBytes = 8 << 20
 	}
@@ -96,7 +96,7 @@ func LargeObjects(opt LargeObjectsOptions) ([]LargeObjectRow, *stats.Table, erro
 		}
 	}
 
-	var rows []LargeObjectRow
+	res := &BenchResult[LargeObjectsOptions, LargeObjectRow]{Options: opt}
 	for _, kb := range opt.SizesKB {
 		interior, err := capacity(kb, PointerInterior, true, false)
 		if err != nil {
@@ -114,7 +114,7 @@ func LargeObjects(opt LargeObjectsOptions) ([]LargeObjectRow, *stats.Table, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, LargeObjectRow{
+		res.Rows = append(res.Rows, LargeObjectRow{
 			ObjectKB:         kb,
 			CapacityInterior: interior,
 			CapacityOffPage:  offPage,
@@ -124,8 +124,8 @@ func LargeObjects(opt LargeObjectsOptions) ([]LargeObjectRow, *stats.Table, erro
 	}
 	tab := stats.NewTable("Observation 7: large objects vs a polluted blacklist (objects placed in an 8 MiB heap)",
 		"Object size", "Interior pointers", "Interior + ignore-off-page", "Base pointers only", "No blacklist")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(fmt.Sprintf("%d KB", r.ObjectKB), r.CapacityInterior, r.CapacityOffPage, r.CapacityBase, r.CapacityIdeal)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }

@@ -8,18 +8,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Observation5Result reports the continued-execution experiment (E17).
-type Observation5Result struct {
-	Seed              uint64
-	RetainedInitially int // lists still pinned right after program T
-	RetainedByRound   []int
-	RoundsToZero      int // -1 if some lists never died
+// Observation5Row is one seed's continued-execution run (E17).
+type Observation5Row struct {
+	Seed              uint64 `json:"seed" gate:"key"`
+	RetainedInitially int    `json:"retained_initially" gate:"exact"` // lists still pinned right after program T
+	RoundsToZero      int    `json:"rounds_to_zero" gate:"exact"`     // -1 if some lists never died
+	StillPinned       int    `json:"still_pinned" gate:"exact"`       // lists pinned after the last round
 }
 
 // Observation5Options configures the experiment.
 type Observation5Options struct {
-	Rounds int // continued-execution rounds (default 12)
-	Seeds  int // seeds tried to find runs with residual retention (default 8)
+	Rounds int `json:"rounds"` // continued-execution rounds (default 12)
+	Seeds  int `json:"seeds"`  // seeds tried to find runs with residual retention (default 8)
 }
 
 // Observation5 reproduces the paper's observation 5: "it is likely that
@@ -33,38 +33,37 @@ type Observation5Options struct {
 // that retain lists (mid-run register/stack residue) then continue with
 // rounds of varied stack and register activity. The residual references
 // are overwritten and the pinned lists die.
-func Observation5(opt Observation5Options) ([]Observation5Result, *stats.Table, error) {
+func Observation5(opt Observation5Options) (*BenchResult[Observation5Options, Observation5Row], *stats.Table, error) {
 	if opt.Rounds == 0 {
 		opt.Rounds = 12
 	}
 	if opt.Seeds == 0 {
 		opt.Seeds = 8
 	}
-	var results []Observation5Result
+	res := &BenchResult[Observation5Options, Observation5Row]{Options: opt}
 	for seed := uint64(1); seed <= uint64(opt.Seeds); seed++ {
-		res, err := observation5Run(seed, opt.Rounds)
+		row, err := observation5Run(seed, opt.Rounds)
 		if err != nil {
 			return nil, nil, err
 		}
-		if res.RetainedInitially == 0 {
+		if row.RetainedInitially == 0 {
 			continue // nothing pinned this run; the paper's 0% rows
 		}
-		results = append(results, *res)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Observation 5: residual references die under continued execution",
 		"Seed", "Lists pinned after T", "Rounds until all reclaimed")
-	for _, r := range results {
+	for _, r := range res.Rows {
 		rounds := fmt.Sprint(r.RoundsToZero)
 		if r.RoundsToZero < 0 {
-			rounds = fmt.Sprintf("> %d (still pinned: %d)",
-				len(r.RetainedByRound), r.RetainedByRound[len(r.RetainedByRound)-1])
+			rounds = fmt.Sprintf("> %d (still pinned: %d)", opt.Rounds, r.StillPinned)
 		}
 		tab.AddF(r.Seed, r.RetainedInitially, rounds)
 	}
-	return results, tab, nil
+	return res, tab, nil
 }
 
-func observation5Run(seed uint64, rounds int) (*Observation5Result, error) {
+func observation5Run(seed uint64, rounds int) (*Observation5Row, error) {
 	profile := platform.SPARCStatic(false)
 	env, err := profile.Build(seed, true)
 	if err != nil {
@@ -74,10 +73,11 @@ func observation5Run(seed uint64, rounds int) (*Observation5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Observation5Result{
+	out := &Observation5Row{
 		Seed:              seed,
 		RetainedInitially: res.RetainedLists,
 		RoundsToZero:      -1,
+		StillPinned:       res.RetainedLists,
 	}
 	if res.RetainedLists == 0 {
 		out.RoundsToZero = 0
@@ -114,7 +114,7 @@ func observation5Run(seed uint64, rounds int) (*Observation5Result, error) {
 		}
 		w.Collect()
 		remaining -= len(w.DrainReclaimed())
-		out.RetainedByRound = append(out.RetainedByRound, remaining)
+		out.StillPinned = remaining
 		if remaining == 0 {
 			out.RoundsToZero = round + 1
 		}

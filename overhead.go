@@ -8,24 +8,32 @@ import (
 	"repro/internal/stats"
 )
 
-// OverheadResult reports the footnote-3 measurement (E7): the total
-// cost of blacklisting bookkeeping as a fraction of run time, and the
-// small-object allocation latency.
-type OverheadResult struct {
-	RunWithout      time.Duration
-	RunWith         time.Duration
-	OverheadPct     float64 // (with-without)/without * 100
-	AllocNanos      float64 // hot-path 8-byte allocation, ns/op
-	BlacklistAdds   uint64
-	BlacklistLen    int
-	RetainedWith    float64
-	RetainedWithout float64
+// OverheadOptions configures the footnote-3 measurement (E7).
+type OverheadOptions struct {
+	Seed uint64 `json:"seed"`
+}
+
+// OverheadRow reports the footnote-3 measurement (E7) on one profile:
+// the total cost of blacklisting bookkeeping as a fraction of run time,
+// and the small-object allocation latency. The times are readings; the
+// retention, blacklist and heap figures repeat exactly.
+type OverheadRow struct {
+	Profile         string        `json:"profile" gate:"key"`
+	RunWithout      time.Duration `json:"-" gate:"info"`
+	RunWith         time.Duration `json:"-" gate:"info"`
+	OverheadPct     float64       `json:"-" gate:"info"` // (with-without)/without * 100
+	AllocNanos      float64       `json:"-" gate:"info"` // hot-path 8-byte allocation, ns/op
+	BlacklistAdds   uint64        `json:"blacklist_adds" gate:"exact"`
+	BlacklistLen    int           `json:"blacklist_len" gate:"exact"`
+	RetainedWith    float64       `json:"retained_with" gate:"exact"`
+	RetainedWithout float64       `json:"retained_without" gate:"exact"`
 	// HeapWithout/HeapWith are the demand-grown final heap sizes: the
 	// paper's observation 6 ("the additional heap size needed to make
 	// up for blacklisted pages ... was negligible, and not easily
 	// measurable, since it is dominated by the heap expansion
 	// increment").
-	HeapWithout, HeapWith int
+	HeapWithout int `json:"heap_without" gate:"exact"`
+	HeapWith    int `json:"heap_with" gate:"exact"`
 }
 
 // Overhead measures the end-to-end cost of blacklisting on a program-T
@@ -40,7 +48,8 @@ type OverheadResult struct {
 // usually *faster* end to end because it retains less and therefore
 // marks less, so the bookkeeping cost is also isolated via the marker's
 // own counters.
-func Overhead(seed uint64) (*OverheadResult, *stats.Table, error) {
+func Overhead(opt OverheadOptions) (*BenchResult[OverheadOptions, OverheadRow], *stats.Table, error) {
+	seed := opt.Seed
 	profile := platform.SPARCDynamic(false)
 
 	timeRun := func(bl bool) (time.Duration, float64, error) {
@@ -107,7 +116,8 @@ func Overhead(seed uint64) (*OverheadResult, *stats.Table, error) {
 		return nil, nil, err
 	}
 
-	res := &OverheadResult{
+	r := OverheadRow{
+		Profile:         profile.Name,
 		RunWithout:      dWithout,
 		RunWith:         dWith,
 		OverheadPct:     100 * (dWith.Seconds() - dWithout.Seconds()) / dWithout.Seconds(),
@@ -123,13 +133,13 @@ func Overhead(seed uint64) (*OverheadResult, *stats.Table, error) {
 		"Metric", "Value")
 	tab.Add("program T, blacklisting off", fmt.Sprintf("%.2fs (%.1f%% retained)", dWithout.Seconds(), 100*fWithout))
 	tab.Add("program T, blacklisting on", fmt.Sprintf("%.2fs (%.1f%% retained)", dWith.Seconds(), 100*fWith))
-	tab.Add("end-to-end overhead", fmt.Sprintf("%+.1f%%", res.OverheadPct))
+	tab.Add("end-to-end overhead", fmt.Sprintf("%+.1f%%", r.OverheadPct))
 	tab.Add("8-byte allocation", fmt.Sprintf("%.0f ns/op", allocNanos))
 	tab.Add("blacklist adds at startup", fmt.Sprint(blStats.Adds))
-	tab.Add("pages blacklisted at startup", fmt.Sprint(res.BlacklistLen))
+	tab.Add("pages blacklisted at startup", fmt.Sprint(r.BlacklistLen))
 	tab.Add("demand-grown heap, no blacklist", fmt.Sprintf("%.1f MB", float64(heapWithout)/(1<<20)))
 	tab.Add("demand-grown heap, blacklist", fmt.Sprintf("%.1f MB", float64(heapWith)/(1<<20)))
 	tab.Add("space cost of blacklisted pages", fmt.Sprintf("%+.1f%%",
 		100*(float64(heapWith)-float64(heapWithout))/float64(heapWithout)))
-	return res, tab, nil
+	return &BenchResult[OverheadOptions, OverheadRow]{Options: opt, Rows: []OverheadRow{r}}, tab, nil
 }

@@ -10,18 +10,20 @@ import (
 
 // PauseRow is one collector mode's pause profile (E16).
 type PauseRow struct {
-	Mode         string
-	Collections  int
-	MaxPause     time.Duration // longest single Allocate call
-	MeanPause    time.Duration // mean over calls that exceeded the median
-	TotalGCWork  time.Duration
-	FinalLiveObj uint64
+	Mode        string        `json:"mode" gate:"key"`
+	Collections int           `json:"collections" gate:"exact"`
+	MaxPause    time.Duration `json:"-" gate:"info"` // longest single Allocate call
+	TotalGCWork time.Duration `json:"-" gate:"info"`
+	// FinalLiveObj is what the heap holds once the last cycle landed.
+	// A concurrent cycle's driver decides where in the churn the last
+	// cycle snapshots its roots, so this depends on interleaving.
+	FinalLiveObj uint64 `json:"-" gate:"info"`
 	// ChurnCycles counts the cycles the churn itself triggered, and
 	// MaxReported is the longest the collector's own phase timers say
 	// one of them kept the mutator stopped (see reportedPause). Unlike
 	// MaxPause it includes no wait for a lock or a processor.
-	ChurnCycles int
-	MaxReported time.Duration
+	ChurnCycles int           `json:"churn_cycles" gate:"exact"`
+	MaxReported time.Duration `json:"-" gate:"info"`
 }
 
 // reportedPause is how long one cycle stopped the mutator by the
@@ -38,9 +40,9 @@ func reportedPause(st CollectionStats) time.Duration {
 
 // PausesOptions configures the experiment.
 type PausesOptions struct {
-	LiveObjects int // long-lived list length (default 150000)
-	Churn       int // short-lived allocations (default 300000)
-	Seed        uint64
+	LiveObjects int    `json:"live_objects"` // long-lived list length (default 150000)
+	Churn       int    `json:"churn"`        // short-lived allocations (default 300000)
+	Seed        uint64 `json:"seed"`
 }
 
 // Pauses compares mutator-visible pause times across the collector
@@ -51,7 +53,7 @@ type PausesOptions struct {
 // [13], cheap minor cycles). The mutator churns short-lived objects
 // over a large long-lived structure; the pause is the latency of the
 // worst single allocation call.
-func Pauses(opt PausesOptions) ([]PauseRow, *stats.Table, error) {
+func Pauses(opt PausesOptions) (*BenchResult[PausesOptions, PauseRow], *stats.Table, error) {
 	if opt.LiveObjects == 0 {
 		opt.LiveObjects = 150000
 	}
@@ -66,23 +68,23 @@ func Pauses(opt PausesOptions) ([]PauseRow, *stats.Table, error) {
 		{"mostly-concurrent (ref. [8])", Config{ConcurrentMark: true, GCDivisor: 2, MarkQuantum: 64}},
 		{"generational", Config{Generational: true, MinorDivisor: 4, FullEvery: 16}},
 	}
-	var rows []PauseRow
+	res := &BenchResult[PausesOptions, PauseRow]{Options: opt}
 	for _, c := range configs {
 		row, err := pausesRun(opt, c.label, c.cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, *row)
+		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Pause times: stop-the-world vs mostly-concurrent vs generational",
 		"Mode", "Collections", "Worst pause", "Total GC-bearing time", "Live at end")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Mode, r.Collections,
 			fmt.Sprintf("%.2fms", float64(r.MaxPause.Microseconds())/1000),
 			fmt.Sprintf("%.2fms", float64(r.TotalGCWork.Microseconds())/1000),
 			r.FinalLiveObj)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
 func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {

@@ -2,17 +2,25 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/platform"
 	"repro/internal/stats"
 )
 
+// PCRSweepOptions configures the appendix-B world-size sweep (E9).
+type PCRSweepOptions struct {
+	// OtherLiveMB are the Cedar world sizes, in MB of other live data
+	// (default 1.5, 4, 8, 13).
+	OtherLiveMB []float64 `json:"other_live_mb"`
+	Seeds       int       `json:"seeds"`    // seeds per cell (default 2)
+	Parallel    int       `json:"parallel"` // concurrent runs (default 8)
+}
+
 // PCRSweepRow is one world size's retention (E9).
 type PCRSweepRow struct {
-	OtherLiveMB    float64
-	NoBlacklisting stats.Range
-	Blacklisting   stats.Range
+	OtherLiveMB    float64     `json:"other_live_mb" gate:"key"`
+	NoBlacklisting stats.Range `json:"no_blacklisting" gate:"exact"`
+	Blacklisting   stats.Range `json:"blacklisting" gate:"exact"`
 }
 
 // PCRSweep reproduces appendix B's PCR observation: "the experiments
@@ -22,61 +30,31 @@ type PCRSweepRow struct {
 // storage." Retention should be roughly invariant in the other-live-
 // data size, because the false references come from PCR's own statics
 // and thread stacks, not from the loaded packages.
-func PCRSweep(otherLiveMB []float64, seeds, parallel int) ([]PCRSweepRow, *stats.Table, error) {
-	if len(otherLiveMB) == 0 {
-		otherLiveMB = []float64{1.5, 4, 8, 13}
+func PCRSweep(opt PCRSweepOptions) (*BenchResult[PCRSweepOptions, PCRSweepRow], *stats.Table, error) {
+	if len(opt.OtherLiveMB) == 0 {
+		opt.OtherLiveMB = []float64{1.5, 4, 8, 13}
 	}
-	if seeds <= 0 {
-		seeds = 2
+	if opt.Seeds <= 0 {
+		opt.Seeds = 2
 	}
-	if parallel <= 0 {
-		parallel = 8
+	if opt.Parallel <= 0 {
+		opt.Parallel = 8
 	}
-	type key struct {
-		row       int
-		blacklist bool
+	profiles := make([]Profile, len(opt.OtherLiveMB))
+	for i, mb := range opt.OtherLiveMB {
+		profiles[i] = platform.PCR(int(mb * (1 << 20)))
 	}
-	results := make(map[key][]float64)
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallel)
-	for i, mb := range otherLiveMB {
-		p := platform.PCR(int(mb * (1 << 20)))
-		for _, bl := range []bool{false, true} {
-			for s := 0; s < seeds; s++ {
-				wg.Add(1)
-				go func(i int, p Profile, bl bool, seed uint64) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					f, err := platform.RunCell(p, bl, seed)
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil && firstErr == nil {
-						firstErr = fmt.Errorf("PCR %v: %w", bl, err)
-						return
-					}
-					results[key{i, bl}] = append(results[key{i, bl}], f)
-				}(i, p, bl, uint64(s)+1)
-			}
-		}
+	ranges, err := retentionRanges(profiles, opt.Seeds, opt.Parallel)
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	var rows []PCRSweepRow
+	res := &BenchResult[PCRSweepOptions, PCRSweepRow]{Options: opt}
 	tab := stats.NewTable("Appendix B: PCR retention vs Cedar world size",
 		"Other live data", "No Blacklisting", "Blacklisting")
-	for i, mb := range otherLiveMB {
-		r := PCRSweepRow{
-			OtherLiveMB:    mb,
-			NoBlacklisting: stats.NewRange(results[key{i, false}]),
-			Blacklisting:   stats.NewRange(results[key{i, true}]),
-		}
-		rows = append(rows, r)
+	for i, mb := range opt.OtherLiveMB {
+		r := PCRSweepRow{OtherLiveMB: mb, NoBlacklisting: ranges[i][0], Blacklisting: ranges[i][1]}
+		res.Rows = append(res.Rows, r)
 		tab.AddF(fmt.Sprintf("%.1f MB", mb), r.NoBlacklisting.PctString(), r.Blacklisting.PctString())
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }

@@ -33,10 +33,11 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFigure1Experiment(t *testing.T) {
-	rows, tab, err := Figure1(Figure1Options{StaticWords: 8192, HeapFillBytes: 2 << 20, Seed: 1})
+	res, tab, err := Figure1(Figure1Options{StaticWords: 8192, HeapFillBytes: 2 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -63,10 +64,11 @@ func TestFigure1Experiment(t *testing.T) {
 }
 
 func TestStackClearingExperiment(t *testing.T) {
-	rows, tab, err := StackClearing(StackClearOptions{ListLen: 300, Iterations: 200, Seed: 3})
+	res, tab, err := StackClearing(StackClearOptions{ListLen: 300, Iterations: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -91,10 +93,11 @@ func TestStackClearingExperiment(t *testing.T) {
 }
 
 func TestGridsExperiment(t *testing.T) {
-	rows, _, err := Grids(GridsOptions{Rows: 30, Cols: 30, Trials: 150, Seed: 5})
+	res, _, err := Grids(GridsOptions{Rows: 30, Cols: 30, Trials: 150, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	emb, sep := rows[0], rows[1]
 	if emb.Kind != GridEmbedded || sep.Kind != GridSeparate {
 		t.Fatal("row order wrong")
@@ -106,11 +109,16 @@ func TestGridsExperiment(t *testing.T) {
 }
 
 func TestTreesExperiment(t *testing.T) {
-	rows, _, err := Trees([]int{8, 12}, 800, 7)
+	// One step leaves the queue and stream rows trivial: this test reads
+	// the trees.
+	res, _, err := Structures(StructuresOptions{Depths: []int{8, 12}, Trials: 800, Steps: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	for _, r := range res.Rows[:2] {
+		if r.Structure != "tree" {
+			t.Fatalf("row %+v is not a tree", r)
+		}
 		if r.MeanRetained < r.TheoryRetained*0.6 || r.MeanRetained > r.TheoryRetained*1.4 {
 			t.Errorf("depth %d: measured %.1f vs theory %.1f", r.Depth, r.MeanRetained, r.TheoryRetained)
 		}
@@ -118,10 +126,12 @@ func TestTreesExperiment(t *testing.T) {
 }
 
 func TestQueuesAndStreamsExperiment(t *testing.T) {
-	rows, _, err := QueuesAndStreams(50, 8000, 1)
+	// One tiny tree comes first: this test reads the queues and streams.
+	res, _, err := Structures(StructuresOptions{Depths: []int{1}, Trials: 1, Window: 50, Steps: 8000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows[1:]
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -136,7 +146,7 @@ func TestQueuesAndStreamsExperiment(t *testing.T) {
 }
 
 func TestLargeObjectsExperiment(t *testing.T) {
-	rows, _, err := LargeObjects(LargeObjectsOptions{
+	res, _, err := LargeObjects(LargeObjectsOptions{
 		HeapBytes: 4 << 20,
 		SizesKB:   []int{40, 100, 400},
 		Seed:      2,
@@ -144,6 +154,7 @@ func TestLargeObjectsExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	for _, r := range rows {
 		if r.CapacityBase < r.CapacityInterior {
 			t.Errorf("%d KB: base-only (%d) should fit at least as many as interior (%d)",
@@ -171,10 +182,11 @@ func TestLargeObjectsExperiment(t *testing.T) {
 }
 
 func TestFragmentationExperiment(t *testing.T) {
-	rows, _, err := Fragmentation(FragmentationOptions{HeapBytes: 8 << 20, Rounds: 6, Seed: 3})
+	res, _, err := Fragmentation(FragmentationOptions{HeapBytes: 8 << 20, Rounds: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	ao, lifo := rows[0], rows[1]
 	if ao.Policy != AddressOrdered || lifo.Policy != LIFO {
 		t.Fatal("row order wrong")
@@ -194,13 +206,14 @@ func TestDualRunExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SingleRunRetained == 0 {
+	single, dual := res.Rows[0], res.Rows[1]
+	if single.ListsRetained == 0 {
 		t.Fatal("single run retained nothing; pollution ineffective")
 	}
-	if res.DualRunRetained != 0 {
-		t.Errorf("dual-run certification left %d lists", res.DualRunRetained)
+	if dual.ListsRetained != 0 {
+		t.Errorf("dual-run certification left %d lists", dual.ListsRetained)
 	}
-	if res.CandidatesRejected == 0 {
+	if dual.CandidatesRejected == 0 {
 		t.Error("no candidates rejected")
 	}
 	if !strings.Contains(tab.String(), "Footnote 4") {
@@ -213,13 +226,14 @@ func TestTable1Small(t *testing.T) {
 		t.Skip("full program-T runs")
 	}
 	// One cheap profile, one seed: exercises the full Table1 machinery.
-	rows, tab, err := Table1(Table1Options{
+	res, tab, err := Table1(Table1Options{
 		Seeds:    1,
 		Profiles: []Profile{SPARCDynamic(false)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -234,12 +248,13 @@ func TestTable1Small(t *testing.T) {
 }
 
 func TestGenerationalCeilingExperiment(t *testing.T) {
-	rows, tab, err := GenerationalCeiling(GenerationalOptions{
+	res, tab, err := GenerationalCeiling(GenerationalOptions{
 		Iterations: 150, BatchCells: 100, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	none, cheap, eager := rows[0], rows[1], rows[2]
 	if none.Clear != ClearNone || eager.Clear != ClearEager {
 		t.Fatal("row order wrong")
@@ -263,10 +278,11 @@ func TestGenerationalCeilingExperiment(t *testing.T) {
 }
 
 func TestHeapPlacementExperiment(t *testing.T) {
-	rows, _, err := HeapPlacement(HeapPlacementOptions{Seed: 1})
+	res, _, err := HeapPlacement(HeapPlacementOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -286,12 +302,13 @@ func TestHeapPlacementExperiment(t *testing.T) {
 }
 
 func TestAtomicDataExperiment(t *testing.T) {
-	rows, _, err := AtomicData(AtomicDataOptions{
+	res, _, err := AtomicData(AtomicDataOptions{
 		Bitmaps: 4, BitmapBytes: 64 * 1024, DeadCells: 10000, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	ordinary, atomic := rows[0], rows[1]
 	if ordinary.DeadRetained < 5000 {
 		t.Errorf("scanned bitmaps retained only %d dead cells", ordinary.DeadRetained)
@@ -308,12 +325,13 @@ func TestAtomicDataExperiment(t *testing.T) {
 }
 
 func TestDegreesOfConservatismExperiment(t *testing.T) {
-	rows, _, err := DegreesOfConservatism(ConservatismOptions{
+	res, _, err := DegreesOfConservatism(ConservatismOptions{
 		Nodes: 8000, DeadCells: 8000, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	cons, typed := rows[0], rows[1]
 	if typed.DeadRetained != 0 {
 		t.Errorf("typed heap retained %d dead objects", typed.DeadRetained)
@@ -345,10 +363,11 @@ func TestDegreesOfConservatismExperiment(t *testing.T) {
 // against a trigger of half a 4 MiB heap.
 func TestPausesExperiment(t *testing.T) {
 	const live = 150000
-	rows, tab, err := Pauses(PausesOptions{LiveObjects: live, Churn: 600000, Seed: 1})
+	res, tab, err := Pauses(PausesOptions{LiveObjects: live, Churn: 600000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := res.Rows
 	stw, conc := rows[0], rows[1]
 	for _, r := range rows {
 		if r.FinalLiveObj < live {
@@ -396,10 +415,11 @@ func TestOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full program-T runs")
 	}
-	res, tab, err := Overhead(1)
+	out, tab, err := Overhead(OverheadOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Rows[0]
 	// Blacklisting eliminates nearly all retention...
 	if res.RetainedWith > res.RetainedWithout/4 {
 		t.Errorf("retention %.3f -> %.3f: blacklisting ineffective",
@@ -420,17 +440,18 @@ func TestObservation5Experiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full program-T runs")
 	}
-	results, tab, err := Observation5(Observation5Options{Seeds: 4, Rounds: 12})
+	res, tab, err := Observation5(Observation5Options{Seeds: 4, Rounds: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := res.Rows
 	if len(results) == 0 {
 		t.Skip("no seed produced residual retention (all 0% rows)")
 	}
 	for _, r := range results {
 		if r.RoundsToZero < 0 {
 			t.Errorf("seed %d: %d lists still pinned after continued execution",
-				r.Seed, r.RetainedByRound[len(r.RetainedByRound)-1])
+				r.Seed, r.StillPinned)
 		}
 	}
 	if !strings.Contains(tab.String(), "Observation 5") {

@@ -8,20 +8,20 @@ import (
 // StackClearRow is one configuration of the section-3.1 experiment
 // (E5): the list-reversal program under a stack-hygiene strategy.
 type StackClearRow struct {
-	Label        string
-	Mode         ReverseMode
-	Clear        ClearPolicy
-	SelfClean    bool // allocator clears its own frame
-	MaxLiveCells uint64
-	EndLiveCells uint64
-	Collections  int
+	Label        string      `json:"label" gate:"key"`
+	Mode         ReverseMode `json:"mode" gate:"exact"`
+	Clear        ClearPolicy `json:"clear" gate:"exact"`
+	SelfClean    bool        `json:"self_clean" gate:"exact"` // allocator clears its own frame
+	MaxLiveCells uint64      `json:"max_live_cells" gate:"exact"`
+	EndLiveCells uint64      `json:"end_live_cells" gate:"exact"`
+	Collections  int         `json:"collections" gate:"exact"`
 }
 
 // StackClearOptions configures the experiment.
 type StackClearOptions struct {
-	ListLen    int // default 1000, as in the paper
-	Iterations int // default 1000
-	Seed       uint64
+	ListLen    int    `json:"list_len"`   // default 1000, as in the paper
+	Iterations int    `json:"iterations"` // default 1000
+	Seed       uint64 `json:"seed"`
 }
 
 // StackClearing reproduces section 3.1's measurements: "a simple
@@ -32,7 +32,7 @@ type StackClearOptions struct {
 // added, we never saw the maximum exceed 18,000... The optimized
 // version of the program never resulted in many more than 2000
 // cons-cells".
-func StackClearing(opt StackClearOptions) ([]StackClearRow, *stats.Table, error) {
+func StackClearing(opt StackClearOptions) (*BenchResult[StackClearOptions, StackClearRow], *stats.Table, error) {
 	if opt.ListLen == 0 {
 		opt.ListLen = 1000
 	}
@@ -51,7 +51,7 @@ func StackClearing(opt StackClearOptions) ([]StackClearRow, *stats.Table, error)
 		{"unoptimized, eager clearing", ReverseRecursive, ClearEager, true},
 		{"optimized (tail call -> loop)", ReverseLoop, ClearNone, false},
 	}
-	var rows []StackClearRow
+	res := &BenchResult[StackClearOptions, StackClearRow]{Options: opt}
 	for _, cfg := range configs {
 		w, err := NewWorld(Config{
 			InitialHeapBytes:   2 << 20,
@@ -77,7 +77,7 @@ func StackClearing(opt StackClearOptions) ([]StackClearRow, *stats.Table, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := workload.RunReversal(w, m, ReverseParams{
+		rev, err := workload.RunReversal(w, m, ReverseParams{
 			ListLen:    opt.ListLen,
 			Iterations: opt.Iterations,
 			Mode:       cfg.mode,
@@ -86,21 +86,21 @@ func StackClearing(opt StackClearOptions) ([]StackClearRow, *stats.Table, error)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, StackClearRow{
+		res.Rows = append(res.Rows, StackClearRow{
 			Label:        cfg.label,
 			Mode:         cfg.mode,
 			Clear:        cfg.clear,
 			SelfClean:    cfg.selfClean,
-			MaxLiveCells: res.MaxLiveCells,
-			EndLiveCells: res.EndLiveCells,
-			Collections:  res.Collections,
+			MaxLiveCells: rev.MaxLiveCells,
+			EndLiveCells: rev.EndLiveCells,
+			Collections:  rev.Collections,
 		})
 	}
 
 	tab := stats.NewTable("Section 3.1: apparently accessible cons cells during list reversal",
 		"Configuration", "Max live cells", "Live at end", "Collections")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Label, r.MaxLiveCells, r.EndLiveCells, r.Collections)
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }

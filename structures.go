@@ -7,18 +7,19 @@ import (
 
 // GridsOptions configures the figure-3/4 experiment (E4).
 type GridsOptions struct {
-	Rows, Cols int // default 100x100
-	Trials     int // default 500
-	Seed       uint64
+	Rows   int    `json:"rows"`   // default 100
+	Cols   int    `json:"cols"`   // default 100
+	Trials int    `json:"trials"` // default 500
+	Seed   uint64 `json:"seed"`
 }
 
 // GridRow is one grid representation's retention summary.
 type GridRow struct {
-	Kind            GridKind
-	TotalObjects    int
-	MeanRetained    float64
-	MaxRetained     uint64
-	MeanFractionPct float64
+	Kind            GridKind `json:"kind" gate:"key"`
+	TotalObjects    int      `json:"total_objects" gate:"exact"`
+	MeanRetained    float64  `json:"mean_retained" gate:"exact"`
+	MaxRetained     uint64   `json:"max_retained" gate:"exact"`
+	MeanFractionPct float64  `json:"mean_fraction_pct" gate:"exact"`
 }
 
 // Grids reproduces figures 3 and 4: the expected consequence of a
@@ -27,7 +28,7 @@ type GridRow struct {
 // false reference can be expected to result in the retention of a
 // large fraction of the structure. In the latter case, at most a
 // single row or column is affected."
-func Grids(opt GridsOptions) ([]GridRow, *stats.Table, error) {
+func Grids(opt GridsOptions) (*BenchResult[GridsOptions, GridRow], *stats.Table, error) {
 	if opt.Rows == 0 {
 		opt.Rows = 100
 	}
@@ -37,7 +38,7 @@ func Grids(opt GridsOptions) ([]GridRow, *stats.Table, error) {
 	if opt.Trials == 0 {
 		opt.Trials = 500
 	}
-	var rows []GridRow
+	res := &BenchResult[GridsOptions, GridRow]{Options: opt}
 	for _, kind := range []GridKind{GridEmbedded, GridSeparate} {
 		w, err := NewWorld(Config{
 			InitialHeapBytes: 8 << 20,
@@ -51,7 +52,7 @@ func Grids(opt GridsOptions) ([]GridRow, *stats.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, GridRow{
+		res.Rows = append(res.Rows, GridRow{
 			Kind:            kind,
 			TotalObjects:    st.TotalObjects,
 			MeanRetained:    st.MeanRetained,
@@ -61,34 +62,63 @@ func Grids(opt GridsOptions) ([]GridRow, *stats.Table, error) {
 	}
 	tab := stats.NewTable("Figures 3/4: retention from one false reference into a grid",
 		"Representation", "Objects", "Mean retained", "Max retained", "Mean % of structure")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		tab.AddF(r.Kind, r.TotalObjects, int(r.MeanRetained+0.5), r.MaxRetained,
 			stats.Pct(r.MeanFractionPct/100))
 	}
-	return rows, tab, nil
+	return res, tab, nil
 }
 
-// TreeRow is one tree depth's retention summary (E6).
-type TreeRow struct {
-	Depth          int
-	Nodes          int
-	MeanRetained   float64
-	TheoryRetained float64
+// StructuresOptions configures the section-4 structures (E6).
+type StructuresOptions struct {
+	Depths []int  `json:"depths"` // balanced-tree depths (default 8, 12, 16)
+	Trials int    `json:"trials"` // false references per tree (default 2000)
+	Window int    `json:"window"` // queue window (default 100)
+	Steps  int    `json:"steps"`  // queue and stream steps (default 50000)
+	Seed   uint64 `json:"seed"`
 }
 
-// Trees measures the expected retention from a single false reference
-// into balanced binary trees of several depths, against the paper's
-// prediction that it is "approximately equal to the height of the
-// tree".
-func Trees(depths []int, trials int, seed uint64) ([]TreeRow, *stats.Table, error) {
-	if len(depths) == 0 {
-		depths = []int{8, 12, 16}
+// StructureRow is one structure's retention under one false
+// reference (E6): a balanced tree of one depth, or a queue or lazy
+// stream with or without the paper's mitigation.
+type StructureRow struct {
+	Structure string `json:"structure" gate:"key"` // "tree", "queue + false ref" or "lazy stream"
+	Depth     int    `json:"depth" gate:"key"`     // trees only
+	Mitigated bool   `json:"mitigated" gate:"key"` // links cleared / no false ref
+	// Trees: the expected retention against the paper's prediction
+	// that it is "approximately equal to the height of the tree".
+	Nodes          int     `json:"nodes" gate:"exact"`
+	MeanRetained   float64 `json:"mean_retained" gate:"exact"`
+	TheoryRetained float64 `json:"theory_retained" gate:"exact"`
+	// Queues and streams: how far one false reference lets them grow.
+	PeakLiveObjects  uint64 `json:"peak_live_objects" gate:"exact"`
+	FinalLiveObjects uint64 `json:"final_live_objects" gate:"exact"`
+}
+
+// Structures measures section 4's data structures: the expected
+// retention from a single false reference into balanced binary trees
+// of several depths, then its unbounded-growth pathologies — a
+// bounded-window queue and a memoising lazy stream, each pinned by a
+// single false reference, with and without the paper's mitigation
+// (clearing the link field on removal). It prints the trees and the
+// queues and streams as two tables.
+func Structures(opt StructuresOptions) (*BenchResult[StructuresOptions, StructureRow], *stats.Table, error) {
+	if len(opt.Depths) == 0 {
+		opt.Depths = []int{8, 12, 16}
 	}
-	if trials == 0 {
-		trials = 2000
+	if opt.Trials == 0 {
+		opt.Trials = 2000
 	}
-	var rows []TreeRow
-	for _, d := range depths {
+	if opt.Window == 0 {
+		opt.Window = 100
+	}
+	if opt.Steps == 0 {
+		opt.Steps = 50000
+	}
+	res := &BenchResult[StructuresOptions, StructureRow]{Options: opt}
+	trees := stats.NewTable("Section 4: balanced-tree retention from one false reference",
+		"Depth", "Nodes", "Mean retained", "Theory (~height)")
+	for _, d := range opt.Depths {
 		w, err := NewWorld(Config{
 			InitialHeapBytes: 16 << 20,
 			ReserveHeapBytes: 64 << 20,
@@ -97,46 +127,21 @@ func Trees(depths []int, trials int, seed uint64) ([]TreeRow, *stats.Table, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		st, err := workload.MeasureTreeRetention(w, d, trials, seed)
+		st, err := workload.MeasureTreeRetention(w, d, opt.Trials, opt.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, TreeRow{
+		res.Rows = append(res.Rows, StructureRow{
+			Structure:      "tree",
 			Depth:          d,
 			Nodes:          st.Nodes,
 			MeanRetained:   st.MeanRetained,
 			TheoryRetained: st.TheoryRetained,
 		})
+		trees.AddF(d, st.Nodes, fmtF(st.MeanRetained), fmtF(st.TheoryRetained))
 	}
-	tab := stats.NewTable("Section 4: balanced-tree retention from one false reference",
-		"Depth", "Nodes", "Mean retained", "Theory (~height)")
-	for _, r := range rows {
-		tab.AddF(r.Depth, r.Nodes, fmtF(r.MeanRetained), fmtF(r.TheoryRetained))
-	}
-	return rows, tab, nil
-}
 
-// QueueRow summarises one queue-churn configuration (E6).
-type QueueRow struct {
-	Structure        string
-	Mitigated        bool // links cleared / no false ref
-	PeakLiveObjects  uint64
-	FinalLiveObjects uint64
-}
-
-// QueuesAndStreams reproduces section 4's unbounded-growth pathologies:
-// a bounded-window queue and a memoising lazy stream, each pinned by a
-// single false reference, with and without the paper's mitigation
-// (clearing the link field on removal).
-func QueuesAndStreams(window, steps int, seed uint64) ([]QueueRow, *stats.Table, error) {
-	if window == 0 {
-		window = 100
-	}
-	if steps == 0 {
-		steps = 50000
-	}
-	var rows []QueueRow
-	for _, clear := range []bool{false, true} {
+	world := func() (*World, *Segment, error) {
 		w, err := NewWorld(Config{
 			InitialHeapBytes: 4 << 20,
 			ReserveHeapBytes: 64 << 20,
@@ -146,50 +151,47 @@ func QueuesAndStreams(window, steps int, seed uint64) ([]QueueRow, *stats.Table,
 			return nil, nil, err
 		}
 		root, err := w.Space.MapNew("roots", KindData, 0x2000, 4096, 4096)
+		return w, root, err
+	}
+	for _, clear := range []bool{false, true} {
+		w, root, err := world()
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := workload.RunQueueChurn(w, window, steps, clear, root, 0x2000)
+		q, err := workload.RunQueueChurn(w, opt.Window, opt.Steps, clear, root, 0x2000)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, QueueRow{
+		res.Rows = append(res.Rows, StructureRow{
 			Structure:        "queue + false ref",
 			Mitigated:        clear,
-			PeakLiveObjects:  res.PeakLiveObjects,
-			FinalLiveObjects: res.FinalLiveObjects,
+			PeakLiveObjects:  q.PeakLiveObjects,
+			FinalLiveObjects: q.FinalLiveObjects,
 		})
 	}
 	for _, falseRef := range []bool{true, false} {
-		w, err := NewWorld(Config{
-			InitialHeapBytes: 4 << 20,
-			ReserveHeapBytes: 64 << 20,
-			GCDivisor:        -1,
-		})
+		w, root, err := world()
 		if err != nil {
 			return nil, nil, err
 		}
-		root, err := w.Space.MapNew("roots", KindData, 0x2000, 4096, 4096)
+		l, err := workload.RunLazyStream(w, opt.Steps, falseRef, root, 0x2000)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := workload.RunLazyStream(w, steps, falseRef, root, 0x2000)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, QueueRow{
+		res.Rows = append(res.Rows, StructureRow{
 			Structure:        "lazy stream",
 			Mitigated:        !falseRef,
-			PeakLiveObjects:  res.PeakLiveObjects,
-			FinalLiveObjects: res.FinalLiveObjects,
+			PeakLiveObjects:  l.PeakLiveObjects,
+			FinalLiveObjects: l.FinalLiveObjects,
 		})
 	}
-	tab := stats.NewTable("Section 4: unbounded structures pinned by one false reference",
+	queues := stats.NewTable("Section 4: unbounded structures pinned by one false reference",
 		"Structure", "Mitigated?", "Peak live objects", "Final live objects")
-	for _, r := range rows {
-		tab.AddF(r.Structure, r.Mitigated, r.PeakLiveObjects, r.FinalLiveObjects)
+	for _, r := range res.Rows[len(opt.Depths):] {
+		queues.AddF(r.Structure, r.Mitigated, r.PeakLiveObjects, r.FinalLiveObjects)
 	}
-	return rows, tab, nil
+	res.More = []*stats.Table{queues}
+	return res, trees, nil
 }
 
 func fmtF(f float64) string {
