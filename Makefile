@@ -61,7 +61,9 @@ allocs:
 # because what a background driver interleaves with depends on how many
 # there are; and the watch battery on the plain concurrent cycle, where
 # the watcher's barrier-time walk meets the driver's chunks, runs
-# twenty times over.
+# twenty times over, as does the finalization accessors' test, the one
+# that lands a driver goroutine's finale between an Allocate and the
+# store that roots its object.
 # The root package alone takes five and a half minutes under -race on
 # a quiet two-processor box, so beside a busy neighbour it outlives go
 # test's default ten-minute budget with every test passing; the budget
@@ -75,6 +77,7 @@ race:
 		GOMAXPROCS=$$p $(GO) test -count=1 -race -run '$(CONC_BATTERIES)' ./internal/core; \
 	done
 	$(GO) test -count=20 -race -run 'TestWatchBattery/conc$$' ./internal/core
+	$(GO) test -count=20 -race -run TestFinalizableAccessorsRace ./internal/core
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .

@@ -20,10 +20,9 @@ import (
 //
 //  1. Snapshot pause. The mutators park, the cycle opens
 //     (openCycleLocked), the slots their caches hold are marked
-//     (markHeldLocked: the sweep at the finale must keep them, and
-//     whatever the caches carve after this is born black), and the roots
-//     are scanned onto w.Marker, whose stack is the cycle's gray set
-//     from then on. A minor cycle also stages its remembered set — the
+//     (markHeldLocked: the sweep at the finale must keep them), and the
+//     roots are scanned onto w.Marker, whose stack is the cycle's gray
+//     set from then on. A minor cycle also stages its remembered set — the
 //     blocks whose cards were dirtied since the last collection — and
 //     clears the cards. The mutators then resume.
 //  2. Background marking. Whoever holds the world lock — a driver
@@ -35,17 +34,23 @@ import (
 //     the world lock between chunks. A store shades the value it writes
 //     (storeLocked → shadeLocked): if that is the address of an unmarked
 //     object, the object is marked on the spot and left gray for the
-//     next chunk. Fresh objects are born black at the cache-refill
-//     commit point (they are zero-filled, so there is nothing to scan
-//     at birth). Slow-path allocations repay marking debt through the
-//     pacer (pacerAssistLocked) instead of a fixed per-allocation chunk.
+//     next chunk. Fresh objects are zero-filled, so there is nothing to
+//     scan at birth. One whose caller gets a bare address is born
+//     black, at the cache carve or in allocateLocked; one AllocateRooted
+//     stores into a root slot is born white, and its carve marks
+//     nothing. A cache records which it holds (allocCache.black), and a
+//     plain allocation takes only black slots. Slow-path allocations
+//     repay marking debt through the pacer (pacerAssistLocked) instead
+//     of a fixed per-allocation chunk.
 //  3. Final pause. When the gray set drains — or an allocation runs out
 //     of memory, or an explicit collection wants the cycle over — the
 //     world stops, the (possibly changed) roots are scanned again, the
 //     marking drains to the fixpoint on the goroutine that holds the
-//     pause, and the cycle closes (closeCycleLocked: the same sweep and
-//     bookkeeping every collection ends with). What the pause marks is
-//     what became reachable only from roots since the snapshot, plus
+//     pause, the slots the caches hold are marked (rooted carves left
+//     them white), and the cycle closes (closeCycleLocked: the same
+//     sweep and bookkeeping every collection ends with). What the pause
+//     marks is what became reachable only from roots since the
+//     snapshot — rooted fresh objects still rooted among it — plus
 //     whatever gray objects a forced finale found left.
 //
 // There is one marker, as in [8]: every chunk runs on w.Marker under
@@ -62,14 +67,17 @@ import (
 // moment on, whichever of its old paths the mutator then erases. A
 // pointer held only in a root (a register, a stack word, a root
 // segment) needs no barrier: roots are scanned again with the world
-// stopped. An object allocated during the cycle is born marked and
-// zero-filled, so it holds nothing until a store — shaded — puts it
-// there. A store into a white or gray object is shaded too; the later
-// scan of that object finds the value marked already. Every store and
-// every mark chunk runs under w.mu, so the argument is about a total
-// order. DESIGN.md §5g has the full argument; the lost-object battery
-// runs every case, and a closure oracle re-derives "marked ⊇ reachable"
-// at every finale of the concurrent batteries.
+// stopped. That covers an object AllocateRooted hands out, born white
+// and held from birth by a root slot. An object whose caller gets a
+// bare address is held by a Go local no root scan sees, so it is born
+// marked; it is zero-filled, so it holds nothing until a store —
+// shaded — puts it there. A store into a white or gray object is
+// shaded too; the later scan of that object finds the value marked
+// already. Every store and every mark chunk runs under w.mu, so the
+// argument is about a total order. DESIGN.md §5g has the full
+// argument; the lost-object battery runs every case, and a closure
+// oracle re-derives "marked ⊇ reachable" at every finale of the
+// concurrent batteries.
 //
 // Cards are not part of a cycle. They stay what the paper's §3.1
 // citation [13] uses them for: the remembered set *between*
@@ -282,9 +290,10 @@ func (w *World) storeOriginLocked(a mem.Addr) (mark.RootOrigin, int32) {
 
 // finishConcurrentLocked is the bounded final pause: the rest of the
 // mark step, then the close. Callers hold w.mu with a cycle active and
-// every mutator parked (landCycleLocked is the way in). What their
-// caches hold needs no marking here: it was marked at the snapshot or
-// born black since.
+// every mutator parked (landCycleLocked is the way in). The drain is
+// followed by marking what the caches hold: a rooted carve since the
+// snapshot left its slots white (mutator.go), and the sweep must keep
+// them.
 func (w *World) finishConcurrentLocked() CollectionStats {
 	c := &w.cyc
 	c.pauseStart = time.Now()
@@ -299,6 +308,7 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 		w.scanStagedBlockLocked()
 	}
 	w.Marker.Drain()
+	w.markHeldLocked()
 	c.markNs = time.Since(c.pauseStart).Nanoseconds()
 	c.marks = w.Marker.Stats()
 	return w.closeCycleLocked()

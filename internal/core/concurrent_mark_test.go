@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
 )
 
@@ -325,11 +326,13 @@ func TestConcurrentMarkMostlyOutsideSTW(t *testing.T) {
 	}
 }
 
-// TestConcurrentMarkBornBlack pins allocation-during-marking: objects
-// allocated mid-cycle — through a mutator handle's cache carves and
-// the direct path alike — are born black and survive the in-flight
-// cycle even when nothing roots them (floating garbage); the next
-// collection reclaims the unrooted ones.
+// TestConcurrentMarkBornBlack pins allocation-during-marking: un-rooted
+// objects allocated mid-cycle — through a mutator handle's cache
+// carves and the direct path alike — are born black and survive the
+// in-flight cycle even when nothing roots them (floating garbage); the
+// next collection reclaims them. The AllocateRooted objects are born
+// white, and survive because their root slots still hold them at the
+// finale.
 func TestConcurrentMarkBornBlack(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	installClosureOracle(t, w, nil)
@@ -368,6 +371,177 @@ func TestConcurrentMarkBornBlack(t *testing.T) {
 	}
 	if st.Sweep.ObjectsLive != rooted {
 		t.Fatalf("follow-up collection kept %d, want the %d rooted objects", st.Sweep.ObjectsLive, rooted)
+	}
+}
+
+// concLiveList roots a list of n two-word nodes at root slot at:
+// marking work a concurrent cycle's first chunks and assists cannot
+// drain, so a test's allocations land inside the cycle.
+func concLiveList(t *testing.T, w *World, at mem.Addr, n int) {
+	t.Helper()
+	var head mem.Addr
+	for i := 0; i < n; i++ {
+		p, err := w.Allocate(2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store(p, mem.Word(head)); err != nil {
+			t.Fatal(err)
+		}
+		head = p
+	}
+	if err := w.Store(at, mem.Word(head)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// concFinish drives the active concurrent cycle through its finale with
+// bounded steps, failing if it was already over.
+func concFinish(t *testing.T, w *World) {
+	t.Helper()
+	if !w.ConcurrentActive() {
+		t.Fatal("the cycle ended before the test's allocations did")
+	}
+	for steps := 0; !w.ConcurrentStep(16); steps++ {
+		if steps > 1_000_000 {
+			t.Fatal("concurrent cycle did not terminate")
+		}
+	}
+}
+
+// TestConcurrentMarkUnrootedBornBlack pins the contract rooted
+// allocations being born white keeps: every entry point that returns a
+// bare address — its caller's Go local is no root — is born black while
+// a concurrent cycle marks, even on a handle whose cache of the same
+// size class a rooted allocation has just left white. Each row
+// interleaves AllocateRooted with one kind of un-rooted allocation,
+// roots none of the latter, and requires all of them to outlive the
+// cycle's finale.
+func TestConcurrentMarkUnrootedBornBlack(t *testing.T) {
+	const words, large = 4, alloc.MaxSmallWords + 88
+	type plainFn func(w *World, m *Mutator, id alloc.DescID) (mem.Addr, error)
+	handle := func(w *World, m *Mutator, _ alloc.DescID) (mem.Addr, error) { return m.Allocate(words, false) }
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		budget uint64
+		plain  []plainFn
+	}{
+		{name: "freelist", plain: []plainFn{handle}},
+		{name: "linealloc", cfg: Config{LineAlloc: true}, plain: []plainFn{handle}},
+		{name: "tenant", budget: 1 << 20, plain: []plainFn{handle}},
+		{name: "world", plain: []plainFn{
+			func(w *World, _ *Mutator, _ alloc.DescID) (mem.Addr, error) { return w.Allocate(words, false) },
+			func(w *World, _ *Mutator, id alloc.DescID) (mem.Addr, error) { return w.AllocateTyped(id) },
+			func(w *World, _ *Mutator, _ alloc.DescID) (mem.Addr, error) {
+				return w.AllocateIgnoreOffPage(large, false)
+			},
+		}},
+		{name: "handle-uncached", plain: []plainFn{
+			func(_ *World, m *Mutator, id alloc.DescID) (mem.Addr, error) { return m.AllocateTyped(id) },
+			func(_ *World, m *Mutator, _ alloc.DescID) (mem.Addr, error) {
+				return m.AllocateIgnoreOffPage(large, false)
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ConcurrentMark, cfg.GCDivisor, cfg.MarkQuantum = true, -1, 16
+			w := newWorld(t, cfg)
+			installClosureOracle(t, w, nil)
+			data := addData(t, w, "data", 0x2000, 4096)
+			concLiveList(t, w, 0x2000+4*8, 4000)
+			id, err := w.RegisterLayout([]bool{true, false, false, false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := w.NewMutator()
+			if tc.budget > 0 {
+				m = w.NewTenant(TenantConfig{Name: "t", BudgetBytes: tc.budget, Policy: TenantFail}).NewMutator()
+			}
+			if err := w.StartConcurrentCycle(); err != nil {
+				t.Fatal(err)
+			}
+			var unrooted []mem.Addr
+			for i := 0; i < 120; i++ {
+				// Two rooted allocations per un-rooted one, into four root
+				// slots: most rooted objects die before the finale, and
+				// most refills of the shared class are rooted ones.
+				for j := 0; j < 2; j++ {
+					if _, err := m.AllocateRooted(data, 0x2000+mem.Addr(4*((2*i+j)%4)), words, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p, err := tc.plain[i%len(tc.plain)](w, m, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unrooted = append(unrooted, p)
+				if i%16 == 15 {
+					w.ConcurrentStep(16)
+				}
+			}
+			concFinish(t, w)
+			for i, p := range unrooted {
+				if !w.Heap.IsAllocated(p) {
+					t.Fatalf("un-rooted object %d (%#x), allocated mid-cycle, was swept by the cycle's finale", i, uint32(p))
+				}
+			}
+			if err := w.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestConcurrentMarkRootedBornWhite pins what rooted allocation gains:
+// an object AllocateRooted hands out while a concurrent cycle marks is
+// born white, so when its root slot is overwritten before the finale,
+// the finale frees it. A hundred allocations into one root slot leave
+// one object rooted, and the finale's sweep keeps that one beside the
+// list that keeps the cycle busy — the cache's held slots are taken back
+// out of the survey.
+func TestConcurrentMarkRootedBornWhite(t *testing.T) {
+	const allocs, listNodes = 100, 4000
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{name: "freelist"},
+		{name: "linealloc", cfg: Config{LineAlloc: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.ConcurrentMark, cfg.GCDivisor, cfg.MarkQuantum = true, -1, 16
+			w := newWorld(t, cfg)
+			installClosureOracle(t, w, nil)
+			data := addData(t, w, "data", 0x2000, 4096)
+			concLiveList(t, w, 0x2000+4, listNodes)
+			m := w.NewMutator()
+			if err := w.StartConcurrentCycle(); err != nil {
+				t.Fatal(err)
+			}
+			var last mem.Addr
+			for i := 0; i < allocs; i++ {
+				p, err := m.AllocateRooted(data, 0x2000, 4, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = p
+			}
+			concFinish(t, w)
+			st := w.LastCollection()
+			if st.Sweep.ObjectsLive != listNodes+1 || st.Sweep.ObjectsFreed != allocs-1 {
+				t.Fatalf("finale kept %d and freed %d objects, want the %d list nodes and the one rooted object, and %d",
+					st.Sweep.ObjectsLive, st.Sweep.ObjectsFreed, listNodes, allocs-1)
+			}
+			if !w.Heap.IsAllocated(last) {
+				t.Fatalf("the rooted object %#x was swept", uint32(last))
+			}
+			if err := w.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -92,8 +92,10 @@ func (st CollectionStats) Kind() string {
 type cycle struct {
 	kind cycleKind
 	// active: a concurrent cycle is between its two pauses — mutators
-	// run, stores shade, fresh objects are born black. False inside every
-	// pause, the finale's included.
+	// run, stores shade, fresh objects are born black unless
+	// AllocateRooted roots them at birth. False inside every pause, the
+	// finale's included. Written with every handle parked, so a handle
+	// may read it under its own mutex.
 	active bool
 	// gen is bumped when a concurrent cycle starts and when it ends, so a
 	// background driver left over from a finished cycle exits instead of

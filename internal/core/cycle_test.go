@@ -234,7 +234,13 @@ func TestFinalizableAccessorsRace(t *testing.T) {
 	if concurrent == 0 {
 		t.Fatal("no concurrent cycle closed while the program polled")
 	}
-	for n, p := 0, head; p != 0; n++ {
+	// The walk is bounded: a lost node re-carved into the list can close
+	// it into a loop, which must fail here, not hang.
+	n := 0
+	for p := head; p != 0; n++ {
+		if n == nodes {
+			t.Fatalf("list runs past its %d nodes: a lost node was carved into it again", nodes)
+		}
 		if !w.Heap.IsAllocated(p) {
 			t.Fatalf("list node %d lost", n)
 		}
@@ -243,5 +249,8 @@ func TestFinalizableAccessorsRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		p = mem.Addr(v)
+	}
+	if n != nodes {
+		t.Fatalf("list holds %d nodes, want %d", n, nodes)
 	}
 }

@@ -49,13 +49,17 @@ import (
 //     every cached slot is marked as the first act of each mark step
 //     (markHeldLocked), after the open has landed deferred sweeps and
 //     cleared a full generational cycle's marks. A concurrent cycle
-//     marks them in its snapshot pause; what its handles carve after
-//     that is born black. From a cycle's mark step to its sweep every
-//     cached slot is therefore marked, and the sweep keeps it. The
-//     close takes the held slots back out of the survey, so sweep
-//     results and live statistics read what they would with empty
-//     caches, and a generational close unmarks them, so that what the
-//     cache hands out later is young (settleHeldLocked).
+//     marks them in its snapshot pause and again at the end of its
+//     finale's drain: a carve in between is born black only when it
+//     serves a plain Allocate. A carve for AllocateRooted is left
+//     white, since its slots go straight into a root, and the cache
+//     then serves plain allocations no more until the finale marks its
+//     remainder (allocCache.black). At every sweep, every cached slot
+//     is therefore marked, and the sweep keeps it. The close takes the
+//     held slots back out of the survey, so sweep results and live
+//     statistics read what they would with empty caches, and a
+//     generational close unmarks them, so that what the cache hands
+//     out later is young (settleHeldLocked).
 //   - A cache is flushed back to the free lists only where an empty
 //     cache is needed: an explicit Free (the freed slot must land on
 //     top of the list per-object allocation would have left), tenant
@@ -90,11 +94,17 @@ const runSlots = 32
 // and run stays empty; the two forms never coexist in one cache.
 // words is the class's padded object size, recorded at refill for
 // local byte accounting and for returning the tail to the right list.
+// black records that the unconsumed slots are marked: set by a carve
+// made for a plain allocation while a concurrent cycle marks, and by
+// markHeldLocked; cleared by every other carve. While a cycle marks,
+// only a black cache serves a plain Allocate, whose caller's Go local
+// is no root; a rooted allocation may take any slot (DESIGN.md §5g).
 type allocCache struct {
 	run           []mem.Addr
 	next          int
 	words         int
 	cursor, limit mem.Addr
+	black         bool
 }
 
 // MutatorStats counts one handle's allocation activity.
@@ -226,7 +236,10 @@ func (m *Mutator) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 // dst must be a mapped non-heap segment (typically a root data
 // segment) and the slot at `at` must be owned by this mutator's
 // goroutine. Root segments are rescanned in full by every collector
-// mode, so the store needs no write barrier.
+// mode, so the store needs no write barrier, and an object allocated
+// this way while a concurrent cycle marks is born white: the finale's
+// root rescan marks it if dst[at] (or anything it was stored into
+// since) still holds it, and the close frees it otherwise.
 func (m *Mutator) AllocateRooted(dst *mem.Segment, at mem.Addr, nwords int, atomic bool) (mem.Addr, error) {
 	return m.allocate(nwords, atomic, dst, at)
 }
@@ -247,13 +260,15 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 		c := &m.caches[idx]
 		// Divert to the slow path at the allocation where the central
 		// trigger would fire: the collection must happen now, not when
-		// the cache next empties. A tenant handle also charges its
-		// budget here with one CAS — a failed charge (or a cancelled
-		// tenant) diverts to the slow path, which resolves the
-		// over-budget policy under the central lock.
+		// the cache next empties. A plain allocation while a cycle marks
+		// also diverts from a white cache, to be re-carved black. A
+		// tenant handle also charges its budget here with one CAS — a
+		// failed charge (or a cancelled tenant) diverts to the slow path,
+		// which resolves the over-budget policy under the central lock.
 		fromSpan := c.cursor < c.limit
 		bytes := uint64(words) * mem.WordBytes
 		if (fromSpan || c.next < len(c.run)) && !(m.hasTrigger && m.sinceGC > m.trigger) &&
+			(dst != nil || c.black || !m.w.cyc.active) &&
 			(m.ten == nil || m.ten.fastCharge(bytes)) {
 			p := c.cursor // line profile: bump the cached span's cursor
 			if !fromSpan {
@@ -343,13 +358,14 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				c.cursor = s.Cursor + slotBytes
 				c.limit = s.Limit
 				carved = true
-				if w.cyc.active {
-					// Born black: a concurrent cycle is marking while this
-					// span sits in the cache, and the finale must not sweep
-					// slots the fast path hands out after the snapshot.
-					// Carved slots are zeroed, so marking without scanning
-					// is sound; ReturnSpan unmarks whatever the flush gives
-					// back.
+				// Born black: a concurrent cycle is marking, and the carve
+				// serves a plain allocation, whose caller roots it nowhere
+				// the collector sees, so the finale must not sweep what
+				// the fast path hands out. Carved slots are zeroed, so
+				// marking without scanning is sound; ReturnSpan unmarks
+				// whatever the flush gives back. A rooted carve stays
+				// white (allocCache).
+				if c.black = w.cyc.active && dst == nil; c.black {
 					for p := s.Cursor; p < s.Limit; p += slotBytes {
 						w.Heap.Mark(p)
 					}
@@ -375,11 +391,9 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				c.run = run
 				c.next = 1
 				carved = true
-				if w.cyc.active {
-					// Born black (see the span carve above): carved slots
-					// are zeroed, so the finale's sweep must not reclaim
-					// what the fast path hands out mid-cycle; ReturnRun
-					// unmarks the flushed remainder.
+				// Born black, or white for a rooted carve (see the span
+				// carve above); ReturnRun unmarks the flushed remainder.
+				if c.black = w.cyc.active && dst == nil; c.black {
 					for _, s := range run {
 						w.Heap.Mark(s)
 					}
@@ -401,7 +415,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			c.cursor, c.limit = 0, 0
 			return w.Heap.AllocDesperate(nwords, atomic)
 		}
-		p, err = w.allocateLocked(nwords, m.src, try, desperate)
+		p, err = w.allocateLocked(nwords, m.src, dst != nil, try, desperate)
 		if err == nil && carved {
 			// AllocRun defers stats to consumption; run[0] was just
 			// handed out.
@@ -409,7 +423,7 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		}
 	} else {
 		// Large objects: the original per-object path, uncached.
-		p, err = w.allocateLocked(nwords, m.src,
+		p, err = w.allocateLocked(nwords, m.src, dst != nil,
 			func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 			func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 	}
@@ -419,8 +433,9 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 	}
 	if dst != nil {
 		// Root while still holding w.mu: no collection can run before
-		// the store lands.
-		if serr := w.storeLocked(at, mem.Word(p)); serr != nil {
+		// the store lands. dst is a root segment, so the store needs no
+		// barrier, as on the fast path: the object stays white.
+		if serr := dst.Store(at, mem.Word(p)); serr != nil {
 			return 0, serr
 		}
 	}
@@ -465,7 +480,7 @@ func (m *Mutator) allocateUncachedLocked(nwords int, try func() (mem.Addr, error
 	if err != nil {
 		return 0, err
 	}
-	p, err := m.w.allocateLocked(nwords, m.src, try, nil)
+	p, err := m.w.allocateLocked(nwords, m.src, false, try, nil)
 	m.settleTenantLocked(p, err, tenCharge, false)
 	return p, err
 }
@@ -787,17 +802,19 @@ func (m *Mutator) eachHeld(fn func(c *allocCache)) {
 	}
 }
 
-// markHeldLocked is the first act of every mark step: it marks every
-// slot the handles' caches hold, not yet handed out, so the sweep keeps
-// it for them (see the header). Callers hold w.mu with every handle parked,
-// after the open — whose FinishSweep would clear the marks of the
-// blocks it sweeps, and whose ClearMarks a full generational cycle
-// runs — and before any marker starts.
+// markHeldLocked is the first act of every mark step, and a concurrent
+// finale's last: it marks every slot the handles' caches hold, not yet
+// handed out, so the sweep keeps it for them (see the header), and
+// makes each such cache black. Callers hold w.mu with every handle
+// parked, after the open — whose FinishSweep would clear the marks of
+// the blocks it sweeps, and whose ClearMarks a full generational cycle
+// runs.
 func (w *World) markHeldLocked() {
 	for _, m := range w.muts {
 		m.eachHeld(func(c *allocCache) {
 			w.Heap.MarkHeldRun(c.run[c.next:], true)
 			w.Heap.MarkHeldSpan(c.cursor, c.limit, true)
+			c.black = true
 		})
 	}
 }

@@ -432,14 +432,14 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchDetachedCycleStats extends the running-sums invariant
-// to what only a concurrent cycle produces — on a world configured with
-// ConcMarkWorkers 2, the detached cycles this test was written for: the
-// concurrent cycles and their final pauses (gc_concurrent_cycles,
+// TestMetricsMatchConcurrentCycleStats extends the running-sums
+// invariant to what only a concurrent cycle produces: the concurrent
+// cycles and their final pauses (gc_concurrent_cycles,
 // stw_final_pause_ns, and the gctrace line's "snap … final" term), and
 // the stores whose target the insertion barrier marked (barrier_shades,
-// one EvBarrierShade each).
-func TestMetricsMatchDetachedCycleStats(t *testing.T) {
+// one EvBarrierShade each). The world asks for ConcMarkWorkers 2, which
+// selects nothing: there is one concurrent cycle.
+func TestMetricsMatchConcurrentCycleStats(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
 	rec := w.EnableTracing(0)
 	data := addData(t, w, "data", 0x2000, 4096)

@@ -884,7 +884,7 @@ func (w *World) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(nwords, w.mut,
+	return w.allocateLocked(nwords, w.mut, false,
 		func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 		func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 }
@@ -913,7 +913,7 @@ func (w *World) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(d.Words, w.mut,
+	return w.allocateLocked(d.Words, w.mut, false,
 		func() (mem.Addr, error) { return w.Heap.AllocTyped(id) },
 		nil)
 }
@@ -929,7 +929,7 @@ func (w *World) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error)
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(nwords, w.mut,
+	return w.allocateLocked(nwords, w.mut, false,
 		func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) },
 		nil)
 }
@@ -945,7 +945,10 @@ var errHeapExhausted = fmt.Errorf("allocating: %w", alloc.ErrHeapExhausted)
 // OnAllocate hook; src is the root source of the allocating mutator
 // (for allocator-residue simulation) — the attached RootSource for the
 // direct World entry points, the handle's source for Mutator ones.
-func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func() (mem.Addr, error)) (mem.Addr, error) {
+// rooted says the caller stores the object into a root segment before
+// it releases w.mu (Mutator.AllocateRooted): such an object is born
+// white, not black (DESIGN.md §5g).
+func (w *World) allocateLocked(nwords int, src RootSource, rooted bool, try, desperate func() (mem.Addr, error)) (mem.Addr, error) {
 	// collected records that a full collection ran inside this call: the
 	// exhaustion arm below runs one before giving up unless one has.
 	collected := false
@@ -1031,7 +1034,7 @@ func (w *World) allocateLocked(nwords int, src RootSource, try, desperate func()
 	if err != nil {
 		return 0, err
 	}
-	if w.cyc.active {
+	if w.cyc.active && !rooted {
 		// Born black: the fresh object is zero-filled, so there is
 		// nothing to scan at birth, and the mark bit keeps this cycle's
 		// sweep off it. Later stores into it are caught by the write
