@@ -44,26 +44,26 @@ test: allocs
 allocs:
 	$(GO) test -count=3 -run ZeroAlloc ./internal/...
 
-# Everything that runs beside the mutators — the concurrent cycle's
-# background driver, the background sweeper, mutator handles storing
-# under their own locks — must be clean under the race detector. The
-# internal packages hold most of its tests (differentials, fuzz seeds);
-# the root package adds the bench drivers and trace plumbing. The
-# concurrent cycle's soundness batteries — the lost-object battery (its
-# forced-finale table is every entry point that lands a cycle in
-# flight), the differentials, the mutator and watch batteries and the
-# soak, every close of which the closure oracle checks for "marked ⊇
-# reachable"; the table test of the one close every cycle kind shares;
-# the finalization accessors polled against a driver's finale; the
-# pacer's tests; and the sweep differentials, whose background sweeper
-# drains the sweep barrier's queue beside the mutators — then run again
-# at one, two and four processors,
-# because what a background driver interleaves with depends on how many
-# there are; and the watch battery on the plain concurrent cycle, where
-# the watcher's barrier-time walk meets the driver's chunks, runs
-# twenty times over, as does the finalization accessors' test, the one
-# that lands a driver goroutine's finale between an Allocate and the
-# store that roots its object.
+# The collector starts no goroutine, but mutator goroutines run beside
+# one another — storing under their own handles' locks, and marking,
+# sweeping and landing concurrent cycles in their allocations' assists
+# and demand refills under the world lock — and all of it must be clean
+# under the race detector. The internal packages hold most of its tests
+# (differentials, fuzz seeds); the root package adds the bench drivers
+# and trace plumbing. The concurrent cycle's soundness batteries — the
+# lost-object battery (its forced-finale table is every entry point
+# that lands a cycle in flight), the differentials, the mutator and
+# watch batteries and the soak, every close of which the closure oracle
+# checks for "marked ⊇ reachable"; the table test of the one close
+# every cycle kind shares; the finalization accessors polled against
+# finales another goroutine's allocations land; the pacer's tests; and
+# the sweep differentials — then run again at one, two and four
+# processors, because how the mutators' assists interleave depends on
+# how many there are; and the watch battery on the plain concurrent
+# cycle, where the watcher's barrier-time walk meets other goroutines'
+# assist chunks, runs twenty times over, as does the finalization
+# accessors' test, whose second handle lands finales while the program
+# polls between its allocations and stores.
 # The root package alone takes five and a half minutes under -race on
 # a quiet two-processor box, so beside a busy neighbour it outlives go
 # test's default ten-minute budget with every test passing; the budget
@@ -100,8 +100,8 @@ bench-smoke: perfbench-smoke
 # it as run.sh does and runs three workloads at a tenth of the tape,
 # failing on a non-zero exit (an output check that did not hold):
 # live_graph_stw drives the mark loop from a stop-the-world pause,
-# live_graph_conc from the concurrent cycle's driver, assists and
-# finale with the barrier and the background sweeper beside them, and
+# live_graph_conc from the concurrent cycle's allocation assists and
+# the finale they land, with the barrier and the lazy sweep, and
 # serve_tenants is the one workload where two handles store
 # concurrently, each under its own lock. None measures anything: see
 # cmd/perfbench/README.md for that.

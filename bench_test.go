@@ -250,8 +250,8 @@ func BenchmarkMutatorStore(b *testing.B) {
 
 // BenchmarkConcurrentLiveGraph is the rung under perfbench's
 // live_graph_conc row, without the harness: the same concurrent world
-// (768 KiB fixed heap, about 1.28× live; ConcurrentSweep, MarkQuantum
-// 4096, GCDivisor 16), preloaded with the same 16 384-node graph — node
+// (768 KiB fixed heap, about 1.28× live; ConcurrentSweep, which is the
+// lazy sweep, MarkQuantum 4096, GCDivisor 16), preloaded with the same 16 384-node graph — node
 // i points at node i-1 and at a random earlier node, sizes cycling
 // {4,8,16} words — and one op is the same request: 32 rooted
 // allocations of {2,4,8,16} words into scratch slots, every eighth
@@ -736,8 +736,8 @@ func BenchmarkMarkCandidate(b *testing.B) {
 // barrier's validity check finds the bit set — what most stores of a
 // long cycle see), and the stored value the address of an object no
 // marker has reached ("unmarked": the barrier marks it and pushes it).
-// A cycle opened explicitly has no background goroutine marking while
-// the stores run. The targets of "unmarked" are a chain hanging off one
+// Nothing marks beside the stores: the cycle is opened explicitly and
+// the benchmark neither allocates nor steps it. The targets of "unmarked" are a chain hanging off one
 // root, of which the snapshot marks only the head.
 func BenchmarkStoreBarrier(b *testing.B) {
 	const chain = 1 << 14

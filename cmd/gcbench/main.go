@@ -373,7 +373,7 @@ func (c *cli) tenantSoak() error {
 	w, err := repro.NewWorld(repro.Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcurrentSweep: true,
+		LazySweep: true,
 	})
 	if err != nil {
 		return err
@@ -503,7 +503,7 @@ func (c *cli) leakSoak() error {
 	w, err := repro.NewWorld(repro.Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcurrentSweep: true,
+		LazySweep: true,
 	})
 	if err != nil {
 		return err

@@ -109,9 +109,9 @@ func FuzzAllocatorOps(f *testing.F) {
 
 // FuzzConcurrentMark interprets the fuzz input as an allocation recipe,
 // then lets several marking streams take turns over every object, as
-// the parties that mark during a concurrent cycle do (its driver's
-// chunks, an allocation's assist, the store barrier — one at a time,
-// under the world lock): exactly one stream must win each mark bit, the
+// the parties that mark during a concurrent cycle do (an allocation's
+// assist, a ConcurrentStep, the store barrier — one at a time, under
+// the world lock): exactly one stream must win each mark bit, the
 // block summaries must stay exact, and afterwards every object must be
 // Marked.
 func FuzzConcurrentMark(f *testing.F) {

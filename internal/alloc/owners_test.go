@@ -402,8 +402,13 @@ func (h *ownerHarness) run(tape []byte) {
 				h.collect()
 			case 1:
 				h.evict(m)
-			case 2: // the background sweeper (ConcurrentSweep) between allocations
-				h.a.SweepChunk(1 + arg/4%4)
+			case 2: // a demand refill between allocations: the lazy sweep's drain of one class
+				class, _ := ClassFor(ownerSimSizes[ci])
+				if idx := listIdx(class, false); !h.a.cfg.LineAlloc && h.a.freeList[idx] == 0 && len(h.a.sweepPending[idx]) > 0 {
+					if err := h.a.refill(class, false, idx, false); err != nil && err != ErrNeedMemory {
+						h.t.Fatal(err)
+					}
+				}
 			case 3:
 				h.a.Expand(mem.PageBytes)
 			}
@@ -424,7 +429,7 @@ var ownerTapeConfigs = []struct {
 }{
 	{"freelist", Config{}},
 	{"line-alloc", Config{LineAlloc: true}},
-	{"lazy-sweep", Config{LazySweep: true}}, // SweepChunk steps make it the ConcurrentSweep shape
+	{"lazy-sweep", Config{LazySweep: true}},
 	{"line-lazy", Config{LineAlloc: true, LazySweep: true}},
 	{"skip-boundary-slot", Config{SkipPageBoundarySlot: true, LazySweep: true}},
 	{"second-extent", Config{

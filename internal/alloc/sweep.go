@@ -315,60 +315,6 @@ func (a *Allocator) FinishSweep() int {
 // SweepPending returns the number of blocks whose sweep is deferred.
 func (a *Allocator) SweepPending() int { return a.pendingBlocks }
 
-// SweepChunk performs up to n deferred block sweeps that the allocator
-// itself would perform next, for a background sweeper running between
-// collections. The address-identity rule: a pending block of class idx
-// is swept only while that class's free list is empty — exactly the
-// demand-drain condition of refill — and popPending yields the same
-// block refill would pick, so every transition the sweeper performs is
-// one the next allocation would have performed anyway, and allocation
-// addresses stay bit-identical to lazy (hence eager) sweeping. Line
-// blocks are skipped entirely: they drain through the partial-block
-// carve queues, whose pop order is allocation-driven.
-//
-// It returns the number of blocks swept; 0 means no class currently
-// qualifies (every pending class has a stocked list or is line-queued),
-// not necessarily that nothing is pending.
-func (a *Allocator) SweepChunk(n int) int {
-	if n <= 0 || a.pendingBlocks == 0 {
-		return 0
-	}
-	swept := 0
-	for idx := range a.sweepPending {
-		for swept < n && a.freeList[idx] == 0 {
-			bi, ok := a.popPending(&a.sweepPending[idx])
-			if !ok {
-				break
-			}
-			a.sweepBlock(bi)
-			swept++
-		}
-		if swept >= n {
-			return swept
-		}
-	}
-	for k := range a.sweepPendingTyped {
-		q := a.sweepPendingTyped[k]
-		changed := false
-		for swept < n && a.typedFree[k] == 0 && len(q) > 0 {
-			bi, ok := a.popPending(&q)
-			changed = true
-			if !ok {
-				break
-			}
-			a.sweepBlock(bi)
-			swept++
-		}
-		if changed {
-			a.sweepPendingTyped[k] = q
-		}
-		if swept >= n {
-			return swept
-		}
-	}
-	return swept
-}
-
 // ClearMarks clears every mark bit (and mark summary) without sweeping.
 // The collector uses it for mark-only experiments and to reset sticky
 // bits before a full generational cycle. Pending lazy sweeps are

@@ -239,8 +239,8 @@ func reachableFromRoots(w *World, old map[mem.Addr][]mem.Word) map[mem.Addr]bool
 }
 
 // markedNow reports whether the object at base is marked, read under
-// the world lock, as a bitmap must be read mid-cycle: a background
-// driver's chunk may be marking.
+// the world lock, as a bitmap must be read mid-cycle: another
+// goroutine's assist or step may be marking.
 func markedNow(w *World, base mem.Addr) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -4,16 +4,12 @@ import (
 	"testing"
 )
 
-// TestConcurrentSweepDifferential is the acceptance criterion for the
-// background sweeper: a world with ConcurrentSweep must be
-// observationally identical to the plain lazy/eager worlds under an
-// identical mutator schedule — equal allocation addresses (SweepChunk
-// yields whenever a free list is stocked, so the demand drain keeps
-// carving from the same blocks in the same order), equal per-collection
-// sweep results, and equal final heap statistics. How many blocks the
-// background goroutine happens to classify is scheduling-dependent
-// (legitimately zero on one core), so conc_sweep_blocks is
-// deliberately not asserted here.
+// TestConcurrentSweepDifferential pins what Config.ConcurrentSweep is
+// now: LazySweep and nothing else. The background sweeper it once
+// started is gone, so a ConcurrentSweep world must equal a LazySweep
+// world under an identical mutator schedule — equal allocation
+// addresses, equal per-collection sweep results, and equal final heap
+// statistics, the lazily swept block count included.
 func TestConcurrentSweepDifferential(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -28,11 +24,12 @@ func TestConcurrentSweepDifferential(t *testing.T) {
 	mask := []bool{true, false, false, true, false}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			concCfg := v.cfg
+			lazyCfg, concCfg := v.cfg, v.cfg
+			lazyCfg.LazySweep = true
 			concCfg.ConcurrentSweep = true
-			we := newWorld(t, v.cfg)
+			wl := newWorld(t, lazyCfg)
 			wc := newWorld(t, concCfg)
-			te, err := we.RegisterLayout(mask)
+			tl, err := wl.RegisterLayout(mask)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,34 +37,32 @@ func TestConcurrentSweepDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if te != tc {
-				t.Fatalf("descriptor ids diverge: %d vs %d", te, tc)
+			if tl != tc {
+				t.Fatalf("descriptor ids diverge: %d vs %d", tl, tc)
 			}
-			ae, se := worldChurn(t, we, 42, te, v.minors)
+			al, sl := worldChurn(t, wl, 42, tl, v.minors)
 			ac, sc := worldChurn(t, wc, 42, tc, v.minors)
-			if len(ae) != len(ac) {
-				t.Fatalf("allocation counts diverge: %d vs %d", len(ae), len(ac))
+			if len(al) != len(ac) {
+				t.Fatalf("allocation counts diverge: %d vs %d", len(al), len(ac))
 			}
-			for i := range ae {
-				if ae[i] != ac[i] {
-					t.Fatalf("allocation %d diverges: eager %#x concurrent-sweep %#x", i, ae[i], ac[i])
+			for i := range al {
+				if al[i] != ac[i] {
+					t.Fatalf("allocation %d diverges: lazy %#x concurrent-sweep %#x", i, al[i], ac[i])
 				}
 			}
-			if len(se) != len(sc) {
-				t.Fatalf("collection counts diverge: %d vs %d", len(se), len(sc))
+			if len(sl) != len(sc) {
+				t.Fatalf("collection counts diverge: %d vs %d", len(sl), len(sc))
 			}
-			for i := range se {
-				if se[i] != sc[i] {
-					t.Fatalf("sweep %d diverges:\neager      %+v\nconc-sweep %+v", i, se[i], sc[i])
+			for i := range sl {
+				if sl[i] != sc[i] {
+					t.Fatalf("sweep %d diverges:\nlazy       %+v\nconc-sweep %+v", i, sl[i], sc[i])
 				}
 			}
 			if n := wc.Heap.SweepPending(); n != 0 {
 				t.Fatalf("%d blocks still pending after FinishSweep", n)
 			}
-			ste, stc := we.Heap.Stats(), wc.Heap.Stats()
-			stc.LazySweptBlocks = 0 // deferred-sweep bookkeeping, allowed to differ
-			if ste != stc {
-				t.Fatalf("final stats diverge:\neager      %+v\nconc-sweep %+v", ste, stc)
+			if stl, stc := wl.Heap.Stats(), wc.Heap.Stats(); stl != stc {
+				t.Fatalf("final stats diverge:\nlazy       %+v\nconc-sweep %+v", stl, stc)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/mark"
@@ -25,25 +24,27 @@ import (
 //     set from then on. A minor cycle also stages its remembered set — the
 //     blocks whose cards were dirtied since the last collection — and
 //     clears the cards. The mutators then resume.
-//  2. Background marking. Whoever holds the world lock — a driver
-//     goroutine for allocation-triggered cycles, ConcurrentStep for
-//     tests, an assisting allocation — drains a bounded chunk of gray
-//     objects from w.Marker (MarkQuantum) and releases the lock.
-//     Mutators run meanwhile: their allocation fast path touches no
-//     collector structure, and their slow paths and heap stores take
-//     the world lock between chunks. A store shades the value it writes
-//     (storeLocked → shadeLocked): if that is the address of an unmarked
-//     object, the object is marked on the spot and left gray for the
-//     next chunk. Fresh objects are zero-filled, so there is nothing to
+//  2. Marking between the pauses. An allocation slow path that owes
+//     the pacer marking (pacerAssistLocked), or a ConcurrentStep,
+//     drains a bounded chunk of gray objects from w.Marker
+//     (MarkQuantum) under the world lock and releases it. Nothing else
+//     marks: the collector starts no goroutine, and each chunk runs on
+//     a goroutine that allocates or steps. Mutators run between chunks:
+//     their allocation fast path touches no collector structure, and
+//     their slow paths and heap stores take the world lock. A store
+//     shades the value it writes (storeLocked → shadeLocked): if that
+//     is the address of an unmarked object, the object is marked on the
+//     spot and left gray for the next chunk. Fresh objects are zero-filled, so there is nothing to
 //     scan at birth. One whose caller gets a bare address is born
 //     black, at the cache carve or in allocateLocked; one AllocateRooted
 //     stores into a root slot is born white, and its carve marks
 //     nothing. A cache records which it holds (allocCache.black), and a
 //     plain allocation takes only black slots. Slow-path allocations
-//     repay marking debt through the pacer (pacerAssistLocked) instead
-//     of a fixed per-allocation chunk.
-//  3. Final pause. When the gray set drains — or an allocation runs out
-//     of memory, or an explicit collection wants the cycle over — the
+//     repay marking debt through the pacer in proportion to what they
+//     allocate, not by a fixed per-allocation chunk.
+//  3. Final pause. When the gray set drains — the chunk that drains it
+//     runs the finale on its own goroutine — or an allocation runs out
+//     of memory, or an explicit collection wants the cycle over, the
 //     world stops, the (possibly changed) roots are scanned again, the
 //     marking drains to the fixpoint on the goroutine that holds the
 //     pause, the slots the caches hold are marked (rooted carves left
@@ -56,8 +57,14 @@ import (
 // There is one marker, as in [8]: every chunk runs on w.Marker under
 // w.mu. Worker goroutines that marked without the world lock, by
 // compare-and-swap, were measured against it and deleted — on two
-// processors they lost on every end-to-end metric that moved (DESIGN.md
-// §5g has the readings).
+// processors they lost on every end-to-end metric that moved — and so
+// was the background goroutine that drove those chunks beside the
+// mutators: it only took turns with them on w.mu, and every store that
+// met it mid-chunk waited (DESIGN.md §5g and §5h have the readings).
+// The trade: a cycle that stops receiving allocation stays open, its
+// stores still taking the barrier, until Collect, FinishConcurrentCycle,
+// a measurement or exhaustion lands it. Nothing waits on its reclaim,
+// because nothing is allocating.
 //
 // Tricolor soundness (Dijkstra's insertion barrier). The invariant is
 // that no black object — scanned, or allocated during the cycle — holds
@@ -106,17 +113,14 @@ const (
 	// before marking ends ever more often, and each such cycle ends in a
 	// long forced finale.
 	pacerShare = 0.5
-	// concSweepChunk is how many deferred blocks the background sweeper
-	// classifies per world-lock hold.
-	concSweepChunk = 8
 )
 
 // StartConcurrentCycle begins a mostly-concurrent collection and
-// returns with the mutators resumed and marking pending: advance it
-// with ConcurrentStep (as tests do, deterministically: no goroutine is
-// involved) or let allocation-triggered cycles drive themselves on a
-// background goroutine. No-op if a cycle is already active. Outside
-// ConcurrentMark mode it is an error.
+// returns with the mutators resumed and marking pending. Nothing marks
+// it in the background: ConcurrentStep advances it a chunk at a time,
+// the pacer assists of later allocations' slow paths do the same, and
+// FinishConcurrentCycle or Collect lands it. No-op if a cycle is
+// already active. Outside ConcurrentMark mode it is an error.
 func (w *World) StartConcurrentCycle() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -174,7 +178,7 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 		w.Marker.StartRecording()
 	}
 	// Minor cycles rescan the remembered set — blocks dirtied since the
-	// last collection. Stage it for the background drain, then clear the
+	// last collection. Stage it for the chunks to drain, then clear the
 	// cards: the cycle's own stores are shaded, not carded.
 	if kind.minor() {
 		w.Heap.DirtyBlocks(func(bi int) { c.dirty = append(c.dirty, bi) })
@@ -186,31 +190,8 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 	// the marker's stack for the chunks to drain.
 	w.markRoots()
 	c.snapMarked = w.Marker.Stats().ObjectsMarked
-	c.gen++
 	c.active = true
 	c.snapNs = time.Since(c.start).Nanoseconds()
-}
-
-// driveConcurrent is the background driver of an allocation-triggered
-// cycle: while its cycle is the active one, alternately mark a bounded
-// chunk under the world lock and yield the processor to the mutators. A
-// cycle finished by anyone else (explicit Collect, allocation-pressure
-// finale, an assist whose chunk drained the gray set) bumps gen, and the
-// stale driver exits on its next look.
-func (w *World) driveConcurrent(gen uint64) {
-	for {
-		w.mu.Lock()
-		if !w.cyc.active || w.cyc.gen != gen {
-			w.mu.Unlock()
-			return
-		}
-		done := w.concChunkLocked(w.cfg.MarkQuantum)
-		w.mu.Unlock()
-		if done {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // concChunkLocked advances the cycle by one bounded chunk of marking
@@ -219,9 +200,8 @@ func (w *World) driveConcurrent(gen uint64) {
 // remembered set goes first (a whole block per unit of work — coarse,
 // but it is staged once), then the marker's stack, which also holds what
 // the barrier shaded since the last chunk. The chunk's marked bytes are
-// the pacer's credit: the background driver and mutator assists share
-// this accounting, so a healthy driver keeps mutator credit positive
-// and assists free. Callers hold w.mu.
+// the pacer's credit, whether an assist or a ConcurrentStep ran it.
+// Callers hold w.mu.
 func (w *World) concChunkLocked(quantum int) bool {
 	c := &w.cyc
 	if !c.active {
@@ -344,10 +324,11 @@ func (w *World) pacerInitLocked() {
 // pacerAssistLocked is the allocation slow path's assist: debit the
 // pacer by the marking debt the allocation since its last look implies
 // (bytes allocated × ratio) and, while the credit is negative, repay it
-// with bounded mark chunks. Marking done by the background driver
-// accrues as credit, so a mutator allocating against a healthy driver
-// never assists; an allocation burst that outruns it assists
-// proportionally. Callers hold w.mu with a concurrent cycle active.
+// with bounded mark chunks. Marking done by ConcurrentStep accrues as
+// credit too, so an allocation behind a stepped cycle may owe nothing;
+// otherwise the assists are all the marking an allocation-triggered
+// cycle gets, in proportion to what the slow paths allocate. Callers
+// hold w.mu with a concurrent cycle active.
 func (w *World) pacerAssistLocked() {
 	c := &w.cyc
 	alloced := w.Heap.BytesAllocated()
@@ -372,30 +353,5 @@ func (w *World) pacerAssistLocked() {
 	w.met.pacerCreditB.Set(c.pacerCredit)
 	if w.tracer.Enabled() {
 		w.tracer.Emit(trace.EvPacerAssist, ns, owed, c.pacerCredit)
-	}
-}
-
-// driveSweep is the background sweeper (Config.ConcurrentSweep): after
-// a cycle's finale resumes the world, classify deferred lazy-sweep
-// blocks a chunk at a time under the world lock until the backlog is
-// drained, the cycle generation moves on, or the allocator's free
-// lists are all stocked (SweepChunk then yields to the demand drain,
-// which keeps allocation addresses bit-identical to the eager sweep).
-func (w *World) driveSweep(gen int) {
-	for {
-		w.mu.Lock()
-		if w.collections != gen || w.Heap.SweepPending() == 0 {
-			w.mu.Unlock()
-			return
-		}
-		n := w.Heap.SweepChunk(concSweepChunk)
-		if n > 0 {
-			w.met.concSweepBlocks.Add(uint64(n))
-		}
-		w.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		runtime.Gosched()
 	}
 }

@@ -85,8 +85,8 @@ func liveSet(w *World) map[mem.Addr]bool {
 
 // TestConcurrentMarkDifferential is the tentpole's correctness claim:
 // on a quiesced world (no mutation between snapshot and finale) a
-// concurrent cycle — snapshot, bounded background chunks, bounded
-// finale — marks and sweeps exactly what a stop-the-world collection
+// concurrent cycle — snapshot, bounded chunks between the pauses,
+// bounded finale — marks and sweeps exactly what a stop-the-world collection
 // does, across the collector modes the concurrent cycle composes with.
 // Scan-volume fields legitimately differ (the finale re-scans roots),
 // so the comparison is marking outcome and reclamation, not effort.
@@ -129,7 +129,7 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 					}
 					// The cycle marks only in steps.
 					if steps == 0 {
-						t.Fatal("cycle finished without any background chunk")
+						t.Fatal("cycle finished without any chunk between its pauses")
 					}
 					st = w.LastCollection()
 				} else {
@@ -169,7 +169,7 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 
 // TestConcurrentMarkMinorDifferential is the generational variant: a
 // concurrent minor cycle — the remembered set staged at the snapshot,
-// drained in the background, finished in a bounded pause — promotes
+// drained in chunks, finished in a bounded pause — promotes
 // and reclaims exactly what a stop-the-world minor does on a quiesced
 // world. Both worlds first run an identical STW full collection (the
 // old generation), then the same mutation epoch, then the minor under
@@ -236,7 +236,7 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 		if concurrent {
 			installClosureOracle(t, w, nil)
 			w.mu.Lock()
-			w.startConcurrentLocked(kindConcurrentMinor) // no background driver
+			w.startConcurrentLocked(kindConcurrentMinor)
 			staged := len(w.cyc.dirty)
 			w.mu.Unlock()
 			if staged == 0 {
@@ -283,8 +283,8 @@ func TestConcurrentMarkMinorDifferential(t *testing.T) {
 // TestConcurrentMarkMostlyOutsideSTW pins the design's load-shifting
 // claim: on a deep structure (a 2000-node list, reachable only
 // link-by-link) the snapshot pause marks just the root-referenced
-// head, the finale marks nothing new, and the background chunks do
-// everything in between — more than 90% of the cycle's marking.
+// head, the finale marks nothing new, and the chunks between the
+// pauses do everything in between — more than 90% of the cycle's marking.
 func TestConcurrentMarkMostlyOutsideSTW(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	installClosureOracle(t, w, nil)
@@ -553,9 +553,8 @@ func TestConcurrentMarkRootedBornWhite(t *testing.T) {
 func TestConcurrentMarkFastPathZeroAlloc(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	m := w.NewMutator()
-	// Warm the cache, then open a cycle (no background driver: the
-	// explicit entry point keeps every goroutine's allocations out of
-	// the measurement).
+	// Warm the cache, then open a cycle with the explicit entry point,
+	// which keeps the opening snapshot out of the measurement.
 	for i := 0; i < 8; i++ {
 		if _, err := m.Allocate(2, false); err != nil {
 			t.Fatal(err)

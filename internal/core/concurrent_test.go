@@ -3,6 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,8 +117,9 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		"line":          {GCDivisor: 6, LineAlloc: true},
 		"line-gen-lazy": {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true, LineAlloc: true},
 		// Concurrent marking: cycles trigger on allocation pressure and
-		// mark on a background driver goroutine while the battery's
-		// mutators keep storing through the insertion barrier.
+		// are marked by the battery's own slow paths' assists, each
+		// goroutine's between the others' stores through the insertion
+		// barrier.
 		"conc":          {ConcurrentMark: true, GCDivisor: 6},
 		"conc-gen-lazy": {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
 		"conc-line":     {ConcurrentMark: true, GCDivisor: 6, LineAlloc: true},
@@ -123,14 +130,14 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		"par-lazy":      {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
 		"line-par-lazy": {ConcurrentMark: true, GCDivisor: 6, LazySweep: true, LineAlloc: true},
 		"conc-par":      {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, ConcMarkWorkers: 4, LazySweep: true},
-		// Concurrent marking plus the background sweeper: the driver and
-		// the sweeper each take the world lock between the mutators'
-		// allocations, stores and frees, and the pacer assists.
+		// Concurrent marking with ConcurrentSweep, which now means the
+		// lazy sweep: assists and demand refills take the world lock
+		// between the mutators' allocations, stores and frees.
 		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 		// Sixteen budgeted tenants under the same: the race entry for the
 		// ownership table, the fast-path budget CAS, the barrier
 		// reconcile, and collect-first's forced collections racing the
-		// background driver. Budgets are generous enough that
+		// other tenants' assists. Budgets are generous enough that
 		// collect-first always finds headroom, so the battery's
 		// no-operation-errors invariant still holds.
 		"tenants": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
@@ -544,4 +551,38 @@ func fuzzConcurrent(f *testing.F, cfgs []Config) {
 			t.Fatalf("central ObjectsAllocated = %d, mutators allocated %d", got, total)
 		}
 	})
+}
+
+// TestCollectorStartsNoGoroutine pins that nothing runs beside the
+// mutators: no non-test Go file under internal/ holds a go statement.
+// Every chunk of marking and sweeping runs on a goroutine that
+// allocates, steps or collects; a background driver or sweeper that
+// came back would only take turns with the mutators on the world lock
+// (DESIGN.md §5h prices the two that went).
+func TestCollectorStartsNoGoroutine(t *testing.T) {
+	files := 0
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		files++
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: a go statement: the collector starts no goroutine", fset.Position(g.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 40 {
+		t.Fatalf("walked %d non-test files under internal/, expected the whole tree", files)
+	}
 }

@@ -16,9 +16,9 @@ import (
 
 // Config.ConcMarkWorkers once sized a pool of detached mark workers; it
 // now selects nothing, and every concurrent cycle marks on the one
-// marker, in chunks under the world lock, driven by a background
-// goroutine when allocation triggers it. The tests here hold the knob
-// inert and the one shape to what a stop-the-world collection finds.
+// marker, in chunks under the world lock, run by allocation assists or
+// ConcurrentStep. The tests here hold the knob inert and the one shape
+// to what a stop-the-world collection finds.
 // Several keep the names they had when they compared the two shapes.
 // Every cycle runs under the closure oracle unless it says otherwise.
 
@@ -171,29 +171,20 @@ func (d addrDriver) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 	return p, err
 }
 
-// startDriven opens a concurrent cycle as an allocation trigger does:
-// the snapshot pause, then a background driver goroutine marking it.
-func startDriven(w *World, kind cycleKind) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.startConcurrentLocked(kind)
-	go w.driveConcurrent(w.cyc.gen)
-}
-
-// TestDetachedLostObject is the adversarial barrier test against a
-// background driver that really runs, repeated: hide the only pointer
-// to an object inside a possibly-already-scanned object and erase the
-// other path, while the driver marks on a goroutine of its own. The
-// race window cannot be opened deterministically (the driver may mark x
-// before the hide lands, or finish the cycle before it starts), so the
-// assertions are the barrier's — x is marked when the hiding store
-// returns, if a cycle is still in flight — and the soundness outcome: x
-// survives and exactly the one garbage object is reclaimed, every time.
-// (The case-by-case battery, lostobject_test.go, opens every window
-// deterministically.)
-func TestDetachedLostObject(t *testing.T) {
+// TestLostObjectRacingChunks is the adversarial barrier test against
+// marking that really runs beside the mutator, repeated: hide the only
+// pointer to an object inside a possibly-already-scanned object and
+// erase the other path, while a second goroutine steps the cycle chunk
+// by chunk to its finale. The race window cannot be opened
+// deterministically (the chunks may mark x before the hide lands, or
+// finish the cycle before it starts), so the assertions are the
+// barrier's — x is marked when the hiding store returns, if a cycle is
+// still in flight — and the soundness outcome: x survives and exactly
+// the one garbage object is reclaimed, every time. (The case-by-case
+// battery, lostobject_test.go, opens every window deterministically.)
+func TestLostObjectRacingChunks(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
-		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 1})
+		w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 1})
 		installClosureOracle(t, w, nil)
 		data := addData(t, w, "data", 0x2000, 4096)
 		alloc2 := func() mem.Addr {
@@ -216,8 +207,17 @@ func TestDetachedLostObject(t *testing.T) {
 		if err := w.Store(c1, mem.Word(x)); err != nil {
 			t.Fatal(err)
 		}
-		startDriven(w, kindConcurrent)
-		// The hide, racing the driver: x's only pointer moves into `black`,
+		if err := w.StartConcurrentCycle(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for !w.ConcurrentStep(1) {
+				runtime.Gosched()
+			}
+		}()
+		// The hide, racing the chunks: x's only pointer moves into `black`,
 		// the path through c1 is erased. The first store shades x.
 		if err := w.Store(black, mem.Word(x)); err != nil {
 			t.Fatal(err)
@@ -231,9 +231,7 @@ func TestDetachedLostObject(t *testing.T) {
 		if err := w.Store(c1, 0); err != nil {
 			t.Fatal(err)
 		}
-		for w.ConcurrentActive() {
-			runtime.Gosched()
-		}
+		<-done
 		st := w.LastCollection()
 		if st.Sweep.ObjectsFreed != 1 {
 			t.Fatalf("iter %d: sweep freed %d objects, want exactly the 1 garbage object",
@@ -246,79 +244,123 @@ func TestDetachedLostObject(t *testing.T) {
 	}
 }
 
-// TestDetachedWorkersParkAndRetire runs 200 cycles over a mark-heavy
-// graph — a root, 64 hubs of 64 words, 4096 leaves — each opened the way
-// an allocation trigger opens one, with its background driver. Even
-// cycles are left to the driver: nothing is allocated, so the cycle
-// must end with every object past the root marked concurrently and no
-// pacer assist. Odd cycles are forced at once with
-// FinishConcurrentCycle, from wherever the driver is. After every
-// finale the goroutine count must return to its baseline: no driver
-// outlives its cycle.
+// startTriggered opens a concurrent cycle exactly as an allocation that
+// crosses the trigger does (allocateLocked): the trigger is counted and
+// the snapshot pause runs, and nothing is left marking it.
+func startTriggered(w *World) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.allocTrigger(kindConcurrent)
+	w.startConcurrentLocked(kindConcurrent)
+}
+
+// TestDetachedWorkersParkAndRetire (the name is the deleted engine's)
+// pins who lands a concurrent cycle now that nothing marks beside the
+// mutators. Over a mark-heavy graph — a root, 64 hubs of 64 words, 4096
+// leaves — cycles are opened the way an allocation trigger opens them.
+//
+//   - Left alone, a cycle stays active: with no allocation nothing
+//     marks it, and a store still takes the barrier, shading the leaf it
+//     writes. FinishConcurrentCycle then lands it with every object
+//     marked.
+//   - On one goroutine that keeps allocating garbage, the pacer's
+//     assists mark the cycle to its end and run its finale: no forced
+//     finale, every object past the root marked between the pauses, and
+//     — one goroutine being deterministic — the same number of
+//     allocations per cycle on a second world built the same way.
+//
+// The collector starts no goroutine: the count never grows.
 func TestDetachedWorkersParkAndRetire(t *testing.T) {
 	const hubs, fanout = 64, 64
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
-	installClosureOracle(t, w, nil)
-	data := addData(t, w, "data", 0x2000, 4096)
-	alloc := func(words int) mem.Addr {
-		p, err := w.Allocate(words, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	store := func(a mem.Addr, v mem.Addr) {
-		if err := w.Store(a, mem.Word(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	root := alloc(hubs)
-	var prev mem.Addr
-	for h := 0; h < hubs; h++ {
-		hub := alloc(fanout)
-		store(root+mem.Addr(4*h), hub)
-		for i := 0; i < fanout; i++ {
-			leaf := alloc(2)
-			store(hub+mem.Addr(4*i), leaf)
-			store(leaf, prev) // a cross edge: reached twice
-			prev = leaf
-		}
-	}
-	if err := data.Store(0x2000, mem.Word(root)); err != nil {
-		t.Fatal(err)
-	}
 	const objects = 1 + hubs + hubs*fanout
-	assistNs := func() int64 { return findMetric(t, w.MetricsSnapshot(), "pacer_assist_ns").Value }
-	base := runtime.NumGoroutine()
-	for cycle := 0; cycle < 200; cycle++ {
-		assist := assistNs()
-		startDriven(w, kindConcurrent)
-		var st CollectionStats
-		if cycle%2 == 0 {
+	run := func() []int {
+		w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
+		installClosureOracle(t, w, nil)
+		data := addData(t, w, "data", 0x2000, 4096)
+		alloc := func(words int) mem.Addr {
+			p, err := w.Allocate(words, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		store := func(a mem.Addr, v mem.Addr) {
+			if err := w.Store(a, mem.Word(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root := alloc(hubs)
+		var prev mem.Addr
+		for h := 0; h < hubs; h++ {
+			hub := alloc(fanout)
+			store(root+mem.Addr(4*h), hub)
+			for i := 0; i < fanout; i++ {
+				leaf := alloc(2)
+				store(hub+mem.Addr(4*i), leaf)
+				store(leaf, prev) // a cross edge: reached twice
+				prev = leaf
+			}
+		}
+		if err := data.Store(0x2000, mem.Word(root)); err != nil {
+			t.Fatal(err)
+		}
+		metric := func(name string) int64 { return findMetric(t, w.MetricsSnapshot(), name).Value }
+		base := runtime.NumGoroutine()
+		for cycle := 0; cycle < 100; cycle++ {
+			startTriggered(w)
+			if cycle%2 == 1 {
+				if st := w.FinishConcurrentCycle(); st.Mark.ObjectsMarked != objects {
+					t.Fatalf("cycle %d: landed at once, marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, objects)
+				}
+				continue
+			}
+			time.Sleep(time.Millisecond)
+			if !w.ConcurrentActive() {
+				t.Fatalf("cycle %d: closed with no allocation and no step", cycle)
+			}
+			shades := metric("barrier_shades")
+			store(0x2004, prev) // the last leaf, white: only the root is marked yet
+			if !markedNow(w, prev) || metric("barrier_shades") != shades+1 {
+				t.Fatalf("cycle %d: a store into an open cycle did not shade its value", cycle)
+			}
+			store(0x2004, 0)
+			st := w.FinishConcurrentCycle()
+			if st.Mark.ObjectsMarked != objects || st.MarkedConcurrent != 1 {
+				t.Fatalf("cycle %d: landed after a store, marked %d objects, %d between the pauses; want %d and 1",
+					cycle, st.Mark.ObjectsMarked, st.MarkedConcurrent, objects)
+			}
+		}
+		var allocs []int
+		for cycle := 0; cycle < 50; cycle++ {
+			startTriggered(w)
+			before := w.Collections()
+			n := 0
 			for w.ConcurrentActive() {
-				time.Sleep(50 * time.Microsecond)
+				alloc(16) // garbage: only the slow paths' assists mark
+				if n++; n > 1_000_000 {
+					t.Fatalf("cycle %d: still open after %d allocations", cycle, n)
+				}
 			}
-			st = w.LastCollection()
-			if st.Mark.ObjectsMarked != objects || st.MarkedConcurrent != objects-1 {
-				t.Fatalf("cycle %d: %d objects marked, %d of them concurrently; want %d and %d",
-					cycle, st.Mark.ObjectsMarked, st.MarkedConcurrent, objects, objects-1)
+			st := w.LastCollection()
+			if w.Collections() != before+1 || st.Mark.ObjectsMarked != objects || st.MarkedConcurrent != objects-1 {
+				t.Fatalf("cycle %d: %d collections, %d objects marked, %d between the pauses; want 1, %d and %d",
+					cycle, w.Collections()-before, st.Mark.ObjectsMarked, st.MarkedConcurrent, objects, objects-1)
 			}
-			if d := assistNs() - assist; d != 0 {
-				t.Fatalf("cycle %d: no allocation ran, yet the pacer assisted for %d ns", cycle, d)
-			}
-		} else {
-			st = w.FinishConcurrentCycle()
-			if st.Mark.ObjectsMarked != objects {
-				t.Fatalf("cycle %d: forced finale marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, objects)
-			}
+			allocs = append(allocs, n)
 		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				t.Fatalf("cycle %d: %d goroutines 5 s after the finale, %d before the first cycle: a driver outlived its cycle",
-					cycle, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(100 * time.Microsecond)
+		if f := metric("gc_forced_finales"); f != 0 {
+			t.Fatalf("%d finales forced by exhausted memory; the assists should land every cycle", f)
 		}
+		if metric("pacer_assist_ns") == 0 {
+			t.Fatal("the cycles closed with no pacer assist")
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d goroutines after the cycles, %d before", n, base)
+		}
+		return allocs
+	}
+	if a, b := run(), run(); !slices.Equal(a, b) {
+		t.Fatalf("allocations per assisted cycle differ between two identical worlds:\n%v\n%v", a, b)
 	}
 }
 
@@ -396,17 +438,17 @@ func TestWorkerIdleJudgedOnWork(t *testing.T) {
 	}
 }
 
-// cycleOnDriver opens a concurrent cycle of the given kind and leaves
-// its marking to the background driver, run to its end on the calling
-// goroutine: nothing runs beside it, so what it finds is as fixed as a
-// stop-the-world collection's.
-func cycleOnDriver(t *testing.T, w *World, kind cycleKind) CollectionStats {
+// cycleByStep opens a concurrent cycle of the given kind and steps it
+// to its end with ConcurrentStep on the calling goroutine: nothing runs
+// beside it, so what it finds is as fixed as a stop-the-world
+// collection's.
+func cycleByStep(t *testing.T, w *World, kind cycleKind) CollectionStats {
 	t.Helper()
 	w.mu.Lock()
 	w.startConcurrentLocked(kind)
-	gen := w.cyc.gen
 	w.mu.Unlock()
-	w.driveConcurrent(gen)
+	for !w.ConcurrentStep(0) {
+	}
 	st := w.LastCollection()
 	if !st.Concurrent {
 		t.Fatalf("last collection is not the concurrent cycle: %+v", st)
@@ -494,9 +536,9 @@ func survivors(w *World, objs []mem.Addr) []bool {
 }
 
 // TestParallelCollectMatchesSerial is the concurrent cycle's whole-world
-// differential against the stop-the-world collection: a cycle whose
-// background driver does all the marking — registers, a live stack and
-// a wide fan-out among the roots — on worlds configured with
+// differential against the stop-the-world collection: a cycle stepped
+// to its end — registers, a live stack and a wide fan-out among the
+// roots — on worlds configured with
 // ConcMarkWorkers 2, 4 and 8 marks, sweeps and blacklists exactly what
 // the stop-the-world collection does. Only first-mark counters are
 // compared: the finale scans the roots a second time.
@@ -516,7 +558,7 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 		var st CollectionStats
 		if workers > 1 {
 			installClosureOracle(t, w, nil)
-			st = cycleOnDriver(t, w, kindConcurrent)
+			st = cycleByStep(t, w, kindConcurrent)
 		} else {
 			st = w.Collect()
 		}
@@ -556,7 +598,7 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 // TestParallelMinorCollectMatchesSerial is the generational variant: a
 // full collection establishes the old generation, stores through the
 // card barrier create old-to-young edges, and a concurrent minor cycle's
-// driver rescans the remembered set, a staged block at a time.
+// chunks rescan the remembered set, a staged block at a time.
 // Promotions, byte totals, survivors and the blacklist must match the
 // stop-the-world minor's.
 func TestParallelMinorCollectMatchesSerial(t *testing.T) {
@@ -595,7 +637,7 @@ func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 		}
 		var st CollectionStats
 		if workers > 1 {
-			st = cycleOnDriver(t, w, kindConcurrentMinor)
+			st = cycleByStep(t, w, kindConcurrentMinor)
 		} else {
 			st = w.CollectMinor()
 		}
@@ -671,7 +713,7 @@ func TestMarkWorkersDefaultIsAdaptive(t *testing.T) {
 		t.Fatal("Collect ran a concurrent cycle")
 	}
 	base := runtime.NumGoroutine()
-	if st := cycleOnDriver(t, w, kindConcurrent); st.MarkedConcurrent == 0 {
+	if st := cycleByStep(t, w, kindConcurrent); st.MarkedConcurrent == 0 {
 		t.Fatalf("the default concurrent cycle marked nothing between its pauses: %+v", st)
 	}
 	if n := runtime.NumGoroutine(); n > base {
@@ -704,7 +746,7 @@ func TestAdaptiveMarkWorkersRebuild(t *testing.T) {
 	w.SetMutator(&root)
 	base := runtime.NumGoroutine()
 	for cycle := 0; cycle < 2; cycle++ {
-		st := cycleOnDriver(t, w, kindConcurrent)
+		st := cycleByStep(t, w, kindConcurrent)
 		if st.Mark.ObjectsMarked != uint64(len(keep)) {
 			t.Fatalf("cycle %d marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, len(keep))
 		}

@@ -97,10 +97,6 @@ type cycle struct {
 	// finale's included. Written with every handle parked, so a handle
 	// may read it under its own mutex.
 	active bool
-	// gen is bumped when a concurrent cycle starts and when it ends, so a
-	// background driver left over from a finished cycle exits instead of
-	// driving the next one.
-	gen uint64
 	// dirty is a concurrent minor cycle's queue of its remembered set
 	// (block indices, staged at the snapshot, drained by the chunks);
 	// dirtyBlocks is the size of the remembered set any minor cycle
@@ -263,7 +259,6 @@ func (w *World) closeCycleLocked() CollectionStats {
 		st.Promoted = c.marks.ObjectsMarked
 	}
 	if kind.concurrent() {
-		c.gen++ // retire any background driver still scheduled
 		w.tracer.Emit(trace.EvFinalPause, pause.Nanoseconds(), int64(c.marks.ObjectsMarked-c.preFinaleMarked), 0)
 		st.MarkedConcurrent = c.preFinaleMarked - c.snapMarked
 		st.ConcPhaseNs = max(c.pauseStart.Sub(c.start).Nanoseconds()-c.snapNs, 0)

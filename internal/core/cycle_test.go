@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,7 +13,8 @@ import (
 
 // Tests for the one collection cycle (cycle.go): what every kind's
 // close must leave behind, and that the accessors a program polls from
-// its own goroutine are safe against a finale running on the driver's.
+// its own goroutine are safe against a finale running on another
+// goroutine's allocation.
 // (The entry points that must land a cycle in flight first are the
 // forced-finale table of TestConcurrentMarkLostObject.)
 
@@ -194,30 +196,60 @@ func TestSingleClose(t *testing.T) {
 
 // TestFinalizableAccessorsRace is the program every finalization client
 // is: it registers objects and polls for collections and reclaimed
-// objects from its own goroutine, between allocations, while
-// allocation-triggered concurrent cycles close on their driver
-// goroutine — where the close ranges over, deletes from and appends to
-// the same table and queue. Under -race this fails unless
-// RegisterFinalizable, DrainReclaimed, Collections and LastCollection
-// take the world lock; without -race it checks that every dead
-// registered object is queued exactly once. The heap starts small so
-// that the run closes some fifteen cycles, not three: the detector sees
-// the race only when a close lands inside the program's unlocked window.
+// objects from its own goroutine, between allocations on its own
+// mutator handle, while a second handle allocates garbage on a
+// goroutine of its own, so that allocation-triggered concurrent cycles
+// close in either handle's pacer assists — where the close ranges over,
+// deletes from and appends to the same table and queue. With another
+// goroutine collecting, a bare address in a Go local is no root: the
+// program allocates with AllocateRooted, into spare root slots. Under
+// -race this fails unless RegisterFinalizable, DrainReclaimed,
+// Collections and LastCollection take the world lock; without -race it
+// checks that every dead registered object is queued exactly once. The heap starts small so
+// that the run closes many cycles: the detector sees the race only when
+// a close lands inside the program's unlocked window.
 func TestFinalizableAccessorsRace(t *testing.T) {
 	w := newWorld(t, Config{InitialHeapBytes: 128 << 10, ConcurrentMark: true, GCDivisor: 8, MarkQuantum: 16})
 	lw := &lostWorld{t: t, w: w, data: addData(t, w, "roots", lostRoots, 4096)}
+	const cellSlot, finSlot = lostRoots + 4, lostRoots + 8
+	prog, churn := w.NewMutator(), w.NewMutator()
+	rooted := func(slot mem.Addr) mem.Addr {
+		p, err := prog.AllocateRooted(lw.data, slot, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stop, churned := make(chan struct{}), make(chan error, 1)
+	stopChurn := sync.OnceValue(func() error { close(stop); return <-churned })
+	defer stopChurn()
+	go func() {
+		for {
+			select {
+			case <-stop:
+				churned <- nil
+				return
+			default:
+			}
+			if _, err := churn.Allocate(2, false); err != nil {
+				churned <- err
+				return
+			}
+		}
+	}()
 	const nodes = 20000
 	var head mem.Addr
 	reclaimed, concurrent := 0, 0
 	for i := 0; i < nodes; i++ {
 		// One more node on the rooted list (all root writes go through
-		// World.Store: the world lock orders them against the driver's
-		// root scans), and one unreachable object to be finalized.
-		cell := lw.alloc(2)
+		// World.Store: the world lock orders them against the root scans
+		// of finales on the other goroutine), and one object to be
+		// finalized, unreachable once the next one takes its slot.
+		cell := rooted(cellSlot)
 		lw.store(cell+4, mem.Word(head))
 		head = cell
 		lw.store(lostRoots, mem.Word(head))
-		w.RegisterFinalizable(lw.alloc(2))
+		w.RegisterFinalizable(rooted(finSlot))
 		if w.Collections() > 0 && w.LastCollection().Concurrent {
 			concurrent++
 		}
@@ -225,6 +257,10 @@ func TestFinalizableAccessorsRace(t *testing.T) {
 			reclaimed += len(w.DrainReclaimed())
 		}
 	}
+	if err := stopChurn(); err != nil {
+		t.Fatal(err)
+	}
+	lw.store(finSlot, 0)
 	w.FinishConcurrentCycle()
 	w.Collect() // a fresh cycle: everything registered is garbage by now
 	reclaimed += len(w.DrainReclaimed())

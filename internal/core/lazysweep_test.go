@@ -15,12 +15,12 @@ import (
 // addresses or timing, so two worlds differing only in sweep strategy
 // see the identical mutator. A world that marks concurrently (with its
 // trigger off) runs each explicit full collection as a concurrent cycle
-// marked by its background driver alone.
+// stepped to its end (cycleByStep).
 func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors bool) ([]mem.Addr, []alloc.SweepResult) {
 	t.Helper()
 	collect := func() {
 		if w.cfg.ConcurrentMark {
-			cycleOnDriver(t, w, kindConcurrent)
+			cycleByStep(t, w, kindConcurrent)
 		} else {
 			w.Collect()
 		}

@@ -229,9 +229,10 @@ func (m *Mutator) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 // safepoints, so there is no window in which the object exists but no
 // root reaches it. This is the simulated equivalent of an allocation
 // whose result lands directly in a register or rooted stack slot;
-// concurrent drivers need it to keep objects provably live (a root
-// written after Allocate returns could come too late: another
-// mutator's collection may already have reclaimed the object).
+// programs with several allocating goroutines need it to keep objects
+// provably live (a root written after Allocate returns could come too
+// late: another mutator's collection may already have reclaimed the
+// object).
 //
 // dst must be a mapped non-heap segment (typically a root data
 // segment) and the slot at `at` must be owned by this mutator's

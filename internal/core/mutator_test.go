@@ -28,18 +28,18 @@ func (d directDriver) Free(base mem.Addr) error           { return d.w.Heap.Free
 func (d directDriver) Collect() CollectionStats           { return d.w.Collect() }
 
 // concurrentDriver is d with every explicit collection a concurrent
-// cycle marked by its background driver alone (cycleOnDriver).
-// Nothing runs beside the cycle, so what it finds is as fixed as a
-// stop-the-world collection's; the world's trigger must be off
-// (GCDivisor -1), or cycles would start on a driver goroutine at
-// moments no replay can repeat.
+// cycle stepped to its end on the caller (cycleByStep). Nothing runs
+// beside the cycle, so what it finds is as fixed as a stop-the-world
+// collection's; the world's trigger must be off (GCDivisor -1), or
+// cycles would open inside allocations of the script and be marked by
+// their assists instead.
 type concurrentDriver struct {
 	gcDriver
 	t *testing.T
 	w *World
 }
 
-func (d concurrentDriver) Collect() CollectionStats { return cycleOnDriver(d.t, d.w, kindConcurrent) }
+func (d concurrentDriver) Collect() CollectionStats { return cycleByStep(d.t, d.w, kindConcurrent) }
 
 // collectingConcurrently wraps d in a concurrentDriver when w marks
 // concurrently.

@@ -32,8 +32,8 @@ func countPacerEvents(rec *trace.Recorder) int {
 }
 
 // TestPacerAssistAccounting pins the rate-based assist deterministically:
-// the cycle is started explicitly (no background driver goroutine), so
-// the only thing crediting or debiting the pacer is this test's own
+// the cycle is started explicitly and nothing steps it, so the only
+// thing crediting or debiting the pacer is this test's own
 // allocations.
 // An allocation burst against the open cycle must run proportional
 // assists (trace events + pacer_assist_ns), and allocations outside a

@@ -115,8 +115,8 @@ func TestProvenanceOffZeroAlloc(t *testing.T) {
 }
 
 // TestProvenanceParallelUnique checks the first-mark rule across a
-// concurrent cycle's marking: the snapshot's root scan, the background
-// driver's chunks and the finale all record on the one marker, and
+// concurrent cycle's marking: the snapshot's root scan, the stepped
+// chunks and the finale all record on the one marker, and
 // together hold exactly one record per marked object — no duplicates,
 // no missing first marks.
 func TestProvenanceParallelUnique(t *testing.T) {
@@ -126,8 +126,8 @@ func TestProvenanceParallelUnique(t *testing.T) {
 	var totalRecs uint64
 	for round := 0; round < 3; round++ {
 		churn(t, w, data, 0x2000, 256)
-		provChain(t, w, data, 0x3000, 300) // deep enough that the driver marks most of it
-		st := cycleOnDriver(t, w, kindConcurrent)
+		provChain(t, w, data, 0x3000, 300) // deep enough that the chunks mark most of it
+		st := cycleByStep(t, w, kindConcurrent)
 		if st.ProvenanceRecords != st.Mark.ObjectsMarked {
 			t.Fatalf("round %d: %d records for %d marked objects",
 				round, st.ProvenanceRecords, st.Mark.ObjectsMarked)

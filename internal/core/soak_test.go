@@ -11,13 +11,12 @@ import (
 // (TestSoakHeapBounded) run where the closure oracle can reach: a
 // program whose live set is a rotating window of lists allocates a few
 // hundred times its heap while allocation-triggered cycles — concurrent
-// ones, on each world of concShapes: background driver, pacer assists,
-// forced finales, the lot; and stop-the-world, whose close is the same
-// close — collect behind it. Every cycle must hold the closure
-// of the roots when it closes (the oracle), the window must survive,
-// and the heap must stay bounded. All root writes go through
-// World.Store: the driver's finale scans the roots on another
-// goroutine, and the world lock is what orders the two.
+// ones, on each world of concShapes: pacer assists, forced finales,
+// the lot; and stop-the-world, whose close is the same close — collect
+// behind it. Every cycle must hold the closure of the roots when it
+// closes (the oracle), the window must survive, and the heap must stay
+// bounded. All root writes go through World.Store, as a program's
+// would whose finales might land on another goroutine's allocation.
 func TestSoakConcurrentClosure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
@@ -78,8 +77,9 @@ func TestSoakConcurrentClosure(t *testing.T) {
 					}
 					if i%512 == 0 {
 						oracle.check(t)
-						// Under the world lock: a background driver may be
-						// closing a cycle, and the close writes these stats.
+						// Under the world lock, as a program with more than one
+						// allocating goroutine must read them: another's assist
+						// may be closing a cycle, and the close writes them.
 						w.mu.Lock()
 						_, hb := w.Heap.SinceGC()
 						w.mu.Unlock()

@@ -13,16 +13,16 @@ import (
 // eager or lazy, clearing or sticky — are exact at every point, the
 // middle of a cycle included (the strict audit checks each against its
 // bitmap). The cycle is driven two ways (the rows keep the names of the
-// detached engine they once drove): "parallel-run" leaves the marking
-// to the background driver; "detached-finale" steps it in chunks
-// between which the audit runs. Each is run against the stop-the-world
+// detached engine they once drove): "parallel-run" steps it to its end
+// at the default quantum, audited once before its first chunk;
+// "detached-finale" steps it in chunks of 16 and audits between two. Each is run against the stop-the-world
 // collector on an identical heap, and must reclaim exactly the same
 // objects and leave a heap the strict audit accepts.
 func TestMarkSummaryExactAtSweep(t *testing.T) {
 	drivers := []struct {
 		name   string
 		cfg    Config
-		driven bool // the background driver alone marks (cycleOnDriver)
+		driven bool // stepped at the default quantum, as cycleByStep does
 	}{
 		{"parallel-run", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, true},
 		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, false},
@@ -42,15 +42,15 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 						switch {
 						case d.driven && cfg.ConcurrentMark:
 							installClosureOracle(t, w, nil)
-							w.mu.Lock()
-							w.startConcurrentLocked(kindConcurrent)
-							gen := w.cyc.gen
-							w.mu.Unlock()
-							// Inside the cycle, before the driver runs.
+							if err := w.StartConcurrentCycle(); err != nil {
+								t.Fatal(err)
+							}
+							// Inside the cycle, before its first chunk.
 							if err := w.VerifyIntegrity(); err != nil {
 								t.Fatalf("audit inside the cycle: %v", err)
 							}
-							w.driveConcurrent(gen)
+							for !w.ConcurrentStep(0) {
+							}
 							st = w.LastCollection()
 						case cfg.ConcurrentMark:
 							installClosureOracle(t, w, nil)

@@ -400,8 +400,8 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 }
 
 // evictTenantLocked reclaims a tenant wholesale: cancel it, finish any
-// in-flight cycle (freeing objects mid-mark would hand dangling work
-// to the background markers), flush the tenant's caches (carved but
+// in-flight cycle (freeing objects mid-mark would leave dangling work
+// on the marker's stack), flush the tenant's caches (carved but
 // unconsumed slots return to the free lists instead of being freed),
 // then free every object the tenant still owns and credit the bytes.
 // Callers hold w.mu and no m.mu.

@@ -18,8 +18,9 @@ import (
 // tenantBatteryConfigs is the config matrix the battery pins: the
 // plain collector, generational and lazy combinations, the line-heap
 // profile, and concurrent marking alone, with the lazy sweep
-// ("par-lazy") and with the background sweep ("conc-workers"; both
-// named for the detached workers they once ran on).
+// ("par-lazy") and with ConcurrentSweep, which is the lazy sweep too
+// ("conc-workers"; both named for the detached workers they once ran
+// on).
 var tenantBatteryConfigs = map[string]Config{
 	"full":         {GCDivisor: 6},
 	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},

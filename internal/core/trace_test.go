@@ -106,7 +106,7 @@ func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
-	cycleOnDriver(t, w, kindConcurrent)
+	cycleByStep(t, w, kindConcurrent)
 	w.Collect()
 	w.Collect()
 	w.FinishSweep()
@@ -216,7 +216,7 @@ func TestTraceEventOrdering(t *testing.T) {
 }
 
 // TestTraceWorkerEvents checks what the trace says about who marked a
-// concurrent cycle: its one marker, on which the snapshot, the driver's
+// concurrent cycle: its one marker, on which the snapshot, the stepped
 // chunks and the finale all mark. The cycle's mark_begin reports one
 // marker and its one mark_end the whole cycle's totals — the snapshot's
 // and the chunks' first-marks included, not the finale's alone — and a
@@ -241,7 +241,7 @@ func TestTraceWorkerEvents(t *testing.T) {
 		return ends
 	}
 
-	st := cycleOnDriver(t, w, kindConcurrent)
+	st := cycleByStep(t, w, kindConcurrent)
 	ends := markEnds()
 	if len(ends) != 1 || uint64(ends[0].A0) != st.Mark.ObjectsMarked || uint64(ends[0].A1) != st.Mark.BytesMarked {
 		t.Fatalf("mark_end events %+v for a cycle that marked %+v", ends, st.Mark)

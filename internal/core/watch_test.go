@@ -17,7 +17,7 @@ import (
 // -race via `make race`, and the differential pins bit-identical-off.
 //
 // "conc-workers", named for the detached workers it once ran on, is
-// the concurrent cycle with the background sweeper.
+// the concurrent cycle with ConcurrentSweep, which is the lazy sweep.
 var watchConfigs = map[string]Config{
 	"full":         {GCDivisor: -1},
 	"conc":         {ConcurrentMark: true, GCDivisor: -1},
@@ -272,8 +272,8 @@ func TestWatchBitIdenticalOff(t *testing.T) {
 
 // TestWatchBattery churns goroutines against a watched world in every
 // collector mode while a planted leak grows: the watcher must survive
-// concurrent mutators and background marking (the race detector checks
-// via `make race`) and still flag the planted slot.
+// concurrent mutators and their assists' marking (the race detector
+// checks via `make race`) and still flag the planted slot.
 func TestWatchBattery(t *testing.T) {
 	for name, cfg := range watchConfigs {
 		cfg := cfg

@@ -140,24 +140,26 @@ type Config struct {
 	FullEvery int
 
 	// MarkQuantum is the marking work one chunk of a concurrent cycle
-	// does, in objects (default 64). It is used twice over: as the scan
-	// budget of the background driver's chunk under the world lock, and
-	// as the size of the assist chunks a slow-path allocation runs when
-	// the pacer finds marking behind allocation, which keeps marking
-	// paced with allocation even when the driver goroutine is starved of
-	// processor time. The cached fast path never assists. Only
-	// meaningful with ConcurrentMark.
+	// does, in objects (default 64): the size of the assist chunks a
+	// slow-path allocation runs when the pacer finds marking behind
+	// allocation, and of a ConcurrentStep that names no quantum. The
+	// cached fast path never assists. Only meaningful with
+	// ConcurrentMark.
 	MarkQuantum int
 
 	// ConcurrentMark enables mostly-concurrent cycles (see
-	// concurrent.go), the design of the paper's reference [8]: a cycle
-	// opens with a short snapshot pause that scans the roots and resumes
-	// the mutators; one marker then marks behind them in chunks under the
-	// world lock, with every Store shading the value it writes and fresh
-	// objects born marked; and a bounded final pause scans the roots
-	// again, drains to the fixpoint, and sweeps. Composes with
-	// Generational (minor cycles run concurrently too), LazySweep and
-	// LineAlloc.
+	// concurrent.go), after the design of the paper's reference [8]: a
+	// cycle opens with a short snapshot pause that scans the roots and
+	// resumes the mutators; one marker then marks in chunks under the
+	// world lock, run by the allocation slow paths' pacer assists (or
+	// ConcurrentStep), with every Store shading the value it writes and
+	// fresh objects born marked unless AllocateRooted roots them; and a
+	// bounded final pause scans the roots again, drains to the fixpoint,
+	// and sweeps. No goroutine marks beside the mutators: a cycle that
+	// stops receiving allocation stays open until Collect,
+	// FinishConcurrentCycle, a measurement or exhaustion lands it.
+	// Composes with Generational (minor cycles run concurrently too),
+	// LazySweep and LineAlloc.
 	ConcurrentMark bool
 
 	// ConcMarkWorkers selects nothing: every value NewWorld accepts (any
@@ -167,12 +169,11 @@ type Config struct {
 	// once they no longer do.
 	ConcMarkWorkers int
 
-	// ConcurrentSweep moves deferred sweep work onto a background
-	// goroutine after each cycle's finale (implies LazySweep): blocks
-	// are classified a chunk at a time under the world lock while the
-	// mutators run, with the allocator's demand drain still covering
-	// any block the sweeper has not reached — allocation addresses and
-	// reclamation totals stay bit-identical to the eager sweep's.
+	// ConcurrentSweep implies LazySweep and selects nothing else: the
+	// background sweeper it once started only took turns with the
+	// mutators on the world lock (DESIGN.md §5h). The field remains only
+	// because cmd/perfbench's workloads set it, and goes with
+	// ConcMarkWorkers once they no longer do.
 	ConcurrentSweep bool
 
 	// MarkWorkers is the stop-the-world mark phase's worker count, and
@@ -243,9 +244,6 @@ func (c Config) withDefaults() Config {
 		c.MarkQuantum = 64
 	}
 	if c.ConcurrentSweep {
-		// The background sweeper classifies the lazy sweep's deferred
-		// blocks; without the deferral there is nothing to sweep outside
-		// the pause.
 		c.LazySweep = true
 	}
 	return c
@@ -288,7 +286,7 @@ type CollectionStats struct {
 	// survivors promoted to the old generation.
 	Promoted uint64
 	// Concurrent is true when the cycle ran mostly-concurrently:
-	// a snapshot pause, background marking, a final pause.
+	// a snapshot pause, marking in chunks between, a final pause.
 	// MarkedConcurrent is how many objects were marked outside the two
 	// pauses (the >90% acceptance metric). RescanPasses and
 	// FinalDirtyBlocks count card rescans: a concurrent minor cycle's
@@ -436,15 +434,12 @@ type worldMetrics struct {
 	concCycles, finalPauseNs *metrics.Counter
 	barrierShades            *metrics.Counter
 
-	// Pacer and background-sweep observability: time mutators spent in
-	// slow-path assists, the pacer's current credit (negative = debt),
-	// concurrent cycles whose finale an allocation's ErrNeedMemory
-	// forced, and blocks the background sweeper classified outside any
-	// pause.
-	pacerAssistNs   *metrics.Counter
-	pacerCreditB    *metrics.Gauge
-	forcedFinales   *metrics.Counter
-	concSweepBlocks *metrics.Counter
+	// Pacer observability: time mutators spent in slow-path assists,
+	// the pacer's current credit (negative = debt), and concurrent
+	// cycles whose finale an allocation's ErrNeedMemory forced.
+	pacerAssistNs *metrics.Counter
+	pacerCreditB  *metrics.Gauge
+	forcedFinales *metrics.Counter
 
 	// Safepoint and mutator-cache counters, maintained at the stop,
 	// refill and flush sites rather than per cycle (a safepoint also
@@ -525,7 +520,6 @@ func newWorldMetrics() worldMetrics {
 		pacerAssistNs:      reg.Counter("pacer_assist_ns"),
 		pacerCreditB:       reg.Gauge("pacer_credit_bytes"),
 		forcedFinales:      reg.Counter("gc_forced_finales"),
-		concSweepBlocks:    reg.Counter("conc_sweep_blocks"),
 		stwStops:           reg.Counter("stw_stops"),
 		stwPauseNs:         reg.Counter("stw_pause_ns"),
 		cacheRefills:       reg.Counter("cache_refills"),
@@ -764,9 +758,8 @@ func (w *World) GCTraceSummary() string {
 }
 
 // fireHook finalises the completed collection: fold it into the
-// metrics, render the gctrace line, report it to the registered hook,
-// and — under ConcurrentSweep — hand the cycle's deferred sweep
-// backlog to a background sweeper once the world resumes.
+// metrics, render the gctrace line and report it to the registered
+// hook.
 func (w *World) fireHook() {
 	if w.Heap.HasOwners() {
 		// Tenant policy hook at the collection barrier: credit each
@@ -793,9 +786,6 @@ func (w *World) fireHook() {
 	}
 	if w.hook != nil {
 		w.hook(w.last)
-	}
-	if w.cfg.ConcurrentSweep && w.Heap.SweepPending() > 0 {
-		go w.driveSweep(w.collections)
 	}
 }
 
@@ -955,20 +945,19 @@ func (w *World) allocateLocked(nwords int, src RootSource, rooted bool, try, des
 	if w.cyc.active {
 		// Rate-based assist (concurrent.go): the pacer debits this
 		// allocation's share of the cycle's marking and repays it with
-		// bounded chunks only when the background marking has fallen
-		// behind, so marking keeps pace with allocation without taxing
-		// every slow path. A repayment chunk that drains the gray set runs
-		// the finale right here — completing a cycle from an allocation
-		// slow path is already the ErrNeedMemory path's behaviour.
+		// bounded chunks. Nothing else marks an allocation-triggered
+		// cycle, so the slow paths carry all of it, in proportion to what
+		// they allocate. A repayment chunk that drains the gray set runs
+		// the finale right here, on the allocating goroutine.
 		w.pacerAssistLocked()
 	} else if kind, due := w.dueCycleLocked(); due {
 		// Regular-interval trigger. A concurrent kind opens with its
-		// snapshot pause and is handed to a background driver; a
-		// stop-the-world kind runs to completion here.
+		// snapshot pause and is marked from then on by the assists of
+		// the slow paths that follow; a stop-the-world kind runs to
+		// completion here.
 		w.allocTrigger(kind)
 		if kind.concurrent() {
 			w.startConcurrentLocked(kind)
-			go w.driveConcurrent(w.cyc.gen)
 		} else {
 			w.collectLocked(kind)
 			if !kind.minor() {
@@ -1126,9 +1115,9 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 
 // Collections returns how many collections have run. Like
 // LastCollection, RegisterFinalizable and DrainReclaimed it takes the
-// world lock — an allocation-triggered concurrent cycle closes on its
-// driver goroutine — so none of the four may be called from a
-// collection hook, which runs with the lock held.
+// world lock — a concurrent cycle closes on whichever goroutine's
+// allocation assist drains it — so none of the four may be called from
+// a collection hook, which runs with the lock held.
 func (w *World) Collections() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -882,7 +882,8 @@ func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
 			roots := addData(t, w, "roots", 0x2000, objects*mem.WordBytes)
 			if tc.inCycle {
 				// (No automatic cycles in these forms — GCDivisor -1 — so no
-				// driver goroutine scans the roots this test writes directly.)
+				// allocation's assist scans the roots this test writes
+				// directly.)
 				installClosureOracle(t, w, nil)
 				if err := w.StartConcurrentCycle(); err != nil {
 					t.Fatal(err)

@@ -380,8 +380,8 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 
 // TestDriversShareTheLoop marks twin heaps with one uninterrupted
 // Drain and through each way a concurrent cycle drives the one marker:
-// "run", bounded chunks until the stack is empty (the background
-// driver, ConcurrentStep, an allocation's assist); "finale", a few
+// "run", bounded chunks until the stack is empty (ConcurrentStep, an
+// allocation's assist); "finale", a few
 // chunks, then a forced finale's root rescan and Drain; and "detached",
 // the root scan's gray set detached from the marker that built it and
 // drained by another in chunks. The order objects are reached in

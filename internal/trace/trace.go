@@ -12,8 +12,8 @@
 //     *Recorder; every method nil-checks its receiver, so the disabled
 //     fast path is a single compare and emits from un-traced worlds
 //     cost (and allocate) nothing. The allocation tests assert this.
-//   - Shared recorders. Worlds traced together, their background
-//     drivers and sweepers emit into one recorder from several
+//   - Shared recorders. Worlds traced together, and the mutator
+//     goroutines of each, emit into one recorder from several
 //     goroutines, so Emit is guarded by a mutex. A lock per event is
 //     cheap against the work it annotates, and keeps the buffer free of
 //     torn events under the race detector.

@@ -16,10 +16,11 @@ type PauseBenchOptions struct {
 	Mutators int `json:"mutators"` // allocating goroutines (default 8)
 	Ops      int `json:"ops"`      // allocations per mutator (default 40000)
 	// Widths are the GOMAXPROCS values to measure both modes under
-	// (default 1 and 4): width 1 shows the allocation-proportional
-	// assists carrying a starved background driver, wider runs show
-	// the driver overlapping the mutators. Each width is set with
-	// runtime.GOMAXPROCS for its rows and restored afterwards.
+	// (default 1 and 4): width 1 runs the mutators, and the
+	// allocation-proportional assists that mark for them, one at a
+	// time; wider runs let one mutator allocate while another's assist
+	// holds the world lock. Each width is set with runtime.GOMAXPROCS
+	// for its rows and restored afterwards.
 	Widths []int `json:"widths"`
 	// Trace, when non-nil, records collector events (snapshot pauses,
 	// barrier shades, final pauses) from every measured world.
@@ -108,10 +109,9 @@ func PauseBench(opts PauseBenchOptions) (*PauseBenchResult, *stats.Table, error)
 			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 			GCDivisor: 16,
 		}},
-		// MarkQuantum is the background driver's chunk and the
-		// slow-path assist budget: 4096 keeps each lock hold short
-		// (~0.1ms) while letting the cycle keep pace with allocation
-		// even when the driver goroutine is scheduled rarely.
+		// MarkQuantum is the slow-path assist's chunk: 4096 keeps each
+		// lock hold short (~0.1ms) while letting the assists keep the
+		// cycle's marking in pace with allocation.
 		{"concurrent", Config{
 			InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 			GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,

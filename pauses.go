@@ -15,9 +15,12 @@ type PauseRow struct {
 	MaxPause    time.Duration `json:"-" gate:"info"` // longest single Allocate call
 	TotalGCWork time.Duration `json:"-" gate:"info"`
 	// FinalLiveObj is what the heap holds once the last cycle landed.
-	// A concurrent cycle's driver decides where in the churn the last
-	// cycle snapshots its roots, so this depends on interleaving.
-	FinalLiveObj uint64 `json:"-" gate:"info"`
+	// Every mode runs on the one allocating goroutine — a concurrent
+	// cycle is marked by its assists, not by a goroutine of its own — so
+	// where in the churn each cycle snapshots and closes is fixed, and so
+	// is this count (the concurrent row's exceeds the others' by the
+	// objects born black while its last cycle marked).
+	FinalLiveObj uint64 `json:"final_live_obj" gate:"exact"`
 	// ChurnCycles counts the cycles the churn itself triggered, and
 	// MaxReported is the longest the collector's own phase timers say
 	// one of them kept the mutator stopped (see reportedPause). Unlike
@@ -130,8 +133,9 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 			maxPause = d
 		}
 	}
-	// A concurrent cycle may still be marking on its driver goroutine;
-	// land it before reading the heap (a no-op in the other modes).
+	// A concurrent cycle may still be open, its marking left to
+	// allocations that will not come; land it before reading the heap
+	// (a no-op in the other modes).
 	w.FinishConcurrentCycle()
 	st := w.Heap.Stats()
 	return &PauseRow{

@@ -91,7 +91,7 @@ type serveTape struct {
 // over-budget policies: thousands of concurrent tenant sessions (the
 // scheme- and leak-style bodies from internal/workload) allocating
 // against per-tenant budgets on one shared heap, with concurrent
-// marking and background sweep underneath. Each policy row checks its
+// marking and lazy sweep underneath. Each policy row checks its
 // budget contract exactly — per tenant, not just in aggregate — and
 // records the allocation-latency and pause distributions the serving
 // SLO cares about.
@@ -170,11 +170,11 @@ func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error)
 
 func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, error) {
 	// The serving heap runs the repo's most concurrent collector:
-	// concurrent marking, rate-paced assists, background sweep.
+	// concurrent marking paced by allocation assists, lazy sweep.
 	w, err := NewWorld(Config{
 		InitialHeapBytes: 8 << 20, ReserveHeapBytes: 64 << 20,
 		GCDivisor: 16, ConcurrentMark: true, MarkQuantum: 4096,
-		ConcurrentSweep: true,
+		LazySweep: true,
 	})
 	if err != nil {
 		return nil, err
