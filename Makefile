@@ -38,7 +38,8 @@ test: allocs
 # path at zero Go-heap allocations (testing.AllocsPerRun == 0) carries
 # ZeroAlloc in its name — the direct and handle allocation paths with a
 # machine attached, the refill carve into a buffer with room
-# (TestAllocRunZeroAlloc), frames and the residue step, untraced
+# (TestAllocRunZeroAlloc) and a fresh-run span's return, pushed or
+# rewound (TestFreshSpanReturnZeroAlloc), frames and the residue step, untraced
 # collections, the trace and metrics fast paths — so an escape that
 # comes back fails here by name, before the full suite runs.
 allocs:
@@ -87,7 +88,7 @@ bench:
 # the rungs read without the perfbench harness: BenchmarkProgramTDirect,
 # BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
-# BenchmarkAllocRun/{sameblock,hopping} in internal/alloc,
+# BenchmarkAllocRun/{sameblock,hopping,fresh} in internal/alloc,
 # BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...

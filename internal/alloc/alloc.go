@@ -83,11 +83,20 @@ func init() {
 // words for a small request. It panics if nwords is out of range; use
 // IsLarge first.
 func ClassFor(nwords int) (class int, words int) {
-	if nwords < 1 || nwords > MaxSmallWords {
-		panic(fmt.Sprintf("alloc: ClassFor(%d) out of small range", nwords))
+	if uint(nwords-1) >= MaxSmallWords {
+		classRangePanic(nwords)
 	}
 	c := int(classOf[nwords])
 	return c, classWords[c]
+}
+
+// classRangePanic is ClassFor's panic, kept out of line so that ClassFor
+// stays within the compiler's inlining budget: it runs on every
+// fast-path allocation.
+//
+//go:noinline
+func classRangePanic(nwords int) {
+	panic(fmt.Sprintf("alloc: ClassFor(%d) out of small range", nwords))
 }
 
 // IsLarge reports whether a request of nwords words is served as a
@@ -345,14 +354,17 @@ type Allocator struct {
 	blocks  []blockDesc
 	free    []span // per FreeBlocks policy
 	// freeList[class] heads the threaded free list of each size class;
-	// 0 means empty (address 0 is never a heap address).
+	// 0 means empty (address 0 is never a heap address). fresh[class] is
+	// the list's fresh run, served once the list is empty (freelist.go).
 	freeList [64]mem.Addr
+	fresh    [64]freshRun
 	// dirty holds one bit per committed block, set by MarkDirty (the
 	// generational write barrier) and consumed by minor collections.
 	dirty []uint64
 	// typedFree heads the free lists of typed (class, descriptor)
 	// blocks; descriptors registers object layouts.
 	typedFree   map[typedKey]mem.Addr
+	typedFresh  map[typedKey]freshRun
 	descriptors []Descriptor
 	stats       Stats
 	// Lazy sweeping state (Config.LazySweep). sweepPending[idx] queues
@@ -442,6 +454,7 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 		space:             space,
 		extents:           []extent{{seg: seg, startBlock: 0}},
 		typedFree:         map[typedKey]mem.Addr{},
+		typedFresh:        map[typedKey]freshRun{},
 		sweepPendingTyped: map[typedKey][]int{},
 		hullLo:            seg.Base(),
 		hullHi:            seg.ReservedLimit(),
@@ -630,24 +643,29 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 	if a.cfg.LineAlloc {
 		return a.allocLine(class, words, atomic, idx, desperate)
 	}
-	if a.freeList[idx] == 0 {
+	if a.freeList[idx] == 0 && a.fresh[idx].slot == a.fresh[idx].end {
 		if err := a.refill(class, atomic, idx, desperate); err != nil {
 			return 0, err
 		}
 	}
 	p := a.freeList[idx]
-	s, err := a.locateSlots(p, class)
-	if err != nil {
-		return 0, err
+	if p == 0 {
+		// The list is empty: bump the fresh run, which is not.
+		p = a.takeFresh(&a.fresh[idx], 1).Cursor
+	} else {
+		s, err := a.locateSlots(p, class)
+		if err != nil {
+			return 0, err
+		}
+		a.freeList[idx] = s.pop(p)
 	}
-	a.freeList[idx] = s.pop(p)
 	a.CommitAllocs(1, uint64(words*mem.WordBytes))
 	return p, nil
 }
 
-// refill replenishes freeList[idx], first by sweeping pending blocks of
-// the class (lazy sweeping), then by dedicating a fresh block and
-// threading its slots.
+// refill replenishes list idx once both it and its fresh run are
+// empty: first by sweeping pending blocks of the class (lazy sweeping)
+// onto the list, then by dedicating a fresh block as the fresh run.
 func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) error {
 	for a.freeList[idx] == 0 {
 		bi, ok := a.popPending(&a.sweepPending[idx])
@@ -663,7 +681,7 @@ func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) erro
 	if !ok {
 		return ErrNeedMemory
 	}
-	a.freeList[idx] = a.threadFresh(bi, a.freeList[idx])
+	a.fresh[idx] = a.newFreshRun(bi)
 	return nil
 }
 
@@ -685,19 +703,6 @@ func (a *Allocator) freshBlock(class int, desc DescID, desperate bool) (bi int, 
 	a.newSmallBlock(bi, class, words, desc)
 	clear(a.blockWords(bi))
 	return bi, true
-}
-
-// threadFresh threads every usable slot of the fresh block bi onto the
-// free list headed by head, in address order, and returns the new head.
-func (a *Allocator) threadFresh(bi int, head mem.Addr) mem.Addr {
-	words := int(a.blocks[bi].objWords)
-	base := a.blockBase(bi)
-	hw := a.blockWords(bi)
-	for slot := slotsPerBlock(words) - 1; slot >= a.firstSlot(words); slot-- {
-		hw[slot*words] = mem.Word(head)
-		head = slotAddr(base, slot, words)
-	}
-	return head
 }
 
 // allocLarge allocates an object spanning one or more whole blocks.

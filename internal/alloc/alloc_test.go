@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -67,13 +68,21 @@ func TestClassForMapping(t *testing.T) {
 	}
 }
 
+// TestClassForPanics pins ClassFor's panic, which is raised out of line
+// (classRangePanic) so that ClassFor inlines, on both sides of the
+// small range.
 func TestClassForPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ClassFor(0) did not panic")
-		}
-	}()
-	ClassFor(0)
+	for _, n := range []int{0, -1, MaxSmallWords + 1} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("alloc: ClassFor(%d) out of small range", n)
+				if r := recover(); r != want {
+					t.Errorf("ClassFor(%d) panicked with %v, want %q", n, r, want)
+				}
+			}()
+			ClassFor(n)
+		}()
+	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +13,9 @@ import (
 //
 // Three address resolutions per slot — loadWord, storeWord, slotAt —
 // kept here, verbatim, so that the differential below can drive the old
-// sequence and the kernel over the same heaps.
+// sequence and the kernel over the same heaps. The model also threads a
+// freshly dedicated block onto its list, as the allocator did before
+// fresh runs: its heaps hold every free slot on a list.
 
 func (a *Allocator) storeWord(p mem.Addr, v mem.Word) error {
 	if e := a.extentOfAddr(p); e != nil {
@@ -43,6 +44,45 @@ func (a *Allocator) refPop(p mem.Addr) (mem.Addr, error) {
 	return mem.Addr(next), nil
 }
 
+// refThreadFresh threads every fresh run onto the end of its list — the
+// list threading the block gave, since a run is made only on an empty
+// list and only pushes land above it — and drops the run.
+func (a *Allocator) refThreadFresh() {
+	thread := func(head mem.Addr, f freshRun) mem.Addr {
+		if f.slot == f.end {
+			return head
+		}
+		words := int(a.blocks[f.bi].objWords)
+		var tail mem.Addr
+		for slot := int(f.end) - 1; slot >= int(f.slot); slot-- {
+			p := slotAddr(a.blockBase(int(f.bi)), slot, words)
+			a.storeWord(p, mem.Word(tail))
+			tail = p
+		}
+		if head == 0 {
+			return tail
+		}
+		last := head
+		for {
+			next, _ := a.loadWord(last)
+			if next == 0 {
+				break
+			}
+			last = mem.Addr(next)
+		}
+		a.storeWord(last, mem.Word(tail))
+		return head
+	}
+	for idx, f := range a.fresh {
+		a.freeList[idx] = thread(a.freeList[idx], f)
+		a.fresh[idx] = freshRun{}
+	}
+	for key, f := range a.typedFresh {
+		a.typedFree[key] = thread(a.typedFree[key], f)
+		delete(a.typedFresh, key)
+	}
+}
+
 func listIndex(nwords int, atomic bool) (class, words, idx int) {
 	class, words = ClassFor(nwords)
 	idx = class
@@ -58,6 +98,7 @@ func (a *Allocator) refAlloc(nwords int, atomic bool) (mem.Addr, error) {
 		if err := a.refill(class, atomic, idx, false); err != nil {
 			return 0, err
 		}
+		a.refThreadFresh()
 	}
 	p := a.freeList[idx]
 	next, err := a.refPop(p)
@@ -77,6 +118,7 @@ func (a *Allocator) refAllocRun(nwords int, atomic bool, max int, out []mem.Addr
 		if err := a.refill(class, atomic, idx, false); err != nil {
 			return out, err
 		}
+		a.refThreadFresh()
 	}
 	for n := 0; n < max && a.freeList[idx] != 0; n++ {
 		p := a.freeList[idx]
@@ -117,6 +159,7 @@ func (a *Allocator) refAllocTyped(id DescID) (mem.Addr, error) {
 		if err := a.refillTyped(class, id, key); err != nil {
 			return 0, err
 		}
+		a.refThreadFresh()
 	}
 	p := a.typedFree[key]
 	next, err := a.refPop(p)
@@ -140,12 +183,16 @@ type heapPair struct {
 	// The allocator's audit walks every list through a map; on the
 	// thousand-slot runs it is made every auditEvery-th comparison.
 	auditEvery, compared int
+	// rFree and gFree are same's buffers for one list's free slots.
+	rFree, gFree []mem.Addr
 }
 
 // same fails the test unless the two heaps agree on everything a pop,
-// carve or return touches: every heap word (so every link), every
-// block's bitmaps and counts, the list heads and the statistics — and
-// pass the allocator's own audit.
+// carve or return touches: every list's free slots in the order
+// allocation takes them (the threaded list, then the fresh run), every
+// heap word but those slots' link words (a fresh run has none: its
+// slots are zero, which the audit checks), every block's bitmaps and
+// counts, and the statistics — and pass the allocator's own audit.
 func (h *heapPair) same(step string) {
 	h.t.Helper()
 	ref, got := h.ref, h.got
@@ -153,13 +200,39 @@ func (h *heapPair) same(step string) {
 		h.t.Fatalf("%s: %d extents/%d blocks, reference has %d/%d", step,
 			len(got.extents), len(got.blocks), len(ref.extents), len(ref.blocks))
 	}
+	sameFree := func(list any, rHead mem.Addr, rFresh freshRun, gHead mem.Addr, gFresh freshRun) {
+		h.rFree = ref.freeSlots(h.rFree[:0], rHead, rFresh)
+		h.gFree = got.freeSlots(h.gFree[:0], gHead, gFresh)
+		if !slices.Equal(h.rFree, h.gFree) {
+			h.t.Fatalf("%s: list %v free slots %x, reference %x", step, list, h.gFree, h.rFree)
+		}
+	}
+	for idx := range ref.freeList {
+		sameFree(idx, ref.freeList[idx], ref.fresh[idx], got.freeList[idx], got.fresh[idx])
+	}
+	keys := map[typedKey]bool{}
+	for _, a := range []*Allocator{ref, got} {
+		for k := range a.typedFree {
+			keys[k] = true
+		}
+		for k := range a.typedFresh {
+			keys[k] = true
+		}
+	}
+	for k := range keys {
+		sameFree(k, ref.typedFree[k], ref.typedFresh[k], got.typedFree[k], got.typedFresh[k])
+	}
 	for i := range ref.extents {
 		rw, gw := ref.extents[i].seg.Words(), got.extents[i].seg.Words()
-		if !slices.Equal(rw, gw) {
-			for j := range rw {
-				if rw[j] != gw[j] {
+		for pg := 0; pg < len(rw); pg += mem.PageWords {
+			if slices.Equal(rw[pg:pg+mem.PageWords], gw[pg:pg+mem.PageWords]) {
+				continue
+			}
+			for j := pg; j < pg+mem.PageWords; j++ {
+				p := ref.extents[i].seg.Base() + mem.Addr(j*mem.WordBytes)
+				if rw[j] != gw[j] && !got.linkWord(p) {
 					h.t.Fatalf("%s: extent %d word %d (address %#x) is %#x, reference %#x", step, i, j,
-						uint32(ref.extents[i].seg.Base())+uint32(j*mem.WordBytes), gw[j], rw[j])
+						uint32(p), gw[j], rw[j])
 				}
 			}
 		}
@@ -173,12 +246,6 @@ func (h *heapPair) same(step string) {
 				r.state, r.liveSlots, r.markedCount, r.allocBits, r.markBits)
 		}
 	}
-	if ref.freeList != got.freeList {
-		h.t.Fatalf("%s: list heads %x, reference %x", step, got.freeList, ref.freeList)
-	}
-	if !maps.Equal(ref.typedFree, got.typedFree) {
-		h.t.Fatalf("%s: typed list heads %v, reference %v", step, got.typedFree, ref.typedFree)
-	}
 	if ref.stats != got.stats {
 		h.t.Fatalf("%s: stats %+v, reference %+v", step, got.stats, ref.stats)
 	}
@@ -188,6 +255,42 @@ func (h *heapPair) same(step string) {
 			h.t.Fatalf("%s: %v", step, err)
 		}
 	}
+}
+
+// linkWord reports whether p is the first word of a free small-object
+// slot: a link word on a list, or a fresh-run slot's zero where a
+// threaded list has one.
+func (a *Allocator) linkWord(p mem.Addr) bool {
+	if !a.InCommitted(p) {
+		return false
+	}
+	b := &a.blocks[a.blockIndex(p)]
+	if b.state != blockSmall || pageWordOff(p)%int(b.objWords) != 0 {
+		return false
+	}
+	slot := slotOfWord(pageWordOff(p), int(b.objWords))
+	return slot < int(b.slots) && !bitGet(b.allocBits, slot)
+}
+
+// freeSlots appends to out the free slots of the list headed by head
+// with fresh run f, in the order allocation takes them. A list that
+// faults, or runs longer than the heap has words, ends there.
+func (a *Allocator) freeSlots(out []mem.Addr, head mem.Addr, f freshRun) []mem.Addr {
+	for p := head; p != 0 && len(out) <= len(a.blocks)*mem.PageWords; {
+		out = append(out, p)
+		next, err := a.loadWord(p)
+		if err != nil {
+			break
+		}
+		p = mem.Addr(next)
+	}
+	if f.slot < f.end {
+		words := int(a.blocks[f.bi].objWords)
+		for slot := int(f.slot); slot < int(f.end); slot++ {
+			out = append(out, slotAddr(a.blockBase(int(f.bi)), slot, words))
+		}
+	}
+	return out
 }
 
 // retry runs op on one heap, expanding on ErrNeedMemory as a collector
@@ -327,6 +430,7 @@ func (tc carveCase) newPair(t *testing.T) (*heapPair, DescID) {
 		}
 		carveShapes[tc.shape](t, a, alloc)
 	}
+	h.ref.refThreadFresh()
 	h.same("shaped")
 	return h, id
 }
@@ -334,20 +438,22 @@ func (tc carveCase) newPair(t *testing.T) (*heapPair, DescID) {
 // TestCarveDifferential drives the reference model's per-slot pop and
 // the kernel over the same heaps — fresh, swept, hopping between
 // blocks and between extents, with the page-boundary slot skipped,
-// typed lists, pointer-free lists — and compares addresses, links,
-// bitmaps, counts and list heads after every step. Untyped lists are
+// typed lists, pointer-free lists — and compares addresses, free
+// slots, links, bitmaps and counts after every step. Untyped lists are
 // carved in runs of each max, every tail length of a run is returned
 // and carved again, then single pops; typed lists, which have no run
-// entry point, are popped singly.
+// entry point, are popped singly. The untyped lists are carved twice
+// over: through AllocRun and ReturnRun, and through the mutator's
+// AllocBatch, whose fresh-run carves are spans given back with
+// ReturnSpan — checked against as many per-object pops — and which also
+// gives back two carves in the order they were made, so that the first
+// cannot rewind the fresh run and is pushed.
 func TestCarveDifferential(t *testing.T) {
 	for _, tc := range carveCases {
 		for _, max := range []int{1, 7, 32, 1000} {
 			t.Run(fmt.Sprintf("%s/max=%d", tc.name, max), func(t *testing.T) {
-				h, id := tc.newPair(t)
-				if max > 64 {
-					h.auditEvery = 16
-				}
 				if tc.typed != nil {
+					h, id := tc.newPair(t)
 					for i := 0; i < max; i++ {
 						r := retry(t, h.ref, func() (mem.Addr, error) { return h.ref.refAllocTyped(id) })
 						g := retry(t, h.got, func() (mem.Addr, error) { return h.got.AllocTyped(id) })
@@ -357,42 +463,94 @@ func TestCarveDifferential(t *testing.T) {
 					}
 					return
 				}
-				carve := func(step string) (ref, got []mem.Addr) {
-					ref = retry(t, h.ref, func() ([]mem.Addr, error) { return h.ref.refAllocRun(tc.nwords, tc.atomic, max, nil) })
-					got = retry(t, h.got, func() ([]mem.Addr, error) { return h.got.AllocRun(tc.nwords, tc.atomic, max, nil) })
-					h.sameAddrs(step, ref, got)
-					h.same(step)
-					return ref, got
-				}
-				giveBack := func(step string, ref, got []mem.Addr) {
-					h.ref.refReturnRun(tc.nwords, tc.atomic, ref)
-					h.got.ReturnRun(tc.nwords, tc.atomic, got)
-					h.same(step)
-				}
-				// Two rounds: the second carves what the first left of a
-				// list that crosses blocks.
-				for round := 0; round < 2; round++ {
-					ref, got := carve("carve")
-					for k := 0; k <= len(ref); k++ {
-						n := len(ref)
-						giveBack(fmt.Sprintf("round %d: return tail %d of %d", round, k, n), ref[n-k:], got[n-k:])
-						r2, g2 := carve(fmt.Sprintf("round %d: carve after returning %d", round, k))
-						giveBack("return the second carve", r2, g2)
-						giveBack("return the head", ref[:n-k], got[:n-k])
-						// The list is as it was, plus any block the second
-						// carve dedicated: this run is no shorter.
-						ref, got = carve(fmt.Sprintf("round %d: carve again", round))
+				for _, batch := range []bool{false, true} {
+					h, _ := tc.newPair(t)
+					if max > 64 {
+						h.auditEvery = 16
 					}
-				}
-				for i := 0; i < min(max, 64); i++ {
-					r := retry(t, h.ref, func() (mem.Addr, error) { return h.ref.refAlloc(tc.nwords, tc.atomic) })
-					g := retry(t, h.got, func() (mem.Addr, error) { return h.got.Alloc(tc.nwords, tc.atomic) })
-					step := fmt.Sprintf("single pop %d", i)
-					h.sameAddrs(step, []mem.Addr{r}, []mem.Addr{g})
-					h.same(step)
+					h.carveDifferential(tc, max, batch)
 				}
 			})
 		}
+	}
+}
+
+// carveDifferential is TestCarveDifferential's untyped body, on one
+// pair: carves of up to max slots through AllocRun, or (batch) through
+// AllocBatch, against the reference model's per-slot pops.
+func (h *heapPair) carveDifferential(tc carveCase, max int, batch bool) {
+	t := h.t
+	_, words := ClassFor(tc.nwords)
+	stride := mem.Addr(words * mem.WordBytes)
+	type carved struct {
+		ref, got []mem.Addr
+		span     bool // got is a span's slots, given back with ReturnSpan
+	}
+	carve := func(step string) carved {
+		var c carved
+		if batch {
+			b := retry(t, h.got, func() (carved, error) {
+				run, s, err := h.got.AllocBatch(tc.nwords, tc.atomic, max, nil)
+				for p := s.Cursor; p < s.Limit; p += stride {
+					run = append(run, p)
+				}
+				return carved{got: run, span: s.Cursor < s.Limit}, err
+			})
+			c.got, c.span = b.got, b.span
+			c.ref = retry(t, h.ref, func() ([]mem.Addr, error) { return h.ref.refAllocRun(tc.nwords, tc.atomic, len(c.got), nil) })
+		} else {
+			c.ref = retry(t, h.ref, func() ([]mem.Addr, error) { return h.ref.refAllocRun(tc.nwords, tc.atomic, max, nil) })
+			c.got = retry(t, h.got, func() ([]mem.Addr, error) { return h.got.AllocRun(tc.nwords, tc.atomic, max, nil) })
+		}
+		h.sameAddrs(step, c.ref, c.got)
+		h.same(step)
+		return c
+	}
+	// giveBack returns c's slots [lo, hi).
+	giveBack := func(step string, c carved, lo, hi int) {
+		h.ref.refReturnRun(tc.nwords, tc.atomic, c.ref[lo:hi])
+		if c.span && lo < hi {
+			h.got.ReturnSpan(c.got[lo], c.got[hi-1]+stride)
+		} else {
+			h.got.ReturnRun(tc.nwords, tc.atomic, c.got[lo:hi])
+		}
+		h.same(step)
+	}
+	// Two rounds: the second carves what the first left of a list that
+	// crosses blocks. Every tail length is returned through AllocRun's
+	// path; AllocBatch's, which differs only in how a list carve ends and
+	// how a span goes back, takes lengths that grow by a quarter.
+	next := func(k int) int { return k + 1 }
+	if batch {
+		next = func(k int) int { return k + 1 + k/4 }
+	}
+	for round := 0; round < 2; round++ {
+		c := carve("carve")
+		for k := 0; k <= len(c.ref); k = next(k) {
+			n := len(c.ref)
+			giveBack(fmt.Sprintf("round %d: return tail %d of %d", round, k, n), c, n-k, n)
+			c2 := carve(fmt.Sprintf("round %d: carve after returning %d", round, k))
+			giveBack("return the second carve", c2, 0, len(c2.ref))
+			giveBack("return the head", c, 0, n-k)
+			// The list is as it was, plus any block the second carve
+			// dedicated: this run is no shorter.
+			c = carve(fmt.Sprintf("round %d: carve again", round))
+		}
+	}
+	if batch {
+		x := carve("carve x")
+		y := carve("carve y")
+		giveBack("return x, carved before y", x, 0, len(x.ref))
+		giveBack("return y", y, 0, len(y.ref))
+		z := carve("carve after returning x and y")
+		giveBack("return it", z, 0, len(z.ref))
+	}
+	for i := 0; i < min(max, 64); i++ {
+		r := retry(t, h.ref, func() (mem.Addr, error) { return h.ref.refAlloc(tc.nwords, tc.atomic) })
+		g := retry(t, h.got, func() (mem.Addr, error) { return h.got.Alloc(tc.nwords, tc.atomic) })
+		step := fmt.Sprintf("single pop %d", i)
+		h.sameAddrs(step, []mem.Addr{r}, []mem.Addr{g})
+		h.same(step)
 	}
 }
 
@@ -408,8 +566,9 @@ func popSingly(n int, pop func() (mem.Addr, error)) (out []mem.Addr, err error) 
 	return out, nil
 }
 
-// TestCorruptFreeListLinks plants a bad link three slots down a list —
-// or write-protects the heap — and pops through each entry point: the
+// TestCorruptFreeListLinks plants a bad link three slots down a swept
+// list — or write-protects the heap — and pops through each entry
+// point: the
 // error is of the class the per-slot sequence raised, the slots before
 // the fault are carved and nothing after it, and the list head is left
 // at the faulting link.
@@ -444,6 +603,13 @@ func TestCorruptFreeListLinks(t *testing.T) {
 		pop func(a *Allocator, id DescID, n int) ([]mem.Addr, error)
 	}{
 		{"AllocRun", func(a *Allocator, _ DescID, n int) ([]mem.Addr, error) { return a.AllocRun(8, false, n, nil) }},
+		{"AllocBatch", func(a *Allocator, _ DescID, n int) ([]mem.Addr, error) {
+			run, s, err := a.AllocBatch(8, false, n, nil)
+			for p := s.Cursor; p < s.Limit; p += mem.Addr(s.Words * mem.WordBytes) {
+				run = append(run, p)
+			}
+			return run, err
+		}},
 		{"Alloc", func(a *Allocator, _ DescID, n int) ([]mem.Addr, error) {
 			return popSingly(n, func() (mem.Addr, error) { return a.Alloc(8, false) })
 		}},
@@ -465,10 +631,15 @@ func TestCorruptFreeListLinks(t *testing.T) {
 					}
 					return a.freeList[classOf[8]]
 				}
-				// One pop dedicates a block; the list is then its other slots.
-				if _, err := e.pop(a, id, 1); err != nil {
+				// The faults are planted in a swept list: two pops carve a
+				// fresh block's first slots, and with the first marked the
+				// sweep threads the block's other slots onto the list.
+				first, err := e.pop(a, id, 2)
+				if err != nil {
 					t.Fatal(err)
 				}
+				a.Mark(first[0])
+				a.Sweep()
 				slots := []mem.Addr{head()}
 				for len(slots) <= good {
 					next, err := a.loadWord(slots[len(slots)-1])
@@ -522,10 +693,10 @@ func TestCorruptFreeListLinks(t *testing.T) {
 }
 
 // TestAllocRunZeroAlloc pins the refill carve at no Go-heap allocation
-// when the caller's buffer has room, on a list that stays in one block
-// and on one that leaves it at every link.
+// when the caller's buffer has room, on a list that stays in one block,
+// on one that leaves it at every link, and on a fresh run.
 func TestAllocRunZeroAlloc(t *testing.T) {
-	for _, shape := range []string{"swept", "hopping"} {
+	for _, shape := range []string{"swept", "hopping", "fresh"} {
 		t.Run(shape, func(t *testing.T) {
 			_, a := newTestAllocator(t, Config{})
 			carveShapes[shape](t, a, func() mem.Addr { return mustAlloc(t, a, 8, false) })
@@ -543,14 +714,50 @@ func TestAllocRunZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFreshSpanReturnZeroAlloc pins both ways a fresh-run span goes
+// back at no Go-heap allocation: pushed onto the list, when a later
+// carve was made off the run, and rewinding the run otherwise. Each
+// round carves two spans, gives back the first (pushed), carves it
+// again off the list as a run, then gives back the second span and the
+// run (both rewind), leaving the heap as it found it.
+func TestFreshSpanReturnZeroAlloc(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
+	buf := make([]mem.Addr, 0, 32)
+	if n := testing.AllocsPerRun(100, func() {
+		_, x, err := a.AllocBatch(8, false, cap(buf), buf[:0])
+		if err != nil || x.Cursor == x.Limit {
+			t.Fatalf("first carve: span %+v: %v", x, err)
+		}
+		_, y, err := a.AllocBatch(8, false, cap(buf), buf[:0])
+		if err != nil || y.Cursor != x.Limit {
+			t.Fatalf("second carve: span %+v after %+v: %v", y, x, err)
+		}
+		a.ReturnSpan(x.Cursor, x.Limit)
+		run, s, err := a.AllocBatch(8, false, cap(buf), buf[:0])
+		if err != nil || len(run) != cap(buf) || run[0] != x.Cursor || s.Cursor != s.Limit {
+			t.Fatalf("carved %x and %+v after the push: %v", run, s, err)
+		}
+		a.ReturnSpan(y.Cursor, y.Limit)
+		a.ReturnRun(8, false, run)
+		if a.freeList[classOf[8]] != 0 || a.fresh[classOf[8]].next != x.Cursor {
+			t.Fatalf("returns left list head %#x, fresh run at %#x; want the run at %#x",
+				a.freeList[classOf[8]], a.fresh[classOf[8]].next, x.Cursor)
+		}
+	}); n != 0 {
+		t.Errorf("span carves and returns allocate %v times per round", n)
+	}
+}
+
 // BenchmarkAllocRun is the refill rung: one 32-slot carve and its
 // return per iteration, reported per slot. sameblock carves a swept
 // list, which stays in a block for as long as the block has free slots
 // (one lookup per run); hopping carves a list that alternates between
 // three blocks on every link — a lookup per slot, the kernel's worst
-// case and the per-slot cost of the sequence it replaced.
+// case and the per-slot cost of the sequence it replaced; fresh carves
+// a block the first carve dedicated, which most refills carve (its
+// return rewinds the fresh run).
 func BenchmarkAllocRun(b *testing.B) {
-	for _, bc := range []struct{ name, shape string }{{"sameblock", "swept"}, {"hopping", "hopping"}} {
+	for _, bc := range []struct{ name, shape string }{{"sameblock", "swept"}, {"hopping", "hopping"}, {"fresh", "fresh"}} {
 		b.Run(bc.name, func(b *testing.B) {
 			a, err := New(mem.NewAddressSpace(), Config{HeapBase: testHeapBase, InitialBytes: 64 * mem.PageBytes, ReserveBytes: 64 * mem.PageBytes})
 			if err != nil {
@@ -574,6 +781,43 @@ func BenchmarkAllocRun(b *testing.B) {
 				a.ReturnRun(8, false, run)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cap(buf)), "ns/slot")
+		})
+	}
+}
+
+// TestCheckIntegrityFreshRun pins the audit's view of a fresh run: its
+// slots count as free (a heap with a half-carved fresh block passes),
+// and a run slot that is written, allocated or also on a list fails.
+func TestCheckIntegrityFreshRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *Allocator, f freshRun, p mem.Addr)
+		want    string
+	}{
+		{"sound", func(*Allocator, freshRun, mem.Addr) {}, ""},
+		{"written", func(a *Allocator, _ freshRun, p mem.Addr) { a.storeWord(p+mem.WordBytes, 1) }, "not zeroed"},
+		{"allocated", func(a *Allocator, f freshRun, _ mem.Addr) {
+			b := &a.blocks[f.bi]
+			bitSet(b.allocBits, int(f.slot))
+			b.liveSlots++
+		}, "alloc bit set"},
+		{"listed", func(a *Allocator, _ freshRun, p mem.Addr) {
+			idx := listIdx(int(classOf[8]), false)
+			a.freeList[idx] = p
+		}, "already accounted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, a := newTestAllocator(t, Config{})
+			mustAlloc(t, a, 8, false)
+			f := a.fresh[listIdx(int(classOf[8]), false)]
+			if f.slot != 1 || f.end <= f.slot {
+				t.Fatalf("fresh run %+v after one allocation", f)
+			}
+			tc.corrupt(a, f, f.next)
+			err := a.CheckIntegrity(nil)
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("audit: %v, want %q", err, tc.want)
+			}
 		})
 	}
 }

@@ -7,104 +7,194 @@ import (
 )
 
 // FuzzAllocatorOps interprets the fuzz input as an operation tape over
-// the allocator — allocate (several kinds), free, mark, sweep, expand —
-// and checks structural invariants after every operation.
+// the allocator — allocate (several kinds), free, mark, sweep, expand,
+// and a mutator cache's carve and the return of its unconsumed tail —
+// and checks structural invariants and the allocator's own audit after
+// every operation, with the sweep eager and lazy.
 func FuzzAllocatorOps(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 20, 2, 0, 3, 4})
 	f.Add([]byte{0, 200, 0, 200, 5, 0, 4, 0, 0, 1})
 	f.Add([]byte{6, 0, 6, 1, 2, 0, 4, 0})
+	// A fresh-span carve of 4-word slots, a 4-word alloc off the same
+	// run, an explicit Free pushed above it, a return onto the
+	// non-empty list, a sweep, and carves and returns across it.
+	f.Add([]byte{7, 43, 0, 3, 3, 0, 8, 2, 7, 43, 5, 0, 8, 0, 7, 43, 8, 1})
+	// Two carves, the first returned while the second still holds the
+	// run's front (pushed), then the second (rewound), with typed
+	// allocation and a sweep between.
+	f.Add([]byte{7, 43, 7, 43, 2, 0, 8, 0, 8, 0, 5, 0, 7, 43, 0, 3, 8, 0})
+	// Carves held across a sweep with objects marked, then consumed,
+	// freed and returned.
+	f.Add([]byte{7, 120, 0, 3, 4, 0, 7, 3, 5, 0, 8, 200, 3, 1, 7, 120, 5, 0, 8, 7})
 
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		space := mem.NewAddressSpace()
-		a, err := New(space, Config{
-			HeapBase:     0x400000,
-			InitialBytes: 64 * 1024,
-			ReserveBytes: 512 * 1024,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, err := a.RegisterDescriptor([]bool{true, false, true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var live []mem.Addr
-		marked := map[mem.Addr]bool{}
-		for i := 0; i+1 < len(tape) && i < 512; i += 2 {
-			op, arg := tape[i], int(tape[i+1])
-			switch op % 7 {
-			case 0: // small alloc
-				p, err := a.Alloc(1+arg%MaxSmallWords, arg%5 == 0)
-				if err == nil {
-					live = append(live, p)
-				} else if err != ErrNeedMemory {
-					t.Fatalf("alloc: %v", err)
-				}
-			case 1: // large alloc
-				p, err := a.Alloc(MaxSmallWords+1+arg*8, false)
-				if err == nil {
-					live = append(live, p)
-				} else if err != ErrNeedMemory {
-					t.Fatalf("large alloc: %v", err)
-				}
-			case 2: // typed alloc
-				p, err := a.AllocTyped(id)
-				if err == nil {
-					live = append(live, p)
-				} else if err != ErrNeedMemory {
-					t.Fatalf("typed alloc: %v", err)
-				}
-			case 3: // free one
-				if len(live) > 0 {
-					idx := arg % len(live)
-					if err := a.Free(live[idx]); err != nil {
-						t.Fatalf("free: %v", err)
-					}
-					delete(marked, live[idx])
-					live = append(live[:idx], live[idx+1:]...)
-				}
-			case 4: // mark one
-				if len(live) > 0 {
-					p := live[arg%len(live)]
-					a.Mark(p)
-					marked[p] = true
-				}
-			case 5: // sweep: unmarked die, marked survive unmarked
-				a.Sweep()
-				var still []mem.Addr
-				for _, p := range live {
-					if marked[p] {
-						if !a.IsAllocated(p) {
-							t.Fatalf("marked object %#x swept", uint32(p))
-						}
-						still = append(still, p)
-					} else if a.IsAllocated(p) {
-						t.Fatalf("unmarked object %#x survived sweep", uint32(p))
-					}
-				}
-				live = still
-				marked = map[mem.Addr]bool{}
-			case 6: // expand
-				if a.CanExpand() {
-					if err := a.Expand(4096); err != nil {
-						t.Fatalf("expand: %v", err)
-					}
-				}
-			}
-			// Invariant: every live object resolves to itself.
-			for _, p := range live {
-				if base, ok := a.FindObject(p, false); !ok || base != p {
-					t.Fatalf("live object %#x lost (ok=%v base=%#x)", uint32(p), ok, uint32(base))
-				}
-			}
-			// Invariant: block accounting is consistent.
-			st := a.Stats()
-			if st.BlocksDedicated+st.BlocksFree != a.NumBlocks() {
-				t.Fatalf("block accounting: %d + %d != %d",
-					st.BlocksDedicated, st.BlocksFree, a.NumBlocks())
-			}
+		for _, lazy := range []bool{false, true} {
+			runAllocatorOps(t, tape, lazy)
 		}
 	})
+}
+
+// heldCarve is a mutator cache's carve in FuzzAllocatorOps: slots
+// AllocBatch carved and nobody has consumed yet.
+type heldCarve struct {
+	nwords int
+	atomic bool
+	run    []mem.Addr
+	span   Span
+}
+
+// slots lists the carve's slots in the order a cache hands them out.
+func (c heldCarve) slots() []mem.Addr {
+	out := append([]mem.Addr(nil), c.run...)
+	for p := c.span.Cursor; p < c.span.Limit; p += mem.Addr(c.span.Words * mem.WordBytes) {
+		out = append(out, p)
+	}
+	return out
+}
+
+// runAllocatorOps is FuzzAllocatorOps's tape on one heap.
+func runAllocatorOps(t *testing.T, tape []byte, lazy bool) {
+	space := mem.NewAddressSpace()
+	a, err := New(space, Config{
+		HeapBase:     0x400000,
+		InitialBytes: 64 * 1024,
+		ReserveBytes: 512 * 1024,
+		LazySweep:    lazy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := a.RegisterDescriptor([]bool{true, false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []mem.Addr
+	var held []heldCarve
+	marked := map[mem.Addr]bool{}
+	for i := 0; i+1 < len(tape) && i < 512; i += 2 {
+		op, arg := tape[i], int(tape[i+1])
+		switch op % 9 {
+		case 0: // small alloc
+			p, err := a.Alloc(1+arg%MaxSmallWords, arg%5 == 0)
+			if err == nil {
+				live = append(live, p)
+			} else if err != ErrNeedMemory {
+				t.Fatalf("alloc: %v", err)
+			}
+		case 1: // large alloc
+			p, err := a.Alloc(MaxSmallWords+1+arg*8, false)
+			if err == nil {
+				live = append(live, p)
+			} else if err != ErrNeedMemory {
+				t.Fatalf("large alloc: %v", err)
+			}
+		case 2: // typed alloc
+			p, err := a.AllocTyped(id)
+			if err == nil {
+				live = append(live, p)
+			} else if err != ErrNeedMemory {
+				t.Fatalf("typed alloc: %v", err)
+			}
+		case 3: // free one
+			if len(live) > 0 {
+				idx := arg % len(live)
+				if err := a.Free(live[idx]); err != nil {
+					t.Fatalf("free: %v", err)
+				}
+				delete(marked, live[idx])
+				live = append(live[:idx], live[idx+1:]...)
+			}
+		case 4: // mark one, after the deferred sweeps, as the collector does
+			if len(live) > 0 {
+				a.FinishSweep()
+				p := live[arg%len(live)]
+				a.Mark(p)
+				marked[p] = true
+			}
+		case 5: // sweep: unmarked die, marked and held slots survive
+			// The collector's open and first mark step: deferred sweeps
+			// finish, then every held slot is marked.
+			a.FinishSweep()
+			for _, c := range held {
+				a.MarkHeldRun(c.run, true)
+				a.MarkHeldSpan(c.span.Cursor, c.span.Limit, true)
+			}
+			a.Sweep()
+			var still []mem.Addr
+			for _, p := range live {
+				if marked[p] {
+					if !a.IsAllocated(p) {
+						t.Fatalf("marked object %#x swept", uint32(p))
+					}
+					still = append(still, p)
+				} else if a.IsAllocated(p) {
+					t.Fatalf("unmarked object %#x survived sweep", uint32(p))
+				}
+			}
+			for _, c := range held {
+				for _, p := range c.slots() {
+					if !a.IsAllocated(p) {
+						t.Fatalf("held slot %#x swept", uint32(p))
+					}
+				}
+			}
+			live = still
+			marked = map[mem.Addr]bool{}
+		case 6: // expand
+			if a.CanExpand() {
+				if err := a.Expand(4096); err != nil {
+					t.Fatalf("expand: %v", err)
+				}
+			}
+		case 7: // a cache's carve: a list run, or a span off a fresh run
+			c := heldCarve{nwords: 1 + arg%8, atomic: arg%5 == 0}
+			c.run, c.span, err = a.AllocBatch(c.nwords, c.atomic, 1+arg/8, nil)
+			if err == ErrNeedMemory {
+				break
+			}
+			if err != nil {
+				t.Fatalf("carve: %v", err)
+			}
+			if n := len(c.slots()); n == 0 || n > 1+arg/8 || len(c.run) > 0 && c.span.Cursor < c.span.Limit {
+				t.Fatalf("carve of up to %d: run %x, span %+v", 1+arg/8, c.run, c.span)
+			}
+			held = append(held, c)
+		case 8: // a cache consumes some of a carve and returns the rest
+			if len(held) > 0 {
+				hi := arg % len(held)
+				c := held[hi]
+				slots := c.slots()
+				k := arg % (len(slots) + 1)
+				live = append(live, slots[:k]...)
+				if len(c.run) > 0 {
+					a.ReturnRun(c.nwords, c.atomic, c.run[k:])
+				} else {
+					a.ReturnSpan(c.span.Cursor+mem.Addr(k*c.span.Words*mem.WordBytes), c.span.Limit)
+				}
+				held = append(held[:hi], held[hi+1:]...)
+			}
+		}
+		// Invariant: every live object resolves to itself.
+		for _, p := range live {
+			if base, ok := a.FindObject(p, false); !ok || base != p {
+				t.Fatalf("live object %#x lost (ok=%v base=%#x)", uint32(p), ok, uint32(base))
+			}
+		}
+		// Invariant: block accounting is consistent.
+		st := a.Stats()
+		if st.BlocksDedicated+st.BlocksFree != a.NumBlocks() {
+			t.Fatalf("block accounting: %d + %d != %d",
+				st.BlocksDedicated, st.BlocksFree, a.NumBlocks())
+		}
+		// Invariant: the audit holds, every held slot cached.
+		var cached []mem.Addr
+		for _, c := range held {
+			cached = append(cached, c.slots()...)
+		}
+		if err := a.CheckIntegrity(cached); err != nil {
+			t.Fatalf("op %d (%d, %d): %v", i/2, op%9, arg, err)
+		}
+	}
 }
 
 // FuzzConcurrentMark interprets the fuzz input as an allocation recipe,

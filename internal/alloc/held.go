@@ -1,10 +1,6 @@
 package alloc
 
-import (
-	"math/bits"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // Held slots. A mutator cache (core.Mutator) keeps the carved slots it
 // has not handed out yet across a collection, instead of returning them
@@ -36,18 +32,10 @@ func (a *Allocator) MarkHeldSpan(cursor, limit mem.Addr, on bool) {
 	words := int(b.objWords)
 	lo := slotOfWord(pageWordOff(cursor), words)
 	hi := lo + slotOfWord(int(limit-cursor)/mem.WordBytes, words)
-	for lo < hi {
-		end := min(hi, lo&^63+64)
-		m := ^uint64(0) >> uint(64-(end-lo)) << uint(lo&63)
-		word := &b.markBits[lo>>6]
-		if on {
-			b.markedCount += int32(bits.OnesCount64(m &^ *word))
-			*word |= m
-		} else {
-			b.markedCount -= int32(bits.OnesCount64(m & *word))
-			*word &^= m
-		}
-		lo = end
+	if on {
+		b.markedCount += int32(bitRange(b.markBits, lo, hi, true))
+	} else {
+		b.markedCount -= int32(bitRange(b.markBits, lo, hi, false))
 	}
 }
 

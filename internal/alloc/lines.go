@@ -39,7 +39,7 @@ import (
 //     ascending address order, the order threading hands slots out.
 //   - A span is carved whole (one run of free lines) and consumed by
 //     ascending address; slots get their alloc bits and liveSlots
-//     accounting at carve time, like AllocRun carves, with the
+//     accounting at carve time, like AllocBatch carves, with the
 //     allocation stats deferred to consumption.
 //   - ReturnSpan clears the unconsumed tail's bits and requeues the
 //     block at the back of its class queue, so the very next carve
@@ -183,7 +183,7 @@ func (a *Allocator) requeueLineBlock(bi int, b *blockDesc) {
 
 // carveRun carves the block's lowest run of free lines into a bump
 // span: alloc bits set, liveSlots counted, lineLive extended — the
-// stats are deferred to consumption, as with AllocRun. Runs too
+// stats are deferred to consumption, as with AllocBatch. Runs too
 // fragmented to hold a whole slot are skipped; ok is false when no
 // run yields a slot. If free lines remain past the carved span the
 // block goes back on the partial queue.
@@ -325,7 +325,7 @@ func (a *Allocator) allocLine(class, words int, atomicObj bool, idx int, despera
 
 // AllocSpan carves a whole bump span of the small size class for
 // nwords, for a mutator cache (core.Mutator). A non-empty central
-// span is handed over first — the analogue of AllocRun popping the
+// span is handed over first — the analogue of AllocBatch popping the
 // central list head, so flushed remainders are re-issued before new
 // carving. Stats are deferred: the consumer counts hand-outs locally
 // and publishes via CommitAllocs; ReturnSpan gives an unconsumed tail
@@ -340,7 +340,7 @@ func (a *Allocator) AllocSpan(nwords int, atomicObj bool) (Span, error) {
 	class, words := ClassFor(nwords)
 	idx := listIdx(class, atomicObj)
 	// Freed slots are served before spans, one-slot spans in LIFO order,
-	// exactly as AllocRun would pop them off the rebuilt list head.
+	// exactly as AllocBatch would pop them off the rebuilt list head.
 	if p, ok := a.popFreed(idx); ok {
 		return Span{Cursor: p, Limit: p + mem.Addr(words*mem.WordBytes), Words: words}, nil
 	}
@@ -358,10 +358,15 @@ func (a *Allocator) AllocSpan(nwords int, atomicObj bool) (Span, error) {
 // push-to-head does for cached runs. It returns the slot count
 // returned. Stats are untouched (the slots were never counted). A span
 // held across a collection may lie in a sweep-pending block; that block
-// is swept first, as in ReturnRun.
+// is swept first, as in ReturnRun. Without LineAlloc the span is a
+// fresh-run carve, and goes back as ReturnRun gives back a run
+// (returnFreshSpan).
 func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 	if cursor >= limit {
 		return 0
+	}
+	if !a.cfg.LineAlloc {
+		return a.returnFreshSpan(cursor, limit)
 	}
 	bi := a.blockIndex(cursor)
 	b := &a.blocks[bi]

@@ -148,7 +148,7 @@ func (a *Allocator) TagOwner(base mem.Addr, id int32) {
 	a.tagSlot(ob, ob.slotOf(base), id)
 }
 
-// TagOwnerRun tags every slot of an AllocRun carve. A run follows the
+// TagOwnerRun tags every slot of an AllocBatch run. A run follows the
 // free list, so it may cross blocks; the block lookup is repeated only
 // when it does.
 func (a *Allocator) TagOwnerRun(run []mem.Addr, id int32) {

@@ -18,12 +18,14 @@ import (
 // The contract that keeps the single-mutator path bit-for-bit
 // identical to per-object Alloc calls:
 //
-//   - AllocRun pops slots off the same threaded free list, in the same
-//     order, with the same refill trigger (an empty list at entry) that
-//     a sequence of Alloc calls would use, and stops early when the
-//     list runs dry rather than refilling mid-run — so block
-//     dedication and lazy-sweep drains happen at exactly the same
-//     allocation index as the unbatched path.
+//   - AllocBatch takes slots in the order a sequence of Alloc calls
+//     would — the threaded list first, then the list's fresh run
+//     (freelist.go) — with the same refill trigger (both empty at
+//     entry), and stops early when what it carves from runs dry rather
+//     than refilling mid-carve — so block dedication and lazy-sweep
+//     drains happen at exactly the same allocation index as the
+//     unbatched path. A carve off the list is a run of addresses; a
+//     carve off the fresh run is one {cursor, limit} bump span, in O(1).
 //   - Carved slots get their alloc bits and liveSlots accounting
 //     immediately (the bitmaps are shared, word-granular state that a
 //     lock-free consumer must not touch), but the allocation *stats*
@@ -31,44 +33,53 @@ import (
 //     publishes them with CommitAllocs at its next slow path or
 //     safepoint, so BytesSinceGC — the collection trigger — reflects
 //     only objects actually handed out.
-//   - ReturnRun restores the unconsumed tail of a run exactly: pushed
-//     back in reverse, the rebuilt list has the same head, the same
-//     link words, and the same bits as if the tail had never been
-//     carved. A flush is therefore invisible to the allocations after
-//     it. A collection does not flush: it marks the tail (held.go).
+//   - ReturnRun and ReturnSpan restore the unconsumed tail of a carve
+//     exactly: a tail just carved off the fresh run, onto an empty
+//     list, rewinds the run; anything else is pushed back in reverse,
+//     so the rebuilt list has the same head, the same link words, and
+//     the same bits as if the tail had never been carved. A flush is
+//     therefore invisible to the allocations after it. A collection
+//     does not flush: it marks the tail (held.go).
 //
-// A carved slot's link word is zeroed at carve time (under the
-// caller's lock); the consumer never writes heap memory, which keeps
-// the fast path free of any shared-memory access.
+// A carved slot is zero when carved: a list slot's link word is zeroed
+// at carve time (under the caller's lock), and a fresh run is zero
+// already. The consumer never writes heap memory, which keeps the fast
+// path free of any shared-memory access.
 
-// AllocRun carves up to max free slots of the small size class for
-// nwords into out (appended and returned). The first slot may refill
-// the free list — sweeping lazy-pending blocks or dedicating a fresh
-// block — exactly as a single Alloc would; ErrNeedMemory propagates to
-// the caller's collect/expand retry policy with nothing carved. The
-// run ends early when the list empties: the next AllocRun refills at
-// the same point per-object allocation would have.
-func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) ([]mem.Addr, error) {
+// AllocBatch carves up to max free slots of the small size class for
+// nwords for a mutator cache: slots off the threaded list, appended to
+// out, or — once the list is empty — one span over the front of the
+// list's fresh run. Exactly one of the two is non-empty on success. If
+// both are empty at entry the first slot refills, sweeping lazy-pending
+// blocks or dedicating a fresh block, exactly as a single Alloc would;
+// ErrNeedMemory propagates to the caller's collect/expand retry policy
+// with nothing carved. A list carve ends early when the list empties:
+// the next carve takes the fresh run. Under LineAlloc the carve is
+// AllocSpan's.
+func (a *Allocator) AllocBatch(nwords int, atomic bool, max int, out []mem.Addr) ([]mem.Addr, Span, error) {
+	if a.cfg.LineAlloc {
+		s, err := a.AllocSpan(nwords, atomic)
+		return out, s, err
+	}
 	if nwords < 1 {
-		return out, fmt.Errorf("alloc: bad size %d", nwords)
+		return out, Span{}, fmt.Errorf("alloc: bad size %d", nwords)
 	}
 	if IsLarge(nwords) {
-		return out, fmt.Errorf("alloc: AllocRun of large object (%d words)", nwords)
-	}
-	if a.cfg.LineAlloc {
-		// Under the line profile small untyped slots are never threaded;
-		// mixing list carves with bump spans would corrupt both.
-		return out, fmt.Errorf("alloc: AllocRun under LineAlloc (use AllocSpan)")
+		return out, Span{}, fmt.Errorf("alloc: AllocBatch of large object (%d words)", nwords)
 	}
 	if max < 1 {
 		max = 1
 	}
 	class, _ := ClassFor(nwords)
 	idx := listIdx(class, atomic)
-	if a.freeList[idx] == 0 {
+	f := &a.fresh[idx]
+	if a.freeList[idx] == 0 && f.slot == f.end {
 		if err := a.refill(class, atomic, idx, false); err != nil {
-			return out, err
+			return out, Span{}, err
 		}
+	}
+	if a.freeList[idx] == 0 {
+		return out, a.takeFresh(f, max), nil
 	}
 	// One block lookup per stretch of the list that stays in a block
 	// (freelist.go); the head is written back once, at the faulting link
@@ -89,16 +100,39 @@ func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) (
 		}
 	}
 	a.freeList[idx] = head
+	return out, Span{}, err
+}
+
+// AllocRun is AllocBatch as a run of addresses: up to max slots, the
+// list's and then its fresh run's — the slots a threaded list would
+// have carried, in its order — appended to out.
+func (a *Allocator) AllocRun(nwords int, atomic bool, max int, out []mem.Addr) ([]mem.Addr, error) {
+	if a.cfg.LineAlloc {
+		// Under the line profile small untyped slots are never threaded;
+		// mixing list carves with bump spans would corrupt both.
+		return out, fmt.Errorf("alloc: AllocRun under LineAlloc (use AllocSpan)")
+	}
+	n0 := len(out)
+	out, s, err := a.AllocBatch(nwords, atomic, max, out)
+	if err == nil && s.Cursor == s.Limit {
+		// A list carve that emptied the list continues into the fresh run.
+		class, _ := ClassFor(nwords)
+		s = a.takeFresh(&a.fresh[listIdx(class, atomic)], max-(len(out)-n0))
+	}
+	for p := s.Cursor; p < s.Limit; p += mem.Addr(s.Words * mem.WordBytes) {
+		out = append(out, p)
+	}
 	return out, err
 }
 
 // ReturnRun gives the unconsumed tail of a carved run back to its free
 // list, restoring exactly the list a sequence of per-object Allocs
-// would have left: slots are pushed in reverse so run[0] becomes the
+// would have left: a tail carved off the fresh run, onto an empty list,
+// rewinds the run; the rest is pushed in reverse, so run[0] becomes the
 // head again with its original links rebuilt. Stats are untouched —
-// AllocRun never counted the slots (see CommitAllocs). run must be
-// slots AllocRun carved, on a heap that still takes stores: anything
-// else is a bug in the caller, and panics.
+// the carve never counted the slots (see CommitAllocs). run must be
+// slots AllocRun or AllocBatch carved, on a heap that still takes
+// stores: anything else is a bug in the caller, and panics.
 //
 // A run held across a collection may lie in a block whose sweep is
 // deferred (its slots marked, so that sweep would keep them). That
@@ -110,11 +144,17 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	}
 	class, _ := ClassFor(nwords)
 	idx := listIdx(class, atomic)
+	if f := &a.fresh[idx]; a.freeList[idx] == 0 {
+		if n := a.freshTail(f, run); n > 0 {
+			a.rewindFresh(f, run[len(run)-n])
+			run = run[:len(run)-n]
+		}
+	}
 	head := a.freeList[idx]
 	for i := len(run) - 1; i >= 0; {
 		s, err := a.locateSlots(run[i], class)
 		if err != nil {
-			// run is what AllocRun carved: only a bug gets here.
+			// run is what a carve made: only a bug gets here.
 			panic(fmt.Sprintf("alloc: ReturnRun: %v", err))
 		}
 		if s.b.pendingSweep {
@@ -130,9 +170,41 @@ func (a *Allocator) ReturnRun(nwords int, atomic bool, run []mem.Addr) {
 	a.freeList[idx] = head
 }
 
+// returnFreshSpan is ReturnSpan's free-list arm: the unconsumed tail
+// [cursor, limit) of a span carved off a fresh run goes back as
+// ReturnRun gives back a run — rewinding the run if it is the run's
+// last carve and the list is empty, pushed in reverse otherwise.
+func (a *Allocator) returnFreshSpan(cursor, limit mem.Addr) int {
+	bi := a.blockIndex(cursor)
+	b := &a.blocks[bi]
+	if b.pendingSweep {
+		a.sweepBlock(bi)
+	}
+	stride := mem.Addr(int(b.objWords) * mem.WordBytes)
+	n := int((limit - cursor) / stride)
+	idx := listIdx(int(b.class), b.atomic)
+	if f := &a.fresh[idx]; a.freeList[idx] == 0 && f.end != 0 && int(f.bi) == bi && f.next == limit {
+		a.rewindFresh(f, cursor)
+		return n
+	}
+	s, err := a.locateSlots(cursor, int(b.class))
+	if err != nil {
+		// The span is what AllocBatch carved: only a bug gets here.
+		panic(fmt.Sprintf("alloc: ReturnSpan: %v", err))
+	}
+	head := a.freeList[idx]
+	for p := limit; p > cursor; {
+		p -= stride
+		s.push(p, head)
+		head = p
+	}
+	a.freeList[idx] = head
+	return n
+}
+
 // CommitAllocs folds a mutator's locally-counted consumed-slot totals
 // into the allocator's statistics. Callers hold the central lock; the
-// per-slot carve bookkeeping already happened in AllocRun, so this is
+// per-slot carve bookkeeping already happened in the carve, so this is
 // the only accounting a cached allocation defers.
 func (a *Allocator) CommitAllocs(objects, bytes uint64) {
 	a.stats.ObjectsAllocated += objects
@@ -144,8 +216,9 @@ func (a *Allocator) CommitAllocs(objects, bytes uint64) {
 // given set of slots currently carved into mutator caches. It verifies
 // the concurrency battery's core invariants:
 //
-//   - no double-carve: no slot appears twice across the free lists and
-//     the caches, and no free-list slot has its alloc bit set;
+//   - no double-carve: no slot appears twice across the free lists, the
+//     fresh runs and the caches, and no free-list or fresh-run slot has
+//     its alloc bit set (a fresh-run slot is zero, too);
 //   - cached slots are live: every cached slot is a small-block slot
 //     with its alloc bit set, and one in a sweep-pending block is
 //     marked too (the deferred sweep keeps it only then — which is why
@@ -266,6 +339,57 @@ func (a *Allocator) CheckIntegrity(cached []mem.Addr) error {
 	}
 	for key, head := range a.typedFree {
 		if err := walk(head, fmt.Sprintf("typedFree[%d/%d]", key.class, key.desc)); err != nil {
+			return err
+		}
+	}
+	// A fresh run's slots are free: zeroed, with clear alloc bits, in a
+	// swept small block, and on no list.
+	fresh := func(f freshRun, label string) error {
+		if f.bi < 0 || int(f.bi) >= len(a.blocks) {
+			return fmt.Errorf("alloc: integrity: %s in block %d of %d", label, f.bi, len(a.blocks))
+		}
+		b := &a.blocks[f.bi]
+		if b.state != blockSmall || b.pendingSweep {
+			return fmt.Errorf("alloc: integrity: %s in block %d (state %d, pending %v)", label, f.bi, b.state, b.pendingSweep)
+		}
+		words := int(b.objWords)
+		if f.slot < int32(a.firstSlot(words)) || f.end != int32(slotsPerBlock(words)) ||
+			f.next != slotAddr(a.blockBase(int(f.bi)), int(f.slot), words) {
+			return fmt.Errorf("alloc: integrity: %s slots [%d, %d) at %#x do not fit block %d of %d-word slots",
+				label, f.slot, f.end, uint32(f.next), f.bi, words)
+		}
+		hw := a.blockWords(int(f.bi))
+		for slot := int(f.slot); slot < int(f.end); slot++ {
+			p := slotAddr(a.blockBase(int(f.bi)), slot, words)
+			if prev, dup := seen[p]; dup {
+				return fmt.Errorf("alloc: integrity: slot %#x on %s already accounted to %s", uint32(p), label, prev)
+			}
+			seen[p] = label
+			if bitGet(b.allocBits, slot) {
+				return fmt.Errorf("alloc: integrity: slot %#x on %s has its alloc bit set", uint32(p), label)
+			}
+			for _, w := range hw[slot*words : (slot+1)*words] {
+				if w != 0 {
+					return fmt.Errorf("alloc: integrity: slot %#x on %s is not zeroed", uint32(p), label)
+				}
+			}
+		}
+		freePerBlock[int(f.bi)] += int(f.end - f.slot)
+		return nil
+	}
+	for idx, f := range a.fresh {
+		if f.slot == f.end {
+			continue
+		}
+		if err := fresh(f, fmt.Sprintf("fresh[%d]", idx)); err != nil {
+			return err
+		}
+	}
+	for key, f := range a.typedFresh {
+		if f.slot == f.end {
+			continue
+		}
+		if err := fresh(f, fmt.Sprintf("typedFresh[%d/%d]", key.class, key.desc)); err != nil {
 			return err
 		}
 	}

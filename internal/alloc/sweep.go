@@ -141,14 +141,18 @@ func (a *Allocator) sweepBarrier(clearMarks bool) SweepResult {
 	// direct allocator use.
 	a.FlushSpans()
 	var r SweepResult
-	// Free lists and partial-block queues are rebuilt from scratch: the
-	// threaded slots and queued blocks may be released below.
+	// Free lists, fresh runs and partial-block queues are rebuilt from
+	// scratch: the slots and queued blocks may be released below. A fresh
+	// run's slots are free by their bits, so the sweep threads them, or
+	// releases their block, like any other free slot.
 	for i := range a.freeList {
 		a.freeList[i] = 0
 	}
 	for k := range a.typedFree {
 		a.typedFree[k] = 0
 	}
+	a.fresh = [len(a.fresh)]freshRun{}
+	clear(a.typedFresh)
 	a.resetLineQueues()
 	a.lazyClearMarks = clearMarks
 	for bi := 0; bi < len(a.blocks); bi++ {

@@ -88,24 +88,31 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 	}
 	class, words := ClassFor(d.Words)
 	key := typedKey{class: class, desc: id}
-	if a.typedFree[key] == 0 {
+	p, f := a.typedFree[key], a.typedFresh[key]
+	if p == 0 && f.slot == f.end {
 		if err := a.refillTyped(class, id, key); err != nil {
 			return 0, err
 		}
+		p, f = a.typedFree[key], a.typedFresh[key]
 	}
-	p := a.typedFree[key]
-	s, err := a.locateSlots(p, class)
-	if err != nil {
-		return 0, err
+	if p == 0 {
+		// The list is empty: bump the fresh run, which is not.
+		p = a.takeFresh(&f, 1).Cursor
+		a.typedFresh[key] = f
+	} else {
+		s, err := a.locateSlots(p, class)
+		if err != nil {
+			return 0, err
+		}
+		a.typedFree[key] = s.pop(p)
 	}
-	a.typedFree[key] = s.pop(p)
 	a.CommitAllocs(1, uint64(words*mem.WordBytes))
 	return p, nil
 }
 
-// refillTyped replenishes the (class, descriptor) free list, first by
-// sweeping pending blocks of the same layout, then by dedicating and
-// threading a fresh block.
+// refillTyped replenishes the (class, descriptor) list once both it
+// and its fresh run are empty, first by sweeping pending blocks of the
+// same layout, then by dedicating a fresh block as the fresh run.
 func (a *Allocator) refillTyped(class int, id DescID, key typedKey) error {
 	if q, ok := a.sweepPendingTyped[key]; ok && len(q) > 0 {
 		for a.typedFree[key] == 0 {
@@ -124,6 +131,6 @@ func (a *Allocator) refillTyped(class int, id DescID, key typedKey) error {
 	if !ok {
 		return ErrNeedMemory
 	}
-	a.typedFree[key] = a.threadFresh(bi, a.typedFree[key])
+	a.typedFresh[key] = a.newFreshRun(bi)
 	return nil
 }

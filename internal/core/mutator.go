@@ -35,7 +35,7 @@ import (
 //   - The slow path — an empty cache, a large or typed object, heap
 //     expansion, any collection — takes the world's central lock and
 //     runs the original single-threaded code, with the cache refilled
-//     by one batched alloc.AllocRun carve.
+//     by one batched alloc.AllocBatch carve.
 //   - There is one safepoint, parkMutatorsLocked: it parks every
 //     handle at its next allocation, store or load boundary (by
 //     acquiring its mutex) and publishes its locally-counted
@@ -70,28 +70,32 @@ import (
 // Single-mutator equivalence. With one handle, every address up to the
 // first collection is bit-for-bit what the direct World entry points
 // produce, and every collection marks, frees and keeps the same
-// objects and bytes (asserted by TestMutatorDifferential): AllocRun
-// pops the same slots in the same order per-object allocation would,
-// ReturnRun restores the untouched tail exactly, stats are published
-// before any point that reads them, and the fast path diverts to the
-// slow path at precisely the allocation where the direct path would
-// trigger a collection — the handle mirrors the central BytesSinceGC
-// trigger in sinceGC/trigger, resynchronised after every slow path and
-// whenever a stop resumes it. After a collection the addresses part
+// objects and bytes (asserted by TestMutatorDifferential): AllocBatch
+// carves the same slots in the same order per-object allocation would,
+// ReturnRun and ReturnSpan restore the untouched tail exactly, stats
+// are published before any point that reads them, and the fast path
+// diverts to the slow path at precisely the allocation where the direct
+// path would trigger a collection — the handle mirrors the central
+// BytesSinceGC trigger in sinceGC/trigger, resynchronised after every
+// slow path and whenever a stop resumes it. After a collection the addresses part
 // ways: the handle's held slots are not on the rebuilt free lists.
 
 // runSlots is how many free slots one batched refill carves. Refills
 // happen under the central lock, so the value trades contention (small
 // runs lock often) against cache-held memory (large runs hold more
-// slots across collections, each marked at every mark step). It never
-// affects allocation addresses: carved runs hand out exactly the slots
-// the central list would have.
+// slots across collections, each marked at every mark step). Up to the
+// first collection it does not affect allocation addresses: carves hand
+// out exactly the slots the central list would have. After one it
+// does: a cache keeps its slots across the collection, off the rebuilt
+// free lists, so how many it holds decides what the lists hand out
+// next.
 const runSlots = 32
 
-// allocCache is one size class's cached run: run[next:] are the carved
-// slots not yet handed out. Under Config.LineAlloc the cache holds a
-// bump span instead — [cursor, limit) in steps of the object size —
-// and run stays empty; the two forms never coexist in one cache.
+// allocCache is one size class's cached carve: run[next:] are the
+// carved list slots not yet handed out. A carve off a fresh run, and
+// every carve under Config.LineAlloc, is a bump span instead — [cursor,
+// limit) in steps of the object size — and run stays empty; the two
+// forms never coexist in one cache.
 // words is the class's padded object size, recorded at refill for
 // local byte accounting and for returning the tail to the right list.
 // black records that the unconsumed slots are marked: set by a carve
@@ -140,6 +144,9 @@ type Mutator struct {
 	// m.mu: the fast path reads it under m.mu; root scans read it
 	// under w.mu with the mutator stopped.
 	src RootSource
+	// residue is src's residue simulator (World.residueOf), guarded
+	// like src.
+	residue residueSimulator
 	// ten is the tenant this handle charges (nil for an untenanted
 	// handle; see tenant.go). Immutable after creation, so both the
 	// fast path (under m.mu) and the slow path (under w.mu) read it
@@ -210,6 +217,7 @@ func (m *Mutator) SetRootSource(src RootSource) {
 	m.w.mu.Lock()
 	m.mu.Lock()
 	m.src = src
+	m.residue = m.w.residueOf(src)
 	m.mu.Unlock()
 	m.w.mu.Unlock()
 }
@@ -297,10 +305,8 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 			m.unpubObjects++
 			m.unpubBytes += bytes
 			m.stats.FastAllocs++
-			if m.w.cfg.AllocatorResidue {
-				if rs, ok := m.src.(residueSimulator); ok {
-					rs.SimulateCallResidue(m.w.cfg.AllocatorSelfClean, mem.Word(p), mem.Word(nwords))
-				}
+			if m.residue != nil {
+				m.residue.SimulateCallResidue(m.w.cfg.AllocatorSelfClean, mem.Word(p), mem.Word(nwords))
 			}
 			m.mu.Unlock()
 			return p, nil
@@ -345,68 +351,56 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		m.returnCacheLocked(idx)
 		c := &m.caches[idx]
 		carved := false
-		var try func() (mem.Addr, error)
-		if w.cfg.LineAlloc {
-			try = func() (mem.Addr, error) {
-				// Line profile: carve one bump span over a run of free
-				// lines and consume its first slot; the rest is the
-				// fast path's [cursor, limit).
-				s, err := w.Heap.AllocSpan(nwords, atomic)
-				if err != nil {
-					return 0, err
-				}
-				slotBytes := mem.Addr(words * mem.WordBytes)
-				c.cursor = s.Cursor + slotBytes
-				c.limit = s.Limit
-				carved = true
-				// Born black: a concurrent cycle is marking, and the carve
-				// serves a plain allocation, whose caller roots it nowhere
-				// the collector sees, so the finale must not sweep what
-				// the fast path hands out. Carved slots are zeroed, so
-				// marking without scanning is sound; ReturnSpan unmarks
-				// whatever the flush gives back. A rooted carve stays
-				// white (allocCache).
-				if c.black = w.cyc.active && dst == nil; c.black {
-					for p := s.Cursor; p < s.Limit; p += slotBytes {
-						w.Heap.Mark(p)
-					}
-				}
-				if m.ten != nil && m.ten.budgeted() {
-					// Tag every carved slot with the owning tenant: the
-					// first is consumed now (charged above), the rest as
-					// the fast path hands them out. A flush untags whatever
-					// returns unconsumed; until then the slots are owned
-					// but uncharged (Tenant.OwnedBytes leaves them out).
-					w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
-					tagged = true
-				}
-				m.recordSpanRefillLocked(idx, int((s.Limit-s.Cursor)/slotBytes), words)
-				return s.Cursor, nil
+		try := func() (mem.Addr, error) {
+			// One batched carve: a run of list slots, or one bump span —
+			// over a run of free lines (the line profile) or over the
+			// fresh run of a just-dedicated block. The first slot is
+			// consumed now; the rest is the fast path's.
+			run, s, err := w.Heap.AllocBatch(nwords, atomic, runSlots, c.run[:0])
+			if err != nil {
+				return 0, err
 			}
-		} else {
-			try = func() (mem.Addr, error) {
-				run, err := w.Heap.AllocRun(nwords, atomic, runSlots, c.run[:0])
-				if err != nil {
-					return 0, err
-				}
-				c.run = run
-				c.next = 1
-				carved = true
-				// Born black, or white for a rooted carve (see the span
-				// carve above); ReturnRun unmarks the flushed remainder.
-				if c.black = w.cyc.active && dst == nil; c.black {
-					for _, s := range run {
-						w.Heap.Mark(s)
-					}
-				}
-				if m.ten != nil && m.ten.budgeted() {
-					// Tag every carved slot (see the span carve above).
-					w.Heap.TagOwnerRun(run, m.ten.id)
-					tagged = true
-				}
-				m.recordRefillLocked(idx, len(run), words)
-				return run[0], nil
+			slotBytes := mem.Addr(words * mem.WordBytes)
+			p := s.Cursor
+			n := int((s.Limit - s.Cursor) / slotBytes)
+			if len(run) > 0 {
+				p, n = run[0], len(run)
+				c.run, c.next = run, 1
+			} else {
+				c.cursor, c.limit = s.Cursor+slotBytes, s.Limit
 			}
+			carved = true
+			// Born black: a concurrent cycle is marking, and the carve
+			// serves a plain allocation, whose caller roots it nowhere
+			// the collector sees, so the finale must not sweep what the
+			// fast path hands out. Carved slots are zeroed, so marking
+			// without scanning is sound; ReturnRun and ReturnSpan unmark
+			// whatever the flush gives back. A rooted carve stays white
+			// (allocCache).
+			if c.black = w.cyc.active && dst == nil; c.black {
+				for _, q := range run {
+					w.Heap.Mark(q)
+				}
+				for q := s.Cursor; q < s.Limit; q += slotBytes {
+					w.Heap.Mark(q)
+				}
+			}
+			if m.ten != nil && m.ten.budgeted() {
+				// Tag every carved slot with the owning tenant: the first
+				// is consumed now (charged above), the rest as the fast
+				// path hands them out. A flush untags whatever returns
+				// unconsumed; until then the slots are owned but uncharged
+				// (Tenant.OwnedBytes leaves them out).
+				w.Heap.TagOwnerRun(run, m.ten.id)
+				w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
+				tagged = true
+			}
+			if w.cfg.LineAlloc {
+				m.recordSpanRefillLocked(idx, n, words)
+			} else {
+				m.recordRefillLocked(idx, n, words)
+			}
+			return p, nil
 		}
 		desperate := func() (mem.Addr, error) {
 			carved = false
@@ -416,15 +410,15 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			c.cursor, c.limit = 0, 0
 			return w.Heap.AllocDesperate(nwords, atomic)
 		}
-		p, err = w.allocateLocked(nwords, m.src, dst != nil, try, desperate)
+		p, err = w.allocateLocked(nwords, m.residue, dst != nil, try, desperate)
 		if err == nil && carved {
-			// AllocRun defers stats to consumption; run[0] was just
-			// handed out.
+			// AllocBatch defers stats to consumption; its first slot was
+			// just handed out.
 			w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
 		}
 	} else {
 		// Large objects: the original per-object path, uncached.
-		p, err = w.allocateLocked(nwords, m.src, dst != nil,
+		p, err = w.allocateLocked(nwords, m.residue, dst != nil,
 			func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 			func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 	}
@@ -481,7 +475,7 @@ func (m *Mutator) allocateUncachedLocked(nwords int, try func() (mem.Addr, error
 	if err != nil {
 		return 0, err
 	}
-	p, err := m.w.allocateLocked(nwords, m.src, false, try, nil)
+	p, err := m.w.allocateLocked(nwords, m.residue, false, try, nil)
 	m.settleTenantLocked(p, err, tenCharge, false)
 	return p, err
 }
@@ -672,8 +666,9 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 		if m.ten != nil && m.ten.budgeted() {
 			m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
 		}
-		// Line profile: clear the span tail's alloc bits and requeue its
-		// block, so the very next carve re-issues the same cursor.
+		// A span's tail goes back so that the very next carve re-issues
+		// the same cursor: the line profile requeues its block, the
+		// free-list profile rewinds its fresh run or pushes it.
 		rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
 	}
 	c.cursor, c.limit = 0, 0

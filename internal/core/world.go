@@ -359,8 +359,12 @@ type World struct {
 	// recorded into the next cycle's CollectionStats.
 	lastStopNs int64
 
-	cfg             Config
-	mut             RootSource
+	cfg Config
+	mut RootSource
+	// mutResidue is mut's residue simulator, resolved when mut is
+	// attached: nil unless Config.AllocatorResidue is on and mut
+	// simulates the allocator's frames.
+	mutResidue      residueSimulator
 	collections     int
 	minorsSinceFull int
 	// cyc is the collection in progress (cycle.go): what a
@@ -859,7 +863,20 @@ func (w *World) Config() Config { return w.cfg }
 func (w *World) SetMutator(m RootSource) {
 	w.mu.Lock()
 	w.mut = m
+	w.mutResidue = w.residueOf(m)
 	w.mu.Unlock()
+}
+
+// residueOf resolves src's residue simulator once, when src is
+// attached, so that no allocation asserts its type: nil unless
+// Config.AllocatorResidue is on and src simulates the allocator's
+// frames.
+func (w *World) residueOf(src RootSource) residueSimulator {
+	if !w.cfg.AllocatorResidue {
+		return nil
+	}
+	rs, _ := src.(residueSimulator)
+	return rs
 }
 
 // RootSource returns the root source attached with SetMutator
@@ -874,7 +891,7 @@ func (w *World) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(nwords, w.mut, false,
+	return w.allocateLocked(nwords, w.mutResidue, false,
 		func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
 		func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 }
@@ -903,7 +920,7 @@ func (w *World) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(d.Words, w.mut, false,
+	return w.allocateLocked(d.Words, w.mutResidue, false,
 		func() (mem.Addr, error) { return w.Heap.AllocTyped(id) },
 		nil)
 }
@@ -919,7 +936,7 @@ func (w *World) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error)
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
-	return w.allocateLocked(nwords, w.mut, false,
+	return w.allocateLocked(nwords, w.mutResidue, false,
 		func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) },
 		nil)
 }
@@ -932,13 +949,13 @@ var errHeapExhausted = fmt.Errorf("allocating: %w", alloc.ErrHeapExhausted)
 
 // allocateLocked runs the collection/expansion retry policy around one
 // allocation primitive. Callers hold w.mu and have already invoked the
-// OnAllocate hook; src is the root source of the allocating mutator
-// (for allocator-residue simulation) — the attached RootSource for the
-// direct World entry points, the handle's source for Mutator ones.
+// OnAllocate hook; rs is the allocating mutator's residue simulator
+// (nil: none) — the attached RootSource's for the direct World entry
+// points, the handle's source's for Mutator ones.
 // rooted says the caller stores the object into a root segment before
 // it releases w.mu (Mutator.AllocateRooted): such an object is born
 // white, not black (DESIGN.md §5g).
-func (w *World) allocateLocked(nwords int, src RootSource, rooted bool, try, desperate func() (mem.Addr, error)) (mem.Addr, error) {
+func (w *World) allocateLocked(nwords int, rs residueSimulator, rooted bool, try, desperate func() (mem.Addr, error)) (mem.Addr, error) {
 	// collected records that a full collection ran inside this call: the
 	// exhaustion arm below runs one before giving up unless one has.
 	collected := false
@@ -1030,10 +1047,8 @@ func (w *World) allocateLocked(nwords int, src RootSource, rooted bool, try, des
 		// barrier like stores into any other black object.
 		w.Heap.Mark(p)
 	}
-	if w.cfg.AllocatorResidue {
-		if rs, ok := src.(residueSimulator); ok {
-			rs.SimulateCallResidue(w.cfg.AllocatorSelfClean, mem.Word(p), mem.Word(nwords))
-		}
+	if rs != nil {
+		rs.SimulateCallResidue(w.cfg.AllocatorSelfClean, mem.Word(p), mem.Word(nwords))
 	}
 	return p, nil
 }
