@@ -39,7 +39,9 @@ test: allocs
 # ZeroAlloc in its name — the direct and handle allocation paths with a
 # machine attached, the refill carve into a buffer with room
 # (TestAllocRunZeroAlloc) and a fresh-run span's return, pushed or
-# rewound (TestFreshSpanReturnZeroAlloc), frames and the residue step, untraced
+# rewound (TestFreshSpanReturnZeroAlloc), a budgeted tenant handle's
+# paid fast path, refill, trimmed carve and flush
+# (TestTenantAllocateZeroAlloc), frames and the residue step, untraced
 # collections, the trace and metrics fast paths — so an escape that
 # comes back fails here by name, before the full suite runs.
 allocs:
@@ -86,7 +88,8 @@ bench:
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without waiting for real measurements (among them
 # the rungs read without the perfbench harness: BenchmarkProgramTDirect,
-# BenchmarkMutatorAllocateChurn and BenchmarkMutatorStore/{one,two} in
+# BenchmarkMutatorAllocateChurn, its budgeted-tenant twin
+# BenchmarkTenantAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
 # BenchmarkAllocRun/{sameblock,hopping,fresh} in internal/alloc,
 # BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
@@ -139,8 +142,8 @@ soak:
 # Multi-tenant soak: wall-clock-bounded rounds of concurrent tenant
 # sessions (collect-first churn plus one eviction per round) with a
 # heap integrity audit and an exact attribution check for every tenant
-# after every round. Not part of `make ci`; the nightly workflow runs
-# it for five minutes.
+# after every round. Not part of `make ci`; the blocking CI job runs it
+# for twenty seconds and the nightly workflow for five minutes.
 TENANT_SOAK_SECONDS ?= 60
 tenantsoak:
 	$(GO) run ./cmd/gcbench -experiment tenantsoak -tenants 64 -soak-seconds $(TENANT_SOAK_SECONDS)

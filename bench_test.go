@@ -109,6 +109,21 @@ func BenchmarkProgramTDirect(b *testing.B) {
 // allocation triggers, which is what keeps the free lists the carve
 // reads swept rather than fresh.
 func BenchmarkMutatorAllocateChurn(b *testing.B) {
+	allocateChurn(b, func(w *World) *Mutator { return w.NewMutator() })
+}
+
+// BenchmarkTenantAllocateChurn is BenchmarkMutatorAllocateChurn's tape
+// on a budgeted collect-first tenant's handle, which pays for each
+// carve at its refill. The budget never binds, so the difference
+// between the two rungs is what the tenant's books cost an allocation.
+func BenchmarkTenantAllocateChurn(b *testing.B) {
+	allocateChurn(b, func(w *World) *Mutator {
+		return w.NewTenant(TenantConfig{BudgetBytes: 64 << 20, Policy: TenantCollectFirst}).NewMutator()
+	})
+}
+
+// allocateChurn runs the churn tape on the handle newHandle makes.
+func allocateChurn(b *testing.B, newHandle func(*World) *Mutator) {
 	const slots, rootsBase = 4096, Addr(0x2000)
 	w, err := NewWorld(Config{InitialHeapBytes: 1 << 20, MarkWorkers: 1})
 	if err != nil {
@@ -118,7 +133,7 @@ func BenchmarkMutatorAllocateChurn(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := w.NewMutator()
+	m := newHandle(w)
 	sizes := [4]int{2, 4, 8, 16}
 	var prev Addr
 	b.ReportAllocs()

@@ -54,3 +54,61 @@ func TestAllocateZeroAllocsWithMachine(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantAllocateZeroAlloc guards a budgeted tenant handle's books:
+// the fast path spending paid slots, a refill paying for its carve, a
+// carve the budget trims (the unpaid tail goes straight back) and the
+// flush an explicit Free runs (the unspent slot's charge goes back) take
+// nothing from Go's heap. The class's free list is longer than a carve
+// and the budget shorter, so every round's one refill is trimmed; the
+// round allocates one object fewer than the budget admits, leaving one
+// paid slot for its first Free to flush.
+func TestTenantAllocateZeroAlloc(t *testing.T) {
+	const objWords, k = 8, 10
+	w := newWorld(t, Config{GCDivisor: -1})
+	list := make([]mem.Addr, 2*runSlots)
+	for i := range list {
+		p, err := w.Allocate(objWords, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list[i] = p
+	}
+	for _, p := range list {
+		if err := w.Heap.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ten := w.NewTenant(TenantConfig{BudgetBytes: k * tenantChargeBytes(objWords), Policy: TenantFail})
+	m := ten.NewMutator()
+	objs := make([]mem.Addr, k-1)
+	round := func() {
+		for i := range objs {
+			p, err := m.Allocate(objWords, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs[i] = p
+		}
+		for _, p := range objs {
+			if err := m.Free(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // the first round sizes the cache and the owner table
+	before := m.Stats()
+	avg := testing.AllocsPerRun(50, round)
+	after := m.Stats()
+	if avg != 0 {
+		t.Fatalf("a round allocates %v times from Go's heap, want 0", avg)
+	}
+	rounds := after.Refills - before.Refills
+	if rounds == 0 || after.RunSlots-before.RunSlots != rounds*k || after.FlushedSlots-before.FlushedSlots != rounds {
+		t.Fatalf("%d refills kept %d slots and flushed %d; want each trimmed to %d, with one slot flushed",
+			rounds, after.RunSlots-before.RunSlots, after.FlushedSlots-before.FlushedSlots, k)
+	}
+	if st, owned := ten.Stats(), ten.OwnedBytes(); st.LiveBytes != 0 || owned != 0 {
+		t.Fatalf("after freeing everything: LiveBytes %d, owned %d, want 0", st.LiveBytes, owned)
+	}
+}

@@ -135,7 +135,7 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 		// between the mutators' allocations, stores and frees.
 		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 		// Sixteen budgeted tenants under the same: the race entry for the
-		// ownership table, the fast-path budget CAS, the barrier
+		// ownership table, the refills' carve charges, the barrier
 		// reconcile, and collect-first's forced collections racing the
 		// other tenants' assists. Budgets are generous enough that
 		// collect-first always finds headroom, so the battery's
@@ -337,8 +337,9 @@ func FuzzLineAlloc(f *testing.F) {
 // Budget denials, cancellations and evictions are expected outcomes;
 // the invariants are that no other error ever surfaces, the final
 // integrity audit passes, object counts are conserved through the
-// tenants' own counters, and settled budget accounting matches the
-// allocator's ownership table exactly (evicted tenants at zero).
+// tenants' own counters, and every tenant's budget accounting matches
+// the allocator's ownership table exactly after every op, not only once
+// settled (evicted tenants at zero).
 func FuzzTenantBudget(f *testing.F) {
 	f.Add(uint8(2), uint8(0), []byte{0x00, 0x41, 0x9a, 0xe3, 0x07, 0xff, 0x22, 0x6d})
 	f.Add(uint8(3), uint8(1), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})
@@ -350,7 +351,7 @@ func FuzzTenantBudget(f *testing.F) {
 		{GCDivisor: 4, LazySweep: true},
 		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true},
 		{GCDivisor: 4, LineAlloc: true},
-		{ConcurrentMark: true, GCDivisor: 4, ConcMarkWorkers: 2, ConcurrentSweep: true},
+		{ConcurrentMark: true, GCDivisor: 4, ConcurrentSweep: true},
 	}
 	f.Fuzz(func(t *testing.T, nt, mode uint8, prog []byte) {
 		nTen := 2 + int(nt)%3
@@ -372,7 +373,17 @@ func FuzzTenantBudget(f *testing.F) {
 		sizes := []int{1, 2, 4, 8, 16, 32, 64, 600}
 		counts := make([]uint64, nTen)
 		roots := make([][slots]mem.Addr, nTen)
+		// checkBooks compares every tenant's charge with its ownership
+		// records as they stand after op i-1, caches warm.
+		checkBooks := func(i int) {
+			for h, ten := range tens {
+				if st, owned := ten.Stats(), ten.OwnedBytes(); st.LiveBytes != owned {
+					t.Fatalf("after op %d: tenant %d: LiveBytes %d != owned bytes %d", i-1, h, st.LiveBytes, owned)
+				}
+			}
+		}
 		for i, b := range prog {
+			checkBooks(i)
 			g := i % nTen
 			ten, m := tens[g], muts[g]
 			base := mem.Addr(0x2000 + g*slotBytes)
@@ -421,6 +432,7 @@ func FuzzTenantBudget(f *testing.F) {
 				}
 			}
 		}
+		checkBooks(len(prog))
 		w.Collect()
 		w.FinishSweep()
 		w.Collect()

@@ -179,8 +179,8 @@ func TestHeldCacheResumesOnFastPath(t *testing.T) {
 // handles' caches, and a collection keeps every cache — no flush, no
 // eviction. Each tenant's charge (Stats().LiveBytes) must still equal
 // its ownership records (OwnedBytes): the held slots were tagged for
-// the tenant when carved but are charged only when handed out, so
-// OwnedBytes leaves them out.
+// the tenant and charged to it together, when carved, and the
+// collection must neither credit nor untag them.
 func TestTenantBooksWithHeldCaches(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"line-lazy": {LineAlloc: true, LazySweep: true, GCDivisor: -1},

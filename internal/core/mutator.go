@@ -63,9 +63,11 @@ import (
 //   - A cache is flushed back to the free lists only where an empty
 //     cache is needed: an explicit Free (the freed slot must land on
 //     top of the list per-object allocation would have left), tenant
-//     eviction, and the measurement passes (MarkOnly, the retention
-//     report, the heap snapshot), which must not see carved slots as
-//     objects. A slow path also returns the one class it refills.
+//     eviction, an over-budget tenant charge (the caches' slots are
+//     paid for, tenant.go), and the measurement passes (MarkOnly, the
+//     retention report, the heap snapshot), which must not see carved
+//     slots as objects. A slow path also returns the one class it
+//     refills.
 //
 // Single-mutator equivalence. With one handle, every address up to the
 // first collection is bit-for-bit what the direct World entry points
@@ -103,6 +105,9 @@ const runSlots = 32
 // markHeldLocked; cleared by every other carve. While a cycle marks,
 // only a black cache serves a plain Allocate, whose caller's Go local
 // is no root; a rooted allocation may take any slot (DESIGN.md §5g).
+// A budgeted tenant's handle has paid for every slot its caches hold:
+// the refill charges what it keeps of its carve, and returning a cache
+// uncharges what goes back.
 type allocCache struct {
 	run           []mem.Addr
 	next          int
@@ -271,14 +276,13 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 		// trigger would fire: the collection must happen now, not when
 		// the cache next empties. A plain allocation while a cycle marks
 		// also diverts from a white cache, to be re-carved black. A
-		// tenant handle also charges its budget here with one CAS — a
-		// failed charge (or a cancelled tenant) diverts to the slow path,
-		// which resolves the over-budget policy under the central lock.
+		// budgeted tenant's cached slots were paid for at their carve,
+		// so a tenant handle only checks its cancellation token here: a
+		// cancelled tenant diverts to the slow path, which reports it.
 		fromSpan := c.cursor < c.limit
-		bytes := uint64(words) * mem.WordBytes
 		if (fromSpan || c.next < len(c.run)) && !(m.hasTrigger && m.sinceGC > m.trigger) &&
 			(dst != nil || c.black || !m.w.cyc.active) &&
-			(m.ten == nil || m.ten.fastCharge(bytes)) {
+			(m.ten == nil || !m.ten.cancelled.Load()) {
 			p := c.cursor // line profile: bump the cached span's cursor
 			if !fromSpan {
 				p = c.run[c.next]
@@ -289,9 +293,6 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 			// heap structures (see the fast-path rules above).
 			if dst != nil {
 				if err := dst.Store(at, mem.Word(p)); err != nil {
-					if m.ten != nil && m.ten.budgeted() {
-						m.ten.uncharge(bytes)
-					}
 					m.mu.Unlock()
 					return 0, err
 				}
@@ -301,6 +302,7 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 			} else {
 				c.next++
 			}
+			bytes := uint64(words) * mem.WordBytes
 			m.sinceGC += bytes
 			m.unpubObjects++
 			m.unpubBytes += bytes
@@ -365,6 +367,25 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			n := int((s.Limit - s.Cursor) / slotBytes)
 			if len(run) > 0 {
 				p, n = run[0], len(run)
+			}
+			if m.ten != nil && m.ten.budgeted() {
+				// A budgeted tenant pays for its carve now: the first slot
+				// was charged above, the rest as far as the budget has room.
+				// What it cannot pay for goes straight back, untagged and
+				// unmarked.
+				if paid := 1 + m.ten.chargeUpTo(n-1, uint64(slotBytes)); paid < n {
+					if len(run) > 0 {
+						w.Heap.ReturnRun(words, atomic, run[paid:])
+						run = run[:paid]
+					} else {
+						cut := s.Cursor + mem.Addr(paid)*slotBytes
+						w.Heap.ReturnSpan(cut, s.Limit)
+						s.Limit = cut
+					}
+					n = paid
+				}
+			}
+			if len(run) > 0 {
 				c.run, c.next = run, 1
 			} else {
 				c.cursor, c.limit = s.Cursor+slotBytes, s.Limit
@@ -386,11 +407,11 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				}
 			}
 			if m.ten != nil && m.ten.budgeted() {
-				// Tag every carved slot with the owning tenant: the first
-				// is consumed now (charged above), the rest as the fast
-				// path hands them out. A flush untags whatever returns
-				// unconsumed; until then the slots are owned but uncharged
-				// (Tenant.OwnedBytes leaves them out).
+				// Tag every carved slot with the owning tenant, as it was
+				// charged: the first is consumed now, the rest as the fast
+				// path hands them out. A flush untags and uncharges
+				// whatever returns unconsumed; until then the slots are
+				// owned and paid (Tenant.OwnedBytes counts them).
 				w.Heap.TagOwnerRun(run, m.ten.id)
 				w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
 				tagged = true
@@ -482,9 +503,10 @@ func (m *Mutator) allocateUncachedLocked(nwords int, try func() (mem.Addr, error
 
 // chargeTenantLocked charges a tenant handle's budget for one slow-path
 // allocation of nwords words before the heap is touched, returning the
-// bytes charged. An over-budget charge runs the tenant's policy
-// (tenant.go), which may collect, evict, or deny right here. Callers
-// hold w.mu and settle the charge with settleTenantLocked.
+// bytes charged. An over-budget charge flushes the tenant's caches and
+// then runs the tenant's policy (tenant.go), which may collect, evict,
+// or deny right here. Callers hold w.mu and settle the charge with
+// settleTenantLocked.
 func (m *Mutator) chargeTenantLocked(nwords int) (uint64, error) {
 	if m.ten == nil {
 		return 0, nil
@@ -647,15 +669,17 @@ func (m *Mutator) resyncLocked() {
 
 // returnCacheLocked flushes one class's cached remainder back to its
 // central free list and empties the cache, returning how many slots
-// went back. Callers hold w.mu.
+// went back, and uncharges them from a budgeted tenant. Callers hold
+// w.mu.
 func (m *Mutator) returnCacheLocked(idx int) int {
 	c := &m.caches[idx]
+	budgeted := m.ten != nil && m.ten.budgeted()
 	rest := len(c.run) - c.next
 	if rest > 0 {
-		if m.ten != nil && m.ten.budgeted() {
-			// Unconsumed slots were tagged at carve but never charged;
-			// drop the tags without credit before the slots rejoin the
-			// free lists.
+		if budgeted {
+			// Unconsumed slots were tagged and charged at carve; drop
+			// the tags (the charge goes back below) before the slots
+			// rejoin the free lists.
 			m.w.Heap.UntagOwnerRun(c.run[c.next:])
 		}
 		m.w.Heap.ReturnRun(c.words, idx >= alloc.NumClasses, c.run[c.next:])
@@ -663,7 +687,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 	c.run = c.run[:0]
 	c.next = 0
 	if c.cursor < c.limit {
-		if m.ten != nil && m.ten.budgeted() {
+		if budgeted {
 			m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
 		}
 		// A span's tail goes back so that the very next carve re-issues
@@ -672,6 +696,9 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 		rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
 	}
 	c.cursor, c.limit = 0, 0
+	if budgeted && rest > 0 {
+		m.ten.uncharge(uint64(rest * c.words * mem.WordBytes))
+	}
 	m.warm &^= 1 << uint(idx)
 	return rest
 }

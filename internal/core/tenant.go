@@ -22,17 +22,25 @@ import (
 // boundary, and the contract is proven by the tenant test battery, not
 // by convention.
 //
-// Charging points. The cached fast path charges with one CAS before
-// consuming a slot (a failed charge diverts to the slow path) and
-// counts the allocation in the handle, which publishes its count to the
-// tenant with its heap statistics (Tenant.Stats has the contract); the
-// slow path charges under the central lock before allocating, after
-// first crediting any owned objects that already died (the allocator's
-// ownership table, alloc/owners.go, maps each consumed object back to
-// its tenant). Unbudgeted tenants (BudgetBytes == 0) skip both the
-// charge and the ownership tagging entirely, so the plumbing provably
-// costs nothing when unused — the differential test pins an unbudgeted
-// tenant bit-identical to a bare Mutator.
+// Charging points. A budgeted handle pays for slots when it carves
+// them, not when it hands them out. The slow path charges its first
+// slot under the central lock before allocating, after first crediting
+// any owned objects that already died (the allocator's ownership table,
+// alloc/owners.go, maps each consumed object back to its tenant); the
+// rest of the carve is charged in one step, as many slots as the budget
+// has room for, and the slots beyond that go straight back to the free
+// lists. Every slot a budgeted cache holds is therefore paid, and the
+// cached fast path spends it with no atomic, counting the allocation in
+// the handle, which publishes its count to the tenant with its heap
+// statistics (Tenant.Stats has the contract). A cache returned unspent
+// (a flush, a trigger diversion) gives its charge back. An over-budget
+// charge flushes the tenant's caches before anything else, so the
+// budget then counts only what was handed out: a budget of exactly K
+// charges admits exactly K allocations, however warm the caches.
+// Unbudgeted tenants (BudgetBytes == 0) skip both the charge and the
+// ownership tagging entirely, so the plumbing provably costs nothing
+// when unused — the differential test pins an unbudgeted tenant
+// bit-identical to a bare Mutator.
 //
 // Cancellation. Cancel sets a token checked at every allocation point
 // — the safepoints of this design — so a cancelled tenant's next
@@ -118,7 +126,9 @@ type TenantConfig struct {
 type TenantStats struct {
 	// LiveBytes is the bytes currently charged against the budget:
 	// allocated by the tenant and not yet credited back by a sweep,
-	// an explicit free, or eviction. Always 0 for unbudgeted tenants.
+	// an explicit free, or eviction, plus the slots its handles' caches
+	// hold, paid at their carve and not yet handed out. It equals
+	// Tenant.OwnedBytes at every point. Always 0 for unbudgeted tenants.
 	LiveBytes uint64
 	// AllocatedObjects/AllocatedBytes count every successful
 	// allocation (cumulative; bytes are the padded charge sizes), as
@@ -156,9 +166,9 @@ type Tenant struct {
 	cancelled    atomic.Bool
 	evicted      atomic.Bool
 
-	// muts holds the tenant's handles, guarded by w.mu (eviction
-	// flushes them, OwnedBytes reads their caches; the safepoint
-	// protocol already covers stopping).
+	// muts holds the tenant's handles, guarded by w.mu (eviction and
+	// an over-budget charge flush them; the safepoint protocol already
+	// covers stopping).
 	muts []*Mutator
 }
 
@@ -224,8 +234,9 @@ func (t *Tenant) Evicted() bool { return t.evicted.Load() }
 // safepoint (any collection, heap growth, VerifyIntegrity), and in
 // between they lag by at most the fast-path allocations each handle
 // made since — the contract the heap's own ObjectsAllocated has.
-// LiveBytes, the budget's charge, is not deferred: every allocation
-// charges it before returning.
+// LiveBytes, the budget's charge, is not deferred but runs ahead: it
+// includes the paid slots the handles' caches hold, charged when they
+// were carved.
 func (t *Tenant) Stats() TenantStats {
 	return TenantStats{
 		LiveBytes:         t.live.Load(),
@@ -241,60 +252,46 @@ func (t *Tenant) Stats() TenantStats {
 }
 
 // OwnedBytes returns the bytes of objects the allocator's ownership
-// table still attributes to the tenant. After a full collection,
-// FinishSweep and barrier reconcile this equals Stats().LiveBytes
-// exactly — the zero-attribution-drift invariant the SLO test gates.
-// The tenant's handles' caches are left out: their slots are tagged
-// when carved but charged only when handed out, and a collection keeps
-// them in the caches.
+// table still attributes to the tenant, the slots its handles' caches
+// hold included: they are tagged and charged together at the carve.
+// It equals Stats().LiveBytes at every point — the zero-attribution-
+// drift invariant the SLO test gates.
 func (t *Tenant) OwnedBytes() uint64 {
 	w := t.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b := w.Heap.OwnedBytes(t.id)
-	if t.budgeted() {
-		for _, m := range t.muts {
-			m.mu.Lock()
-			m.eachHeld(func(c *allocCache) { b -= uint64(c.held() * c.words * mem.WordBytes) })
-			m.mu.Unlock()
-		}
-	}
-	return b
+	return w.Heap.OwnedBytes(t.id)
 }
 
 func (t *Tenant) budgeted() bool { return t.cfg.BudgetBytes > 0 }
 
-// fastCharge is the lock-free charge the cached allocation fast path
-// performs before consuming a slot: false diverts to the slow path,
-// which resolves cancellation or the over-budget policy under the
-// central lock. Unbudgeted tenants pay one cancellation load.
-func (t *Tenant) fastCharge(bytes uint64) bool {
-	if t.cancelled.Load() {
-		return false
-	}
-	if t.cfg.BudgetBytes == 0 {
-		return true
-	}
-	return t.tryCharge(bytes)
-}
-
 // tryCharge charges bytes against the budget iff they fit: the pass
 // condition is live+bytes <= budget, so enforcement is exact at the
 // boundary (a budget of exactly N object charges admits exactly N).
-func (t *Tenant) tryCharge(bytes uint64) bool {
+func (t *Tenant) tryCharge(bytes uint64) bool { return t.chargeUpTo(1, bytes) == 1 }
+
+// chargeUpTo charges as many whole charges of bytes, up to n, as the
+// budget has room for, and returns how many it charged: a refill pays
+// for the rest of its carve in one step.
+func (t *Tenant) chargeUpTo(n int, bytes uint64) int {
+	if bytes == 0 {
+		return n // invalid size: the allocator rejects it downstream
+	}
 	for {
 		cur := t.live.Load()
-		next := cur + bytes
-		if next < cur || next > t.cfg.BudgetBytes {
-			return false
+		var room uint64
+		if cur < t.cfg.BudgetBytes {
+			room = (t.cfg.BudgetBytes - cur) / bytes
 		}
-		if t.live.CompareAndSwap(cur, next) {
-			return true
+		k := min(uint64(n), room)
+		if k == 0 || t.live.CompareAndSwap(cur, cur+k*bytes) {
+			return int(k)
 		}
 	}
 }
 
-// uncharge returns bytes charged for an allocation that then failed.
+// uncharge returns bytes charged for an allocation that then failed,
+// or for cached slots given back unspent.
 func (t *Tenant) uncharge(bytes uint64) {
 	t.live.Add(^(bytes - 1))
 }
@@ -342,8 +339,9 @@ func tenantChargeBytes(nwords int) uint64 {
 
 // tenantChargeLocked is the slow path's charge: cancellation check,
 // then the charge, then — over budget — the remedies in order of
-// cost: credit already-dead owned objects; for collect-first, a full
-// collection plus deferred sweep; for evict, wholesale eviction.
+// cost: give back the paid slots the tenant's caches hold; credit
+// already-dead owned objects; for collect-first, a full collection
+// plus deferred sweep; for evict, wholesale eviction.
 // Callers hold w.mu (never any m.mu). A nil return means bytes were
 // charged (or the tenant is unbudgeted) and the caller may allocate;
 // it must uncharge if the allocation then fails.
@@ -357,6 +355,12 @@ func (w *World) tenantChargeLocked(t *Tenant, bytes uint64) error {
 	if !t.budgeted() {
 		return nil
 	}
+	if t.tryCharge(bytes) {
+		return nil
+	}
+	// The caches' paid slots were never handed out: flush them, so the
+	// verdict counts only what was.
+	w.flushTenantLocked(t)
 	if t.tryCharge(bytes) {
 		return nil
 	}
@@ -409,12 +413,7 @@ func (w *World) evictTenantLocked(t *Tenant) {
 	t.cancelled.Store(true)
 	t.evicted.Store(true)
 	w.landCycleLocked()
-	for _, tm := range t.muts {
-		tm.mu.Lock()
-		tm.flushLocked()
-		tm.resyncLocked()
-		tm.mu.Unlock()
-	}
+	w.flushTenantLocked(t)
 	var objects, bytes uint64
 	// Land deferred sweeps first: a pending block's bits still encode
 	// the previous cycle's liveness, and crediting dead objects now
@@ -439,5 +438,17 @@ func (w *World) evictTenantLocked(t *Tenant) {
 	w.met.tenantEvictions.Inc()
 	if w.tracer.Enabled() {
 		w.tracer.Emit(trace.EvTenantEvict, int64(t.id), int64(objects), int64(bytes))
+	}
+}
+
+// flushTenantLocked returns every slot the tenant's handles' caches
+// hold to the free lists, with its charge. Callers hold w.mu and no
+// m.mu (w.mu → m.mu is the lock order).
+func (w *World) flushTenantLocked(t *Tenant) {
+	for _, tm := range t.muts {
+		tm.mu.Lock()
+		tm.flushLocked()
+		tm.resyncLocked()
+		tm.mu.Unlock()
 	}
 }

@@ -18,16 +18,15 @@ import (
 // tenantBatteryConfigs is the config matrix the battery pins: the
 // plain collector, generational and lazy combinations, the line-heap
 // profile, and concurrent marking alone, with the lazy sweep
-// ("par-lazy") and with ConcurrentSweep, which is the lazy sweep too
-// ("conc-workers"; both named for the detached workers they once ran
-// on).
+// ("conc-lazy") and with ConcurrentSweep, which selects the lazy sweep
+// too ("conc-sweep").
 var tenantBatteryConfigs = map[string]Config{
-	"full":         {GCDivisor: 6},
-	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-	"par-lazy":     {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
-	"line":         {GCDivisor: 6, LineAlloc: true},
-	"conc":         {ConcurrentMark: true, GCDivisor: 6},
-	"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
+	"full":       {GCDivisor: 6},
+	"gen-lazy":   {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
+	"conc-lazy":  {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
+	"line":       {GCDivisor: 6, LineAlloc: true},
+	"conc":       {ConcurrentMark: true, GCDivisor: 6},
+	"conc-sweep": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
 }
 
 // settleHeap drives the world to a fully-reconciled state: a fresh
@@ -98,6 +97,68 @@ func TestTenantFailBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestTenantBudgetExactWithWarmCaches pins exactness against the
+// caches' paid slots: a handle pays for a whole carve when it refills,
+// so a cache warmed by one small allocation holds charge for slots it
+// never handed out. The budget fits one small object and exactly k big
+// ones, and the over-budget charge must give the warm cache's charge
+// back before it denies — whether the warm cache is on the allocating
+// handle or on a sibling handle of the same tenant.
+func TestTenantBudgetExactWithWarmCaches(t *testing.T) {
+	const smallWords, bigWords = 2, 8
+	const k = 39
+	small, big := tenantChargeBytes(smallWords), tenantChargeBytes(bigWords)
+	budget := small + k*big
+	for name, cfg := range tenantBatteryConfigs {
+		cfg := cfg
+		for _, sibling := range []bool{false, true} {
+			sub := name + "/same-handle"
+			if sibling {
+				sub = name + "/sibling-handle"
+			}
+			t.Run(sub, func(t *testing.T) {
+				w := newWorld(t, cfg)
+				data := addData(t, w, "roots", 0x2000, (k+2)*4)
+				ten := w.NewTenant(TenantConfig{Name: "warm", BudgetBytes: budget, Policy: TenantFail})
+				warm := ten.NewMutator()
+				m := warm
+				if sibling {
+					m = ten.NewMutator()
+				}
+				if _, err := warm.AllocateRooted(data, 0x2000, smallWords, false); err != nil {
+					t.Fatal(err)
+				}
+				if warm.Stats().RunSlots <= 1 {
+					t.Fatal("the small allocation left no warm cache")
+				}
+				admitted := 0
+				for ; admitted <= k; admitted++ {
+					_, err := m.AllocateRooted(data, 0x2000+mem.Addr(4*(1+admitted)), bigWords, false)
+					if errors.Is(err, ErrBudgetExceeded) {
+						break
+					}
+					if err != nil {
+						t.Fatalf("big allocation %d: %v", admitted, err)
+					}
+					if st, owned := ten.Stats(), ten.OwnedBytes(); st.LiveBytes != owned {
+						t.Fatalf("after big allocation %d: LiveBytes %d != owned bytes %d", admitted, st.LiveBytes, owned)
+					}
+				}
+				if admitted != k {
+					t.Fatalf("admitted %d big objects, want exactly (budget − small)/big = %d", admitted, k)
+				}
+				if st := ten.Stats(); st.LiveBytes != budget || st.BudgetDenials != 1 {
+					t.Fatalf("after denial: LiveBytes %d, denials %d; want %d (only handed-out objects), 1",
+						st.LiveBytes, st.BudgetDenials, budget)
+				}
+				if err := w.VerifyIntegrity(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
