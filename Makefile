@@ -91,7 +91,8 @@ bench:
 # BenchmarkMutatorAllocateChurn, its budgeted-tenant twin
 # BenchmarkTenantAllocateChurn and BenchmarkMutatorStore/{one,two} in
 # the root package,
-# BenchmarkAllocRun/{sameblock,hopping,fresh} in internal/alloc,
+# BenchmarkAllocRun/{sameblock,hopping,fresh} and the line heap's
+# refill, BenchmarkLineRefill, in internal/alloc,
 # BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -182,6 +183,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentMark$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzMarkCandidate$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzOwnerTable$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run XXX -fuzz '^FuzzZeroDeadRuns$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentAlloc$$' -fuzztime $(FUZZTIME) ./internal/core

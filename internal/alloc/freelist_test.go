@@ -785,6 +785,53 @@ func BenchmarkAllocRun(b *testing.B) {
 	}
 }
 
+// BenchmarkLineRefill is the line heap's refill rung, what a budgeted
+// tenant handle's refill holds the world lock for: carve a span from a
+// lazily swept mixed line block, tag it, consume half and give back the
+// untagged tail, reported per carved slot. The block holds 8-word
+// slots, 8 to a line, with one live object in each of lines 0, 4, 8
+// and 12; every round's collection kills the consumed half, so the
+// next carve's demand sweep zeroes a run of dead slots, and its tag
+// displaces their stale records, before it re-carves lines 1–3.
+func BenchmarkLineRefill(b *testing.B) {
+	a, err := New(mem.NewAddressSpace(), Config{HeapBase: testHeapBase, InitialBytes: 4 * mem.PageBytes,
+		ReserveBytes: 4 * mem.PageBytes, LineAlloc: true, LazySweep: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := a.AllocSpan(8, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step := mem.Addr(8 * mem.WordBytes)
+	var live []mem.Addr
+	for l := 0; l < LinesPerBlock; l += 4 {
+		live = append(live, s.Cursor+mem.Addr(l*LineWords*mem.WordBytes))
+	}
+	collect := func() {
+		for _, p := range live {
+			a.Mark(p)
+		}
+		a.Sweep()
+	}
+	collect()
+	const carved = 3 * LineWords / 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp, err := a.AllocSpan(8, false)
+		if err != nil || sp.slots(8) != carved {
+			b.Fatalf("carved %d slots: %v", sp.slots(8), err)
+		}
+		a.TagOwnerSpan(sp.Cursor, sp.Limit, 1)
+		tail := sp.Cursor + carved/2*step
+		a.UntagOwnerSpan(tail, sp.Limit)
+		a.ReturnSpan(tail, sp.Limit)
+		collect()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*carved), "ns/slot")
+}
+
 // TestCheckIntegrityFreshRun pins the audit's view of a fresh run: its
 // slots count as free (a heap with a half-carved fresh block passes),
 // and a run slot that is written, allocated or also on a list fails.

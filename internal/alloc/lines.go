@@ -200,9 +200,7 @@ func (a *Allocator) carveRun(bi, idx, words int) (Span, bool) {
 		if sHi <= sLo {
 			continue
 		}
-		for s := sLo; s < sHi; s++ {
-			bitSet(b.allocBits, s)
-		}
+		bitRange(b.allocBits, sLo, sHi, true)
 		b.liveSlots += int16(sHi - sLo)
 		b.lineLive |= slotLines(sLo, sHi, words)
 		a.requeueLineBlock(bi, b)
@@ -376,16 +374,11 @@ func (a *Allocator) ReturnSpan(cursor, limit mem.Addr) int {
 	words := int(b.objWords)
 	n := slotOfWord(int(limit-cursor)/mem.WordBytes, words)
 	s0 := slotOfWord(pageWordOff(cursor), words)
-	for i := 0; i < n; i++ {
-		bitClear(b.allocBits, s0+i)
-		// Drop any mark bit too (born-grey carves and conservative
-		// mid-cycle hits both set them): a returned slot must not count
-		// toward markedCount, which sweeps treat as the live survey.
-		if bitGet(b.markBits, s0+i) {
-			bitClear(b.markBits, s0+i)
-			b.markedCount--
-		}
-	}
+	bitRange(b.allocBits, s0, s0+n, false)
+	// Drop any mark bits too (born-grey carves and conservative mid-cycle
+	// hits both set them): a returned slot must not count toward
+	// markedCount, which sweeps treat as the live survey.
+	b.markedCount -= int32(bitRange(b.markBits, s0, s0+n, false))
 	b.liveSlots -= int16(n)
 	b.lineLive = a.lineLiveOf(bi)
 	a.requeueLineBlock(bi, b)
@@ -515,12 +508,7 @@ func (a *Allocator) lineSweepSmall(bi int, clearMarks bool) {
 			mm := b.markBits[wi] & am
 			if dead := am &^ mm; dead != 0 {
 				b.allocBits[wi] &^= dead
-				for m := dead; m != 0; m &= m - 1 {
-					slot := slot0 + bits.TrailingZeros64(m)
-					for w := 0; w < words; w++ {
-						hw[slot*words+w] = 0
-					}
-				}
+				zeroDeadRuns(hw, dead, slot0, words)
 			}
 		}
 		if clearMarks {

@@ -54,29 +54,44 @@ func TestLineAllocBasicSpan(t *testing.T) {
 	}
 }
 
+// TestLineAllocReturnSpanExact consumes two slots of a span, returns
+// the tail and re-carves: the next span must resume at exactly the
+// returned cursor. When the span was marked as a held cache is
+// (MarkHeldSpan, over all but its last slot), the return must take
+// exactly the returned slots' marks off the block's mark summary.
 func TestLineAllocReturnSpanExact(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
-	s, err := a.AllocSpan(64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consume two slots, return the tail, and re-carve: the next span
-	// must resume at exactly the returned cursor.
-	step := mem.Addr(64 * mem.WordBytes)
-	cursor := s.Cursor + 2*step
-	if n := a.ReturnSpan(cursor, s.Limit); n != s.slots(64)-2 {
-		t.Fatalf("ReturnSpan returned %d slots", n)
-	}
-	s2, err := a.AllocSpan(64, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Cursor != cursor || s2.Limit != s.Limit {
-		t.Fatalf("re-carve = [%#x,%#x), want [%#x,%#x)",
-			uint32(s2.Cursor), uint32(s2.Limit), uint32(cursor), uint32(s.Limit))
-	}
-	if err := a.CheckIntegrity(nil); err != nil {
-		t.Fatal(err)
+	for _, marked := range []bool{false, true} {
+		_, a := newTestAllocator(t, lineCfg())
+		s, err := a.AllocSpan(64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := mem.Addr(64 * mem.WordBytes)
+		cursor := s.Cursor + 2*step
+		b := &a.blocks[a.blockIndex(s.Cursor)]
+		wantMarked := int32(0)
+		if marked {
+			a.MarkHeldSpan(s.Cursor, s.Limit-step, true)
+			wantMarked = 2 // the consumed slots keep theirs
+		}
+		if n := a.ReturnSpan(cursor, s.Limit); n != s.slots(64)-2 {
+			t.Fatalf("marked=%v: ReturnSpan returned %d slots", marked, n)
+		}
+		if b.markedCount != wantMarked || int(b.markedCount) != popcount(b.markBits) {
+			t.Fatalf("marked=%v: markedCount %d (%d bits set) after the return, want %d",
+				marked, b.markedCount, popcount(b.markBits), wantMarked)
+		}
+		s2, err := a.AllocSpan(64, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.Cursor != cursor || s2.Limit != s.Limit {
+			t.Fatalf("marked=%v: re-carve = [%#x,%#x), want [%#x,%#x)", marked,
+				uint32(s2.Cursor), uint32(s2.Limit), uint32(cursor), uint32(s.Limit))
+		}
+		if err := a.CheckIntegrity(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -162,17 +162,26 @@ func (a *Allocator) TagOwnerRun(run []mem.Addr, id int32) {
 }
 
 // TagOwnerSpan tags every slot of an AllocSpan carve [cursor, limit),
-// which lies in one block.
+// which lies in one block: one pass over the span's records, crediting
+// each stale one as tagSlot does and counting the fresh ones once.
 func (a *Allocator) TagOwnerSpan(cursor, limit mem.Addr, id int32) {
 	if cursor >= limit {
 		return
 	}
 	ob := a.ownerBlockFor(a.blockIndex(cursor))
 	s0 := ob.slotOf(cursor)
-	n := slotOfWord(int(limit-cursor)/mem.WordBytes, int(ob.words))
-	for s := s0; s < s0+n; s++ {
-		a.tagSlot(ob, s, id)
+	ids := ob.ids[s0 : s0+slotOfWord(int(limit-cursor)/mem.WordBytes, int(ob.words))]
+	fresh := 0
+	for i, old := range ids {
+		if old != 0 {
+			a.creditOwner(old, 1, ob.objBytes()) // displaced, as in tagSlot
+		} else {
+			fresh++
+		}
+		ids[i] = id
 	}
+	ob.n += int32(fresh)
+	a.ownerRecords += fresh
 }
 
 // ownerCell finds the record cell of the object at base: the block's

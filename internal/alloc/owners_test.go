@@ -337,9 +337,19 @@ func (h *ownerHarness) compare() {
 	if h.a.HasOwners() != (len(h.ref.owned) > 0) {
 		h.t.Fatalf("HasOwners = %v with %d map records", h.a.HasOwners(), len(h.ref.owned))
 	}
+	if total := auditOwnerCounts(h.t, h.a); total != len(h.ref.owned) {
+		h.t.Fatalf("%d records in the table, map holds %d", total, len(h.ref.owned))
+	}
+}
+
+// auditOwnerCounts checks the table's own bookkeeping — each block's
+// record count, arrays dropped at zero, the table-wide total — and
+// returns the total.
+func auditOwnerCounts(t testing.TB, a *Allocator) int {
+	t.Helper()
 	total := 0
-	for bi := range h.a.owners {
-		ob := &h.a.owners[bi]
+	for bi := range a.owners {
+		ob := &a.owners[bi]
 		n := 0
 		for _, id := range ob.ids {
 			if id != 0 {
@@ -347,13 +357,14 @@ func (h *ownerHarness) compare() {
 			}
 		}
 		if n != int(ob.n) || (ob.n == 0) != (ob.ids == nil) {
-			h.t.Fatalf("block %d: %d records counted, n = %d, ids nil = %v", bi, n, ob.n, ob.ids == nil)
+			t.Fatalf("block %d: %d records counted, n = %d, ids nil = %v", bi, n, ob.n, ob.ids == nil)
 		}
 		total += n
 	}
-	if total != h.a.ownerRecords || total != len(h.ref.owned) {
-		h.t.Fatalf("%d records in the table, ownerRecords = %d, map holds %d", total, h.a.ownerRecords, len(h.ref.owned))
+	if total != a.ownerRecords {
+		t.Fatalf("%d records in the table, ownerRecords = %d", total, a.ownerRecords)
 	}
+	return total
 }
 
 // run plays a byte tape: two bytes per step, an operation and its
@@ -615,6 +626,56 @@ func TestOwnerTableEdges(t *testing.T) {
 		}
 		if a.HasOwners() || a.owners[a.blockIndex(big)].ids != nil {
 			t.Fatal("the taken record left something behind")
+		}
+	})
+
+	t.Run("span displacement", func(t *testing.T) {
+		// A line block of 8-word slots, 8 slots to a line: tenant 1 tags
+		// slots [0, 32), tenant 2 the rest. Lines 0 and 8 survive the
+		// sweep; nothing reconciles before the next carve, which takes
+		// lines 1–7, slots [8, 64), over the dead objects' stale records.
+		a, credit := ownerEdgeHeap(t, Config{LineAlloc: true})
+		s, err := a.AllocSpan(8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := mem.Addr(chargeBytes(8))
+		if n := s.slots(8); n != 128 {
+			t.Fatalf("fresh span holds %d slots", n)
+		}
+		a.TagOwnerSpan(s.Cursor, s.Cursor+32*step, 1)
+		a.TagOwnerSpan(s.Cursor+32*step, s.Limit, 2)
+		for slot := 0; slot < 128; slot++ {
+			if slot < 8 || slot >= 64 && slot < 72 {
+				a.Mark(s.Cursor + mem.Addr(slot)*step)
+			}
+		}
+		a.Sweep()
+		s2, err := a.AllocSpan(8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.Cursor != s.Cursor+8*step || s2.Limit != s.Cursor+64*step {
+			t.Fatalf("re-carve = [%#x,%#x), want slots [8, 64)", uint32(s2.Cursor), uint32(s2.Limit))
+		}
+		a.TagOwnerSpan(s2.Cursor, s2.Limit, 3)
+		if credit[1] != (ownerTally{24, 24 * chargeBytes(8)}) || credit[2] != (ownerTally{32, 32 * chargeBytes(8)}) {
+			t.Fatalf("displacement credited %+v and %+v, want 24 and 32 objects", credit[1], credit[2])
+		}
+		// Live lines 0 and 8, the new span, and the 56 stale records of
+		// lines 9–15 no carve has reached.
+		if total := auditOwnerCounts(t, a); total != 128 {
+			t.Fatalf("%d records after the displacing tag, want 128", total)
+		}
+		if got := a.OwnedBytes(3); got != 56*chargeBytes(8) {
+			t.Fatalf("the new owner holds %d bytes, want 56 slots", got)
+		}
+		a.ReconcileOwners()
+		if credit[2] != (ownerTally{88, 88 * chargeBytes(8)}) {
+			t.Fatalf("reconcile left tenant 2 credited %+v, want 88 objects", credit[2])
+		}
+		if total := auditOwnerCounts(t, a); total != 72 {
+			t.Fatalf("%d records after the reconcile, want 72", total)
 		}
 	})
 

@@ -82,15 +82,10 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 		am := b.allocBits[wi] & valid
 		mm := b.markBits[wi] & am
 		if dead := am &^ mm; dead != 0 {
+			// Zero the freed bodies so the next owner gets clean memory;
+			// the threading below rewrites each first word with a link.
 			b.allocBits[wi] &^= dead
-			for m := dead; m != 0; m &= m - 1 {
-				slot := slot0 + bits.TrailingZeros64(m)
-				// Zero the freed body so the next owner gets clean
-				// memory; the first word is overwritten by the link.
-				for w := 1; w < words; w++ {
-					hw[slot*words+w] = 0
-				}
-			}
+			zeroDeadRuns(hw, dead, slot0, words)
 		}
 		if clearMarks {
 			b.markBits[wi] = 0
@@ -454,4 +449,16 @@ func popcount(bitmap []uint64) int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// zeroDeadRuns zeroes the bodies of the slots set in dead, the bitmap
+// word whose bit i is slot slot0+i of a block of words-word slots, with
+// one clear per maximal run of dead slots.
+func zeroDeadRuns(hw []mem.Word, dead uint64, slot0, words int) {
+	for dead != 0 {
+		lo := bits.TrailingZeros64(dead)
+		hi := lo + bits.TrailingZeros64(^(dead >> uint(lo)))
+		clear(hw[(slot0+lo)*words : (slot0+hi)*words])
+		dead = dead >> uint(hi) << uint(hi)
+	}
 }
