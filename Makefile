@@ -59,20 +59,22 @@ allocs:
 # watch batteries and the soak, every close of which the closure oracle
 # checks for "marked ⊇ reachable"; the table test of the one close
 # every cycle kind shares; the finalization accessors polled against
-# finales another goroutine's allocations land; the pacer's tests; and
-# the sweep differentials — then run again at one, two and four
-# processors, because how the mutators' assists interleave depends on
-# how many there are; and the watch battery on the plain concurrent
-# cycle, where the watcher's barrier-time walk meets other goroutines'
-# assist chunks, runs twenty times over, as does the finalization
-# accessors' test, whose second handle lands finales while the program
-# polls between its allocations and stores.
+# finales another goroutine's allocations land; the pacer's tests;
+# the sweep differentials; and the allocation path's lock waits, one
+# goroutine polling for a lock another holds (TestLockAwake) — then run
+# again at one, two and four processors, because how the mutators'
+# assists and waits interleave depends on how many there are; and the
+# watch battery on the plain concurrent cycle, where the watcher's
+# barrier-time walk meets other goroutines' assist chunks, runs twenty
+# times over, as does the finalization accessors' test, whose second
+# handle lands finales while the program polls between its allocations
+# and stores.
 # The root package alone takes five and a half minutes under -race on
 # a quiet two-processor box, so beside a busy neighbour it outlives go
 # test's default ten-minute budget with every test passing; the budget
 # is widened, nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|ConcurrentSweep
+CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|ConcurrentSweep|LockAwake
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \
@@ -89,8 +91,9 @@ bench:
 # in benchmark code without waiting for real measurements (among them
 # the rungs read without the perfbench harness: BenchmarkProgramTDirect,
 # BenchmarkMutatorAllocateChurn, its budgeted-tenant twin
-# BenchmarkTenantAllocateChurn and BenchmarkMutatorStore/{one,two} in
-# the root package,
+# BenchmarkTenantAllocateChurn, serve_tenants' two-goroutine shape
+# BenchmarkTenantAllocateTwoWorkers and BenchmarkMutatorStore/{one,two}
+# in the root package,
 # BenchmarkAllocRun/{sameblock,hopping,fresh} and the line heap's
 # refill, BenchmarkLineRefill, in internal/alloc,
 # BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).

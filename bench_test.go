@@ -122,6 +122,78 @@ func BenchmarkTenantAllocateChurn(b *testing.B) {
 	})
 }
 
+// BenchmarkTenantAllocateTwoWorkers is perfbench's serve_tenants shape
+// without the harness: sixteen budgeted collect-first tenant handles
+// in a 512 KiB line-allocating, lazily swept world, and two goroutines,
+// each round-robining eight of the handles one 32-allocation request
+// at a time — the {2,4,8,16}-word tape into the handle's ring of 256
+// root slots, every fourth allocation linked to the one before. An op
+// is one allocation of either goroutine, so allocs/s is both together.
+// Whichever goroutine's allocation starts a collection parks the other:
+// lock_waits/op and lock_wait_ns/op are how often, and how long, a
+// goroutine found an allocation-path lock held, and lock_wait_sleeps/op
+// how often such a wait outlasted the poll and slept.
+func BenchmarkTenantAllocateTwoWorkers(b *testing.B) {
+	const tenants, workers, perRequest, slots, rootsBase = 16, 2, 32, 256, Addr(0x2000)
+	sizes := [4]int{2, 4, 8, 16}
+	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LineAlloc: true, LazySweep: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	roots, err := w.Space.MapNew("roots", KindData, rootsBase, tenants*slots*mem.WordBytes, tenants*slots*mem.WordBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	muts := make([]*Mutator, tenants)
+	for i := range muts {
+		budget := uint64(4 * slots * sizes[3] * mem.WordBytes)
+		muts[i] = w.NewTenant(TenantConfig{BudgetBytes: budget, Policy: TenantCollectFirst}).NewMutator()
+	}
+	reg := w.Metrics()
+	waits0, ns0, sleeps0 := reg.Counter("lock_waits").Load(), reg.Counter("lock_wait_ns").Load(), reg.Counter("lock_wait_sleeps").Load()
+	var errs [workers]struct {
+		err error
+		_   [56]byte // one cache line per goroutine's error
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			mine := muts[g*tenants/workers : (g+1)*tenants/workers]
+			var cursor [tenants / workers]int
+			var prev Addr
+			for i := 0; i < (b.N+workers-1-g)/workers; i++ {
+				h := i / perRequest % len(mine)
+				slot := rootsBase + Addr(((g*len(mine)+h)*slots+cursor[h])*mem.WordBytes)
+				cursor[h] = (cursor[h] + 1) % slots
+				p, err := mine[h].AllocateRooted(roots, slot, sizes[i&3], false)
+				if err == nil && i&3 == 3 {
+					err = mine[h].Store(p, Word(prev))
+				}
+				if err != nil {
+					errs[g].err = err
+					return
+				}
+				prev = p
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.StopTimer()
+	for _, e := range errs {
+		if e.err != nil {
+			b.Fatal(e.err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "allocs/s")
+	b.ReportMetric(float64(reg.Counter("lock_waits").Load()-waits0)/float64(b.N), "lock_waits/op")
+	b.ReportMetric(float64(reg.Counter("lock_wait_ns").Load()-ns0)/float64(b.N), "lock_wait_ns/op")
+	b.ReportMetric(float64(reg.Counter("lock_wait_sleeps").Load()-sleeps0)/float64(b.N), "lock_wait_sleeps/op")
+}
+
 // allocateChurn runs the churn tape on the handle newHandle makes.
 func allocateChurn(b *testing.B, newHandle func(*World) *Mutator) {
 	const slots, rootsBase = 4096, Addr(0x2000)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,7 +43,8 @@ import (
 //     allocation stats — to the heap, and a tenant handle's to its
 //     tenant. It flushes nothing. Collections, heap growth, the
 //     integrity audit and the measurement passes all stop the world
-//     this way.
+//     this way. A goroutine that finds its handle's mutex or, on a slow
+//     path, the central lock held waits awake (lockAwake).
 //   - Caches survive a collection. The sweep classifies blocks from
 //     their bitmaps, and a cached slot — allocated, reachable from
 //     nothing — would be reclaimed and later carved a second time, so
@@ -261,7 +263,9 @@ func (m *Mutator) AllocateRooted(dst *mem.Segment, at mem.Addr, nwords int, atom
 // allocate is the shared body of Allocate and AllocateRooted: dst nil
 // means no rooting store.
 func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Addr) (mem.Addr, error) {
-	m.mu.Lock()
+	if !m.mu.TryLock() {
+		m.w.lockAwake(&m.mu)
+	}
 	if m.src != nil {
 		m.src.OnAllocate()
 	}
@@ -323,7 +327,9 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 // triggered here re-acquires it through the safepoint protocol).
 func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem.Addr) (mem.Addr, error) {
 	w := m.w
-	w.mu.Lock()
+	if !w.mu.TryLock() {
+		w.lockAwake(&w.mu)
+	}
 	defer w.mu.Unlock()
 	m.publishLocked()
 	defer m.resyncLocked()
@@ -570,7 +576,9 @@ func (m *Mutator) Free(base mem.Addr) error {
 func (m *Mutator) Store(a mem.Addr, v mem.Word) error {
 	w := m.w
 	if !w.cfg.Generational {
-		m.mu.Lock()
+		if !m.mu.TryLock() {
+			w.lockAwake(&m.mu)
+		}
 		if !w.cyc.active {
 			if s := m.segment(a); s != nil {
 				err := s.Store(a, v)
@@ -589,7 +597,9 @@ func (m *Mutator) Store(a mem.Addr, v mem.Word) error {
 // Load reads a heap or segment word, like World.Load, under the
 // handle's own lock (there is no read barrier).
 func (m *Mutator) Load(a mem.Addr) (mem.Word, error) {
-	m.mu.Lock()
+	if !m.mu.TryLock() {
+		m.w.lockAwake(&m.mu)
+	}
 	if s := m.segment(a); s != nil {
 		v, err := s.Load(a)
 		m.mu.Unlock()
@@ -900,4 +910,25 @@ func (w *World) verifyIntegrityLocked() error {
 		m.eachHeld(func(c *allocCache) { cached = c.appendHeld(cached) })
 	}
 	return w.Heap.CheckIntegrity(cached)
+}
+
+// awakeWait bounds lockAwake's poll: Go's own Mutex starvation threshold.
+const awakeWait = time.Millisecond
+
+// lockAwake acquires mu, which the caller's inlined TryLock found held:
+// it yields and retries for at most awakeWait, then sleeps in Lock. A
+// goroutine woken from that sleep waits tens of microseconds more while
+// its waker runs on (DESIGN.md §5d, "Waiting awake").
+func (w *World) lockAwake(mu *sync.Mutex) {
+	start := time.Now()
+	w.met.lockWaits.Inc()
+	for !mu.TryLock() {
+		if time.Since(start) > awakeWait {
+			w.met.lockWaitSleeps.Inc()
+			mu.Lock()
+			break
+		}
+		runtime.Gosched()
+	}
+	w.met.lockWaitNs.Add(uint64(time.Since(start)))
 }

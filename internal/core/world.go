@@ -456,6 +456,9 @@ type worldMetrics struct {
 	// Bump-span refill counters (Config.LineAlloc), the line profile's
 	// analogue of the cache refill counters above.
 	spanRefills, spanRefillSlots *metrics.Counter
+	// Allocation-path lock waits (lockAwake): acquisitions that found
+	// the lock held, their time to acquire, and those that slept.
+	lockWaits, lockWaitNs, lockWaitSleeps *metrics.Counter
 
 	// Provenance counters: cycles that recorded, and the first-mark
 	// records they captured (running sums of CollectionStats.Provenance
@@ -531,6 +534,9 @@ func newWorldMetrics() worldMetrics {
 		cacheFlushSlots:    reg.Counter("cache_flush_slots"),
 		spanRefills:        reg.Counter("span_refills"),
 		spanRefillSlots:    reg.Counter("span_refill_slots"),
+		lockWaits:          reg.Counter("lock_waits"),
+		lockWaitNs:         reg.Counter("lock_wait_ns"),
+		lockWaitSleeps:     reg.Counter("lock_wait_sleeps"),
 		provCycles:         reg.Counter("provenance_cycles"),
 		provRecords:        reg.Counter("provenance_records"),
 		leakWatched:        reg.Counter("leak_watched_cycles"),
