@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint build test allocs race bench bench-smoke perfbench-test perfbench-smoke benchjson soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test allocs race bench bench-smoke perfbench-test perfbench-smoke examples-smoke benchjson soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
-ci: fmt vet lint build test perfbench-test benchgate race
+ci: fmt vet lint build test perfbench-test examples-smoke benchgate race
 
 # gofmt is a gate, not a fixer: fail listing the offending files.
 fmt:
@@ -37,9 +37,10 @@ test: allocs
 # The allocation guards alone, three times over: every test that pins a
 # path at zero Go-heap allocations (testing.AllocsPerRun == 0) carries
 # ZeroAlloc in its name — the direct and handle allocation paths with a
-# machine attached, the refill carve into a buffer with room
-# (TestAllocRunZeroAlloc) and a fresh-run span's return, pushed or
-# rewound (TestFreshSpanReturnZeroAlloc), a budgeted tenant handle's
+# machine attached, the refill carve into a buffer with room and its
+# return (TestAllocRunZeroAlloc), spans off a fresh block given back
+# pushed or rewinding their source (TestFreshSpanReturnZeroAlloc), a
+# budgeted tenant handle's
 # paid fast path, refill, trimmed carve and flush
 # (TestTenantAllocateZeroAlloc), frames and the residue step, untraced
 # collections, the trace and metrics fast paths — so an escape that
@@ -61,7 +62,9 @@ allocs:
 # every cycle kind shares; the finalization accessors polled against
 # finales another goroutine's allocations land; the pacer's tests;
 # the sweep differentials; and the allocation path's lock waits, one
-# goroutine polling for a lock another holds (TestLockAwake) — then run
+# goroutine polling for a lock another holds (TestLockAwake); and the
+# root-source accessors read against their setters
+# (TestRootSourceAccessorsRace) — then run
 # again at one, two and four processors, because how the mutators'
 # assists and waits interleave depends on how many there are; and the
 # watch battery on the plain concurrent cycle, where the watcher's
@@ -74,7 +77,7 @@ allocs:
 # test's default ten-minute budget with every test passing; the budget
 # is widened, nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|ConcurrentSweep|LockAwake
+CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|ConcurrentSweep|LockAwake|RootSourceAccessorsRace
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \
@@ -94,8 +97,8 @@ bench:
 # BenchmarkTenantAllocateChurn, serve_tenants' two-goroutine shape
 # BenchmarkTenantAllocateTwoWorkers and BenchmarkMutatorStore/{one,two}
 # in the root package,
-# BenchmarkAllocRun/{sameblock,hopping,fresh} and the line heap's
-# refill, BenchmarkLineRefill, in internal/alloc,
+# the refill rung BenchmarkHoleRefill/{fresh,swept,fragmented} in
+# internal/alloc,
 # BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
@@ -120,6 +123,14 @@ perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_stw -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload serve_tenants -seconds 1 > /dev/null
+
+# The six programs under examples/ are runnable mains on the default
+# configuration; each must exit 0. Nothing else runs them.
+examples-smoke:
+	@set -e; for e in examples/*/; do \
+		echo "examples-smoke: $$e"; \
+		$(GO) run ./$$e > /dev/null; \
+	done
 
 # Regenerates BENCH.json: one section per experiment of the registry —
 # the paper's E1–E17 (table1, figure1, stackclear, grids, structures,
@@ -190,6 +201,5 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentAlloc$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run XXX -fuzz '^FuzzLineAlloc$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentMark$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz '^FuzzTenantBudget$$' -fuzztime $(FUZZTIME) ./internal/core

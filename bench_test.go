@@ -894,8 +894,8 @@ func BenchmarkStoreBarrier(b *testing.B) {
 	}
 }
 
-// ownerHeap builds the heap the two ownership benchmarks share: free
-// lists, 8-word objects, room for 16384 of them.
+// ownerHeap builds the heap the two ownership benchmarks share: 8-word
+// objects, room for 16384 of them.
 func ownerHeap(b *testing.B) *alloc.Allocator {
 	heap, err := alloc.New(mem.NewAddressSpace(), alloc.Config{
 		HeapBase: 0x400000, InitialBytes: 1 << 20, ReserveBytes: 1 << 20,
@@ -907,39 +907,41 @@ func ownerHeap(b *testing.B) *alloc.Allocator {
 	return heap
 }
 
-// carveRuns carves n slots in cache-sized runs of 32.
-func carveRuns(b *testing.B, heap *alloc.Allocator, n int) [][]mem.Addr {
-	var runs [][]mem.Addr
+// carveSpans carves n slots as a cache refill does, a whole hole at a
+// time.
+func carveSpans(b *testing.B, heap *alloc.Allocator, n int) []alloc.Span {
+	var spans []alloc.Span
 	for got := 0; got < n; {
-		run, err := heap.AllocRun(8, false, 32, nil)
+		s, err := heap.AllocSpan(8, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		runs = append(runs, run)
-		got += len(run)
+		spans = append(spans, s)
+		got += int(s.Limit-s.Cursor) / (8 * mem.WordBytes)
 	}
-	return runs
+	return spans
 }
 
 // BenchmarkOwnerTagRun measures tenant ownership tagging at the carve's
 // granularity: per slot, one tag when a cache refill carves it and one
-// untag when a safepoint flushes it unconsumed. Each run's first slot
+// untag when a safepoint flushes it unconsumed. Each span's first slot
 // stays tagged, as the slot a refill hands out does.
 func BenchmarkOwnerTagRun(b *testing.B) {
+	const stride = 8 * mem.WordBytes
 	heap := ownerHeap(b)
-	runs := carveRuns(b, heap, 16384)
+	spans := carveSpans(b, heap, 16384)
 	slots := 0
-	for _, run := range runs {
-		heap.TagOwner(run[0], 1)
-		slots += len(run) - 1
+	for _, s := range spans {
+		heap.TagOwner(s.Cursor, 1)
+		slots += int(s.Limit-s.Cursor)/stride - 1
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, run := range runs {
-			heap.TagOwnerRun(run[1:], int32(1+j%16))
+		for j, s := range spans {
+			heap.TagOwnerSpan(s.Cursor+stride, s.Limit, int32(1+j%16))
 		}
-		for _, run := range runs {
-			heap.UntagOwnerRun(run[1:])
+		for _, s := range spans {
+			heap.UntagOwnerSpan(s.Cursor+stride, s.Limit)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots), "ns/slot")
@@ -952,9 +954,11 @@ func BenchmarkOwnerTagRun(b *testing.B) {
 func BenchmarkReconcileOwners(b *testing.B) {
 	heap := ownerHeap(b)
 	var objs []mem.Addr
-	for j, run := range carveRuns(b, heap, 16384) {
-		heap.TagOwnerRun(run, int32(1+j%16))
-		objs = append(objs, run...)
+	for j, s := range carveSpans(b, heap, 16384) {
+		heap.TagOwnerSpan(s.Cursor, s.Limit, int32(1+j%16))
+		for p := s.Cursor; p < s.Limit; p += 8 * mem.WordBytes {
+			objs = append(objs, p)
+		}
 	}
 	var reconcile time.Duration
 	for i := 0; i < b.N; i++ {
@@ -969,8 +973,8 @@ func BenchmarkReconcileOwners(b *testing.B) {
 			b.Fatalf("reconcile credited %d objects, want %d", dead, len(objs)/2)
 		}
 		// Reallocate the dead half in place for the next round.
-		for j, run := range carveRuns(b, heap, len(objs)/2) {
-			heap.TagOwnerRun(run, int32(1+j%16))
+		for j, s := range carveSpans(b, heap, len(objs)/2) {
+			heap.TagOwnerSpan(s.Cursor, s.Limit, int32(1+j%16))
 		}
 	}
 	b.ReportMetric(float64(reconcile.Nanoseconds())/float64(b.N*len(objs)), "ns/record")

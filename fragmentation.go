@@ -19,11 +19,10 @@ type FragmentationRow struct {
 	MaxAllocatableKB int             `json:"max_allocatable_kb" gate:"exact"` // largest single object placeable afterwards
 	// Space buckets every committed byte (live, free slots, free
 	// blocks, headers, large-object slack); Space.Sum() equals
-	// Space.HeapBytes identically in both allocation profiles.
+	// Space.HeapBytes identically.
 	Space alloc.SpaceBreakdown `json:"space" gate:"exact"`
-	// Lines is the line-heap accounting (zero under free lists); its
-	// WasteBytes — free slots stranded in partly-live lines — is a
-	// subdivision of Space.FreeSlotBytes.
+	// Lines was the line heap's accounting; with the line heap folded
+	// into the one small-object allocator it is always zero.
 	Lines alloc.LineStats `json:"lines" gate:"exact"`
 }
 
@@ -32,13 +31,12 @@ type FragmentationOptions struct {
 	HeapBytes int    `json:"heap_bytes"` // default 16 MiB
 	Rounds    int    `json:"rounds"`     // default 8
 	Seed      uint64 `json:"seed"`
-	// LineAlloc runs the churn under the line-heap profile
-	// (Config.LineAlloc) instead of free lists.
+	// LineAlloc is passed to Config.LineAlloc, which selects nothing.
 	LineAlloc bool `json:"line_alloc"`
 	// SmallWords, when non-empty, interleaves small objects of these
 	// word sizes with the block-span churn, so dedicated small blocks
-	// (and, under LineAlloc, partly-live lines) appear in the space
-	// accounting. Empty keeps the paper's pure block-span churn.
+	// appear in the space accounting. Empty keeps the paper's pure
+	// block-span churn.
 	SmallWords []int `json:"small_words"`
 }
 

@@ -7,9 +7,10 @@
 // dedicated block holds objects of a single size class; a block's
 // metadata records, per object slot, whether the slot is allocated and
 // whether it is marked. Objects larger than half a block occupy a
-// contiguous span of blocks. Free objects of each size class are
-// threaded through their first word into per-class free lists, which the
-// sweep phase rebuilds after every collection.
+// contiguous span of blocks. The free slots of each size class are read
+// from the alloc bitmaps: the sweep rebuilds each class's list of
+// blocks with free slots after every collection, and allocation carves
+// the next maximal run of free slots (holes.go).
 //
 // Two of the paper's space-efficiency techniques live here:
 //
@@ -43,7 +44,7 @@ import (
 )
 
 // ErrNeedMemory reports that a request cannot be satisfied from the
-// current free lists and free blocks; the caller should collect and/or
+// current size-class lists and free blocks; the caller should collect and/or
 // expand the heap and retry.
 var ErrNeedMemory = errors.New("alloc: need memory (collect or expand)")
 
@@ -188,16 +189,10 @@ type Config struct {
 	// FinishSweep completes any remainder. Reclamation totals and
 	// allocation addresses are the same under both settings.
 	LazySweep bool
-	// LineAlloc switches small untyped allocation to the line-structured
-	// bump profile (see lines.go): blocks are partitioned into
-	// LineWords-sized lines, sweep classifies them by line occupancy
-	// instead of threading free lists, and allocation carves {cursor,
-	// limit} bump spans over runs of wholly-free lines (AllocSpan /
-	// ReturnSpan for mutator caches, the central spans for Alloc).
-	// Reclamation totals and — on line-aligned size classes — allocation
-	// addresses are identical to the free-list profile; the differential
-	// tests assert both. Typed and large objects are unaffected. Default
-	// off: the threaded free lists, unchanged.
+	// LineAlloc selects nothing. It chose the line heap, a second
+	// small-object allocator that carved bump spans over runs of free
+	// lines; the one allocator now carves every hole of free slots as a
+	// span (holes.go), so both settings allocate alike.
 	LineAlloc bool
 }
 
@@ -247,7 +242,7 @@ type blockDesc struct {
 	// pendingSweep marks a block whose sweep was deferred past the
 	// collection barrier (Config.LazySweep): its alloc/mark bits still
 	// describe the last cycle's liveness, and its free slots are on no
-	// free list until sweepBlock runs.
+	// list until sweepBlock runs.
 	pendingSweep bool
 	desc         DescID // small: layout descriptor, or descConservative/descAtomic
 	objWords     int32  // small: words per object; large head: object words
@@ -257,16 +252,7 @@ type blockDesc struct {
 	// descriptor's own cache line instead of two table loads.
 	slotRecip uint32
 	slots     uint16
-	// lineLive caches which lines hold an allocated slot (LineAlloc
-	// small untyped blocks only): bit l set iff some allocated slot
-	// overlaps words [l*LineWords, (l+1)*LineWords). Derived from
-	// allocBits — recomputed by the line sweep and ReturnSpan, extended
-	// by carveRun — never maintained on the mark path.
-	lineLive  uint16
 	liveSlots int16 // small: allocated slot count (at most PageWords)
-	// bumpQueued marks a block currently on its class's linePartial
-	// queue, so requeues after frees cannot create duplicate entries.
-	bumpQueued bool
 	// ignoreOffPage marks a large object whose client promises to keep
 	// a pointer to its first page: interior pointers past that page are
 	// treated as invalid (GC_malloc_ignore_off_page in the original
@@ -353,51 +339,24 @@ type Allocator struct {
 	extents []extent
 	blocks  []blockDesc
 	free    []span // per FreeBlocks policy
-	// freeList[class] heads the threaded free list of each size class;
-	// 0 means empty (address 0 is never a heap address). fresh[class] is
-	// the list's fresh run, served once the list is empty (freelist.go).
-	freeList [64]mem.Addr
-	fresh    [64]freshRun
+	// lists[idx] is the free space of each size class, atomicity folded
+	// into idx (listIdx); typed holds the lists of typed (class,
+	// descriptor) blocks, and descriptors registers object layouts
+	// (holes.go, typed.go).
+	lists       [64]slotList
+	typed       map[typedKey]*slotList
+	descriptors []Descriptor
 	// dirty holds one bit per committed block, set by MarkDirty (the
 	// generational write barrier) and consumed by minor collections.
 	dirty []uint64
-	// typedFree heads the free lists of typed (class, descriptor)
-	// blocks; descriptors registers object layouts.
-	typedFree   map[typedKey]mem.Addr
-	typedFresh  map[typedKey]freshRun
-	descriptors []Descriptor
-	stats       Stats
-	// Lazy sweeping state (Config.LazySweep). sweepPending[idx] queues
-	// the sweep-pending mixed blocks whose free slots belong on
-	// freeList[idx]; sweepPendingTyped does the same for typed lists.
-	// Queues are filled in ascending block order by the classification
-	// barrier and drained from the back, so lazy refills consume blocks
-	// in exactly the order the eager sweep would have handed their slots
-	// out (descending block index) — allocation addresses are identical
-	// between the two modes. pendingBlocks counts blocks still flagged
-	// pendingSweep (queue entries for already-swept blocks are skipped
-	// on pop). lazyClearMarks records whether deferred sweeps clear mark
-	// bits (full cycle) or preserve them (sticky minor cycle).
-	sweepPending      [64][]int
-	sweepPendingTyped map[typedKey][]int
-	pendingBlocks     int
-	lazyClearMarks    bool
-	// Line-structured allocation state (Config.LineAlloc, lines.go).
-	// lineSpans[idx] is the central bump span Alloc consumes for each
-	// free-list index; linePartial[idx] queues partially-free blocks as
-	// carve targets, filled in ascending block order by the sweep
-	// barrier and popped from the back — the same order the rebuilt
-	// free lists would hand blocks out, which is what keeps allocation
-	// addresses identical to the free-list profile on line-aligned
-	// classes.
-	// lineFreed[idx] is the explicit-free LIFO: Free pushes the slot
-	// (alloc bit kept set, memory zeroed) and allocation pops it before
-	// consuming any span — the analogue of the threaded list's
-	// push-to-head, which is what keeps Free/realloc address order
-	// identical too. FlushSpans drains it at every barrier.
-	lineSpans   [64]Span
-	linePartial [64][]int
-	lineFreed   [64][]mem.Addr
+	stats Stats
+	// Lazy sweeping state (Config.LazySweep): pendingBlocks counts blocks
+	// still flagged pendingSweep (a list's queue entries for blocks
+	// already swept are skipped on pop); lazyClearMarks records whether
+	// deferred sweeps clear mark bits (full cycle) or preserve them
+	// (sticky minor cycle).
+	pendingBlocks  int
+	lazyClearMarks bool
 	// Per-tenant ownership attribution (owners.go): owners runs parallel
 	// to blocks and holds, per block with records, the owning tenant of
 	// each slot; ownerRecords counts the records across all blocks;
@@ -430,7 +389,7 @@ type Allocator struct {
 	tracer *trace.Recorder
 }
 
-// typedKey identifies a typed free list.
+// typedKey identifies a typed list.
 type typedKey struct {
 	class int
 	desc  DescID
@@ -450,15 +409,13 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 		return nil, err
 	}
 	a := &Allocator{
-		cfg:               c,
-		space:             space,
-		extents:           []extent{{seg: seg, startBlock: 0}},
-		typedFree:         map[typedKey]mem.Addr{},
-		typedFresh:        map[typedKey]freshRun{},
-		sweepPendingTyped: map[typedKey][]int{},
-		hullLo:            seg.Base(),
-		hullHi:            seg.ReservedLimit(),
-		words0:            seg.Words(),
+		cfg:     c,
+		space:   space,
+		extents: []extent{{seg: seg, startBlock: 0}},
+		typed:   map[typedKey]*slotList{},
+		hullLo:  seg.Base(),
+		hullHi:  seg.ReservedLimit(),
+		words0:  seg.Words(),
 	}
 	n := c.InitialBytes / mem.PageBytes
 	a.blocks = make([]blockDesc, n)
@@ -639,55 +596,17 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 		return a.allocLarge(nwords, atomic, desperate, false)
 	}
 	class, words := ClassFor(nwords)
-	idx := listIdx(class, atomic)
-	if a.cfg.LineAlloc {
-		return a.allocLine(class, words, atomic, idx, desperate)
-	}
-	if a.freeList[idx] == 0 && a.fresh[idx].slot == a.fresh[idx].end {
-		if err := a.refill(class, atomic, idx, desperate); err != nil {
-			return 0, err
-		}
-	}
-	p := a.freeList[idx]
-	if p == 0 {
-		// The list is empty: bump the fresh run, which is not.
-		p = a.takeFresh(&a.fresh[idx], 1).Cursor
-	} else {
-		s, err := a.locateSlots(p, class)
-		if err != nil {
-			return 0, err
-		}
-		a.freeList[idx] = s.pop(p)
+	s, err := a.takeHole(&a.lists[listIdx(class, atomic)], class, untypedDesc(atomic), 1, desperate)
+	if err != nil {
+		return 0, err
 	}
 	a.CommitAllocs(1, uint64(words*mem.WordBytes))
-	return p, nil
-}
-
-// refill replenishes list idx once both it and its fresh run are
-// empty: first by sweeping pending blocks of the class (lazy sweeping)
-// onto the list, then by dedicating a fresh block as the fresh run.
-func (a *Allocator) refill(class int, atomic bool, idx int, desperate bool) error {
-	for a.freeList[idx] == 0 {
-		bi, ok := a.popPending(&a.sweepPending[idx])
-		if !ok {
-			break
-		}
-		a.sweepBlock(bi)
-	}
-	if a.freeList[idx] != 0 {
-		return nil
-	}
-	bi, ok := a.freshBlock(class, untypedDesc(atomic), desperate)
-	if !ok {
-		return ErrNeedMemory
-	}
-	a.fresh[idx] = a.newFreshRun(bi)
-	return nil
+	return s.Cursor, nil
 }
 
 // freshBlock dedicates a free block to size class class, scanned as desc
-// says, and zeroes it: the one fresh-block step of the free-list, typed
-// and line refills. The blacklist decides which block may be used
+// says, and zeroes it: the one fresh-block step of every list's refill
+// (takeHole). The blacklist decides which block may be used
 // (spanOK, AllowAtomicOnBlacklisted, desperate). ok is false when none.
 func (a *Allocator) freshBlock(class int, desc DescID, desperate bool) (bi int, ok bool) {
 	words := classWords[class]

@@ -127,6 +127,6 @@ func (a *Allocator) ForEachObject(fn func(base mem.Addr)) {
 // collection, pending or not.
 func (a *Allocator) SweepSticky() SweepResult { return a.sweepBarrier(false) }
 
-// Sweep reclaims every unmarked object, rebuilds the free lists, and
+// Sweep reclaims every unmarked object, rebuilds the size-class lists, and
 // clears mark bits for the next full cycle. See also SweepSticky.
 func (a *Allocator) Sweep() SweepResult { return a.sweepBarrier(true) }

@@ -7,20 +7,21 @@ import (
 )
 
 // FuzzAllocatorOps interprets the fuzz input as an operation tape over
-// the allocator — allocate (several kinds), free, mark, sweep, expand,
-// and a mutator cache's carve and the return of its unconsumed tail —
-// and checks structural invariants and the allocator's own audit after
-// every operation, with the sweep eager and lazy.
+// the allocator — allocate (several kinds), free, mark (after
+// FinishSweep, as the collector marks), sweep, expand, and a mutator
+// cache's carve (AllocBatch) and the return of its unconsumed tail
+// (ReturnSpan) — and checks structural invariants and the allocator's
+// own audit after every operation, with the sweep eager and lazy.
 func FuzzAllocatorOps(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 20, 2, 0, 3, 4})
 	f.Add([]byte{0, 200, 0, 200, 5, 0, 4, 0, 0, 1})
 	f.Add([]byte{6, 0, 6, 1, 2, 0, 4, 0})
-	// A fresh-span carve of 4-word slots, a 4-word alloc off the same
-	// run, an explicit Free pushed above it, a return onto the
+	// A carve of a fresh block's 4-word slots, a 4-word alloc off the
+	// same hole, an explicit Free pushed above it, a return onto the
 	// non-empty list, a sweep, and carves and returns across it.
 	f.Add([]byte{7, 43, 0, 3, 3, 0, 8, 2, 7, 43, 5, 0, 8, 0, 7, 43, 8, 1})
 	// Two carves, the first returned while the second still holds the
-	// run's front (pushed), then the second (rewound), with typed
+	// hole's front (pushed), then the second (rewound), with typed
 	// allocation and a sweep between.
 	f.Add([]byte{7, 43, 7, 43, 2, 0, 8, 0, 8, 0, 5, 0, 7, 43, 0, 3, 8, 0})
 	// Carves held across a sweep with objects marked, then consumed,
@@ -36,17 +37,12 @@ func FuzzAllocatorOps(f *testing.F) {
 
 // heldCarve is a mutator cache's carve in FuzzAllocatorOps: slots
 // AllocBatch carved and nobody has consumed yet.
-type heldCarve struct {
-	nwords int
-	atomic bool
-	run    []mem.Addr
-	span   Span
-}
+type heldCarve struct{ Span }
 
 // slots lists the carve's slots in the order a cache hands them out.
 func (c heldCarve) slots() []mem.Addr {
-	out := append([]mem.Addr(nil), c.run...)
-	for p := c.span.Cursor; p < c.span.Limit; p += mem.Addr(c.span.Words * mem.WordBytes) {
+	var out []mem.Addr
+	for p := c.Cursor; p < c.Limit; p += mem.Addr(c.Words * mem.WordBytes) {
 		out = append(out, p)
 	}
 	return out
@@ -116,8 +112,7 @@ func runAllocatorOps(t *testing.T, tape []byte, lazy bool) {
 			// finish, then every held slot is marked.
 			a.FinishSweep()
 			for _, c := range held {
-				a.MarkHeldRun(c.run, true)
-				a.MarkHeldSpan(c.span.Cursor, c.span.Limit, true)
+				a.MarkHeldSpan(c.Cursor, c.Limit, true)
 			}
 			a.Sweep()
 			var still []mem.Addr
@@ -146,17 +141,17 @@ func runAllocatorOps(t *testing.T, tape []byte, lazy bool) {
 					t.Fatalf("expand: %v", err)
 				}
 			}
-		case 7: // a cache's carve: a list run, or a span off a fresh run
-			c := heldCarve{nwords: 1 + arg%8, atomic: arg%5 == 0}
-			c.run, c.span, err = a.AllocBatch(c.nwords, c.atomic, 1+arg/8, nil)
+		case 7: // a cache's carve: up to 1+arg/8 slots of the next hole
+			var c heldCarve
+			c.Span, err = a.AllocBatch(1+arg%8, arg%5 == 0, 1+arg/8)
 			if err == ErrNeedMemory {
 				break
 			}
 			if err != nil {
 				t.Fatalf("carve: %v", err)
 			}
-			if n := len(c.slots()); n == 0 || n > 1+arg/8 || len(c.run) > 0 && c.span.Cursor < c.span.Limit {
-				t.Fatalf("carve of up to %d: run %x, span %+v", 1+arg/8, c.run, c.span)
+			if n := len(c.slots()); n == 0 || n > 1+arg/8 {
+				t.Fatalf("carve of up to %d: span %+v", 1+arg/8, c.Span)
 			}
 			held = append(held, c)
 		case 8: // a cache consumes some of a carve and returns the rest
@@ -166,11 +161,7 @@ func runAllocatorOps(t *testing.T, tape []byte, lazy bool) {
 				slots := c.slots()
 				k := arg % (len(slots) + 1)
 				live = append(live, slots[:k]...)
-				if len(c.run) > 0 {
-					a.ReturnRun(c.nwords, c.atomic, c.run[k:])
-				} else {
-					a.ReturnSpan(c.span.Cursor+mem.Addr(k*c.span.Words*mem.WordBytes), c.span.Limit)
-				}
+				a.ReturnSpan(c.Cursor+mem.Addr(k*c.Words*mem.WordBytes), c.Limit)
 				held = append(held[:hi], held[hi+1:]...)
 			}
 		}

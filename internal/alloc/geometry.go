@@ -22,8 +22,8 @@ import (
 // below 1/w, the distance from the largest possible fractional part
 // (w-1)/w to the next integer: off*e/2^20 < 1/w holds whenever
 // off*w < 2^20. Blocks are 1024 words and small objects at most 512,
-// so every word offset below 2048 — a block, plus the round-up slack of
-// the line carver — is exact, and the product fits 32 bits.
+// so every word offset below 2048 — twice a block — is exact, and the
+// product fits 32 bits.
 const (
 	recipShift   = 20
 	maxExactWord = 2*mem.PageWords - 1

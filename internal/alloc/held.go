@@ -6,11 +6,10 @@ import "repro/internal/mem"
 // has not handed out yet across a collection, instead of returning them
 // at the stop. The collector marks them as the first act of the mark
 // step, so the sweep keeps them, and takes them back out of the live
-// survey at the close (ExcludeHeld). These are the markers it uses: one
-// for a bump span, which lies in one block and is marked a bitmap word
-// at a time, and one for a run, whose slots follow a free list and are
-// marked block by block. Both keep the mark summary exact, and both run
-// with no other marker active.
+// survey at the close (ExcludeHeld). A cache holds one span per class,
+// which lies in one block and is marked a bitmap word at a time; the
+// marker keeps the mark summary exact, and runs with no other marker
+// active.
 //
 // The inverse (on false) is for a generational world, whose sticky
 // sweep would otherwise leave every held slot old: an object later
@@ -36,28 +35,6 @@ func (a *Allocator) MarkHeldSpan(cursor, limit mem.Addr, on bool) {
 		b.markedCount += int32(bitRange(b.markBits, lo, hi, true))
 	} else {
 		b.markedCount -= int32(bitRange(b.markBits, lo, hi, false))
-	}
-}
-
-// MarkHeldRun sets (on) or clears (!on) the mark bits of a held run's
-// slots, finding each block the run enters once.
-func (a *Allocator) MarkHeldRun(run []mem.Addr, on bool) {
-	for i := 0; i < len(run); {
-		bi := a.blockIndex(run[i])
-		b := &a.blocks[bi]
-		if !on && b.pendingSweep {
-			a.sweepBlock(bi)
-		}
-		base := a.blockBase(bi)
-		for ; i < len(run) && run[i]-base < mem.PageBytes; i++ {
-			slot := int(uint32(run[i]-base) / mem.WordBytes * b.slotRecip >> recipShift)
-			if on {
-				b.setMark(slot)
-			} else if bitGet(b.markBits, slot) {
-				bitClear(b.markBits, slot)
-				b.markedCount--
-			}
-		}
 	}
 }
 

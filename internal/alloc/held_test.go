@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"math/bits"
 	"strings"
 	"testing"
 
@@ -37,11 +36,10 @@ func sameMarks(t *testing.T, label string, a, b *Allocator) {
 	}
 }
 
-// TestMarkHeldMatchesPerSlotMark drives the held markers against Mark,
+// TestMarkHeldMatchesPerSlotMark drives the held marker against Mark,
 // one slot at a time, on twin heaps: spans from fresh blocks and from
 // the middle of a swept block, whole and with their head consumed, so
-// that they start and end inside bitmap words and cross words and
-// lines; runs that cross blocks and runs that skip live slots. Marking
+// that they start and end inside bitmap words and cross words. Marking
 // must set the same bits and the same mark summary, and clearing must
 // take both back.
 func TestMarkHeldMatchesPerSlotMark(t *testing.T) {
@@ -70,7 +68,7 @@ func TestMarkHeldMatchesPerSlotMark(t *testing.T) {
 	for _, words := range []int{1, 3, 5, 12, 24, 64, 170} {
 		for _, skip := range []int{0, 1, 7} {
 			var s Span
-			a, b := twinAllocators(t, lineCfg(), func(x *Allocator) {
+			a, b := twinAllocators(t, Config{}, func(x *Allocator) {
 				sp, err := x.AllocSpan(words, false)
 				if err != nil {
 					t.Fatal(err)
@@ -84,17 +82,16 @@ func TestMarkHeldMatchesPerSlotMark(t *testing.T) {
 		}
 	}
 
-	// A span over lines 5..9 of a swept block of 4-word objects: slots
-	// 80..159, across bitmap words 1 and 2, between live slots.
+	// The hole of a swept block of 4-word objects where slots 80..159
+	// died: across bitmap words 1 and 2, between live slots.
 	var mid Span
-	a, b := twinAllocators(t, lineCfg(), func(x *Allocator) {
+	a, b := twinAllocators(t, Config{}, func(x *Allocator) {
 		var objs []mem.Addr
 		for i := 0; i < mem.PageWords/4; i++ {
 			objs = append(objs, mustAlloc(t, x, 4, false))
 		}
-		x.FlushSpans()
 		for i, p := range objs {
-			if line := i * 4 / LineWords; line < 5 || line > 9 {
+			if i < 80 || i >= 160 {
 				x.Mark(p)
 			}
 		}
@@ -105,38 +102,10 @@ func TestMarkHeldMatchesPerSlotMark(t *testing.T) {
 		}
 		mid = sp
 	})
-	if got := mid.slots(4); got != 5*LineWords/4 {
-		t.Fatalf("the swept block's span holds %d slots, want %d", got, 5*LineWords/4)
+	if got := mid.slots(4); got != 80 {
+		t.Fatalf("the swept block's hole holds %d slots, want 80", got)
 	}
 	check("mid-block span", a, b, func(on bool) { a.MarkHeldSpan(mid.Cursor, mid.Limit, on) }, spanAddrs(mid))
-
-	// Runs carved from swept free lists that thread three blocks: 16-word
-	// slots with every tenth one live, 2-word slots with every third one
-	// live — across blocks, bitmap words and the live slots between.
-	for _, c := range []struct{ words, every int }{{16, 10}, {2, 3}} {
-		var run []mem.Addr
-		a, b := twinAllocators(t, Config{}, func(x *Allocator) {
-			var objs []mem.Addr
-			for i := 0; i < 3*mem.PageWords/c.words; i++ {
-				objs = append(objs, mustAlloc(t, x, c.words, false))
-			}
-			for i, p := range objs {
-				if i%c.every == 0 {
-					x.Mark(p)
-				}
-			}
-			x.Sweep()
-			r, err := x.AllocRun(c.words, false, 3*mem.PageWords, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run = r
-		})
-		if a.blockIndex(run[len(run)-1]) == a.blockIndex(run[0]) {
-			t.Fatalf("the %d-word run stayed in one block", c.words)
-		}
-		check("gapped run", a, b, func(on bool) { a.MarkHeldRun(run, on) }, run)
-	}
 }
 
 // TestHeldSlotsInPendingBlocks pins the allocator's half of the held-slot
@@ -144,8 +113,9 @@ func TestMarkHeldMatchesPerSlotMark(t *testing.T) {
 // holds a cache's marked slots pending: the audit accepts a marked
 // cached slot there and refuses an unmarked one; clearing held marks
 // sweeps the block first, so the deferred sweep cannot free them; and a
-// run or span returned into the block sweeps it first, so the deferred
-// sweep cannot thread or clear them a second time.
+// span returned into the block sweeps it first, so the deferred sweep
+// cannot clear them a second time. The held slots are a capped carve
+// (AllocRun) and a whole hole that shares its block with objects.
 func TestHeldSlotsInPendingBlocks(t *testing.T) {
 	type heldCase struct {
 		name string
@@ -153,8 +123,6 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 		// carve marks some live objects and returns the held slots, in a
 		// block of 4-word objects that the sweep will leave pending.
 		carve func(a *Allocator) []mem.Addr
-		mark  func(a *Allocator, held []mem.Addr, on bool)
-		give  func(a *Allocator, held []mem.Addr)
 	}
 	cases := []heldCase{
 		{
@@ -168,12 +136,10 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 				}
 				return r
 			},
-			mark: func(a *Allocator, held []mem.Addr, on bool) { a.MarkHeldRun(held, on) },
-			give: func(a *Allocator, held []mem.Addr) { a.ReturnRun(4, false, held) },
 		},
 		{
 			name: "span",
-			cfg:  Config{LazySweep: true, LineAlloc: true},
+			cfg:  Config{LazySweep: true},
 			carve: func(a *Allocator) []mem.Addr {
 				// Consume the first half of a fresh block's span, return
 				// the second half and carve it again: a span that shares
@@ -192,20 +158,19 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 				}
 				return spanAddrs(s)
 			},
-			mark: func(a *Allocator, held []mem.Addr, on bool) {
-				a.MarkHeldSpan(held[0], held[len(held)-1]+4*mem.WordBytes, on)
-			},
-			give: func(a *Allocator, held []mem.Addr) {
-				a.ReturnSpan(held[0], held[len(held)-1]+4*mem.WordBytes)
-			},
 		},
 	}
+	// The held slots are one span.
+	mark := func(a *Allocator, held []mem.Addr, on bool) {
+		a.MarkHeldSpan(held[0], held[len(held)-1]+4*mem.WordBytes, on)
+	}
+	give := func(a *Allocator, held []mem.Addr) { a.ReturnSpan(held[0], held[len(held)-1]+4*mem.WordBytes) }
 	// setUp leaves the held slots' block pending after a collection that
 	// marked them.
 	setUp := func(c heldCase) (*Allocator, []mem.Addr, int) {
 		_, a := newTestAllocator(t, c.cfg)
 		held := c.carve(a)
-		c.mark(a, held, true)
+		mark(a, held, true)
 		a.Sweep()
 		bi := a.blockIndex(held[0])
 		if !a.blocks[bi].pendingSweep {
@@ -225,7 +190,7 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 		}
 
 		a, held, bi = setUp(c)
-		c.mark(a, held, false)
+		mark(a, held, false)
 		if a.blocks[bi].pendingSweep {
 			t.Fatalf("%s: clearing held marks left the block pending", c.name)
 		}
@@ -240,7 +205,7 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 		}
 
 		a, held, _ = setUp(c)
-		c.give(a, held)
+		give(a, held)
 		a.FinishSweep()
 		if err := a.CheckIntegrity(nil); err != nil {
 			t.Fatalf("%s: returned into a pending block: %v", c.name, err)
@@ -248,35 +213,40 @@ func TestHeldSlotsInPendingBlocks(t *testing.T) {
 	}
 }
 
-// TestLineLiveOfMatchesPerSlot checks the range-test line mask against
-// its definition — the lines overlapped by each allocated slot, one slot
-// at a time — on random bitmaps of every size class.
-func TestLineLiveOfMatchesPerSlot(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
+// TestHoleScanMatchesPerSlot checks the hole finder's word-at-a-time
+// scans, nextClear and nextSet, against their definition — the first
+// slot at or after lo whose alloc bit is clear, or set, one slot at a
+// time — on random bitmaps of every size class and random ranges.
+func TestHoleScanMatchesPerSlot(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
 	rng := simrand.New(7)
 	for class, words := range classWords {
 		a.newSmallBlock(0, class, words, descConservative)
 		b := &a.blocks[0]
 		n := slotsPerBlock(words)
 		for trial := 0; trial < 200; trial++ {
-			for wi := range b.allocBits {
-				b.allocBits[wi] = 0
-			}
-			density := rng.Intn(4)
-			for s := a.firstSlot(words); s < n; s++ {
+			clear(b.allocBits)
+			density := rng.Intn(9)
+			for s := 0; s < n; s++ {
 				if rng.Intn(8) < density {
 					bitSet(b.allocBits, s)
 				}
 			}
-			var want uint16
-			for wi, bw := range b.allocBits {
-				for ; bw != 0; bw &= bw - 1 {
-					s := wi<<6 + bits.TrailingZeros64(bw)
-					want |= slotLines(s, s+1, words)
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(n-lo+1)
+			for _, set := range []bool{false, true} {
+				want := lo
+				for want < hi && bitGet(b.allocBits, want) != set {
+					want++
 				}
-			}
-			if got := a.lineLiveOf(0); got != want {
-				t.Fatalf("%d-word class, trial %d: lineLiveOf = %#x, per slot %#x", words, trial, got, want)
+				got := nextClear(b.allocBits, lo, hi)
+				if set {
+					got = nextSet(b.allocBits, lo, hi)
+				}
+				if got != want {
+					t.Fatalf("%d-word class, trial %d: first slot in [%d, %d) with the bit set=%v is %d, per slot %d",
+						words, trial, lo, hi, set, got, want)
+				}
 			}
 		}
 	}

@@ -148,20 +148,7 @@ func (a *Allocator) TagOwner(base mem.Addr, id int32) {
 	a.tagSlot(ob, ob.slotOf(base), id)
 }
 
-// TagOwnerRun tags every slot of an AllocBatch run. A run follows the
-// free list, so it may cross blocks; the block lookup is repeated only
-// when it does.
-func (a *Allocator) TagOwnerRun(run []mem.Addr, id int32) {
-	last, ob := -1, (*ownerBlock)(nil)
-	for _, p := range run {
-		if bi := a.blockIndex(p); bi != last {
-			last, ob = bi, a.ownerBlockFor(bi)
-		}
-		a.tagSlot(ob, ob.slotOf(p), id)
-	}
-}
-
-// TagOwnerSpan tags every slot of an AllocSpan carve [cursor, limit),
+// TagOwnerSpan tags every slot of a carve [cursor, limit),
 // which lies in one block: one pass over the span's records, crediting
 // each stale one as tagSlot does and counting the fresh ones once.
 func (a *Allocator) TagOwnerSpan(cursor, limit mem.Addr, id int32) {
@@ -203,21 +190,10 @@ func (a *Allocator) ownerCell(base mem.Addr) (ob *ownerBlock, slot int) {
 	return ob, slot
 }
 
-// UntagOwnerRun drops the records of a cached run's unconsumed tail
-// without crediting anyone: the slots were carved for a tenant's cache
-// but never consumed (safepoint flushes return such slots to the
-// central free lists).
-func (a *Allocator) UntagOwnerRun(run []mem.Addr) {
-	for _, p := range run {
-		if ob, slot := a.ownerCell(p); ob != nil && ob.ids[slot] != 0 {
-			ob.ids[slot] = 0
-			a.dropRecords(ob, 1)
-		}
-	}
-}
-
-// UntagOwnerSpan is UntagOwnerRun for a cached bump span's unconsumed
-// tail [cursor, limit).
+// UntagOwnerSpan drops the records of a cached span's unconsumed tail
+// [cursor, limit) without crediting anyone: the slots were carved for a
+// tenant's cache but never consumed (flushes return such slots to
+// their list).
 func (a *Allocator) UntagOwnerSpan(cursor, limit mem.Addr) {
 	if cursor >= limit {
 		return

@@ -88,11 +88,9 @@ func chargeBytes(nwords int) uint64 {
 type ownerTally struct{ objects, bytes uint64 }
 
 // simCache is one size class's cached carve in a simulated mutator: a
-// free-list run or, under LineAlloc, a bump span.
+// span, the whole hole a refill carved.
 type simCache struct {
 	nwords        int
-	atomic        bool
-	run           []mem.Addr
 	cursor, limit mem.Addr
 }
 
@@ -171,57 +169,34 @@ func (h *ownerHarness) born(p mem.Addr) {
 	h.rooted[p] = true
 }
 
-// carve refills one cache: the remainder goes back first, then a fresh
-// run or span is carved, every slot tagged, and the first consumed.
+// carve refills one cache: the remainder goes back first, then the
+// next hole is carved, every slot tagged, and the first consumed.
 func (h *ownerHarness) carve(m, ci int, atomic bool) {
 	h.flushCache(m, ci)
 	c := &h.caches[m][ci]
-	c.nwords, c.atomic = ownerSimSizes[ci], atomic
+	c.nwords = ownerSimSizes[ci]
 	id, bytes := int32(m+1), chargeBytes(c.nwords)
-	if h.a.cfg.LineAlloc {
-		var s Span
-		if !h.retry(func() (err error) { s, err = h.a.AllocSpan(c.nwords, atomic); return }) {
-			return
-		}
-		h.a.TagOwnerSpan(s.Cursor, s.Limit, id)
-		for p := s.Cursor; p < s.Limit; p += mem.Addr(bytes) {
-			h.ref.tag(p, id, bytes)
-		}
-		c.cursor, c.limit = s.Cursor, s.Limit
-	} else {
-		if !h.retry(func() (err error) { c.run, err = h.a.AllocRun(c.nwords, atomic, 32, c.run[:0]); return }) {
-			return
-		}
-		h.a.TagOwnerRun(c.run, id)
-		for _, p := range c.run {
-			h.ref.tag(p, id, bytes)
-		}
+	var s Span
+	if !h.retry(func() (err error) { s, err = h.a.AllocSpan(c.nwords, atomic); return }) {
+		return
 	}
+	h.a.TagOwnerSpan(s.Cursor, s.Limit, id)
+	for p := s.Cursor; p < s.Limit; p += mem.Addr(bytes) {
+		h.ref.tag(p, id, bytes)
+	}
+	c.cursor, c.limit = s.Cursor, s.Limit
 	h.consume(m, ci)
 }
 
 func (h *ownerHarness) consume(m, ci int) {
-	c := &h.caches[m][ci]
-	switch {
-	case c.cursor < c.limit:
+	if c := &h.caches[m][ci]; c.cursor < c.limit {
 		h.born(c.cursor)
 		c.cursor += mem.Addr(chargeBytes(c.nwords))
-	case len(c.run) > 0:
-		h.born(c.run[0])
-		c.run = c.run[1:]
 	}
 }
 
 func (h *ownerHarness) flushCache(m, ci int) {
 	c := &h.caches[m][ci]
-	if len(c.run) > 0 {
-		h.a.UntagOwnerRun(c.run)
-		for _, p := range c.run {
-			h.ref.untag(p)
-		}
-		h.a.ReturnRun(c.nwords, c.atomic, c.run)
-		c.run = c.run[:0]
-	}
 	if c.cursor < c.limit {
 		h.a.UntagOwnerSpan(c.cursor, c.limit)
 		for p := c.cursor; p < c.limit; p += mem.Addr(chargeBytes(c.nwords)) {
@@ -271,7 +246,6 @@ func (h *ownerHarness) collect() {
 		h.flush(m)
 	}
 	h.a.FinishSweep()
-	h.a.FlushSpans()
 	kept := h.live[:0]
 	for _, p := range h.live {
 		if h.rooted[p] {
@@ -298,7 +272,6 @@ func (h *ownerHarness) evict(m int) {
 	for _, base := range h.a.OwnedOf(int32(m + 1)) {
 		h.free(m, base)
 	}
-	h.a.FlushSpans()
 	kept := h.live[:0]
 	for _, p := range h.live {
 		if h.rooted[p] {
@@ -415,9 +388,9 @@ func (h *ownerHarness) run(tape []byte) {
 				h.evict(m)
 			case 2: // a demand refill between allocations: the lazy sweep's drain of one class
 				class, _ := ClassFor(ownerSimSizes[ci])
-				if idx := listIdx(class, false); !h.a.cfg.LineAlloc && h.a.freeList[idx] == 0 && len(h.a.sweepPending[idx]) > 0 {
-					if err := h.a.refill(class, false, idx, false); err != nil && err != ErrNeedMemory {
-						h.t.Fatal(err)
+				if l := &h.a.lists[listIdx(class, false)]; l.top.lo == l.top.hi && len(l.below) == 0 {
+					if bi, ok := h.a.popPending(&l.pending); ok {
+						h.a.sweepBlock(bi)
 					}
 				}
 			case 3:
@@ -570,7 +543,7 @@ func TestOwnerTableEdges(t *testing.T) {
 		if run[0]&(mem.PageBytes-1) == 0 {
 			t.Fatal("the boundary slot was handed out")
 		}
-		a.TagOwnerRun(run, 3)
+		a.TagOwnerSpan(run[0], run[len(run)-1]+mem.WordBytes, 3)
 		got := a.OwnedOf(3)
 		if fmt.Sprint(got) != fmt.Sprint(run) {
 			t.Fatalf("OwnedOf = %x, want the run %x", got, run)
@@ -630,10 +603,10 @@ func TestOwnerTableEdges(t *testing.T) {
 	})
 
 	t.Run("span displacement", func(t *testing.T) {
-		// A line block of 8-word slots, 8 slots to a line: tenant 1 tags
-		// slots [0, 32), tenant 2 the rest. Lines 0 and 8 survive the
-		// sweep; nothing reconciles before the next carve, which takes
-		// lines 1–7, slots [8, 64), over the dead objects' stale records.
+		// A block of 8-word slots: tenant 1 tags slots [0, 32), tenant 2
+		// the rest. Slots [0, 8) and [64, 72) survive the sweep; nothing
+		// reconciles before the next carve, which takes the hole [8, 64)
+		// over the dead objects' stale records.
 		a, credit := ownerEdgeHeap(t, Config{LineAlloc: true})
 		s, err := a.AllocSpan(8, false)
 		if err != nil {
@@ -662,8 +635,8 @@ func TestOwnerTableEdges(t *testing.T) {
 		if credit[1] != (ownerTally{24, 24 * chargeBytes(8)}) || credit[2] != (ownerTally{32, 32 * chargeBytes(8)}) {
 			t.Fatalf("displacement credited %+v and %+v, want 24 and 32 objects", credit[1], credit[2])
 		}
-		// Live lines 0 and 8, the new span, and the 56 stale records of
-		// lines 9–15 no carve has reached.
+		// The live slots, the new span, and the 56 stale records of the
+		// hole [72, 128) no carve has reached.
 		if total := auditOwnerCounts(t, a); total != 128 {
 			t.Fatalf("%d records after the displacing tag, want 128", total)
 		}
@@ -686,7 +659,7 @@ func TestOwnerTableEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.TagOwnerRun(run, 1)
+			a.TagOwnerSpan(run[0], run[len(run)-1]+8*mem.WordBytes, 1)
 			a.Sweep() // nothing marked: the heap's one block is released, records and all
 			other := mustAlloc(t, a, 16, false)
 			if a.blockIndex(other) != a.blockIndex(run[0]) {
@@ -718,61 +691,51 @@ func TestOwnerTableEdges(t *testing.T) {
 
 // TestOwnerTableZeroAllocs pins the steady state: tagging, untagging and
 // reconciling a block that already holds an id array allocates nothing,
-// and the array goes when its last record does.
+// and the array goes when its last record does. The carve is a cache's
+// whole hole, and one capped at 32 slots.
 func TestOwnerTableZeroAllocs(t *testing.T) {
-	for _, line := range []bool{false, true} {
-		a, _ := ownerEdgeHeap(t, Config{LineAlloc: line})
-		var run []mem.Addr
-		var span Span
-		var err error
-		if line {
-			span, err = a.AllocSpan(8, false)
-			for p := span.Cursor; p < span.Limit; p += 8 * mem.WordBytes {
-				run = append(run, p)
-			}
-		} else {
-			run, err = a.AllocRun(8, false, 32, nil)
-		}
+	for _, max := range []int{32, mem.PageWords} {
+		a, _ := ownerEdgeHeap(t, Config{})
+		span, err := a.AllocBatch(8, false, max)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The first slot is consumed and stays owned, as in a cache.
-		a.TagOwner(run[0], 1)
-		rest := run[1:]
+		first, rest := span.Cursor, span.Cursor+8*mem.WordBytes
+		a.TagOwner(first, 1)
 		if avg := testing.AllocsPerRun(50, func() {
-			if line {
-				a.TagOwnerSpan(rest[0], span.Limit, 1)
-				a.UntagOwnerSpan(rest[0], span.Limit)
-			} else {
-				a.TagOwnerRun(rest, 1)
-				a.UntagOwnerRun(rest)
-			}
+			a.TagOwnerSpan(rest, span.Limit, 1)
+			a.UntagOwnerSpan(rest, span.Limit)
 			a.ReconcileOwners()
 		}); avg != 0 {
-			t.Fatalf("line=%v: steady-state tag/untag/reconcile allocates %v times", line, avg)
+			t.Fatalf("max=%d: steady-state tag/untag/reconcile allocates %v times", max, avg)
 		}
-		// Reconciling dead records away allocates nothing either.
-		a.TagOwnerRun(rest, 2)
-		a.Mark(run[0])
-		if avg := testing.AllocsPerRun(1, func() {
-			if line {
-				a.ReturnSpan(rest[0], span.Limit)
-			} else {
-				a.ReturnRun(8, false, rest)
+		// Reconciling dead records away allocates nothing either: each
+		// round carves the tail again, tags it, gives it back and
+		// reconciles its records away.
+		a.ReturnSpan(rest, span.Limit)
+		n := uint64(span.Limit-rest) / (8 * mem.WordBytes)
+		if avg := testing.AllocsPerRun(20, func() {
+			if s, err := a.AllocBatch(8, false, max-1); err != nil || s.Cursor != rest || s.Limit != span.Limit {
+				t.Fatalf("max=%d: re-carve %+v, want [%#x, %#x): %v", max, s, uint32(rest), uint32(span.Limit), err)
 			}
-			a.ReconcileOwners()
+			a.TagOwnerSpan(rest, span.Limit, 2)
+			a.ReturnSpan(rest, span.Limit)
+			if got, _ := a.ReconcileOwners(); got != n {
+				t.Fatalf("max=%d: reconcile credited %d objects, want %d", max, got, n)
+			}
 		}); avg != 0 {
-			t.Fatalf("line=%v: a crediting reconcile allocates %v times", line, avg)
+			t.Fatalf("max=%d: a crediting reconcile allocates %v times", max, avg)
 		}
-		bi := a.blockIndex(run[0])
+		bi := a.blockIndex(first)
 		if a.owners[bi].n != 1 || a.owners[bi].ids == nil {
-			t.Fatalf("line=%v: survivor's record lost: %+v", line, a.owners[bi])
+			t.Fatalf("max=%d: survivor's record lost: %+v", max, a.owners[bi])
 		}
-		if _, _, ok := a.TakeOwner(run[0]); !ok {
+		if _, _, ok := a.TakeOwner(first); !ok {
 			t.Fatal("survivor had no record")
 		}
 		if a.owners[bi].ids != nil || a.HasOwners() {
-			t.Fatalf("line=%v: id array kept after its last record went", line)
+			t.Fatalf("max=%d: id array kept after its last record went", max)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import "repro/internal/mem"
 //	HeapBytes = FreeBlockBytes + LiveBytes + CachedBytes +
 //	            FreeSlotBytes + OverheadBytes + LargeSlackBytes
 //
-// holds identically in both allocation profiles. It is the experiment-
+// holds identically under every configuration. It is the experiment-
 // facing companion to CheckIntegrity: the audit proves slot-count
 // conservation, this exposes where the bytes are so fragmentation and
 // space-overhead claims can be checked against the whole heap.
@@ -20,14 +20,11 @@ type SpaceBreakdown struct {
 	// alloc bits are set); pass their addresses to CheckIntegrity for
 	// the exact audit.
 	LiveBytes int
-	// CachedBytes counts slots carved but not yet issued that the
-	// allocator itself holds: central bump spans and the explicit-free
-	// LIFO (line profile only; zero under free lists).
+	// CachedBytes counted carved slots the line heap held centrally. The
+	// allocator holds none now (its carves go to mutator caches, counted
+	// in LiveBytes), so it is always zero.
 	CachedBytes int
-	// FreeSlotBytes counts free slots inside dedicated small blocks:
-	// free-list-threaded slots, or line-profile space reachable by a
-	// future carve plus the slots stranded in partly-live lines (the
-	// LineStats waste is a subdivision of this bucket).
+	// FreeSlotBytes counts free slots inside dedicated small blocks.
 	FreeSlotBytes int
 	// OverheadBytes counts per-block space no slot can occupy: the
 	// block-start offset reserved against off-by-one block straddles
@@ -47,11 +44,6 @@ func (a *Allocator) SpaceBreakdown() SpaceBreakdown {
 	var sb SpaceBreakdown
 	sb.HeapBytes = len(a.blocks) * mem.PageBytes
 
-	// Central spans and the explicit-free LIFO hold carved slots whose
-	// alloc bits are set; reclassify them from Live to Cached.
-	carved := make(map[mem.Addr]bool)
-	a.lineSpanSlots(func(p mem.Addr) { carved[p] = true })
-
 	for bi := range a.blocks {
 		b := &a.blocks[bi]
 		switch b.state {
@@ -62,16 +54,11 @@ func (a *Allocator) SpaceBreakdown() SpaceBreakdown {
 			nslots := slotsPerBlock(words)
 			first := a.firstSlot(words)
 			sb.OverheadBytes += (first*words + mem.PageWords - nslots*words) * mem.WordBytes
-			base := a.blockBase(bi)
 			for slot := first; slot < nslots; slot++ {
-				bytes := words * mem.WordBytes
-				switch {
-				case !bitGet(b.allocBits, slot):
-					sb.FreeSlotBytes += bytes
-				case carved[base+mem.Addr(slot*words*mem.WordBytes)]:
-					sb.CachedBytes += bytes
-				default:
-					sb.LiveBytes += bytes
+				if bitGet(b.allocBits, slot) {
+					sb.LiveBytes += words * mem.WordBytes
+				} else {
+					sb.FreeSlotBytes += words * mem.WordBytes
 				}
 			}
 		case blockLargeHead:

@@ -45,14 +45,12 @@ func sweepWordMask(wi, first, nslots int) uint64 {
 }
 
 // sweepSmall sweeps one small block in place: unmarked allocated slots
-// are freed (alloc bit cleared, body zeroed), every non-live slot is
-// threaded onto the block's free list in address order, and — when
-// clearMarks is set — mark bits and the mark summary are cleared. The
+// are freed (alloc bit cleared, body zeroed, so every free slot is zero
+// and a carve hands it out clean), mark bits and the mark summary are
+// cleared when clearMarks is set, and the block goes on top of its list
+// (holes.go), whose next carve reads its holes from the alloc bits. The
 // bitmaps are consumed a word at a time: zero words of interest are
-// skipped whole, live words are resolved with trailing/leading-zero
-// scans instead of per-slot bitGet. Threading walks slots in descending
-// address order (highest word first, highest bit within each word
-// first), producing exactly the list the seed's per-slot loop built.
+// skipped whole, dead runs are zeroed with one clear each.
 //
 // It performs no accounting: callers compute the SweepResult from the
 // block's summary before the bits change (eagerly at the barrier in
@@ -60,53 +58,24 @@ func sweepWordMask(wi, first, nslots int) uint64 {
 func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 	b := &a.blocks[bi]
 	words := int(b.objWords)
-	nslots := slotsPerBlock(words)
+	nslots := int(b.slots)
 	first := a.firstSlot(words)
-	base := a.blockBase(bi)
 	hw := a.blockWords(bi)
-	typed := b.desc >= 0
-	idx := listIdx(int(b.class), b.atomic)
-	tkey := typedKey{class: int(b.class), desc: b.desc}
-	var head mem.Addr
-	if typed {
-		head = a.typedFree[tkey]
-	} else {
-		head = a.freeList[idx]
-	}
-	for wi := len(b.allocBits) - 1; wi >= 0; wi-- {
-		valid := sweepWordMask(wi, first, nslots)
-		if valid == 0 {
-			continue
-		}
+	for wi := range b.allocBits {
 		slot0 := wi << 6
-		am := b.allocBits[wi] & valid
-		mm := b.markBits[wi] & am
-		if dead := am &^ mm; dead != 0 {
-			// Zero the freed bodies so the next owner gets clean memory;
-			// the threading below rewrites each first word with a link.
+		if dead := b.allocBits[wi] &^ b.markBits[wi] & sweepWordMask(wi, first, nslots); dead != 0 {
 			b.allocBits[wi] &^= dead
 			zeroDeadRuns(hw, dead, slot0, words)
 		}
 		if clearMarks {
 			b.markBits[wi] = 0
 		}
-		for m := valid &^ mm; m != 0; {
-			top := 63 - bits.LeadingZeros64(m)
-			m &^= 1 << uint(top)
-			slot := slot0 + top
-			hw[slot*words] = mem.Word(head)
-			head = slotAddr(base, slot, words)
-		}
-	}
-	if typed {
-		a.typedFree[tkey] = head
-	} else {
-		a.freeList[idx] = head
 	}
 	b.liveSlots = int16(b.markedCount)
 	if clearMarks {
 		b.markedCount = 0
 	}
+	a.pushBlock(bi)
 }
 
 // sweepBarrier is the collection barrier's sweep, behind Sweep and
@@ -114,8 +83,8 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 // summaries classify each block in O(1) and give the exact SweepResult
 // before any slot is touched: empty blocks (markedCount 0) go back to
 // the free block structure (address ordered with coalescing by
-// default, the paper's fragmentation argument), fully-live blocks need
-// no threading, and only mixed blocks have per-slot work left. That
+// default, the paper's fragmentation argument), fully-live blocks have
+// no free slot, and only mixed blocks have per-slot work left. That
 // work is all the two settings do differently. With LazySweep off it is
 // done on the spot, as the paper's collector sweeps right after
 // marking; with it on, the block is queued as sweep-pending for refill
@@ -130,25 +99,15 @@ func (a *Allocator) sweepSmall(bi int, clearMarks bool) {
 // ClearMarks finishes them first.
 func (a *Allocator) sweepBarrier(clearMarks bool) SweepResult {
 	a.FinishSweep() // complete the previous cycle's leftovers first
-	// Outstanding bump spans hold allocated-but-unissued slots; return
-	// them before the accounting below reads liveSlots. The collector
-	// flushes before marking, so this is a no-op there — it covers
-	// direct allocator use.
-	a.FlushSpans()
 	var r SweepResult
-	// Free lists, fresh runs and partial-block queues are rebuilt from
-	// scratch: the slots and queued blocks may be released below. A fresh
-	// run's slots are free by their bits, so the sweep threads them, or
-	// releases their block, like any other free slot.
-	for i := range a.freeList {
-		a.freeList[i] = 0
+	// The lists are rebuilt from scratch: their blocks may be released
+	// below, and a block's free slots are free by its bits.
+	for i := range a.lists {
+		a.lists[i].reset()
 	}
-	for k := range a.typedFree {
-		a.typedFree[k] = 0
+	for _, l := range a.typed {
+		l.reset()
 	}
-	a.fresh = [len(a.fresh)]freshRun{}
-	clear(a.typedFresh)
-	a.resetLineQueues()
 	a.lazyClearMarks = clearMarks
 	for bi := 0; bi < len(a.blocks); bi++ {
 		b := &a.blocks[bi]
@@ -194,7 +153,7 @@ func (a *Allocator) sweepBarrier(clearMarks bool) SweepResult {
 			r.BytesLive += uint64(live) * objBytes
 			r.BlocksKept++
 			if live == slotsPerBlock(words)-a.firstSlot(words) {
-				// Fully live: no slots to thread. A full cycle still
+				// Fully live: no free slot for a list. A full cycle still
 				// clears its marks here — a handful of word stores.
 				if clearMarks {
 					for i := range b.markBits {
@@ -205,32 +164,13 @@ func (a *Allocator) sweepBarrier(clearMarks bool) SweepResult {
 				continue
 			}
 			if !a.cfg.LazySweep { // sweep now, inside the barrier
-				if a.isLineBlock(b) {
-					a.lineSweepSmall(bi, clearMarks)
-					a.requeueLineBlock(bi, b)
-				} else {
-					a.sweepSmall(bi, clearMarks)
-				}
+				a.sweepSmall(bi, clearMarks)
 				continue
 			}
 			b.pendingSweep = true
 			a.pendingBlocks++
-			if a.isLineBlock(b) {
-				// Mixed line blocks queue as deferred carve targets: the
-				// first carve (or FinishSweep) runs the line sweep, so the
-				// deferred work drains through the same queue the bump
-				// refill consumes.
-				b.bumpQueued = true
-				a.linePartial[lineIdx(b)] = append(a.linePartial[lineIdx(b)], bi)
-				continue
-			}
-			if b.desc >= 0 {
-				k := typedKey{class: int(b.class), desc: b.desc}
-				a.sweepPendingTyped[k] = append(a.sweepPendingTyped[k], bi)
-			} else {
-				idx := listIdx(int(b.class), b.atomic)
-				a.sweepPending[idx] = append(a.sweepPending[idx], bi)
-			}
+			l := a.listOf(b)
+			l.pending = append(l.pending, bi)
 		}
 	}
 	a.stats.BytesLive = r.BytesLive
@@ -248,11 +188,7 @@ func (a *Allocator) sweepBlock(bi int) {
 	a.pendingBlocks--
 	a.stats.LazySweptBlocks++
 	a.tracer.Emit(trace.EvSweepDrain, int64(bi), int64(a.pendingBlocks), 0)
-	if a.isLineBlock(b) {
-		a.lineSweepSmall(bi, a.lazyClearMarks)
-	} else {
-		a.sweepSmall(bi, a.lazyClearMarks)
-	}
+	a.sweepSmall(bi, a.lazyClearMarks)
 }
 
 // popPending pops the highest-index still-pending block off a queue.
@@ -271,42 +207,30 @@ func (a *Allocator) popPending(q *[]int) (int, bool) {
 
 // FinishSweep completes all deferred sweep work immediately, returning
 // the number of blocks swept. With eager sweeping (or nothing pending)
-// it is a no-op. The collector calls it before every mark phase so that
-// no stale liveness bits survive into the next cycle; tests and
-// measurements call it to observe final reclamation state.
+// it is a no-op. Each list's blocks are swept in ascending order, so
+// each goes on top of the one before it, as their threading once did.
+// The collector calls it before every mark phase so that no stale
+// liveness bits survive into the next cycle; tests and measurements
+// call it to observe final reclamation state.
 func (a *Allocator) FinishSweep() int {
 	if a.pendingBlocks == 0 {
 		return 0
 	}
 	n := 0
-	for idx := range a.sweepPending {
-		for _, bi := range a.sweepPending[idx] {
+	finish := func(l *slotList) {
+		for _, bi := range l.pending {
 			if a.blocks[bi].pendingSweep {
 				a.sweepBlock(bi)
 				n++
 			}
 		}
-		a.sweepPending[idx] = a.sweepPending[idx][:0]
+		l.pending = l.pending[:0]
 	}
-	for k, q := range a.sweepPendingTyped {
-		for _, bi := range q {
-			if a.blocks[bi].pendingSweep {
-				a.sweepBlock(bi)
-				n++
-			}
-		}
-		a.sweepPendingTyped[k] = q[:0]
+	for i := range a.lists {
+		finish(&a.lists[i])
 	}
-	// Line blocks defer through the partial-block queues. Unlike the
-	// free-list queues the entries stay: a swept line block remains a
-	// carve target for the bump refill.
-	for idx := range a.linePartial {
-		for _, bi := range a.linePartial[idx] {
-			if a.blocks[bi].pendingSweep {
-				a.sweepBlock(bi)
-				n++
-			}
-		}
+	for _, l := range a.typed {
+		finish(l)
 	}
 	return n
 }
@@ -390,34 +314,14 @@ func (a *Allocator) Free(base mem.Addr) error {
 			return fmt.Errorf("alloc: Free(%#x): not allocated", uint32(base))
 		}
 		if b.pendingSweep {
-			// Complete the deferred sweep first: freeing a slot the lazy
-			// sweep still considers dead-or-free would double-thread it.
-			// The stale queue entry is discarded when popped.
-			if a.isLineBlock(b) {
-				// In the free-list profile this sweepBlock threads the
-				// block's slots onto the list HEAD, above everything
-				// already threaded. Mirror that hoist: return the class's
-				// central span (its block re-queues behind) and move this
-				// block to the back of the queue — the next-popped
-				// position. The duplicate entry is harmless: carving is
-				// bits-driven and exhausted entries are skipped.
-				idx := lineIdx(b)
-				if s := a.lineSpans[idx]; s.Cursor < s.Limit {
-					a.lineSpans[idx] = Span{}
-					a.ReturnSpan(s.Cursor, s.Limit)
-				}
-				a.sweepBlock(bi)
-				a.linePartial[idx] = append(a.linePartial[idx], bi)
-				b.bumpQueued = true
-			} else {
-				a.sweepBlock(bi)
-			}
+			// Complete the deferred sweep first, which puts the block on
+			// top of its list: the freed slot goes above it, as it went
+			// onto a threaded list above the block's slots. The stale
+			// queue entry is discarded when popped.
+			a.sweepBlock(bi)
 		}
 		if !bitGet(b.allocBits, slot) {
 			return fmt.Errorf("alloc: Free(%#x): not allocated", uint32(base))
-		}
-		if a.isLineBlock(b) {
-			return a.freeLineSlot(bi, b, base, slot, words)
 		}
 		bitClear(b.allocBits, slot)
 		if bitGet(b.markBits, slot) {
@@ -425,18 +329,8 @@ func (a *Allocator) Free(base mem.Addr) error {
 			b.markedCount--
 		}
 		b.liveSlots--
-		for w := 1; w < words; w++ {
-			hw[slot*words+w] = 0
-		}
-		if b.desc >= 0 {
-			tkey := typedKey{class: int(b.class), desc: b.desc}
-			hw[slot*words] = mem.Word(a.typedFree[tkey])
-			a.typedFree[tkey] = base
-			return nil
-		}
-		idx := listIdx(int(b.class), b.atomic)
-		hw[slot*words] = mem.Word(a.freeList[idx])
-		a.freeList[idx] = base
+		clear(hw[slot*words : (slot+1)*words])
+		a.pushSlots(base, slot, slot+1)
 		return nil
 	}
 	return fmt.Errorf("alloc: Free(%#x): not an object", uint32(base))

@@ -87,50 +87,10 @@ func (a *Allocator) AllocTyped(id DescID) (mem.Addr, error) {
 		return 0, err
 	}
 	class, words := ClassFor(d.Words)
-	key := typedKey{class: class, desc: id}
-	p, f := a.typedFree[key], a.typedFresh[key]
-	if p == 0 && f.slot == f.end {
-		if err := a.refillTyped(class, id, key); err != nil {
-			return 0, err
-		}
-		p, f = a.typedFree[key], a.typedFresh[key]
-	}
-	if p == 0 {
-		// The list is empty: bump the fresh run, which is not.
-		p = a.takeFresh(&f, 1).Cursor
-		a.typedFresh[key] = f
-	} else {
-		s, err := a.locateSlots(p, class)
-		if err != nil {
-			return 0, err
-		}
-		a.typedFree[key] = s.pop(p)
+	s, err := a.takeHole(a.typedList(typedKey{class: class, desc: id}), class, id, 1, false)
+	if err != nil {
+		return 0, err
 	}
 	a.CommitAllocs(1, uint64(words*mem.WordBytes))
-	return p, nil
-}
-
-// refillTyped replenishes the (class, descriptor) list once both it
-// and its fresh run are empty, first by sweeping pending blocks of the
-// same layout, then by dedicating a fresh block as the fresh run.
-func (a *Allocator) refillTyped(class int, id DescID, key typedKey) error {
-	if q, ok := a.sweepPendingTyped[key]; ok && len(q) > 0 {
-		for a.typedFree[key] == 0 {
-			bi, ok := a.popPending(&q)
-			if !ok {
-				break
-			}
-			a.sweepBlock(bi)
-		}
-		a.sweepPendingTyped[key] = q
-		if a.typedFree[key] != 0 {
-			return nil
-		}
-	}
-	bi, ok := a.freshBlock(class, id, false)
-	if !ok {
-		return ErrNeedMemory
-	}
-	a.typedFresh[key] = a.newFreshRun(bi)
-	return nil
+	return s.Cursor, nil
 }

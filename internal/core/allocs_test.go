@@ -59,26 +59,14 @@ func TestAllocateZeroAllocsWithMachine(t *testing.T) {
 // the fast path spending paid slots, a refill paying for its carve, a
 // carve the budget trims (the unpaid tail goes straight back) and the
 // flush an explicit Free runs (the unspent slot's charge goes back) take
-// nothing from Go's heap. The class's free list is longer than a carve
-// and the budget shorter, so every round's one refill is trimmed; the
-// round allocates one object fewer than the budget admits, leaving one
-// paid slot for its first Free to flush.
+// nothing from Go's heap. The class's next hole is a fresh block, longer
+// than the budget, so every round's one refill is trimmed; the round
+// allocates one object fewer than the budget admits, leaving one paid
+// slot for its first Free to flush, and frees from the top down, so
+// the freed slots rejoin the hole they came from.
 func TestTenantAllocateZeroAlloc(t *testing.T) {
 	const objWords, k = 8, 10
 	w := newWorld(t, Config{GCDivisor: -1})
-	list := make([]mem.Addr, 2*runSlots)
-	for i := range list {
-		p, err := w.Allocate(objWords, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		list[i] = p
-	}
-	for _, p := range list {
-		if err := w.Heap.Free(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ten := w.NewTenant(TenantConfig{BudgetBytes: k * tenantChargeBytes(objWords), Policy: TenantFail})
 	m := ten.NewMutator()
 	objs := make([]mem.Addr, k-1)
@@ -90,8 +78,8 @@ func TestTenantAllocateZeroAlloc(t *testing.T) {
 			}
 			objs[i] = p
 		}
-		for _, p := range objs {
-			if err := m.Free(p); err != nil {
+		for i := len(objs) - 1; i >= 0; i-- {
+			if err := m.Free(objs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}

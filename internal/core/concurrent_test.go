@@ -314,23 +314,6 @@ func FuzzConcurrentAlloc(f *testing.F) {
 	})
 }
 
-// FuzzLineAlloc is the bump-profile variant: the same interleaving
-// fuzz across 2–4 concurrent mutators, with every configuration under
-// Config.LineAlloc. Span carves, spans held across collections, and
-// the freed LIFO replace run carves and free-list threading on these
-// paths.
-func FuzzLineAlloc(f *testing.F) {
-	f.Add(uint8(2), uint8(0), []byte{0x00, 0x41, 0x9a, 0xe3, 0x07, 0xff, 0x22, 0x6d})
-	f.Add(uint8(3), uint8(1), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})
-	f.Add(uint8(4), uint8(2), []byte{0x07, 0x07, 0x07, 0x07, 0x0f, 0x0f, 0x0f, 0x0f, 0xc3, 0xc7, 0xcb, 0xcf})
-	fuzzConcurrent(f, []Config{
-		{GCDivisor: 4, LineAlloc: true},
-		{GCDivisor: 4, LazySweep: true, LineAlloc: true},
-		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true, LineAlloc: true},
-		{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: 4, LazySweep: true, LineAlloc: true},
-	})
-}
-
 // FuzzTenantBudget fuzzes budget enforcement: 2–4 tenants with small
 // budgets run a byte-scripted mix of rooted allocations, frees and
 // unroots under a fuzz-chosen collector config and over-budget policy.

@@ -12,10 +12,9 @@ import (
 // One collection cycle. Every collection — whatever triggers it and
 // however it marks — goes through the same three steps:
 //
-//	open   land the previous cycle's deferred sweeps, return central
-//	       bump spans, stamp the blacklist's new cycle, clear the sticky
-//	       mark bits of a full generational cycle, emit the begin event
-//	       (openCycleLocked);
+//	open   land the previous cycle's deferred sweeps, stamp the
+//	       blacklist's new cycle, clear the sticky mark bits of a full
+//	       generational cycle, emit the begin event (openCycleLocked);
 //	mark   mark the slots the mutators' caches hold (markHeldLocked),
 //	       then mark to the fixpoint. A stop-the-world kind does it in
 //	       the pause that opened the cycle (markPhase). A concurrent kind
@@ -137,12 +136,9 @@ func (w *World) openCycleLocked(kind cycleKind) *cycle {
 	c.snapNs = 0
 	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), int64(kind))
 	// Deferred lazy sweeps hold the previous cycle's liveness in their
-	// mark bits, and central bump spans hold carved-but-unissued slots
-	// whose alloc bits would read as live objects; both must land before
-	// this cycle changes or observes any bit. No-ops with LazySweep and
-	// LineAlloc off.
+	// mark bits, which must land before this cycle changes or observes
+	// any bit. A no-op with LazySweep off.
 	w.Heap.FinishSweep()
-	w.Heap.FlushSpans()
 	w.Blacklist.BeginCycle()
 	if w.cfg.Generational && !kind.minor() {
 		// Mark bits are sticky between minor cycles — they are the old
@@ -209,12 +205,6 @@ func (w *World) closeCycleLocked() CollectionStats {
 	}
 	w.traceSweepBegin(kind)
 	sweepStart := time.Now()
-	// Central spans carved while a concurrent cycle marked hold
-	// born-black slots not yet handed out; returning them also drops
-	// their mark bits, so the sweep's survey counts only real objects. A
-	// stop-the-world kind has carved none since it opened. (The caches'
-	// spans stay where they are; settleHeldLocked accounts for them.)
-	w.Heap.FlushSpans()
 	var sweep alloc.SweepResult
 	if w.cfg.Generational {
 		// Survivors keep their mark bits: they are the old generation. A

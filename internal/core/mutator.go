@@ -16,11 +16,11 @@ import (
 // Boehm collector gives each thread free-list caches refilled in
 // batches from the central size-class lists. The same design here:
 //
-//   - A Mutator handle holds one cached run of carved free slots per
+//   - A Mutator handle holds one cached span of carved free slots per
 //     (size class, atomic) pair. The common allocation is a pointer
-//     bump along the run under the handle's own mutex: no central
-//     lock, no heap-memory access at all (carve time already zeroed
-//     the link word), so concurrent mutators never contend.
+//     bump along the span under the handle's own mutex: no central
+//     lock, no heap-memory access at all (every free slot is zero), so
+//     concurrent mutators never contend.
 //   - Stores and loads take the handle's mutex too, not the central
 //     lock. A load has no barrier, so it always does; a store does
 //     whenever it has no barrier to run — no concurrent cycle is
@@ -36,7 +36,7 @@ import (
 //   - The slow path — an empty cache, a large or typed object, heap
 //     expansion, any collection — takes the world's central lock and
 //     runs the original single-threaded code, with the cache refilled
-//     by one batched alloc.AllocBatch carve.
+//     by one carve of the class's next hole (alloc.AllocSpan).
 //   - There is one safepoint, parkMutatorsLocked: it parks every
 //     handle at its next allocation, store or load boundary (by
 //     acquiring its mutex) and publishes its locally-counted
@@ -62,7 +62,7 @@ import (
 //     statistics read what they would with empty caches, and a
 //     generational close unmarks them, so that what the cache hands
 //     out later is young (settleHeldLocked).
-//   - A cache is flushed back to the free lists only where an empty
+//   - A cache is flushed back to its list only where an empty
 //     cache is needed: an explicit Free (the freed slot must land on
 //     top of the list per-object allocation would have left), tenant
 //     eviction, an over-budget tenant charge (the caches' slots are
@@ -74,34 +74,22 @@ import (
 // Single-mutator equivalence. With one handle, every address up to the
 // first collection is bit-for-bit what the direct World entry points
 // produce, and every collection marks, frees and keeps the same
-// objects and bytes (asserted by TestMutatorDifferential): AllocBatch
-// carves the same slots in the same order per-object allocation would,
-// ReturnRun and ReturnSpan restore the untouched tail exactly, stats
-// are published before any point that reads them, and the fast path
-// diverts to the slow path at precisely the allocation where the direct
-// path would trigger a collection — the handle mirrors the central
-// BytesSinceGC trigger in sinceGC/trigger, resynchronised after every
-// slow path and whenever a stop resumes it. After a collection the addresses part
-// ways: the handle's held slots are not on the rebuilt free lists.
+// objects and bytes (asserted by TestMutatorDifferential): a refill
+// carves the next hole, the slots per-object allocation would take
+// next, in their order, ReturnSpan restores the untouched tail exactly,
+// stats are published before any point that reads them, and the fast
+// path diverts to the slow path at precisely the allocation where the
+// direct path would trigger a collection — the handle mirrors the
+// central BytesSinceGC trigger in sinceGC/trigger, resynchronised after
+// every slow path and whenever a stop resumes it. After a collection
+// the addresses part ways: the handle's held slots are not on the
+// rebuilt lists, and how many it holds — the rest of a whole hole —
+// decides what the lists hand out next.
 
-// runSlots is how many free slots one batched refill carves. Refills
-// happen under the central lock, so the value trades contention (small
-// runs lock often) against cache-held memory (large runs hold more
-// slots across collections, each marked at every mark step). Up to the
-// first collection it does not affect allocation addresses: carves hand
-// out exactly the slots the central list would have. After one it
-// does: a cache keeps its slots across the collection, off the rebuilt
-// free lists, so how many it holds decides what the lists hand out
-// next.
-const runSlots = 32
-
-// allocCache is one size class's cached carve: run[next:] are the
-// carved list slots not yet handed out. A carve off a fresh run, and
-// every carve under Config.LineAlloc, is a bump span instead — [cursor,
-// limit) in steps of the object size — and run stays empty; the two
-// forms never coexist in one cache.
+// allocCache is one size class's cached carve: the slots [cursor,
+// limit), in steps of the object size, carved and not yet handed out.
 // words is the class's padded object size, recorded at refill for
-// local byte accounting and for returning the tail to the right list.
+// local byte accounting.
 // black records that the unconsumed slots are marked: set by a carve
 // made for a plain allocation while a concurrent cycle marks, and by
 // markHeldLocked; cleared by every other carve. While a cycle marks,
@@ -111,8 +99,6 @@ const runSlots = 32
 // the refill charges what it keeps of its carve, and returning a cache
 // uncharges what goes back.
 type allocCache struct {
-	run           []mem.Addr
-	next          int
 	words         int
 	cursor, limit mem.Addr
 	black         bool
@@ -120,18 +106,17 @@ type allocCache struct {
 
 // MutatorStats counts one handle's allocation activity.
 type MutatorStats struct {
-	// FastAllocs is how many allocations were served from a cached run
+	// FastAllocs is how many allocations were served from a cached span
 	// without taking the central lock.
 	FastAllocs uint64
 	// SlowAllocs is how many allocations took the central lock: cache
 	// refills, large/typed objects, and collection-trigger diversions.
 	SlowAllocs uint64
-	// Refills counts batched cache refills; RunSlots the slots they
-	// carved.
+	// Refills counts cache refills; RunSlots the slots they carved.
 	Refills  uint64
 	RunSlots uint64
 	// FlushedSlots counts unconsumed cached slots returned to the
-	// central free lists by explicit flushes (Free, tenant eviction,
+	// central lists by explicit flushes (Free, tenant eviction,
 	// the measurement passes). A collection flushes nothing.
 	FlushedSlots uint64
 }
@@ -230,10 +215,14 @@ func (m *Mutator) SetRootSource(src RootSource) {
 }
 
 // RootSource returns the attached machine (possibly nil).
-func (m *Mutator) RootSource() RootSource { return m.src }
+func (m *Mutator) RootSource() RootSource {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.src
+}
 
 // Allocate allocates an object of nwords words, like World.Allocate.
-// Small objects are usually served from the handle's cached run
+// Small objects are usually served from the handle's cached span
 // without touching the central lock.
 func (m *Mutator) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 	return m.allocate(nwords, atomic, nil, 0)
@@ -283,14 +272,10 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 		// budgeted tenant's cached slots were paid for at their carve,
 		// so a tenant handle only checks its cancellation token here: a
 		// cancelled tenant diverts to the slow path, which reports it.
-		fromSpan := c.cursor < c.limit
-		if (fromSpan || c.next < len(c.run)) && !(m.hasTrigger && m.sinceGC > m.trigger) &&
+		if c.cursor < c.limit && !(m.hasTrigger && m.sinceGC > m.trigger) &&
 			(dst != nil || c.black || !m.w.cyc.active) &&
 			(m.ten == nil || !m.ten.cancelled.Load()) {
-			p := c.cursor // line profile: bump the cached span's cursor
-			if !fromSpan {
-				p = c.run[c.next]
-			}
+			p := c.cursor
 			// Root before consuming: m.mu is held, so no safepoint can
 			// intervene between the store and the hand-out. The store
 			// touches only the caller's own segment slot, never shared
@@ -301,11 +286,7 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 					return 0, err
 				}
 			}
-			if fromSpan {
-				c.cursor += mem.Addr(words * mem.WordBytes)
-			} else {
-				c.next++
-			}
+			c.cursor += mem.Addr(words * mem.WordBytes)
 			bytes := uint64(words) * mem.WordBytes
 			m.sinceGC += bytes
 			m.unpubObjects++
@@ -353,64 +334,43 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		if atomic {
 			idx += alloc.NumClasses
 		}
-		// Return any cached remainder first: the batched carve must
-		// start from exactly the free-list state per-object allocation
-		// would see (the cache may be non-empty on a trigger diversion).
+		// Return any cached remainder first: the carve must start
+		// from exactly the list state per-object allocation would see
+		// (the cache may be non-empty on a trigger diversion).
 		m.returnCacheLocked(idx)
 		c := &m.caches[idx]
 		carved := false
 		try := func() (mem.Addr, error) {
-			// One batched carve: a run of list slots, or one bump span —
-			// over a run of free lines (the line profile) or over the
-			// fresh run of a just-dedicated block. The first slot is
+			// One carve: the whole next hole. The first slot is
 			// consumed now; the rest is the fast path's.
-			run, s, err := w.Heap.AllocBatch(nwords, atomic, runSlots, c.run[:0])
+			s, err := w.Heap.AllocSpan(nwords, atomic)
 			if err != nil {
 				return 0, err
 			}
 			slotBytes := mem.Addr(words * mem.WordBytes)
-			p := s.Cursor
 			n := int((s.Limit - s.Cursor) / slotBytes)
-			if len(run) > 0 {
-				p, n = run[0], len(run)
-			}
 			if m.ten != nil && m.ten.budgeted() {
 				// A budgeted tenant pays for its carve now: the first slot
 				// was charged above, the rest as far as the budget has room.
 				// What it cannot pay for goes straight back, untagged and
 				// unmarked.
 				if paid := 1 + m.ten.chargeUpTo(n-1, uint64(slotBytes)); paid < n {
-					if len(run) > 0 {
-						w.Heap.ReturnRun(words, atomic, run[paid:])
-						run = run[:paid]
-					} else {
-						cut := s.Cursor + mem.Addr(paid)*slotBytes
-						w.Heap.ReturnSpan(cut, s.Limit)
-						s.Limit = cut
-					}
+					cut := s.Cursor + mem.Addr(paid)*slotBytes
+					w.Heap.ReturnSpan(cut, s.Limit)
+					s.Limit = cut
 					n = paid
 				}
 			}
-			if len(run) > 0 {
-				c.run, c.next = run, 1
-			} else {
-				c.cursor, c.limit = s.Cursor+slotBytes, s.Limit
-			}
+			c.cursor, c.limit = s.Cursor+slotBytes, s.Limit
 			carved = true
 			// Born black: a concurrent cycle is marking, and the carve
 			// serves a plain allocation, whose caller roots it nowhere
 			// the collector sees, so the finale must not sweep what the
 			// fast path hands out. Carved slots are zeroed, so marking
-			// without scanning is sound; ReturnRun and ReturnSpan unmark
-			// whatever the flush gives back. A rooted carve stays white
-			// (allocCache).
+			// without scanning is sound; ReturnSpan unmarks whatever the
+			// flush gives back. A rooted carve stays white (allocCache).
 			if c.black = w.cyc.active && dst == nil; c.black {
-				for _, q := range run {
-					w.Heap.Mark(q)
-				}
-				for q := s.Cursor; q < s.Limit; q += slotBytes {
-					w.Heap.Mark(q)
-				}
+				w.Heap.MarkHeldSpan(s.Cursor, s.Limit, true)
 			}
 			if m.ten != nil && m.ten.budgeted() {
 				// Tag every carved slot with the owning tenant, as it was
@@ -418,28 +378,21 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 				// path hands them out. A flush untags and uncharges
 				// whatever returns unconsumed; until then the slots are
 				// owned and paid (Tenant.OwnedBytes counts them).
-				w.Heap.TagOwnerRun(run, m.ten.id)
 				w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
 				tagged = true
 			}
-			if w.cfg.LineAlloc {
-				m.recordSpanRefillLocked(idx, n, words)
-			} else {
-				m.recordRefillLocked(idx, n, words)
-			}
-			return p, nil
+			m.recordRefillLocked(idx, n, words)
+			return s.Cursor, nil
 		}
 		desperate := func() (mem.Addr, error) {
 			carved = false
 			tagged = false
-			c.run = c.run[:0]
-			c.next = 0
 			c.cursor, c.limit = 0, 0
 			return w.Heap.AllocDesperate(nwords, atomic)
 		}
 		p, err = w.allocateLocked(nwords, m.residue, dst != nil, try, desperate)
 		if err == nil && carved {
-			// AllocBatch defers stats to consumption; its first slot was
+			// A carve defers stats to consumption; its first slot was
 			// just handed out.
 			w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
 		}
@@ -678,32 +631,22 @@ func (m *Mutator) resyncLocked() {
 }
 
 // returnCacheLocked flushes one class's cached remainder back to its
-// central free list and empties the cache, returning how many slots
-// went back, and uncharges them from a budgeted tenant. Callers hold
-// w.mu.
+// central list and empties the cache, returning how many slots went
+// back, and uncharges them from a budgeted tenant. Callers hold w.mu.
 func (m *Mutator) returnCacheLocked(idx int) int {
 	c := &m.caches[idx]
 	budgeted := m.ten != nil && m.ten.budgeted()
-	rest := len(c.run) - c.next
-	if rest > 0 {
+	rest := 0
+	if c.cursor < c.limit {
 		if budgeted {
 			// Unconsumed slots were tagged and charged at carve; drop
 			// the tags (the charge goes back below) before the slots
-			// rejoin the free lists.
-			m.w.Heap.UntagOwnerRun(c.run[c.next:])
-		}
-		m.w.Heap.ReturnRun(c.words, idx >= alloc.NumClasses, c.run[c.next:])
-	}
-	c.run = c.run[:0]
-	c.next = 0
-	if c.cursor < c.limit {
-		if budgeted {
+			// rejoin their list.
 			m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
 		}
-		// A span's tail goes back so that the very next carve re-issues
-		// the same cursor: the line profile requeues its block, the
-		// free-list profile rewinds its fresh run or pushes it.
-		rest += m.w.Heap.ReturnSpan(c.cursor, c.limit)
+		// The tail goes back on top of its list, so that the very next
+		// carve re-issues the same cursor.
+		rest = m.w.Heap.ReturnSpan(c.cursor, c.limit)
 	}
 	c.cursor, c.limit = 0, 0
 	if budgeted && rest > 0 {
@@ -714,7 +657,7 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 }
 
 // flushLocked publishes the handle's pending stats and returns every
-// cached slot to the central free lists: the explicit flush, for the
+// cached slot to the central lists: the explicit flush, for the
 // callers that need an empty cache (see the header). Called under w.mu
 // — with the handle parked, or by the owner goroutine's own slow path.
 func (m *Mutator) flushLocked() {
@@ -733,21 +676,20 @@ func (c *allocCache) held() int {
 	if c.cursor < c.limit {
 		return int(c.limit-c.cursor) / (c.words * mem.WordBytes)
 	}
-	return len(c.run) - c.next
+	return 0
 }
 
 // appendHeld appends the addresses of the slots the cache holds, not
 // yet handed out, to out.
 func (c *allocCache) appendHeld(out []mem.Addr) []mem.Addr {
-	out = append(out, c.run[c.next:]...)
 	for p := c.cursor; p < c.limit; p += mem.Addr(c.words * mem.WordBytes) {
 		out = append(out, p)
 	}
 	return out
 }
 
-// recordRefillLocked notes one batched cache refill in the handle and
-// world observability. Callers hold w.mu.
+// recordRefillLocked notes one cache refill in the handle and world
+// observability. Callers hold w.mu.
 func (m *Mutator) recordRefillLocked(idx, n, words int) {
 	c := &m.caches[idx]
 	c.words = words
@@ -760,21 +702,6 @@ func (m *Mutator) recordRefillLocked(idx, n, words int) {
 	if w.tracer.Enabled() {
 		w.tracer.Emit(trace.EvCacheRefill, int64(idx), int64(n), int64(words))
 	}
-}
-
-// recordSpanRefillLocked notes one bump-span refill (Config.LineAlloc)
-// in the handle and world observability. The trace event (EvSpanRefill)
-// is emitted by the allocator's carve itself — a central-span hand-over
-// re-issues an already-carved span, which must not double-count there.
-// Callers hold w.mu.
-func (m *Mutator) recordSpanRefillLocked(idx, n, words int) {
-	c := &m.caches[idx]
-	c.words = words
-	m.warm |= 1 << uint(idx)
-	m.stats.Refills++
-	m.stats.RunSlots += uint64(n)
-	m.w.met.spanRefills.Inc()
-	m.w.met.spanRefillSlots.Add(uint64(n))
 }
 
 // parkMutatorsLocked is the one safepoint: acquire every handle's lock
@@ -845,7 +772,6 @@ func (m *Mutator) eachHeld(fn func(c *allocCache)) {
 func (w *World) markHeldLocked() {
 	for _, m := range w.muts {
 		m.eachHeld(func(c *allocCache) {
-			w.Heap.MarkHeldRun(c.run[c.next:], true)
 			w.Heap.MarkHeldSpan(c.cursor, c.limit, true)
 			c.black = true
 		})
@@ -867,7 +793,6 @@ func (w *World) settleHeldLocked(r *alloc.SweepResult) {
 			objects += n
 			bytes += n * uint64(c.words*mem.WordBytes)
 			if w.cfg.Generational {
-				w.Heap.MarkHeldRun(c.run[c.next:], false)
 				w.Heap.MarkHeldSpan(c.cursor, c.limit, false)
 			}
 		})

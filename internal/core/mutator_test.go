@@ -395,3 +395,35 @@ func TestMutatorStatsCounters(t *testing.T) {
 		t.Fatalf("Free flushed %d slots, the cache held %d", st.FlushedSlots, rest)
 	}
 }
+
+// TestRootSourceAccessorsRace reads World.RootSource and
+// Mutator.RootSource on one goroutine while another attaches and
+// detaches root sources through SetMutator and SetRootSource: the
+// getters take the locks the setters write under, so the race detector
+// (make race runs this among the concurrent batteries) finds nothing,
+// and every read is one of the values written.
+func TestRootSourceAccessorsRace(t *testing.T) {
+	w := newWorld(t, Config{})
+	m := w.NewMutator()
+	src := &rootHolder{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			var s RootSource
+			if i%2 == 0 {
+				s = src
+			}
+			w.SetMutator(s)
+			m.SetRootSource(s)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		for _, got := range []RootSource{w.RootSource(), m.RootSource()} {
+			if got != nil && got != RootSource(src) {
+				t.Fatalf("read %v, which no setter wrote", got)
+			}
+		}
+	}
+	<-done
+}

@@ -362,7 +362,10 @@ func TestPacerTriggerMirrorMatchesCentral(t *testing.T) {
 			}
 			w.FinishConcurrentCycle()
 			st := m.Stats()
-			refills, collections := uint64(tc.n/runSlots+1), uint64(w.Collections())
+			// A refill carves a whole hole: on this all-garbage tape,
+			// nearly always a fresh block of 256 slots. A quarter of that
+			// is room for the holes of the blocks held caches keep mixed.
+			refills, collections := uint64(tc.n/64+1), uint64(w.Collections())
 			if st.SlowAllocs > refills+collections {
 				t.Fatalf("%d of %d allocations took the slow path, want at most %d refills + %d collections",
 					st.SlowAllocs, tc.n, refills, collections)

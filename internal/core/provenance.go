@@ -390,12 +390,10 @@ func (w *World) retentionPasses(opts RetentionOptions) (RetentionReport, []retai
 	w.landCycleLocked()
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	// The caches and the central bump spans hold carved slots not yet
-	// handed out; return them so the report's passes see only real
-	// objects.
+	// The caches hold carved slots not yet handed out; return them so
+	// the report's passes see only real objects.
 	w.flushMutatorsLocked()
 	w.Heap.FinishSweep()
-	w.Heap.FlushSpans()
 
 	img := w.buildRootImageLocked()
 	// A private marker: the report's candidate tests must not pollute

@@ -428,12 +428,6 @@ func (w *World) evictTenantLocked(t *Tenant) {
 		objects++
 		bytes += b
 	}
-	// Line profile: Free parks slots on the freed LIFO with their alloc
-	// bits still set (so a reallocation reuses them first). Eviction
-	// must be exact — and the victim's roots may still dangle into these
-	// slots, which would re-mark them at the next cycle — so land the
-	// flush barrier that drops the bits now.
-	w.Heap.FlushSpans()
 	w.creditTenant(t.id, objects, bytes)
 	w.met.tenantEvictions.Inc()
 	if w.tracer.Enabled() {

@@ -158,8 +158,8 @@ type Config struct {
 	// and sweeps. No goroutine marks beside the mutators: a cycle that
 	// stops receiving allocation stays open until Collect,
 	// FinishConcurrentCycle, a measurement or exhaustion lands it.
-	// Composes with Generational (minor cycles run concurrently too),
-	// LazySweep and LineAlloc.
+	// Composes with Generational (minor cycles run concurrently too) and
+	// LazySweep.
 	ConcurrentMark bool
 
 	// ConcMarkWorkers selects nothing: every value NewWorld accepts (any
@@ -190,25 +190,18 @@ type Config struct {
 	// fully-live blocks left untouched — and the setting decides only
 	// what happens to mixed blocks: off (the default, as in the paper's
 	// collector), they are swept in the pause; on, they are queued, and
-	// the allocator sweeps them on demand as it refills free lists,
+	// the allocator sweeps them on demand as it refills its lists,
 	// finishing any remainder before the next cycle's mark phase.
 	// Reclamation totals (CollectionStats.Sweep) and allocation
 	// addresses are the same either way; only the timing of the per-slot
 	// work moves.
 	LazySweep bool
 
-	// LineAlloc switches small untyped allocation to the line-structured
-	// bump profile (see alloc.Config.LineAlloc and alloc/lines.go):
-	// mutator caches hold {cursor, limit} bump spans carved over runs of
-	// wholly-free lines instead of slot runs, so the allocation fast
-	// path is a pointer increment with no heap access, and the sweep
-	// classifies blocks by line occupancy instead of threading free
-	// lists. Reclamation totals are identical to the free-list profile;
-	// on line-aligned size classes allocation addresses are too (the
-	// differential tests assert both). Composes with every cycle kind,
-	// concurrent ones included: outstanding central spans are flushed
-	// when a cycle opens and again when it closes, and returned span
-	// slots drop any mark they picked up mid-cycle. Default off.
+	// LineAlloc selects nothing: the line heap it chose is folded into
+	// the one small-object allocator, whose caches bump through whole
+	// holes of free slots (alloc.Config.LineAlloc, DESIGN.md §5f). The
+	// field remains only because cmd/perfbench's workloads set it, and
+	// goes with ConcurrentSweep once they no longer do.
 	LineAlloc bool
 }
 
@@ -453,9 +446,6 @@ type worldMetrics struct {
 	stwStops, stwPauseNs           *metrics.Counter
 	cacheRefills, cacheRefillSlots *metrics.Counter
 	cacheFlushSlots                *metrics.Counter
-	// Bump-span refill counters (Config.LineAlloc), the line profile's
-	// analogue of the cache refill counters above.
-	spanRefills, spanRefillSlots *metrics.Counter
 	// Allocation-path lock waits (lockAwake): acquisitions that found
 	// the lock held, their time to acquire, and those that slept.
 	lockWaits, lockWaitNs, lockWaitSleeps *metrics.Counter
@@ -499,12 +489,6 @@ type worldMetrics struct {
 	bytesAllocated, objectsAllocated  *metrics.Gauge
 	heapExpansions, desperateAllocs   *metrics.Gauge
 	mutators                          *metrics.Gauge
-	// Line-heap utilization gauges (zero unless Config.LineAlloc):
-	// wholly-free (carvable) lines, lines holding an allocated slot,
-	// and the bytes stranded in partially-occupied lines — the
-	// paper-style space-overhead view of bump allocation.
-	lineLiveLines, lineFreeLines *metrics.Gauge
-	lineWasteBytes               *metrics.Gauge
 }
 
 func newWorldMetrics() worldMetrics {
@@ -532,8 +516,6 @@ func newWorldMetrics() worldMetrics {
 		cacheRefills:       reg.Counter("cache_refills"),
 		cacheRefillSlots:   reg.Counter("cache_refill_slots"),
 		cacheFlushSlots:    reg.Counter("cache_flush_slots"),
-		spanRefills:        reg.Counter("span_refills"),
-		spanRefillSlots:    reg.Counter("span_refill_slots"),
 		lockWaits:          reg.Counter("lock_waits"),
 		lockWaitNs:         reg.Counter("lock_wait_ns"),
 		lockWaitSleeps:     reg.Counter("lock_wait_sleeps"),
@@ -567,9 +549,6 @@ func newWorldMetrics() worldMetrics {
 		heapExpansions:     reg.Gauge("heap_expansions"),
 		desperateAllocs:    reg.Gauge("desperate_allocs"),
 		mutators:           reg.Gauge("mutators"),
-		lineLiveLines:      reg.Gauge("line_live_lines"),
-		lineFreeLines:      reg.Gauge("line_free_lines"),
-		lineWasteBytes:     reg.Gauge("line_waste_bytes"),
 	}
 }
 
@@ -664,12 +643,6 @@ func (w *World) syncGauges() {
 	m.heapExpansions.Set(int64(st.Expansions))
 	m.desperateAllocs.Set(int64(st.DesperateAllocs))
 	m.pacerCreditB.Set(w.cyc.pacerCredit)
-	if w.cfg.LineAlloc {
-		ls := w.Heap.LineStats()
-		m.lineLiveLines.Set(int64(ls.LiveLines))
-		m.lineFreeLines.Set(int64(ls.FreeLines))
-		m.lineWasteBytes.Set(int64(ls.WasteBytes))
-	}
 	if len(w.tenants) > 0 {
 		var live uint64
 		for _, t := range w.tenants {
@@ -887,7 +860,11 @@ func (w *World) residueOf(src RootSource) residueSimulator {
 
 // RootSource returns the root source attached with SetMutator
 // (possibly nil).
-func (w *World) RootSource() RootSource { return w.mut }
+func (w *World) RootSource() RootSource {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.mut
+}
 
 // Allocate allocates an object of nwords words, collecting and/or
 // expanding the heap as needed. atomic marks the object pointer-free.
@@ -1117,12 +1094,10 @@ func (w *World) MarkOnly() (objects, bytes uint64) {
 	w.landCycleLocked()
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	// Carved slots not yet handed out — the caches' and the central
-	// spans' — are not accessible objects, and pending bits are the
-	// previous cycle's, not this one's.
+	// Carved slots not yet handed out are not accessible objects, and
+	// pending bits are the previous cycle's, not this one's.
 	w.flushMutatorsLocked()
 	w.Heap.FinishSweep()
-	w.Heap.FlushSpans()
 	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kindFull))
 	mstats, _ := w.markPhase(false)
 	w.traceMarkEnd(mstats)

@@ -86,10 +86,10 @@ const (
 	// carved slots their caches hold across the stop (none is flushed),
 	// A2 stop duration in nanoseconds.
 	EvSafepoint
-	// EvCacheRefill records a mutator allocation cache refilling from
-	// the central free lists in one batched carve. A0 free-list index
-	// (class, +NumClasses when atomic), A1 slots carved, A2 object
-	// words per slot.
+	// EvCacheRefill records a mutator allocation cache refilling with
+	// one carve of its class's next hole. A0 list index (class,
+	// +NumClasses when atomic), A1 slots carved, A2 object words per
+	// slot.
 	EvCacheRefill
 	// EvProvenance records the harvest of a provenance-recording mark
 	// phase. A0 first-mark records captured this cycle, A1 total records
@@ -99,10 +99,6 @@ const (
 	// objects attributed as spuriously retained, A2 root slots analysed
 	// for sole retention.
 	EvRetention
-	// EvSpanRefill records the carve of one bump span over a run of free
-	// lines (Config.LineAlloc). A0 span base address, A1 slots in the
-	// span, A2 object words per slot.
-	EvSpanRefill
 	// EvBarrierShade records the concurrent-mark write barrier marking
 	// the target of a store: the stored value was the address of an
 	// object no marker had reached yet. A0 the stored-to address, A1 the
@@ -148,7 +144,6 @@ var kindNames = [numKinds]string{
 	EvCacheRefill:    "cache_refill",
 	EvProvenance:     "provenance",
 	EvRetention:      "retention",
-	EvSpanRefill:     "span_refill",
 	EvBarrierShade:   "barrier_shade",
 	EvFinalPause:     "final_pause",
 	EvPacerAssist:    "pacer_assist",

@@ -90,7 +90,7 @@ type (
 	BlacklistStats = blacklist.Stats
 	// AllocStats reports allocator activity.
 	AllocStats = alloc.Stats
-	// LineStats is the line-heap space accounting (Config.LineAlloc).
+	// LineStats was the line heap's space accounting; it reads zero.
 	LineStats = alloc.LineStats
 	// SpaceBreakdown buckets every committed heap byte exactly.
 	SpaceBreakdown = alloc.SpaceBreakdown
