@@ -124,7 +124,7 @@ func BenchmarkTenantAllocateChurn(b *testing.B) {
 
 // BenchmarkTenantAllocateTwoWorkers is perfbench's serve_tenants shape
 // without the harness: sixteen budgeted collect-first tenant handles
-// in a 512 KiB line-allocating, lazily swept world, and two goroutines,
+// in a 512 KiB lazily swept world, and two goroutines,
 // each round-robining eight of the handles one 32-allocation request
 // at a time — the {2,4,8,16}-word tape into the handle's ring of 256
 // root slots, every fourth allocation linked to the one before. An op
@@ -136,7 +136,7 @@ func BenchmarkTenantAllocateChurn(b *testing.B) {
 func BenchmarkTenantAllocateTwoWorkers(b *testing.B) {
 	const tenants, workers, perRequest, slots, rootsBase = 16, 2, 32, 256, Addr(0x2000)
 	sizes := [4]int{2, 4, 8, 16}
-	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LineAlloc: true, LazySweep: true})
+	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LazySweep: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func BenchmarkTenantAllocateTwoWorkers(b *testing.B) {
 // allocateChurn runs the churn tape on the handle newHandle makes.
 func allocateChurn(b *testing.B, newHandle func(*World) *Mutator) {
 	const slots, rootsBase = 4096, Addr(0x2000)
-	w, err := NewWorld(Config{InitialHeapBytes: 1 << 20, MarkWorkers: 1})
+	w, err := NewWorld(Config{InitialHeapBytes: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func allocateChurn(b *testing.B, newHandle func(*World) *Mutator) {
 
 // BenchmarkCollectHeldCaches is the safepoint's rung on perfbench's
 // serve_tenants shape, without the harness: sixteen budgeted tenant
-// handles in a 512 KiB line-allocating, lazily swept world, each
+// handles in a 512 KiB lazily swept world, each
 // holding warm bump spans of the four request sizes with a few objects
 // handed out of each, and a Collect that parks them, marks the slots
 // their caches hold and takes them out of the survey at the close —
@@ -236,7 +236,7 @@ func allocateChurn(b *testing.B, newHandle func(*World) *Mutator) {
 func BenchmarkCollectHeldCaches(b *testing.B) {
 	const tenants, perSize, rootsBase = 16, 3, Addr(0x2000)
 	sizes := [4]int{2, 4, 8, 16}
-	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LineAlloc: true, LazySweep: true, GCDivisor: -1})
+	w, err := NewWorld(Config{InitialHeapBytes: 512 << 10, LazySweep: true, GCDivisor: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -337,8 +337,8 @@ func BenchmarkMutatorStore(b *testing.B) {
 
 // BenchmarkConcurrentLiveGraph is the rung under perfbench's
 // live_graph_conc row, without the harness: the same concurrent world
-// (768 KiB fixed heap, about 1.28× live; ConcurrentSweep, which is the
-// lazy sweep, MarkQuantum 4096, GCDivisor 16), preloaded with the same 16 384-node graph — node
+// (768 KiB fixed heap, about 1.28× live; the lazy sweep, MarkQuantum
+// 4096, GCDivisor 16), preloaded with the same 16 384-node graph — node
 // i points at node i-1 and at a random earlier node, sizes cycling
 // {4,8,16} words — and one op is the same request: 32 rooted
 // allocations of {2,4,8,16} words into scratch slots, every eighth
@@ -350,7 +350,7 @@ func BenchmarkConcurrentLiveGraph(b *testing.B) {
 	const nodes, perRequest, rootsBase = 16_384, 32, Addr(0x2000)
 	w, err := NewWorld(Config{
 		InitialHeapBytes: 768 << 10, ReserveHeapBytes: 768 << 10,
-		ConcurrentMark: true, ConcurrentSweep: true, MarkQuantum: 4096, GCDivisor: 16,
+		ConcurrentMark: true, LazySweep: true, MarkQuantum: 4096, GCDivisor: 16,
 	})
 	if err != nil {
 		b.Fatal(err)

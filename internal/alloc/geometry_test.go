@@ -213,7 +213,6 @@ var zooConfigs = []struct {
 	cfg  Config
 }{
 	{"freelist", Config{}},
-	{"line-alloc", Config{LineAlloc: true}},
 	{"skip-boundary-slot", Config{SkipPageBoundarySlot: true}},
 	{"second-extent", Config{
 		InitialBytes: 24 * mem.PageBytes, ReserveBytes: 24 * mem.PageBytes,
@@ -407,7 +406,6 @@ func FuzzMarkCandidate(f *testing.F) {
 			ReserveBytes:         16 * mem.PageBytes,
 			ExpandIncrement:      mem.PageBytes,
 			InteriorPointers:     interior,
-			LineAlloc:            mode&4 != 0,
 			SkipPageBoundarySlot: mode&8 != 0,
 			DiscontiguousGrowth:  true,
 			ExtentGapBytes:       1 << 20,
@@ -541,38 +539,36 @@ func TestBlockDescLayout(t *testing.T) {
 // TestNewSmallBlockGeometry checks the one constructor: every size class
 // caches its table geometry and gets bitmaps of one bit per slot.
 func TestNewSmallBlockGeometry(t *testing.T) {
-	for _, cfg := range []Config{{}, {LineAlloc: true}} {
-		_, a := newTestAllocator(t, cfg)
-		id, err := a.RegisterDescriptor([]bool{true, false, true})
-		if err != nil {
-			t.Fatal(err)
+	_, a := newTestAllocator(t, Config{})
+	id, err := a.RegisterDescriptor([]bool{true, false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range classWords {
+		mustAlloc(t, a, w, false)
+		mustAlloc(t, a, w, true)
+	}
+	if _, err := a.AllocTyped(id); err != nil {
+		t.Fatal(err)
+	}
+	small := 0
+	for bi := range a.blocks {
+		b := &a.blocks[bi]
+		if b.state != blockSmall {
+			continue
 		}
-		for _, w := range classWords {
-			mustAlloc(t, a, w, false)
-			mustAlloc(t, a, w, true)
+		small++
+		w := int(b.objWords)
+		if b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
+			t.Errorf("block %d (%d words): cached (%d, %d), tables (%d, %d)", bi, w, b.slotRecip, b.slots, slotRecip[w], slotCount[w])
 		}
-		if _, err := a.AllocTyped(id); err != nil {
-			t.Fatal(err)
+		n := (slotsPerBlock(w) + 63) / 64
+		if len(b.markBits) != n || len(b.allocBits) != n {
+			t.Errorf("block %d: %d mark words and %d alloc words, want %d each", bi, len(b.markBits), len(b.allocBits), n)
 		}
-		small := 0
-		for bi := range a.blocks {
-			b := &a.blocks[bi]
-			if b.state != blockSmall {
-				continue
-			}
-			small++
-			w := int(b.objWords)
-			if b.slotRecip != slotRecip[w] || b.slots != slotCount[w] {
-				t.Errorf("block %d (%d words): cached (%d, %d), tables (%d, %d)", bi, w, b.slotRecip, b.slots, slotRecip[w], slotCount[w])
-			}
-			n := (slotsPerBlock(w) + 63) / 64
-			if len(b.markBits) != n || len(b.allocBits) != n {
-				t.Errorf("block %d: %d mark words and %d alloc words, want %d each", bi, len(b.markBits), len(b.allocBits), n)
-			}
-		}
-		if want := 2*len(classWords) + 1; small != want {
-			t.Fatalf("%d small blocks, want %d", small, want)
-		}
+	}
+	if want := 2*len(classWords) + 1; small != want {
+		t.Fatalf("%d small blocks, want %d", small, want)
 	}
 }
 

@@ -412,9 +412,7 @@ var ownerTapeConfigs = []struct {
 	cfg  Config
 }{
 	{"freelist", Config{}},
-	{"line-alloc", Config{LineAlloc: true}},
 	{"lazy-sweep", Config{LazySweep: true}},
-	{"line-lazy", Config{LineAlloc: true, LazySweep: true}},
 	{"skip-boundary-slot", Config{SkipPageBoundarySlot: true, LazySweep: true}},
 	{"second-extent", Config{
 		InitialBytes: 6 * mem.PageBytes, ReserveBytes: 10 * mem.PageBytes,
@@ -607,7 +605,7 @@ func TestOwnerTableEdges(t *testing.T) {
 		// the rest. Slots [0, 8) and [64, 72) survive the sweep; nothing
 		// reconciles before the next carve, which takes the hole [8, 64)
 		// over the dead objects' stale records.
-		a, credit := ownerEdgeHeap(t, Config{LineAlloc: true})
+		a, credit := ownerEdgeHeap(t, Config{})
 		s, err := a.AllocSpan(8, false)
 		if err != nil {
 			t.Fatal(err)

@@ -6,12 +6,7 @@ import (
 	"repro/internal/mem"
 )
 
-// Spans: the carves a mutator cache bumps through. The tests keep the
-// names they had as line-heap tests, with Config.LineAlloc set, which
-// selects nothing now: what they check is the one allocator's.
-
-// lineCfg is the configuration these tests ran the line heap under.
-func lineCfg() Config { return Config{LineAlloc: true} }
+// Spans: the carves a mutator cache bumps through.
 
 // spanAddrs expands a span into the slot addresses it will hand out.
 func spanAddrs(s Span) []mem.Addr {
@@ -23,8 +18,10 @@ func spanAddrs(s Span) []mem.Addr {
 	return out
 }
 
-func TestLineAllocBasicSpan(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
+// TestSpanFreshBlock carves a fresh block: one span of every usable
+// slot, each allocated and zeroed.
+func TestSpanFreshBlock(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
 	s, err := a.AllocSpan(64, false)
 	if err != nil {
 		t.Fatal(err)
@@ -61,14 +58,14 @@ func TestLineAllocBasicSpan(t *testing.T) {
 	}
 }
 
-// TestLineAllocReturnSpanExact consumes two slots of a span, returns
+// TestReturnSpanExact consumes two slots of a span, returns
 // the tail and re-carves: the next span must resume at exactly the
 // returned cursor. When the span was marked as a held cache is
 // (MarkHeldSpan, over all but its last slot), the return must take
 // exactly the returned slots' marks off the block's mark summary.
-func TestLineAllocReturnSpanExact(t *testing.T) {
+func TestReturnSpanExact(t *testing.T) {
 	for _, marked := range []bool{false, true} {
-		_, a := newTestAllocator(t, lineCfg())
+		_, a := newTestAllocator(t, Config{})
 		s, err := a.AllocSpan(64, false)
 		if err != nil {
 			t.Fatal(err)
@@ -102,8 +99,10 @@ func TestLineAllocReturnSpanExact(t *testing.T) {
 	}
 }
 
-func TestLineAllocStatsDeferredToConsumption(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
+// TestSpanStatsDeferredToConsumption: a carve counts nothing until
+// CommitAllocs says how many of its slots were handed out.
+func TestSpanStatsDeferredToConsumption(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
 	before := a.Stats()
 	s, err := a.AllocSpan(64, false)
 	if err != nil {
@@ -120,8 +119,10 @@ func TestLineAllocStatsDeferredToConsumption(t *testing.T) {
 	}
 }
 
-func TestLineSweepReclaimsAndZeroes(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
+// TestSweepZeroesAndReclaims: a sweep zeroes every dead slot whole,
+// and the slots it freed are carved again.
+func TestSweepZeroesAndReclaims(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
 	// Allocate a block's worth of 8-word objects, mark every other one,
 	// sweep, and check dead slots are whole-zeroed and reclaimable.
 	var objs []mem.Addr
@@ -167,24 +168,23 @@ func TestLineSweepReclaimsAndZeroes(t *testing.T) {
 	}
 }
 
-// TestLineStatsAccounting pins LineStats at zero: there are no lines
-// to account, whatever the configuration.
-func TestLineStatsAccounting(t *testing.T) {
-	for _, cfg := range []Config{lineCfg(), {}} {
-		_, a := newTestAllocator(t, cfg)
-		for i := 0; i < mem.PageWords/64/2; i++ {
-			if _, err := a.Alloc(64, false); err != nil {
-				t.Fatal(err)
-			}
+// TestLineStatsZero pins LineStats at zero: there are no lines to
+// account.
+func TestLineStatsZero(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
+	for i := 0; i < mem.PageWords/64/2; i++ {
+		if _, err := a.Alloc(64, false); err != nil {
+			t.Fatal(err)
 		}
-		if ls := a.LineStats(); ls != (LineStats{}) {
-			t.Fatalf("LineAlloc=%v: LineStats = %+v, want zero", cfg.LineAlloc, ls)
-		}
+	}
+	if ls := a.LineStats(); ls != (LineStats{}) {
+		t.Fatalf("LineStats = %+v, want zero", ls)
 	}
 }
 
-func TestLineAllocFreeRequeues(t *testing.T) {
-	_, a := newTestAllocator(t, lineCfg())
+// TestFreedSlotReissuedFirst: a freed slot goes on top of its list.
+func TestFreedSlotReissuedFirst(t *testing.T) {
+	_, a := newTestAllocator(t, Config{})
 	p, err := a.Alloc(64, false)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ func sentinel(w int) mem.Word { return mem.Word(0xa5000000 | w) }
 
 // TestSweepZeroesDeadRunsOnly fills one block of a class, writes a
 // sentinel into every word of every slot, marks all but a dead pattern
-// and sweeps. Every dead slot's body must read zero afterwards (the
-// free list's link word aside) and every other slot must keep its
+// and sweeps. Every dead slot's body must read zero afterwards and
+// every other slot must keep its
 // sentinels: the sweep zeroes whole dead runs, and nothing past them.
 func TestSweepZeroesDeadRunsOnly(t *testing.T) {
 	patterns := []struct {
@@ -30,63 +30,59 @@ func TestSweepZeroesDeadRunsOnly(t *testing.T) {
 		{"to the last slot", 24, false, func(s, n int) bool { return s >= n-5 }},
 		{"from the first usable slot", 2, true, func(s, _ int) bool { return s >= 1 && s < 10 }},
 	}
-	for _, line := range []bool{false, true} {
-		for _, lazy := range []bool{false, true} {
-			for _, pat := range patterns {
-				name := fmt.Sprintf("line=%v/lazy=%v/%s", line, lazy, pat.name)
-				t.Run(name, func(t *testing.T) {
-					_, a := newTestAllocator(t, Config{LineAlloc: line, LazySweep: lazy, SkipPageBoundarySlot: pat.skip})
-					nslots, first := slotsPerBlock(pat.words), a.firstSlot(pat.words)
-					if pat.skip && first != 1 {
-						t.Fatalf("first slot %d under SkipPageBoundarySlot", first)
+	for _, lazy := range []bool{false, true} {
+		for _, pat := range patterns {
+			name := fmt.Sprintf("lazy=%v/%s", lazy, pat.name)
+			t.Run(name, func(t *testing.T) {
+				_, a := newTestAllocator(t, Config{LazySweep: lazy, SkipPageBoundarySlot: pat.skip})
+				nslots, first := slotsPerBlock(pat.words), a.firstSlot(pat.words)
+				if pat.skip && first != 1 {
+					t.Fatalf("first slot %d under SkipPageBoundarySlot", first)
+				}
+				var objs []mem.Addr
+				for s := first; s < nslots; s++ {
+					objs = append(objs, mustAlloc(t, a, pat.words, false))
+				}
+				bi := a.blockIndex(objs[0])
+				hw := a.blockWords(bi)
+				for i, p := range objs {
+					if a.blockIndex(p) != bi || p != slotAddr(a.blockBase(bi), first+i, pat.words) {
+						t.Fatalf("object %d at %#x is not slot %d of block %d", i, uint32(p), first+i, bi)
 					}
-					var objs []mem.Addr
-					for s := first; s < nslots; s++ {
-						objs = append(objs, mustAlloc(t, a, pat.words, false))
+				}
+				// Slot 0 of a skipping block holds no object; its
+				// sentinels must survive too.
+				for w := range hw[:nslots*pat.words] {
+					hw[w] = sentinel(w)
+				}
+				for i, p := range objs {
+					if !pat.dead(first+i, nslots) {
+						a.Mark(p)
 					}
-					bi := a.blockIndex(objs[0])
-					hw := a.blockWords(bi)
-					for i, p := range objs {
-						if a.blockIndex(p) != bi || p != slotAddr(a.blockBase(bi), first+i, pat.words) {
-							t.Fatalf("object %d at %#x is not slot %d of block %d", i, uint32(p), first+i, bi)
+				}
+				a.Sweep()
+				if lazy && a.FinishSweep() != 1 {
+					t.Fatal("the block was not left for the lazy sweep")
+				}
+				for s := 0; s < nslots; s++ {
+					dead := s >= first && pat.dead(s, nslots)
+					for w := 0; w < pat.words; w++ {
+						i := s*pat.words + w
+						switch {
+						case dead && hw[i] != 0:
+							t.Fatalf("dead slot %d word %d = %#x after the sweep", s, w, hw[i])
+						case !dead && hw[i] != sentinel(i):
+							t.Fatalf("live slot %d word %d = %#x, want its sentinel %#x", s, w, hw[i], sentinel(i))
 						}
 					}
-					// Slot 0 of a skipping block holds no object; its
-					// sentinels must survive too.
-					for w := range hw[:nslots*pat.words] {
-						hw[w] = sentinel(w)
-					}
-					for i, p := range objs {
-						if !pat.dead(first+i, nslots) {
-							a.Mark(p)
-						}
-					}
-					a.Sweep()
-					if lazy && a.FinishSweep() != 1 {
-						t.Fatal("the block was not left for the lazy sweep")
-					}
-					for s := 0; s < nslots; s++ {
-						dead := s >= first && pat.dead(s, nslots)
-						for w := 0; w < pat.words; w++ {
-							i := s*pat.words + w
-							switch {
-							case dead && w == 0 && !line:
-								// The free list's link.
-							case dead && hw[i] != 0:
-								t.Fatalf("dead slot %d word %d = %#x after the sweep", s, w, hw[i])
-							case !dead && hw[i] != sentinel(i):
-								t.Fatalf("live slot %d word %d = %#x, want its sentinel %#x", s, w, hw[i], sentinel(i))
-							}
-						}
-					}
-					if pat.skip {
-						clear(hw[:pat.words])
-					}
-					if err := a.CheckIntegrity(nil); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+				}
+				if pat.skip {
+					clear(hw[:pat.words])
+				}
+				if err := a.CheckIntegrity(nil); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

@@ -91,25 +91,13 @@ func liveSet(w *World) map[mem.Addr]bool {
 // Scan-volume fields legitimately differ (the finale re-scans roots),
 // so the comparison is marking outcome and reclamation, not effort.
 func TestConcurrentMarkDifferential(t *testing.T) {
-	// Every trigger is disabled (MinorDivisor defaults on in
-	// generational mode): a mid-build automatic cycle would overlap the
+	// Each stop-the-world mode against its concurrent twin. Every
+	// trigger is disabled: a mid-build automatic cycle would overlap the
 	// build's own allocations and legitimately diverge the two heaps.
-	configs := map[string]Config{
-		"full":      {GCDivisor: -1},
-		"gen":       {Generational: true, GCDivisor: -1, MinorDivisor: -1},
-		"lazy":      {GCDivisor: -1, LazySweep: true},
-		"gen-lazy":  {Generational: true, GCDivisor: -1, MinorDivisor: -1, LazySweep: true},
-		"line":      {GCDivisor: -1, LineAlloc: true},
-		"line-lazy": {GCDivisor: -1, LineAlloc: true, LazySweep: true},
-		// The concurrent side configured with ConcMarkWorkers 4, which
-		// once detached it onto four workers and must now select nothing.
-		"par": {GCDivisor: -1, ConcMarkWorkers: 4},
-	}
-	for name, cfg := range configs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark }) {
+		t.Run(mode.Name, func(t *testing.T) {
 			run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool, int) {
-				c := cfg
+				c := mode.Apply(Config{GCDivisor: -1, MinorDivisor: -1})
 				c.ConcurrentMark = concurrent
 				w := newWorld(t, c)
 				addData(t, w, "data", 0x2000, 4096)
@@ -423,31 +411,23 @@ func TestConcurrentMarkUnrootedBornBlack(t *testing.T) {
 	handle := func(w *World, m *Mutator, _ alloc.DescID) (mem.Addr, error) { return m.Allocate(words, false) }
 	for _, tc := range []struct {
 		name   string
-		cfg    Config
 		budget uint64
 		plain  []plainFn
 	}{
 		{name: "freelist", plain: []plainFn{handle}},
-		{name: "linealloc", cfg: Config{LineAlloc: true}, plain: []plainFn{handle}},
 		{name: "tenant", budget: 1 << 20, plain: []plainFn{handle}},
 		{name: "world", plain: []plainFn{
 			func(w *World, _ *Mutator, _ alloc.DescID) (mem.Addr, error) { return w.Allocate(words, false) },
 			func(w *World, _ *Mutator, id alloc.DescID) (mem.Addr, error) { return w.AllocateTyped(id) },
-			func(w *World, _ *Mutator, _ alloc.DescID) (mem.Addr, error) {
-				return w.AllocateIgnoreOffPage(large, false)
-			},
+			func(w *World, _ *Mutator, _ alloc.DescID) (mem.Addr, error) { return w.Allocate(large, false) },
 		}},
 		{name: "handle-uncached", plain: []plainFn{
 			func(_ *World, m *Mutator, id alloc.DescID) (mem.Addr, error) { return m.AllocateTyped(id) },
-			func(_ *World, m *Mutator, _ alloc.DescID) (mem.Addr, error) {
-				return m.AllocateIgnoreOffPage(large, false)
-			},
+			func(_ *World, m *Mutator, _ alloc.DescID) (mem.Addr, error) { return m.Allocate(large, false) },
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.ConcurrentMark, cfg.GCDivisor, cfg.MarkQuantum = true, -1, 16
-			w := newWorld(t, cfg)
+			w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 16})
 			installClosureOracle(t, w, nil)
 			data := addData(t, w, "data", 0x2000, 4096)
 			concLiveList(t, w, 0x2000+4*8, 4000)
@@ -503,45 +483,33 @@ func TestConcurrentMarkUnrootedBornBlack(t *testing.T) {
 // out of the survey.
 func TestConcurrentMarkRootedBornWhite(t *testing.T) {
 	const allocs, listNodes = 100, 4000
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{name: "freelist"},
-		{name: "linealloc", cfg: Config{LineAlloc: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.ConcurrentMark, cfg.GCDivisor, cfg.MarkQuantum = true, -1, 16
-			w := newWorld(t, cfg)
-			installClosureOracle(t, w, nil)
-			data := addData(t, w, "data", 0x2000, 4096)
-			concLiveList(t, w, 0x2000+4, listNodes)
-			m := w.NewMutator()
-			if err := w.StartConcurrentCycle(); err != nil {
-				t.Fatal(err)
-			}
-			var last mem.Addr
-			for i := 0; i < allocs; i++ {
-				p, err := m.AllocateRooted(data, 0x2000, 4, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				last = p
-			}
-			concFinish(t, w)
-			st := w.LastCollection()
-			if st.Sweep.ObjectsLive != listNodes+1 || st.Sweep.ObjectsFreed != allocs-1 {
-				t.Fatalf("finale kept %d and freed %d objects, want the %d list nodes and the one rooted object, and %d",
-					st.Sweep.ObjectsLive, st.Sweep.ObjectsFreed, listNodes, allocs-1)
-			}
-			if !w.Heap.IsAllocated(last) {
-				t.Fatalf("the rooted object %#x was swept", uint32(last))
-			}
-			if err := w.VerifyIntegrity(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 16})
+	installClosureOracle(t, w, nil)
+	data := addData(t, w, "data", 0x2000, 4096)
+	concLiveList(t, w, 0x2000+4, listNodes)
+	m := w.NewMutator()
+	if err := w.StartConcurrentCycle(); err != nil {
+		t.Fatal(err)
+	}
+	var last mem.Addr
+	for i := 0; i < allocs; i++ {
+		p, err := m.AllocateRooted(data, 0x2000, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = p
+	}
+	concFinish(t, w)
+	st := w.LastCollection()
+	if st.Sweep.ObjectsLive != listNodes+1 || st.Sweep.ObjectsFreed != allocs-1 {
+		t.Fatalf("finale kept %d and freed %d objects, want the %d list nodes and the one rooted object, and %d",
+			st.Sweep.ObjectsLive, st.Sweep.ObjectsFreed, listNodes, allocs-1)
+	}
+	if !w.Heap.IsAllocated(last) {
+		t.Fatalf("the rooted object %#x was swept", uint32(last))
+	}
+	if err := w.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -586,7 +554,7 @@ func TestConcurrentMarkFastPathZeroAlloc(t *testing.T) {
 // FuzzConcurrentMark fuzzes interleavings of mutator work with the
 // concurrent cycle's own control points: stores, explicit frees,
 // rooted and garbage allocations, cycle starts, bounded steps, and
-// forced finales, on one deterministic goroutine. Invariants: no
+// forced finales, in each concurrent mode, on one deterministic goroutine. Invariants: no
 // operation errors, every cycle terminates, every finale's marked set
 // holds the closure of its roots (the closure oracle), rooted objects
 // are never lost (their roots still resolve to allocated objects at the
@@ -597,18 +565,12 @@ func FuzzConcurrentMark(f *testing.F) {
 	f.Add(uint8(2), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})
 	f.Add(uint8(3), []byte{0x07, 0x07, 0x07, 0x07, 0x0f, 0x0f, 0x0f, 0x0f, 0xc3, 0xc7})
 	f.Add(uint8(4), []byte{0x00, 0x08, 0x03, 0x05, 0x0b, 0x43, 0x06, 0x13, 0x02, 0x07, 0x05, 0x1b, 0x06})
-	cfgs := []Config{
-		{ConcurrentMark: true, GCDivisor: -1},
-		{ConcurrentMark: true, GCDivisor: -1, LazySweep: true},
-		{ConcurrentMark: true, GCDivisor: -1, LineAlloc: true, LazySweep: true},
-		{ConcurrentMark: true, GCDivisor: -1, Generational: true, LazySweep: true},
-		{ConcurrentMark: true, GCDivisor: -1, ConcurrentSweep: true},
-	}
+	modes := modesWhere(func(m Mode) bool { return m.ConcurrentMark })
 	f.Fuzz(func(t *testing.T, mode uint8, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		w := newWorld(t, cfgs[int(mode)%len(cfgs)])
+		w := newWorld(t, modes[int(mode)%len(modes)].Apply(Config{GCDivisor: -1}))
 		oracle := installClosureOracle(t, w, nil)
 		const slots = 8
 		data := addData(t, w, "roots", 0x2000, 4*slots)

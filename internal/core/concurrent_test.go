@@ -106,50 +106,31 @@ func churnMutator(w *World, m *Mutator, data *mem.Segment, base mem.Addr, seed u
 	return allocs, nil
 }
 
-// TestConcurrentMutatorBattery runs the battery across collector
-// configurations: every mode's safepoint protocol must park mutators
-// and keep their caches such that no slot is ever carved twice and the
-// central allocation stats stay exact.
+// TestConcurrentMutatorBattery runs the battery in every collector
+// mode: every mode's safepoint protocol must park mutators and keep
+// their caches such that no slot is ever carved twice and the central
+// allocation stats stay exact. In the concurrent modes cycles trigger
+// on allocation pressure and are marked by the battery's own slow
+// paths' assists, each goroutine's between the others' stores through
+// the insertion barrier.
 func TestConcurrentMutatorBattery(t *testing.T) {
-	configs := map[string]Config{
-		"full":          {GCDivisor: 6},
-		"gen-lazy":      {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"line":          {GCDivisor: 6, LineAlloc: true},
-		"line-gen-lazy": {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true, LineAlloc: true},
-		// Concurrent marking: cycles trigger on allocation pressure and
-		// are marked by the battery's own slow paths' assists, each
-		// goroutine's between the others' stores through the insertion
-		// barrier.
-		"conc":          {ConcurrentMark: true, GCDivisor: 6},
-		"conc-gen-lazy": {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"conc-line":     {ConcurrentMark: true, GCDivisor: 6, LineAlloc: true},
-		// The rows named for the detached workers they once ran on:
-		// concurrent cycles with the lazy sweep, with the lazy sweep and
-		// the line heap, and generational ones on a world configured with
-		// ConcMarkWorkers 4, which must select nothing.
-		"par-lazy":      {ConcurrentMark: true, GCDivisor: 6, LazySweep: true},
-		"line-par-lazy": {ConcurrentMark: true, GCDivisor: 6, LazySweep: true, LineAlloc: true},
-		"conc-par":      {ConcurrentMark: true, Generational: true, MinorDivisor: 6, FullEvery: 3, ConcMarkWorkers: 4, LazySweep: true},
-		// Concurrent marking with ConcurrentSweep, which now means the
-		// lazy sweep: assists and demand refills take the world lock
-		// between the mutators' allocations, stores and frees.
-		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
-		// Sixteen budgeted tenants under the same: the race entry for the
-		// ownership table, the refills' carve charges, the barrier
-		// reconcile, and collect-first's forced collections racing the
-		// other tenants' assists. Budgets are generous enough that
-		// collect-first always finds headroom, so the battery's
-		// no-operation-errors invariant still holds.
-		"tenants": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
+	configs := map[string]Config{}
+	for _, m := range Modes {
+		configs[m.Name] = m.Apply(Config{GCDivisor: 6})
 	}
+	// Sixteen budgeted tenants under concurrent marking and the lazy
+	// sweep: the race entry for the ownership table, the refills' carve
+	// charges, the barrier reconcile, and collect-first's forced
+	// collections racing the other tenants' assists. Budgets are generous
+	// enough that collect-first always finds headroom, so the battery's
+	// no-operation-errors invariant still holds.
+	configs["tenants"] = Config{ConcurrentMark: true, GCDivisor: 6, LazySweep: true}
 	ops := 400
 	if testing.Short() {
 		ops = 120
 	}
 	for name, cfg := range configs {
-		cfg := cfg
-		nMut := 8
-		tenanted := name == "tenants"
+		nMut, tenanted := 8, name == "tenants"
 		if tenanted {
 			nMut = 16
 		}
@@ -296,8 +277,9 @@ func TestConcurrentMutatorStress(t *testing.T) {
 
 // FuzzConcurrentAlloc fuzzes interleavings of allocation sizes, atomic
 // flags, frees, links and collection triggers across 2–4 concurrent
-// mutators. Each input byte is one operation for one mutator
-// (round-robin): 2 op bits, 3 slot bits, 3 size bits. The invariants
+// mutators, in the collector mode the mode byte picks. Each input byte
+// is one operation for one mutator (round-robin): 2 op bits, 3 slot
+// bits, 3 size bits. The invariants
 // are the battery's: no operation errors, the final integrity audit
 // passes, and the object count is conserved.
 func FuzzConcurrentAlloc(f *testing.F) {
@@ -305,18 +287,111 @@ func FuzzConcurrentAlloc(f *testing.F) {
 	f.Add(uint8(3), uint8(2), []byte{0xe0, 0xe4, 0xe8, 0x02, 0x03, 0x83, 0x43, 0x23, 0x13, 0x0b})
 	f.Add(uint8(4), uint8(3), []byte{0x00, 0x01, 0x02, 0x03, 0x40, 0x41, 0x42, 0x43, 0x80, 0x81, 0x82, 0x83, 0xc0, 0xc1, 0xc2, 0xc3})
 	f.Add(uint8(4), uint8(4), []byte{0x07, 0x07, 0x07, 0x07, 0x0f, 0x0f, 0x0f, 0x0f, 0xc3, 0xc7, 0xcb, 0xcf})
-	fuzzConcurrent(f, []Config{
-		{GCDivisor: 4},
-		{GCDivisor: 4, LazySweep: true},
-		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true},
-		{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: 4, MarkQuantum: 32},
-		{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: 4, LazySweep: true},
+	f.Fuzz(func(t *testing.T, nm, mode uint8, prog []byte) {
+		nMut := 2 + int(nm)%3
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		w := newWorld(t, Modes[int(mode)%len(Modes)].Apply(Config{GCDivisor: 4}))
+		const slots = 8
+		const slotBytes = slots * 4
+		data := addData(t, w, "roots", 0x2000, 4*slotBytes)
+
+		// Deal the program round-robin: byte i goes to mutator i%nMut.
+		progs := make([][]byte, nMut)
+		for i, b := range prog {
+			progs[i%nMut] = append(progs[i%nMut], b)
+		}
+		sizes := []int{1, 2, 4, 8, 16, 32, 64, 600}
+		var (
+			wg     sync.WaitGroup
+			counts = make([]uint64, nMut)
+			errs   = make([]error, nMut)
+		)
+		for g := 0; g < nMut; g++ {
+			m := w.NewMutator()
+			wg.Add(1)
+			go func(g int, m *Mutator, ops []byte) {
+				defer wg.Done()
+				base := mem.Addr(0x2000 + g*slotBytes)
+				var roots [slots]mem.Addr
+				var atomicRoot [slots]bool
+				for _, b := range ops {
+					op := b & 3
+					j := uint32(b>>2) & 7
+					si := int(b >> 5)
+					switch op {
+					case 0, 1: // rooted allocation (op 1: atomic)
+						p, err := m.AllocateRooted(data, base+mem.Addr(4*j), sizes[si], op == 1)
+						if err != nil {
+							errs[g] = err
+							return
+						}
+						counts[g]++
+						roots[j] = p
+						atomicRoot[j] = op == 1
+					case 2: // free the rooted object, then clear the root
+						if roots[j] == 0 {
+							continue
+						}
+						if err := m.Free(roots[j]); err != nil {
+							errs[g] = err
+							return
+						}
+						if err := m.Store(base+mem.Addr(4*j), 0); err != nil {
+							errs[g] = err
+							return
+						}
+						roots[j] = 0
+					case 3: // link, collect, or garbage, by size bits
+						switch si % 4 {
+						case 0:
+							m.Collect()
+						case 1:
+							m.CollectMinor()
+						case 2:
+							if _, err := m.Allocate(sizes[si], false); err != nil {
+								errs[g] = err
+								return
+							}
+							counts[g]++
+						case 3:
+							k := (j + 1) % slots
+							if roots[j] != 0 && !atomicRoot[j] && roots[k] != 0 {
+								if err := m.Store(roots[j], mem.Word(roots[k])); err != nil {
+									errs[g] = err
+									return
+								}
+							}
+						}
+					}
+				}
+			}(g, m, progs[g])
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("mutator %d: %v", g, err)
+			}
+		}
+		w.Collect()
+		w.FinishSweep()
+		if err := w.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+		var total uint64
+		for _, c := range counts {
+			total += c
+		}
+		if got := w.Heap.Stats().ObjectsAllocated; got != total {
+			t.Fatalf("central ObjectsAllocated = %d, mutators allocated %d", got, total)
+		}
 	})
 }
 
 // FuzzTenantBudget fuzzes budget enforcement: 2–4 tenants with small
 // budgets run a byte-scripted mix of rooted allocations, frees and
-// unroots under a fuzz-chosen collector config and over-budget policy.
+// unroots under a fuzz-chosen collector mode and over-budget policy.
 // Budget denials, cancellations and evictions are expected outcomes;
 // the invariants are that no other error ever surfaces, the final
 // integrity audit passes, object counts are conserved through the
@@ -329,19 +404,12 @@ func FuzzTenantBudget(f *testing.F) {
 	f.Add(uint8(4), uint8(2), []byte{0x07, 0x07, 0x07, 0x07, 0x0f, 0x0f, 0x0f, 0x0f, 0xc3, 0xc7, 0xcb, 0xcf})
 	f.Add(uint8(2), uint8(0x15), []byte{0x00, 0x20, 0x40, 0x60, 0x80, 0xa0, 0xc0, 0xe0, 0x01, 0x21})
 	f.Add(uint8(3), uint8(0x23), []byte{0xff, 0xdf, 0xbf, 0x9f, 0x7f, 0x5f, 0x3f, 0x1f})
-	cfgs := []Config{
-		{GCDivisor: 4},
-		{GCDivisor: 4, LazySweep: true},
-		{Generational: true, MinorDivisor: 5, FullEvery: 2, LazySweep: true},
-		{GCDivisor: 4, LineAlloc: true},
-		{ConcurrentMark: true, GCDivisor: 4, ConcurrentSweep: true},
-	}
 	f.Fuzz(func(t *testing.T, nt, mode uint8, prog []byte) {
 		nTen := 2 + int(nt)%3
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		cfg := cfgs[int(mode)%len(cfgs)]
+		cfg := Modes[int(mode)%len(Modes)].Apply(Config{GCDivisor: 4})
 		policy := TenantPolicy(int(mode>>4) % 3)
 		w := newWorld(t, cfg)
 		const slots = 8
@@ -439,111 +507,6 @@ func FuzzTenantBudget(f *testing.F) {
 		}
 		if got := w.Heap.Stats().ObjectsAllocated; got != total {
 			t.Fatalf("central ObjectsAllocated = %d, tenants allocated %d", got, total)
-		}
-	})
-}
-
-// fuzzConcurrent is the shared fuzz body; mode selects from cfgs.
-func fuzzConcurrent(f *testing.F, cfgs []Config) {
-	f.Fuzz(func(t *testing.T, nm, mode uint8, prog []byte) {
-		nMut := 2 + int(nm)%3
-		if len(prog) > 512 {
-			prog = prog[:512]
-		}
-		cfg := cfgs[int(mode)%len(cfgs)]
-		w := newWorld(t, cfg)
-		const slots = 8
-		const slotBytes = slots * 4
-		data := addData(t, w, "roots", 0x2000, 4*slotBytes)
-
-		// Deal the program round-robin: byte i goes to mutator i%nMut.
-		progs := make([][]byte, nMut)
-		for i, b := range prog {
-			progs[i%nMut] = append(progs[i%nMut], b)
-		}
-		sizes := []int{1, 2, 4, 8, 16, 32, 64, 600}
-		var (
-			wg     sync.WaitGroup
-			counts = make([]uint64, nMut)
-			errs   = make([]error, nMut)
-		)
-		for g := 0; g < nMut; g++ {
-			m := w.NewMutator()
-			wg.Add(1)
-			go func(g int, m *Mutator, ops []byte) {
-				defer wg.Done()
-				base := mem.Addr(0x2000 + g*slotBytes)
-				var roots [slots]mem.Addr
-				var atomicRoot [slots]bool
-				for _, b := range ops {
-					op := b & 3
-					j := uint32(b>>2) & 7
-					si := int(b >> 5)
-					switch op {
-					case 0, 1: // rooted allocation (op 1: atomic)
-						p, err := m.AllocateRooted(data, base+mem.Addr(4*j), sizes[si], op == 1)
-						if err != nil {
-							errs[g] = err
-							return
-						}
-						counts[g]++
-						roots[j] = p
-						atomicRoot[j] = op == 1
-					case 2: // free the rooted object, then clear the root
-						if roots[j] == 0 {
-							continue
-						}
-						if err := m.Free(roots[j]); err != nil {
-							errs[g] = err
-							return
-						}
-						if err := m.Store(base+mem.Addr(4*j), 0); err != nil {
-							errs[g] = err
-							return
-						}
-						roots[j] = 0
-					case 3: // link, collect, or garbage, by size bits
-						switch si % 4 {
-						case 0:
-							m.Collect()
-						case 1:
-							m.CollectMinor()
-						case 2:
-							if _, err := m.Allocate(sizes[si], false); err != nil {
-								errs[g] = err
-								return
-							}
-							counts[g]++
-						case 3:
-							k := (j + 1) % slots
-							if roots[j] != 0 && !atomicRoot[j] && roots[k] != 0 {
-								if err := m.Store(roots[j], mem.Word(roots[k])); err != nil {
-									errs[g] = err
-									return
-								}
-							}
-						}
-					}
-				}
-			}(g, m, progs[g])
-		}
-		wg.Wait()
-		for g, err := range errs {
-			if err != nil {
-				t.Fatalf("mutator %d: %v", g, err)
-			}
-		}
-		w.Collect()
-		w.FinishSweep()
-		if err := w.VerifyIntegrity(); err != nil {
-			t.Fatal(err)
-		}
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		if got := w.Heap.Stats().ObjectsAllocated; got != total {
-			t.Fatalf("central ObjectsAllocated = %d, mutators allocated %d", got, total)
 		}
 	})
 }

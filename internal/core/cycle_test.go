@@ -52,24 +52,18 @@ func TestSingleClose(t *testing.T) {
 		{"concurrent-minor", kindConcurrentMinor, true},
 	}
 	for _, k := range kinds {
-		for _, wide := range []bool{false, true} {
+		// A stop-the-world kind also runs on a world whose first cycle was
+		// a concurrent one ("after-conc"), whose close must leave nothing
+		// behind for the next.
+		shapes := []string{"serial"}
+		if !k.kind.concurrent() {
+			shapes = append(shapes, "after-conc")
+		}
+		for _, shape := range shapes {
 			for _, lazy := range []bool{false, true} {
-				// The wide rows keep the names of the mark step's retired
-				// second shape. A concurrent kind's ("detached") runs on a
-				// world configured with ConcMarkWorkers 4, which must select
-				// nothing; a stop-the-world kind's ("parallel") runs on a
-				// world whose first cycle was a concurrent one, whose close
-				// must leave nothing behind for the next.
-				shape := "serial"
 				cfg := Config{
 					GCDivisor: -1, MinorDivisor: -1, Generational: k.gen, LazySweep: lazy,
-					ConcurrentMark: k.kind.concurrent(), MarkWorkers: 1, ConcMarkWorkers: 1,
-				}
-				switch {
-				case wide && k.kind.concurrent():
-					shape, cfg.ConcMarkWorkers = "detached", 4
-				case wide:
-					shape, cfg.ConcurrentMark, cfg.ConcMarkWorkers = "parallel", true, 4
+					ConcurrentMark: k.kind.concurrent() || shape == "after-conc",
 				}
 				k, kind := k, k.kind
 				t.Run(fmt.Sprintf("%s/%s/lazy=%v", k.name, shape, lazy), func(t *testing.T) {
@@ -83,7 +77,7 @@ func TestSingleClose(t *testing.T) {
 					// full cycle stands at 1 when the cycle under test opens.
 					holder := lw.alloc(2)
 					lw.root(0, holder)
-					if shape == "parallel" {
+					if shape == "after-conc" {
 						w.mu.Lock()
 						w.startConcurrentLocked(kindConcurrent)
 						w.mu.Unlock()

@@ -38,47 +38,43 @@ func firstHeld(w *World, m *Mutator) mem.Addr {
 // the list runs in a cycle and hands one slot to two owners, which the
 // audit after FinishSweep reports.
 func TestHeldSlotReturnedIntoPendingBlock(t *testing.T) {
-	for _, line := range []bool{false, true} {
-		t.Run(fmt.Sprintf("line=%v", line), func(t *testing.T) {
-			w := newWorld(t, Config{LazySweep: true, LineAlloc: line, GCDivisor: -1})
-			data := addData(t, w, "roots", 0x2000, 4096)
-			m1, m2 := w.NewMutator(), w.NewMutator()
-			var rooted [2]mem.Addr
-			for i := 0; i < 10; i++ {
-				p, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i < len(rooted) {
-					rooted[i] = p
-				} else if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			held := firstHeld(w, m1)
-			if held == 0 {
-				t.Fatal("the first refill left nothing in the cache")
-			}
-			w.Collect()
-			if w.Heap.SweepPending() == 0 || !markedNow(w, held) {
-				t.Fatalf("after the collection: %d blocks pending, held slot marked %v", w.Heap.SweepPending(), markedNow(w, held))
-			}
-			if err := data.Store(0x2000, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := m1.Free(rooted[0]); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				if _, err := m2.Allocate(4, false); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.FinishSweep()
-			if err := w.VerifyIntegrity(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	w := newWorld(t, Config{LazySweep: true, GCDivisor: -1})
+	data := addData(t, w, "roots", 0x2000, 4096)
+	m1, m2 := w.NewMutator(), w.NewMutator()
+	var rooted [2]mem.Addr
+	for i := 0; i < 10; i++ {
+		p, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < len(rooted) {
+			rooted[i] = p
+		} else if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := firstHeld(w, m1)
+	if held == 0 {
+		t.Fatal("the first refill left nothing in the cache")
+	}
+	w.Collect()
+	if w.Heap.SweepPending() == 0 || !markedNow(w, held) {
+		t.Fatalf("after the collection: %d blocks pending, held slot marked %v", w.Heap.SweepPending(), markedNow(w, held))
+	}
+	if err := data.Store(0x2000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Free(rooted[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := m2.Allocate(4, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.FinishSweep()
+	if err := w.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -182,13 +178,11 @@ func TestHeldCacheResumesOnFastPath(t *testing.T) {
 // the tenant and charged to it together, when carved, and the
 // collection must neither credit nor untag them.
 func TestTenantBooksWithHeldCaches(t *testing.T) {
-	for name, cfg := range map[string]Config{
-		"line-lazy": {LineAlloc: true, LazySweep: true, GCDivisor: -1},
-		"free-list": {GCDivisor: -1},
-	} {
-		t.Run(name, func(t *testing.T) {
+	// Both sweeps; the held caches' own battery runs every mode.
+	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational }) {
+		t.Run(mode.Name, func(t *testing.T) {
 			const tenants, perTenant = 16, 8
-			w := newWorld(t, cfg)
+			w := newWorld(t, mode.Apply(Config{GCDivisor: -1}))
 			data := addData(t, w, "roots", 0x2000, tenants*perTenant*4)
 			tens := make([]*Tenant, tenants)
 			muts := make([]*Mutator, tenants)
@@ -233,29 +227,21 @@ func TestTenantBooksWithHeldCaches(t *testing.T) {
 // handles whose caches survive every collection — explicit ones,
 // allocation-triggered ones, the forced ones of collect-first tenants —
 // allocate, link, free (flushing their caches into blocks a lazy sweep
-// left pending) and collect, concurrently, in lazy, line, generational
-// and concurrent worlds, auditing the heap every round; the
+// left pending) and collect, concurrently, in every collector mode,
+// auditing the heap every round; the
 // closure oracle checks at every close that each cached slot is
 // marked. At the end the allocation count is conserved, every tenant's
 // books balance, and with every root dropped nothing survives two
 // collections.
 func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
-	configs := map[string]Config{
-		"lazy":         {GCDivisor: 6, LazySweep: true},
-		"line":         {GCDivisor: 6, LineAlloc: true},
-		"line-lazy":    {GCDivisor: 6, LineAlloc: true, LazySweep: true},
-		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		"conc-workers": {ConcurrentMark: true, GCDivisor: 6, ConcurrentSweep: true},
-	}
 	ops := 300
 	if testing.Short() {
 		ops = 100
 	}
 	const nMut, slotBytes = 8, 16 * 4
-	for name, cfg := range configs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			w := newWorld(t, cfg)
+	for _, mode := range Modes {
+		t.Run(mode.Name, func(t *testing.T) {
+			w := newWorld(t, mode.Apply(Config{GCDivisor: 6}))
 			installClosureOracle(t, w, nil)
 			data := addData(t, w, "roots", 0x2000, nMut*slotBytes)
 			muts := make([]*Mutator, nMut)
@@ -316,5 +302,69 @@ func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestIntegrityWithCachesMidHole audits the world while mutator handles
+// hold half-consumed holes: VerifyIntegrity must account every
+// carved-but-unissued slot (no double-carve, bits set) without
+// requiring a flush first.
+func TestIntegrityWithCachesMidHole(t *testing.T) {
+	w := newWorld(t, Config{GCDivisor: -1})
+	addData(t, w, "data", 0x2000, 4096)
+	m1 := w.NewMutator()
+	m2 := w.NewMutator()
+	// Odd counts leave both handles mid-hole.
+	for i := 0; i < 7; i++ {
+		if _, err := m1.Allocate(64, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m2.Allocate(128, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.VerifyIntegrity(); err != nil {
+		t.Fatalf("integrity with caches mid-hole: %v", err)
+	}
+	// A collection parks the handles and keeps their caches; the next
+	// audit accounts them as before.
+	w.Collect()
+	if err := w.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+	// The handles allocate on from the caches they kept, and the audit
+	// still balances.
+	if _, err := m1.Allocate(64, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLazyScriptConservesObjects runs the mixed-size script under the
+// lazy sweep, directly and through a handle: the invariants are
+// integrity and exact conservation of the object count.
+func TestLazyScriptConservesObjects(t *testing.T) {
+	for _, useHandle := range []bool{false, true} {
+		w := newWorld(t, Config{GCDivisor: 4, LazySweep: true})
+		addData(t, w, "data", 0x2000, 4096)
+		var d gcDriver
+		if useHandle {
+			d = w.NewMutator()
+		} else {
+			d = directDriver{w}
+		}
+		addrs := mutatorScript(t, d)
+		w.Collect()
+		w.FinishSweep()
+		if err := w.VerifyIntegrity(); err != nil {
+			t.Fatalf("handle=%v: %v", useHandle, err)
+		}
+		if got := w.Heap.Stats().ObjectsAllocated; got != uint64(len(addrs)) {
+			t.Fatalf("handle=%v: ObjectsAllocated = %d, script allocated %d", useHandle, got, len(addrs))
+		}
 	}
 }

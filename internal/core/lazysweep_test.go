@@ -72,25 +72,17 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 // World level: identical mutator schedules against an eager and a lazy
 // world produce equal allocation addresses, equal per-collection sweep
 // results (freed/live/released totals), and equal final heap
-// statistics — across full cycles, generational minor cycles, and
-// concurrent cycles ("parallel", named for the detached workers it once
-// ran on; ConcMarkWorkers 4 now selects nothing).
+// statistics — in each eager mode against its lazy twin: full cycles,
+// generational minor cycles, and concurrent cycles with their trigger
+// off.
 func TestCoreLazySweepDifferential(t *testing.T) {
-	variants := []struct {
-		name   string
-		cfg    Config
-		minors bool
-	}{
-		{"full", Config{}, false},
-		{"generational", Config{Generational: true}, true},
-		{"parallel", Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1}, false},
-	}
 	mask := []bool{true, false, false, true, false}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			lazyCfg := v.cfg
+	for _, mode := range modesWhere(func(m Mode) bool { return !m.LazySweep }) {
+		t.Run(mode.Name, func(t *testing.T) {
+			eagerCfg := mode.Apply(modeTriggers(mode))
+			lazyCfg := eagerCfg
 			lazyCfg.LazySweep = true
-			we := newWorld(t, v.cfg)
+			we := newWorld(t, eagerCfg)
 			wl := newWorld(t, lazyCfg)
 			te, err := we.RegisterLayout(mask)
 			if err != nil {
@@ -103,8 +95,8 @@ func TestCoreLazySweepDifferential(t *testing.T) {
 			if te != tl {
 				t.Fatalf("descriptor ids diverge: %d vs %d", te, tl)
 			}
-			ae, se := worldChurn(t, we, 42, te, v.minors)
-			al, sl := worldChurn(t, wl, 42, tl, v.minors)
+			ae, se := worldChurn(t, we, 42, te, mode.Generational)
+			al, sl := worldChurn(t, wl, 42, tl, mode.Generational)
 			if len(ae) != len(al) {
 				t.Fatalf("allocation counts diverge: %d vs %d", len(ae), len(al))
 			}

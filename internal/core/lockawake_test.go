@@ -119,8 +119,8 @@ func TestLockAwake(t *testing.T) {
 	}
 }
 
-// collectBesideChurn runs two handles on two goroutines over a
-// line-allocating, lazily swept world with the closure oracle armed:
+// collectBesideChurn runs two handles on two goroutines over a lazily
+// swept world with the closure oracle armed:
 // one loops Collect, the other makes rooted allocations, every fourth
 // stored into the one before it, until it has made allocs of them and
 // the first has collected 100 times. It returns the world and how many
@@ -128,7 +128,7 @@ func TestLockAwake(t *testing.T) {
 func collectBesideChurn(t *testing.T, allocs int) (*World, int) {
 	t.Helper()
 	const slots = 256
-	w := newWorld(t, Config{InitialHeapBytes: 256 << 10, LineAlloc: true, LazySweep: true})
+	w := newWorld(t, Config{InitialHeapBytes: 256 << 10, LazySweep: true})
 	roots := addData(t, w, "roots", 0x2000, slots*mem.WordBytes)
 	o := installClosureOracle(t, w, nil)
 	collector, churner := w.NewMutator(), w.NewMutator()

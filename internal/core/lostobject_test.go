@@ -16,15 +16,15 @@ import (
 // have found it — and again at the end, by the sweep's counts and the
 // closure oracle.
 
-// concShapes are the worlds the concurrent batteries run on. There is
-// one shape of concurrent cycle, one marker under the world lock;
-// "detached" is a world configured with ConcMarkWorkers 4, the value
-// that once selected a pool of detached mark workers and must now
-// select nothing.
-var concShapes = []concShape{
-	{name: "serial", cfg: Config{MarkWorkers: 1, ConcMarkWorkers: 1}},
-	{name: "detached", cfg: Config{ConcMarkWorkers: 4}},
-}
+// concShapes are the worlds the concurrent batteries run on: the
+// concurrent modes without generations (a case that needs a
+// generational world asks for one).
+var concShapes = func() (out []concShape) {
+	for _, m := range modesWhere(func(m Mode) bool { return m.ConcurrentMark && !m.Generational }) {
+		out = append(out, concShape{name: m.Name, cfg: m.Apply(Config{})})
+	}
+	return out
+}()
 
 // concShape is one world of the concurrent batteries.
 type concShape struct {
@@ -36,7 +36,7 @@ type concShape struct {
 // lostShapes adds to concShapes a world that records provenance, whose
 // barrier also names the stored-into word of every object it shades.
 var lostShapes = append(concShapes[:len(concShapes):len(concShapes)],
-	concShape{name: "recording", record: true})
+	concShape{name: "recording", cfg: Config{ConcurrentMark: true}, record: true})
 
 // world is newLostWorld on the shape's world.
 func (sh concShape) world(t *testing.T, extra Config) *lostWorld {
@@ -60,9 +60,7 @@ const lostRoots = mem.Addr(0x2000)
 func newLostWorld(t *testing.T, shape, extra Config) *lostWorld {
 	t.Helper()
 	cfg := extra
-	cfg.ConcurrentMark = true
-	cfg.MarkWorkers = shape.MarkWorkers
-	cfg.ConcMarkWorkers = shape.ConcMarkWorkers
+	cfg.ConcurrentMark, cfg.LazySweep = true, shape.LazySweep
 	if cfg.GCDivisor == 0 {
 		cfg.GCDivisor = -1
 	}

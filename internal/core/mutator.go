@@ -428,34 +428,18 @@ func (m *Mutator) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	return m.allocateUncachedLocked(d.Words, func() (mem.Addr, error) { return w.Heap.AllocTyped(id) })
-}
-
-// AllocateIgnoreOffPage allocates a large object under the first-page
-// promise, like World.AllocateIgnoreOffPage.
-func (m *Mutator) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error) {
-	w := m.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return m.allocateUncachedLocked(nwords, func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) })
-}
-
-// allocateUncachedLocked is the shared body of the handle's uncached
-// entry points: one object of nwords words from try, under the
-// world's retry policy, with no cache, no desperate fallback and the
-// tenant charged and settled around it. Callers hold w.mu.
-func (m *Mutator) allocateUncachedLocked(nwords int, try func() (mem.Addr, error)) (mem.Addr, error) {
 	if m.src != nil {
 		m.src.OnAllocate()
 	}
 	m.publishLocked()
 	defer m.resyncLocked()
 	m.stats.SlowAllocs++
-	tenCharge, err := m.chargeTenantLocked(nwords)
+	tenCharge, err := m.chargeTenantLocked(d.Words)
 	if err != nil {
 		return 0, err
 	}
-	p, err := m.w.allocateLocked(nwords, m.residue, false, try, nil)
+	p, err := w.allocateLocked(d.Words, m.residue, false,
+		func() (mem.Addr, error) { return w.Heap.AllocTyped(id) }, nil)
 	m.settleTenantLocked(p, err, tenCharge, false)
 	return p, err
 }

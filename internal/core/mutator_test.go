@@ -229,21 +229,9 @@ func normalizeTimes(a, b *CollectionStats) {
 // collects, and the slots its caches hold across a collection are kept
 // by the sweep and left out of what it reports.
 func TestMutatorDifferential(t *testing.T) {
-	configs := map[string]Config{
-		"full":         {GCDivisor: 4},
-		"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: 4},
-		"lazy":         {GCDivisor: 4, LazySweep: true},
-		"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, LazySweep: true},
-		// Explicit collections as concurrent cycles, the handle's caches
-		// marked at each snapshot; exhausted allocations still collect
-		// stop-the-world. (The names are those of the detached workers
-		// these rows once ran on; ConcMarkWorkers 4 now selects nothing.)
-		"parallel": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1},
-		"par-lazy": {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, LazySweep: true},
-	}
-	for name, cfg := range configs {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range Modes {
+		cfg := mode.Apply(modeTriggers(mode))
+		t.Run(mode.Name, func(t *testing.T) {
 			run := func(useHandle bool) scriptRun {
 				w := newWorld(t, cfg)
 				addData(t, w, "data", 0x2000, 4096)

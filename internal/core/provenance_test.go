@@ -9,23 +9,6 @@ import (
 	"repro/internal/mem"
 )
 
-// provConfigs are the collector configurations the provenance
-// subsystem must compose with — the modes the mutator differential
-// covers, and a concurrent cycle stepped by hand (no goroutine is
-// involved and the run is deterministic): "conc-stepped", and
-// "parallel" and "par-lazy" (under the lazy sweep), named for the
-// detached workers they once ran on and configured with
-// ConcMarkWorkers 4, which must select nothing.
-var provConfigs = map[string]Config{
-	"full":         {GCDivisor: -1},
-	"generational": {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1},
-	"parallel":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 32},
-	"lazy":         {GCDivisor: -1, LazySweep: true},
-	"gen-lazy":     {Generational: true, MinorDivisor: 6, FullEvery: 3, GCDivisor: -1, LazySweep: true},
-	"par-lazy":     {ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1, MarkQuantum: 32, LazySweep: true},
-	"conc-stepped": {ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1, MarkQuantum: 32},
-}
-
 // provCollect runs one collection appropriate to the configuration:
 // concurrent worlds run a full step-driven cycle, generational worlds
 // alternate minors and fulls, everything else collects normally.
@@ -52,8 +35,8 @@ func provCollect(t *testing.T, w *World, cfg Config, round int) CollectionStats 
 // timing and the provenance fields themselves, in every collector
 // mode.
 func TestProvenanceOffDifferential(t *testing.T) {
-	for name, cfg := range provConfigs {
-		cfg := cfg
+	for _, mode := range Modes {
+		name, cfg := mode.Name, mode.Apply(Config{GCDivisor: -1, MarkQuantum: 32})
 		t.Run(name, func(t *testing.T) {
 			run := func(record bool) ([]mem.Addr, []CollectionStats) {
 				w := newWorld(t, cfg)
@@ -114,13 +97,13 @@ func TestProvenanceOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProvenanceParallelUnique checks the first-mark rule across a
+// TestProvenanceUniqueAcrossCycle checks the first-mark rule across a
 // concurrent cycle's marking: the snapshot's root scan, the stepped
 // chunks and the finale all record on the one marker, and
 // together hold exactly one record per marked object — no duplicates,
 // no missing first marks.
-func TestProvenanceParallelUnique(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
+func TestProvenanceUniqueAcrossCycle(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	data := addData(t, w, "data", 0x2000, 8192)
 	w.EnableProvenance(true)
 	var totalRecs uint64
@@ -175,8 +158,8 @@ func provChain(t *testing.T, w *World, data *mem.Segment, slot mem.Addr, n int) 
 // (each record's parent is the next record's object) and whose terminal
 // record names a root slot.
 func TestWhyLiveSoundness(t *testing.T) {
-	for name, cfg := range provConfigs {
-		cfg := cfg
+	for _, mode := range Modes {
+		name, cfg := mode.Name, mode.Apply(Config{GCDivisor: -1, MarkQuantum: 32})
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, cfg)
 			data := addData(t, w, "data", 0x2000, 4096)

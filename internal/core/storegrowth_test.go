@@ -33,7 +33,7 @@ func TestMutatorBatteryStoreGrowth(t *testing.T) {
 		"discontiguous": {InitialHeapBytes: 16 << 10, ReserveHeapBytes: 32 << 10, ExpandIncrement: 4 << 10,
 			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed, GCDivisor: -1},
 		"conc": {InitialHeapBytes: 16 << 10, ReserveHeapBytes: 4 << 20, ExpandIncrement: 4 << 10,
-			ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: 4},
+			ConcurrentMark: true, GCDivisor: 4},
 	}
 	sizes := [4]int{2, 4, 8, 16}
 	for name, cfg := range configs {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/mem"
@@ -12,68 +12,28 @@ import (
 // per-block mark summaries, which the sweep's classification reads —
 // eager or lazy, clearing or sticky — are exact at every point, the
 // middle of a cycle included (the strict audit checks each against its
-// bitmap). The cycle is driven two ways (the rows keep the names of the
-// detached engine they once drove): "parallel-run" steps it to its end
-// at the default quantum, audited once before its first chunk;
-// "detached-finale" steps it in chunks of 16 and audits between two. Each is run against the stop-the-world
-// collector on an identical heap, and must reclaim exactly the same
-// objects and leave a heap the strict audit accepts.
+// bitmap). In each concurrent mode the cycle is audited two ways:
+// "audit-before-chunk" steps it to its end at the default quantum,
+// audited once before its first chunk; "audit-between-chunks" steps it
+// in chunks of 16 and audits between two. Each is run against the
+// stop-the-world collector of the same mode on an identical heap, and
+// must reclaim exactly the same objects and leave a heap the strict
+// audit accepts.
 func TestMarkSummaryExactAtSweep(t *testing.T) {
-	drivers := []struct {
-		name   string
-		cfg    Config
-		driven bool // stepped at the default quantum, as cycleByStep does
-	}{
-		{"parallel-run", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, true},
-		{"detached-finale", Config{ConcurrentMark: true, ConcMarkWorkers: 4}, false},
-	}
-	for _, d := range drivers {
-		for _, lazy := range []bool{false, true} {
-			for _, sticky := range []bool{false, true} {
-				d, lazy, sticky := d, lazy, sticky
-				t.Run(fmt.Sprintf("%s/lazy=%v/sticky=%v", d.name, lazy, sticky), func(t *testing.T) {
-					run := func(cfg Config) (CollectionStats, map[mem.Addr]bool) {
-						cfg.GCDivisor, cfg.MinorDivisor = -1, -1
-						cfg.LazySweep, cfg.Generational = lazy, sticky
-						w := newWorld(t, cfg)
-						addData(t, w, "data", 0x2000, 4096)
-						concBuildGraph(t, directDriver{w})
-						var st CollectionStats
-						switch {
-						case d.driven && cfg.ConcurrentMark:
-							installClosureOracle(t, w, nil)
-							if err := w.StartConcurrentCycle(); err != nil {
-								t.Fatal(err)
-							}
-							// Inside the cycle, before its first chunk.
-							if err := w.VerifyIntegrity(); err != nil {
-								t.Fatalf("audit inside the cycle: %v", err)
-							}
-							for !w.ConcurrentStep(0) {
-							}
-							st = w.LastCollection()
-						case cfg.ConcurrentMark:
-							installClosureOracle(t, w, nil)
-							if err := w.StartConcurrentCycle(); err != nil {
-								t.Fatal(err)
-							}
-							audited := false
-							for steps := 0; !w.ConcurrentStep(16); steps++ {
-								if steps > 1_000_000 {
-									t.Fatal("cycle did not terminate")
-								}
-								if !audited {
-									// Inside the cycle, between two chunks.
-									if err := w.VerifyIntegrity(); err != nil {
-										t.Fatalf("audit inside the cycle: %v", err)
-									}
-									audited = true
-								}
-							}
-							st = w.LastCollection()
-						default:
-							st = w.Collect()
-						}
+	for _, mode := range modesWhere(func(m Mode) bool { return m.ConcurrentMark }) {
+		for _, between := range []bool{false, true} {
+			name := "audit-before-chunk/" + mode.Name
+			if between {
+				name = "audit-between-chunks/" + mode.Name
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool) {
+					cfg := mode.Apply(Config{GCDivisor: -1, MinorDivisor: -1})
+					cfg.ConcurrentMark = concurrent
+					w := newWorld(t, cfg)
+					addData(t, w, "data", 0x2000, 4096)
+					concBuildGraph(t, directDriver{w})
+					settle := func(st CollectionStats) (CollectionStats, map[mem.Addr]bool) {
 						if err := w.VerifyIntegrity(); err != nil {
 							t.Fatalf("audit after the sweep barrier: %v", err)
 						}
@@ -83,25 +43,44 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 						}
 						return st, liveSet(w)
 					}
-					want, wantLive := run(Config{MarkWorkers: 1})
-					got, gotLive := run(d.cfg)
-					if got.Sweep != want.Sweep {
-						t.Fatalf("sweep diverges from the serial collector's:\n%s %+v\nserial %+v", d.name, got.Sweep, want.Sweep)
+					if !concurrent {
+						return settle(w.Collect())
 					}
-					if got.Mark.ObjectsMarked != want.Mark.ObjectsMarked || got.Mark.BytesMarked != want.Mark.BytesMarked {
-						t.Fatalf("marked %d objects / %d bytes, serial %d / %d", got.Mark.ObjectsMarked, got.Mark.BytesMarked,
-							want.Mark.ObjectsMarked, want.Mark.BytesMarked)
+					installClosureOracle(t, w, nil)
+					if err := w.StartConcurrentCycle(); err != nil {
+						t.Fatal(err)
 					}
-					if len(gotLive) != len(wantLive) {
-						t.Fatalf("%d objects survive, serial %d", len(gotLive), len(wantLive))
+					quantum := 0
+					if between {
+						quantum = 16
+					} else if err := w.VerifyIntegrity(); err != nil {
+						t.Fatalf("audit inside the cycle, before its first chunk: %v", err)
 					}
-					for a := range wantLive {
-						if !gotLive[a] {
-							t.Fatalf("object %#x survives the serial collector and not %s", uint32(a), d.name)
+					for steps := 0; !w.ConcurrentStep(quantum); steps++ {
+						if steps > 1_000_000 {
+							t.Fatal("cycle did not terminate")
+						}
+						if between && steps == 0 {
+							if err := w.VerifyIntegrity(); err != nil {
+								t.Fatalf("audit inside the cycle, between two chunks: %v", err)
+							}
 						}
 					}
-				})
-			}
+					return settle(w.LastCollection())
+				}
+				want, wantLive := run(false)
+				got, gotLive := run(true)
+				if got.Sweep != want.Sweep {
+					t.Fatalf("sweep diverges from the stop-the-world collector's:\nconcurrent     %+v\nstop-the-world %+v", got.Sweep, want.Sweep)
+				}
+				if got.Mark.ObjectsMarked != want.Mark.ObjectsMarked || got.Mark.BytesMarked != want.Mark.BytesMarked {
+					t.Fatalf("marked %d objects / %d bytes, stop-the-world %d / %d", got.Mark.ObjectsMarked, got.Mark.BytesMarked,
+						want.Mark.ObjectsMarked, want.Mark.BytesMarked)
+				}
+				if !maps.Equal(gotLive, wantLive) {
+					t.Fatalf("%d objects survive, stop-the-world %d, or different ones", len(gotLive), len(wantLive))
+				}
+			})
 		}
 	}
 }

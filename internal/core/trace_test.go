@@ -98,12 +98,11 @@ func TestCollectZeroAllocsUntracedLazy(t *testing.T) {
 	}
 }
 
-// TestCollectAllocBoundUntracedParallel pins the stop-the-world
-// collection of a world that also marks concurrently — configured with
-// ConcMarkWorkers 2, which once gave it a pool of detached workers — at
-// zero allocations, as on any world, after a concurrent cycle has run.
-func TestCollectAllocBoundUntracedParallel(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1, LazySweep: true})
+// TestCollectZeroAllocsAfterConcurrentCycle pins the stop-the-world
+// collection of a world that also marks concurrently at zero
+// allocations, as on any world, after a concurrent cycle has run.
+func TestCollectZeroAllocsAfterConcurrentCycle(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
 	cycleByStep(t, w, kindConcurrent)
@@ -215,15 +214,15 @@ func TestTraceEventOrdering(t *testing.T) {
 	}
 }
 
-// TestTraceWorkerEvents checks what the trace says about who marked a
+// TestTraceMarkerEvents checks what the trace says about who marked a
 // concurrent cycle: its one marker, on which the snapshot, the stepped
 // chunks and the finale all mark. The cycle's mark_begin reports one
 // marker and its one mark_end the whole cycle's totals — the snapshot's
 // and the chunks' first-marks included, not the finale's alone — and a
 // mark that follows it (a stop-the-world collection, a MarkOnly)
 // reports its own totals, not the concurrent cycle's.
-func TestTraceWorkerEvents(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 4, GCDivisor: -1})
+func TestTraceMarkerEvents(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	r := w.EnableTracing(0)
 	addData(t, w, "data", 0x2000, 4096)
 	concBuildGraph(t, directDriver{w})
@@ -287,7 +286,7 @@ func TestTraceMinorAndConcurrentCycles(t *testing.T) {
 		t.Fatalf("cycle_begin events = %d, want 1", begins)
 	}
 
-	wc := newWorld(t, Config{GCDivisor: -1, ConcurrentMark: true, ConcMarkWorkers: 1})
+	wc := newWorld(t, Config{GCDivisor: -1, ConcurrentMark: true})
 	rc := wc.EnableTracing(0)
 	datac := addData(t, wc, "data", 0x2000, 4096)
 	churn(t, wc, datac, 0x2000, 32)
@@ -437,10 +436,9 @@ func TestMetricsMatchCollectionStats(t *testing.T) {
 // cycles and their final pauses (gc_concurrent_cycles,
 // stw_final_pause_ns, and the gctrace line's "snap … final" term), and
 // the stores whose target the insertion barrier marked (barrier_shades,
-// one EvBarrierShade each). The world asks for ConcMarkWorkers 2, which
-// selects nothing: there is one concurrent cycle.
+// one EvBarrierShade each).
 func TestMetricsMatchConcurrentCycleStats(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 2, GCDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	rec := w.EnableTracing(0)
 	data := addData(t, w, "data", 0x2000, 4096)
 	var gctrace bytes.Buffer

@@ -12,19 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// watchConfigs are the collector configurations the retention watcher
-// must compose with: the battery churns goroutines against each under
-// -race via `make race`, and the differential pins bit-identical-off.
-//
-// "conc-workers", named for the detached workers it once ran on, is
-// the concurrent cycle with ConcurrentSweep, which is the lazy sweep.
-var watchConfigs = map[string]Config{
-	"full":         {GCDivisor: -1},
-	"conc":         {ConcurrentMark: true, GCDivisor: -1},
-	"conc-workers": {ConcurrentMark: true, ConcurrentSweep: true, GCDivisor: -1},
-	"line":         {LineAlloc: true, GCDivisor: -1},
-	"tenant":       {GCDivisor: -1},
-}
+// watchConfigs are the worlds the retention watcher must compose with:
+// every collector mode, and a tenant's handle on the stop-the-world
+// collector ("tenant"). The battery churns goroutines against each
+// under -race via `make race`, and the differential pins
+// bit-identical-off.
+var watchConfigs = func() map[string]Config {
+	out := map[string]Config{"tenant": {GCDivisor: -1}}
+	for _, m := range Modes {
+		out[m.Name] = m.Apply(Config{GCDivisor: -1})
+	}
+	return out
+}()
 
 // growLeak prepends n cons cells to the list rooted at slot, via plain
 // world stores (single-threaded deterministic workloads).

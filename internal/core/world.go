@@ -140,11 +140,11 @@ type Config struct {
 	FullEvery int
 
 	// MarkQuantum is the marking work one chunk of a concurrent cycle
-	// does, in objects (default 64): the size of the assist chunks a
-	// slow-path allocation runs when the pacer finds marking behind
-	// allocation, and of a ConcurrentStep that names no quantum. The
-	// cached fast path never assists. Only meaningful with
-	// ConcurrentMark.
+	// does, in objects (default 64; NewWorld rejects a negative one):
+	// the size of the assist chunks a slow-path allocation runs when the
+	// pacer finds marking behind allocation, and of a ConcurrentStep
+	// that names no quantum. The cached fast path never assists. Only
+	// meaningful with ConcurrentMark.
 	MarkQuantum int
 
 	// ConcurrentMark enables mostly-concurrent cycles (see
@@ -162,18 +162,14 @@ type Config struct {
 	// LazySweep.
 	ConcurrentMark bool
 
-	// ConcMarkWorkers selects nothing: every value NewWorld accepts (any
-	// count >= 0; negative counts are rejected) runs the one concurrent
-	// cycle, on one marker (DESIGN.md §5a). The field remains only
-	// because cmd/perfbench's workloads set it, and goes with MarkWorkers
-	// once they no longer do.
+	// ConcMarkWorkers selects nothing: every count >= 0 runs the one
+	// concurrent cycle on one marker (DESIGN.md §5a; TestInertKnobs). It
+	// remains while cmd/perfbench's workloads set it.
 	ConcMarkWorkers int
 
-	// ConcurrentSweep implies LazySweep and selects nothing else: the
-	// background sweeper it once started only took turns with the
-	// mutators on the world lock (DESIGN.md §5h). The field remains only
-	// because cmd/perfbench's workloads set it, and goes with
-	// ConcMarkWorkers once they no longer do.
+	// ConcurrentSweep implies LazySweep and selects nothing else
+	// (DESIGN.md §5h; TestInertKnobs). It remains while cmd/perfbench's
+	// workloads set it.
 	ConcurrentSweep bool
 
 	// MarkWorkers is the stop-the-world mark phase's worker count, and
@@ -800,6 +796,9 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 	if c.ConcMarkWorkers < 0 {
 		return nil, fmt.Errorf("core: ConcMarkWorkers must be >= 0, got %d", c.ConcMarkWorkers)
 	}
+	if c.MarkQuantum < 0 {
+		return nil, fmt.Errorf("core: MarkQuantum must be >= 0, got %d", c.MarkQuantum)
+	}
 	if c.MarkWorkers < 0 || c.MarkWorkers > 1 {
 		return nil, fmt.Errorf("core: MarkWorkers must be 0 or 1 (the stop-the-world mark is serial), got %d", c.MarkWorkers)
 	}
@@ -905,22 +904,6 @@ func (w *World) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	}
 	return w.allocateLocked(d.Words, w.mutResidue, false,
 		func() (mem.Addr, error) { return w.Heap.AllocTyped(id) },
-		nil)
-}
-
-// AllocateIgnoreOffPage allocates a large object under the client
-// promise that a pointer to its first page is kept while it is live;
-// deep interior pointers are then invalid and the blacklist only
-// constrains the first page (observation 7 / the original collector's
-// GC_malloc_ignore_off_page).
-func (w *World) AllocateIgnoreOffPage(nwords int, atomic bool) (mem.Addr, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.mut != nil {
-		w.mut.OnAllocate()
-	}
-	return w.allocateLocked(nwords, w.mutResidue, false,
-		func() (mem.Addr, error) { return w.Heap.AllocIgnoreOffPage(nwords, atomic) },
 		nil)
 }
 

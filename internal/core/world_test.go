@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -622,7 +621,7 @@ func TestCollectMinorWithoutGenerationalFallsBack(t *testing.T) {
 // step with no cycle active reports done, starting an active cycle again
 // is a no-op, and starting one outside ConcurrentMark mode is an error.
 func TestConcurrentStepOutsideCycle(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, ConcMarkWorkers: 1, GCDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	if !w.ConcurrentStep(8) {
 		t.Fatal("step outside a cycle should report done")
 	}
@@ -872,8 +871,8 @@ func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
 		inCycle bool
 	}{
 		{name: "stw"},
-		{name: "concurrent-serial", cfg: Config{ConcurrentMark: true, GCDivisor: -1, MarkWorkers: 1, ConcMarkWorkers: 1}, inCycle: true},
-		{name: "concurrent-detached", cfg: Config{ConcurrentMark: true, GCDivisor: -1, ConcMarkWorkers: 4}, inCycle: true},
+		{name: "concurrent", cfg: Config{ConcurrentMark: true, GCDivisor: -1}, inCycle: true},
+		{name: "concurrent-lazy", cfg: Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true}, inCycle: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -917,40 +916,5 @@ func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestNewWorldRejectsParallelSTWMark pins what is left of MarkWorkers:
-// the stop-the-world mark is serial, so a world asking for two workers
-// (or a negative count) is refused, and 0 and 1 build the same world —
-// the same addresses and the same collections.
-func TestNewWorldRejectsParallelSTWMark(t *testing.T) {
-	for _, n := range []int{2, 8, -1} {
-		if _, err := NewWorld(nil, Config{MarkWorkers: n}); err == nil {
-			t.Errorf("NewWorld accepted MarkWorkers: %d", n)
-		}
-	}
-	run := func(workers int) ([]mem.Addr, []CollectionStats) {
-		w := newWorld(t, Config{GCDivisor: -1, MarkWorkers: workers})
-		data := addData(t, w, "data", 0x2000, 4096)
-		var addrs []mem.Addr
-		var stats []CollectionStats
-		for round := 0; round < 3; round++ {
-			addrs = append(addrs, churn(t, w, data, 0x2000, 48)...)
-			stats = append(stats, w.Collect())
-		}
-		return addrs, stats
-	}
-	addrs0, stats0 := run(0)
-	addrs1, stats1 := run(1)
-	if !slices.Equal(addrs0, addrs1) {
-		t.Fatal("MarkWorkers 0 and 1 allocate differently")
-	}
-	for i := range stats0 {
-		a, b := stats0[i], stats1[i]
-		normalizeTimes(&a, &b)
-		if a != b {
-			t.Fatalf("cycle %d diverges:\n0 %+v\n1 %+v", i, a, b)
-		}
 	}
 }

@@ -382,9 +382,8 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 // Drain and through each way a concurrent cycle drives the one marker:
 // "run", bounded chunks until the stack is empty (ConcurrentStep, an
 // allocation's assist); "finale", a few
-// chunks, then a forced finale's root rescan and Drain; and "detached",
-// the root scan's gray set detached from the marker that built it and
-// drained by another in chunks. The order objects are reached in
+// chunks, then a forced finale's root rescan and Drain. The order
+// objects are reached in
 // differs, so what must be equal is what does not depend on order: the
 // marked set and the counters of first-marks and fields.
 func TestDriversShareTheLoop(t *testing.T) {
@@ -411,18 +410,6 @@ func TestDriversShareTheLoop(t *testing.T) {
 			m.MarkWords(h.roots)
 			m.Drain()
 			return m.Stats()
-		}},
-		{"detached", func(h *mixedHeap, cfg Config) Stats {
-			scan, drain := New(h.heap, cfg), New(h.heap, cfg)
-			scan.MarkWords(h.roots)
-			if len(scan.stack) == 0 {
-				t.Fatal("the root scan left no gray object to hand over")
-			}
-			drain.stack = append(drain.stack, scan.stack...)
-			scan.stack = scan.stack[:0]
-			for !drain.DrainN(23) {
-			}
-			return addStats(scan.Stats(), drain.Stats())
 		}},
 	}
 	for _, sh := range loopShapes {
@@ -578,5 +565,36 @@ func TestMarkLoopDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, mark); n != 0 {
 		t.Errorf("a warm MarkValue+Drain allocates %v times, want 0", n)
+	}
+}
+
+// TestShadeMatchesMarkValue feeds the roots, one value at a time,
+// through the insertion barrier's step (Shade) and drains what it
+// shaded: the same marked set, counters and blacklist additions as a
+// Marker given the nonzero values through MarkValue.
+func TestShadeMatchesMarkValue(t *testing.T) {
+	for _, sh := range loopShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			interior := sh.policy == PointerInterior
+			plain, shaded := newMixedHeap(t, 11, sh.extents, interior), newMixedHeap(t, 11, sh.extents, interior)
+			pm := New(plain.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: plain.bl})
+			for _, v := range plain.roots {
+				if v != 0 {
+					pm.MarkValue(v)
+				}
+			}
+			pm.Drain()
+			sm := New(shaded.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: shaded.bl})
+			for i, v := range shaded.roots {
+				sm.Shade(RootOrigin{Kind: RootRegister}, int32(i), v)
+			}
+			sm.Drain()
+			if pm.Stats() != sm.Stats() {
+				t.Errorf("stats diverge:\nMarkValue %+v\nShade     %+v", pm.Stats(), sm.Stats())
+			}
+			if !reflect.DeepEqual(plain.markedSet(), shaded.markedSet()) || !slices.Equal(plain.bl.adds, shaded.bl.adds) {
+				t.Error("marked sets or blacklist additions diverge")
+			}
+		})
 	}
 }

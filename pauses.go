@@ -49,11 +49,11 @@ type PausesOptions struct {
 }
 
 // Pauses compares mutator-visible pause times across the collector
-// modes: stop-the-world (the paper's collector), mostly-concurrent (its
+// modes: stop-the-world (the paper's collector), concurrent (after its
 // reference [8], "concurrent collectors that greatly reduce client
-// pause times" — one marker, marking in 64-object chunks behind the
-// mutator), and generational (reference
-// [13], cheap minor cycles). The mutator churns short-lived objects
+// pause times", but marked in 64-object chunks by the mutator's own
+// allocation assists: nothing marks beside it), and generational
+// (reference [13], cheap minor cycles). The mutator churns short-lived objects
 // over a large long-lived structure; the pause is the latency of the
 // worst single allocation call.
 func Pauses(opt PausesOptions) (*BenchResult[PausesOptions, PauseRow], *stats.Table, error) {
@@ -68,7 +68,7 @@ func Pauses(opt PausesOptions) (*BenchResult[PausesOptions, PauseRow], *stats.Ta
 		cfg   Config
 	}{
 		{"stop-the-world", Config{GCDivisor: 2}},
-		{"mostly-concurrent (ref. [8])", Config{ConcurrentMark: true, GCDivisor: 2, MarkQuantum: 64}},
+		{"concurrent, marked by allocation assists", Config{ConcurrentMark: true, GCDivisor: 2, MarkQuantum: 64}},
 		{"generational", Config{Generational: true, MinorDivisor: 4, FullEvery: 16}},
 	}
 	res := &BenchResult[PausesOptions, PauseRow]{Options: opt}
@@ -79,7 +79,7 @@ func Pauses(opt PausesOptions) (*BenchResult[PausesOptions, PauseRow], *stats.Ta
 		}
 		res.Rows = append(res.Rows, *row)
 	}
-	tab := stats.NewTable("Pause times: stop-the-world vs mostly-concurrent vs generational",
+	tab := stats.NewTable("Pause times: stop-the-world vs assist-marked concurrent vs generational",
 		"Mode", "Collections", "Worst pause", "Total GC-bearing time", "Live at end")
 	for _, r := range res.Rows {
 		tab.AddF(r.Mode, r.Collections,

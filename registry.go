@@ -188,7 +188,7 @@ allocated as such, or its contents introduce false pointers wholesale.`,
 		`Paper (introduction): implementations vary in their degree of conservativism;
 exact heap layouts eliminate misidentification from non-pointer fields.`,
 		func(a RunArgs) ConservatismOptions { return ConservatismOptions{Seed: a.Seed} }, DegreesOfConservatism),
-	gated("pauses", "E16: stop-the-world vs mostly-concurrent vs generational pauses",
+	gated("pauses", "E16: stop-the-world vs assist-marked concurrent vs generational pauses",
 		`Paper (introduction): "concurrent collectors that greatly reduce client
 pause times" [8] and generational conservative collectors [13] both exist;
 this reproduces their pause profiles on the same substrate.`,

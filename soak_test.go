@@ -4,32 +4,22 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/simrand"
 )
 
 // TestSoakHeapBounded models the paper's deployment claim — "the Xerox
 // Portable Common Runtime system is used routinely to run more than a
 // million lines of Cedar/Mesa code" — as a long-running mixed workload:
-// under every collector mode, a program whose live set is bounded must
+// in every collector mode, a program whose live set is bounded must
 // see a bounded heap, no matter how much it allocates.
 func TestSoakHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"stop-the-world", Config{Blacklisting: BlacklistDense}},
-		{"generational", Config{Generational: true, MinorDivisor: 4, FullEvery: 8}},
-		{"lazy", Config{Blacklisting: BlacklistDense, LazySweep: true}},
-		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, FullEvery: 8,
-			LazySweep: true}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := mode.cfg
+	for _, mode := range core.Modes {
+		t.Run(mode.Name, func(t *testing.T) {
+			cfg := mode.Apply(Config{Blacklisting: BlacklistDense, MinorDivisor: 4, FullEvery: 8})
 			cfg.InitialHeapBytes = 256 * 1024
 			cfg.ReserveHeapBytes = 32 << 20
 			w, err := NewWorld(cfg)
@@ -96,7 +86,7 @@ func TestSoakHeapBounded(t *testing.T) {
 				}
 			}
 			t.Log(fmt.Sprintf("%s: peak heap %d KiB over %d collections",
-				mode.name, peakHeap/1024, w.Collections()))
+				mode.Name, peakHeap/1024, w.Collections()))
 		})
 	}
 }

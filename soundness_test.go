@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/simrand"
 )
 
@@ -260,25 +261,29 @@ func (h *soundnessHarness) finalCheck() {
 }
 
 func TestSoundnessAcrossModes(t *testing.T) {
-	modes := []struct {
+	// Every collector mode (concurrent ones stepped by the harness, with
+	// no trigger of their own), then rows that vary something else.
+	type row struct {
 		name string
 		cfg  Config
-	}{
-		{"default", Config{}},
+	}
+	var modes []row
+	for _, m := range core.Modes {
+		cfg := m.Apply(Config{MinorDivisor: 4})
+		if m.ConcurrentMark {
+			cfg.GCDivisor, cfg.MarkQuantum = -1, 8
+		}
+		modes = append(modes, row{m.Name, cfg})
+	}
+	modes = append(modes, []row{
 		{"blacklist", Config{Blacklisting: BlacklistDense}},
 		{"interior", Config{Pointer: PointerInterior, Blacklisting: BlacklistDense}},
-		{"generational", Config{Generational: true, MinorDivisor: 4}},
-		{"conc-stepped", Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 8}},
 		{"lifo-frag", Config{FreeBlocks: LIFO}},
 		{"skip-boundary", Config{SkipPageBoundarySlot: true}},
 		{"discontiguous", Config{DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
 		{"gen-discontiguous", Config{Generational: true, MinorDivisor: 4,
 			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
-		{"lazy", Config{LazySweep: true}},
-		{"gen-lazy", Config{Generational: true, MinorDivisor: 4, LazySweep: true}},
-		{"conc-stepped-lazy", Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 8,
-			LazySweep: true}},
-	}
+	}...)
 	for _, mode := range modes {
 		mode := mode
 		for seed := uint64(1); seed <= 3; seed++ {
