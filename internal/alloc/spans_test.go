@@ -18,9 +18,9 @@ func spanAddrs(s Span) []mem.Addr {
 	return out
 }
 
-// TestSpanFreshBlock carves a fresh block: one span of every usable
+// TestLineAllocBasicSpan carves a fresh block: one span of every usable
 // slot, each allocated and zeroed.
-func TestSpanFreshBlock(t *testing.T) {
+func TestLineAllocBasicSpan(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	s, err := a.AllocSpan(64, false)
 	if err != nil {
@@ -58,12 +58,12 @@ func TestSpanFreshBlock(t *testing.T) {
 	}
 }
 
-// TestReturnSpanExact consumes two slots of a span, returns
+// TestLineAllocReturnSpanExact consumes two slots of a span, returns
 // the tail and re-carves: the next span must resume at exactly the
 // returned cursor. When the span was marked as a held cache is
 // (MarkHeldSpan, over all but its last slot), the return must take
 // exactly the returned slots' marks off the block's mark summary.
-func TestReturnSpanExact(t *testing.T) {
+func TestLineAllocReturnSpanExact(t *testing.T) {
 	for _, marked := range []bool{false, true} {
 		_, a := newTestAllocator(t, Config{})
 		s, err := a.AllocSpan(64, false)
@@ -99,9 +99,9 @@ func TestReturnSpanExact(t *testing.T) {
 	}
 }
 
-// TestSpanStatsDeferredToConsumption: a carve counts nothing until
+// TestLineAllocStatsDeferredToConsumption: a carve counts nothing until
 // CommitAllocs says how many of its slots were handed out.
-func TestSpanStatsDeferredToConsumption(t *testing.T) {
+func TestLineAllocStatsDeferredToConsumption(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	before := a.Stats()
 	s, err := a.AllocSpan(64, false)
@@ -119,9 +119,9 @@ func TestSpanStatsDeferredToConsumption(t *testing.T) {
 	}
 }
 
-// TestSweepZeroesAndReclaims: a sweep zeroes every dead slot whole,
+// TestLineSweepReclaimsAndZeroes: a sweep zeroes every dead slot whole,
 // and the slots it freed are carved again.
-func TestSweepZeroesAndReclaims(t *testing.T) {
+func TestLineSweepReclaimsAndZeroes(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	// Allocate a block's worth of 8-word objects, mark every other one,
 	// sweep, and check dead slots are whole-zeroed and reclaimable.
@@ -168,9 +168,9 @@ func TestSweepZeroesAndReclaims(t *testing.T) {
 	}
 }
 
-// TestLineStatsZero pins LineStats at zero: there are no lines to
+// TestLineStatsAccounting pins LineStats at zero: there are no lines to
 // account.
-func TestLineStatsZero(t *testing.T) {
+func TestLineStatsAccounting(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	for i := 0; i < mem.PageWords/64/2; i++ {
 		if _, err := a.Alloc(64, false); err != nil {
@@ -182,8 +182,8 @@ func TestLineStatsZero(t *testing.T) {
 	}
 }
 
-// TestFreedSlotReissuedFirst: a freed slot goes on top of its list.
-func TestFreedSlotReissuedFirst(t *testing.T) {
+// TestLineAllocFreeRequeues: a freed slot goes on top of its list.
+func TestLineAllocFreeRequeues(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	p, err := a.Alloc(64, false)
 	if err != nil {

@@ -93,51 +93,54 @@ func runSweepChurn(t *testing.T, a *Allocator, seed uint64, typed DescID) []chur
 // exactly the order the eager sweep threads them — and the same
 // reclamation totals at every collection barrier.
 func TestLazySweepDifferential(t *testing.T) {
-	for _, seed := range []uint64{1, 42, 777} {
-		cfg := Config{InitialBytes: 32 * mem.PageBytes}
-		_, eager := newTestAllocator(t, cfg)
-		cfg.LazySweep = true
-		_, lazy := newTestAllocator(t, cfg)
-		mask := []bool{true, false, true, false, false, true}
-		de, err := eager.RegisterDescriptor(mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dl, err := lazy.RegisterDescriptor(mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if de != dl {
-			t.Fatalf("descriptor ids diverge: %d vs %d", de, dl)
-		}
-		ev := runSweepChurn(t, eager, seed, de)
-		lv := runSweepChurn(t, lazy, seed, dl)
-		if len(ev) != len(lv) {
-			t.Fatalf("seed %d: event counts diverge: eager %d, lazy %d", seed, len(ev), len(lv))
-		}
-		for i := range ev {
-			if ev[i] != lv[i] {
-				t.Fatalf("seed %d: event %d diverges:\neager %+v\nlazy  %+v", seed, i, ev[i], lv[i])
+	// The one row keeps the name it had beside the retired line heap's.
+	t.Run("freelist", func(t *testing.T) {
+		for _, seed := range []uint64{1, 42, 777} {
+			cfg := Config{InitialBytes: 32 * mem.PageBytes}
+			_, eager := newTestAllocator(t, cfg)
+			cfg.LazySweep = true
+			_, lazy := newTestAllocator(t, cfg)
+			mask := []bool{true, false, true, false, false, true}
+			de, err := eager.RegisterDescriptor(mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dl, err := lazy.RegisterDescriptor(mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if de != dl {
+				t.Fatalf("descriptor ids diverge: %d vs %d", de, dl)
+			}
+			ev := runSweepChurn(t, eager, seed, de)
+			lv := runSweepChurn(t, lazy, seed, dl)
+			if len(ev) != len(lv) {
+				t.Fatalf("seed %d: event counts diverge: eager %d, lazy %d", seed, len(ev), len(lv))
+			}
+			for i := range ev {
+				if ev[i] != lv[i] {
+					t.Fatalf("seed %d: event %d diverges:\neager %+v\nlazy  %+v", seed, i, ev[i], lv[i])
+				}
+			}
+			es, ls := eager.Stats(), lazy.Stats()
+			if es.BytesLive != ls.BytesLive || es.ObjectsLive != ls.ObjectsLive ||
+				es.BlocksDedicated != ls.BlocksDedicated || es.BlocksFree != ls.BlocksFree {
+				t.Fatalf("seed %d: final stats diverge:\neager %+v\nlazy  %+v", seed, es, ls)
+			}
+			if lazy.SweepPending() != 0 {
+				t.Fatalf("seed %d: %d blocks still pending after FinishSweep", seed, lazy.SweepPending())
+			}
+			efs, lfs := eager.FreeSpans(), lazy.FreeSpans()
+			if len(efs) != len(lfs) {
+				t.Fatalf("seed %d: free span counts diverge: %v vs %v", seed, efs, lfs)
+			}
+			for i := range efs {
+				if efs[i] != lfs[i] {
+					t.Fatalf("seed %d: free spans diverge: %v vs %v", seed, efs, lfs)
+				}
 			}
 		}
-		es, ls := eager.Stats(), lazy.Stats()
-		if es.BytesLive != ls.BytesLive || es.ObjectsLive != ls.ObjectsLive ||
-			es.BlocksDedicated != ls.BlocksDedicated || es.BlocksFree != ls.BlocksFree {
-			t.Fatalf("seed %d: final stats diverge:\neager %+v\nlazy  %+v", seed, es, ls)
-		}
-		if lazy.SweepPending() != 0 {
-			t.Fatalf("seed %d: %d blocks still pending after FinishSweep", seed, lazy.SweepPending())
-		}
-		efs, lfs := eager.FreeSpans(), lazy.FreeSpans()
-		if len(efs) != len(lfs) {
-			t.Fatalf("seed %d: free span counts diverge: %v vs %v", seed, efs, lfs)
-		}
-		for i := range efs {
-			if efs[i] != lfs[i] {
-				t.Fatalf("seed %d: free spans diverge: %v vs %v", seed, efs, lfs)
-			}
-		}
-	}
+	})
 }
 
 // TestLazySweepSummariesMatchBitmaps cross-checks the maintained mark

@@ -32,7 +32,9 @@ func TestSweepZeroesDeadRunsOnly(t *testing.T) {
 	}
 	for _, lazy := range []bool{false, true} {
 		for _, pat := range patterns {
-			name := fmt.Sprintf("lazy=%v/%s", lazy, pat.name)
+			// "line=false" is the level the rows had beside the retired
+			// line heap's.
+			name := fmt.Sprintf("line=false/lazy=%v/%s", lazy, pat.name)
 			t.Run(name, func(t *testing.T) {
 				_, a := newTestAllocator(t, Config{LazySweep: lazy, SkipPageBoundarySlot: pat.skip})
 				nslots, first := slotsPerBlock(pat.words), a.firstSlot(pat.words)

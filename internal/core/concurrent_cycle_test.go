@@ -9,6 +9,7 @@ import (
 	"repro/internal/blacklist"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // Tests of the one concurrent cycle: who marks it and who lands it, and
@@ -98,7 +99,7 @@ func startTriggered(w *World) {
 	w.startConcurrentLocked(kindConcurrent)
 }
 
-// TestAssistsAloneLandCycles pins who lands a concurrent cycle now that
+// TestDetachedWorkersParkAndRetire pins who lands a concurrent cycle now that
 // nothing marks beside the mutators. Over a mark-heavy graph — a root, 64 hubs of 64 words, 4096
 // leaves — cycles are opened the way an allocation trigger opens them.
 //
@@ -113,7 +114,7 @@ func startTriggered(w *World) {
 //     allocations per cycle on a second world built the same way.
 //
 // The collector starts no goroutine: the count never grows.
-func TestAssistsAloneLandCycles(t *testing.T) {
+func TestDetachedWorkersParkAndRetire(t *testing.T) {
 	const hubs, fanout = 64, 64
 	const objects = 1 + hubs + hubs*fanout
 	run := func() []int {
@@ -207,13 +208,13 @@ func TestAssistsAloneLandCycles(t *testing.T) {
 	}
 }
 
-// TestChunkDoneJudgedOnWork pins what a chunk's "done" is decided on:
+// TestWorkerIdleJudgedOnWork pins what a chunk's "done" is decided on:
 // whether gray work is left, not whether the chunk won any first-mark.
 // A concurrent minor cycle is given a remembered set of many dirty
 // blocks of old objects whose targets are all old too, so every chunk
 // rescans a block and marks nothing — the pacer's credit never moves —
 // and yet no chunk may end the cycle while a staged block is left.
-func TestChunkDoneJudgedOnWork(t *testing.T) {
+func TestWorkerIdleJudgedOnWork(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, Generational: true, GCDivisor: -1, MinorDivisor: -1})
 	installClosureOracle(t, w, nil)
 	data := addData(t, w, "data", 0x2000, 4096)
@@ -365,13 +366,13 @@ func survivors(w *World, objs []mem.Addr) []bool {
 	return out
 }
 
-// TestConcurrentCollectMatchesSTW is the concurrent cycle's whole-world
+// TestParallelCollectMatchesSerial is the concurrent cycle's whole-world
 // differential against the stop-the-world collection: a cycle stepped
 // to its end — registers, a live stack and a wide fan-out among the
 // roots — marks, sweeps and blacklists exactly what the stop-the-world
 // collection does. Only first-mark counters are compared: the finale
 // scans the roots a second time.
-func TestConcurrentCollectMatchesSTW(t *testing.T) {
+func TestParallelCollectMatchesSerial(t *testing.T) {
 	type outcome struct {
 		objects, bytes, atomic uint64
 		live, freed            uint64
@@ -412,13 +413,13 @@ func TestConcurrentCollectMatchesSTW(t *testing.T) {
 	}
 }
 
-// TestConcurrentMinorMatchesSTW is the generational variant: a full
+// TestParallelMinorCollectMatchesSerial is the generational variant: a full
 // collection establishes the old generation, stores through the card
 // barrier create old-to-young edges, and a concurrent minor cycle's
 // chunks rescan the remembered set, a staged block at a time.
 // Promotions, byte totals, survivors and the blacklist must match the
 // stop-the-world minor's.
-func TestConcurrentMinorMatchesSTW(t *testing.T) {
+func TestParallelMinorCollectMatchesSerial(t *testing.T) {
 	type outcome struct {
 		promoted, bytes uint64
 		surv            []bool
@@ -474,10 +475,10 @@ func TestConcurrentMinorMatchesSTW(t *testing.T) {
 	}
 }
 
-// TestMarkOnlyLandsCycleInFlight: MarkOnly on a world whose concurrent
+// TestParallelMarkOnlyMatchesSerial: MarkOnly on a world whose concurrent
 // cycle is in flight lands the cycle first, then measures what a world
 // that never marked concurrently measures.
-func TestMarkOnlyLandsCycleInFlight(t *testing.T) {
+func TestParallelMarkOnlyMatchesSerial(t *testing.T) {
 	w1, _ := buildMixedWorld(t, Config{})
 	wantObjs, wantBytes := w1.MarkOnly()
 	w, _ := buildMixedWorld(t, Config{ConcurrentMark: true})
@@ -492,10 +493,41 @@ func TestMarkOnlyLandsCycleInFlight(t *testing.T) {
 	}
 }
 
-// TestConcurrentLargeLiveHeap grows a live heap of ~12 MiB, rooted only
+// TestMarkWorkersDefaultIsAdaptive pins the defaults, under the name it
+// had when a zero ConcMarkWorkers chose an adaptive number of detached
+// workers: MarkWorkers and ConcMarkWorkers stay 0, a Collect is a
+// stop-the-world cycle, and a concurrent cycle at the defaults marks on
+// the one marker (the trace's mark_begin says so) and leaves no
+// goroutine behind.
+func TestMarkWorkersDefaultIsAdaptive(t *testing.T) {
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
+	if w.cfg.MarkWorkers != 0 || w.cfg.ConcMarkWorkers != 0 {
+		t.Fatalf("default MarkWorkers = %d, ConcMarkWorkers = %d, want 0 and 0", w.cfg.MarkWorkers, w.cfg.ConcMarkWorkers)
+	}
+	rec := w.EnableTracing(0)
+	addData(t, w, "data", 0x2000, 4096)
+	concBuildGraph(t, directDriver{w})
+	if st := w.Collect(); st.Concurrent {
+		t.Fatal("Collect ran a concurrent cycle")
+	}
+	base := runtime.NumGoroutine()
+	if st := cycleByStep(t, w, kindConcurrent); st.MarkedConcurrent == 0 {
+		t.Fatalf("the default concurrent cycle marked nothing between its pauses: %+v", st)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the cycle, %d before", n, base)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.EvMarkBegin && ev.A1 != 1 {
+			t.Fatalf("mark_begin reports %d markers, want 1", ev.A1)
+		}
+	}
+}
+
+// TestAdaptiveMarkWorkersRebuild grows a live heap of ~12 MiB, rooted only
 // by a RootSource's registers, and runs two stepped cycles: both mark
 // every object.
-func TestConcurrentLargeLiveHeap(t *testing.T) {
+func TestAdaptiveMarkWorkersRebuild(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, InitialHeapBytes: 64 << 20, ReserveHeapBytes: 128 << 20, GCDivisor: -1})
 	var keep []mem.Addr
 	for i := 0; i < 3*1024; i++ {

@@ -482,35 +482,38 @@ func TestConcurrentMarkUnrootedBornBlack(t *testing.T) {
 // list that keeps the cycle busy — the cache's held slots are taken back
 // out of the survey.
 func TestConcurrentMarkRootedBornWhite(t *testing.T) {
-	const allocs, listNodes = 100, 4000
-	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 16})
-	installClosureOracle(t, w, nil)
-	data := addData(t, w, "data", 0x2000, 4096)
-	concLiveList(t, w, 0x2000+4, listNodes)
-	m := w.NewMutator()
-	if err := w.StartConcurrentCycle(); err != nil {
-		t.Fatal(err)
-	}
-	var last mem.Addr
-	for i := 0; i < allocs; i++ {
-		p, err := m.AllocateRooted(data, 0x2000, 4, false)
-		if err != nil {
+	// The one row keeps the name it had beside the retired line heap's.
+	t.Run("freelist", func(t *testing.T) {
+		const allocs, listNodes = 100, 4000
+		w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, MarkQuantum: 16})
+		installClosureOracle(t, w, nil)
+		data := addData(t, w, "data", 0x2000, 4096)
+		concLiveList(t, w, 0x2000+4, listNodes)
+		m := w.NewMutator()
+		if err := w.StartConcurrentCycle(); err != nil {
 			t.Fatal(err)
 		}
-		last = p
-	}
-	concFinish(t, w)
-	st := w.LastCollection()
-	if st.Sweep.ObjectsLive != listNodes+1 || st.Sweep.ObjectsFreed != allocs-1 {
-		t.Fatalf("finale kept %d and freed %d objects, want the %d list nodes and the one rooted object, and %d",
-			st.Sweep.ObjectsLive, st.Sweep.ObjectsFreed, listNodes, allocs-1)
-	}
-	if !w.Heap.IsAllocated(last) {
-		t.Fatalf("the rooted object %#x was swept", uint32(last))
-	}
-	if err := w.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
+		var last mem.Addr
+		for i := 0; i < allocs; i++ {
+			p, err := m.AllocateRooted(data, 0x2000, 4, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = p
+		}
+		concFinish(t, w)
+		st := w.LastCollection()
+		if st.Sweep.ObjectsLive != listNodes+1 || st.Sweep.ObjectsFreed != allocs-1 {
+			t.Fatalf("finale kept %d and freed %d objects, want the %d list nodes and the one rooted object, and %d",
+				st.Sweep.ObjectsLive, st.Sweep.ObjectsFreed, listNodes, allocs-1)
+		}
+		if !w.Heap.IsAllocated(last) {
+			t.Fatalf("the rooted object %#x was swept", uint32(last))
+		}
+		if err := w.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestConcurrentMarkFastPathZeroAlloc pins the fast path's cost while

@@ -115,7 +115,8 @@ func churnMutator(w *World, m *Mutator, data *mem.Segment, base mem.Addr, seed u
 // the insertion barrier.
 func TestConcurrentMutatorBattery(t *testing.T) {
 	configs := map[string]Config{}
-	for _, m := range Modes {
+	// conc-lazy keeps the row name it ran under on the detached workers.
+	for _, m := range named(Modes, map[string]string{"conc-lazy": "par-lazy"}) {
 		configs[m.Name] = m.Apply(Config{GCDivisor: 6})
 	}
 	// Sixteen budgeted tenants under concurrent marking and the lazy

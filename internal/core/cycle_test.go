@@ -52,18 +52,20 @@ func TestSingleClose(t *testing.T) {
 		{"concurrent-minor", kindConcurrentMinor, true},
 	}
 	for _, k := range kinds {
-		// A stop-the-world kind also runs on a world whose first cycle was
-		// a concurrent one ("after-conc"), whose close must leave nothing
-		// behind for the next.
-		shapes := []string{"serial"}
-		if !k.kind.concurrent() {
-			shapes = append(shapes, "after-conc")
+		// Every kind also runs on a world whose first cycle was a
+		// concurrent one, whose close must leave nothing behind for the
+		// next. That row keeps the name of the mark step's retired second
+		// shape: "parallel" for a stop-the-world kind, "detached" for a
+		// concurrent one.
+		after := "parallel"
+		if k.kind.concurrent() {
+			after = "detached"
 		}
-		for _, shape := range shapes {
+		for _, shape := range []string{"serial", after} {
 			for _, lazy := range []bool{false, true} {
 				cfg := Config{
 					GCDivisor: -1, MinorDivisor: -1, Generational: k.gen, LazySweep: lazy,
-					ConcurrentMark: k.kind.concurrent() || shape == "after-conc",
+					ConcurrentMark: k.kind.concurrent() || shape == after,
 				}
 				k, kind := k, k.kind
 				t.Run(fmt.Sprintf("%s/%s/lazy=%v", k.name, shape, lazy), func(t *testing.T) {
@@ -77,7 +79,7 @@ func TestSingleClose(t *testing.T) {
 					// full cycle stands at 1 when the cycle under test opens.
 					holder := lw.alloc(2)
 					lw.root(0, holder)
-					if shape == "after-conc" {
+					if shape == after {
 						w.mu.Lock()
 						w.startConcurrentLocked(kindConcurrent)
 						w.mu.Unlock()

@@ -38,44 +38,47 @@ func firstHeld(w *World, m *Mutator) mem.Addr {
 // the list runs in a cycle and hands one slot to two owners, which the
 // audit after FinishSweep reports.
 func TestHeldSlotReturnedIntoPendingBlock(t *testing.T) {
-	w := newWorld(t, Config{LazySweep: true, GCDivisor: -1})
-	data := addData(t, w, "roots", 0x2000, 4096)
-	m1, m2 := w.NewMutator(), w.NewMutator()
-	var rooted [2]mem.Addr
-	for i := 0; i < 10; i++ {
-		p, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false)
-		if err != nil {
+	// The one row keeps the name it had beside the retired line heap's.
+	t.Run("line=false", func(t *testing.T) {
+		w := newWorld(t, Config{LazySweep: true, GCDivisor: -1})
+		data := addData(t, w, "roots", 0x2000, 4096)
+		m1, m2 := w.NewMutator(), w.NewMutator()
+		var rooted [2]mem.Addr
+		for i := 0; i < 10; i++ {
+			p, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < len(rooted) {
+				rooted[i] = p
+			} else if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held := firstHeld(w, m1)
+		if held == 0 {
+			t.Fatal("the first refill left nothing in the cache")
+		}
+		w.Collect()
+		if w.Heap.SweepPending() == 0 || !markedNow(w, held) {
+			t.Fatalf("after the collection: %d blocks pending, held slot marked %v", w.Heap.SweepPending(), markedNow(w, held))
+		}
+		if err := data.Store(0x2000, 0); err != nil {
 			t.Fatal(err)
 		}
-		if i < len(rooted) {
-			rooted[i] = p
-		} else if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
+		if err := m1.Free(rooted[0]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	held := firstHeld(w, m1)
-	if held == 0 {
-		t.Fatal("the first refill left nothing in the cache")
-	}
-	w.Collect()
-	if w.Heap.SweepPending() == 0 || !markedNow(w, held) {
-		t.Fatalf("after the collection: %d blocks pending, held slot marked %v", w.Heap.SweepPending(), markedNow(w, held))
-	}
-	if err := data.Store(0x2000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.Free(rooted[0]); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := m2.Allocate(4, false); err != nil {
+		for i := 0; i < 64; i++ {
+			if _, err := m2.Allocate(4, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.FinishSweep()
+		if err := w.VerifyIntegrity(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	w.FinishSweep()
-	if err := w.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestHeldSlotYoungAfterStickySweep: in a generational world the sweep
@@ -178,8 +181,10 @@ func TestHeldCacheResumesOnFastPath(t *testing.T) {
 // the tenant and charged to it together, when carved, and the
 // collection must neither credit nor untag them.
 func TestTenantBooksWithHeldCaches(t *testing.T) {
-	// Both sweeps; the held caches' own battery runs every mode.
-	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational }) {
+	// Both sweeps, under the row names of the two heaps they once ran
+	// on; the held caches' own battery runs every mode.
+	stw := modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational })
+	for _, mode := range named(stw, map[string]string{"full": "free-list", "lazy": "line-lazy"}) {
 		t.Run(mode.Name, func(t *testing.T) {
 			const tenants, perTenant = 16, 8
 			w := newWorld(t, mode.Apply(Config{GCDivisor: -1}))
@@ -239,7 +244,8 @@ func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
 		ops = 100
 	}
 	const nMut, slotBytes = 8, 16 * 4
-	for _, mode := range Modes {
+	// Two rows keep the names they had before the mode table.
+	for _, mode := range named(Modes, map[string]string{"full": "line", "conc-lazy": "conc-workers"}) {
 		t.Run(mode.Name, func(t *testing.T) {
 			w := newWorld(t, mode.Apply(Config{GCDivisor: 6}))
 			installClosureOracle(t, w, nil)
@@ -305,11 +311,11 @@ func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
 	}
 }
 
-// TestIntegrityWithCachesMidHole audits the world while mutator handles
+// TestLineAllocIntegrityWithOutstandingSpans audits the world while mutator handles
 // hold half-consumed holes: VerifyIntegrity must account every
 // carved-but-unissued slot (no double-carve, bits set) without
 // requiring a flush first.
-func TestIntegrityWithCachesMidHole(t *testing.T) {
+func TestLineAllocIntegrityWithOutstandingSpans(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	addData(t, w, "data", 0x2000, 4096)
 	m1 := w.NewMutator()
@@ -344,10 +350,10 @@ func TestIntegrityWithCachesMidHole(t *testing.T) {
 	}
 }
 
-// TestLazyScriptConservesObjects runs the mixed-size script under the
+// TestLineAllocGeneralWorkload runs the mixed-size script under the
 // lazy sweep, directly and through a handle: the invariants are
 // integrity and exact conservation of the object count.
-func TestLazyScriptConservesObjects(t *testing.T) {
+func TestLineAllocGeneralWorkload(t *testing.T) {
 	for _, useHandle := range []bool{false, true} {
 		w := newWorld(t, Config{GCDivisor: 4, LazySweep: true})
 		addData(t, w, "data", 0x2000, 4096)

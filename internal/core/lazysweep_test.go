@@ -77,7 +77,9 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 // off.
 func TestCoreLazySweepDifferential(t *testing.T) {
 	mask := []bool{true, false, false, true, false}
-	for _, mode := range modesWhere(func(m Mode) bool { return !m.LazySweep }) {
+	// Two rows keep the names they had before the mode table.
+	eager := modesWhere(func(m Mode) bool { return !m.LazySweep })
+	for _, mode := range named(eager, map[string]string{"gen": "generational", "conc": "parallel"}) {
 		t.Run(mode.Name, func(t *testing.T) {
 			eagerCfg := mode.Apply(modeTriggers(mode))
 			lazyCfg := eagerCfg

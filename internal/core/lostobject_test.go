@@ -18,9 +18,12 @@ import (
 
 // concShapes are the worlds the concurrent batteries run on: the
 // concurrent modes without generations (a case that needs a
-// generational world asks for one).
+// generational world asks for one). Their rows keep the names of the
+// two marking engines they ran on before: "serial" is conc, "detached"
+// conc-lazy.
 var concShapes = func() (out []concShape) {
-	for _, m := range modesWhere(func(m Mode) bool { return m.ConcurrentMark && !m.Generational }) {
+	conc := modesWhere(func(m Mode) bool { return m.ConcurrentMark && !m.Generational })
+	for _, m := range named(conc, map[string]string{"conc": "serial", "conc-lazy": "detached"}) {
 		out = append(out, concShape{name: m.Name, cfg: m.Apply(Config{})})
 	}
 	return out

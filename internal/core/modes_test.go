@@ -27,6 +27,19 @@ func modesWhere(keep func(Mode) bool) []Mode {
 	return slices.DeleteFunc(slices.Clone(Modes), func(m Mode) bool { return !keep(m) })
 }
 
+// named returns modes with the rows a test named before it drew them
+// from Modes renamed back (old maps a mode's name to the row's), so that
+// a row keeps the name the test's history and records know it by.
+func named(modes []Mode, old map[string]string) []Mode {
+	out := slices.Clone(modes)
+	for i := range out {
+		if n, ok := old[out[i].Name]; ok {
+			out[i].Name = n
+		}
+	}
+	return out
+}
+
 // modeTriggers is the trigger a scripted differential runs a mode under:
 // a collection every quarter of the heap allocated, or, when the world
 // marks concurrently, only the script's own (concurrentDriver).

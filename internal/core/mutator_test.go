@@ -229,7 +229,9 @@ func normalizeTimes(a, b *CollectionStats) {
 // collects, and the slots its caches hold across a collection are kept
 // by the sweep and left out of what it reports.
 func TestMutatorDifferential(t *testing.T) {
-	for _, mode := range Modes {
+	// Three rows keep the names they had before the mode table.
+	old := map[string]string{"gen": "generational", "conc": "parallel", "conc-lazy": "par-lazy"}
+	for _, mode := range named(Modes, old) {
 		cfg := mode.Apply(modeTriggers(mode))
 		t.Run(mode.Name, func(t *testing.T) {
 			run := func(useHandle bool) scriptRun {

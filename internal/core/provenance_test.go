@@ -9,6 +9,10 @@ import (
 	"repro/internal/mem"
 )
 
+// provNames are the names three modes' rows had before the mode table,
+// which the provenance differentials keep.
+var provNames = map[string]string{"gen": "generational", "conc": "conc-stepped", "conc-lazy": "par-lazy"}
+
 // provCollect runs one collection appropriate to the configuration:
 // concurrent worlds run a full step-driven cycle, generational worlds
 // alternate minors and fulls, everything else collects normally.
@@ -35,7 +39,7 @@ func provCollect(t *testing.T, w *World, cfg Config, round int) CollectionStats 
 // timing and the provenance fields themselves, in every collector
 // mode.
 func TestProvenanceOffDifferential(t *testing.T) {
-	for _, mode := range Modes {
+	for _, mode := range named(Modes, provNames) {
 		name, cfg := mode.Name, mode.Apply(Config{GCDivisor: -1, MarkQuantum: 32})
 		t.Run(name, func(t *testing.T) {
 			run := func(record bool) ([]mem.Addr, []CollectionStats) {
@@ -97,12 +101,12 @@ func TestProvenanceOffZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProvenanceUniqueAcrossCycle checks the first-mark rule across a
+// TestProvenanceParallelUnique checks the first-mark rule across a
 // concurrent cycle's marking: the snapshot's root scan, the stepped
 // chunks and the finale all record on the one marker, and
 // together hold exactly one record per marked object — no duplicates,
 // no missing first marks.
-func TestProvenanceUniqueAcrossCycle(t *testing.T) {
+func TestProvenanceParallelUnique(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	data := addData(t, w, "data", 0x2000, 8192)
 	w.EnableProvenance(true)
@@ -158,7 +162,7 @@ func provChain(t *testing.T, w *World, data *mem.Segment, slot mem.Addr, n int) 
 // (each record's parent is the next record's object) and whose terminal
 // record names a root slot.
 func TestWhyLiveSoundness(t *testing.T) {
-	for _, mode := range Modes {
+	for _, mode := range named(Modes, provNames) {
 		name, cfg := mode.Name, mode.Apply(Config{GCDivisor: -1, MarkQuantum: 32})
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, cfg)

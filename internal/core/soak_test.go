@@ -20,7 +20,14 @@ func TestSoakConcurrentClosure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	for _, mode := range Modes {
+	// Six rows keep the names they had before the mode table: the
+	// marking ("stop-the-world", "serial" for concurrent), then the sweep
+	// and generations ("plain", "line-bgsweep" for lazy, "gen-lazy").
+	old := map[string]string{
+		"full": "stop-the-world/plain", "lazy": "stop-the-world/line-bgsweep", "gen-lazy": "stop-the-world/gen-lazy",
+		"conc": "serial/plain", "conc-lazy": "serial/line-bgsweep", "conc-gen-lazy": "serial/gen-lazy",
+	}
+	for _, mode := range named(Modes, old) {
 		t.Run(mode.Name, func(t *testing.T) {
 			cfg := mode.Apply(Config{MinorDivisor: 4, FullEvery: 4})
 			cfg.GCDivisor = 4

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
@@ -12,20 +13,23 @@ import (
 // per-block mark summaries, which the sweep's classification reads —
 // eager or lazy, clearing or sticky — are exact at every point, the
 // middle of a cycle included (the strict audit checks each against its
-// bitmap). In each concurrent mode the cycle is audited two ways:
-// "audit-before-chunk" steps it to its end at the default quantum,
-// audited once before its first chunk; "audit-between-chunks" steps it
-// in chunks of 16 and audits between two. Each is run against the
+// bitmap). In each concurrent mode the cycle is audited two ways,
+// under the row names of the marking engines they once ran on:
+// "parallel-run" steps it to its end at the default quantum, audited
+// once before its first chunk; "detached-finale" steps it in chunks of
+// 16 and audits between two. A mode is named by its sweep (lazy) and
+// its generations (sticky mark bits). Each is run against the
 // stop-the-world collector of the same mode on an identical heap, and
 // must reclaim exactly the same objects and leave a heap the strict
 // audit accepts.
 func TestMarkSummaryExactAtSweep(t *testing.T) {
 	for _, mode := range modesWhere(func(m Mode) bool { return m.ConcurrentMark }) {
 		for _, between := range []bool{false, true} {
-			name := "audit-before-chunk/" + mode.Name
+			way := "parallel-run"
 			if between {
-				name = "audit-between-chunks/" + mode.Name
+				way = "detached-finale"
 			}
+			name := fmt.Sprintf("%s/lazy=%v/sticky=%v", way, mode.LazySweep, mode.Generational)
 			t.Run(name, func(t *testing.T) {
 				run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool) {
 					cfg := mode.Apply(Config{GCDivisor: -1, MinorDivisor: -1})

@@ -392,69 +392,71 @@ func TestTenantExplicitFreeCredits(t *testing.T) {
 // VerifyIntegrity publish every handle's. At each exact point the
 // tenant's totals equal the allocations made and the heap's own count.
 func TestTenantAllocCountsPublished(t *testing.T) {
-	w := newWorld(t, Config{GCDivisor: -1})
-	ten := w.NewTenant(TenantConfig{BudgetBytes: 1 << 20, Policy: TenantFail})
-	a, b := ten.NewMutator(), ten.NewMutator()
-	var objects, bytes uint64
-	alloc := func(m *Mutator, nwords int) {
-		t.Helper()
-		if _, err := m.Allocate(nwords, false); err != nil {
-			t.Fatal(err)
+	// The one row keeps the name it had beside the retired line heap's.
+	t.Run("freelist", func(t *testing.T) {
+		w := newWorld(t, Config{GCDivisor: -1})
+		ten := w.NewTenant(TenantConfig{BudgetBytes: 1 << 20, Policy: TenantFail})
+		a, b := ten.NewMutator(), ten.NewMutator()
+		var objects, bytes uint64
+		alloc := func(m *Mutator, nwords int) {
+			t.Helper()
+			if _, err := m.Allocate(nwords, false); err != nil {
+				t.Fatal(err)
+			}
+			objects++
+			bytes += tenantChargeBytes(nwords)
 		}
-		objects++
-		bytes += tenantChargeBytes(nwords)
-	}
-	exact := func(when string) {
-		t.Helper()
-		st := ten.Stats()
-		if st.AllocatedObjects != objects || st.AllocatedBytes != bytes {
-			t.Fatalf("after %s: tenant counts %d objects / %d bytes, allocated %d / %d",
-				when, st.AllocatedObjects, st.AllocatedBytes, objects, bytes)
+		exact := func(when string) {
+			t.Helper()
+			st := ten.Stats()
+			if st.AllocatedObjects != objects || st.AllocatedBytes != bytes {
+				t.Fatalf("after %s: tenant counts %d objects / %d bytes, allocated %d / %d",
+					when, st.AllocatedObjects, st.AllocatedBytes, objects, bytes)
+			}
+			if got := w.Heap.Stats().ObjectsAllocated; got != objects {
+				t.Fatalf("after %s: heap counts %d objects, allocated %d", when, got, objects)
+			}
 		}
-		if got := w.Heap.Stats().ObjectsAllocated; got != objects {
-			t.Fatalf("after %s: heap counts %d objects, allocated %d", when, got, objects)
+		lags := func(when string, maxObjects uint64) {
+			t.Helper()
+			st := ten.Stats()
+			if st.AllocatedObjects > objects || objects-st.AllocatedObjects > maxObjects {
+				t.Fatalf("after %s: tenant counts %d objects of %d allocated, may lag by at most %d",
+					when, st.AllocatedObjects, objects, maxObjects)
+			}
 		}
-	}
-	lags := func(when string, maxObjects uint64) {
-		t.Helper()
-		st := ten.Stats()
-		if st.AllocatedObjects > objects || objects-st.AllocatedObjects > maxObjects {
-			t.Fatalf("after %s: tenant counts %d objects of %d allocated, may lag by at most %d",
-				when, st.AllocatedObjects, objects, maxObjects)
-		}
-	}
-	// A handle's first small allocation refills its cache: a slow path.
-	alloc(a, 4)
-	alloc(b, 4)
-	exact("two refills")
-
-	const n = 10
-	fastA, fastB := a.Stats().FastAllocs, b.Stats().FastAllocs
-	for i := 0; i < n; i++ {
+		// A handle's first small allocation refills its cache: a slow path.
 		alloc(a, 4)
 		alloc(b, 4)
-	}
-	if a.Stats().FastAllocs-fastA != n || b.Stats().FastAllocs-fastB != n {
-		t.Fatal("the run did not stay on the fast path")
-	}
-	lags("fast-path runs on both handles", 2*n)
+		exact("two refills")
 
-	// A large object is always a slow path: it publishes a's run, not b's.
-	alloc(a, 600)
-	lags("a's slow path", n)
-	if err := w.VerifyIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-	exact("VerifyIntegrity")
+		const n = 10
+		fastA, fastB := a.Stats().FastAllocs, b.Stats().FastAllocs
+		for i := 0; i < n; i++ {
+			alloc(a, 4)
+			alloc(b, 4)
+		}
+		if a.Stats().FastAllocs-fastA != n || b.Stats().FastAllocs-fastB != n {
+			t.Fatal("the run did not stay on the fast path")
+		}
+		lags("fast-path runs on both handles", 2*n)
 
-	for i := 0; i < n; i++ {
-		alloc(a, 8)
-		alloc(b, 2)
-	}
-	lags("more fast-path runs", 2*n)
-	w.Collect()
-	exact("Collect")
+		// A large object is always a slow path: it publishes a's run, not b's.
+		alloc(a, 600)
+		lags("a's slow path", n)
+		if err := w.VerifyIntegrity(); err != nil {
+			t.Fatal(err)
+		}
+		exact("VerifyIntegrity")
 
+		for i := 0; i < n; i++ {
+			alloc(a, 8)
+			alloc(b, 2)
+		}
+		lags("more fast-path runs", 2*n)
+		w.Collect()
+		exact("Collect")
+	})
 }
 
 // TestTenantUnbudgetedDifferential pins the zero-cost claim: a world
@@ -462,88 +464,90 @@ func TestTenantAllocCountsPublished(t *testing.T) {
 // bit-identically to a world using a bare Mutator — same addresses,
 // same errors, same central heap statistics, same collection count.
 func TestTenantUnbudgetedDifferential(t *testing.T) {
-	const slots = 16
-	mkWorld := func(tenanted bool) (*World, *Mutator, *mem.Segment) {
-		w := newWorld(t, Config{})
-		data := addData(t, w, "roots", 0x2000, slots*4)
-		if tenanted {
-			return w, w.NewTenant(TenantConfig{Name: "free"}).NewMutator(), data
+	// The one row keeps the name it had beside the retired line heap's.
+	t.Run("freelist", func(t *testing.T) {
+		const slots = 16
+		mkWorld := func(tenanted bool) (*World, *Mutator, *mem.Segment) {
+			w := newWorld(t, Config{})
+			data := addData(t, w, "roots", 0x2000, slots*4)
+			if tenanted {
+				return w, w.NewTenant(TenantConfig{Name: "free"}).NewMutator(), data
+			}
+			return w, w.NewMutator(), data
 		}
-		return w, w.NewMutator(), data
-	}
-	wa, ma, da := mkWorld(false)
-	wb, mb, db := mkWorld(true)
+		wa, ma, da := mkWorld(false)
+		wb, mb, db := mkWorld(true)
 
-	rng := simrand.New(0x7e43a51)
-	sizes := []int{1, 2, 3, 5, 8, 16, 64, 130, 600}
-	var roots [slots]mem.Addr
-	for i := 0; i < 600; i++ {
-		switch rng.Intn(8) {
-		case 0, 1, 2, 3:
-			j := rng.Intn(slots)
-			size := sizes[rng.Intn(len(sizes))]
-			at := 0x2000 + mem.Addr(4*j)
-			pa, ea := ma.AllocateRooted(da, at, size, false)
-			pb, eb := mb.AllocateRooted(db, at, size, false)
-			if pa != pb || (ea == nil) != (eb == nil) {
-				t.Fatalf("op %d: rooted alloc diverged: bare (%#x, %v) vs tenant (%#x, %v)",
-					i, uint32(pa), ea, uint32(pb), eb)
+		rng := simrand.New(0x7e43a51)
+		sizes := []int{1, 2, 3, 5, 8, 16, 64, 130, 600}
+		var roots [slots]mem.Addr
+		for i := 0; i < 600; i++ {
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3:
+				j := rng.Intn(slots)
+				size := sizes[rng.Intn(len(sizes))]
+				at := 0x2000 + mem.Addr(4*j)
+				pa, ea := ma.AllocateRooted(da, at, size, false)
+				pb, eb := mb.AllocateRooted(db, at, size, false)
+				if pa != pb || (ea == nil) != (eb == nil) {
+					t.Fatalf("op %d: rooted alloc diverged: bare (%#x, %v) vs tenant (%#x, %v)",
+						i, uint32(pa), ea, uint32(pb), eb)
+				}
+				roots[j] = pa
+			case 4, 5:
+				size := sizes[rng.Intn(len(sizes))]
+				pa, ea := ma.Allocate(size, true)
+				pb, eb := mb.Allocate(size, true)
+				if pa != pb || (ea == nil) != (eb == nil) {
+					t.Fatalf("op %d: garbage alloc diverged: bare (%#x, %v) vs tenant (%#x, %v)",
+						i, uint32(pa), ea, uint32(pb), eb)
+				}
+			case 6:
+				j := rng.Intn(slots)
+				if roots[j] == 0 {
+					continue
+				}
+				ea, eb := ma.Free(roots[j]), mb.Free(roots[j])
+				if (ea == nil) != (eb == nil) {
+					t.Fatalf("op %d: free diverged: bare %v vs tenant %v", i, ea, eb)
+				}
+				ma.Store(0x2000+mem.Addr(4*j), 0)
+				mb.Store(0x2000+mem.Addr(4*j), 0)
+				roots[j] = 0
+			case 7:
+				if rng.Bool(0.5) {
+					ma.Collect()
+					mb.Collect()
+				}
 			}
-			roots[j] = pa
-		case 4, 5:
-			size := sizes[rng.Intn(len(sizes))]
-			pa, ea := ma.Allocate(size, true)
-			pb, eb := mb.Allocate(size, true)
-			if pa != pb || (ea == nil) != (eb == nil) {
-				t.Fatalf("op %d: garbage alloc diverged: bare (%#x, %v) vs tenant (%#x, %v)",
-					i, uint32(pa), ea, uint32(pb), eb)
-			}
-		case 6:
-			j := rng.Intn(slots)
-			if roots[j] == 0 {
+		}
+		wa.Collect()
+		wb.Collect()
+		wa.FinishSweep()
+		wb.FinishSweep()
+		if sa, sb := wa.Heap.Stats(), wb.Heap.Stats(); sa != sb {
+			t.Fatalf("heap stats diverged:\nbare   %+v\ntenant %+v", sa, sb)
+		}
+		if ca, cb := wa.Collections(), wb.Collections(); ca != cb {
+			t.Fatalf("collections diverged: bare %d vs tenant %d", ca, cb)
+		}
+		if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
+			t.Fatalf("mutator stats diverged:\nbare   %+v\ntenant %+v", sa, sb)
+		}
+		for j, p := range roots {
+			if p == 0 {
 				continue
 			}
-			ea, eb := ma.Free(roots[j]), mb.Free(roots[j])
-			if (ea == nil) != (eb == nil) {
-				t.Fatalf("op %d: free diverged: bare %v vs tenant %v", i, ea, eb)
-			}
-			ma.Store(0x2000+mem.Addr(4*j), 0)
-			mb.Store(0x2000+mem.Addr(4*j), 0)
-			roots[j] = 0
-		case 7:
-			if rng.Bool(0.5) {
-				ma.Collect()
-				mb.Collect()
+			if aa, ab := wa.Heap.IsAllocated(p), wb.Heap.IsAllocated(p); aa != ab {
+				t.Fatalf("final heap diverged at root %d (%#x): bare %v vs tenant %v",
+					j, uint32(p), aa, ab)
 			}
 		}
-	}
-	wa.Collect()
-	wb.Collect()
-	wa.FinishSweep()
-	wb.FinishSweep()
-	if sa, sb := wa.Heap.Stats(), wb.Heap.Stats(); sa != sb {
-		t.Fatalf("heap stats diverged:\nbare   %+v\ntenant %+v", sa, sb)
-	}
-	if ca, cb := wa.Collections(), wb.Collections(); ca != cb {
-		t.Fatalf("collections diverged: bare %d vs tenant %d", ca, cb)
-	}
-	if sa, sb := ma.Stats(), mb.Stats(); sa != sb {
-		t.Fatalf("mutator stats diverged:\nbare   %+v\ntenant %+v", sa, sb)
-	}
-	for j, p := range roots {
-		if p == 0 {
-			continue
+		st := wb.Tenants()[0].Stats()
+		if st.LiveBytes != 0 || st.BudgetDenials != 0 {
+			t.Fatalf("unbudgeted tenant accumulated budget state: %+v", st)
 		}
-		if aa, ab := wa.Heap.IsAllocated(p), wb.Heap.IsAllocated(p); aa != ab {
-			t.Fatalf("final heap diverged at root %d (%#x): bare %v vs tenant %v",
-				j, uint32(p), aa, ab)
-		}
-	}
-	st := wb.Tenants()[0].Stats()
-	if st.LiveBytes != 0 || st.BudgetDenials != 0 {
-		t.Fatalf("unbudgeted tenant accumulated budget state: %+v", st)
-	}
-
+	})
 }
 
 // TestTenantServeSLO is the deterministic 200-tenant serve run: a
@@ -652,8 +656,10 @@ func TestTenantServeSLO(t *testing.T) {
 // records live and dying every cycle, the held cache's marking and
 // settling, the sweep and the barrier reconcile allocate nothing.
 func TestCollectZeroAllocsTenanted(t *testing.T) {
-	// Both sweeps, which is where the sweep-side reconcile differs.
-	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational }) {
+	// Both sweeps, which is where the sweep-side reconcile differs, under
+	// the row names of the two heaps they once ran on.
+	stw := modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational })
+	for _, mode := range named(stw, map[string]string{"full": "freelist", "lazy": "line-lazy"}) {
 		t.Run(mode.Name, func(t *testing.T) {
 			w := newWorld(t, mode.Apply(Config{GCDivisor: -1}))
 			data := addData(t, w, "roots", 0x2000, 64*4)

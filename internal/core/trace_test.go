@@ -98,10 +98,10 @@ func TestCollectZeroAllocsUntracedLazy(t *testing.T) {
 	}
 }
 
-// TestCollectZeroAllocsAfterConcurrentCycle pins the stop-the-world
+// TestCollectAllocBoundUntracedParallel pins the stop-the-world
 // collection of a world that also marks concurrently at zero
 // allocations, as on any world, after a concurrent cycle has run.
-func TestCollectZeroAllocsAfterConcurrentCycle(t *testing.T) {
+func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
@@ -214,14 +214,14 @@ func TestTraceEventOrdering(t *testing.T) {
 	}
 }
 
-// TestTraceMarkerEvents checks what the trace says about who marked a
+// TestTraceWorkerEvents checks what the trace says about who marked a
 // concurrent cycle: its one marker, on which the snapshot, the stepped
 // chunks and the finale all mark. The cycle's mark_begin reports one
 // marker and its one mark_end the whole cycle's totals — the snapshot's
 // and the chunks' first-marks included, not the finale's alone — and a
 // mark that follows it (a stop-the-world collection, a MarkOnly)
 // reports its own totals, not the concurrent cycle's.
-func TestTraceMarkerEvents(t *testing.T) {
+func TestTraceWorkerEvents(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	r := w.EnableTracing(0)
 	addData(t, w, "data", 0x2000, 4096)

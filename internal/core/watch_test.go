@@ -19,7 +19,8 @@ import (
 // bit-identical-off.
 var watchConfigs = func() map[string]Config {
 	out := map[string]Config{"tenant": {GCDivisor: -1}}
-	for _, m := range Modes {
+	// conc-lazy keeps the row name it ran under on the detached workers.
+	for _, m := range named(Modes, map[string]string{"conc-lazy": "conc-workers"}) {
 		out[m.Name] = m.Apply(Config{GCDivisor: -1})
 	}
 	return out

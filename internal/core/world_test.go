@@ -870,9 +870,11 @@ func TestPinnedHeapOfGarbageAllocates(t *testing.T) {
 		cfg     Config
 		inCycle bool
 	}{
+		// The concurrent rows keep the names of the marking engines they
+		// once ran on: "concurrent-detached" runs the lazy sweep.
 		{name: "stw"},
-		{name: "concurrent", cfg: Config{ConcurrentMark: true, GCDivisor: -1}, inCycle: true},
-		{name: "concurrent-lazy", cfg: Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true}, inCycle: true},
+		{name: "concurrent-serial", cfg: Config{ConcurrentMark: true, GCDivisor: -1}, inCycle: true},
+		{name: "concurrent-detached", cfg: Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true}, inCycle: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -568,11 +568,11 @@ func TestMarkLoopDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestShadeMatchesMarkValue feeds the roots, one value at a time,
+// TestParallelSparseRoots feeds the roots, one value at a time,
 // through the insertion barrier's step (Shade) and drains what it
 // shaded: the same marked set, counters and blacklist additions as a
 // Marker given the nonzero values through MarkValue.
-func TestShadeMatchesMarkValue(t *testing.T) {
+func TestParallelSparseRoots(t *testing.T) {
 	for _, sh := range loopShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			interior := sh.policy == PointerInterior
