@@ -70,9 +70,11 @@ allocs:
 # every cycle kind shares; the finalization accessors polled against
 # finales another goroutine's allocations land; the pacer's tests;
 # the sweep differentials; and the allocation path's lock waits, one
-# goroutine polling for a lock another holds (TestLockAwake); and the
+# goroutine polling for a lock another holds (TestLockAwake); the
 # root-source accessors read against their setters
-# (TestRootSourceAccessorsRace) — then run
+# (TestRootSourceAccessorsRace); and the region battery, whose
+# World.Run region collects while another goroutine's handle allocates
+# (TestRegionBattery) — then run
 # again at one, two and four processors, because how the mutators'
 # assists and waits interleave depends on how many there are; and the
 # watch battery on the plain concurrent cycle, where the watcher's
@@ -80,12 +82,13 @@ allocs:
 # times over, as does the finalization accessors' test, whose second
 # handle lands finales while the program polls between its allocations
 # and stores.
-# The root package alone takes five and a half minutes under -race on
-# a quiet two-processor box, so beside a busy neighbour it outlives go
-# test's default ten-minute budget with every test passing; the budget
-# is widened, nothing is retried. -count=1 because a cached "ok" has
+# The root package alone takes about three and a quarter minutes
+# (193 s) under -race on a quiet two-processor box, and a busy
+# neighbour stretches it; go test's default ten-minute budget is
+# widened so that a slow run with every test passing does not fail,
+# and nothing is retried. -count=1 because a cached "ok" has
 # looked for no race.
-CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|LockAwake|RootSourceAccessorsRace
+CONC_BATTERIES = LostObject|ConcurrentMark|MarkSummary|MutatorBattery|WatchBattery|SoakConcurrent|ProvenanceBarrier|SingleClose|FinalizableAccessors|Pacer|LazySweep|LockAwake|RootSourceAccessorsRace|RegionBattery
 race:
 	$(GO) test -count=1 -race -timeout 30m . ./internal/...
 	@set -e; for p in 1 2 4; do \
@@ -100,7 +103,8 @@ bench:
 
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without waiting for real measurements (among them
-# the rungs read without the perfbench harness: BenchmarkProgramTDirect,
+# the rungs read without the perfbench harness: BenchmarkProgramTDirect
+# and its per-call sibling BenchmarkProgramTLockPair,
 # BenchmarkMutatorAllocateChurn, its budgeted-tenant twin
 # BenchmarkTenantAllocateChurn, serve_tenants' two-goroutine shape
 # BenchmarkTenantAllocateTwoWorkers and BenchmarkMutatorStore/{one,two}

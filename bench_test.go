@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/blacklist"
+	"repro/internal/machine"
 	"repro/internal/mark"
 	"repro/internal/mem"
 	"repro/internal/platform"
@@ -67,16 +68,23 @@ func BenchmarkTable1PCRBlacklist(b *testing.B) {
 	benchProgramT(b, platform.PCR(1<<20), true)
 }
 
-// BenchmarkProgramTDirect is the rung under perfbench's program_t row:
-// the same SPARC-static environment (8 lists of 100 KB in a 1 MiB heap,
-// blacklisting on, machine attached, allocator residue modelled), one
-// RunProgramT per iteration on the clock and the image build off it,
-// reported per simulated allocation — the direct World.Allocate path's
-// cost, and how many Go-heap allocations each one makes (0: what is
-// left per run is the per-run set-up, a few dozen objects).
-func BenchmarkProgramTDirect(b *testing.B) {
+// programTBench is the environment of the program-T rungs and of
+// perfbench's program_t row: SPARC-static, 8 lists of 100 KB in a 1 MiB
+// heap (blacklisting on, machine attached, allocator residue modelled).
+func programTBench() platform.Profile {
 	p := platform.SPARCStatic(false)
 	p.NLists, p.InitialHeap, p.HeapReserve = 8, 1<<20, 4<<20
+	return p
+}
+
+// BenchmarkProgramTDirect is the rung under perfbench's program_t row:
+// one RunProgramT per iteration on the clock and the image build off
+// it, reported per simulated allocation — the cost of the direct path
+// inside one World.Run region (no lock per call), and how many Go-heap
+// allocations each allocation makes (0: what is left per run is the
+// per-run set-up, a few dozen objects).
+func BenchmarkProgramTDirect(b *testing.B) {
+	p := programTBench()
 	simAllocs := float64(p.NLists * (p.NodesPerList + 2))
 	var before, after runtime.MemStats
 	var mallocs uint64
@@ -99,6 +107,79 @@ func BenchmarkProgramTDirect(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*simAllocs), "ns/alloc")
 	b.ReportMetric(float64(mallocs)/(float64(b.N)*simAllocs), "mallocs/alloc")
+}
+
+// BenchmarkProgramTLockPair prices the world lock pair a region saves
+// per call. On BenchmarkProgramTDirect's environment it runs program
+// T's allocation phase — each list allocated a node at a time, linked
+// and closed into a cycle in a machine frame, its head registered
+// finalizable — through World's per-call methods (calls: a lock pair
+// per Allocate and per Store) and inside one World.Run (region), with
+// the allocations' own collections. The two rows differ by the lock
+// pairs alone; ns/alloc is per simulated allocation.
+func BenchmarkProgramTLockPair(b *testing.B) {
+	p := programTBench()
+	simAllocs := float64(p.NLists * p.NodesPerList)
+	for _, region := range []bool{false, true} {
+		b.Run(map[bool]string{false: "calls", true: "region"}[region], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				env, err := p.Build(uint64(i)+1, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if region {
+					err = env.World.Run(func(r *Region) error { return programTLists(env, r) })
+				} else {
+					err = programTLists(env, env.World)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*simAllocs), "ns/alloc")
+		})
+	}
+}
+
+// programTLists is program T's allocation phase on env, through c: a
+// World (call by call) or a Region.
+func programTLists(env *platform.Env, c interface {
+	Allocate(nwords int, atomic bool) (mem.Addr, error)
+	Store(a mem.Addr, v mem.Word) error
+	RegisterFinalizable(a mem.Addr)
+}) error {
+	p := env.Profile
+	return env.Machine.WithFrame(2, func(f *machine.Frame) error {
+		for i := 0; i < p.NLists; i++ {
+			var head mem.Addr
+			err := env.Machine.WithFrame(3, func(g *machine.Frame) error {
+				var prev mem.Addr
+				for j := 0; j < p.NodesPerList; j++ {
+					node, err := c.Allocate(p.NodeWords, false)
+					if err != nil {
+						return err
+					}
+					if prev == 0 {
+						head = node
+						g.Store(0, mem.Word(head))
+					} else if err := c.Store(prev, mem.Word(node)); err != nil {
+						return err
+					}
+					prev = node
+					g.Store(1, mem.Word(prev))
+				}
+				return c.Store(prev, mem.Word(head))
+			})
+			if err != nil {
+				return err
+			}
+			c.RegisterFinalizable(head)
+			f.Store(0, mem.Word(head))
+		}
+		return nil
+	})
 }
 
 // BenchmarkMutatorAllocateChurn is the rung under perfbench's

@@ -28,53 +28,73 @@ func firstHeld(w *World, m *Mutator) mem.Addr {
 	return 0
 }
 
-// TestHeldSlotReturnedIntoPendingBlock replays the double carve a
-// returned cache made possible: a lazily swept world keeps a handle's
-// cached run across a collection, in a block the sweep left pending
-// with the held slots marked; the handle's Free then flushes the run
-// back into that block, and a second handle carves the class. Were
-// the returned slots pushed onto the free list without sweeping the
-// block first, its deferred sweep would thread them a second time —
-// the list runs in a cycle and hands one slot to two owners, which the
-// audit after FinishSweep reports.
+// TestHeldSlotReturnedIntoPendingBlock: a lazily swept world keeps a
+// handle's cached run of 4-word slots across a collection, in a block
+// the sweep left pending with the held slots marked. The handle's Free
+// of an 8-word object, in another block, flushes the run back into the
+// pending block, and a second handle carves the class past the
+// returned slots, rooting every object. Were the run returned without
+// sweeping its block first, the block's deferred sweep — which knows
+// only the collection's marks — would free the second handle's rooted
+// objects under it, and a later carve would hand their slots out again:
+// the second handle would be given one address twice.
 func TestHeldSlotReturnedIntoPendingBlock(t *testing.T) {
 	// The one row keeps the name it had beside the retired line heap's.
 	t.Run("line=false", func(t *testing.T) {
 		w := newWorld(t, Config{LazySweep: true, GCDivisor: -1})
 		data := addData(t, w, "roots", 0x2000, 4096)
 		m1, m2 := w.NewMutator(), w.NewMutator()
-		var rooted [2]mem.Addr
 		for i := 0; i < 10; i++ {
-			p, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false)
-			if err != nil {
+			if _, err := m1.AllocateRooted(data, 0x2000+mem.Addr(4*i), 4, false); err != nil {
 				t.Fatal(err)
 			}
-			if i < len(rooted) {
-				rooted[i] = p
-			} else if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
-				t.Fatal(err)
+			if i > 0 {
+				if err := data.Store(0x2000+mem.Addr(4*i), 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		const bigSlot = 0x2000 + 4*10
+		big, err := m1.AllocateRooted(data, bigSlot, 8, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		held := firstHeld(w, m1)
-		if held == 0 {
-			t.Fatal("the first refill left nothing in the cache")
+		if held == 0 || mem.AlignPageDown(held) == mem.AlignPageDown(big) {
+			t.Fatalf("the cache holds %#x beside the 8-word object %#x; want a held slot in a block of its own", uint32(held), uint32(big))
 		}
 		w.Collect()
 		if w.Heap.SweepPending() == 0 || !markedNow(w, held) {
 			t.Fatalf("after the collection: %d blocks pending, held slot marked %v", w.Heap.SweepPending(), markedNow(w, held))
 		}
-		if err := data.Store(0x2000, 0); err != nil {
+		if err := data.Store(bigSlot, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := m1.Free(rooted[0]); err != nil {
+		if err := m1.Free(big); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			if _, err := m2.Allocate(4, false); err != nil {
+		owner := map[mem.Addr]int{}
+		reused := false
+		for i := 0; i < 600; i++ {
+			p, err := m2.AllocateRooted(data, 0x2000+mem.Addr(4*(11+i)), 4, false)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if j, dup := owner[p]; dup {
+				t.Fatalf("the second handle's object %d got %#x, which its object %d holds", i, uint32(p), j)
+			}
+			owner[p] = i
+			reused = reused || p == held
+		}
+		if !reused {
+			t.Fatalf("the second handle never re-carved the returned slot %#x", uint32(held))
 		}
 		w.FinishSweep()
+		for p, i := range owner {
+			if !w.Heap.IsAllocated(p) {
+				t.Fatalf("the second handle's rooted object %d (%#x) was freed by a deferred sweep", i, uint32(p))
+			}
+		}
 		if err := w.VerifyIntegrity(); err != nil {
 			t.Fatal(err)
 		}

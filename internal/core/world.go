@@ -865,11 +865,47 @@ func (w *World) RootSource() RootSource {
 	return w.mut
 }
 
+// Region is the world held for one Run: each method is the World method
+// of the same name without its lock pair. It is valid only inside the
+// Run that passed it; afterwards every call panics.
+type Region struct{ w *World }
+
+// Run calls fn with the world lock held for all of it, so that a
+// single-threaded program pays for the lock once rather than on every
+// call (the paper's single-threaded GC_malloc takes none). Inside fn,
+// nothing may call a World or Mutator method that takes the world lock
+// (the rule collection hooks follow), and fn must not wait on another
+// goroutine that needs the world. Other goroutines' handles keep their
+// fast paths, and a collection inside fn parks them as usual (DESIGN.md
+// §5d). Run returns fn's error.
+func (w *World) Run(fn func(r *Region) error) error {
+	r := &Region{w}
+	w.mu.Lock()
+	defer func() { r.w = nil; w.mu.Unlock() }()
+	return fn(r)
+}
+
+func (r *Region) Allocate(nwords int, atomic bool) (mem.Addr, error) {
+	return r.w.allocateDirect(nwords, atomic)
+}
+func (r *Region) AllocateTyped(id alloc.DescID) (mem.Addr, error) { return r.w.allocateTypedDirect(id) }
+func (r *Region) Store(a mem.Addr, v mem.Word) error              { return r.w.storeLocked(a, v) }
+func (r *Region) Load(a mem.Addr) (mem.Word, error)               { return r.w.Space.Load(a) }
+func (r *Region) Collect() CollectionStats                        { return r.w.collectLocked(kindFull) }
+func (r *Region) RegisterFinalizable(a mem.Addr)                  { r.w.finalizable[a] = struct{}{} }
+func (r *Region) DrainReclaimed() []mem.Addr                      { return r.w.drainReclaimedLocked() }
+
 // Allocate allocates an object of nwords words, collecting and/or
 // expanding the heap as needed. atomic marks the object pointer-free.
 func (w *World) Allocate(nwords int, atomic bool) (mem.Addr, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.allocateDirect(nwords, atomic)
+}
+
+// allocateDirect is the body of Allocate and Region.Allocate; callers
+// hold w.mu.
+func (w *World) allocateDirect(nwords int, atomic bool) (mem.Addr, error) {
 	if w.mut != nil {
 		w.mut.OnAllocate()
 	}
@@ -895,6 +931,12 @@ func (w *World) RegisterLayout(ptrMask []bool) (alloc.DescID, error) {
 func (w *World) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.allocateTypedDirect(id)
+}
+
+// allocateTypedDirect is the body of AllocateTyped and
+// Region.AllocateTyped; callers hold w.mu.
+func (w *World) allocateTypedDirect(id alloc.DescID) (mem.Addr, error) {
 	d, err := w.Heap.Descriptor(id)
 	if err != nil {
 		return 0, err
@@ -1141,6 +1183,10 @@ func (w *World) FinishSweep() int {
 func (w *World) DrainReclaimed() []mem.Addr {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.drainReclaimedLocked()
+}
+
+func (w *World) drainReclaimedLocked() []mem.Addr {
 	out := w.reclaimed
 	w.reclaimed = nil
 	return out

@@ -40,6 +40,8 @@ type ProgramTParams struct {
 	// paper's platforms acquire root noise throughout a run ("register
 	// values left over from kernel calls and/or context switches",
 	// concurrently running clients); this is where profiles inject it.
+	// It runs inside the program's World.Run, so it may call no World
+	// method that takes the world lock.
 	MidRun func() error
 }
 
@@ -88,12 +90,12 @@ func (r ProgramTResult) String() string {
 // local variables (first, prev, the loop counter) live in a simulated
 // stack frame, so their values persist as dead-stack garbage after
 // return — one of the paper's observed sources of retention.
-func allocCycle(w *core.World, m *machine.Machine, n, nodeWords int) (mem.Addr, error) {
+func allocCycle(r *core.Region, m *machine.Machine, n, nodeWords int) (mem.Addr, error) {
 	var first mem.Addr
 	body := func(f *machine.Frame) error {
 		var prev mem.Addr
 		for i := 0; i < n; i++ {
-			node, err := w.Allocate(nodeWords, false)
+			node, err := r.Allocate(nodeWords, false)
 			if err != nil {
 				return err
 			}
@@ -102,7 +104,7 @@ func allocCycle(w *core.World, m *machine.Machine, n, nodeWords int) (mem.Addr, 
 				if f != nil {
 					f.Store(0, mem.Word(first))
 				}
-			} else if err := w.Store(prev, mem.Word(node)); err != nil {
+			} else if err := r.Store(prev, mem.Word(node)); err != nil {
 				return err
 			}
 			prev = node
@@ -111,7 +113,7 @@ func allocCycle(w *core.World, m *machine.Machine, n, nodeWords int) (mem.Addr, 
 			}
 		}
 		// Close the cycle.
-		return w.Store(prev, mem.Word(first))
+		return r.Store(prev, mem.Word(first))
 	}
 	if m == nil {
 		return first, body(nil)
@@ -129,8 +131,15 @@ func allocCycle(w *core.World, m *machine.Machine, n, nodeWords int) (mem.Addr, 
 // and then, following the paper's PCR methodology, collects repeatedly
 // "until no more lists were finalized as the result of further
 // invocations", using the finalisation queue to count reclaimed lists
-// exactly. m may be nil to run without a simulated mutator stack.
-func RunProgramT(w *core.World, m *machine.Machine, params ProgramTParams) (*ProgramTResult, error) {
+// exactly. m may be nil to run without a simulated mutator stack. Like
+// the paper's single-threaded C program, whose GC_malloc takes no lock,
+// it holds the world lock once, for the whole run (World.Run).
+func RunProgramT(w *core.World, m *machine.Machine, params ProgramTParams) (res *ProgramTResult, err error) {
+	err = w.Run(func(r *core.Region) error { res, err = runProgramT(w, r, m, params); return err })
+	return res, err
+}
+
+func runProgramT(w *core.World, r *core.Region, m *machine.Machine, params ProgramTParams) (*ProgramTResult, error) {
 	p := params.withDefaults()
 	aBytes := p.NLists * mem.WordBytes
 	aSeg, err := w.Space.MapNew("programT.a", mem.KindData, p.StaticArrayBase, aBytes, aBytes)
@@ -141,7 +150,7 @@ func RunProgramT(w *core.World, m *machine.Machine, params ProgramTParams) (*Pro
 	test := func(n int) error {
 		run := func(f *machine.Frame) error {
 			for i := 0; i < p.NLists; i++ {
-				head, err := allocCycle(w, m, n, p.NodeWords)
+				head, err := allocCycle(r, m, n, p.NodeWords)
 				if err != nil {
 					return err
 				}
@@ -149,7 +158,7 @@ func RunProgramT(w *core.World, m *machine.Machine, params ProgramTParams) (*Pro
 					return err
 				}
 				if n == p.NodesPerList {
-					w.RegisterFinalizable(head)
+					r.RegisterFinalizable(head)
 				}
 				if f != nil {
 					f.Store(0, mem.Word(head)) // register copy spilled to frame
@@ -176,21 +185,21 @@ func RunProgramT(w *core.World, m *machine.Machine, params ProgramTParams) (*Pro
 			return nil, err
 		}
 	}
-	w.Collect()
+	r.Collect()
 	if err := test(2); err != nil {
 		return nil, err
 	}
-	w.Collect()
+	r.Collect()
 
-	reclaimed := len(w.DrainReclaimed())
+	reclaimed := len(r.DrainReclaimed())
 	collections := 2
 	// "The garbage collector was manually invoked until no more lists
 	// were finalized as the result of further invocations. (Once was
 	// usually enough.)"
 	for {
-		w.Collect()
+		r.Collect()
 		collections++
-		more := len(w.DrainReclaimed())
+		more := len(r.DrainReclaimed())
 		reclaimed += more
 		if more == 0 || collections > 20 {
 			break

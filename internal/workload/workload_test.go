@@ -68,7 +68,11 @@ func TestMakeListAndLen(t *testing.T) {
 
 func TestAllocCycleIsCircular(t *testing.T) {
 	w := newWorld(t, core.Config{GCDivisor: -1})
-	head, err := allocCycle(w, nil, 50, 1)
+	var head mem.Addr
+	err := w.Run(func(r *core.Region) (err error) {
+		head, err = allocCycle(r, nil, 50, 1)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,8 @@ const (
 type (
 	// World is one simulated process image under garbage collection.
 	World = core.World
+	// Region is the world held for one World.Run: its calls take no lock.
+	Region = core.Region
 	// Config parameterises a World.
 	Config = core.Config
 	// CollectionStats describes one collection.
