@@ -21,9 +21,6 @@ type FragmentationRow struct {
 	// blocks, headers, large-object slack); Space.Sum() equals
 	// Space.HeapBytes identically.
 	Space alloc.SpaceBreakdown `json:"space" gate:"exact"`
-	// Lines was the line heap's accounting; with the line heap folded
-	// into the one small-object allocator it is always zero.
-	Lines alloc.LineStats `json:"lines" gate:"exact"`
 }
 
 // FragmentationOptions configures the churn.
@@ -31,8 +28,6 @@ type FragmentationOptions struct {
 	HeapBytes int    `json:"heap_bytes"` // default 16 MiB
 	Rounds    int    `json:"rounds"`     // default 8
 	Seed      uint64 `json:"seed"`
-	// LineAlloc is passed to Config.LineAlloc, which selects nothing.
-	LineAlloc bool `json:"line_alloc"`
 	// SmallWords, when non-empty, interleaves small objects of these
 	// word sizes with the block-span churn, so dedicated small blocks
 	// appear in the space accounting. Empty keeps the paper's pure
@@ -67,7 +62,6 @@ func Fragmentation(opt FragmentationOptions) (*BenchResult[FragmentationOptions,
 			InitialBytes: opt.HeapBytes,
 			ReserveBytes: opt.HeapBytes,
 			FreeBlocks:   policy,
-			LineAlloc:    opt.LineAlloc,
 		})
 		if err != nil {
 			return nil, err
@@ -136,7 +130,6 @@ func Fragmentation(opt FragmentationOptions) (*BenchResult[FragmentationOptions,
 			LargestFreeSpan:  a.LargestFreeSpan(),
 			MaxAllocatableKB: maxKB,
 			Space:            a.SpaceBreakdown(),
-			Lines:            a.LineStats(),
 		}, nil
 	}
 

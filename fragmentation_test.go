@@ -36,10 +36,6 @@ func TestFragmentationSpaceAccounting(t *testing.T) {
 				t.Errorf("%v: small churn left no live (%d) or reusable (%d) bytes",
 					r.Policy, sb.LiveBytes, sb.FreeSlotBytes)
 			}
-			if sb.CachedBytes != 0 || r.Lines != (LineStats{}) {
-				t.Errorf("%v: the allocator reported %d cached bytes and line stats %+v",
-					r.Policy, sb.CachedBytes, r.Lines)
-			}
 		}
 	})
 }

@@ -189,11 +189,6 @@ type Config struct {
 	// FinishSweep completes any remainder. Reclamation totals and
 	// allocation addresses are the same under both settings.
 	LazySweep bool
-	// LineAlloc selects nothing. It chose the line heap, a second
-	// small-object allocator that carved bump spans over runs of free
-	// lines; the one allocator now carves every hole of free slots as a
-	// span (holes.go), so both settings allocate alike.
-	LineAlloc bool
 }
 
 func (c *Config) withDefaults() Config {

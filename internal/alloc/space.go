@@ -5,8 +5,8 @@ import "repro/internal/mem"
 // SpaceBreakdown is an exact byte accounting of the committed heap:
 // every committed byte lands in exactly one bucket, so
 //
-//	HeapBytes = FreeBlockBytes + LiveBytes + CachedBytes +
-//	            FreeSlotBytes + OverheadBytes + LargeSlackBytes
+//	HeapBytes = FreeBlockBytes + LiveBytes + FreeSlotBytes +
+//	            OverheadBytes + LargeSlackBytes
 //
 // holds identically under every configuration. It is the experiment-
 // facing companion to CheckIntegrity: the audit proves slot-count
@@ -20,10 +20,6 @@ type SpaceBreakdown struct {
 	// alloc bits are set); pass their addresses to CheckIntegrity for
 	// the exact audit.
 	LiveBytes int
-	// CachedBytes counted carved slots the line heap held centrally. The
-	// allocator holds none now (its carves go to mutator caches, counted
-	// in LiveBytes), so it is always zero.
-	CachedBytes int
 	// FreeSlotBytes counts free slots inside dedicated small blocks.
 	FreeSlotBytes int
 	// OverheadBytes counts per-block space no slot can occupy: the
@@ -77,6 +73,6 @@ func (a *Allocator) SpaceBreakdown() SpaceBreakdown {
 
 // Sum re-adds the buckets; callers assert Sum() == HeapBytes.
 func (sb SpaceBreakdown) Sum() int {
-	return sb.FreeBlockBytes + sb.LiveBytes + sb.CachedBytes +
-		sb.FreeSlotBytes + sb.OverheadBytes + sb.LargeSlackBytes
+	return sb.FreeBlockBytes + sb.LiveBytes + sb.FreeSlotBytes +
+		sb.OverheadBytes + sb.LargeSlackBytes
 }

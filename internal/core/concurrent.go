@@ -21,9 +21,7 @@ import (
 //     (openCycleLocked), the slots their caches hold are marked
 //     (markHeldLocked: the sweep at the finale must keep them), and the
 //     roots are scanned onto w.Marker, whose stack is the cycle's gray
-//     set from then on. A minor cycle also stages its remembered set — the
-//     blocks whose cards were dirtied since the last collection — and
-//     clears the cards. The mutators then resume.
+//     set from then on. The mutators then resume.
 //  2. Marking between the pauses. An allocation slow path that owes
 //     the pacer marking (pacerAssistLocked), or a ConcurrentStep,
 //     drains a bounded chunk of gray objects from w.Marker
@@ -86,19 +84,18 @@ import (
 // oracle re-derives "marked ⊇ reachable" at every finale of the
 // concurrent batteries.
 //
-// Cards are not part of a cycle. They stay what the paper's §3.1
-// citation [13] uses them for: the remembered set *between*
-// generational collections, consumed at the snapshot (above).
+// A concurrent world is not generational: NewWorld rejects the pair,
+// and cards, the remembered set of a minor cycle, play no part here.
 //
-// When a cycle starts is a headroom rule (triggerLocked): a
-// non-generational concurrent world opens it once the free space the
-// last close left has fallen to a runway of runwayShare of it — not
-// after a fixed allocation interval, which re-marked the live graph
-// while most of the free space still stood unused — and never earlier
-// than the GCDivisor interval. The pacer then schedules the snapshot's
-// marking across a share of the free space actually left at the
-// snapshot (pacerInitLocked), not across the allocation that triggered
-// the cycle: the cycle's own allocation can spend that space, and the
+// When a cycle starts is a headroom rule (triggerLocked): a concurrent
+// world opens it once the free space the last close left has fallen to
+// a runway of runwayShare of it — not after a fixed allocation
+// interval, which re-marked the live graph while most of the free
+// space still stood unused — and never earlier than the GCDivisor
+// interval. The pacer then schedules the snapshot's marking across a
+// share of the free space actually left at the snapshot
+// (pacerInitLocked), not across the allocation that triggered the
+// cycle: the cycle's own allocation can spend that space, and the
 // trigger is only where that spending starts.
 const (
 	// pacerMaxRounds bounds how many assist chunks one slow-path
@@ -127,7 +124,7 @@ func (w *World) StartConcurrentCycle() error {
 	if !w.cfg.ConcurrentMark {
 		return fmt.Errorf("core: StartConcurrentCycle outside concurrent-mark mode")
 	}
-	w.startConcurrentLocked(kindConcurrent)
+	w.startConcurrentLocked()
 	return nil
 }
 
@@ -161,31 +158,20 @@ func (w *World) FinishConcurrentCycle() CollectionStats {
 // startConcurrentLocked opens a concurrent cycle and runs its snapshot
 // pause. Callers hold w.mu; mutators are stopped and resumed here.
 // No-op if a cycle is already active.
-func (w *World) startConcurrentLocked(kind cycleKind) {
+func (w *World) startConcurrentLocked() {
 	if w.cyc.active {
 		return
 	}
-	if !w.cfg.Generational {
-		kind = kindConcurrent
-	}
 	w.parkMutatorsLocked()
 	defer w.resumeMutatorsLocked()
-	c := w.openCycleLocked(kind)
+	c := w.openCycleLocked(kindConcurrent)
 	w.markHeldLocked()
 	w.pacerInitLocked()
 	w.Marker.Reset()
 	if w.prov.enabled {
 		w.Marker.StartRecording()
 	}
-	// Minor cycles rescan the remembered set — blocks dirtied since the
-	// last collection. Stage it for the chunks to drain, then clear the
-	// cards: the cycle's own stores are shaded, not carded.
-	if kind.minor() {
-		w.Heap.DirtyBlocks(func(bi int) { c.dirty = append(c.dirty, bi) })
-		c.dirtyBlocks = len(c.dirty)
-	}
-	w.Heap.ClearDirty()
-	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kind))
+	w.tracer.Emit(trace.EvMarkBegin, int64(w.collections+1), 1, int64(kindConcurrent))
 	// Snapshot root scan, under the pause: the gray set it builds stays on
 	// the marker's stack for the chunks to drain.
 	w.markRoots()
@@ -196,12 +182,10 @@ func (w *World) startConcurrentLocked(kind cycleKind) {
 
 // concChunkLocked advances the cycle by one bounded chunk of marking
 // and returns whether the cycle is now complete: the chunk that finds
-// the gray set drained runs the finale. A minor cycle's staged
-// remembered set goes first (a whole block per unit of work — coarse,
-// but it is staged once), then the marker's stack, which also holds what
-// the barrier shaded since the last chunk. The chunk's marked bytes are
-// the pacer's credit, whether an assist or a ConcurrentStep ran it.
-// Callers hold w.mu.
+// the gray set drained runs the finale. The gray set is the marker's
+// stack, which also holds what the barrier shaded since the last chunk.
+// The chunk's marked bytes are the pacer's credit, whether an assist or
+// a ConcurrentStep ran it. Callers hold w.mu.
 func (w *World) concChunkLocked(quantum int) bool {
 	c := &w.cyc
 	if !c.active {
@@ -211,25 +195,13 @@ func (w *World) concChunkLocked(quantum int) bool {
 		quantum = w.cfg.MarkQuantum
 	}
 	before := w.Marker.Stats().BytesMarked
-	for blocks := quantum/64 + 1; len(c.dirty) > 0 && blocks > 0; blocks-- {
-		w.scanStagedBlockLocked()
-	}
-	drained := len(c.dirty) == 0 && w.Marker.DrainN(quantum)
+	drained := w.Marker.DrainN(quantum)
 	c.pacerCredit += int64(w.Marker.Stats().BytesMarked - before)
 	if !drained {
 		return false
 	}
 	w.landCycleLocked()
 	return true
-}
-
-// scanStagedBlockLocked rescans the marked objects of the newest block
-// on the staged remembered set. Callers hold w.mu.
-func (w *World) scanStagedBlockLocked() {
-	c := &w.cyc
-	bi := c.dirty[len(c.dirty)-1]
-	c.dirty = c.dirty[:len(c.dirty)-1]
-	w.Heap.ForEachMarkedObject(bi, w.Marker.ScanObject)
 }
 
 // shadeLocked is the insertion barrier: v is about to be stored at a.
@@ -281,12 +253,9 @@ func (w *World) finishConcurrentLocked() CollectionStats {
 	c.preFinaleMarked = w.Marker.Stats().ObjectsMarked
 	// Scan the (possibly changed) roots again and drain to the fixpoint.
 	// However the finale was reached — the chunk that drained the gray
-	// set, exhausted memory, an explicit collection — whatever is left of
-	// the staged remembered set and the marker's stack is marked here.
+	// set, exhausted memory, an explicit collection — whatever is left on
+	// the marker's stack is marked here.
 	w.markRoots()
-	for len(c.dirty) > 0 {
-		w.scanStagedBlockLocked()
-	}
 	w.Marker.Drain()
 	w.markHeldLocked()
 	c.markNs = time.Since(c.pauseStart).Nanoseconds()

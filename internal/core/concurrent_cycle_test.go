@@ -96,7 +96,7 @@ func startTriggered(w *World) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.allocTrigger(kindConcurrent)
-	w.startConcurrentLocked(kindConcurrent)
+	w.startConcurrentLocked()
 }
 
 // TestDetachedWorkersParkAndRetire pins who lands a concurrent cycle now that
@@ -210,73 +210,66 @@ func TestDetachedWorkersParkAndRetire(t *testing.T) {
 
 // TestWorkerIdleJudgedOnWork pins what a chunk's "done" is decided on:
 // whether gray work is left, not whether the chunk won any first-mark.
-// A concurrent minor cycle is given a remembered set of many dirty
-// blocks of old objects whose targets are all old too, so every chunk
-// rescans a block and marks nothing — the pacer's credit never moves —
-// and yet no chunk may end the cycle while a staged block is left.
+// A plain concurrent cycle's snapshot marks hundreds of objects straight
+// from a root segment, each pointing only at another of them, so every
+// chunk scans a share of that gray set and marks nothing — the pacer's
+// credit never moves — and yet no chunk may end the cycle while a gray
+// object is left.
 func TestWorkerIdleJudgedOnWork(t *testing.T) {
-	w := newWorld(t, Config{ConcurrentMark: true, Generational: true, GCDivisor: -1, MinorDivisor: -1})
+	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1})
 	installClosureOracle(t, w, nil)
-	data := addData(t, w, "data", 0x2000, 4096)
-	const n = 512 // four to a block
-	var prev mem.Addr
+	const n, quantum = 512, 16
+	data := addData(t, w, "data", 0x2000, n*mem.WordBytes)
 	objs := make([]mem.Addr, n)
 	for i := range objs {
-		p, err := w.Allocate(256, false)
+		p, err := w.Allocate(2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Store(p, mem.Word(prev)); err != nil {
+		objs[i] = p
+		if err := data.Store(0x2000+mem.Addr(i*mem.WordBytes), mem.Word(p)); err != nil {
 			t.Fatal(err)
 		}
-		objs[i], prev = p, p
 	}
-	if err := data.Store(0x2000, mem.Word(prev)); err != nil {
-		t.Fatal(err)
-	}
-	w.Collect() // every object is old now
-	// Card every block again with stores of what the words already hold.
-	for i := 1; i < n; i++ {
-		if err := w.Store(objs[i], mem.Word(objs[i-1])); err != nil {
+	// A ring: every object's one pointer is to another rooted object.
+	for i, p := range objs {
+		if err := w.Store(p, mem.Word(objs[(i+1)%n])); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.mu.Lock()
-	w.startConcurrentLocked(kindConcurrentMinor)
-	staged := len(w.cyc.dirty)
+	w.startConcurrentLocked()
+	gray := w.cyc.snapMarked
 	w.mu.Unlock()
-	if staged < 100 {
-		t.Fatalf("%d dirty blocks staged, want the chain's hundreds", staged)
+	if gray != n {
+		t.Fatalf("the snapshot marked %d objects, want the %d rooted", gray, n)
 	}
 	chunks := 0
-	for !w.ConcurrentStep(16) {
+	for !w.ConcurrentStep(quantum) {
 		chunks++
 		w.mu.Lock()
-		credit, left := w.cyc.pacerCredit, len(w.cyc.dirty)
+		credit := w.cyc.pacerCredit
 		w.mu.Unlock()
 		if credit != 0 {
-			t.Fatalf("chunk %d credited %d bytes; every target was old", chunks, credit)
-		}
-		if left == 0 && chunks < staged {
-			t.Fatalf("the staged set emptied after %d chunks of one block each, %d staged", chunks, staged)
+			t.Fatalf("chunk %d credited %d bytes; every target was marked", chunks, credit)
 		}
 	}
-	if chunks < staged-1 {
-		t.Fatalf("the cycle ended after %d chunks with %d blocks staged", chunks, staged)
+	if want := n/quantum - 1; chunks != want {
+		t.Fatalf("the cycle ended after %d chunks that marked nothing, want %d: the gray set was not empty", chunks, want)
 	}
-	if st := w.LastCollection(); st.Mark.ObjectsMarked != 0 || st.DirtyBlocks != staged {
-		t.Fatalf("minor cycle marked %d objects over %d dirty blocks, want 0 over %d", st.Mark.ObjectsMarked, st.DirtyBlocks, staged)
+	if st := w.LastCollection(); st.Mark.ObjectsMarked != n || st.MarkedConcurrent != 0 {
+		t.Fatalf("cycle marked %d objects, %d between the pauses; want %d, 0", st.Mark.ObjectsMarked, st.MarkedConcurrent, n)
 	}
 }
 
-// cycleByStep opens a concurrent cycle of the given kind and steps it
+// cycleByStep opens a concurrent cycle and steps it
 // to its end with ConcurrentStep on the calling goroutine: nothing runs
 // beside it, so what it finds is as fixed as a stop-the-world
 // collection's.
-func cycleByStep(t *testing.T, w *World, kind cycleKind) CollectionStats {
+func cycleByStep(t *testing.T, w *World) CollectionStats {
 	t.Helper()
 	w.mu.Lock()
-	w.startConcurrentLocked(kind)
+	w.startConcurrentLocked()
 	w.mu.Unlock()
 	for !w.ConcurrentStep(0) {
 	}
@@ -384,7 +377,7 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 		var st CollectionStats
 		if concurrent {
 			installClosureOracle(t, w, nil)
-			st = cycleByStep(t, w, kindConcurrent)
+			st = cycleByStep(t, w)
 		} else {
 			st = w.Collect()
 		}
@@ -407,68 +400,6 @@ func TestParallelCollectMatchesSerial(t *testing.T) {
 	}
 	if !slices.Equal(got.surv, want.surv) {
 		t.Fatal("survivors diverge from the stop-the-world collection's")
-	}
-	if !slices.Equal(got.bl, want.bl) {
-		t.Fatalf("blacklist granules diverge: %d, stop-the-world %d", len(got.bl), len(want.bl))
-	}
-}
-
-// TestParallelMinorCollectMatchesSerial is the generational variant: a full
-// collection establishes the old generation, stores through the card
-// barrier create old-to-young edges, and a concurrent minor cycle's
-// chunks rescan the remembered set, a staged block at a time.
-// Promotions, byte totals, survivors and the blacklist must match the
-// stop-the-world minor's.
-func TestParallelMinorCollectMatchesSerial(t *testing.T) {
-	type outcome struct {
-		promoted, bytes uint64
-		surv            []bool
-		bl              []mem.Addr
-	}
-	run := func(concurrent bool) outcome {
-		w, objs := buildMixedWorld(t, Config{Generational: true, MinorDivisor: -1, ConcurrentMark: concurrent})
-		w.Collect()
-		// Young objects reachable only through old ones, via the barrier.
-		old := objs[0]
-		for i := 0; i < 64; i++ {
-			p, err := w.Allocate(4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			objs = append(objs, p)
-			if err := w.Store(old+mem.Addr((i%4)*mem.WordBytes), mem.Word(p)); err != nil {
-				t.Fatal(err)
-			}
-			old = p
-		}
-		// Young garbage too.
-		for i := 0; i < 200; i++ {
-			p, err := w.Allocate(4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			objs = append(objs, p)
-		}
-		var st CollectionStats
-		if concurrent {
-			st = cycleByStep(t, w, kindConcurrentMinor)
-		} else {
-			st = w.CollectMinor()
-		}
-		if !st.Minor || st.DirtyBlocks == 0 {
-			t.Fatalf("minor cycle not exercised: %+v", st)
-		}
-		return outcome{promoted: st.Promoted, bytes: st.Mark.BytesMarked, surv: survivors(w, objs), bl: denseGranules(t, w)}
-	}
-	want, got := run(false), run(true)
-	if want.promoted == 0 {
-		t.Fatal("no promotions in the stop-the-world run")
-	}
-	if got.promoted != want.promoted || got.bytes != want.bytes {
-		t.Errorf("promoted %d/%d, bytes %d/%d", got.promoted, want.promoted, got.bytes, want.bytes)
-	}
-	if !slices.Equal(got.surv, want.surv) {
-		t.Fatal("survivors diverge from the stop-the-world minor's")
 	}
 	if !slices.Equal(got.bl, want.bl) {
 		t.Fatalf("blacklist granules diverge: %d, stop-the-world %d", len(got.bl), len(want.bl))
@@ -511,7 +442,7 @@ func TestMarkWorkersDefaultIsAdaptive(t *testing.T) {
 		t.Fatal("Collect ran a concurrent cycle")
 	}
 	base := runtime.NumGoroutine()
-	if st := cycleByStep(t, w, kindConcurrent); st.MarkedConcurrent == 0 {
+	if st := cycleByStep(t, w); st.MarkedConcurrent == 0 {
 		t.Fatalf("the default concurrent cycle marked nothing between its pauses: %+v", st)
 	}
 	if n := runtime.NumGoroutine(); n > base {
@@ -540,7 +471,7 @@ func TestAdaptiveMarkWorkersRebuild(t *testing.T) {
 	root := rootHolder{addrs: keep}
 	w.SetMutator(&root)
 	for cycle := 0; cycle < 2; cycle++ {
-		if st := cycleByStep(t, w, kindConcurrent); st.Mark.ObjectsMarked != uint64(len(keep)) {
+		if st := cycleByStep(t, w); st.Mark.ObjectsMarked != uint64(len(keep)) {
 			t.Fatalf("cycle %d marked %d objects, want %d", cycle, st.Mark.ObjectsMarked, len(keep))
 		}
 	}

@@ -87,17 +87,18 @@ func liveSet(w *World) map[mem.Addr]bool {
 // on a quiesced world (no mutation between snapshot and finale) a
 // concurrent cycle — snapshot, bounded chunks between the pauses,
 // bounded finale — marks and sweeps exactly what a stop-the-world collection
-// does, across the collector modes the concurrent cycle composes with.
+// does, under both sweeps.
 // Scan-volume fields legitimately differ (the finale re-scans roots),
 // so the comparison is marking outcome and reclamation, not effort.
 func TestConcurrentMarkDifferential(t *testing.T) {
-	// Each stop-the-world mode against its concurrent twin. Every
-	// trigger is disabled: a mid-build automatic cycle would overlap the
-	// build's own allocations and legitimately diverge the two heaps.
-	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark }) {
+	// Each non-generational stop-the-world mode against its concurrent
+	// twin. Every trigger is disabled: a mid-build automatic cycle would
+	// overlap the build's own allocations and legitimately diverge the
+	// two heaps.
+	for _, mode := range modesWhere(func(m Mode) bool { return !m.ConcurrentMark && !m.Generational }) {
 		t.Run(mode.Name, func(t *testing.T) {
 			run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool, int) {
-				c := mode.Apply(Config{GCDivisor: -1, MinorDivisor: -1})
+				c := mode.Apply(Config{GCDivisor: -1})
 				c.ConcurrentMark = concurrent
 				w := newWorld(t, c)
 				addData(t, w, "data", 0x2000, 4096)
@@ -152,119 +153,6 @@ func TestConcurrentMarkDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestConcurrentMarkMinorDifferential is the generational variant: a
-// concurrent minor cycle — the remembered set staged at the snapshot,
-// drained in chunks, finished in a bounded pause — promotes
-// and reclaims exactly what a stop-the-world minor does on a quiesced
-// world. Both worlds first run an identical STW full collection (the
-// old generation), then the same mutation epoch, then the minor under
-// comparison. The concurrent minor runs twice: stepped to its end, and
-// forced to its finale straight after the snapshot, with its whole
-// remembered set still staged — the finale must rescan it itself.
-func TestConcurrentMarkMinorDifferential(t *testing.T) {
-	run := func(concurrent, forced bool) (CollectionStats, map[mem.Addr]bool) {
-		w := newWorld(t, Config{
-			Generational: true, GCDivisor: -1, MinorDivisor: -1,
-			ConcurrentMark: concurrent,
-		})
-		data := addData(t, w, "data", 0x2000, 4096)
-		concBuildGraph(t, directDriver{w})
-		w.Collect() // identical STW full in both modes: the old generation
-		// Mutation epoch: new objects linked from old ones (dirtying
-		// their cards), new roots, and fresh garbage.
-		var keep [8]mem.Addr
-		for i := range keep {
-			p, err := w.Allocate(4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			keep[i] = p
-			if err := data.Store(0x2000+mem.Addr(4*i), mem.Word(p)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 40; i++ {
-			p, err := w.Allocate(2, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i%3 == 0 { // reachable only through a dirtied old root
-				if err := w.Store(keep[i%8], mem.Word(p)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// Young objects reachable only through old ones, which a minor's
-		// root scan finds marked and does not scan: only the remembered
-		// set leads to them.
-		for i := 8; i < 48; i++ {
-			v, err := data.Load(0x2000 + mem.Addr(4*i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := mem.Addr(v)
-			if old == 0 || !w.Heap.IsAllocated(old) {
-				continue
-			}
-			if _, atomic := w.Heap.ObjectSpan(old); atomic {
-				continue
-			}
-			p, err := w.Allocate(2, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Store(old, mem.Word(p)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var st CollectionStats
-		if concurrent {
-			installClosureOracle(t, w, nil)
-			w.mu.Lock()
-			w.startConcurrentLocked(kindConcurrentMinor)
-			staged := len(w.cyc.dirty)
-			w.mu.Unlock()
-			if staged == 0 {
-				t.Fatal("the snapshot staged no remembered set")
-			}
-			if forced {
-				w.FinishConcurrentCycle()
-			}
-			for steps := 0; !w.ConcurrentStep(8); steps++ {
-				if steps > 1_000_000 {
-					t.Fatal("concurrent minor did not terminate")
-				}
-			}
-			st = w.LastCollection()
-			if !st.Concurrent || !st.Minor {
-				t.Fatalf("expected a concurrent minor, got %+v", st)
-			}
-		} else {
-			st = w.CollectMinor()
-		}
-		w.FinishSweep()
-		return st, liveSet(w)
-	}
-	stw, stwLive := run(false, false)
-	for _, forced := range []bool{false, true} {
-		conc, concLive := run(true, forced)
-		if conc.Promoted != stw.Promoted {
-			t.Fatalf("forced=%v: promotion diverges: concurrent %d, stw %d", forced, conc.Promoted, stw.Promoted)
-		}
-		if conc.Sweep != stw.Sweep {
-			t.Fatalf("forced=%v: minor sweep diverges:\nconcurrent %+v\nstw        %+v", forced, conc.Sweep, stw.Sweep)
-		}
-		if len(concLive) != len(stwLive) {
-			t.Fatalf("forced=%v: live sets diverge: %d vs %d objects", forced, len(concLive), len(stwLive))
-		}
-		for a := range stwLive {
-			if !concLive[a] {
-				t.Fatalf("forced=%v: object %#x live after STW minor, missing after concurrent minor", forced, uint32(a))
-			}
-		}
 	}
 }
 

@@ -39,47 +39,31 @@ import (
 
 // cycleKind says how a cycle marks and what it may reclaim. The values
 // are the "cycle kind" argument of the trace events (trace.EvCycleBegin
-// and friends) and do not change: 2 was the incremental cycle's and is
-// retired, not reused.
+// and friends) and do not change: 2 was the incremental cycle's and 4
+// the concurrent minor cycle's; both are retired, not reused.
 type cycleKind int64
 
 const (
-	kindFull            cycleKind = 0
-	kindMinor           cycleKind = 1
-	kindConcurrent      cycleKind = 3
-	kindConcurrentMinor cycleKind = 4
+	kindFull       cycleKind = 0
+	kindMinor      cycleKind = 1
+	kindConcurrent cycleKind = 3
 )
 
 // minor reports a generational minor cycle: sticky mark bits are the
 // old generation, the remembered set is rescanned, survivors promote.
-func (k cycleKind) minor() bool { return k == kindMinor || k == kindConcurrentMinor }
+func (k cycleKind) minor() bool { return k == kindMinor }
 
 // concurrent reports a mostly-concurrent cycle: two pauses with chunked
 // marking between them, instead of one pause.
-func (k cycleKind) concurrent() bool { return k >= kindConcurrent }
+func (k cycleKind) concurrent() bool { return k == kindConcurrent }
 
-// kindOf composes a kind from its two properties.
-func kindOf(concurrent, minor bool) cycleKind {
-	switch {
-	case concurrent && minor:
-		return kindConcurrentMinor
-	case concurrent:
-		return kindConcurrent
-	case minor:
-		return kindMinor
-	}
-	return kindFull
-}
-
-// Kind names the cycle the statistics describe: "full", "minor",
-// "concurrent" or "concurrent-minor".
+// Kind names the cycle the statistics describe: "full", "minor" or
+// "concurrent".
 func (st CollectionStats) Kind() string {
-	switch kindOf(st.Concurrent, st.Minor) {
-	case kindConcurrentMinor:
-		return "concurrent-minor"
-	case kindConcurrent:
+	switch {
+	case st.Concurrent:
 		return "concurrent"
-	case kindMinor:
+	case st.Minor:
 		return "minor"
 	}
 	return "full"
@@ -96,11 +80,8 @@ type cycle struct {
 	// finale's included. Written with every handle parked, so a handle
 	// may read it under its own mutex.
 	active bool
-	// dirty is a concurrent minor cycle's queue of its remembered set
-	// (block indices, staged at the snapshot, drained by the chunks);
-	// dirtyBlocks is the size of the remembered set any minor cycle
+	// dirtyBlocks is the size of the remembered set a minor cycle
 	// rescanned.
-	dirty       []int
 	dirtyBlocks int
 	// start is when the cycle opened, pauseStart when the pause that
 	// closes it began (the same instant for a stop-the-world kind);
@@ -132,7 +113,7 @@ func (w *World) openCycleLocked(kind cycleKind) *cycle {
 	c.kind = kind
 	c.start = time.Now()
 	c.pauseStart = c.start
-	c.dirty, c.dirtyBlocks = c.dirty[:0], 0
+	c.dirtyBlocks = 0
 	c.snapNs = 0
 	w.tracer.Emit(trace.EvCycleBegin, int64(w.collections+1), int64(w.Heap.Stats().HeapBytes), int64(kind))
 	// Deferred lazy sweeps hold the previous cycle's liveness in their
@@ -254,9 +235,6 @@ func (w *World) closeCycleLocked() CollectionStats {
 		st.ConcPhaseNs = max(c.pauseStart.Sub(c.start).Nanoseconds()-c.snapNs, 0)
 		st.PauseSnapshotNs = c.snapNs
 		st.PauseFinalNs = pause.Nanoseconds()
-		if kind.minor() && c.dirtyBlocks > 0 {
-			st.RescanPasses = 1 // the remembered set, staged at the snapshot
-		}
 	}
 	w.last = st
 	w.traceCycleEnd(st)
@@ -327,10 +305,10 @@ func (w *World) markPhase(minor bool) (mark.Stats, int) {
 }
 
 // runwayShare is the share of the free space the last close left (the
-// committed heap less its live bytes) that a non-generational
-// concurrent world keeps in hand when its next cycle starts: the
-// cycle opens once allocation since the close has spent the rest, and
-// the pacer schedules its marking across what is left. Chosen on the
+// committed heap less its live bytes) that a concurrent world keeps in
+// hand when its next cycle starts: the cycle opens once allocation
+// since the close has spent the rest, and the pacer schedules its
+// marking across what is left. Chosen on the
 // curve (DESIGN.md §5h): a later start marks the live graph less often,
 // but from about an eighth down the request tail rises, each cycle
 // running behind a heap nearly out of room; a quarter keeps a margin
@@ -344,10 +322,8 @@ const runwayShare = 0.25
 // mirror (Mutator.resyncLocked) read it, so the two cannot disagree.
 //
 //   - Generational worlds prefer the cheaper minor cycle at the minor
-//     interval, every FullEvery-th a full one; a stop-the-world one
-//     also runs a full cycle at the GCDivisor interval, should that
-//     come first. A generational world that marks concurrently
-//     triggers on the minor interval alone.
+//     interval, every FullEvery-th a full one, and also run a full
+//     cycle at the GCDivisor interval, should that come first.
 //   - Otherwise a cycle opens at the GCDivisor interval, and a
 //     concurrent one no earlier than the runway point: when the free
 //     space left falls to runwayShare of what the last close left.
@@ -360,13 +336,16 @@ func (w *World) triggerLocked() (at uint64, kind cycleKind, armed bool) {
 	cfg := &w.cfg
 	_, heapBytes := w.Heap.SinceGC()
 	if cfg.Generational && cfg.MinorDivisor > 0 {
-		at, kind = uint64(heapBytes/cfg.MinorDivisor), kindOf(cfg.ConcurrentMark, w.minorsSinceFull < cfg.FullEvery-1)
-		if !cfg.ConcurrentMark && cfg.GCDivisor > 0 && uint64(heapBytes/cfg.GCDivisor) < at {
+		at, kind = uint64(heapBytes/cfg.MinorDivisor), kindFull
+		if w.minorsSinceFull < cfg.FullEvery-1 {
+			kind = kindMinor
+		}
+		if cfg.GCDivisor > 0 && uint64(heapBytes/cfg.GCDivisor) < at {
 			at, kind = uint64(heapBytes/cfg.GCDivisor), kindFull
 		}
 		return at, kind, true
 	}
-	if cfg.GCDivisor <= 0 || cfg.Generational && cfg.ConcurrentMark {
+	if cfg.GCDivisor <= 0 {
 		return 0, kindFull, false
 	}
 	at = uint64(heapBytes / cfg.GCDivisor)

@@ -48,20 +48,23 @@ func TestSingleClose(t *testing.T) {
 		{"full-generational", kindFull, true},
 		{"minor", kindMinor, true},
 		{"concurrent", kindConcurrent, false},
-		{"concurrent-generational", kindConcurrent, true},
-		{"concurrent-minor", kindConcurrentMinor, true},
 	}
 	for _, k := range kinds {
-		// Every kind also runs on a world whose first cycle was a
-		// concurrent one, whose close must leave nothing behind for the
-		// next. That row keeps the name of the mark step's retired second
-		// shape: "parallel" for a stop-the-world kind, "detached" for a
-		// concurrent one.
+		// Every non-generational kind also runs on a world whose first
+		// cycle was a concurrent one, whose close must leave nothing
+		// behind for the next; a generational world never marks
+		// concurrently. That row keeps the name of the mark step's
+		// retired second shape: "parallel" for a stop-the-world kind,
+		// "detached" for a concurrent one.
+		shapes := []string{"serial"}
 		after := "parallel"
 		if k.kind.concurrent() {
 			after = "detached"
 		}
-		for _, shape := range []string{"serial", after} {
+		if !k.gen {
+			shapes = append(shapes, after)
+		}
+		for _, shape := range shapes {
 			for _, lazy := range []bool{false, true} {
 				cfg := Config{
 					GCDivisor: -1, MinorDivisor: -1, Generational: k.gen, LazySweep: lazy,
@@ -81,7 +84,7 @@ func TestSingleClose(t *testing.T) {
 					lw.root(0, holder)
 					if shape == after {
 						w.mu.Lock()
-						w.startConcurrentLocked(kindConcurrent)
+						w.startConcurrentLocked()
 						w.mu.Unlock()
 						lw.finish()
 					} else {
@@ -111,7 +114,7 @@ func TestSingleClose(t *testing.T) {
 						st = w.CollectMinor()
 					default:
 						w.mu.Lock()
-						w.startConcurrentLocked(kind)
+						w.startConcurrentLocked()
 						w.mu.Unlock()
 						if !w.ConcurrentActive() {
 							t.Fatal("no cycle in flight after its snapshot")

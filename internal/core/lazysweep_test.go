@@ -20,7 +20,7 @@ func worldChurn(t *testing.T, w *World, seed uint64, typed alloc.DescID, minors 
 	t.Helper()
 	collect := func() {
 		if w.cfg.ConcurrentMark {
-			cycleByStep(t, w, kindConcurrent)
+			cycleByStep(t, w)
 		} else {
 			w.Collect()
 		}

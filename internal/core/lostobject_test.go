@@ -17,12 +17,10 @@ import (
 // closure oracle.
 
 // concShapes are the worlds the concurrent batteries run on: the
-// concurrent modes without generations (a case that needs a
-// generational world asks for one). Their rows keep the names of the
-// two marking engines they ran on before: "serial" is conc, "detached"
-// conc-lazy.
+// concurrent modes. Their rows keep the names of the two marking
+// engines they ran on before: "serial" is conc, "detached" conc-lazy.
 var concShapes = func() (out []concShape) {
-	conc := modesWhere(func(m Mode) bool { return m.ConcurrentMark && !m.Generational })
+	conc := modesWhere(func(m Mode) bool { return m.ConcurrentMark })
 	for _, m := range named(conc, map[string]string{"conc": "serial", "conc-lazy": "detached"}) {
 		out = append(out, concShape{name: m.Name, cfg: m.Apply(Config{})})
 	}
@@ -286,8 +284,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			// (landCycleLocked). x is marked by the store; y hangs off x and
 			// is found only if that gray is drained by the forced finale.
 			for _, force := range []struct {
-				name  string
-				extra Config
+				name string
 				// policy, if set, gives run a tenant's mutator whose budget
 				// was spent on garbage before the cycle opened.
 				policy TenantPolicy
@@ -298,8 +295,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			}{
 				{name: "finish", run: func(lw *lostWorld, _ *Mutator) { lw.w.FinishConcurrentCycle() }},
 				{name: "collect", run: func(lw *lostWorld, _ *Mutator) { lw.w.Collect() }},
-				{name: "collect-minor", extra: Config{Generational: true},
-					run: func(lw *lostWorld, _ *Mutator) { lw.w.CollectMinor() }},
+				{name: "collect-minor", run: func(lw *lostWorld, _ *Mutator) { lw.w.CollectMinor() }},
 				{name: "mark-only", run: func(lw *lostWorld, _ *Mutator) { lw.w.MarkOnly() }},
 				{name: "retention-report", run: func(lw *lostWorld, _ *Mutator) {
 					lw.w.GetRetentionReport(RetentionOptions{TopRoots: -1})
@@ -328,9 +324,7 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 			} {
 				force := force
 				t.Run("forced-finale/"+force.name, func(t *testing.T) {
-					cfg := force.extra
-					cfg.InitialHeapBytes, cfg.ReserveHeapBytes = 256<<10, 256<<10
-					lw := shape.world(t, cfg)
+					lw := shape.world(t, Config{InitialHeapBytes: 256 << 10, ReserveHeapBytes: 256 << 10})
 					var m *Mutator
 					if force.policy != 0 {
 						const k = 40
@@ -365,38 +359,6 @@ func TestConcurrentMarkLostObject(t *testing.T) {
 					}
 				})
 			}
-
-			// A concurrent minor cycle has both barriers' work to do: the
-			// remembered set — old objects written between collections,
-			// carded then, staged at the snapshot — and the shade for what
-			// is written during the cycle into old objects it never scans.
-			t.Run("generational-minor", func(t *testing.T) {
-				lw := shape.world(t, Config{Generational: true})
-				old1, old2 := lw.alloc(2), lw.alloc(8) // different blocks: old2's card stays clean
-				lw.root(0, old1)
-				lw.root(1, old2)
-				lw.w.Collect() // old1, old2: the old generation
-				young1, young2, garbage := lw.alloc(2), lw.alloc(2), lw.alloc(2)
-				lw.store(old1, mem.Word(young1)) // carded: the remembered set
-				lw.w.mu.Lock()
-				lw.w.startConcurrentLocked(kindConcurrentMinor)
-				lw.w.mu.Unlock()
-				lw.store(old2, mem.Word(young2)) // shaded: old2 is not rescanned
-				lw.requireMarked("young2", young2)
-				st := lw.finish()
-				if !st.Minor || st.DirtyBlocks == 0 || st.RescanPasses != 1 {
-					t.Fatalf("want a concurrent minor that staged its remembered set once, got %+v", st)
-				}
-				lw.requireLive("young1, behind the remembered set", young1)
-				lw.requireLive("young2, behind the shade", young2)
-				lw.requireSwept("young garbage", garbage)
-				// The cycle consumed the cards and set none of its own.
-				dirty := 0
-				lw.w.Heap.DirtyBlocks(func(int) { dirty++ })
-				if dirty != 0 {
-					t.Fatalf("%d cards dirty after the cycle", dirty)
-				}
-			})
 		})
 	}
 }

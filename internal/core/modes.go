@@ -8,13 +8,13 @@ type Mode struct {
 	ConcurrentMark, Generational, LazySweep bool
 }
 
-// Modes lists all eight modes: stop-the-world or concurrent marking,
-// generational or not, eager or lazy sweep.
+// Modes lists all six modes: stop-the-world marking, generational or
+// not, or concurrent marking, which is never generational (NewWorld
+// rejects the pair); each with an eager or a lazy sweep.
 var Modes = []Mode{
 	{"full", false, false, false}, {"lazy", false, false, true},
 	{"gen", false, true, false}, {"gen-lazy", false, true, true},
 	{"conc", true, false, false}, {"conc-lazy", true, false, true},
-	{"conc-gen", true, true, false}, {"conc-gen-lazy", true, true, true},
 }
 
 // Apply returns c in mode m. A generational mode runs a minor cycle at

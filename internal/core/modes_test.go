@@ -6,14 +6,17 @@ import (
 	"testing"
 )
 
-// TestModes pins the mode table: eight rows, no two of which resolve to
-// the same effective configuration.
+// TestModes pins the mode table: six rows, each a world NewWorld
+// builds, no two of which resolve to the same effective configuration.
 func TestModes(t *testing.T) {
-	if len(Modes) != 8 {
-		t.Fatalf("%d modes, want the eight combinations of three switches", len(Modes))
+	if len(Modes) != 6 {
+		t.Fatalf("%d modes, want the six combinations of three switches without concurrent generations", len(Modes))
 	}
 	seen := map[Config]string{}
 	for _, m := range Modes {
+		if _, err := NewWorld(nil, m.Apply(Config{})); err != nil {
+			t.Errorf("mode %s: %v", m.Name, err)
+		}
 		c := m.Apply(Config{}).withDefaults()
 		if prev, ok := seen[c]; ok {
 			t.Errorf("modes %s and %s resolve to the same Config", prev, m.Name)
@@ -45,7 +48,7 @@ func named(modes []Mode, old map[string]string) []Mode {
 // marks concurrently, only the script's own (concurrentDriver).
 func modeTriggers(m Mode) Config {
 	if m.ConcurrentMark {
-		return Config{GCDivisor: -1, MinorDivisor: -1}
+		return Config{GCDivisor: -1}
 	}
 	return Config{GCDivisor: 4}
 }
@@ -111,5 +114,16 @@ func TestInertKnobs(t *testing.T) {
 func TestNewWorldRejectsNegativeMarkQuantum(t *testing.T) {
 	if _, err := NewWorld(nil, Config{ConcurrentMark: true, MarkQuantum: -1}); err == nil {
 		t.Fatal("NewWorld accepted MarkQuantum: -1")
+	}
+}
+
+// TestNewWorldRejectsConcurrentGenerational: a generational world marks
+// stop-the-world. The concurrent cycle rescans no remembered set, so
+// NewWorld refuses the pair rather than run a minor cycle without one.
+func TestNewWorldRejectsConcurrentGenerational(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		if _, err := NewWorld(nil, Config{ConcurrentMark: true, Generational: true, LazySweep: lazy}); err == nil {
+			t.Errorf("NewWorld accepted ConcurrentMark with Generational (LazySweep %v)", lazy)
+		}
 	}
 }

@@ -39,7 +39,7 @@ type concurrentDriver struct {
 	w *World
 }
 
-func (d concurrentDriver) Collect() CollectionStats { return cycleByStep(d.t, d.w, kindConcurrent) }
+func (d concurrentDriver) Collect() CollectionStats { return cycleByStep(d.t, d.w) }
 
 // collectingConcurrently wraps d in a concurrentDriver when w marks
 // concurrently.

@@ -241,11 +241,10 @@ func rootObjects(t *testing.T, w *World, data *mem.Segment, n, words int) {
 	w.Collect()
 }
 
-// TestPacerTriggerFromRunway pins when an allocation opens a
-// non-generational concurrent cycle (triggerLocked): at the first
-// allocation whose BytesSinceGC exceeds max(heap/GCDivisor, free −
-// runwayShare × free), free being the heap less the last close's live
-// bytes. The direct World path and one Mutator handle run the same tape
+// TestPacerTriggerFromRunway pins when an allocation opens a concurrent
+// cycle (triggerLocked): at the first allocation whose BytesSinceGC
+// exceeds max(heap/GCDivisor, free − runwayShare × free), free being
+// the heap less the last close's live bytes. The direct World path and one Mutator handle run the same tape
 // of garbage and must open at the same allocation: the handle's fast
 // path diverts exactly where the central check fires. On a roomy heap
 // the runway binds, well after GCDivisor 16's interval; on a tight one
@@ -335,19 +334,17 @@ func TestPacerTriggerFromRunway(t *testing.T) {
 // trigger mirror (resyncLocked) to the central check (dueCycleLocked):
 // both read triggerLocked. A mirror armed below the central trigger
 // diverts every allocation past it to the slow path, where nothing
-// fires, until something else resets the count — a generational
-// concurrent world once armed heap/GCDivisor although it triggers on
-// MinorDivisor alone. One handle allocates a fixed tape of 4-word
-// garbage in a 1 MiB heap; its slow paths must stay within the refills
-// the tape needs plus one diversion per collection.
+// fires, until something else resets the count. One handle allocates a
+// fixed tape of 4-word garbage in a 1 MiB heap; its slow paths must
+// stay within the refills the tape needs plus one diversion per
+// collection.
 func TestPacerTriggerMirrorMatchesCentral(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 		n    int
 	}{
-		{"gen-conc", Config{Generational: true, ConcurrentMark: true, GCDivisor: 16}, 12_000},
-		{"gen-conc-no-minor", Config{Generational: true, ConcurrentMark: true, MinorDivisor: -1, GCDivisor: 4}, 40_000},
+		{"gen", Config{Generational: true, GCDivisor: 16}, 40_000},
 		{"conc-runway", Config{ConcurrentMark: true, GCDivisor: 16}, 200_000},
 		{"stw", Config{GCDivisor: 4}, 200_000},
 	}

@@ -114,7 +114,7 @@ func TestProvenanceParallelUnique(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		churn(t, w, data, 0x2000, 256)
 		provChain(t, w, data, 0x3000, 300) // deep enough that the chunks mark most of it
-		st := cycleByStep(t, w, kindConcurrent)
+		st := cycleByStep(t, w)
 		if st.ProvenanceRecords != st.Mark.ObjectsMarked {
 			t.Fatalf("round %d: %d records for %d marked objects",
 				round, st.ProvenanceRecords, st.Mark.ObjectsMarked)

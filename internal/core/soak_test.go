@@ -20,12 +20,12 @@ func TestSoakConcurrentClosure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soak")
 	}
-	// Six rows keep the names they had before the mode table: the
+	// Five rows keep the names they had before the mode table: the
 	// marking ("stop-the-world", "serial" for concurrent), then the sweep
 	// and generations ("plain", "line-bgsweep" for lazy, "gen-lazy").
 	old := map[string]string{
 		"full": "stop-the-world/plain", "lazy": "stop-the-world/line-bgsweep", "gen-lazy": "stop-the-world/gen-lazy",
-		"conc": "serial/plain", "conc-lazy": "serial/line-bgsweep", "conc-gen-lazy": "serial/gen-lazy",
+		"conc": "serial/plain", "conc-lazy": "serial/line-bgsweep",
 	}
 	for _, mode := range named(Modes, old) {
 		t.Run(mode.Name, func(t *testing.T) {

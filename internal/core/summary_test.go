@@ -18,7 +18,8 @@ import (
 // "parallel-run" steps it to its end at the default quantum, audited
 // once before its first chunk; "detached-finale" steps it in chunks of
 // 16 and audits between two. A mode is named by its sweep (lazy) and
-// its generations (sticky mark bits). Each is run against the
+// its generations (sticky mark bits: never, in a concurrent world, so
+// every row reads sticky=false). Each is run against the
 // stop-the-world collector of the same mode on an identical heap, and
 // must reclaim exactly the same objects and leave a heap the strict
 // audit accepts.
@@ -32,7 +33,7 @@ func TestMarkSummaryExactAtSweep(t *testing.T) {
 			name := fmt.Sprintf("%s/lazy=%v/sticky=%v", way, mode.LazySweep, mode.Generational)
 			t.Run(name, func(t *testing.T) {
 				run := func(concurrent bool) (CollectionStats, map[mem.Addr]bool) {
-					cfg := mode.Apply(Config{GCDivisor: -1, MinorDivisor: -1})
+					cfg := mode.Apply(Config{GCDivisor: -1})
 					cfg.ConcurrentMark = concurrent
 					w := newWorld(t, cfg)
 					addData(t, w, "data", 0x2000, 4096)

@@ -105,7 +105,7 @@ func TestCollectAllocBoundUntracedParallel(t *testing.T) {
 	w := newWorld(t, Config{ConcurrentMark: true, GCDivisor: -1, LazySweep: true})
 	data := addData(t, w, "data", 0x2000, 4096)
 	churn(t, w, data, 0x2000, 64)
-	cycleByStep(t, w, kindConcurrent)
+	cycleByStep(t, w)
 	w.Collect()
 	w.Collect()
 	w.FinishSweep()
@@ -240,7 +240,7 @@ func TestTraceWorkerEvents(t *testing.T) {
 		return ends
 	}
 
-	st := cycleByStep(t, w, kindConcurrent)
+	st := cycleByStep(t, w)
 	ends := markEnds()
 	if len(ends) != 1 || uint64(ends[0].A0) != st.Mark.ObjectsMarked || uint64(ends[0].A1) != st.Mark.BytesMarked {
 		t.Fatalf("mark_end events %+v for a cycle that marked %+v", ends, st.Mark)

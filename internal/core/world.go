@@ -96,12 +96,11 @@ type Config struct {
 
 	// GCDivisor triggers a collection when allocation since the last
 	// one exceeds heapSize/GCDivisor (default 2; a negative value
-	// disables automatic collection). In a non-generational
-	// ConcurrentMark world a cycle starts at the later of that interval
-	// and the runway point — the free space left falling to a quarter of
-	// what the last collection left — so that a cycle marks once the
-	// free space is mostly spent, not while most of it stands unused
-	// (triggerLocked, DESIGN.md §5h).
+	// disables automatic collection). In a ConcurrentMark world a cycle
+	// starts at the later of that interval and the runway point — the
+	// free space left falling to a quarter of what the last collection
+	// left — so that a cycle marks once the free space is mostly spent,
+	// not while most of it stands unused (triggerLocked, DESIGN.md §5h).
 	GCDivisor int
 	// FreeSpaceDivisor expands the heap after a collection that leaves
 	// less than heapSize/FreeSpaceDivisor free (default 4), so that a
@@ -158,8 +157,8 @@ type Config struct {
 	// and sweeps. No goroutine marks beside the mutators: a cycle that
 	// stops receiving allocation stays open until Collect,
 	// FinishConcurrentCycle, a measurement or exhaustion lands it.
-	// Composes with Generational (minor cycles run concurrently too) and
-	// LazySweep.
+	// Composes with LazySweep; NewWorld rejects it beside Generational,
+	// whose minor cycles mark stop-the-world.
 	ConcurrentMark bool
 
 	// ConcMarkWorkers selects nothing: every count >= 0 runs the one
@@ -195,9 +194,9 @@ type Config struct {
 
 	// LineAlloc selects nothing: the line heap it chose is folded into
 	// the one small-object allocator, whose caches bump through whole
-	// holes of free slots (alloc.Config.LineAlloc, DESIGN.md §5f). The
-	// field remains only because cmd/perfbench's workloads set it, and
-	// goes with ConcurrentSweep once they no longer do.
+	// holes of free slots (DESIGN.md §5f). The field remains only
+	// because cmd/perfbench's workloads set it, and goes with
+	// ConcurrentSweep once they no longer do.
 	LineAlloc bool
 }
 
@@ -278,12 +277,10 @@ type CollectionStats struct {
 	// a snapshot pause, marking in chunks between, a final pause.
 	// MarkedConcurrent is how many objects were marked outside the two
 	// pauses (the >90% acceptance metric). RescanPasses and
-	// FinalDirtyBlocks count card rescans: a concurrent minor cycle's
-	// one pass over its remembered set (DirtyBlocks of them, staged at
-	// the snapshot) and nothing else — a cycle's own stores are shaded,
-	// not carded, so the final pause rescans no block and
-	// FinalDirtyBlocks stays 0. Both fields stay because cmd/perfbench
-	// reads them.
+	// FinalDirtyBlocks counted a concurrent cycle's card rescans and
+	// always read 0: a concurrent world is not generational, and a
+	// cycle's own stores are shaded, not carded. Both fields stay
+	// because cmd/perfbench reads them.
 	Concurrent       bool
 	RescanPasses     int
 	FinalDirtyBlocks int
@@ -802,6 +799,9 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 	if c.MarkWorkers < 0 || c.MarkWorkers > 1 {
 		return nil, fmt.Errorf("core: MarkWorkers must be 0 or 1 (the stop-the-world mark is serial), got %d", c.MarkWorkers)
 	}
+	if c.ConcurrentMark && c.Generational {
+		return nil, fmt.Errorf("core: ConcurrentMark and Generational are separate designs; set one")
+	}
 	heap, err := alloc.New(space, alloc.Config{
 		HeapBase:                 c.HeapBase,
 		InitialBytes:             c.InitialHeapBytes,
@@ -815,7 +815,6 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		SkipPageBoundarySlot:     c.SkipPageBoundarySlot,
 		DiscontiguousGrowth:      c.DiscontiguousGrowth,
 		LazySweep:                c.LazySweep,
-		LineAlloc:                c.LineAlloc,
 	})
 	if err != nil {
 		return nil, err
@@ -982,7 +981,7 @@ func (w *World) allocateLocked(nwords int, rs residueSimulator, rooted bool, try
 		// completion here.
 		w.allocTrigger(kind)
 		if kind.concurrent() {
-			w.startConcurrentLocked(kind)
+			w.startConcurrentLocked()
 		} else {
 			w.collectLocked(kind)
 			if !kind.minor() {
@@ -1104,7 +1103,11 @@ func (w *World) Collect() CollectionStats {
 func (w *World) CollectMinor() CollectionStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.collectLocked(kindOf(false, w.cfg.Generational))
+	kind := kindFull
+	if w.cfg.Generational {
+		kind = kindMinor
+	}
+	return w.collectLocked(kind)
 }
 
 // MarkOnly marks from the roots and returns the apparently-accessible
@@ -1210,11 +1213,11 @@ func (w *World) Store(a mem.Addr, v mem.Word) error {
 }
 
 // storeLocked is the write barrier + store body; callers hold w.mu.
-// There is one barrier per kind of cycle. While a concurrent cycle is
-// marking it is Dijkstra's insertion barrier, exact: the stored value
-// is shaded (shadeLocked) — cards play no part in such a cycle. Between
-// generational collections the written-to block's card is dirtied: the
-// cards are the remembered set the next minor cycle rescans.
+// There is one barrier per design. While a concurrent cycle is marking
+// it is Dijkstra's insertion barrier, exact: the stored value is shaded
+// (shadeLocked). In a generational world the written-to block's card is
+// dirtied: the cards are the remembered set the next minor cycle
+// rescans.
 func (w *World) storeLocked(a mem.Addr, v mem.Word) error {
 	if w.cyc.active {
 		w.shadeLocked(a, v)

@@ -27,6 +27,12 @@ type PauseRow struct {
 	// MaxPause it includes no wait for a lock or a processor.
 	ChurnCycles int           `json:"churn_cycles" gate:"exact"`
 	MaxReported time.Duration `json:"-" gate:"info"`
+	// MaxStoppedMarked is the most objects one churn cycle marked with
+	// the mutator stopped: all of a stop-the-world cycle's marks, and
+	// those of a concurrent cycle's snapshot and final pauses (all but
+	// MarkedConcurrent). It is the pause's work as a count, which no load
+	// on the machine moves.
+	MaxStoppedMarked uint64 `json:"max_stopped_marked" gate:"exact"`
 }
 
 // reportedPause is how long one cycle stopped the mutator by the
@@ -80,12 +86,12 @@ func Pauses(opt PausesOptions) (*BenchResult[PausesOptions, PauseRow], *stats.Ta
 		res.Rows = append(res.Rows, *row)
 	}
 	tab := stats.NewTable("Pause times: stop-the-world vs assist-marked concurrent vs generational",
-		"Mode", "Collections", "Worst pause", "Total GC-bearing time", "Live at end")
+		"Mode", "Collections", "Worst pause", "Total GC-bearing time", "Live at end", "Most marked stopped")
 	for _, r := range res.Rows {
 		tab.AddF(r.Mode, r.Collections,
 			fmt.Sprintf("%.2fms", float64(r.MaxPause.Microseconds())/1000),
 			fmt.Sprintf("%.2fms", float64(r.TotalGCWork.Microseconds())/1000),
-			r.FinalLiveObj)
+			r.FinalLiveObj, r.MaxStoppedMarked)
 	}
 	return res, tab, nil
 }
@@ -117,9 +123,11 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 	// under the world lock, which FinishConcurrentCycle takes below.
 	var cycles int
 	var maxReported time.Duration
+	var maxMarked uint64
 	w.SetCollectionHook(func(st CollectionStats) {
 		cycles++
 		maxReported = max(maxReported, reportedPause(st))
+		maxMarked = max(maxMarked, st.Mark.ObjectsMarked-st.MarkedConcurrent)
 	})
 	var maxPause, total time.Duration
 	for i := 0; i < opt.Churn; i++ {
@@ -139,12 +147,13 @@ func pausesRun(opt PausesOptions, label string, cfg Config) (*PauseRow, error) {
 	w.FinishConcurrentCycle()
 	st := w.Heap.Stats()
 	return &PauseRow{
-		Mode:         label,
-		Collections:  w.Collections(),
-		MaxPause:     maxPause,
-		TotalGCWork:  total,
-		FinalLiveObj: st.ObjectsLive,
-		ChurnCycles:  cycles,
-		MaxReported:  maxReported,
+		Mode:             label,
+		Collections:      w.Collections(),
+		MaxPause:         maxPause,
+		TotalGCWork:      total,
+		FinalLiveObj:     st.ObjectsLive,
+		ChurnCycles:      cycles,
+		MaxReported:      maxReported,
+		MaxStoppedMarked: maxMarked,
 	}, nil
 }

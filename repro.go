@@ -92,8 +92,6 @@ type (
 	BlacklistStats = blacklist.Stats
 	// AllocStats reports allocator activity.
 	AllocStats = alloc.Stats
-	// LineStats was the line heap's space accounting; it reads zero.
-	LineStats = alloc.LineStats
 	// SpaceBreakdown buckets every committed heap byte exactly.
 	SpaceBreakdown = alloc.SpaceBreakdown
 	// FreeBlockPolicy selects free-block management.

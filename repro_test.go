@@ -353,14 +353,14 @@ func TestDegreesOfConservatismExperiment(t *testing.T) {
 	}
 }
 
-// TestPausesExperiment checks E16's claim on what the collector reports,
-// not on the wall clock around an Allocate call (which also measures
-// whoever else wanted the processor or the world lock): the longest stop
-// a mostly-concurrent cycle imposes is well below a stop-the-world
-// cycle's mark and sweep over the same live structure. Both sides are
-// phase timers of one process over the same heap, so load stretches them
-// alike. The churn is sized so that every row collects: 4.8 MB allocated
-// against a trigger of half a 4 MiB heap.
+// TestPausesExperiment checks E16's claim on a count, not a clock: the
+// most objects a mostly-concurrent cycle marks with the mutator stopped
+// is well below what a stop-the-world cycle marks in its one pause, the
+// whole live structure. A count repeats under any load; the phase
+// timers (MaxReported) and the Allocate latencies (MaxPause) are
+// readings, printed and not asserted. The churn is sized so that every
+// row collects: 4.8 MB allocated against a trigger of half a 4 MiB
+// heap.
 func TestPausesExperiment(t *testing.T) {
 	const live = 150000
 	res, tab, err := Pauses(PausesOptions{LiveObjects: live, Churn: 600000, Seed: 1})
@@ -377,9 +377,12 @@ func TestPausesExperiment(t *testing.T) {
 			t.Errorf("%s: the churn triggered no collection", r.Mode)
 		}
 	}
-	if conc.MaxReported*2 >= stw.MaxReported {
-		t.Errorf("mostly-concurrent worst reported stop %v not well below stop-the-world's %v",
-			conc.MaxReported, stw.MaxReported)
+	if stw.MaxStoppedMarked < live {
+		t.Errorf("stop-the-world cycles marked at most %d objects in a pause, want the %d live", stw.MaxStoppedMarked, live)
+	}
+	if conc.MaxStoppedMarked*2 >= stw.MaxStoppedMarked {
+		t.Errorf("mostly-concurrent cycles marked up to %d objects with the mutator stopped, not well below stop-the-world's %d",
+			conc.MaxStoppedMarked, stw.MaxStoppedMarked)
 	}
 	if !strings.Contains(tab.String(), "stop-the-world") {
 		t.Error("table content missing")

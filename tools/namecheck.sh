@@ -30,7 +30,6 @@ internal/core/concurrent_cycle_test.go	TestDetachedWorkersParkAndRetire	kept nam
 internal/core/concurrent_cycle_test.go	TestMarkWorkersDefaultIsAdaptive	kept name: a default concurrent cycle marks on one marker and starts no goroutine
 internal/core/concurrent_cycle_test.go	TestParallelCollectMatchesSerial	kept name: a concurrent collection matches a stop-the-world one
 internal/core/concurrent_cycle_test.go	TestParallelMarkOnlyMatchesSerial	kept name: MarkOnly lands the cycle in flight, then matches stop-the-world
-internal/core/concurrent_cycle_test.go	TestParallelMinorCollectMatchesSerial	kept name: a concurrent minor collection matches a stop-the-world one
 internal/core/concurrent_test.go	"par-lazy"	kept row name: the conc-lazy mode
 internal/core/cycle_test.go	"detached"	kept row name: a concurrent kind after a concurrent first cycle
 internal/core/cycle_test.go	"parallel"	kept row name: a stop-the-world kind after a concurrent first cycle
