@@ -208,6 +208,7 @@ func (w *World) closeCycleLocked() CollectionStats {
 	} else {
 		w.minorsSinceFull = 0
 	}
+	w.retriggerLocked()
 	provRecs := w.harvestProvenance(kind)
 	pause := time.Since(c.pauseStart)
 	st := CollectionStats{
@@ -318,8 +319,9 @@ const runwayShare = 0.25
 // triggerLocked is the one collection trigger: the bytes allocated
 // since the last close past which the next allocation opens a cycle,
 // the kind of that cycle, and whether any cycle is armed at all. The
-// world's slow path (dueCycleLocked) and every handle's fast-path
-// mirror (Mutator.resyncLocked) read it, so the two cannot disagree.
+// world keeps its result (retriggerLocked), which the world's slow path
+// (dueCycleLocked) and every handle's fast-path mirror
+// (Mutator.resyncLocked) read, so the two cannot disagree.
 //
 //   - Generational worlds prefer the cheaper minor cycle at the minor
 //     interval, every FullEvery-th a full one, and also run a full
@@ -359,13 +361,21 @@ func (w *World) triggerLocked() (at uint64, kind cycleKind, armed bool) {
 	return max(at, free-uint64(runwayShare*float64(free))), kindConcurrent, true
 }
 
-// dueCycleLocked is the allocation slow path's reading of the trigger:
-// whether allocation since the last close has passed it, and which kind
-// of cycle that calls for. Callers hold w.mu with no cycle in flight.
+// retriggerLocked recomputes the kept trigger. Its inputs change only
+// where it is called: at every close, after the sweep and the
+// minorsSinceFull update; at every heap growth (expandLocked); and in
+// NewWorld. Callers hold w.mu.
+func (w *World) retriggerLocked() {
+	w.trigAt, w.trigKind, w.trigArmed = w.triggerLocked()
+}
+
+// dueCycleLocked is the allocation slow path's reading of the trigger,
+// one compare: whether allocation since the last close has passed it,
+// and which kind of cycle that calls for. Callers hold w.mu with no
+// cycle in flight.
 func (w *World) dueCycleLocked() (kind cycleKind, due bool) {
-	at, kind, armed := w.triggerLocked()
 	sinceGC, _ := w.Heap.SinceGC()
-	return kind, armed && sinceGC > at
+	return w.trigKind, w.trigArmed && sinceGC > w.trigAt
 }
 
 // allocTrigger records an allocation crossing the collection threshold,

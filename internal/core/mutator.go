@@ -88,8 +88,9 @@ import (
 
 // allocCache is one size class's cached carve: the slots [cursor,
 // limit), in steps of the object size, carved and not yet handed out.
-// words is the class's padded object size, recorded at refill for
-// local byte accounting.
+// words is the class's padded object size, recorded at refill; bump
+// steps by it. A Region keeps caches of this type too, never black
+// (World.Run).
 // black records that the unconsumed slots are marked: set by a carve
 // made for a plain allocation while a concurrent cycle marks, and by
 // markHeldLocked; cleared by every other carve. While a cycle marks,
@@ -275,18 +276,17 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 		if c.cursor < c.limit && !(m.hasTrigger && m.sinceGC > m.trigger) &&
 			(dst != nil || c.black || !m.w.cyc.active) &&
 			(m.ten == nil || !m.ten.cancelled.Load()) {
-			p := c.cursor
 			// Root before consuming: m.mu is held, so no safepoint can
 			// intervene between the store and the hand-out. The store
 			// touches only the caller's own segment slot, never shared
 			// heap structures (see the fast-path rules above).
 			if dst != nil {
-				if err := dst.Store(at, mem.Word(p)); err != nil {
+				if err := dst.Store(at, mem.Word(c.cursor)); err != nil {
 					m.mu.Unlock()
 					return 0, err
 				}
 			}
-			c.cursor += mem.Addr(words * mem.WordBytes)
+			p := c.bump()
 			bytes := uint64(words) * mem.WordBytes
 			m.sinceGC += bytes
 			m.unpubObjects++
@@ -596,8 +596,8 @@ func (m *Mutator) publishLocked() {
 // resyncLocked re-mirrors the central trigger state after a slow path
 // or safepoint: sinceGC restarts from the true central count, and
 // trigger becomes the threshold at which allocateLocked would start a
-// collection (World.triggerLocked, the one both read). Callers hold
-// w.mu.
+// collection (the world's kept trigger, the one both read). Callers
+// hold w.mu.
 func (m *Mutator) resyncLocked() {
 	m.sinceGC, _ = m.w.Heap.SinceGC()
 	m.hasTrigger = false
@@ -611,7 +611,7 @@ func (m *Mutator) resyncLocked() {
 		// a trigger; the first slow path after the finale re-arms it.
 		return
 	}
-	m.trigger, _, m.hasTrigger = m.w.triggerLocked()
+	m.trigger, m.hasTrigger = m.w.trigAt, m.w.trigArmed
 }
 
 // returnCacheLocked flushes one class's cached remainder back to its
@@ -652,6 +652,15 @@ func (m *Mutator) flushLocked() {
 	}
 	m.stats.FlushedSlots += uint64(flushed)
 	m.w.met.cacheFlushSlots.Add(uint64(flushed))
+}
+
+// bump hands out the cache's next slot, the one allocation step the
+// Mutator fast path and a Region share. Callers have checked that the
+// cache holds one (cursor < limit).
+func (c *allocCache) bump() mem.Addr {
+	p := c.cursor
+	c.cursor += mem.Addr(c.words * mem.WordBytes)
+	return p
 }
 
 // held returns how many carved slots the cache holds, not yet handed

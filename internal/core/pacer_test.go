@@ -371,6 +371,57 @@ func TestPacerTriggerMirrorMatchesCentral(t *testing.T) {
 	}
 }
 
+// TestKeptTriggerMatchesFresh: the world keeps triggerLocked's result
+// and recomputes it only where its inputs change, at a close and at
+// heap growth. In every mode, a program whose live list keeps growing,
+// beside garbage, must find the kept trigger equal to a fresh reading
+// after every close (the collection hook) and after every allocation
+// that grew the heap.
+func TestKeptTriggerMatchesFresh(t *testing.T) {
+	for _, mode := range Modes {
+		t.Run(mode.Name, func(t *testing.T) {
+			w := newWorld(t, mode.Apply(Config{GCDivisor: 4, InitialHeapBytes: 64 << 10}))
+			data := addData(t, w, "data", 0x2000, 4096)
+			check := func(when string) {
+				at, kind, armed := w.triggerLocked()
+				if w.trigAt != at || w.trigKind != kind || w.trigArmed != armed {
+					t.Fatalf("after %s: kept trigger (%d, %d, %v), fresh (%d, %d, %v)",
+						when, w.trigAt, w.trigKind, w.trigArmed, at, kind, armed)
+				}
+			}
+			closes, expansions := 0, 0
+			w.SetCollectionHook(func(CollectionStats) { closes++; check("a close") })
+			var head mem.Addr
+			for i := 0; i < 60_000; i++ {
+				before := w.Heap.Stats().Expansions
+				p, err := w.Allocate(16, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					// Keep one object in three on a list rooted in data.
+					if err := w.Store(p, mem.Word(head)); err != nil {
+						t.Fatal(err)
+					}
+					if err := data.Store(0x2000, mem.Word(p)); err != nil {
+						t.Fatal(err)
+					}
+					head = p
+				}
+				if w.Heap.Stats().Expansions != before {
+					expansions++
+					w.mu.Lock()
+					check("heap growth")
+					w.mu.Unlock()
+				}
+			}
+			if closes < 5 || expansions < 3 {
+				t.Fatalf("%d closes and %d expansions, want at least 5 and 3", closes, expansions)
+			}
+		})
+	}
+}
+
 // TestPacerForcedFinales pins gc_forced_finales, the concurrent cycles
 // whose finale an allocation's ErrNeedMemory forced — the cycle's own
 // allocation outran its marking, which the pacer exists to prevent. A

@@ -2,16 +2,19 @@ package core
 
 import (
 	"maps"
+	"math/bits"
 	"slices"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
 )
 
-// worldCalls is what the region battery's program calls: the world call
+// worldCalls is what the region battery's programs call: the world call
 // by call, or one Region for the whole run.
 type worldCalls interface {
 	Allocate(nwords int, atomic bool) (mem.Addr, error)
+	AllocateTyped(id alloc.DescID) (mem.Addr, error)
 	Store(a mem.Addr, v mem.Word) error
 	Load(a mem.Addr) (mem.Word, error)
 	Collect() CollectionStats
@@ -95,64 +98,105 @@ func regionProgram(t *testing.T, c worldCalls) (addrs []mem.Addr, reclaimed [][]
 	return addrs, reclaimed
 }
 
+// regionEdges is a scripted program for the edges of a region's caches.
+// Before each step it leaves carves outstanding in several classes
+// (tails: a plain 2-word object, then a 4-word atomic one between two
+// plain ones of its class), then takes the step: a typed allocation, an
+// explicit collection, and large rooted allocations until the heap
+// grows. It ends with tails outstanding. Between steps, probe(step)
+// sees the state the step starts from.
+func regionEdges(t *testing.T, w *World, c worldCalls, id alloc.DescID, probe func(step string)) (addrs []mem.Addr, reclaimed [][]mem.Addr) {
+	t.Helper()
+	ring := 0 // the next root slot: a ring over the root segment
+	root := func(p mem.Addr) {
+		if err := c.Store(regionRoots+mem.Addr(4*(ring%1000)), mem.Word(p)); err != nil {
+			t.Fatal(err)
+		}
+		ring++
+	}
+	allocate := func(nwords int, atomic bool) mem.Addr {
+		p, err := c.Allocate(nwords, atomic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, p)
+		return p
+	}
+	tails := func() {
+		root(allocate(2, false))
+		for _, atomic := range []bool{false, true, false} {
+			root(allocate(4, atomic))
+		}
+	}
+	// big chains the large objects, so that the heap must grow for them.
+	const bigRoot = regionRoots + 4*1000
+	for round := 0; round < 40; round++ {
+		tails()
+		probe("typed")
+		p, err := c.AllocateTyped(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, p)
+		c.RegisterFinalizable(p)
+		if round%2 == 0 {
+			root(p)
+		}
+		tails()
+		probe("collect")
+		c.Collect()
+		batch := c.DrainReclaimed()
+		slices.Sort(batch)
+		reclaimed = append(reclaimed, batch)
+		if round%8 == 0 {
+			tails()
+			probe("expansion")
+			for e := w.Heap.Stats().Expansions; w.Heap.Stats().Expansions == e; {
+				big := allocate(2*alloc.MaxSmallWords, false)
+				prev, err := c.Load(bigRoot)
+				if err == nil {
+					err = c.Store(big, prev)
+				}
+				if err == nil {
+					err = c.Store(bigRoot, mem.Word(big))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	tails()
+	allocate(8, false)
+	probe("end")
+	return addrs, reclaimed
+}
+
 // TestRegionBattery: a World.Run region is the per-call path. In every
-// mode the program runs call by call and inside one Run, and the two
+// mode each program runs call by call and inside one Run, and the two
 // give the same addresses, the same collections, the same reclaimed
 // objects and the same final heap, with the closure oracle at every
-// close. The beside-handle row runs the program in a region while a
-// second goroutine's handle allocates rooted objects: its fast path
-// goes on beside the region, the region's collections park it, and its
-// slow paths wait for the region to end.
+// close and the heap's integrity audit after the Run. regionProgram is
+// a random program of linked chains; regionEdges steps to each point
+// where a region's caches hold carves: an atomic allocation between
+// plain ones of its class, a typed allocation, a collection and a heap
+// expansion, each with tails outstanding in several classes, and the
+// end of the Run. The beside-handle row runs the program in a region
+// while a second goroutine's handle allocates rooted objects: its fast
+// path goes on beside the region, the region's collections park it, and
+// its slow paths wait for the region to end.
 func TestRegionBattery(t *testing.T) {
 	for _, mode := range Modes {
 		cfg := mode.Apply(Config{GCDivisor: 4, InitialHeapBytes: 64 << 10})
 		t.Run(mode.Name+"/calls-vs-region", func(t *testing.T) {
-			type run struct {
-				addrs     []mem.Addr
-				stats     []CollectionStats
-				reclaimed [][]mem.Addr
-				w         *World
-			}
-			play := func(inRegion bool) (r run) {
-				r.w = newWorld(t, cfg)
-				addData(t, r.w, "data", regionRoots, 4096)
-				installClosureOracle(t, r.w, func(st CollectionStats) { r.stats = append(r.stats, st) })
-				if !inRegion {
-					r.addrs, r.reclaimed = regionProgram(t, r.w)
-				} else if err := r.w.Run(func(rg *Region) error {
-					r.addrs, r.reclaimed = regionProgram(t, rg)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.w.VerifyIntegrity(); err != nil {
-					t.Fatalf("region=%v: %v", inRegion, err)
-				}
-				return r
-			}
-			calls, region := play(false), play(true)
-			if !slices.Equal(calls.addrs, region.addrs) {
-				t.Fatal("allocation addresses differ")
-			}
-			if len(calls.stats) < 8 || len(calls.stats) != len(region.stats) {
-				t.Fatalf("%d collections call by call, %d in the region; want the same, at least 8", len(calls.stats), len(region.stats))
-			}
-			for i := range calls.stats {
-				a, b := calls.stats[i], region.stats[i]
-				normalizeTimes(&a, &b)
-				if a != b {
-					t.Fatalf("collection %d:\ncalls  %+v\nregion %+v", i, a, b)
-				}
-			}
-			if !slices.EqualFunc(calls.reclaimed, region.reclaimed, slices.Equal) || len(slices.Concat(calls.reclaimed...)) == 0 {
-				t.Fatalf("reclaimed call by call %v, in the region %v; want the same, not empty", calls.reclaimed, region.reclaimed)
-			}
-			if a, b := calls.w.Heap.Stats(), region.w.Heap.Stats(); a != b {
-				t.Fatalf("final heap stats:\ncalls  %+v\nregion %+v", a, b)
-			}
-			if !maps.Equal(liveSet(calls.w), liveSet(region.w)) {
-				t.Fatal("final heaps hold different objects")
-			}
+			sameInRegion(t, cfg, 8, func(w *World, c worldCalls, _ alloc.DescID, _ func(string)) ([]mem.Addr, [][]mem.Addr) {
+				return regionProgram(t, c)
+			})
+		})
+		t.Run(mode.Name+"/edges", func(t *testing.T) {
+			sameInRegion(t, cfg, 40, func(w *World, c worldCalls, id alloc.DescID, probe func(string)) ([]mem.Addr, [][]mem.Addr) {
+				return regionEdges(t, w, c, id, probe)
+			})
 		})
 		t.Run(mode.Name+"/beside-handle", func(t *testing.T) {
 			w := newWorld(t, cfg)
@@ -191,6 +235,9 @@ func TestRegionBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-done
+			if err := w.Heap.CheckIntegrity(nil); err != nil {
+				t.Fatal(err)
+			}
 			if collections < 8 {
 				t.Fatalf("%d collections in the region, want at least 8", collections)
 			}
@@ -205,6 +252,72 @@ func TestRegionBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// sameInRegion runs program call by call and inside one Run on two
+// worlds of cfg and requires the same addresses, at least minCycles
+// collections with the same statistics, the same reclaimed objects and
+// the same final heap. In the region, probe requires carves outstanding
+// in at least two classes.
+func sameInRegion(t *testing.T, cfg Config, minCycles int, program func(w *World, c worldCalls, id alloc.DescID, probe func(step string)) ([]mem.Addr, [][]mem.Addr)) {
+	t.Helper()
+	type run struct {
+		addrs     []mem.Addr
+		stats     []CollectionStats
+		reclaimed [][]mem.Addr
+		w         *World
+	}
+	play := func(inRegion bool) (r run) {
+		r.w = newWorld(t, cfg)
+		addData(t, r.w, "data", regionRoots, 4096)
+		id, err := r.w.RegisterLayout([]bool{true, false, true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		installClosureOracle(t, r.w, func(st CollectionStats) { r.stats = append(r.stats, st) })
+		if !inRegion {
+			r.addrs, r.reclaimed = program(r.w, r.w, id, func(string) {})
+		} else if err := r.w.Run(func(rg *Region) error {
+			r.addrs, r.reclaimed = program(r.w, rg, id, func(step string) {
+				if n := bits.OnesCount64(rg.warm); n < 2 {
+					t.Fatalf("before the %s step the region holds carves in %d classes, want at least 2", step, n)
+				}
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.w.Heap.CheckIntegrity(nil); err != nil {
+			t.Fatalf("region=%v: %v", inRegion, err)
+		}
+		if err := r.w.VerifyIntegrity(); err != nil {
+			t.Fatalf("region=%v: %v", inRegion, err)
+		}
+		return r
+	}
+	calls, region := play(false), play(true)
+	if !slices.Equal(calls.addrs, region.addrs) {
+		t.Fatal("allocation addresses differ")
+	}
+	if len(calls.stats) < minCycles || len(calls.stats) != len(region.stats) {
+		t.Fatalf("%d collections call by call, %d in the region; want the same, at least %d", len(calls.stats), len(region.stats), minCycles)
+	}
+	for i := range calls.stats {
+		a, b := calls.stats[i], region.stats[i]
+		normalizeTimes(&a, &b)
+		if a != b {
+			t.Fatalf("collection %d:\ncalls  %+v\nregion %+v", i, a, b)
+		}
+	}
+	if !slices.EqualFunc(calls.reclaimed, region.reclaimed, slices.Equal) || len(slices.Concat(calls.reclaimed...)) == 0 {
+		t.Fatalf("reclaimed call by call %v, in the region %v; want the same, not empty", calls.reclaimed, region.reclaimed)
+	}
+	if a, b := calls.w.Heap.Stats(), region.w.Heap.Stats(); a != b {
+		t.Fatalf("final heap stats:\ncalls  %+v\nregion %+v", a, b)
+	}
+	if !maps.Equal(liveSet(calls.w), liveSet(region.w)) {
+		t.Fatal("final heaps hold different objects")
 	}
 }
 

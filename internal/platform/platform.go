@@ -224,7 +224,8 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 	return env, nil
 }
 
-// buildOtherLive allocates the profile's other live data.
+// buildOtherLive allocates the profile's other live data, in one
+// region: the world lock is taken once for the chain, not per call.
 func (e *Env) buildOtherLive() error {
 	const objWords = 64
 	n := e.Profile.OtherLiveBytes / (objWords * mem.WordBytes)
@@ -233,21 +234,27 @@ func (e *Env) buildOtherLive() error {
 		return err
 	}
 	var prev mem.Addr
-	for i := 0; i < n; i++ {
-		obj, err := e.World.Allocate(objWords, false)
-		if err != nil {
-			return err
+	err = e.World.Run(func(r *core.Region) error {
+		for i := 0; i < n; i++ {
+			obj, err := r.Allocate(objWords, false)
+			if err != nil {
+				return err
+			}
+			// Interior pointers to the previous object plus small-integer
+			// payload, like ordinary live program data.
+			if prev != 0 {
+				r.Store(obj, mem.Word(prev))
+				r.Store(obj+4, mem.Word(prev+8*mem.WordBytes))
+			}
+			for j := 2; j < 6; j++ {
+				r.Store(obj+mem.Addr(4*j), mem.Word(e.rng.Uint32n(4096)))
+			}
+			prev = obj
 		}
-		// Interior pointers to the previous object plus small-integer
-		// payload, like ordinary live program data.
-		if prev != 0 {
-			e.World.Store(obj, mem.Word(prev))
-			e.World.Store(obj+4, mem.Word(prev+8*mem.WordBytes))
-		}
-		for j := 2; j < 6; j++ {
-			e.World.Store(obj+mem.Addr(4*j), mem.Word(e.rng.Uint32n(4096)))
-		}
-		prev = obj
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return root.Store(0x3800, mem.Word(prev))
 }
