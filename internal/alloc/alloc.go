@@ -100,6 +100,12 @@ func classRangePanic(nwords int) {
 	panic(fmt.Sprintf("alloc: ClassFor(%d) out of small range", nwords))
 }
 
+// ListIndex returns the free-list index of a small request of nwords
+// words (see listIdx). Unlike ClassFor it leaves the range check to its
+// caller, which has made it, so that it inlines into an allocation
+// fast path together with the cache lookup it feeds.
+func ListIndex(nwords int, atomic bool) int { return listIdx(int(classOf[nwords]), atomic) }
+
 // IsLarge reports whether a request of nwords words is served as a
 // large (block-span) object.
 func IsLarge(nwords int) bool { return nwords > MaxSmallWords }

@@ -17,7 +17,8 @@ import (
 // batches from the central size-class lists. The same design here:
 //
 //   - A Mutator handle holds one cached span of carved free slots per
-//     (size class, atomic) pair. The common allocation is a pointer
+//     (size class, atomic) pair: a cacheSet (caches.go), the mechanism
+//     a World.Run region shares. The common allocation is a pointer
 //     bump along the span under the handle's own mutex: no central
 //     lock, no heap-memory access at all (every free slot is zero), so
 //     concurrent mutators never contend.
@@ -56,7 +57,7 @@ import (
 //     serves a plain Allocate. A carve for AllocateRooted is left
 //     white, since its slots go straight into a root, and the cache
 //     then serves plain allocations no more until the finale marks its
-//     remainder (allocCache.black). At every sweep, every cached slot
+//     remainder (caches.go, allocCache.black). At every sweep, every cached slot
 //     is therefore marked, and the sweep keeps it. The close takes the
 //     held slots back out of the survey, so sweep results and live
 //     statistics read what they would with empty caches, and a
@@ -86,25 +87,6 @@ import (
 // rebuilt lists, and how many it holds — the rest of a whole hole —
 // decides what the lists hand out next.
 
-// allocCache is one size class's cached carve: the slots [cursor,
-// limit), in steps of the object size, carved and not yet handed out.
-// words is the class's padded object size, recorded at refill; bump
-// steps by it. A Region keeps caches of this type too, never black
-// (World.Run).
-// black records that the unconsumed slots are marked: set by a carve
-// made for a plain allocation while a concurrent cycle marks, and by
-// markHeldLocked; cleared by every other carve. While a cycle marks,
-// only a black cache serves a plain Allocate, whose caller's Go local
-// is no root; a rooted allocation may take any slot (DESIGN.md §5g).
-// A budgeted tenant's handle has paid for every slot its caches hold:
-// the refill charges what it keeps of its carve, and returning a cache
-// uncharges what goes back.
-type allocCache struct {
-	words         int
-	cursor, limit mem.Addr
-	black         bool
-}
-
 // MutatorStats counts one handle's allocation activity.
 type MutatorStats struct {
 	// FastAllocs is how many allocations were served from a cached span
@@ -131,7 +113,7 @@ type MutatorStats struct {
 // All methods are safe to call while other mutators allocate and
 // collect concurrently.
 type Mutator struct {
-	w *World
+	cacheSet // the handle's caches and its world w (caches.go)
 	// src is the simulated machine scanned as this mutator's roots
 	// (nil for a pure allocation handle). Guarded by both w.mu and
 	// m.mu: the fast path reads it under m.mu; root scans read it
@@ -153,12 +135,7 @@ type Mutator struct {
 	// every load, holds it alone; the slow path holds only w.mu, which
 	// is safe because every other-goroutine access to this struct holds
 	// w.mu too.
-	mu     sync.Mutex
-	caches []allocCache
-	// warm has bit idx set while caches[idx] may hold slots: set by a
-	// refill, cleared when the cache is returned. The collector's passes
-	// over held slots (eachHeld) visit only these. Guarded like caches.
-	warm uint64
+	mu sync.Mutex
 	// seg is the segment the handle's last store or load found (nil
 	// before the first); stores and loads try it before searching the
 	// address space. Guarded by mu. A segment must not be unmapped
@@ -192,7 +169,7 @@ func (w *World) NewMutator() *Mutator { return w.newMutator(nil) }
 // newMutator is the shared body of World.NewMutator and
 // Tenant.NewMutator: t non-nil binds the handle to that tenant.
 func (w *World) newMutator(t *Tenant) *Mutator {
-	m := &Mutator{w: w, ten: t, caches: make([]allocCache, 2*alloc.NumClasses)}
+	m := &Mutator{cacheSet: newCacheSet(w), ten: t}
 	w.mu.Lock()
 	w.muts = append(w.muts, m)
 	if t != nil {
@@ -260,12 +237,7 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 		m.src.OnAllocate()
 	}
 	if nwords >= 1 && !alloc.IsLarge(nwords) {
-		class, words := alloc.ClassFor(nwords)
-		idx := class
-		if atomic {
-			idx += alloc.NumClasses
-		}
-		c := &m.caches[idx]
+		c, _ := m.cacheFor(nwords, atomic)
 		// Divert to the slow path at the allocation where the central
 		// trigger would fire: the collection must happen now, not when
 		// the cache next empties. A plain allocation while a cycle marks
@@ -287,7 +259,7 @@ func (m *Mutator) allocate(nwords int, atomic bool, dst *mem.Segment, at mem.Add
 				}
 			}
 			p := c.bump()
-			bytes := uint64(words) * mem.WordBytes
+			bytes := uint64(c.words) * mem.WordBytes
 			m.sinceGC += bytes
 			m.unpubObjects++
 			m.unpubBytes += bytes
@@ -324,45 +296,41 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 		return 0, err
 	}
 
-	var p mem.Addr
 	// tagged records that p already carries its owner tag (the carve
-	// paths tag every carved slot, including the one handed out now).
+	// tags every slot it keeps, including the one handed out now).
 	tagged := false
+	try := func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) }
 	if nwords >= 1 && !alloc.IsLarge(nwords) {
-		class, words := alloc.ClassFor(nwords)
-		idx := class
-		if atomic {
-			idx += alloc.NumClasses
-		}
+		c, idx := m.cacheFor(nwords, atomic)
 		// Return any cached remainder first: the carve must start
 		// from exactly the list state per-object allocation would see
 		// (the cache may be non-empty on a trigger diversion).
 		m.returnCacheLocked(idx)
-		c := &m.caches[idx]
-		carved := false
-		try := func() (mem.Addr, error) {
-			// One carve: the whole next hole. The first slot is
-			// consumed now; the rest is the fast path's.
+		try = func() (mem.Addr, error) {
+			// One carve: the whole next hole. The first slot is handed
+			// out now; the rest is the fast path's.
 			s, err := w.Heap.AllocSpan(nwords, atomic)
 			if err != nil {
 				return 0, err
 			}
-			slotBytes := mem.Addr(words * mem.WordBytes)
-			n := int((s.Limit - s.Cursor) / slotBytes)
 			if m.ten != nil && m.ten.budgeted() {
 				// A budgeted tenant pays for its carve now: the first slot
 				// was charged above, the rest as far as the budget has room.
 				// What it cannot pay for goes straight back, untagged and
-				// unmarked.
+				// unmarked. Every slot it keeps is tagged with the tenant as
+				// it was charged; a flush untags and uncharges whatever
+				// returns unconsumed, and until then the slots are owned and
+				// paid (Tenant.OwnedBytes counts them).
+				slotBytes := mem.Addr(s.Words * mem.WordBytes)
+				n := int((s.Limit - s.Cursor) / slotBytes)
 				if paid := 1 + m.ten.chargeUpTo(n-1, uint64(slotBytes)); paid < n {
 					cut := s.Cursor + mem.Addr(paid)*slotBytes
 					w.Heap.ReturnSpan(cut, s.Limit)
 					s.Limit = cut
-					n = paid
 				}
+				w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
+				tagged = true
 			}
-			c.cursor, c.limit = s.Cursor+slotBytes, s.Limit
-			carved = true
 			// Born black: a concurrent cycle is marking, and the carve
 			// serves a plain allocation, whose caller roots it nowhere
 			// the collector sees, so the finale must not sweep what the
@@ -372,36 +340,14 @@ func (m *Mutator) allocateSlow(nwords int, atomic bool, dst *mem.Segment, at mem
 			if c.black = w.cyc.active && dst == nil; c.black {
 				w.Heap.MarkHeldSpan(s.Cursor, s.Limit, true)
 			}
-			if m.ten != nil && m.ten.budgeted() {
-				// Tag every carved slot with the owning tenant, as it was
-				// charged: the first is consumed now, the rest as the fast
-				// path hands them out. A flush untags and uncharges
-				// whatever returns unconsumed; until then the slots are
-				// owned and paid (Tenant.OwnedBytes counts them).
-				w.Heap.TagOwnerSpan(s.Cursor, s.Limit, m.ten.id)
-				tagged = true
-			}
-			m.recordRefillLocked(idx, n, words)
-			return s.Cursor, nil
+			p, n := m.fill(idx, s)
+			m.stats.Refills++
+			m.stats.RunSlots += uint64(n)
+			return p, nil
 		}
-		desperate := func() (mem.Addr, error) {
-			carved = false
-			tagged = false
-			c.cursor, c.limit = 0, 0
-			return w.Heap.AllocDesperate(nwords, atomic)
-		}
-		p, err = w.allocateLocked(nwords, m.residue, dst != nil, try, desperate)
-		if err == nil && carved {
-			// A carve defers stats to consumption; its first slot was
-			// just handed out.
-			w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
-		}
-	} else {
-		// Large objects: the original per-object path, uncached.
-		p, err = w.allocateLocked(nwords, m.residue, dst != nil,
-			func() (mem.Addr, error) { return w.Heap.Alloc(nwords, atomic) },
-			func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 	}
+	p, err := w.allocateLocked(nwords, m.residue, dst != nil, try,
+		func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
 	m.settleTenantLocked(p, err, tenCharge, tagged)
 	if err != nil {
 		return 0, err
@@ -620,23 +566,15 @@ func (m *Mutator) resyncLocked() {
 func (m *Mutator) returnCacheLocked(idx int) int {
 	c := &m.caches[idx]
 	budgeted := m.ten != nil && m.ten.budgeted()
-	rest := 0
-	if c.cursor < c.limit {
-		if budgeted {
-			// Unconsumed slots were tagged and charged at carve; drop
-			// the tags (the charge goes back below) before the slots
-			// rejoin their list.
-			m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
-		}
-		// The tail goes back on top of its list, so that the very next
-		// carve re-issues the same cursor.
-		rest = m.w.Heap.ReturnSpan(c.cursor, c.limit)
+	if budgeted {
+		// Unconsumed slots were tagged and charged at carve; drop the
+		// tags before the slots rejoin their list, the charge after.
+		m.w.Heap.UntagOwnerSpan(c.cursor, c.limit)
 	}
-	c.cursor, c.limit = 0, 0
+	rest := m.put(idx)
 	if budgeted && rest > 0 {
 		m.ten.uncharge(uint64(rest * c.words * mem.WordBytes))
 	}
-	m.warm &^= 1 << uint(idx)
 	return rest
 }
 
@@ -647,54 +585,11 @@ func (m *Mutator) returnCacheLocked(idx int) int {
 func (m *Mutator) flushLocked() {
 	m.publishLocked()
 	flushed := 0
-	for idx := range m.caches {
-		flushed += m.returnCacheLocked(idx)
+	for m.warm != 0 {
+		flushed += m.returnCacheLocked(bits.TrailingZeros64(m.warm))
 	}
 	m.stats.FlushedSlots += uint64(flushed)
 	m.w.met.cacheFlushSlots.Add(uint64(flushed))
-}
-
-// bump hands out the cache's next slot, the one allocation step the
-// Mutator fast path and a Region share. Callers have checked that the
-// cache holds one (cursor < limit).
-func (c *allocCache) bump() mem.Addr {
-	p := c.cursor
-	c.cursor += mem.Addr(c.words * mem.WordBytes)
-	return p
-}
-
-// held returns how many carved slots the cache holds, not yet handed
-// out.
-func (c *allocCache) held() int {
-	if c.cursor < c.limit {
-		return int(c.limit-c.cursor) / (c.words * mem.WordBytes)
-	}
-	return 0
-}
-
-// appendHeld appends the addresses of the slots the cache holds, not
-// yet handed out, to out.
-func (c *allocCache) appendHeld(out []mem.Addr) []mem.Addr {
-	for p := c.cursor; p < c.limit; p += mem.Addr(c.words * mem.WordBytes) {
-		out = append(out, p)
-	}
-	return out
-}
-
-// recordRefillLocked notes one cache refill in the handle and world
-// observability. Callers hold w.mu.
-func (m *Mutator) recordRefillLocked(idx, n, words int) {
-	c := &m.caches[idx]
-	c.words = words
-	m.warm |= 1 << uint(idx)
-	m.stats.Refills++
-	m.stats.RunSlots += uint64(n)
-	w := m.w
-	w.met.cacheRefills.Inc()
-	w.met.cacheRefillSlots.Add(uint64(n))
-	if w.tracer.Enabled() {
-		w.tracer.Emit(trace.EvCacheRefill, int64(idx), int64(n), int64(words))
-	}
 }
 
 // parkMutatorsLocked is the one safepoint: acquire every handle's lock
@@ -741,17 +636,6 @@ func (w *World) resumeMutatorsLocked() {
 		m := w.muts[i]
 		m.resyncLocked()
 		m.mu.Unlock()
-	}
-}
-
-// eachHeld calls fn with every cache of the handle that holds carved
-// slots not yet handed out. Callers hold w.mu with the handle parked, or
-// m.mu.
-func (m *Mutator) eachHeld(fn func(c *allocCache)) {
-	for warm := m.warm; warm != 0; warm &= warm - 1 {
-		if c := &m.caches[bits.TrailingZeros64(warm)]; c.held() > 0 {
-			fn(c)
-		}
 	}
 }
 

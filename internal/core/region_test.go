@@ -354,3 +354,26 @@ func TestRegionAfterRunPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegionRefillsCarveWholeHoles: a region's refill carves its
+// class's whole next hole, not one slot, and counts it in cache_refills
+// and cache_refill_slots as a handle's refill does. 2 000 two-word
+// allocations in one Run must take at least eight slots per refill; a
+// refill of one slot per carve takes one.
+func TestRegionRefillsCarveWholeHoles(t *testing.T) {
+	w := newWorld(t, Config{})
+	if err := w.Run(func(r *Region) error {
+		for i := 0; i < 2000; i++ {
+			if _, err := r.Allocate(2, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	refills, slots := w.met.cacheRefills.Load(), w.met.cacheRefillSlots.Load()
+	if refills == 0 || slots < 8*refills {
+		t.Fatalf("%d refills carved %d slots, want at least one refill and 8 slots per refill", refills, slots)
+	}
+}

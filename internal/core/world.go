@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -441,11 +440,12 @@ type worldMetrics struct {
 	pacerCreditB  *metrics.Gauge
 	forcedFinales *metrics.Counter
 
-	// Safepoint and mutator-cache counters, maintained at the stop,
+	// Safepoint and allocation-cache counters, maintained at the stop,
 	// refill and flush sites rather than per cycle (a safepoint also
 	// parks the handles for heap growth, the integrity audit and the
 	// measurement passes; refills and explicit flushes happen between
-	// cycles).
+	// cycles). Refills count a World.Run region's as well as the
+	// handles' (cacheSet.fill); flushed slots are the handles' alone.
 	stwStops, stwPauseNs           *metrics.Counter
 	cacheRefills, cacheRefillSlots *metrics.Counter
 	cacheFlushSlots                *metrics.Counter
@@ -875,114 +875,6 @@ func (w *World) RootSource() RootSource {
 	defer w.mu.Unlock()
 	return w.mut
 }
-
-// Region is the world held for one Run: each method is the World method
-// of the same name without its lock pair. It is valid only inside the
-// Run that passed it; afterwards every call panics.
-//
-// Allocate serves small objects from the region's own caches, one per
-// size class and atomicity as a Mutator handle's: a bump while no cycle
-// is in flight and the trigger is not due, a carve of the class's whole
-// next hole when the cache is empty. Every unconsumed tail goes back
-// (flush) before anything that may collect and when the Run ends, so
-// the region hands out exactly the addresses the calls would (DESIGN.md
-// §5d).
-type Region struct {
-	w      *World
-	caches []allocCache
-	// warm has bit idx set while caches[idx] may hold slots.
-	warm uint64
-}
-
-// Run calls fn with the world lock held for all of it, so that a
-// single-threaded program pays for the lock once rather than on every
-// call (the paper's single-threaded GC_malloc takes none). Inside fn,
-// nothing may call a World or Mutator method that takes the world lock
-// (the rule collection hooks follow), and fn must not wait on another
-// goroutine that needs the world. Heap state read straight through
-// w.Heap inside fn may count the slots of an outstanding carve as
-// allocated; the Region methods that read or change it flush first.
-// Other goroutines' handles keep their fast paths, and a collection
-// inside fn parks them as usual (DESIGN.md §5d). Run returns fn's
-// error.
-func (w *World) Run(fn func(r *Region) error) error {
-	r := &Region{w: w, caches: make([]allocCache, 2*alloc.NumClasses)}
-	w.mu.Lock()
-	defer func() { r.flush(); r.w = nil; w.mu.Unlock() }()
-	return fn(r)
-}
-
-func (r *Region) Allocate(nwords int, atomic bool) (mem.Addr, error) {
-	w := r.w
-	if nwords >= 1 && !alloc.IsLarge(nwords) && !w.cyc.active {
-		if _, due := w.dueCycleLocked(); !due {
-			class, words := alloc.ClassFor(nwords)
-			idx := class
-			if atomic {
-				idx += alloc.NumClasses
-			}
-			if w.mut != nil {
-				w.mut.OnAllocate()
-			}
-			if c := &r.caches[idx]; c.cursor < c.limit {
-				p := c.bump()
-				w.Heap.CommitAllocs(1, uint64(words)*mem.WordBytes)
-				if w.mutResidue != nil {
-					w.mutResidue.SimulateCallResidue(w.cfg.AllocatorSelfClean, mem.Word(p), mem.Word(nwords))
-				}
-				return p, nil
-			}
-			return r.refill(idx, nwords, atomic)
-		}
-	}
-	r.flush()
-	return w.allocateDirect(nwords, atomic)
-}
-
-// refill serves an allocation whose cache is empty, with no cycle in
-// flight and the trigger not due, through the per-call retry policy:
-// one carve of the class's whole next hole, its first slot handed out.
-// Only a carve that fails can lead to a collection, so the other caches
-// are flushed there.
-func (r *Region) refill(idx, nwords int, atomic bool) (mem.Addr, error) {
-	w, c := r.w, &r.caches[idx]
-	return w.allocateLocked(nwords, w.mutResidue, false,
-		func() (mem.Addr, error) {
-			s, err := w.Heap.AllocSpan(nwords, atomic)
-			if err != nil {
-				r.flush()
-				return 0, err
-			}
-			c.words, c.cursor, c.limit = s.Words, s.Cursor, s.Limit
-			r.warm |= 1 << uint(idx)
-			w.Heap.CommitAllocs(1, uint64(s.Words)*mem.WordBytes)
-			return c.bump(), nil
-		},
-		func() (mem.Addr, error) { return w.Heap.AllocDesperate(nwords, atomic) })
-}
-
-// flush gives every cache's unconsumed tail back (ReturnSpan rewinds
-// its hole), leaving the heap as the calls would have.
-func (r *Region) flush() {
-	for ; r.warm != 0; r.warm &= r.warm - 1 {
-		c := &r.caches[bits.TrailingZeros64(r.warm)]
-		r.w.Heap.ReturnSpan(c.cursor, c.limit)
-		c.cursor, c.limit = 0, 0
-	}
-}
-
-func (r *Region) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
-	r.flush()
-	return r.w.allocateTypedDirect(id)
-}
-func (r *Region) Store(a mem.Addr, v mem.Word) error { return r.w.storeLocked(a, v) }
-func (r *Region) Load(a mem.Addr) (mem.Word, error)  { return r.w.Space.Load(a) }
-func (r *Region) Collect() CollectionStats {
-	r.flush()
-	return r.w.collectLocked(kindFull)
-}
-func (r *Region) RegisterFinalizable(a mem.Addr) { r.w.finalizable[a] = struct{}{} }
-func (r *Region) DrainReclaimed() []mem.Addr     { return r.w.drainReclaimedLocked() }
 
 // Allocate allocates an object of nwords words, collecting and/or
 // expanding the heap as needed. atomic marks the object pointer-free.

@@ -167,7 +167,7 @@ func NewMachine(w *World, cfg MachineConfig) (*Machine, error) {
 //	m := w.NewMutator()
 //	obj, _ := m.Allocate(2, false)           // usually lock-free of the central lock
 //	obj, _ = m.AllocateRooted(data, 0x2000, 2, false) // allocate + root atomically
-//	m.Collect()                              // stops and flushes every handle
+//	m.Collect()                              // stops every handle, caches kept
 type (
 	// Mutator is one goroutine's allocation handle onto a World.
 	Mutator = core.Mutator

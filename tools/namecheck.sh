@@ -68,7 +68,7 @@ found=$(
 )
 status=0
 while IFS= read -r name; do
-	if [ -n "$name" ] && ! printf '%s\n' "$allow" | cut -f1,2 | grep -qxF -- "$name"; then
+	if [ -n "$name" ] && ! grep -qxF -- "$name" <<<"$(cut -f1,2 <<<"$allow")"; then
 		echo "namecheck: ${name/$'\t'/: } names a mechanism that is gone; rename it for what it checks, or allowlist it in tools/namecheck.sh with the reason"
 		status=1
 	fi
@@ -78,7 +78,7 @@ if [ -n "${CONC_BATTERIES:-}" ]; then
 	IFS='|' read -ra alts <<<"$CONC_BATTERIES"
 	listed=$(go test -list . ./internal/core | grep -E '^(Test|Fuzz|Example)')
 	for alt in "${alts[@]}"; do
-		if ! printf '%s\n' "$listed" | grep -qE -- "$alt"; then
+		if ! grep -qE -- "$alt" <<<"$listed"; then
 			echo "namecheck: CONC_BATTERIES alternative '$alt' matches no test in internal/core"
 			status=1
 		fi
