@@ -202,6 +202,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzMarkCandidate$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzOwnerTable$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzZeroDeadRuns$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run XXX -fuzz '^FuzzSegmentAccess$$' -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentAlloc$$' -fuzztime $(FUZZTIME) ./internal/core

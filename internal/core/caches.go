@@ -132,6 +132,7 @@ func (c *allocCache) appendHeld(out []mem.Addr) []mem.Addr {
 // (DESIGN.md §5d).
 type Region struct {
 	cacheSet
+	heap *mem.Segment // the heap's first extent, which Store writes directly
 }
 
 // Run calls fn with the world lock held for all of it, so that a
@@ -146,7 +147,7 @@ type Region struct {
 // inside fn parks them as usual (DESIGN.md §5d). Run returns fn's
 // error.
 func (w *World) Run(fn func(r *Region) error) error {
-	r := &Region{newCacheSet(w)}
+	r := &Region{newCacheSet(w), w.Heap.Seg()}
 	w.mu.Lock()
 	defer func() { r.flush(); r.w = nil; w.mu.Unlock() }()
 	return fn(r)
@@ -207,8 +208,15 @@ func (r *Region) AllocateTyped(id alloc.DescID) (mem.Addr, error) {
 	r.flush()
 	return r.w.allocateTypedDirect(id)
 }
-func (r *Region) Store(a mem.Addr, v mem.Word) error { return r.w.storeLocked(a, v) }
-func (r *Region) Load(a mem.Addr) (mem.Word, error)  { return r.w.Space.Load(a) }
+
+// Store writes a word of r.heap directly if no barrier is due (DESIGN.md §5d).
+func (r *Region) Store(a mem.Addr, v mem.Word) error {
+	if r.w.barrierFree() && r.heap.TryStore(a, v) {
+		return nil
+	}
+	return r.w.storeLocked(a, v)
+}
+func (r *Region) Load(a mem.Addr) (mem.Word, error) { return r.w.Space.Load(a) }
 func (r *Region) Collect() CollectionStats {
 	r.flush()
 	return r.w.collectLocked(kindFull)

@@ -458,19 +458,17 @@ func (m *Mutator) Free(base mem.Addr) error {
 // synchronisation — as AllocateRooted's root store already was.
 func (m *Mutator) Store(a mem.Addr, v mem.Word) error {
 	w := m.w
-	if !w.cfg.Generational {
-		if !m.mu.TryLock() {
-			w.lockAwake(&m.mu)
-		}
-		if !w.cyc.active {
-			if s := m.segment(a); s != nil {
-				err := s.Store(a, v)
-				m.mu.Unlock()
-				return err
-			}
-		}
-		m.mu.Unlock()
+	if !m.mu.TryLock() {
+		w.lockAwake(&m.mu)
 	}
+	if w.barrierFree() {
+		if s := m.segment(a); s != nil {
+			err := s.Store(a, v)
+			m.mu.Unlock()
+			return err
+		}
+	}
+	m.mu.Unlock()
 	// The barrier path (and an unmapped address, which it reports).
 	w.mu.Lock()
 	defer w.mu.Unlock()

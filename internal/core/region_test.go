@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -375,5 +377,70 @@ func TestRegionRefillsCarveWholeHoles(t *testing.T) {
 	refills, slots := w.met.cacheRefills.Load(), w.met.cacheRefillSlots.Load()
 	if refills == 0 || slots < 8*refills {
 		t.Fatalf("%d refills carved %d slots, want at least one refill and 8 slots per refill", refills, slots)
+	}
+}
+
+// TestRegionStoreMatchesWorldStore: a region's store, whose hit path
+// writes the heap's words without a call, returns what World.Store
+// returns — the same error text, or nil — and leaves the same word
+// behind, on a twin world, at every kind of address and in every mode.
+func TestRegionStoreMatchesWorldStore(t *testing.T) {
+	const readOnlyBase = mem.Addr(0x6000)
+	for _, c := range []struct {
+		name string
+		addr func(w *World, obj mem.Addr) mem.Addr
+		// readOnlyHeap write-protects the heap's segment for the store.
+		readOnlyHeap bool
+		// want is what the error says, "" for none.
+		want string
+	}{
+		{"committed heap word", func(_ *World, obj mem.Addr) mem.Addr { return obj + mem.WordBytes }, false, ""},
+		{"unaligned heap address", func(_ *World, obj mem.Addr) mem.Addr { return obj + 1 }, false, "bad store"},
+		{"reserved uncommitted heap", func(w *World, _ mem.Addr) mem.Addr { return w.Heap.Limit() + mem.PageBytes }, false, "bad store"},
+		{"root data word", func(*World, mem.Addr) mem.Addr { return regionRoots + 8 }, false, ""},
+		{"read-only segment", func(*World, mem.Addr) mem.Addr { return readOnlyBase + 4 }, false, `"rodata": store to read-only segment`},
+		{"read-only heap", func(_ *World, obj mem.Addr) mem.Addr { return obj }, true, `"heap": store to read-only segment`},
+		{"unmapped address", func(*World, mem.Addr) mem.Addr { return 0x100 }, false, "store to unmapped address"},
+	} {
+		for _, mode := range Modes {
+			t.Run(mode.Name+"/"+c.name, func(t *testing.T) {
+				twin := func() (*World, mem.Addr) {
+					w := newWorld(t, mode.Apply(Config{InitialHeapBytes: 64 << 10}))
+					addData(t, w, "data", regionRoots, 4096)
+					addData(t, w, "rodata", readOnlyBase, 64).SetWritable(false)
+					obj, err := w.Allocate(4, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.Heap.Seg().SetWritable(!c.readOnlyHeap)
+					return w, obj
+				}
+				calls, obj := twin()
+				region, obj2 := twin()
+				a := c.addr(calls, obj)
+				if obj2 != obj || c.addr(region, obj2) != a {
+					t.Fatalf("twin worlds differ: objects %#x and %#x", uint32(obj), uint32(obj2))
+				}
+				const v = mem.Word(0x5EED)
+				errCalls := calls.Store(a, v)
+				var errRegion error
+				if err := region.Run(func(r *Region) error { errRegion = r.Store(a, v); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(errCalls) != fmt.Sprint(errRegion) {
+					t.Fatalf("store at %#x: World.Store %v, Region.Store %v", uint32(a), errCalls, errRegion)
+				}
+				if (c.want == "") != (errCalls == nil) || errCalls != nil && !strings.Contains(errCalls.Error(), c.want) {
+					t.Fatalf("store at %#x: %v, want %q", uint32(a), errCalls, c.want)
+				}
+				back := mem.AlignWordDown(a)
+				vc, errc := calls.Load(back)
+				vr, errr := region.Load(back)
+				if vc != vr || fmt.Sprint(errc) != fmt.Sprint(errr) {
+					t.Fatalf("word at %#x reads %#x (%v) after World.Store, %#x (%v) after Region.Store",
+						uint32(back), uint32(vc), errc, uint32(vr), errr)
+				}
+			})
+		}
 	}
 }

@@ -1210,3 +1210,6 @@ func (w *World) storeLocked(a mem.Addr, v mem.Word) error {
 	}
 	return w.Space.Store(a, v)
 }
+
+// barrierFree reports whether a store may skip storeLocked; callers hold w.mu or a handle's lock.
+func (w *World) barrierFree() bool { return !w.cyc.active && !w.cfg.Generational }

@@ -243,18 +243,36 @@ func (f *Frame) Words() int { return f.rec().words - f.m.cfg.FrameSlopWords }
 
 // Addr returns the address of frame slot i.
 func (f *Frame) Addr(i int) mem.Addr {
+	return f.m.seg.Base() + mem.Addr(f.slot(i)*mem.WordBytes)
+}
+
+// slot returns the stack-segment index of frame slot i, panicking as Addr
+// does; its panic value formats itself, so that slot inlines.
+func (f *Frame) slot(i int) int {
 	r := f.rec()
-	if i < 0 || i >= r.words {
-		panic(fmt.Sprintf("machine: frame slot %d out of %d", i, r.words))
+	if uint(i) >= uint(r.words) {
+		panic(slotRangeError{i, r.words})
 	}
-	return r.base + mem.Addr(i*mem.WordBytes)
+	return int(r.base-f.m.seg.Base())/mem.WordBytes + i
+}
+
+type slotRangeError struct{ i, words int }
+
+func (e slotRangeError) Error() string {
+	return fmt.Sprintf("machine: frame slot %d out of %d", e.i, e.words)
 }
 
 // Store writes v to frame slot i.
-func (f *Frame) Store(i int, v mem.Word) error { return f.m.seg.Store(f.Addr(i), v) }
+func (f *Frame) Store(i int, v mem.Word) error {
+	if s := f.m.seg; s.Writable() {
+		s.Words()[f.slot(i)] = v
+		return nil
+	}
+	return f.m.seg.Store(f.Addr(i), v) // the read-only error
+}
 
 // Load reads frame slot i.
-func (f *Frame) Load(i int) (mem.Word, error) { return f.m.seg.Load(f.Addr(i)) }
+func (f *Frame) Load(i int) (mem.Word, error) { return f.m.seg.Words()[f.slot(i)], nil }
 
 // Clear zeroes the frame's written slots and its slop, modelling the
 // paper's "have the allocator and collector carefully clean up after

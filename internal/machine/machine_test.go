@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,8 +79,15 @@ func TestFrameSlop(t *testing.T) {
 	_ = f.Addr(9)
 }
 
+// TestFrameStoreLoad: a slot stored reads back. Store and Load index
+// the stack's words directly, so the handle's checks are all that stands
+// between a bad slot and a write into a neighbour's words: through a
+// popped frame and at a slot out of range (the frame holds two words and
+// two of slop) each call must panic with its message and leave every
+// stack word as it was.
 func TestFrameStoreLoad(t *testing.T) {
-	m := newMachine(t, Config{})
+	m := newMachine(t, Config{FrameSlopWords: 2})
+	outer, _ := m.PushFrame(1)
 	f, _ := m.PushFrame(2)
 	if err := f.Store(1, 0xCAFE); err != nil {
 		t.Fatal(err)
@@ -86,12 +96,45 @@ func TestFrameStoreLoad(t *testing.T) {
 	if err != nil || v != 0xCAFE {
 		t.Fatalf("Load = %v, %v", v, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range slot did not panic")
+	popped, _ := m.PushFrame(2)
+	m.PopFrame()
+	for _, c := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"Addr past the slop", "machine: frame slot 4 out of 4", func() { f.Addr(4) }},
+		{"Store through a popped frame", "machine: use of popped frame", func() { popped.Store(0, 0xBAD) }},
+		{"Load through a popped frame", "machine: use of popped frame", func() { popped.Load(0) }},
+		{"Store past the slop", "machine: frame slot 4 out of 4", func() { f.Store(4, 0xBAD) }},
+		{"Store below slot 0", "machine: frame slot -1 out of 4", func() { f.Store(-1, 0xBAD) }},
+		{"Load past the slop", "machine: frame slot 4 out of 4", func() { f.Load(4) }},
+		{"Load below slot 0", "machine: frame slot -1 out of 4", func() { f.Load(-1) }},
+	} {
+		before := append([]mem.Word(nil), m.Seg().Words()...)
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s did not panic", c.name)
+				}
+				if got := fmt.Sprint(r); got != c.want {
+					t.Fatalf("%s panicked with %q, want %q", c.name, got, c.want)
+				}
+			}()
+			c.call()
+		}()
+		if !slices.Equal(before, m.Seg().Words()) {
+			t.Fatalf("%s wrote to the stack", c.name)
 		}
-	}()
-	f.Addr(2)
+	}
+	// A write-protected stack refuses a spill with the segment's error.
+	m.Seg().SetWritable(false)
+	if err := outer.Store(0, 0xBAD); err == nil || !strings.Contains(err.Error(), "store to read-only segment") {
+		t.Fatalf("spill to a read-only stack: %v", err)
+	}
+	if v, _ := outer.Load(0); v != 0 {
+		t.Fatalf("a refused spill wrote %#x", uint32(v))
+	}
 }
 
 func TestStackOverflow(t *testing.T) {

@@ -173,14 +173,14 @@ func (s *Segment) Writable() bool { return s.writable }
 // read-only segment fail; loads and root scanning are unaffected.
 func (s *Segment) SetWritable(w bool) { s.writable = w }
 
-// Contains reports whether a lies in the committed region.
-func (s *Segment) Contains(a Addr) bool { return a >= s.base && a < s.Limit() }
+// Contains reports whether a lies in the committed region (even if Limit wraps to 0).
+func (s *Segment) Contains(a Addr) bool { return uint(a-s.base) < uint(len(s.words))*WordBytes }
 
 // InReserved reports whether a lies in the reserved region (committed
 // or not). For the heap segment this is the paper's "vicinity of the
 // heap": an invalid value pointing here could become a valid object
 // address after future heap growth, so it must be blacklisted.
-func (s *Segment) InReserved(a Addr) bool { return a >= s.base && a < s.ReservedLimit() }
+func (s *Segment) InReserved(a Addr) bool { return uint(a-s.base) < uint(s.reserved)*WordBytes }
 
 // Grow commits n additional bytes (a word multiple). The newly
 // committed words are zero.
@@ -196,35 +196,38 @@ func (s *Segment) Grow(n int) error {
 	return nil
 }
 
-// wordIndex converts a to an index into s.words, reporting ok=false when
-// a is outside the committed region or not word-aligned.
-func (s *Segment) wordIndex(a Addr) (int, bool) {
-	if !s.Contains(a) || !WordAligned(a) {
-		return 0, false
-	}
-	return int(a-s.base) / WordBytes, true
-}
-
 // Load returns the word at word-aligned address a.
 func (s *Segment) Load(a Addr) (Word, error) {
-	i, ok := s.wordIndex(a)
-	if !ok {
-		return 0, fmt.Errorf("mem: segment %q: bad load at %#x", s.name, uint32(a))
+	if i := uint(a-s.base) / WordBytes; i < uint(len(s.words)) && a%WordBytes == 0 {
+		return s.words[i], nil
 	}
-	return s.words[i], nil
+	return 0, s.accessError("bad load", a)
 }
 
 // Store writes w to word-aligned address a.
 func (s *Segment) Store(a Addr, w Word) error {
-	i, ok := s.wordIndex(a)
-	if !ok {
-		return fmt.Errorf("mem: segment %q: bad store at %#x", s.name, uint32(a))
+	if s.TryStore(a, w) {
+		return nil
 	}
-	if !s.writable {
-		return fmt.Errorf("mem: segment %q: store to read-only segment at %#x", s.name, uint32(a))
+	if !s.Contains(a) || !WordAligned(a) {
+		return s.accessError("bad store", a)
 	}
-	s.words[i] = w
-	return nil
+	return s.accessError("store to read-only segment", a)
+}
+
+// TryStore is Store's inlined hit path: it writes w and reports true if
+// a is a committed, word-aligned address and s is writable.
+func (s *Segment) TryStore(a Addr, w Word) bool {
+	if i := uint(a-s.base) / WordBytes; i < uint(len(s.words)) && a%WordBytes == 0 && s.writable {
+		s.words[i] = w
+		return true
+	}
+	return false
+}
+
+//go:noinline
+func (s *Segment) accessError(what string, a Addr) error {
+	return fmt.Errorf("mem: segment %q: %s at %#x", s.name, what, uint32(a))
 }
 
 // LoadByte returns the byte at address a. The simulated machine is
@@ -288,7 +291,7 @@ func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 // existing segment's reserved region.
 func (as *AddressSpace) Map(s *Segment) error {
 	for _, t := range as.segs {
-		if s.base < t.ReservedLimit() && t.base < s.ReservedLimit() {
+		if uint64(s.base) < uint64(t.base)+uint64(t.ReservedSize()) && uint64(t.base) < uint64(s.base)+uint64(s.ReservedSize()) {
 			return fmt.Errorf("mem: segment %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				s.name, uint32(s.base), uint32(s.ReservedLimit()),
 				t.name, uint32(t.base), uint32(t.ReservedLimit()))

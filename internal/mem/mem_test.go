@@ -184,16 +184,21 @@ func TestLoadStore(t *testing.T) {
 	if err != nil || w != 0xDEADBEEF {
 		t.Fatalf("Load = %#x, %v", uint32(w), err)
 	}
-	// Unaligned and out-of-range accesses fail.
-	if _, err := s.Load(0x2005); err == nil {
-		t.Error("unaligned load should fail")
+	// Unaligned and out-of-range accesses fail, naming the segment, the
+	// access and the address.
+	wantErr := func(err error, want string) {
+		t.Helper()
+		if err == nil || err.Error() != want {
+			t.Errorf("error %v, want %q", err, want)
+		}
 	}
-	if _, err := s.Load(0x2000 + 64); err == nil {
-		t.Error("out-of-range load should fail")
-	}
-	if err := s.Store(0x1FFC, 1); err == nil {
-		t.Error("store below base should fail")
-	}
+	_, err = s.Load(0x2005)
+	wantErr(err, `mem: segment "d": bad load at 0x2005`)
+	_, err = s.Load(0x2000 + 64)
+	wantErr(err, `mem: segment "d": bad load at 0x2040`)
+	wantErr(s.Store(0x2006, 1), `mem: segment "d": bad store at 0x2006`)
+	wantErr(s.Store(0x2000+64, 1), `mem: segment "d": bad store at 0x2040`)
+	wantErr(s.Store(0x1FFC, 1), `mem: segment "d": bad store at 0x1ffc`)
 }
 
 func TestByteAccessBigEndian(t *testing.T) {
@@ -323,6 +328,19 @@ func TestAddressSpaceOverlapRejected(t *testing.T) {
 	if err := as.Map(c); err != nil {
 		t.Fatalf("adjacent segment rejected: %v", err)
 	}
+	// A segment ending at the top of the address space has a
+	// ReservedLimit of 0; an overlap with it is still an overlap.
+	top, _ := NewSegment("top", KindData, 0xFFFFE000, PageBytes, 2*PageBytes)
+	if err := as.Map(top); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := NewSegment("d", KindData, 0xFFFFF000, PageBytes, PageBytes)
+	if err := as.Map(d); err == nil {
+		t.Fatal("overlap with a segment ending at the top of the address space should be rejected")
+	}
+	if as.Find(0xFFFFFFFC) != top || !top.InReserved(0xFFFFFFFC) || top.Contains(0xFFFFF000) {
+		t.Fatal("the top segment's reserved tail is misread")
+	}
 }
 
 func TestAddressSpaceLoadStore(t *testing.T) {
@@ -443,8 +461,15 @@ func TestReadOnlySegment(t *testing.T) {
 	if s.Writable() {
 		t.Fatal("SetWritable(false) had no effect")
 	}
-	if err := s.Store(0x2004, 1); err == nil {
-		t.Fatal("store to read-only segment succeeded")
+	if err := s.Store(0x2004, 1); err == nil || err.Error() != `mem: segment "rodata": store to read-only segment at 0x2004` {
+		t.Fatalf("store to read-only segment: %v", err)
+	}
+	// The range is checked before the protection.
+	if err := s.Store(0x2000+64, 1); err == nil || err.Error() != `mem: segment "rodata": bad store at 0x2040` {
+		t.Fatalf("out-of-range store to read-only segment: %v", err)
+	}
+	if v, _ := s.Load(0x2004); v != 0 {
+		t.Fatalf("a refused store wrote %#x", uint32(v))
 	}
 	if err := s.StoreByte(0x2001, 1); err == nil {
 		t.Fatal("byte store to read-only segment succeeded")
