@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint names build test allocs race bench bench-smoke perfbench-test perfbench-smoke benchjson soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
+.PHONY: ci fmt vet lint names inlines build test allocs race bench bench-smoke perfbench-test perfbench-smoke benchjson soak tenantsoak leaksoak benchgate heapdump-smoke fuzz-smoke
 
 ci: fmt vet lint build test perfbench-test benchgate race
 
@@ -18,7 +18,7 @@ vet:
 # Static analysis beyond vet. Both tools are optional locally (the CI
 # workflow installs them); skip with a note when absent so `make ci`
 # stays runnable on a bare toolchain. The name check needs neither.
-lint: names
+lint: names inlines
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -35,6 +35,14 @@ lint: names
 # name a test.
 names:
 	@CONC_BATTERIES='$(CONC_BATTERIES)' bash tools/namecheck.sh
+
+# The hot paths' small callees must stay inlined: the mark loop's
+# small-block rule (smallSlot) and mark-bit step (setMark), a region's
+# plain store (barrierFree, TryStore), a frame's slot access and the
+# size-class lookup of both allocation fast paths. Each costs close to
+# the inliner's budget, and no test fails when one stops inlining.
+inlines:
+	@bash tools/inlinecheck.sh
 
 build:
 	$(GO) build ./...
@@ -111,7 +119,8 @@ bench:
 # in the root package,
 # the refill rung BenchmarkHoleRefill/{fresh,swept,fragmented} in
 # internal/alloc,
-# BenchmarkMarkLiveGraph and its halves2 variant in internal/mark).
+# BenchmarkMarkLiveGraph and its halves2 and chain variants in
+# internal/mark).
 bench-smoke: perfbench-smoke
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/gcbench -experiment servebench -tenants 32 -requests 6 > /dev/null
@@ -202,6 +211,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzMarkCandidate$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzOwnerTable$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzZeroDeadRuns$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run XXX -fuzz '^FuzzScanCandidates$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run XXX -fuzz '^FuzzSegmentAccess$$' -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark

@@ -376,8 +376,8 @@ type Allocator struct {
 	// an extent search. Maintained by New and addExtent.
 	hullLo, hullHi mem.Addr
 	// words0 caches extents[0].seg.Words() — the whole heap while there
-	// is one extent (FlatWords) — so the mark loop slices a popped
-	// object's words without chasing extent and segment pointers.
+	// is one extent — so the mark loop (Scan) slices a popped object's
+	// words without chasing extent and segment pointers.
 	// Refreshed by Expand, the only place a heap segment grows.
 	words0 []mem.Word
 	// lastExtent caches the extent index of the most recent successful

@@ -79,14 +79,15 @@ const (
 // objects resolve to slot 0 of their head block, whose one-word bitmap
 // holds their mark.
 //
-// mode folds the mark-bit transition into the same lookup, so that the
-// mark loop's per-candidate step is this one call: out is WonScan or
-// WonAtomic when this call set the bit, Already when the object is
-// valid and the bit was not set by this call — it was set before, or
-// mode is markNone.
+// mode folds the mark-bit transition into the same lookup, so that a
+// candidate the mark loop cannot settle inline is this one call: out is
+// WonScan or WonAtomic when this call set the bit, Already when the
+// object is valid and the bit was not set by this call — it was set
+// before, or mode is markNone.
 //
 // Everything that asks "is this an object?" — FindObject, the mark
-// entry points, IsAllocated — goes through here, so the rules exist
+// entry points, IsAllocated — goes through here, and the mark loop
+// (Scan) shares its small-block rule, smallSlot, so the rules exist
 // once.
 func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockDesc, slot int, g Gray, out MarkOutcome) {
 	var bi int
@@ -110,17 +111,8 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 	base := mem.AlignPageDown(p)
 	switch b.state {
 	case blockSmall:
-		// The slot index and its bound come from the descriptor's cached
-		// geometry: no table load on the way to the bitmaps.
-		slot = int(uint32(pageWordOff(p)) * b.slotRecip >> recipShift)
-		if slot >= int(b.slots) {
-			return nil, 0, 0, NotObject // block-tail waste
-		}
-		base = slotAddr(base, slot, int(b.objWords))
-		if p != base && !interior {
-			return nil, 0, 0, NotObject
-		}
-		if !bitGet(b.allocBits, slot) {
+		var ok bool
+		if slot, base, ok = b.smallSlot(p, interior); !ok {
 			return nil, 0, 0, NotObject
 		}
 	case blockLargeCont:
@@ -156,6 +148,17 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 		out += won
 	}
 	return b, slot, b.gray(base), out
+}
+
+// smallSlot is the small-block validity rule, stated once for resolve
+// and Scan: p, in small block b, falls in slot, whose object is at base.
+// ok is false for block-tail waste, an interior p under the base-only
+// policy and a free slot. The cached geometry spares a table load.
+func (b *blockDesc) smallSlot(p mem.Addr, interior bool) (slot int, base mem.Addr, ok bool) {
+	slot = int(uint32(pageWordOff(p)) * b.slotRecip >> recipShift)
+	base = slotAddr(mem.AlignPageDown(p), slot, int(b.objWords))
+	ok = slot < int(b.slots) && (p == base || interior) && bitGet(b.allocBits, slot)
+	return
 }
 
 // setMark sets the mark bit of slot and maintains the block's mark
@@ -274,8 +277,8 @@ func (b *blockDesc) gray(base mem.Addr) Gray {
 // block lookup: the validity check of FindObject, the mark-bit
 // transition of Mark, and the span and scan kind the loop needs to
 // account for the object and queue it. g is valid for every outcome but
-// NotObject. The wrapper inlines, so that the loop's one call per
-// candidate is resolve itself.
+// NotObject. It is the step Scan takes for a candidate its inline
+// small-block lookup does not cover, offered one candidate at a time.
 func (a *Allocator) MarkCandidate(p mem.Addr, interior bool) (g Gray, out MarkOutcome) {
 	_, _, g, out = a.resolve(p, interior, markSet)
 	return
@@ -288,17 +291,6 @@ func (a *Allocator) MarkCandidate(p mem.Addr, interior bool) (g Gray, out MarkOu
 func (a *Allocator) ScanView(base mem.Addr) (g Gray, scanned bool) {
 	b := &a.blocks[a.blockIndex(base)]
 	return b.gray(base), !b.atomic
-}
-
-// FlatWords returns the whole heap as one word slice starting at the
-// hull's low bound, or nil when the heap has several extents. The mark
-// loop cuts a popped object's words out of it without a call or a
-// lookup; the slice is valid until the heap next grows.
-func (a *Allocator) FlatWords() []mem.Word {
-	if len(a.extents) > 1 {
-		return nil
-	}
-	return a.words0
 }
 
 // GrayWords returns the heap words of g's object, on any heap. Objects

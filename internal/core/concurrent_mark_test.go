@@ -542,3 +542,53 @@ func FuzzConcurrentMark(f *testing.F) {
 		}
 	})
 }
+
+// TestBarrierShadesOnlyTheStoredValue pins the insertion barrier's
+// bound from above: a store mid-cycle shades the value stored, never the
+// value it overwrites. P is rooted and points at X; the snapshot leaves
+// P gray with nothing drained, and a store then repoints P's field at Y
+// before any chunk runs. X was reachable only through that field, so the
+// cycle must free it, and Y, reachable only through the store, must
+// survive. A barrier that also shades the old word keeps X.
+func TestBarrierShadesOnlyTheStoredValue(t *testing.T) {
+	for _, mode := range Modes {
+		if !mode.ConcurrentMark {
+			continue
+		}
+		t.Run(mode.Name, func(t *testing.T) {
+			w := newWorld(t, mode.Apply(Config{GCDivisor: -1}))
+			installClosureOracle(t, w, nil)
+			addData(t, w, "data", 0x2000, 4096)
+			var p, x, y mem.Addr
+			for _, a := range []*mem.Addr{&p, &x, &y} {
+				var err error
+				if *a, err = w.Allocate(2, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, st := range []struct{ at, v mem.Addr }{{0x2000, p}, {p, x}} {
+				if err := w.Store(st.at, mem.Word(st.v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.StartConcurrentCycle(); err != nil {
+				t.Fatal(err)
+			}
+			if !markedNow(w, p) || markedNow(w, x) || markedNow(w, y) {
+				t.Fatalf("after the snapshot: P marked %v, X %v, Y %v; want P gray and nothing drained",
+					markedNow(w, p), markedNow(w, x), markedNow(w, y))
+			}
+			if err := w.Store(p, mem.Word(y)); err != nil {
+				t.Fatal(err)
+			}
+			concFinish(t, w)
+			if !w.Heap.IsAllocated(p) || !w.Heap.IsAllocated(y) {
+				t.Errorf("P allocated %v, Y allocated %v after the cycle, want both kept",
+					w.Heap.IsAllocated(p), w.Heap.IsAllocated(y))
+			}
+			if w.Heap.IsAllocated(x) {
+				t.Error("X, reachable only through the overwritten word, survived the cycle")
+			}
+		})
+	}
+}

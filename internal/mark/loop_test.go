@@ -598,3 +598,52 @@ func TestParallelSparseRoots(t *testing.T) {
 		})
 	}
 }
+
+// TestStraddleProvenance records a root area scanned at every byte
+// offset, long enough that its straddling candidates are classified in
+// several chunks: each first-mark through a straddling candidate must
+// name the root word it starts in and its byte offset, on both sides of
+// a chunk boundary, and an aligned one must name its word.
+func TestStraddleProvenance(t *testing.T) {
+	f := newFixture(t, Config{Policy: PointerBase, Alignment: AnyByteOffset})
+	words := make([]mem.Word, 150)
+	type want struct {
+		index int32
+		off   uint8
+	}
+	wants := map[mem.Addr]want{}
+	for _, w := range []want{{3, 0}, {10, 1}, {63, 3}, {65, 2}, {128, 1}} {
+		p := f.alloc(t, 2, false)
+		wants[p] = w
+		if w.off == 0 {
+			words[w.index] = mem.Word(p)
+			continue
+		}
+		// Word index holds the candidate's first 4-off bytes, big-endian,
+		// and the next word the rest.
+		sh := 8 * uint(w.off)
+		words[w.index] |= mem.Word(uint32(p) >> sh)
+		words[w.index+1] |= mem.Word(uint32(p) << (32 - sh))
+	}
+	const area = mem.Addr(0x2000)
+	f.m.StartRecording()
+	f.m.MarkRootArea(RootOrigin{Kind: RootSegment, Src: 1, Base: area}, words)
+	recs := f.m.StopRecording()
+	if len(recs) != len(wants) {
+		t.Fatalf("%d records, want %d", len(recs), len(wants))
+	}
+	for _, r := range recs {
+		w, ok := wants[r.Obj]
+		if !ok {
+			t.Fatalf("record for unexpected object %#x", uint32(r.Obj))
+		}
+		ref := RefExact
+		if w.off != 0 {
+			ref = RefUnaligned
+		}
+		if r.Index != w.index || r.Off != w.off || r.Ref != ref || r.Parent != area+mem.Addr(w.index)*mem.WordBytes {
+			t.Errorf("object %#x: index %d off %d ref %v parent %#x, want index %d off %d ref %v parent %#x",
+				uint32(r.Obj), r.Index, r.Off, r.Ref, uint32(r.Parent), w.index, w.off, ref, uint32(area+mem.Addr(w.index)*mem.WordBytes))
+		}
+	}
+}

@@ -15,7 +15,8 @@
 //   - anything else: ignored.
 //
 // Marking is iterative with an explicit mark stack rather than the
-// figure's recursion, as in the real collector.
+// figure's recursion, as in the real collector. The loop itself is the
+// allocator's (alloc.Allocator.Scan); the marker keeps what is policy.
 //
 // Root candidate extraction supports two alignment regimes (paper,
 // section 2 and figure 1): word-aligned candidates only, or every byte
@@ -89,17 +90,10 @@ type Config struct {
 	Blacklist blacklist.List
 }
 
-// Stats counts one marking cycle's activity (reset by Reset).
-type Stats struct {
-	WordsScanned     uint64 // root words examined
-	Candidates       uint64 // candidate values tested (≥ WordsScanned under AnyByteOffset)
-	ObjectsMarked    uint64
-	BytesMarked      uint64
-	FieldsScanned    uint64 // heap object words examined
-	FalseNearHeap    uint64 // invalid candidates in the heap's vicinity (blacklisted)
-	AtomicSkipped    uint64 // marked objects whose contents were not scanned
-	InteriorResolved uint64 // valid candidates that were not base addresses
-}
+// Stats counts one marking cycle's activity (reset by Reset): the mark
+// loop's counters and the marker's own two, WordsScanned and
+// FalseNearHeap.
+type Stats = alloc.MarkStats
 
 // Marker performs conservative marking over one heap.
 type Marker struct {
@@ -110,16 +104,16 @@ type Marker struct {
 	// entry carrying the object's span (alloc.Gray), so a pop goes
 	// straight to the object's words.
 	stack []alloc.Gray
-	stats Stats
+	// k is the mark loop's state between kernel calls, Stats included.
+	k alloc.ScanState
 	// tracer receives blacklist-addition events; nil (the default)
 	// disables them at the cost of one compare per false reference.
 	tracer *trace.Recorder
-	// rec enables provenance recording (provenance.go): recs collects
-	// one ParentRecord per first-mark, org tracks the scan context the
-	// current candidates come from. Off by default; every touch of org
-	// or recs is guarded by rec, so unrecorded cycles pay only
-	// predictable branches and allocate nothing.
-	rec  bool
+	// k.Record enables provenance recording (provenance.go): recs
+	// collects one ParentRecord per first-mark, org tracks the scan
+	// context the current candidates come from. Off by default; every
+	// touch of org or recs is guarded by k.Record, so unrecorded cycles
+	// pay only predictable branches and allocate nothing.
 	recs []ParentRecord
 	org  provOrigin
 }
@@ -130,7 +124,9 @@ func New(heap *alloc.Allocator, cfg Config) *Marker {
 	if bl == nil {
 		bl = blacklist.Disabled{}
 	}
-	return &Marker{heap: heap, cfg: cfg, bl: bl, stack: make([]alloc.Gray, 0, 1024)}
+	m := &Marker{heap: heap, cfg: cfg, bl: bl, stack: make([]alloc.Gray, 0, 1024)}
+	m.k.Interior = cfg.Policy == PointerInterior
+	return m
 }
 
 // Config returns the marker's configuration.
@@ -143,12 +139,12 @@ func (m *Marker) SetTracer(r *trace.Recorder) { m.tracer = r }
 // Reset clears per-cycle statistics. Mark bits are owned by the
 // allocator and cleared by its sweep.
 func (m *Marker) Reset() {
-	m.stats = Stats{}
+	m.k.Stats = Stats{}
 	m.stack = m.stack[:0]
 }
 
 // Stats returns the current cycle's statistics.
-func (m *Marker) Stats() Stats { return m.stats }
+func (m *Marker) Stats() Stats { return m.k.Stats }
 
 // MarkValue processes one candidate value: figure 2 of the paper,
 // without the recursion (the object is pushed for Drain to scan).
@@ -166,109 +162,49 @@ func (m *Marker) MarkValue(v mem.Word) {
 // unmarked until now. While recording, a first-mark made here names the
 // stored-into word as the object's parent.
 func (m *Marker) Shade(org RootOrigin, index int32, v mem.Word) bool {
-	if m.rec {
+	if m.k.Record {
 		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src, base: index}
 	}
-	before := m.stats.ObjectsMarked
+	before := m.k.Stats.ObjectsMarked
 	c := [1]mem.Word{v}
 	m.scan(c[:], false, 0)
-	return m.stats.ObjectsMarked != before
+	return m.k.Stats.ObjectsMarked != before
 }
 
-// scan is the mark loop: figure 2's classification of every word in ws,
-// stated once — root areas, register files, single values and the
-// fields of gray objects all come through here. Each nonzero word is a
-// valid object address (the object is marked and, unless pointer-free,
-// pushed), or an invalid value in the heap's vicinity (blacklisted), or
-// neither (ignored). dense says ws is a root area, where zero words
-// count as Candidates too; object fields and register files skip them
-// uncounted (zero is never a heap address).
-//
-// Having classified ws, the loop goes on to pop up to budget gray
-// objects and classify their words in turn (open), so a drain is one
-// call, not one per object; it returns what is left of the budget. A
-// popped entry carries its object's span: its words are sliced straight
-// out of the heap, with no block lookup.
-//
-// The loop costs a small constant per word and per edge. A word outside
-// the heap's reserved hull never leaves the inner loop; one inside it
-// pays exactly one call, resolve's, through the allocator's
-// MarkCandidate. What stays live across that call is kept to a handful
-// of values — the Go compiler spills every one of them around it — so
-// the hull's bounds and the nonzero count are locals and the rarer
-// counters are not.
+// scan classifies every word in ws — root areas, register files, single
+// values and gray objects' fields all come through here — then drains
+// up to budget gray objects, and returns what is left of the budget.
+// dense says ws is a root area, whose zero words count as Candidates.
+// The loop is the allocator's kernel, with no call per candidate; it
+// returns here for what is policy: the in-hull non-objects it met (to
+// blacklist), a typed entry, and while recording each object it marks.
 func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
-	lo, hi := m.heap.Hull()
-	span := hi - lo
+	k := &m.k
+	k.Begin(dense, budget)
 	for {
-		nonzero := 0
-		for i := 0; ; i++ {
-			// Advance to the next word inside the hull. A value outside
-			// it can be neither a valid object address nor "in the
-			// vicinity of the heap": one compare (values below lo wrap
-			// past span) settles the overwhelmingly common non-pointer
-			// word.
-			var v mem.Word
-			for ; i < len(ws); i++ {
-				if v = ws[i]; v != 0 {
-					nonzero++
-					if mem.Addr(v)-lo < span {
-						break
-					}
-				}
-			}
-			if i >= len(ws) {
-				break
-			}
-			// One block lookup does the validity check, the mark-bit
-			// transition and the fetch of the object's span.
-			p := mem.Addr(v)
-			g, out := m.heap.MarkCandidate(p, m.cfg.Policy == PointerInterior)
-			if out == alloc.NotObject {
+		stop := m.heap.Scan(k, ws, &m.stack)
+		if k.NFalse != 0 {
+			for _, p := range k.False[:k.NFalse] {
 				m.falseReference(p)
-				continue
 			}
-			if p != g.Base() {
-				m.stats.InteriorResolved++
-			}
-			// Already marked or newly marked is the loop's one
-			// unpredictable question, so nothing below branches on it: the
-			// counters take won as a number and the push stores the entry
-			// regardless, keeping it only if won.
-			won := out.Won()
-			m.stats.ObjectsMarked += uint64(won)
-			m.stats.BytesMarked += uint64(won * g.Words() * mem.WordBytes)
-			if m.rec && won != 0 {
-				// This call set the mark bit, so it alone records the
-				// object's first-marking parent.
-				m.org.index = m.org.base + int32(i)
-				m.recordWin(g.Base(), p, v)
-			}
-			if out == alloc.WonAtomic {
-				m.stats.AtomicSkipped++
-				continue
-			}
-			n := len(m.stack)
-			m.stack = append(m.stack, g)[:n+won]
+			k.NFalse = 0
 		}
-		if dense {
-			nonzero, dense = len(ws), false
-		}
-		m.stats.Candidates += uint64(nonzero)
-		// The next slice is the newest gray object's words.
-		if budget <= 0 || len(m.stack) == 0 {
-			return budget
-		}
-		budget--
-		g := m.pop()
-		if flat := m.heap.FlatWords(); flat == nil || g.Typed() || m.rec {
-			ws = m.open(g)
-		} else {
-			// The usual object — conservative, on a one-extent heap, no
-			// provenance wanted — is opened here, without a call: on a
-			// heap of leaves that call is most of what a pop costs.
-			ws = flat[(g.Base()-lo)/mem.WordBytes:][:g.Words()]
-			m.stats.FieldsScanned += uint64(len(ws))
+		switch stop {
+		case alloc.ScanTyped:
+			budget := k.Budget
+			m.open(k.Gray)
+			ws = nil
+			k.Begin(false, budget)
+		case alloc.ScanWin:
+			if k.From != 0 {
+				m.org = provOrigin{kind: RootNone, area: k.From.Base()}
+			}
+			// This loop set the mark bit, so it alone records the
+			// object's first-marking parent.
+			m.org.index = m.org.base + int32(k.Index)
+			m.recordWin(k.Gray.Base(), k.Cand, mem.Word(k.Cand))
+		case alloc.ScanDone:
+			return k.Budget
 		}
 	}
 }
@@ -282,14 +218,14 @@ func (m *Marker) scan(ws []mem.Word, dense bool, budget int) int {
 // to the heap unconditionally.
 func (m *Marker) open(g alloc.Gray) []mem.Word {
 	ws := m.heap.GrayWords(g)
-	if m.rec {
+	if m.k.Record {
 		m.org = provOrigin{kind: RootNone, area: g.Base(), declared: g.Typed()}
 	}
 	if g.Typed() {
 		m.scanTyped(g, ws)
 		return nil
 	}
-	m.stats.FieldsScanned += uint64(len(ws))
+	m.k.Stats.FieldsScanned += uint64(len(ws))
 	return ws
 }
 
@@ -305,10 +241,10 @@ func (m *Marker) scanTyped(g alloc.Gray, ws []mem.Word) {
 			n := bits.TrailingZeros64(^(mask >> uint(lo)))
 			mask &^= (1<<uint(n) - 1) << uint(lo)
 			lo += wi << 6
-			if m.rec {
+			if m.k.Record {
 				m.org.base = int32(lo)
 			}
-			m.stats.FieldsScanned += uint64(n)
+			m.k.Stats.FieldsScanned += uint64(n)
 			m.scan(ws[lo:lo+n], false, 0)
 		}
 	}
@@ -319,7 +255,7 @@ func (m *Marker) scanTyped(g alloc.Gray, ws []mem.Word) {
 // object address.
 func (m *Marker) falseReference(p mem.Addr) {
 	if m.heap.InVicinity(p) {
-		m.stats.FalseNearHeap++
+		m.k.Stats.FalseNearHeap++
 		m.bl.Add(p)
 		m.tracer.Emit(trace.EvBlacklistPage, int64(p), 0, 0)
 	}
@@ -331,7 +267,7 @@ func (m *Marker) falseReference(p mem.Addr) {
 // MarkWords carry no area identity (Kind RootNone, Parent 0); use
 // MarkRootArea to attribute them.
 func (m *Marker) MarkWords(words []mem.Word) {
-	if m.rec {
+	if m.k.Record {
 		m.org = provOrigin{}
 	}
 	m.markRootWords(words)
@@ -340,7 +276,7 @@ func (m *Marker) MarkWords(words []mem.Word) {
 // markRootWords scans words as root candidates under the alignment policy:
 // MarkWords and MarkRootArea once their origin is set.
 func (m *Marker) markRootWords(words []mem.Word) {
-	m.stats.WordsScanned += uint64(len(words))
+	m.k.Stats.WordsScanned += uint64(len(words))
 	m.scan(words, true, 0)
 	if m.cfg.Alignment != AnyByteOffset {
 		return
@@ -353,7 +289,7 @@ func (m *Marker) markRootWords(words []mem.Word) {
 	for i := 0; i+1 < len(words); i++ {
 		hi, lo := uint32(words[i]), uint32(words[i+1])
 		c := [3]mem.Word{mem.Word(hi<<8 | lo>>24), mem.Word(hi<<16 | lo>>16), mem.Word(hi<<24 | lo>>8)}
-		if !m.rec {
+		if !m.k.Record {
 			m.scan(c[:], true, 0)
 			continue
 		}
@@ -363,7 +299,7 @@ func (m *Marker) markRootWords(words []mem.Word) {
 			m.scan(c[k:k+1], true, 0)
 		}
 	}
-	if m.rec {
+	if m.k.Record {
 		m.org.base, m.org.off = area, 0
 	}
 }
@@ -390,26 +326,14 @@ func (m *Marker) ScanObject(base mem.Addr) {
 	}
 }
 
-// pop removes and returns the newest gray entry; the stack must not be
-// empty.
-func (m *Marker) pop() alloc.Gray {
-	g := m.stack[len(m.stack)-1]
-	m.stack = m.stack[:len(m.stack)-1]
-	return g
-}
-
-// drain pops and scans up to budget gray objects, returning what is
-// left of the budget (nonzero only if the stack emptied first).
-func (m *Marker) drain(budget int) int { return m.scan(nil, false, budget) }
-
 // Drain transitively scans queued objects until the mark stack is
 // empty.
-func (m *Marker) Drain() { m.drain(math.MaxInt) }
+func (m *Marker) Drain() { m.scan(nil, false, math.MaxInt) }
 
 // DrainN scans up to n queued objects and reports whether the mark
 // stack is now empty. The concurrent cycle uses it to bound the marking
 // work done per chunk.
 func (m *Marker) DrainN(n int) bool {
-	m.drain(n)
+	m.scan(nil, false, n)
 	return len(m.stack) == 0
 }

@@ -461,6 +461,11 @@ func benchMarkList(b *testing.B, blacklisting bool) {
 // a minor cycle does to its remembered set), "halves2" and a
 // push/pop-only rung — the mark stack's share of the per-object cost.
 //
+// "chain" is program T's shape instead: one circular list of 25 000
+// one-word nodes allocated in order, each pointing at the next, marked
+// from the first. Every edge but the last wins a fresh object, so there
+// is no coin toss for the predictor to learn and nothing to perturb.
+//
 // "halves2" is the best case any parallel mark could have: the graph is
 // built as two disjoint halves of 8192 nodes on blocks of their own (no
 // shared object, no shared block), and two plain markers, one per half,
@@ -480,6 +485,7 @@ func BenchmarkMarkLiveGraph(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) { benchLiveGraph(b, v) })
 	}
+	b.Run("chain", benchChain)
 	b.Run("pushpop", func(b *testing.B) {
 		// Four pushes, four pops: the stack depth the graph's traversal
 		// hovers at, with no scan in between.
@@ -503,6 +509,46 @@ func BenchmarkMarkLiveGraph(b *testing.B) {
 }
 
 const liveGraphNodes = 16384
+
+// pop removes and returns the newest gray entry, as the mark loop does.
+func (m *Marker) pop() alloc.Gray {
+	g := m.stack[len(m.stack)-1]
+	m.stack = m.stack[:len(m.stack)-1]
+	return g
+}
+
+const chainNodes = 25000
+
+func benchChain(b *testing.B) {
+	heap, err := alloc.New(mem.NewAddressSpace(), alloc.Config{HeapBase: heapBase, InitialBytes: 1 << 20, ReserveBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := make([]mem.Addr, chainNodes)
+	for i := range nodes {
+		if nodes[i], err = heap.Alloc(1, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i, p := range nodes {
+		heap.Seg().Store(p, mem.Word(nodes[(i+1)%len(nodes)]))
+	}
+	m := New(heap, Config{})
+	var onClock time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		m.MarkValue(mem.Word(nodes[0]))
+		m.Drain()
+		onClock += time.Since(start)
+		if got := m.Stats().ObjectsMarked; got != chainNodes {
+			b.Fatalf("marked %d objects, want %d", got, chainNodes)
+		}
+		heap.ClearMarks()
+		m.Reset()
+	}
+	b.ReportMetric(float64(onClock.Nanoseconds())/float64(b.N*chainNodes), "ns/obj")
+}
 
 type liveGraphVariant struct {
 	name   string

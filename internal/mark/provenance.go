@@ -13,7 +13,7 @@
 // and retention attributions from the records.
 //
 // Cost model: recording is off by default. When off, the only additions
-// to the mark hot path are predictable `if m.rec` branches — no stores,
+// to the mark hot path are predictable `if m.k.Record` branches — no stores,
 // no allocation, and a candidate order identical to the unrecorded
 // marker's (asserted by the provenance differential tests). When on,
 // the marker appends one fixed-size record per first-mark to a slice of
@@ -116,7 +116,7 @@ type ParentRecord struct {
 
 // provOrigin is the marker's current scan context while recording: the
 // area or heap parent the candidates now being tested came from. Only
-// touched under `if m.rec`, so the unrecorded paths never write it.
+// touched under `if m.k.Record`, so the unrecorded paths never write it.
 type provOrigin struct {
 	kind     RootKind
 	area     mem.Addr // root-area base address, or heap parent base (RootNone)
@@ -131,24 +131,24 @@ type provOrigin struct {
 // every first-mark appends one ParentRecord. Any records from a
 // previous recording are discarded.
 func (m *Marker) StartRecording() {
-	m.rec = true
+	m.k.Record = true
 	m.recs = m.recs[:0]
 	m.org = provOrigin{}
 }
 
 // Recording reports whether provenance recording is on.
-func (m *Marker) Recording() bool { return m.rec }
+func (m *Marker) Recording() bool { return m.k.Record }
 
 // StopRecording ends recording and returns the records captured since
 // StartRecording. The slice is reused by the next StartRecording; the
 // caller must consume (or copy) it first.
 func (m *Marker) StopRecording() []ParentRecord {
-	m.rec = false
+	m.k.Record = false
 	return m.recs
 }
 
 // recordWin appends the provenance record for an object this marker
-// just won the mark bit of. Called only with m.rec set.
+// just won the mark bit of. Called only with m.k.Record set.
 func (m *Marker) recordWin(base, p mem.Addr, v mem.Word) {
 	o := &m.org
 	ref := RefExact
@@ -181,7 +181,7 @@ func (m *Marker) recordWin(base, p mem.Addr, v mem.Word) {
 // and no WordsScanned accounting — exactly the collector's register
 // scan, plus origin bookkeeping when recording.
 func (m *Marker) MarkSparseRoots(org RootOrigin, words []mem.Word) {
-	if m.rec {
+	if m.k.Record {
 		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src}
 	}
 	m.scan(words, false, 0)
@@ -191,7 +191,7 @@ func (m *Marker) MarkSparseRoots(org RootOrigin, words []mem.Word) {
 // the configured alignment policy. Identical to MarkWords when not
 // recording.
 func (m *Marker) MarkRootArea(org RootOrigin, words []mem.Word) {
-	if m.rec {
+	if m.k.Record {
 		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src}
 	}
 	m.markRootWords(words)
