@@ -129,14 +129,16 @@ bench-smoke: perfbench-smoke
 # cmd/perfbench — the benchmark BENCHMARK.json declares, and the only
 # source for performance claims — is a module of its own, so `./...`
 # skips it. perfbench-test runs its unit tests; perfbench-smoke builds
-# it as run.sh does and runs three workloads at a tenth of the tape,
+# it as run.sh does and runs four workloads at a tenth of the tape,
 # failing on a non-zero exit (an output check that did not hold):
 # live_graph_stw drives the mark loop from a stop-the-world pause,
 # live_graph_conc from the concurrent cycle's allocation assists and
-# the finale they land, with the barrier and the lazy sweep, and
+# the finale they land, with the barrier and the lazy sweep,
 # serve_tenants is the one workload where two handles store
-# concurrently, each under its own lock. None measures anything: see
-# cmd/perfbench/README.md for that.
+# concurrently, each under its own lock, and program_t is the one that
+# builds platform environments (platform.Build and its shared static
+# images) and runs program T in a World.Run region. None measures
+# anything: see cmd/perfbench/README.md for that.
 perfbench-test:
 	$(GO) test -C cmd/perfbench .
 
@@ -144,6 +146,7 @@ perfbench-smoke:
 	bash cmd/perfbench/run.sh -workload live_graph_stw -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload live_graph_conc -seconds 1 > /dev/null
 	bash cmd/perfbench/run.sh -workload serve_tenants -seconds 1 > /dev/null
+	bash cmd/perfbench/run.sh -workload program_t -seconds 1 > /dev/null
 
 # Regenerates BENCH.json: one section per experiment of the registry —
 # the paper's E1–E17 (table1, figure1, stackclear, grids, structures,

@@ -25,6 +25,8 @@ package platform
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -112,6 +114,10 @@ type Env struct {
 // startup collection the paper's blacklisting scheme requires ("at
 // least one (normally very fast) garbage collection occurring just
 // after system start up before any allocation has taken place").
+//
+// The static image is generated once per distinct profile in a process
+// and copied into each environment's own segment, so a write to one
+// environment's statics reaches no other. Everything else is per seed.
 func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 	mixed := seed
 	if p.Optimized {
@@ -121,19 +127,6 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 		mixed ^= 0xA11A0C8ED5EED
 	}
 	rng := simrand.New(mixed)
-	// The static image — tables and string constants — is a property of
-	// the platform's compiler and libraries, NOT of the run: the paper's
-	// OS/2 results were "completely reproducible ... though probably not
-	// across compiler versions". Derive its stream from the profile
-	// identity alone, so run-to-run ranges come only from register and
-	// kernel noise, as in the paper.
-	staticSeed := uint64(0x57A71C)
-	for _, c := range p.Name {
-		staticSeed = staticSeed*131 + uint64(c)
-	}
-	// The optimization level does not change the C library's data, so
-	// optimized and unoptimized builds share the static image.
-	staticRng := simrand.New(staticSeed)
 	mode := core.BlacklistOff
 	if blacklisting {
 		mode = core.BlacklistDense
@@ -157,7 +150,7 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 	}
 	env := &Env{Profile: p, World: w, rng: rng}
 
-	// Static data image: integer tables, then string constants.
+	// Static data image: a copy of the profile's, generated on first use.
 	staticBytes := p.StringBytes
 	for _, t := range p.Tables {
 		staticBytes += t.Bytes
@@ -168,11 +161,13 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 		if err != nil {
 			return nil, err
 		}
-		off := p.StaticBase
-		for _, t := range p.Tables {
-			off = fillIntTables(seg, off, t, staticRng.Split())
+		key := staticKey{p.Name, fmt.Sprint(p.Tables), p.StringBytes, staticBytes, p.StringsAligned, p.StaticBase}
+		if img, ok := staticImages.Load(key); ok {
+			copy(seg.Words(), img.([]mem.Word))
+		} else {
+			p.fillStatic(seg)
+			staticImages.Store(key, slices.Clone(seg.Words()))
 		}
-		fillStrings(seg, off, p.StringBytes, p.StringsAligned, staticRng.Split())
 		env.statics = seg
 	}
 
@@ -222,6 +217,39 @@ func (p Profile) Build(seed uint64, blacklisting bool) (*Env, error) {
 	// present in the image before any program-T allocation.
 	w.Collect()
 	return env, nil
+}
+
+// staticImages holds each distinct static image (staticKey → []mem.Word),
+// generated once per process by fillStatic. Its slices are only read.
+var staticImages sync.Map
+
+// staticKey is every input that shapes a static image.
+type staticKey struct {
+	name, tables       string
+	stringBytes, bytes int
+	aligned            bool
+	base               mem.Addr
+}
+
+// fillStatic writes p's static image into seg: integer tables, then
+// string constants. The image is a property of the platform's compiler
+// and libraries, NOT of the run: the paper's OS/2 results were
+// "completely reproducible ... though probably not across compiler
+// versions". Its stream derives from the profile identity alone, so
+// run-to-run ranges come only from register and kernel noise, as in the
+// paper. The optimization level does not change the C library's data,
+// so optimized and unoptimized builds share the image.
+func (p Profile) fillStatic(seg *mem.Segment) {
+	staticSeed := uint64(0x57A71C)
+	for _, c := range p.Name {
+		staticSeed = staticSeed*131 + uint64(c)
+	}
+	staticRng := simrand.New(staticSeed)
+	off := p.StaticBase
+	for _, t := range p.Tables {
+		off = fillIntTables(seg, off, t, staticRng.Split())
+	}
+	fillStrings(seg, off, p.StringBytes, p.StringsAligned, staticRng.Split())
 }
 
 // buildOtherLive allocates the profile's other live data, in one
