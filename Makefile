@@ -151,8 +151,8 @@ perfbench-smoke:
 # Regenerates BENCH.json: one section per experiment of the registry —
 # the paper's E1–E17 (table1, figure1, stackclear, grids, structures,
 # overhead, largeobj, pcrsweep, frag, dualrun, genceiling, placement,
-# atomic, typed, pauses, obs5), then sweepbench, pausebench,
-# servebench, retention and leakbench — each holding the options it ran
+# atomic, typed, pauses, obs5), then servebench, retention and
+# leakbench — each holding the options it ran
 # with and its rows' key and exact columns: counts, retained fractions
 # and capacities that repeat on any machine at any GOMAXPROCS, so the
 # diff of a regeneration is empty unless behaviour changed. Timing and

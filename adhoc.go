@@ -210,7 +210,9 @@ func atomicRun(opt AtomicDataOptions, atomic bool) (*AtomicRow, error) {
 			return nil, err
 		}
 		if prev != 0 {
-			w.Store(prev+4, Word(cell))
+			if err := w.Store(prev+4, Word(cell)); err != nil {
+				return nil, err
+			}
 		}
 		dead = append(dead, cell)
 		prev = cell

@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/stats"
 )
 
 // checkedIn is the baseline CI gates against.
@@ -94,11 +96,21 @@ func gate(t *testing.T, section string, base, cand any) (failed []string) {
 	return failed
 }
 
+// clockExempt names the experiments whose info columns may still read
+// the clock, each with the ROADMAP item that gives its timing claim a
+// cmd/perfbench row and retires the entry.
+var clockExempt = map[string]string{
+	"overhead":  "1(i)",
+	"pauses":    "1(d)",
+	"retention": "25",
+}
+
 // TestRowContract holds every registered row type to the declaration
 // the comparator relies on: every exported field says gate:"key",
 // "exact" or "info" (info fields, and only they, are json:"-"), there
-// is something to match rows on and something to compare, and the
-// checked-in rows are unique under their keys.
+// is something to match rows on and something to compare, the
+// checked-in rows are unique under their keys, and no info column is a
+// reading of the clock outside clockExempt (timing is cmd/perfbench's).
 func TestRowContract(t *testing.T) {
 	rows := sectionRows(t)
 	for _, e := range repro.Experiments {
@@ -109,8 +121,20 @@ func TestRowContract(t *testing.T) {
 			continue
 		}
 		roles := make(map[string]int)
+		timed := 0
 		for _, c := range cols {
 			roles[c.role]++
+			if c.role != "info" || row.Field(c.index).Type != reflect.TypeOf(time.Duration(0)) &&
+				!strings.HasSuffix(c.name, "Ns") && !strings.HasSuffix(c.name, "Ms") && !strings.HasSuffix(c.name, "Nanos") {
+				continue
+			}
+			timed++
+			if clockExempt[e.Name] == "" {
+				t.Errorf("%s: info column %s.%s is a clock reading; time it in cmd/perfbench", e.Name, row, c.name)
+			}
+		}
+		if item := clockExempt[e.Name]; item != "" && timed == 0 {
+			t.Errorf("%s reads no clock: drop its clockExempt entry (ROADMAP item %s)", e.Name, item)
 		}
 		if roles["key"] == 0 || roles["exact"] == 0 {
 			t.Errorf("%s: %s has %d key and %d exact columns, want at least one of each",
@@ -192,23 +216,23 @@ func TestMissingRowFails(t *testing.T) {
 	}
 }
 
-// TestComparePauseGates pins the composite key: pausebench rows match
-// on (pause_mode, gomaxprocs) whatever order they arrive in, and a
+// TestCompareCompositeKeyGates pins the composite key: table1 rows
+// match on (machine, optimized) whatever order they arrive in, and a
 // check is named section/key=value,key=value/column.
-func TestComparePauseGates(t *testing.T) {
-	base := []repro.PauseBenchRow{
-		{PauseMode: "stw", GoMaxProcs: 1, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 8e6},
-		{PauseMode: "concurrent", GoMaxProcs: 1, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 9e4},
-		{PauseMode: "concurrent", GoMaxProcs: 4, ObjectsAllocated: 1000, ObjectsLive: 1000, PauseP99Ns: 1e5},
+func TestCompareCompositeKeyGates(t *testing.T) {
+	r := func(lo float64) stats.Range { return stats.Range{Min: lo, Max: lo, Mean: lo, N: 1} }
+	base := []repro.Table1Row{
+		{Machine: "SGI(static)", Optimized: false, NoBlacklisting: r(0.02), Blacklisting: r(0)},
+		{Machine: "PCR", Optimized: false, NoBlacklisting: r(0.5), Blacklisting: r(0.02)},
+		{Machine: "PCR", Optimized: true, NoBlacklisting: r(0.45), Blacklisting: r(0.015)},
 	}
-	cand := []repro.PauseBenchRow{base[2], base[0], base[1]}
-	cand[0].PauseP99Ns = 1e9 // timing is not this gate's business
-	if failed := gate(t, "pausebench", base, cand); len(failed) != 0 {
-		t.Fatalf("reordered rows with a slower clock failed: %v", failed)
+	cand := []repro.Table1Row{base[2], base[0], base[1]}
+	if failed := gate(t, "table1", base, cand); len(failed) != 0 {
+		t.Fatalf("reordered rows failed: %v", failed)
 	}
-	cand[2].ObjectsLive = 999
-	want := "pausebench/pause_mode=concurrent,gomaxprocs=1/objects_live"
-	if failed := gate(t, "pausebench", base, cand); len(failed) != 1 || failed[0] != want {
+	cand[2].Blacklisting = r(0.03)
+	want := "table1/machine=PCR,optimized=false/blacklisting"
+	if failed := gate(t, "table1", base, cand); len(failed) != 1 || failed[0] != want {
 		t.Fatalf("failing checks %v, want [%s]", failed, want)
 	}
 }
@@ -261,10 +285,10 @@ func typedSection(live uint64) *repro.Section {
 	}
 }
 
-func sweepSection() *repro.Section {
-	return &repro.Section{Rows: []repro.SweepBenchRow{
-		{Mode: "eager", ObjectsFreed: 500, BytesFreed: 4000},
-		{Mode: "lazy", DeferredBlocks: 30, ObjectsFreed: 500, BytesFreed: 4000},
+func dualSection() *repro.Section {
+	return &repro.Section{Rows: []repro.DualRunRow{
+		{Run: "single", ListsRetained: 47},
+		{Run: "dual", CandidatesRejected: 400},
 	}}
 }
 
@@ -272,10 +296,10 @@ func sweepSection() *repro.Section {
 // as the row type registered under its name and compared against the
 // same-named section of the candidate file.
 func TestGateDetectsSchemaAndCompares(t *testing.T) {
-	base := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "sweepbench": sweepSection()})
-	regressed := sweepSection()
-	regressed.Rows.([]repro.SweepBenchRow)[1].BytesFreed = 3999
-	cand := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "sweepbench": regressed})
+	base := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "dualrun": dualSection()})
+	regressed := dualSection()
+	regressed.Rows.([]repro.DualRunRow)[1].CandidatesRejected = 399
+	cand := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), "dualrun": regressed})
 	rep, err := Gate(base, cand)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +310,7 @@ func TestGateDetectsSchemaAndCompares(t *testing.T) {
 			failed = append(failed, c.Name)
 		}
 	}
-	if rep.Pass || len(rep.Checks) != 9 || len(failed) != 1 || failed[0] != "sweepbench/mode=lazy/bytes_freed" {
+	if rep.Pass || len(rep.Checks) != 7 || len(failed) != 1 || failed[0] != "dualrun/run=dual/candidates_rejected" {
 		t.Fatalf("pass=%v, %d checks, failing %v", rep.Pass, len(rep.Checks), failed)
 	}
 }
@@ -296,7 +320,7 @@ func TestGateDetectsSchemaAndCompares(t *testing.T) {
 func TestGateSchemaMismatch(t *testing.T) {
 	good := writeSections(t, map[string]*repro.Section{"typed": typedSection(200)})
 	for _, name := range []string{"nosuchbench", "soak"} { // unknown; a gcbench soak, not in the registry
-		bad := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), name: sweepSection()})
+		bad := writeSections(t, map[string]*repro.Section{"typed": typedSection(200), name: dualSection()})
 		if _, err := Gate(bad, good); err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("baseline with section %q: err = %v", name, err)
 		}
@@ -304,9 +328,9 @@ func TestGateSchemaMismatch(t *testing.T) {
 			t.Errorf("candidate with section %q: err = %v", name, err)
 		}
 	}
-	wrongRows := writeSections(t, map[string]*repro.Section{"typed": sweepSection()})
-	if _, err := Gate(good, wrongRows); err == nil || !strings.Contains(err.Error(), "mode") {
-		t.Errorf("sweep rows filed under typed: err = %v, want the unknown column named", err)
+	wrongRows := writeSections(t, map[string]*repro.Section{"typed": dualSection()})
+	if _, err := Gate(good, wrongRows); err == nil || !strings.Contains(err.Error(), `"run"`) {
+		t.Errorf("dualrun rows filed under typed: err = %v, want the unknown column named", err)
 	}
 }
 
@@ -347,11 +371,11 @@ func TestGateInProcessCandidate(t *testing.T) {
 // not the ones a baseline's result fields happened to imply.
 func TestSectionGatesAgainstItsOwnOptions(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs sweepbench and servebench")
+		t.Skip("runs leakbench and servebench")
 	}
 	secs := make(map[string]*repro.Section)
 	for name, opts := range map[string]string{
-		"sweepbench": `{"cycles": 3, "churn": 5, "seed": 7}`,
+		"leakbench":  `{"rounds": 30, "leak_cells": 96}`,
 		"servebench": `{"tenants": 32, "requests": 6}`,
 	} {
 		out, err := experiment(t, name).Run(repro.RunArgs{Recorded: json.RawMessage(opts)})
@@ -361,26 +385,26 @@ func TestSectionGatesAgainstItsOwnOptions(t *testing.T) {
 		secs[name] = out.Gated
 	}
 	// The effective options are what is recorded: defaults filled in.
-	want := repro.SweepBenchOptions{Lists: 48, Nodes: 1500, Cycles: 3, Churn: 5, Seed: 7}
-	if got := secs["sweepbench"].Options; got != want {
-		t.Fatalf("recorded sweepbench options %+v, want %+v", got, want)
+	want := repro.LeakBenchOptions{Rounds: 30, LeakCells: 96, ChurnSlots: 8, SampleEvery: 2, Window: 6, MinGrowthBytes: 2048}
+	if got := secs["leakbench"].Options; got != want {
+		t.Fatalf("recorded leakbench options %+v, want %+v", got, want)
 	}
 	rep, err := Gate(writeSections(t, secs), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Pass || len(rep.Checks) != 2*3+3*8 {
+	if !rep.Pass || len(rep.Checks) != 2*11+3*8 {
 		t.Fatalf("sections against their own options: pass=%v over %d checks: %+v", rep.Pass, len(rep.Checks), rep.Checks)
 	}
 	// The rows do depend on those options: the same rows filed under the
-	// default churn schedule are a regression.
-	want.Churn, want.Seed = 12, 1
-	secs["sweepbench"].Options = want
+	// default leak schedule are a regression.
+	want.Rounds, want.LeakCells = 24, 64
+	secs["leakbench"].Options = want
 	if rep, err = Gate(writeSections(t, secs), ""); err != nil || rep.Pass {
-		t.Fatalf("rows recorded at churn 5, seed 7 passed a rerun at churn 12, seed 1 (err %v)", err)
+		t.Fatalf("rows recorded at 30 rounds of 96 cells passed a rerun at 24 rounds of 64 (err %v)", err)
 	}
 	// An option the driver does not have is a broken baseline, not a default.
-	secs["sweepbench"].Options = map[string]int{"cycles": 3, "chrun": 5}
+	secs["leakbench"].Options = map[string]int{"rounds": 30, "leak_cels": 96}
 	if _, err = Gate(writeSections(t, secs), ""); err == nil {
 		t.Fatal("unknown recorded option did not error")
 	}

@@ -87,7 +87,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&c.args.Seed, "seed", 1, "base seed for single-run experiments")
 	fs.StringVar(&c.format, "format", "text", "table output format: text|markdown")
 	benchJSON := fs.String("benchjson", "", "write the experiments' sections (options, key and exact columns) as JSON to this file")
-	fs.IntVar(&c.args.Mutators, "mutators", 0, "pausebench/soak/leaksoak mutator count (default: 8; leaksoak: 4)")
+	fs.IntVar(&c.args.Mutators, "mutators", 0, "soak/leaksoak mutator count (default: 8; leaksoak: 4)")
 	fs.IntVar(&c.soakCycles, "soak-cycles", 20, "soak rounds (each ends in a collection and an integrity audit)")
 	fs.IntVar(&c.args.Tenants, "tenants", 0, "servebench/tenantsoak tenant count (servebench default: 1000; tenantsoak: 64)")
 	fs.IntVar(&c.args.Requests, "requests", 0, "servebench collect-first requests per session (default: 12)")

@@ -91,15 +91,17 @@ func DualRun(opt DualRunOptions) (*BenchResult[DualRunOptions, DualRunRow], *sta
 				if err != nil {
 					return nil, nil, err
 				}
-				if prev != 0 {
-					w.Store(prev, Word(n))
-				} else {
+				if prev == 0 {
 					first = n
+				} else if err := w.Store(prev, Word(n)); err != nil {
+					return nil, nil, err
 				}
 				nodes = append(nodes, n)
 				prev = n
 			}
-			w.Store(prev, Word(first))
+			if err := w.Store(prev, Word(first)); err != nil {
+				return nil, nil, err
+			}
 			lists = append(lists, nodes)
 		}
 		return w, lists, nil

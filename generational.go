@@ -111,10 +111,16 @@ func generationalRun(opt GenerationalOptions, clear ClearPolicy) (*GenerationalR
 					if err != nil {
 						return err
 					}
-					w.Store(cell, Word(i))
-					w.Store(cell+4, head)
+					if err := w.Store(cell, Word(i)); err != nil {
+						return err
+					}
+					if err := w.Store(cell+4, head); err != nil {
+						return err
+					}
 					head = Word(cell)
-					f.Store(0, head)
+					if err := f.Store(0, head); err != nil {
+						return err
+					}
 				}
 				if it%opt.KeepEvery == 0 {
 					// Genuinely retain one cell: append through the old
@@ -123,10 +129,16 @@ func generationalRun(opt GenerationalOptions, clear ClearPolicy) (*GenerationalR
 					if err != nil {
 						return err
 					}
-					w.Store(cell, 0xCAFE)
-					w.Store(cell+4, kept)
+					if err := w.Store(cell, 0xCAFE); err != nil {
+						return err
+					}
+					if err := w.Store(cell+4, kept); err != nil {
+						return err
+					}
 					kept = Word(cell)
-					keepRoot.Store(0x2000, kept)
+					if err := keepRoot.Store(0x2000, kept); err != nil {
+						return err
+					}
 				}
 				return nil
 			})

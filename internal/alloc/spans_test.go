@@ -18,9 +18,9 @@ func spanAddrs(s Span) []mem.Addr {
 	return out
 }
 
-// TestLineAllocBasicSpan carves a fresh block: one span of every usable
+// TestSpanFromFreshBlock carves a fresh block: one span of every usable
 // slot, each allocated and zeroed.
-func TestLineAllocBasicSpan(t *testing.T) {
+func TestSpanFromFreshBlock(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	s, err := a.AllocSpan(64, false)
 	if err != nil {
@@ -58,12 +58,12 @@ func TestLineAllocBasicSpan(t *testing.T) {
 	}
 }
 
-// TestLineAllocReturnSpanExact consumes two slots of a span, returns
+// TestReturnSpanExact consumes two slots of a span, returns
 // the tail and re-carves: the next span must resume at exactly the
 // returned cursor. When the span was marked as a held cache is
 // (MarkHeldSpan, over all but its last slot), the return must take
 // exactly the returned slots' marks off the block's mark summary.
-func TestLineAllocReturnSpanExact(t *testing.T) {
+func TestReturnSpanExact(t *testing.T) {
 	for _, marked := range []bool{false, true} {
 		_, a := newTestAllocator(t, Config{})
 		s, err := a.AllocSpan(64, false)
@@ -99,9 +99,9 @@ func TestLineAllocReturnSpanExact(t *testing.T) {
 	}
 }
 
-// TestLineAllocStatsDeferredToConsumption: a carve counts nothing until
+// TestSpanStatsCountOnConsumption: a carve counts nothing until
 // CommitAllocs says how many of its slots were handed out.
-func TestLineAllocStatsDeferredToConsumption(t *testing.T) {
+func TestSpanStatsCountOnConsumption(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	before := a.Stats()
 	s, err := a.AllocSpan(64, false)
@@ -182,8 +182,8 @@ func TestLineStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestLineAllocFreeRequeues: a freed slot goes on top of its list.
-func TestLineAllocFreeRequeues(t *testing.T) {
+// TestFreedSlotIssuedNext: a freed slot goes on top of its list.
+func TestFreedSlotIssuedNext(t *testing.T) {
 	_, a := newTestAllocator(t, Config{})
 	p, err := a.Alloc(64, false)
 	if err != nil {

@@ -331,11 +331,11 @@ func TestMutatorBatteryHeldAcrossCycles(t *testing.T) {
 	}
 }
 
-// TestLineAllocIntegrityWithOutstandingSpans audits the world while mutator handles
+// TestIntegrityWithHeldHoles audits the world while mutator handles
 // hold half-consumed holes: VerifyIntegrity must account every
 // carved-but-unissued slot (no double-carve, bits set) without
 // requiring a flush first.
-func TestLineAllocIntegrityWithOutstandingSpans(t *testing.T) {
+func TestIntegrityWithHeldHoles(t *testing.T) {
 	w := newWorld(t, Config{GCDivisor: -1})
 	addData(t, w, "data", 0x2000, 4096)
 	m1 := w.NewMutator()
@@ -370,10 +370,10 @@ func TestLineAllocIntegrityWithOutstandingSpans(t *testing.T) {
 	}
 }
 
-// TestLineAllocGeneralWorkload runs the mixed-size script under the
+// TestLazySweepMixedSizesConserve runs the mixed-size script under the
 // lazy sweep, directly and through a handle: the invariants are
 // integrity and exact conservation of the object count.
-func TestLineAllocGeneralWorkload(t *testing.T) {
+func TestLazySweepMixedSizesConserve(t *testing.T) {
 	for _, useHandle := range []bool{false, true} {
 		w := newWorld(t, Config{GCDivisor: 4, LazySweep: true})
 		addData(t, w, "data", 0x2000, 4096)

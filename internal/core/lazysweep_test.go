@@ -128,9 +128,9 @@ func TestCoreLazySweepDifferential(t *testing.T) {
 }
 
 // TestLazySweepDeferredBlocksReported checks the pause-phase sweep
-// statistics: a lazy collection over a mixed heap reports deferred
-// blocks, an eager one never does — it sweeps every mixed block inside
-// the barrier, so none is left pending and none is swept later.
+// statistics: a lazy collection over a mixed heap defers every mixed
+// block, an eager one none — it sweeps them all inside the barrier, so
+// none is left pending and none is swept later.
 func TestLazySweepDeferredBlocksReported(t *testing.T) {
 	for _, lazy := range []bool{true, false} {
 		name := "eager"
@@ -138,18 +138,30 @@ func TestLazySweepDeferredBlocksReported(t *testing.T) {
 			name = "lazy"
 		}
 		t.Run(name, func(t *testing.T) {
-			w := newWorld(t, Config{LazySweep: lazy})
+			w := newWorld(t, Config{LazySweep: lazy, GCDivisor: -1})
 			data := addData(t, w, "roots", 0x2000, 4096)
-			for i := 0; i < 200; i++ {
+			for i := 0; i < 2000; i++ {
 				p, err := w.Allocate(4, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if i%7 == 0 { // keep a scattering live so blocks are mixed
-					data.Store(0x2000+mem.Addr(4*(i%64)), mem.Word(p))
+					if err := data.Store(0x2000+mem.Addr(4*(i/7)), mem.Word(p)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			st := w.Collect()
+			// Every block the barrier kept holds one live object in seven.
+			mixed := 0
+			for i := 0; i < w.Heap.NumBlocks(); i++ {
+				if w.Heap.BlockInfo(i).State == alloc.BlockSmall {
+					mixed++
+				}
+			}
+			if mixed < 4 {
+				t.Fatalf("the barrier kept %d mixed blocks, want several", mixed)
+			}
 			if !lazy {
 				if st.SweepDeferredBlocks != 0 || w.Heap.SweepPending() != 0 || w.Heap.Stats().LazySweptBlocks != 0 {
 					t.Fatalf("eager collection deferred %d blocks (pending %d, lazily swept %d)",
@@ -157,8 +169,8 @@ func TestLazySweepDeferredBlocksReported(t *testing.T) {
 				}
 				return
 			}
-			if st.SweepDeferredBlocks == 0 {
-				t.Fatal("lazy collection deferred no blocks over a mixed heap")
+			if st.SweepDeferredBlocks != mixed {
+				t.Fatalf("lazy collection deferred %d of %d mixed blocks", st.SweepDeferredBlocks, mixed)
 			}
 			if n := w.FinishSweep(); n != st.SweepDeferredBlocks {
 				t.Fatalf("FinishSweep swept %d blocks, stats said %d deferred", n, st.SweepDeferredBlocks)

@@ -554,8 +554,8 @@ func TestTenantUnbudgetedDifferential(t *testing.T) {
 // simrand-seeded request mix across 200 collect-first tenants under
 // concurrent marking, asserting exact objects-allocated conservation,
 // zero per-tenant byte-attribution drift after the final settle, and
-// a p99 collection pause under the stop-the-world ceiling that
-// pausebench's concurrent rows beat by orders of magnitude.
+// a p99 collection pause under a stop-the-world ceiling that
+// concurrent cycles beat by orders of magnitude.
 func TestTenantServeSLO(t *testing.T) {
 	const nTenants = 200
 	const slots = 8
@@ -631,8 +631,8 @@ func TestTenantServeSLO(t *testing.T) {
 	if byTenants != total {
 		t.Fatalf("sum of tenant AllocatedObjects = %d, want %d", byTenants, total)
 	}
-	// Pause SLO: p99 under 50ms — pausebench's stop-the-world ceiling;
-	// the concurrent rows this config matches sit in the 0.1–20ms
+	// Pause SLO: p99 under 50ms — a stop-the-world ceiling; the
+	// concurrent cycles this config runs sit in the 0.1–20ms
 	// band, so this bound has wide margin for race-detector runs.
 	if len(pauses) > 0 {
 		idx := (99*len(pauses) + 99) / 100

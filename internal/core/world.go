@@ -480,7 +480,7 @@ type worldMetrics struct {
 	// Pause-time histograms (log₂ buckets, nanoseconds): the
 	// distribution complement to the *_pause_ns running sums. Not part
 	// of Snapshot; see Registry.Histogram. finalHist is the concurrent
-	// cycles' bounded-final-pause distribution (the pausebench p99).
+	// cycles' bounded-final-pause distribution.
 	markHist, sweepHist, stopHist *metrics.Histogram
 	finalHist                     *metrics.Histogram
 

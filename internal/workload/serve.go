@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -94,10 +93,6 @@ type ServeSessionResult struct {
 	// its tenant was reclaimed or cancelled.
 	Evicted   bool
 	Cancelled bool
-	// AllocNs holds one wall-clock sample per allocation attempt
-	// (successes and denials both — a denial's latency is the cost the
-	// tenant observed).
-	AllocNs []int64
 }
 
 // RunServeSession drives one session to completion. Budget denials and
@@ -107,14 +102,12 @@ type ServeSessionResult struct {
 func RunServeSession(m *core.Mutator, data *mem.Segment, base mem.Addr, p ServeSessionParams) (*ServeSessionResult, error) {
 	p = p.WithDefaults()
 	rng := simrand.New(p.Seed)
-	res := &ServeSessionResult{AllocNs: make([]int64, 0, p.Requests*p.AllocsPerRequest)}
+	res := &ServeSessionResult{}
 	slot := 0
 	for r := 0; r < p.Requests; r++ {
 		for a := 0; a < p.AllocsPerRequest; a++ {
 			at := base + mem.Addr(4*(slot%p.Slots))
-			t0 := time.Now()
 			ptr, err := m.AllocateRooted(data, at, p.ObjWords, false)
-			res.AllocNs = append(res.AllocNs, time.Since(t0).Nanoseconds())
 			if err != nil {
 				switch {
 				case errors.Is(err, core.ErrTenantEvicted):

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -41,11 +40,10 @@ type LeakBenchRow struct {
 	FirstAlertCycle int `json:"first_alert_cycle" gate:"exact"` // 0: never alerted
 	// LeakGrowthBytes sums the windowed growth the leak key's alerts
 	// reported; LeakLastBytes is its final trend level.
-	LeakGrowthBytes int64   `json:"leak_growth_bytes" gate:"exact"`
-	LeakLastBytes   uint64  `json:"leak_last_bytes" gate:"exact"`
-	TrendKeys       int     `json:"trend_keys" gate:"exact"` // series live at stop
-	LiveObjects     uint64  `json:"live_objects" gate:"exact"`
-	ElapsedMs       float64 `json:"-" gate:"info"`
+	LeakGrowthBytes int64  `json:"leak_growth_bytes" gate:"exact"`
+	LeakLastBytes   uint64 `json:"leak_last_bytes" gate:"exact"`
+	TrendKeys       int    `json:"trend_keys" gate:"exact"` // series live at stop
+	LiveObjects     uint64 `json:"live_objects" gate:"exact"`
 }
 
 // LeakBenchResult is the measurement with the options it ran under.
@@ -108,7 +106,6 @@ func leakBenchWorld(opts LeakBenchOptions, leaking bool, tr *TraceRecorder) (Lea
 		return Addr(head), nil
 	}
 
-	start := time.Now()
 	var leakHead Word
 	for round := 1; round <= opts.Rounds; round++ {
 		if leaking {
@@ -143,7 +140,6 @@ func leakBenchWorld(opts LeakBenchOptions, leaking bool, tr *TraceRecorder) (Lea
 		w.Collect()
 		row.Collections++
 	}
-	row.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
 
 	trends := w.StopRetentionWatch()
 	row.TrendKeys = len(trends)
@@ -225,12 +221,10 @@ func LeakBench(opts LeakBenchOptions) (*LeakBenchResult, *stats.Table, error) {
 	tab := stats.NewTable(
 		fmt.Sprintf("Leak watch: planted leak vs churn control (%d rounds, sample every %d, window %d)",
 			opts.Rounds, opts.SampleEvery, opts.Window),
-		"workload", "samples", "alerts", "leak-key", "false-pos", "first@cycle", "growth KB", "elapsed ms")
+		"workload", "samples", "alerts", "leak-key", "false-pos", "first@cycle", "growth KB")
 	for _, r := range res.Rows {
 		tab.AddF(r.Workload, r.WatchedSamples, r.AlertsTotal, r.LeakKeyAlerts, r.FalsePositives,
-			r.FirstAlertCycle,
-			fmt.Sprintf("%.1f", float64(r.LeakGrowthBytes)/1024),
-			fmt.Sprintf("%.2f", r.ElapsedMs))
+			r.FirstAlertCycle, fmt.Sprintf("%.1f", float64(r.LeakGrowthBytes)/1024))
 	}
 	return res, tab, nil
 }

@@ -15,7 +15,7 @@ type RunArgs struct {
 	Seed     uint64 // base seed of single-run experiments
 	Seeds    int    // seeds per cell of the table-1 style sweeps
 	Parallel int    // concurrent runs in those sweeps
-	Mutators int    // pausebench and soak mutator count
+	Mutators int    // soak and leaksoak mutator count
 	Tenants  int    // servebench tenant count
 	Requests int    // servebench collect-first requests per session
 	// Trace, when non-nil, records collector events from the benchmark
@@ -32,9 +32,10 @@ type RunArgs struct {
 // each column's role in the regression gate with a struct tag:
 // gate:"key" (row identity), gate:"exact" (a value that repeats on any
 // machine at any scheduler width: recorded in BENCH.json and compared
-// for equality by cmd/benchgate) or gate:"info" (timing and
-// interleaving-dependent values: printed in the table, never recorded —
-// hence json:"-" — and never compared; for timing see cmd/perfbench).
+// for equality by cmd/benchgate) or gate:"info" (interleaving-dependent
+// counts: printed in the table, never recorded — hence json:"-" — and
+// never compared). Timing is cmd/perfbench's; only E7, E16 and the
+// retention report still print a reading of their own.
 type BenchResult[O, R any] struct {
 	Options O
 	Rows    []R
@@ -198,27 +199,12 @@ this reproduces their pause profiles on the same substrate.`,
 stack/register residue and are "eventually overwritten in a longer running
 program with more varied stack frames".`,
 		func(RunArgs) Observation5Options { return Observation5Options{} }, Observation5),
-	gated("sweepbench", "collection pauses, eager vs lazy sweeping",
-		`Lazy sweeping replaces the pause's per-slot heap walk with an O(blocks)
-mark-summary scan; the per-slot work is paid during allocation instead.
-Reclamation totals are identical by construction (checked above) and,
-with the deferred-block counts, gated by cmd/benchgate.`,
-		func(a RunArgs) SweepBenchOptions { return SweepBenchOptions{Trace: a.Trace} },
-		SweepBench),
-	gated("pausebench", "stop-the-world vs mostly-concurrent marking pause percentiles",
-		`Every row replays the same deterministic no-free workload: the live graph
-grows all run, so stop-the-world pauses grow with it while concurrent
-cycles pause only for the root snapshot and the root-rescan finale.
-Object and live counts are exact and gated by cmd/benchgate; the pause
-percentiles are a reading on this machine, never recorded or compared.`,
-		func(a RunArgs) PauseBenchOptions { return PauseBenchOptions{Mutators: a.Mutators, Trace: a.Trace} },
-		PauseBench),
 	gated("servebench", "multi-tenant serving: per-tenant budgets under three policies",
 		`Each policy row replays one deterministic session tape per tenant against a
 fixed budget, so admissions, denials, evictions, reclamation and liveness
 are exact and gated by cmd/benchgate; a zero fairness spread means budget
-enforcement never leaked between tenants. Latency and pause percentiles
-are a reading on this machine, never recorded or compared.`,
+enforcement never leaked between tenants. cmd/perfbench's serve_tenants
+row is where its latency and pauses are measured.`,
 		func(a RunArgs) ServeBenchOptions {
 			return ServeBenchOptions{Tenants: a.Tenants, Requests: a.Requests, Trace: a.Trace}
 		},
@@ -237,7 +223,7 @@ the cycle barrier, diffs per-root-slot retention snapshots, and alerts on
 sustained windowed growth. The planted leak (one monotone list root among
 eight churning roots) must be flagged within a bounded cycle count with zero
 false positives; the churn-only control must stay silent. Both outcomes are
-exact and gated by cmd/benchgate; only elapsed ms is timing.`,
+exact and gated by cmd/benchgate.`,
 		func(a RunArgs) LeakBenchOptions { return LeakBenchOptions{Trace: a.Trace} },
 		LeakBench),
 }

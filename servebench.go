@@ -30,9 +30,8 @@ type ServeBenchOptions struct {
 // budget, so the allocation, denial, eviction, reclamation, liveness
 // and fairness columns are exact invariants the regression gate
 // compares bit-for-bit — concurrency changes when collections fire,
-// never what each tenant's budget admits. The latency and pause
-// percentiles are timing: printed, never recorded or compared
-// (cmd/perfbench's serve_tenants row is where they are measured).
+// never what each tenant's budget admits. Latency and pauses are
+// cmd/perfbench's serve_tenants row.
 type ServeBenchRow struct {
 	// Policy is "fail", "collect-first" or "evict".
 	Policy  string `json:"policy" gate:"key"`
@@ -63,13 +62,6 @@ type ServeBenchRow struct {
 	ForcedCollections uint64 `json:"-" gate:"info"`
 	// Collections is the world's cycle count at teardown.
 	Collections int `json:"-" gate:"info"`
-	// Allocation latency distribution over every attempt (successes
-	// and denials), in nanoseconds.
-	AllocP50Ns float64 `json:"-" gate:"info"`
-	AllocP99Ns float64 `json:"-" gate:"info"`
-	// PauseP99Ns is the p99 mutator-visible pause (final pauses for
-	// concurrent cycles, full duration for stop-the-world ones).
-	PauseP99Ns float64 `json:"-" gate:"info"`
 }
 
 // ServeBenchResult is the measurement with the options it ran under.
@@ -92,9 +84,7 @@ type serveTape struct {
 // scheme- and leak-style bodies from internal/workload) allocating
 // against per-tenant budgets on one shared heap, with concurrent
 // marking and lazy sweep underneath. Each policy row checks its
-// budget contract exactly — per tenant, not just in aggregate — and
-// records the allocation-latency and pause distributions the serving
-// SLO cares about.
+// budget contract exactly — per tenant, not just in aggregate.
 func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error) {
 	if opts.Tenants == 0 {
 		opts.Tenants = 1000
@@ -159,11 +149,10 @@ func ServeBench(opts ServeBenchOptions) (*ServeBenchResult, *stats.Table, error)
 	tab := stats.NewTable(
 		fmt.Sprintf("Multi-tenant serving: %d concurrent tenants per policy (NumCPU=%d)",
 			opts.Tenants, runtime.NumCPU()),
-		"policy", "tenants", "allocated", "denied", "evicted", "reclaimed", "live", "alloc p50", "alloc p99", "pause p99")
-	us := func(ns float64) string { return fmt.Sprintf("%.1fus", ns/1e3) }
+		"policy", "tenants", "allocated", "denied", "evicted", "reclaimed", "live", "forced", "cycles")
 	for _, r := range res.Rows {
 		tab.AddF(r.Policy, r.Tenants, r.ObjectsAllocated, r.Denials, r.Evictions,
-			r.ReclaimedObjects, r.ObjectsLive, us(r.AllocP50Ns), us(r.AllocP99Ns), us(r.PauseP99Ns))
+			r.ReclaimedObjects, r.ObjectsLive, r.ForcedCollections, r.Collections)
 	}
 	return res, tab, nil
 }
@@ -187,14 +176,6 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 	if err != nil {
 		return nil, err
 	}
-	var pauses []float64
-	w.SetCollectionHook(func(st CollectionStats) {
-		if st.Concurrent {
-			pauses = append(pauses, float64(st.PauseFinalNs), float64(st.PauseSnapshotNs))
-		} else {
-			pauses = append(pauses, float64(st.Duration.Nanoseconds()))
-		}
-	})
 	charge := uint64(tape.budgetObjs) * uint64(sess.ObjWords) * 4
 	tens := make([]*Tenant, n)
 	muts := make([]*Mutator, n)
@@ -224,12 +205,10 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 			return nil, fmt.Errorf("servebench: tenant %d: %w", i, err)
 		}
 	}
-	// Teardown: land any in-flight cycle while the hook still samples,
-	// then settle the heap so per-tenant reclamation and the live count
-	// are final.
+	// Teardown: land any in-flight cycle, then settle the heap so
+	// per-tenant reclamation and the live count are final.
 	w.FinishConcurrentCycle()
 	cycles := w.Collections()
-	w.SetCollectionHook(nil)
 	w.Collect()
 	w.Collect()
 	w.FinishSweep()
@@ -242,7 +221,6 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 		Requests:    sess.Requests * sess.AllocsPerRequest,
 		Collections: cycles,
 	}
-	var allocNs []float64
 	minAlloc, maxAlloc := ^uint64(0), uint64(0)
 	for i, r := range results {
 		st := tens[i].Stats()
@@ -280,9 +258,6 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 		if st.AllocatedObjects > maxAlloc {
 			maxAlloc = st.AllocatedObjects
 		}
-		for _, ns := range r.AllocNs {
-			allocNs = append(allocNs, float64(ns))
-		}
 	}
 	row.FairnessSpread = maxAlloc - minAlloc
 	// Exact conservation: every allocation in the row went through a
@@ -293,8 +268,5 @@ func serveBenchRun(opts ServeBenchOptions, tape serveTape) (*ServeBenchRow, erro
 			row.Policy, hs.ObjectsAllocated, row.ObjectsAllocated)
 	}
 	row.ObjectsLive = hs.ObjectsLive
-	row.AllocP50Ns = pausePercentile(allocNs, 50)
-	row.AllocP99Ns = pausePercentile(allocNs, 99)
-	row.PauseP99Ns = pausePercentile(pauses, 99)
 	return row, nil
 }

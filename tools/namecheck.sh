@@ -2,16 +2,16 @@
 # Names say what they test. Fails on a Test/Fuzz/Benchmark function, or
 # a table row or subtest name literal, in any _test.go outside
 # cmd/perfbench whose name says detached, parallel, par-, workers,
-# adaptive, bgsweep, linealloc, line- or -line (the mechanisms those
-# words named are gone), unless the allowlist below keeps it in that
-# file; and on an alternative of the race target's CONC_BATTERIES
-# pattern (passed in the environment) that names no test of
-# internal/core.
+# adaptive, bgsweep, linealloc, line-, -line, sweepbench or pausebench
+# (the mechanisms and benchmark drivers those words named are gone),
+# unless the allowlist below keeps it in that file; and on an
+# alternative of the race target's CONC_BATTERIES pattern (passed in the
+# environment) that names no test of internal/core.
 #
 # Run from the repository root: CONC_BATTERIES='A|B' bash tools/namecheck.sh
 set -euo pipefail
 
-words='detached|parallel|par-|workers|adaptive|bgsweep|linealloc|line-|-line'
+words='detached|parallel|par-|workers|adaptive|bgsweep|linealloc|line-|-line|sweepbench|pausebench'
 
 # One entry a line: the file, the name, then why it may say what it
 # says. "Kept name" entries are tests and rows that still carry the name
@@ -21,10 +21,6 @@ bench_test.go	BenchmarkTenantAllocateTwoWorkers	two goroutines ("workers") each 
 internal/core/modes_test.go	"LineAlloc"	TestInertKnobs' row for Config.LineAlloc, which it pins as selecting nothing
 internal/core/modes_test.go	"MarkWorkers"	TestInertKnobs' row for Config.MarkWorkers, which it pins as selecting nothing
 internal/core/modes_test.go	"ConcMarkWorkers"	TestInertKnobs' row for Config.ConcMarkWorkers, which it pins as selecting nothing
-internal/alloc/spans_test.go	TestLineAllocBasicSpan	kept name: a span carved from a fresh block
-internal/alloc/spans_test.go	TestLineAllocFreeRequeues	kept name: a freed slot is the next one issued
-internal/alloc/spans_test.go	TestLineAllocReturnSpanExact	kept name: ReturnSpan gives back exactly the unused slots
-internal/alloc/spans_test.go	TestLineAllocStatsDeferredToConsumption	kept name: span stats count a slot when it is consumed
 internal/core/concurrent_cycle_test.go	TestAdaptiveMarkWorkersRebuild	kept name: two stepped cycles over a ~12 MiB live heap mark everything
 internal/core/concurrent_cycle_test.go	TestDetachedWorkersParkAndRetire	kept name: allocation assists alone land cycles
 internal/core/concurrent_cycle_test.go	TestMarkWorkersDefaultIsAdaptive	kept name: a default concurrent cycle marks on one marker and starts no goroutine
@@ -35,8 +31,6 @@ internal/core/cycle_test.go	"detached"	kept row name: a concurrent kind after a 
 internal/core/cycle_test.go	"parallel"	kept row name: a stop-the-world kind after a concurrent first cycle
 internal/core/held_test.go	"conc-workers"	kept row name: the conc-lazy mode
 internal/core/held_test.go	"line-lazy"	kept row name: the lazy mode
-internal/core/held_test.go	TestLineAllocGeneralWorkload	kept name: the mixed-size script under the lazy sweep conserves objects
-internal/core/held_test.go	TestLineAllocIntegrityWithOutstandingSpans	kept name: the audit accounts handles held mid-hole
 internal/core/lazysweep_test.go	"parallel"	kept row name: the conc mode
 internal/core/lostobject_test.go	"detached"	kept row name: the conc-lazy mode
 internal/core/mutator_test.go	"par-lazy"	kept row name: the conc-lazy mode
