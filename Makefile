@@ -112,7 +112,8 @@ bench:
 # One-iteration pass over every benchmark in the repo: catches bit-rot
 # in benchmark code without waiting for real measurements (among them
 # the rungs read without the perfbench harness: BenchmarkProgramTDirect
-# and its per-call sibling BenchmarkProgramTLockPair,
+# and its per-call sibling BenchmarkProgramTLockPair, program T's quiet
+# cycle BenchmarkProgramTQuietCycle,
 # BenchmarkMutatorAllocateChurn, its budgeted-tenant twin
 # BenchmarkTenantAllocateChurn, serve_tenants' two-goroutine shape
 # BenchmarkTenantAllocateTwoWorkers and BenchmarkMutatorStore/{one,two}
@@ -218,6 +219,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzSegmentAccess$$' -fuzztime $(FUZZTIME) ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzMarkValue$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzMarkWords$$' -fuzztime $(FUZZTIME) ./internal/mark
+	$(GO) test -run XXX -fuzz '^FuzzRootCache$$' -fuzztime $(FUZZTIME) ./internal/mark
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentAlloc$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz '^FuzzConcurrentMark$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run XXX -fuzz '^FuzzTenantBudget$$' -fuzztime $(FUZZTIME) ./internal/core

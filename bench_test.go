@@ -143,6 +143,28 @@ func BenchmarkProgramTLockPair(b *testing.B) {
 	}
 }
 
+// BenchmarkProgramTQuietCycle is the cycle that sets perfbench's
+// program_t pause_p50_us: one Collect per iteration on
+// BenchmarkProgramTDirect's environment after its run, when the lists
+// are dropped and a cycle marks only what the polluted statics still
+// reach. Most of it is the root scan of the unchanged static image,
+// which the marker serves from its copy of the last full scan.
+func BenchmarkProgramTQuietCycle(b *testing.B) {
+	env, err := programTBench().Build(1, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := env.RunProgramT(); err != nil {
+		b.Fatal(err)
+	}
+	env.World.Collect()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.World.Collect()
+	}
+}
+
 // programTLists is program T's allocation phase on env, through c: a
 // World (call by call) or a Region.
 func programTLists(env *platform.Env, c interface {

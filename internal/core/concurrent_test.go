@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/mem"
 )
 
@@ -112,7 +113,8 @@ func churnMutator(w *World, m *Mutator, data *mem.Segment, base mem.Addr, seed u
 // allocation stats stay exact. In the concurrent modes cycles trigger
 // on allocation pressure and are marked by the battery's own slow
 // paths' assists, each goroutine's between the others' stores through
-// the insertion barrier.
+// the insertion barrier; after the churn, one handle hides a white
+// object in a black one mid-cycle (hideInCycle).
 func TestConcurrentMutatorBattery(t *testing.T) {
 	configs := map[string]Config{}
 	// conc-lazy keeps the row name it ran under on the detached workers.
@@ -171,6 +173,11 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 					t.Fatalf("mutator %d: %v", g, err)
 				}
 			}
+			var world uint64 // the hide's allocations on no handle
+			if cfg.ConcurrentMark {
+				counts[0] += 2
+				world = hideInCycle(t, w, muts[0], data, 0x2000)
+			}
 			w.Collect()
 			w.FinishSweep()
 			if err := w.VerifyIntegrity(); err != nil {
@@ -179,7 +186,7 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 			// Conservation of objects: every successful allocation — fast
 			// path or slow — is visible in the central stats after the
 			// final safepoint published all local counters.
-			var total uint64
+			total := world
 			for _, c := range counts {
 				total += c
 			}
@@ -205,8 +212,8 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 						t.Fatalf("tenant %d: LiveBytes %d != owned bytes %d", g, st.LiveBytes, owned)
 					}
 				}
-				if byTenants != total {
-					t.Fatalf("sum of tenant AllocatedObjects = %d, want %d", byTenants, total)
+				if byTenants != total-world {
+					t.Fatalf("sum of tenant AllocatedObjects = %d, want %d", byTenants, total-world)
 				}
 			}
 			// No double-carve: the goroutines' surviving roots are
@@ -229,6 +236,56 @@ func TestConcurrentMutatorBattery(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hideInCycle is the battery's hide, made through handle m, whose root
+// slots are the sixteen words at base of data: mid-cycle, m.Store moves
+// the only reference to a white object (born white by AllocateRooted)
+// into a black one (a plain Allocate's, marked when handed out and
+// never scanned, rooted in a slot the finale rescans), and the white
+// object's root is then cleared. The white object is large, so its
+// rooted allocation cannot take a slot the cycle has marked already.
+// Only the store's insertion barrier can keep it: it must be marked at
+// once, and alive and still linked after the finale. A list allocated
+// on the world keeps the cycle open; hideInCycle returns its node count
+// (m allocates two objects more).
+func hideInCycle(t *testing.T, w *World, m *Mutator, data *mem.Segment, base mem.Addr) uint64 {
+	t.Helper()
+	const nodes = 4000
+	w.FinishConcurrentCycle()
+	concLiveList(t, w, base+4*13, nodes)
+	if err := w.StartConcurrentCycle(); err != nil {
+		t.Fatal(err)
+	}
+	black, err := m.Allocate(2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store(base+4*14, mem.Word(black)); err != nil {
+		t.Fatal(err)
+	}
+	white, err := m.AllocateRooted(data, base+4*15, alloc.MaxSmallWords+88, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.ConcurrentActive() || markedNow(w, white) || !markedNow(w, black) {
+		t.Fatalf("no white object beside a black one to hide it in (cycle active %v)", w.ConcurrentActive())
+	}
+	if err := m.Store(black, mem.Word(white)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store(base+4*15, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !markedNow(w, white) {
+		t.Fatalf("%#x is white after a handle's store hid it in black %#x", uint32(white), uint32(black))
+	}
+	concFinish(t, w)
+	if v, err := m.Load(black); err != nil || v != mem.Word(white) || !w.Heap.IsAllocated(white) {
+		t.Fatalf("after the finale: %#x holds %#x (%v), %#x allocated %v",
+			uint32(black), uint32(v), err, uint32(white), w.Heap.IsAllocated(white))
+	}
+	return nodes
 }
 
 // TestConcurrentMutatorStress is a heavier single-config run with more

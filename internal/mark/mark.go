@@ -116,6 +116,18 @@ type Marker struct {
 	// pay only predictable branches and allocate nothing.
 	recs []ParentRecord
 	org  provOrigin
+	// roots holds what MarkRootArea kept of each root segment's last
+	// full scan, by ordinal (RootOrigin.Src).
+	roots []rootCopy
+}
+
+// rootCopy is one root segment as its last full scan saw it: its words,
+// the heap's hull then, and (when ok) the in-hull words among them in
+// scan order. Nothing about what a candidate resolved to is kept.
+type rootCopy struct {
+	words, cands []mem.Word
+	lo, hi       mem.Addr
+	ok           bool
 }
 
 // New creates a marker for the given heap.
@@ -302,6 +314,40 @@ func (m *Marker) markRootWords(words []mem.Word) {
 	if m.k.Record {
 		m.org.base, m.org.off = area, 0
 	}
+}
+
+// markRootSegment scans root segment src's words. A segment whose words
+// and hull equal its last full scan's feeds only that scan's in-hull
+// words through the loop (the rest could be neither objects nor near the
+// heap), and counts the others as the dense scan would. Every candidate
+// is still classified: a false reference is blacklisted again, and may
+// since have become an object. The copy is compared, not trusted to a
+// write counter, because Segment.Words hands the backing slice out.
+func (m *Marker) markRootSegment(src int32, words []mem.Word) {
+	for int(src) >= len(m.roots) {
+		m.roots = append(m.roots, rootCopy{})
+	}
+	c := &m.roots[src]
+	lo, hi := m.heap.Hull()
+	same := mem.SameWords(words, c.words)
+	if same && c.ok && c.lo == lo && c.hi == hi {
+		m.k.Stats.WordsScanned += uint64(len(words))
+		m.scan(c.cands, false, 0)
+		m.k.Stats.Candidates += uint64(len(words) - len(c.cands))
+		return
+	}
+	m.markRootWords(words)
+	if !same {
+		c.words, c.ok = append(c.words[:0], words...), false
+		return
+	}
+	c.cands = c.cands[:0]
+	for _, v := range words {
+		if v != 0 && mem.Addr(v)-lo < hi-lo {
+			c.cands = append(c.cands, v)
+		}
+	}
+	c.lo, c.hi, c.ok = lo, hi, true
 }
 
 // MarkSegment scans a whole segment's committed words as a root area.

@@ -189,10 +189,15 @@ func (m *Marker) MarkSparseRoots(org RootOrigin, words []mem.Word) {
 
 // MarkRootArea scans words as a provenance-attributed root area under
 // the configured alignment policy. Identical to MarkWords when not
-// recording.
+// recording, except that a word-aligned root segment unchanged since its
+// last full scan is served from the marker's copy (markRootSegment),
+// with the same outcome.
 func (m *Marker) MarkRootArea(org RootOrigin, words []mem.Word) {
 	if m.k.Record {
 		m.org = provOrigin{kind: org.Kind, area: org.Base, src: org.Src}
+	} else if org.Kind == RootSegment && org.Src >= 0 && m.cfg.Alignment == AlignedWords {
+		m.markRootSegment(org.Src, words)
+		return
 	}
 	m.markRootWords(words)
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -482,4 +483,29 @@ func TestReadOnlySegment(t *testing.T) {
 	if err := s.Store(0x2004, 1); err != nil {
 		t.Fatal("store after unprotect failed")
 	}
+}
+
+// BenchmarkSameWords prices the root copy's compare over program T's
+// static image size (15 632 equal words, the marker's hit path) against
+// the word loop of slices.Equal.
+func BenchmarkSameWords(b *testing.B) {
+	a := make([]Word, 15632)
+	for i := range a {
+		a[i] = Word(i * 2654435761)
+	}
+	c := slices.Clone(a)
+	b.Run("bytes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !SameWords(a, c) {
+				b.Fatal("copies differ")
+			}
+		}
+	})
+	b.Run("slices", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !slices.Equal(a, c) {
+				b.Fatal("copies differ")
+			}
+		}
+	})
 }
