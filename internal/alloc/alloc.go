@@ -36,7 +36,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/blacklist"
 	"repro/internal/mem"
@@ -156,14 +155,12 @@ type Config struct {
 	// true, large objects must not span any blacklisted page; when
 	// false, only an object's first page matters (paper, observation 7).
 	InteriorPointers bool
-	// AllowAtomicOnBlacklisted lets small pointer-free objects be
-	// allocated on blacklisted pages (paper, observation 6: in PCedar
-	// "there are enough allocations of small objects known to be
-	// pointer-free that blacklisted pages can still be allocated").
+	// AllowAtomicOnBlacklisted lets small pointer-free objects, of at
+	// most atomicBlacklistMaxWords words, be allocated on blacklisted
+	// pages (paper, observation 6: in PCedar "there are enough
+	// allocations of small objects known to be pointer-free that
+	// blacklisted pages can still be allocated").
 	AllowAtomicOnBlacklisted bool
-	// AtomicBlacklistMaxWords bounds "small" for the previous knob
-	// (default 16 words).
-	AtomicBlacklistMaxWords int
 	// FreeBlocks selects the free block policy (default AddressOrdered).
 	FreeBlocks FreeBlockPolicy
 	// SkipPageBoundarySlot avoids handing out objects whose address is a
@@ -173,19 +170,6 @@ type Config struct {
 	// number of trailing zeroes". The first slot of such blocks is
 	// sacrificed.
 	SkipPageBoundarySlot bool
-	// DiscontiguousGrowth lets the heap grow by mapping additional
-	// extents at non-adjacent addresses once the first reservation is
-	// exhausted — the configuration of the paper's second collector,
-	// whose "heap is discontinuous" and whose blacklist is therefore
-	// the hashed form. Callers pairing this with a blacklist must use
-	// blacklist.Hashed: a Dense list covers only the first extent.
-	DiscontiguousGrowth bool
-	// ExtentGapBytes separates a new extent's base from the previous
-	// extent's reserved limit (default 16 MiB).
-	ExtentGapBytes int
-	// ExtentReserveBytes is each additional extent's reservation
-	// (default: ReserveBytes).
-	ExtentReserveBytes int
 	// LazySweep chooses when the collection barrier's per-slot work on
 	// mixed blocks is done. Sweep/SweepSticky classify every block from
 	// its mark summary either way — releasing empty blocks, skipping
@@ -205,21 +189,13 @@ func (c *Config) withDefaults() Config {
 	if out.Blacklist == nil {
 		out.Blacklist = blacklist.Disabled{}
 	}
-	if out.AtomicBlacklistMaxWords <= 0 {
-		out.AtomicBlacklistMaxWords = 16
-	}
 	out.InitialBytes = mem.PageCount(out.InitialBytes) * mem.PageBytes
 	out.ReserveBytes = mem.PageCount(out.ReserveBytes) * mem.PageBytes
-	if out.ExtentGapBytes <= 0 {
-		out.ExtentGapBytes = 16 << 20
-	}
-	out.ExtentGapBytes = mem.PageCount(out.ExtentGapBytes) * mem.PageBytes
-	if out.ExtentReserveBytes <= 0 {
-		out.ExtentReserveBytes = out.ReserveBytes
-	}
-	out.ExtentReserveBytes = mem.PageCount(out.ExtentReserveBytes) * mem.PageBytes
 	return out
 }
+
+// atomicBlacklistMaxWords bounds "small" for AllowAtomicOnBlacklisted.
+const atomicBlacklistMaxWords = 16
 
 // blockState classifies a committed block.
 type blockState uint8
@@ -323,23 +299,12 @@ type Stats struct {
 	LazySweptBlocks uint64
 }
 
-// extent is one contiguous run of heap. The default heap is a single
-// extent; with Config.DiscontiguousGrowth further extents are mapped at
-// non-adjacent addresses as the heap grows. Only the newest extent may
-// grow, so an extent's blocks occupy a contiguous range of the global
-// block index space starting at startBlock.
-type extent struct {
-	seg        *mem.Segment
-	startBlock int
-}
-
 // Allocator manages the simulated collected heap.
 type Allocator struct {
-	cfg     Config
-	space   *mem.AddressSpace
-	extents []extent
-	blocks  []blockDesc
-	free    []span // per FreeBlocks policy
+	cfg    Config
+	seg    *mem.Segment // the heap: block i is the page at hullLo + i pages
+	blocks []blockDesc
+	free   []span // per FreeBlocks policy
 	// lists[idx] is the free space of each size class, atomicity folded
 	// into idx (listIdx); typed holds the lists of typed (class,
 	// descriptor) blocks, and descriptors registers object layouts
@@ -369,22 +334,16 @@ type Allocator struct {
 	ownerRecords int
 	ownerSpare   [][][]int32
 	ownerCredit  func(id int32, objects, bytes uint64)
-	// hullLo/hullHi cache the reserved-range hull over all extents:
-	// every address any extent could ever commit lies in [hullLo,
-	// hullHi). The marker's candidate fast path rejects the common
-	// non-pointer root word with these two compares before paying for
-	// an extent search. Maintained by New and addExtent.
+	// hullLo/hullHi are the heap's reserved range, fixed at New: every
+	// address the heap could ever commit lies in [hullLo, hullHi). The
+	// marker's candidate fast path rejects the common non-pointer root
+	// word with these two compares.
 	hullLo, hullHi mem.Addr
-	// words0 caches extents[0].seg.Words() — the whole heap while there
-	// is one extent — so the mark loop (Scan) slices a popped object's
-	// words without chasing extent and segment pointers.
-	// Refreshed by Expand, the only place a heap segment grows.
-	words0 []mem.Word
-	// lastExtent caches the extent index of the most recent successful
-	// extentOfAddr lookup. Pointer candidates cluster, so the cache
-	// turns the multi-extent search into one bounds check in the common
-	// case.
-	lastExtent int
+	// words caches seg.Words(), the whole committed heap, so the mark
+	// loop (Scan) slices a popped object's words without chasing the
+	// segment pointer. Refreshed by Expand, the only place the heap
+	// segment grows.
+	words []mem.Word
 	// tracer receives heap-expansion, desperate-allocation and lazy
 	// sweep-drain events; nil (the default) disables them.
 	tracer *trace.Recorder
@@ -410,13 +369,12 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 		return nil, err
 	}
 	a := &Allocator{
-		cfg:     c,
-		space:   space,
-		extents: []extent{{seg: seg, startBlock: 0}},
-		typed:   map[typedKey]*slotList{},
-		hullLo:  seg.Base(),
-		hullHi:  seg.ReservedLimit(),
-		words0:  seg.Words(),
+		cfg:    c,
+		seg:    seg,
+		typed:  map[typedKey]*slotList{},
+		hullLo: seg.Base(),
+		hullHi: seg.ReservedLimit(),
+		words:  seg.Words(),
 	}
 	n := c.InitialBytes / mem.PageBytes
 	a.blocks = make([]blockDesc, n)
@@ -429,115 +387,51 @@ func New(space *mem.AddressSpace, cfg Config) (*Allocator, error) {
 	return a, nil
 }
 
-// Seg returns the heap's first (and, by default, only) extent segment.
-func (a *Allocator) Seg() *mem.Segment { return a.extents[0].seg }
-
-// Extents returns the number of heap extents (1 unless
-// DiscontiguousGrowth has added more).
-func (a *Allocator) Extents() int { return len(a.extents) }
+// Seg returns the heap segment.
+func (a *Allocator) Seg() *mem.Segment { return a.seg }
 
 // Base returns the heap's lowest address.
-func (a *Allocator) Base() mem.Addr { return a.extents[0].seg.Base() }
+func (a *Allocator) Base() mem.Addr { return a.hullLo }
 
-// Limit returns the first address past the committed heap's highest
-// extent.
-func (a *Allocator) Limit() mem.Addr { return a.extents[len(a.extents)-1].seg.Limit() }
+// Limit returns the first address past the committed heap.
+func (a *Allocator) Limit() mem.Addr { return a.seg.Limit() }
 
-// Hull returns the reserved-range hull of the heap: every address in
-// any extent's reserved region lies in [lo, hi). A value outside the
-// hull can be neither a valid object address nor "in the vicinity of
-// the heap", so the marker rejects it with two compares.
+// Hull returns the heap's reserved range [lo, hi), which New fixes and
+// growth never moves. A value outside it can be neither a valid object
+// address nor "in the vicinity of the heap", so the marker rejects it
+// with two compares.
 func (a *Allocator) Hull() (lo, hi mem.Addr) { return a.hullLo, a.hullHi }
 
-// InVicinity reports whether p falls in any extent's reserved region —
+// InVicinity reports whether p falls in the heap's reserved region —
 // the paper's test for values that "could conceivably become valid
 // object addresses as a result of later allocation".
-func (a *Allocator) InVicinity(p mem.Addr) bool {
-	if p < a.hullLo || p >= a.hullHi {
-		return false
-	}
-	if len(a.extents) == 1 {
-		return true
-	}
-	// Binary search over the extents (sorted by base); p may fall into
-	// the unreserved gap between two extents.
-	i := sort.Search(len(a.extents), func(i int) bool { return a.extents[i].seg.Base() > p }) - 1
-	return i >= 0 && a.extents[i].seg.InReserved(p)
-}
+func (a *Allocator) InVicinity(p mem.Addr) bool { return p >= a.hullLo && p < a.hullHi }
 
 // InCommitted reports whether p falls in the committed heap.
-func (a *Allocator) InCommitted(p mem.Addr) bool {
-	return a.extentOfAddr(p) != nil
-}
-
-// extentOfAddr returns the extent whose committed region holds p, or
-// nil. The common single-extent case is one bounds check; the
-// multi-extent case first consults the last-hit cache and then binary
-// searches the (base-sorted) extents.
-func (a *Allocator) extentOfAddr(p mem.Addr) *extent {
-	if len(a.extents) == 1 {
-		if a.extents[0].seg.Contains(p) {
-			return &a.extents[0]
-		}
-		return nil
-	}
-	if i := a.lastExtent; i < len(a.extents) && a.extents[i].seg.Contains(p) {
-		return &a.extents[i]
-	}
-	i := sort.Search(len(a.extents), func(i int) bool { return a.extents[i].seg.Base() > p }) - 1
-	if i >= 0 && a.extents[i].seg.Contains(p) {
-		a.lastExtent = i
-		return &a.extents[i]
-	}
-	return nil
-}
-
-// extentOfBlock returns the extent owning global block index bi.
-func (a *Allocator) extentOfBlock(bi int) *extent {
-	for i := len(a.extents) - 1; i >= 0; i-- {
-		if bi >= a.extents[i].startBlock {
-			return &a.extents[i]
-		}
-	}
-	panic(fmt.Sprintf("alloc: block %d has no extent", bi))
-}
+func (a *Allocator) InCommitted(p mem.Addr) bool { return a.seg.Contains(p) }
 
 // blockWords returns the PageWords-long word slice backing block bi.
 func (a *Allocator) blockWords(bi int) []mem.Word {
-	e := a.extentOfBlock(bi)
-	off := (bi - e.startBlock) * mem.PageWords
-	return e.seg.Words()[off : off+mem.PageWords]
+	return a.words[bi*mem.PageWords:][:mem.PageWords]
 }
 
 // loadWord reads heap memory by address.
 func (a *Allocator) loadWord(p mem.Addr) (mem.Word, error) {
-	if e := a.extentOfAddr(p); e != nil {
-		return e.seg.Load(p)
+	if !a.seg.Contains(p) {
+		return 0, fmt.Errorf("alloc: load outside heap at %#x", uint32(p))
 	}
-	return 0, fmt.Errorf("alloc: load outside heap at %#x", uint32(p))
+	return a.seg.Load(p)
 }
 
 // NumBlocks returns the number of committed blocks.
 func (a *Allocator) NumBlocks() int { return len(a.blocks) }
 
 // blockBase returns the address of block i.
-func (a *Allocator) blockBase(i int) mem.Addr {
-	if len(a.extents) == 1 {
-		return a.extents[0].seg.Base() + mem.Addr(i*mem.PageBytes)
-	}
-	e := a.extentOfBlock(i)
-	return e.seg.Base() + mem.Addr((i-e.startBlock)*mem.PageBytes)
-}
+func (a *Allocator) blockBase(i int) mem.Addr { return a.hullLo + mem.Addr(i*mem.PageBytes) }
 
 // blockIndex returns the index of the block containing p, which must be
 // in the committed heap.
-func (a *Allocator) blockIndex(p mem.Addr) int {
-	if len(a.extents) == 1 {
-		return int(p-a.extents[0].seg.Base()) / mem.PageBytes
-	}
-	e := a.extentOfAddr(p)
-	return e.startBlock + int(p-e.seg.Base())/mem.PageBytes
-}
+func (a *Allocator) blockIndex(p mem.Addr) int { return int(p-a.hullLo) / mem.PageBytes }
 
 func bitGet(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitSet(bits []uint64, i int)      { bits[i>>6] |= 1 << (uint(i) & 63) }
@@ -612,7 +506,7 @@ func (a *Allocator) alloc(nwords int, atomic, desperate bool) (mem.Addr, error) 
 func (a *Allocator) freshBlock(class int, desc DescID, desperate bool) (bi int, ok bool) {
 	words := classWords[class]
 	anyPageOK := desperate || (desc == descAtomic && a.cfg.AllowAtomicOnBlacklisted &&
-		words <= a.cfg.AtomicBlacklistMaxWords)
+		words <= atomicBlacklistMaxWords)
 	if bi, ok = a.acquireSpan(1, anyPageOK); !ok {
 		return 0, false
 	}
@@ -754,9 +648,7 @@ func (a *Allocator) insertSpan(sp span) {
 		a.free = append(a.free, sp)
 		return
 	}
-	// Address ordered with coalescing. Adjacent block indices may
-	// belong to different extents (the index space is dense even when
-	// the address space is not), so never coalesce across extents.
+	// Address ordered with coalescing.
 	i := 0
 	for i < len(a.free) && a.free[i].start < sp.start {
 		i++
@@ -764,14 +656,11 @@ func (a *Allocator) insertSpan(sp span) {
 	a.free = append(a.free, span{})
 	copy(a.free[i+1:], a.free[i:])
 	a.free[i] = sp
-	sameExtent := func(x, y int) bool { return a.extentOfBlock(x) == a.extentOfBlock(y) }
-	if i+1 < len(a.free) && a.free[i].start+a.free[i].n == a.free[i+1].start &&
-		sameExtent(a.free[i].start, a.free[i+1].start) {
+	if i+1 < len(a.free) && a.free[i].start+a.free[i].n == a.free[i+1].start {
 		a.free[i].n += a.free[i+1].n
 		a.free = append(a.free[:i+1], a.free[i+2:]...)
 	}
-	if i > 0 && a.free[i-1].start+a.free[i-1].n == a.free[i].start &&
-		sameExtent(a.free[i-1].start, a.free[i].start) {
+	if i > 0 && a.free[i-1].start+a.free[i-1].n == a.free[i].start {
 		a.free[i-1].n += a.free[i].n
 		a.free = append(a.free[:i], a.free[i+1:]...)
 	}
@@ -786,31 +675,25 @@ func (a *Allocator) releaseSpan(start, n int) {
 }
 
 // Expand commits at least bytes more heap (rounded up to the expansion
-// increment and page size), growing the newest extent or — under
-// DiscontiguousGrowth — mapping a fresh extent at a non-adjacent
-// address once the current reservation is spent. It returns
-// ErrHeapExhausted when no growth is possible.
+// increment and page size), growing the heap segment in place within
+// its reservation. It returns ErrHeapExhausted when the reservation is
+// fully committed.
 func (a *Allocator) Expand(bytes int) error {
 	if bytes < a.cfg.ExpandIncrement {
 		bytes = a.cfg.ExpandIncrement
 	}
 	bytes = mem.PageCount(bytes) * mem.PageBytes
-	last := &a.extents[len(a.extents)-1]
-	avail := last.seg.ReservedSize() - last.seg.Size()
+	avail := a.seg.ReservedSize() - a.seg.Size()
 	if avail <= 0 {
-		if err := a.addExtent(); err != nil {
-			return err
-		}
-		last = &a.extents[len(a.extents)-1]
-		avail = last.seg.ReservedSize() - last.seg.Size()
+		return ErrHeapExhausted
 	}
 	if bytes > avail {
 		bytes = avail
 	}
-	if err := last.seg.Grow(bytes); err != nil {
+	if err := a.seg.Grow(bytes); err != nil {
 		return err
 	}
-	a.words0 = a.extents[0].seg.Words()
+	a.words = a.seg.Words()
 	start := len(a.blocks)
 	n := bytes / mem.PageBytes
 	a.blocks = append(a.blocks, make([]blockDesc, n)...)
@@ -825,49 +708,8 @@ func (a *Allocator) Expand(bytes int) error {
 	return nil
 }
 
-// nextExtentBase computes where the next extent would start, in 64-bit
-// arithmetic so a heap near the top of the address space cannot wrap.
-func (a *Allocator) nextExtentBase() (mem.Addr, bool) {
-	last := a.extents[len(a.extents)-1].seg
-	base := uint64(last.Base()) + uint64(last.ReservedSize()) + uint64(a.cfg.ExtentGapBytes)
-	base = (base + mem.PageBytes - 1) &^ (mem.PageBytes - 1)
-	if base+uint64(a.cfg.ExtentReserveBytes) > 1<<32 {
-		return 0, false
-	}
-	return mem.Addr(base), true
-}
-
-// addExtent maps a new heap extent past the previous one.
-func (a *Allocator) addExtent() error {
-	if !a.cfg.DiscontiguousGrowth {
-		return ErrHeapExhausted
-	}
-	base, ok := a.nextExtentBase()
-	if !ok {
-		return ErrHeapExhausted
-	}
-	name := fmt.Sprintf("heap%d", len(a.extents))
-	seg, err := a.space.MapNew(name, mem.KindHeap, base, 0, a.cfg.ExtentReserveBytes)
-	if err != nil {
-		return fmt.Errorf("alloc: mapping extent %s: %w", name, err)
-	}
-	a.extents = append(a.extents, extent{seg: seg, startBlock: len(a.blocks)})
-	a.hullHi = seg.ReservedLimit()
-	return nil
-}
-
 // CanExpand reports whether the heap can still grow.
-func (a *Allocator) CanExpand() bool {
-	last := a.extents[len(a.extents)-1].seg
-	if last.Size() < last.ReservedSize() {
-		return true
-	}
-	if !a.cfg.DiscontiguousGrowth {
-		return false
-	}
-	_, ok := a.nextExtentBase()
-	return ok
-}
+func (a *Allocator) CanExpand() bool { return a.seg.Size() < a.seg.ReservedSize() }
 
 // Stats returns a copy of the allocator statistics.
 func (a *Allocator) Stats() Stats { return a.stats }

@@ -449,7 +449,6 @@ func TestAtomicSmallMayUseBlacklistedPages(t *testing.T) {
 		Blacklist:                bl,
 		InitialBytes:             8 * mem.PageBytes,
 		AllowAtomicOnBlacklisted: true,
-		AtomicBlacklistMaxWords:  16,
 	})
 	bl.Add(testHeapBase)
 	// A small atomic object may use the blacklisted first page.
@@ -763,5 +762,18 @@ func TestAllocDesperateUsesBlacklistedPages(t *testing.T) {
 	}
 	if !a.IsAllocated(big) || a.Stats().DesperateAllocs != 2 {
 		t.Fatalf("large desperate alloc wrong: %v", a.Stats())
+	}
+}
+
+func TestContiguousDefaultStillExhausts(t *testing.T) {
+	_, a := newTestAllocator(t, Config{
+		InitialBytes: 2 * mem.PageBytes,
+		ReserveBytes: 2 * mem.PageBytes,
+	})
+	if a.CanExpand() {
+		t.Fatal("contiguous full heap claims expandability")
+	}
+	if err := a.Expand(mem.PageBytes); err != ErrHeapExhausted {
+		t.Fatalf("want ErrHeapExhausted, got %v", err)
 	}
 }

@@ -52,7 +52,7 @@ func slotOfWord(wordOff, w int) int {
 // slotsPerBlock returns how many objects of w words fit in one block.
 func slotsPerBlock(w int) int { return int(slotCount[w]) }
 
-// pageWordOff returns p's word offset within its block. Every extent is
+// pageWordOff returns p's word offset within its block. The heap is
 // page-aligned, so the offset is the address's low bits.
 func pageWordOff(p mem.Addr) int { return int(p&(mem.PageBytes-1)) / mem.WordBytes }
 
@@ -90,22 +90,11 @@ const (
 // (Scan) shares its small-block rule, smallSlot, so the rules exist
 // once.
 func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockDesc, slot int, g Gray, out MarkOutcome) {
-	var bi int
-	if len(a.extents) == 1 {
-		// The test runs for every candidate, so the common single-extent
-		// heap avoids the extent search: its block table covers exactly
-		// the committed pages from hullLo up, and a value below hullLo
-		// wraps to an index past any table.
-		bi = int((p - a.hullLo) / mem.PageBytes)
-		if bi >= len(a.blocks) {
-			return nil, 0, 0, NotObject
-		}
-	} else {
-		e := a.extentOfAddr(p)
-		if e == nil {
-			return nil, 0, 0, NotObject
-		}
-		bi = e.startBlock + int((p-e.seg.Base())/mem.PageBytes)
+	// The block table covers exactly the committed pages from hullLo
+	// up, and a value below hullLo wraps to an index past any table.
+	bi := int((p - a.hullLo) / mem.PageBytes)
+	if bi >= len(a.blocks) {
+		return nil, 0, 0, NotObject
 	}
 	b = &a.blocks[bi]
 	base := mem.AlignPageDown(p)
@@ -119,8 +108,8 @@ func (a *Allocator) resolve(p mem.Addr, interior bool, mode markMode) (b *blockD
 		if !interior {
 			return nil, 0, 0, NotObject
 		}
-		// A span never crosses extents, so the head is spanLen whole
-		// pages below in both index and address.
+		// The head is spanLen whole pages below in both index and
+		// address.
 		base -= mem.Addr(b.spanLen) * mem.PageBytes
 		b = &a.blocks[bi-int(b.spanLen)]
 		if b.ignoreOffPage {
@@ -293,16 +282,10 @@ func (a *Allocator) ScanView(base mem.Addr) (g Gray, scanned bool) {
 	return b.gray(base), !b.atomic
 }
 
-// GrayWords returns the heap words of g's object, on any heap. Objects
-// never span extents, so the slice is contiguous.
+// GrayWords returns the heap words of g's object.
 func (a *Allocator) GrayWords(g Gray) []mem.Word {
-	ws, lo := a.words0, a.hullLo
-	if len(a.extents) > 1 {
-		seg := a.extentOfAddr(g.Base()).seg
-		ws, lo = seg.Words(), seg.Base()
-	}
-	off := int(g.Base()-lo) / mem.WordBytes
-	return ws[off : off+g.Words()]
+	off := int(g.Base()-a.hullLo) / mem.WordBytes
+	return a.words[off : off+g.Words()]
 }
 
 // PointerMask returns the pointer bitmap of a typed entry's layout

@@ -80,11 +80,10 @@ func TestSlotGeometryBoundaries(t *testing.T) {
 // geometry kernel, hardware divisions and all; the differential tests
 // hold MarkCandidate to it.
 func refFindObject(a *Allocator, p mem.Addr, interior bool) (mem.Addr, bool) {
-	e := a.extentOfAddr(p)
-	if e == nil {
+	if !a.seg.Contains(p) {
 		return 0, false
 	}
-	bi := e.startBlock + int(p-e.seg.Base())/mem.PageBytes
+	bi := int(p-a.seg.Base()) / mem.PageBytes
 	b := &a.blocks[bi]
 	switch b.state {
 	case blockFree:
@@ -214,18 +213,12 @@ var zooConfigs = []struct {
 }{
 	{"freelist", Config{}},
 	{"skip-boundary-slot", Config{SkipPageBoundarySlot: true}},
-	{"second-extent", Config{
-		InitialBytes: 24 * mem.PageBytes, ReserveBytes: 24 * mem.PageBytes,
-		ExpandIncrement: mem.PageBytes, DiscontiguousGrowth: true,
-		ExtentGapBytes: 1 << 20, ExtentReserveBytes: 32 * mem.PageBytes,
-	}},
 }
 
 // buildZoo populates a heap with small conservative, atomic and typed
 // blocks of several classes (some slots freed again), a large object,
 // an ignore-off-page large object, and a large object freed back into
-// free blocks; under DiscontiguousGrowth it spills into a second
-// extent. The sequence is deterministic, so two zoos built from one
+// free blocks. The sequence is deterministic, so two zoos built from one
 // config are address-identical.
 func buildZoo(t testing.TB, cfg Config) *Allocator {
 	t.Helper()
@@ -281,25 +274,13 @@ func buildZoo(t testing.TB, cfg Config) *Allocator {
 	if err := a.Free(hole); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.DiscontiguousGrowth {
-		for a.Extents() < 2 {
-			alloc(func() (mem.Addr, error) { return a.Alloc(mem.PageWords, false) })
-		}
-		alloc(func() (mem.Addr, error) { return a.Alloc(6, false) })
-		alloc(func() (mem.Addr, error) { return a.Alloc(2*mem.PageWords, false) })
-		// The spill reused the hole; leave a free block in the new extent.
-		if err := a.Expand(mem.PageBytes); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return a
 }
 
 // zooCandidates returns every byte address of every committed block
 // (so aligned, unaligned, interior and tail-waste values of each block
 // state), then values around and outside the heap: below it, in the
-// reserved-but-uncommitted tail, between extents, and at the ends of
-// the address space.
+// reserved-but-uncommitted tail, and at the ends of the address space.
 func zooCandidates(a *Allocator) []mem.Addr {
 	var out []mem.Addr
 	for bi := range a.blocks {
@@ -310,10 +291,8 @@ func zooCandidates(a *Allocator) []mem.Addr {
 	}
 	lo, hi := a.Hull()
 	out = append(out, 0, 1, lo-mem.PageBytes, lo-1, hi, hi+mem.PageBytes, ^mem.Addr(0))
-	for _, e := range a.extents {
-		out = append(out, e.seg.Limit(), e.seg.Limit()+4, e.seg.ReservedLimit()-4,
-			e.seg.ReservedLimit(), e.seg.ReservedLimit()+mem.PageBytes)
-	}
+	out = append(out, a.seg.Limit(), a.seg.Limit()+4, a.seg.ReservedLimit()-4,
+		a.seg.ReservedLimit(), a.seg.ReservedLimit()+mem.PageBytes)
 	return out
 }
 
@@ -342,9 +321,6 @@ func TestMarkCandidateMatchesUnfused(t *testing.T) {
 					}
 					if len(states) != 4 {
 						t.Fatalf("zoo holds block states %v, want all four", states)
-					}
-					if cfg.DiscontiguousGrowth && fused.Extents() < 2 {
-						t.Fatal("zoo has no second extent")
 					}
 					var outcomes [4]int
 					// Twice over: the second pass meets every object marked.
@@ -407,9 +383,6 @@ func FuzzMarkCandidate(f *testing.F) {
 			ExpandIncrement:      mem.PageBytes,
 			InteriorPointers:     interior,
 			SkipPageBoundarySlot: mode&8 != 0,
-			DiscontiguousGrowth:  true,
-			ExtentGapBytes:       1 << 20,
-			ExtentReserveBytes:   16 * mem.PageBytes,
 		}
 		var heaps [2]*Allocator
 		var ids [2]DescID
@@ -469,7 +442,7 @@ func FuzzMarkCandidate(f *testing.F) {
 					both(func(a *Allocator, _ DescID) (mem.Addr, error) { return 0, a.Free(live[j]) })
 					live = append(live[:j], live[j+1:]...)
 				}
-			case 5: // expand (into a second extent once the first is spent)
+			case 5: // expand, until the reservation is spent
 				both(func(a *Allocator, _ DescID) (mem.Addr, error) { return 0, a.Expand(mem.PageBytes) })
 			case 6: // sweep: clears marks, frees what is unmarked
 				both(func(a *Allocator, _ DescID) (mem.Addr, error) { a.Sweep(); return 0, nil })

@@ -328,11 +328,10 @@ type carveCase struct {
 	shape  string
 }
 
-// smallExtents is a heap that grows by mapping two-page extents.
-var smallExtents = Config{
-	InitialBytes: 2 * mem.PageBytes, ReserveBytes: 2 * mem.PageBytes,
-	ExpandIncrement: mem.PageBytes, DiscontiguousGrowth: true,
-	ExtentGapBytes: 1 << 20, ExtentReserveBytes: 2 * mem.PageBytes,
+// smallHeap is a two-page heap that grows a page at a time.
+var smallHeap = Config{
+	InitialBytes: 2 * mem.PageBytes, ReserveBytes: 64 * mem.PageBytes,
+	ExpandIncrement: mem.PageBytes,
 }
 
 var carveCases = []carveCase{
@@ -342,8 +341,6 @@ var carveCases = []carveCase{
 	{name: "swept-lazy", cfg: Config{LazySweep: true}, nwords: 8, shape: "swept"},
 	{name: "swept-big", nwords: 170, shape: "swept"},
 	{name: "hopping", nwords: 16, shape: "hopping"},
-	{name: "hopping-extents", cfg: smallExtents, nwords: 16, shape: "hopping"},
-	{name: "swept-extents", cfg: smallExtents, nwords: 5, shape: "swept"},
 	{name: "skip-boundary-1", cfg: Config{SkipPageBoundarySlot: true}, nwords: 1, shape: "swept"},
 	{name: "skip-boundary-2", cfg: Config{SkipPageBoundarySlot: true}, nwords: 2, shape: "hopping"},
 	// Pointer-free ("atomic") objects have lists of their own.
@@ -351,7 +348,7 @@ var carveCases = []carveCase{
 	{name: "atomic-words-hopping", nwords: 4, atomic: true, shape: "hopping"},
 	{name: "typed-fresh", typed: []bool{true, false, true}, shape: "fresh"},
 	{name: "typed-swept", typed: []bool{true, false, true, false, false, true}, shape: "swept"},
-	{name: "typed-hopping", cfg: smallExtents, typed: []bool{false, true}, shape: "hopping"},
+	{name: "typed-hopping", cfg: smallHeap, typed: []bool{false, true}, shape: "hopping"},
 }
 
 // newHeap builds the case's heap and shapes it.
@@ -372,7 +369,7 @@ func (tc carveCase) newHeap(t *testing.T) (*orderCheck, DescID) {
 }
 
 // TestCarveDifferential drives the hole allocator over heaps fresh,
-// swept, with holes hopping between blocks and between extents, with
+// swept, with holes hopping between blocks, with
 // the page-boundary slot skipped, typed lists and pointer-free lists,
 // and checks every slot it hands out against the order oracle. Untyped
 // lists are carved up to each max, every tail length of a carve is
@@ -512,7 +509,6 @@ var holeConfigs = map[string]Config{
 	"eager":         {},
 	"lazy":          {LazySweep: true},
 	"skip-boundary": {SkipPageBoundarySlot: true, LazySweep: true},
-	"extents":       smallExtents,
 }
 
 // TestHoleOrderOracle runs the seeded churn under each configuration:
@@ -643,10 +639,10 @@ func (s Span) slots(words int) int {
 
 // storeWord writes heap memory by address.
 func (a *Allocator) storeWord(p mem.Addr, v mem.Word) error {
-	if e := a.extentOfAddr(p); e != nil {
-		return e.seg.Store(p, v)
+	if !a.seg.Contains(p) {
+		return fmt.Errorf("alloc: store outside heap at %#x", uint32(p))
 	}
-	return fmt.Errorf("alloc: store outside heap at %#x", uint32(p))
+	return a.seg.Store(p, v)
 }
 
 // popSingly calls pop up to n times, stopping at the first error.

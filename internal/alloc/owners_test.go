@@ -414,10 +414,6 @@ var ownerTapeConfigs = []struct {
 	{"freelist", Config{}},
 	{"lazy-sweep", Config{LazySweep: true}},
 	{"skip-boundary-slot", Config{SkipPageBoundarySlot: true, LazySweep: true}},
-	{"second-extent", Config{
-		InitialBytes: 6 * mem.PageBytes, ReserveBytes: 10 * mem.PageBytes,
-		DiscontiguousGrowth: true, ExtentGapBytes: 1 << 20, ExtentReserveBytes: 32 * mem.PageBytes,
-	}},
 }
 
 // TestOwnerTableMatchesMap drives the table and the map it replaced side
@@ -551,16 +547,15 @@ func TestOwnerTableEdges(t *testing.T) {
 		}
 	})
 
-	t.Run("second extent and expansion after the table exists", func(t *testing.T) {
+	t.Run("expansion after the table exists", func(t *testing.T) {
 		a, credit := ownerEdgeHeap(t, Config{
-			InitialBytes: 2 * mem.PageBytes, ReserveBytes: 2 * mem.PageBytes,
-			DiscontiguousGrowth: true, ExtentGapBytes: 1 << 20, ExtentReserveBytes: 8 * mem.PageBytes,
+			InitialBytes: 2 * mem.PageBytes, ReserveBytes: 10 * mem.PageBytes,
 		})
 		first := mustAlloc(t, a, 8, false)
 		a.TagOwner(first, 1)
 		tableLen := len(a.owners)
 		var far mem.Addr
-		for a.Extents() < 2 || a.blockIndex(far) < tableLen {
+		for a.NumBlocks() <= 2 || a.blockIndex(far) < tableLen {
 			far = mustAlloc(t, a, 512, false)
 		}
 		a.TagOwner(far, 2)
@@ -568,10 +563,10 @@ func TestOwnerTableEdges(t *testing.T) {
 			t.Fatal("the table did not grow with the heap")
 		}
 		if id, ok := a.OwnerOf(far); !ok || id != 2 {
-			t.Fatalf("OwnerOf(second-extent object) = %d, %v", id, ok)
+			t.Fatalf("OwnerOf(object past the first table) = %d, %v", id, ok)
 		}
 		if id, ok := a.OwnerOf(first); !ok || id != 1 {
-			t.Fatalf("OwnerOf(first-extent object) = %d, %v", id, ok)
+			t.Fatalf("OwnerOf(first object) = %d, %v", id, ok)
 		}
 		a.Mark(first)
 		a.Sweep()

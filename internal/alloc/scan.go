@@ -50,9 +50,9 @@ func (s *ScanState) Begin(dense bool, budget int) {
 // Scan is the mark loop: figure 2's classification of every word of ws,
 // then of each popped gray object's words. A nonzero word is an object
 // address (marked and, unless pointer-free, pushed), an in-hull
-// non-object (added to False), or neither. A small block's candidate on
-// a one-extent heap is resolved inline (smallSlot, setMark) with no
-// call; anything else goes to resolve. A resumed loop that stopped in a
+// non-object (added to False), or neither. A small block's candidate is
+// resolved inline (smallSlot, setMark) with no call; anything else goes
+// to resolve. A resumed loop that stopped in a
 // popped object's words (From) finds them again itself; ws is the
 // caller's words, whose slice header nothing stores, so it may live on
 // the caller's stack.
@@ -61,10 +61,7 @@ func (a *Allocator) Scan(s *ScanState, ws []mem.Word, stack *[]Gray) ScanStop {
 	if s.From != 0 {
 		ws = a.GrayWords(s.From)
 	}
-	blocks := a.blocks // the inline lookup indexes the first extent's table
-	if len(a.extents) > 1 {
-		blocks = nil
-	}
+	blocks := a.blocks
 	st, i, nonzero := *stack, s.i, s.count
 	stop := ScanDone
 loop:
@@ -142,11 +139,7 @@ loop:
 			stop, s.Gray, s.From = ScanTyped, g, 0
 			break
 		}
-		if len(a.extents) == 1 {
-			ws = a.words0[(g.Base()-lo)/mem.WordBytes:][:g.Words()]
-		} else {
-			ws = a.GrayWords(g)
-		}
+		ws = a.words[(g.Base()-lo)/mem.WordBytes:][:g.Words()]
 		s.From = g
 		s.Stats.FieldsScanned += uint64(len(ws))
 	}

@@ -80,7 +80,7 @@ func (r *refScan) drain(t *testing.T) {
 		}
 		ws := make([]mem.Word, g.Words())
 		for i := range ws {
-			w, err := r.a.space.Load(g.Base() + mem.Addr(i*mem.WordBytes))
+			w, err := r.a.seg.Load(g.Base() + mem.Addr(i*mem.WordBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,21 +98,22 @@ func (r *refScan) drain(t *testing.T) {
 // through refScan. The in-hull non-objects met, the objects won, the
 // counters and the mark bitmaps must be equal, and the stack must end
 // empty. The first byte selects the policy (bit 0 interior), a stop at
-// every win (bit 1), a dense root area (bit 2), and a heap that grows
-// into a second extent (bit 3), where every candidate goes through
-// resolve instead of the inline lookup.
+// every win (bit 1), a dense root area (bit 2), and a heap whose
+// reservation runs out (bit 3), so that later allocations and
+// expansions fail.
 func FuzzScanCandidates(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 6, 0, 0, 3, 2, 0, 7, 0, 6, 2, 1, 3, 6, 255, 6, 17})
 	f.Add([]byte{7, 0, 2, 0, 9, 0, 200, 2, 0, 6, 0, 7, 1, 6, 2, 7, 3, 6, 4, 4, 1, 6, 6})
 	f.Add([]byte{3, 3, 9, 1, 4, 0, 5, 7, 0, 7, 128, 6, 64, 6, 1, 6, 0})
 	f.Add([]byte{1, 2, 0, 2, 0, 6, 4, 6, 8, 0, 3, 6, 10}) // typed pops
 	f.Add([]byte{0, 0, 0, 0, 0, 6, 12, 6, 4})             // a free slot's base
-	// A second extent: eight expansions use the first extent's reserve.
+	// A spent reservation: eight expansions commit all of it.
 	f.Add([]byte{9, 0, 4, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
 		0, 8, 1, 2, 0, 3, 7, 0, 7, 2, 6, 0, 6, 2, 6, 4, 6, 99})
 	f.Add([]byte{15, 0, 1, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
 		2, 0, 0, 40, 1, 1, 7, 0, 7, 1, 7, 2, 6, 0, 6, 2, 6, 4, 6, 51})
-	// More in-hull non-objects than False holds, on one extent and on two.
+	// More in-hull non-objects than False holds, on a heap with room to
+	// grow and on one whose reservation is spent.
 	many, spill := []byte{0, 0, 4}, []byte{8}
 	for a := byte(5); a < 5+2*40; a += 2 {
 		many = append(many, 6, a)
@@ -136,7 +137,7 @@ func FuzzScanCandidates(f *testing.F) {
 			t.Skip("empty tape")
 		}
 		mode := tape[0]
-		interior, record, dense, spill := mode&1 != 0, mode&2 != 0, mode&4 != 0, mode&8 != 0
+		interior, record, dense, small := mode&1 != 0, mode&2 != 0, mode&4 != 0, mode&8 != 0
 		cfg := Config{
 			HeapBase:         testHeapBase,
 			InitialBytes:     8 * mem.PageBytes,
@@ -144,11 +145,8 @@ func FuzzScanCandidates(f *testing.F) {
 			ExpandIncrement:  mem.PageBytes,
 			InteriorPointers: interior,
 		}
-		if spill {
+		if small {
 			cfg.ReserveBytes = 16 * mem.PageBytes
-			cfg.DiscontiguousGrowth = true
-			cfg.ExtentGapBytes = 1 << 20
-			cfg.ExtentReserveBytes = 16 * mem.PageBytes
 		}
 		var heaps [2]*Allocator
 		var ids [2]DescID
@@ -217,7 +215,7 @@ func FuzzScanCandidates(f *testing.F) {
 					at := p + mem.Addr(arg%words*mem.WordBytes)
 					v := candidate(arg * 7)
 					for _, a := range heaps {
-						if err := a.space.Store(at, v); err != nil {
+						if err := a.seg.Store(at, v); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -132,7 +132,7 @@ func (c *allocCache) appendHeld(out []mem.Addr) []mem.Addr {
 // (DESIGN.md §5d).
 type Region struct {
 	cacheSet
-	heap *mem.Segment // the heap's first extent, which Store writes directly
+	heap *mem.Segment // the heap segment, which Store writes directly
 }
 
 // Run calls fn with the world lock held for all of it, so that a

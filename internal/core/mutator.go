@@ -30,8 +30,8 @@ import (
 //     (parkMutatorsLocked holds every handle's mutex), so the
 //     condition cannot change under a store. A barrier store takes the
 //     central lock and runs storeLocked, as World.Store does.
-//   - Heap memory moves in one place only: Allocator.Expand grows a
-//     segment's backing array or maps a new extent. It runs with every
+//   - Heap memory moves in one place only: Allocator.Expand grows the
+//     heap segment's backing array. It runs with every
 //     handle parked (expandLocked), so a handle may read and write heap
 //     words under its own mutex alone.
 //   - The slow path — an empty cache, a large or typed object, heap

@@ -29,13 +29,6 @@ func (w *World) EnableProvenance(on bool) {
 	w.mu.Unlock()
 }
 
-// ProvenanceEnabled reports whether subsequent collections record.
-func (w *World) ProvenanceEnabled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.prov.enabled
-}
-
 // ProvenanceValid reports whether a harvested provenance map exists,
 // and if so which collection cycle it describes. Full cycles rebuild
 // the map; generational minors merge their newly

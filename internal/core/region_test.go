@@ -131,7 +131,12 @@ func regionEdges(t *testing.T, w *World, c worldCalls, id alloc.DescID, probe fu
 		}
 	}
 	// big chains the large objects, so that the heap must grow for them.
+	// The chain keeps every one reachable, so a large object carved at an
+	// address it holds is a reachable object the collector freed: the
+	// loop fails there, or once it has allocated more pages than the heap
+	// has without growing it, rather than spinning on the freed pages.
 	const bigRoot = regionRoots + 4*1000
+	chained := map[mem.Addr]bool{}
 	for round := 0; round < 40; round++ {
 		tails()
 		probe("typed")
@@ -153,8 +158,15 @@ func regionEdges(t *testing.T, w *World, c worldCalls, id alloc.DescID, probe fu
 		if round%8 == 0 {
 			tails()
 			probe("expansion")
-			for e := w.Heap.Stats().Expansions; w.Heap.Stats().Expansions == e; {
+			for e, n := w.Heap.Stats().Expansions, 0; w.Heap.Stats().Expansions == e; n++ {
+				if pages := w.Heap.Stats().HeapBytes / mem.PageBytes; n > pages {
+					t.Fatalf("%d one-page objects chained from %#x and the %d-page heap has not grown", n, uint32(bigRoot), pages)
+				}
 				big := allocate(2*alloc.MaxSmallWords, false)
+				if chained[big] {
+					t.Fatalf("large object %#x carved again while the chain from %#x holds it: a reachable object was freed", uint32(big), uint32(bigRoot))
+				}
+				chained[big] = true
 				prev, err := c.Load(bigRoot)
 				if err == nil {
 					err = c.Store(big, prev)

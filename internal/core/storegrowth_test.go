@@ -14,12 +14,12 @@ import (
 // moves only in Allocator.Expand, and Expand runs with every handle
 // parked. Storer handles write and read back words of their own rooted
 // objects, and their own root slots, while a grower handle's rooted
-// allocations force the heap to grow — by growing the extent in place,
-// by mapping new extents (DiscontiguousGrowth), and under concurrent
-// marking, where stores take the barrier path from each snapshot to its
-// finale and the direct path again after it. Every store must land (the
-// last value written is the value read), the allocator audit must pass
-// after every round, and the closure oracle checks every close.
+// allocations force the heap to grow in place, stop-the-world and under
+// concurrent marking, where stores take the barrier path from each
+// snapshot to its finale and the direct path again after it. Every
+// store must land (the last value written is the value read), the
+// allocator audit must pass after every round, and the closure oracle
+// checks every close.
 func TestMutatorBatteryStoreGrowth(t *testing.T) {
 	const (
 		storers  = 3
@@ -30,8 +30,6 @@ func TestMutatorBatteryStoreGrowth(t *testing.T) {
 	)
 	configs := map[string]Config{
 		"contiguous": {InitialHeapBytes: 16 << 10, ReserveHeapBytes: 4 << 20, ExpandIncrement: 4 << 10, GCDivisor: -1},
-		"discontiguous": {InitialHeapBytes: 16 << 10, ReserveHeapBytes: 32 << 10, ExpandIncrement: 4 << 10,
-			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed, GCDivisor: -1},
 		"conc": {InitialHeapBytes: 16 << 10, ReserveHeapBytes: 4 << 20, ExpandIncrement: 4 << 10,
 			ConcurrentMark: true, GCDivisor: 4},
 	}
@@ -95,9 +93,6 @@ func TestMutatorBatteryStoreGrowth(t *testing.T) {
 			st := w.Heap.Stats()
 			if st.Expansions < rounds {
 				t.Fatalf("%d heap expansions in %d rounds: the battery did not grow the heap", st.Expansions, rounds)
-			}
-			if cfg.DiscontiguousGrowth && w.Heap.Extents() < 2 {
-				t.Fatalf("heap stayed in %d extent: no extent was mapped under the stores", w.Heap.Extents())
 			}
 			if oracle != nil && oracle.checked() == 0 {
 				t.Fatal("no cycle closed: no store switched paths")

@@ -80,19 +80,11 @@ type Config struct {
 	// many collections; 0 keeps them forever.
 	ExpireAge uint32
 
-	// AllowAtomicOnBlacklisted and AtomicBlacklistMaxWords, FreeBlocks,
-	// SkipPageBoundarySlot pass through to the allocator.
+	// AllowAtomicOnBlacklisted, FreeBlocks and SkipPageBoundarySlot pass
+	// through to the allocator.
 	AllowAtomicOnBlacklisted bool
-	AtomicBlacklistMaxWords  int
 	FreeBlocks               alloc.FreeBlockPolicy
 	SkipPageBoundarySlot     bool
-	// DiscontiguousGrowth lets the heap grow by mapping extents at
-	// non-adjacent addresses once the first reservation is spent — the
-	// paper's second collector, whose discontinuous heap is why "it
-	// makes sense to implement [the blacklist] as a hash table". It
-	// therefore requires BlacklistHashed (or BlacklistOff): a dense
-	// list covers only the first extent.
-	DiscontiguousGrowth bool
 
 	// GCDivisor triggers a collection when allocation since the last
 	// one exceeds heapSize/GCDivisor (default 2; a negative value
@@ -102,10 +94,6 @@ type Config struct {
 	// left — so that a cycle marks once the free space is mostly spent,
 	// not while most of it stands unused (triggerLocked, DESIGN.md §5h).
 	GCDivisor int
-	// FreeSpaceDivisor expands the heap after a collection that leaves
-	// less than heapSize/FreeSpaceDivisor free (default 4), so that a
-	// mostly-live heap does not thrash.
-	FreeSpaceDivisor int
 
 	// AllocatorResidue simulates the allocator's own call frames: each
 	// allocation briefly pushes a frame holding the fresh pointer and
@@ -218,9 +206,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GCDivisor == 0 {
 		c.GCDivisor = 2
-	}
-	if c.FreeSpaceDivisor == 0 {
-		c.FreeSpaceDivisor = 4
 	}
 	if c.MinorDivisor == 0 {
 		c.MinorDivisor = 8
@@ -582,9 +567,6 @@ func (w *World) SetTracer(r *trace.Recorder) {
 	r.SetHistogramSource(w.met.reg.HistogramSnapshot)
 }
 
-// Tracer returns the attached trace recorder (nil when disabled).
-func (w *World) Tracer() *trace.Recorder { return w.tracer }
-
 // EnableTracing attaches a fresh recorder holding the last capacity
 // events (trace.DefaultCapacity if capacity <= 0) and returns it.
 func (w *World) EnableTracing(capacity int) *trace.Recorder {
@@ -797,9 +779,6 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.DiscontiguousGrowth && c.Blacklisting == BlacklistDense {
-		return nil, fmt.Errorf("core: a discontinuous heap needs the hashed blacklist (paper, section 3)")
-	}
 	if c.ConcMarkWorkers < 0 {
 		return nil, fmt.Errorf("core: ConcMarkWorkers must be >= 0, got %d", c.ConcMarkWorkers)
 	}
@@ -820,10 +799,8 @@ func NewWorld(space *mem.AddressSpace, cfg Config) (*World, error) {
 		Blacklist:                bl,
 		InteriorPointers:         c.Pointer == mark.PointerInterior,
 		AllowAtomicOnBlacklisted: c.AllowAtomicOnBlacklisted,
-		AtomicBlacklistMaxWords:  c.AtomicBlacklistMaxWords,
 		FreeBlocks:               c.FreeBlocks,
 		SkipPageBoundarySlot:     c.SkipPageBoundarySlot,
-		DiscontiguousGrowth:      c.DiscontiguousGrowth,
 		LazySweep:                c.LazySweep,
 	})
 	if err != nil {
@@ -1042,19 +1019,19 @@ func (w *World) allocateLocked(nwords int, rs residueSimulator, rooted bool, try
 	return p, nil
 }
 
-// expandIfTight grows the heap when a collection left too little free
-// space, per the FreeSpaceDivisor policy.
+// expandIfTight grows the heap by half when a collection left less than
+// a quarter of it free, so that a mostly-live heap does not thrash.
 func (w *World) expandIfTight() {
 	st := w.Heap.Stats()
 	free := uint64(st.HeapBytes) - st.BytesLive
-	if free < uint64(st.HeapBytes/w.cfg.FreeSpaceDivisor) && w.Heap.CanExpand() {
+	if free < uint64(st.HeapBytes/4) && w.Heap.CanExpand() {
 		w.expandLocked(st.HeapBytes / 2)
 	}
 }
 
 // expandLocked is the one way the world grows the heap: Allocator.Expand
-// with every handle parked. Growth reallocates a heap segment's backing
-// array or maps a new extent into the address space, and handles read
+// with every handle parked. Growth reallocates the heap segment's
+// backing array, and handles read
 // and write heap words under their own locks alone (Mutator.Store,
 // Mutator.Load); parking flushes nothing, so no address or free list
 // differs from an unparked growth. Callers hold w.mu and no handle's

@@ -787,72 +787,6 @@ func TestSetGCTraceDuringCollect(t *testing.T) {
 	}
 }
 
-func TestDiscontiguousWorldRequiresHashedBlacklist(t *testing.T) {
-	if _, err := NewWorld(nil, Config{DiscontiguousGrowth: true, Blacklisting: BlacklistDense}); err == nil {
-		t.Fatal("discontinuous heap with dense blacklist accepted")
-	}
-	if _, err := NewWorld(nil, Config{DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiscontiguousWorldEndToEnd(t *testing.T) {
-	// The paper's second collector: discontinuous heap, hashed
-	// blacklist. Fill past the first reservation, keep a rotating live
-	// set, verify collection and blacklisting still work everywhere.
-	w := newWorld(t, Config{
-		InitialHeapBytes:    64 * 1024,
-		ReserveHeapBytes:    64 * 1024,
-		ExpandIncrement:     16 * 1024,
-		DiscontiguousGrowth: true,
-		Blacklisting:        BlacklistHashed,
-		GCDivisor:           -1, // exercise the expand path, not collection
-	})
-	data := addData(t, w, "data", 0x2000, 64*1024)
-	// 15000 rooted 4-word objects = 240 KiB live, far beyond the 64 KiB
-	// first reservation: growth is forced, and with it new extents.
-	var objs []mem.Addr
-	for i := 0; i < 15000; i++ {
-		p, err := w.Allocate(4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, p)
-		data.Store(0x2000+mem.Addr(4*i), mem.Word(p))
-	}
-	if w.Heap.Extents() < 2 {
-		t.Fatalf("heap stayed contiguous: %d extents", w.Heap.Extents())
-	}
-	// A false reference into the SECOND extent's vicinity gets hash-
-	// blacklisted.
-	falseRef := w.Heap.Limit() - 2 // committed, near the top extent
-	_, ok := w.Heap.FindObject(falseRef, false)
-	_ = ok
-	vic := w.Heap.Limit() + 0x100 // uncommitted, in the top reservation
-	if !w.Heap.InVicinity(vic) {
-		t.Fatal("top extent reservation not in vicinity")
-	}
-	data.Store(0x2000+4*15000, mem.Word(vic))
-	w.Collect()
-	if !w.Blacklist.Contains(vic) {
-		t.Fatal("hashed blacklist missed a second-extent vicinity reference")
-	}
-	// Every rooted object survives, wherever its extent.
-	for i, p := range objs {
-		if !w.Heap.IsAllocated(p) {
-			t.Fatalf("rooted object %d lost", i)
-		}
-	}
-	// Dropping the roots frees across all extents.
-	for i := 0; i < 15000; i++ {
-		data.Store(0x2000+mem.Addr(4*i), 0)
-	}
-	w.Collect()
-	if live := w.Heap.Stats().ObjectsLive; live != 0 {
-		t.Fatalf("%d objects survived after dropping all roots", live)
-	}
-}
-
 // TestPinnedHeapOfGarbageAllocates is the exhaustion rule's regression:
 // a heap at its reservation, filled with rooted objects, then all of it
 // garbage. A failed allocation adds nothing to the collection trigger,

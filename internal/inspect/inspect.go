@@ -57,9 +57,7 @@ func HeapMap(heap *alloc.Allocator, bl blacklist.List, width int) string {
 			if i > 0 {
 				sb.WriteByte('\n')
 			}
-			// The row prefix is the first block's own address: correct
-			// even when the heap is discontinuous and block indices jump
-			// between extents.
+			// The row prefix is the first block's own address.
 			fmt.Fprintf(&sb, "%#08x ", uint32(info.Base))
 		}
 		listed := bl.Contains(info.Base)

@@ -1,7 +1,6 @@
 package inspect
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -149,72 +148,5 @@ func TestTraceLineMinorAndConcurrent(t *testing.T) {
 	cst := cw.FinishConcurrentCycle()
 	if line := TraceLine(1, cst); !strings.Contains(line, "gc 1: concurrent ") {
 		t.Fatalf("concurrent trace line = %q", line)
-	}
-}
-
-func TestHeapMapAcrossExtents(t *testing.T) {
-	w, err := core.NewWorld(nil, core.Config{
-		InitialHeapBytes:    4 * mem.PageBytes,
-		ReserveHeapBytes:    4 * mem.PageBytes,
-		ExpandIncrement:     mem.PageBytes,
-		DiscontiguousGrowth: true,
-		Blacklisting:        core.BlacklistHashed,
-		GCDivisor:           -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force a second extent.
-	for i := 0; i < 6; i++ {
-		if _, err := w.Heap.AllocIgnoreOffPage(mem.PageWords, false); err != nil {
-			if err := w.Heap.Expand(mem.PageBytes); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.Heap.AllocIgnoreOffPage(mem.PageWords, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if w.Heap.Extents() < 2 {
-		t.Fatalf("extents = %d", w.Heap.Extents())
-	}
-	m := HeapMap(w.Heap, w.Blacklist, 4)
-	// Rows exist for addresses in both extents (the second extent's
-	// base is far from the first).
-	if !strings.Contains(m, "#") {
-		t.Fatalf("map missing large blocks:\n%s", m)
-	}
-	lines := strings.Count(m, "\n")
-	if lines < 3 {
-		t.Fatalf("map too short for two extents:\n%s", m)
-	}
-}
-
-func TestHeapMapRowAddressesFollowExtents(t *testing.T) {
-	w, err := core.NewWorld(nil, core.Config{
-		InitialHeapBytes:    4 * mem.PageBytes,
-		ReserveHeapBytes:    4 * mem.PageBytes,
-		ExpandIncrement:     mem.PageBytes,
-		DiscontiguousGrowth: true,
-		Blacklisting:        core.BlacklistHashed,
-		GCDivisor:           -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Heap.Expand(5 * mem.PageBytes); err != nil { // exhaust + new extent
-		t.Fatal(err)
-	}
-	if w.Heap.Extents() < 2 {
-		t.Fatalf("extents = %d", w.Heap.Extents())
-	}
-	// With width 4, the second row starts at the second extent, whose
-	// base is far from first-extent addresses.
-	m := HeapMap(w.Heap, w.Blacklist, 4)
-	secondBase := w.Heap.BlockInfo(4).Base
-	if !strings.Contains(m, strings.ToLower(
-		"0x"+fmt.Sprintf("%08x", uint32(secondBase)))) {
-		t.Fatalf("map rows do not show the second extent's address %#x:\n%s",
-			uint32(secondBase), m)
 	}
 }

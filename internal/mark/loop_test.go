@@ -40,7 +40,7 @@ type mixedHeap struct {
 	roots []mem.Word
 }
 
-func newMixedHeap(t testing.TB, seed uint64, extents int, interior bool) *mixedHeap {
+func newMixedHeap(t testing.TB, seed uint64, interior bool) *mixedHeap {
 	t.Helper()
 	h := &mixedHeap{space: mem.NewAddressSpace(), bl: &addLog{}, masks: map[mem.Addr][]bool{}}
 	cfg := alloc.Config{
@@ -50,12 +50,6 @@ func newMixedHeap(t testing.TB, seed uint64, extents int, interior bool) *mixedH
 		ExpandIncrement:  mem.PageBytes,
 		Blacklist:        h.bl,
 		InteriorPointers: interior,
-	}
-	if extents > 1 {
-		cfg.ReserveBytes = cfg.InitialBytes
-		cfg.DiscontiguousGrowth = true
-		cfg.ExtentGapBytes = 1 << 20
-		cfg.ExtentReserveBytes = 256 * mem.PageBytes
 	}
 	var err error
 	if h.heap, err = alloc.New(h.space, cfg); err != nil {
@@ -88,7 +82,7 @@ func newMixedHeap(t testing.TB, seed uint64, extents int, interior bool) *mixedH
 	}
 	smallSizes := []int{1, 2, 3, 4, 8, 16, 40, 170}
 	var all []mem.Addr
-	for i := 0; i < 700 || h.heap.Extents() < extents; i++ {
+	for i := 0; i < 700; i++ {
 		var p mem.Addr
 		switch k := rng.Intn(20); {
 		case k < 10:
@@ -133,7 +127,7 @@ func newMixedHeap(t testing.TB, seed uint64, extents int, interior bool) *mixedH
 			return mem.Word(p + mem.Addr(rng.Intn(words*mem.WordBytes)))
 		case k < 16:
 			return mem.Word(freed[rng.Intn(len(freed))])
-		case k < 17: // reserved but not committed, or the gap between extents
+		case k < 17: // reserved but not committed
 			return mem.Word(hullHi - 8 - mem.Addr(rng.Intn(1<<16)))
 		default:
 			return mem.Word(rng.Uint32())
@@ -242,15 +236,12 @@ func (r *refMarker) drain(t testing.TB) {
 
 var loopShapes = []struct {
 	name      string
-	extents   int
 	policy    PointerPolicy
 	alignment AlignPolicy
 }{
-	{"base", 1, PointerBase, AlignedWords},
-	{"interior", 1, PointerInterior, AlignedWords},
-	{"interior-unaligned-roots", 1, PointerInterior, AnyByteOffset},
-	{"two-extents-base", 2, PointerBase, AlignedWords},
-	{"two-extents-interior", 2, PointerInterior, AnyByteOffset},
+	{"base", PointerBase, AlignedWords},
+	{"interior", PointerInterior, AlignedWords},
+	{"interior-unaligned-roots", PointerInterior, AnyByteOffset},
 }
 
 // requireZoo fails unless the marked heap exercised every path the
@@ -289,10 +280,7 @@ func TestScanLoopMatchesUnfusedReference(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/cas=%v/seed=%d", sh.name, premarked, seed), func(t *testing.T) {
 					interior := sh.policy == PointerInterior
-					got, want := newMixedHeap(t, seed, sh.extents, interior), newMixedHeap(t, seed, sh.extents, interior)
-					if got.heap.Extents() < sh.extents {
-						t.Fatalf("%d extents, want %d", got.heap.Extents(), sh.extents)
-					}
+					got, want := newMixedHeap(t, seed, interior), newMixedHeap(t, seed, interior)
 					for i := 0; premarked && i < len(got.objs); i += 5 {
 						got.heap.Mark(got.objs[i])
 						want.heap.Mark(want.objs[i])
@@ -333,7 +321,7 @@ func TestScanObjectMatchesDrain(t *testing.T) {
 	for _, sh := range loopShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			interior := sh.policy == PointerInterior
-			popped, byBase := newMixedHeap(t, 7, sh.extents, interior), newMixedHeap(t, 7, sh.extents, interior)
+			popped, byBase := newMixedHeap(t, 7, interior), newMixedHeap(t, 7, interior)
 			org := RootOrigin{Kind: RootSegment, Src: 3, Base: 0x2000}
 
 			pm := New(popped.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: popped.bl})
@@ -416,7 +404,7 @@ func TestDriversShareTheLoop(t *testing.T) {
 		for _, d := range drivers {
 			t.Run(sh.name+"/"+d.name, func(t *testing.T) {
 				interior := sh.policy == PointerInterior
-				serial, driven := newMixedHeap(t, 11, sh.extents, interior), newMixedHeap(t, 11, sh.extents, interior)
+				serial, driven := newMixedHeap(t, 11, interior), newMixedHeap(t, 11, interior)
 				sm := New(serial.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: serial.bl})
 				sm.MarkWords(serial.roots)
 				sm.Drain()
@@ -448,7 +436,7 @@ func TestDrainKeptDifferential(t *testing.T) {
 	for _, sh := range loopShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			interior := sh.policy == PointerInterior
-			serial, driven := newMixedHeap(t, 13, sh.extents, interior), newMixedHeap(t, 13, sh.extents, interior)
+			serial, driven := newMixedHeap(t, 13, interior), newMixedHeap(t, 13, interior)
 			sm := New(serial.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: serial.bl})
 			sm.MarkWords(serial.roots)
 			sm.Drain()
@@ -548,7 +536,7 @@ func TestTypedWideDescriptor(t *testing.T) {
 // TestMarkLoopDoesNotAllocate pins the warm loop at zero allocations: a
 // candidate, a push and a drain touch only the marker's own stack.
 func TestMarkLoopDoesNotAllocate(t *testing.T) {
-	h := newMixedHeap(t, 5, 1, true)
+	h := newMixedHeap(t, 5, true)
 	m := New(h.heap, Config{Policy: PointerInterior, Blacklist: h.bl})
 	mark := func() {
 		h.heap.ClearMarks()
@@ -576,7 +564,7 @@ func TestParallelSparseRoots(t *testing.T) {
 	for _, sh := range loopShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			interior := sh.policy == PointerInterior
-			plain, shaded := newMixedHeap(t, 11, sh.extents, interior), newMixedHeap(t, 11, sh.extents, interior)
+			plain, shaded := newMixedHeap(t, 11, interior), newMixedHeap(t, 11, interior)
 			pm := New(plain.heap, Config{Policy: sh.policy, Alignment: sh.alignment, Blacklist: plain.bl})
 			for _, v := range plain.roots {
 				if v != 0 {

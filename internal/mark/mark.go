@@ -121,12 +121,11 @@ type Marker struct {
 	roots []rootCopy
 }
 
-// rootCopy is one root segment as its last full scan saw it: its words,
-// the heap's hull then, and (when ok) the in-hull words among them in
-// scan order. Nothing about what a candidate resolved to is kept.
+// rootCopy is one root segment as its last full scan saw it: its words
+// and (when ok) the in-hull words among them in scan order. Nothing
+// about what a candidate resolved to is kept.
 type rootCopy struct {
 	words, cands []mem.Word
-	lo, hi       mem.Addr
 	ok           bool
 }
 
@@ -317,9 +316,10 @@ func (m *Marker) markRootWords(words []mem.Word) {
 }
 
 // markRootSegment scans root segment src's words. A segment whose words
-// and hull equal its last full scan's feeds only that scan's in-hull
-// words through the loop (the rest could be neither objects nor near the
-// heap), and counts the others as the dense scan would. Every candidate
+// equal its last full scan's feeds only that scan's in-hull words
+// through the loop (the rest could be neither objects nor near the heap:
+// the hull is fixed at alloc.New), and counts the others as the dense
+// scan would. Every candidate
 // is still classified: a false reference is blacklisted again, and may
 // since have become an object. The copy is compared, not trusted to a
 // write counter, because Segment.Words hands the backing slice out.
@@ -328,9 +328,8 @@ func (m *Marker) markRootSegment(src int32, words []mem.Word) {
 		m.roots = append(m.roots, rootCopy{})
 	}
 	c := &m.roots[src]
-	lo, hi := m.heap.Hull()
 	same := mem.SameWords(words, c.words)
-	if same && c.ok && c.lo == lo && c.hi == hi {
+	if same && c.ok {
 		m.k.Stats.WordsScanned += uint64(len(words))
 		m.scan(c.cands, false, 0)
 		m.k.Stats.Candidates += uint64(len(words) - len(c.cands))
@@ -342,12 +341,13 @@ func (m *Marker) markRootSegment(src int32, words []mem.Word) {
 		return
 	}
 	c.cands = c.cands[:0]
+	lo, hi := m.heap.Hull()
 	for _, v := range words {
 		if v != 0 && mem.Addr(v)-lo < hi-lo {
 			c.cands = append(c.cands, v)
 		}
 	}
-	c.lo, c.hi, c.ok = lo, hi, true
+	c.ok = true
 }
 
 // MarkSegment scans a whole segment's committed words as a root area.

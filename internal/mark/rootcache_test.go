@@ -12,16 +12,15 @@ import (
 )
 
 // Root-segment geometry of the root-cache tests: a 16-page heap reserved
-// to 32 pages, whose next extent (DiscontiguousGrowth) is mapped 4 pages
-// past that reservation, and a 256-word static segment polluted with
-// pointers, in-hull junk, words aimed at the next extent (outside the
-// hull until the heap grows into it) and out-of-hull integers.
+// to 32 pages, growing 4 pages at a time, and a 256-word static segment
+// polluted with pointers, in-hull junk (some of it in the reserved tail
+// until the heap grows over it), words just past the reservation and
+// out-of-hull integers.
 const (
-	rcStatics  = 0x10000
-	rcWords    = 256
-	rcReserve  = 32 * mem.PageBytes
-	rcGap      = 4 * mem.PageBytes
-	rcNextBase = heapBase + rcReserve + rcGap
+	rcStatics = 0x10000
+	rcWords   = 256
+	rcReserve = 32 * mem.PageBytes
+	rcPast    = heapBase + rcReserve
 )
 
 // rootSide is one heap with a root segment and its marker. The cached
@@ -51,18 +50,17 @@ type cycleOut struct {
 func newRootSide(t testing.TB, seed uint64, align AlignPolicy, cached bool) *rootSide {
 	t.Helper()
 	space := mem.NewAddressSpace()
-	bl, err := blacklist.NewDense(heapBase, rcNextBase+rcReserve, mem.PageBytes)
+	bl, err := blacklist.NewDense(heapBase, rcPast, mem.PageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heap, err := alloc.New(space, alloc.Config{
-		HeapBase:            heapBase,
-		InitialBytes:        16 * mem.PageBytes,
-		ReserveBytes:        rcReserve,
-		DiscontiguousGrowth: true,
-		ExtentGapBytes:      rcGap,
-		Blacklist:           bl,
-		InteriorPointers:    true,
+		HeapBase:         heapBase,
+		InitialBytes:     16 * mem.PageBytes,
+		ReserveBytes:     rcReserve,
+		ExpandIncrement:  4 * mem.PageBytes,
+		Blacklist:        bl,
+		InteriorPointers: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +94,7 @@ func newRootSide(t testing.TB, seed uint64, align AlignPolicy, cached bool) *roo
 		case 4:
 			ws[i] = mem.Word(heapBase + r.Uint32n(rcReserve))
 		case 5:
-			ws[i] = mem.Word(rcNextBase + r.Uint32n(rcReserve))
+			ws[i] = mem.Word(rcPast + r.Uint32n(rcReserve))
 		default:
 			ws[i] = mem.Word(r.Uint32n(1 << 16))
 		}
@@ -173,13 +171,19 @@ func TestRootCacheMatchesFullScan(t *testing.T) {
 		}},
 		{name: "expand", edit: func(t testing.TB, s *rootSide) mem.Addr {
 			lo, hi := s.heap.Hull()
-			for s.heap.Extents() < 2 {
-				if err := s.heap.Expand(16 * mem.PageBytes); err != nil {
+			for s.heap.CanExpand() {
+				if err := s.heap.Expand(mem.PageBytes); err != nil {
 					t.Fatal(err)
 				}
+				if nlo, nhi := s.heap.Hull(); nlo != lo || nhi != hi {
+					t.Fatalf("Expand moved the hull from [%#x, %#x) to [%#x, %#x)", uint32(lo), uint32(hi), uint32(nlo), uint32(nhi))
+				}
 			}
-			if nlo, nhi := s.heap.Hull(); nlo == lo && nhi == hi {
-				t.Fatal("a new extent left the hull as it was")
+			if got := s.heap.Limit(); got != hi {
+				t.Fatalf("the heap stopped growing at %#x, short of its reservation's end %#x", uint32(got), uint32(hi))
+			}
+			if err := s.heap.Expand(mem.PageBytes); err != alloc.ErrHeapExhausted {
+				t.Fatalf("Expand past the reservation: %v, want ErrHeapExhausted", err)
 			}
 			return 0
 		}},
@@ -260,7 +264,8 @@ func TestRootCacheHitZeroAlloc(t *testing.T) {
 
 // FuzzRootCache plays arbitrary edits between cycles — made through
 // Segment.Store and straight into Words(), of pointers, in-hull junk,
-// next-extent words and integers, with heap growth and segment growth
+// words just past the reservation and integers, with heap growth (up to
+// the reservation and past it) and segment growth
 // among them — on a marker that keeps its root copies and on one that
 // starts empty every cycle, and requires the same outcome after every
 // cycle. It also holds mem.SameWords to slices.Equal on the input's
@@ -309,7 +314,7 @@ func FuzzRootCache(f *testing.F) {
 				case 1:
 					val = mem.Word(heapBase + v%rcReserve)
 				case 2:
-					val = mem.Word(rcNextBase + v%rcReserve)
+					val = mem.Word(rcPast + v%rcReserve)
 				}
 				switch op % 6 {
 				case 0:
@@ -321,10 +326,8 @@ func FuzzRootCache(f *testing.F) {
 				case 2:
 					ws[(at+1)%len(ws)], ws[at%len(ws)] = ws[at%len(ws)], ws[(at+1)%len(ws)]
 				case 3: // no edit: the next cycle should hit
-				case 4:
-					if s.heap.Extents() < 2 {
-						_ = s.heap.Expand(16 * mem.PageBytes)
-					}
+				case 4: // ErrHeapExhausted once the reservation is spent
+					_ = s.heap.Expand(mem.PageBytes)
 				case 5:
 					if len(ws) < 2*rcWords {
 						if err := s.seg.Grow(mem.WordBytes); err != nil {

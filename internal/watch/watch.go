@@ -176,7 +176,6 @@ type Watcher struct {
 	cfg     Config
 	series  map[string]*series
 	samples int
-	alerts  uint64
 }
 
 // New creates a watcher with cfg completed by defaults.
@@ -189,9 +188,6 @@ func (w *Watcher) Config() Config { return w.cfg }
 
 // Samples returns how many Observe calls have been made.
 func (w *Watcher) Samples() int { return w.samples }
-
-// Alerts returns how many alerts have been raised in total.
-func (w *Watcher) Alerts() uint64 { return w.alerts }
 
 // Observe folds one retention sample into the trend series and returns
 // the alerts it raises, sorted by key. cycle is the collection cycle
@@ -262,7 +258,6 @@ func (w *Watcher) Observe(cycle int, totals map[string]Totals) []Alert {
 				})
 				s.everAlerted = true
 				s.alertedBytes = t.Bytes
-				w.alerts++
 			}
 		}
 

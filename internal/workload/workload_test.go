@@ -117,8 +117,8 @@ func TestProgramTFalseRootsRetainWithoutBlacklisting(t *testing.T) {
 			InitialHeapBytes: 2 << 20,
 		})
 		data := dataSeg(t, w, 64*1024)
-		// Pollute the root segment with values spread across the heap's
-		// eventual extent.
+		// Pollute the root segment with values spread across the 2 MiB
+		// the heap is given.
 		rng := simrand.New(3)
 		heapLo := uint32(w.Heap.Base())
 		for i := 0; i < 16*1024; i++ {

@@ -286,9 +286,8 @@ func TestSoundnessAcrossModes(t *testing.T) {
 		{"interior", Config{Pointer: PointerInterior, Blacklisting: BlacklistDense}},
 		{"lifo-frag", Config{FreeBlocks: LIFO}},
 		{"skip-boundary", Config{SkipPageBoundarySlot: true}},
-		{"discontiguous", Config{DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
-		{"gen-discontiguous", Config{Generational: true, MinorDivisor: 4,
-			DiscontiguousGrowth: true, Blacklisting: BlacklistHashed}},
+		{"hashed", Config{Blacklisting: BlacklistHashed}},
+		{"gen-hashed", Config{Generational: true, MinorDivisor: 4, Blacklisting: BlacklistHashed}},
 	}...)
 	for _, mode := range modes {
 		mode := mode

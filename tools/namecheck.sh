@@ -2,8 +2,9 @@
 # Names say what they test. Fails on a Test/Fuzz/Benchmark function, or
 # a table row or subtest name literal, in any _test.go outside
 # cmd/perfbench whose name says detached, parallel, par-, workers,
-# adaptive, bgsweep, linealloc, line-, -line, sweepbench or pausebench
-# (the mechanisms and benchmark drivers those words named are gone),
+# adaptive, bgsweep, linealloc, line-, -line, sweepbench, pausebench,
+# extent or discontig (the mechanisms, benchmark drivers and the
+# multi-extent heap those words named are gone),
 # unless the allowlist below keeps it in that file; and on an
 # alternative of the race target's CONC_BATTERIES pattern (passed in the
 # environment) that names no test of internal/core.
@@ -11,7 +12,7 @@
 # Run from the repository root: CONC_BATTERIES='A|B' bash tools/namecheck.sh
 set -euo pipefail
 
-words='detached|parallel|par-|workers|adaptive|bgsweep|linealloc|line-|-line|sweepbench|pausebench'
+words='detached|parallel|par-|workers|adaptive|bgsweep|linealloc|line-|-line|sweepbench|pausebench|extent|discontig'
 
 # One entry a line: the file, the name, then why it may say what it
 # says. "Kept name" entries are tests and rows that still carry the name
